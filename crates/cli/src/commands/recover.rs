@@ -13,9 +13,10 @@
 //! log capture the run?" a shell-level diff.
 //!
 //! `--stats` appends the operator's view of the store itself:
-//! per-segment record counts and byte sizes, the newest snapshot epoch,
-//! and the bytes the next compaction would reclaim — the numbers that
-//! show rotation and compaction doing their job.
+//! per-segment record counts and byte sizes — split into full frames
+//! and v3 delta frames — the newest snapshot epoch, and the bytes the
+//! next compaction would reclaim: the numbers that show rotation,
+//! compaction and delta encoding doing their job.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -166,8 +167,11 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
 /// and compaction have done and what the next compaction would free.
 fn render_stats(replayed: &StoreReplay) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "\n| segment | records | bytes | snapshots | torn |");
-    let _ = writeln!(out, "|---|---:|---:|---|---:|");
+    let _ = writeln!(
+        out,
+        "\n| segment | records | bytes | full records | full bytes | delta records | delta bytes | snapshots | torn |"
+    );
+    let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---:|---|---:|");
     for info in &replayed.segments {
         let snapshots = if info.snapshot_epochs.is_empty() {
             "-".to_string()
@@ -180,17 +184,30 @@ fn render_stats(replayed: &StoreReplay) -> String {
         };
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
             store::segment_file_name(info.id),
             info.records,
             info.bytes,
+            info.full_records(),
+            info.full_bytes(),
+            info.delta_records,
+            info.delta_bytes,
             snapshots,
             info.torn_bytes,
         );
     }
+    let segments = replayed.segments.iter();
     let _ = writeln!(
         out,
-        "\nnewest snapshot     {}",
+        "\nframes              {} full ({} bytes), {} delta ({} bytes)",
+        segments.clone().map(|s| s.full_records()).sum::<u64>(),
+        segments.map(|s| s.full_bytes()).sum::<u64>(),
+        replayed.replay.delta_records,
+        replayed.replay.delta_bytes,
+    );
+    let _ = writeln!(
+        out,
+        "newest snapshot     {}",
         replayed
             .newest_snapshot_epoch()
             .map(|e| format!("round {e}"))
@@ -457,6 +474,10 @@ mod tests {
             "5",
             "--shards",
             "2",
+            // Most users sit most rounds out, so the records that
+            // follow another in their segment are stored as deltas.
+            "--churn",
+            "0.8",
             "--backend",
             "engine",
             "--wal",
@@ -474,6 +495,38 @@ mod tests {
         assert!(out.contains("newest snapshot     round"), "{out}");
         assert!(out.contains("reclaimable"), "{out}");
         assert!(out.contains("orphans             none"), "{out}");
+        // Full and delta frames are told apart per segment, and add up.
+        assert!(
+            out.contains("| full records | full bytes | delta records | delta bytes |"),
+            "{out}"
+        );
+        let rows: Vec<Vec<u64>> = out
+            .lines()
+            .filter(|l| l.starts_with("| segment-"))
+            .map(|l| {
+                l.split('|')
+                    .filter_map(|cell| cell.trim().parse().ok())
+                    .collect()
+            })
+            .collect();
+        assert!(!rows.is_empty(), "{out}");
+        let (mut full, mut delta) = (0, 0);
+        for row in &rows {
+            // records, bytes, full records, full bytes, delta records,
+            // delta bytes, torn.
+            assert_eq!(row.len(), 7, "{out}");
+            assert_eq!(row[0], row[2] + row[4], "{out}");
+            assert_eq!(row[1], 8 + row[3] + row[5] + row[6], "{out}");
+            assert!(row[2] >= 1, "a segment opens with a full frame: {out}");
+            full += row[2];
+            delta += row[4];
+        }
+        assert!(delta >= 1, "no delta frame in a sparse campaign: {out}");
+        assert!(
+            out.contains(&format!("frames              {full} full (")),
+            "{out}"
+        );
+        assert!(out.contains(&format!("), {delta} delta (")), "{out}");
         // The stats pass is read-only too.
         assert_eq!(before, dir_image(&dir));
 

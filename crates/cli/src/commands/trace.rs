@@ -136,10 +136,13 @@ mod tests {
         "2",
     ];
 
-    // Trace rings are process-global; one test exercises both modes so
-    // parallel tests cannot clear each other's events.
+    // Trace rings are process-global: the tests that drain them take
+    // this lock so parallel tests cannot clear each other's events.
+    static RINGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn summary_and_dump_cover_the_pipeline_spans() {
+        let _rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
         let out = execute(&argv(SMALL)).unwrap();
         assert!(out.contains("weights digest"), "{out}");
         assert!(out.contains("| merge |"), "{out}");
@@ -154,6 +157,7 @@ mod tests {
 
     #[test]
     fn dump_to_file_reports_the_path() {
+        let _rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("dptd-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");

@@ -20,6 +20,12 @@
 //! bytes of the last `ReplicateSegment` frame applied partially) is
 //! also injected at several cut points and must be repaired by the
 //! same recovery path.
+//!
+//! Replication ships the primary's file bytes, so the follower needs no
+//! knowledge of frame kinds — which is itself the claim under test:
+//! both harnesses run on a dense 14-user campaign (mostly full frames)
+//! **and** on a sparse 2 000-user campaign whose records after each
+//! segment's first are v3 delta frames.
 
 use std::sync::{Arc, Mutex};
 
@@ -34,7 +40,6 @@ use dptd_server::StoreOp;
 use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::Loss;
 
-const USERS: usize = 14;
 const OBJECTS: usize = 3;
 const ROUNDS: u64 = 5;
 const SEED: u64 = 808;
@@ -50,12 +55,33 @@ fn store_config() -> StoreConfig {
     }
 }
 
-fn load() -> LoadGen {
+/// Who reports: the population and the fraction sitting each round out.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    users: usize,
+    churn: f64,
+}
+
+/// Most users report every round: deltas mostly lose the size
+/// comparison and the stream carries full frames.
+const DENSE: Shape = Shape {
+    users: 14,
+    churn: 0.25,
+};
+
+/// ~3 % of 2 000 users report per round: every record that is not the
+/// first of its segment is replicated as a delta frame.
+const SPARSE: Shape = Shape {
+    users: 2_000,
+    churn: 0.97,
+};
+
+fn load(shape: Shape) -> LoadGen {
     LoadGen::new(LoadGenConfig {
-        num_users: USERS,
+        num_users: shape.users,
         num_objects: OBJECTS,
         epochs: ROUNDS,
-        churn: 0.25,
+        churn: shape.churn,
         duplicate_probability: 0.05,
         straggler_fraction: 0.05,
         seed: SEED,
@@ -83,7 +109,7 @@ fn policy(load: &LoadGen) -> WalPolicy {
 
 fn engine(load: &LoadGen) -> Engine {
     Engine::new(EngineConfig {
-        num_users: USERS,
+        num_users: load.config().num_users,
         num_objects: OBJECTS,
         num_shards: 2,
         queue_capacity: 256,
@@ -141,8 +167,8 @@ struct Reference {
 
 /// Run the campaign once on an observed store and capture both the
 /// per-round state and the complete replication stream.
-fn reference() -> Reference {
-    let load = load();
+fn reference(shape: Shape) -> Reference {
+    let load = load(shape);
     let ops: Arc<Mutex<Vec<Op>>> = Arc::new(Mutex::new(Vec::new()));
     let observed = ObservedFs::new(
         Box::new(MemFs::new()),
@@ -180,10 +206,19 @@ fn replica_after(ops: &[Op], prefix: usize) -> MemFs {
 }
 
 /// Failover: the stock recovery path pointed at the replica bytes.
-fn recover(fs: MemFs) -> RecoveredState {
-    let load = load();
+fn recover(shape: Shape, fs: MemFs) -> RecoveredState {
+    let load = load(shape);
     let (_store, replay) = SegmentStore::open(Box::new(fs), store_config()).unwrap();
-    recover_replay(&replay, USERS, Loss::Squared, Some(&policy(&load))).unwrap()
+    recover_replay(&replay, shape.users, Loss::Squared, Some(&policy(&load))).unwrap()
+}
+
+/// Whether a replicated append carries a v3 delta frame (the length
+/// self-check mask in its header is `"WAL3"`).
+fn is_delta_frame(bytes: &[u8]) -> bool {
+    bytes.len() >= 8 && {
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        word(0) ^ word(4) == u32::from_le_bytes(*b"WAL3")
+    }
 }
 
 /// The recovered state must sit exactly on a committed round boundary
@@ -216,7 +251,25 @@ fn assert_on_boundary(reference: &Reference, recovered: &RecoveredState, at: &st
 
 #[test]
 fn every_operation_prefix_fails_over_bit_identically() {
-    let reference = reference();
+    // In the sparse stream round 1 follows round 0 in its segment and
+    // round 3 the compaction's snapshot, so both replicate as deltas;
+    // the other rounds open a segment.
+    for (shape, delta_appends) in [(DENSE, 0), (SPARSE, 2)] {
+        every_operation_prefix_fails_over(shape, delta_appends);
+    }
+}
+
+fn every_operation_prefix_fails_over(shape: Shape, delta_appends: usize) {
+    let reference = reference(shape);
+    let deltas = reference
+        .ops
+        .iter()
+        .filter(|(op, _, _, bytes)| *op == StoreOp::Append && is_delta_frame(bytes))
+        .count();
+    assert!(
+        deltas >= delta_appends,
+        "{shape:?}: {deltas} replicated delta frame(s)"
+    );
     assert!(
         reference
             .ops
@@ -237,8 +290,12 @@ fn every_operation_prefix_fails_over_bit_identically() {
     let mut recovered_rounds = Vec::new();
     let mut previous = 0;
     for prefix in 0..=reference.ops.len() {
-        let recovered = recover(replica_after(&reference.ops, prefix));
-        let round = assert_on_boundary(&reference, &recovered, &format!("kill after op {prefix}"));
+        let recovered = recover(shape, replica_after(&reference.ops, prefix));
+        let round = assert_on_boundary(
+            &reference,
+            &recovered,
+            &format!("{shape:?}: kill after op {prefix}"),
+        );
         assert!(
             round >= previous,
             "op {prefix}: recovery went backwards ({previous} -> {round})"
@@ -261,7 +318,13 @@ fn every_operation_prefix_fails_over_bit_identically() {
 
 #[test]
 fn a_torn_final_append_is_repaired_on_failover() {
-    let reference = reference();
+    for shape in [DENSE, SPARSE] {
+        a_torn_final_append_is_repaired(shape);
+    }
+}
+
+fn a_torn_final_append_is_repaired(shape: Shape) {
+    let reference = reference(shape);
     let mut torn_cases = 0;
     for (index, (op, name, _, bytes)) in reference.ops.iter().enumerate() {
         if *op != StoreOp::Append || bytes.len() < 2 {
@@ -273,11 +336,14 @@ fn a_torn_final_append_is_repaired_on_failover() {
             let fs = replica_after(&reference.ops, index);
             let mut torn: Box<dyn StoreFs> = Box::new(fs.clone());
             torn.append(name, &bytes[..cut]).unwrap();
-            let recovered = recover(fs);
+            let recovered = recover(shape, fs);
             assert_on_boundary(
                 &reference,
                 &recovered,
-                &format!("torn append (op {index}, {cut}/{} bytes)", bytes.len()),
+                &format!(
+                    "{shape:?}: torn append (op {index}, {cut}/{} bytes)",
+                    bytes.len()
+                ),
             );
             torn_cases += 1;
         }

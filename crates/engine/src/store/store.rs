@@ -59,11 +59,28 @@ pub struct SegmentInfo {
     pub bytes: u64,
     /// Committed records in the segment.
     pub records: u64,
+    /// How many of those are stored as v3 delta frames (the rest are
+    /// full epoch or snapshot frames).
+    pub delta_records: u64,
+    /// Bytes the delta frames occupy.
+    pub delta_bytes: u64,
     /// Epochs of the snapshot records inside the segment (normally at
     /// most one, as the segment's first record).
     pub snapshot_epochs: Vec<u64>,
     /// Torn-tail bytes (only ever non-zero for the active segment).
     pub torn_bytes: u64,
+}
+
+impl SegmentInfo {
+    /// Committed records stored as full (epoch or snapshot) frames.
+    pub fn full_records(&self) -> u64 {
+        self.records - self.delta_records
+    }
+
+    /// Bytes those full frames occupy.
+    pub fn full_bytes(&self) -> u64 {
+        (self.bytes - self.torn_bytes).saturating_sub(WAL_MAGIC.len() as u64 + self.delta_bytes)
+    }
 }
 
 /// A read-only replay of a whole segmented store directory.
@@ -101,8 +118,10 @@ impl StoreReplay {
     /// Bytes a compaction running now would free: everything except
     /// one fresh segment holding a snapshot of the newest committed
     /// record. Computed arithmetically — a snapshot is the record's
-    /// frame minus its accepted-user list — so inspecting a
-    /// million-user log never serializes one just to measure it.
+    /// *full* frame minus its accepted-user list, however the record
+    /// itself is stored — so inspecting a million-user log never
+    /// serializes one just to measure it. Zero once delta frames have
+    /// kept the log below one snapshot's size.
     pub fn reclaimable_bytes(&self) -> u64 {
         let Some(last) = self.replay.records.last() else {
             return 0;
@@ -135,8 +154,12 @@ pub struct SegmentStore {
     /// the log holds no snapshot) — the compaction clock.
     records_since_snapshot: u64,
     /// The newest committed record: everything a lazily-written
-    /// snapshot needs.
+    /// snapshot needs, and the base the next delta frame is taken
+    /// against. Updated in place, and only once an append has
+    /// committed.
     last_record: Option<EpochRecord>,
+    /// The users the last delta frame listed (scratch, reused).
+    changed: Vec<u32>,
     /// Set when an append failed; the next append truncates the active
     /// segment back to its committed length first.
     dirty: bool,
@@ -159,10 +182,8 @@ fn replay_manifest(
     synthesized: bool,
     mut read: impl FnMut(&str) -> Result<Option<Vec<u8>>, WalError>,
 ) -> Result<(Replay, Vec<SegmentInfo>), WalError> {
-    let mut records = Vec::new();
     let mut infos = Vec::new();
-    let mut valid_len = 0u64;
-    let mut truncated_bytes = 0u64;
+    let mut whole = Replay::default();
     for (i, &id) in manifest.segments.iter().enumerate() {
         let is_active = i + 1 == manifest.segments.len();
         let name = segment_file_name(id);
@@ -191,13 +212,17 @@ fn replay_manifest(
                 });
             }
         } else {
-            valid_len = replayed.valid_len;
-            truncated_bytes = replayed.truncated_bytes;
+            whole.valid_len = replayed.valid_len;
+            whole.truncated_bytes = replayed.truncated_bytes;
         }
+        whole.delta_records += replayed.delta_records;
+        whole.delta_bytes += replayed.delta_bytes;
         infos.push(SegmentInfo {
             id,
             bytes: bytes.len() as u64,
             records: replayed.records.len() as u64,
+            delta_records: replayed.delta_records,
+            delta_bytes: replayed.delta_bytes,
             snapshot_epochs: replayed
                 .records
                 .iter()
@@ -206,16 +231,9 @@ fn replay_manifest(
                 .collect(),
             torn_bytes: replayed.truncated_bytes,
         });
-        records.extend(replayed.records);
+        whole.records.extend(replayed.records);
     }
-    Ok((
-        Replay {
-            records,
-            valid_len,
-            truncated_bytes,
-        },
-        infos,
-    ))
+    Ok((whole, infos))
 }
 
 /// Epoch records after the newest snapshot (the compaction clock's
@@ -299,6 +317,7 @@ impl SegmentStore {
             active_records,
             records_since_snapshot: count_since_snapshot(&replay.records),
             last_record: replay.records.last().cloned(),
+            changed: Vec::new(),
             dirty: false,
         };
         Ok((store, replay))
@@ -411,7 +430,18 @@ impl RecordLog for SegmentStore {
             self.rotate()?;
         }
         let active = segment_file_name(self.manifest.active());
-        let frame = record.encode();
+        // The writer rule, a function of committed state only. The
+        // first record of a segment is always full, so every segment
+        // replays on its own; after that, a delta whenever it is the
+        // strictly shorter frame.
+        let delta = match &self.last_record {
+            Some(base) if self.active_records > 0 => {
+                record.encode_delta_if_shorter(base, &mut self.changed)
+            }
+            _ => None,
+        };
+        let is_delta = delta.is_some();
+        let frame = delta.unwrap_or_else(|| record.encode());
         match self.fs.append(&active, &frame) {
             Ok(()) => {
                 self.active_len += frame.len() as u64;
@@ -421,7 +451,12 @@ impl RecordLog for SegmentStore {
                 } else {
                     self.records_since_snapshot = 0;
                 }
-                self.last_record = Some(record.clone());
+                match &mut self.last_record {
+                    Some(last) => {
+                        last.overwrite_from(record, is_delta.then_some(&self.changed[..]));
+                    }
+                    None => self.last_record = Some(record.clone()),
+                }
                 Ok(())
             }
             Err(e) => {
@@ -608,8 +643,7 @@ mod tests {
         let reference = recover_replay(
             &Replay {
                 records: all.clone(),
-                valid_len: 0,
-                truncated_bytes: 0,
+                ..Replay::default()
             },
             USERS,
             Loss::Squared,
@@ -656,6 +690,77 @@ mod tests {
     }
 
     #[test]
+    fn the_first_record_of_a_segment_is_full_and_shorter_deltas_follow() {
+        let mem = MemFs::new();
+        let (mut store, _) = SegmentStore::open(Box::new(mem.clone()), config(3, 0)).unwrap();
+        let all = records(7);
+        for r in &all {
+            store.append_record(r).unwrap();
+        }
+        drop(store);
+        // One user moves per round, so after each segment's leading
+        // full frame the 16-byte-per-change delta wins: [F D D][F D D][F].
+        let files = mem.snapshot();
+        let mut at = 0;
+        for (name, deltas) in [
+            ("segment-000.wal", 2),
+            ("segment-001.wal", 2),
+            ("segment-002.wal", 0),
+        ] {
+            // Each segment replays on its own, whatever came before it.
+            let replayed = wal::replay(&files[name]).unwrap();
+            let n = replayed.records.len();
+            assert_eq!(replayed.records, all[at..at + n], "{name}");
+            assert_eq!(replayed.delta_records, deltas, "{name}");
+            let first = &all[at];
+            assert_eq!(
+                files[name].len(),
+                WAL_MAGIC.len()
+                    + first.encoded_len()
+                    + deltas as usize * first.delta_encoded_len(1),
+                "{name}"
+            );
+            assert!(first.delta_encoded_len(1) < first.encoded_len());
+            at += n;
+        }
+        assert_eq!(at, all.len());
+
+        // A reopened store keeps the rule: its base is the replayed
+        // record, and the directory is the one an uninterrupted writer
+        // leaves.
+        let resumed = MemFs::new();
+        let (mut store, _) = SegmentStore::open(Box::new(resumed.clone()), config(3, 0)).unwrap();
+        for r in &all[..5] {
+            store.append_record(r).unwrap();
+        }
+        drop(store);
+        let (mut store, _) = SegmentStore::open(Box::new(resumed.clone()), config(3, 0)).unwrap();
+        for r in &all[5..] {
+            store.append_record(r).unwrap();
+        }
+        assert_eq!(resumed.snapshot(), files);
+    }
+
+    #[test]
+    fn a_delta_that_is_not_strictly_shorter_is_written_in_full() {
+        // Two of three users move every round: 8 + 2·16 ≥ 3·12, so the
+        // delta loses the size comparison and the log is byte for byte
+        // the full-frame log.
+        let mut all = records(4);
+        for (i, r) in all.iter_mut().enumerate() {
+            r.cumulative_losses[(i + 1) % USERS] += 1.0 + i as f64;
+        }
+        let mem = MemFs::new();
+        let (mut store, _) = SegmentStore::open(Box::new(mem.clone()), config(0, 0)).unwrap();
+        let mut expected = WAL_MAGIC.to_vec();
+        for r in &all {
+            store.append_record(r).unwrap();
+            expected.extend_from_slice(&r.encode());
+        }
+        assert_eq!(mem.snapshot()["segment-000.wal"], expected);
+    }
+
+    #[test]
     fn legacy_single_segment_directories_are_adopted() {
         // A PR-3-era FileWal directory: segment-000.wal, no manifest.
         let mem = MemFs::new();
@@ -667,11 +772,23 @@ mod tests {
             let mut fs: Box<dyn StoreFs> = Box::new(mem.clone());
             fs.append("segment-000.wal", &legacy).unwrap();
         }
-        let (store, replay) = SegmentStore::open(Box::new(mem.clone()), config(0, 0)).unwrap();
+        let (mut store, replay) = SegmentStore::open(Box::new(mem.clone()), config(0, 0)).unwrap();
         assert_eq!(replay.records, records(3));
         assert_eq!(store.manifest().segments, vec![0]);
         // Adoption persisted the manifest.
         assert!(mem.snapshot().contains_key(MANIFEST_FILE));
+
+        // A log of full frames only — what every release before the v3
+        // delta frame wrote — resumes: the old bytes stay as they are
+        // and the next records follow them, as deltas where shorter.
+        for r in &records(5)[3..] {
+            store.append_record(r).unwrap();
+        }
+        drop(store);
+        assert_eq!(mem.snapshot()["segment-000.wal"][..legacy.len()], legacy);
+        let (_, replay) = SegmentStore::open(Box::new(mem.clone()), config(0, 0)).unwrap();
+        assert_eq!(replay.records, records(5));
+        assert_eq!(replay.delta_records, 2);
     }
 
     #[test]
@@ -844,6 +961,40 @@ mod tests {
         assert!(replayed.total_bytes() > 0);
         assert!(replayed.reclaimable_bytes() < replayed.total_bytes());
         assert!(replayed.orphans.is_empty());
+        // Mixed frame sizes are accounted per segment: the first record
+        // of each is full, and full + delta bytes add up to the file.
+        let last = replayed.replay.records.last().unwrap();
+        let (full, delta) = (last.encoded_len() as u64, last.delta_encoded_len(1) as u64);
+        for info in &replayed.segments {
+            assert!(info.delta_records < info.records, "{info:?}");
+            assert_eq!(info.delta_bytes, info.delta_records * delta, "{info:?}");
+            let snapshots = info.snapshot_epochs.len() as u64;
+            let epochs = info.records - info.delta_records - snapshots;
+            // A snapshot frame is an epoch frame minus its one accepted user.
+            assert_eq!(info.full_records(), epochs + snapshots);
+            assert_eq!(
+                info.full_bytes(),
+                epochs * full + snapshots * (full - 8),
+                "{info:?}"
+            );
+            assert_eq!(
+                info.bytes,
+                WAL_MAGIC.len() as u64 + info.full_bytes() + info.delta_bytes
+            );
+        }
+        assert!(replayed.replay.delta_records > 0);
+        assert_eq!(
+            replayed.replay.delta_records,
+            replayed
+                .segments
+                .iter()
+                .map(|s| s.delta_records)
+                .sum::<u64>()
+        );
+        assert_eq!(
+            replayed.reclaimable_bytes(),
+            replayed.total_bytes() - (WAL_MAGIC.len() as u64 + full - 8)
+        );
         drop(mem);
         let _ = std::fs::remove_dir_all(&dir);
     }

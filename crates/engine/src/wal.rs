@@ -32,14 +32,46 @@
 //! self-check that distinguishes a *corrupted* length prefix (rejected as
 //! [`WalError::Corrupt`] — it would otherwise masquerade as a torn tail
 //! and truncate committed records) from a genuinely torn frame. The mask
-//! that passes doubles as the record's kind: `"WAL1"` frames a v1
+//! that passes doubles as the frame's kind: `"WAL1"` frames a v1
 //! [`RecordKind::Epoch`] record, `"WAL2"` frames a v2
 //! [`RecordKind::Snapshot`] record (same payload layout, written by the
-//! segmented store's compactor — see [`crate::store`]). A record
+//! segmented store's compactor — see [`crate::store`]), `"WAL3"` frames
+//! a v3 *delta* (below). A record
 //! is **committed** iff its frame is complete and both checks pass.
 //! Replay truncates a *torn tail* (a partial frame, or a checksum-bad
 //! final frame — what a crash mid-write leaves behind) and rejects
 //! corruption anywhere earlier as [`WalError::Corrupt`].
+//!
+//! # Delta frames (version 3, pinned by a golden test)
+//!
+//! A full record costs 12 bytes per population member whoever reported,
+//! but a round only moves the cumulative loss of users with claims in it
+//! and only debits accepted users. A v3 frame therefore carries an epoch
+//! record as *what changed* against the committed record right before
+//! it:
+//!
+//! ```text
+//! payload:= epoch … accepted_user:u64*          (the v1 fields, unchanged)
+//!           changed_len:u64
+//!           (user:u32 cumulative_loss_bits:u64 debits:u32)*
+//! ```
+//!
+//! with `user` strictly ascending — 97 bytes of frame header and fixed
+//! fields + 8 per accepted user + 16 per changed user, against 89 + 8
+//! per accepted user + 12 per population member for a full frame.
+//! [`replay`], the only reader, rebuilds the full [`EpochRecord`]
+//! (kind [`RecordKind::Epoch`], bit-for-bit the record the writer was
+//! handed) from the **immediately preceding committed record of the
+//! same log image**, which must snapshot the same population; a delta
+//! with no such base, with users out of order or range, or whose
+//! `changed_len` disagrees with the bytes present is
+//! [`WalError::Corrupt`]. Nothing above this module ever sees a delta.
+//! Only the segmented store writes them
+//! ([`EpochRecord::encode_delta`]; the rule for *when* is in
+//! [`crate::store`]); [`WalWriter`] always writes full frames. A
+//! reader that knows only `"WAL1"`/`"WAL2"` fails the length
+//! self-check on a v3 frame and refuses the log as corrupt instead of
+//! misreading it.
 //!
 //! Sinks: [`FileWal`] appends to a single segment file (fsynced per
 //! record), [`MemWal`] is the in-memory test double, and [`FailingWal`]
@@ -94,6 +126,18 @@ const LEN_XOR: u32 = u32::from_le_bytes(*b"WAL1");
 /// as [`WalError::Corrupt`] instead of silently misreading it.
 const SNAP_XOR: u32 = u32::from_le_bytes(*b"WAL2");
 
+/// Length self-check mask for a v3 delta frame: an epoch record stored
+/// as its differences from the committed record before it.
+const DELTA_XOR: u32 = u32::from_le_bytes(*b"WAL3");
+
+/// Payload bytes every layout spends before the accepted-user list:
+/// epoch, batches seen, loss tag, the five policy words, population and
+/// accepted counts.
+const FIXED_FIELDS_LEN: usize = 8 + 8 + 1 + 40 + 8 + 8;
+
+/// Payload bytes of one changed-user entry in a delta frame.
+const DELTA_ENTRY_LEN: usize = 4 + 8 + 4;
+
 /// What a committed record *means* to replay.
 ///
 /// An `Epoch` record appends one merged epoch (its accepted users are
@@ -110,22 +154,44 @@ pub enum RecordKind {
     Snapshot,
 }
 
-impl RecordKind {
+/// How a frame lays its record out, as tagged by the length self-check
+/// mask: in full (v1/v2, the mask also names the [`RecordKind`]) or as a
+/// v3 delta against the record before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameKind {
+    Full(RecordKind),
+    Delta,
+}
+
+impl FrameKind {
+    const ALL: [FrameKind; 3] = [
+        FrameKind::Full(RecordKind::Epoch),
+        FrameKind::Full(RecordKind::Snapshot),
+        FrameKind::Delta,
+    ];
+
     fn mask(self) -> u32 {
         match self {
-            RecordKind::Epoch => LEN_XOR,
-            RecordKind::Snapshot => SNAP_XOR,
+            FrameKind::Full(RecordKind::Epoch) => LEN_XOR,
+            FrameKind::Full(RecordKind::Snapshot) => SNAP_XOR,
+            FrameKind::Delta => DELTA_XOR,
         }
     }
 
-    fn from_check(payload_len: u32, len_check: u32) -> Option<Self> {
-        if payload_len ^ LEN_XOR == len_check {
-            Some(RecordKind::Epoch)
-        } else if payload_len ^ SNAP_XOR == len_check {
-            Some(RecordKind::Snapshot)
-        } else {
-            None
+    /// What the decoded record means to replay (a delta is an epoch).
+    fn record_kind(self) -> RecordKind {
+        match self {
+            FrameKind::Full(kind) => kind,
+            FrameKind::Delta => RecordKind::Epoch,
         }
+    }
+
+    /// The kind among `known` whose mask passes the self-check.
+    fn from_check(payload_len: u32, len_check: u32, known: &[FrameKind]) -> Option<Self> {
+        known
+            .iter()
+            .copied()
+            .find(|kind| payload_len ^ kind.mask() == len_check)
     }
 }
 
@@ -620,57 +686,181 @@ impl EpochRecord {
     /// computed without building it (header + fixed payload fields +
     /// 8 bytes per accepted user + 12 bytes per population member).
     pub fn encoded_len(&self) -> usize {
+        FRAME_HEADER_LEN + FIXED_FIELDS_LEN + 8 * self.accepted_users.len() + 12 * self.num_users()
+    }
+
+    /// Byte length of the v3 delta frame carrying this record with
+    /// `changed` changed-user entries.
+    pub fn delta_encoded_len(&self, changed: usize) -> usize {
         FRAME_HEADER_LEN
-            + 8
-            + 8
-            + 1
-            + 40
-            + 8
-            + 8
+            + FIXED_FIELDS_LEN
             + 8 * self.accepted_users.len()
-            + 12 * self.num_users()
+            + 8
+            + DELTA_ENTRY_LEN * changed
+    }
+
+    /// Build one `frame_len`-byte frame in a single buffer: reserve
+    /// the header, write the fields every layout shares (up to and
+    /// including the accepted-user list), let `body` write what
+    /// follows, then patch length, self-check and checksum in.
+    fn encode_frame(
+        &self,
+        kind: FrameKind,
+        frame_len: usize,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(frame_len);
+        frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        frame.extend_from_slice(&self.epoch.to_le_bytes());
+        frame.extend_from_slice(&self.batches_seen.to_le_bytes());
+        frame.push(loss_tag(self.loss));
+        for bits in self.policy.bits() {
+            frame.extend_from_slice(&bits.to_le_bytes());
+        }
+        frame.extend_from_slice(&(self.num_users() as u64).to_le_bytes());
+        frame.extend_from_slice(&(self.accepted_users.len() as u64).to_le_bytes());
+        for &user in &self.accepted_users {
+            frame.extend_from_slice(&(user as u64).to_le_bytes());
+        }
+        body(&mut frame);
+        debug_assert_eq!(frame.len(), frame_len);
+
+        let payload_len = (frame.len() - FRAME_HEADER_LEN) as u32;
+        let sum = checksum(&frame[FRAME_HEADER_LEN..]);
+        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        frame[4..8].copy_from_slice(&(payload_len ^ kind.mask()).to_le_bytes());
+        frame[8..FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        frame
     }
 
     /// Encode the record as one framed WAL entry (length prefix, length
-    /// self-check, checksum, payload).
+    /// self-check, checksum, payload) in the full v1/v2 layout.
     pub fn encode(&self) -> Vec<u8> {
         debug_assert_eq!(
             self.cumulative_losses.len(),
             self.rounds_debited.len(),
             "snapshot vectors must cover the same population"
         );
-        let num_users = self.cumulative_losses.len();
-        let payload_len = self.encoded_len() - FRAME_HEADER_LEN;
-        let mut payload = Vec::with_capacity(payload_len);
-        payload.extend_from_slice(&self.epoch.to_le_bytes());
-        payload.extend_from_slice(&self.batches_seen.to_le_bytes());
-        payload.push(loss_tag(self.loss));
-        for bits in self.policy.bits() {
-            payload.extend_from_slice(&bits.to_le_bytes());
-        }
-        payload.extend_from_slice(&(num_users as u64).to_le_bytes());
-        payload.extend_from_slice(&(self.accepted_users.len() as u64).to_le_bytes());
-        for &user in &self.accepted_users {
-            payload.extend_from_slice(&(user as u64).to_le_bytes());
-        }
-        for &loss in &self.cumulative_losses {
-            payload.extend_from_slice(&loss.to_bits().to_le_bytes());
-        }
-        for &debits in &self.rounds_debited {
-            payload.extend_from_slice(&debits.to_le_bytes());
-        }
-        debug_assert_eq!(payload.len(), payload_len);
+        self.encode_frame(FrameKind::Full(self.kind), self.encoded_len(), |frame| {
+            for &loss in &self.cumulative_losses {
+                frame.extend_from_slice(&loss.to_bits().to_le_bytes());
+            }
+            for &debits in &self.rounds_debited {
+                frame.extend_from_slice(&debits.to_le_bytes());
+            }
+        })
+    }
 
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&((payload.len() as u32) ^ self.kind.mask()).to_le_bytes());
-        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
+    /// Collect into `changed`, ascending, the users whose
+    /// `(cumulative loss bits, debits)` entry differs from `base`'s.
+    /// Returns `false` — `changed` is then meaningless — when this
+    /// record cannot be a delta against `base` (it is a snapshot, the
+    /// populations differ or do not fit the frame's `u32` user ids) or
+    /// when more than `limit` users differ.
+    fn diff_into(&self, base: &EpochRecord, limit: usize, changed: &mut Vec<u32>) -> bool {
+        changed.clear();
+        let num_users = self.num_users();
+        if self.kind != RecordKind::Epoch
+            || base.num_users() != num_users
+            || self.rounds_debited.len() != num_users
+            || base.rounds_debited.len() != num_users
+            || u32::try_from(num_users).is_err()
+        {
+            return false;
+        }
+        let ours = self.cumulative_losses.iter().zip(&self.rounds_debited);
+        let theirs = base.cumulative_losses.iter().zip(&base.rounds_debited);
+        for (user, ((loss, debits), (base_loss, base_debits))) in ours.zip(theirs).enumerate() {
+            if loss.to_bits() != base_loss.to_bits() || debits != base_debits {
+                if changed.len() == limit {
+                    return false;
+                }
+                changed.push(user as u32);
+            }
+        }
+        true
+    }
+
+    /// The v3 frame listing this record's entries for the `changed`
+    /// users (as `diff_into` found them).
+    fn encode_delta_frame(&self, changed: &[u32]) -> Vec<u8> {
+        self.encode_frame(
+            FrameKind::Delta,
+            self.delta_encoded_len(changed.len()),
+            |frame| {
+                frame.extend_from_slice(&(changed.len() as u64).to_le_bytes());
+                for &user in changed {
+                    let at = user as usize;
+                    frame.extend_from_slice(&user.to_le_bytes());
+                    frame.extend_from_slice(&self.cumulative_losses[at].to_bits().to_le_bytes());
+                    frame.extend_from_slice(&self.rounds_debited[at].to_le_bytes());
+                }
+            },
+        )
+    }
+
+    /// Encode the record as a v3 delta frame against `base`, the record
+    /// committed immediately before it in the same log: the shared
+    /// fields plus only the users whose entry differs, found by
+    /// comparing the two records (losses by bit pattern), so
+    /// [`replay`] rebuilds exactly this record whatever the pair.
+    /// `None` when no delta can express it: the record is a snapshot,
+    /// or the populations differ or exceed `u32` user ids.
+    pub fn encode_delta(&self, base: &EpochRecord) -> Option<Vec<u8>> {
+        let mut changed = Vec::new();
+        self.diff_into(base, usize::MAX, &mut changed)
+            .then(|| self.encode_delta_frame(&changed))
+    }
+
+    /// [`EpochRecord::encode_delta`] only if that frame is **strictly
+    /// shorter** than [`EpochRecord::encode`]'s — the size half of the
+    /// segmented store's writer rule. The comparison stops at the first
+    /// changed user too many, so a dense round costs one partial pass.
+    /// On `Some`, `changed` holds the users the frame lists.
+    pub(crate) fn encode_delta_if_shorter(
+        &self,
+        base: &EpochRecord,
+        changed: &mut Vec<u32>,
+    ) -> Option<Vec<u8>> {
+        // delta < full  ⇔  8 + 16·changed < 12·users.
+        let limit = (12 * self.num_users()).checked_sub(9)? / DELTA_ENTRY_LEN;
+        self.diff_into(base, limit, changed)
+            .then(|| self.encode_delta_frame(changed))
+    }
+
+    /// Make `self` equal to `record` inside its existing allocations.
+    /// `changed`, when given, lists every user whose entry differs
+    /// between the two, so only those are copied.
+    pub(crate) fn overwrite_from(&mut self, record: &EpochRecord, changed: Option<&[u32]>) {
+        self.kind = record.kind;
+        self.epoch = record.epoch;
+        self.batches_seen = record.batches_seen;
+        self.loss = record.loss;
+        self.policy = record.policy;
+        self.accepted_users.clone_from(&record.accepted_users);
+        match changed {
+            Some(changed) => {
+                for &user in changed {
+                    let at = user as usize;
+                    self.cumulative_losses[at] = record.cumulative_losses[at];
+                    self.rounds_debited[at] = record.rounds_debited[at];
+                }
+            }
+            None => {
+                self.cumulative_losses.clone_from(&record.cumulative_losses);
+                self.rounds_debited.clone_from(&record.rounds_debited);
+            }
+        }
     }
 
     /// Decode one checksum-verified payload whose frame carried `kind`.
-    fn decode(payload: &[u8], kind: RecordKind) -> Result<Self, &'static str> {
+    /// `base` is the record committed immediately before it in the same
+    /// log image — what a delta frame's entries are applied to.
+    fn decode(
+        payload: &[u8],
+        kind: FrameKind,
+        base: Option<&EpochRecord>,
+    ) -> Result<Self, &'static str> {
         let mut r = Reader { buf: payload };
         let epoch = r.u64()?;
         let batches_seen = r.u64()?;
@@ -691,11 +881,16 @@ impl EpochRecord {
         // BEFORE allocating: a crafted record claiming 2^61 users would
         // otherwise abort the read-only inspector with a capacity
         // overflow instead of erroring. Each accepted user costs 8
-        // payload bytes; each population member costs 8 (loss bits) + 4
-        // (debits).
+        // payload bytes; a full frame then spends 8 (loss bits) + 4
+        // (debits) per population member, a delta frame at least its
+        // changed-user count.
+        let rest = match kind {
+            FrameKind::Full(_) => num_users.checked_mul(12),
+            FrameKind::Delta => Some(8),
+        };
         let need = accepted_len
             .checked_mul(8)
-            .and_then(|a| num_users.checked_mul(12).map(|n| (a, n)))
+            .zip(rest)
             .and_then(|(a, n)| a.checked_add(n))
             .ok_or("record sizes overflow")?;
         if r.buf.len() < need {
@@ -709,17 +904,52 @@ impl EpochRecord {
             }
             accepted_users.push(user);
         }
-        let mut cumulative_losses = Vec::with_capacity(num_users);
-        for _ in 0..num_users {
-            cumulative_losses.push(f64::from_bits(r.u64()?));
-        }
-        let mut rounds_debited = Vec::with_capacity(num_users);
-        for _ in 0..num_users {
-            rounds_debited.push(r.u32()?);
-        }
+        let (cumulative_losses, rounds_debited) = match kind {
+            FrameKind::Full(_) => {
+                let mut cumulative_losses = Vec::with_capacity(num_users);
+                for _ in 0..num_users {
+                    cumulative_losses.push(f64::from_bits(r.u64()?));
+                }
+                let mut rounds_debited = Vec::with_capacity(num_users);
+                for _ in 0..num_users {
+                    rounds_debited.push(r.u32()?);
+                }
+                (cumulative_losses, rounds_debited)
+            }
+            FrameKind::Delta => {
+                let base = base.ok_or("delta record with no record before it to apply to")?;
+                if base.num_users() != num_users {
+                    return Err("delta record against a base of another population");
+                }
+                let changed_len =
+                    usize::try_from(r.u64()?).map_err(|_| "changed overflows usize")?;
+                // Checked against the bytes present before the base is
+                // copied; equality also rules trailing bytes out.
+                if changed_len.checked_mul(DELTA_ENTRY_LEN) != Some(r.buf.len()) {
+                    return Err("delta record's changed count disagrees with its payload");
+                }
+                let mut cumulative_losses = base.cumulative_losses.clone();
+                let mut rounds_debited = base.rounds_debited.clone();
+                let mut next_user = 0usize;
+                for _ in 0..changed_len {
+                    let user = r.u32()? as usize;
+                    if user < next_user {
+                        return Err("delta record's changed users not strictly ascending");
+                    }
+                    if user >= num_users {
+                        return Err("changed user outside the population");
+                    }
+                    cumulative_losses[user] = f64::from_bits(r.u64()?);
+                    rounds_debited[user] = r.u32()?;
+                    next_user = user + 1;
+                }
+                (cumulative_losses, rounds_debited)
+            }
+        };
         if !r.buf.is_empty() {
             return Err("trailing bytes inside a record payload");
         }
+        let kind = kind.record_kind();
         if kind == RecordKind::Snapshot && !accepted_users.is_empty() {
             // A snapshot's debits live in its ledger; a non-empty
             // accepted set would double-charge them on replay.
@@ -778,15 +1008,20 @@ impl Reader<'_> {
 }
 
 /// What a replay of the raw log found.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Replay {
-    /// Every committed record, in log order.
+    /// Every committed record, in log order — delta frames already
+    /// rebuilt into the full records their writer was handed.
     pub records: Vec<EpochRecord>,
     /// Length of the valid prefix (header + committed frames). A writer
     /// resuming on this log must truncate to here first.
     pub valid_len: u64,
     /// Torn-tail bytes past `valid_len` that replay discarded.
     pub truncated_bytes: u64,
+    /// How many of `records` were stored as v3 delta frames.
+    pub delta_records: u64,
+    /// Bytes of the valid prefix those delta frames occupy.
+    pub delta_bytes: u64,
 }
 
 /// Replay a raw log image: verify the header, decode every committed
@@ -803,41 +1038,33 @@ pub struct Replay {
 /// [`WalError::BadMagic`] for a foreign or future-version header;
 /// [`WalError::Corrupt`] as above.
 pub fn replay(bytes: &[u8]) -> Result<Replay, WalError> {
-    if bytes.is_empty() {
-        return Ok(Replay {
-            records: Vec::new(),
-            valid_len: 0,
-            truncated_bytes: 0,
-        });
-    }
+    replay_known(bytes, &FrameKind::ALL)
+}
+
+/// [`replay`] by a reader that knows only the `known` frame kinds; a
+/// frame of any other kind fails the length self-check.
+fn replay_known(bytes: &[u8], known: &[FrameKind]) -> Result<Replay, WalError> {
+    let mut replay = Replay::default();
     if bytes.len() < WAL_MAGIC.len() {
-        // A crash while writing the very first header.
-        return Ok(Replay {
-            records: Vec::new(),
-            valid_len: 0,
-            truncated_bytes: bytes.len() as u64,
-        });
+        // Empty, or a crash while writing the very first header.
+        replay.truncated_bytes = bytes.len() as u64;
+        return Ok(replay);
     }
     if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(WalError::BadMagic);
     }
 
-    let mut records = Vec::new();
     let mut offset = WAL_MAGIC.len();
     loop {
         let remaining = &bytes[offset..];
+        replay.valid_len = offset as u64;
         if remaining.is_empty() {
             break;
         }
-        let torn = |records: Vec<EpochRecord>| {
-            Ok(Replay {
-                records,
-                valid_len: offset as u64,
-                truncated_bytes: remaining.len() as u64,
-            })
-        };
+        // Whatever stops the loop early leaves `remaining` as the tail.
+        replay.truncated_bytes = remaining.len() as u64;
         if remaining.len() < FRAME_HEADER_LEN {
-            return torn(records);
+            break;
         }
         let payload_len = u32::from_le_bytes(remaining[..4].try_into().expect("4 bytes"));
         let len_check = u32::from_le_bytes(remaining[4..8].try_into().expect("4 bytes"));
@@ -846,9 +1073,9 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, WalError> {
         // *corruption* of the length prefix — without this check a
         // flipped length bit would masquerade as a torn tail and
         // silently truncate every committed record after it. The mask
-        // that passes doubles as the record-kind tag (v1 epoch record
-        // vs v2 snapshot record).
-        let Some(kind) = RecordKind::from_check(payload_len, len_check) else {
+        // that passes doubles as the frame-kind tag (v1 epoch record,
+        // v2 snapshot record or v3 delta).
+        let Some(kind) = FrameKind::from_check(payload_len, len_check, known) else {
             return Err(WalError::Corrupt {
                 offset: offset as u64,
                 reason: "length prefix failed its self-check",
@@ -857,7 +1084,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, WalError> {
         let stored_sum = u64::from_le_bytes(remaining[8..16].try_into().expect("8 bytes"));
         let frame_len = FRAME_HEADER_LEN + payload_len as usize;
         if remaining.len() < frame_len {
-            return torn(records);
+            break;
         }
         let payload = &remaining[FRAME_HEADER_LEN..frame_len];
         let is_last_frame = remaining.len() == frame_len;
@@ -866,15 +1093,15 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, WalError> {
                 // A full-length final frame with a bad checksum is still a
                 // torn write (e.g. the length landed but the payload did
                 // not all reach the disk surface).
-                return torn(records);
+                break;
             }
             return Err(WalError::Corrupt {
                 offset: offset as u64,
                 reason: "record checksum mismatch",
             });
         }
-        match EpochRecord::decode(payload, kind) {
-            Ok(record) => records.push(record),
+        match EpochRecord::decode(payload, kind, replay.records.last()) {
+            Ok(record) => replay.records.push(record),
             Err(reason) => {
                 return Err(WalError::Corrupt {
                     offset: offset as u64,
@@ -882,13 +1109,14 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, WalError> {
                 });
             }
         }
+        if kind == FrameKind::Delta {
+            replay.delta_records += 1;
+            replay.delta_bytes += frame_len as u64;
+        }
+        replay.truncated_bytes = 0;
         offset += frame_len;
     }
-    Ok(Replay {
-        records,
-        valid_len: offset as u64,
-        truncated_bytes: 0,
-    })
+    Ok(replay)
 }
 
 /// The record-level appending interface the engine backend writes
@@ -1113,6 +1341,193 @@ mod tests {
                 assert!(reason.contains("accepted"), "{reason}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// The round after `record(7)`: only user 2 reports, so only its
+    /// entry moves.
+    fn next_record() -> EpochRecord {
+        EpochRecord {
+            epoch: 8,
+            batches_seen: 9,
+            accepted_users: vec![2],
+            cumulative_losses: vec![0.5, 0.0, 2.0],
+            rounds_debited: vec![1, 0, 2],
+            ..record(7)
+        }
+    }
+
+    /// A hand-framed delta payload: `next_record()`'s shared fields
+    /// claiming `num_users`, then `changed_len` and `entries`.
+    fn delta_frame(num_users: u64, changed_len: u64, entries: &[(u32, f64, u32)]) -> Vec<u8> {
+        let full = next_record().encode();
+        // epoch … stream_tag, then num_users/accepted_len/accepted_user.
+        let mut payload = full[FRAME_HEADER_LEN..FRAME_HEADER_LEN + 57].to_vec();
+        payload.extend_from_slice(&num_users.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&2u64.to_le_bytes());
+        payload.extend_from_slice(&changed_len.to_le_bytes());
+        for &(user, loss, debits) in entries {
+            payload.extend_from_slice(&user.to_le_bytes());
+            payload.extend_from_slice(&loss.to_bits().to_le_bytes());
+            payload.extend_from_slice(&debits.to_le_bytes());
+        }
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&((payload.len() as u32) ^ DELTA_XOR).to_le_bytes());
+        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    fn corrupt_reason(log: &[u8]) -> &'static str {
+        match replay(log) {
+            Err(WalError::Corrupt { reason, .. }) => reason,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn golden_delta_layout_is_pinned() {
+        // Version-3 layout, byte for byte, next to the v1/v2 pins: the
+        // v1 fields through the accepted-user list, then only what the
+        // round changed.
+        let frame = next_record().encode_delta(&record(7)).unwrap();
+        let golden: Vec<u8> = [
+            // payload_len = 105 (u32 LE)
+            vec![105, 0, 0, 0],
+            // len_check = 105 ^ "WAL3" (u32 LE)
+            (105u32 ^ u32::from_le_bytes(*b"WAL3"))
+                .to_le_bytes()
+                .to_vec(),
+            // FNV-1a checksum of the payload (u64 LE)
+            0xc8e6_727b_c352_0883u64.to_le_bytes().to_vec(),
+            // epoch = 8, batches_seen = 9, loss tag Squared = 0
+            vec![8, 0, 0, 0, 0, 0, 0, 0],
+            vec![9, 0, 0, 0, 0, 0, 0, 0],
+            vec![0],
+            // privacy policy, as in the v1 pin
+            0.5f64.to_bits().to_le_bytes().to_vec(),
+            0.0f64.to_bits().to_le_bytes().to_vec(),
+            2.0f64.to_bits().to_le_bytes().to_vec(),
+            0.25f64.to_bits().to_le_bytes().to_vec(),
+            0xDEAD_BEEFu64.to_le_bytes().to_vec(),
+            // num_users = 3
+            vec![3, 0, 0, 0, 0, 0, 0, 0],
+            // accepted_len = 1, accepted user 2
+            vec![1, 0, 0, 0, 0, 0, 0, 0],
+            vec![2, 0, 0, 0, 0, 0, 0, 0],
+            // changed_len = 1
+            vec![1, 0, 0, 0, 0, 0, 0, 0],
+            // user 2 (u32): cumulative loss 2.0, debits 2 (u32)
+            vec![2, 0, 0, 0],
+            2.0f64.to_bits().to_le_bytes().to_vec(),
+            vec![2, 0, 0, 0],
+        ]
+        .concat();
+        assert_eq!(frame, golden, "WAL v3 layout changed; frame = {frame:?}");
+        assert_eq!(frame.len(), next_record().delta_encoded_len(1));
+        assert_eq!(frame, delta_frame(3, 1, &[(2, 2.0, 2)]));
+
+        // It replays to the record the writer was handed, as an epoch.
+        let log = [WAL_MAGIC.as_slice(), &record(7).encode(), &frame].concat();
+        let replayed = replay(&log).unwrap();
+        assert_eq!(replayed.records, vec![record(7), next_record()]);
+        assert_eq!(replayed.delta_records, 1);
+        assert_eq!(replayed.delta_bytes, frame.len() as u64);
+        // A snapshot is a base like any other record.
+        let log = [
+            WAL_MAGIC.as_slice(),
+            &record(7).to_snapshot().encode(),
+            &frame,
+        ]
+        .concat();
+        assert_eq!(replay(&log).unwrap().records[1], next_record());
+    }
+
+    #[test]
+    fn a_reader_without_the_delta_kind_refuses_the_log_as_corrupt() {
+        // What a pre-v3 binary does with a delta-bearing log: the "WAL3"
+        // mask passes neither check it knows, so the frame is a corrupt
+        // length prefix — never a misread record, never a torn tail.
+        let delta = next_record().encode_delta(&record(7)).unwrap();
+        let log = [WAL_MAGIC.as_slice(), &record(7).encode(), &delta].concat();
+        let v2_reader = [
+            FrameKind::Full(RecordKind::Epoch),
+            FrameKind::Full(RecordKind::Snapshot),
+        ];
+        match replay_known(&log, &v2_reader) {
+            Err(WalError::Corrupt { offset, reason }) => {
+                assert_eq!(offset as usize, WAL_MAGIC.len() + record(7).encoded_len());
+                assert!(reason.contains("self-check"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // v1/v2-only logs read the same with or without the new kind.
+        let old = [
+            WAL_MAGIC.as_slice(),
+            &record(7).encode(),
+            &record(7).to_snapshot().encode(),
+        ]
+        .concat();
+        assert_eq!(replay_known(&old, &v2_reader), replay(&old));
+    }
+
+    #[test]
+    fn malformed_deltas_are_corrupt_and_a_damaged_final_one_is_a_torn_tail() {
+        let base = record(7).encode();
+        let good = delta_frame(3, 1, &[(2, 2.0, 2)]);
+        let log = |frames: &[&[u8]]| [&[WAL_MAGIC.as_slice()], frames].concat().concat();
+
+        // First frame of its log image: nothing to apply it to.
+        assert!(corrupt_reason(&log(&[&good])).contains("no record before"));
+        // A base snapshotting another population.
+        let wide = EpochRecord {
+            cumulative_losses: vec![0.0; 4],
+            rounds_debited: vec![0; 4],
+            ..record(7)
+        };
+        assert!(corrupt_reason(&log(&[&wide.encode(), &good])).contains("another population"));
+        // Users out of order, repeated, or outside the population.
+        for entries in [
+            [(2, 2.0, 2), (1, 0.0, 0)],
+            [(1, 2.0, 2), (1, 0.0, 0)],
+            [(1, 2.0, 2), (3, 0.0, 0)],
+        ] {
+            let reason = corrupt_reason(&log(&[&base, &delta_frame(3, 2, &entries)]));
+            assert!(
+                reason.contains("ascending") || reason.contains("outside"),
+                "{reason}"
+            );
+        }
+        // A changed count beyond the bytes present is refused before
+        // anything is allocated for it; one short of them leaves
+        // trailing bytes.
+        for changed_len in [u64::MAX, 1 << 40, 2, 0] {
+            let reason =
+                corrupt_reason(&log(&[&base, &delta_frame(3, changed_len, &[(2, 2.0, 2)])]));
+            assert!(reason.contains("changed count"), "{reason}");
+        }
+
+        // A bit flip in a delta that is NOT the final frame is
+        // corruption; the same flip in the final frame is a torn tail.
+        let two = log(&[&base, &good, &good]);
+        let first_delta = WAL_MAGIC.len() + base.len();
+        let mut middle = two.clone();
+        middle[first_delta + FRAME_HEADER_LEN + 3] ^= 0x01;
+        assert_eq!(corrupt_reason(&middle), "record checksum mismatch");
+        let mut last = two.clone();
+        let at = two.len() - 1;
+        last[at] ^= 0x01;
+        let r = replay(&last).unwrap();
+        assert_eq!(r.records.len(), 2);
+        assert_eq!(r.valid_len as usize, first_delta + good.len());
+        assert_eq!(r.truncated_bytes as usize, good.len());
+        // …as is every partial write of it.
+        for cut in first_delta + good.len()..two.len() {
+            let r = replay(&two[..cut]).unwrap();
+            assert_eq!(r.records.len(), 2, "cut at {cut}");
+            assert_eq!(r.delta_records, 1, "cut at {cut}");
         }
     }
 

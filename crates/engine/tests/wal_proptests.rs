@@ -10,11 +10,20 @@
 //! total byte length, so shrinking explores boundaries, torn headers
 //! (a crash while the magic itself is being written), torn frame
 //! prefixes and torn payloads alike.
+//!
+//! Also here: the v3 delta frame's own guarantee. For **arbitrary**
+//! `(previous, next)` record pairs — not just ones a campaign would
+//! produce — `next` encoded as a delta against `previous` replays to
+//! `next` bit for bit, and the segmented store writes that delta only
+//! when it is strictly the shorter frame.
 
 use proptest::prelude::*;
 
+use dptd_engine::store::{MemFs, SegmentStore, StoreConfig};
+use dptd_engine::wal::{self, RecordLog, WAL_MAGIC};
 use dptd_engine::{
-    Engine, EngineBackend, EngineConfig, FailingWal, LoadGen, LoadGenConfig, MemWal, WalPolicy,
+    Engine, EngineBackend, EngineConfig, EpochRecord, FailingWal, LoadGen, LoadGenConfig, MemWal,
+    RecordKind, WalPolicy,
 };
 use dptd_ldp::PrivacyLoss;
 use dptd_protocol::campaign::{CampaignConfig, CampaignDriver};
@@ -177,5 +186,118 @@ proptest! {
                 "shards={}: resumed log diverged", shards
             );
         }
+    }
+}
+
+/// One population member's `(cumulative loss, debits)` entry. Losses
+/// come from a palette of bit patterns where `==` and bit equality
+/// disagree (`0.0`/`-0.0`, NaNs) as well as from arbitrary bits.
+fn entry() -> impl Strategy<Value = (u64, u32)> {
+    (0u8..8, 0u64..u64::MAX, 0u32..4).prop_map(|(pick, bits, debits)| {
+        let loss = match pick {
+            0 => 0.0f64.to_bits(),
+            1 => (-0.0f64).to_bits(),
+            2 => f64::NAN.to_bits(),
+            3 => f64::NAN.to_bits() | 1,
+            4 => 1.5f64.to_bits(),
+            _ => bits,
+        };
+        (loss, debits)
+    })
+}
+
+fn record_of(
+    kind: RecordKind,
+    epoch: u64,
+    accepted: Vec<usize>,
+    entries: &[(u64, u32)],
+) -> EpochRecord {
+    EpochRecord {
+        kind,
+        epoch,
+        batches_seen: epoch + 1,
+        loss: Loss::Squared,
+        policy: WalPolicy {
+            per_round_epsilon: 0.5,
+            per_round_delta: 0.0,
+            budget_epsilon: 8.0,
+            budget_delta: 0.0,
+            stream_tag: epoch,
+        },
+        accepted_users: accepted,
+        cumulative_losses: entries
+            .iter()
+            .map(|&(bits, _)| f64::from_bits(bits))
+            .collect(),
+        rounds_debited: entries.iter().map(|&(_, debits)| debits).collect(),
+    }
+}
+
+/// Field-for-field equality with losses compared as bit patterns
+/// (`EpochRecord`'s own `==` calls a NaN unequal to itself).
+fn bit_identical(a: &EpochRecord, b: &EpochRecord) -> bool {
+    let bits = |r: &EpochRecord| {
+        r.cumulative_losses
+            .iter()
+            .map(|l| l.to_bits())
+            .collect::<Vec<_>>()
+    };
+    (a.kind, a.epoch, a.batches_seen, a.loss) == (b.kind, b.epoch, b.batches_seen, b.loss)
+        && a.policy.matches(&b.policy)
+        && a.accepted_users == b.accepted_users
+        && bits(a) == bits(b)
+        && a.rounds_debited == b.rounds_debited
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn any_record_pair_round_trips_through_a_delta_and_the_writer_rule_holds(
+        previous in prop::collection::vec(entry(), 1..48),
+        fresh in prop::collection::vec((entry(), 0u8..4), 48),
+        density in 0u8..5,
+        previous_is_snapshot in 0u8..2,
+    ) {
+        // `next` differs from `previous` in an arbitrary subset of
+        // users — none, a few, or (nearly) all — that has nothing to do
+        // with its accepted list.
+        let users = previous.len();
+        let next_entries: Vec<(u64, u32)> = previous
+            .iter()
+            .zip(&fresh)
+            .map(|(&old, &(new, roll))| if roll < density { new } else { old })
+            .collect();
+        let accepted: Vec<usize> = (0..users).filter(|u| fresh[*u].1 == 3).collect();
+        let previous = if previous_is_snapshot == 1 {
+            record_of(RecordKind::Snapshot, 4, Vec::new(), &previous)
+        } else {
+            record_of(RecordKind::Epoch, 4, vec![0], &previous)
+        };
+        let next = record_of(RecordKind::Epoch, 5, accepted, &next_entries);
+
+        // Delta encode -> the one reader: bit for bit the record handed in.
+        let delta = next.encode_delta(&previous).expect("same population");
+        let log = [WAL_MAGIC.as_slice(), &previous.encode(), &delta].concat();
+        let replayed = wal::replay(&log).expect("a committed delta replays");
+        prop_assert_eq!(replayed.records.len(), 2);
+        prop_assert_eq!(replayed.delta_records, 1);
+        prop_assert!(bit_identical(&replayed.records[1], &next), "{:?} != {:?}", replayed.records[1], next);
+
+        // The store writes whichever frame is shorter, a delta only if
+        // strictly so, and its directory replays to the same records.
+        let mem = MemFs::new();
+        let unbounded = StoreConfig { rotate_bytes: 0, rotate_records: 0, compact_every: 0 };
+        let (mut store, _) = SegmentStore::open(Box::new(mem.clone()), unbounded).expect("open");
+        store.append_record(&previous).expect("append");
+        store.append_record(&next).expect("append");
+        let segment = mem.snapshot()["segment-000.wal"].clone();
+        let written = segment.len() - WAL_MAGIC.len() - previous.encoded_len();
+        let full = next.encoded_len();
+        prop_assert_eq!(written, delta.len().min(full));
+        let stored = wal::replay(&segment).expect("store log replays");
+        prop_assert_eq!(stored.delta_records, u64::from(delta.len() < full));
+        prop_assert!(bit_identical(&stored.records[0], &previous));
+        prop_assert!(bit_identical(&stored.records[1], &next));
     }
 }
