@@ -1,23 +1,21 @@
-//! Throughput/latency bench for the multi-campaign network service.
+//! High-fan-in bench for the network service's connection front end.
 //!
-//! Drives campaigns over **loopback TCP** — real sockets, real frames —
-//! and reports reports/sec plus p50/p99 round-trip submit latency (one
-//! batched `SubmitReports` frame in, its reply out) for 1 vs 8
-//! campaigns served concurrently by one process. The spread between the
-//! two is the cost (or win) of multiplexing: campaigns share the
-//! acceptor and the registry map but own their engines and locks.
-//!
-//! A second experiment — **high fan-in** — answers the reactor's
-//! headline question: how many *concurrent submitter connections* can
+//! Answers the reactor's headline question over **loopback TCP** — real
+//! sockets, real frames: how many *concurrent submitter connections* can
 //! one process hold without one thread per connection? It opens the
 //! target connection count up front (raising `RLIMIT_NOFILE` when
 //! needed), keeps every socket live through a full submit, and reports
-//! connections-per-I/O-thread alongside reports/sec for the reactor vs
-//! the thread-per-connection model. Both arms write `BenchSummary` JSON
-//! (`$DPTD_BENCH_JSON_DIR`) so CI can diff the numbers per commit.
+//! connections-per-I/O-thread alongside reports/sec and p50/p99 submit
+//! round trips for the reactor vs the thread-per-connection model. Both
+//! arms write `BenchSummary` JSON (`$DPTD_BENCH_JSON_DIR`) so CI can
+//! diff the numbers per commit.
 //!
-//! Setting `DPTD_BENCH_SMOKE=1` shrinks the population so CI can run the
-//! whole binary as a regression smoke for the serving path.
+//! Served-campaign throughput and latency are the benchmark's job
+//! (`e2e_ledger`, rung D: `registry.*`, `client.*`); nothing there holds
+//! 10 000 connections open, which is why this arm stays.
+//!
+//! Setting `DPTD_BENCH_SMOKE=1` shrinks the connection counts so CI can
+//! run the whole binary as a regression smoke for the serving path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -25,7 +23,7 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 
 use dptd_bench::summary::{keys, BenchSummary};
-use dptd_engine::{LatencyHistogram, LoadGen, LoadGenConfig};
+use dptd_obs::Histogram;
 use dptd_server::registry::RegistryConfig;
 use dptd_server::{CampaignSpec, Client, IoConfig, IoModel, Server, ServerConfig};
 
@@ -36,112 +34,6 @@ fn smoke() -> bool {
 /// Campaign ids must be fresh per run: the server keeps campaigns for
 /// its lifetime, and re-creating a live id is (correctly) refused.
 static RUN_ID: AtomicU64 = AtomicU64::new(0);
-
-fn load(num_users: usize, rounds: u64, seed: u64) -> LoadGen {
-    LoadGen::new(LoadGenConfig {
-        num_users,
-        num_objects: 8,
-        epochs: rounds,
-        duplicate_probability: 0.01,
-        straggler_fraction: 0.01,
-        churn: 0.1,
-        seed,
-        ..LoadGenConfig::default()
-    })
-    .expect("valid load config")
-}
-
-fn spec(num_users: usize) -> CampaignSpec {
-    CampaignSpec {
-        num_users: num_users as u64,
-        num_objects: 8,
-        num_shards: 8,
-        workers: 0,
-        engine_queue: 8_192,
-        deadline_us: 1_000_000,
-        submission_capacity: 1 << 17,
-        per_round_epsilon: 0.5,
-        per_round_delta: 0.01,
-        budget_epsilon: 8.0,
-        budget_delta: 0.16,
-        stream_tag: 0,
-        durable: false,
-    }
-}
-
-struct ServedRun {
-    reports: u64,
-    elapsed_s: f64,
-    submit_rtt: LatencyHistogram,
-}
-
-/// Drive `campaigns` concurrent campaigns of `users` × `rounds` against
-/// `server`, one client connection per campaign, measuring per-frame
-/// submit round trips.
-fn run_served(
-    server: &Server,
-    campaigns: usize,
-    users: usize,
-    rounds: u64,
-    batch: usize,
-) -> ServedRun {
-    let run = RUN_ID.fetch_add(1, Ordering::Relaxed);
-    let addr = server.local_addr();
-    let started = Instant::now();
-    let mut total_reports = 0u64;
-    let mut submit_rtt = LatencyHistogram::new();
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..campaigns)
-            .map(|i| {
-                scope.spawn(move || {
-                    let id = format!("bench-{run}-{i}");
-                    let gen = load(users, rounds, 1_000 + i as u64);
-                    let mut client = Client::connect(addr).expect("connect");
-                    client.create_campaign(&id, spec(users)).expect("create");
-                    let mut rtt = LatencyHistogram::new();
-                    let mut reports = 0u64;
-                    for epoch in 0..rounds {
-                        let stream = gen.epoch_reports(epoch);
-                        reports += stream.len() as u64;
-                        for chunk in stream.chunks(batch) {
-                            let t0 = Instant::now();
-                            let outcome = client.submit(&id, chunk.to_vec()).expect("submit frame");
-                            rtt.record(t0.elapsed());
-                            assert!(
-                                matches!(outcome, dptd_server::client::SubmitOutcome::Queued(_)),
-                                "bench queue sized to never push back"
-                            );
-                        }
-                        client.close_round(&id, epoch).expect("close round");
-                    }
-                    (reports, rtt)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (reports, rtt) = handle.join().expect("campaign thread");
-            total_reports += reports;
-            submit_rtt.merge(&rtt);
-        }
-    });
-
-    ServedRun {
-        reports: total_reports,
-        elapsed_s: started.elapsed().as_secs_f64(),
-        submit_rtt,
-    }
-}
-
-fn start_server() -> Server {
-    Server::start(ServerConfig {
-        listen: "127.0.0.1:0".to_string(),
-        max_connections: 32,
-        io: IoConfig::default(),
-        registry: RegistryConfig::default(),
-    })
-    .expect("loopback server")
-}
 
 /// Raise the soft `RLIMIT_NOFILE` toward `need` descriptors (client +
 /// server ends both live in this process, plus slack). Best effort: on
@@ -184,7 +76,7 @@ struct FanInRun {
     connections: usize,
     reports: u64,
     elapsed_s: f64,
-    submit_rtt: LatencyHistogram,
+    submit_rtt: Histogram,
     weights_digest: u64,
     io_threads: usize,
 }
@@ -280,7 +172,7 @@ fn run_fan_in(io_model: IoModel, connections: usize) -> FanInRun {
             .expect("release child");
     }
     let mut total_reports = 0u64;
-    let mut submit_rtt = LatencyHistogram::new();
+    let mut submit_rtt = Histogram::new();
     for (child, reader) in children.iter_mut().zip(&mut readers) {
         let mut reports_line = None;
         for line in reader.lines() {
@@ -441,61 +333,7 @@ fn bench_fan_in(_c: &mut Criterion) {
     }
 }
 
-fn render(tag: &str, run: &ServedRun) {
-    let fmt_us = |d: Option<std::time::Duration>| {
-        d.map(|d| format!("{:.1} µs", d.as_secs_f64() * 1e6))
-            .unwrap_or_else(|| "n/a".to_string())
-    };
-    println!(
-        "server_throughput/{tag}: {} reports in {:.3} s → {:.0} reports/s over TCP; \
-         submit RTT p50 {} p99 {} ({} frames)",
-        run.reports,
-        run.elapsed_s,
-        run.reports as f64 / run.elapsed_s.max(1e-9),
-        fmt_us(run.submit_rtt.p50()),
-        fmt_us(run.submit_rtt.p99()),
-        run.submit_rtt.count(),
-    );
-}
-
-fn bench_served_campaigns(c: &mut Criterion) {
-    let (users, rounds, batch) = if smoke() {
-        (200, 2, 128)
-    } else {
-        (5_000, 3, 512)
-    };
-    let server = start_server();
-
-    // One instrumented pass per arm up front so reports/sec and the RTT
-    // quantiles are printed regardless of criterion's iteration count.
-    for campaigns in [1usize, 8] {
-        let run = run_served(&server, campaigns, users, rounds, batch);
-        render(&format!("{campaigns}_campaigns"), &run);
-        assert_eq!(
-            run.reports,
-            (0..campaigns as u64)
-                .map(|i| {
-                    let gen = load(users, rounds, 1_000 + i);
-                    (0..rounds)
-                        .map(|e| gen.epoch_reports(e).len() as u64)
-                        .sum::<u64>()
-                })
-                .sum::<u64>(),
-            "every generated report must cross the wire"
-        );
-    }
-
-    let mut group = c.benchmark_group("server_throughput");
-    for campaigns in [1usize, 8] {
-        group.bench_function(format!("{campaigns}_campaigns"), |b| {
-            b.iter(|| run_served(&server, campaigns, users, rounds, batch))
-        });
-    }
-    group.finish();
-    server.shutdown();
-}
-
-criterion_group!(benches, bench_served_campaigns, bench_fan_in);
+criterion_group!(benches, bench_fan_in);
 
 // Hand-rolled `criterion_main!`: the fan-in experiment re-execs this
 // binary as its submitter children, flagged by `DPTD_FANIN_CHILD`.

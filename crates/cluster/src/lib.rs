@@ -19,6 +19,10 @@
 //!   [`dptd_server::wire`] v1 protocol (`NodeHello`,
 //!   `CloseRoundPrepare`/`Commit`, `QueryLedger`, `ReplicateSegment`),
 //!   persisting each committed round to the segmented snapshot store.
+//!   Slot hosting — quarantine, the bounded submission queue, spec
+//!   admission, durable open, the request envelope — is
+//!   [`dptd_server::host`], the same code a campaign server runs; the
+//!   node adds the barrier, ledger history and replication.
 //! * [`replication`] — [`ReplicationSender`]: streams every committed
 //!   store mutation of a primary's WAL directory to a follower node,
 //!   which maintains a byte-identical replica directory; failover is

@@ -2,9 +2,11 @@
 //! protocol.
 //!
 //! A node is deliberately dumb. It owns a **local** slice of the
-//! population (dense local ids `0..local_users`), buffers submissions
-//! exactly like the single-node server (bounded queue, one round of
-//! lookahead), and exposes the two-phase barrier:
+//! population (dense local ids `0..local_users`), hosts it on the same
+//! [`dptd_server::host`] a campaign server uses — slot map and
+//! quarantine, bounded [`SubmissionQueue`] with one round of lookahead,
+//! spec admission, durable open, request envelope — and adds what only
+//! a node does, the two-phase barrier:
 //!
 //! 1. `CloseRoundPrepare` drains the queue through an
 //!    [`EpochLane`](dptd_protocol::partition::EpochLane) — refusal
@@ -34,24 +36,27 @@
 use std::collections::{btree_map::Entry, BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use dptd_engine::store::{DirFs, ObservedFs, SegmentStore, StoreConfig, StoreFs};
+use dptd_engine::store::{DirFs, StoreConfig, StoreObserver};
 use dptd_engine::wal::{RecordKind, RecordLog, WalLock, WalPolicy};
 use dptd_engine::{recovery::recover_replay, EpochRecord};
-use dptd_ldp::PrivacyLoss;
-use dptd_obs::{names, MetricValue, MetricsSnapshot};
+use dptd_obs::{names, MetricValue};
 use dptd_protocol::campaign::CampaignConfig;
-use dptd_protocol::message::StampedReport;
 use dptd_protocol::partition::EpochLane;
+use dptd_server::host::{
+    admit, open_durable, refuse, Host, Hosted, SubmissionQueue, MAX_USERS_PER_CAMPAIGN,
+};
 use dptd_server::{
-    CampaignSpec, ErrorCode, Frontend, FrontendConfig, FrontendStats, IoConfig, Request,
-    RequestHandler, Response,
+    CampaignSpec, ErrorCode, Frontend, FrontendConfig, IoConfig, Request, RequestHandler, Response,
 };
 use dptd_truth::Loss;
 
 use crate::replication::{replication_refusal, ReplicaApplier, ReplicationSender};
 use crate::ClusterError;
+
+/// What this host calls a slot in refusal messages.
+const NOUN: &str = "campaign partition";
 
 /// Node configuration.
 #[derive(Debug, Clone)]
@@ -125,12 +130,9 @@ struct CommittedPrepare {
 #[derive(Debug)]
 struct NodeCampaign {
     local_users: usize,
-    capacity: usize,
     config: CampaignConfig,
     policy: WalPolicy,
-    pending: Vec<StampedReport>,
-    future: Vec<StampedReport>,
-    next_epoch: u64,
+    queue: SubmissionQueue,
     staged: Option<StagedRound>,
     last_prepared: Option<CommittedPrepare>,
     /// Committed records, newest last — enough history to serve
@@ -139,7 +141,6 @@ struct NodeCampaign {
     log: Option<Box<dyn RecordLog>>,
     _wal_lock: Option<WalLock>,
     replication_failure: Option<crate::replication::FailureSlot>,
-    reports_submitted: u64,
 }
 
 /// How many committed records a node keeps in memory for ledger
@@ -147,598 +148,77 @@ struct NodeCampaign {
 /// predecessor plus one more while a commit fan-out is in flight.
 const LEDGER_HISTORY: usize = 2;
 
-fn refuse(code: ErrorCode, message: impl Into<String>) -> Response {
-    Response::Error {
-        code,
-        message: message.into(),
-    }
-}
-
-/// Lock a campaign partition for serving.
-///
-/// A poisoned lock means a worker panicked mid-request: the partition's
-/// in-memory round state (queue, staged lane, ledger history) cannot be
-/// trusted half-mutated, so the partition is quarantined behind a typed
-/// error frame instead of cascading the panic through every later
-/// connection. A durable partition recovers by node restart (WAL
-/// replay); other partitions keep serving.
-fn lock_partition<'a>(
-    slot: &'a Mutex<NodeCampaign>,
-    campaign: &str,
-) -> Result<MutexGuard<'a, NodeCampaign>, Response> {
-    slot.lock().map_err(|_| {
-        refuse(
-            ErrorCode::CampaignQuarantined,
-            format!(
-                "campaign partition `{campaign}` is quarantined: a worker \
-                 panicked while updating it; restart the node (replaying its \
-                 WAL) to recover"
-            ),
-        )
-    })
-}
-
 impl NodeCampaign {
     fn ledger_at(&self, upto: u64) -> Response {
-        let resolved = if upto == u64::MAX {
-            self.next_epoch
-        } else {
-            upto
-        };
-        if resolved == self.next_epoch {
-            return match self.history.back() {
-                Some(record) => Response::Ledger {
-                    next_epoch: record.epoch + 1,
-                    batches_seen: record.batches_seen,
-                    rounds_debited: record.rounds_debited.clone(),
-                    cumulative_losses: record.cumulative_losses.clone(),
-                },
-                None => Response::Ledger {
-                    next_epoch: 0,
-                    batches_seen: 0,
-                    rounds_debited: vec![0; self.local_users],
-                    cumulative_losses: vec![0.0; self.local_users],
-                },
-            };
-        }
-        if resolved == 0 {
+        let next_epoch = self.queue.next_epoch();
+        let resolved = if upto == u64::MAX { next_epoch } else { upto };
+        let record = if resolved == next_epoch {
+            self.history.back()
+        } else if resolved == 0 {
             // The virgin (pre-first-round) state is always known.
-            return Response::Ledger {
-                next_epoch: 0,
-                batches_seen: 0,
-                rounds_debited: vec![0; self.local_users],
-                cumulative_losses: vec![0.0; self.local_users],
-            };
-        }
-        match self
-            .history
-            .iter()
-            .find(|record| record.epoch + 1 == resolved)
-        {
+            None
+        } else {
+            let retained = self.history.iter().find(|r| r.epoch + 1 == resolved);
+            if retained.is_none() {
+                return refuse(
+                    ErrorCode::InvalidRequest,
+                    format!(
+                        "ledger as of epoch {resolved} is no longer retained \
+                         (node is at epoch {next_epoch})"
+                    ),
+                );
+            }
+            retained
+        };
+        match record {
             Some(record) => Response::Ledger {
                 next_epoch: record.epoch + 1,
                 batches_seen: record.batches_seen,
                 rounds_debited: record.rounds_debited.clone(),
                 cumulative_losses: record.cumulative_losses.clone(),
             },
-            None => refuse(
-                ErrorCode::InvalidRequest,
-                format!(
-                    "ledger as of epoch {resolved} is no longer retained \
-                     (node is at epoch {})",
-                    self.next_epoch
-                ),
-            ),
-        }
-    }
-}
-
-struct NodeState {
-    node_id: u32,
-    num_nodes: u32,
-    wal_root: Option<PathBuf>,
-    replicate_to: Option<String>,
-    replica_root: Option<PathBuf>,
-    store: StoreConfig,
-    max_campaigns: usize,
-    campaigns: Mutex<BTreeMap<String, Arc<Mutex<NodeCampaign>>>>,
-    replicas: Mutex<BTreeMap<String, ReplicaApplier>>,
-    /// The front end's live connection accounting, attached after the
-    /// front end starts (the handler is built first). The `u64` is the
-    /// I/O thread count.
-    conn: Mutex<Option<(Arc<FrontendStats>, u64)>>,
-}
-
-impl std::fmt::Debug for NodeState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeState")
-            .field("node_id", &self.node_id)
-            .field("num_nodes", &self.num_nodes)
-            .finish_non_exhaustive()
-    }
-}
-
-impl NodeState {
-    fn handle(&self, request: Request) -> Response {
-        let response = self.dispatch(request);
-        // A quarantine refusal freezes a flight bundle while the rings
-        // that explain the poisoning panic are still warm — the same
-        // trigger the campaign server's registry applies.
-        if let Response::Error {
-            code: ErrorCode::CampaignQuarantined,
-            ..
-        } = &response
-        {
-            dptd_obs::flight::global().freeze("quarantine", self.status_snapshot());
-        }
-        response
-    }
-
-    fn dispatch(&self, request: Request) -> Response {
-        match request {
-            Request::NodeHello { node_id, num_nodes } => {
-                if node_id != self.node_id || num_nodes != self.num_nodes {
-                    return refuse(
-                        ErrorCode::InvalidRequest,
-                        format!(
-                            "topology mismatch: this is node {}/{}, coordinator expected {}/{}",
-                            self.node_id, self.num_nodes, node_id, num_nodes
-                        ),
-                    );
-                }
-                Response::NodeWelcome {
-                    node_id: self.node_id,
-                }
-            }
-            Request::CreateCampaign { campaign, spec } => self.create(&campaign, &spec),
-            Request::SubmitReports {
-                campaign,
-                reports,
-                ctx,
-            } => self.submit(&campaign, reports, ctx),
-            Request::CloseRoundPrepare {
-                campaign,
-                epoch,
-                refused,
-                ctx,
-            } => self.prepare(&campaign, epoch, refused, ctx),
-            Request::CloseRoundCommit {
-                campaign,
-                epoch,
-                batches_seen,
-                accepted_users,
-                cumulative_losses,
-                rounds_debited,
-                ctx,
-            } => self.commit(
-                &campaign,
-                epoch,
-                batches_seen,
-                &accepted_users,
-                cumulative_losses,
-                rounds_debited,
-                ctx,
-            ),
-            Request::QueryLedger { campaign, upto } => match self.slot(&campaign) {
-                Ok(slot) => match lock_partition(&slot, &campaign) {
-                    Ok(state) => state.ledger_at(upto),
-                    Err(resp) => resp,
-                },
-                Err(resp) => resp,
-            },
-            Request::ReplicateSegment {
-                campaign,
-                seq,
-                op,
-                name,
-                arg,
-                bytes,
-            } => self.replicate(&campaign, seq, op, &name, arg, &bytes),
-            Request::CloseRound { .. } => refuse(
-                ErrorCode::InvalidRequest,
-                "cluster nodes close rounds through the coordinator's two-phase barrier, \
-                 not `CloseRound`",
-            ),
-            // Pipelined batches carry per-connection sequencing state,
-            // which only the connection front end holds; one reaching
-            // the node state directly bypassed the cumulative-ack
-            // protocol.
-            Request::SubmitReportsStream { .. } => refuse(
-                ErrorCode::InvalidRequest,
-                "streamed submit batches are handled by the connection front end",
-            ),
-            Request::QueryTruths { .. } | Request::QueryBudget { .. } => refuse(
-                ErrorCode::InvalidRequest,
-                "a cluster node holds one partition and no global state; query the coordinator",
-            ),
-            Request::QueryMetrics { campaign } => match self.slot(&campaign) {
-                Ok(slot) => {
-                    let state = match lock_partition(&slot, &campaign) {
-                        Ok(s) => s,
-                        Err(resp) => return resp,
-                    };
-                    let (conn_live, conn_accepted, conn_refused, io_threads) = self.conn_counts();
-                    Response::Metrics {
-                        metrics: Box::new(dptd_server::MetricsReport {
-                            reports_submitted: state.reports_submitted,
-                            reports_accepted: state
-                                .staged
-                                .as_ref()
-                                .map_or(0, |s| s.lane.accepted() as u64),
-                            duplicates_discarded: 0,
-                            late_dropped: 0,
-                            out_of_order_dropped: 0,
-                            backpressure_stalls: 0,
-                            epochs_merged: state.next_epoch,
-                            max_queue_depth: (state.capacity) as u64,
-                            queue_depth: (state.pending.len() + state.future.len()) as u64,
-                            throughput_rps: 0.0,
-                            ingest_p50_ns: 0,
-                            ingest_p99_ns: 0,
-                            conn_live,
-                            conn_accepted,
-                            conn_refused,
-                            io_threads,
-                        }),
-                    }
-                }
-                Err(resp) => resp,
-            },
-            Request::QueryStatus => Response::Status {
-                snapshot: self.status_snapshot(),
-            },
-            Request::QueryTrace => Response::TraceDump {
-                anchor_ns: dptd_obs::trace::wall_anchor_ns(),
-                dropped: dptd_obs::trace::dropped_events(),
-                events: dptd_obs::trace::collect(),
+            None => Response::Ledger {
+                next_epoch: 0,
+                batches_seen: 0,
+                rounds_debited: vec![0; self.local_users],
+                cumulative_losses: vec![0.0; self.local_users],
             },
         }
     }
 
-    fn set_conn_stats(&self, stats: Arc<FrontendStats>, io_threads: usize) {
-        *self.conn.lock().unwrap_or_else(PoisonError::into_inner) =
-            Some((stats, io_threads as u64));
+    /// Reports that survived the staged lane so far.
+    fn staged_accepted(&self) -> u64 {
+        self.staged.as_ref().map_or(0, |s| s.lane.accepted() as u64)
     }
 
-    /// `(live, accepted, refused, io_threads)` from the front end's
-    /// shared admission counters — the `live` atomic *is* the budget the
-    /// accept path enforces, so the gauge cannot drift from it.
-    fn conn_counts(&self) -> (u64, u64, u64, u64) {
-        use std::sync::atomic::Ordering;
-        let guard = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.as_ref() {
-            Some((stats, io_threads)) => (
-                stats.live.load(Ordering::SeqCst) as u64,
-                stats.accepted.load(Ordering::Relaxed),
-                stats.refused.load(Ordering::Relaxed),
-                *io_threads,
-            ),
-            None => (0, 0, 0, 0),
-        }
-    }
-
-    /// The node's slice of the live metrics plane: connection gauges
-    /// plus, per campaign partition, queue occupancy and ingest
-    /// counters. The coordinator absorbs these snapshots fleet-wide for
-    /// `dptd cluster status`.
-    fn status_snapshot(&self) -> MetricsSnapshot {
-        let mut snapshot = MetricsSnapshot::new();
-        let (live, accepted, refused, io_threads) = self.conn_counts();
-        snapshot.set(
-            names::SERVER_CONN_LIVE.to_string(),
-            MetricValue::Gauge(live),
-        );
-        snapshot.set(
-            names::SERVER_CONN_ACCEPTED.to_string(),
-            MetricValue::Counter(accepted),
-        );
-        snapshot.set(
-            names::SERVER_CONN_REFUSED.to_string(),
-            MetricValue::Counter(refused),
-        );
-        snapshot.set(
-            names::SERVER_IO_THREADS.to_string(),
-            MetricValue::Gauge(io_threads),
-        );
-        let slots: Vec<(String, Arc<Mutex<NodeCampaign>>)> = self
-            .campaigns_map()
-            .iter()
-            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
-            .collect();
-        for (id, slot) in slots {
-            let Ok(state) = slot.lock() else {
-                // A poisoned partition still shows up in the fleet
-                // status — as quarantined, not silently absent.
-                snapshot.set(
-                    names::campaign_metric(&id, names::QUARANTINED),
-                    MetricValue::Gauge(1),
-                );
-                continue;
-            };
-            snapshot.set(
-                names::campaign_metric(&id, names::QUEUE_DEPTH),
-                MetricValue::Gauge((state.pending.len() + state.future.len()) as u64),
-            );
-            snapshot.set(
-                names::campaign_metric(&id, names::SUBMITTED),
-                MetricValue::Counter(state.reports_submitted),
-            );
-            snapshot.set(
-                names::campaign_metric(&id, names::ACCEPTED),
-                MetricValue::Counter(
-                    state
-                        .staged
-                        .as_ref()
-                        .map_or(0, |s| s.lane.accepted() as u64),
-                ),
-            );
-            snapshot.set(
-                names::campaign_metric(&id, names::ROUNDS),
-                MetricValue::Counter(state.next_epoch),
-            );
-        }
-        snapshot
-    }
-
-    /// The partition map's mutex only guards `BTreeMap` bookkeeping —
-    /// partition state lives behind each slot's own lock — so a
-    /// poisoned map lock has nothing half-mutated to protect: recover
-    /// the guard and keep serving.
-    fn campaigns_map(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Mutex<NodeCampaign>>>> {
-        self.campaigns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn slot(&self, campaign: &str) -> Result<Arc<Mutex<NodeCampaign>>, Response> {
-        self.campaigns_map().get(campaign).cloned().ok_or_else(|| {
-            refuse(
-                ErrorCode::UnknownCampaign,
-                format!("no campaign partition `{campaign}` on this node"),
-            )
-        })
-    }
-
-    fn create(&self, campaign: &str, spec: &CampaignSpec) -> Response {
-        let local_users = spec.num_users as usize;
-        if local_users == 0 {
-            return refuse(
-                ErrorCode::InvalidRequest,
-                "a campaign partition needs at least one local user",
-            );
-        }
-        let per_round_loss = match PrivacyLoss::new(spec.per_round_epsilon, spec.per_round_delta) {
-            Ok(l) => l,
-            Err(e) => return refuse(ErrorCode::InvalidRequest, e.to_string()),
-        };
-        let budget = match PrivacyLoss::new(spec.budget_epsilon, spec.budget_delta) {
-            Ok(l) => l,
-            Err(e) => return refuse(ErrorCode::InvalidRequest, e.to_string()),
-        };
-        {
-            let map = self.campaigns_map();
-            if let Some(slot) = map.get(campaign) {
-                // A crashed coordinator resumes by re-creating the
-                // campaign on nodes that never died: an identical spec
-                // acks idempotently with the live epoch, anything else
-                // is a conflicting writer.
-                let state = match lock_partition(slot, campaign) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                let same_policy = WalPolicy::from_campaign(&CampaignConfig {
-                    num_objects: spec.num_objects as usize,
-                    deadline_us: spec.deadline_us,
-                    per_round_loss,
-                    budget,
-                })
-                .with_stream_tag(spec.stream_tag);
-                if state.local_users == local_users
-                    && state.capacity == spec.submission_capacity as usize
-                    && state.policy == same_policy
-                {
-                    return Response::Created {
-                        resumed_rounds: state.next_epoch,
-                    };
-                }
-                return refuse(
-                    ErrorCode::CampaignExists,
-                    format!(
-                        "campaign partition `{campaign}` is already live with a different spec"
-                    ),
-                );
-            }
-            if map.len() >= self.max_campaigns {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    format!("node at its {}-campaign cap", self.max_campaigns),
-                );
-            }
-        }
-        let config = CampaignConfig {
-            num_objects: spec.num_objects as usize,
-            deadline_us: spec.deadline_us,
-            per_round_loss,
-            budget,
-        };
-        let policy = WalPolicy::from_campaign(&config).with_stream_tag(spec.stream_tag);
-
-        let mut next_epoch = 0u64;
-        let mut resumed_rounds = 0u64;
-        let mut history = VecDeque::new();
-        let mut log: Option<Box<dyn RecordLog>> = None;
-        let mut wal_lock = None;
-        let mut replication_failure = None;
-        if spec.durable {
-            let Some(root) = &self.wal_root else {
-                return refuse(
-                    ErrorCode::WalRefused,
-                    "durable partitions need a node started with `--wal <root>`",
-                );
-            };
-            let dir = root.join(campaign);
-            let lock = match WalLock::acquire(&dir) {
-                Ok(l) => l,
-                Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-            };
-            let fs: Box<dyn StoreFs> = match DirFs::open(&dir) {
-                Ok(f) => Box::new(f),
-                Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-            };
-            // Replication wraps the filesystem *before* the store opens,
-            // so a follower sees everything from the manifest's creation
-            // (or this resume's tail repair) onward.
-            let fs: Box<dyn StoreFs> = match &self.replicate_to {
-                Some(addr) => match ReplicationSender::connect(addr, campaign) {
-                    Ok((sender, slot)) => {
-                        replication_failure = Some(slot);
-                        Box::new(ObservedFs::new(fs, Box::new(sender)))
-                    }
-                    Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-                },
-                None => fs,
-            };
-            let (store, replay) = match SegmentStore::open(fs, self.store) {
-                Ok(s) => s,
-                Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-            };
-            let recovered = match recover_replay(&replay, local_users, Loss::Squared, Some(&policy))
-            {
-                Ok(r) => r,
-                Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-            };
-            next_epoch = recovered.next_epoch();
-            resumed_rounds = recovered.records_applied;
-            for record in replay
-                .records
-                .iter()
-                .rev()
-                .take(LEDGER_HISTORY)
-                .rev()
-                .cloned()
-            {
-                history.push_back(record);
-            }
-            log = Some(Box::new(store));
-            wal_lock = Some(lock);
-        }
-
-        let slot = Arc::new(Mutex::new(NodeCampaign {
-            local_users,
-            capacity: spec.submission_capacity as usize,
-            config,
-            policy,
-            pending: Vec::new(),
-            future: Vec::new(),
-            next_epoch,
-            staged: None,
-            last_prepared: None,
-            history,
-            log,
-            _wal_lock: wal_lock,
-            replication_failure,
-            reports_submitted: 0,
-        }));
-        let mut map = self.campaigns_map();
-        if map.contains_key(campaign) {
-            return refuse(
-                ErrorCode::CampaignExists,
-                format!("campaign partition `{campaign}` is already live"),
-            );
-        }
-        map.insert(campaign.to_string(), slot);
-        Response::Created { resumed_rounds }
-    }
-
-    fn submit(
+    fn metrics(
         &self,
-        campaign: &str,
-        reports: Vec<StampedReport>,
-        ctx: Option<dptd_obs::SpanContext>,
+        (conn_live, conn_accepted, conn_refused, io_threads): (u64, u64, u64, u64),
     ) -> Response {
-        let _ctx_guard = ctx
-            .filter(|_| dptd_obs::trace::enabled())
-            .map(dptd_obs::trace::enter);
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let mut state = match lock_partition(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let queued = (state.pending.len() + state.future.len()) as u64;
-        let Some(first) = reports.first() else {
-            return Response::Submitted { queued };
-        };
-        let epoch = first.epoch;
-        for r in &reports {
-            if r.epoch != epoch {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    "a submission batch must carry a single epoch",
-                );
-            }
-            if r.report.user >= state.local_users {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    format!(
-                        "local user {} outside this node's {}-user partition",
-                        r.report.user, state.local_users
-                    ),
-                );
-            }
-        }
-        if epoch != state.next_epoch && epoch != state.next_epoch + 1 {
-            return refuse(
-                ErrorCode::InvalidRequest,
-                format!(
-                    "report for epoch {epoch} but partition `{campaign}` is on round {} \
-                     (one round of lookahead is buffered)",
-                    state.next_epoch
-                ),
-            );
-        }
-        if state.pending.len() + state.future.len() + reports.len() > state.capacity {
-            return Response::Busy {
-                queued,
-                capacity: state.capacity as u64,
-            };
-        }
-        let batch = reports.len() as u64;
-        if epoch == state.next_epoch {
-            state.pending.extend(reports);
-        } else {
-            state.future.extend(reports);
-        }
-        state.reports_submitted += batch;
-        Response::Submitted {
-            queued: (state.pending.len() + state.future.len()) as u64,
+        Response::Metrics {
+            metrics: Box::new(dptd_server::MetricsReport {
+                reports_submitted: self.queue.taken(),
+                reports_accepted: self.staged_accepted(),
+                duplicates_discarded: 0,
+                late_dropped: 0,
+                out_of_order_dropped: 0,
+                backpressure_stalls: 0,
+                epochs_merged: self.queue.next_epoch(),
+                max_queue_depth: self.queue.capacity() as u64,
+                queue_depth: self.queue.depth(),
+                throughput_rps: 0.0,
+                ingest_p50_ns: 0,
+                ingest_p99_ns: 0,
+                conn_live,
+                conn_accepted,
+                conn_refused,
+                io_threads,
+            }),
         }
     }
 
-    fn prepare(
-        &self,
-        campaign: &str,
-        epoch: u64,
-        refused: Vec<u64>,
-        ctx: Option<dptd_obs::SpanContext>,
-    ) -> Response {
-        // Under the coordinator's barrier-prepare span, the node's
-        // drain shows up as its child in a merged timeline.
-        let _ctx_guard = ctx
-            .filter(|_| dptd_obs::trace::enabled())
-            .map(dptd_obs::trace::enter);
-        let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_DRAIN, epoch);
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let mut state = match lock_partition(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let local_users = state.local_users;
+    fn prepare(&mut self, epoch: u64, refused: Vec<u64>) -> Response {
+        let local_users = self.local_users;
         if refused.iter().any(|&u| u as usize >= local_users) {
             return refuse(
                 ErrorCode::InvalidRequest,
@@ -752,19 +232,13 @@ impl NodeState {
         // A barrier re-drive for the epoch this node already committed:
         // replay the frozen prepare (the queue was drained into it and
         // the commit sealed it).
-        if epoch + 1 == state.next_epoch {
-            let Some(last) = &state.last_prepared else {
+        if epoch + 1 == self.queue.next_epoch() {
+            let Some(last) = self.last_prepared.as_ref().filter(|p| p.epoch == epoch) else {
                 return refuse(
                     ErrorCode::InvalidRequest,
                     format!("epoch {epoch} is already committed and its prepare expired"),
                 );
             };
-            if last.epoch != epoch {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    format!("epoch {epoch} is already committed and its prepare expired"),
-                );
-            }
             if last.refused != refused_sorted {
                 return refuse(
                     ErrorCode::InvalidRequest,
@@ -780,16 +254,16 @@ impl NodeState {
                 claims: result.claims.into_iter().map(|(_, r)| r).collect(),
             };
         }
-        if epoch != state.next_epoch {
+        if epoch != self.queue.next_epoch() {
             return refuse(
                 ErrorCode::InvalidRequest,
                 format!(
-                    "cannot prepare epoch {epoch}: partition `{campaign}` is on round {}",
-                    state.next_epoch
+                    "cannot prepare epoch {epoch}: the partition is on round {}",
+                    self.queue.next_epoch()
                 ),
             );
         }
-        if let Some(staged) = &state.staged {
+        if let Some(staged) = &self.staged {
             if staged.refused != refused_sorted {
                 return refuse(
                     ErrorCode::InvalidRequest,
@@ -800,9 +274,9 @@ impl NodeState {
         // Drain everything queued for this epoch through the staged
         // lane: refusal withhold first, then the lane's deadline + dedup
         // — the exact driver order.
-        let pending = std::mem::take(&mut state.pending);
-        let deadline_us = state.config.deadline_us;
-        let staged = state.staged.get_or_insert_with(|| StagedRound {
+        let pending = self.queue.drain();
+        let deadline_us = self.config.deadline_us;
+        let staged = self.staged.get_or_insert_with(|| StagedRound {
             epoch,
             refused: refused_sorted,
             refused_seen: vec![false; local_users],
@@ -828,30 +302,15 @@ impl NodeState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn commit(
-        &self,
-        campaign: &str,
+        &mut self,
         epoch: u64,
         batches_seen: u64,
         accepted_users: &[u64],
         cumulative_losses: Vec<f64>,
         rounds_debited: Vec<u32>,
-        ctx: Option<dptd_obs::SpanContext>,
     ) -> Response {
-        let _ctx_guard = ctx
-            .filter(|_| dptd_obs::trace::enabled())
-            .map(dptd_obs::trace::enter);
-        let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_COMMIT, epoch);
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let mut state = match lock_partition(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let local_users = state.local_users;
+        let local_users = self.local_users;
         if cumulative_losses.len() != local_users || rounds_debited.len() != local_users {
             return refuse(
                 ErrorCode::InvalidRequest,
@@ -871,15 +330,15 @@ impl NodeState {
             epoch,
             batches_seen,
             loss: Loss::Squared,
-            policy: state.policy,
+            policy: self.policy,
             accepted_users: accepted_users.iter().map(|&u| u as usize).collect(),
             cumulative_losses,
             rounds_debited,
         };
 
         // Idempotent re-commit: the previous epoch, byte-identical.
-        if epoch + 1 == state.next_epoch {
-            let Some(last) = state.history.back() else {
+        if epoch + 1 == self.queue.next_epoch() {
+            let Some(last) = self.history.back() else {
                 return refuse(
                     ErrorCode::InvalidRequest,
                     format!("epoch {epoch} predates this node's retained history"),
@@ -899,46 +358,256 @@ impl NodeState {
                 ),
             );
         }
-        if epoch != state.next_epoch {
+        if epoch != self.queue.next_epoch() {
             return refuse(
                 ErrorCode::InvalidRequest,
                 format!(
-                    "cannot commit epoch {epoch}: partition `{campaign}` is on round {}",
-                    state.next_epoch
+                    "cannot commit epoch {epoch}: the partition is on round {}",
+                    self.queue.next_epoch()
                 ),
             );
         }
-        let Some(staged) = state.staged.take() else {
+        let Some(staged) = self.staged.take() else {
             return refuse(
                 ErrorCode::InvalidRequest,
                 format!("commit for epoch {epoch} without a prepared round"),
             );
         };
         debug_assert_eq!(staged.epoch, epoch, "stage/commit epoch mismatch");
-        if let Some(log) = state.log.as_mut() {
+        if let Some(log) = self.log.as_mut() {
             if let Err(e) = log.append_record(&record) {
                 // The append failed atomically; restore the stage so the
                 // barrier can be re-driven.
-                state.staged = Some(staged);
+                self.staged = Some(staged);
                 return refuse(ErrorCode::WalRefused, e.to_string());
             }
         }
-        state.last_prepared = Some(CommittedPrepare {
+        self.last_prepared = Some(CommittedPrepare {
             epoch,
             refused: staged.refused,
             refused_seen_count: staged.refused_seen.iter().filter(|&&b| b).count() as u64,
             lane: staged.lane,
         });
-        state.history.push_back(record);
-        while state.history.len() > LEDGER_HISTORY {
-            state.history.pop_front();
+        self.history.push_back(record);
+        while self.history.len() > LEDGER_HISTORY {
+            self.history.pop_front();
         }
-        state.next_epoch = epoch + 1;
-        state.pending = std::mem::take(&mut state.future);
+        self.queue.advance();
         Response::Committed {
             epoch,
             appended: true,
         }
+    }
+}
+
+impl Hosted for NodeCampaign {
+    /// Queue occupancy and ingest counters; the coordinator absorbs
+    /// these snapshots fleet-wide for `dptd cluster status`.
+    fn status(&self) -> Vec<(&'static str, MetricValue)> {
+        vec![
+            (names::QUEUE_DEPTH, MetricValue::Gauge(self.queue.depth())),
+            (names::SUBMITTED, MetricValue::Counter(self.queue.taken())),
+            (
+                names::ACCEPTED,
+                MetricValue::Counter(self.staged_accepted()),
+            ),
+            (names::ROUNDS, MetricValue::Counter(self.queue.next_epoch())),
+        ]
+    }
+}
+
+struct NodeState {
+    node_id: u32,
+    num_nodes: u32,
+    wal_root: Option<PathBuf>,
+    replicate_to: Option<String>,
+    replica_root: Option<PathBuf>,
+    store: StoreConfig,
+    host: Host<NodeCampaign>,
+    replicas: Mutex<BTreeMap<String, ReplicaApplier>>,
+}
+
+impl std::fmt::Debug for NodeState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodeState")
+            .field("node_id", &self.node_id)
+            .field("num_nodes", &self.num_nodes)
+            .finish_non_exhaustive()
+    }
+}
+
+impl NodeState {
+    fn dispatch(&self, request: Request) -> Response {
+        match request {
+            Request::NodeHello { node_id, num_nodes } => {
+                if node_id != self.node_id || num_nodes != self.num_nodes {
+                    return refuse(
+                        ErrorCode::InvalidRequest,
+                        format!(
+                            "topology mismatch: this is node {}/{}, coordinator expected {}/{}",
+                            self.node_id, self.num_nodes, node_id, num_nodes
+                        ),
+                    );
+                }
+                Response::NodeWelcome {
+                    node_id: self.node_id,
+                }
+            }
+            Request::CreateCampaign { campaign, spec } => self
+                .create(&campaign, &spec)
+                .unwrap_or_else(|refusal| refusal),
+            Request::SubmitReports {
+                campaign, reports, ..
+            } => self.host.with(&campaign, |part| {
+                part.queue.offer(reports, part.local_users, NOUN)
+            }),
+            Request::CloseRoundPrepare {
+                campaign,
+                epoch,
+                refused,
+                ..
+            } => {
+                // Under the coordinator's barrier-prepare span (adopted
+                // by the envelope), the node's drain shows up as its
+                // child in a merged timeline.
+                let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_DRAIN, epoch);
+                self.host
+                    .with(&campaign, |part| part.prepare(epoch, refused))
+            }
+            Request::CloseRoundCommit {
+                campaign,
+                epoch,
+                batches_seen,
+                accepted_users,
+                cumulative_losses,
+                rounds_debited,
+                ..
+            } => {
+                let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_COMMIT, epoch);
+                self.host.with(&campaign, |part| {
+                    part.commit(
+                        epoch,
+                        batches_seen,
+                        &accepted_users,
+                        cumulative_losses,
+                        rounds_debited,
+                    )
+                })
+            }
+            Request::QueryLedger { campaign, upto } => {
+                self.host.with(&campaign, |part| part.ledger_at(upto))
+            }
+            Request::ReplicateSegment {
+                campaign,
+                seq,
+                op,
+                name,
+                arg,
+                bytes,
+            } => self.replicate(&campaign, seq, op, &name, arg, &bytes),
+            Request::CloseRound { .. } => refuse(
+                ErrorCode::InvalidRequest,
+                "cluster nodes close rounds through the coordinator's two-phase barrier, \
+                 not `CloseRound`",
+            ),
+            Request::QueryTruths { .. } | Request::QueryBudget { .. } => refuse(
+                ErrorCode::InvalidRequest,
+                "a cluster node holds one partition and no global state; query the coordinator",
+            ),
+            Request::QueryMetrics { campaign } => {
+                let conn = self.host.conn_counts();
+                self.host.with(&campaign, |part| part.metrics(conn))
+            }
+            request @ (Request::QueryStatus
+            | Request::QueryTrace
+            | Request::SubmitReportsStream { .. }) => self.host.answer(request),
+        }
+    }
+
+    fn create(&self, campaign: &str, spec: &CampaignSpec) -> Result<Response, Response> {
+        let (config, policy) = admit(spec, MAX_USERS_PER_CAMPAIGN)?;
+        let local_users = spec.num_users as usize;
+        let capacity = spec.submission_capacity as usize;
+        // A crashed coordinator resumes by re-creating the campaign on
+        // nodes that never died: an identical spec acks idempotently
+        // with the live epoch, anything else is a conflicting writer.
+        let recreated = self.host.try_with(campaign, |part| {
+            if part.local_users == local_users
+                && part.queue.capacity() == capacity
+                && part.policy == policy
+            {
+                return Response::Created {
+                    resumed_rounds: part.queue.next_epoch(),
+                };
+            }
+            refuse(
+                ErrorCode::CampaignExists,
+                format!("{NOUN} `{campaign}` is already live with a different spec"),
+            )
+        });
+        if let Some(response) = recreated {
+            return Ok(response);
+        }
+        self.host.vacancy(campaign)?;
+
+        let mut next_epoch = 0u64;
+        let mut resumed_rounds = 0u64;
+        let mut history = VecDeque::new();
+        let mut log: Option<Box<dyn RecordLog>> = None;
+        let mut wal_lock = None;
+        let mut replication_failure = None;
+        if spec.durable {
+            let (lock, store, replay) = open_durable(
+                self.wal_root.as_deref(),
+                campaign,
+                self.store,
+                NOUN,
+                // The observer, when this node has a follower, is the
+                // replication stream to it.
+                || {
+                    let Some(addr) = &self.replicate_to else {
+                        return Ok(None);
+                    };
+                    let (sender, failure) = ReplicationSender::connect(addr, campaign)
+                        .map_err(|e| refuse(ErrorCode::WalRefused, e.to_string()))?;
+                    replication_failure = Some(failure);
+                    Ok(Some(Box::new(sender) as Box<dyn StoreObserver>))
+                },
+            )?;
+            let recovered = recover_replay(&replay, local_users, Loss::Squared, Some(&policy))
+                .map_err(|e| refuse(ErrorCode::WalRefused, e.to_string()))?;
+            next_epoch = recovered.next_epoch();
+            resumed_rounds = recovered.records_applied;
+            for record in replay
+                .records
+                .iter()
+                .rev()
+                .take(LEDGER_HISTORY)
+                .rev()
+                .cloned()
+            {
+                history.push_back(record);
+            }
+            log = Some(Box::new(store));
+            wal_lock = Some(lock);
+        }
+
+        self.host.insert(
+            campaign,
+            NodeCampaign {
+                local_users,
+                config,
+                policy,
+                queue: SubmissionQueue::new(capacity, next_epoch),
+                staged: None,
+                last_prepared: None,
+                history,
+                log,
+                _wal_lock: wal_lock,
+                replication_failure,
+            },
+        )?;
+        Ok(Response::Created { resumed_rounds })
     }
 
     fn replicate(
@@ -983,31 +652,21 @@ impl NodeState {
 
     /// Flush every durable partition — the orderly shutdown path.
     fn finalize(&self) -> usize {
-        // Cut the shutdown black box before the flush loop: the bundle
-        // shows the partitions as they were serving, rings included.
-        dptd_obs::flight::global().freeze("shutdown", self.status_snapshot());
-        let map = self.campaigns_map();
         let mut flushed = 0;
-        for slot in map.values() {
-            // Shutdown is best-effort even for a quarantined partition:
-            // recover a poisoned guard so its WAL still gets a final
-            // flush attempt.
-            let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(log) = state.log.as_mut() {
+        self.host.shutdown(|part| {
+            if let Some(log) = part.log.as_mut() {
                 if log.sync().is_ok() {
                     flushed += 1;
                 }
             }
-        }
+        });
         flushed
     }
 }
 
 impl RequestHandler for NodeState {
     fn handle(&self, request: Request) -> Response {
-        // `Type::method` resolves to the inherent `handle` above, not
-        // back into this trait method.
-        NodeState::handle(self, request)
+        self.host.handle(request, |request| self.dispatch(request))
     }
 }
 
@@ -1043,10 +702,8 @@ impl NodeServer {
             replicate_to: config.replicate_to,
             replica_root: config.replica_root,
             store: config.store,
-            max_campaigns: config.max_campaigns.max(1),
-            campaigns: Mutex::new(BTreeMap::new()),
+            host: Host::new(NOUN, config.max_campaigns.max(1)),
             replicas: Mutex::new(BTreeMap::new()),
-            conn: Mutex::new(None),
         });
         let frontend = Frontend::start(
             FrontendConfig {
@@ -1058,7 +715,9 @@ impl NodeServer {
             Arc::clone(&state) as Arc<dyn RequestHandler>,
         )
         .map_err(ClusterError::Server)?;
-        state.set_conn_stats(frontend.stats(), frontend.io_threads());
+        state
+            .host
+            .set_conn_stats(frontend.stats(), frontend.io_threads());
         Ok(Self { state, frontend })
     }
 
@@ -1072,15 +731,16 @@ impl NodeServer {
     /// blocks the primary, so operators poll this (the CLI surfaces it
     /// on shutdown).
     pub fn replication_failure(&self, campaign: &str) -> Option<String> {
-        let slot = self.state.campaigns_map().get(campaign)?.clone();
-        // An operator poll reading a latched diagnostic string: recover
-        // poisoned guards — there is no partial state a panic could
-        // have left in a plain `Option<String>` read.
-        let state = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        state
-            .replication_failure
-            .as_ref()
-            .and_then(|f| f.lock().unwrap_or_else(PoisonError::into_inner).clone())
+        // A latched diagnostic string: there is no partial state a
+        // panic could have left in a plain `Option<String>` read, so
+        // poisoned guards are recovered all the way down.
+        self.state.host.peek(campaign, |part| {
+            let failure = part.replication_failure.as_ref()?;
+            failure
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
+        })?
     }
 
     /// Stop accepting, close every connection, join the I/O threads,
@@ -1090,23 +750,10 @@ impl NodeServer {
         self.state.finalize()
     }
 
-    /// Force-quarantine a partition by poisoning its state lock — what
-    /// a worker panic mid-request produces. Returns whether the lock is
-    /// now poisoned. Hidden seam for exercising the quarantine →
-    /// flight-recorder path from integration tests.
+    /// Force-quarantine a partition — see [`Host::poison`].
     #[doc(hidden)]
     pub fn poison_partition(&self, campaign: &str) -> bool {
-        let Some(slot) = self.state.campaigns_map().get(campaign).cloned() else {
-            return false;
-        };
-        let poisoner = Arc::clone(&slot);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap_or_else(PoisonError::into_inner);
-            panic!("poison_partition: deliberate panic while holding the state lock");
-        })
-        .join();
-        let poisoned = slot.lock().is_err();
-        poisoned
+        self.state.host.poison(campaign)
     }
 }
 
@@ -1114,6 +761,7 @@ impl NodeServer {
 mod tests {
     use super::*;
     use dptd_core::roles::PerturbedReport;
+    use dptd_protocol::message::StampedReport;
     use dptd_server::Client;
 
     fn spec(local_users: u64) -> CampaignSpec {

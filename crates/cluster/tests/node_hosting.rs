@@ -1,0 +1,273 @@
+//! What a cluster node inherits from the hosting core it shares with
+//! the campaign server (`dptd_server::host`), checked over real TCP:
+//! spec admission bounds the population before anything `O(users)` is
+//! allocated, refusals are counted per campaign and feed the
+//! refusal-storm flight trigger, and one submission queue serves both
+//! hosts — a scripted sequence gets the same answers from a
+//! `CampaignRegistry` and from a node.
+
+use dptd_cluster::{NodeConfig, NodeServer};
+use dptd_core::roles::PerturbedReport;
+use dptd_obs::{flight, names};
+use dptd_protocol::message::StampedReport;
+use dptd_server::{
+    CampaignRegistry, CampaignSpec, Client, ErrorCode, RegistryConfig, Request, Response,
+    ServerError,
+};
+
+fn spec(users: u64, capacity: u64) -> CampaignSpec {
+    CampaignSpec {
+        num_users: users,
+        num_objects: 1,
+        num_shards: 1,
+        workers: 1,
+        engine_queue: 64,
+        deadline_us: 1_000,
+        submission_capacity: capacity,
+        per_round_epsilon: 0.5,
+        per_round_delta: 0.0,
+        budget_epsilon: 4.0,
+        budget_delta: 0.0,
+        stream_tag: 0,
+        durable: false,
+    }
+}
+
+fn stamped(epoch: u64, user: usize) -> StampedReport {
+    StampedReport {
+        epoch,
+        sent_at_us: 10 + user as u64,
+        report: PerturbedReport {
+            user,
+            values: vec![(0, user as f64)],
+        },
+    }
+}
+
+fn submit(campaign: &str, reports: Vec<StampedReport>) -> Request {
+    Request::SubmitReports {
+        campaign: campaign.to_string(),
+        reports,
+        ctx: None,
+    }
+}
+
+fn is_invalid_request(outcome: &Result<u64, ServerError>) -> bool {
+    matches!(
+        outcome,
+        Err(ServerError::Remote {
+            code: ErrorCode::InvalidRequest,
+            ..
+        })
+    )
+}
+
+#[test]
+fn an_oversized_create_is_refused_and_the_node_keeps_serving() {
+    let node = NodeServer::start(NodeConfig::default()).unwrap();
+    let mut hostile = Client::connect(node.local_addr()).unwrap();
+    // The two frames that used to abort the process: a population no
+    // host can hold, then the first `O(users)` allocation over it.
+    let outcome = hostile.create_campaign("huge", spec(1 << 40, 64));
+    assert!(is_invalid_request(&outcome), "{outcome:?}");
+    let ledger = hostile.query_ledger("huge", u64::MAX);
+    assert!(
+        matches!(
+            ledger,
+            Err(ServerError::Remote {
+                code: ErrorCode::UnknownCampaign,
+                ..
+            })
+        ),
+        "nothing may have been hosted: {ledger:?}"
+    );
+    let outcome = hostile.create_campaign("no-queue", spec(3, 0));
+    assert!(is_invalid_request(&outcome), "{outcome:?}");
+
+    // A second connection creates and runs a normal round.
+    let mut client = Client::connect(node.local_addr()).unwrap();
+    client.create_campaign("part", spec(3, 64)).unwrap();
+    client
+        .submit_chunked("part", &[stamped(0, 0), stamped(0, 2)], 8)
+        .unwrap();
+    let prepared = client.close_round_prepare("part", 0, vec![]).unwrap();
+    assert_eq!(prepared.claims.len(), 2);
+    let appended = client
+        .close_round_commit(
+            "part",
+            0,
+            1,
+            vec![0, 2],
+            vec![0.5, 0.0, 0.25],
+            vec![1, 0, 1],
+        )
+        .unwrap();
+    assert!(appended);
+    let ledger = client.query_ledger("part", u64::MAX).unwrap();
+    assert_eq!(
+        (ledger.next_epoch, ledger.rounds_debited),
+        (1, vec![1, 0, 1])
+    );
+    node.shutdown();
+}
+
+#[test]
+fn a_node_counts_its_refusals_and_a_storm_of_them_freezes_a_flight_bundle() {
+    let dir = std::env::temp_dir().join(format!("dptd-node-hosting-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    flight::global().set_dir(Some(dir.clone()));
+
+    let node = NodeServer::start(NodeConfig::default()).unwrap();
+    let mut client = Client::connect(node.local_addr()).unwrap();
+    client.create_campaign("busy", spec(8, 2)).unwrap();
+    let resp = client
+        .request(&submit("busy", vec![stamped(0, 0), stamped(0, 1)]))
+        .unwrap();
+    assert_eq!(resp, Response::Submitted { queued: 2 });
+    let overflow = submit("busy", vec![stamped(0, 2)]);
+    let busy = Response::Busy {
+        queued: 2,
+        capacity: 2,
+    };
+    assert_eq!(client.request(&overflow).unwrap(), busy);
+
+    // The node-side twin of `observability_e2e`'s server assertion.
+    let snapshot = client.query_status().unwrap();
+    let counter = names::campaign_metric("busy", names::REFUSED_BUSY);
+    assert_eq!(snapshot.scalar(&counter), Some(1));
+    let shares = snapshot.campaign_shares();
+    let share = shares.iter().find(|s| s.id == "busy").unwrap();
+    assert_eq!((share.refused_busy, share.queue_depth), (1, 2));
+    assert!(snapshot.scalar(names::SERVER_REQUESTS).unwrap_or(0) >= 3);
+
+    // An unbroken run of refusals trips the storm trigger. The other
+    // tests in this binary share the process-wide recorder and their
+    // accepts break a run, so keep refusing until one run completes.
+    let storm_bundle = || {
+        std::fs::read_dir(&dir).ok()?.flatten().find(|entry| {
+            let name = entry.file_name();
+            name.to_string_lossy().ends_with("-refusal-storm.json")
+        })
+    };
+    let mut refusals = 0u64;
+    while storm_bundle().is_none() {
+        assert!(refusals < 100_000, "no refusal-storm bundle was frozen");
+        assert_eq!(client.request(&overflow).unwrap(), busy);
+        refusals += 1;
+    }
+    let bundle = std::fs::read_to_string(storm_bundle().unwrap().path()).unwrap();
+    assert!(bundle.contains("\"trigger\":\"refusal-storm\""), "{bundle}");
+    assert!(bundle.contains("campaign.busy.refused.busy"), "{bundle}");
+
+    flight::global().set_dir(None);
+    node.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A response reduced to what the parity script compares: its kind, its
+/// error code, its `queued` count.
+fn outline(response: &Response) -> String {
+    match response {
+        Response::Submitted { queued } => format!("submitted({queued})"),
+        Response::Busy { queued, capacity } => format!("busy({queued}/{capacity})"),
+        Response::Error { code, .. } => format!("error({code})"),
+        Response::Metrics { metrics } => format!("depth({})", metrics.queue_depth),
+        other => panic!("not a step of the queue script: {other:?}"),
+    }
+}
+
+/// One scripted submission sequence — every queue decision once — with
+/// `advance` closing the host's current round in its own way.
+fn queue_script(
+    mut ask: impl FnMut(Request) -> Response,
+    mut advance: impl FnMut(u64),
+) -> Vec<String> {
+    let depth = Request::QueryMetrics {
+        campaign: "q".to_string(),
+    };
+    let mut seen = Vec::new();
+    let mut step = |request: Request| seen.push(outline(&ask(request)));
+    // Round 0 closes first so that a stale epoch exists.
+    step(submit("q", vec![stamped(0, 0), stamped(0, 1)]));
+    advance(0);
+    for batch in [
+        vec![],                             // empty
+        vec![stamped(1, 0), stamped(2, 1)], // mixed epochs
+        vec![stamped(1, 4)],                // outside the population
+        vec![stamped(0, 0)],                // stale
+        vec![stamped(3, 0)],                // two ahead
+        vec![stamped(2, 3)],                // lookahead: taken
+        vec![stamped(1, 0), stamped(1, 1)], // fills the queue
+        vec![stamped(1, 2)],                // overflow, current round
+        vec![stamped(2, 2)],                // overflow, lookahead
+    ] {
+        step(submit("q", batch));
+    }
+    step(depth.clone());
+    advance(1);
+    // The lookahead was promoted: it alone is queued, for round 2.
+    step(depth.clone());
+    step(submit("q", vec![stamped(2, 0), stamped(2, 1)]));
+    step(submit("q", vec![stamped(1, 2)]));
+    step(depth);
+    seen
+}
+
+#[test]
+fn one_queue_serves_a_registry_and_a_node_identically() {
+    let registry = CampaignRegistry::new(RegistryConfig::default());
+    let created = registry.handle(Request::CreateCampaign {
+        campaign: "q".to_string(),
+        spec: spec(4, 3),
+    });
+    assert_eq!(created, Response::Created { resumed_rounds: 0 });
+    let served = queue_script(
+        |request| registry.handle(request),
+        |epoch| {
+            let closed = registry.handle(Request::CloseRound {
+                campaign: "q".to_string(),
+                epoch,
+            });
+            assert!(matches!(closed, Response::RoundClosed { .. }), "{closed:?}");
+        },
+    );
+
+    let node = NodeServer::start(NodeConfig::default()).unwrap();
+    let mut client = Client::connect(node.local_addr()).unwrap();
+    let mut barrier = Client::connect(node.local_addr()).unwrap();
+    client.create_campaign("q", spec(4, 3)).unwrap();
+    let hosted = queue_script(
+        |request| client.request(&request).unwrap(),
+        |epoch| {
+            barrier.close_round_prepare("q", epoch, vec![]).unwrap();
+            let debits = vec![epoch as u32 + 1, epoch as u32 + 1, 0, 0];
+            let appended = barrier
+                .close_round_commit("q", epoch, epoch + 1, vec![0, 1], vec![0.0; 4], debits)
+                .unwrap();
+            assert!(appended);
+        },
+    );
+    node.shutdown();
+
+    assert_eq!(served, hosted);
+    assert_eq!(
+        served,
+        [
+            "submitted(2)",
+            "submitted(0)",
+            "error(invalid-request)",
+            "error(invalid-request)",
+            "error(invalid-request)",
+            "error(invalid-request)",
+            "submitted(1)",
+            "submitted(3)",
+            "busy(3/3)",
+            "busy(3/3)",
+            "depth(3)",
+            "depth(1)",
+            "submitted(3)",
+            "error(invalid-request)",
+            "depth(3)",
+        ]
+    );
+}

@@ -5,8 +5,7 @@
 //! `send`/`try_send`/`recv`/`try_recv`/`recv_timeout`, clonable endpoints,
 //! and disconnect semantics. Built on `Mutex` + `Condvar`; slower than the
 //! real lock-free implementation under extreme contention, but with
-//! identical semantics, which is what the protocol runtime and the
-//! aggregation engine rely on.
+//! identical semantics, which is what the aggregation engine relies on.
 
 #![deny(missing_docs)]
 

@@ -26,13 +26,14 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
 use dptd_obs::trace::{codes as trace_codes, TraceScope};
+use dptd_obs::Histogram;
 use dptd_protocol::message::StampedReport;
 use dptd_protocol::pool::WorkerPool;
 use dptd_truth::columnar::ColumnarBatch;
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
-use crate::metrics::{EngineMetrics, LatencyHistogram, StageTimings};
+use crate::metrics::{EngineMetrics, StageTimings};
 use crate::shard::{ShardEpochStats, ShardState};
 use crate::EngineError;
 
@@ -163,7 +164,7 @@ struct EpochClaims {
 enum MergeMsg {
     Epoch(EpochClaims),
     ShardDone {
-        latency: LatencyHistogram,
+        latency: Histogram,
         filter_busy: Duration,
     },
 }
@@ -476,7 +477,7 @@ fn drain_shards(
             )
         })
         .collect();
-    let mut latency = LatencyHistogram::new();
+    let mut latency = Histogram::new();
     let mut filter_busy = Duration::ZERO;
     let mut open: Vec<bool> = vec![true; shards.len()];
 
@@ -539,7 +540,7 @@ fn handle(
     msg: ShardMsg,
     state: &mut ShardState,
     shard_id: usize,
-    latency: &mut LatencyHistogram,
+    latency: &mut Histogram,
     filter_busy: &mut Duration,
     merge_tx: &Sender<MergeMsg>,
 ) {
@@ -568,7 +569,7 @@ fn handle(
 struct MergeOut {
     outcomes: Vec<EpochOutcome>,
     crh: StreamingCrh,
-    latency: LatencyHistogram,
+    latency: Histogram,
     filter_busy: Duration,
     merge_busy: Duration,
     error: Option<EngineError>,
@@ -585,7 +586,7 @@ fn merge_loop(
 ) -> MergeOut {
     let mut pending: BTreeMap<u64, Vec<EpochClaims>> = BTreeMap::new();
     let mut outcomes: Vec<EpochOutcome> = Vec::new();
-    let mut latency = LatencyHistogram::new();
+    let mut latency = Histogram::new();
     let mut filter_busy = Duration::ZERO;
     let mut merge_busy = Duration::ZERO;
     let mut error: Option<EngineError> = None;

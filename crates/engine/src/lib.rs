@@ -3,8 +3,8 @@
 //! The paper's deployment story is an untrusted server aggregating
 //! perturbed reports from a huge, unsynchronised population. The protocol
 //! crate demonstrates correctness at small scale (a discrete-event
-//! simulator and a threaded runtime that re-run truth discovery per
-//! round); this crate is the **scale path**: reports are ingested as a
+//! simulator that re-runs truth discovery per round); this crate is the
+//! **scale path**: reports are ingested as a
 //! stream, hashed across shards, de-duplicated and deadline-filtered in
 //! parallel, and folded **incrementally** into a
 //! [`dptd_truth::streaming::StreamingCrh`] — per epoch, not per rerun.
@@ -78,7 +78,7 @@ use std::fmt;
 pub use backend::EngineBackend;
 pub use engine::{Engine, EngineConfig, EngineReport, EpochOutcome};
 pub use loadgen::{ArrivalProcess, LoadGen, LoadGenConfig};
-pub use metrics::{EngineMetrics, LatencyHistogram};
+pub use metrics::EngineMetrics;
 pub use recovery::RecoveredState;
 pub use store::{ObservedFs, SegmentStore, StoreConfig, StoreObserver};
 pub use wal::{

@@ -1,22 +1,16 @@
-//! Engine observability: latency histograms and run-level metrics.
+//! Engine observability: run-level metrics.
 //!
 //! The histogram machinery lives in [`dptd_obs`] (the workspace-wide
 //! observability crate) so the engine, the server and the cluster share
-//! one bucket layout; [`LatencyHistogram`] is the engine's historical
-//! name for [`dptd_obs::Histogram`]. `EngineMetrics` is built on top of
-//! it: the serving layer samples these per-campaign blocks into its
-//! `MetricsSnapshot` (see `dptd_obs::registry::names`), which is where
-//! per-campaign fair-share accounting comes from.
+//! one bucket layout. `EngineMetrics` is built on top of
+//! [`dptd_obs::Histogram`]: the serving layer samples these
+//! per-campaign blocks into its `MetricsSnapshot` (see
+//! `dptd_obs::registry::names`), which is where per-campaign fair-share
+//! accounting comes from.
 
 use std::time::Duration;
 
-/// A log-linear latency histogram (HDR-style: power-of-two octaves split
-/// into 16 sub-buckets), covering 1 ns .. ~584 years with ≤ 6.25% relative
-/// quantile error. Fixed 976-slot footprint, mergeable across shards.
-/// (An alias of [`dptd_obs::Histogram`] — the shared layout also backs
-/// the lock-free [`dptd_obs::AtomicHistogram`] and the sparse wire
-/// snapshot.)
-pub use dptd_obs::Histogram as LatencyHistogram;
+use dptd_obs::Histogram;
 
 /// Busy wall-clock time per pipeline stage, summed over the threads
 /// running that stage. `route` can exceed the others on a backpressured
@@ -66,7 +60,7 @@ pub struct EngineMetrics {
     /// Highest queue depth sampled across all shard queues.
     pub max_queue_depth: usize,
     /// Queue-wait + processing latency per accepted-or-rejected report.
-    pub ingest_latency: LatencyHistogram,
+    pub ingest_latency: Histogram,
     /// Busy time per pipeline stage (route / filter / merge).
     pub stage: StageTimings,
     /// Wall-clock duration of the whole run.
@@ -151,7 +145,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         assert_eq!(h.p50(), None);
         assert_eq!(h.mean(), None);
         assert_eq!(h.count(), 0);
@@ -159,7 +153,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_order_statistics_at_bucket_granularity() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         for us in 1..=1000u64 {
             h.record(Duration::from_micros(us));
         }
@@ -180,8 +174,8 @@ mod tests {
 
     #[test]
     fn merge_is_additive() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
         a.record(Duration::from_micros(10));
         b.record(Duration::from_micros(30));
         b.record(Duration::from_micros(50));

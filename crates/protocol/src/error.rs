@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Error type for the protocol runtimes.
+/// Error type for the protocol layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolError {
     /// A runtime parameter was outside its domain.
@@ -19,11 +19,6 @@ pub enum ProtocolError {
         object: usize,
         /// How many reports did arrive.
         reports_received: usize,
-    },
-    /// A worker thread panicked or disconnected in the threaded runtime.
-    WorkerFailed {
-        /// Index of the failed user thread.
-        user: usize,
     },
     /// A campaign round backend failed outside the protocol's own error
     /// domain (e.g. the streaming engine's ingestion layer).
@@ -52,9 +47,6 @@ impl fmt::Display for ProtocolError {
                 f,
                 "object {object} received no reports before the deadline ({reports_received} total reports arrived)"
             ),
-            ProtocolError::WorkerFailed { user } => {
-                write!(f, "user thread {user} failed or disconnected")
-            }
             ProtocolError::Backend { backend, message } => {
                 write!(f, "{backend} backend failed: {message}")
             }
@@ -89,8 +81,6 @@ mod tests {
             reports_received: 7,
         };
         assert!(e.to_string().contains('3'));
-        let e = ProtocolError::WorkerFailed { user: 5 };
-        assert!(e.to_string().contains('5'));
     }
 
     #[test]

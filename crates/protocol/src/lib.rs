@@ -4,19 +4,13 @@
 //! non-coordinating mobile users; §3.2 claims the mechanism *"ensures fast
 //! processing … and there are no communication costs due to the
 //! non-collaborative mechanism"*. This crate makes that deployment story
-//! concrete with two interchangeable runtimes over the same protocol:
+//! concrete in [`sim`] — a deterministic **discrete-event simulator**
+//! with a latency/message-loss network model: reproducible rounds, fault
+//! injection, and exact message accounting. Used by the robustness
+//! experiments. (Real concurrency is the serving layer's: `dptd-engine`,
+//! `dptd-server`.)
 //!
-//! * [`sim`] — a deterministic **discrete-event simulator** with a
-//!   latency/message-loss network model: reproducible rounds, fault
-//!   injection, and exact message accounting. Used by the robustness
-//!   experiments.
-//! * [`runtime`] — a **multi-threaded runtime** on crossbeam channels: a
-//!   capped [`pool::WorkerPool`] drives the users, a collector thread
-//!   gathers for the server under a real wall-clock deadline. Used to
-//!   demonstrate the single round-trip / no-coordination property under
-//!   actual concurrency.
-//!
-//! Shared infrastructure grew out of these runtimes and is reused by the
+//! Shared infrastructure grew out of the simulator and is reused by the
 //! `dptd-engine` streaming aggregator: [`pool`] (capped scoped worker
 //! pool), [`dedup`] (first-wins duplicate filtering) and
 //! [`message::StampedReport`] (an epoch/arrival-time-stamped report).
@@ -28,7 +22,7 @@
 //! per-user privacy budgets — exhausted users refuse, and dropped/late
 //! reports debit nothing.
 //!
-//! Both drive the same [`dptd_core::roles`] types: the user-side
+//! Every path drives the same [`dptd_core::roles`] types: the user-side
 //! perturbation happens inside the client, so raw values never cross the
 //! transport — the trust boundary is visible in the message enum
 //! ([`message::Message`] has no constructor carrying raw data).
@@ -66,7 +60,6 @@ pub mod dedup;
 pub mod message;
 pub mod partition;
 pub mod pool;
-pub mod runtime;
 pub mod sim;
 
 mod error;

@@ -18,8 +18,7 @@ pub enum NodeId {
     User(usize),
 }
 
-/// Protocol messages (all serde-serialisable; the simulator and the
-/// threaded runtime use the same enum).
+/// Protocol messages (all serde-serialisable).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
     /// Server → user: task list plus the public noise hyper-parameter

@@ -1,11 +1,10 @@
 //! A capped, scoped worker pool.
 //!
-//! The original threaded runtime spawned **one OS thread per user**, which
-//! exhausts OS threads long before the million-user populations the
-//! ROADMAP targets. This pool caps concurrency at a fixed worker count and
-//! statically partitions work across the workers; both the threaded
-//! runtime ([`crate::runtime`]) and the sharded aggregation engine
-//! (`dptd-engine`) run on it.
+//! One OS thread per user exhausts OS threads long before the
+//! million-user populations the ROADMAP targets. This pool caps
+//! concurrency at a fixed worker count and statically partitions work
+//! across the workers; the sharded aggregation engine (`dptd-engine`)
+//! runs on it.
 //!
 //! Scoped threads keep the API borrow-friendly: closures may capture
 //! references to stack data of the caller.

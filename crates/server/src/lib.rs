@@ -10,13 +10,24 @@
 //!   (golden-pinned v1 layout): `CreateCampaign`, batched
 //!   `SubmitReports`, `CloseRound`, `QueryTruths`, `QueryBudget`, typed
 //!   error replies.
-//! * [`registry`] — [`CampaignRegistry`]: multiplexes campaigns, each
-//!   backed by its own
+//! * [`host`] — campaign-slot **hosting**, shared with the cluster node
+//!   (`dptd-cluster` builds its `NodeServer` on it) and the only owner
+//!   of five policies: the slot map with its cap and quarantine
+//!   ([`host::Host`], slot state reachable only through
+//!   [`host::Host::with`]); the **bounded** submission queue with one
+//!   round of lookahead and explicit `Busy` backpressure
+//!   ([`host::SubmissionQueue`] — a host never buffers unboundedly);
+//!   spec admission ([`host::admit`], population cap included); the
+//!   durable open sequence ([`host::open_durable`]); and the request
+//!   envelope ([`host::Host::handle`]: request counting, trace-context
+//!   adoption, status/trace frames, per-campaign refusal counters and
+//!   the flight-recorder triggers).
+//! * [`registry`] — [`CampaignRegistry`]: what only a campaign server
+//!   does on top of [`host`] — each slot runs its own
 //!   [`CampaignDriver`](dptd_protocol::campaign::CampaignDriver) +
 //!   [`EngineBackend`](dptd_engine::EngineBackend) (optionally durable
-//!   via a per-campaign WAL directory), behind a **bounded** submission
-//!   queue with explicit `Busy` backpressure — the server never buffers
-//!   unboundedly.
+//!   via a per-campaign WAL directory), and answers the truths, budget
+//!   and metrics queries.
 //! * [`frontend`] — the connection front end both [`Server`] and the
 //!   cluster's node server share, in two interchangeable I/O models:
 //!   an event-driven **reactor** (N poll-based threads multiplexing
@@ -29,7 +40,7 @@
 //!   identically to the blocking reader at every byte boundary.
 //! * [`server`] — [`Server`]: a campaign registry behind the front end.
 //! * [`client`] — [`Client`]: the blocking client `dptd submit`, the
-//!   loopback e2e harness and the `server_throughput` bench drive; also
+//!   loopback e2e harness and the benchmark (`e2e_ledger`) drive; also
 //!   the windowed pipelined submitter (`submit_stream`).
 //!
 //! Privacy enforcement is exactly the in-process campaign layer's: the
@@ -47,6 +58,7 @@
 pub mod client;
 pub mod decode;
 pub mod frontend;
+pub mod host;
 pub mod registry;
 pub mod server;
 pub mod wire;

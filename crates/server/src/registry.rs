@@ -1,49 +1,47 @@
 //! The multi-campaign registry: one process, many live campaigns.
 //!
-//! [`CampaignRegistry`] maps campaign ids to independent campaign
-//! slots. Each slot owns a
-//! [`CampaignDriver`]`<`[`EngineBackend`]`>` — its own sharded engine,
-//! carried weights and per-user privacy ledger, optionally durable
-//! through a per-campaign WAL directory — plus a **bounded** submission
-//! queue: `SubmitReports` batches accumulate until `CloseRound` drains
-//! them through one engine epoch, and a batch that would overflow the
-//! queue is refused with [`Response::Busy`] (taken atomically or not at
-//! all — the server never buffers unboundedly and never tears a batch).
+//! [`CampaignRegistry`] hosts whole campaigns on the shared [`Host`]:
+//! the slot map with its quarantine policy, the bounded
+//! [`SubmissionQueue`], spec admission, the durable open sequence and
+//! the request envelope all live in [`crate::host`].
+//! What is left here is what only a campaign server does — each slot
+//! owns a [`CampaignDriver`]`<`[`EngineBackend`]`>` (its own sharded
+//! engine, carried weights and per-user privacy ledger, optionally
+//! durable through a per-campaign WAL directory), and `CloseRound`
+//! drains the slot's queue through one engine epoch.
 //!
-//! Slots serialize their own operations behind one mutex each, so
-//! campaigns proceed fully concurrently while a single campaign's
-//! rounds stay deterministic: the reports a round aggregates are exactly
-//! the submitted stream in submission order, which is what makes a
-//! served campaign's weights digest and budget ledger **bit-identical**
-//! to an in-process [`CampaignDriver`] run on the same stream.
+//! A slot's operations are serialized, so campaigns proceed fully
+//! concurrently while a single campaign's rounds stay deterministic:
+//! the reports a round aggregates are exactly the submitted stream in
+//! submission order, which is what makes a served campaign's weights
+//! digest and budget ledger **bit-identical** to an in-process
+//! [`CampaignDriver`] run on the same stream.
 //!
 //! Privacy enforcement is the campaign layer's, unchanged: exhausted
 //! users are refused by the [`BudgetAccountant`] before their reports
 //! reach the engine, and a round in which *every* submitter is refused
 //! surfaces as a typed [`ErrorCode::BudgetExhausted`] wire error.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-use dptd_engine::store::DirFs;
-use dptd_engine::{
-    Engine, EngineBackend, EngineConfig, ObservedFs, SegmentStore, StoreConfig, StoreObserver,
-    WalLock, WalPolicy,
-};
-use dptd_ldp::PrivacyLoss;
-use dptd_obs::{names, Counter, MetricValue, MetricsSnapshot, Registry as ObsRegistry};
+use dptd_engine::{Engine, EngineBackend, EngineConfig, StoreConfig, StoreObserver, WalLock};
+use dptd_obs::{names, Counter, MetricValue, MetricsSnapshot};
 use dptd_protocol::budget::BudgetAccountant;
-use dptd_protocol::campaign::{CampaignConfig, CampaignDriver, RoundBackend};
+use dptd_protocol::campaign::{CampaignDriver, RoundBackend};
 use dptd_protocol::message::StampedReport;
 use dptd_protocol::ProtocolError;
 use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::Loss;
 
-use crate::wire::{
-    validate_campaign_id, CampaignSpec, ErrorCode, MetricsReport, Request, Response,
+use crate::host::{
+    admit, open_durable, refuse, Host, Hosted, SubmissionQueue, MAX_USERS_PER_CAMPAIGN,
 };
+use crate::wire::{CampaignSpec, ErrorCode, MetricsReport, Request, Response};
+
+/// What this host calls a slot in refusal messages.
+const NOUN: &str = "campaign";
 
 /// Server-side limits and the WAL root.
 #[derive(Debug, Clone)]
@@ -69,35 +67,18 @@ impl Default for RegistryConfig {
         Self {
             wal_root: None,
             max_campaigns: 1024,
-            max_users_per_campaign: 4 << 20,
+            max_users_per_campaign: MAX_USERS_PER_CAMPAIGN,
             store: StoreConfig::default(),
         }
     }
 }
 
-/// One hosted campaign. The slot mutex serializes submissions and round
-/// closes for this campaign only.
-#[derive(Debug)]
-struct CampaignSlot {
-    state: Mutex<CampaignState>,
-}
-
+/// One hosted campaign.
 #[derive(Debug)]
 struct CampaignState {
     driver: CampaignDriver<EngineBackend>,
-    /// Reports awaiting the next `CloseRound`, in submission order.
-    pending: Vec<StampedReport>,
-    /// One round of lookahead: reports already submitted for the epoch
-    /// *after* the next close (an eager client racing a slow closer).
-    /// Promoted to `pending` when the round ahead of them closes, so a
-    /// busy-retrying submitter can make progress without waiting for
-    /// the close to happen between its retries.
-    future: Vec<StampedReport>,
-    /// The bounded queue's capacity (`pending` + `future` combined).
-    capacity: usize,
-    /// The epoch the next round will run as (advances only on a
-    /// successful close, so a failed round can be retried).
-    next_epoch: u64,
+    /// Reports awaiting the next `CloseRound`.
+    queue: SubmissionQueue,
     /// Truths from the last successful round (empty before the first).
     last_truths: Vec<f64>,
     /// Held for the campaign's lifetime when durable: a second live
@@ -108,7 +89,7 @@ struct CampaignState {
 }
 
 /// Aggregate counters across every campaign (for the `dptd serve`
-/// shutdown summary and the throughput bench).
+/// shutdown summary).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStats {
     /// Campaigns created (including WAL resumes).
@@ -128,21 +109,10 @@ pub struct RegistryStats {
 #[derive(Debug)]
 pub struct CampaignRegistry {
     config: RegistryConfig,
-    campaigns: Mutex<BTreeMap<String, Arc<CampaignSlot>>>,
+    host: Host<CampaignState>,
     campaigns_created: AtomicU64,
     reports_submitted: AtomicU64,
     rounds_closed: AtomicU64,
-    /// Event-driven metrics: per-campaign refusal frequencies, WAL
-    /// bytes, quarantine flags. Engine-derived counters (stage busy
-    /// time, ingest histograms) are sampled from each campaign's driver
-    /// at snapshot time instead of being double-accounted here.
-    obs: ObsRegistry,
-    /// Total requests dispatched — a cached handle so the hot path
-    /// never takes the obs registry's name-lookup lock.
-    server_requests: Counter,
-    /// The front end's connection accounting plus its I/O thread
-    /// count, attached by the server after the front end starts.
-    conn: Mutex<Option<(Arc<crate::frontend::FrontendStats>, u64)>>,
 }
 
 /// Feeds every durable WAL write into the campaign's
@@ -164,39 +134,6 @@ impl StoreObserver for WalBytesObserver {
     fn on_remove(&mut self, _name: &str) {}
 }
 
-fn refuse(code: ErrorCode, message: impl Into<String>) -> Response {
-    Response::Error {
-        code,
-        message: message.into(),
-    }
-}
-
-/// Lock a campaign slot's state for serving.
-///
-/// A poisoned lock means a worker panicked mid-request on this campaign:
-/// its in-memory round state (pending queue, carried weights, budget
-/// ledger) cannot be trusted half-mutated, so the campaign is
-/// **quarantined** behind a typed error frame. Every later request on the
-/// slot gets the same refusal instead of a cascading panic killing its
-/// connection; other campaigns — and the registry itself — keep serving.
-/// A durable campaign recovers by restart (WAL replay); a volatile one by
-/// recreate.
-fn lock_campaign<'a>(
-    slot: &'a CampaignSlot,
-    campaign: &str,
-) -> Result<MutexGuard<'a, CampaignState>, Response> {
-    slot.state.lock().map_err(|_| {
-        refuse(
-            ErrorCode::CampaignQuarantined,
-            format!(
-                "campaign `{campaign}` is quarantined: a worker panicked while \
-                 updating it; recreate the campaign (or restart the server to \
-                 replay its WAL) to recover"
-            ),
-        )
-    })
-}
-
 /// Map a campaign-layer failure onto a stable wire error code.
 fn protocol_refusal(e: &ProtocolError) -> Response {
     let code = match e {
@@ -210,527 +147,24 @@ fn protocol_refusal(e: &ProtocolError) -> Response {
     refuse(code, e.to_string())
 }
 
-impl CampaignRegistry {
-    /// An empty registry under `config`.
-    pub fn new(config: RegistryConfig) -> Self {
-        let obs = ObsRegistry::new();
-        let server_requests = obs.counter(names::SERVER_REQUESTS);
-        Self {
-            config,
-            campaigns: Mutex::new(BTreeMap::new()),
-            campaigns_created: AtomicU64::new(0),
-            reports_submitted: AtomicU64::new(0),
-            rounds_closed: AtomicU64::new(0),
-            obs,
-            server_requests,
-            conn: Mutex::new(None),
-        }
-    }
-
-    /// Attach the front end's connection accounting (and its I/O
-    /// thread count) so `QueryMetrics` / `QueryStatus` can report
-    /// them. Called by [`crate::Server::start`] once the front end is
-    /// up; before that, connection counts read as zero.
-    pub fn set_conn_stats(&self, stats: Arc<crate::frontend::FrontendStats>, io_threads: usize) {
-        *self.conn.lock().unwrap_or_else(PoisonError::into_inner) =
-            Some((stats, io_threads as u64));
-    }
-
-    /// `(live, accepted, refused, io_threads)` from the attached front
-    /// end, zeros before one is attached.
-    fn conn_counts(&self) -> (u64, u64, u64, u64) {
-        let conn = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
-        match conn.as_ref() {
-            Some((stats, io_threads)) => (
-                stats.live.load(Ordering::Relaxed) as u64,
-                stats.accepted.load(Ordering::Relaxed),
-                stats.refused.load(Ordering::Relaxed),
-                *io_threads,
-            ),
-            None => (0, 0, 0, 0),
-        }
-    }
-
-    /// Aggregate counters so far.
-    pub fn stats(&self) -> RegistryStats {
-        RegistryStats {
-            campaigns_created: self.campaigns_created.load(Ordering::Relaxed),
-            reports_submitted: self.reports_submitted.load(Ordering::Relaxed),
-            rounds_closed: self.rounds_closed.load(Ordering::Relaxed),
-            campaigns_flushed: 0,
-            sync_failures: 0,
-        }
-    }
-
-    /// The registry map's mutex only guards `BTreeMap` bookkeeping — no
-    /// campaign state lives under it — so a poisoned map lock (some other
-    /// thread panicked between map operations) has nothing half-mutated
-    /// to protect: recover the guard and keep serving.
-    fn campaigns_map(&self) -> MutexGuard<'_, BTreeMap<String, Arc<CampaignSlot>>> {
-        self.campaigns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Campaigns currently hosted.
-    pub fn campaign_count(&self) -> usize {
-        self.campaigns_map().len()
-    }
-
-    /// Orderly shutdown of every hosted campaign: flush + fsync each
-    /// durable campaign's active WAL segment and release its advisory
-    /// writer lock **now**, instead of relying on process-exit `Drop`
-    /// order. Returns `(durable campaigns flushed, sync failures)`;
-    /// locks are released even when a sync fails. The registry hosts
-    /// nothing afterwards — callers run this after the accept loop has
-    /// stopped.
-    pub fn finalize(&self) -> (usize, usize) {
-        // The shutdown black box is cut before campaigns drain, so the
-        // bundle shows the fleet as it was, not an empty registry.
-        let parting = self.status_snapshot();
-        let drained = std::mem::take(&mut *self.campaigns_map());
-        let mut flushed = 0usize;
-        let mut failures = 0usize;
-        for slot in drained.into_values() {
-            // Shutdown is best-effort even for a quarantined campaign:
-            // recover a poisoned guard so the WAL still gets a final
-            // flush attempt and the advisory writer lock is released for
-            // the successor process.
-            let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-            // Only durable campaigns hold a lock and a log; counting
-            // volatile ones as "flushed" would tell the operator state
-            // was persisted that never existed.
-            if state.wal_lock.is_none() {
-                continue;
-            }
-            if state.driver.backend_mut().sync_log().is_err() {
-                failures += 1;
-            }
-            // Dropping the lock handle releases the OS file lock; a
-            // successor writer (a restarted server, a CLI resume) can
-            // acquire the directory immediately.
-            state.wal_lock = None;
-            flushed += 1;
-        }
-        dptd_obs::flight::global().freeze("shutdown", parting);
-        (flushed, failures)
-    }
-
-    /// Force-quarantine a campaign by poisoning its state lock — byte
-    /// for byte what a worker panic mid-request produces. Returns
-    /// whether the lock is now poisoned. Hidden seam for exercising the
-    /// quarantine → flight-recorder path from integration tests.
-    #[doc(hidden)]
-    pub fn poison_campaign(&self, campaign: &str) -> bool {
-        let Ok(slot) = self.slot(campaign) else {
-            return false;
-        };
-        let poisoner = Arc::clone(&slot);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            panic!("poison_campaign: deliberate panic while holding the state lock");
-        })
-        .join();
-        let poisoned = slot.state.lock().is_err();
-        poisoned
-    }
-
-    /// Execute one request. Every failure is a typed
-    /// [`Response::Error`] — the connection layer only transports.
-    ///
-    /// Also the per-campaign error-frequency accounting seam: every
-    /// `Busy` and every budget / WAL / quarantine refusal that leaves
-    /// here bumps its campaign's `campaign.<id>.refused.*` counter, so
-    /// the counters cover both I/O models and the in-process path
-    /// without per-site bookkeeping.
-    pub fn handle(&self, request: Request) -> Response {
-        self.server_requests.incr();
-        let campaign_id = match &request {
-            Request::CreateCampaign { campaign, .. }
-            | Request::SubmitReports { campaign, .. }
-            | Request::CloseRound { campaign, .. }
-            | Request::QueryTruths { campaign }
-            | Request::QueryBudget { campaign }
-            | Request::QueryMetrics { campaign }
-            | Request::SubmitReportsStream { campaign, .. } => Some(campaign.clone()),
-            _ => None,
-        };
-        let response = self.dispatch(request);
-        if let Some(id) = campaign_id {
-            self.count_refusal(&id, &response);
-        }
-        response
-    }
-
-    /// Bump the campaign's error-frequency counter for a refusal
-    /// response. Refusal paths only — the common accept path never
-    /// touches the obs registry's lock.
-    ///
-    /// Also the flight-recorder trigger seam: a quarantine refusal
-    /// freezes a bundle immediately (the rings that explain the panic
-    /// are still warm), and a typed-refusal **storm** — too many
-    /// consecutive refusals with no accept between them — freezes one
-    /// too, so an operator gets a black box even when no single refusal
-    /// is fatal.
-    fn count_refusal(&self, campaign: &str, response: &Response) {
-        let flight = dptd_obs::flight::global();
-        let suffix = match response {
-            Response::Busy { .. } => names::REFUSED_BUSY,
-            Response::Error { code, .. } => match code {
-                ErrorCode::BudgetExhausted => names::REFUSED_BUDGET,
-                ErrorCode::WalRefused => names::REFUSED_WAL,
-                ErrorCode::CampaignQuarantined => {
-                    self.obs
-                        .gauge(&names::campaign_metric(campaign, names::QUARANTINED))
-                        .set(1);
-                    names::REFUSED_QUARANTINED
-                }
-                _ => {
-                    flight.note_accept();
-                    return;
-                }
-            },
-            _ => {
-                flight.note_accept();
-                return;
-            }
-        };
-        self.obs
-            .counter(&names::campaign_metric(campaign, suffix))
-            .incr();
-        let storm = flight.note_refusal();
-        if suffix == names::REFUSED_QUARANTINED {
-            flight.freeze("quarantine", self.status_snapshot());
-        } else if storm {
-            flight.freeze("refusal-storm", self.status_snapshot());
-        }
-    }
-
-    fn dispatch(&self, request: Request) -> Response {
-        match request {
-            Request::CreateCampaign { campaign, spec } => self.create(&campaign, &spec),
-            Request::SubmitReports {
-                campaign,
-                reports,
-                ctx,
-            } => self.submit(&campaign, reports, ctx),
-            Request::CloseRound { campaign, epoch } => self.close_round(&campaign, epoch),
-            Request::QueryTruths { campaign } => self.query_truths(&campaign),
-            Request::QueryBudget { campaign } => self.query_budget(&campaign),
-            Request::QueryMetrics { campaign } => self.query_metrics(&campaign),
-            Request::QueryStatus => Response::Status {
-                snapshot: self.status_snapshot(),
-            },
-            Request::QueryTrace => Response::TraceDump {
-                anchor_ns: dptd_obs::trace::wall_anchor_ns(),
-                dropped: dptd_obs::trace::dropped_events(),
-                events: dptd_obs::trace::collect(),
-            },
-            // Pipelined batches carry per-connection sequencing state,
-            // which only the connection front end holds; one reaching
-            // the registry directly bypassed the cumulative-ack
-            // protocol.
-            Request::SubmitReportsStream { .. } => refuse(
-                ErrorCode::InvalidRequest,
-                "streamed submit batches are handled by the connection front end",
-            ),
-            // Cluster-peer frames: a plain campaign server is not a
-            // cluster node. The refusal is typed so a misconfigured
-            // coordinator learns *what* it dialled, not just "error".
-            Request::NodeHello { .. }
-            | Request::CloseRoundPrepare { .. }
-            | Request::CloseRoundCommit { .. }
-            | Request::ReplicateSegment { .. }
-            | Request::QueryLedger { .. } => refuse(
-                ErrorCode::InvalidRequest,
-                "this server is not a cluster node (start one with `dptd cluster serve`)",
-            ),
-        }
-    }
-
-    fn slot(&self, campaign: &str) -> Result<Arc<CampaignSlot>, Response> {
-        self.campaigns_map().get(campaign).cloned().ok_or_else(|| {
-            refuse(
-                ErrorCode::UnknownCampaign,
-                format!("no campaign `{campaign}`"),
-            )
-        })
-    }
-
-    fn create(&self, campaign: &str, spec: &CampaignSpec) -> Response {
-        if let Err(e) = validate_campaign_id(campaign) {
-            return refuse(ErrorCode::InvalidRequest, e.to_string());
-        }
-        if spec.num_users > self.config.max_users_per_campaign {
+impl CampaignState {
+    fn close_round(&mut self, epoch: u64) -> Response {
+        if epoch != self.queue.next_epoch() {
             return refuse(
                 ErrorCode::InvalidRequest,
                 format!(
-                    "population {} exceeds the server's {}-user cap",
-                    spec.num_users, self.config.max_users_per_campaign
+                    "cannot close epoch {epoch}: the campaign is on round {}",
+                    self.queue.next_epoch()
                 ),
             );
         }
-        if spec.submission_capacity == 0 {
-            return refuse(
-                ErrorCode::InvalidRequest,
-                "submission_capacity must be positive",
-            );
-        }
-        // Fast-fail on a taken id before building an engine; the
-        // authoritative check is the insert below.
-        {
-            let map = self.campaigns_map();
-            if map.contains_key(campaign) {
-                return refuse(
-                    ErrorCode::CampaignExists,
-                    format!("campaign `{campaign}` is already live"),
-                );
-            }
-            if map.len() >= self.config.max_campaigns {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    format!("server at its {}-campaign cap", self.config.max_campaigns),
-                );
-            }
-        }
-
-        let per_round_loss = match PrivacyLoss::new(spec.per_round_epsilon, spec.per_round_delta) {
-            Ok(l) => l,
-            Err(e) => return refuse(ErrorCode::InvalidRequest, e.to_string()),
-        };
-        let budget = match PrivacyLoss::new(spec.budget_epsilon, spec.budget_delta) {
-            Ok(l) => l,
-            Err(e) => return refuse(ErrorCode::InvalidRequest, e.to_string()),
-        };
-        let campaign_cfg = CampaignConfig {
-            num_objects: spec.num_objects as usize,
-            deadline_us: spec.deadline_us,
-            per_round_loss,
-            budget,
-        };
-        let engine = match Engine::new(EngineConfig {
-            num_users: spec.num_users as usize,
-            num_objects: spec.num_objects as usize,
-            num_shards: spec.num_shards as usize,
-            workers: spec.workers as usize,
-            queue_capacity: spec.engine_queue as usize,
-            epoch_deadline_us: spec.deadline_us,
-            loss: Loss::Squared,
-            merge_workers: 0,
-        }) {
-            Ok(e) => e,
-            Err(e) => return refuse(ErrorCode::InvalidRequest, e.to_string()),
-        };
-
-        let (driver, next_epoch, resumed_rounds, wal_lock) = if spec.durable {
-            let Some(root) = &self.config.wal_root else {
-                return refuse(
-                    ErrorCode::WalRefused,
-                    "durable campaigns need a server started with --wal <root>",
-                );
-            };
-            let dir = root.join(campaign);
-            // Advisory single-writer lock, held for the campaign's
-            // lifetime: a second live writer (another server, a CLI
-            // campaign) on this directory is refused here, at open.
-            let lock = match WalLock::acquire(&dir) {
-                Ok(l) => l,
-                Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-            };
-            // The segmented snapshot store: rotation + compaction per
-            // the registry's thresholds, legacy single-segment dirs
-            // adopted in place. The directory is observed so every
-            // durable byte lands in the campaign's `wal_bytes` counter.
-            let fs = match DirFs::open(&dir) {
-                Ok(f) => f,
-                Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-            };
-            let observed = ObservedFs::new(
-                Box::new(fs),
-                Box::new(WalBytesObserver {
-                    bytes: self
-                        .obs
-                        .counter(&names::campaign_metric(campaign, names::WAL_BYTES)),
-                }),
-            );
-            let (store, replay) = match SegmentStore::open(Box::new(observed), self.config.store) {
-                Ok(s) => s,
-                Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-            };
-            // Stamp the client's stream fingerprint into every record:
-            // resuming this log under a different stream (or different
-            // privacy flags) is refused by recovery instead of silently
-            // reinterpreting the ledger.
-            let policy = WalPolicy::from_campaign(&campaign_cfg).with_stream_tag(spec.stream_tag);
-            let (backend, recovered) =
-                match EngineBackend::with_log(engine, Box::new(store), &replay, policy) {
-                    Ok(out) => out,
-                    Err(e) => return refuse(ErrorCode::WalRefused, e.to_string()),
-                };
-            let next = recovered.next_epoch();
-            let applied = recovered.records_applied;
-            let driver = match CampaignDriver::resume(
-                backend,
-                campaign_cfg,
-                recovered.rounds_debited,
-                applied.min(u64::from(u32::MAX)) as u32,
-            ) {
-                Ok(d) => d,
-                Err(e) => return protocol_refusal(&e),
-            };
-            (driver, next, applied, Some(lock))
-        } else {
-            let backend = match EngineBackend::new(engine) {
-                Ok(b) => b,
-                Err(e) => return refuse(ErrorCode::InvalidRequest, e.to_string()),
-            };
-            let driver = match CampaignDriver::new(backend, campaign_cfg) {
-                Ok(d) => d,
-                Err(e) => return protocol_refusal(&e),
-            };
-            (driver, 0, 0, None)
-        };
-
-        let slot = Arc::new(CampaignSlot {
-            state: Mutex::new(CampaignState {
-                driver,
-                pending: Vec::new(),
-                future: Vec::new(),
-                capacity: spec.submission_capacity as usize,
-                next_epoch,
-                last_truths: Vec::new(),
-                wal_lock,
-            }),
-        });
-        let mut map = self.campaigns_map();
-        // Authoritative re-checks: the fast-fail above ran before the
-        // engine was built, and a concurrent create may have won either
-        // the id or the last cap slot in the meantime.
-        if map.contains_key(campaign) {
-            return refuse(
-                ErrorCode::CampaignExists,
-                format!("campaign `{campaign}` is already live"),
-            );
-        }
-        if map.len() >= self.config.max_campaigns {
-            return refuse(
-                ErrorCode::InvalidRequest,
-                format!("server at its {}-campaign cap", self.config.max_campaigns),
-            );
-        }
-        map.insert(campaign.to_string(), slot);
-        drop(map);
-        self.campaigns_created.fetch_add(1, Ordering::Relaxed);
-        Response::Created { resumed_rounds }
-    }
-
-    fn submit(
-        &self,
-        campaign: &str,
-        reports: Vec<StampedReport>,
-        ctx: Option<dptd_obs::SpanContext>,
-    ) -> Response {
-        // Adopt the client's span as this thread's ambient context for
-        // the duration of the request: the SUBMIT / QUEUE_FULL instants
-        // below then causally link to the sender's trace. Gated on the
-        // local tracing switch so an untraced server ignores contexts.
-        let _ctx_guard = ctx
-            .filter(|_| dptd_obs::trace::enabled())
-            .map(dptd_obs::trace::enter);
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let mut state = match lock_campaign(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let num_users = state.driver.backend().num_users();
-        let queued = (state.pending.len() + state.future.len()) as u64;
-        let Some(first) = reports.first() else {
-            return Response::Submitted { queued };
-        };
-        let epoch = first.epoch;
-        for r in &reports {
-            if r.epoch != epoch {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    "a submission batch must carry a single epoch",
-                );
-            }
-            if r.report.user >= num_users {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    format!(
-                        "user {} outside the {num_users}-user population",
-                        r.report.user
-                    ),
-                );
-            }
-        }
-        // The queue buffers the next round plus one round of lookahead;
-        // anything staler or further ahead is a client-side epoch bug.
-        if epoch != state.next_epoch && epoch != state.next_epoch + 1 {
-            return refuse(
-                ErrorCode::InvalidRequest,
-                format!(
-                    "report for epoch {epoch} but campaign `{campaign}` is on round {} \
-                     (one round of lookahead is buffered)",
-                    state.next_epoch
-                ),
-            );
-        }
-        // Bounded queue, batch-atomic: either the whole batch fits or
-        // nothing is taken and the client sees explicit backpressure.
-        if state.pending.len() + state.future.len() + reports.len() > state.capacity {
-            dptd_obs::trace::instant(dptd_obs::codes::QUEUE_FULL, queued);
-            return Response::Busy {
-                queued,
-                capacity: state.capacity as u64,
-            };
-        }
-        let batch = reports.len() as u64;
-        dptd_obs::trace::instant(dptd_obs::codes::SUBMIT, batch);
-        if epoch == state.next_epoch {
-            state.pending.extend(reports);
-        } else {
-            state.future.extend(reports);
-        }
-        self.reports_submitted.fetch_add(batch, Ordering::Relaxed);
-        Response::Submitted {
-            queued: (state.pending.len() + state.future.len()) as u64,
-        }
-    }
-
-    fn close_round(&self, campaign: &str, epoch: u64) -> Response {
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let mut state = match lock_campaign(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        if epoch != state.next_epoch {
-            return refuse(
-                ErrorCode::InvalidRequest,
-                format!(
-                    "cannot close epoch {epoch}: campaign `{campaign}` is on round {}",
-                    state.next_epoch
-                ),
-            );
-        }
-        let reports = std::mem::take(&mut state.pending);
-        dptd_obs::trace::instant(dptd_obs::codes::DEQUEUE, reports.len() as u64);
+        let reports = self.queue.drain();
         // Surface an all-refused round as the budget error it is, before
         // the engine turns it into a bare coverage failure. Observable
         // state is identical either way: nothing is debited, the round
         // does not advance, and the submitted batch is consumed.
         if !reports.is_empty() {
-            let ledger = state.driver.accountant();
+            let ledger = self.driver.accountant();
             if reports.iter().all(|r| !ledger.can_spend(r.report.user)) {
                 return refuse(
                     ErrorCode::BudgetExhausted,
@@ -743,13 +177,10 @@ impl CampaignRegistry {
                 );
             }
         }
-        match state.driver.run_round(epoch, reports) {
+        match self.driver.run_round(epoch, reports) {
             Ok(round) => {
-                state.next_epoch += 1;
-                // The lookahead buffer was for exactly this new epoch.
-                state.pending = std::mem::take(&mut state.future);
-                state.last_truths = round.truths.clone();
-                self.rounds_closed.fetch_add(1, Ordering::Relaxed);
+                self.queue.advance();
+                self.last_truths = round.truths.clone();
                 Response::RoundClosed {
                     epoch,
                     accepted: round.accepted as u64,
@@ -766,36 +197,32 @@ impl CampaignRegistry {
         }
     }
 
-    fn query_truths(&self, campaign: &str) -> Response {
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let state = match lock_campaign(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
+    fn truths(&self) -> Response {
         Response::Truths {
-            rounds_run: u64::from(state.driver.rounds_run()),
-            truths: state.last_truths.clone(),
-            weights_digest: fnv1a_f64s(state.driver.backend().current_weights()),
+            rounds_run: u64::from(self.driver.rounds_run()),
+            truths: self.last_truths.clone(),
+            weights_digest: fnv1a_f64s(self.driver.backend().current_weights()),
         }
     }
 
-    fn query_metrics(&self, campaign: &str) -> Response {
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let state = match lock_campaign(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let m = state.driver.backend().metrics();
+    fn budget(&self) -> Response {
+        let ledger: &BudgetAccountant = self.driver.accountant();
+        Response::Budget {
+            exhausted: ledger.exhausted_count() as u64,
+            max_spent_epsilon: ledger.max_spent().epsilon(),
+            max_spent_delta: ledger.max_spent().delta(),
+            debits: ledger.debits_by_user().to_vec(),
+        }
+    }
+
+    fn metrics(
+        &self,
+        (conn_live, conn_accepted, conn_refused, io_threads): (u64, u64, u64, u64),
+    ) -> Response {
+        let m = self.driver.backend().metrics();
         let ns = |d: Option<std::time::Duration>| {
             d.map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
         };
-        let (conn_live, conn_accepted, conn_refused, io_threads) = self.conn_counts();
         Response::Metrics {
             metrics: Box::new(MetricsReport {
                 reports_submitted: m.reports_submitted,
@@ -806,7 +233,7 @@ impl CampaignRegistry {
                 backpressure_stalls: m.backpressure_stalls,
                 epochs_merged: m.epochs_merged,
                 max_queue_depth: m.max_queue_depth as u64,
-                queue_depth: (state.pending.len() + state.future.len()) as u64,
+                queue_depth: self.queue.depth(),
                 throughput_rps: m.throughput_rps(),
                 ingest_p50_ns: ns(m.ingest_latency.p50()),
                 ingest_p99_ns: ns(m.ingest_latency.p99()),
@@ -817,114 +244,224 @@ impl CampaignRegistry {
             }),
         }
     }
+}
 
-    /// The full observability snapshot behind [`Request::QueryStatus`]:
-    /// the event-driven registry (refusal frequencies, WAL bytes,
-    /// quarantine flags, request totals) plus, per campaign, counters
-    /// sampled live from the engine — cumulative stage-busy time,
-    /// ingest latency histogram, queue depth — under the
-    /// `campaign.<id>.*` names in [`dptd_obs::names`]. Fair-share
-    /// views ([`MetricsSnapshot::campaign_shares`]) are computed by the
-    /// consumer from these counters.
+impl Hosted for CampaignState {
+    /// Counters sampled live from the engine — cumulative stage-busy
+    /// time, ingest latency histogram, queue depth.
+    fn status(&self) -> Vec<(&'static str, MetricValue)> {
+        let m = self.driver.backend().metrics();
+        let busy_ns = |d: std::time::Duration| {
+            MetricValue::Counter(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+        };
+        let dropped = m.duplicates_discarded + m.late_dropped + m.out_of_order_dropped;
+        let ingest = m.ingest_latency.snapshot();
+        vec![
+            (names::ROUTE_BUSY_NS, busy_ns(m.stage.route)),
+            (names::FILTER_BUSY_NS, busy_ns(m.stage.filter)),
+            (names::MERGE_BUSY_NS, busy_ns(m.stage.merge)),
+            (names::QUEUE_DEPTH, MetricValue::Gauge(self.queue.depth())),
+            (names::SUBMITTED, MetricValue::Counter(m.reports_submitted)),
+            (names::ACCEPTED, MetricValue::Counter(m.reports_accepted)),
+            (names::DROPPED, MetricValue::Counter(dropped)),
+            (names::ROUNDS, MetricValue::Counter(m.epochs_merged)),
+            (names::INGEST_LATENCY, MetricValue::Histogram(ingest)),
+        ]
+    }
+}
+
+impl CampaignRegistry {
+    /// An empty registry under `config`.
+    pub fn new(config: RegistryConfig) -> Self {
+        Self {
+            host: Host::new(NOUN, config.max_campaigns),
+            config,
+            campaigns_created: AtomicU64::new(0),
+            reports_submitted: AtomicU64::new(0),
+            rounds_closed: AtomicU64::new(0),
+        }
+    }
+
+    /// Attach the front end's connection accounting (and its I/O
+    /// thread count) so `QueryMetrics` / `QueryStatus` can report
+    /// them. Called by [`crate::Server::start`] once the front end is
+    /// up; before that, connection counts read as zero.
+    pub fn set_conn_stats(&self, stats: Arc<crate::frontend::FrontendStats>, io_threads: usize) {
+        self.host.set_conn_stats(stats, io_threads);
+    }
+
+    /// Aggregate counters so far.
+    pub fn stats(&self) -> RegistryStats {
+        RegistryStats {
+            campaigns_created: self.campaigns_created.load(Ordering::Relaxed),
+            reports_submitted: self.reports_submitted.load(Ordering::Relaxed),
+            rounds_closed: self.rounds_closed.load(Ordering::Relaxed),
+            campaigns_flushed: 0,
+            sync_failures: 0,
+        }
+    }
+
+    /// Campaigns currently hosted.
+    pub fn campaign_count(&self) -> usize {
+        self.host.slot_count()
+    }
+
+    /// Orderly shutdown of every hosted campaign: flush + fsync each
+    /// durable campaign's active WAL segment and release its advisory
+    /// writer lock **now**, instead of relying on process-exit `Drop`
+    /// order. Returns `(durable campaigns flushed, sync failures)`;
+    /// locks are released even when a sync fails. The registry hosts
+    /// nothing afterwards — see [`Host::shutdown`].
+    pub fn finalize(&self) -> (usize, usize) {
+        let mut flushed = 0usize;
+        let mut failures = 0usize;
+        self.host.shutdown(|state| {
+            // Only durable campaigns hold a lock and a log; counting
+            // volatile ones as "flushed" would tell the operator state
+            // was persisted that never existed.
+            if state.wal_lock.is_none() {
+                return;
+            }
+            if state.driver.backend_mut().sync_log().is_err() {
+                failures += 1;
+            }
+            // Dropping the lock handle releases the OS file lock; a
+            // successor writer (a restarted server, a CLI resume) can
+            // acquire the directory immediately.
+            state.wal_lock = None;
+            flushed += 1;
+        });
+        (flushed, failures)
+    }
+
+    /// Force-quarantine a campaign — see [`Host::poison`].
+    #[doc(hidden)]
+    pub fn poison_campaign(&self, campaign: &str) -> bool {
+        self.host.poison(campaign)
+    }
+
+    /// The full observability snapshot behind [`Request::QueryStatus`]
+    /// — see [`Host::status_snapshot`].
     pub fn status_snapshot(&self) -> MetricsSnapshot {
-        let snap = self.status_snapshot_inner();
-        // Every status cut also lands in the flight recorder's bounded
-        // ring: the periodic `--watch` poll becomes the black box's
-        // history for free.
-        dptd_obs::flight::global().record("status", snap.clone());
-        snap
+        self.host.status_snapshot()
     }
 
-    fn status_snapshot_inner(&self) -> MetricsSnapshot {
-        let mut snap = self.obs.snapshot();
-        let (live, accepted, refused, io_threads) = self.conn_counts();
-        snap.set(
-            names::SERVER_CONN_LIVE.to_string(),
-            MetricValue::Gauge(live),
-        );
-        snap.set(
-            names::SERVER_CONN_ACCEPTED.to_string(),
-            MetricValue::Counter(accepted),
-        );
-        snap.set(
-            names::SERVER_CONN_REFUSED.to_string(),
-            MetricValue::Counter(refused),
-        );
-        snap.set(
-            names::SERVER_IO_THREADS.to_string(),
-            MetricValue::Gauge(io_threads),
-        );
-        let slots: Vec<(String, Arc<CampaignSlot>)> = self
-            .campaigns_map()
-            .iter()
-            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
-            .collect();
-        for (id, slot) in slots {
-            let metric = |suffix: &str| names::campaign_metric(&id, suffix);
-            let Ok(state) = slot.state.lock() else {
-                // Quarantined: its engine state cannot be read, but the
-                // flag itself must be visible even before the first
-                // refusal bumps it.
-                snap.set(metric(names::QUARANTINED), MetricValue::Gauge(1));
-                continue;
-            };
-            let m = state.driver.backend().metrics();
-            let busy_ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-            snap.set(
-                metric(names::ROUTE_BUSY_NS),
-                MetricValue::Counter(busy_ns(m.stage.route)),
-            );
-            snap.set(
-                metric(names::FILTER_BUSY_NS),
-                MetricValue::Counter(busy_ns(m.stage.filter)),
-            );
-            snap.set(
-                metric(names::MERGE_BUSY_NS),
-                MetricValue::Counter(busy_ns(m.stage.merge)),
-            );
-            snap.set(
-                metric(names::QUEUE_DEPTH),
-                MetricValue::Gauge((state.pending.len() + state.future.len()) as u64),
-            );
-            snap.set(
-                metric(names::SUBMITTED),
-                MetricValue::Counter(m.reports_submitted),
-            );
-            snap.set(
-                metric(names::ACCEPTED),
-                MetricValue::Counter(m.reports_accepted),
-            );
-            snap.set(
-                metric(names::DROPPED),
-                MetricValue::Counter(
-                    m.duplicates_discarded + m.late_dropped + m.out_of_order_dropped,
-                ),
-            );
-            snap.set(metric(names::ROUNDS), MetricValue::Counter(m.epochs_merged));
-            snap.set(
-                metric(names::INGEST_LATENCY),
-                MetricValue::Histogram(m.ingest_latency.snapshot()),
-            );
-        }
-        snap
+    /// Execute one request. Every failure is a typed
+    /// [`Response::Error`] — the connection layer only transports.
+    pub fn handle(&self, request: Request) -> Response {
+        self.host.handle(request, |request| self.dispatch(request))
     }
 
-    fn query_budget(&self, campaign: &str) -> Response {
-        let slot = match self.slot(campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let state = match lock_campaign(&slot, campaign) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let ledger: &BudgetAccountant = state.driver.accountant();
-        Response::Budget {
-            exhausted: ledger.exhausted_count() as u64,
-            max_spent_epsilon: ledger.max_spent().epsilon(),
-            max_spent_delta: ledger.max_spent().delta(),
-            debits: ledger.debits_by_user().to_vec(),
+    fn dispatch(&self, request: Request) -> Response {
+        match request {
+            Request::CreateCampaign { campaign, spec } => self
+                .create(&campaign, &spec)
+                .unwrap_or_else(|refusal| refusal),
+            Request::SubmitReports {
+                campaign, reports, ..
+            } => self.submit(&campaign, reports),
+            Request::CloseRound { campaign, epoch } => {
+                let response = self.host.with(&campaign, |state| state.close_round(epoch));
+                if matches!(response, Response::RoundClosed { .. }) {
+                    self.rounds_closed.fetch_add(1, Ordering::Relaxed);
+                }
+                response
+            }
+            Request::QueryTruths { campaign } => self.host.with(&campaign, |state| state.truths()),
+            Request::QueryBudget { campaign } => self.host.with(&campaign, |state| state.budget()),
+            Request::QueryMetrics { campaign } => {
+                let conn = self.host.conn_counts();
+                self.host.with(&campaign, |state| state.metrics(conn))
+            }
+            // Cluster-peer frames: a plain campaign server is not a
+            // cluster node. The refusal is typed so a misconfigured
+            // coordinator learns *what* it dialled, not just "error".
+            Request::NodeHello { .. }
+            | Request::CloseRoundPrepare { .. }
+            | Request::CloseRoundCommit { .. }
+            | Request::ReplicateSegment { .. }
+            | Request::QueryLedger { .. } => refuse(
+                ErrorCode::InvalidRequest,
+                "this server is not a cluster node (start one with `dptd cluster serve`)",
+            ),
+            request @ (Request::QueryStatus
+            | Request::QueryTrace
+            | Request::SubmitReportsStream { .. }) => self.host.answer(request),
         }
+    }
+
+    fn create(&self, campaign: &str, spec: &CampaignSpec) -> Result<Response, Response> {
+        let (campaign_cfg, policy) = admit(spec, self.config.max_users_per_campaign)?;
+        self.host.vacancy(campaign)?;
+        let engine = Engine::new(EngineConfig {
+            num_users: spec.num_users as usize,
+            num_objects: spec.num_objects as usize,
+            num_shards: spec.num_shards as usize,
+            workers: spec.workers as usize,
+            queue_capacity: spec.engine_queue as usize,
+            epoch_deadline_us: spec.deadline_us,
+            loss: Loss::Squared,
+            merge_workers: 0,
+        })
+        .map_err(|e| refuse(ErrorCode::InvalidRequest, e.to_string()))?;
+
+        let (driver, next_epoch, resumed_rounds, wal_lock) = if spec.durable {
+            let (lock, store, replay) = open_durable(
+                self.config.wal_root.as_deref(),
+                campaign,
+                self.config.store,
+                NOUN,
+                // The directory is observed so every durable byte lands
+                // in the campaign's `wal_bytes` counter.
+                || {
+                    let bytes = self.host.campaign_counter(campaign, names::WAL_BYTES);
+                    Ok(Some(Box::new(WalBytesObserver { bytes })))
+                },
+            )?;
+            let (backend, recovered) =
+                EngineBackend::with_log(engine, Box::new(store), &replay, policy)
+                    .map_err(|e| refuse(ErrorCode::WalRefused, e.to_string()))?;
+            let next = recovered.next_epoch();
+            let applied = recovered.records_applied;
+            let driver = CampaignDriver::resume(
+                backend,
+                campaign_cfg,
+                recovered.rounds_debited,
+                applied.min(u64::from(u32::MAX)) as u32,
+            )
+            .map_err(|e| protocol_refusal(&e))?;
+            (driver, next, applied, Some(lock))
+        } else {
+            let backend = EngineBackend::new(engine)
+                .map_err(|e| refuse(ErrorCode::InvalidRequest, e.to_string()))?;
+            let driver =
+                CampaignDriver::new(backend, campaign_cfg).map_err(|e| protocol_refusal(&e))?;
+            (driver, 0, 0, None)
+        };
+
+        self.host.insert(
+            campaign,
+            CampaignState {
+                driver,
+                queue: SubmissionQueue::new(spec.submission_capacity as usize, next_epoch),
+                last_truths: Vec::new(),
+                wal_lock,
+            },
+        )?;
+        self.campaigns_created.fetch_add(1, Ordering::Relaxed);
+        Ok(Response::Created { resumed_rounds })
+    }
+
+    fn submit(&self, campaign: &str, reports: Vec<StampedReport>) -> Response {
+        let batch = reports.len() as u64;
+        let response = self.host.with(campaign, |state| {
+            let population = state.driver.backend().num_users();
+            state.queue.offer(reports, population, NOUN)
+        });
+        if matches!(response, Response::Submitted { .. }) {
+            self.reports_submitted.fetch_add(batch, Ordering::Relaxed);
+        }
+        response
     }
 }
 
@@ -940,6 +477,19 @@ impl crate::frontend::RequestHandler for CampaignRegistry {
 mod tests {
     use super::*;
     use dptd_core::roles::PerturbedReport;
+    use std::sync::Mutex;
+
+    /// The raw slot handle the poisoning test locks directly, as the
+    /// panicking worker it imitates would.
+    struct RawSlot {
+        state: Arc<Mutex<CampaignState>>,
+    }
+
+    impl CampaignRegistry {
+        fn slot(&self, campaign: &str) -> Option<RawSlot> {
+            self.host.slot(campaign).map(|state| RawSlot { state })
+        }
+    }
 
     fn spec(users: u64, capacity: u64) -> CampaignSpec {
         CampaignSpec {

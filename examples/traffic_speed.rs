@@ -1,16 +1,14 @@
-//! Traffic-speed sensing over the full protocol runtime.
+//! Traffic-speed sensing over the full protocol.
 //!
 //! Run with: `cargo run --example traffic_speed`
 //!
 //! The paper's §1 motivates GPS-based traffic monitoring where location
 //! traces are sensitive. This example runs the crowd-sensing *protocol* —
 //! broadcast, local perturbation, lossy network, deadline — over a fleet
-//! of vehicles reporting road-segment speeds, first on the deterministic
-//! discrete-event simulator (with drops and stragglers), then on the real
-//! multi-threaded runtime.
+//! of vehicles reporting road-segment speeds, on the deterministic
+//! discrete-event simulator (with drops and stragglers).
 
 use dptd::prelude::*;
-use dptd::protocol::runtime::{run_threaded_round, ThreadedConfig};
 use dptd::protocol::sim::{NetworkConfig, RoundConfig, SimHarness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,21 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "speed-map MAE vs ground truth: {:.2} km/h (finished at t = {} ms)",
         dptd::stats::summary::mae(&outcome.truths, &dataset.ground_truths)?,
         outcome.finished_at_us / 1000,
-    );
-
-    // --- Real threads ---
-    let threaded = run_threaded_round(
-        Crh::default(),
-        lambda2,
-        &dataset.observations,
-        &ThreadedConfig::default(),
-    )?;
-    println!("\n— threaded round —");
-    println!(
-        "collected {} reports in {:?}; speed-map MAE {:.2} km/h",
-        threaded.reports_collected,
-        threaded.elapsed,
-        dptd::stats::summary::mae(&threaded.truths, &dataset.ground_truths)?,
     );
 
     println!(

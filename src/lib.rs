@@ -18,7 +18,7 @@
 //! | [`truth`] | CRH, GTM, baselines, categorical and streaming TD |
 //! | [`sensing`] | synthetic + indoor-floor-plan simulators, adversaries |
 //! | [`core`] | the paper's mechanism (Algorithm 2) + Theorems 4.3/4.8/4.9 |
-//! | [`protocol`] | discrete-event and threaded crowd-sensing runtimes |
+//! | [`protocol`] | discrete-event crowd-sensing simulator, campaigns + budgets |
 //! | [`engine`] | sharded streaming aggregation engine for million-user rounds |
 //! | [`server`] | multi-campaign network service over a binary TCP wire protocol |
 //! | [`cluster`] | multi-node campaigns: partition nodes, two-phase round barrier, WAL replication |

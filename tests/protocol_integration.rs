@@ -1,8 +1,7 @@
-//! Integration tests for the protocol runtimes driving the full pipeline:
+//! Integration tests for the protocol simulator driving the full pipeline:
 //! rounds over lossy networks, deadlines, and the privacy boundary.
 
 use dptd::prelude::*;
-use dptd::protocol::runtime::{run_threaded_round, ThreadedConfig};
 use dptd::protocol::sim::{NetworkConfig, RoundConfig, SimHarness};
 
 fn world(users: usize, objects: usize, seed: u64) -> SensingDataset {
@@ -78,28 +77,6 @@ fn lossy_network_degrades_gracefully() {
         lossy_mae < clean_mae + 0.2,
         "loss degraded too much: {clean_mae} -> {lossy_mae}"
     );
-}
-
-#[test]
-fn threaded_and_simulated_runtimes_agree() {
-    let ds = world(40, 6, 2003);
-    let mut rng = dptd::seeded_rng(2400);
-
-    let sim = SimHarness::new(Crh::default(), 1e8, NetworkConfig::default())
-        .unwrap()
-        .run_round(&ds.observations, &RoundConfig::default(), &mut rng)
-        .unwrap();
-    let threaded = run_threaded_round(
-        Crh::default(),
-        1e8,
-        &ds.observations,
-        &ThreadedConfig::default(),
-    )
-    .unwrap();
-
-    // At negligible noise both equal the clean aggregate.
-    let gap = mae(&sim.truths, &threaded.truths).unwrap();
-    assert!(gap < 0.01, "sim vs threaded gap {gap}");
 }
 
 #[test]
