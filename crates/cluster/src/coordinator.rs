@@ -18,6 +18,29 @@
 //!    to append durably. Only when every node has acknowledged does the
 //!    coordinator advance its own epoch.
 //!
+//! Every fan-out — submit, prepare, commit — is a **scatter/gather**
+//! ([`dptd_server::scatter_gather`]): the request goes out to every
+//! node before any reply is read, so node drains, commit fsyncs and
+//! follower acks overlap each other and the coordinator's decode, while
+//! each connection still carries at most one unanswered request. A
+//! gather reads every outstanding reply before it surfaces the first
+//! error in node-id order, so a refusal never leaves a stale frame on
+//! another node's connection. Replies are folded in node-id order, so
+//! the merged bits stay a pure function of node id, not of which node
+//! answered first. Submission goes out in waves of one chunk per node;
+//! a node never has two chunks in flight, which keeps its stream order.
+//!
+//! **The pending commit.** Once the merge has moved the estimator and
+//! the ledger, the round is held in the campaign as *merged but
+//! uncommitted* until every node has acknowledged its slice. If the
+//! commit fan-out fails (a node's WAL refuses an append, a connection
+//! dies), [`ClusterCampaign::close_round`] for the same epoch skips
+//! prepare and merge and re-sends the **identical** slices — nodes that
+//! hold the epoch acknowledge idempotently, the rest append — so a
+//! retried round is never merged or debited twice.
+//! [`ClusterCampaign::submit`] is refused while a commit is pending:
+//! the round's content is sealed.
+//!
 //! Every durable fact lives on the nodes, so a dead coordinator is
 //! recovered by [`ClusterCampaign::resume`]: it reads each node's
 //! ledger, aligns them at the **minimum** committed epoch (the barrier
@@ -26,8 +49,12 @@
 //! committed the in-flight epoch — re-drives the barrier: prepares
 //! replay from the nodes' retained lanes, the merge reproduces the
 //! identical slices, committed nodes acknowledge idempotently, and the
-//! stragglers append. `tests/cluster_e2e.rs` pins all of this against
-//! the single-node server and the in-process simulator.
+//! stragglers append. Because the commit is scattered, a crash can
+//! leave **any subset** of nodes holding the epoch, not just a prefix
+//! in node-id order; alignment at the minimum and per-node idempotent
+//! acks make no distinction between the two. `tests/cluster_e2e.rs`
+//! pins all of this against the single-node server and the in-process
+//! simulator.
 //!
 //! [`StreamingCrh::from_parts`]: dptd_truth::streaming::StreamingCrh::from_parts
 
@@ -40,7 +67,7 @@ use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
-use dptd_server::{CampaignSpec, Client, RetryPolicy};
+use dptd_server::{scatter_gather, submit_waves, CampaignSpec, Client, RetryPolicy, SubmitLane};
 
 use crate::partitioner::rendezvous_map;
 use crate::ClusterError;
@@ -203,6 +230,24 @@ pub struct ClusterCampaign {
     rounds_run: u32,
     retry: RetryPolicy,
     redrive: bool,
+    /// The merged-but-uncommitted round, if a commit fan-out is owed.
+    pending: Option<MergedRound>,
+}
+
+/// What prepare + merge produced for one round, held from the moment
+/// the estimator and ledger moved until every node has committed its
+/// slice. The slices themselves are read off the (now frozen) global
+/// state each time they are sent, so a re-sent commit is byte-identical.
+#[derive(Debug)]
+struct MergedRound {
+    epoch: u64,
+    truths: Vec<f64>,
+    refused_seen: u64,
+    duplicates: u64,
+    late: u64,
+    /// Per node, the accepted users as ascending **local** ids — the
+    /// node's own `Prepared` claims, kept from the gather.
+    accepted_locals: Vec<Vec<u64>>,
 }
 
 fn node_spec(spec: &ClusterSpec, local_users: usize) -> CampaignSpec {
@@ -378,6 +423,7 @@ impl ClusterCampaign {
                 rounds_run: target.min(u64::from(u32::MAX)) as u32,
                 retry: RetryPolicy::default(),
                 redrive,
+                pending: None,
             },
             target,
         ))
@@ -474,16 +520,28 @@ impl ClusterCampaign {
     }
 
     /// Fan a stream of **global-id** reports out to their owning nodes,
-    /// preserving per-node stream order, in frames of `chunk` reports.
-    /// Returns the total reports queued across nodes.
+    /// preserving per-node stream order, in frames of `chunk` reports:
+    /// wave *k* writes chunk *k* to every node that still has one, then
+    /// reads every reply ([`submit_waves`]), so the nodes decode and
+    /// queue concurrently. Returns the total reports queued across
+    /// nodes.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Protocol`] for a user outside the population,
+    /// [`ClusterError::Barrier`] while a commit fan-out is pending (the
+    /// merged round is sealed — drive
+    /// [`close_round`](ClusterCampaign::close_round) first),
     /// [`ClusterError::Server`] (including
     /// [`Busy`](dptd_server::ServerError::Busy) once retries are
     /// exhausted) from the nodes.
     pub fn submit(&mut self, reports: &[StampedReport], chunk: usize) -> Result<u64, ClusterError> {
+        if let Some(pending) = &self.pending {
+            return Err(ClusterError::Barrier(format!(
+                "round {} is merged and its commit is pending; close it before submitting",
+                pending.epoch
+            )));
+        }
         // Every frame this fan-out produces carries the round's trace so
         // node-side submit instants land under the same timeline as the
         // barrier that will close it. The root is derived from
@@ -509,33 +567,36 @@ impl ClusterCampaign {
             local.report.user = self.partition.local_of(user);
             per_node[self.partition.node_of(user)].push(local);
         }
-        let mut queued = 0;
-        for (id, batch) in per_node.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            queued += self.nodes[id].submit_chunked_with_retry(
-                &self.campaign,
-                &batch,
-                chunk,
-                self.retry,
-            )?;
-        }
-        Ok(queued)
+        let mut lanes: Vec<SubmitLane<'_>> = self
+            .nodes
+            .iter_mut()
+            .zip(&per_node)
+            .map(|(node, batch)| SubmitLane::new(node, batch))
+            .collect();
+        submit_waves(&mut lanes, &self.campaign, chunk, self.retry)?;
+        Ok(lanes.iter().map(|lane| lane.queued).sum())
     }
 
     /// Close round `epoch` with the two-phase barrier.
     ///
-    /// On an error after prepare (an uncovered object, a node failure
-    /// mid-commit) the nodes keep their staged rounds and durable
-    /// state; the barrier is simply driven again — possibly by a fresh
-    /// coordinator via [`ClusterCampaign::resume`].
+    /// On an error **before** the merge (a node refusal in prepare, an
+    /// uncovered object) nothing has moved: the nodes keep their staged
+    /// rounds, more reports may be submitted, and the barrier is simply
+    /// driven again. On an error **after** it (a node failure
+    /// mid-commit) the merged round stays pending in this object, and
+    /// calling `close_round(epoch)` again re-sends the identical commit
+    /// slices without preparing or merging a second time — nodes that
+    /// already hold the epoch acknowledge idempotently. A fresh
+    /// coordinator gets to the same place via
+    /// [`ClusterCampaign::resume`].
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Barrier`] for epoch disagreement,
-    /// [`ClusterError::Protocol`] when the merged round cannot cover
-    /// every object, plus node-side failures.
+    /// [`ClusterError::Barrier`] for epoch disagreement or a node whose
+    /// claims are not strictly ascending local ids inside its
+    /// partition, [`ClusterError::Protocol`] when the merged round
+    /// cannot cover every object, plus node-side failures — the first
+    /// in node-id order, after every node's reply was read.
     pub fn close_round(&mut self, epoch: u64) -> Result<ClusterRound, ClusterError> {
         if epoch != self.next_epoch {
             return Err(ClusterError::Barrier(format!(
@@ -551,97 +612,16 @@ impl ClusterCampaign {
         let _root = dptd_obs::trace::enabled()
             .then(|| dptd_obs::trace::enter(dptd_obs::SpanContext::root(&self.campaign, epoch)));
 
-        // Phase one: prepare every node with its refusal slice.
-        let prepare_span =
-            dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_PREPARE, epoch);
-        let num_nodes = self.partition.num_nodes();
-        let mut duplicates = 0u64;
-        let mut late = 0u64;
-        let mut refused_seen = 0u64;
-        let mut accepted_users = Vec::new();
-        let mut shards = Vec::with_capacity(num_nodes);
-        for id in 0..num_nodes {
-            let refused: Vec<u64> = self
-                .partition
-                .locals(id)
-                .iter()
-                .enumerate()
-                .filter(|&(_, &global)| !self.accountant.can_spend(global))
-                .map(|(local, _)| local as u64)
-                .collect();
-            let prepared = self.nodes[id].close_round_prepare(&self.campaign, epoch, refused)?;
-            if prepared.epoch != epoch {
-                return Err(ClusterError::Barrier(format!(
-                    "node {id} prepared epoch {}, coordinator asked for {epoch}",
-                    prepared.epoch
-                )));
-            }
-            duplicates += prepared.duplicates;
-            late += prepared.late;
-            refused_seen += prepared.refused_seen;
-            let mut shard = ShardClaims::new();
-            for claim in prepared.claims {
-                let local = claim.user;
-                if local >= self.partition.population(id) {
-                    return Err(ClusterError::Barrier(format!(
-                        "node {id} claimed local user {local} outside its partition"
-                    )));
-                }
-                let global = self.partition.global_of(id, local);
-                accepted_users.push(global);
-                shard.push(global, claim.values);
-            }
-            shards.push(shard);
-        }
-        accepted_users.sort_unstable();
-        drop(prepare_span);
-
-        // The deterministic global merge — atomic on error, so a failed
-        // round leaves the estimator untouched and re-drivable. This is
-        // "one more level of the shard-merge tree": the claims fold
-        // through the same fixed-shape parallel reduction the in-process
-        // engine uses, so worker count cannot perturb the digest.
-        let truths = self
-            .streaming
-            .ingest_sharded(self.config.num_objects, shards)
-            .map_err(|e| {
-                ClusterError::Protocol(dptd_protocol::ProtocolError::Core(
-                    dptd_core::CoreError::Truth(e),
-                ))
-            })?;
-        for &user in &accepted_users {
-            self.accountant.debit(user);
-        }
-        let batches_seen = self.streaming.batches_seen() as u64;
-
-        // Phase two: every node durably commits its slice before the
-        // coordinator advances.
-        let _commit_span =
-            dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_COMMIT, epoch);
-        for id in 0..num_nodes {
-            let locals = self.partition.locals(id);
-            let accepted_locals: Vec<u64> = locals
-                .iter()
-                .enumerate()
-                .filter(|&(_, &global)| accepted_users.binary_search(&global).is_ok())
-                .map(|(local, _)| local as u64)
-                .collect();
-            let losses: Vec<f64> = locals
-                .iter()
-                .map(|&g| self.streaming.cumulative_losses()[g])
-                .collect();
-            let debits: Vec<u32> = locals
-                .iter()
-                .map(|&g| self.accountant.rounds_debited(g))
-                .collect();
-            self.nodes[id].close_round_commit(
-                &self.campaign,
-                epoch,
-                batches_seen,
-                accepted_locals,
-                losses,
-                debits,
-            )?;
+        let merged = match self.pending.take() {
+            Some(merged) => merged,
+            None => self.prepare_and_merge(epoch)?,
+        };
+        debug_assert_eq!(merged.epoch, epoch, "pending round is for another epoch");
+        // The estimator and ledger have moved: until every node has
+        // acknowledged its slice, the round is owed a commit.
+        if let Err(e) = self.commit(&merged) {
+            self.pending = Some(merged);
+            return Err(e);
         }
 
         self.next_epoch = epoch + 1;
@@ -650,15 +630,135 @@ impl ClusterCampaign {
         let weights_digest = fnv1a_f64s(&weights);
         Ok(ClusterRound {
             epoch,
-            truths,
+            truths: merged.truths,
             weights,
             weights_digest,
-            accepted: accepted_users.len(),
-            refused_users: refused_seen as usize,
-            duplicates_discarded: duplicates,
-            late_dropped: late,
+            accepted: merged.accepted_locals.iter().map(Vec::len).sum(),
+            refused_users: merged.refused_seen as usize,
+            duplicates_discarded: merged.duplicates,
+            late_dropped: merged.late,
             max_spent: self.accountant.max_spent(),
         })
+    }
+
+    /// Phase two: every node durably commits its slice of the merged
+    /// round before the coordinator advances. Scattered, so the fsyncs
+    /// and follower acks overlap; if it fails, any subset of the nodes
+    /// may hold the epoch, which the pending round (or a resume)
+    /// re-drives.
+    fn commit(&mut self, merged: &MergedRound) -> Result<(), ClusterError> {
+        let _commit_span =
+            dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_COMMIT, merged.epoch);
+        let batches_seen = self.streaming.batches_seen() as u64;
+        let (campaign, partition) = (&self.campaign, &self.partition);
+        let (losses, accountant) = (self.streaming.cumulative_losses(), &self.accountant);
+        scatter_gather(
+            &mut self.nodes,
+            |id, node| {
+                let locals = partition.locals(id);
+                node.send_commit(
+                    campaign,
+                    merged.epoch,
+                    batches_seen,
+                    merged.accepted_locals[id].clone(),
+                    locals.iter().map(|&g| losses[g]).collect(),
+                    locals
+                        .iter()
+                        .map(|&g| accountant.rounds_debited(g))
+                        .collect(),
+                )
+            },
+            |_, node| node.recv_committed(),
+        )?;
+        Ok(())
+    }
+
+    /// Phase one and the merge: gather every node's claims, fold them
+    /// in node-id order, and move the estimator and the ledger. Atomic
+    /// on error — nothing has moved unless this returns `Ok`.
+    fn prepare_and_merge(&mut self, epoch: u64) -> Result<MergedRound, ClusterError> {
+        // Phase one: prepare every node with its refusal slice.
+        let prepare_span =
+            dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_PREPARE, epoch);
+        let (campaign, partition, accountant) = (&self.campaign, &self.partition, &self.accountant);
+        let prepared = scatter_gather(
+            &mut self.nodes,
+            |id, node| {
+                let refused = partition
+                    .locals(id)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &global)| !accountant.can_spend(global))
+                    .map(|(local, _)| local as u64)
+                    .collect();
+                node.send_prepare(campaign, epoch, refused)
+            },
+            |_, node| node.recv_prepared(),
+        )?;
+
+        let mut merged = MergedRound {
+            epoch,
+            truths: Vec::new(),
+            refused_seen: 0,
+            duplicates: 0,
+            late: 0,
+            accepted_locals: Vec::with_capacity(prepared.len()),
+        };
+        let mut shards = Vec::with_capacity(prepared.len());
+        for (id, prepared) in prepared.into_iter().enumerate() {
+            if prepared.epoch != epoch {
+                return Err(ClusterError::Barrier(format!(
+                    "node {id} prepared epoch {}, coordinator asked for {epoch}",
+                    prepared.epoch
+                )));
+            }
+            merged.duplicates += prepared.duplicates;
+            merged.late += prepared.late;
+            merged.refused_seen += prepared.refused_seen;
+            // The node's claims *are* its commit slice's accepted list:
+            // ascending local ids. Check here what the node will check
+            // at commit, while a violation is still harmless — nothing
+            // has been merged or debited yet.
+            let population = partition.population(id);
+            let mut locals = Vec::with_capacity(prepared.claims.len());
+            let mut shard = ShardClaims::new();
+            for claim in prepared.claims {
+                let local = claim.user;
+                if local >= population || locals.last().is_some_and(|&last| last >= local as u64) {
+                    return Err(ClusterError::Barrier(format!(
+                        "node {id} claimed local user {local} outside its partition \
+                         or out of ascending order"
+                    )));
+                }
+                locals.push(local as u64);
+                shard.push(partition.global_of(id, local), claim.values);
+            }
+            merged.accepted_locals.push(locals);
+            shards.push(shard);
+        }
+        drop(prepare_span);
+
+        // The deterministic global merge — atomic on error, so a failed
+        // round leaves the estimator untouched and re-drivable. This is
+        // "one more level of the shard-merge tree": the claims fold
+        // through the same fixed-shape parallel reduction the in-process
+        // engine uses, so worker count cannot perturb the digest.
+        let _merge_span = dptd_obs::trace::TraceScope::begin(dptd_obs::codes::MERGE, epoch);
+        merged.truths = self
+            .streaming
+            .ingest_sharded(self.config.num_objects, shards)
+            .map_err(|e| {
+                ClusterError::Protocol(dptd_protocol::ProtocolError::Core(
+                    dptd_core::CoreError::Truth(e),
+                ))
+            })?;
+        for (id, locals) in merged.accepted_locals.iter().enumerate() {
+            for &local in locals {
+                self.accountant
+                    .debit(self.partition.global_of(id, local as usize));
+            }
+        }
+        Ok(merged)
     }
 }
 
@@ -728,16 +828,7 @@ mod tests {
         let num_users = 9;
         let (nodes, addrs) = start_nodes(2);
         let mut cluster = ClusterCampaign::create(&addrs, "camp", spec(num_users, 2)).unwrap();
-        let mut sim = CampaignDriver::new(
-            SimBackend::new(num_users, Loss::Squared).unwrap(),
-            CampaignConfig {
-                num_objects: 2,
-                deadline_us: 100,
-                per_round_loss: PrivacyLoss::new(0.5, 0.0).unwrap(),
-                budget: PrivacyLoss::new(1.0, 0.0).unwrap(),
-            },
-        )
-        .unwrap();
+        let mut sim = sim_driver(num_users, 2);
 
         for epoch in 0..2u64 {
             let stream = messy_round(num_users, epoch);
@@ -769,79 +860,67 @@ mod tests {
         }
     }
 
-    /// A coordinator dying between commit fan-outs leaves node 0 one
-    /// epoch ahead of node 1. A fresh coordinator must align at the
-    /// minimum epoch, re-drive the barrier from the nodes' retained
-    /// prepares, and land bit-identically on the in-process reference —
-    /// node 0 acknowledging its commit idempotently.
-    #[test]
-    fn interrupted_commit_fanout_is_redriven_bit_identically() {
-        let num_users = 8;
-        let (nodes, addrs) = start_nodes(2);
-        let mut a = ClusterCampaign::create(&addrs, "camp", spec(num_users, 3)).unwrap();
-        let mut sim = CampaignDriver::new(
+    fn sim_driver(num_users: usize, rounds: u32) -> CampaignDriver<SimBackend> {
+        CampaignDriver::new(
             SimBackend::new(num_users, Loss::Squared).unwrap(),
             CampaignConfig {
                 num_objects: 2,
                 deadline_us: 100,
                 per_round_loss: PrivacyLoss::new(0.5, 0.0).unwrap(),
-                budget: PrivacyLoss::new(1.5, 0.0).unwrap(),
+                budget: PrivacyLoss::new(0.5 * f64::from(rounds), 0.0).unwrap(),
             },
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// A coordinator dying mid commit fan-out leaves **some subset** of
+    /// the nodes one epoch ahead — with a scattered commit not
+    /// necessarily a prefix in node-id order. A fresh coordinator must
+    /// align at the minimum epoch, re-drive the barrier from the nodes'
+    /// retained prepares, and land bit-identically on the in-process
+    /// reference — the committed nodes acknowledging idempotently.
+    fn interrupted_commit_is_redriven(committed: &[usize]) {
+        let num_users = 11;
+        let (nodes, addrs) = start_nodes(3);
+        let mut a = ClusterCampaign::create(&addrs, "camp", spec(num_users, 3)).unwrap();
+        let mut sim = sim_driver(num_users, 3);
         let stream0 = messy_round(num_users, 0);
         a.submit(&stream0, 4).unwrap();
         a.close_round(0).unwrap();
         sim.run_round(0, stream0).unwrap();
 
-        // Round 1: run the barrier by hand — prepare everywhere, merge,
-        // commit node 0, then "die" before committing node 1.
+        // Round 1: prepare everywhere and merge, commit only on
+        // `committed`, then "die".
         let stream1 = messy_round(num_users, 1);
         a.submit(&stream1, 4).unwrap();
-        let mut accepted_users = Vec::new();
-        let mut shards = Vec::new();
-        for id in 0..2 {
-            let prepared = a.nodes[id].close_round_prepare("camp", 1, vec![]).unwrap();
-            let mut shard = ShardClaims::new();
-            for claim in prepared.claims {
-                let global = a.partition.global_of(id, claim.user);
-                accepted_users.push(global);
-                shard.push(global, claim.values);
-            }
-            shards.push(shard);
-        }
-        accepted_users.sort_unstable();
-        a.streaming.ingest_sharded(2, shards).unwrap();
-        for &user in &accepted_users {
-            a.accountant.debit(user);
-        }
+        let merged = a.prepare_and_merge(1).unwrap();
         let batches = a.streaming.batches_seen() as u64;
-        let locals = a.partition.locals(0).to_vec();
-        let accepted_locals: Vec<u64> = locals
-            .iter()
-            .enumerate()
-            .filter(|&(_, &g)| accepted_users.binary_search(&g).is_ok())
-            .map(|(local, _)| local as u64)
-            .collect();
-        let losses: Vec<f64> = locals
-            .iter()
-            .map(|&g| a.streaming.cumulative_losses()[g])
-            .collect();
-        let debits: Vec<u32> = locals
-            .iter()
-            .map(|&g| a.accountant.rounds_debited(g))
-            .collect();
-        assert!(a.nodes[0]
-            .close_round_commit("camp", 1, batches, accepted_locals, losses, debits)
-            .unwrap());
+        for &id in committed {
+            let locals = a.partition.locals(id).to_vec();
+            let losses: Vec<f64> = locals
+                .iter()
+                .map(|&g| a.streaming.cumulative_losses()[g])
+                .collect();
+            let debits: Vec<u32> = locals
+                .iter()
+                .map(|&g| a.accountant.rounds_debited(g))
+                .collect();
+            let accepted = merged.accepted_locals[id].clone();
+            assert!(a.nodes[id]
+                .close_round_commit("camp", 1, batches, accepted, losses, debits)
+                .unwrap());
+        }
         drop(a);
 
         let (mut b, at) = ClusterCampaign::resume(&addrs, "camp", spec(num_users, 3)).unwrap();
-        assert_eq!(at, 1);
+        assert_eq!(at, 1, "nodes {committed:?} committed");
         assert!(b.needs_redrive());
         let ours = b.close_round(1).unwrap();
         let reference = sim.run_round(1, stream1).unwrap();
-        assert_eq!(ours.truths, reference.truths);
+        assert_eq!(
+            ours.truths, reference.truths,
+            "nodes {committed:?} committed"
+        );
         assert_eq!(ours.weights_digest, fnv1a_f64s(&reference.weights));
         assert_eq!(
             b.accountant().debits_by_user(),
@@ -854,6 +933,184 @@ mod tests {
         let ours = b.close_round(2).unwrap();
         let reference = sim.run_round(2, stream2).unwrap();
         assert_eq!(ours.weights_digest, fnv1a_f64s(&reference.weights));
+        for node in nodes {
+            node.shutdown();
+        }
+    }
+
+    #[test]
+    fn interrupted_commit_fanout_is_redriven_bit_identically() {
+        interrupted_commit_is_redriven(&[0]); // a prefix: the sequential-era case
+        interrupted_commit_is_redriven(&[1]); // not a prefix
+        interrupted_commit_is_redriven(&[0, 2]); // only the middle node is behind
+    }
+
+    /// A commit fan-out that fails at one node leaves the round merged
+    /// but uncommitted in the campaign; closing the same epoch again
+    /// must re-send the identical slices, not prepare, merge and debit a
+    /// second time.
+    #[test]
+    fn a_failed_commit_fanout_is_resent_not_merged_twice() {
+        let num_users = 11;
+        let (nodes, addrs) = start_nodes(3);
+        let mut cluster = ClusterCampaign::create(&addrs, "camp", spec(num_users, 3)).unwrap();
+        let mut sim = sim_driver(num_users, 3);
+        let stream0 = messy_round(num_users, 0);
+        cluster.submit(&stream0, 4).unwrap();
+        cluster.close_round(0).unwrap();
+        sim.run_round(0, stream0).unwrap();
+
+        // Node 0's store refuses one append: the scatter still reaches
+        // nodes 1 and 2, which commit epoch 1.
+        let stream1 = messy_round(num_users, 1);
+        cluster.submit(&stream1, 4).unwrap();
+        nodes[0].fail_next_append("camp");
+        match cluster.close_round(1) {
+            Err(ClusterError::Server(dptd_server::ServerError::Remote { code, .. })) => {
+                assert_eq!(code, dptd_server::ErrorCode::WalRefused);
+            }
+            other => panic!("expected node 0's WalRefused, got {other:?}"),
+        }
+        assert_eq!(cluster.next_epoch(), 1, "the round is not closed yet");
+        // The merged round is sealed: no more reports for it.
+        assert!(matches!(
+            cluster.submit(&messy_round(num_users, 1), 4),
+            Err(ClusterError::Barrier(_))
+        ));
+
+        // The retry lands on the reference: merged once, debited once.
+        let ours = cluster.close_round(1).unwrap();
+        let reference = sim.run_round(1, stream1).unwrap();
+        assert_eq!(ours.truths, reference.truths);
+        assert_eq!(ours.weights_digest, fnv1a_f64s(&reference.weights));
+        assert_eq!(ours.accepted, reference.accepted);
+        assert_eq!(ours.duplicates_discarded, reference.duplicates_discarded);
+        assert_eq!(ours.late_dropped, reference.late_dropped);
+        assert_eq!(
+            cluster.accountant().debits_by_user(),
+            sim.accountant().debits_by_user()
+        );
+        // Every node's durable ledger agrees with the coordinator's.
+        for (id, node) in cluster.nodes.iter_mut().enumerate() {
+            let ledger = node.query_ledger("camp", u64::MAX).unwrap();
+            assert_eq!(ledger.next_epoch, 2, "node {id}");
+            assert_eq!(ledger.batches_seen, 2, "node {id}");
+        }
+
+        let stream2 = messy_round(num_users, 2);
+        cluster.submit(&stream2, 4).unwrap();
+        let ours = cluster.close_round(2).unwrap();
+        let reference = sim.run_round(2, stream2).unwrap();
+        assert_eq!(ours.weights_digest, fnv1a_f64s(&reference.weights));
+        for node in nodes {
+            node.shutdown();
+        }
+    }
+
+    /// A typed refusal from node 0 mid-gather must not leave node 1's
+    /// and node 2's replies unread: the next request on those
+    /// connections would be answered by the stale `Prepared`.
+    #[test]
+    fn a_refusal_mid_gather_leaves_every_connection_frame_aligned() {
+        let num_users = 11;
+        let (nodes, addrs) = start_nodes(3);
+        let mut cluster = ClusterCampaign::create(&addrs, "camp", spec(num_users, 2)).unwrap();
+        cluster.submit(&messy_round(num_users, 0), 4).unwrap();
+        assert!(nodes[0].poison_partition("camp"));
+        match cluster.close_round(0) {
+            Err(ClusterError::Server(dptd_server::ServerError::Remote { code, .. })) => {
+                assert_eq!(code, dptd_server::ErrorCode::CampaignQuarantined);
+            }
+            other => panic!("expected node 0's quarantine refusal, got {other:?}"),
+        }
+        // Same object, same connections: every node answers the status
+        // query with a status frame.
+        cluster.status().unwrap();
+        // Nodes 1 and 2 prepared and still hold their staged rounds.
+        for node in &mut cluster.nodes[1..] {
+            let metrics = node.query_metrics("camp").unwrap();
+            assert!(metrics.reports_accepted > 0, "{metrics:?}");
+            assert_eq!(metrics.queue_depth, 0, "drained into the staged lane");
+        }
+        for node in nodes {
+            node.shutdown();
+        }
+    }
+
+    /// Submit waves under backpressure: the node with the largest
+    /// partition cannot queue its last chunk until something drains it.
+    #[test]
+    fn a_busy_node_mid_wave_is_retried_in_order_or_surfaces_busy() {
+        use dptd_server::ServerError;
+
+        let num_users = 20;
+        let chunk = 3;
+        let stream = messy_round(num_users, 0);
+        let partition = rendezvous_map(num_users, 3).unwrap();
+        let mut per_node = [0u64; 3];
+        for r in &stream {
+            per_node[partition.node_of(r.report.user)] += 1;
+        }
+        let busiest = (0..3).max_by_key(|&id| per_node[id]).unwrap();
+        // One report short of the busiest node's stream: only that node
+        // runs out of room, and only on its last chunk.
+        let capacity = per_node[busiest] - 1;
+        assert!(
+            (0..3).all(|id| id == busiest || per_node[id] <= capacity),
+            "the shape must leave exactly one node short: {per_node:?}"
+        );
+        let waves = |id: usize| per_node[id].div_ceil(chunk as u64);
+        assert!(
+            (0..3).any(|id| waves(id) != waves(busiest)),
+            "unequal partitions: some node must run out of chunks first: {per_node:?}"
+        );
+        let tight = ClusterSpec {
+            submission_capacity: capacity,
+            ..spec(num_users, 2)
+        };
+        let (nodes, addrs) = start_nodes(3);
+
+        // Without retries the refusal is a hard Busy — surfaced only
+        // after every reply of the wave was read.
+        let mut cluster = ClusterCampaign::create(&addrs, "hard", tight).unwrap();
+        match cluster.submit(&stream, chunk) {
+            Err(ClusterError::Server(ServerError::Busy)) => {}
+            other => panic!("expected Busy, got {other:?}"),
+        }
+        cluster.status().unwrap();
+
+        // With retries the wave completes once the busy node is drained
+        // (here: by a prepare on a second connection, issued only after
+        // the node has refused a chunk), and the round is the
+        // sequential reference's, duplicates resolved first-wins in
+        // stream order.
+        let mut cluster = ClusterCampaign::create(&addrs, "soft", tight).unwrap();
+        cluster.set_retry(RetryPolicy {
+            busy_retries: 200,
+            busy_backoff_ms: 2,
+        });
+        let busy_addr = addrs[busiest].clone();
+        let drainer = std::thread::spawn(move || {
+            let mut direct = Client::connect(busy_addr.as_str()).unwrap();
+            let refused_busy =
+                dptd_obs::names::campaign_metric("soft", dptd_obs::names::REFUSED_BUSY);
+            while !matches!(
+                direct.query_status().unwrap().get(&refused_busy),
+                Some(dptd_obs::MetricValue::Counter(1..))
+            ) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            direct.close_round_prepare("soft", 0, vec![]).unwrap();
+        });
+        let queued = cluster.submit(&stream, chunk).unwrap();
+        drainer.join().unwrap();
+        assert!(queued > 0);
+        let ours = cluster.close_round(0).unwrap();
+        let reference = sim_driver(num_users, 2).run_round(0, stream).unwrap();
+        assert_eq!(ours.truths, reference.truths);
+        assert_eq!(ours.weights_digest, fnv1a_f64s(&reference.weights));
+        assert_eq!(ours.duplicates_discarded, reference.duplicates_discarded);
+        assert_eq!(ours.late_dropped, reference.late_dropped);
         for node in nodes {
             node.shutdown();
         }

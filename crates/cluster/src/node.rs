@@ -143,6 +143,21 @@ struct NodeCampaign {
     replication_failure: Option<crate::replication::FailureSlot>,
 }
 
+/// The `Prepared` reply for a lane as it stands: its survivors cloned
+/// once, in slot order, straight into the reply (a report's `user` is
+/// its slot — both are the node-local id).
+fn prepared(epoch: u64, lane: &EpochLane, refused_seen: u64) -> Response {
+    let mut claims = Vec::with_capacity(lane.accepted());
+    claims.extend(lane.survivors().cloned());
+    Response::Prepared {
+        epoch,
+        duplicates: lane.duplicates_discarded(),
+        late: lane.late_dropped(),
+        refused_seen,
+        claims,
+    }
+}
+
 /// How many committed records a node keeps in memory for ledger
 /// queries. Two covers every legal barrier state: the live epoch's
 /// predecessor plus one more while a commit fan-out is in flight.
@@ -245,14 +260,7 @@ impl NodeCampaign {
                     "barrier re-driven with a different refusal set",
                 );
             }
-            let result = last.lane.snapshot();
-            return Response::Prepared {
-                epoch,
-                duplicates: result.duplicates_discarded,
-                late: result.late_dropped,
-                refused_seen: last.refused_seen_count,
-                claims: result.claims.into_iter().map(|(_, r)| r).collect(),
-            };
+            return prepared(epoch, &last.lane, last.refused_seen_count);
         }
         if epoch != self.queue.next_epoch() {
             return refuse(
@@ -292,14 +300,7 @@ impl NodeCampaign {
             staged.lane.offer(user, stamped);
         }
         let refused_seen = staged.refused_seen.iter().filter(|&&b| b).count() as u64;
-        let result = staged.lane.snapshot();
-        Response::Prepared {
-            epoch,
-            duplicates: result.duplicates_discarded,
-            late: result.late_dropped,
-            refused_seen,
-            claims: result.claims.into_iter().map(|(_, r)| r).collect(),
-        }
+        prepared(epoch, &staged.lane, refused_seen)
     }
 
     fn commit(
@@ -754,6 +755,45 @@ impl NodeServer {
     #[doc(hidden)]
     pub fn poison_partition(&self, campaign: &str) -> bool {
         self.state.host.poison(campaign)
+    }
+}
+
+/// A log whose next append fails (atomically, as the [`RecordLog`]
+/// contract demands) and whose later ones go through — the transient
+/// `WalRefused` a commit fan-out must survive.
+#[cfg(test)]
+#[derive(Debug)]
+struct FailNextAppend {
+    inner: Option<Box<dyn RecordLog>>,
+    armed: bool,
+}
+
+#[cfg(test)]
+impl RecordLog for FailNextAppend {
+    fn append_record(&mut self, record: &EpochRecord) -> Result<(), dptd_engine::wal::WalError> {
+        if std::mem::take(&mut self.armed) {
+            return Err(dptd_engine::wal::WalError::Io {
+                op: "append",
+                message: "injected transient failure".to_string(),
+            });
+        }
+        self.inner
+            .as_mut()
+            .map_or(Ok(()), |log| log.append_record(record))
+    }
+}
+
+#[cfg(test)]
+impl NodeServer {
+    /// Make `campaign`'s next durable append on this node fail once.
+    pub(crate) fn fail_next_append(&self, campaign: &str) {
+        // `with` is the one mutable door to slot state; its reply is
+        // of no interest here.
+        self.state.host.with(campaign, |part| {
+            let inner = part.log.take();
+            part.log = Some(Box::new(FailNextAppend { inner, armed: true }));
+            Response::Created { resumed_rounds: 0 }
+        });
     }
 }
 

@@ -91,6 +91,16 @@ impl DedupFilter {
             .collect()
     }
 
+    /// The accepted `(slot, report)` pairs so far, in **ascending slot
+    /// order**, borrowed — what [`DedupFilter::into_slot_ordered`] would
+    /// yield, without consuming (or cloning) the filter.
+    pub fn slot_ordered(&self) -> impl Iterator<Item = (usize, &PerturbedReport)> {
+        self.received
+            .iter()
+            .enumerate()
+            .filter_map(|(s, r)| r.as_ref().map(|r| (s, r)))
+    }
+
     /// Consume the filter, yielding `(slot, report)` pairs in **ascending
     /// slot order** — the canonical layout the cross-shard merge of the
     /// aggregation engine requires.

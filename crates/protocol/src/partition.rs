@@ -213,13 +213,37 @@ impl EpochLane {
     /// a re-driven barrier (after more submissions, or a coordinator
     /// restart) sees the cumulative stream's result.
     pub fn snapshot(&self) -> LaneResult {
-        self.clone().finish()
+        LaneResult {
+            claims: self
+                .dedup
+                .slot_ordered()
+                .map(|(slot, report)| (slot, report.clone()))
+                .collect(),
+            duplicates_discarded: self.duplicates_discarded(),
+            late_dropped: self.late_dropped,
+        }
+    }
+
+    /// The surviving reports so far, ascending by slot, borrowed — a
+    /// node clones these straight into its `Prepared` reply, once.
+    pub fn survivors(&self) -> impl Iterator<Item = &PerturbedReport> {
+        self.dedup.slot_ordered().map(|(_, report)| report)
+    }
+
+    /// Duplicate submissions discarded so far (first-wins).
+    pub fn duplicates_discarded(&self) -> u64 {
+        self.dedup.duplicates_discarded() as u64
+    }
+
+    /// Reports dropped so far for missing the deadline.
+    pub fn late_dropped(&self) -> u64 {
+        self.late_dropped
     }
 
     /// Drain the lane into its slot-ordered survivors and drop counts.
     pub fn finish(self) -> LaneResult {
         LaneResult {
-            duplicates_discarded: self.dedup.duplicates_discarded() as u64,
+            duplicates_discarded: self.duplicates_discarded(),
             claims: self.dedup.into_slot_ordered(),
             late_dropped: self.late_dropped,
         }
@@ -385,7 +409,14 @@ mod tests {
         lane.offer(0, stamped(0, 0, 60, 3.0)); // on-time duplicate → dup
         lane.offer(1, stamped(1, 0, 70, 4.0)); // accepted
         assert_eq!(lane.accepted(), 2);
+        // The borrowed views are the consuming result, minus the clone
+        // of the whole filter.
+        let snapshot = lane.snapshot();
+        let survivors: Vec<PerturbedReport> = lane.survivors().cloned().collect();
         let result = lane.finish();
+        assert_eq!(snapshot, result);
+        let claimed: Vec<PerturbedReport> = result.claims.iter().map(|(_, r)| r.clone()).collect();
+        assert_eq!(survivors, claimed);
         assert_eq!(result.late_dropped, 1);
         assert_eq!(result.duplicates_discarded, 1);
         let slots: Vec<usize> = result.claims.iter().map(|&(s, _)| s).collect();

@@ -280,15 +280,31 @@ impl Client {
         }
     }
 
-    /// Send one request and read its reply.
+    /// Write one request without waiting for its reply — the scatter
+    /// half of a fan-out over several connections.
+    ///
+    /// **Invariant: at most one unanswered request per connection.**
+    /// Every `send` (and every typed `send_*` below) must be paired
+    /// with one [`Client::recv`] (or the matching `recv_*`) before the
+    /// next request is written on this connection, whether or not the
+    /// caller still wants the reply: an unread reply would answer the
+    /// *next* request.
+    ///
+    /// # Errors
+    ///
+    /// Socket failures.
+    pub fn send(&mut self, request: &Request) -> Result<(), ServerError> {
+        write_frame(&mut self.stream, &request.encode())
+    }
+
+    /// Read the reply to the one outstanding request.
     ///
     /// # Errors
     ///
     /// Socket and wire failures; a typed [`Response::Error`] is returned
-    /// as a normal `Ok` response (use the convenience wrappers to have
-    /// it converted into [`ServerError::Remote`]).
-    pub fn request(&mut self, request: &Request) -> Result<Response, ServerError> {
-        write_frame(&mut self.stream, &request.encode())?;
+    /// as a normal `Ok` response (the typed `recv_*` readers and the
+    /// convenience wrappers convert it into [`ServerError::Remote`]).
+    pub fn recv(&mut self) -> Result<Response, ServerError> {
         match read_frame_body(&mut self.stream)? {
             Some(body) => Ok(Response::decode(&body)?),
             None => Err(ServerError::Io {
@@ -298,11 +314,29 @@ impl Client {
         }
     }
 
-    fn expect(&mut self, request: &Request) -> Result<Response, ServerError> {
-        match self.request(request)? {
+    /// Send one request and read its reply: [`Client::send`] then
+    /// [`Client::recv`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::send`] and [`Client::recv`].
+    pub fn request(&mut self, request: &Request) -> Result<Response, ServerError> {
+        self.send(request)?;
+        self.recv()
+    }
+
+    /// [`Client::recv`] with a typed refusal surfaced as
+    /// [`ServerError::Remote`].
+    fn recv_ok(&mut self) -> Result<Response, ServerError> {
+        match self.recv()? {
             Response::Error { code, message } => Err(ServerError::Remote { code, message }),
             other => Ok(other),
         }
+    }
+
+    fn expect(&mut self, request: &Request) -> Result<Response, ServerError> {
+        self.send(request)?;
+        self.recv_ok()
     }
 
     /// Create (or, when durable, resume) a campaign. Returns the rounds
@@ -337,11 +371,32 @@ impl Client {
         campaign: &str,
         reports: Vec<StampedReport>,
     ) -> Result<SubmitOutcome, ServerError> {
-        match self.expect(&Request::SubmitReports {
-            campaign: campaign.to_string(),
-            reports,
-            ctx: wire_ctx(),
-        })? {
+        self.send_submit(campaign, &reports)?;
+        self.recv_submit()
+    }
+
+    /// The write half of [`Client::submit`], encoding straight from the
+    /// borrowed batch.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::send`].
+    pub fn send_submit(
+        &mut self,
+        campaign: &str,
+        reports: &[StampedReport],
+    ) -> Result<(), ServerError> {
+        let frame = wire::encode_submit_reports(campaign, reports, wire_ctx());
+        write_frame(&mut self.stream, &frame)
+    }
+
+    /// The read half of [`Client::submit`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::submit`].
+    pub fn recv_submit(&mut self) -> Result<SubmitOutcome, ServerError> {
+        match self.recv_ok()? {
             Response::Submitted { queued } => Ok(SubmitOutcome::Queued(queued)),
             Response::Busy { queued, capacity } => Ok(SubmitOutcome::Busy { queued, capacity }),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
@@ -383,25 +438,9 @@ impl Client {
         chunk: usize,
         policy: RetryPolicy,
     ) -> Result<u64, ServerError> {
-        let chunk = chunk.max(1);
-        let mut queued = 0;
-        for (i, batch) in reports.chunks(chunk).enumerate() {
-            let mut attempt = 0u32;
-            loop {
-                match self.submit(campaign, batch.to_vec())? {
-                    SubmitOutcome::Queued(q) => {
-                        queued = q;
-                        break;
-                    }
-                    SubmitOutcome::Busy { .. } if attempt < policy.busy_retries => {
-                        std::thread::sleep(policy.delay(i, attempt));
-                        attempt += 1;
-                    }
-                    SubmitOutcome::Busy { .. } => return Err(ServerError::Busy),
-                }
-            }
-        }
-        Ok(queued)
+        let mut lanes = [SubmitLane::new(self, reports)];
+        submit_waves(&mut lanes, campaign, chunk, policy)?;
+        Ok(lanes[0].queued)
     }
 
     /// Submit a round's stream **pipelined**: batches of `chunk`
@@ -724,12 +763,36 @@ impl Client {
         epoch: u64,
         refused: Vec<u64>,
     ) -> Result<PreparedOutcome, ServerError> {
-        match self.expect(&Request::CloseRoundPrepare {
+        self.send_prepare(campaign, epoch, refused)?;
+        self.recv_prepared()
+    }
+
+    /// The write half of [`Client::close_round_prepare`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::send`].
+    pub fn send_prepare(
+        &mut self,
+        campaign: &str,
+        epoch: u64,
+        refused: Vec<u64>,
+    ) -> Result<(), ServerError> {
+        self.send(&Request::CloseRoundPrepare {
             campaign: campaign.to_string(),
             epoch,
             refused,
             ctx: wire_ctx(),
-        })? {
+        })
+    }
+
+    /// The read half of [`Client::close_round_prepare`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::close_round`].
+    pub fn recv_prepared(&mut self) -> Result<PreparedOutcome, ServerError> {
+        match self.recv_ok()? {
             Response::Prepared {
                 epoch,
                 duplicates,
@@ -764,7 +827,33 @@ impl Client {
         cumulative_losses: Vec<f64>,
         rounds_debited: Vec<u32>,
     ) -> Result<bool, ServerError> {
-        match self.expect(&Request::CloseRoundCommit {
+        self.send_commit(
+            campaign,
+            epoch,
+            batches_seen,
+            accepted_users,
+            cumulative_losses,
+            rounds_debited,
+        )?;
+        self.recv_committed()
+    }
+
+    /// The write half of [`Client::close_round_commit`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::send`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn send_commit(
+        &mut self,
+        campaign: &str,
+        epoch: u64,
+        batches_seen: u64,
+        accepted_users: Vec<u64>,
+        cumulative_losses: Vec<f64>,
+        rounds_debited: Vec<u32>,
+    ) -> Result<(), ServerError> {
+        self.send(&Request::CloseRoundCommit {
             campaign: campaign.to_string(),
             epoch,
             batches_seen,
@@ -772,7 +861,16 @@ impl Client {
             cumulative_losses,
             rounds_debited,
             ctx: wire_ctx(),
-        })? {
+        })
+    }
+
+    /// The read half of [`Client::close_round_commit`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::close_round`].
+    pub fn recv_committed(&mut self) -> Result<bool, ServerError> {
+        match self.recv_ok()? {
             Response::Committed { appended, .. } => Ok(appended),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
         }
@@ -856,6 +954,141 @@ impl Client {
                 events,
             }),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
+        }
+    }
+}
+
+/// One scatter/gather over a set of connections, in lane order: `send`
+/// writes every lane's request before `recv` reads any reply, so the
+/// peers work concurrently while each connection still carries at most
+/// one unanswered request.
+///
+/// The gather **always reads every reply that is outstanding before it
+/// returns** and only then surfaces the first error in lane order — a
+/// refusal from lane 0 must not leave lane 1's reply unread, or the next
+/// request on that connection would be answered by the stale frame. A
+/// failed write stops the scatter (later lanes are not asked) but not
+/// the gather; each written lane is read exactly once, so a connection
+/// whose read failed is not read again.
+///
+/// No deadlock is possible under the invariant: requests are written to
+/// one lane at a time with blocking writes, and a server never waits
+/// for its peer to read a reply before it accepts the next input.
+///
+/// # Errors
+///
+/// The first `send` or `recv` error in lane order.
+pub fn scatter_gather<L, T>(
+    lanes: &mut [L],
+    mut send: impl FnMut(usize, &mut L) -> Result<(), ServerError>,
+    mut recv: impl FnMut(usize, &mut L) -> Result<T, ServerError>,
+) -> Result<Vec<T>, ServerError> {
+    let mut written = Vec::with_capacity(lanes.len());
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let outcome = send(i, lane);
+        let failed = outcome.is_err();
+        written.push(outcome);
+        if failed {
+            break;
+        }
+    }
+    let gathered: Vec<Result<T, ServerError>> = written
+        .into_iter()
+        .zip(lanes.iter_mut())
+        .enumerate()
+        .map(|(i, (sent, lane))| sent.and_then(|()| recv(i, lane)))
+        .collect();
+    gathered.into_iter().collect()
+}
+
+/// One connection's share of a [`submit_waves`] call: the connection,
+/// the ordered stream it must deliver, and how far it has got.
+#[derive(Debug)]
+pub struct SubmitLane<'a> {
+    client: &'a mut Client,
+    reports: &'a [StampedReport],
+    /// Chunks queued so far — the index of the chunk to send next.
+    next: usize,
+    /// `Busy` replies to the current chunk so far.
+    attempt: u32,
+    /// Reports pending server-side after the last chunk this lane
+    /// queued (`0` until one is).
+    pub queued: u64,
+}
+
+impl<'a> SubmitLane<'a> {
+    /// A lane that will deliver `reports`, in order, over `client`.
+    pub fn new(client: &'a mut Client, reports: &'a [StampedReport]) -> Self {
+        Self {
+            client,
+            reports,
+            next: 0,
+            attempt: 0,
+            queued: 0,
+        }
+    }
+}
+
+/// Deliver every lane's stream in frames of `chunk` reports, in
+/// **waves**: each wave writes the next chunk of every lane that still
+/// has one, then reads every reply ([`scatter_gather`]), so the peers
+/// decode and queue concurrently. A lane never has two chunks in
+/// flight, which is what preserves its stream order. A `Busy` chunk is
+/// re-sent in the next wave, behind `policy`'s backoff for that chunk
+/// and attempt, up to `policy.busy_retries` times before its lane moves
+/// on; with one lane this is exactly the sequential chunk-and-retry
+/// loop, and [`Client::submit_chunked_with_retry`] is that case.
+///
+/// # Errors
+///
+/// [`ServerError::Busy`] once a chunk exhausts its retries (nothing of
+/// that chunk was enqueued), plus everything [`Client::submit`] raises —
+/// the first in lane order, after every outstanding reply was read.
+pub fn submit_waves(
+    lanes: &mut [SubmitLane<'_>],
+    campaign: &str,
+    chunk: usize,
+    policy: RetryPolicy,
+) -> Result<(), ServerError> {
+    let chunk = chunk.max(1);
+    loop {
+        let mut wave: Vec<&mut SubmitLane<'_>> = lanes
+            .iter_mut()
+            .filter(|lane| lane.next * chunk < lane.reports.len())
+            .collect();
+        if wave.is_empty() {
+            return Ok(());
+        }
+        let replies = scatter_gather(
+            &mut wave,
+            |_, lane| {
+                let start = lane.next * chunk;
+                let end = lane.reports.len().min(start + chunk);
+                lane.client.send_submit(campaign, &lane.reports[start..end])
+            },
+            |_, lane| match lane.client.recv_submit()? {
+                SubmitOutcome::Busy { .. } if lane.attempt >= policy.busy_retries => {
+                    Err(ServerError::Busy)
+                }
+                outcome => Ok(outcome),
+            },
+        )?;
+        let mut backoff = Duration::ZERO;
+        for (lane, reply) in wave.into_iter().zip(replies) {
+            match reply {
+                SubmitOutcome::Queued(queued) => {
+                    lane.queued = queued;
+                    lane.next += 1;
+                    lane.attempt = 0;
+                }
+                SubmitOutcome::Busy { .. } => {
+                    backoff = backoff.max(policy.delay(lane.next, lane.attempt));
+                    lane.attempt += 1;
+                }
+            }
+        }
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
         }
     }
 }

@@ -18,11 +18,12 @@
 
 use crate::wire::{self, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 
-/// How much dead space the read buffer may accumulate before the live
-/// tail is compacted to the front. Compaction is O(live bytes), so
-/// amortising it against at least a header's worth of consumed frames
-/// keeps the decoder linear overall.
-const COMPACT_THRESHOLD: usize = 4 * 1024;
+/// How much dead space a connection buffer (this decoder's, and the
+/// reactor's output buffer) may accumulate before the live tail is
+/// compacted to the front. Compaction is O(live bytes), so amortising it
+/// against at least a header's worth of consumed frames keeps the
+/// buffer linear overall.
+pub(crate) const COMPACT_THRESHOLD: usize = 4 * 1024;
 
 /// A per-connection incremental frame decoder.
 ///

@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::decode::FrameDecoder;
+use crate::decode::{FrameDecoder, COMPACT_THRESHOLD};
 use crate::server::write_frame;
 use crate::wire::{self, BatchRefusal, ErrorCode, Request, Response};
 use crate::{io_err, ServerError};
@@ -639,14 +639,22 @@ impl Conn {
         self.hello_got < wire::HELLO.len() || self.decoder.has_partial() || self.draining
     }
 
-    fn queue(&mut self, frame: &[u8]) {
-        self.outbuf.extend_from_slice(frame);
+    /// Queue an encoded frame behind whatever is still unflushed. With
+    /// nothing unflushed — every request/reply exchange — the frame
+    /// *becomes* the output buffer: a multi-megabyte reply is not
+    /// copied once more on its way to the socket.
+    fn queue(&mut self, frame: Vec<u8>) {
+        if self.has_output() {
+            self.outbuf.extend_from_slice(&frame);
+        } else {
+            self.outbuf = frame;
+            self.out_pos = 0;
+        }
     }
 
     /// Queue a final error frame and begin the close sequence.
     fn refuse_and_close(&mut self, code: ErrorCode, message: String) {
-        let frame = Response::Error { code, message }.encode();
-        self.queue(&frame);
+        self.queue(Response::Error { code, message }.encode());
         self.closing = true;
     }
 }
@@ -845,7 +853,7 @@ fn read_and_serve(conn: &mut Conn, handler: &dyn RequestHandler, now: Instant) {
                             );
                             return;
                         }
-                        conn.queue(wire::HELLO.as_ref());
+                        conn.queue(wire::HELLO.to_vec());
                     }
                 }
                 if !bytes.is_empty() {
@@ -873,7 +881,7 @@ fn read_and_serve(conn: &mut Conn, handler: &dyn RequestHandler, now: Instant) {
                         message: e.to_string(),
                     },
                 };
-                conn.queue(&response.encode());
+                conn.queue(response.encode());
             }
             Ok(None) => break,
             Err(e) => {
@@ -936,9 +944,11 @@ fn flush_output(conn: &mut Conn, now: Instant) {
         }
     }
     if conn.has_output() {
-        // Partially flushed: drop the flushed prefix once it is large
-        // enough to be worth the memmove.
-        if conn.out_pos > 4096 {
+        // Partially flushed: drop the flushed prefix only once it is at
+        // least half the buffer (the decoder's compaction rule), so the
+        // memmoves over a large reply's unsent remainder stay linear in
+        // its size instead of one per partial write.
+        if conn.out_pos >= COMPACT_THRESHOLD && conn.out_pos * 2 >= conn.outbuf.len() {
             conn.outbuf.drain(..conn.out_pos);
             conn.out_pos = 0;
         }
@@ -967,6 +977,45 @@ mod tests {
         assert_eq!(reactor_count(3), 3);
         let auto = reactor_count(0);
         assert!((1..=8).contains(&auto), "auto count {auto} out of range");
+    }
+
+    /// A multi-megabyte reply crosses a socket whose reader takes 64 KB
+    /// at a time: every partial write leaves an unsent remainder that
+    /// `flush_output` must neither lose nor reorder while it compacts.
+    #[test]
+    fn a_large_reply_survives_partial_writes_intact() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut reader = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let now = Instant::now();
+        let mut conn = Conn::new(stream, now);
+
+        let reply: Vec<u8> = (0..4usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        // A small frame already unflushed: the large one queues behind
+        // it instead of replacing it.
+        conn.queue(wire::HELLO.to_vec());
+        conn.queue(reply.clone());
+        let mut received = Vec::with_capacity(wire::HELLO.len() + reply.len());
+        let mut chunk = vec![0u8; 64 << 10];
+        while received.len() < wire::HELLO.len() + reply.len() {
+            flush_output(&mut conn, now);
+            assert!(!conn.dead);
+            let n = reader.read(&mut chunk).unwrap();
+            assert!(n > 0, "peer closed early");
+            received.extend_from_slice(&chunk[..n]);
+        }
+        flush_output(&mut conn, now);
+        assert!(!conn.has_output());
+        assert_eq!(&received[..wire::HELLO.len()], &wire::HELLO);
+        assert!(
+            received[wire::HELLO.len()..] == reply[..],
+            "reply bytes differ"
+        );
+
+        // With nothing unflushed, the next frame becomes the buffer.
+        conn.queue(vec![7; 3]);
+        assert_eq!((conn.outbuf.as_slice(), conn.out_pos), (&[7u8; 3][..], 0));
     }
 
     /// A handler that answers everything with `Submitted{queued: 1}`

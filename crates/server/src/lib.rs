@@ -65,7 +65,7 @@ pub mod wire;
 
 use std::fmt;
 
-pub use client::{Client, RetryPolicy, TraceOutcome};
+pub use client::{scatter_gather, submit_waves, Client, RetryPolicy, SubmitLane, TraceOutcome};
 pub use decode::FrameDecoder;
 pub use frontend::{Frontend, FrontendConfig, FrontendStats, IoConfig, IoModel, RequestHandler};
 pub use registry::{CampaignRegistry, RegistryConfig};

@@ -62,13 +62,15 @@ impl Default for ServerConfig {
 /// [`ServerError::Io`] when the stream dies mid-frame,
 /// [`ServerError::Wire`] for header/checksum violations.
 pub fn complete_frame(prefix: &[u8], stream: &mut impl Read) -> Result<Vec<u8>, ServerError> {
-    let mut frame = prefix.to_vec();
+    let mut frame = Vec::with_capacity(prefix.len().max(wire::FRAME_HEADER_LEN));
+    frame.extend_from_slice(prefix);
     if frame.len() < wire::FRAME_HEADER_LEN {
-        let mut rest = vec![0u8; wire::FRAME_HEADER_LEN - frame.len()];
-        stream
-            .read_exact(&mut rest)
-            .map_err(|e| io_err("read frame header", e))?;
-        frame.extend_from_slice(&rest);
+        read_up_to(
+            &mut frame,
+            wire::FRAME_HEADER_LEN,
+            stream,
+            "read frame header",
+        )?;
     }
     // Validate the header exactly as the pure decoder does, without yet
     // having the body: splice it through `split_frame` — only a
@@ -79,13 +81,28 @@ pub fn complete_frame(prefix: &[u8], stream: &mut impl Read) -> Result<Vec<u8>, 
         Err(WireError::Truncated { needed, .. }) => needed,
         Err(e) => return Err(ServerError::Wire(e)),
     };
-    let mut body = vec![0u8; full_len - frame.len()];
+    // One buffer for header and body, sized by the header that just
+    // validated (so never past `MAX_FRAME_LEN`): the body lands behind
+    // the header, the full check runs over both, and the header is
+    // drained off — no second or third copy of a multi-megabyte body.
+    read_up_to(&mut frame, full_len, stream, "read frame body")?;
+    wire::split_frame(&frame)?;
+    frame.drain(..wire::FRAME_HEADER_LEN);
+    Ok(frame)
+}
+
+/// Grow `buf` to `len` bytes with exactly that many read off `stream`.
+fn read_up_to(
+    buf: &mut Vec<u8>,
+    len: usize,
+    stream: &mut impl Read,
+    op: &'static str,
+) -> Result<(), ServerError> {
+    let have = buf.len();
+    buf.resize(len, 0);
     stream
-        .read_exact(&mut body)
-        .map_err(|e| io_err("read frame body", e))?;
-    frame.extend_from_slice(&body);
-    let (checked, _) = wire::split_frame(&frame)?;
-    Ok(checked.to_vec())
+        .read_exact(&mut buf[have..])
+        .map_err(|e| io_err(op, e))
 }
 
 /// Read one frame body off `stream`. `Ok(None)` is a clean close at a
@@ -182,5 +199,51 @@ impl Server {
         stats.campaigns_flushed = flushed as u64;
         stats.sync_failures = sync_failures as u64;
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{Request, Response};
+
+    /// However much of the header the caller had already read — none,
+    /// the one byte `read_frame_body` peeks, the eight the client reads
+    /// while expecting a hello, all sixteen — `complete_frame` returns
+    /// exactly the body `split_frame` yields.
+    #[test]
+    fn complete_frame_matches_split_frame_for_every_header_split() {
+        let frames = [
+            Request::QueryStatus.encode(),
+            Response::Error {
+                code: wire::ErrorCode::ServerBusy,
+                message: "server at its 1-connection budget".to_string(),
+            }
+            .encode(),
+            Response::Ledger {
+                next_epoch: 3,
+                batches_seen: 3,
+                rounds_debited: (0..5_000).collect(),
+                cumulative_losses: (0..5_000).map(f64::from).collect(),
+            }
+            .encode(),
+        ];
+        for frame in &frames {
+            let (body, consumed) = wire::split_frame(frame).unwrap();
+            assert_eq!(consumed, frame.len());
+            for split in 0..=wire::FRAME_HEADER_LEN {
+                let (prefix, mut rest) = frame.split_at(split);
+                assert_eq!(complete_frame(prefix, &mut rest).unwrap(), body, "{split}");
+                assert!(rest.is_empty(), "split {split} left bytes unread");
+            }
+            // A flipped body bit is still the typed checksum error.
+            let mut bad = frame.clone();
+            *bad.last_mut().unwrap() ^= 1;
+            let (prefix, mut rest) = bad.split_at(8);
+            assert!(matches!(
+                complete_frame(prefix, &mut rest),
+                Err(ServerError::Wire(WireError::Checksum))
+            ));
+        }
     }
 }

@@ -681,17 +681,6 @@ fn checksum(body: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Wrap an encoded body in the v1 frame header.
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_FRAME_LEN, "oversized frame produced");
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&((body.len() as u32) ^ LEN_XOR).to_le_bytes());
-    out.extend_from_slice(&checksum(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
 /// Split one frame off the front of `buf`.
 ///
 /// Returns the frame body and the total bytes consumed. This is the pure
@@ -769,13 +758,42 @@ pub fn validate_campaign_id(id: &str) -> Result<(), WireError> {
 // Body writer/reader
 // ---------------------------------------------------------------------
 
+/// Builds one frame in place: the buffer opens with the 16 header
+/// bytes reserved, the body is written behind them, and
+/// [`Writer::finish`] patches length, length check and checksum into
+/// the reservation — a multi-megabyte body is never copied into a
+/// second buffer to gain its header.
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
     fn new(kind: u8) -> Self {
-        Self { buf: vec![kind] }
+        Self::with_payload(kind, 0)
+    }
+    /// A writer whose buffer is sized up front for `payload` bytes
+    /// behind the kind byte, so a bulk body computed from its element
+    /// counts is not grown by doubling.
+    fn with_payload(kind: u8, payload: usize) -> Self {
+        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + 1 + payload);
+        buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        buf.push(kind);
+        Self { buf }
+    }
+    /// The body written so far (kind byte included).
+    fn body(&self) -> &[u8] {
+        &self.buf[FRAME_HEADER_LEN..]
+    }
+    /// Patch the v1 frame header over the reservation and hand the
+    /// complete frame out.
+    fn finish(mut self) -> Vec<u8> {
+        let body_len = self.body().len();
+        debug_assert!(body_len <= MAX_FRAME_LEN, "oversized frame produced");
+        let sum = checksum(self.body());
+        self.buf[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+        self.buf[4..8].copy_from_slice(&((body_len as u32) ^ LEN_XOR).to_le_bytes());
+        self.buf[8..FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        self.buf
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -871,6 +889,43 @@ fn write_report(w: &mut Writer, r: &StampedReport) {
         w.u32(object as u32);
         w.f64(value);
     }
+}
+
+/// Encoded size of a length-prefixed string.
+fn str_bytes(s: &str) -> usize {
+    2 + s.len()
+}
+
+/// Encoded size of a counted report batch — what a bulk arm reserves.
+fn reports_bytes(reports: &[StampedReport]) -> usize {
+    let report = |r: &StampedReport| MIN_REPORT_BYTES + VALUE_BYTES * r.report.values.len();
+    4 + reports.iter().map(report).sum::<usize>()
+}
+
+fn write_reports(w: &mut Writer, reports: &[StampedReport]) {
+    w.u32(reports.len() as u32);
+    for r in reports {
+        write_report(w, r);
+    }
+}
+
+/// Encode a [`Request::SubmitReports`] frame straight from a borrowed
+/// batch. This is the one body writer for that kind —
+/// [`Request::encode`] calls it — so a client chunking a slice need not
+/// deep-clone every report into an owned `Request` first.
+pub(crate) fn encode_submit_reports(
+    campaign: &str,
+    reports: &[StampedReport],
+    ctx: Option<SpanContext>,
+) -> Vec<u8> {
+    let mut w = Writer::with_payload(
+        KIND_SUBMIT,
+        str_bytes(campaign) + reports_bytes(reports) + CTX_BYTES,
+    );
+    w.str(campaign);
+    write_reports(&mut w, reports);
+    write_opt_ctx(&mut w, ctx);
+    w.finish()
 }
 
 fn read_report(r: &mut Reader<'_>) -> Result<StampedReport, WireError> {
@@ -1225,15 +1280,7 @@ impl Request {
                 campaign,
                 reports,
                 ctx,
-            } => {
-                w = Writer::new(KIND_SUBMIT);
-                w.str(campaign);
-                w.u32(reports.len() as u32);
-                for r in reports {
-                    write_report(&mut w, r);
-                }
-                write_opt_ctx(&mut w, *ctx);
-            }
+            } => return encode_submit_reports(campaign, reports, *ctx),
             Request::CloseRound { campaign, epoch } => {
                 w = Writer::new(KIND_CLOSE);
                 w.str(campaign);
@@ -1277,7 +1324,16 @@ impl Request {
                 rounds_debited,
                 ctx,
             } => {
-                w = Writer::new(KIND_CLOSE_COMMIT);
+                w = Writer::with_payload(
+                    KIND_CLOSE_COMMIT,
+                    str_bytes(campaign)
+                        + 8
+                        + 8
+                        + (4 + 8 * accepted_users.len())
+                        + (4 + 8 * cumulative_losses.len())
+                        + (4 + 4 * rounds_debited.len())
+                        + CTX_BYTES,
+                );
                 w.str(campaign);
                 w.u64(*epoch);
                 w.u64(*batches_seen);
@@ -1294,7 +1350,10 @@ impl Request {
                 arg,
                 bytes,
             } => {
-                w = Writer::new(KIND_REPLICATE);
+                w = Writer::with_payload(
+                    KIND_REPLICATE,
+                    str_bytes(campaign) + 8 + 1 + str_bytes(name) + 8 + 4 + bytes.len(),
+                );
                 w.str(campaign);
                 w.u64(*seq);
                 w.u8(*op as u8);
@@ -1314,13 +1373,13 @@ impl Request {
                 reports,
                 ctx,
             } => {
-                w = Writer::new(KIND_SUBMIT_STREAM);
+                w = Writer::with_payload(
+                    KIND_SUBMIT_STREAM,
+                    str_bytes(campaign) + 8 + reports_bytes(reports) + CTX_BYTES,
+                );
                 w.str(campaign);
                 w.u64(*seq);
-                w.u32(reports.len() as u32);
-                for r in reports {
-                    write_report(&mut w, r);
-                }
+                write_reports(&mut w, reports);
                 write_opt_ctx(&mut w, *ctx);
             }
             Request::QueryStatus => {
@@ -1330,7 +1389,7 @@ impl Request {
                 w = Writer::new(KIND_QUERY_TRACE);
             }
         }
-        frame(w.buf)
+        w.finish()
     }
 
     /// Decode a frame body (as returned by [`split_frame`]).
@@ -1524,7 +1583,12 @@ impl Response {
                 refused_seen,
                 claims,
             } => {
-                w = Writer::new(KIND_PREPARED);
+                let claim_bytes =
+                    |c: &PerturbedReport| MIN_CLAIM_BYTES + VALUE_BYTES * c.values.len();
+                w = Writer::with_payload(
+                    KIND_PREPARED,
+                    4 * 8 + 4 + claims.iter().map(claim_bytes).sum::<usize>(),
+                );
                 w.u64(*epoch);
                 w.u64(*duplicates);
                 w.u64(*late);
@@ -1563,7 +1627,10 @@ impl Response {
                 rounds_debited,
                 cumulative_losses,
             } => {
-                w = Writer::new(KIND_LEDGER);
+                w = Writer::with_payload(
+                    KIND_LEDGER,
+                    8 + 8 + (4 + 4 * rounds_debited.len()) + (4 + 8 * cumulative_losses.len()),
+                );
                 w.u64(*next_epoch);
                 w.u64(*batches_seen);
                 write_u32s(&mut w, rounds_debited);
@@ -1591,7 +1658,7 @@ impl Response {
                 }
             }
         }
-        frame(w.buf)
+        w.finish()
     }
 
     /// Decode a frame body (as returned by [`split_frame`]).
@@ -1972,6 +2039,80 @@ mod tests {
         });
     }
 
+    /// The bulk arms compute their body size from their element counts,
+    /// so a multi-megabyte frame is allocated once: at most the optional
+    /// trace context's 16 bytes go unused, and nothing is regrown.
+    #[test]
+    fn bulk_frames_are_sized_up_front() {
+        let reports: Vec<StampedReport> = (0..100)
+            .map(|u| stamped(3, u, 10, vec![(0, 1.5); u % 4]))
+            .collect();
+        let claims: Vec<PerturbedReport> = reports.iter().map(|r| r.report.clone()).collect();
+        let ctx = Some(SpanContext {
+            trace_id: 1,
+            span_id: 2,
+        });
+        let frames = [
+            Request::SubmitReports {
+                campaign: "c".to_string(),
+                reports: reports.clone(),
+                ctx,
+            }
+            .encode(),
+            Request::SubmitReportsStream {
+                campaign: "c".to_string(),
+                seq: 7,
+                reports,
+                ctx: None,
+            }
+            .encode(),
+            Request::CloseRoundCommit {
+                campaign: "c".to_string(),
+                epoch: 3,
+                batches_seen: 4,
+                accepted_users: vec![1; 70],
+                cumulative_losses: vec![0.5; 100],
+                rounds_debited: vec![2; 100],
+                ctx,
+            }
+            .encode(),
+            Request::ReplicateSegment {
+                campaign: "c".to_string(),
+                seq: 42,
+                op: StoreOp::Append,
+                name: "segment-000.wal".to_string(),
+                arg: 0,
+                bytes: vec![0xab; 1000],
+            }
+            .encode(),
+            Response::Prepared {
+                epoch: 3,
+                duplicates: 2,
+                late: 1,
+                refused_seen: 1,
+                claims,
+            }
+            .encode(),
+            Response::Ledger {
+                next_epoch: 4,
+                batches_seen: 4,
+                rounds_debited: vec![2; 100],
+                cumulative_losses: vec![0.5; 100],
+            }
+            .encode(),
+        ];
+        for frame in frames {
+            let spare = frame.capacity() - frame.len();
+            assert!(
+                spare == 0 || spare == CTX_BYTES,
+                "kind {:#04x}: {} bytes in a buffer of {}",
+                frame[FRAME_HEADER_LEN],
+                frame.len(),
+                frame.capacity()
+            );
+        }
+    }
+
     #[test]
     fn every_streaming_message_roundtrips() {
         roundtrip_request(Request::SubmitReportsStream {
@@ -2045,7 +2186,7 @@ mod tests {
         w.u8(9);
         w.u64(0);
         assert_eq!(
-            Response::decode(&w.buf),
+            Response::decode(w.body()),
             Err(WireError::Malformed("unknown metric value tag"))
         );
 
@@ -2061,7 +2202,7 @@ mod tests {
         w.u32(NUM_BUCKETS as u32);
         w.u64(1);
         assert_eq!(
-            Response::decode(&w.buf),
+            Response::decode(w.body()),
             Err(WireError::Malformed("histogram bucket index out of range"))
         );
 
@@ -2080,7 +2221,7 @@ mod tests {
         w.u32(7);
         w.u64(1);
         assert_eq!(
-            Response::decode(&w.buf),
+            Response::decode(w.body()),
             Err(WireError::Malformed(
                 "histogram bucket indices not strictly increasing"
             ))
@@ -2316,7 +2457,7 @@ mod tests {
         w.u64(0);
         w.u64(0);
         assert_eq!(
-            Response::decode(&w.buf),
+            Response::decode(w.body()),
             Err(WireError::Malformed("unknown trace event phase"))
         );
     }
@@ -2330,7 +2471,7 @@ mod tests {
         w.u64(5);
         w.u8(0xee);
         assert_eq!(
-            Response::decode(&w.buf),
+            Response::decode(w.body()),
             Err(WireError::Malformed("unknown refusal code"))
         );
     }
@@ -2601,9 +2742,8 @@ mod tests {
         let mut w = Writer::new(KIND_SUBMIT);
         w.str("c");
         w.u32(u32::MAX);
-        let body = w.buf;
         assert_eq!(
-            Request::decode(&body),
+            Request::decode(w.body()),
             Err(WireError::Malformed(
                 "claimed count larger than the payload"
             ))
@@ -2612,9 +2752,8 @@ mod tests {
         let mut w = Writer::new(KIND_SUBMIT);
         w.str("c");
         w.u32(1_000);
-        let body = w.buf;
         assert_eq!(
-            Request::decode(&body),
+            Request::decode(w.body()),
             Err(WireError::Malformed(
                 "claimed count larger than the payload"
             ))
@@ -2645,7 +2784,7 @@ mod tests {
         w.u64(0);
         w.u8(0xaa);
         assert_eq!(
-            Response::decode(&w.buf),
+            Response::decode(w.body()),
             Err(WireError::Malformed("trailing bytes after the payload"))
         );
     }

@@ -5,8 +5,10 @@
 //! every wire frame, spans recording on every layer) is bit-identical
 //! in per-round weights digests and per-user debit ledgers to the same
 //! campaign run untraced. Part two: the merged cluster timeline is
-//! **causal** — the coordinator's barrier prepare/commit spans parent
-//! the per-node drain/commit spans via wire-carried span contexts, and
+//! **causal** — each round's root has prepare → merge → commit
+//! children on the coordinator lane, the barrier prepare/commit spans
+//! parent all three nodes' (scattered, hence overlapping) drain/commit
+//! spans via wire-carried span contexts, and
 //! `merge_trace_timeline` renders one clock-aligned chrome://tracing
 //! document with a lane per process. Part three: a forced quarantine
 //! (a partition poisoned mid-campaign) leaves a flight bundle on disk
@@ -110,32 +112,49 @@ fn traced_run_is_bit_identical_and_the_merged_timeline_is_causal() {
     let commits = begins(codes::BARRIER_COMMIT);
     assert_eq!(prepares.len(), ROUNDS as usize, "one prepare per round");
     assert_eq!(commits.len(), ROUNDS as usize, "one commit per round");
-    for prepare in &prepares {
-        assert_ne!(prepare.trace_id, 0, "barrier spans carry the trace");
-        let drains = begins(codes::NODE_DRAIN)
-            .into_iter()
+    // The coordinator lane of every round: prepare → merge → commit,
+    // in that order, all children of the round's deterministic root —
+    // no hole between the two barrier phases.
+    for epoch in 0..ROUNDS {
+        let root = dptd::obs::SpanContext::root("traced", epoch);
+        let phases: Vec<u32> = events
+            .iter()
             .filter(|e| {
-                e.trace_id == prepare.trace_id
-                    && e.parent_span == prepare.span_id
-                    && e.arg == prepare.arg
+                e.phase == 'B' && e.trace_id == root.trace_id && e.parent_span == root.span_id
             })
-            .count();
-        assert!(
-            drains > 0,
-            "epoch {}: node drain spans must parent under the barrier prepare \
-             span via the wire-carried context; events: {events:?}",
-            prepare.arg
+            .map(|e| e.code)
+            .collect();
+        assert_eq!(
+            phases,
+            [codes::BARRIER_PREPARE, codes::MERGE, codes::BARRIER_COMMIT],
+            "epoch {epoch}: the round root's children on the coordinator lane"
         );
     }
-    for commit in &commits {
-        assert!(
-            begins(codes::NODE_COMMIT).iter().any(|e| {
-                e.trace_id == commit.trace_id
-                    && e.parent_span == commit.span_id
-                    && e.arg == commit.arg
-            }),
-            "epoch {}: node commit spans must parent under the barrier commit span",
-            commit.arg
+    // Every node's work parents under the one barrier span whose
+    // context its frame carried. The requests are scattered, so the
+    // three spans of a phase overlap in time on the merged timeline —
+    // but each still hangs off the same parent.
+    for (barrier, node_code) in prepares
+        .iter()
+        .map(|p| (p, codes::NODE_DRAIN))
+        .chain(commits.iter().map(|c| (c, codes::NODE_COMMIT)))
+    {
+        assert_ne!(barrier.trace_id, 0, "barrier spans carry the trace");
+        let children = begins(node_code)
+            .into_iter()
+            .filter(|e| {
+                e.trace_id == barrier.trace_id
+                    && e.parent_span == barrier.span_id
+                    && e.arg == barrier.arg
+            })
+            .count();
+        assert_eq!(
+            children,
+            3,
+            "epoch {}: all three nodes' {} spans must parent under the barrier \
+             span via the wire-carried context; events: {events:?}",
+            barrier.arg,
+            codes::name(node_code)
         );
     }
     // Distinct rounds are distinct traces (deterministic per epoch).
