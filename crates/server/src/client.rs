@@ -292,9 +292,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Socket failures.
+    /// Socket failures; [`wire::WireError::TooLarge`] — before a byte is
+    /// written, so the connection stays frame-aligned — for a request
+    /// past the frame cap the server would refuse.
     pub fn send(&mut self, request: &Request) -> Result<(), ServerError> {
-        write_frame(&mut self.stream, &request.encode())
+        write_frame(&mut self.stream, &request.try_encode()?)
     }
 
     /// Read the reply to the one outstanding request.
@@ -386,7 +388,7 @@ impl Client {
         campaign: &str,
         reports: &[StampedReport],
     ) -> Result<(), ServerError> {
-        let frame = wire::encode_submit_reports(campaign, reports, wire_ctx());
+        let frame = wire::encode_submit(campaign, None, reports, wire_ctx())?;
         write_frame(&mut self.stream, &frame)
     }
 
@@ -507,28 +509,32 @@ impl Client {
         let mut cursor = 0usize; // next batch to send (rewound on refusal)
         let mut accepted = 0usize; // contiguously accepted batches
         let mut queued = 0u64;
+        let mut over_cap: Option<wire::WireError> = None;
 
         let result = loop {
             // Top up the window. Writing can block briefly once the
             // socket buffer is full, but the server is draining our
             // frames and its acks are tiny, so this cannot deadlock.
-            while cursor < total && inflight.len() < window {
-                let frame = Request::SubmitReportsStream {
-                    campaign: campaign.to_string(),
-                    seq: base + cursor as u64,
-                    reports: batches[cursor].to_vec(),
-                    ctx: wire_ctx(),
+            while cursor < total && inflight.len() < window && over_cap.is_none() {
+                let seq = base + cursor as u64;
+                match wire::encode_submit(campaign, Some(seq), batches[cursor], wire_ctx()) {
+                    Ok(frame) => {
+                        if let Err(e) = write_frame(&mut self.stream, &frame) {
+                            break_stream(&mut self.stream_seq, base, accepted);
+                            return Err(e);
+                        }
+                        inflight.push_back(cursor);
+                        cursor += 1;
+                    }
+                    // A batch past the frame cap is refused here, unsent:
+                    // stop topping up, read the acks still owed so the
+                    // connection stays frame-aligned, then surface it.
+                    Err(e) => over_cap = Some(e),
                 }
-                .encode();
-                if let Err(e) = write_frame(&mut self.stream, &frame) {
-                    break_stream(&mut self.stream_seq, base, accepted);
-                    return Err(e);
-                }
-                inflight.push_back(cursor);
-                cursor += 1;
             }
             let Some(_idx) = inflight.pop_front() else {
-                break Ok(queued); // everything sent and acked
+                // Everything sent was acked.
+                break over_cap.take().map_or(Ok(queued), |e| Err(e.into()));
             };
             let ack = match self.read_stream_ack() {
                 Ok(ack) => ack,

@@ -406,6 +406,25 @@ fn dispatch(handler: &dyn RequestHandler, next_seq: &mut u64, request: Request) 
     }
 }
 
+/// Encode a handler's reply for the socket — both I/O models send
+/// through here. A reply past the frame cap (a ledger or budget query
+/// over a population the cap cannot carry) would be refused by the very
+/// peer that asked for it and cost it the connection, so it is replaced,
+/// before it is built, by the typed refusal that says so.
+fn encode_reply(response: &Response) -> Vec<u8> {
+    response.try_encode().unwrap_or_else(|_| {
+        Response::Error {
+            code: ErrorCode::Internal,
+            message: format!(
+                "reply of {} bytes exceeds the {}-byte frame cap",
+                response.body_len(),
+                wire::MAX_FRAME_LEN
+            ),
+        }
+        .encode()
+    })
+}
+
 fn refuse_busy(stream: &TcpStream, max_connections: usize) {
     let mut s = stream;
     let frame = Response::Error {
@@ -550,7 +569,7 @@ fn serve_blocking(stream: &Arc<TcpStream>, handler: &dyn RequestHandler) {
                         message: e.to_string(),
                     },
                 };
-                if write_frame(&mut writer, &response.encode()).is_err() {
+                if write_frame(&mut writer, &encode_reply(&response)).is_err() {
                     return;
                 }
             }
@@ -881,7 +900,7 @@ fn read_and_serve(conn: &mut Conn, handler: &dyn RequestHandler, now: Instant) {
                         message: e.to_string(),
                     },
                 };
-                conn.queue(response.encode());
+                conn.queue(encode_reply(&response));
             }
             Ok(None) => break,
             Err(e) => {

@@ -9,7 +9,11 @@
 //! * [`wire`] — the length-prefixed, checksummed binary protocol
 //!   (golden-pinned v1 layout): `CreateCampaign`, batched
 //!   `SubmitReports`, `CloseRound`, `QueryTruths`, `QueryBudget`, typed
-//!   error replies.
+//!   error replies. Each frame is declared once, as a row of a field-list
+//!   table from which its kind byte, exact length, encoder and decoder
+//!   are derived; the frame cap is enforced on the way out as well as in
+//!   ([`Request::try_encode`]), so neither side sends a frame its peer
+//!   must refuse.
 //! * [`host`] — campaign-slot **hosting**, shared with the cluster node
 //!   (`dptd-cluster` builds its `NodeServer` on it) and the only owner
 //!   of five policies: the slot map with its cap and quarantine

@@ -27,6 +27,33 @@
 //! length-prefixed UTF-8, bounded by [`MAX_CAMPAIGN_ID_LEN`] and
 //! restricted to `[A-Za-z0-9._-]` (they name per-campaign WAL
 //! directories, so path separators must be unrepresentable).
+//!
+//! # One declaration per layout
+//!
+//! Each kind of field — integer, flag, string, counted sequence, … — is
+//! one `Field` impl: its minimum size, how it is written, and how it is
+//! read back with every check on outside input. A frame is one row of
+//! the `frames!` table under [`Request`] or [`Response`] — kind byte,
+//! variant, fields in wire order — and the variant definition, kind
+//! dispatch, exact length ([`Request::body_len`]), `encode` and `decode`
+//! are all expanded from that row, so they cannot disagree (`record!`
+//! does the same for flat structs, `tagged!` for byte-tagged enums).
+//! A frame's length is known before it is built, so it is allocated
+//! once at exactly its size and [`MAX_FRAME_LEN`] is enforced on the way
+//! **out** too ([`Request::try_encode`]).
+//!
+//! # Adding a frame
+//!
+//! 1. Add one row to the `frames!` table: the next free kind byte, the
+//!    variant with its rustdoc, and `field: Type` in wire order (`as
+//!    Kind` where the wire form is narrower than the type). A new field
+//!    type needs one `Field` impl, or a `record!` if it is a flat struct.
+//! 2. Add its fixture and captured bytes to `tests/wire_golden.rs` and a
+//!    generator arm to `tests/wire_proptests.rs`, which walks
+//!    [`Request::KINDS`] and fails on a kind it cannot generate.
+//!
+//! Changing an existing row is a format break: bump the [`HELLO`]
+//! version byte and keep a v1 decoder instead.
 
 use std::fmt;
 
@@ -114,564 +141,110 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Why the server refused a request, as a stable wire-level code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// No campaign under that id.
-    UnknownCampaign = 1,
-    /// A live campaign already holds that id.
-    CampaignExists = 2,
-    /// The request was structurally valid but semantically wrong (wrong
-    /// epoch, bad sizing, ill-formed campaign id, …).
-    InvalidRequest = 3,
-    /// The round starved: after deadline/dedup/refusal filtering some
-    /// object had no surviving report.
-    InsufficientCoverage = 4,
-    /// Every submitting user's privacy budget is exhausted — the
-    /// [`dptd_protocol::budget::BudgetAccountant`] refused them all.
-    BudgetExhausted = 5,
-    /// The campaign's write-ahead log refused the operation (locked by
-    /// another writer, corrupt, policy mismatch, or durability was
-    /// requested on a server with no WAL root).
-    WalRefused = 6,
-    /// The server is at its connection worker budget.
-    ServerBusy = 7,
-    /// Anything else (engine/internal failures).
-    Internal = 8,
-    /// The campaign is quarantined: a worker panicked while holding its
-    /// state lock, so the in-memory state cannot be trusted mid-round.
-    /// Requests on the campaign are refused instead of risking a
-    /// corrupted merge; recreate the campaign (or restart the server,
-    /// replaying its WAL) to recover.
-    CampaignQuarantined = 9,
+/// A `#[repr(u8)]` enum that states `Variant = byte` (and, where people
+/// read it, `=> "display-name"`) once: the definition, `from_u8`, the
+/// `Field` codec — an unknown byte is `Malformed($unknown)` — and `Display`
+/// come from one list, so a variant cannot be encodable but not decodable.
+macro_rules! tagged {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident, else $unknown:literal {
+            $($(#[$vmeta:meta])* $variant:ident = $byte:literal $(=> $display:literal)?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant = $byte),*
+        }
+
+        impl $name {
+            /// Decode a wire byte.
+            pub fn from_u8(byte: u8) -> Option<Self> {
+                match byte {
+                    $($byte => Some(Self::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl Field for $name {
+            const MIN_LEN: usize = 1;
+            fn put<S: Sink>(v: &Self, w: &mut S) {
+                w.put(&(*v as u8));
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Self::from_u8(r.get()?).ok_or(WireError::Malformed($unknown))
+            }
+        }
+
+        tagged!(@display $name $($variant $($display)?)*);
+    };
+    (@display $name:ident $($variant:ident $display:literal)+) => {
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $(Self::$variant => $display,)*
+                })
+            }
+        }
+    };
+    (@display $name:ident $($variant:ident)*) => {};
 }
 
-impl ErrorCode {
-    /// Decode a wire byte.
-    pub fn from_u8(code: u8) -> Option<Self> {
-        Some(match code {
-            1 => ErrorCode::UnknownCampaign,
-            2 => ErrorCode::CampaignExists,
-            3 => ErrorCode::InvalidRequest,
-            4 => ErrorCode::InsufficientCoverage,
-            5 => ErrorCode::BudgetExhausted,
-            6 => ErrorCode::WalRefused,
-            7 => ErrorCode::ServerBusy,
-            8 => ErrorCode::Internal,
-            9 => ErrorCode::CampaignQuarantined,
-            _ => return None,
-        })
+tagged! {
+    /// Why the server refused a request, as a stable wire-level code.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[repr(u8)]
+    pub enum ErrorCode, else "unknown error code" {
+        /// No campaign under that id.
+        UnknownCampaign = 1 => "unknown-campaign",
+        /// A live campaign already holds that id.
+        CampaignExists = 2 => "campaign-exists",
+        /// The request was structurally valid but semantically wrong (wrong
+        /// epoch, bad sizing, ill-formed campaign id, …).
+        InvalidRequest = 3 => "invalid-request",
+        /// The round starved: after deadline/dedup/refusal filtering some
+        /// object had no surviving report.
+        InsufficientCoverage = 4 => "insufficient-coverage",
+        /// Every submitting user's privacy budget is exhausted — the
+        /// [`dptd_protocol::budget::BudgetAccountant`] refused them all.
+        BudgetExhausted = 5 => "budget-exhausted",
+        /// The campaign's write-ahead log refused the operation (locked by
+        /// another writer, corrupt, policy mismatch, or durability was
+        /// requested on a server with no WAL root).
+        WalRefused = 6 => "wal-refused",
+        /// The server is at its connection worker budget.
+        ServerBusy = 7 => "server-busy",
+        /// Anything else (engine/internal failures).
+        Internal = 8 => "internal",
+        /// The campaign is quarantined: a worker panicked while holding its
+        /// state lock, so the in-memory state cannot be trusted mid-round.
+        /// Requests on the campaign are refused instead of risking a
+        /// corrupted merge; recreate the campaign (or restart the server,
+        /// replaying its WAL) to recover.
+        CampaignQuarantined = 9 => "campaign-quarantined",
     }
 }
 
-impl fmt::Display for ErrorCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ErrorCode::UnknownCampaign => "unknown-campaign",
-            ErrorCode::CampaignExists => "campaign-exists",
-            ErrorCode::InvalidRequest => "invalid-request",
-            ErrorCode::InsufficientCoverage => "insufficient-coverage",
-            ErrorCode::BudgetExhausted => "budget-exhausted",
-            ErrorCode::WalRefused => "wal-refused",
-            ErrorCode::ServerBusy => "server-busy",
-            ErrorCode::Internal => "internal",
-            ErrorCode::CampaignQuarantined => "campaign-quarantined",
-        };
-        write!(f, "{name}")
+tagged! {
+    /// A store operation replicated from a primary's WAL directory to its
+    /// follower, in commit order. The four variants mirror the four
+    /// mutating methods of the engine's `StoreFs` trait, so a follower that
+    /// applies them in sequence reconstructs the primary's directory byte
+    /// for byte.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[repr(u8)]
+    pub enum StoreOp, else "unknown store operation" {
+        /// Append bytes to a (possibly new) file.
+        Append = 0,
+        /// Replace a file's contents all-or-nothing.
+        WriteAtomic = 1,
+        /// Shrink a file to `arg` bytes.
+        Truncate = 2,
+        /// Delete a file.
+        Remove = 3,
     }
 }
-
-/// A store operation replicated from a primary's WAL directory to its
-/// follower, in commit order. The four variants mirror the four
-/// mutating methods of the engine's `StoreFs` trait, so a follower that
-/// applies them in sequence reconstructs the primary's directory byte
-/// for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum StoreOp {
-    /// Append bytes to a (possibly new) file.
-    Append = 0,
-    /// Replace a file's contents all-or-nothing.
-    WriteAtomic = 1,
-    /// Shrink a file to `arg` bytes.
-    Truncate = 2,
-    /// Delete a file.
-    Remove = 3,
-}
-
-impl StoreOp {
-    /// Decode a wire byte.
-    pub fn from_u8(op: u8) -> Option<Self> {
-        Some(match op {
-            0 => StoreOp::Append,
-            1 => StoreOp::WriteAtomic,
-            2 => StoreOp::Truncate,
-            3 => StoreOp::Remove,
-            _ => return None,
-        })
-    }
-}
-
-/// A campaign's engine counters as reported over the wire — the
-/// remotely observable subset of the engine's `EngineMetrics` plus the
-/// registry's current submission-queue depth. Latency quantiles are in
-/// nanoseconds (`0` before any ingest has been timed).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricsReport {
-    /// Reports offered to the engine.
-    pub reports_submitted: u64,
-    /// Reports that survived dedup/deadline and were aggregated.
-    pub reports_accepted: u64,
-    /// Duplicates discarded (first-wins).
-    pub duplicates_discarded: u64,
-    /// Reports dropped as late.
-    pub late_dropped: u64,
-    /// Reports dropped as out-of-order.
-    pub out_of_order_dropped: u64,
-    /// Times a producer stalled on a full shard queue.
-    pub backpressure_stalls: u64,
-    /// Epochs merged into the estimator.
-    pub epochs_merged: u64,
-    /// High-water mark of the engine's shard queues.
-    pub max_queue_depth: u64,
-    /// Reports currently buffered for the next close (pending plus the
-    /// one-round lookahead).
-    pub queue_depth: u64,
-    /// Accepted reports per second of engine wall time.
-    pub throughput_rps: f64,
-    /// Median ingest latency, nanoseconds.
-    pub ingest_p50_ns: u64,
-    /// 99th-percentile ingest latency, nanoseconds.
-    pub ingest_p99_ns: u64,
-    /// Connections live on the serving front end right now (a
-    /// server-wide gauge, repeated in every campaign's report).
-    pub conn_live: u64,
-    /// Connections accepted since the server started.
-    pub conn_accepted: u64,
-    /// Connections refused at accept because the front end was at its
-    /// connection budget.
-    pub conn_refused: u64,
-    /// I/O threads the front end is running.
-    pub io_threads: u64,
-}
-
-/// Sizing and privacy policy for a campaign created over the wire —
-/// everything the server needs to build the engine, the campaign driver
-/// and (optionally) the per-campaign write-ahead log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignSpec {
-    /// Population size.
-    pub num_users: u64,
-    /// Objects per round.
-    pub num_objects: u64,
-    /// Engine ingestion shards.
-    pub num_shards: u64,
-    /// Engine drain workers (0 = auto).
-    pub workers: u64,
-    /// Engine per-shard queue depth.
-    pub engine_queue: u64,
-    /// Per-round submission deadline (virtual µs).
-    pub deadline_us: u64,
-    /// Cap on reports buffered between `SubmitReports` and `CloseRound`;
-    /// past it the server replies `Busy` instead of growing the queue.
-    pub submission_capacity: u64,
-    /// ε one aggregated report costs its user.
-    pub per_round_epsilon: f64,
-    /// δ one aggregated report costs its user.
-    pub per_round_delta: f64,
-    /// The campaign-wide ε ceiling per user.
-    pub budget_epsilon: f64,
-    /// The campaign-wide δ ceiling per user.
-    pub budget_delta: f64,
-    /// Opaque fingerprint of the input stream driving this campaign
-    /// (`0` when unused). Stamped into every durable WAL record: a
-    /// re-create that would resume the log under a **different** stream
-    /// (e.g. `dptd submit` with a new `--seed`) is refused instead of
-    /// silently replaying the ledger against reports it never
-    /// accounted — the same guard `dptd campaign --wal` applies.
-    pub stream_tag: u64,
-    /// Whether the campaign logs every round to its own WAL directory
-    /// under the server's WAL root (and resumes from it when re-created).
-    pub durable: bool,
-}
-
-/// A client→server request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Register a new campaign (or resume a durable one from its WAL).
-    CreateCampaign {
-        /// The campaign id (also its WAL directory name when durable).
-        campaign: String,
-        /// Sizing and privacy policy.
-        spec: CampaignSpec,
-    },
-    /// Append a batch of stamped reports to the campaign's bounded
-    /// submission queue. All reports must carry the campaign's next
-    /// epoch; the batch is taken atomically or refused (`Busy`).
-    SubmitReports {
-        /// Target campaign.
-        campaign: String,
-        /// The batch, in stream order.
-        reports: Vec<StampedReport>,
-        /// Optional trace-context extension: the sender's current span,
-        /// so the server's queue/merge spans causally link to the
-        /// client's submit span. `None` encodes byte-identically to the
-        /// pre-extension frame, so untraced peers interoperate.
-        ctx: Option<SpanContext>,
-    },
-    /// Execute the campaign's next round over everything submitted since
-    /// the previous close.
-    CloseRound {
-        /// Target campaign.
-        campaign: String,
-        /// The epoch being closed (must be the campaign's next epoch —
-        /// a stale retry is refused instead of silently re-running).
-        epoch: u64,
-    },
-    /// Read the latest truths and the current weights digest.
-    QueryTruths {
-        /// Target campaign.
-        campaign: String,
-    },
-    /// Read the privacy-budget ledger.
-    QueryBudget {
-        /// Target campaign.
-        campaign: String,
-    },
-    /// Read the campaign's engine metrics (throughput, latency
-    /// quantiles, drop counters, queue depth).
-    QueryMetrics {
-        /// Target campaign.
-        campaign: String,
-    },
-    /// Identify this connection as a cluster peer. A coordinator sends
-    /// it after the hello so a node can confirm the partition geometry
-    /// both sides assume; a plain campaign server refuses it.
-    NodeHello {
-        /// The node's index in the cluster's partition map.
-        node_id: u32,
-        /// Total nodes the sender believes the cluster has.
-        num_nodes: u32,
-    },
-    /// Phase one of the cluster's two-phase round barrier: drain the
-    /// node's submission queue for `epoch`, filter it exactly as a
-    /// round close would (refusal withhold → deadline → first-wins
-    /// dedup), and return the surviving claims **without** touching
-    /// durable state. The coordinator merges all nodes' claims before
-    /// anything commits.
-    CloseRoundPrepare {
-        /// Target campaign.
-        campaign: String,
-        /// The epoch being closed (must be the node's next epoch).
-        epoch: u64,
-        /// Node-local user ids whose budget the coordinator's global
-        /// ledger says is exhausted — their reports are withheld before
-        /// the deadline cut, matching the driver's refusal order.
-        refused: Vec<u64>,
-        /// Optional trace-context extension: the coordinator's barrier
-        /// span, so the node's drain span parents under it in a merged
-        /// timeline. `None` is byte-identical to the pre-extension frame.
-        ctx: Option<SpanContext>,
-    },
-    /// Phase two of the barrier: durably append the node's slice of the
-    /// merged round to its WAL. Idempotent — re-sending the previous
-    /// epoch's byte-identical record is acknowledged without a second
-    /// append, so a coordinator that died between commit fan-out and
-    /// its own state advance can safely re-drive the barrier.
-    CloseRoundCommit {
-        /// Target campaign.
-        campaign: String,
-        /// The epoch being committed.
-        epoch: u64,
-        /// Estimator batches merged globally after this round.
-        batches_seen: u64,
-        /// Node-local ids accepted this round, ascending.
-        accepted_users: Vec<u64>,
-        /// The node's slice of the post-round cumulative losses, one
-        /// per local user.
-        cumulative_losses: Vec<f64>,
-        /// The node's slice of the post-round debit ledger, one per
-        /// local user.
-        rounds_debited: Vec<u32>,
-        /// Optional trace-context extension (see
-        /// [`Request::CloseRoundPrepare::ctx`]).
-        ctx: Option<SpanContext>,
-    },
-    /// Stream one committed store operation to a follower, in commit
-    /// order. The follower applies it under its replica root and acks
-    /// with the same sequence number.
-    ReplicateSegment {
-        /// The campaign whose WAL directory is being replicated.
-        campaign: String,
-        /// Position of this operation in the primary's commit order
-        /// (strictly increasing from 0).
-        seq: u64,
-        /// Which store mutation to apply.
-        op: StoreOp,
-        /// The file within the campaign's directory.
-        name: String,
-        /// Operand for [`StoreOp::Truncate`] (the new length); `0`
-        /// otherwise.
-        arg: u64,
-        /// Payload for [`StoreOp::Append`] / [`StoreOp::WriteAtomic`];
-        /// empty otherwise.
-        bytes: Vec<u8>,
-    },
-    /// Read a node's durable round ledger — what a fresh coordinator
-    /// needs to rebuild global state after failover.
-    QueryLedger {
-        /// Target campaign.
-        campaign: String,
-        /// Epoch to read the ledger *as of*: the node answers with its
-        /// state after committing `upto` (or refuses if it never did).
-        /// `u64::MAX` means "your latest".
-        upto: u64,
-    },
-    /// One batch of a **pipelined** submission stream. Unlike
-    /// [`Request::SubmitReports`] the client does not wait for the
-    /// previous batch's reply before sending the next: it keeps a window
-    /// of batches in flight, each stamped with a per-connection sequence
-    /// number (strictly increasing over *accepted* batches), and the
-    /// server answers every batch with a cumulative
-    /// [`Response::SubmitAcked`]. The connection front end accepts only
-    /// the next in-order sequence number, so the submission queue sees
-    /// the exact byte order the client sent — pipelining never perturbs
-    /// campaign results.
-    SubmitReportsStream {
-        /// Target campaign.
-        campaign: String,
-        /// This batch's position in the connection's stream. The first
-        /// batch on a connection is `0`; a refused batch is retried
-        /// under the **same** number.
-        seq: u64,
-        /// The batch, in stream order.
-        reports: Vec<StampedReport>,
-        /// Optional trace-context extension (see
-        /// [`Request::SubmitReports::ctx`]).
-        ctx: Option<SpanContext>,
-    },
-    /// Read the server's full observability snapshot: every registry
-    /// metric (connection gauges, per-campaign stage-busy counters,
-    /// error-code frequencies, WAL bytes) plus per-campaign ingest
-    /// histograms — the frame behind `dptd status --connect`. Unlike
-    /// [`Request::QueryMetrics`] it is server-wide, not per-campaign.
-    QueryStatus,
-    /// Read the process's retained trace rings — every event the
-    /// per-thread buffers still hold, plus the wall-clock anchor that
-    /// lets a coordinator align timelines from different machines. The
-    /// frame behind `dptd cluster trace`.
-    QueryTrace,
-}
-
-/// One refused batch inside a [`Response::SubmitAcked`], carried as a
-/// delta against the cumulative ack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchRefusal {
-    /// The refused batch's sequence number.
-    pub seq: u64,
-    /// Why it was refused. `None` is retryable backpressure (the queue
-    /// was full, or the batch arrived out of order behind another
-    /// refusal): resend from this sequence number once the earlier
-    /// refusal clears. `Some(code)` is a hard refusal.
-    pub code: Option<ErrorCode>,
-}
-
-/// A server→client reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Campaign registered.
-    Created {
-        /// Rounds already durably committed (non-zero only when a
-        /// durable campaign resumed from its WAL).
-        resumed_rounds: u64,
-    },
-    /// Batch accepted into the submission queue.
-    Submitted {
-        /// Reports now pending for the next close.
-        queued: u64,
-    },
-    /// Backpressure: the submission queue cannot take the batch. Nothing
-    /// was enqueued — the client must retry after a `CloseRound` drains
-    /// the queue (the server never buffers unboundedly).
-    Busy {
-        /// Reports currently pending.
-        queued: u64,
-        /// The queue's capacity.
-        capacity: u64,
-    },
-    /// A round executed.
-    RoundClosed {
-        /// The epoch that closed.
-        epoch: u64,
-        /// Reports aggregated.
-        accepted: u64,
-        /// Users refused because their budget was exhausted.
-        refused: u64,
-        /// Duplicates discarded (first-wins).
-        duplicates: u64,
-        /// Reports dropped as late.
-        late: u64,
-        /// Estimated truths for the round's objects.
-        truths: Vec<f64>,
-        /// FNV-1a digest of the post-round weights' bit patterns — the
-        /// same digest `dptd campaign` prints, so wire and in-process
-        /// runs diff from the shell.
-        weights_digest: u64,
-        /// Worst cumulative ε across the population after the round.
-        max_spent_epsilon: f64,
-        /// Worst cumulative δ across the population after the round.
-        max_spent_delta: f64,
-    },
-    /// Current truths.
-    Truths {
-        /// Rounds completed so far.
-        rounds_run: u64,
-        /// Truths from the last closed round (empty before the first).
-        truths: Vec<f64>,
-        /// FNV-1a digest of the current weights.
-        weights_digest: u64,
-    },
-    /// The privacy ledger.
-    Budget {
-        /// Users whose budget affords no further round.
-        exhausted: u64,
-        /// Worst cumulative ε spent.
-        max_spent_epsilon: f64,
-        /// Worst cumulative δ spent.
-        max_spent_delta: f64,
-        /// Per-user debit counts, user order — the exact snapshot
-        /// [`dptd_protocol::budget::BudgetAccountant::debits_by_user`]
-        /// exposes, so a wire ledger can be compared bit-for-bit with an
-        /// in-process one.
-        debits: Vec<u32>,
-    },
-    /// The request was refused.
-    Error {
-        /// Stable machine-readable cause.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-    /// The campaign's engine counters.
-    Metrics {
-        /// The observable metrics snapshot (boxed — it is by far the
-        /// widest variant, and responses travel through `Result` errors).
-        metrics: Box<MetricsReport>,
-    },
-    /// The node accepts the peer handshake.
-    NodeWelcome {
-        /// The node's own index (must match the `NodeHello`).
-        node_id: u32,
-    },
-    /// Phase-one result: the node's filtered claims for the epoch.
-    Prepared {
-        /// The epoch that was drained.
-        epoch: u64,
-        /// Duplicates discarded by the node's first-wins filter.
-        duplicates: u64,
-        /// Reports the node dropped as late.
-        late: u64,
-        /// Distinct refused users that actually submitted this epoch.
-        refused_seen: u64,
-        /// Surviving reports in ascending local-user order. `user` is
-        /// the **node-local** dense id; the coordinator maps it back to
-        /// the global id through the partition map.
-        claims: Vec<PerturbedReport>,
-    },
-    /// Phase-two result: the node's WAL holds the epoch.
-    Committed {
-        /// The epoch now durable.
-        epoch: u64,
-        /// Whether a record was appended (`false` = the byte-identical
-        /// record was already the node's latest — an idempotent retry).
-        appended: bool,
-    },
-    /// The follower applied the replicated store operation.
-    Replicated {
-        /// Echo of the operation's sequence number.
-        seq: u64,
-    },
-    /// Cumulative acknowledgement of a pipelined submission stream: one
-    /// is sent for every [`Request::SubmitReportsStream`] frame, in
-    /// order, so a client with `W` batches in flight reads `W` acks.
-    SubmitAcked {
-        /// Batches accepted contiguously from sequence `0` — equally,
-        /// the next sequence number the server will accept. Everything
-        /// below it is durably queued and will never be re-requested.
-        contiguous: u64,
-        /// Reports pending for the next close after the most recently
-        /// accepted batch (the same counter as
-        /// [`Response::Submitted::queued`]).
-        queued: u64,
-        /// Batches refused since the previous ack, as deltas. Empty
-        /// when this ack's own batch was accepted.
-        refusals: Vec<BatchRefusal>,
-    },
-    /// A node's durable round ledger.
-    Ledger {
-        /// The next epoch the node would commit.
-        next_epoch: u64,
-        /// Estimator batches reflected in the slices below.
-        batches_seen: u64,
-        /// Per-local-user debit counts.
-        rounds_debited: Vec<u32>,
-        /// Per-local-user cumulative losses.
-        cumulative_losses: Vec<f64>,
-    },
-    /// The server's full observability snapshot (reply to
-    /// [`Request::QueryStatus`]).
-    Status {
-        /// Every metric the server's registry holds, sorted by name.
-        snapshot: dptd_obs::MetricsSnapshot,
-    },
-    /// The process's retained trace rings (reply to
-    /// [`Request::QueryTrace`]).
-    TraceDump {
-        /// Wall-clock nanoseconds since the Unix epoch at the process's
-        /// trace epoch — `ts_ns + anchor_ns` places an event on the
-        /// shared wall clock, which is how a coordinator aligns rings
-        /// from different processes into one timeline.
-        anchor_ns: u64,
-        /// Per-ring truncation: `(tid, events_overwritten)` for every
-        /// ring that wrapped, so a merged timeline can say what is
-        /// missing instead of silently looking complete.
-        dropped: Vec<(u64, u64)>,
-        /// The retained events, oldest-first per ring.
-        events: Vec<TraceEvent>,
-    },
-}
-
-const KIND_CREATE: u8 = 0x01;
-const KIND_SUBMIT: u8 = 0x02;
-const KIND_CLOSE: u8 = 0x03;
-const KIND_QUERY_TRUTHS: u8 = 0x04;
-const KIND_QUERY_BUDGET: u8 = 0x05;
-const KIND_QUERY_METRICS: u8 = 0x06;
-const KIND_NODE_HELLO: u8 = 0x07;
-const KIND_CLOSE_PREPARE: u8 = 0x08;
-const KIND_CLOSE_COMMIT: u8 = 0x09;
-const KIND_REPLICATE: u8 = 0x0a;
-const KIND_QUERY_LEDGER: u8 = 0x0b;
-const KIND_SUBMIT_STREAM: u8 = 0x0c;
-const KIND_QUERY_STATUS: u8 = 0x0d;
-const KIND_QUERY_TRACE: u8 = 0x0e;
-const KIND_CREATED: u8 = 0x81;
-const KIND_SUBMITTED: u8 = 0x82;
-const KIND_BUSY: u8 = 0x83;
-const KIND_ROUND_CLOSED: u8 = 0x84;
-const KIND_TRUTHS: u8 = 0x85;
-const KIND_BUDGET: u8 = 0x86;
-const KIND_ERROR: u8 = 0x87;
-const KIND_METRICS: u8 = 0x88;
-const KIND_NODE_WELCOME: u8 = 0x89;
-const KIND_PREPARED: u8 = 0x8a;
-const KIND_COMMITTED: u8 = 0x8b;
-const KIND_REPLICATED: u8 = 0x8c;
-const KIND_LEDGER: u8 = 0x8d;
-const KIND_SUBMIT_ACKED: u8 = 0x8e;
-const KIND_STATUS: u8 = 0x8f;
-const KIND_TRACE_DUMP: u8 = 0x90;
 
 fn checksum(body: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
@@ -758,6 +331,45 @@ pub fn validate_campaign_id(id: &str) -> Result<(), WireError> {
 // Body writer/reader
 // ---------------------------------------------------------------------
 
+/// Where a body's bytes go: into the frame buffer ([`Writer`]) or, to
+/// learn a frame's exact length before allocating it, into a
+/// [`Counter`]. Both passes run the same `put` code, so the length a
+/// frame declares cannot drift from the bytes it writes.
+trait Sink: Sized {
+    fn bytes(&mut self, b: &[u8]);
+    /// Append one field; the value's type selects the wire form.
+    fn put<T: Field>(&mut self, v: &T) {
+        T::put(v, self);
+    }
+    /// `len:u16` then UTF-8. Free text past 65 535 bytes is cut to the
+    /// longest prefix that ends on a `char` boundary, so its decoder still
+    /// reads valid UTF-8 (validated ids and names are bounded to 64).
+    fn str(&mut self, s: &str) {
+        let mut end = s.len().min(usize::from(u16::MAX));
+        while !s.is_char_boundary(end) {
+            end -= 1;
+        }
+        self.put(&(end as u16));
+        self.bytes(&s.as_bytes()[..end]);
+    }
+    /// A counted sequence: `count:u32` then each item.
+    fn seq<T: Field>(&mut self, items: &[T]) {
+        self.put(&(items.len() as u32));
+        for item in items {
+            self.put(item);
+        }
+    }
+}
+
+/// The sizing pass: counts what a [`Writer`] would be given.
+struct Counter(usize);
+
+impl Sink for Counter {
+    fn bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+}
+
 /// Builds one frame in place: the buffer opens with the 16 header
 /// bytes reserved, the body is written behind them, and
 /// [`Writer::finish`] patches length, length check and checksum into
@@ -767,18 +379,26 @@ struct Writer {
     buf: Vec<u8>,
 }
 
-impl Writer {
-    fn new(kind: u8) -> Self {
-        Self::with_payload(kind, 0)
+impl Sink for Writer {
+    fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
     }
-    /// A writer whose buffer is sized up front for `payload` bytes
-    /// behind the kind byte, so a bulk body computed from its element
-    /// counts is not grown by doubling.
-    fn with_payload(kind: u8, payload: usize) -> Self {
-        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + 1 + payload);
+}
+
+impl Writer {
+    /// A writer whose buffer is sized once for a body of exactly
+    /// `body_len` bytes (kind byte included) — or, past the cap every
+    /// decoder enforces, the refusal the peer would have sent, before a
+    /// byte is allocated.
+    fn new(body_len: usize) -> Result<Self, WireError> {
+        if body_len > MAX_FRAME_LEN {
+            return Err(WireError::TooLarge {
+                claimed: body_len as u64,
+            });
+        }
+        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + body_len);
         buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-        buf.push(kind);
-        Self { buf }
+        Ok(Self { buf })
     }
     /// The body written so far (kind byte included).
     fn body(&self) -> &[u8] {
@@ -787,30 +407,12 @@ impl Writer {
     /// Patch the v1 frame header over the reservation and hand the
     /// complete frame out.
     fn finish(mut self) -> Vec<u8> {
-        let body_len = self.body().len();
-        debug_assert!(body_len <= MAX_FRAME_LEN, "oversized frame produced");
+        let body_len = self.body().len() as u32;
         let sum = checksum(self.body());
-        self.buf[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-        self.buf[4..8].copy_from_slice(&((body_len as u32) ^ LEN_XOR).to_le_bytes());
+        self.buf[..4].copy_from_slice(&body_len.to_le_bytes());
+        self.buf[4..8].copy_from_slice(&(body_len ^ LEN_XOR).to_le_bytes());
         self.buf[8..FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         self.buf
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        debug_assert!(s.len() <= u16::MAX as usize);
-        self.buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-        self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -827,24 +429,16 @@ impl<'a> Reader<'a> {
         self.buf = rest;
         Ok(head)
     }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
+    /// Read one field; the expected type selects the wire form.
+    fn get<T: Field>(&mut self) -> Result<T, WireError> {
+        T::get(self)
     }
     /// A claimed element count, bounded by the bytes still present: each
     /// element needs at least `min_elem_bytes`, so a count the remaining
     /// buffer cannot possibly hold is malformed — checked **before** any
     /// allocation sized by it.
     fn bounded_count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let claimed = self.u32()? as usize;
+        let claimed = self.get::<u32>()? as usize;
         let need = claimed
             .checked_mul(min_elem_bytes)
             .ok_or(WireError::Malformed("element count overflows"))?;
@@ -855,171 +449,194 @@ impl<'a> Reader<'a> {
         }
         Ok(claimed)
     }
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().expect("2")) as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string is not UTF-8"))
+}
+
+// ---------------------------------------------------------------------
+// Field kinds — each wire form is implemented once, here
+// ---------------------------------------------------------------------
+
+/// One kind of payload field, holding a value of type `T`. A type is its
+/// own kind (`u64`, `Vec<f64>`, [`CampaignSpec`]) unless its wire form is
+/// narrower than the type; then a marker names the kind (`CampaignId`,
+/// `StoreName`, `Bytes`, `Phase`, `Buckets`) and a table row selects it
+/// with `as`. Impls are monomorphised into the generated frame codecs:
+/// no `dyn` and no runtime schema on the frame path.
+trait Field<T = Self> {
+    /// Fewest bytes any value encodes to: what a counted sequence
+    /// multiplies a claimed count by before it sizes a `Vec`.
+    const MIN_LEN: usize;
+    /// Append `v`'s wire form.
+    fn put<S: Sink>(v: &T, w: &mut S);
+    /// Read one value back, refusing anything `put` could not have
+    /// written.
+    fn get(r: &mut Reader<'_>) -> Result<T, WireError>;
+}
+
+/// The codec of one table field: the field's own type, or the kind
+/// named after `as`.
+macro_rules! kind {
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty, $kind:ty) => {
+        $kind
+    };
+}
+
+/// A flat record: its fields in wire order, written once. The first arm
+/// also defines the struct; the second gives a struct defined elsewhere
+/// its codec.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty $(as $kind:ty)?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty),*
+        }
+
+        record!(impl $name { $($field: $ty $(as $kind)?),* });
+    };
+    (impl $name:ident { $($field:ident: $ty:ty $(as $kind:ty)?),* $(,)? }) => {
+        impl Field for $name {
+            const MIN_LEN: usize = 0 $(+ <kind!($ty $(, $kind)?) as Field<$ty>>::MIN_LEN)*;
+            fn put<S: Sink>(v: &Self, w: &mut S) {
+                $(<kind!($ty $(, $kind)?) as Field<$ty>>::put(&v.$field, w);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(Self {
+                    $($field: <kind!($ty $(, $kind)?) as Field<$ty>>::get(r)?),*
+                })
+            }
+        }
+    };
+}
+
+macro_rules! scalar_fields {
+    ($($ty:ident),*) => {$(
+        impl Field for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            fn put<S: Sink>(v: &$ty, w: &mut S) {
+                w.bytes(&v.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, WireError> {
+                let bytes = r.take(Self::MIN_LEN)?;
+                Ok($ty::from_le_bytes(bytes.try_into().expect("sized by take")))
+            }
+        }
+    )*};
+}
+
+scalar_fields!(u8, u16, u32, u64, f64);
+
+/// A flag: one byte, `0` or `1`.
+impl Field for bool {
+    const MIN_LEN: usize = 1;
+    fn put<S: Sink>(v: &bool, w: &mut S) {
+        w.put(&u8::from(*v));
     }
-    fn campaign_id(&mut self) -> Result<String, WireError> {
-        let id = self.str()?;
-        validate_campaign_id(&id)?;
-        Ok(id)
-    }
-    fn finish(self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after the payload"))
+    fn get(r: &mut Reader<'_>) -> Result<bool, WireError> {
+        match r.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed("flag is not 0/1")),
         }
     }
 }
 
-/// Minimum encoded size of one [`StampedReport`] (epoch + sent_at + user
-/// + value count, with zero values).
-const MIN_REPORT_BYTES: usize = 8 + 8 + 8 + 4;
-/// Encoded size of one report value (object:u32 + value:f64).
-const VALUE_BYTES: usize = 4 + 8;
+/// A length-prefixed string (written by [`Sink::str`]), refused on the
+/// way in unless it is UTF-8 and `$check` passes.
+macro_rules! string_fields {
+    ($($(#[$meta:meta])* $kind:ident => $check:expr),* $(,)?) => {$(
+        $(#[$meta])*
+        impl Field<String> for $kind {
+            const MIN_LEN: usize = 2;
+            fn put<S: Sink>(v: &String, w: &mut S) {
+                w.str(v);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<String, WireError> {
+                let len = usize::from(r.get::<u16>()?);
+                let s = String::from_utf8(r.take(len)?.to_vec())
+                    .map_err(|_| WireError::Malformed("string is not UTF-8"))?;
+                $check(&s)?;
+                Ok(s)
+            }
+        }
+    )*};
+}
 
-fn write_report(w: &mut Writer, r: &StampedReport) {
-    w.u64(r.epoch);
-    w.u64(r.sent_at_us);
-    w.u64(r.report.user as u64);
-    w.u32(r.report.values.len() as u32);
-    for &(object, value) in &r.report.values {
-        w.u32(object as u32);
-        w.f64(value);
+/// A campaign id ([`validate_campaign_id`]).
+struct CampaignId;
+/// A replicated store file name: same path-safe charset as a campaign id
+/// (the follower joins it onto its replica directory, so nothing
+/// path-like may pass).
+struct StoreName;
+
+string_fields! {
+    /// Free text: any UTF-8.
+    String => |_: &str| Ok::<(), WireError>(()),
+    CampaignId => validate_campaign_id,
+    StoreName => |name: &str| validate_campaign_id(name)
+        .map_err(|_| WireError::Malformed("store file name is not path-safe")),
+}
+
+/// A raw byte run: `len:u32` then the bytes, copied in one piece.
+struct Bytes;
+
+impl Field<Vec<u8>> for Bytes {
+    const MIN_LEN: usize = 4;
+    fn put<S: Sink>(v: &Vec<u8>, w: &mut S) {
+        w.put(&(v.len() as u32));
+        w.bytes(v);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+        let n = r.bounded_count(1)?;
+        Ok(r.take(n)?.to_vec())
     }
 }
 
-/// Encoded size of a length-prefixed string.
-fn str_bytes(s: &str) -> usize {
-    2 + s.len()
-}
-
-/// Encoded size of a counted report batch — what a bulk arm reserves.
-fn reports_bytes(reports: &[StampedReport]) -> usize {
-    let report = |r: &StampedReport| MIN_REPORT_BYTES + VALUE_BYTES * r.report.values.len();
-    4 + reports.iter().map(report).sum::<usize>()
-}
-
-fn write_reports(w: &mut Writer, reports: &[StampedReport]) {
-    w.u32(reports.len() as u32);
-    for r in reports {
-        write_report(w, r);
+/// A counted sequence of any field: the one home of the
+/// count-before-allocation bound for everything the tables declare.
+impl<T: Field> Field for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put<S: Sink>(v: &Vec<T>, w: &mut S) {
+        w.seq(v);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
+        // An element that can encode to nothing would leave the claimed
+        // count unbounded.
+        const { assert!(T::MIN_LEN > 0) };
+        let count = r.bounded_count(T::MIN_LEN)?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(r.get()?);
+        }
+        Ok(out)
     }
 }
 
-/// Encode a [`Request::SubmitReports`] frame straight from a borrowed
-/// batch. This is the one body writer for that kind —
-/// [`Request::encode`] calls it — so a client chunking a slice need not
-/// deep-clone every report into an owned `Request` first.
-pub(crate) fn encode_submit_reports(
-    campaign: &str,
-    reports: &[StampedReport],
-    ctx: Option<SpanContext>,
-) -> Vec<u8> {
-    let mut w = Writer::with_payload(
-        KIND_SUBMIT,
-        str_bytes(campaign) + reports_bytes(reports) + CTX_BYTES,
-    );
-    w.str(campaign);
-    write_reports(&mut w, reports);
-    write_opt_ctx(&mut w, ctx);
-    w.finish()
-}
-
-fn read_report(r: &mut Reader<'_>) -> Result<StampedReport, WireError> {
-    let epoch = r.u64()?;
-    let sent_at_us = r.u64()?;
-    let user = usize::try_from(r.u64()?).map_err(|_| WireError::Malformed("user overflows"))?;
-    let nvals = r.bounded_count(VALUE_BYTES)?;
-    let mut values = Vec::with_capacity(nvals);
-    for _ in 0..nvals {
-        let object =
-            usize::try_from(r.u32()?).map_err(|_| WireError::Malformed("object overflows"))?;
-        values.push((object, r.f64()?));
+impl<A: Field, B: Field> Field for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put<S: Sink>(v: &(A, B), w: &mut S) {
+        w.put(&v.0);
+        w.put(&v.1);
     }
-    Ok(StampedReport {
-        epoch,
-        sent_at_us,
-        report: PerturbedReport { user, values },
-    })
-}
-
-fn write_f64s(w: &mut Writer, vs: &[f64]) {
-    w.u32(vs.len() as u32);
-    for &v in vs {
-        w.f64(v);
+    fn get(r: &mut Reader<'_>) -> Result<(A, B), WireError> {
+        Ok((r.get()?, r.get()?))
     }
 }
 
-fn read_f64s(r: &mut Reader<'_>) -> Result<Vec<f64>, WireError> {
-    let n = r.bounded_count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.f64()?);
+impl<T: Field> Field for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+    fn put<S: Sink>(v: &Box<T>, w: &mut S) {
+        w.put::<T>(v);
     }
-    Ok(out)
-}
-
-fn write_u64s(w: &mut Writer, vs: &[u64]) {
-    w.u32(vs.len() as u32);
-    for &v in vs {
-        w.u64(v);
+    fn get(r: &mut Reader<'_>) -> Result<Box<T>, WireError> {
+        r.get().map(Box::new)
     }
-}
-
-fn read_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
-    let n = r.bounded_count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u64()?);
-    }
-    Ok(out)
-}
-
-fn write_u32s(w: &mut Writer, vs: &[u32]) {
-    w.u32(vs.len() as u32);
-    for &v in vs {
-        w.u32(v);
-    }
-}
-
-fn read_u32s(r: &mut Reader<'_>) -> Result<Vec<u32>, WireError> {
-    let n = r.bounded_count(4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u32()?);
-    }
-    Ok(out)
-}
-
-/// Minimum encoded size of one prepared claim (user + value count, with
-/// zero values).
-const MIN_CLAIM_BYTES: usize = 8 + 4;
-
-/// Encoded size of one [`BatchRefusal`] (seq:u64 + code:u8).
-const MIN_REFUSAL_BYTES: usize = 8 + 1;
-
-fn write_claim(w: &mut Writer, c: &PerturbedReport) {
-    w.u64(c.user as u64);
-    w.u32(c.values.len() as u32);
-    for &(object, value) in &c.values {
-        w.u32(object as u32);
-        w.f64(value);
-    }
-}
-
-fn read_claim(r: &mut Reader<'_>) -> Result<PerturbedReport, WireError> {
-    let user = usize::try_from(r.u64()?).map_err(|_| WireError::Malformed("user overflows"))?;
-    let nvals = r.bounded_count(VALUE_BYTES)?;
-    let mut values = Vec::with_capacity(nvals);
-    for _ in 0..nvals {
-        let object =
-            usize::try_from(r.u32()?).map_err(|_| WireError::Malformed("object overflows"))?;
-        values.push((object, r.f64()?));
-    }
-    Ok(PerturbedReport { user, values })
 }
 
 /// Encoded size of the optional trace-context extension (trace id +
@@ -1029,778 +646,750 @@ fn read_claim(r: &mut Reader<'_>) -> Result<PerturbedReport, WireError> {
 /// pre-extension layout and old peers interoperate untraced.
 const CTX_BYTES: usize = 8 + 8;
 
-fn write_opt_ctx(w: &mut Writer, ctx: Option<SpanContext>) {
-    if let Some(c) = ctx {
-        w.u64(c.trace_id);
-        w.u64(c.span_id);
+record!(impl SpanContext { trace_id: u64, span_id: u64 });
+
+/// The trailing, all-or-nothing trace context: always a row's last field.
+impl Field for Option<SpanContext> {
+    const MIN_LEN: usize = 0;
+    fn put<S: Sink>(v: &Self, w: &mut S) {
+        if let Some(ctx) = v {
+            w.put(ctx);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.buf.len() {
+            0 => Ok(None),
+            CTX_BYTES => r.get().map(Some),
+            _ => Err(WireError::Malformed(
+                "trace-context extension is not 16 bytes",
+            )),
+        }
     }
 }
 
-fn read_opt_ctx(r: &mut Reader<'_>) -> Result<Option<SpanContext>, WireError> {
-    if r.buf.is_empty() {
-        return Ok(None);
+/// A [`BatchRefusal`]'s cause: `0` is retryable backpressure, anything
+/// else an [`ErrorCode`] byte.
+impl Field for Option<ErrorCode> {
+    const MIN_LEN: usize = 1;
+    fn put<S: Sink>(v: &Self, w: &mut S) {
+        w.put(&v.map_or(0, |c| c as u8));
     }
-    if r.buf.len() != CTX_BYTES {
-        return Err(WireError::Malformed(
-            "trace-context extension is not 16 bytes",
-        ));
-    }
-    Ok(Some(SpanContext {
-        trace_id: r.u64()?,
-        span_id: r.u64()?,
-    }))
-}
-
-/// Encoded size of one trace event (tid + ts + phase + code + arg +
-/// trace/span/parent ids).
-const TRACE_EVENT_BYTES: usize = 8 + 8 + 1 + 4 + 8 + 8 + 8 + 8;
-/// Encoded size of one per-ring truncation pair (tid + dropped).
-const TRACE_DROP_BYTES: usize = 8 + 8;
-
-fn write_trace_event(w: &mut Writer, e: &TraceEvent) {
-    w.u64(e.tid);
-    w.u64(e.ts_ns);
-    w.u8(e.phase as u8);
-    w.u32(e.code);
-    w.u64(e.arg);
-    w.u64(e.trace_id);
-    w.u64(e.span_id);
-    w.u64(e.parent_span);
-}
-
-fn read_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent, WireError> {
-    let tid = r.u64()?;
-    let ts_ns = r.u64()?;
-    let phase = match r.u8()? {
-        b'B' => 'B',
-        b'E' => 'E',
-        b'i' => 'i',
-        _ => return Err(WireError::Malformed("unknown trace event phase")),
-    };
-    Ok(TraceEvent {
-        tid,
-        ts_ns,
-        phase,
-        code: r.u32()?,
-        arg: r.u64()?,
-        trace_id: r.u64()?,
-        span_id: r.u64()?,
-        parent_span: r.u64()?,
-    })
-}
-
-/// Validate a replicated store file name: same path-safe charset as a
-/// campaign id (the follower joins it onto its replica directory, so
-/// nothing path-like may pass).
-fn validate_store_name(name: &str) -> Result<(), WireError> {
-    validate_campaign_id(name).map_err(|_| WireError::Malformed("store file name is not path-safe"))
-}
-
-impl CampaignSpec {
-    fn write(&self, w: &mut Writer) {
-        w.u64(self.num_users);
-        w.u64(self.num_objects);
-        w.u64(self.num_shards);
-        w.u64(self.workers);
-        w.u64(self.engine_queue);
-        w.u64(self.deadline_us);
-        w.u64(self.submission_capacity);
-        w.f64(self.per_round_epsilon);
-        w.f64(self.per_round_delta);
-        w.f64(self.budget_epsilon);
-        w.f64(self.budget_delta);
-        w.u64(self.stream_tag);
-        w.u8(u8::from(self.durable));
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            num_users: r.u64()?,
-            num_objects: r.u64()?,
-            num_shards: r.u64()?,
-            workers: r.u64()?,
-            engine_queue: r.u64()?,
-            deadline_us: r.u64()?,
-            submission_capacity: r.u64()?,
-            per_round_epsilon: r.f64()?,
-            per_round_delta: r.f64()?,
-            budget_epsilon: r.f64()?,
-            budget_delta: r.f64()?,
-            stream_tag: r.u64()?,
-            durable: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Malformed("durable flag is not 0/1")),
-            },
-        })
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get::<u8>()? {
+            0 => Ok(None),
+            byte => ErrorCode::from_u8(byte)
+                .map(Some)
+                .ok_or(WireError::Malformed("unknown refusal code")),
+        }
     }
 }
 
-impl MetricsReport {
-    fn write(&self, w: &mut Writer) {
-        w.u64(self.reports_submitted);
-        w.u64(self.reports_accepted);
-        w.u64(self.duplicates_discarded);
-        w.u64(self.late_dropped);
-        w.u64(self.out_of_order_dropped);
-        w.u64(self.backpressure_stalls);
-        w.u64(self.epochs_merged);
-        w.u64(self.max_queue_depth);
-        w.u64(self.queue_depth);
-        w.f64(self.throughput_rps);
-        w.u64(self.ingest_p50_ns);
-        w.u64(self.ingest_p99_ns);
-        w.u64(self.conn_live);
-        w.u64(self.conn_accepted);
-        w.u64(self.conn_refused);
-        w.u64(self.io_threads);
-    }
+/// A trace event's phase: `'B'`, `'E'` or `'i'` as one ASCII byte.
+struct Phase;
 
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            reports_submitted: r.u64()?,
-            reports_accepted: r.u64()?,
-            duplicates_discarded: r.u64()?,
-            late_dropped: r.u64()?,
-            out_of_order_dropped: r.u64()?,
-            backpressure_stalls: r.u64()?,
-            epochs_merged: r.u64()?,
-            max_queue_depth: r.u64()?,
-            queue_depth: r.u64()?,
-            throughput_rps: r.f64()?,
-            ingest_p50_ns: r.u64()?,
-            ingest_p99_ns: r.u64()?,
-            conn_live: r.u64()?,
-            conn_accepted: r.u64()?,
-            conn_refused: r.u64()?,
-            io_threads: r.u64()?,
-        })
+impl Field<char> for Phase {
+    const MIN_LEN: usize = 1;
+    fn put<S: Sink>(v: &char, w: &mut S) {
+        w.put(&(*v as u8));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<char, WireError> {
+        match r.get::<u8>()? {
+            phase @ (b'B' | b'E' | b'i') => Ok(char::from(phase)),
+            _ => Err(WireError::Malformed("unknown trace event phase")),
+        }
     }
 }
+
+/// Encoded size of one report value (object:u32 + value:f64).
+const VALUE_BYTES: usize = 4 + 8;
+
+/// A prepared claim: `user:u64 nvals:u32 (object:u32 value:f64)*`. The
+/// hot loop of every submission frame, and it narrows `usize` ids to
+/// their wire widths, so it is written by hand.
+impl Field for PerturbedReport {
+    const MIN_LEN: usize = 8 + 4;
+    fn put<S: Sink>(v: &Self, w: &mut S) {
+        w.put(&(v.user as u64));
+        w.put(&(v.values.len() as u32));
+        for &(object, value) in &v.values {
+            w.put(&(object as u32));
+            w.put(&value);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let user =
+            usize::try_from(r.get::<u64>()?).map_err(|_| WireError::Malformed("user overflows"))?;
+        let nvals = r.bounded_count(VALUE_BYTES)?;
+        let mut values = Vec::with_capacity(nvals);
+        for _ in 0..nvals {
+            let object = usize::try_from(r.get::<u32>()?)
+                .map_err(|_| WireError::Malformed("object overflows"))?;
+            values.push((object, r.get()?));
+        }
+        Ok(PerturbedReport { user, values })
+    }
+}
+
+// A stamped report is its stamp, then the claim it carries.
+record!(impl StampedReport { epoch: u64, sent_at_us: u64, report: PerturbedReport });
+
+/// A histogram's sparse buckets: a counted sequence of `(index, count)`,
+/// in range and strictly increasing (the canonical sparse form — a
+/// duplicate would double-count on merge).
+struct Buckets;
+
+impl Field<Vec<(u32, u64)>> for Buckets {
+    const MIN_LEN: usize = 4;
+    fn put<S: Sink>(v: &Vec<(u32, u64)>, w: &mut S) {
+        w.seq(v);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
+        let buckets: Vec<(u32, u64)> = r.get()?;
+        let mut prev: Option<u32> = None;
+        for &(idx, _) in &buckets {
+            if idx as usize >= NUM_BUCKETS {
+                return Err(WireError::Malformed("histogram bucket index out of range"));
+            }
+            if prev.is_some_and(|p| idx <= p) {
+                return Err(WireError::Malformed(
+                    "histogram bucket indices not strictly increasing",
+                ));
+            }
+            prev = Some(idx);
+        }
+        Ok(buckets)
+    }
+}
+
+record!(impl HistogramSnapshot {
+    count: u64,
+    total_ns: u64,
+    max_ns: u64,
+    buckets: Vec<(u32, u64)> as Buckets,
+});
 
 /// Metric-value tags inside a [`Response::Status`] snapshot entry.
 const VALUE_TAG_COUNTER: u8 = 0;
 const VALUE_TAG_GAUGE: u8 = 1;
 const VALUE_TAG_HISTOGRAM: u8 = 2;
 
-/// Minimum encoded size of one snapshot entry (name length prefix +
-/// value tag, with an empty name and a counter value's u64 to follow —
-/// the tag byte plus the counter payload is the smallest value).
-const MIN_SNAPSHOT_ENTRY_BYTES: usize = 2 + 1 + 8;
-/// Encoded size of one sparse histogram bucket (index:u32 + count:u64).
-const SNAPSHOT_BUCKET_BYTES: usize = 4 + 8;
-
-fn write_hist_snapshot(w: &mut Writer, h: &HistogramSnapshot) {
-    w.u64(h.count);
-    w.u64(h.total_ns);
-    w.u64(h.max_ns);
-    w.u32(h.buckets.len() as u32);
-    for &(idx, n) in &h.buckets {
-        w.u32(idx);
-        w.u64(n);
-    }
-}
-
-fn read_hist_snapshot(r: &mut Reader<'_>) -> Result<HistogramSnapshot, WireError> {
-    let count = r.u64()?;
-    let total_ns = r.u64()?;
-    let max_ns = r.u64()?;
-    let nbuckets = r.bounded_count(SNAPSHOT_BUCKET_BYTES)?;
-    let mut buckets = Vec::with_capacity(nbuckets);
-    let mut prev: Option<u32> = None;
-    for _ in 0..nbuckets {
-        let idx = r.u32()?;
-        if idx as usize >= NUM_BUCKETS {
-            return Err(WireError::Malformed("histogram bucket index out of range"));
-        }
-        if prev.is_some_and(|p| idx <= p) {
-            return Err(WireError::Malformed(
-                "histogram bucket indices not strictly increasing",
-            ));
-        }
-        prev = Some(idx);
-        buckets.push((idx, r.u64()?));
-    }
-    Ok(HistogramSnapshot {
-        count,
-        total_ns,
-        max_ns,
-        buckets,
-    })
-}
-
-fn write_snapshot(w: &mut Writer, s: &MetricsSnapshot) {
-    w.u32(s.entries.len() as u32);
-    for (name, value) in &s.entries {
-        w.str(name);
-        match value {
-            MetricValue::Counter(v) => {
-                w.u8(VALUE_TAG_COUNTER);
-                w.u64(*v);
+/// `tag:u8`, then a `u64` (counter, gauge) or a histogram snapshot.
+impl Field for MetricValue {
+    const MIN_LEN: usize = 1 + 8;
+    fn put<S: Sink>(v: &Self, w: &mut S) {
+        match v {
+            MetricValue::Counter(n) => {
+                w.put(&VALUE_TAG_COUNTER);
+                w.put(n);
             }
-            MetricValue::Gauge(v) => {
-                w.u8(VALUE_TAG_GAUGE);
-                w.u64(*v);
+            MetricValue::Gauge(n) => {
+                w.put(&VALUE_TAG_GAUGE);
+                w.put(n);
             }
             MetricValue::Histogram(h) => {
-                w.u8(VALUE_TAG_HISTOGRAM);
-                write_hist_snapshot(w, h);
+                w.put(&VALUE_TAG_HISTOGRAM);
+                w.put(h);
             }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get::<u8>()? {
+            VALUE_TAG_COUNTER => r.get().map(MetricValue::Counter),
+            VALUE_TAG_GAUGE => r.get().map(MetricValue::Gauge),
+            VALUE_TAG_HISTOGRAM => r.get().map(MetricValue::Histogram),
+            _ => Err(WireError::Malformed("unknown metric value tag")),
         }
     }
 }
 
-fn read_snapshot(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
-    let n = r.bounded_count(MIN_SNAPSHOT_ENTRY_BYTES)?;
-    let mut out = MetricsSnapshot::new();
-    for _ in 0..n {
-        let name = r.str()?;
-        let value = match r.u8()? {
-            VALUE_TAG_COUNTER => MetricValue::Counter(r.u64()?),
-            VALUE_TAG_GAUGE => MetricValue::Gauge(r.u64()?),
-            VALUE_TAG_HISTOGRAM => MetricValue::Histogram(read_hist_snapshot(r)?),
-            _ => return Err(WireError::Malformed("unknown metric value tag")),
-        };
-        out.set(name, value);
+/// A counted sequence of `(name, value)`; decoding goes through
+/// [`MetricsSnapshot::set`], which keeps the entries sorted and unique.
+impl Field for MetricsSnapshot {
+    const MIN_LEN: usize = 4;
+    fn put<S: Sink>(v: &Self, w: &mut S) {
+        w.seq(&v.entries);
     }
-    Ok(out)
-}
-
-impl Request {
-    /// Encode as one complete frame (header + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w;
-        match self {
-            Request::CreateCampaign { campaign, spec } => {
-                w = Writer::new(KIND_CREATE);
-                w.str(campaign);
-                spec.write(&mut w);
-            }
-            Request::SubmitReports {
-                campaign,
-                reports,
-                ctx,
-            } => return encode_submit_reports(campaign, reports, *ctx),
-            Request::CloseRound { campaign, epoch } => {
-                w = Writer::new(KIND_CLOSE);
-                w.str(campaign);
-                w.u64(*epoch);
-            }
-            Request::QueryTruths { campaign } => {
-                w = Writer::new(KIND_QUERY_TRUTHS);
-                w.str(campaign);
-            }
-            Request::QueryBudget { campaign } => {
-                w = Writer::new(KIND_QUERY_BUDGET);
-                w.str(campaign);
-            }
-            Request::QueryMetrics { campaign } => {
-                w = Writer::new(KIND_QUERY_METRICS);
-                w.str(campaign);
-            }
-            Request::NodeHello { node_id, num_nodes } => {
-                w = Writer::new(KIND_NODE_HELLO);
-                w.u32(*node_id);
-                w.u32(*num_nodes);
-            }
-            Request::CloseRoundPrepare {
-                campaign,
-                epoch,
-                refused,
-                ctx,
-            } => {
-                w = Writer::new(KIND_CLOSE_PREPARE);
-                w.str(campaign);
-                w.u64(*epoch);
-                write_u64s(&mut w, refused);
-                write_opt_ctx(&mut w, *ctx);
-            }
-            Request::CloseRoundCommit {
-                campaign,
-                epoch,
-                batches_seen,
-                accepted_users,
-                cumulative_losses,
-                rounds_debited,
-                ctx,
-            } => {
-                w = Writer::with_payload(
-                    KIND_CLOSE_COMMIT,
-                    str_bytes(campaign)
-                        + 8
-                        + 8
-                        + (4 + 8 * accepted_users.len())
-                        + (4 + 8 * cumulative_losses.len())
-                        + (4 + 4 * rounds_debited.len())
-                        + CTX_BYTES,
-                );
-                w.str(campaign);
-                w.u64(*epoch);
-                w.u64(*batches_seen);
-                write_u64s(&mut w, accepted_users);
-                write_f64s(&mut w, cumulative_losses);
-                write_u32s(&mut w, rounds_debited);
-                write_opt_ctx(&mut w, *ctx);
-            }
-            Request::ReplicateSegment {
-                campaign,
-                seq,
-                op,
-                name,
-                arg,
-                bytes,
-            } => {
-                w = Writer::with_payload(
-                    KIND_REPLICATE,
-                    str_bytes(campaign) + 8 + 1 + str_bytes(name) + 8 + 4 + bytes.len(),
-                );
-                w.str(campaign);
-                w.u64(*seq);
-                w.u8(*op as u8);
-                w.str(name);
-                w.u64(*arg);
-                w.u32(bytes.len() as u32);
-                w.buf.extend_from_slice(bytes);
-            }
-            Request::QueryLedger { campaign, upto } => {
-                w = Writer::new(KIND_QUERY_LEDGER);
-                w.str(campaign);
-                w.u64(*upto);
-            }
-            Request::SubmitReportsStream {
-                campaign,
-                seq,
-                reports,
-                ctx,
-            } => {
-                w = Writer::with_payload(
-                    KIND_SUBMIT_STREAM,
-                    str_bytes(campaign) + 8 + reports_bytes(reports) + CTX_BYTES,
-                );
-                w.str(campaign);
-                w.u64(*seq);
-                write_reports(&mut w, reports);
-                write_opt_ctx(&mut w, *ctx);
-            }
-            Request::QueryStatus => {
-                w = Writer::new(KIND_QUERY_STATUS);
-            }
-            Request::QueryTrace => {
-                w = Writer::new(KIND_QUERY_TRACE);
-            }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut out = MetricsSnapshot::new();
+        for (name, value) in r.get::<Vec<(String, MetricValue)>>()? {
+            out.set(name, value);
         }
-        w.finish()
-    }
-
-    /// Decode a frame body (as returned by [`split_frame`]).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::UnknownKind`] for a non-request kind,
-    /// [`WireError::Malformed`] for structural violations.
-    pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader { buf: body };
-        let kind = r.u8()?;
-        let req = match kind {
-            KIND_CREATE => Request::CreateCampaign {
-                campaign: r.campaign_id()?,
-                spec: CampaignSpec::read(&mut r)?,
-            },
-            KIND_SUBMIT => {
-                let campaign = r.campaign_id()?;
-                let count = r.bounded_count(MIN_REPORT_BYTES)?;
-                let mut reports = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reports.push(read_report(&mut r)?);
-                }
-                Request::SubmitReports {
-                    campaign,
-                    reports,
-                    ctx: read_opt_ctx(&mut r)?,
-                }
-            }
-            KIND_CLOSE => Request::CloseRound {
-                campaign: r.campaign_id()?,
-                epoch: r.u64()?,
-            },
-            KIND_QUERY_TRUTHS => Request::QueryTruths {
-                campaign: r.campaign_id()?,
-            },
-            KIND_QUERY_BUDGET => Request::QueryBudget {
-                campaign: r.campaign_id()?,
-            },
-            KIND_QUERY_METRICS => Request::QueryMetrics {
-                campaign: r.campaign_id()?,
-            },
-            KIND_NODE_HELLO => Request::NodeHello {
-                node_id: r.u32()?,
-                num_nodes: r.u32()?,
-            },
-            KIND_CLOSE_PREPARE => Request::CloseRoundPrepare {
-                campaign: r.campaign_id()?,
-                epoch: r.u64()?,
-                refused: read_u64s(&mut r)?,
-                ctx: read_opt_ctx(&mut r)?,
-            },
-            KIND_CLOSE_COMMIT => Request::CloseRoundCommit {
-                campaign: r.campaign_id()?,
-                epoch: r.u64()?,
-                batches_seen: r.u64()?,
-                accepted_users: read_u64s(&mut r)?,
-                cumulative_losses: read_f64s(&mut r)?,
-                rounds_debited: read_u32s(&mut r)?,
-                ctx: read_opt_ctx(&mut r)?,
-            },
-            KIND_REPLICATE => {
-                let campaign = r.campaign_id()?;
-                let seq = r.u64()?;
-                let op = StoreOp::from_u8(r.u8()?)
-                    .ok_or(WireError::Malformed("unknown store operation"))?;
-                let name = r.str()?;
-                validate_store_name(&name)?;
-                let arg = r.u64()?;
-                let n = r.bounded_count(1)?;
-                let bytes = r.take(n)?.to_vec();
-                Request::ReplicateSegment {
-                    campaign,
-                    seq,
-                    op,
-                    name,
-                    arg,
-                    bytes,
-                }
-            }
-            KIND_QUERY_LEDGER => Request::QueryLedger {
-                campaign: r.campaign_id()?,
-                upto: r.u64()?,
-            },
-            KIND_SUBMIT_STREAM => {
-                let campaign = r.campaign_id()?;
-                let seq = r.u64()?;
-                let count = r.bounded_count(MIN_REPORT_BYTES)?;
-                let mut reports = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reports.push(read_report(&mut r)?);
-                }
-                Request::SubmitReportsStream {
-                    campaign,
-                    seq,
-                    reports,
-                    ctx: read_opt_ctx(&mut r)?,
-                }
-            }
-            KIND_QUERY_STATUS => Request::QueryStatus,
-            KIND_QUERY_TRACE => Request::QueryTrace,
-            other => return Err(WireError::UnknownKind(other)),
-        };
-        r.finish()?;
-        Ok(req)
+        Ok(out)
     }
 }
 
-impl Response {
-    /// Encode as one complete frame (header + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w;
-        match self {
-            Response::Created { resumed_rounds } => {
-                w = Writer::new(KIND_CREATED);
-                w.u64(*resumed_rounds);
-            }
-            Response::Submitted { queued } => {
-                w = Writer::new(KIND_SUBMITTED);
-                w.u64(*queued);
-            }
-            Response::Busy { queued, capacity } => {
-                w = Writer::new(KIND_BUSY);
-                w.u64(*queued);
-                w.u64(*capacity);
-            }
-            Response::RoundClosed {
-                epoch,
-                accepted,
-                refused,
-                duplicates,
-                late,
-                truths,
-                weights_digest,
-                max_spent_epsilon,
-                max_spent_delta,
-            } => {
-                w = Writer::new(KIND_ROUND_CLOSED);
-                w.u64(*epoch);
-                w.u64(*accepted);
-                w.u64(*refused);
-                w.u64(*duplicates);
-                w.u64(*late);
-                write_f64s(&mut w, truths);
-                w.u64(*weights_digest);
-                w.f64(*max_spent_epsilon);
-                w.f64(*max_spent_delta);
-            }
-            Response::Truths {
-                rounds_run,
-                truths,
-                weights_digest,
-            } => {
-                w = Writer::new(KIND_TRUTHS);
-                w.u64(*rounds_run);
-                write_f64s(&mut w, truths);
-                w.u64(*weights_digest);
-            }
-            Response::Budget {
-                exhausted,
-                max_spent_epsilon,
-                max_spent_delta,
-                debits,
-            } => {
-                w = Writer::new(KIND_BUDGET);
-                w.u64(*exhausted);
-                w.f64(*max_spent_epsilon);
-                w.f64(*max_spent_delta);
-                w.u32(debits.len() as u32);
-                for &d in debits {
-                    w.u32(d);
+record! {
+    /// A campaign's engine counters as reported over the wire — the
+    /// remotely observable subset of the engine's `EngineMetrics` plus the
+    /// registry's current submission-queue depth. Latency quantiles are in
+    /// nanoseconds (`0` before any ingest has been timed).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct MetricsReport {
+        /// Reports offered to the engine.
+        pub reports_submitted: u64,
+        /// Reports that survived dedup/deadline and were aggregated.
+        pub reports_accepted: u64,
+        /// Duplicates discarded (first-wins).
+        pub duplicates_discarded: u64,
+        /// Reports dropped as late.
+        pub late_dropped: u64,
+        /// Reports dropped as out-of-order.
+        pub out_of_order_dropped: u64,
+        /// Times a producer stalled on a full shard queue.
+        pub backpressure_stalls: u64,
+        /// Epochs merged into the estimator.
+        pub epochs_merged: u64,
+        /// High-water mark of the engine's shard queues.
+        pub max_queue_depth: u64,
+        /// Reports currently buffered for the next close (pending plus the
+        /// one-round lookahead).
+        pub queue_depth: u64,
+        /// Accepted reports per second of engine wall time.
+        pub throughput_rps: f64,
+        /// Median ingest latency, nanoseconds.
+        pub ingest_p50_ns: u64,
+        /// 99th-percentile ingest latency, nanoseconds.
+        pub ingest_p99_ns: u64,
+        /// Connections live on the serving front end right now (a
+        /// server-wide gauge, repeated in every campaign's report).
+        pub conn_live: u64,
+        /// Connections accepted since the server started.
+        pub conn_accepted: u64,
+        /// Connections refused at accept because the front end was at its
+        /// connection budget.
+        pub conn_refused: u64,
+        /// I/O threads the front end is running.
+        pub io_threads: u64,
+    }
+}
+
+record! {
+    /// Sizing and privacy policy for a campaign created over the wire —
+    /// everything the server needs to build the engine, the campaign driver
+    /// and (optionally) the per-campaign write-ahead log.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CampaignSpec {
+        /// Population size.
+        pub num_users: u64,
+        /// Objects per round.
+        pub num_objects: u64,
+        /// Engine ingestion shards.
+        pub num_shards: u64,
+        /// Engine drain workers (0 = auto).
+        pub workers: u64,
+        /// Engine per-shard queue depth.
+        pub engine_queue: u64,
+        /// Per-round submission deadline (virtual µs).
+        pub deadline_us: u64,
+        /// Cap on reports buffered between `SubmitReports` and `CloseRound`;
+        /// past it the server replies `Busy` instead of growing the queue.
+        pub submission_capacity: u64,
+        /// ε one aggregated report costs its user.
+        pub per_round_epsilon: f64,
+        /// δ one aggregated report costs its user.
+        pub per_round_delta: f64,
+        /// The campaign-wide ε ceiling per user.
+        pub budget_epsilon: f64,
+        /// The campaign-wide δ ceiling per user.
+        pub budget_delta: f64,
+        /// Opaque fingerprint of the input stream driving this campaign
+        /// (`0` when unused). Stamped into every durable WAL record: a
+        /// re-create that would resume the log under a **different** stream
+        /// (e.g. `dptd submit` with a new `--seed`) is refused instead of
+        /// silently replaying the ledger against reports it never
+        /// accounted — the same guard `dptd campaign --wal` applies.
+        pub stream_tag: u64,
+        /// Whether the campaign logs every round to its own WAL directory
+        /// under the server's WAL root (and resumes from it when re-created).
+        pub durable: bool,
+    }
+}
+
+record! {
+    /// One refused batch inside a [`Response::SubmitAcked`], carried as a
+    /// delta against the cumulative ack.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BatchRefusal {
+        /// The refused batch's sequence number.
+        pub seq: u64,
+        /// Why it was refused. `None` is retryable backpressure (the queue
+        /// was full, or the batch arrived out of order behind another
+        /// refusal): resend from this sequence number once the earlier
+        /// refusal clears. `Some(code)` is a hard refusal.
+        pub code: Option<ErrorCode>,
+    }
+}
+
+record!(impl TraceEvent {
+    tid: u64,
+    ts_ns: u64,
+    phase: char as Phase,
+    code: u32,
+    arg: u64,
+    trace_id: u64,
+    span_id: u64,
+    parent_span: u64,
+});
+
+/// A frame enum: each row is `kind byte => Variant { field: Type, … }`
+/// in wire order (`as Kind` where the wire form is narrower than the
+/// type), and the definition, the kind dispatch, the exact length,
+/// `encode` and `decode` below are all expanded from that one row.
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $kind:literal => $variant:ident $({
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty $(as $codec:ty)?),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $field: $ty),* })?),*
+        }
+
+        impl $name {
+            /// Every kind byte this enum decodes, in table order.
+            pub const KINDS: &'static [u8] = &[$($kind),*];
+
+            fn put_body<S: Sink>(&self, w: &mut S) {
+                match self {
+                    $(Self::$variant { $($($field),*)? } => {
+                        w.put::<u8>(&$kind);
+                        $($(<kind!($ty $(, $codec)?) as Field<$ty>>::put($field, w);)*)?
+                    })*
                 }
             }
-            Response::Error { code, message } => {
-                w = Writer::new(KIND_ERROR);
-                w.u8(*code as u8);
-                w.str(message);
+
+            /// Exact length of the encoded body — the kind byte plus
+            /// every field — counted without building it.
+            pub fn body_len(&self) -> usize {
+                let mut n = Counter(0);
+                self.put_body(&mut n);
+                n.0
             }
-            Response::Metrics { metrics } => {
-                w = Writer::new(KIND_METRICS);
-                metrics.write(&mut w);
+
+            /// Encode as one complete frame (header + body), allocated
+            /// once at exactly its length.
+            ///
+            /// # Errors
+            ///
+            /// [`WireError::TooLarge`] — before anything is allocated —
+            /// when the body would exceed [`MAX_FRAME_LEN`], the cap
+            /// every decoder enforces.
+            pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
+                let mut w = Writer::new(self.body_len())?;
+                self.put_body(&mut w);
+                Ok(w.finish())
             }
-            Response::NodeWelcome { node_id } => {
-                w = Writer::new(KIND_NODE_WELCOME);
-                w.u32(*node_id);
+
+            /// Encode as one complete frame (header + body).
+            ///
+            /// # Panics
+            ///
+            /// When the body would exceed [`MAX_FRAME_LEN`]. A frame
+            /// sized by outside input — a population, a batch — goes
+            /// through [`Self::try_encode`] instead.
+            pub fn encode(&self) -> Vec<u8> {
+                self.try_encode().expect("frame body within MAX_FRAME_LEN")
             }
-            Response::Prepared {
-                epoch,
-                duplicates,
-                late,
-                refused_seen,
-                claims,
-            } => {
-                let claim_bytes =
-                    |c: &PerturbedReport| MIN_CLAIM_BYTES + VALUE_BYTES * c.values.len();
-                w = Writer::with_payload(
-                    KIND_PREPARED,
-                    4 * 8 + 4 + claims.iter().map(claim_bytes).sum::<usize>(),
-                );
-                w.u64(*epoch);
-                w.u64(*duplicates);
-                w.u64(*late);
-                w.u64(*refused_seen);
-                w.u32(claims.len() as u32);
-                for c in claims {
-                    write_claim(&mut w, c);
+
+            /// Decode a frame body (as returned by [`split_frame`]).
+            ///
+            /// # Errors
+            ///
+            /// [`WireError::UnknownKind`] for a kind byte outside
+            /// [`Self::KINDS`], [`WireError::Malformed`] for structural
+            /// violations.
+            pub fn decode(body: &[u8]) -> Result<Self, WireError> {
+                let mut r = Reader { buf: body };
+                let frame = match r.get::<u8>()? {
+                    $($kind => Self::$variant {
+                        $($($field: <kind!($ty $(, $codec)?) as Field<$ty>>::get(&mut r)?),*)?
+                    },)*
+                    other => return Err(WireError::UnknownKind(other)),
+                };
+                if !r.buf.is_empty() {
+                    return Err(WireError::Malformed("trailing bytes after the payload"));
                 }
-            }
-            Response::Committed { epoch, appended } => {
-                w = Writer::new(KIND_COMMITTED);
-                w.u64(*epoch);
-                w.u8(u8::from(*appended));
-            }
-            Response::Replicated { seq } => {
-                w = Writer::new(KIND_REPLICATED);
-                w.u64(*seq);
-            }
-            Response::SubmitAcked {
-                contiguous,
-                queued,
-                refusals,
-            } => {
-                w = Writer::new(KIND_SUBMIT_ACKED);
-                w.u64(*contiguous);
-                w.u64(*queued);
-                w.u32(refusals.len() as u32);
-                for refusal in refusals {
-                    w.u64(refusal.seq);
-                    w.u8(refusal.code.map_or(0, |c| c as u8));
-                }
-            }
-            Response::Ledger {
-                next_epoch,
-                batches_seen,
-                rounds_debited,
-                cumulative_losses,
-            } => {
-                w = Writer::with_payload(
-                    KIND_LEDGER,
-                    8 + 8 + (4 + 4 * rounds_debited.len()) + (4 + 8 * cumulative_losses.len()),
-                );
-                w.u64(*next_epoch);
-                w.u64(*batches_seen);
-                write_u32s(&mut w, rounds_debited);
-                write_f64s(&mut w, cumulative_losses);
-            }
-            Response::Status { snapshot } => {
-                w = Writer::new(KIND_STATUS);
-                write_snapshot(&mut w, snapshot);
-            }
-            Response::TraceDump {
-                anchor_ns,
-                dropped,
-                events,
-            } => {
-                w = Writer::new(KIND_TRACE_DUMP);
-                w.u64(*anchor_ns);
-                w.u32(dropped.len() as u32);
-                for &(tid, n) in dropped {
-                    w.u64(tid);
-                    w.u64(n);
-                }
-                w.u32(events.len() as u32);
-                for e in events {
-                    write_trace_event(&mut w, e);
-                }
+                Ok(frame)
             }
         }
-        w.finish()
-    }
+    };
+}
 
-    /// Decode a frame body (as returned by [`split_frame`]).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::UnknownKind`] for a non-response kind,
-    /// [`WireError::Malformed`] for structural violations.
-    pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader { buf: body };
-        let kind = r.u8()?;
-        let resp = match kind {
-            KIND_CREATED => Response::Created {
-                resumed_rounds: r.u64()?,
-            },
-            KIND_SUBMITTED => Response::Submitted { queued: r.u64()? },
-            KIND_BUSY => Response::Busy {
-                queued: r.u64()?,
-                capacity: r.u64()?,
-            },
-            KIND_ROUND_CLOSED => Response::RoundClosed {
-                epoch: r.u64()?,
-                accepted: r.u64()?,
-                refused: r.u64()?,
-                duplicates: r.u64()?,
-                late: r.u64()?,
-                truths: read_f64s(&mut r)?,
-                weights_digest: r.u64()?,
-                max_spent_epsilon: r.f64()?,
-                max_spent_delta: r.f64()?,
-            },
-            KIND_TRUTHS => Response::Truths {
-                rounds_run: r.u64()?,
-                truths: read_f64s(&mut r)?,
-                weights_digest: r.u64()?,
-            },
-            KIND_BUDGET => {
-                let exhausted = r.u64()?;
-                let max_spent_epsilon = r.f64()?;
-                let max_spent_delta = r.f64()?;
-                let n = r.bounded_count(4)?;
-                let mut debits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    debits.push(r.u32()?);
-                }
-                Response::Budget {
-                    exhausted,
-                    max_spent_epsilon,
-                    max_spent_delta,
-                    debits,
-                }
-            }
-            KIND_ERROR => Response::Error {
-                code: ErrorCode::from_u8(r.u8()?)
-                    .ok_or(WireError::Malformed("unknown error code"))?,
-                message: r.str()?,
-            },
-            KIND_METRICS => Response::Metrics {
-                metrics: Box::new(MetricsReport::read(&mut r)?),
-            },
-            KIND_NODE_WELCOME => Response::NodeWelcome { node_id: r.u32()? },
-            KIND_PREPARED => {
-                let epoch = r.u64()?;
-                let duplicates = r.u64()?;
-                let late = r.u64()?;
-                let refused_seen = r.u64()?;
-                let count = r.bounded_count(MIN_CLAIM_BYTES)?;
-                let mut claims = Vec::with_capacity(count);
-                for _ in 0..count {
-                    claims.push(read_claim(&mut r)?);
-                }
-                Response::Prepared {
-                    epoch,
-                    duplicates,
-                    late,
-                    refused_seen,
-                    claims,
-                }
-            }
-            KIND_COMMITTED => Response::Committed {
-                epoch: r.u64()?,
-                appended: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("appended flag is not 0/1")),
-                },
-            },
-            KIND_REPLICATED => Response::Replicated { seq: r.u64()? },
-            KIND_SUBMIT_ACKED => {
-                let contiguous = r.u64()?;
-                let queued = r.u64()?;
-                let n = r.bounded_count(MIN_REFUSAL_BYTES)?;
-                let mut refusals = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let seq = r.u64()?;
-                    let code = match r.u8()? {
-                        0 => None,
-                        byte => Some(
-                            ErrorCode::from_u8(byte)
-                                .ok_or(WireError::Malformed("unknown refusal code"))?,
-                        ),
-                    };
-                    refusals.push(BatchRefusal { seq, code });
-                }
-                Response::SubmitAcked {
-                    contiguous,
-                    queued,
-                    refusals,
-                }
-            }
-            KIND_LEDGER => Response::Ledger {
-                next_epoch: r.u64()?,
-                batches_seen: r.u64()?,
-                rounds_debited: read_u32s(&mut r)?,
-                cumulative_losses: read_f64s(&mut r)?,
-            },
-            KIND_STATUS => Response::Status {
-                snapshot: read_snapshot(&mut r)?,
-            },
-            KIND_TRACE_DUMP => {
-                let anchor_ns = r.u64()?;
-                let ndropped = r.bounded_count(TRACE_DROP_BYTES)?;
-                let mut dropped = Vec::with_capacity(ndropped);
-                for _ in 0..ndropped {
-                    dropped.push((r.u64()?, r.u64()?));
-                }
-                let nevents = r.bounded_count(TRACE_EVENT_BYTES)?;
-                let mut events = Vec::with_capacity(nevents);
-                for _ in 0..nevents {
-                    events.push(read_trace_event(&mut r)?);
-                }
-                Response::TraceDump {
-                    anchor_ns,
-                    dropped,
-                    events,
-                }
-            }
-            other => return Err(WireError::UnknownKind(other)),
-        };
-        r.finish()?;
-        Ok(resp)
+frames! {
+    /// A client→server request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Register a new campaign (or resume a durable one from its WAL).
+        0x01 => CreateCampaign {
+            /// The campaign id (also its WAL directory name when durable).
+            campaign: String as CampaignId,
+            /// Sizing and privacy policy.
+            spec: CampaignSpec,
+        },
+        /// Append a batch of stamped reports to the campaign's bounded
+        /// submission queue. All reports must carry the campaign's next
+        /// epoch; the batch is taken atomically or refused (`Busy`).
+        0x02 => SubmitReports {
+            /// Target campaign.
+            campaign: String as CampaignId,
+            /// The batch, in stream order.
+            reports: Vec<StampedReport>,
+            /// Optional trace-context extension: the sender's current span,
+            /// so the server's queue/merge spans causally link to the
+            /// client's submit span. `None` encodes byte-identically to the
+            /// pre-extension frame, so untraced peers interoperate.
+            ctx: Option<SpanContext>,
+        },
+        /// Execute the campaign's next round over everything submitted since
+        /// the previous close.
+        0x03 => CloseRound {
+            /// Target campaign.
+            campaign: String as CampaignId,
+            /// The epoch being closed (must be the campaign's next epoch —
+            /// a stale retry is refused instead of silently re-running).
+            epoch: u64,
+        },
+        /// Read the latest truths and the current weights digest.
+        0x04 => QueryTruths {
+            /// Target campaign.
+            campaign: String as CampaignId,
+        },
+        /// Read the privacy-budget ledger.
+        0x05 => QueryBudget {
+            /// Target campaign.
+            campaign: String as CampaignId,
+        },
+        /// Read the campaign's engine metrics (throughput, latency
+        /// quantiles, drop counters, queue depth).
+        0x06 => QueryMetrics {
+            /// Target campaign.
+            campaign: String as CampaignId,
+        },
+        /// Identify this connection as a cluster peer. A coordinator sends
+        /// it after the hello so a node can confirm the partition geometry
+        /// both sides assume; a plain campaign server refuses it.
+        0x07 => NodeHello {
+            /// The node's index in the cluster's partition map.
+            node_id: u32,
+            /// Total nodes the sender believes the cluster has.
+            num_nodes: u32,
+        },
+        /// Phase one of the cluster's two-phase round barrier: drain the
+        /// node's submission queue for `epoch`, filter it exactly as a
+        /// round close would (refusal withhold → deadline → first-wins
+        /// dedup), and return the surviving claims **without** touching
+        /// durable state. The coordinator merges all nodes' claims before
+        /// anything commits.
+        0x08 => CloseRoundPrepare {
+            /// Target campaign.
+            campaign: String as CampaignId,
+            /// The epoch being closed (must be the node's next epoch).
+            epoch: u64,
+            /// Node-local user ids whose budget the coordinator's global
+            /// ledger says is exhausted — their reports are withheld before
+            /// the deadline cut, matching the driver's refusal order.
+            refused: Vec<u64>,
+            /// Optional trace-context extension: the coordinator's barrier
+            /// span, so the node's drain span parents under it in a merged
+            /// timeline. `None` is byte-identical to the pre-extension frame.
+            ctx: Option<SpanContext>,
+        },
+        /// Phase two of the barrier: durably append the node's slice of the
+        /// merged round to its WAL. Idempotent — re-sending the previous
+        /// epoch's byte-identical record is acknowledged without a second
+        /// append, so a coordinator that died between commit fan-out and
+        /// its own state advance can safely re-drive the barrier.
+        0x09 => CloseRoundCommit {
+            /// Target campaign.
+            campaign: String as CampaignId,
+            /// The epoch being committed.
+            epoch: u64,
+            /// Estimator batches merged globally after this round.
+            batches_seen: u64,
+            /// Node-local ids accepted this round, ascending.
+            accepted_users: Vec<u64>,
+            /// The node's slice of the post-round cumulative losses, one
+            /// per local user.
+            cumulative_losses: Vec<f64>,
+            /// The node's slice of the post-round debit ledger, one per
+            /// local user.
+            rounds_debited: Vec<u32>,
+            /// Optional trace-context extension (see
+            /// [`Request::CloseRoundPrepare::ctx`]).
+            ctx: Option<SpanContext>,
+        },
+        /// Stream one committed store operation to a follower, in commit
+        /// order. The follower applies it under its replica root and acks
+        /// with the same sequence number.
+        0x0a => ReplicateSegment {
+            /// The campaign whose WAL directory is being replicated.
+            campaign: String as CampaignId,
+            /// Position of this operation in the primary's commit order
+            /// (strictly increasing from 0).
+            seq: u64,
+            /// Which store mutation to apply.
+            op: StoreOp,
+            /// The file within the campaign's directory.
+            name: String as StoreName,
+            /// Operand for [`StoreOp::Truncate`] (the new length); `0`
+            /// otherwise.
+            arg: u64,
+            /// Payload for [`StoreOp::Append`] / [`StoreOp::WriteAtomic`];
+            /// empty otherwise.
+            bytes: Vec<u8> as Bytes,
+        },
+        /// Read a node's durable round ledger — what a fresh coordinator
+        /// needs to rebuild global state after failover.
+        0x0b => QueryLedger {
+            /// Target campaign.
+            campaign: String as CampaignId,
+            /// Epoch to read the ledger *as of*: the node answers with its
+            /// state after committing `upto` (or refuses if it never did).
+            /// `u64::MAX` means "your latest".
+            upto: u64,
+        },
+        /// One batch of a **pipelined** submission stream. Unlike
+        /// [`Request::SubmitReports`] the client does not wait for the
+        /// previous batch's reply before sending the next: it keeps a window
+        /// of batches in flight, each stamped with a per-connection sequence
+        /// number (strictly increasing over *accepted* batches), and the
+        /// server answers every batch with a cumulative
+        /// [`Response::SubmitAcked`]. The connection front end accepts only
+        /// the next in-order sequence number, so the submission queue sees
+        /// the exact byte order the client sent — pipelining never perturbs
+        /// campaign results.
+        0x0c => SubmitReportsStream {
+            /// Target campaign.
+            campaign: String as CampaignId,
+            /// This batch's position in the connection's stream. The first
+            /// batch on a connection is `0`; a refused batch is retried
+            /// under the **same** number.
+            seq: u64,
+            /// The batch, in stream order.
+            reports: Vec<StampedReport>,
+            /// Optional trace-context extension (see
+            /// [`Request::SubmitReports::ctx`]).
+            ctx: Option<SpanContext>,
+        },
+        /// Read the server's full observability snapshot: every registry
+        /// metric (connection gauges, per-campaign stage-busy counters,
+        /// error-code frequencies, WAL bytes) plus per-campaign ingest
+        /// histograms — the frame behind `dptd status --connect`. Unlike
+        /// [`Request::QueryMetrics`] it is server-wide, not per-campaign.
+        0x0d => QueryStatus,
+        /// Read the process's retained trace rings — every event the
+        /// per-thread buffers still hold, plus the wall-clock anchor that
+        /// lets a coordinator align timelines from different machines. The
+        /// frame behind `dptd cluster trace`.
+        0x0e => QueryTrace,
     }
+}
+
+frames! {
+    /// A server→client reply.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Campaign registered.
+        0x81 => Created {
+            /// Rounds already durably committed (non-zero only when a
+            /// durable campaign resumed from its WAL).
+            resumed_rounds: u64,
+        },
+        /// Batch accepted into the submission queue.
+        0x82 => Submitted {
+            /// Reports now pending for the next close.
+            queued: u64,
+        },
+        /// Backpressure: the submission queue cannot take the batch. Nothing
+        /// was enqueued — the client must retry after a `CloseRound` drains
+        /// the queue (the server never buffers unboundedly).
+        0x83 => Busy {
+            /// Reports currently pending.
+            queued: u64,
+            /// The queue's capacity.
+            capacity: u64,
+        },
+        /// A round executed.
+        0x84 => RoundClosed {
+            /// The epoch that closed.
+            epoch: u64,
+            /// Reports aggregated.
+            accepted: u64,
+            /// Users refused because their budget was exhausted.
+            refused: u64,
+            /// Duplicates discarded (first-wins).
+            duplicates: u64,
+            /// Reports dropped as late.
+            late: u64,
+            /// Estimated truths for the round's objects.
+            truths: Vec<f64>,
+            /// FNV-1a digest of the post-round weights' bit patterns — the
+            /// same digest `dptd campaign` prints, so wire and in-process
+            /// runs diff from the shell.
+            weights_digest: u64,
+            /// Worst cumulative ε across the population after the round.
+            max_spent_epsilon: f64,
+            /// Worst cumulative δ across the population after the round.
+            max_spent_delta: f64,
+        },
+        /// Current truths.
+        0x85 => Truths {
+            /// Rounds completed so far.
+            rounds_run: u64,
+            /// Truths from the last closed round (empty before the first).
+            truths: Vec<f64>,
+            /// FNV-1a digest of the current weights.
+            weights_digest: u64,
+        },
+        /// The privacy ledger.
+        0x86 => Budget {
+            /// Users whose budget affords no further round.
+            exhausted: u64,
+            /// Worst cumulative ε spent.
+            max_spent_epsilon: f64,
+            /// Worst cumulative δ spent.
+            max_spent_delta: f64,
+            /// Per-user debit counts, user order — the exact snapshot
+            /// [`dptd_protocol::budget::BudgetAccountant::debits_by_user`]
+            /// exposes, so a wire ledger can be compared bit-for-bit with an
+            /// in-process one.
+            debits: Vec<u32>,
+        },
+        /// The request was refused.
+        0x87 => Error {
+            /// Stable machine-readable cause.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String,
+        },
+        /// The campaign's engine counters.
+        0x88 => Metrics {
+            /// The observable metrics snapshot (boxed — it is by far the
+            /// widest variant, and responses travel through `Result` errors).
+            metrics: Box<MetricsReport>,
+        },
+        /// The node accepts the peer handshake.
+        0x89 => NodeWelcome {
+            /// The node's own index (must match the `NodeHello`).
+            node_id: u32,
+        },
+        /// Phase-one result: the node's filtered claims for the epoch.
+        0x8a => Prepared {
+            /// The epoch that was drained.
+            epoch: u64,
+            /// Duplicates discarded by the node's first-wins filter.
+            duplicates: u64,
+            /// Reports the node dropped as late.
+            late: u64,
+            /// Distinct refused users that actually submitted this epoch.
+            refused_seen: u64,
+            /// Surviving reports in ascending local-user order. `user` is
+            /// the **node-local** dense id; the coordinator maps it back to
+            /// the global id through the partition map.
+            claims: Vec<PerturbedReport>,
+        },
+        /// Phase-two result: the node's WAL holds the epoch.
+        0x8b => Committed {
+            /// The epoch now durable.
+            epoch: u64,
+            /// Whether a record was appended (`false` = the byte-identical
+            /// record was already the node's latest — an idempotent retry).
+            appended: bool,
+        },
+        /// The follower applied the replicated store operation.
+        0x8c => Replicated {
+            /// Echo of the operation's sequence number.
+            seq: u64,
+        },
+        /// Cumulative acknowledgement of a pipelined submission stream: one
+        /// is sent for every [`Request::SubmitReportsStream`] frame, in
+        /// order, so a client with `W` batches in flight reads `W` acks.
+        0x8e => SubmitAcked {
+            /// Batches accepted contiguously from sequence `0` — equally,
+            /// the next sequence number the server will accept. Everything
+            /// below it is durably queued and will never be re-requested.
+            contiguous: u64,
+            /// Reports pending for the next close after the most recently
+            /// accepted batch (the same counter as
+            /// [`Response::Submitted::queued`]).
+            queued: u64,
+            /// Batches refused since the previous ack, as deltas. Empty
+            /// when this ack's own batch was accepted.
+            refusals: Vec<BatchRefusal>,
+        },
+        /// A node's durable round ledger.
+        0x8d => Ledger {
+            /// The next epoch the node would commit.
+            next_epoch: u64,
+            /// Estimator batches reflected in the slices below.
+            batches_seen: u64,
+            /// Per-local-user debit counts.
+            rounds_debited: Vec<u32>,
+            /// Per-local-user cumulative losses.
+            cumulative_losses: Vec<f64>,
+        },
+        /// The server's full observability snapshot (reply to
+        /// [`Request::QueryStatus`]).
+        0x8f => Status {
+            /// Every metric the server's registry holds, sorted by name.
+            snapshot: dptd_obs::MetricsSnapshot,
+        },
+        /// The process's retained trace rings (reply to
+        /// [`Request::QueryTrace`]).
+        0x90 => TraceDump {
+            /// Wall-clock nanoseconds since the Unix epoch at the process's
+            /// trace epoch — `ts_ns + anchor_ns` places an event on the
+            /// shared wall clock, which is how a coordinator aligns rings
+            /// from different processes into one timeline.
+            anchor_ns: u64,
+            /// Per-ring truncation: `(tid, events_overwritten)` for every
+            /// ring that wrapped, so a merged timeline can say what is
+            /// missing instead of silently looking complete.
+            dropped: Vec<(u64, u64)>,
+            /// The retained events, oldest-first per ring.
+            events: Vec<TraceEvent>,
+        },
+    }
+}
+
+/// Encode a [`Request::SubmitReports`] frame — or, given a stream
+/// sequence number, a [`Request::SubmitReportsStream`] one — straight
+/// from a borrowed batch: a client chunking a slice need not deep-clone
+/// every report into an owned `Request` first. It restates those two
+/// rows; a unit test pins it byte-equal to the table's encoder.
+pub(crate) fn encode_submit(
+    campaign: &str,
+    seq: Option<u64>,
+    reports: &[StampedReport],
+    ctx: Option<SpanContext>,
+) -> Result<Vec<u8>, WireError> {
+    fn put_body<S: Sink>(
+        w: &mut S,
+        campaign: &str,
+        seq: Option<u64>,
+        reports: &[StampedReport],
+        ctx: &Option<SpanContext>,
+    ) {
+        w.put(&if seq.is_some() { 0x0c_u8 } else { 0x02 });
+        w.str(campaign);
+        if let Some(seq) = seq {
+            w.put(&seq);
+        }
+        w.seq(reports);
+        w.put(ctx);
+    }
+    let mut n = Counter(0);
+    put_body(&mut n, campaign, seq, reports, &ctx);
+    let mut w = Writer::new(n.0)?;
+    put_body(&mut w, campaign, seq, reports, &ctx);
+    Ok(w.finish())
 }
 
 #[cfg(test)]
@@ -1836,6 +1425,13 @@ mod tests {
             sent_at_us,
             report: PerturbedReport { user, values },
         }
+    }
+
+    /// A hand-built body: `kind`, then whatever the test writes behind it.
+    fn body_of(kind: u8) -> Writer {
+        let mut w = Writer::new(0).unwrap();
+        w.put(&kind);
+        w
     }
 
     fn roundtrip_request(req: Request) {
@@ -2113,6 +1709,104 @@ mod tests {
         }
     }
 
+    /// A string past what its `u16` length prefix can carry is cut, at a
+    /// `char` boundary, instead of wrapping the prefix into a frame the
+    /// decoder refuses.
+    #[test]
+    fn over_long_strings_are_cut_at_a_char_boundary() {
+        let decoded_message = |message: String| {
+            let resp = Response::Error {
+                code: ErrorCode::Internal,
+                message,
+            };
+            let frame = resp.encode();
+            assert_eq!(frame.len(), FRAME_HEADER_LEN + resp.body_len());
+            let (body, _) = split_frame(&frame).unwrap();
+            match Response::decode(body).unwrap() {
+                Response::Error { message, .. } => message,
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(decoded_message("x".repeat(70_000)), "x".repeat(65_535));
+        // The 65 535th byte is the lead byte of a two-byte character …
+        let two = format!("{}é and more", "x".repeat(65_534));
+        assert_eq!(decoded_message(two), "x".repeat(65_534));
+        // … or the last byte of a three-byte one that starts two earlier.
+        let three = format!("{}€ and more", "x".repeat(65_533));
+        assert_eq!(decoded_message(three), "x".repeat(65_533));
+        // At the limit exactly, nothing is cut.
+        let fits = format!("{}é", "x".repeat(65_533));
+        assert_eq!(decoded_message(fits.clone()), fits);
+    }
+
+    /// The borrowed submit encoder restates two table rows; it must write
+    /// exactly what they write.
+    #[test]
+    fn borrowed_submit_encoder_matches_the_table() {
+        let reports = [
+            stamped(3, 0, 10, vec![(0, 1.5), (2, -0.5)]),
+            stamped(3, 1, 20, vec![]),
+        ];
+        let some = Some(SpanContext {
+            trace_id: 17,
+            span_id: 92,
+        });
+        for (reports, ctx) in [(&reports[..], None), (&reports[..], some), (&[][..], some)] {
+            assert_eq!(
+                encode_submit("cafe", None, reports, ctx).unwrap(),
+                Request::SubmitReports {
+                    campaign: "cafe".to_string(),
+                    reports: reports.to_vec(),
+                    ctx,
+                }
+                .encode()
+            );
+            assert_eq!(
+                encode_submit("cafe", Some(7), reports, ctx).unwrap(),
+                Request::SubmitReportsStream {
+                    campaign: "cafe".to_string(),
+                    seq: 7,
+                    reports: reports.to_vec(),
+                    ctx,
+                }
+                .encode()
+            );
+        }
+    }
+
+    /// The cap every decoder enforces is enforced on the way out, from
+    /// the declared length alone: a body of exactly `MAX_FRAME_LEN` is a
+    /// frame its decoder accepts, one byte more is refused unbuilt.
+    #[test]
+    fn the_frame_cap_is_enforced_before_encoding() {
+        let segment = |len: usize| Request::ReplicateSegment {
+            campaign: "c".to_string(),
+            seq: 0,
+            op: StoreOp::Append,
+            name: "s".to_string(),
+            arg: 0,
+            bytes: vec![0; len],
+        };
+        let overhead = segment(0).body_len();
+        let at_cap = segment(MAX_FRAME_LEN - overhead);
+        assert_eq!(at_cap.body_len(), MAX_FRAME_LEN);
+        let frame = at_cap.try_encode().unwrap();
+        let (body, _) = split_frame(&frame).unwrap();
+        assert_eq!(body.len(), MAX_FRAME_LEN);
+
+        assert_eq!(
+            segment(MAX_FRAME_LEN - overhead + 1).try_encode(),
+            Err(WireError::TooLarge {
+                claimed: MAX_FRAME_LEN as u64 + 1
+            })
+        );
+        let reports = vec![stamped(0, 0, 0, vec![(0, 0.0); 3_000_000])];
+        assert!(matches!(
+            encode_submit("c", None, &reports, None),
+            Err(WireError::TooLarge { .. })
+        ));
+    }
+
     #[test]
     fn every_streaming_message_roundtrips() {
         roundtrip_request(Request::SubmitReportsStream {
@@ -2180,27 +1874,27 @@ mod tests {
     #[test]
     fn status_snapshot_refuses_malformed_payloads() {
         // Unknown value tag.
-        let mut w = Writer::new(KIND_STATUS);
-        w.u32(1);
+        let mut w = body_of(0x8f);
+        w.put(&1u32);
         w.str("m");
-        w.u8(9);
-        w.u64(0);
+        w.put(&9u8);
+        w.put(&0u64);
         assert_eq!(
             Response::decode(w.body()),
             Err(WireError::Malformed("unknown metric value tag"))
         );
 
         // Bucket index past the shared layout.
-        let mut w = Writer::new(KIND_STATUS);
-        w.u32(1);
+        let mut w = body_of(0x8f);
+        w.put(&1u32);
         w.str("h");
-        w.u8(VALUE_TAG_HISTOGRAM);
-        w.u64(1);
-        w.u64(10);
-        w.u64(10);
-        w.u32(1);
-        w.u32(NUM_BUCKETS as u32);
-        w.u64(1);
+        w.put(&VALUE_TAG_HISTOGRAM);
+        w.put(&1u64);
+        w.put(&10u64);
+        w.put(&10u64);
+        w.put(&1u32);
+        w.put(&(NUM_BUCKETS as u32));
+        w.put(&1u64);
         assert_eq!(
             Response::decode(w.body()),
             Err(WireError::Malformed("histogram bucket index out of range"))
@@ -2208,18 +1902,18 @@ mod tests {
 
         // Bucket indices must be strictly increasing (canonical sparse
         // form — a duplicate would double-count on merge).
-        let mut w = Writer::new(KIND_STATUS);
-        w.u32(1);
+        let mut w = body_of(0x8f);
+        w.put(&1u32);
         w.str("h");
-        w.u8(VALUE_TAG_HISTOGRAM);
-        w.u64(2);
-        w.u64(20);
-        w.u64(10);
-        w.u32(2);
-        w.u32(7);
-        w.u64(1);
-        w.u32(7);
-        w.u64(1);
+        w.put(&VALUE_TAG_HISTOGRAM);
+        w.put(&2u64);
+        w.put(&20u64);
+        w.put(&10u64);
+        w.put(&2u32);
+        w.put(&7u32);
+        w.put(&1u64);
+        w.put(&7u32);
+        w.put(&1u64);
         assert_eq!(
             Response::decode(w.body()),
             Err(WireError::Malformed(
@@ -2444,18 +2138,18 @@ mod tests {
 
     #[test]
     fn trace_dump_refuses_unknown_phases() {
-        let mut w = Writer::new(KIND_TRACE_DUMP);
-        w.u64(0);
-        w.u32(0);
-        w.u32(1);
-        w.u64(1);
-        w.u64(10);
-        w.u8(b'X');
-        w.u32(1);
-        w.u64(0);
-        w.u64(0);
-        w.u64(0);
-        w.u64(0);
+        let mut w = body_of(0x90);
+        w.put(&0u64);
+        w.put(&0u32);
+        w.put(&1u32);
+        w.put(&1u64);
+        w.put(&10u64);
+        w.put(&b'X');
+        w.put(&1u32);
+        w.put(&0u64);
+        w.put(&0u64);
+        w.put(&0u64);
+        w.put(&0u64);
         assert_eq!(
             Response::decode(w.body()),
             Err(WireError::Malformed("unknown trace event phase"))
@@ -2464,12 +2158,12 @@ mod tests {
 
     #[test]
     fn submit_acked_refuses_unknown_refusal_codes() {
-        let mut w = Writer::new(KIND_SUBMIT_ACKED);
-        w.u64(0);
-        w.u64(0);
-        w.u32(1);
-        w.u64(5);
-        w.u8(0xee);
+        let mut w = body_of(0x8e);
+        w.put(&0u64);
+        w.put(&0u64);
+        w.put(&1u32);
+        w.put(&5u64);
+        w.put(&0xee_u8);
         assert_eq!(
             Response::decode(w.body()),
             Err(WireError::Malformed("unknown refusal code"))
@@ -2739,9 +2433,9 @@ mod tests {
     fn claimed_counts_are_bounded_before_allocation() {
         // A submit body claiming 2^32-1 reports in a tiny payload must
         // be Malformed, not a 4-billion-element Vec::with_capacity.
-        let mut w = Writer::new(KIND_SUBMIT);
+        let mut w = body_of(0x02);
         w.str("c");
-        w.u32(u32::MAX);
+        w.put(&u32::MAX);
         assert_eq!(
             Request::decode(w.body()),
             Err(WireError::Malformed(
@@ -2749,9 +2443,9 @@ mod tests {
             ))
         );
         // Same for a modest but still payload-exceeding claim.
-        let mut w = Writer::new(KIND_SUBMIT);
+        let mut w = body_of(0x02);
         w.str("c");
-        w.u32(1_000);
+        w.put(&1_000u32);
         assert_eq!(
             Request::decode(w.body()),
             Err(WireError::Malformed(
@@ -2780,9 +2474,9 @@ mod tests {
         assert_eq!(Request::decode(&[0x7f]), Err(WireError::UnknownKind(0x7f)));
         assert_eq!(Response::decode(&[0x01]), Err(WireError::UnknownKind(0x01)));
         // A valid message with trailing garbage.
-        let mut w = Writer::new(KIND_CREATED);
-        w.u64(0);
-        w.u8(0xaa);
+        let mut w = body_of(0x81);
+        w.put(&0u64);
+        w.put(&0xaa_u8);
         assert_eq!(
             Response::decode(w.body()),
             Err(WireError::Malformed("trailing bytes after the payload"))
