@@ -77,7 +77,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
 
     let _ = writeln!(
         out,
-        "| epoch | accepted | dup | late | truth MAE | shard drift |"
+        "| epoch | accepted | dup | late | truth MAE | shard drift (unweighted shard means vs merged truths) |"
     );
     let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|");
     for outcome in &report.epochs {

@@ -721,7 +721,8 @@ impl ClusterCampaign {
             // has been merged or debited yet.
             let population = partition.population(id);
             let mut locals = Vec::with_capacity(prepared.claims.len());
-            let mut shard = ShardClaims::new();
+            let cells = prepared.claims.iter().map(|c| c.values.len()).sum();
+            let mut shard = ShardClaims::with_capacity(prepared.claims.len(), cells);
             for claim in prepared.claims {
                 let local = claim.user;
                 if local >= population || locals.last().is_some_and(|&last| last >= local as u64) {

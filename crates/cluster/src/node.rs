@@ -460,7 +460,8 @@ impl NodeState {
             Request::SubmitReports {
                 campaign, reports, ..
             } => self.host.with(&campaign, |part| {
-                part.queue.offer(reports, part.local_users, NOUN)
+                part.queue
+                    .offer(reports, part.local_users, part.config.num_objects, NOUN)
             }),
             Request::CloseRoundPrepare {
                 campaign,

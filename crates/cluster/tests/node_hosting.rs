@@ -4,7 +4,8 @@
 //! allocated, refusals are counted per campaign and feed the
 //! refusal-storm flight trigger, and one submission queue serves both
 //! hosts — a scripted sequence gets the same answers from a
-//! `CampaignRegistry` and from a node.
+//! `CampaignRegistry` and from a node, and a claim the aggregation would
+//! refuse is refused at submit by a `Server` and by a node alike.
 
 use dptd_cluster::{NodeConfig, NodeServer};
 use dptd_core::roles::PerturbedReport;
@@ -12,8 +13,11 @@ use dptd_obs::{flight, names};
 use dptd_protocol::message::StampedReport;
 use dptd_server::{
     CampaignRegistry, CampaignSpec, Client, ErrorCode, IoConfig, IoModel, RegistryConfig, Request,
-    Response, ServerError, WireError,
+    Response, Server, ServerConfig, ServerError, WireError,
 };
+use dptd_stats::digest::fnv1a_f64s;
+use dptd_truth::streaming::{ShardClaims, StreamingCrh};
+use dptd_truth::Loss;
 
 fn spec(users: u64, capacity: u64) -> CampaignSpec {
     CampaignSpec {
@@ -344,4 +348,130 @@ fn one_queue_serves_a_registry_and_a_node_identically() {
             "depth(3)",
         ]
     );
+}
+
+/// A 100-user, 2-object round: every user reports both objects.
+fn honest_round(epoch: u64) -> Vec<StampedReport> {
+    (0..100)
+        .map(|user| StampedReport {
+            epoch,
+            sent_at_us: 10 + user as u64,
+            report: PerturbedReport {
+                user,
+                values: vec![(0, 1.0 + user as f64 / 64.0), (1, 9.0 - user as f64 / 32.0)],
+            },
+        })
+        .collect()
+}
+
+/// One malformed claim used to fail everyone's round: nothing looked at
+/// a claim's cells before the merge, so user 57 naming an object out of
+/// range, a NaN, or one object twice made the close fail *after* it had
+/// drained the queue — 99 honest reports consumed, the round not
+/// advanced, repeatable every round. Both hosts now refuse such a batch
+/// at submit, whole, on a connection that stays aligned, and the round
+/// closes with the digest of a run that never saw it.
+#[test]
+fn a_malformed_claim_is_refused_at_submit_by_a_server_and_by_a_node() {
+    let defects: [(Vec<(usize, f64)>, &str); 3] = [
+        (
+            vec![(0, 1.0), (7, 2.0)],
+            "report from user 57 refused: object index 7 out of range for 2 objects",
+        ),
+        (
+            vec![(0, 1.0), (1, f64::NAN)],
+            "report from user 57 refused: non-finite observation NaN from user 57 on object 1",
+        ),
+        (
+            vec![(0, 1.0), (0, 2.0)],
+            "report from user 57 refused: user 57 observed object 0 more than once",
+        ),
+    ];
+    let two_objects = |capacity| CampaignSpec {
+        num_objects: 2,
+        ..spec(100, capacity)
+    };
+    // The batch user 57's bad report rides in: honest neighbours on
+    // either side, none of which may be taken.
+    let poisoned = |claims: &[(usize, f64)]| -> Vec<StampedReport> {
+        let mut batch = honest_round(0)[56..59].to_vec();
+        batch[1].report.values = claims.to_vec();
+        batch
+    };
+    let refused_with = |response: Response, expected: &str| match response {
+        Response::Error {
+            code: ErrorCode::InvalidRequest,
+            message,
+        } => assert_eq!(message, expected),
+        other => panic!("expected the typed refusal `{expected}`, got {other:?}"),
+    };
+
+    // A campaign server: the clean campaign never sees a bad batch.
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.create_campaign("clean", two_objects(256)).unwrap();
+    client
+        .submit_chunked("clean", &honest_round(0), 32)
+        .unwrap();
+    let clean = client.close_round("clean", 0).unwrap();
+    assert_eq!(clean.accepted, 100);
+
+    client.create_campaign("dirty", two_objects(256)).unwrap();
+    client
+        .submit_chunked("dirty", &honest_round(0)[..40], 32)
+        .unwrap();
+    for (claims, expected) in &defects {
+        refused_with(
+            client.request(&submit("dirty", poisoned(claims))).unwrap(),
+            expected,
+        );
+        // Same connection, still frame-aligned; nothing was taken.
+        client.query_status().unwrap();
+        assert_eq!(client.query_metrics("dirty").unwrap().queue_depth, 40);
+    }
+    client
+        .submit_chunked("dirty", &honest_round(0)[40..], 32)
+        .unwrap();
+    let dirty = client.close_round("dirty", 0).unwrap();
+    assert_eq!(dirty, clean);
+    server.shutdown();
+
+    // A cluster node: same door, same refusals; what it hands the
+    // coordinator's merge is what a clean partition hands it.
+    let node = NodeServer::start(NodeConfig::default()).unwrap();
+    let mut client = Client::connect(node.local_addr()).unwrap();
+    client.create_campaign("clean", two_objects(256)).unwrap();
+    client
+        .submit_chunked("clean", &honest_round(0), 32)
+        .unwrap();
+    let clean_prepared = client.close_round_prepare("clean", 0, vec![]).unwrap();
+
+    client.create_campaign("dirty", two_objects(256)).unwrap();
+    client
+        .submit_chunked("dirty", &honest_round(0)[..40], 32)
+        .unwrap();
+    for (claims, expected) in &defects {
+        refused_with(
+            client.request(&submit("dirty", poisoned(claims))).unwrap(),
+            expected,
+        );
+        client.query_status().unwrap();
+        assert_eq!(client.query_metrics("dirty").unwrap().queue_depth, 40);
+    }
+    client
+        .submit_chunked("dirty", &honest_round(0)[40..], 32)
+        .unwrap();
+    let prepared = client.close_round_prepare("dirty", 0, vec![]).unwrap();
+    assert_eq!(prepared, clean_prepared);
+    node.shutdown();
+
+    // Merged the way the coordinator merges it, the node's round has the
+    // digest the server reported.
+    let mut shard = ShardClaims::new();
+    for claim in prepared.claims {
+        shard.push(claim.user, claim.values);
+    }
+    let mut crh = StreamingCrh::new(100, Loss::Squared).unwrap();
+    crh.ingest_sharded(2, vec![shard]).unwrap();
+    assert_eq!(fnv1a_f64s(crh.weights()), clean.weights_digest);
 }

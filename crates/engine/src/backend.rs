@@ -64,10 +64,10 @@ use crate::EngineError;
 #[derive(Debug)]
 pub struct EngineBackend {
     engine: Engine,
-    /// The carried-over global estimator. A failed round restores the
-    /// pre-round checkpoint — a single-epoch run only mutates the
-    /// estimator when its merge succeeds, so the backend recovers from a
-    /// starved round exactly like the sim backend. `None` only if a
+    /// The carried-over global estimator, lent to the engine for each
+    /// round. A single-epoch run only mutates it when its merge
+    /// succeeds, so the backend recovers from a starved round exactly
+    /// like the sim backend, without a checkpoint. `None` only if a
     /// previous call panicked mid-round.
     state: Option<StreamingCrh>,
     metrics: EngineMetrics,
@@ -75,9 +75,9 @@ pub struct EngineBackend {
     /// Durability state, present only when a write-ahead log was
     /// requested — non-WAL backends carry none of it (in particular not
     /// the `O(num_users)` debit mirror). A round is committed iff its
-    /// record is durably appended: an append failure rolls the in-memory
-    /// state back to the pre-round checkpoint, so memory never runs
-    /// ahead of the log.
+    /// record is durably appended: an append failure puts the touched
+    /// users' losses and debits back, so memory never runs ahead of the
+    /// log.
     wal: Option<WalState>,
 }
 
@@ -280,23 +280,34 @@ impl RoundBackend for EngineBackend {
                 constraint: "every report in a campaign round must carry the round's epoch",
             });
         }
-        let state = self.state.take().ok_or(ProtocolError::Backend {
+        let mut state = self.state.take().ok_or(ProtocolError::Backend {
             backend: "engine",
             message: "backend poisoned by an earlier panicked round".to_string(),
         })?;
 
-        // Checkpoint so a failed round (e.g. coverage starvation once
-        // budgets bite) leaves the campaign resumable: the failed epoch
-        // never merged, so the pre-round estimator is the true state.
-        let checkpoint = state.clone();
-        let (mut report, state) = match self.engine.run_with_state(state, input.reports) {
-            Ok(out) => out,
-            Err(e) => {
-                self.state = Some(checkpoint);
-                return Err(Self::engine_err(e));
+        // What a failed log append needs to take the round back: the
+        // cumulative loss of every user the stream names, as it stood
+        // before the round — a superset of the users the merge touches,
+        // and nothing of the population it does not.
+        let undo: Vec<(usize, f64)> = match &self.wal {
+            Some(_) => {
+                let losses = state.cumulative_losses();
+                let named = input.reports.iter().map(|r| r.report.user);
+                named
+                    .filter_map(|user| losses.get(user).map(|&loss| (user, loss)))
+                    .collect()
             }
+            None => Vec::new(),
         };
+
+        // A failed round (e.g. coverage starvation once budgets bite)
+        // leaves the campaign resumable without a checkpoint: the round
+        // is a single epoch, and an epoch whose merge fails never touched
+        // the borrowed estimator.
+        let run = self.engine.run_on(&mut state, input.reports);
+        let batches_seen = state.batches_seen();
         self.state = Some(state);
+        let mut report = run.map_err(Self::engine_err)?;
 
         // A campaign round is exactly one epoch; an empty merge means the
         // round starved (nothing survived to reach the merger). Counted
@@ -316,42 +327,42 @@ impl RoundBackend for EngineBackend {
         } = report.epochs.pop().expect("length checked above");
 
         // Durability barrier: the round commits iff its record reaches
-        // the log. On append failure the pre-round checkpoint is
-        // restored, so the in-memory campaign never runs ahead of what a
-        // crash could recover.
+        // the log. On append failure the touched users' losses are put
+        // back (weights are a pure function of the losses), so the
+        // in-memory campaign never runs ahead of what a crash could
+        // recover.
         if let Some(wal) = &mut self.wal {
             for &user in &accepted_users {
                 wal.debits[user] += 1;
             }
+            let state = self.state.as_ref().expect("state present: set above");
             let record = EpochRecord {
                 kind: RecordKind::Epoch,
                 epoch: input.epoch,
-                batches_seen: self
-                    .state
-                    .as_ref()
-                    .expect("state present: set above")
-                    .batches_seen() as u64,
+                batches_seen: batches_seen as u64,
                 loss: cfg.loss,
                 policy: wal.policy,
                 accepted_users: accepted_users.clone(),
-                cumulative_losses: self
-                    .state
-                    .as_ref()
-                    .expect("state present: set above")
-                    .cumulative_losses()
-                    .to_vec(),
+                cumulative_losses: state.cumulative_losses().to_vec(),
                 rounds_debited: wal.debits.clone(),
             };
             let commit_span = dptd_obs::TraceScope::begin(dptd_obs::codes::COMMIT, input.epoch);
-            if let Err(e) = wal.writer.append_record(&record) {
-                drop(commit_span);
+            let appended = wal.writer.append_record(&record);
+            drop(commit_span);
+            if let Err(e) = appended {
                 for &user in &accepted_users {
                     wal.debits[user] -= 1;
                 }
-                self.state = Some(checkpoint);
+                let mut losses = record.cumulative_losses;
+                for (user, loss) in undo {
+                    losses[user] = loss;
+                }
+                self.state = Some(
+                    StreamingCrh::from_parts(cfg.loss, losses, batches_seen - 1)
+                        .map_err(|e| Self::engine_err(e.into()))?,
+                );
                 return Err(Self::engine_err(EngineError::Wal(e)));
             }
-            drop(commit_span);
             wal.last_epoch = Some(input.epoch);
         }
 

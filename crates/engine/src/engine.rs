@@ -1,25 +1,74 @@
 //! The sharded streaming aggregation engine.
 //!
 //! ```text
-//!                    ┌────────────┐  bounded   ┌──────────┐ ShardClaims
-//!  StampedReport ───▶│ router     │──queues───▶│ workers  │──────────┐
-//!  stream (caller)   │ user % S   │  (back-    │ dedup,   │          ▼
-//!                    └────────────┘  pressure) │ deadline,│   ┌────────────┐
-//!                                              │ local CRH│   │ merger:    │
-//!                                              └──────────┘   │ canonical  │
-//!                                                             │ StreamingCrh│
-//!                                                             └────────────┘
+//!                  ┌───────────────┐ chunks of   ┌────────────────┐ ShardClaims
+//! StampedReport ──▶│ router        │ ≤256, one   │ workers        │ (columnar, users
+//! stream (caller)  │ stage by      │ bounded     │ deadline,      │  ascending)
+//!                  │ user % S,     │──inbox per─▶│ dedup, copy    │──────────┐
+//!                  │ flush on full │  worker     │ claims into    │          ▼
+//!                  │ / epoch end   │ (back-      │ the shard's    │   ┌─────────────┐
+//!                  └───────────────┘  pressure)  │ columnar arena │   │ merger:     │
+//!                                                └───────┬────────┘   │ load_shards │
+//!                                                        │ spent      │ + canonical │
+//!                                                        └──chunks───▶│ StreamingCrh│
+//!                                                          (to free)  └─────────────┘
 //! ```
 //!
-//! One router (the calling thread) hashes each report to a shard queue; a
-//! capped worker pool drains the queues; at each epoch boundary every
-//! shard emits its canonical claims and the merger folds them — users in
-//! ascending id, independent of sharding — into one global
+//! One router (the calling thread) stages each report in a small buffer
+//! for its shard and hands a **chunk** — `CHUNK_REPORTS` (256) reports of one
+//! shard, fewer at an epoch boundary or the end of the stream — to the
+//! inbox of the worker that owns the shard. Each worker owns a
+//! contiguous run of shards and **blocks on one inbox** for all of them;
+//! the shard id travels in the message. At each epoch boundary the
+//! router flushes every staging buffer and then posts an end-of-epoch
+//! marker to every inbox, so the marker is behind all of its reports;
+//! every shard then emits its canonical claims and the merger folds them
+//! — users in ascending id, independent of sharding — into one global
 //! [`StreamingCrh`]. Merged truths are therefore **bit-identical for any
-//! shard count and any worker count**, which
-//! `crates/engine/tests/proptests.rs` asserts for shard counts 1/4/16.
+//! shard count, worker count and queue capacity**, which
+//! `crates/engine/tests/proptests.rs` and `chunked_pipeline.rs` assert.
+//!
+//! What is paid per chunk, not per report: the channel's lock and
+//! wake-up, two clock reads on each side, the latency sample. What is
+//! paid per report: a modulo, a move into the staging buffer, the
+//! shard's deadline and first-wins checks, and one copy of its claims
+//! into the shard's arena ([`crate::shard`]).
+//!
+//! # Metrics
+//!
+//! [`EngineMetrics`] keeps its meaning under chunking.
+//! `ingest_latency` has one sample per submitted report: every report of
+//! a chunk records the chunk's latency, measured from when the chunk's
+//! *first* report was staged to the end of the chunk's ingest — an upper
+//! bound for the others. `stage.route` is the time the router spent
+//! enqueueing (blocked time included), `stage.filter` the workers' time
+//! ingesting chunks and closing epochs, `stage.merge` the merger's time
+//! in the cross-shard merge. `queue_capacity` is in reports: an inbox
+//! holds `queue_capacity / chunk` chunks, so the reports queued for one
+//! worker never exceed it, `max_queue_depth` (sampled at every send,
+//! each queued message counted as a full chunk) never exceeds it either,
+//! and a full inbox blocks the router and counts one
+//! `backpressure_stalls`.
+//!
+//! # What an engine keeps between runs
+//!
+//! Everything whose size follows the population is built on an
+//! [`Engine`]'s first run and reused by every later one — a campaign
+//! hosts one engine, so this is scratch per campaign, not per round:
+//! the [`ShardState`]s (12 bytes per user: the slot → arena-span index)
+//! and the merger's [`ColumnarBatch`] (16 bytes per user of
+//! generation-stamped slot index), plus the columns of the largest round
+//! seen so far, twice — once spread over the shard arenas, once in the
+//! merge arena — at 16 bytes per claim each, and 16 more per reporting
+//! user in the merge arena.
+//! A 1 M-user campaign at 2 % participation therefore keeps ≈28 MB
+//! resident and re-zeroes none of it: every index resets by generation
+//! stamp or in time proportional to the round's reports. A run takes the
+//! scratch out of the engine and puts it back when it succeeds; a second
+//! run racing it on the same engine (or a clone) builds its own.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -46,15 +95,15 @@ pub struct EngineConfig {
     pub num_objects: usize,
     /// Number of ingestion shards (`user % num_shards` routing).
     pub num_shards: usize,
-    /// Worker threads draining shard queues; `0` means
-    /// `min(num_shards, available parallelism)`.
+    /// Worker threads, each draining one inbox for the shards it owns;
+    /// `0` means `min(num_shards, available parallelism)`.
     pub workers: usize,
-    /// Capacity of each shard's bounded queue; a full queue pushes back on
-    /// the router.
+    /// Most reports that may be queued for one worker; a full inbox
+    /// pushes back on the router.
     pub queue_capacity: usize,
     /// Reports whose virtual send time exceeds this are dropped as late.
     pub epoch_deadline_us: u64,
-    /// Loss function for the global (and per-shard) CRH estimators.
+    /// Loss function of the global CRH estimator.
     pub loss: Loss,
     /// Threads for the canonical cross-shard merge's reduction tree;
     /// `0` means auto. The merged truths are **bit-identical for every
@@ -132,9 +181,11 @@ pub struct EpochOutcome {
     pub duplicates_discarded: usize,
     /// Late reports dropped this epoch.
     pub late_dropped: u64,
-    /// Mean absolute gap between the shards' local incremental estimates
-    /// and the merged truths, over shards whose users covered every object
-    /// (`None` if no shard had full local coverage).
+    /// Mean absolute gap between the shards' local views — each shard's
+    /// **unweighted per-object mean** of its accepted claims — and the
+    /// merged truths, over shards whose users covered every object
+    /// (`None` if no shard had full local coverage). A shard whose users
+    /// disagree with the population shows up here.
     pub shard_drift: Option<f64>,
 }
 
@@ -149,8 +200,24 @@ pub struct EngineReport {
     pub metrics: EngineMetrics,
 }
 
+/// Reports per router → worker hand-off (fewer only when
+/// `queue_capacity` is smaller, or at a flush). A constant, not a knob:
+/// at a few hundred reports the channel's lock, wake-up and clock reads
+/// are already noise beside the ingest work they bracket, while a chunk
+/// (≈12 KB of report headers) still fits a core's L1 and an epoch
+/// boundary never has more than `num_shards` partial chunks to flush.
+const CHUNK_REPORTS: usize = 256;
+
 enum ShardMsg {
-    Report(StampedReport, Instant),
+    /// Consecutive reports of one shard, in stream order.
+    Chunk {
+        shard: usize,
+        reports: Vec<StampedReport>,
+        /// When the chunk's first report was staged.
+        staged_at: Instant,
+    },
+    /// Every chunk of this epoch is ahead of this marker in the inbox:
+    /// close it on each shard the worker owns.
     EpochEnd(u64),
 }
 
@@ -163,17 +230,75 @@ struct EpochClaims {
 
 enum MergeMsg {
     Epoch(EpochClaims),
-    ShardDone {
+    /// A chunk whose claims a shard has copied out, sent here only to be
+    /// dropped. The reports' claim lists were allocated by whoever built
+    /// the stream, so freeing them takes that thread's allocator arena
+    /// lock; two workers doing it at once convoy on that lock (measured:
+    /// 0.9 µs per free instead of tens of ns, the whole B − A gap again),
+    /// while the merger — idle until the epoch closes — frees them one
+    /// thread at a time for nothing.
+    Spent(Vec<StampedReport>),
+    WorkerDone {
         latency: Histogram,
         filter_busy: Duration,
     },
 }
 
+/// Everything a run needs whose size follows the population: the shard
+/// states and the merger's columnar arena. Built on an engine's first
+/// run and kept by it, so a campaign pays for them once, not per round.
+#[derive(Debug)]
+struct Scratch {
+    shards: Vec<ShardState>,
+    arena: ColumnarBatch,
+}
+
+impl Scratch {
+    fn new(cfg: &EngineConfig) -> Self {
+        Self {
+            shards: (0..cfg.num_shards)
+                .map(|id| {
+                    ShardState::new(
+                        id,
+                        cfg.num_shards,
+                        cfg.num_users,
+                        cfg.num_objects,
+                        cfg.epoch_deadline_us,
+                        cfg.loss,
+                    )
+                })
+                .collect(),
+            arena: ColumnarBatch::new(cfg.num_users, cfg.num_objects),
+        }
+    }
+}
+
 /// The sharded streaming aggregation engine. See the module docs for the
-/// dataflow.
-#[derive(Debug, Clone)]
+/// dataflow and for what an engine keeps resident between runs.
 pub struct Engine {
     config: EngineConfig,
+    /// Parked between runs; `None` before the first run and while a run
+    /// has it.
+    scratch: Mutex<Option<Scratch>>,
+}
+
+impl Clone for Engine {
+    /// An engine with the same configuration and no scratch of its own
+    /// yet.
+    fn clone(&self) -> Self {
+        Self {
+            config: self.config,
+            scratch: Mutex::new(None),
+        }
+    }
+}
+
+impl std::fmt::Debug for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Engine {
@@ -185,7 +310,10 @@ impl Engine {
     /// more shards than users.
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
         config.validate()?;
-        Ok(Self { config })
+        Ok(Self {
+            config,
+            scratch: Mutex::new(None),
+        })
     }
 
     /// The engine's configuration.
@@ -210,8 +338,8 @@ impl Engine {
     where
         I: IntoIterator<Item = StampedReport>,
     {
-        let crh = StreamingCrh::new(self.config.num_users, self.config.loss)?;
-        self.run_with_state(crh, stream).map(|(report, _)| report)
+        let mut crh = StreamingCrh::new(self.config.num_users, self.config.loss)?;
+        self.run_on(&mut crh, stream)
     }
 
     /// Like [`Engine::run`], but resume from a carried-over global
@@ -229,62 +357,97 @@ impl Engine {
     /// [`EngineError::InvalidParameter`] when `state` does not match the
     /// engine's population size or loss function. On error the estimator
     /// is not returned. The epoch whose merge failed never mutated it
-    /// ([`StreamingCrh::ingest`] validates before touching any state),
-    /// but earlier epochs of the same stream may have merged first —
-    /// callers that need to resume after a failure should clone the
-    /// estimator per epoch, as the campaign backend does.
+    /// ([`StreamingCrh::ingest_columnar_with_workers`] commits only after
+    /// the whole pass succeeds), but earlier epochs of the same stream
+    /// may have merged first — callers that need to resume after a
+    /// failure run one epoch per call, as the campaign backend does.
     pub fn run_with_state<I>(
         &self,
-        state: StreamingCrh,
+        mut state: StreamingCrh,
         stream: I,
     ) -> Result<(EngineReport, StreamingCrh), EngineError>
     where
         I: IntoIterator<Item = StampedReport>,
     {
-        if state.num_users() != self.config.num_users {
+        let report = self.run_on(&mut state, stream)?;
+        Ok((report, state))
+    }
+
+    /// [`Engine::run_with_state`] over a borrowed estimator, which
+    /// therefore survives a failed run: untouched if the stream was a
+    /// single epoch. The campaign backend's entry point.
+    pub(crate) fn run_on<I>(
+        &self,
+        crh: &mut StreamingCrh,
+        stream: I,
+    ) -> Result<EngineReport, EngineError>
+    where
+        I: IntoIterator<Item = StampedReport>,
+    {
+        if crh.num_users() != self.config.num_users {
             return Err(EngineError::InvalidParameter {
                 name: "state.num_users",
-                value: state.num_users() as f64,
+                value: crh.num_users() as f64,
                 constraint: "carried-over state must match the engine population",
             });
         }
-        if state.loss() != self.config.loss {
+        if crh.loss() != self.config.loss {
             return Err(EngineError::InvalidParameter {
                 name: "state.loss",
                 value: f64::NAN,
                 constraint: "carried-over state must use the engine's loss function",
             });
         }
+        // Take the scratch for the length of the run. A second run racing
+        // this one (on `&self` from another thread) finds none and builds
+        // its own; whichever finishes last leaves its scratch parked.
+        let mut scratch = self
+            .park()
+            .take()
+            .unwrap_or_else(|| Scratch::new(&self.config));
+        let result = self.pipeline(&mut scratch, crh, stream);
+        // Every shard closed every epoch it opened only on success; a
+        // run that stopped part-way may have left reports half ingested,
+        // and that scratch is dropped rather than parked.
+        if result.is_ok() {
+            *self.park() = Some(scratch);
+        }
+        result
+    }
+
+    fn park(&self) -> MutexGuard<'_, Option<Scratch>> {
+        // The lock only ever guards a take or a store, so a poisoned
+        // guard still holds a valid value.
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn pipeline<I>(
+        &self,
+        scratch: &mut Scratch,
+        crh: &mut StreamingCrh,
+        stream: I,
+    ) -> Result<EngineReport, EngineError>
+    where
+        I: IntoIterator<Item = StampedReport>,
+    {
         let cfg = self.config;
         let started = Instant::now();
 
         let num_shards = cfg.num_shards;
         let workers = if cfg.workers == 0 {
-            WorkerPool::default().workers().min(num_shards)
+            WorkerPool::default().workers()
         } else {
-            cfg.workers.min(num_shards)
-        };
-        let pool = WorkerPool::new(workers);
-
-        let mut txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(num_shards);
-        // Receivers are parked in mutexed slots so each queue-drain worker
-        // can take exactly its own (run_partitioned hands every shard id
-        // to one worker).
-        let mut rx_slots: Vec<std::sync::Mutex<Option<Receiver<ShardMsg>>>> =
-            Vec::with_capacity(num_shards);
-        for _ in 0..num_shards {
-            let (tx, rx) = bounded::<ShardMsg>(cfg.queue_capacity);
-            txs.push(tx);
-            rx_slots.push(std::sync::Mutex::new(Some(rx)));
+            cfg.workers
         }
+        .min(num_shards);
+        // An inbox holds whole chunks, sized so that the reports queued
+        // for one worker never exceed `queue_capacity`.
+        let chunk_len = CHUNK_REPORTS.min(cfg.queue_capacity);
+        let inbox_chunks = cfg.queue_capacity / chunk_len;
+
         let (merge_tx, merge_rx) = unbounded::<MergeMsg>();
-        let worker_merge_tx = merge_tx.clone();
+        let Scratch { shards, arena } = scratch;
 
-        let mut router_metrics = RouterMetrics::default();
-        let mut router_err: Option<EngineError> = None;
-
-        let rx_slots_ref = &rx_slots;
-        let cfg_ref = &cfg;
         // Spans at stage granularity (one per thread per run): a few
         // atomic stores per run, nothing per report, so tracing cannot
         // perturb the data plane.
@@ -294,119 +457,68 @@ impl Engine {
         // so MERGE/FILTER spans parent under ROUND even though they run
         // on other threads. `None` when tracing is off — zero work.
         let ambient = dptd_obs::trace::current();
-        let merger_out = thread::scope(|scope| {
+        let cfg_ref = &cfg;
+        let merger_crh = &mut *crh;
+        let (routed, router_metrics, merger_out) = thread::scope(|scope| {
             // Merger: folds per-shard epoch claims into the global CRH.
             let merger = scope.spawn(move || {
                 let _ctx = ambient.map(dptd_obs::trace::enter);
                 let _span = TraceScope::begin(trace_codes::MERGE, num_shards as u64);
-                merge_loop(cfg_ref, state, num_shards, merge_rx)
+                merge_loop(cfg_ref, merger_crh, arena, merge_rx)
             });
 
-            // Workers: each drains a contiguous set of shard queues.
-            scope.spawn(move || {
-                let worker_merge_tx = worker_merge_tx;
-                pool.run_partitioned(num_shards, |shard_ids| {
+            // Workers: each owns a contiguous, balanced run of shards and
+            // blocks on one inbox for all of them.
+            let mut inboxes: Vec<Sender<ShardMsg>> = Vec::with_capacity(workers);
+            let mut owner: Vec<usize> = Vec::with_capacity(num_shards);
+            let mut rest = shards.as_mut_slice();
+            for worker in 0..workers {
+                let owned = num_shards / workers + usize::from(worker < num_shards % workers);
+                let first = owner.len();
+                let (mine, tail) = rest.split_at_mut(owned);
+                rest = tail;
+                owner.resize(first + owned, worker);
+                let (tx, rx) = bounded::<ShardMsg>(inbox_chunks);
+                inboxes.push(tx);
+                let merge_tx = merge_tx.clone();
+                scope.spawn(move || {
                     let _ctx = ambient.map(dptd_obs::trace::enter);
-                    let _span = TraceScope::begin(trace_codes::FILTER, shard_ids.len() as u64);
-                    let my_shards: Vec<(usize, Receiver<ShardMsg>)> = shard_ids
-                        .iter()
-                        .map(|&s| {
-                            let rx = rx_slots_ref[s]
-                                .lock()
-                                .expect("rx slot lock")
-                                .take()
-                                .expect("each shard receiver is taken once");
-                            (s, rx)
-                        })
-                        .collect();
-                    drain_shards(cfg_ref, my_shards, worker_merge_tx.clone());
+                    let _span = TraceScope::begin(trace_codes::FILTER, owned as u64);
+                    drain_inbox(mine, first, rx, merge_tx);
                 });
-            });
+            }
+            drop(merge_tx); // merger exits once the last worker's clone drops
 
-            // Router (this thread): hash each report to its shard queue.
+            // Router (this thread): stage each report for its shard.
             let route_span = TraceScope::begin(trace_codes::ROUTE, 0);
-            let mut open_epoch: Option<u64> = None;
-            for stamped in stream {
-                router_metrics.submitted += 1;
-
-                match open_epoch {
-                    None => open_epoch = Some(stamped.epoch),
-                    Some(open) if stamped.epoch > open => {
-                        for tx in &txs {
-                            if tx.send(ShardMsg::EpochEnd(open)).is_err() {
-                                router_err = Some(EngineError::Disconnected);
-                            }
-                        }
-                        open_epoch = Some(stamped.epoch);
-                    }
-                    Some(open) if stamped.epoch < open => {
-                        router_metrics.out_of_order += 1;
-                        continue;
-                    }
-                    Some(_) => {}
-                }
-                if router_err.is_some() {
-                    break;
-                }
-
-                let user = stamped.report.user;
-                if user >= cfg.num_users {
-                    router_err = Some(EngineError::InvalidUser {
-                        user,
-                        num_users: cfg.num_users,
-                    });
-                    break;
-                }
-                let shard = user % num_shards;
-
-                // Sample queue depth cheaply (every 64th report).
-                if router_metrics.submitted & 63 == 0 {
-                    router_metrics.max_queue_depth =
-                        router_metrics.max_queue_depth.max(txs[shard].len());
-                }
-
-                let enqueued = Instant::now();
-                let msg = ShardMsg::Report(stamped, enqueued);
-                match txs[shard].try_send(msg) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(msg)) => {
-                        // Backpressure: block until the drain catches up.
-                        router_metrics.backpressure += 1;
-                        router_metrics.max_queue_depth =
-                            router_metrics.max_queue_depth.max(cfg.queue_capacity);
-                        if txs[shard].send(msg).is_err() {
-                            router_err = Some(EngineError::Disconnected);
-                            break;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        router_err = Some(EngineError::Disconnected);
-                        break;
-                    }
-                }
-                router_metrics.route_busy += enqueued.elapsed();
-            }
-            if let Some(open) = open_epoch {
-                if router_err.is_none() {
-                    for tx in &txs {
-                        let _ = tx.send(ShardMsg::EpochEnd(open));
-                    }
-                }
-            }
+            let mut router = Router {
+                inboxes,
+                owner,
+                staging: (0..num_shards)
+                    .map(|_| Staged {
+                        reports: Vec::with_capacity(chunk_len),
+                        since: started,
+                    })
+                    .collect(),
+                chunk_len,
+                metrics: RouterMetrics::default(),
+            };
+            let routed = router.route(cfg.num_users, stream);
             drop(route_span);
-            drop(txs); // workers drain and exit
-            drop(merge_tx); // merger exits once the last worker clone drops
+            let metrics = std::mem::take(&mut router.metrics);
+            drop(router); // closes the inboxes: workers drain and exit
 
-            merger.join().expect("merger thread panicked")
+            (
+                routed,
+                metrics,
+                merger.join().expect("merger thread panicked"),
+            )
         });
         drop(run_span);
 
-        if let Some(e) = router_err {
-            return Err(e);
-        }
+        routed?;
         let MergeOut {
             outcomes: epochs,
-            crh,
             latency,
             filter_busy,
             merge_busy,
@@ -415,7 +527,6 @@ impl Engine {
         if let Some(e) = merge_err {
             return Err(e);
         }
-        let final_weights = crh.weights().to_vec();
 
         let mut metrics = EngineMetrics {
             reports_submitted: router_metrics.submitted,
@@ -438,14 +549,11 @@ impl Engine {
             metrics.late_dropped += e.late_dropped;
         }
 
-        Ok((
-            EngineReport {
-                epochs,
-                final_weights,
-                metrics,
-            },
-            crh,
-        ))
+        Ok(EngineReport {
+            epochs,
+            final_weights: crh.weights().to_vec(),
+            metrics,
+        })
     }
 }
 
@@ -458,117 +566,166 @@ struct RouterMetrics {
     route_busy: Duration,
 }
 
-/// Drain loop for one worker owning `shards` (id, receiver) pairs.
-fn drain_shards(
-    cfg: &EngineConfig,
-    shards: Vec<(usize, Receiver<ShardMsg>)>,
-    merge_tx: Sender<MergeMsg>,
-) {
-    let mut states: Vec<ShardState> = shards
-        .iter()
-        .map(|&(id, _)| {
-            ShardState::new(
-                id,
-                cfg.num_shards,
-                cfg.num_users,
-                cfg.num_objects,
-                cfg.epoch_deadline_us,
-                cfg.loss,
-            )
-        })
-        .collect();
-    let mut latency = Histogram::new();
-    let mut filter_busy = Duration::ZERO;
-    let mut open: Vec<bool> = vec![true; shards.len()];
+/// One shard's reports waiting to fill a chunk.
+struct Staged {
+    reports: Vec<StampedReport>,
+    /// When the oldest report in `reports` was staged.
+    since: Instant,
+}
 
-    // Fast path: a worker owning exactly one shard can block on recv.
-    if shards.len() == 1 {
-        let (shard_id, rx) = &shards[0];
-        while let Ok(msg) = rx.recv() {
-            handle(
-                msg,
-                &mut states[0],
-                *shard_id,
-                &mut latency,
-                &mut filter_busy,
-                &merge_tx,
-            );
-        }
-    } else {
-        use crossbeam::channel::TryRecvError;
-        while open.iter().any(|&o| o) {
-            let mut progress = false;
-            for (i, (shard_id, rx)) in shards.iter().enumerate() {
-                if !open[i] {
+/// The calling thread's half of the pipeline: stages reports per shard
+/// and hands full chunks to the owning worker's inbox.
+struct Router {
+    inboxes: Vec<Sender<ShardMsg>>,
+    /// Shard id → index of the worker (and inbox) that owns it.
+    owner: Vec<usize>,
+    staging: Vec<Staged>,
+    chunk_len: usize,
+    metrics: RouterMetrics,
+}
+
+impl Router {
+    fn route<I>(&mut self, num_users: usize, stream: I) -> Result<(), EngineError>
+    where
+        I: IntoIterator<Item = StampedReport>,
+    {
+        let num_shards = self.staging.len();
+        let mut open_epoch: Option<u64> = None;
+        for stamped in stream {
+            self.metrics.submitted += 1;
+            match open_epoch {
+                None => open_epoch = Some(stamped.epoch),
+                Some(open) if stamped.epoch > open => {
+                    self.end_epoch(open)?;
+                    open_epoch = Some(stamped.epoch);
+                }
+                Some(open) if stamped.epoch < open => {
+                    self.metrics.out_of_order += 1;
                     continue;
                 }
-                // Bounded burst per visit keeps shards fair under skew.
-                for _ in 0..256 {
-                    match rx.try_recv() {
-                        Ok(msg) => {
-                            progress = true;
-                            handle(
-                                msg,
-                                &mut states[i],
-                                *shard_id,
-                                &mut latency,
-                                &mut filter_busy,
-                                &merge_tx,
-                            );
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            open[i] = false;
-                            break;
-                        }
-                    }
-                }
+                Some(_) => {}
             }
-            if !progress {
-                thread::sleep(Duration::from_micros(20));
+            let user = stamped.report.user;
+            if user >= num_users {
+                return Err(EngineError::InvalidUser { user, num_users });
             }
+            let shard = user % num_shards;
+            let staged = &mut self.staging[shard];
+            if staged.reports.is_empty() {
+                staged.since = Instant::now();
+            }
+            staged.reports.push(stamped);
+            if staged.reports.len() == self.chunk_len {
+                self.flush(shard)?;
+            }
+        }
+        match open_epoch {
+            Some(open) => self.end_epoch(open),
+            None => Ok(()),
         }
     }
 
-    let _ = merge_tx.send(MergeMsg::ShardDone {
+    /// Flush every partial chunk, then tell every worker the epoch is
+    /// over — in that order, so the marker is behind all of its reports.
+    fn end_epoch(&mut self, epoch: u64) -> Result<(), EngineError> {
+        for shard in 0..self.staging.len() {
+            self.flush(shard)?;
+        }
+        for worker in 0..self.inboxes.len() {
+            self.send(worker, ShardMsg::EpochEnd(epoch))?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self, shard: usize) -> Result<(), EngineError> {
+        let staged = &mut self.staging[shard];
+        if staged.reports.is_empty() {
+            return Ok(());
+        }
+        let chunk = ShardMsg::Chunk {
+            shard,
+            reports: std::mem::replace(&mut staged.reports, Vec::with_capacity(self.chunk_len)),
+            staged_at: staged.since,
+        };
+        self.send(self.owner[shard], chunk)
+    }
+
+    /// Enqueue on a worker's inbox, blocking while it is full. The time
+    /// spent here — blocked time included — is the route stage's busy
+    /// time, clocked once per message.
+    fn send(&mut self, worker: usize, msg: ShardMsg) -> Result<(), EngineError> {
+        let inbox = &self.inboxes[worker];
+        let start = Instant::now();
+        let sent = match inbox.try_send(msg) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(msg)) => {
+                // Backpressure: block until the drain catches up.
+                self.metrics.backpressure += 1;
+                inbox.send(msg).map_err(|_| EngineError::Disconnected)
+            }
+            Err(TrySendError::Disconnected(_)) => Err(EngineError::Disconnected),
+        };
+        // Depth in reports, every queued message counted as a full chunk
+        // — an upper bound that `queue_capacity` bounds in turn.
+        let depth = inbox.len() * self.chunk_len;
+        self.metrics.max_queue_depth = self.metrics.max_queue_depth.max(depth);
+        self.metrics.route_busy += start.elapsed();
+        sent
+    }
+}
+
+/// One worker: block on the inbox, ingest chunks into the owned shards
+/// (`shards[i]` is shard `first + i`), close epochs on the marker.
+fn drain_inbox(
+    shards: &mut [ShardState],
+    first: usize,
+    inbox: Receiver<ShardMsg>,
+    merge_tx: Sender<MergeMsg>,
+) {
+    let mut latency = Histogram::new();
+    let mut filter_busy = Duration::ZERO;
+    while let Ok(msg) = inbox.recv() {
+        let start = Instant::now();
+        match msg {
+            ShardMsg::Chunk {
+                shard,
+                reports,
+                staged_at,
+            } => {
+                let count = reports.len() as u64;
+                let state = &mut shards[shard - first];
+                for stamped in &reports {
+                    state.ingest_borrowed(stamped);
+                }
+                let done = Instant::now();
+                let _ = merge_tx.send(MergeMsg::Spent(reports));
+                filter_busy += done - start;
+                // One clock pair per chunk: every report of it is given
+                // the wait of the chunk's first, an upper bound.
+                latency.record_many(done - staged_at, count);
+            }
+            ShardMsg::EpochEnd(epoch) => {
+                for (i, state) in shards.iter_mut().enumerate() {
+                    let (claims, stats) = state.finish_epoch();
+                    let _ = merge_tx.send(MergeMsg::Epoch(EpochClaims {
+                        shard: first + i,
+                        epoch,
+                        claims,
+                        stats,
+                    }));
+                }
+                filter_busy += start.elapsed();
+            }
+        }
+    }
+    let _ = merge_tx.send(MergeMsg::WorkerDone {
         latency,
         filter_busy,
     });
 }
 
-fn handle(
-    msg: ShardMsg,
-    state: &mut ShardState,
-    shard_id: usize,
-    latency: &mut Histogram,
-    filter_busy: &mut Duration,
-    merge_tx: &Sender<MergeMsg>,
-) {
-    match msg {
-        ShardMsg::Report(stamped, enqueued_at) => {
-            let start = Instant::now();
-            state.ingest(stamped);
-            let done = Instant::now();
-            *filter_busy += done - start;
-            latency.record(done - enqueued_at);
-        }
-        ShardMsg::EpochEnd(epoch) => {
-            let start = Instant::now();
-            let (claims, stats) = state.finish_epoch();
-            *filter_busy += start.elapsed();
-            let _ = merge_tx.send(MergeMsg::Epoch(EpochClaims {
-                shard: shard_id,
-                epoch,
-                claims,
-                stats,
-            }));
-        }
-    }
-}
-
 struct MergeOut {
     outcomes: Vec<EpochOutcome>,
-    crh: StreamingCrh,
     latency: Histogram,
     filter_busy: Duration,
     merge_busy: Duration,
@@ -577,11 +734,12 @@ struct MergeOut {
 
 /// Collect per-shard epoch claims; when all shards reported an epoch, run
 /// the canonical cross-shard merge through the global streaming CRH
-/// (carried over from the caller, so campaigns resume mid-stream).
+/// (carried over from the caller, so campaigns resume mid-stream) in the
+/// engine's columnar arena.
 fn merge_loop(
     cfg: &EngineConfig,
-    mut crh: StreamingCrh,
-    num_shards: usize,
+    crh: &mut StreamingCrh,
+    arena: &mut ColumnarBatch,
     rx: Receiver<MergeMsg>,
 ) -> MergeOut {
     let mut pending: BTreeMap<u64, Vec<EpochClaims>> = BTreeMap::new();
@@ -590,19 +748,17 @@ fn merge_loop(
     let mut filter_busy = Duration::ZERO;
     let mut merge_busy = Duration::ZERO;
     let mut error: Option<EngineError> = None;
-    // The columnar arena is reused across epochs: claim storage, scratch
-    // stamps, and leaf boundaries recycle their buffers.
-    let mut arena = ColumnarBatch::new(cfg.num_users, cfg.num_objects);
 
     while let Ok(msg) = rx.recv() {
         match msg {
-            MergeMsg::ShardDone {
+            MergeMsg::WorkerDone {
                 latency: l,
                 filter_busy: f,
             } => {
                 latency.merge(&l);
                 filter_busy += f;
             }
+            MergeMsg::Spent(reports) => drop(reports),
             MergeMsg::Epoch(claims) => {
                 if error.is_some() {
                     continue; // drain without merging after a failure
@@ -610,12 +766,12 @@ fn merge_loop(
                 let epoch = claims.epoch;
                 let bucket = pending.entry(epoch).or_default();
                 bucket.push(claims);
-                if bucket.len() < num_shards {
+                if bucket.len() < cfg.num_shards {
                     continue;
                 }
                 let batch = pending.remove(&epoch).expect("bucket exists");
                 let start = Instant::now();
-                match merge_epoch(cfg, &mut crh, &mut arena, epoch, batch) {
+                match merge_epoch(cfg, crh, arena, epoch, batch) {
                     Ok(outcome) => outcomes.push(outcome),
                     Err(e) => error = Some(e),
                 }
@@ -626,7 +782,6 @@ fn merge_loop(
 
     MergeOut {
         outcomes,
-        crh,
         latency,
         filter_busy,
         merge_busy,

@@ -9,11 +9,12 @@
 //! parallel, and folded **incrementally** into a
 //! [`dptd_truth::streaming::StreamingCrh`] — per epoch, not per rerun.
 //!
-//! * [`engine`] — the [`Engine`]: bounded per-shard queues with
-//!   backpressure, a capped worker pool
-//!   ([`dptd_protocol::pool::WorkerPool`]), and a deterministic
-//!   cross-shard merge whose truths are bit-identical for any shard or
-//!   worker count.
+//! * [`engine`] — the [`Engine`]: a router that hands reports over in
+//!   chunks, one bounded inbox per worker with backpressure, shards that
+//!   copy accepted claims into columnar arenas ([`shard`]), and a
+//!   deterministic cross-shard merge whose truths are bit-identical for
+//!   any shard count, worker count or queue capacity. Population-sized
+//!   scratch lives as long as the engine, not the round.
 //! * [`loadgen`] — a deterministic open-loop load generator (Poisson,
 //!   bursty and diurnal arrival processes on a virtual event clock — no
 //!   thread per user) that can synthesise millions of stamped reports.

@@ -19,11 +19,13 @@ use dptd_obs::Histogram;
 /// a multi-worker run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Router: hashing reports to shards and enqueueing them, including
-    /// any time blocked on a full queue (backpressure).
+    /// Router: enqueueing chunks of reports on the workers' inboxes,
+    /// including any time blocked on a full one (backpressure). Clocked
+    /// per chunk, so staging a report in its shard's buffer is not in it.
     pub route: Duration,
-    /// Shard workers: per-report dedup/deadline filtering plus epoch
-    /// close (claim extraction and the local CRH update).
+    /// Shard workers: per-report deadline/dedup filtering and the copy of
+    /// accepted claims into the shard's arena, plus epoch close (emitting
+    /// the claims users-ascending).
     pub filter: Duration,
     /// Merger: the canonical cross-shard reduction into the global CRH.
     pub merge: Duration,
@@ -52,14 +54,18 @@ pub struct EngineMetrics {
     pub late_dropped: u64,
     /// Reports dropped because they arrived for an already-closed epoch.
     pub out_of_order_dropped: u64,
-    /// Producer-side stalls: a shard queue was full and the submit had to
-    /// block (backpressure engaged).
+    /// Producer-side stalls: a worker's inbox was full and the router had
+    /// to block (backpressure engaged).
     pub backpressure_stalls: u64,
     /// Epochs that completed a cross-shard merge.
     pub epochs_merged: u64,
-    /// Highest queue depth sampled across all shard queues.
+    /// Highest depth, in reports, sampled across the workers' inboxes
+    /// (every queued chunk counted as a full one); never above
+    /// `queue_capacity`.
     pub max_queue_depth: usize,
-    /// Queue-wait + processing latency per accepted-or-rejected report.
+    /// Staging + queue-wait + processing latency, one sample per
+    /// accepted-or-rejected report: each report of a chunk is given the
+    /// latency of the chunk's first-staged report, an upper bound.
     pub ingest_latency: Histogram,
     /// Busy time per pipeline stage (route / filter / merge).
     pub stage: StageTimings,

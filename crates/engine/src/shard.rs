@@ -3,19 +3,37 @@
 //! A shard owns the users whose id is congruent to its shard id modulo the
 //! shard count, stored under a **dense local index** (`user / num_shards`)
 //! so per-shard memory is proportional to the shard, not the population.
-//! Within an epoch a shard de-duplicates (first-wins, via
-//! [`dptd_protocol::dedup::DedupFilter`]), applies the epoch deadline, and
-//! buffers accepted claims. At the epoch boundary it emits the canonical
-//! [`ShardClaims`] for the cross-shard merge, and additionally runs its own
-//! **local** [`StreamingCrh`] over its sub-population — an incremental
-//! shard-level view whose drift from the merged global truths is a useful
-//! health signal (a shard whose users disagree with the population shows
-//! up here).
+//!
+//! Within an epoch a shard applies the epoch deadline, de-duplicates
+//! first-wins (the policy is [`dptd_protocol::dedup::DedupFilter`]'s; a
+//! late duplicate counts as late), and **copies an accepted report's
+//! claims into its own columnar arena** — an `objects` and a `values`
+//! column filled in arrival order, on the worker thread — after which
+//! the report is garbage. The filter stores nothing but the span of the
+//! arena each local slot's report was given. At the epoch boundary the
+//! shard walks its slots ascending and emits the spans as one
+//! contiguous, users-ascending [`ShardClaims`] for the cross-shard merge
+//! (a slot's user is implied, its cells are two slice copies); resetting
+//! for the next epoch costs time proportional to the reports accepted,
+//! not to the users owned, so a `ShardState` is meant to live as long as
+//! its campaign.
+//!
+//! Resident cost: 12 bytes per owned user (the slot → span index) plus
+//! the arena of the largest epoch seen (16 bytes per claim).
+//!
+//! # The shard-local view
+//!
+//! Alongside, a shard keeps a running sum and count of its accepted
+//! claims per object. [`ShardEpochStats::local_truths`] is their quotient:
+//! the shard's **unweighted per-object mean**, present only if the
+//! shard's own users covered every object. Its gap to the merged global
+//! truths is a health signal — a shard whose users disagree with the
+//! population shows up there — at eight additions per report instead of a
+//! second truth discovery per shard.
 
 use dptd_protocol::dedup::DedupFilter;
 use dptd_protocol::message::StampedReport;
-use dptd_truth::columnar::ColumnarBatch;
-use dptd_truth::streaming::{ShardClaims, StreamingCrh};
+use dptd_truth::streaming::ShardClaims;
 use dptd_truth::Loss;
 
 /// What a shard hands the merger at an epoch boundary.
@@ -27,30 +45,40 @@ pub struct ShardEpochStats {
     pub duplicates_discarded: usize,
     /// Reports dropped for missing the epoch deadline.
     pub late_dropped: u64,
-    /// The shard's local incremental truth estimate for the epoch, if its
-    /// own users covered every object (`None` otherwise — a small shard
-    /// legitimately may not).
+    /// The unweighted mean of the shard's accepted claims per object, if
+    /// its own users covered every object (`None` otherwise — a small
+    /// shard legitimately may not). No weights enter it: it says what
+    /// this shard's users reported, not what the estimator made of it.
     pub local_truths: Option<Vec<f64>>,
 }
 
-/// Mutable state of one shard. Owned by exactly one worker thread; no
-/// internal synchronisation.
+/// Mutable state of one shard. Owned by exactly one worker thread at a
+/// time; no internal synchronisation. Reusable across epochs and runs:
+/// [`ShardState::finish_epoch`] leaves it as [`ShardState::new`] built it,
+/// allocations kept.
 #[derive(Debug)]
 pub struct ShardState {
     shard_id: usize,
     num_shards: usize,
     epoch_deadline_us: u64,
     local_users: usize,
-    dedup: DedupFilter,
+    /// Local slot → `start..end` of the arena columns, for the first
+    /// on-time report only.
+    dedup: DedupFilter<(u32, u32)>,
     late_dropped: u64,
-    local_crh: StreamingCrh,
-    /// Columnar arena for the local CRH view, reused across epochs.
-    local_batch: ColumnarBatch,
+    /// Accepted claims of the open epoch as parallel columns, one span
+    /// per report, in arrival order.
+    objects: Vec<usize>,
+    values: Vec<f64>,
+    /// Per object: sum and count of the accepted claims.
+    object_sums: Vec<(f64, u64)>,
 }
 
 impl ShardState {
     /// State for shard `shard_id` of `num_shards` over a population of
-    /// `num_users`.
+    /// `num_users`. The loss function is not used — a shard no longer
+    /// runs an estimator of its own — and is accepted so callers that
+    /// size a shard from an engine configuration need not change.
     ///
     /// # Panics
     ///
@@ -62,7 +90,7 @@ impl ShardState {
         num_users: usize,
         num_objects: usize,
         epoch_deadline_us: u64,
-        loss: Loss,
+        _loss: Loss,
     ) -> Self {
         assert!(shard_id < num_shards, "shard id out of range");
         let local_users = num_users.saturating_sub(shard_id).div_ceil(num_shards);
@@ -74,9 +102,9 @@ impl ShardState {
             local_users,
             dedup: DedupFilter::new(local_users),
             late_dropped: 0,
-            local_crh: StreamingCrh::new(local_users, loss)
-                .expect("local population validated above"),
-            local_batch: ColumnarBatch::new(local_users, num_objects),
+            objects: Vec::new(),
+            values: Vec::new(),
+            object_sums: vec![(0.0, 0); num_objects],
         }
     }
 
@@ -92,13 +120,25 @@ impl ShardState {
 
     /// Ingest one report for the current epoch. Returns `true` if the
     /// report was accepted into the batch (on time and first from its
-    /// user).
+    /// user), in which case its claims now live in the shard's arena.
+    ///
+    /// Claims are copied as they are. A malformed one (object out of
+    /// range, non-finite value, repeated object) is refused by the merge,
+    /// which validates every row; here it is only kept out of the
+    /// shard-local sums it cannot index.
     ///
     /// # Panics
     ///
     /// Panics if the report's user is not owned by this shard (a routing
-    /// bug, not a data error).
+    /// bug, not a data error), or if one epoch's accepted claims on this
+    /// shard would pass 2³² (64 GiB of arena).
     pub fn ingest(&mut self, stamped: StampedReport) -> bool {
+        self.ingest_borrowed(&stamped)
+    }
+
+    /// [`ShardState::ingest`] without taking the report: the engine's
+    /// workers keep a chunk whole so that it is freed in one place.
+    pub(crate) fn ingest_borrowed(&mut self, stamped: &StampedReport) -> bool {
         let user = stamped.report.user;
         assert!(
             self.owns(user),
@@ -108,53 +148,59 @@ impl ShardState {
             self.late_dropped += 1;
             return false;
         }
-        self.dedup.accept(user / self.num_shards, stamped.report)
+        let claims = &stamped.report.values;
+        let start = self.values.len();
+        let end = u32::try_from(start + claims.len())
+            .expect("a shard's epoch arena holds fewer than 2^32 claims");
+        // `start <= end`, so it fits as well.
+        if !self
+            .dedup
+            .accept(user / self.num_shards, (start as u32, end))
+        {
+            return false;
+        }
+        for &(object, value) in claims {
+            if let Some((sum, count)) = self.object_sums.get_mut(object) {
+                *sum += value;
+                *count += 1;
+            }
+        }
+        self.objects
+            .extend(claims.iter().map(|&(object, _)| object));
+        self.values.extend(claims.iter().map(|&(_, value)| value));
+        true
     }
 
     /// Close the current epoch: emit the canonical claims for the
-    /// cross-shard merge plus shard-level stats, and reset for the next
-    /// epoch. The local incremental CRH is updated as a side effect.
+    /// cross-shard merge — users ascending, copied span by span out of
+    /// the arena — plus shard-level stats, and reset for the next epoch.
     pub fn finish_epoch(&mut self) -> (ShardClaims, ShardEpochStats) {
-        let dedup = std::mem::replace(&mut self.dedup, DedupFilter::new(self.local_users));
-        let duplicates_discarded = dedup.duplicates_discarded();
-        let accepted = dedup.len();
-        let late_dropped = std::mem::take(&mut self.late_dropped);
-
-        let ordered = dedup.into_slot_ordered();
-
-        // Local incremental view, straight off the slot-ordered borrows
-        // (no per-user claim clones): only possible when this shard's
-        // users alone cover every object of the epoch.
-        let local_truths = self
-            .local_batch
-            .load_rows(
-                ordered
-                    .iter()
-                    .map(|(local, report)| (*local, report.values.as_slice())),
-            )
-            .ok()
-            .and_then(|()| {
-                self.local_crh
-                    .ingest_columnar_with_workers(&self.local_batch, 1)
-                    .ok()
-            });
-
-        let mut claims = ShardClaims::new();
-        for (local, report) in ordered {
-            let global = local * self.num_shards + self.shard_id;
-            debug_assert_eq!(global, report.user);
-            claims.push(report.user, report.values);
+        let mut claims = ShardClaims::with_capacity(self.dedup.len(), self.values.len());
+        for (slot, &(start, end)) in self.dedup.slot_ordered() {
+            let cells = start as usize..end as usize;
+            claims.push_row(
+                slot * self.num_shards + self.shard_id,
+                &self.objects[cells.clone()],
+                &self.values[cells],
+            );
         }
-
-        (
-            claims,
-            ShardEpochStats {
-                accepted,
-                duplicates_discarded,
-                late_dropped,
-                local_truths,
-            },
-        )
+        let covered = self.object_sums.iter().all(|&(_, count)| count > 0);
+        let stats = ShardEpochStats {
+            accepted: self.dedup.len(),
+            duplicates_discarded: self.dedup.duplicates_discarded(),
+            late_dropped: std::mem::take(&mut self.late_dropped),
+            local_truths: covered.then(|| {
+                self.object_sums
+                    .iter()
+                    .map(|&(sum, count)| sum / count as f64)
+                    .collect()
+            }),
+        };
+        self.dedup.reset();
+        self.objects.clear();
+        self.values.clear();
+        self.object_sums.fill((0.0, 0));
+        (claims, stats)
     }
 }
 

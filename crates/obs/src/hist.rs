@@ -72,15 +72,25 @@ impl Histogram {
 
     /// Record one latency observation.
     pub fn record(&mut self, latency: Duration) {
-        self.record_ns(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+        self.record_many(latency, 1);
     }
 
     /// Record one observation given directly in nanoseconds.
     pub fn record_ns(&mut self, ns: u64) {
-        self.buckets[bucket_index(ns)] += 1;
-        self.count += 1;
+        self.record_many(Duration::from_nanos(ns), 1);
+    }
+
+    /// Record `count` observations of the same `latency` — what a stage
+    /// that hands work over in batches knows about each item of a batch.
+    pub fn record_many(&mut self, latency: Duration, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[bucket_index(ns)] += count;
+        self.count += count;
         self.max_ns = self.max_ns.max(ns);
-        self.total_ns += ns as u128;
+        self.total_ns += ns as u128 * count as u128;
     }
 
     /// Fold another histogram into this one.
@@ -347,6 +357,20 @@ mod tests {
                 assert!(bucket_floor(idx + 1) > v);
             }
         }
+    }
+
+    #[test]
+    fn record_many_equals_repeated_record() {
+        let mut batched = Histogram::new();
+        batched.record_many(Duration::from_nanos(700), 3);
+        batched.record_many(Duration::from_nanos(9_000), 0);
+        batched.record_many(Duration::from_nanos(40), 2);
+        let mut single = Histogram::new();
+        for ns in [700, 700, 700, 40, 40] {
+            single.record_ns(ns);
+        }
+        assert_eq!(batched, single);
+        assert_eq!(batched.max(), Duration::from_nanos(700));
     }
 
     #[test]

@@ -512,26 +512,29 @@ impl<B: RoundBackend> CampaignDriver<B> {
     pub fn run_round(
         &mut self,
         epoch: u64,
-        reports: Vec<StampedReport>,
+        mut reports: Vec<StampedReport>,
     ) -> Result<DriverRound, ProtocolError> {
         // Refusal: exhausted users withhold every copy of their report.
-        let mut refused = vec![false; self.accountant.num_users()];
-        let mut affordable = Vec::with_capacity(reports.len());
-        for stamped in reports {
+        // Filtered in place; the refused set is normally empty.
+        let mut refused: Vec<usize> = Vec::new();
+        let accountant = &self.accountant;
+        reports.retain(|stamped| {
             let user = stamped.report.user;
-            if user < refused.len() && !self.accountant.can_spend(user) {
-                refused[user] = true;
-                continue;
+            let withheld = user < accountant.num_users() && !accountant.can_spend(user);
+            if withheld {
+                refused.push(user);
             }
-            affordable.push(stamped);
-        }
-        let refused_users = refused.iter().filter(|&&r| r).count();
+            !withheld
+        });
+        refused.sort_unstable();
+        refused.dedup();
+        let refused_users = refused.len();
 
         let out = self.backend.run_round(RoundInput {
             epoch,
             num_objects: self.config.num_objects,
             deadline_us: self.config.deadline_us,
-            reports: affordable,
+            reports,
         })?;
 
         // Debit only what the server consumed.

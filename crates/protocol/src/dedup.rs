@@ -9,23 +9,28 @@
 //! The filter is indexed by a caller-chosen *slot*: the simulator uses the
 //! global user id, while each engine shard uses a dense local index for its
 //! own sub-population (keeping per-shard memory proportional to the shard,
-//! not the population).
+//! not the population). What a slot *stores* is the caller's choice too:
+//! the simulator and the cluster lane keep the report itself, an engine
+//! shard keeps the span of its columnar arena that holds the report's
+//! claims.
 
 use dptd_core::roles::PerturbedReport;
 
-/// First-wins de-duplication over a fixed number of slots.
+/// First-wins de-duplication over a fixed number of slots, each holding
+/// a `T` for the first arrival (the report itself unless the caller says
+/// otherwise).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DedupFilter {
-    received: Vec<Option<PerturbedReport>>,
+pub struct DedupFilter<T = PerturbedReport> {
+    received: Vec<Option<T>>,
     arrival_order: Vec<usize>,
     duplicates: usize,
 }
 
-impl DedupFilter {
+impl<T> DedupFilter<T> {
     /// A filter with `slots` empty slots.
     pub fn new(slots: usize) -> Self {
         Self {
-            received: vec![None; slots],
+            received: std::iter::repeat_with(|| None).take(slots).collect(),
             arrival_order: Vec::new(),
             duplicates: 0,
         }
@@ -37,7 +42,7 @@ impl DedupFilter {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    pub fn accept(&mut self, slot: usize, report: PerturbedReport) -> bool {
+    pub fn accept(&mut self, slot: usize, report: T) -> bool {
         assert!(slot < self.received.len(), "dedup slot {slot} out of range");
         if self.received[slot].is_some() {
             self.duplicates += 1;
@@ -46,6 +51,17 @@ impl DedupFilter {
         self.arrival_order.push(slot);
         self.received[slot] = Some(report);
         true
+    }
+
+    /// Empty every slot and zero the duplicate count, in time
+    /// proportional to the reports accepted since the last reset — not
+    /// to the slot count — keeping the allocation. A filter that lives
+    /// as long as its campaign calls this at each round boundary.
+    pub fn reset(&mut self) {
+        for slot in self.arrival_order.drain(..) {
+            self.received[slot] = None;
+        }
+        self.duplicates = 0;
     }
 
     /// Number of duplicates discarded so far.
@@ -78,12 +94,12 @@ impl DedupFilter {
     }
 
     /// The accepted report in `slot`, if any.
-    pub fn get(&self, slot: usize) -> Option<&PerturbedReport> {
+    pub fn get(&self, slot: usize) -> Option<&T> {
         self.received.get(slot).and_then(Option::as_ref)
     }
 
     /// Consume the filter, yielding the accepted reports in arrival order.
-    pub fn into_reports(self) -> Vec<PerturbedReport> {
+    pub fn into_reports(self) -> Vec<T> {
         let mut received = self.received;
         self.arrival_order
             .iter()
@@ -94,7 +110,7 @@ impl DedupFilter {
     /// The accepted `(slot, report)` pairs so far, in **ascending slot
     /// order**, borrowed — what [`DedupFilter::into_slot_ordered`] would
     /// yield, without consuming (or cloning) the filter.
-    pub fn slot_ordered(&self) -> impl Iterator<Item = (usize, &PerturbedReport)> {
+    pub fn slot_ordered(&self) -> impl Iterator<Item = (usize, &T)> {
         self.received
             .iter()
             .enumerate()
@@ -104,7 +120,7 @@ impl DedupFilter {
     /// Consume the filter, yielding `(slot, report)` pairs in **ascending
     /// slot order** — the canonical layout the cross-shard merge of the
     /// aggregation engine requires.
-    pub fn into_slot_ordered(self) -> Vec<(usize, PerturbedReport)> {
+    pub fn into_slot_ordered(self) -> Vec<(usize, T)> {
         self.received
             .into_iter()
             .enumerate()
@@ -159,6 +175,23 @@ mod tests {
         }
         let slots: Vec<usize> = d.into_slot_ordered().into_iter().map(|(s, _)| s).collect();
         assert_eq!(slots, vec![1, 3, 4]);
+    }
+
+    #[test]
+    fn reset_forgets_the_round_and_stores_any_payload() {
+        // The engine's shards store an arena index, not a report.
+        let mut d: DedupFilter<u32> = DedupFilter::new(4);
+        assert!(d.accept(3, 0));
+        assert!(d.accept(1, 1));
+        assert!(!d.accept(3, 2));
+        assert_eq!(d.slot_ordered().collect::<Vec<_>>(), vec![(1, &1), (3, &0)]);
+        d.reset();
+        assert!(d.is_empty());
+        assert_eq!(d.duplicates_discarded(), 0);
+        assert_eq!(d.missing(), vec![0, 1, 2, 3]);
+        // Last round's users are first arrivals again.
+        assert!(d.accept(3, 0));
+        assert_eq!(d.participants(), &[3]);
     }
 
     #[test]

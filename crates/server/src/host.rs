@@ -41,6 +41,7 @@ use dptd_obs::{
 };
 use dptd_protocol::campaign::CampaignConfig;
 use dptd_protocol::message::StampedReport;
+use dptd_truth::columnar::check_claims;
 
 use crate::frontend::FrontendStats;
 use crate::wire::{validate_campaign_id, CampaignSpec, ErrorCode, Request, Response};
@@ -499,13 +500,19 @@ impl SubmissionQueue {
     }
 
     /// Admit one submission batch from a slot of `population` users
-    /// (`noun` names the slot's kind in refusals). Answers `Submitted`
-    /// with the new depth, `Busy` with nothing taken, or a typed
-    /// refusal.
+    /// observing `num_objects` objects a round (`noun` names the slot's
+    /// kind in refusals). Answers `Submitted` with the new depth, `Busy`
+    /// with nothing taken, or a typed refusal.
+    ///
+    /// A claim the aggregation would refuse — object out of range,
+    /// non-finite value, an object claimed twice — is refused here,
+    /// naming its user: past this door one such claim fails the merge of
+    /// the whole round, after the close has drained everyone's reports.
     pub fn offer(
         &mut self,
         reports: Vec<StampedReport>,
         population: usize,
+        num_objects: usize,
         noun: &str,
     ) -> Response {
         let queued = self.depth();
@@ -527,6 +534,12 @@ impl SubmissionQueue {
                         "user {} outside the {noun}'s {population}-user population",
                         r.report.user
                     ),
+                );
+            }
+            if let Err(defect) = check_claims(r.report.user, &r.report.values, num_objects) {
+                return refuse(
+                    ErrorCode::InvalidRequest,
+                    format!("report from user {} refused: {defect}", r.report.user),
                 );
             }
         }
@@ -687,7 +700,7 @@ mod tests {
     fn queue_refuses_malformed_batches_and_takes_nothing() {
         let mut q = SubmissionQueue::new(8, 3);
         assert_eq!(
-            q.offer(vec![], 4, "campaign"),
+            q.offer(vec![], 4, 1, "campaign"),
             Response::Submitted { queued: 0 }
         );
         for bad in [
@@ -696,30 +709,64 @@ mod tests {
             vec![stamped(2, 0)],                // stale
             vec![stamped(5, 0)],                // two ahead
         ] {
-            let resp = q.offer(bad, 4, "campaign");
+            let resp = q.offer(bad, 4, 1, "campaign");
             assert!(is_invalid(&resp), "{resp:?}");
             assert_eq!(q.depth(), 0);
         }
     }
 
     #[test]
+    fn queue_refuses_a_claim_the_merge_would_refuse_and_takes_nothing() {
+        let mut q = SubmissionQueue::new(8, 0);
+        for (claims, defect) in [
+            (vec![(0, 1.0), (7, 2.0)], "object index 7 out of range"),
+            (vec![(0, 1.0), (1, f64::NAN)], "non-finite observation NaN"),
+            (vec![(1, 1.0), (0, 2.0), (1, 3.0)], "observed object 1 more"),
+        ] {
+            let mut bad = stamped(0, 2);
+            bad.report.values = claims;
+            // Batch-atomic: the honest neighbours are not taken either.
+            match q.offer(vec![stamped(0, 1), bad, stamped(0, 3)], 4, 2, "campaign") {
+                Response::Error {
+                    code: ErrorCode::InvalidRequest,
+                    message,
+                } => assert!(
+                    message.starts_with("report from user 2 refused: ") && message.contains(defect),
+                    "{message}"
+                ),
+                other => panic!("{other:?}"),
+            }
+            assert_eq!((q.depth(), q.taken()), (0, 0));
+        }
+        // Unsorted but well-formed is fine; so is an empty claim list.
+        let mut unsorted = stamped(0, 2);
+        unsorted.report.values = vec![(1, 1.0), (0, 2.0)];
+        let mut empty = stamped(0, 3);
+        empty.report.values = vec![];
+        assert_eq!(
+            q.offer(vec![unsorted, empty], 4, 2, "campaign"),
+            Response::Submitted { queued: 2 }
+        );
+    }
+
+    #[test]
     fn queue_is_bounded_batch_atomic_and_promotes_its_lookahead() {
         let mut q = SubmissionQueue::new(3, 0);
         assert_eq!(
-            q.offer(vec![stamped(0, 0), stamped(0, 1)], 4, "campaign"),
+            q.offer(vec![stamped(0, 0), stamped(0, 1)], 4, 1, "campaign"),
             Response::Submitted { queued: 2 }
         );
         // The lookahead shares the one bound with the current round.
         assert_eq!(
-            q.offer(vec![stamped(1, 2)], 4, "campaign"),
+            q.offer(vec![stamped(1, 2)], 4, 1, "campaign"),
             Response::Submitted { queued: 3 }
         );
         let busy = Response::Busy {
             queued: 3,
             capacity: 3,
         };
-        assert_eq!(q.offer(vec![stamped(0, 3)], 4, "campaign"), busy);
-        assert_eq!(q.offer(vec![stamped(1, 3)], 4, "campaign"), busy);
+        assert_eq!(q.offer(vec![stamped(0, 3)], 4, 1, "campaign"), busy);
+        assert_eq!(q.offer(vec![stamped(1, 3)], 4, 1, "campaign"), busy);
         assert_eq!(
             (q.depth(), q.taken()),
             (3, 3),

@@ -456,7 +456,8 @@ impl CampaignRegistry {
         let batch = reports.len() as u64;
         let response = self.host.with(campaign, |state| {
             let population = state.driver.backend().num_users();
-            state.queue.offer(reports, population, NOUN)
+            let num_objects = state.driver.config().num_objects;
+            state.queue.offer(reports, population, num_objects, NOUN)
         });
         if matches!(response, Response::Submitted { .. }) {
             self.reports_submitted.fetch_add(batch, Ordering::Relaxed);

@@ -57,6 +57,12 @@ const PAR_CLAIM_THRESHOLD: usize = 16_384;
 /// order (a user that occupied a slot with an *empty* claim list is still
 /// present); `offsets[i]..offsets[i + 1]` indexes that user's claims in
 /// the parallel `objects` / `values` arrays, sorted ascending by object.
+/// A [`ShardClaims`] has the same four columns, in push order and
+/// unvalidated, so loading one is a column-to-column copy.
+///
+/// The arena is meant to outlive the epoch: the per-user slot index
+/// (16 bytes a user) resets by generation stamp, and the columns keep
+/// the capacity of the largest epoch loaded so far.
 #[derive(Debug, Clone)]
 pub struct ColumnarBatch {
     num_users: usize,
@@ -138,6 +144,17 @@ impl ColumnarBatch {
     /// ascending id regardless of which shard owned them or the order
     /// entries were pushed within a shard.
     ///
+    /// Two passes. The first walks every shard's rows in shard/push
+    /// order and claims each user's slot — a user outside the population
+    /// or a slot claimed twice is reported for the first row that does it
+    /// — and is all that looks at a row's *user*. The second walks the
+    /// claimed slots ascending and copies each row's columns across,
+    /// validating every *cell* on the way (object range, then
+    /// finiteness, then a repeated object, in the order the claims were
+    /// pushed): a row already ascending by object is two slice copies,
+    /// any other goes through the sort buffer. Nothing a shard pushed is
+    /// trusted, and nothing is checked twice.
+    ///
     /// # Errors
     ///
     /// [`TruthError::UserOutOfRange`] for a user outside the population,
@@ -153,8 +170,8 @@ impl ColumnarBatch {
         self.slot_gen += 1;
         let gen = self.slot_gen;
         for (s, shard) in shards.iter().enumerate() {
-            for (e, (user, claims)) in shard.entries().iter().enumerate() {
-                let user = *user;
+            for e in 0..shard.num_users() {
+                let (user, objects, _) = shard.row(e);
                 if user >= self.num_users {
                     return Err(TruthError::UserOutOfRange {
                         user,
@@ -164,7 +181,7 @@ impl ColumnarBatch {
                 if self.slot_stamp[user] == gen {
                     return Err(TruthError::DuplicateObservation {
                         user,
-                        object: claims.first().map(|&(n, _)| n).unwrap_or(0),
+                        object: objects.first().copied().unwrap_or(0),
                     });
                 }
                 self.slot_stamp[user] = gen;
@@ -174,23 +191,38 @@ impl ColumnarBatch {
         if self.num_objects == 0 {
             return Err(TruthError::EmptyMatrix);
         }
-        // Pass 2 — canonical order: users ascending, cells validated in
-        // claim-vector order, then stored ascending by object.
+        // Pass 2 — canonical order: users ascending, each row validated
+        // once and copied column to column. Shards that emit their rows
+        // users-ascending (the engine's do) are read front to back.
+        self.reserve_for(shards);
         for user in 0..self.num_users {
             if self.slot_stamp[user] != gen {
                 continue;
             }
             let (s, e) = self.slot_ref[user];
-            let (_, claims) = &shards[s as usize].entries()[e as usize];
-            self.push_user(user, claims)?;
+            let (_, objects, values) = shards[s as usize].row(e as usize);
+            self.push_row(user, objects, values)?;
         }
         self.seal();
         Ok(())
     }
 
+    /// Grow the columns once to what this epoch needs, so a campaign's
+    /// largest round sizes the arena instead of every round doubling
+    /// into it.
+    fn reserve_for(&mut self, shards: &[ShardClaims]) {
+        let rows: usize = shards.iter().map(ShardClaims::num_users).sum();
+        let cells: usize = shards.iter().map(ShardClaims::num_claims).sum();
+        self.users.reserve(rows);
+        self.offsets.reserve(rows);
+        self.objects.reserve(cells);
+        self.values.reserve(cells);
+    }
+
     /// Load pre-sorted `(user, claims)` rows — strictly ascending by user
-    /// id — straight into the arena. This is the per-shard local lane:
-    /// shards keep reports slot-ordered, so no merge pass is needed.
+    /// id — straight into the arena, for a caller that already holds its
+    /// rows in canonical order and so needs no slot pass. Cells are
+    /// validated exactly as in [`ColumnarBatch::load_shards`].
     ///
     /// # Errors
     ///
@@ -208,6 +240,7 @@ impl ColumnarBatch {
             return Err(TruthError::EmptyMatrix);
         }
         let mut last: Option<usize> = None;
+        let (mut objects, mut values) = (Vec::new(), Vec::new());
         for (user, claims) in rows {
             if user >= self.num_users {
                 return Err(TruthError::UserOutOfRange {
@@ -222,7 +255,11 @@ impl ColumnarBatch {
                 });
             }
             last = Some(user);
-            self.push_user(user, claims)?;
+            objects.clear();
+            objects.extend(claims.iter().map(|&(object, _)| object));
+            values.clear();
+            values.extend(claims.iter().map(|&(_, value)| value));
+            self.push_row(user, &objects, &values)?;
         }
         self.seal();
         Ok(())
@@ -249,9 +286,23 @@ impl ColumnarBatch {
         self.seal();
     }
 
-    fn push_user(&mut self, user: usize, claims: &[(usize, f64)]) -> Result<(), TruthError> {
+    /// Validate one user's claims and append them. This is the only door
+    /// into the columns for claims that did not come out of a validated
+    /// [`ObservationMatrix`]: every cell is checked here, once, in the
+    /// order it was pushed — object range, then finiteness, then
+    /// duplicate cell. A row already ascending by object (what every
+    /// shard emits for a well-formed report) is then two slice copies;
+    /// any other row goes through the sort buffer.
+    fn push_row(
+        &mut self,
+        user: usize,
+        objects: &[usize],
+        values: &[f64],
+    ) -> Result<(), TruthError> {
         self.cell_gen += 1;
-        for &(object, value) in claims {
+        let mut ascending = true;
+        let mut prev = 0;
+        for (k, (&object, &value)) in objects.iter().zip(values).enumerate() {
             if object >= self.num_objects {
                 return Err(TruthError::ObjectOutOfRange {
                     object,
@@ -269,22 +320,22 @@ impl ColumnarBatch {
                 return Err(TruthError::DuplicateObservation { user, object });
             }
             self.cell_stamp[object] = self.cell_gen;
+            self.object_counts[object] += 1;
+            ascending &= k == 0 || prev < object;
+            prev = object;
         }
-        if claims.windows(2).all(|w| w[0].0 < w[1].0) {
-            for &(object, value) in claims {
-                self.objects.push(object);
-                self.values.push(value);
-                self.object_counts[object] += 1;
-            }
+        if ascending {
+            self.objects.extend_from_slice(objects);
+            self.values.extend_from_slice(values);
         } else {
             self.sort_buf.clear();
-            self.sort_buf.extend_from_slice(claims);
+            self.sort_buf
+                .extend(objects.iter().copied().zip(values.iter().copied()));
             self.sort_buf.sort_unstable_by_key(|&(object, _)| object);
-            for &(object, value) in &self.sort_buf {
-                self.objects.push(object);
-                self.values.push(value);
-                self.object_counts[object] += 1;
-            }
+            self.objects
+                .extend(self.sort_buf.iter().map(|&(object, _)| object));
+            self.values
+                .extend(self.sort_buf.iter().map(|&(_, value)| value));
         }
         self.users.push(user);
         self.offsets.push(self.objects.len());
@@ -482,6 +533,66 @@ impl ColumnarBatch {
     }
 }
 
+/// What [`ColumnarBatch::load_shards`] would refuse in one user's claim
+/// list, without a batch: the same checks in the same order — per claim
+/// object range then finiteness, then a repeated object — and the same
+/// error. For a door that wants to turn a malformed report away before
+/// it can fail a whole epoch's merge.
+///
+/// # Errors
+///
+/// [`TruthError::ObjectOutOfRange`], [`TruthError::NonFiniteObservation`]
+/// or [`TruthError::DuplicateObservation`] for the first defect found.
+pub fn check_claims(
+    user: usize,
+    claims: &[(usize, f64)],
+    num_objects: usize,
+) -> Result<(), TruthError> {
+    // The first cell that is bad on its own, if any; a repeat only counts
+    // if it comes before that.
+    let cell_defect = claims.iter().enumerate().find_map(|(k, &(object, value))| {
+        if object >= num_objects {
+            Some((
+                k,
+                TruthError::ObjectOutOfRange {
+                    object,
+                    num_objects,
+                },
+            ))
+        } else if !value.is_finite() {
+            Some((
+                k,
+                TruthError::NonFiniteObservation {
+                    user,
+                    object,
+                    value,
+                },
+            ))
+        } else {
+            None
+        }
+    });
+    let head = &claims[..cell_defect.as_ref().map_or(claims.len(), |&(k, _)| k)];
+    // Ascending (every well-formed report) cannot repeat; otherwise sort
+    // `(object, position)` and take the earliest second occurrence.
+    if !head.windows(2).all(|w| w[0].0 < w[1].0) {
+        let mut order: Vec<(usize, usize)> = head
+            .iter()
+            .enumerate()
+            .map(|(k, &(object, _))| (object, k))
+            .collect();
+        order.sort_unstable();
+        let repeat = order.windows(2).filter(|w| w[0].0 == w[1].0);
+        if let Some(k) = repeat.map(|w| w[1].1).min() {
+            return Err(TruthError::DuplicateObservation {
+                user,
+                object: head[k].0,
+            });
+        }
+    }
+    cell_defect.map_or(Ok(()), |(_, defect)| Err(defect))
+}
+
 /// Fold per-leaf partials pairwise in fixed leaf order: level 0 combines
 /// leaf 0+1, 2+3, …; each level repeats one step up. The shape is a pure
 /// function of the leaf count.
@@ -605,6 +716,32 @@ mod tests {
         b.load_shards(std::slice::from_ref(&shard)).unwrap();
         assert_eq!(b.objects, vec![0, 1, 2]);
         assert_eq!(b.values, vec![0.5, 1.5, 2.0]);
+    }
+
+    #[test]
+    fn check_claims_refuses_what_load_shards_refuses_with_the_same_error() {
+        let inf = f64::INFINITY;
+        let rows: [&[(usize, f64)]; 9] = [
+            &[],
+            &[(0, 1.0), (2, 2.0)],
+            &[(2, 1.0), (0, 2.0), (1, 0.5)],
+            &[(7, 1.0), (1, inf)],
+            &[(1, inf), (7, 1.0)],
+            &[(0, 1.0), (0, inf)],
+            &[(0, 1.0), (0, 2.0), (9, 1.0)],
+            &[(2, 1.0), (0, 2.0), (2, 3.0), (0, 4.0)],
+            &[(1, 1.0), (2, 1.0), (1, 1.0), (9, inf)],
+        ];
+        for claims in rows {
+            let mut shard = ShardClaims::new();
+            shard.push(5, claims.to_vec());
+            let mut batch = ColumnarBatch::new(8, 3);
+            assert_eq!(
+                check_claims(5, claims, 3),
+                batch.load_shards(std::slice::from_ref(&shard)),
+                "{claims:?}"
+            );
+        }
     }
 
     #[test]

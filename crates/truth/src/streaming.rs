@@ -252,12 +252,31 @@ impl StreamingCrh {
     }
 }
 
-/// The claims one shard collected for one epoch: `(user, sorted claims)`
-/// for a disjoint subset of the population. Produced by the `dptd-engine`
-/// shards and consumed by [`StreamingCrh::ingest_sharded`].
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The claims one shard collected for one epoch, for a disjoint subset
+/// of the population. Produced by the `dptd-engine` shards (and the
+/// cluster coordinator) and consumed by [`StreamingCrh::ingest_sharded`].
+///
+/// Stored compressed-sparse-row, like the [`ColumnarBatch`] it is merged
+/// into: `users[i]` is row `i`'s user and `offsets[i]..offsets[i + 1]`
+/// indexes its claims in the parallel `objects` / `values` columns, in
+/// the order they were pushed. Four allocations per shard instead of one
+/// per user, and a row reaches the merge as two contiguous slices.
+///
+/// Nothing is validated here — rows may repeat a user, name an object
+/// out of range or carry a non-finite value; [`ColumnarBatch::load_shards`]
+/// checks every row before a kernel can see it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardClaims {
-    claims: Vec<(usize, Vec<(usize, f64)>)>,
+    users: Vec<usize>,
+    offsets: Vec<usize>,
+    objects: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Default for ShardClaims {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
 }
 
 impl ShardClaims {
@@ -266,36 +285,76 @@ impl ShardClaims {
         Self::default()
     }
 
+    /// An empty claim set with room for `users` rows and `claims` cells.
+    pub fn with_capacity(users: usize, claims: usize) -> Self {
+        let mut offsets = Vec::with_capacity(users + 1);
+        offsets.push(0);
+        Self {
+            users: Vec::with_capacity(users),
+            offsets,
+            objects: Vec::with_capacity(claims),
+            values: Vec::with_capacity(claims),
+        }
+    }
+
     /// Record `claims` (`(object, value)` pairs) for `user`. Each user must
     /// be pushed at most once per epoch (shards de-duplicate upstream).
     pub fn push(&mut self, user: usize, claims: Vec<(usize, f64)>) {
-        self.claims.push((user, claims));
+        self.objects
+            .extend(claims.iter().map(|&(object, _)| object));
+        self.values.extend(claims.iter().map(|&(_, value)| value));
+        self.users.push(user);
+        self.offsets.push(self.objects.len());
+    }
+
+    /// [`ShardClaims::push`] from claims already split into parallel
+    /// `objects` / `values` slices — two contiguous copies. This is how
+    /// a shard emits its rows users-ascending out of its columnar arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn push_row(&mut self, user: usize, objects: &[usize], values: &[f64]) {
+        assert_eq!(objects.len(), values.len(), "one value per object");
+        self.objects.extend_from_slice(objects);
+        self.values.extend_from_slice(values);
+        self.users.push(user);
+        self.offsets.push(self.objects.len());
+    }
+
+    /// Row `row` in push order: its user and its claims as parallel
+    /// `objects` / `values` slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.num_users()`.
+    pub(crate) fn row(&self, row: usize) -> (usize, &[usize], &[f64]) {
+        let cells = self.offsets[row]..self.offsets[row + 1];
+        (
+            self.users[row],
+            &self.objects[cells.clone()],
+            &self.values[cells],
+        )
     }
 
     /// Number of users with recorded claims.
     pub fn num_users(&self) -> usize {
-        self.claims.len()
+        self.users.len()
     }
 
     /// Total number of `(object, value)` claims across users.
     pub fn num_claims(&self) -> usize {
-        self.claims.iter().map(|(_, c)| c.len()).sum()
+        self.values.len()
     }
 
     /// Whether no user has recorded claims.
     pub fn is_empty(&self) -> bool {
-        self.claims.is_empty()
+        self.users.is_empty()
     }
 
     /// The users with recorded claims, in push order.
     pub fn users(&self) -> impl Iterator<Item = usize> + '_ {
-        self.claims.iter().map(|&(user, _)| user)
-    }
-
-    /// The raw `(user, claims)` entries in push order — the columnar
-    /// loader reads these when merging shards into the canonical batch.
-    pub(crate) fn entries(&self) -> &[(usize, Vec<(usize, f64)>)] {
-        &self.claims
+        self.users.iter().copied()
     }
 }
 
