@@ -6,9 +6,10 @@
 //! target connection count up front (raising `RLIMIT_NOFILE` when
 //! needed), keeps every socket live through a full submit, and reports
 //! connections-per-I/O-thread alongside reports/sec and p50/p99 submit
-//! round trips for the reactor vs the thread-per-connection model. Both
-//! arms write `BenchSummary` JSON (`$DPTD_BENCH_JSON_DIR`) so CI can
-//! diff the numbers per commit.
+//! round trips, written as `BenchSummary` JSON (`$DPTD_BENCH_JSON_DIR`)
+//! so CI can diff the numbers per commit. Every run — smoke included —
+//! asserts the served round's weights digest equals an in-process
+//! `SimBackend` round over the same one-report-per-user stream.
 //!
 //! Served-campaign throughput and latency are the benchmark's job
 //! (`e2e_ledger`, rung D: `registry.*`, `client.*`); nothing there holds
@@ -23,12 +24,52 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 
 use dptd_bench::summary::{keys, BenchSummary};
+use dptd_core::roles::PerturbedReport;
 use dptd_obs::Histogram;
-use dptd_server::registry::RegistryConfig;
-use dptd_server::{CampaignSpec, Client, IoConfig, IoModel, Server, ServerConfig};
+use dptd_protocol::campaign::{RoundBackend, RoundInput, SimBackend};
+use dptd_protocol::message::StampedReport;
+use dptd_server::{CampaignSpec, Client, Server, ServerConfig};
+use dptd_stats::digest::fnv1a_f64s;
+use dptd_truth::Loss;
 
 fn smoke() -> bool {
     std::env::var_os("DPTD_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// Objects every fan-in report covers.
+const FAN_IN_OBJECTS: usize = 4;
+
+/// Round deadline of the fan-in campaign, in virtual µs.
+const FAN_IN_DEADLINE_US: u64 = 1_000_000;
+
+/// User `user`'s one report of the fan-in round — the same bytes whether
+/// a child process submits it or the in-process reference ingests it.
+fn fan_in_report(user: usize) -> StampedReport {
+    StampedReport {
+        epoch: 0,
+        sent_at_us: user as u64 + 1,
+        report: PerturbedReport {
+            user,
+            values: (0..FAN_IN_OBJECTS)
+                .map(|o| (o, (user + o) as f64 * 0.25))
+                .collect(),
+        },
+    }
+}
+
+/// The weights digest an in-process `SimBackend` round reaches over the
+/// fan-in stream: one report from every user, nothing late or repeated.
+fn reference_digest(connections: usize) -> u64 {
+    let mut sim = SimBackend::new(connections, Loss::Squared).expect("reference backend");
+    let round = sim
+        .run_round(RoundInput {
+            epoch: 0,
+            num_objects: FAN_IN_OBJECTS,
+            deadline_us: FAN_IN_DEADLINE_US,
+            reports: (0..connections).map(fan_in_report).collect(),
+        })
+        .expect("reference round");
+    fnv1a_f64s(&round.weights)
 }
 
 /// Campaign ids must be fresh per run: the server keeps campaigns for
@@ -96,16 +137,12 @@ struct FanInRun {
 /// connect everything first and report `READY`; only when every socket
 /// is live does the parent say `GO` — the server genuinely multiplexes
 /// all `connections` concurrent peers.
-fn run_fan_in(io_model: IoModel, connections: usize) -> FanInRun {
+fn run_fan_in(connections: usize) -> FanInRun {
     let run = RUN_ID.fetch_add(1, Ordering::Relaxed);
     let server = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         max_connections: connections + 8,
-        io: IoConfig {
-            io_model,
-            ..IoConfig::default()
-        },
-        registry: RegistryConfig::default(),
+        ..ServerConfig::default()
     })
     .expect("loopback server");
     let addr = server.local_addr();
@@ -116,11 +153,11 @@ fn run_fan_in(io_model: IoModel, connections: usize) -> FanInRun {
             &id,
             CampaignSpec {
                 num_users: connections as u64,
-                num_objects: 4,
+                num_objects: FAN_IN_OBJECTS as u64,
                 num_shards: 8,
                 workers: 0,
                 engine_queue: 8_192,
-                deadline_us: 1_000_000,
+                deadline_us: FAN_IN_DEADLINE_US,
                 submission_capacity: (connections as u64 * 2).max(1 << 10),
                 per_round_epsilon: 0.5,
                 per_round_delta: 0.01,
@@ -239,14 +276,7 @@ fn fan_in_child(task: &str) {
 
     let mut rtts = Vec::with_capacity(clients.len());
     for (user, client) in &mut clients {
-        let frame = vec![dptd_protocol::message::StampedReport {
-            epoch: 0,
-            sent_at_us: *user as u64 + 1,
-            report: dptd_core::roles::PerturbedReport {
-                user: *user,
-                values: (0..4).map(|o| (o, (*user + o) as f64 * 0.25)).collect(),
-            },
-        }];
+        let frame = vec![fan_in_report(*user)];
         let t0 = Instant::now();
         let outcome = client.submit(id, frame).expect("fan-in submit");
         rtts.push(t0.elapsed().as_nanos() as u64);
@@ -304,17 +334,17 @@ fn summarize_fan_in(tag: &str, run: &FanInRun) {
     }
 }
 
-/// The high-fan-in experiment: ≥10k concurrent submitters under the
-/// reactor without 10k server threads; the threads model runs at a
-/// budget it can survive (one thread per connection) for comparison.
+/// The high-fan-in experiment: ≥10k concurrent submitters held by the
+/// reactor without 10k server threads, aggregating bit-identically to
+/// the in-process reference.
 fn bench_fan_in(_c: &mut Criterion) {
-    let (reactor_conns, threads_conns) = if smoke() { (64, 64) } else { (10_000, 512) };
+    let wanted = if smoke() { 64 } else { 10_000 };
     // The client sockets live in child processes, so this process only
     // needs the server-side descriptors plus pipes and headroom.
-    let have = raise_nofile(reactor_conns as u64 + 128);
-    let reactor_conns = reactor_conns.min((have.saturating_sub(128)) as usize);
+    let have = raise_nofile(wanted as u64 + 128);
+    let connections = wanted.min((have.saturating_sub(128)) as usize);
 
-    let reactor = run_fan_in(IoModel::Reactor, reactor_conns);
+    let reactor = run_fan_in(connections);
     summarize_fan_in("reactor", &reactor);
     assert!(
         reactor.io_threads <= 8,
@@ -322,15 +352,11 @@ fn bench_fan_in(_c: &mut Criterion) {
         reactor.connections,
         reactor.io_threads,
     );
-
-    let threads = run_fan_in(IoModel::Threads, threads_conns);
-    summarize_fan_in("threads", &threads);
-    if reactor.connections == threads.connections {
-        assert_eq!(
-            reactor.weights_digest, threads.weights_digest,
-            "identical fan-in must aggregate bit-identically across io models"
-        );
-    }
+    assert_eq!(
+        reactor.weights_digest,
+        reference_digest(reactor.connections),
+        "the served fan-in round must aggregate bit-identically to the in-process reference"
+    );
 }
 
 criterion_group!(benches, bench_fan_in);

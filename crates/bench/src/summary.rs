@@ -16,6 +16,8 @@
 use std::io::Write;
 use std::path::PathBuf;
 
+use dptd_obs::escape_json;
+
 /// Canonical [`BenchSummary::extras`] key names. Extras are free-form
 /// `(key, number)` pairs, but CI diffs artifacts across commits by key,
 /// so benches must agree on spelling — take them from here instead of
@@ -86,7 +88,7 @@ impl BenchSummary {
                 "\"reports_per_sec\":{:.1},\"p50_ns\":{},\"p99_ns\":{},",
                 "\"weights_digest\":\"{:#018x}\""
             ),
-            json_escape(&self.bench),
+            escape_json(&self.bench),
             self.reports,
             self.elapsed_s,
             self.reports_per_sec(),
@@ -95,7 +97,7 @@ impl BenchSummary {
             self.weights_digest,
         );
         for (key, value) in &self.extras {
-            out.push_str(&format!(",\"{}\":{:.1}", json_escape(key), value));
+            out.push_str(&format!(",\"{}\":{:.1}", escape_json(key), value));
         }
         out.push('}');
         out
@@ -125,22 +127,6 @@ impl BenchSummary {
         file.write_all(b"\n")?;
         Ok(path)
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// bench names are ours, but the escape keeps the output well-formed no
-/// matter what.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

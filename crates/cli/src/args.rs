@@ -1,13 +1,16 @@
 //! A small, dependency-free `--key value` argument parser.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::CliError;
 
-/// Parsed `--key value` pairs.
+/// Parsed `--key value` pairs, remembering which keys a command read
+/// so it can refuse the ones it did not ([`ArgMap::refuse_unread`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArgMap {
     values: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl ArgMap {
@@ -36,12 +39,32 @@ impl ArgMap {
                 return Err(CliError::Usage(format!("flag `--{key}` given twice")));
             }
         }
-        Ok(Self { values })
+        Ok(Self {
+            values,
+            read: RefCell::default(),
+        })
     }
 
-    /// Raw string value for `key`, if present.
+    /// Raw string value for `key`, if present. Every typed accessor
+    /// reads through here, so this is where a key is marked read.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.values.get(key).map(String::as_str)
+    }
+
+    /// Refuse every given key that nothing has read so far — a typo or
+    /// a retired flag must not silently run a different configuration.
+    /// Call it once the command has resolved all of its flags.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] naming the first unread flag.
+    pub fn refuse_unread(&self) -> Result<(), CliError> {
+        let read = self.read.borrow();
+        match self.values.keys().find(|key| !read.contains(*key)) {
+            None => Ok(()),
+            Some(key) => Err(CliError::Usage(format!("unknown flag `--{key}`"))),
+        }
     }
 
     /// String value with a default.
@@ -137,6 +160,21 @@ mod tests {
         assert!(ArgMap::parse(&toks(&["--epsilon"])).is_err());
         assert!(ArgMap::parse(&toks(&["--"])).is_err());
         assert!(ArgMap::parse(&toks(&["--a", "1", "--a", "2"])).is_err());
+    }
+
+    #[test]
+    fn unread_keys_are_refused_by_name() {
+        let m = ArgMap::parse(&toks(&["--users", "5", "--usres", "6"])).unwrap();
+        assert_eq!(m.usize_or("users", 1).unwrap(), 5);
+        // Asking for an absent key marks nothing given as read.
+        assert_eq!(m.get("seed"), None);
+        let err = m.refuse_unread().unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("`--usres`")),
+            "{err}"
+        );
+        assert_eq!(m.str_or("usres", ""), "6");
+        m.refuse_unread().unwrap();
     }
 
     #[test]

@@ -35,7 +35,6 @@ dptd cluster needs a subcommand:
         --node-id        this node's index               [0]
         --nodes          total nodes in the cluster      [1]
         --max-connections connection budget              [32]
-        --io-model       reactor|threads front end       [reactor]
         --reactor-threads reactor thread count (0 = one per core)
         --idle-timeout-ms --stall-timeout-ms per-connection deadlines
         --wal            root dir for durable partitions
@@ -131,8 +130,7 @@ fn run_serve(args: &ArgMap, wait: impl FnOnce()) -> Result<String, CliError> {
         node_id: args.u64_or("node-id", 0)? as u32,
         num_nodes: args.u64_or("nodes", 1)? as u32,
         max_connections: args.usize_or("max-connections", 32)?,
-        // `--io-model reactor|threads`, `--reactor-threads`,
-        // `--idle-timeout-ms`, `--stall-timeout-ms`.
+        // `--reactor-threads`, `--idle-timeout-ms`, `--stall-timeout-ms`.
         io: super::resolve_io_config(args)?,
         wal_root: args.get("wal").map(PathBuf::from),
         replicate_to: args.get("replicate-to").map(str::to_string),
@@ -147,6 +145,7 @@ fn run_serve(args: &ArgMap, wait: impl FnOnce()) -> Result<String, CliError> {
     if let Some(obs) = super::arm_observability(args)? {
         eprintln!("dptd cluster serve: {obs}");
     }
+    args.refuse_unread()?;
     let node = NodeServer::start(config).map_err(box_err)?;
     eprintln!(
         "dptd cluster serve: node {node_id}/{num_nodes} listening on {}; close stdin to stop",
@@ -540,6 +539,19 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("node 2/3 shutdown"), "{out}");
+    }
+
+    #[test]
+    fn serve_refuses_an_unknown_flag_before_binding() {
+        let err = run_serve(
+            &ArgMap::parse(&argv(&["--listen", "127.0.0.1:0", "--io-model", "threads"])).unwrap(),
+            || panic!("must not start serving"),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("`--io-model`")),
+            "{err}"
+        );
     }
 
     #[test]

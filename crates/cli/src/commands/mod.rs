@@ -93,23 +93,15 @@ pub(crate) fn resolve_store_config(
     })
 }
 
-/// Resolve the connection front end's shared I/O flags: `--io-model`
-/// (`reactor` | `threads`, default reactor), `--reactor-threads`
-/// (default 0 = one per core), `--idle-timeout-ms` and
-/// `--stall-timeout-ms` (per-connection deadlines). Used by
+/// Resolve the connection front end's shared I/O flags:
+/// `--reactor-threads` (default 0 = one per core), `--idle-timeout-ms`
+/// and `--stall-timeout-ms` (per-connection deadlines). Used by
 /// `dptd serve` and `dptd cluster serve`.
 pub(crate) fn resolve_io_config(
     args: &crate::args::ArgMap,
 ) -> Result<dptd_server::IoConfig, CliError> {
     let defaults = dptd_server::IoConfig::default();
-    let io_model = match args.get("io-model") {
-        None => defaults.io_model,
-        Some(raw) => raw
-            .parse()
-            .map_err(|e: String| CliError::Usage(format!("flag `--io-model`: {e}")))?,
-    };
     Ok(dptd_server::IoConfig {
-        io_model,
         reactor_threads: args.usize_or("reactor-threads", defaults.reactor_threads)?,
         idle_timeout: std::time::Duration::from_millis(
             args.u64_or("idle-timeout-ms", defaults.idle_timeout.as_millis() as u64)?,
@@ -151,11 +143,8 @@ mod tests {
     #[test]
     fn io_flags_resolve_with_defaults() {
         let cfg = resolve_io_config(&map(&[])).unwrap();
-        assert_eq!(cfg.io_model, dptd_server::IoModel::Reactor);
         assert_eq!(cfg.reactor_threads, 0);
         let cfg = resolve_io_config(&map(&[
-            "--io-model",
-            "threads",
             "--reactor-threads",
             "2",
             "--idle-timeout-ms",
@@ -164,12 +153,9 @@ mod tests {
             "50",
         ]))
         .unwrap();
-        assert_eq!(cfg.io_model, dptd_server::IoModel::Threads);
         assert_eq!(cfg.reactor_threads, 2);
         assert_eq!(cfg.idle_timeout, std::time::Duration::from_millis(250));
         assert_eq!(cfg.stall_timeout, std::time::Duration::from_millis(50));
-        let err = resolve_io_config(&map(&["--io-model", "epoll"])).unwrap_err();
-        assert!(err.to_string().contains("unknown io model"), "{err}");
     }
 
     #[test]

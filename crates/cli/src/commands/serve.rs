@@ -53,8 +53,7 @@ fn run(args: &ArgMap, wait: impl FnOnce()) -> Result<String, CliError> {
     let config = ServerConfig {
         listen,
         max_connections: args.usize_or("max-connections", 64)?,
-        // `--io-model reactor|threads`, `--reactor-threads`,
-        // `--idle-timeout-ms`, `--stall-timeout-ms`.
+        // `--reactor-threads`, `--idle-timeout-ms`, `--stall-timeout-ms`.
         io: super::resolve_io_config(args)?,
         registry: RegistryConfig {
             wal_root: args.get("wal").map(PathBuf::from),
@@ -79,15 +78,15 @@ fn run(args: &ArgMap, wait: impl FnOnce()) -> Result<String, CliError> {
     if let Some(obs) = super::arm_observability(args)? {
         eprintln!("dptd serve: {obs}");
     }
+    args.refuse_unread()?;
     let server = Server::start(config).map_err(|e| CliError::Pipeline(Box::new(e)))?;
     // Announce on stderr immediately: with `--listen 127.0.0.1:0` the
     // real port exists only now, and stdout is reserved for the final
     // summary.
     eprintln!(
-        "dptd serve: listening on {} ({} I/O on {} thread(s); wal root: {wal_desc}); \
+        "dptd serve: listening on {} ({} reactor thread(s); wal root: {wal_desc}); \
          close stdin to stop",
         server.local_addr(),
-        server.frontend().io_model(),
         server.frontend().io_threads(),
     );
 
@@ -248,6 +247,19 @@ mod tests {
         assert_eq!(replayed.replay.records.len(), 1);
         assert_eq!(replayed.replay.truncated_bytes, 0);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_unknown_flag_is_refused_before_binding() {
+        let err = run(
+            &map(&["--listen", "127.0.0.1:0", "--io-model", "threads"]),
+            || panic!("must not start serving"),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("`--io-model`")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -109,7 +109,6 @@ COMMANDS:
     serve    host concurrent campaigns over TCP (runs until stdin EOF)
              --listen     bind address                      [127.0.0.1:7878]
              --max-connections connection budget            [64]
-             --io-model   reactor | threads front end       [reactor]
              --reactor-threads reactor count (0 = one per core)
              --idle-timeout-ms / --stall-timeout-ms per-connection
                           deadlines                         [60000 / 10000]

@@ -69,7 +69,7 @@ pub struct NodeConfig {
     pub num_nodes: u32,
     /// Connection budget.
     pub max_connections: usize,
-    /// I/O model and connection deadlines for the shared front end.
+    /// Reactor sizing and connection deadlines for the shared front end.
     pub io: IoConfig,
     /// Root directory for durable campaign partitions (`None` keeps
     /// partitions in memory only).
@@ -673,8 +673,8 @@ impl RequestHandler for NodeState {
 }
 
 /// A running cluster node. Dropping (or [`NodeServer::shutdown`]) stops
-/// the shared connection front end, closes live connections, joins I/O
-/// threads, and flushes durable partitions.
+/// the shared connection front end, closes live connections, joins the
+/// reactor threads, and flushes durable partitions.
 #[derive(Debug)]
 pub struct NodeServer {
     state: Arc<NodeState>,
@@ -682,9 +682,8 @@ pub struct NodeServer {
 }
 
 impl NodeServer {
-    /// Bind `config.listen` and start accepting under the configured
-    /// I/O model, on the same connection front end the campaign server
-    /// uses (reactor by default; `IoModel::Threads` on request).
+    /// Bind `config.listen` and start accepting on the same reactor
+    /// front end the campaign server uses.
     ///
     /// # Errors
     ///

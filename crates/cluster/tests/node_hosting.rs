@@ -12,8 +12,8 @@ use dptd_core::roles::PerturbedReport;
 use dptd_obs::{flight, names};
 use dptd_protocol::message::StampedReport;
 use dptd_server::{
-    CampaignRegistry, CampaignSpec, Client, ErrorCode, IoConfig, IoModel, RegistryConfig, Request,
-    Response, Server, ServerConfig, ServerError, WireError,
+    CampaignRegistry, CampaignSpec, Client, ErrorCode, RegistryConfig, Request, Response, Server,
+    ServerConfig, ServerError, WireError,
 };
 use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
@@ -115,78 +115,69 @@ fn an_oversized_create_is_refused_and_the_node_keeps_serving() {
     node.shutdown();
 }
 
-/// The frame cap holds on the way out, on both I/O models. A population
-/// inside the 4 Mi cap can still have a ledger (12 bytes a user) past the
-/// 32 MiB frame cap; the node used to encode it anyway — a frame its own
-/// client must refuse, losing the connection's framing in release, and
-/// in debug a `debug_assert!` that took the reactor thread down with
-/// every connection it owned.
+/// The frame cap holds on the way out. A population inside the 4 Mi cap
+/// can still have a ledger (12 bytes a user) past the 32 MiB frame cap;
+/// the node used to encode it anyway — a frame its own client must
+/// refuse, losing the connection's framing in release, and in debug a
+/// `debug_assert!` that took the reactor thread down with every
+/// connection it owned.
 #[test]
 fn an_over_cap_frame_is_refused_typed_on_either_side_and_the_connection_keeps_working() {
-    for io_model in [IoModel::Reactor, IoModel::Threads] {
-        let node = NodeServer::start(NodeConfig {
-            io: IoConfig {
-                io_model,
-                ..IoConfig::default()
-            },
-            ..NodeConfig::default()
-        })
+    let node = NodeServer::start(NodeConfig::default()).unwrap();
+    let mut client = Client::connect(node.local_addr()).unwrap();
+
+    let users = 2_800_000usize;
+    client
+        .create_campaign("wide", spec(users as u64, 64))
         .unwrap();
-        let mut client = Client::connect(node.local_addr()).unwrap();
-
-        let users = 2_800_000usize;
-        client
-            .create_campaign("wide", spec(users as u64, 64))
-            .unwrap();
-        let body_len = 1 + 8 + 8 + (4 + 4 * users) + (4 + 8 * users);
-        match client.query_ledger("wide", u64::MAX) {
-            Err(ServerError::Remote {
-                code: ErrorCode::Internal,
-                message,
-            }) => assert_eq!(
-                message,
-                format!("reply of {body_len} bytes exceeds the 33554432-byte frame cap")
-            ),
-            other => panic!("{io_model:?}: expected the typed refusal, got {other:?}"),
-        }
-        // The refusal was a well-formed frame: the same connection is
-        // still aligned, and runs a normal round on the same node.
-        client.query_status().unwrap();
-        client.create_campaign("part", spec(3, 64)).unwrap();
-        client
-            .submit_chunked("part", &[stamped(0, 0), stamped(0, 2)], 8)
-            .unwrap();
-        let prepared = client.close_round_prepare("part", 0, vec![]).unwrap();
-        assert_eq!(prepared.claims.len(), 2);
-        let appended = client
-            .close_round_commit(
-                "part",
-                0,
-                1,
-                vec![0, 2],
-                vec![0.5, 0.0, 0.25],
-                vec![1, 0, 1],
-            )
-            .unwrap();
-        assert!(appended);
-
-        // The client's side of the same cap: a commit past it (20 bytes a
-        // user) is refused locally, before a byte is written, so the next
-        // exchange on the connection still lines up.
-        let wide = 1_700_000;
-        let refused =
-            client.close_round_commit("part", 1, 2, vec![0; wide], vec![0.5; wide], vec![1; wide]);
-        assert!(
-            matches!(refused, Err(ServerError::Wire(WireError::TooLarge { claimed })) if claimed > 33_554_432),
-            "{io_model:?}: {refused:?}"
-        );
-        let ledger = client.query_ledger("part", u64::MAX).unwrap();
-        assert_eq!(
-            (ledger.next_epoch, ledger.rounds_debited),
-            (1, vec![1, 0, 1])
-        );
-        node.shutdown();
+    let body_len = 1 + 8 + 8 + (4 + 4 * users) + (4 + 8 * users);
+    match client.query_ledger("wide", u64::MAX) {
+        Err(ServerError::Remote {
+            code: ErrorCode::Internal,
+            message,
+        }) => assert_eq!(
+            message,
+            format!("reply of {body_len} bytes exceeds the 33554432-byte frame cap")
+        ),
+        other => panic!("expected the typed refusal, got {other:?}"),
     }
+    // The refusal was a well-formed frame: the same connection is
+    // still aligned, and runs a normal round on the same node.
+    client.query_status().unwrap();
+    client.create_campaign("part", spec(3, 64)).unwrap();
+    client
+        .submit_chunked("part", &[stamped(0, 0), stamped(0, 2)], 8)
+        .unwrap();
+    let prepared = client.close_round_prepare("part", 0, vec![]).unwrap();
+    assert_eq!(prepared.claims.len(), 2);
+    let appended = client
+        .close_round_commit(
+            "part",
+            0,
+            1,
+            vec![0, 2],
+            vec![0.5, 0.0, 0.25],
+            vec![1, 0, 1],
+        )
+        .unwrap();
+    assert!(appended);
+
+    // The client's side of the same cap: a commit past it (20 bytes a
+    // user) is refused locally, before a byte is written, so the next
+    // exchange on the connection still lines up.
+    let wide = 1_700_000;
+    let refused =
+        client.close_round_commit("part", 1, 2, vec![0; wide], vec![0.5; wide], vec![1; wide]);
+    assert!(
+        matches!(refused, Err(ServerError::Wire(WireError::TooLarge { claimed })) if claimed > 33_554_432),
+        "{refused:?}"
+    );
+    let ledger = client.query_ledger("part", u64::MAX).unwrap();
+    assert_eq!(
+        (ledger.next_epoch, ledger.rounds_debited),
+        (1, vec![1, 0, 1])
+    );
+    node.shutdown();
 }
 
 #[test]

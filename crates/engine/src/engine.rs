@@ -77,7 +77,6 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use dptd_obs::trace::{codes as trace_codes, TraceScope};
 use dptd_obs::Histogram;
 use dptd_protocol::message::StampedReport;
-use dptd_protocol::pool::WorkerPool;
 use dptd_truth::columnar::ColumnarBatch;
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
@@ -435,7 +434,7 @@ impl Engine {
 
         let num_shards = cfg.num_shards;
         let workers = if cfg.workers == 0 {
-            WorkerPool::default().workers()
+            thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             cfg.workers
         }

@@ -175,7 +175,7 @@ impl FlightRecorder {
         let dropped = trace::dropped_events();
         let mut out = String::with_capacity(4096);
         out.push_str("{\n\"format\":\"dptd-flight-v1\",\n");
-        out.push_str(&format!("\"trigger\":\"{}\",\n", escape(trigger)));
+        out.push_str(&format!("\"trigger\":\"{}\",\n", escape_json(trigger)));
         out.push_str(&format!(
             "\"wall_anchor_ns\":{},\n",
             trace::wall_anchor_ns()
@@ -194,7 +194,7 @@ impl FlightRecorder {
             }
             out.push_str(&format!(
                 "\n{{\"reason\":\"{}\",\"seq\":{},\"metrics\":{}}}",
-                escape(&snap.reason),
+                escape_json(&snap.reason),
                 snap.seq,
                 metrics_json(&snap.metrics)
             ));
@@ -263,7 +263,10 @@ pub fn latest_bundle(dir: &Path) -> Option<PathBuf> {
     bundles.pop()
 }
 
-fn escape(s: &str) -> String {
+/// Escape `s` for the inside of a JSON string literal: quote, backslash
+/// and newline by their short forms, every other control character as
+/// `\u00XX`; everything else, non-ASCII included, passes through as-is.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -296,7 +299,7 @@ fn metrics_json(snap: &MetricsSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":", escape(name)));
+        out.push_str(&format!("\"{}\":", escape_json(name)));
         match value {
             MetricValue::Counter(v) | MetricValue::Gauge(v) => out.push_str(&v.to_string()),
             MetricValue::Histogram(h) => {
@@ -321,6 +324,16 @@ fn metrics_json(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_json_covers_quotes_backslashes_controls_and_non_ascii() {
+        assert_eq!(
+            escape_json("a\"b\\c\nd\x01e\u{1f}f"),
+            "a\\\"b\\\\c\\nd\\u0001e\\u001ff"
+        );
+        assert_eq!(escape_json("µs → ✓"), "µs → ✓");
+        assert_eq!(escape_json(""), "");
+    }
 
     fn snap(refused: u64) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();

@@ -38,7 +38,7 @@ pub mod hist;
 pub mod registry;
 pub mod trace;
 
-pub use flight::FlightRecorder;
+pub use flight::{escape_json, FlightRecorder};
 pub use hist::{AtomicHistogram, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{names, CampaignShare, Counter, Gauge, MetricValue, MetricsSnapshot, Registry};
 pub use trace::{codes, SpanContext, TraceEvent, TraceScope};

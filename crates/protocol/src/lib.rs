@@ -11,9 +11,9 @@
 //! `dptd-server`.)
 //!
 //! Shared infrastructure grew out of the simulator and is reused by the
-//! `dptd-engine` streaming aggregator: [`pool`] (capped scoped worker
-//! pool), [`dedup`] (first-wins duplicate filtering) and
-//! [`message::StampedReport`] (an epoch/arrival-time-stamped report).
+//! `dptd-engine` streaming aggregator: [`dedup`] (first-wins duplicate
+//! filtering) and [`message::StampedReport`] (an epoch/arrival-time-stamped
+//! report).
 //!
 //! Multi-round campaigns live in [`campaign`]: a backend-abstracted
 //! [`campaign::CampaignDriver`] executes each round through a pluggable
@@ -59,11 +59,9 @@ pub mod campaign;
 pub mod dedup;
 pub mod message;
 pub mod partition;
-pub mod pool;
 pub mod sim;
 
 mod error;
 
 pub use dedup::DedupFilter;
 pub use error::ProtocolError;
-pub use pool::WorkerPool;

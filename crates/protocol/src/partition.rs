@@ -208,22 +208,6 @@ impl EpochLane {
         self.dedup.len()
     }
 
-    /// The lane's survivors and counts **so far**, without consuming it
-    /// — a cluster node answers each `CloseRoundPrepare` with this, so
-    /// a re-driven barrier (after more submissions, or a coordinator
-    /// restart) sees the cumulative stream's result.
-    pub fn snapshot(&self) -> LaneResult {
-        LaneResult {
-            claims: self
-                .dedup
-                .slot_ordered()
-                .map(|(slot, report)| (slot, report.clone()))
-                .collect(),
-            duplicates_discarded: self.duplicates_discarded(),
-            late_dropped: self.late_dropped,
-        }
-    }
-
     /// The surviving reports so far, ascending by slot, borrowed — a
     /// node clones these straight into its `Prepared` reply, once.
     pub fn survivors(&self) -> impl Iterator<Item = &PerturbedReport> {
@@ -409,12 +393,12 @@ mod tests {
         lane.offer(0, stamped(0, 0, 60, 3.0)); // on-time duplicate → dup
         lane.offer(1, stamped(1, 0, 70, 4.0)); // accepted
         assert_eq!(lane.accepted(), 2);
-        // The borrowed views are the consuming result, minus the clone
-        // of the whole filter.
-        let snapshot = lane.snapshot();
+        // The borrowed views a node prepares from are the consuming
+        // result, minus the clone of the whole filter.
         let survivors: Vec<PerturbedReport> = lane.survivors().cloned().collect();
+        let counts = (lane.duplicates_discarded(), lane.late_dropped());
         let result = lane.finish();
-        assert_eq!(snapshot, result);
+        assert_eq!(counts, (result.duplicates_discarded, result.late_dropped));
         let claimed: Vec<PerturbedReport> = result.claims.iter().map(|(_, r)| r.clone()).collect();
         assert_eq!(survivors, claimed);
         assert_eq!(result.late_dropped, 1);

@@ -222,13 +222,6 @@ struct StreamAck {
     refusals: Vec<wire::BatchRefusal>,
 }
 
-/// On any exit from a pipelined submit, re-align the client's stream
-/// cursor with the server's (`base + accepted`): a later stream on the
-/// same connection then starts in sync even after an error.
-fn break_stream(seq: &mut u64, base: u64, accepted: usize) {
-    *seq = base + accepted as u64;
-}
-
 /// A blocking connection to a campaign server.
 #[derive(Debug)]
 pub struct Client {
@@ -511,7 +504,9 @@ impl Client {
         let mut queued = 0u64;
         let mut over_cap: Option<wire::WireError> = None;
 
-        let result = loop {
+        // Every exit — success, refusal, socket or wire failure — leaves
+        // through `'stream` to the one cursor realignment below.
+        let result = 'stream: loop {
             // Top up the window. Writing can block briefly once the
             // socket buffer is full, but the server is draining our
             // frames and its acks are tiny, so this cannot deadlock.
@@ -520,8 +515,7 @@ impl Client {
                 match wire::encode_submit(campaign, Some(seq), batches[cursor], wire_ctx()) {
                     Ok(frame) => {
                         if let Err(e) = write_frame(&mut self.stream, &frame) {
-                            break_stream(&mut self.stream_seq, base, accepted);
-                            return Err(e);
+                            break 'stream Err(e);
                         }
                         inflight.push_back(cursor);
                         cursor += 1;
@@ -538,10 +532,7 @@ impl Client {
             };
             let ack = match self.read_stream_ack() {
                 Ok(ack) => ack,
-                Err(e) => {
-                    break_stream(&mut self.stream_seq, base, accepted);
-                    return Err(e);
-                }
+                Err(e) => break 'stream Err(e),
             };
             accepted = (ack.contiguous.saturating_sub(base)) as usize;
             match ack.refusals.first() {
@@ -559,17 +550,13 @@ impl Client {
                                     code: Some(code), ..
                                 }) = later.refusals.first()
                                 {
-                                    break_stream(&mut self.stream_seq, base, accepted);
-                                    return Err(ServerError::Remote {
+                                    break 'stream Err(ServerError::Remote {
                                         code,
                                         message: "streamed batch refused".to_string(),
                                     });
                                 }
                             }
-                            Err(e) => {
-                                break_stream(&mut self.stream_seq, base, accepted);
-                                return Err(e);
-                            }
+                            Err(e) => break 'stream Err(e),
                         }
                     }
                     // The earliest unaccepted batch is the one to retry,
@@ -592,8 +579,7 @@ impl Client {
                     // connection stays frame-aligned, then surface it.
                     while inflight.pop_front().is_some() {
                         if let Err(e) = self.read_stream_ack() {
-                            break_stream(&mut self.stream_seq, base, accepted);
-                            return Err(e);
+                            break 'stream Err(e);
                         }
                     }
                     break Err(ServerError::Remote {

@@ -1,28 +1,22 @@
 //! The connection front end shared by the campaign server and the
-//! cluster node server, in two interchangeable I/O models.
+//! cluster node server: an event-driven reactor.
 //!
-//! Both models speak the identical [`crate::wire`] v1 protocol (8-byte
-//! hello exchange, then request/response frames), enforce the same
-//! connection budget with typed
-//! [`ErrorCode::ServerBusy`](crate::wire::ErrorCode::ServerBusy)
-//! refusals, and dispatch every decoded request through one
-//! [`RequestHandler`] — so a campaign produces **bit-identical** results
-//! whichever front end carried its bytes (pinned by the e2e suites).
+//! N reactor threads — one per core, capped at 8 — each multiplex their
+//! share of nonblocking connections with `poll(2)` readiness, reading
+//! through a per-connection incremental [`FrameDecoder`] so a torn frame
+//! never blocks a thread. Thousands of intermittently-connected
+//! submitters cost file descriptors, not stacks. Every connection speaks
+//! the [`crate::wire`] v1 protocol (8-byte hello exchange, then
+//! request/response frames), counts against one connection budget with
+//! typed [`ErrorCode::ServerBusy`](crate::wire::ErrorCode::ServerBusy)
+//! refusals, and has every decoded request answered by one
+//! [`RequestHandler`] — so a served campaign is **bit-identical** to the
+//! in-process reference (pinned by the e2e suites).
 //!
-//! * [`IoModel::Reactor`] (the default): N reactor threads — one per
-//!   core — each multiplexing its share of nonblocking connections with
-//!   `poll(2)` readiness, reading through a per-connection incremental
-//!   [`FrameDecoder`] so a torn frame never blocks a thread. Thousands
-//!   of intermittently-connected submitters cost file descriptors, not
-//!   stacks. The reactor owns two per-connection deadlines: a short
-//!   **stall** deadline for a peer mid-hello or mid-frame (the
-//!   slow-loris shape) and a longer **idle** deadline between frames;
-//!   either expiry reclaims the connection slot.
-//! * [`IoModel::Threads`]: the original thread-per-connection loop,
-//!   kept both as the bit-equivalence baseline and for debuggability.
-//!   Every accepted socket gets read/write timeouts equal to the idle
-//!   deadline, so a stalled peer pins its worker for at most one
-//!   deadline instead of forever.
+//! The reactor owns two per-connection deadlines: a short **stall**
+//! deadline for a peer mid-hello or mid-frame (the slow-loris shape) and
+//! a longer **idle** deadline between frames; either expiry reclaims the
+//! connection slot.
 //!
 //! Pipelined submission ([`Request::SubmitReportsStream`]) is handled
 //! here rather than in the handlers because its cumulative-ack protocol
@@ -30,13 +24,13 @@
 //! in-order batch sequence number, translates the batch into an
 //! ordinary `SubmitReports` for the handler, and answers every batch
 //! frame with a [`Response::SubmitAcked`] — acks stay paired one-to-one
-//! with request frames, which is what lets both I/O models (and the
-//! blocking client) share one protocol.
+//! with request frames, which is what lets the blocking client speak
+//! the same protocol pipelined or not.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,65 +49,25 @@ pub trait RequestHandler: Send + Sync + 'static {
     fn handle(&self, request: Request) -> Response;
 }
 
-/// Which I/O model the front end runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// Event-driven: N poll-based reactor threads multiplexing
-    /// nonblocking connections (the default).
-    #[default]
-    Reactor,
-    /// One blocking worker thread per connection, with socket
-    /// read/write timeouts standing in for the reactor's deadlines.
-    Threads,
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "reactor" => Ok(IoModel::Reactor),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!(
-                "unknown io model `{other}` (expected `reactor` or `threads`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoModel::Reactor => "reactor",
-            IoModel::Threads => "threads",
-        })
-    }
-}
-
-/// I/O-model selection and connection deadlines — the knobs shared by
+/// Reactor sizing and connection deadlines — the knobs shared by
 /// `dptd serve` and `dptd cluster serve`.
 #[derive(Debug, Clone, Copy)]
 pub struct IoConfig {
-    /// Which front end carries connections.
-    pub io_model: IoModel,
-    /// Reactor threads under [`IoModel::Reactor`]; `0` = one per
-    /// available core (capped at 8). Ignored under threads.
+    /// Reactor threads; `0` = one per available core (capped at 8).
     pub reactor_threads: usize,
     /// How long a connection may sit with **no frame in progress**
-    /// before it is reclaimed. Under threads this doubles as the
-    /// socket read/write timeout (one knob for both deadline kinds).
+    /// before it is reclaimed.
     pub idle_timeout: Duration,
     /// How long a connection may sit **mid-hello or mid-frame** —
-    /// the slow-loris shape — before it is reclaimed. Reactor only;
-    /// must not exceed `idle_timeout`.
+    /// the slow-loris shape — before it is reclaimed. Must not exceed
+    /// `idle_timeout`.
     pub stall_timeout: Duration,
 }
 
 impl Default for IoConfig {
-    /// Reactor, one thread per core, 60 s idle / 10 s stall.
+    /// One reactor thread per core, 60 s idle / 10 s stall.
     fn default() -> Self {
         Self {
-            io_model: IoModel::Reactor,
             reactor_threads: 0,
             idle_timeout: Duration::from_secs(60),
             stall_timeout: Duration::from_secs(10),
@@ -122,7 +76,7 @@ impl Default for IoConfig {
 }
 
 /// Front-end configuration: where to listen, how many connections to
-/// admit, and the I/O model.
+/// admit, and the reactor's sizing and deadlines.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
     /// Address to bind (`"127.0.0.1:0"` picks an ephemeral port).
@@ -130,7 +84,7 @@ pub struct FrontendConfig {
     /// Connection budget: live connections past this are refused with
     /// a typed `ServerBusy` frame, never queued.
     pub max_connections: usize,
-    /// I/O model and deadlines.
+    /// Reactor sizing and deadlines.
     pub io: IoConfig,
     /// Thread-name prefix for diagnostics (`"dptd"`, `"dptd-node"`).
     pub thread_name: &'static str,
@@ -158,15 +112,9 @@ const OUTBUF_HIGH_WATER: usize = 1 << 20;
 /// when no descriptor turns ready.
 const POLL_TICK_MS: i32 = 25;
 
-/// Live connections under the threads model: the stream (so shutdown
-/// can force an EOF under a blocked worker) paired with its worker's
-/// handle (so shutdown joins).
-type ConnectionList = Arc<Mutex<Vec<(Arc<TcpStream>, JoinHandle<()>)>>>;
-
-/// Connection accounting shared by both I/O models. Under the reactor
-/// model `live` **is** the shared admission budget (the same atomic
-/// every reactor checks at accept), so the gauge can never drift from
-/// the number the budget actually enforces. Surfaced by the
+/// Connection accounting. `live` **is** the shared admission budget (the
+/// same atomic every reactor checks at accept), so the gauge can never
+/// drift from the number the budget actually enforces. Surfaced by the
 /// observability plane as `server.conn.*`.
 #[derive(Debug, Default)]
 pub struct FrontendStats {
@@ -174,33 +122,30 @@ pub struct FrontendStats {
     pub live: AtomicUsize,
     /// Connections accepted since the front end started.
     pub accepted: AtomicU64,
-    /// Connections refused at accept because the budget was full (or a
-    /// worker could not be spawned under the threads model).
+    /// Connections refused at accept because the budget was full.
     pub refused: AtomicU64,
 }
 
 /// A running connection front end. Owners hand it an
 /// `Arc<dyn RequestHandler>` at start and call [`Frontend::stop`] (or
-/// drop it) to tear down every thread and connection.
+/// drop it) to tear down every reactor and its connections.
 #[derive(Debug)]
 pub struct Frontend {
     addr: SocketAddr,
-    io_model: IoModel,
     io_threads: usize,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    connections: ConnectionList,
     stats: Arc<FrontendStats>,
 }
 
 impl Frontend {
-    /// Bind `config.listen` and start serving `handler` under the
-    /// configured I/O model.
+    /// Bind `config.listen` and start the reactor threads serving
+    /// `handler`.
     ///
     /// # Errors
     ///
     /// [`ServerError::Io`] when the address cannot be bound or the
-    /// I/O threads cannot be spawned.
+    /// reactor threads cannot be spawned.
     pub fn start(
         config: FrontendConfig,
         handler: Arc<dyn RequestHandler>,
@@ -218,66 +163,37 @@ impl Frontend {
         )
         .map_err(|e| io_err("bind", e))?;
         let addr = listener.local_addr().map_err(|e| io_err("local addr", e))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| io_err("set listener nonblocking", e))?;
+        let listener = Arc::new(listener);
 
         let stop = Arc::new(AtomicBool::new(false));
-        let connections: ConnectionList = Arc::new(Mutex::new(Vec::new()));
-        let max_connections = config.max_connections.max(1);
         let stats = Arc::new(FrontendStats::default());
-
-        let mut threads = Vec::new();
-        let io_threads = match config.io.io_model {
-            IoModel::Threads => {
-                let accept = AcceptLoop {
-                    handler,
+        let io_threads = reactor_count(config.io.reactor_threads);
+        let threads = (0..io_threads)
+            .map(|i| {
+                let reactor = Reactor {
+                    listener: Arc::clone(&listener),
+                    handler: Arc::clone(&handler),
                     stop: Arc::clone(&stop),
-                    connections: Arc::clone(&connections),
-                    max_connections,
-                    io_timeout: config.io.idle_timeout,
-                    thread_name: config.thread_name,
                     stats: Arc::clone(&stats),
+                    max_connections: config.max_connections.max(1),
+                    idle_timeout: config.io.idle_timeout,
+                    stall_timeout: config.io.stall_timeout.min(config.io.idle_timeout),
                 };
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("{}-accept", config.thread_name))
-                        .spawn(move || accept.run(listener))
-                        .map_err(|e| io_err("spawn acceptor", e))?,
-                );
-                1
-            }
-            IoModel::Reactor => {
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| io_err("set listener nonblocking", e))?;
-                let listener = Arc::new(listener);
-                let n = reactor_count(config.io.reactor_threads);
-                for i in 0..n {
-                    let reactor = Reactor {
-                        listener: Arc::clone(&listener),
-                        handler: Arc::clone(&handler),
-                        stop: Arc::clone(&stop),
-                        stats: Arc::clone(&stats),
-                        max_connections,
-                        idle_timeout: config.io.idle_timeout,
-                        stall_timeout: config.io.stall_timeout.min(config.io.idle_timeout),
-                    };
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("{}-reactor-{i}", config.thread_name))
-                            .spawn(move || reactor.run())
-                            .map_err(|e| io_err("spawn reactor", e))?,
-                    );
-                }
-                n
-            }
-        };
+                std::thread::Builder::new()
+                    .name(format!("{}-reactor-{i}", config.thread_name))
+                    .spawn(move || reactor.run())
+                    .map_err(|e| io_err("spawn reactor", e))
+            })
+            .collect::<Result<_, _>>()?;
 
         Ok(Self {
             addr,
-            io_model: config.io.io_model,
             io_threads,
             stop,
             threads,
-            connections,
             stats,
         })
     }
@@ -287,46 +203,26 @@ impl Frontend {
         self.addr
     }
 
-    /// Which I/O model is serving.
-    pub fn io_model(&self) -> IoModel {
-        self.io_model
-    }
-
-    /// How many I/O threads carry connections: the reactor count, or
-    /// `1` (the acceptor) under threads — workers there scale with
-    /// connections and are exactly what the reactor model avoids.
+    /// How many reactor threads carry connections.
     pub fn io_threads(&self) -> usize {
         self.io_threads
     }
 
-    /// Connection accounting, shared with the I/O threads — readable
+    /// Connection accounting, shared with the reactor threads — readable
     /// live while the front end serves.
     pub fn stats(&self) -> Arc<FrontendStats> {
         Arc::clone(&self.stats)
     }
 
-    /// Stop accepting, close every connection, and join every thread.
+    /// Stop accepting, close every connection, and join every reactor.
     /// Idempotent; also runs on drop.
     pub fn stop(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock a blocking acceptor (and hasten a reactor tick) with
-        // a throwaway connection.
+        // Hasten the reactors' next tick with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-        // Threads model: force-close live connections so blocked
-        // workers see EOF, then join them.
-        let conns = std::mem::take(
-            &mut *self
-                .connections
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for (stream, handle) in conns {
-            let _ = stream.shutdown(Shutdown::Both);
             let _ = handle.join();
         }
     }
@@ -406,7 +302,7 @@ fn dispatch(handler: &dyn RequestHandler, next_seq: &mut u64, request: Request) 
     }
 }
 
-/// Encode a handler's reply for the socket — both I/O models send
+/// Encode a handler's reply for the socket — every reply is sent
 /// through here. A reply past the frame cap (a ledger or budget query
 /// over a population the cap cannot carry) would be refused by the very
 /// peer that asked for it and cost it the connection, so it is replaced,
@@ -437,163 +333,7 @@ fn refuse_busy(stream: &TcpStream, max_connections: usize) {
 }
 
 // ---------------------------------------------------------------------
-// Threads model
-// ---------------------------------------------------------------------
-
-struct AcceptLoop {
-    handler: Arc<dyn RequestHandler>,
-    stop: Arc<AtomicBool>,
-    connections: ConnectionList,
-    max_connections: usize,
-    io_timeout: Duration,
-    thread_name: &'static str,
-    stats: Arc<FrontendStats>,
-}
-
-impl AcceptLoop {
-    fn run(&self, listener: TcpListener) {
-        for incoming in listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = incoming else { continue };
-            let _ = stream.set_nodelay(true);
-            // The slow-client fix for this model: every accepted socket
-            // gets read/write timeouts, so a peer that goes silent
-            // mid-hello or mid-frame pins its worker for at most one
-            // deadline before the slot is reclaimed.
-            let _ = stream.set_read_timeout(Some(self.io_timeout));
-            let _ = stream.set_write_timeout(Some(self.io_timeout));
-
-            // The list is (stream, handle) bookkeeping only; a poisoned
-            // guard is recoverable.
-            let mut conns = self
-                .connections
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            // Reap finished workers so the budget counts only live
-            // connections — this is also what returns the slot of a
-            // handshake-failed (bad hello) worker to the budget.
-            let mut live = Vec::with_capacity(conns.len());
-            for (s, h) in conns.drain(..) {
-                if h.is_finished() {
-                    let _ = h.join();
-                } else {
-                    live.push((s, h));
-                }
-            }
-            *conns = live;
-
-            if conns.len() >= self.max_connections {
-                // Over the worker budget: refuse with a typed frame
-                // instead of queueing or hanging.
-                self.stats.refused.fetch_add(1, Ordering::Relaxed);
-                refuse_busy(&stream, self.max_connections);
-                continue;
-            }
-
-            let stream = Arc::new(stream);
-            let worker_stream = Arc::clone(&stream);
-            let worker_handler = Arc::clone(&self.handler);
-            let worker_stats = Arc::clone(&self.stats);
-            match std::thread::Builder::new()
-                .name(format!("{}-conn", self.thread_name))
-                .spawn(move || {
-                    serve_blocking(&worker_stream, &*worker_handler);
-                    // Close the TCP side eagerly: the acceptor's
-                    // bookkeeping still holds the stream handle until
-                    // the next reap, and the peer must see EOF when its
-                    // worker is done, not later.
-                    let _ = worker_stream.shutdown(Shutdown::Both);
-                    worker_stats.live.fetch_sub(1, Ordering::SeqCst);
-                }) {
-                Ok(handle) => {
-                    self.stats.live.fetch_add(1, Ordering::SeqCst);
-                    self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    conns.push((stream, handle));
-                }
-                Err(_) => {
-                    self.stats.refused.fetch_add(1, Ordering::Relaxed);
-                    // Out of threads is load, not a protocol violation:
-                    // refuse this connection like an over-budget one
-                    // instead of killing the acceptor (and with it every
-                    // live connection's shutdown path).
-                    let mut s = &*stream;
-                    let frame = Response::Error {
-                        code: ErrorCode::ServerBusy,
-                        message: "server cannot spawn a connection worker".to_string(),
-                    }
-                    .encode();
-                    let _ = write_frame(&mut s, &frame);
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-            }
-        }
-    }
-}
-
-/// One blocking connection worker: hello exchange, then a
-/// request/response loop until the peer closes, dies mid-frame,
-/// desynchronises, or trips the socket timeout.
-fn serve_blocking(stream: &Arc<TcpStream>, handler: &dyn RequestHandler) {
-    let mut reader: &TcpStream = stream;
-    let mut writer: &TcpStream = stream;
-
-    // Hello: the client leads; anything else is not our protocol.
-    let mut hello = [0u8; wire::HELLO.len()];
-    if reader.read_exact(&mut hello).is_err() || hello != wire::HELLO {
-        let frame = Response::Error {
-            code: ErrorCode::InvalidRequest,
-            message: "expected the dptd v1 hello".to_string(),
-        }
-        .encode();
-        let _ = write_frame(&mut writer, &frame);
-        return;
-    }
-    if writer.write_all(&wire::HELLO).is_err() {
-        return;
-    }
-
-    let mut next_seq = 0u64;
-    loop {
-        match crate::server::read_frame_body(&mut reader) {
-            Ok(None) => return, // clean close
-            Ok(Some(body)) => {
-                // A well-framed body that fails to decode leaves the
-                // stream in sync: reply with a typed error and keep
-                // serving.
-                let response = match Request::decode(&body) {
-                    Ok(request) => dispatch(handler, &mut next_seq, request),
-                    Err(e) => Response::Error {
-                        code: ErrorCode::InvalidRequest,
-                        message: e.to_string(),
-                    },
-                };
-                if write_frame(&mut writer, &encode_reply(&response)).is_err() {
-                    return;
-                }
-            }
-            Err(ServerError::Wire(e)) => {
-                // Header or checksum violation: sync with the peer is
-                // lost, so answer once and hang up.
-                let frame = Response::Error {
-                    code: ErrorCode::InvalidRequest,
-                    message: e.to_string(),
-                }
-                .encode();
-                let _ = write_frame(&mut writer, &frame);
-                return;
-            }
-            // I/O failure, a peer that died mid-frame (torn write), or
-            // the socket timeout firing on a stalled peer: nothing
-            // sensible to reply to, and the slot must come back.
-            Err(_) => return,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reactor model
+// The reactor
 // ---------------------------------------------------------------------
 
 #[cfg(unix)]
@@ -980,16 +720,6 @@ fn flush_output(conn: &mut Conn, now: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn io_model_parses_and_displays() {
-        assert_eq!("reactor".parse::<IoModel>().unwrap(), IoModel::Reactor);
-        assert_eq!("threads".parse::<IoModel>().unwrap(), IoModel::Threads);
-        assert!("epoll".parse::<IoModel>().is_err());
-        assert_eq!(IoModel::Reactor.to_string(), "reactor");
-        assert_eq!(IoModel::Threads.to_string(), "threads");
-        assert_eq!(IoModel::default(), IoModel::Reactor);
-    }
 
     #[test]
     fn reactor_count_clamps_and_respects_overrides() {

@@ -312,7 +312,7 @@ impl<S: Hosted> Host<S> {
     /// The per-campaign error-frequency accounting seam: every `Busy`
     /// and every budget / WAL / quarantine refusal that leaves a host
     /// bumps its campaign's `campaign.<id>.refused.*` counter, so the
-    /// counters cover both I/O models and the in-process path without
+    /// counters cover the served and the in-process path without
     /// per-site bookkeeping. Refusal paths only — the common accept
     /// path never touches the obs registry's lock.
     ///

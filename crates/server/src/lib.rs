@@ -33,12 +33,10 @@
 //!   via a per-campaign WAL directory), and answers the truths, budget
 //!   and metrics queries.
 //! * [`frontend`] — the connection front end both [`Server`] and the
-//!   cluster's node server share, in two interchangeable I/O models:
-//!   an event-driven **reactor** (N poll-based threads multiplexing
-//!   thousands of nonblocking connections with per-connection
-//!   idle/stall deadlines — the default) and the original
-//!   thread-per-connection **threads** model, both capped by one
-//!   connection budget with typed `ServerBusy` refusals.
+//!   cluster's node server share: an event-driven **reactor** (N
+//!   poll-based threads multiplexing thousands of nonblocking
+//!   connections with per-connection idle/stall deadlines), capped by
+//!   one connection budget with typed `ServerBusy` refusals.
 //! * [`decode`] — [`FrameDecoder`]: the per-connection incremental
 //!   frame accumulator the reactor reads through, proptested to decode
 //!   identically to the blocking reader at every byte boundary.
@@ -71,7 +69,7 @@ use std::fmt;
 
 pub use client::{scatter_gather, submit_waves, Client, RetryPolicy, SubmitLane, TraceOutcome};
 pub use decode::FrameDecoder;
-pub use frontend::{Frontend, FrontendConfig, FrontendStats, IoConfig, IoModel, RequestHandler};
+pub use frontend::{Frontend, FrontendConfig, FrontendStats, IoConfig, RequestHandler};
 pub use registry::{CampaignRegistry, RegistryConfig};
 pub use server::{complete_frame, read_frame_body, write_frame, Server, ServerConfig};
 pub use wire::{

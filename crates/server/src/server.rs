@@ -1,16 +1,14 @@
 //! The campaign server: a [`CampaignRegistry`] behind the shared
 //! connection [`Frontend`].
 //!
-//! All transport policy — the I/O model (event-driven reactor by
-//! default, thread-per-connection on request), the hard connection
+//! All transport policy — the event-driven reactor, the hard connection
 //! budget with typed
 //! [`ErrorCode::ServerBusy`](crate::wire::ErrorCode::ServerBusy)
 //! refusals, and the per-connection idle/stall deadlines — lives in
 //! [`crate::frontend`]; all campaign semantics live in the shared
 //! [`CampaignRegistry`]. This module wires the two together and keeps
 //! the blocking frame-I/O helpers ([`complete_frame`],
-//! [`read_frame_body`], [`write_frame`]) that the client and the
-//! threads-model worker both speak.
+//! [`read_frame_body`], [`write_frame`]) the client speaks.
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -30,14 +28,14 @@ pub struct ServerConfig {
     /// Connection budget: live connections past this are refused with
     /// `ServerBusy`.
     pub max_connections: usize,
-    /// I/O model and connection deadlines.
+    /// Reactor sizing and connection deadlines.
     pub io: IoConfig,
     /// Campaign-level limits and the WAL root.
     pub registry: RegistryConfig,
 }
 
 impl Default for ServerConfig {
-    /// Loopback ephemeral port, 64 connections, reactor I/O, default
+    /// Loopback ephemeral port, 64 connections, default I/O config and
     /// registry.
     fn default() -> Self {
         Self {
@@ -150,8 +148,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `config.listen` and start accepting under the configured
-    /// I/O model.
+    /// Bind `config.listen` and start the reactor accepting.
     ///
     /// # Errors
     ///
@@ -181,18 +178,18 @@ impl Server {
         &self.registry
     }
 
-    /// The front end (for I/O-model introspection, e.g. in benches).
+    /// The front end (for reactor introspection, e.g. in benches).
     pub fn frontend(&self) -> &Frontend {
         &self.frontend
     }
 
-    /// Stop accepting, close every connection, join all I/O threads,
+    /// Stop accepting, close every connection, join all reactor threads,
     /// finalize every campaign (flush + fsync active WAL segments,
     /// release writer locks — see [`CampaignRegistry::finalize`]), and
     /// return the registry's aggregate counters.
     pub fn shutdown(mut self) -> RegistryStats {
         self.frontend.stop();
-        // Ordering matters: I/O threads are joined, so no round can
+        // Ordering matters: reactors are joined, so no round can
         // commit concurrently with finalization.
         let (flushed, sync_failures) = self.registry.finalize();
         let mut stats = self.registry.stats();

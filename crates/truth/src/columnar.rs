@@ -219,52 +219,6 @@ impl ColumnarBatch {
         self.values.reserve(cells);
     }
 
-    /// Load pre-sorted `(user, claims)` rows — strictly ascending by user
-    /// id — straight into the arena, for a caller that already holds its
-    /// rows in canonical order and so needs no slot pass. Cells are
-    /// validated exactly as in [`ColumnarBatch::load_shards`].
-    ///
-    /// # Errors
-    ///
-    /// [`TruthError::UserOutOfRange`] for a user outside the population,
-    /// [`TruthError::DuplicateObservation`] if the rows are not strictly
-    /// ascending (or a user claims an object twice),
-    /// [`TruthError::EmptyMatrix`] for a zero-object epoch, and cell
-    /// errors as in [`ColumnarBatch::load_shards`].
-    pub fn load_rows<'a, I>(&mut self, rows: I) -> Result<(), TruthError>
-    where
-        I: IntoIterator<Item = (usize, &'a [(usize, f64)])>,
-    {
-        self.clear();
-        if self.num_objects == 0 {
-            return Err(TruthError::EmptyMatrix);
-        }
-        let mut last: Option<usize> = None;
-        let (mut objects, mut values) = (Vec::new(), Vec::new());
-        for (user, claims) in rows {
-            if user >= self.num_users {
-                return Err(TruthError::UserOutOfRange {
-                    user,
-                    num_users: self.num_users,
-                });
-            }
-            if last.is_some_and(|prev| prev >= user) {
-                return Err(TruthError::DuplicateObservation {
-                    user,
-                    object: claims.first().map(|&(n, _)| n).unwrap_or(0),
-                });
-            }
-            last = Some(user);
-            objects.clear();
-            objects.extend(claims.iter().map(|&(object, _)| object));
-            values.clear();
-            values.extend(claims.iter().map(|&(_, value)| value));
-            self.push_row(user, &objects, &values)?;
-        }
-        self.seal();
-        Ok(())
-    }
-
     /// Load a dense batch (the single-process reference path). The matrix
     /// validated its cells on insert, so only layout work happens here.
     pub fn load_matrix(&mut self, batch: &ObservationMatrix) {

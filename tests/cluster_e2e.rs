@@ -321,57 +321,3 @@ fn losing_the_follower_latches_a_diagnostic_without_blocking_the_primary() {
     let _ = std::fs::remove_dir_all(wal_root);
     let _ = std::fs::remove_dir_all(replica_root);
 }
-
-/// The cluster front end under `--io-model threads` reproduces the
-/// reactor's campaign bit for bit: the I/O model moves bytes, the
-/// partition merge is oblivious to it.
-#[test]
-fn the_threads_io_model_reproduces_the_cluster_campaign_bit_identically() {
-    use dptd::server::{IoConfig, IoModel};
-
-    let reference = sim_trace();
-    let run = |io: IoConfig| -> Trace {
-        let nodes: Vec<NodeServer> = (0..2)
-            .map(|id| {
-                NodeServer::start(NodeConfig {
-                    node_id: id,
-                    num_nodes: 2,
-                    io,
-                    ..NodeConfig::default()
-                })
-                .unwrap()
-            })
-            .collect();
-        let addrs: Vec<String> = nodes.iter().map(|n| n.local_addr().to_string()).collect();
-        let mut cluster = ClusterCampaign::create(&addrs, "duo", cluster_spec(false)).unwrap();
-        let load = load();
-        let mut trace = Trace {
-            rounds: Vec::new(),
-            debits: Vec::new(),
-        };
-        for epoch in 0..ROUNDS {
-            cluster.submit(&load.epoch_reports(epoch), 256).unwrap();
-            let round = cluster.close_round(epoch).unwrap();
-            trace.rounds.push((
-                round.accepted as u64,
-                round.refused_users as u64,
-                round.duplicates_discarded,
-                round.late_dropped,
-                round.weights_digest,
-            ));
-        }
-        trace.debits = cluster.accountant().debits_by_user().to_vec();
-        for node in nodes {
-            node.shutdown();
-        }
-        trace
-    };
-
-    let reactor = run(IoConfig::default());
-    let threads = run(IoConfig {
-        io_model: IoModel::Threads,
-        ..IoConfig::default()
-    });
-    assert_eq!(reactor, reference, "reactor vs in-process sim");
-    assert_eq!(threads, reference, "threads vs in-process sim");
-}

@@ -9,8 +9,7 @@
 //!    blocking reader had no read deadline). Now the stall deadline
 //!    reclaims the slot: with a connection budget of 1 and a stalled
 //!    half-frame peer occupying it, a well-behaved client gets in
-//!    within the deadline — under the reactor *and* under
-//!    `--io-model threads` (where the socket read timeout enforces it).
+//!    within the deadline: the reactor's stall sweep frees it.
 //!
 //! 2. **Handshake-failure slot accounting.** A connection refused at
 //!    the `DPTDNET\x01` hello must decrement the live-connection
@@ -26,7 +25,7 @@ use dptd::core::roles::PerturbedReport;
 use dptd::protocol::message::StampedReport;
 use dptd::server::registry::RegistryConfig;
 use dptd::server::wire::{Request, HELLO};
-use dptd::server::{CampaignSpec, Client, IoConfig, IoModel, Server, ServerConfig};
+use dptd::server::{CampaignSpec, Client, IoConfig, Server, ServerConfig};
 
 fn tiny_spec() -> CampaignSpec {
     CampaignSpec {
@@ -46,12 +45,9 @@ fn tiny_spec() -> CampaignSpec {
     }
 }
 
-/// Short deadlines so the reclamation happens within test time. The
-/// threads model enforces deadlines through socket read/write timeouts
-/// set to `idle_timeout`, so that knob is the binding one there.
-fn short_deadlines(io_model: IoModel) -> IoConfig {
+/// Short deadlines so the reclamation happens within test time.
+fn short_deadlines() -> IoConfig {
     IoConfig {
-        io_model,
         reactor_threads: 1,
         idle_timeout: Duration::from_millis(400),
         stall_timeout: Duration::from_millis(150),
@@ -95,11 +91,12 @@ fn eventually<T>(what: &str, mut attempt: impl FnMut() -> Option<T>) -> T {
     }
 }
 
-fn server_reclaims_stalled_slot(io_model: IoModel) {
+#[test]
+fn a_stalled_half_frame_peer_is_reclaimed_by_the_reactor() {
     let server = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         max_connections: 1,
-        io: short_deadlines(io_model),
+        io: short_deadlines(),
         registry: RegistryConfig::default(),
     })
     .unwrap();
@@ -108,9 +105,9 @@ fn server_reclaims_stalled_slot(io_model: IoModel) {
     // The sole slot is taken by a peer stuck mid-frame.
     let _stalled = stall_half_frame(addr);
 
-    // Within the stall deadline the reactor (or the read timeout) reaps
-    // it, and a well-behaved client gets the slot and full service.
-    let mut client = eventually(&format!("server/{io_model:?}"), || {
+    // Within the stall deadline the reactor reaps it, and a
+    // well-behaved client gets the slot and full service.
+    let mut client = eventually("server", || {
         let mut c = Client::connect(addr).ok()?;
         c.create_campaign("after", tiny_spec()).ok()?;
         Some(c)
@@ -134,82 +131,67 @@ fn server_reclaims_stalled_slot(io_model: IoModel) {
 }
 
 #[test]
-fn a_stalled_half_frame_peer_is_reclaimed_by_the_reactor() {
-    server_reclaims_stalled_slot(IoModel::Reactor);
-}
-
-#[test]
-fn a_stalled_half_frame_peer_is_reclaimed_under_io_model_threads() {
-    server_reclaims_stalled_slot(IoModel::Threads);
-}
-
-#[test]
 fn a_stalled_peer_on_a_cluster_node_is_reclaimed_too() {
-    for io_model in [IoModel::Reactor, IoModel::Threads] {
-        let node = NodeServer::start(NodeConfig {
-            node_id: 0,
-            num_nodes: 1,
-            max_connections: 1,
-            io: short_deadlines(io_model),
-            ..NodeConfig::default()
-        })
-        .unwrap();
-        let addr = node.local_addr();
-        let _stalled = stall_half_frame(addr);
-        let mut client = eventually(&format!("node/{io_model:?}"), || {
-            let mut c = Client::connect(addr).ok()?;
-            c.node_hello(0, 1).ok()?;
-            Some(c)
-        });
-        assert_eq!(client.node_hello(0, 1).unwrap(), 0);
-        drop(client);
-        node.shutdown();
-    }
+    let node = NodeServer::start(NodeConfig {
+        node_id: 0,
+        num_nodes: 1,
+        max_connections: 1,
+        io: short_deadlines(),
+        ..NodeConfig::default()
+    })
+    .unwrap();
+    let addr = node.local_addr();
+    let _stalled = stall_half_frame(addr);
+    let mut client = eventually("node", || {
+        let mut c = Client::connect(addr).ok()?;
+        c.node_hello(0, 1).ok()?;
+        Some(c)
+    });
+    assert_eq!(client.node_hello(0, 1).unwrap(), 0);
+    drop(client);
+    node.shutdown();
 }
 
 #[test]
 fn bad_hellos_do_not_leak_connection_slots() {
-    for io_model in [IoModel::Reactor, IoModel::Threads] {
-        let server = Server::start(ServerConfig {
-            listen: "127.0.0.1:0".to_string(),
-            max_connections: 2,
-            io: short_deadlines(io_model),
-            registry: RegistryConfig::default(),
-        })
-        .unwrap();
-        let addr = server.local_addr();
+    let server = Server::start(ServerConfig {
+        listen: "127.0.0.1:0".to_string(),
+        max_connections: 2,
+        io: short_deadlines(),
+        registry: RegistryConfig::default(),
+    })
+    .unwrap();
+    let addr = server.local_addr();
 
-        // Far more handshake failures than the budget holds. Half read
-        // the refusal to EOF (orderly close), half just vanish; both
-        // paths must give the slot back.
-        for i in 0..20 {
-            let mut raw = TcpStream::connect(addr).unwrap();
-            raw.write_all(b"GET / HT").unwrap(); // 8 bytes, wrong magic
-            if i % 2 == 0 {
-                use std::io::Read as _;
-                let mut sink = Vec::new();
-                let _ = raw.read_to_end(&mut sink);
-                assert!(!sink.is_empty(), "a typed refusal precedes the close");
-            }
-            drop(raw);
+    // Far more handshake failures than the budget holds. Half read the
+    // refusal to EOF (orderly close), half just vanish; both paths must
+    // give the slot back.
+    for i in 0..20 {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(b"GET / HT").unwrap(); // 8 bytes, wrong magic
+        if i % 2 == 0 {
+            use std::io::Read as _;
+            let mut sink = Vec::new();
+            let _ = raw.read_to_end(&mut sink);
+            assert!(!sink.is_empty(), "a typed refusal precedes the close");
         }
-
-        // Both slots are (eventually — the abrupt halves may still be
-        // draining) available to good clients, concurrently.
-        let mut a = eventually(&format!("bad-hello/{io_model:?}/a"), || {
-            let mut c = Client::connect(addr).ok()?;
-            c.create_campaign(&format!("a-{io_model:?}"), tiny_spec())
-                .ok()?;
-            Some(c)
-        });
-        let mut b = eventually(&format!("bad-hello/{io_model:?}/b"), || {
-            let mut c = Client::connect(addr).ok()?;
-            c.query_budget(&format!("a-{io_model:?}")).ok()?;
-            Some(c)
-        });
-        assert!(a.query_truths(&format!("a-{io_model:?}")).is_ok());
-        assert!(b.query_budget(&format!("a-{io_model:?}")).is_ok());
-        drop((a, b));
-        server.shutdown();
+        drop(raw);
     }
+
+    // Both slots are (eventually — the abrupt halves may still be
+    // draining) available to good clients, concurrently.
+    let mut a = eventually("bad-hello/a", || {
+        let mut c = Client::connect(addr).ok()?;
+        c.create_campaign("a", tiny_spec()).ok()?;
+        Some(c)
+    });
+    let mut b = eventually("bad-hello/b", || {
+        let mut c = Client::connect(addr).ok()?;
+        c.query_budget("a").ok()?;
+        Some(c)
+    });
+    assert!(a.query_truths("a").is_ok());
+    assert!(b.query_budget("a").is_ok());
+    drop((a, b));
+    server.shutdown();
 }

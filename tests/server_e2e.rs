@@ -20,9 +20,7 @@ use dptd::ldp::PrivacyLoss;
 use dptd::protocol::campaign::{CampaignConfig, CampaignDriver};
 use dptd::server::client::SubmitOutcome;
 use dptd::server::registry::RegistryConfig;
-use dptd::server::{
-    CampaignSpec, Client, ErrorCode, IoConfig, IoModel, Server, ServerConfig, ServerError,
-};
+use dptd::server::{CampaignSpec, Client, ErrorCode, Server, ServerConfig, ServerError};
 use dptd::stats::digest::fnv1a_f64s;
 use dptd::truth::Loss;
 
@@ -176,14 +174,12 @@ fn drive_served(client: &mut Client, shape: &Shape, from: u64, to: u64, trace: &
     trace.debits = client.query_budget(shape.id).unwrap().debits;
 }
 
-/// The full concurrent + kill + WAL-resume scenario under one I/O
-/// model. Both models must reproduce the in-process references bit for
-/// bit — which transitively pins the reactor and threads front ends to
-/// identical campaign results.
-fn concurrent_kill_resume_under(io: IoConfig) {
+/// The full concurrent + kill + WAL-resume scenario: every served
+/// campaign must reproduce its in-process reference bit for bit.
+#[test]
+fn concurrent_campaigns_match_sequential_runs_including_a_mid_round_kill() {
     let wal_root = std::env::temp_dir().join(format!(
-        "dptd-server-e2e-{:?}-{}-{:?}",
-        io.io_model,
+        "dptd-server-e2e-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
@@ -197,11 +193,11 @@ fn concurrent_kill_resume_under(io: IoConfig) {
     let server = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         max_connections: 16,
-        io,
         registry: RegistryConfig {
             wal_root: Some(wal_root.clone()),
             ..RegistryConfig::default()
         },
+        ..ServerConfig::default()
     })
     .unwrap();
     let addr = server.local_addr();
@@ -264,11 +260,11 @@ fn concurrent_kill_resume_under(io: IoConfig) {
     let server = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         max_connections: 16,
-        io,
         registry: RegistryConfig {
             wal_root: Some(wal_root.clone()),
             ..RegistryConfig::default()
         },
+        ..ServerConfig::default()
     })
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -301,20 +297,6 @@ fn concurrent_kill_resume_under(io: IoConfig) {
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&wal_root);
-}
-
-#[test]
-fn concurrent_campaigns_match_sequential_runs_including_a_mid_round_kill() {
-    // The default front end: the event-driven reactor.
-    concurrent_kill_resume_under(IoConfig::default());
-}
-
-#[test]
-fn the_threads_io_model_reproduces_the_same_campaigns_bit_identically() {
-    concurrent_kill_resume_under(IoConfig {
-        io_model: IoModel::Threads,
-        ..IoConfig::default()
-    });
 }
 
 #[test]
