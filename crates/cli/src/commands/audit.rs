@@ -21,6 +21,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
     let lambda1 = args.f64_or("lambda1", 2.0)?;
     let trials = args.usize_or("trials", 100_000)?;
     let seed = args.u64_or("seed", 42)?;
+    args.refuse_unread()?;
 
     let sens = SensitivityBound::new(1.5, 0.9, lambda1)?;
     let req = privacy::PrivacyRequirement::new(epsilon, delta, sens)?;

@@ -14,6 +14,13 @@
 //! write-ahead log, and re-running the same command after a crash
 //! replays the log, resumes at the next round, and lands on the **same**
 //! weights digest an uninterrupted run prints.
+//!
+//! The three campaign drivers — this command, `dptd submit` and
+//! `dptd cluster submit` — resolve their shared flags through
+//! [`CampaignFlags`] (one set of load and privacy flags, one set of
+//! defaults, so one seed is one stream everywhere) and print one report:
+//! header, round table and closing ledger lines, so their outputs diff
+//! row for row.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -22,78 +29,245 @@ use dptd_engine::{
     Engine, EngineBackend, EngineConfig, LoadGen, LoadGenConfig, SegmentStore, WalLock, WalPolicy,
 };
 use dptd_ldp::PrivacyLoss;
+use dptd_protocol::budget::BudgetAccountant;
 use dptd_protocol::campaign::{CampaignConfig, CampaignDriver, RoundBackend, SimBackend};
+use dptd_protocol::message::StampedReport;
 use dptd_stats::summary::mae;
 use dptd_truth::Loss;
 
+use super::box_err;
 use crate::args::ArgMap;
 use crate::CliError;
+
+/// The load and privacy flags every campaign driver reads, with the
+/// defaults all three share, resolved into the stream they describe.
+pub(crate) struct CampaignFlags {
+    /// The deterministic multi-round report stream.
+    pub(crate) load: LoadGen,
+    /// How λ₂ was chosen, for the report header.
+    lambda2_desc: String,
+    /// What one aggregated report costs its user.
+    pub(crate) per_round: PrivacyLoss,
+    /// Each user's campaign-wide ceiling.
+    pub(crate) budget: PrivacyLoss,
+}
+
+/// One round's line in the report table, whichever driver closed it.
+pub(crate) struct RoundRow {
+    pub(crate) epoch: u64,
+    pub(crate) accepted: u64,
+    pub(crate) refused: u64,
+    pub(crate) duplicates: u64,
+    pub(crate) late: u64,
+    pub(crate) truths: Vec<f64>,
+    pub(crate) max_spent_epsilon: f64,
+}
+
+/// What the report's closing lines state: the privacy ledger after the
+/// last round and the weights digest.
+pub(crate) struct Closing {
+    pub(crate) exhausted: usize,
+    pub(crate) users: usize,
+    pub(crate) max_spent: (f64, f64),
+    pub(crate) weights_digest: u64,
+}
+
+impl Closing {
+    /// The closing lines of a driver that keeps its own ledger.
+    pub(crate) fn of(ledger: &BudgetAccountant, weights_digest: u64) -> Self {
+        Self {
+            exhausted: ledger.exhausted_count(),
+            users: ledger.num_users(),
+            max_spent: (ledger.max_spent().epsilon(), ledger.max_spent().delta()),
+            weights_digest,
+        }
+    }
+}
+
+impl CampaignFlags {
+    /// Resolve the shared flags, then the command's own (`own` reads
+    /// them from the same [`ArgMap`], given the shared ones), then
+    /// refuse any flag neither read — before the caller connects, opens
+    /// a log or runs a round.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] for a malformed or unknown flag; a pipeline
+    /// error for an invalid load shape or privacy loss.
+    pub(crate) fn resolve<T>(
+        args: &ArgMap,
+        own: impl FnOnce(&Self) -> Result<T, CliError>,
+    ) -> Result<(Self, T), CliError> {
+        let (lambda2, lambda2_desc) = super::resolve_lambda2(args)?;
+        let load = LoadGen::new(LoadGenConfig {
+            num_users: args.usize_or("users", 5_000)?,
+            num_objects: args.usize_or("objects", 8)?,
+            epochs: args.u64_or("rounds", 5)?,
+            lambda2,
+            coverage: args.f64_or("coverage", 1.0)?,
+            duplicate_probability: args.f64_or("dup", 0.01)?,
+            straggler_fraction: args.f64_or("straggler", 0.01)?,
+            churn: args.f64_or("churn", 0.1)?,
+            seed: args.u64_or("seed", 42)?,
+            ..LoadGenConfig::default()
+        })
+        .map_err(box_err)?;
+        let flags = Self {
+            load,
+            lambda2_desc,
+            per_round: PrivacyLoss::new(
+                args.f64_or("round-epsilon", 0.5)?,
+                args.f64_or("round-delta", 0.02)?,
+            )?,
+            budget: PrivacyLoss::new(
+                args.f64_or("budget-epsilon", 5.0)?,
+                args.f64_or("budget-delta", 0.2)?,
+            )?,
+        };
+        let own = own(&flags)?;
+        args.refuse_unread()?;
+        Ok((flags, own))
+    }
+
+    /// The report up to its closing lines: `title`, the stream and its
+    /// privacy terms (with the `affordable` rounds per user when the
+    /// driver knows them), each of `notes`, then one table row per round
+    /// `start..`, closed by `close` from that round's reports.
+    ///
+    /// # Errors
+    ///
+    /// The first error `close` returns.
+    pub(crate) fn rounds(
+        &self,
+        title: &str,
+        affordable: Option<u32>,
+        notes: &[String],
+        start: u64,
+        mut close: impl FnMut(u64, Vec<StampedReport>) -> Result<RoundRow, CliError>,
+    ) -> Result<String, CliError> {
+        let cfg = self.load.config();
+        let mut out = String::new();
+        let _ = writeln!(out, "{title}\n");
+        let _ = writeln!(out, "{}", self.lambda2_desc);
+        let _ = writeln!(
+            out,
+            "population {} users × {} objects × {} rounds; per-round (ε, δ) = ({}, {}), budget = ({}, {}){}\n",
+            cfg.num_users,
+            cfg.num_objects,
+            cfg.epochs,
+            self.per_round.epsilon(),
+            self.per_round.delta(),
+            self.budget.epsilon(),
+            self.budget.delta(),
+            affordable.map_or(String::new(), |n| format!(
+                " → {n} affordable rounds per user"
+            )),
+        );
+        for note in notes {
+            let _ = writeln!(out, "{note}\n");
+        }
+
+        let _ = writeln!(
+            out,
+            "| round | accepted | refused | dup | late | truth MAE | max ε spent |"
+        );
+        let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|");
+        for epoch in start..cfg.epochs {
+            let row = close(epoch, self.load.epoch_reports(epoch))?;
+            let truth_mae = mae(&row.truths, &self.load.ground_truths(epoch))
+                .map(|v| format!("{v:.4}"))
+                .unwrap_or_else(|_| "n/a".to_string());
+            let _ = writeln!(
+                out,
+                "| {} | {} | {} | {} | {} | {} | {:.3} |",
+                row.epoch,
+                row.accepted,
+                row.refused,
+                row.duplicates,
+                row.late,
+                truth_mae,
+                row.max_spent_epsilon,
+            );
+        }
+        Ok(out)
+    }
+
+    /// Append the report's closing lines to `out`.
+    pub(crate) fn finish(&self, mut out: String, closing: &Closing) -> String {
+        let _ = writeln!(
+            out,
+            "\nexhausted users     {} / {}",
+            closing.exhausted, closing.users,
+        );
+        let _ = writeln!(
+            out,
+            "max spent           (ε, δ) = ({:.3}, {:.3}) of ({}, {})",
+            closing.max_spent.0,
+            closing.max_spent.1,
+            self.budget.epsilon(),
+            self.budget.delta(),
+        );
+        // FNV-1a over the weights' bit patterns: backend-independent by
+        // the engine's bit-identical merge guarantee, so every driver on
+        // the same seed prints the same digest.
+        let _ = writeln!(out, "weights digest      {:016x}", closing.weights_digest);
+        out
+    }
+}
 
 /// Execute `dptd campaign`.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for an unknown backend or invalid sizing,
-/// and propagates protocol/engine failures (including the round where so
-/// many budgets are exhausted that coverage collapses).
+/// Returns [`CliError::Usage`] for an unknown backend or flag and invalid
+/// sizing, and propagates protocol/engine failures (including the round
+/// where so many budgets are exhausted that coverage collapses).
 pub fn execute(args: &ArgMap) -> Result<String, CliError> {
-    let (lambda2, lambda2_desc) = super::resolve_lambda2(args)?;
-
-    let load_cfg = LoadGenConfig {
-        num_users: args.usize_or("users", 5_000)?,
-        num_objects: args.usize_or("objects", 8)?,
-        epochs: args.u64_or("rounds", 5)?,
-        lambda2,
-        coverage: args.f64_or("coverage", 1.0)?,
-        duplicate_probability: args.f64_or("dup", 0.01)?,
-        straggler_fraction: args.f64_or("straggler", 0.01)?,
-        churn: args.f64_or("churn", 0.1)?,
-        seed: args.u64_or("seed", 42)?,
-        ..LoadGenConfig::default()
-    };
-    let load = LoadGen::new(load_cfg).map_err(box_err)?;
-
-    let per_round_loss = PrivacyLoss::new(
-        args.f64_or("round-epsilon", 0.5)?,
-        args.f64_or("round-delta", 0.02)?,
-    )?;
-    let budget = PrivacyLoss::new(
-        args.f64_or("budget-epsilon", 5.0)?,
-        args.f64_or("budget-delta", 0.2)?,
-    )?;
+    let (flags, (backend, engine_cfg, wal, store_cfg)) = CampaignFlags::resolve(args, |flags| {
+        let load = flags.load.config();
+        Ok((
+            args.str_or("backend", "engine"),
+            // Resolved under `--backend sim` too, so switching backends
+            // never turns a sizing flag into an unknown one.
+            EngineConfig {
+                num_users: load.num_users,
+                num_objects: load.num_objects,
+                num_shards: args.usize_or("shards", 8)?,
+                workers: args.usize_or("workers", 0)?,
+                queue_capacity: args.usize_or("queue-capacity", 4_096)?,
+                epoch_deadline_us: load.epoch_len_us,
+                loss: Loss::Squared,
+                merge_workers: args.usize_or("merge-workers", 0)?,
+            },
+            args.get("wal"),
+            // Rotation + compaction thresholds for `--wal`'s segmented
+            // store, from the shared --wal-* flags.
+            super::resolve_store_config(args)?,
+        ))
+    })?;
+    let load_cfg = *flags.load.config();
     let campaign_cfg = CampaignConfig {
         num_objects: load_cfg.num_objects,
         deadline_us: load_cfg.epoch_len_us,
-        per_round_loss,
-        budget,
+        per_round_loss: flags.per_round,
+        budget: flags.budget,
     };
 
-    let backend_name = args.str_or("backend", "engine");
-    match backend_name {
+    match backend {
         "sim" => {
-            if args.get("wal").is_some() {
+            if wal.is_some() {
                 return Err(CliError::Usage(
                     "--wal requires the engine backend (`--backend engine`)".to_string(),
                 ));
             }
             let backend = SimBackend::new(load_cfg.num_users, Loss::Squared).map_err(box_err)?;
             let driver = CampaignDriver::new(backend, campaign_cfg).map_err(box_err)?;
-            let (out, _) = drive(driver, &load, 0, Vec::new(), &lambda2_desc, None)?;
+            let (out, _) = drive(&flags, driver, 0, Vec::new(), None)?;
             Ok(out)
         }
         "engine" => {
-            let engine = Engine::new(EngineConfig {
-                num_users: load_cfg.num_users,
-                num_objects: load_cfg.num_objects,
-                num_shards: args.usize_or("shards", 8)?,
-                workers: args.usize_or("workers", 0)?,
-                queue_capacity: args.usize_or("queue-capacity", 4_096)?,
-                epoch_deadline_us: load_cfg.epoch_len_us,
-                loss: Loss::Squared,
-                merge_workers: args.usize_or("merge-workers", 0)?,
-            })
-            .map_err(box_err)?;
-            let (driver, start_epoch, initial_weights, banner, _wal_lock) = match args.get("wal") {
+            let engine = Engine::new(engine_cfg).map_err(box_err)?;
+            let (driver, start_epoch, initial_weights, banner, _wal_lock) = match wal {
                 None => {
                     let backend = EngineBackend::new(engine).map_err(box_err)?;
                     let driver = CampaignDriver::new(backend, campaign_cfg).map_err(box_err)?;
@@ -106,11 +280,8 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
                     // directory) is refused here at open instead of
                     // corrupting the ledger and being caught at recovery.
                     let lock = WalLock::acquire(Path::new(dir)).map_err(box_err)?;
-                    // The segmented snapshot store: rotation + compaction
-                    // thresholds come from the shared --wal-* flags, and
-                    // a legacy single-segment directory is adopted in
-                    // place.
-                    let store_cfg = super::resolve_store_config(args)?;
+                    // The segmented snapshot store; a legacy
+                    // single-segment directory is adopted in place.
                     let (store, replay) =
                         SegmentStore::open_dir(Path::new(dir), store_cfg).map_err(box_err)?;
                     let segments = store.manifest().segments.len();
@@ -162,14 +333,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
                     (driver, start, weights, Some(banner), Some(lock))
                 }
             };
-            let (mut out, backend) = drive(
-                driver,
-                &load,
-                start_epoch,
-                initial_weights,
-                &lambda2_desc,
-                banner,
-            )?;
+            let (mut out, backend) = drive(&flags, driver, start_epoch, initial_weights, banner)?;
             let _ = writeln!(out, "\n{}", backend.metrics().render());
             Ok(out)
         }
@@ -182,8 +346,8 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
 /// Fingerprint of everything that shapes the per-round report stream —
 /// a WAL written under one fingerprint refuses to resume under another.
 /// `epochs` (the round count) is excluded on purpose; see the call site.
-/// Shared with `dptd submit`, which stamps the same tag into a served
-/// campaign's WAL via the wire spec.
+/// Shared with `dptd submit` and `dptd cluster submit`, which stamp the
+/// same tag into a served campaign's WAL via the wire spec.
 pub(crate) fn stream_tag(cfg: &LoadGenConfig) -> u64 {
     let mut h = dptd_stats::digest::Fnv1a::new();
     h.write_u64(cfg.seed);
@@ -198,95 +362,46 @@ pub(crate) fn stream_tag(cfg: &LoadGenConfig) -> u64 {
     h.finish()
 }
 
-/// Run rounds `start_epoch..` of `load` through `driver` and render the
-/// report. `initial_weights` seed the digest when no round runs (a
+/// Run rounds `start_epoch..` of the stream through `driver` and render
+/// the report. `initial_weights` seed the digest when no round runs (a
 /// resumed campaign that was already complete); `banner` is the WAL
 /// recovery summary, printed under the header when present.
 fn drive<B: RoundBackend>(
+    flags: &CampaignFlags,
     mut driver: CampaignDriver<B>,
-    load: &LoadGen,
     start_epoch: u64,
     initial_weights: Vec<f64>,
-    lambda2_desc: &str,
     banner: Option<String>,
 ) -> Result<(String, B), CliError> {
-    let name = driver.backend().name();
-
-    let mut out = String::new();
-    let _ = writeln!(out, "# dptd campaign — multi-round, `{name}` backend\n");
-    let _ = writeln!(out, "{lambda2_desc}");
-    let config = *driver.config();
-    let _ = writeln!(
-        out,
-        "population {} users × {} objects × {} rounds; per-round (ε, δ) = ({}, {}), budget = ({}, {}) → {} affordable rounds per user\n",
-        load.config().num_users,
-        load.config().num_objects,
-        load.config().epochs,
-        config.per_round_loss.epsilon(),
-        config.per_round_loss.delta(),
-        config.budget.epsilon(),
-        config.budget.delta(),
-        driver.accountant().affordable_rounds(),
+    let title = format!(
+        "# dptd campaign — multi-round, `{}` backend",
+        driver.backend().name()
     );
-    if let Some(banner) = banner {
-        let _ = writeln!(out, "{banner}\n");
-    }
-
-    let _ = writeln!(
-        out,
-        "| round | accepted | refused | dup | late | truth MAE | max ε spent |"
-    );
-    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|");
-    let mut last_weights: Vec<f64> = initial_weights;
-    for epoch in start_epoch..load.config().epochs {
-        let round = driver
-            .run_round(epoch, load.epoch_reports(epoch))
-            .map_err(box_err)?;
-        let truth_mae = mae(&round.truths, &load.ground_truths(epoch))
-            .map(|v| format!("{v:.4}"))
-            .unwrap_or_else(|_| "n/a".to_string());
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {:.3} |",
-            round.epoch,
-            round.accepted,
-            round.refused_users,
-            round.duplicates_discarded,
-            round.late_dropped,
-            truth_mae,
-            round.max_spent.epsilon(),
-        );
-        last_weights = round.weights;
-    }
-
-    let ledger = driver.accountant();
-    let _ = writeln!(
-        out,
-        "\nexhausted users     {} / {}",
-        ledger.exhausted_count(),
-        ledger.num_users(),
-    );
-    let _ = writeln!(
-        out,
-        "max spent           (ε, δ) = ({:.3}, {:.3}) of ({}, {})",
-        ledger.max_spent().epsilon(),
-        ledger.max_spent().delta(),
-        ledger.budget().epsilon(),
-        ledger.budget().delta(),
-    );
-    // FNV-1a over the weights' bit patterns: backend-independent by the
-    // engine's bit-identical merge guarantee, so `sim` and `engine` runs
-    // on the same seed print the same digest.
-    let _ = writeln!(
-        out,
-        "weights digest      {:016x}",
-        dptd_stats::digest::fnv1a_f64s(&last_weights)
-    );
+    let affordable = driver.accountant().affordable_rounds();
+    let notes: Vec<String> = banner.into_iter().collect();
+    let mut last_weights = initial_weights;
+    let out = flags.rounds(
+        &title,
+        Some(affordable),
+        &notes,
+        start_epoch,
+        |epoch, reports| {
+            let round = driver.run_round(epoch, reports).map_err(box_err)?;
+            last_weights = round.weights;
+            Ok(RoundRow {
+                epoch: round.epoch,
+                accepted: round.accepted as u64,
+                refused: round.refused_users as u64,
+                duplicates: round.duplicates_discarded,
+                late: round.late_dropped,
+                truths: round.truths,
+                max_spent_epsilon: round.max_spent.epsilon(),
+            })
+        },
+    )?;
+    let digest = dptd_stats::digest::fnv1a_f64s(&last_weights);
+    let out = flags.finish(out, &Closing::of(driver.accountant(), digest));
     Ok((out, driver.into_backend()))
-}
-
-fn box_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> CliError {
-    CliError::Pipeline(Box::new(e))
 }
 
 #[cfg(test)]
@@ -373,6 +488,30 @@ mod tests {
         .concat()))
         .unwrap_err();
         assert!(err.to_string().contains("--wal requires"), "{err}");
+    }
+
+    /// A mistyped flag used to run the default privacy configuration
+    /// (`--budget-eps` is not `--budget-epsilon`); now it is refused by
+    /// name before the log directory is opened, let alone created.
+    #[test]
+    fn a_mistyped_flag_is_refused_before_the_wal_is_opened() {
+        let dir = std::env::temp_dir().join(format!(
+            "dptd-cli-wal-typo-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let err = execute(&map(&[
+            SMALL,
+            &["--budget-eps", "1", "--wal", dir.to_str().unwrap()],
+        ]
+        .concat()))
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("`--budget-eps`")),
+            "{err}"
+        );
+        assert!(!dir.exists(), "the WAL directory must not be created");
     }
 
     #[test]

@@ -12,18 +12,20 @@
 //!   with the barrier. It prints the identical round table and trailing
 //!   `weights digest` line, so a 3-node run diffs digest-for-digest
 //!   against a single-node or in-process run on the same seed.
-//! * `dptd cluster status` snapshots each node's metrics and durable
-//!   ledger position for a campaign.
+//! * `dptd cluster status` prints each node's durable ledger position
+//!   and, from the node's `QueryStatus` snapshot, its rounds, queue
+//!   depth, submissions and connections for a campaign — then the
+//!   fleet-wide total of those snapshots.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use dptd_cluster::{ClusterCampaign, ClusterSpec, NodeConfig, NodeServer};
-use dptd_engine::{LoadGen, LoadGenConfig};
-use dptd_ldp::PrivacyLoss;
+use dptd_obs::names;
 use dptd_server::{Client, RetryPolicy};
-use dptd_stats::summary::mae;
 
+use super::box_err;
+use super::campaign::{CampaignFlags, Closing, RoundRow};
 use crate::args::ArgMap;
 use crate::CliError;
 
@@ -64,7 +66,9 @@ dptd cluster needs a subcommand:
         --budget-epsilon --budget-delta as for `dptd campaign`
         (same defaults, so the round table and weights digest match a
         `dptd campaign` run on one seed, bit for bit)
-    dptd cluster status  snapshot node metrics and ledger positions
+    dptd cluster status  one row per node (ledger position, then its
+                         QueryStatus snapshot: rounds, queue depth,
+                         submissions, connections) and the fleet total
         --connect        comma-separated node addresses (required)
         --campaign       campaign id                     [campaign]
     dptd cluster trace   run a traced coordinated campaign, then fetch
@@ -77,6 +81,9 @@ dptd cluster needs a subcommand:
         --out            write the JSON to a file instead of stdout
         plus the `dptd cluster submit` flags (nodes must be serving
         with --trace true for their lanes to hold events)
+
+Every subcommand refuses a flag it does not read (`unknown flag`)
+before it binds, connects or runs anything.
 ";
 
 /// Execute `dptd cluster <serve|submit|status>`.
@@ -107,20 +114,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
 
 /// `dptd cluster serve`: run one node until stdin reaches EOF.
 fn serve(args: &ArgMap) -> Result<String, CliError> {
-    run_serve(args, || {
-        use std::io::Read;
-        let mut sink = [0u8; 4096];
-        let stdin = std::io::stdin();
-        let mut stdin = stdin.lock();
-        loop {
-            match stdin.read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    })
+    run_serve(args, super::wait_for_stdin_eof)
 }
 
 /// The testable core of `serve`: `wait` blocks until shutdown.
@@ -197,49 +191,31 @@ fn submit(args: &ArgMap) -> Result<String, CliError> {
 /// report plus the still-connected coordinator so `trace` can fetch the
 /// nodes' rings afterwards.
 fn run_submit(args: &ArgMap) -> Result<(String, ClusterCampaign), CliError> {
-    let addrs = node_addrs(args)?;
-    let campaign = args.str_or("campaign", "campaign");
-    let (lambda2, lambda2_desc) = super::resolve_lambda2(args)?;
+    let (flags, (addrs, campaign, spec, batch, retry)) = CampaignFlags::resolve(args, |flags| {
+        let load = flags.load.config();
+        let spec = ClusterSpec {
+            num_users: load.num_users,
+            num_objects: load.num_objects,
+            deadline_us: load.epoch_len_us,
+            per_round_loss: flags.per_round,
+            budget: flags.budget,
+            submission_capacity: args.u64_or("submission-capacity", 1 << 16)?,
+            stream_tag: super::campaign::stream_tag(load),
+            durable: super::bool_flag(args, "durable", false)?,
+        };
+        Ok((
+            node_addrs(args)?,
+            args.str_or("campaign", "campaign"),
+            spec,
+            args.usize_or("batch", dptd_server::client::DEFAULT_SUBMIT_CHUNK)?,
+            RetryPolicy {
+                busy_retries: args.u64_or("busy-retries", 0)? as u32,
+                busy_backoff_ms: args.u64_or("busy-backoff-ms", 25)?,
+            },
+        ))
+    })?;
 
-    let load_cfg = LoadGenConfig {
-        num_users: args.usize_or("users", 5_000)?,
-        num_objects: args.usize_or("objects", 8)?,
-        epochs: args.u64_or("rounds", 5)?,
-        lambda2,
-        coverage: args.f64_or("coverage", 1.0)?,
-        duplicate_probability: args.f64_or("dup", 0.01)?,
-        straggler_fraction: args.f64_or("straggler", 0.01)?,
-        churn: args.f64_or("churn", 0.1)?,
-        seed: args.u64_or("seed", 42)?,
-        ..LoadGenConfig::default()
-    };
-    let load = LoadGen::new(load_cfg).map_err(box_err)?;
-    let durable = match args.str_or("durable", "false") {
-        "true" | "1" | "yes" => true,
-        "false" | "0" | "no" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "flag `--durable` expects true|false, got `{other}`"
-            )))
-        }
-    };
-    let spec = ClusterSpec {
-        num_users: load_cfg.num_users,
-        num_objects: load_cfg.num_objects,
-        deadline_us: load_cfg.epoch_len_us,
-        per_round_loss: loss(args, "round-epsilon", 0.5, "round-delta", 0.02)?,
-        budget: loss(args, "budget-epsilon", 5.0, "budget-delta", 0.2)?,
-        submission_capacity: args.u64_or("submission-capacity", 1 << 16)?,
-        stream_tag: super::campaign::stream_tag(&load_cfg),
-        durable,
-    };
-    let batch = args.usize_or("batch", dptd_server::client::DEFAULT_SUBMIT_CHUNK)?;
-    let retry = RetryPolicy {
-        busy_retries: args.u64_or("busy-retries", 0)? as u32,
-        busy_backoff_ms: args.u64_or("busy-backoff-ms", 25)?,
-    };
-
-    let (mut cluster, resumed) = if durable {
+    let (mut cluster, resumed) = if spec.durable {
         ClusterCampaign::resume(&addrs, campaign, spec).map_err(box_err)?
     } else {
         (
@@ -248,92 +224,56 @@ fn run_submit(args: &ArgMap) -> Result<(String, ClusterCampaign), CliError> {
         )
     };
     cluster.set_retry(retry);
-    if resumed > load_cfg.epochs {
+    let rounds = flags.load.config().epochs;
+    if resumed > rounds {
         return Err(CliError::Usage(format!(
-            "campaign `{campaign}` already holds {resumed} round(s) but --rounds is {}; \
-             re-run with --rounds >= {resumed}",
-            load_cfg.epochs
+            "campaign `{campaign}` already holds {resumed} round(s) but --rounds is {rounds}; \
+             re-run with --rounds >= {resumed}"
         )));
     }
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# dptd cluster submit — campaign `{campaign}` across {} node(s)\n",
-        addrs.len()
-    );
-    let _ = writeln!(out, "{lambda2_desc}");
-    let _ = writeln!(
-        out,
-        "population {} users × {} objects × {} rounds; per-round (ε, δ) = ({}, {}), budget = ({}, {})\n",
-        load_cfg.num_users,
-        load_cfg.num_objects,
-        load_cfg.epochs,
-        spec.per_round_loss.epsilon(),
-        spec.per_round_loss.delta(),
-        spec.budget.epsilon(),
-        spec.budget.delta(),
-    );
-    if resumed > 0 || cluster.needs_redrive() {
-        let _ = writeln!(
-            out,
-            "wal: nodes resumed campaign `{campaign}` at round {resumed}{}\n",
-            if cluster.needs_redrive() {
+    let redrive = cluster.needs_redrive();
+    let mut notes = Vec::new();
+    if resumed > 0 || redrive {
+        notes.push(format!(
+            "wal: nodes resumed campaign `{campaign}` at round {resumed}{}",
+            if redrive {
                 " (re-driving an interrupted commit)"
             } else {
                 ""
             }
-        );
+        ));
     }
-
-    let _ = writeln!(
-        out,
-        "| round | accepted | refused | dup | late | truth MAE | max ε spent |"
-    );
-    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|");
-    for epoch in resumed..load_cfg.epochs {
-        // An interrupted commit's round is re-driven from the nodes'
-        // retained prepares: its reports were already submitted by the
-        // run that crashed, so only later rounds get fresh submissions.
-        if !(epoch == resumed && cluster.needs_redrive()) {
-            cluster
-                .submit(&load.epoch_reports(epoch), batch)
-                .map_err(box_err)?;
-        }
-        let round = cluster.close_round(epoch).map_err(box_err)?;
-        let truth_mae = mae(&round.truths, &load.ground_truths(epoch))
-            .map(|v| format!("{v:.4}"))
-            .unwrap_or_else(|_| "n/a".to_string());
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {:.3} |",
-            round.epoch,
-            round.accepted,
-            round.refused_users,
-            round.duplicates_discarded,
-            round.late_dropped,
-            truth_mae,
-            round.max_spent.epsilon(),
-        );
-    }
-
-    let ledger = cluster.accountant();
-    let _ = writeln!(
-        out,
-        "\nexhausted users     {} / {}",
-        ledger.exhausted_count(),
-        ledger.num_users(),
-    );
-    let _ = writeln!(
-        out,
-        "max spent           (ε, δ) = ({:.3}, {:.3}) of ({}, {})",
-        ledger.max_spent().epsilon(),
-        ledger.max_spent().delta(),
-        ledger.budget().epsilon(),
-        ledger.budget().delta(),
-    );
-    let _ = writeln!(out, "weights digest      {:016x}", cluster.weights_digest());
-    Ok((out, cluster))
+    let out = flags.rounds(
+        &format!(
+            "# dptd cluster submit — campaign `{campaign}` across {} node(s)",
+            addrs.len()
+        ),
+        None,
+        &notes,
+        resumed,
+        |epoch, reports| {
+            // An interrupted commit's round is re-driven from the nodes'
+            // retained prepares: its reports were already submitted by
+            // the run that crashed, so only later rounds get fresh
+            // submissions.
+            if !(epoch == resumed && redrive) {
+                cluster.submit(&reports, batch).map_err(box_err)?;
+            }
+            let round = cluster.close_round(epoch).map_err(box_err)?;
+            Ok(RoundRow {
+                epoch: round.epoch,
+                accepted: round.accepted as u64,
+                refused: round.refused_users as u64,
+                duplicates: round.duplicates_discarded,
+                late: round.late_dropped,
+                truths: round.truths,
+                max_spent_epsilon: round.max_spent.epsilon(),
+            })
+        },
+    )?;
+    let closing = Closing::of(cluster.accountant(), cluster.weights_digest());
+    Ok((flags.finish(out, &closing), cluster))
 }
 
 /// `dptd cluster trace`: run a traced coordinated campaign, then merge
@@ -426,11 +366,14 @@ fn summarize_trace(report: &str, processes: &[dptd_cluster::ProcessTrace]) -> St
 }
 
 /// `dptd cluster status`: one row per node, then the fleet-wide
-/// aggregated snapshot (per-node `QueryStatus` replies absorbed into
-/// one — queue depths and connection counts sum across nodes).
+/// aggregated snapshot. Each node is asked twice: `QueryLedger` first
+/// (so an unknown campaign is a typed refusal), then `QueryStatus`,
+/// whose snapshot gives the node's row and is absorbed into the fleet
+/// total — queue depths and connection counts sum across nodes.
 fn status(args: &ArgMap) -> Result<String, CliError> {
     let addrs = node_addrs(args)?;
     let campaign = args.str_or("campaign", "campaign");
+    args.refuse_unread()?;
     let mut out = String::new();
     let _ = writeln!(out, "# dptd cluster status — campaign `{campaign}`\n");
     let _ = writeln!(
@@ -441,20 +384,22 @@ fn status(args: &ArgMap) -> Result<String, CliError> {
     let mut fleet = dptd_obs::MetricsSnapshot::new();
     for (id, addr) in addrs.iter().enumerate() {
         let mut client = Client::connect(addr.as_str()).map_err(box_err)?;
-        let metrics = client.query_metrics(campaign).map_err(box_err)?;
         let ledger = client.query_ledger(campaign, u64::MAX).map_err(box_err)?;
-        fleet.absorb(&client.query_status().map_err(box_err)?);
+        let snapshot = client.query_status().map_err(box_err)?;
+        let read = |name: &str| snapshot.scalar(name).unwrap_or(0);
+        let part = |suffix: &str| read(&names::campaign_metric(campaign, suffix));
         let _ = writeln!(
             out,
             "| {id} | {addr} | {} | {} | {} | {} | {}/{}/{} |",
             ledger.next_epoch,
-            metrics.epochs_merged,
-            metrics.queue_depth,
-            metrics.reports_submitted,
-            metrics.conn_live,
-            metrics.conn_accepted,
-            metrics.conn_refused,
+            part(names::ROUNDS),
+            part(names::QUEUE_DEPTH),
+            part(names::SUBMITTED),
+            read(names::SERVER_CONN_LIVE),
+            read(names::SERVER_CONN_ACCEPTED),
+            read(names::SERVER_CONN_REFUSED),
         );
+        fleet.absorb(&snapshot);
     }
     let _ = writeln!(
         out,
@@ -463,24 +408,6 @@ fn status(args: &ArgMap) -> Result<String, CliError> {
     );
     out.push_str(&super::status::render("cluster", &fleet));
     Ok(out)
-}
-
-fn loss(
-    args: &ArgMap,
-    eps_key: &str,
-    eps_default: f64,
-    delta_key: &str,
-    delta_default: f64,
-) -> Result<PrivacyLoss, CliError> {
-    PrivacyLoss::new(
-        args.f64_or(eps_key, eps_default)?,
-        args.f64_or(delta_key, delta_default)?,
-    )
-    .map_err(box_err)
-}
-
-fn box_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> CliError {
-    CliError::Pipeline(Box::new(e))
 }
 
 #[cfg(test)]
@@ -550,6 +477,25 @@ mod tests {
         .unwrap_err();
         assert!(
             matches!(&err, CliError::Usage(msg) if msg.contains("`--io-model`")),
+            "{err}"
+        );
+    }
+
+    /// `dptd submit` pipelines; `cluster submit` has no such mode, so
+    /// the flag is refused — before any node is dialled (nothing listens
+    /// on port 1).
+    #[test]
+    fn submit_refuses_the_pipeline_flag_it_has_no_mode_for() {
+        let err = execute(&argv(&[
+            "submit",
+            "--connect",
+            "127.0.0.1:1",
+            "--pipeline",
+            "true",
+        ]))
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("`--pipeline`")),
             "{err}"
         );
     }

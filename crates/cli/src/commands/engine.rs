@@ -19,15 +19,17 @@ use crate::CliError;
 pub fn execute(args: &ArgMap) -> Result<String, CliError> {
     let (lambda2, lambda2_desc) = super::resolve_lambda2(args)?;
 
+    // Every pattern's shape flags are resolved, whichever pattern runs.
+    let burst_size = args.usize_or("burst-size", 64)?;
+    let idle_gap_us = args.u64_or("idle-gap-us", 50_000)?;
+    let periods = args.u64_or("periods", 2)? as u32;
     let arrival = match args.str_or("pattern", "poisson") {
         "poisson" => ArrivalProcess::Poisson,
         "bursty" => ArrivalProcess::Bursty {
-            burst_size: args.usize_or("burst-size", 64)?,
-            idle_gap_us: args.u64_or("idle-gap-us", 50_000)?,
+            burst_size,
+            idle_gap_us,
         },
-        "diurnal" => ArrivalProcess::Diurnal {
-            periods: args.u64_or("periods", 2)? as u32,
-        },
+        "diurnal" => ArrivalProcess::Diurnal { periods },
         other => {
             return Err(CliError::Usage(format!(
                 "unknown pattern `{other}` (expected poisson | bursty | diurnal)"
@@ -47,8 +49,6 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
         seed: args.u64_or("seed", 42)?,
         ..LoadGenConfig::default()
     };
-    let load = LoadGen::new(load_cfg).map_err(box_engine_err)?;
-
     let engine_cfg = EngineConfig {
         num_users: load_cfg.num_users,
         num_objects: load_cfg.num_objects,
@@ -59,6 +59,9 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
         loss: Loss::Squared,
         merge_workers: args.usize_or("merge-workers", 0)?,
     };
+    args.refuse_unread()?;
+
+    let load = LoadGen::new(load_cfg).map_err(box_engine_err)?;
     let engine = Engine::new(engine_cfg).map_err(box_engine_err)?;
     let report = engine.run(load.stream()).map_err(box_engine_err)?;
 

@@ -62,9 +62,13 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
 
 /// Resolve `--bundle` / `--flight-dir` to one bundle's contents.
 fn load_bundle(args: &ArgMap) -> Result<(PathBuf, String), CliError> {
-    let path = if let Some(bundle) = args.get("bundle") {
+    // Both are read before either is used: `--bundle` overrides
+    // `--flight-dir`, it does not make it an unknown flag.
+    let (bundle, dir) = (args.get("bundle"), args.get("flight-dir"));
+    args.refuse_unread()?;
+    let path = if let Some(bundle) = bundle {
         PathBuf::from(bundle)
-    } else if let Some(dir) = args.get("flight-dir") {
+    } else if let Some(dir) = dir {
         let dir = PathBuf::from(dir);
         dptd_obs::flight::latest_bundle(&dir).ok_or_else(|| {
             CliError::Usage(format!(

@@ -1,5 +1,11 @@
 //! The `dptd` subcommands. Each `execute` takes parsed arguments and
 //! returns the rendered report as a `String` (testable, printable).
+//!
+//! Every command resolves all of its flags first — including the ones
+//! only one branch uses — and then calls
+//! [`ArgMap::refuse_unread`](crate::args::ArgMap::refuse_unread), before
+//! it binds, connects, opens a log or runs anything: a mistyped flag is
+//! a usage error, never a silently different run.
 
 pub mod audit;
 pub mod campaign;
@@ -15,6 +21,29 @@ pub mod theory;
 pub mod trace;
 
 use crate::CliError;
+
+/// Wrap a library error as a pipeline failure.
+pub(crate) fn box_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> CliError {
+    CliError::Pipeline(Box::new(e))
+}
+
+/// Block until stdin reaches EOF — how an operator (or a supervisor
+/// closing the pipe) stops `dptd serve`, `dptd cluster serve` and
+/// `dptd status --watch`. A signal (SIGCHLD under a supervisor,
+/// SIGWINCH, …) interrupting the read is not a stop request.
+pub(crate) fn wait_for_stdin_eof() {
+    use std::io::Read;
+    let mut sink = [0u8; 4096];
+    let mut stdin = std::io::stdin().lock();
+    loop {
+        match stdin.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => continue,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+    }
+}
 
 /// Parse a `--key true|false` switch with a default.
 pub(crate) fn bool_flag(
@@ -57,14 +86,17 @@ pub(crate) fn arm_observability(args: &crate::args::ArgMap) -> Result<Option<Str
 }
 
 /// Resolve λ₂ for a command: an explicit `--lambda2` wins; otherwise map
-/// `(--epsilon, --delta, --lambda1)` through Theorem 4.8.
+/// `(--epsilon, --delta, --lambda1)` through Theorem 4.8. All four are
+/// read either way — the override is documented, so the overridden
+/// flags are not unknown ones.
 pub(crate) fn resolve_lambda2(args: &crate::args::ArgMap) -> Result<(f64, String), CliError> {
-    if let Some(lambda2) = args.f64_opt("lambda2")? {
-        return Ok((lambda2, format!("lambda2 = {lambda2} (explicit)")));
-    }
+    let explicit = args.f64_opt("lambda2")?;
     let epsilon = args.f64_or("epsilon", 1.0)?;
     let delta = args.f64_or("delta", 0.3)?;
     let lambda1 = args.f64_or("lambda1", 2.0)?;
+    if let Some(lambda2) = explicit {
+        return Ok((lambda2, format!("lambda2 = {lambda2} (explicit)")));
+    }
     let sens = dptd_ldp::SensitivityBound::new(1.5, 0.9, lambda1)?;
     let req = dptd_core::theory::privacy::PrivacyRequirement::new(epsilon, delta, sens)?;
     let c = dptd_core::theory::privacy::min_noise_level(&req);

@@ -26,6 +26,7 @@ use dptd_engine::RecoveredState;
 use dptd_protocol::budget::BudgetAccountant;
 use dptd_truth::streaming::StreamingCrh;
 
+use super::box_err;
 use crate::args::ArgMap;
 use crate::CliError;
 
@@ -44,15 +45,9 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
         ));
     };
     let dir_path = Path::new(dir);
-    let stats = match args.str_or("stats", "false") {
-        "true" => true,
-        "false" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "flag `--stats` expects true|false, got `{other}`"
-            )));
-        }
-    };
+    let stats = super::bool_flag(args, "stats", false)?;
+    let budgets = args.get("budgets");
+    args.refuse_unread()?;
     // Read-only by construction: a typo'd path must error, not fabricate
     // an empty log (which a writer's open would create). A directory we
     // cannot *read* surfaces as its own I/O error, distinct from one
@@ -157,7 +152,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
     if stats {
         out.push_str(&render_stats(&replayed));
     }
-    if let Some(scope) = args.get("budgets") {
+    if let Some(scope) = budgets {
         out.push_str(&render_budgets(scope, first.policy, &recovered)?);
     }
     Ok(out)
@@ -297,10 +292,6 @@ fn render_budgets(
         );
     }
     Ok(out)
-}
-
-fn box_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> CliError {
-    CliError::Pipeline(Box::new(e))
 }
 
 #[cfg(test)]

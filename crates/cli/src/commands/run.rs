@@ -30,18 +30,18 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
     let seed = args.u64_or("seed", 42)?;
     let dataset_kind = args.str_or("dataset", "synthetic").to_string();
     let algorithm = args.str_or("algorithm", "crh").to_string();
+    // The synthetic world's shape, resolved whichever dataset runs.
+    let synthetic = SyntheticConfig {
+        num_users: args.usize_or("users", 150)?,
+        num_objects: args.usize_or("objects", 30)?,
+        lambda1: args.f64_or("lambda1", 2.0)?,
+        ..Default::default()
+    };
+    args.refuse_unread()?;
 
     let make_dataset = |rng: &mut rand::rngs::StdRng| -> Result<SensingDataset, CliError> {
         match dataset_kind.as_str() {
-            "synthetic" => {
-                let cfg = SyntheticConfig {
-                    num_users: args.usize_or("users", 150)?,
-                    num_objects: args.usize_or("objects", 30)?,
-                    lambda1: args.f64_or("lambda1", 2.0)?,
-                    ..Default::default()
-                };
-                Ok(cfg.generate(rng)?)
-            }
+            "synthetic" => Ok(synthetic.generate(rng)?),
             "floorplan" => Ok(FloorplanConfig::default().generate(rng)?),
             "air-quality" => Ok(AirQualityConfig::default().generate(rng)?),
             other => Err(CliError::Usage(format!(

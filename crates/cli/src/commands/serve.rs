@@ -29,22 +29,7 @@ use crate::CliError;
 /// Returns [`CliError::Usage`] for malformed flags and
 /// [`CliError::Pipeline`] when the listen address cannot be bound.
 pub fn execute(args: &ArgMap) -> Result<String, CliError> {
-    run(args, || {
-        use std::io::Read;
-        let mut sink = [0u8; 4096];
-        let stdin = std::io::stdin();
-        let mut stdin = stdin.lock();
-        loop {
-            match stdin.read(&mut sink) {
-                Ok(0) => break, // EOF: the operator closed the pipe
-                Ok(_) => continue,
-                // A signal (SIGCHLD under a supervisor, SIGWINCH, …) is
-                // not a shutdown request.
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    })
+    run(args, super::wait_for_stdin_eof)
 }
 
 /// The testable core: `wait` blocks until the service should stop.

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use dptd_obs::{names, MetricsSnapshot};
 use dptd_server::Client;
 
+use super::box_err;
 use crate::args::ArgMap;
 use crate::CliError;
 
@@ -29,15 +30,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
             "dptd status needs `--connect <addr>` (a running `dptd serve`)".to_string(),
         ));
     };
-    let watch = match args.str_or("watch", "false") {
-        "true" | "1" | "yes" => true,
-        "false" | "0" | "no" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "flag `--watch` expects true|false, got `{other}`"
-            )))
-        }
-    };
+    let watch = super::bool_flag(args, "watch", false)?;
     let interval_ms = args.u64_or("interval-ms", 1_000)?;
     // `--format prom` renders the snapshot as Prometheus/OpenMetrics
     // text exposition instead of the human table, so a scraper can do
@@ -52,6 +45,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
             )))
         }
     };
+    args.refuse_unread()?;
     let mut client = Client::connect(addr).map_err(box_err)?;
     let view = |addr: &str, snapshot: &MetricsSnapshot| {
         if prom {
@@ -71,18 +65,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
     let watcher = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 4096];
-            let stdin = std::io::stdin();
-            let mut stdin = stdin.lock();
-            loop {
-                match stdin.read(&mut sink) {
-                    Ok(0) => break,
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
+            super::wait_for_stdin_eof();
             stop.store(true, Ordering::Relaxed);
         })
     };
@@ -162,10 +145,6 @@ fn latency(ns: Option<u64>) -> String {
         Some(ns) if ns < 1_000_000 => format!("{:.1}µs", ns as f64 / 1e3),
         Some(ns) => format!("{:.2}ms", ns as f64 / 1e6),
     }
-}
-
-fn box_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> CliError {
-    CliError::Pipeline(Box::new(e))
 }
 
 #[cfg(test)]

@@ -13,12 +13,10 @@
 //! restarted server resumes at the first unlogged round and still lands
 //! on the uninterrupted digest.
 
-use std::fmt::Write as _;
+use dptd_server::{CampaignSpec, Client, RetryPolicy};
 
-use dptd_engine::{LoadGen, LoadGenConfig};
-use dptd_server::{CampaignSpec, Client};
-use dptd_stats::summary::mae;
-
+use super::box_err;
+use super::campaign::{CampaignFlags, Closing, RoundRow};
 use crate::args::ArgMap;
 use crate::CliError;
 
@@ -26,170 +24,115 @@ use crate::CliError;
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for missing/invalid flags and
+/// Returns [`CliError::Usage`] for missing/invalid/unknown flags and
 /// [`CliError::Pipeline`] for connection, wire and campaign failures
 /// (including typed server refusals).
 pub fn execute(args: &ArgMap) -> Result<String, CliError> {
-    let Some(addr) = args.get("connect") else {
-        return Err(CliError::Usage(
-            "dptd submit needs `--connect <addr>` (a running `dptd serve`)".to_string(),
-        ));
-    };
-    let campaign = args.str_or("campaign", "campaign");
-    let (lambda2, lambda2_desc) = super::resolve_lambda2(args)?;
-
-    let load_cfg = LoadGenConfig {
-        num_users: args.usize_or("users", 5_000)?,
-        num_objects: args.usize_or("objects", 8)?,
-        epochs: args.u64_or("rounds", 5)?,
-        lambda2,
-        coverage: args.f64_or("coverage", 1.0)?,
-        duplicate_probability: args.f64_or("dup", 0.01)?,
-        straggler_fraction: args.f64_or("straggler", 0.01)?,
-        churn: args.f64_or("churn", 0.1)?,
-        seed: args.u64_or("seed", 42)?,
-        ..LoadGenConfig::default()
-    };
-    let load = LoadGen::new(load_cfg).map_err(box_err)?;
-
-    let durable = match args.str_or("durable", "false") {
-        "true" | "1" | "yes" => true,
-        "false" | "0" | "no" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "flag `--durable` expects true|false, got `{other}`"
-            )))
-        }
-    };
-    let spec = CampaignSpec {
-        num_users: load_cfg.num_users as u64,
-        num_objects: load_cfg.num_objects as u64,
-        num_shards: args.usize_or("shards", 8)? as u64,
-        workers: args.usize_or("workers", 0)? as u64,
-        engine_queue: args.usize_or("queue-capacity", 4_096)? as u64,
-        deadline_us: load_cfg.epoch_len_us,
-        submission_capacity: args.u64_or("submission-capacity", 1 << 16)?,
-        per_round_epsilon: args.f64_or("round-epsilon", 0.5)?,
-        per_round_delta: args.f64_or("round-delta", 0.02)?,
-        budget_epsilon: args.f64_or("budget-epsilon", 5.0)?,
-        budget_delta: args.f64_or("budget-delta", 0.2)?,
-        // The same stream fingerprint `dptd campaign --wal` stamps: a
-        // durable campaign resumed under a different --seed/--churn/…
-        // is refused server-side instead of replaying the ledger
-        // against reports it never accounted.
-        stream_tag: super::campaign::stream_tag(&load_cfg),
-        durable,
-    };
-    let batch = args.usize_or("batch", dptd_server::client::DEFAULT_SUBMIT_CHUNK)?;
-    let retry = dptd_server::RetryPolicy {
-        busy_retries: args.u64_or("busy-retries", 0)? as u32,
-        busy_backoff_ms: args.u64_or("busy-backoff-ms", 25)?,
-    };
-    // `--pipeline` switches each round's submission from request/reply
-    // `SubmitReports` to the streamed `SubmitReportsStream` mode: a
-    // window of batches stays in flight and the server answers with
-    // cumulative acks, so a high-latency link no longer pays one RTT
-    // per batch. Digests are identical either way.
-    let pipeline = match args.str_or("pipeline", "false") {
-        "true" | "1" | "yes" => true,
-        "false" | "0" | "no" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "flag `--pipeline` expects true|false, got `{other}`"
-            )))
-        }
-    };
-    let window = args.usize_or("window", dptd_server::client::DEFAULT_STREAM_WINDOW)?;
+    let (flags, (addr, campaign, spec, batch, retry, pipeline, window)) =
+        CampaignFlags::resolve(args, |flags| {
+            let Some(addr) = args.get("connect") else {
+                return Err(CliError::Usage(
+                    "dptd submit needs `--connect <addr>` (a running `dptd serve`)".to_string(),
+                ));
+            };
+            let load = flags.load.config();
+            let spec = CampaignSpec {
+                num_users: load.num_users as u64,
+                num_objects: load.num_objects as u64,
+                num_shards: args.u64_or("shards", 8)?,
+                workers: args.u64_or("workers", 0)?,
+                engine_queue: args.u64_or("queue-capacity", 4_096)?,
+                deadline_us: load.epoch_len_us,
+                submission_capacity: args.u64_or("submission-capacity", 1 << 16)?,
+                per_round_epsilon: flags.per_round.epsilon(),
+                per_round_delta: flags.per_round.delta(),
+                budget_epsilon: flags.budget.epsilon(),
+                budget_delta: flags.budget.delta(),
+                // The same stream fingerprint `dptd campaign --wal`
+                // stamps: a durable campaign resumed under a different
+                // --seed/--churn/… is refused server-side instead of
+                // replaying the ledger against reports it never
+                // accounted.
+                stream_tag: super::campaign::stream_tag(load),
+                durable: super::bool_flag(args, "durable", false)?,
+            };
+            Ok((
+                addr,
+                args.str_or("campaign", "campaign"),
+                spec,
+                args.usize_or("batch", dptd_server::client::DEFAULT_SUBMIT_CHUNK)?,
+                RetryPolicy {
+                    busy_retries: args.u64_or("busy-retries", 0)? as u32,
+                    busy_backoff_ms: args.u64_or("busy-backoff-ms", 25)?,
+                },
+                // `--pipeline` switches each round's submission from
+                // request/reply `SubmitReports` to the streamed
+                // `SubmitReportsStream` mode: a window of batches stays
+                // in flight and the server answers with cumulative acks,
+                // so a high-latency link no longer pays one RTT per
+                // batch. Digests are identical either way.
+                super::bool_flag(args, "pipeline", false)?,
+                args.usize_or("window", dptd_server::client::DEFAULT_STREAM_WINDOW)?,
+            ))
+        })?;
 
     let mut client = Client::connect(addr).map_err(box_err)?;
     let resumed = client.create_campaign(campaign, spec).map_err(box_err)?;
-    if resumed > load_cfg.epochs {
+    let rounds = flags.load.config().epochs;
+    if resumed > rounds {
         return Err(CliError::Usage(format!(
-            "campaign `{campaign}` already holds {resumed} round(s) but --rounds is {}; \
-             re-run with --rounds >= {resumed}",
-            load_cfg.epochs
+            "campaign `{campaign}` already holds {resumed} round(s) but --rounds is {rounds}; \
+             re-run with --rounds >= {resumed}"
         )));
     }
 
-    let mut out = String::new();
-    let _ = writeln!(out, "# dptd submit — campaign `{campaign}` via {addr}\n");
-    let _ = writeln!(out, "{lambda2_desc}");
-    let _ = writeln!(
-        out,
-        "population {} users × {} objects × {} rounds; per-round (ε, δ) = ({}, {}), budget = ({}, {})\n",
-        load_cfg.num_users,
-        load_cfg.num_objects,
-        load_cfg.epochs,
-        spec.per_round_epsilon,
-        spec.per_round_delta,
-        spec.budget_epsilon,
-        spec.budget_delta,
-    );
+    let mut notes = Vec::new();
     if resumed > 0 {
-        let _ = writeln!(
-            out,
-            "wal: server resumed campaign `{campaign}` at round {resumed}\n"
-        );
+        notes.push(format!(
+            "wal: server resumed campaign `{campaign}` at round {resumed}"
+        ));
     }
     if pipeline {
-        let _ = writeln!(
-            out,
-            "pipelined submit: up to {window} batch(es) in flight, cumulative acks\n"
-        );
+        notes.push(format!(
+            "pipelined submit: up to {window} batch(es) in flight, cumulative acks"
+        ));
     }
-
-    let _ = writeln!(
-        out,
-        "| round | accepted | refused | dup | late | truth MAE | max ε spent |"
-    );
-    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|");
     let mut last_digest: Option<u64> = None;
-    for epoch in resumed..load_cfg.epochs {
-        let reports = load.epoch_reports(epoch);
-        if pipeline {
-            client.submit_stream_with_retry(campaign, &reports, batch, window, retry)
-        } else {
-            client.submit_chunked_with_retry(campaign, &reports, batch, retry)
-        }
-        .map_err(|e| match e {
-            dptd_server::ServerError::Busy => CliError::Usage(format!(
-                "server pushed back on round {epoch}: raise --submission-capacity \
+    let out = flags.rounds(
+        &format!("# dptd submit — campaign `{campaign}` via {addr}"),
+        None,
+        &notes,
+        resumed,
+        |epoch, reports| {
+            if pipeline {
+                client.submit_stream_with_retry(campaign, &reports, batch, window, retry)
+            } else {
+                client.submit_chunked_with_retry(campaign, &reports, batch, retry)
+            }
+            .map_err(|e| match e {
+                dptd_server::ServerError::Busy => CliError::Usage(format!(
+                    "server pushed back on round {epoch}: raise --submission-capacity \
                      (currently {}), add --busy-retries, or shrink the round",
-                spec.submission_capacity
-            )),
-            other => box_err(other),
-        })?;
-        let round = client.close_round(campaign, epoch).map_err(box_err)?;
-        let truth_mae = mae(&round.truths, &load.ground_truths(epoch))
-            .map(|v| format!("{v:.4}"))
-            .unwrap_or_else(|_| "n/a".to_string());
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {:.3} |",
-            round.epoch,
-            round.accepted,
-            round.refused,
-            round.duplicates,
-            round.late,
-            truth_mae,
-            round.max_spent_epsilon,
-        );
-        last_digest = Some(round.weights_digest);
-    }
+                    spec.submission_capacity
+                )),
+                other => box_err(other),
+            })?;
+            let round = client.close_round(campaign, epoch).map_err(box_err)?;
+            last_digest = Some(round.weights_digest);
+            Ok(RoundRow {
+                epoch: round.epoch,
+                accepted: round.accepted,
+                refused: round.refused,
+                duplicates: round.duplicates,
+                late: round.late,
+                truths: round.truths,
+                max_spent_epsilon: round.max_spent_epsilon,
+            })
+        },
+    )?;
 
     let budget = client.query_budget(campaign).map_err(box_err)?;
-    let _ = writeln!(
-        out,
-        "\nexhausted users     {} / {}",
-        budget.exhausted,
-        budget.debits.len(),
-    );
-    let _ = writeln!(
-        out,
-        "max spent           (ε, δ) = ({:.3}, {:.3}) of ({}, {})",
-        budget.max_spent_epsilon, budget.max_spent_delta, spec.budget_epsilon, spec.budget_delta,
-    );
-    let digest = match last_digest {
+    let weights_digest = match last_digest {
         Some(d) => d,
         // A fully-resumed campaign ran nothing new: the server's current
         // weights carry the digest.
@@ -200,12 +143,13 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
                 .weights_digest
         }
     };
-    let _ = writeln!(out, "weights digest      {digest:016x}");
-    Ok(out)
-}
-
-fn box_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> CliError {
-    CliError::Pipeline(Box::new(e))
+    let closing = Closing {
+        exhausted: budget.exhausted as usize,
+        users: budget.debits.len(),
+        max_spent: (budget.max_spent_epsilon, budget.max_spent_delta),
+        weights_digest,
+    };
+    Ok(flags.finish(out, &closing))
 }
 
 #[cfg(test)]
@@ -247,6 +191,17 @@ mod tests {
     fn missing_connect_is_usage_error() {
         let err = execute(&map(&[])).unwrap_err();
         assert!(err.to_string().contains("--connect"), "{err}");
+    }
+
+    /// Nothing listens on port 1: a usage error here proves the flag
+    /// was refused before the connect was tried.
+    #[test]
+    fn a_mistyped_flag_is_refused_before_connecting() {
+        let err = execute(&map(&["--connect", "127.0.0.1:1", "--round-eps", "1"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("`--round-eps`")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
     let delta = args.f64_or("delta", 0.3)?;
     let lambda1 = args.f64_or("lambda1", 2.0)?;
     let users = args.usize_or("users", 150)?;
+    args.refuse_unread()?;
 
     let sens = SensitivityBound::new(1.5, 0.9, lambda1)?;
     let req = privacy::PrivacyRequirement::new(epsilon, delta, sens)?;

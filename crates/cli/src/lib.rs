@@ -78,6 +78,9 @@ dptd — differentially private truth discovery for crowd sensing
 USAGE:
     dptd <COMMAND> [--key value ...]
 
+    A flag the command does not read is refused (`unknown flag`) before
+    anything binds, connects, opens a log or runs.
+
 COMMANDS:
     run      run the private truth-discovery pipeline on a simulated world
              --dataset    synthetic | floorplan | air-quality   [synthetic]
@@ -301,6 +304,36 @@ mod tests {
             ]))
             .unwrap();
             assert!(out.contains("weights digest"), "{backend}: {out}");
+        }
+    }
+
+    /// A flag the command does not read is a usage error naming it,
+    /// raised before anything binds, connects, opens a log or runs:
+    /// nothing listens on port 1 and no `no-such-*` path exists.
+    /// (`trace` is left out: it resets the process-wide trace rings
+    /// other tests in this binary read.)
+    #[test]
+    fn every_command_refuses_a_flag_it_does_not_read() {
+        for command in [
+            &["run"][..],
+            &["theory"],
+            &["audit"],
+            &["campaign"],
+            &["engine"],
+            &["serve"],
+            &["submit", "--connect", "127.0.0.1:1"],
+            &["status", "--connect", "127.0.0.1:1"],
+            &["recover", "--wal", "no-such-wal-dir"],
+            &["flight", "dump", "--bundle", "no-such-bundle.json"],
+            &["cluster", "serve"],
+            &["cluster", "submit", "--connect", "127.0.0.1:1"],
+            &["cluster", "status", "--connect", "127.0.0.1:1"],
+        ] {
+            let err = dispatch(&argv(&[command, &["--bogus", "1"]].concat())).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains("`--bogus`")),
+                "{command:?}: {err}"
+            );
         }
     }
 

@@ -1029,9 +1029,14 @@ mod tests {
         cluster.status().unwrap();
         // Nodes 1 and 2 prepared and still hold their staged rounds.
         for node in &mut cluster.nodes[1..] {
-            let metrics = node.query_metrics("camp").unwrap();
-            assert!(metrics.reports_accepted > 0, "{metrics:?}");
-            assert_eq!(metrics.queue_depth, 0, "drained into the staged lane");
+            let snapshot = node.query_status().unwrap();
+            let read = |suffix| snapshot.scalar(&dptd_obs::names::campaign_metric("camp", suffix));
+            assert!(read(dptd_obs::names::ACCEPTED) > Some(0), "{snapshot:?}");
+            assert_eq!(
+                read(dptd_obs::names::QUEUE_DEPTH),
+                Some(0),
+                "drained into the staged lane"
+            );
         }
         for node in nodes {
             node.shutdown();

@@ -206,32 +206,6 @@ impl NodeCampaign {
         self.staged.as_ref().map_or(0, |s| s.lane.accepted() as u64)
     }
 
-    fn metrics(
-        &self,
-        (conn_live, conn_accepted, conn_refused, io_threads): (u64, u64, u64, u64),
-    ) -> Response {
-        Response::Metrics {
-            metrics: Box::new(dptd_server::MetricsReport {
-                reports_submitted: self.queue.taken(),
-                reports_accepted: self.staged_accepted(),
-                duplicates_discarded: 0,
-                late_dropped: 0,
-                out_of_order_dropped: 0,
-                backpressure_stalls: 0,
-                epochs_merged: self.queue.next_epoch(),
-                max_queue_depth: self.queue.capacity() as u64,
-                queue_depth: self.queue.depth(),
-                throughput_rps: 0.0,
-                ingest_p50_ns: 0,
-                ingest_p99_ns: 0,
-                conn_live,
-                conn_accepted,
-                conn_refused,
-                io_threads,
-            }),
-        }
-    }
-
     fn prepare(&mut self, epoch: u64, refused: Vec<u64>) -> Response {
         let local_users = self.local_users;
         if refused.iter().any(|&u| u as usize >= local_users) {
@@ -402,8 +376,9 @@ impl NodeCampaign {
 }
 
 impl Hosted for NodeCampaign {
-    /// Queue occupancy and ingest counters; the coordinator absorbs
-    /// these snapshots fleet-wide for `dptd cluster status`.
+    /// Queue occupancy and ingest counters — all a node reports about a
+    /// partition: `dptd cluster status` prints each node's row from them
+    /// and absorbs them into the fleet-wide total.
     fn status(&self) -> Vec<(&'static str, MetricValue)> {
         vec![
             (names::QUEUE_DEPTH, MetricValue::Gauge(self.queue.depth())),
@@ -516,10 +491,6 @@ impl NodeState {
                 ErrorCode::InvalidRequest,
                 "a cluster node holds one partition and no global state; query the coordinator",
             ),
-            Request::QueryMetrics { campaign } => {
-                let conn = self.host.conn_counts();
-                self.host.with(&campaign, |part| part.metrics(conn))
-            }
             request @ (Request::QueryStatus
             | Request::QueryTrace
             | Request::SubmitReportsStream { .. }) => self.host.answer(request),

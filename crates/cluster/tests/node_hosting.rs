@@ -5,17 +5,22 @@
 //! refusal-storm flight trigger, and one submission queue serves both
 //! hosts — a scripted sequence gets the same answers from a
 //! `CampaignRegistry` and from a node, and a claim the aggregation would
-//! refuse is refused at submit by a `Server` and by a node alike.
+//! refuse — or a frame of a retired kind — is refused by a `Server` and
+//! by a node alike.
+
+use std::io::{Read as _, Write as _};
+use std::net::TcpStream;
 
 use dptd_cluster::{NodeConfig, NodeServer};
 use dptd_core::roles::PerturbedReport;
 use dptd_obs::{flight, names};
 use dptd_protocol::message::StampedReport;
+use dptd_server::wire::HELLO;
 use dptd_server::{
-    CampaignRegistry, CampaignSpec, Client, ErrorCode, RegistryConfig, Request, Response, Server,
-    ServerConfig, ServerError, WireError,
+    read_frame_body, write_frame, CampaignRegistry, CampaignSpec, Client, ErrorCode,
+    RegistryConfig, Request, Response, Server, ServerConfig, ServerError, WireError,
 };
-use dptd_stats::digest::fnv1a_f64s;
+use dptd_stats::digest::{fnv1a_f64s, Fnv1a};
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
@@ -64,6 +69,13 @@ fn is_invalid_request(outcome: &Result<u64, ServerError>) -> bool {
             ..
         })
     )
+}
+
+/// A campaign's queue depth, read the one way a live process exposes
+/// its numbers: the `QueryStatus` snapshot.
+fn queued(client: &mut Client, campaign: &str) -> Option<u64> {
+    let snapshot = client.query_status().unwrap();
+    snapshot.scalar(&names::campaign_metric(campaign, names::QUEUE_DEPTH))
 }
 
 #[test]
@@ -240,7 +252,12 @@ fn outline(response: &Response) -> String {
         Response::Submitted { queued } => format!("submitted({queued})"),
         Response::Busy { queued, capacity } => format!("busy({queued}/{capacity})"),
         Response::Error { code, .. } => format!("error({code})"),
-        Response::Metrics { metrics } => format!("depth({})", metrics.queue_depth),
+        Response::Status { snapshot } => format!(
+            "depth({})",
+            snapshot
+                .scalar(&names::campaign_metric("q", names::QUEUE_DEPTH))
+                .expect("the campaign's queue depth")
+        ),
         other => panic!("not a step of the queue script: {other:?}"),
     }
 }
@@ -251,9 +268,7 @@ fn queue_script(
     mut ask: impl FnMut(Request) -> Response,
     mut advance: impl FnMut(u64),
 ) -> Vec<String> {
-    let depth = Request::QueryMetrics {
-        campaign: "q".to_string(),
-    };
+    let depth = Request::QueryStatus;
     let mut seen = Vec::new();
     let mut step = |request: Request| seen.push(outline(&ask(request)));
     // Round 0 closes first so that a stale epoch exists.
@@ -417,8 +432,7 @@ fn a_malformed_claim_is_refused_at_submit_by_a_server_and_by_a_node() {
             expected,
         );
         // Same connection, still frame-aligned; nothing was taken.
-        client.query_status().unwrap();
-        assert_eq!(client.query_metrics("dirty").unwrap().queue_depth, 40);
+        assert_eq!(queued(&mut client, "dirty"), Some(40));
     }
     client
         .submit_chunked("dirty", &honest_round(0)[40..], 32)
@@ -446,8 +460,7 @@ fn a_malformed_claim_is_refused_at_submit_by_a_server_and_by_a_node() {
             client.request(&submit("dirty", poisoned(claims))).unwrap(),
             expected,
         );
-        client.query_status().unwrap();
-        assert_eq!(client.query_metrics("dirty").unwrap().queue_depth, 40);
+        assert_eq!(queued(&mut client, "dirty"), Some(40));
     }
     client
         .submit_chunked("dirty", &honest_round(0)[40..], 32)
@@ -465,4 +478,101 @@ fn a_malformed_claim_is_refused_at_submit_by_a_server_and_by_a_node() {
     let mut crh = StreamingCrh::new(100, Loss::Squared).unwrap();
     crh.ingest_sharded(2, vec![shard]).unwrap();
     assert_eq!(fnv1a_f64s(crh.weights()), clean.weights_digest);
+}
+
+/// A well-framed body of the retired kind `0x06` addressed to campaign
+/// `cafe`, as a peer built against the old table would still send it.
+fn retired_kind_frame() -> Vec<u8> {
+    let body = [&[0x06, 4, 0][..], b"cafe"].concat();
+    let mut sum = Fnv1a::new();
+    body.iter().for_each(|&b| sum.write_u8(b));
+    let len = body.len() as u32;
+    [
+        &len.to_le_bytes()[..],
+        &(len ^ u32::from_le_bytes(*b"NET1")).to_le_bytes(),
+        &sum.finish().to_le_bytes(),
+        &body,
+    ]
+    .concat()
+}
+
+/// One framed request and its reply on a raw connection.
+fn exchange(stream: &mut TcpStream, frame: &[u8]) -> Response {
+    write_frame(stream, frame).unwrap();
+    let body = read_frame_body(stream).unwrap().expect("a reply frame");
+    Response::decode(&body).unwrap()
+}
+
+/// The retired kind bytes are refused the way any unknown kind is: a
+/// typed `InvalidRequest` from a `Server` and from a node, on a
+/// connection that keeps answering `QueryStatus` and runs a round.
+#[test]
+fn a_retired_kind_is_refused_typed_by_a_server_and_by_a_node() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let node = NodeServer::start(NodeConfig::default()).unwrap();
+    for (addr, is_node) in [(server.local_addr(), false), (node.local_addr(), true)] {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(&HELLO).unwrap();
+        let mut echo = [0u8; 8];
+        raw.read_exact(&mut echo).unwrap();
+        assert_eq!(echo, HELLO);
+
+        match exchange(&mut raw, &retired_kind_frame()) {
+            Response::Error {
+                code: ErrorCode::InvalidRequest,
+                message,
+            } => assert_eq!(message, "unknown frame kind 0x06"),
+            other => panic!("expected the typed refusal, got {other:?}"),
+        }
+        let status = exchange(&mut raw, &Request::QueryStatus.encode());
+        assert!(matches!(status, Response::Status { .. }), "{status:?}");
+
+        let mut ask = |request: Request| exchange(&mut raw, &request.encode());
+        let created = ask(Request::CreateCampaign {
+            campaign: "r".to_string(),
+            spec: spec(3, 64),
+        });
+        assert_eq!(created, Response::Created { resumed_rounds: 0 });
+        let submitted = ask(submit("r", vec![stamped(0, 0), stamped(0, 2)]));
+        assert_eq!(submitted, Response::Submitted { queued: 2 });
+        if is_node {
+            let prepared = ask(Request::CloseRoundPrepare {
+                campaign: "r".to_string(),
+                epoch: 0,
+                refused: vec![],
+                ctx: None,
+            });
+            assert!(
+                matches!(&prepared, Response::Prepared { claims, .. } if claims.len() == 2),
+                "{prepared:?}"
+            );
+            let committed = ask(Request::CloseRoundCommit {
+                campaign: "r".to_string(),
+                epoch: 0,
+                batches_seen: 1,
+                accepted_users: vec![0, 2],
+                cumulative_losses: vec![0.5, 0.0, 0.25],
+                rounds_debited: vec![1, 0, 1],
+                ctx: None,
+            });
+            assert_eq!(
+                committed,
+                Response::Committed {
+                    epoch: 0,
+                    appended: true
+                }
+            );
+        } else {
+            let closed = ask(Request::CloseRound {
+                campaign: "r".to_string(),
+                epoch: 0,
+            });
+            assert!(
+                matches!(closed, Response::RoundClosed { accepted: 2, .. }),
+                "{closed:?}"
+            );
+        }
+    }
+    server.shutdown();
+    node.shutdown();
 }

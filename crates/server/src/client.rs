@@ -15,7 +15,7 @@ use dptd_protocol::message::StampedReport;
 use dptd_stats::digest::Fnv1a;
 
 use crate::server::{complete_frame, read_frame_body, write_frame};
-use crate::wire::{self, CampaignSpec, MetricsReport, Request, Response, StoreOp};
+use crate::wire::{self, CampaignSpec, Request, Response, StoreOp};
 use crate::{io_err, ServerError};
 use dptd_obs::trace;
 use dptd_obs::{SpanContext, TraceEvent};
@@ -701,23 +701,10 @@ impl Client {
         }
     }
 
-    /// Read the campaign's engine metrics.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::close_round`].
-    pub fn query_metrics(&mut self, campaign: &str) -> Result<MetricsReport, ServerError> {
-        match self.expect(&Request::QueryMetrics {
-            campaign: campaign.to_string(),
-        })? {
-            Response::Metrics { metrics } => Ok(*metrics),
-            other => Err(ServerError::UnexpectedResponse(Box::new(other))),
-        }
-    }
-
     /// Read the server's full observability snapshot (every registry
     /// metric plus per-campaign stage-busy counters and ingest
-    /// histograms) — what `dptd status --connect` renders.
+    /// histograms) — what `dptd status --connect` renders, and the one
+    /// way to read a live process's numbers.
     ///
     /// # Errors
     ///

@@ -122,7 +122,7 @@ impl<S> Host<S> {
     /// `(live, accepted, refused, io_threads)` from the front end's
     /// shared admission counters — the `live` atomic *is* the budget the
     /// accept path enforces, so the gauge cannot drift from it.
-    pub fn conn_counts(&self) -> (u64, u64, u64, u64) {
+    fn conn_counts(&self) -> (u64, u64, u64, u64) {
         let conn = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
         match conn.as_ref() {
             Some((stats, io_threads)) => (
@@ -436,7 +436,6 @@ fn addressed(request: &Request) -> (Option<&str>, Option<SpanContext>) {
         | Request::CloseRound { campaign, .. }
         | Request::QueryTruths { campaign }
         | Request::QueryBudget { campaign }
-        | Request::QueryMetrics { campaign }
         | Request::QueryLedger { campaign, .. }
         | Request::ReplicateSegment { campaign, .. } => (Some(campaign), None),
         Request::NodeHello { .. } | Request::QueryStatus | Request::QueryTrace => (None, None),

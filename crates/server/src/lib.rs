@@ -30,8 +30,9 @@
 //!   does on top of [`host`] — each slot runs its own
 //!   [`CampaignDriver`](dptd_protocol::campaign::CampaignDriver) +
 //!   [`EngineBackend`](dptd_engine::EngineBackend) (optionally durable
-//!   via a per-campaign WAL directory), and answers the truths, budget
-//!   and metrics queries.
+//!   via a per-campaign WAL directory), and answers the truths and
+//!   budget queries. Metrics are read through `QueryStatus` alone, which
+//!   [`host`] answers for both hosts.
 //! * [`frontend`] — the connection front end both [`Server`] and the
 //!   cluster's node server share: an event-driven **reactor** (N
 //!   poll-based threads multiplexing thousands of nonblocking
@@ -72,9 +73,7 @@ pub use decode::FrameDecoder;
 pub use frontend::{Frontend, FrontendConfig, FrontendStats, IoConfig, RequestHandler};
 pub use registry::{CampaignRegistry, RegistryConfig};
 pub use server::{complete_frame, read_frame_body, write_frame, Server, ServerConfig};
-pub use wire::{
-    BatchRefusal, CampaignSpec, ErrorCode, MetricsReport, Request, Response, StoreOp, WireError,
-};
+pub use wire::{BatchRefusal, CampaignSpec, ErrorCode, Request, Response, StoreOp, WireError};
 
 /// Errors from the network layer (client and server plumbing).
 #[derive(Debug)]

@@ -38,7 +38,7 @@ use dptd_truth::Loss;
 use crate::host::{
     admit, open_durable, refuse, Host, Hosted, SubmissionQueue, MAX_USERS_PER_CAMPAIGN,
 };
-use crate::wire::{CampaignSpec, ErrorCode, MetricsReport, Request, Response};
+use crate::wire::{CampaignSpec, ErrorCode, Request, Response};
 
 /// What this host calls a slot in refusal messages.
 const NOUN: &str = "campaign";
@@ -214,36 +214,6 @@ impl CampaignState {
             debits: ledger.debits_by_user().to_vec(),
         }
     }
-
-    fn metrics(
-        &self,
-        (conn_live, conn_accepted, conn_refused, io_threads): (u64, u64, u64, u64),
-    ) -> Response {
-        let m = self.driver.backend().metrics();
-        let ns = |d: Option<std::time::Duration>| {
-            d.map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-        };
-        Response::Metrics {
-            metrics: Box::new(MetricsReport {
-                reports_submitted: m.reports_submitted,
-                reports_accepted: m.reports_accepted,
-                duplicates_discarded: m.duplicates_discarded,
-                late_dropped: m.late_dropped,
-                out_of_order_dropped: m.out_of_order_dropped,
-                backpressure_stalls: m.backpressure_stalls,
-                epochs_merged: m.epochs_merged,
-                max_queue_depth: m.max_queue_depth as u64,
-                queue_depth: self.queue.depth(),
-                throughput_rps: m.throughput_rps(),
-                ingest_p50_ns: ns(m.ingest_latency.p50()),
-                ingest_p99_ns: ns(m.ingest_latency.p99()),
-                conn_live,
-                conn_accepted,
-                conn_refused,
-                io_threads,
-            }),
-        }
-    }
 }
 
 impl Hosted for CampaignState {
@@ -283,9 +253,9 @@ impl CampaignRegistry {
     }
 
     /// Attach the front end's connection accounting (and its I/O
-    /// thread count) so `QueryMetrics` / `QueryStatus` can report
-    /// them. Called by [`crate::Server::start`] once the front end is
-    /// up; before that, connection counts read as zero.
+    /// thread count) so `QueryStatus` can report them. Called by
+    /// [`crate::Server::start`] once the front end is up; before that,
+    /// connection counts read as zero.
     pub fn set_conn_stats(&self, stats: Arc<crate::frontend::FrontendStats>, io_threads: usize) {
         self.host.set_conn_stats(stats, io_threads);
     }
@@ -369,10 +339,6 @@ impl CampaignRegistry {
             }
             Request::QueryTruths { campaign } => self.host.with(&campaign, |state| state.truths()),
             Request::QueryBudget { campaign } => self.host.with(&campaign, |state| state.budget()),
-            Request::QueryMetrics { campaign } => {
-                let conn = self.host.conn_counts();
-                self.host.with(&campaign, |state| state.metrics(conn))
-            }
             // Cluster-peer frames: a plain campaign server is not a
             // cluster node. The refusal is typed so a misconfigured
             // coordinator learns *what* it dialled, not just "error".
@@ -816,27 +782,21 @@ mod tests {
             reports: vec![stamped(0, 0, 1, 1.0)],
             ctx: None,
         });
-        let resp = reg.handle(Request::QueryMetrics {
-            campaign: "c".to_string(),
-        });
-        let Response::Metrics { metrics } = resp else {
-            panic!("expected Metrics, got {resp:?}");
+        let read = |suffix: &str| {
+            let Response::Status { snapshot } = reg.handle(Request::QueryStatus) else {
+                panic!("expected Status");
+            };
+            snapshot.scalar(&names::campaign_metric("c", suffix))
         };
-        assert_eq!(metrics.queue_depth, 1);
-        assert_eq!(metrics.epochs_merged, 0);
+        assert_eq!(read(names::QUEUE_DEPTH), Some(1));
+        assert_eq!(read(names::ROUNDS), Some(0));
         reg.handle(Request::CloseRound {
             campaign: "c".to_string(),
             epoch: 0,
         });
-        let resp = reg.handle(Request::QueryMetrics {
-            campaign: "c".to_string(),
-        });
-        let Response::Metrics { metrics } = resp else {
-            panic!("expected Metrics, got {resp:?}");
-        };
-        assert_eq!(metrics.queue_depth, 0);
-        assert_eq!(metrics.epochs_merged, 1);
-        assert_eq!(metrics.reports_accepted, 1);
+        assert_eq!(read(names::QUEUE_DEPTH), Some(0));
+        assert_eq!(read(names::ROUNDS), Some(1));
+        assert_eq!(read(names::ACCEPTED), Some(1));
     }
 
     #[test]
@@ -902,9 +862,6 @@ mod tests {
                 epoch: 0,
             },
             Request::QueryTruths {
-                campaign: "c".to_string(),
-            },
-            Request::QueryMetrics {
                 campaign: "c".to_string(),
             },
             Request::QueryBudget {

@@ -23,10 +23,20 @@
 //! before any `Vec` is sized (the same hardening as the WAL decode).
 //!
 //! Request kinds are `0x01..`, response kinds `0x81..`; an unknown kind
-//! is [`WireError::UnknownKind`]. Strings (campaign ids) are
-//! length-prefixed UTF-8, bounded by [`MAX_CAMPAIGN_ID_LEN`] and
-//! restricted to `[A-Za-z0-9._-]` (they name per-campaign WAL
-//! directories, so path separators must be unrepresentable).
+//! is [`WireError::UnknownKind`].
+//!
+//! **Retired kind bytes.** `0x06` (request) and `0x88` (response) once
+//! carried a per-campaign metrics query and its reply; every number
+//! they held that anyone read is in [`Request::QueryStatus`]'s
+//! snapshot. They now decode as [`WireError::UnknownKind`], which a
+//! server answers with a typed `InvalidRequest` on a connection that
+//! keeps working. **Never reuse them**: a peer built against the old
+//! table must get that refusal, not a different frame's meaning.
+//!
+//! Strings (campaign ids) are length-prefixed UTF-8, bounded by
+//! [`MAX_CAMPAIGN_ID_LEN`] and restricted to `[A-Za-z0-9._-]` (they
+//! name per-campaign WAL directories, so path separators must be
+//! unrepresentable).
 //!
 //! # One declaration per layout
 //!
@@ -819,51 +829,6 @@ impl Field for MetricsSnapshot {
 }
 
 record! {
-    /// A campaign's engine counters as reported over the wire — the
-    /// remotely observable subset of the engine's `EngineMetrics` plus the
-    /// registry's current submission-queue depth. Latency quantiles are in
-    /// nanoseconds (`0` before any ingest has been timed).
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct MetricsReport {
-        /// Reports offered to the engine.
-        pub reports_submitted: u64,
-        /// Reports that survived dedup/deadline and were aggregated.
-        pub reports_accepted: u64,
-        /// Duplicates discarded (first-wins).
-        pub duplicates_discarded: u64,
-        /// Reports dropped as late.
-        pub late_dropped: u64,
-        /// Reports dropped as out-of-order.
-        pub out_of_order_dropped: u64,
-        /// Times a producer stalled on a full shard queue.
-        pub backpressure_stalls: u64,
-        /// Epochs merged into the estimator.
-        pub epochs_merged: u64,
-        /// High-water mark of the engine's shard queues.
-        pub max_queue_depth: u64,
-        /// Reports currently buffered for the next close (pending plus the
-        /// one-round lookahead).
-        pub queue_depth: u64,
-        /// Accepted reports per second of engine wall time.
-        pub throughput_rps: f64,
-        /// Median ingest latency, nanoseconds.
-        pub ingest_p50_ns: u64,
-        /// 99th-percentile ingest latency, nanoseconds.
-        pub ingest_p99_ns: u64,
-        /// Connections live on the serving front end right now (a
-        /// server-wide gauge, repeated in every campaign's report).
-        pub conn_live: u64,
-        /// Connections accepted since the server started.
-        pub conn_accepted: u64,
-        /// Connections refused at accept because the front end was at its
-        /// connection budget.
-        pub conn_refused: u64,
-        /// I/O threads the front end is running.
-        pub io_threads: u64,
-    }
-}
-
-record! {
     /// Sizing and privacy policy for a campaign created over the wire —
     /// everything the server needs to build the engine, the campaign driver
     /// and (optionally) the per-campaign write-ahead log.
@@ -1066,12 +1031,7 @@ frames! {
             /// Target campaign.
             campaign: String as CampaignId,
         },
-        /// Read the campaign's engine metrics (throughput, latency
-        /// quantiles, drop counters, queue depth).
-        0x06 => QueryMetrics {
-            /// Target campaign.
-            campaign: String as CampaignId,
-        },
+        // 0x06 is retired (see the module docs): never reuse it.
         /// Identify this connection as a cluster peer. A coordinator sends
         /// it after the hello so a node can confirm the partition geometry
         /// both sides assume; a plain campaign server refuses it.
@@ -1181,8 +1141,9 @@ frames! {
         /// Read the server's full observability snapshot: every registry
         /// metric (connection gauges, per-campaign stage-busy counters,
         /// error-code frequencies, WAL bytes) plus per-campaign ingest
-        /// histograms — the frame behind `dptd status --connect`. Unlike
-        /// [`Request::QueryMetrics`] it is server-wide, not per-campaign.
+        /// histograms — the frame behind `dptd status --connect` and
+        /// `dptd cluster status`. It is the one metrics read: every hosted
+        /// campaign's live counters ride in it as `campaign.<id>.*`.
         0x0d => QueryStatus,
         /// Read the process's retained trace rings — every event the
         /// per-thread buffers still hold, plus the wall-clock anchor that
@@ -1269,12 +1230,7 @@ frames! {
             /// Human-readable detail.
             message: String,
         },
-        /// The campaign's engine counters.
-        0x88 => Metrics {
-            /// The observable metrics snapshot (boxed — it is by far the
-            /// widest variant, and responses travel through `Result` errors).
-            metrics: Box<MetricsReport>,
-        },
+        // 0x88 is retired (see the module docs): never reuse it.
         /// The node accepts the peer handshake.
         0x89 => NodeWelcome {
             /// The node's own index (must match the `NodeHello`).
@@ -1517,9 +1473,6 @@ mod tests {
 
     #[test]
     fn every_cluster_message_roundtrips() {
-        roundtrip_request(Request::QueryMetrics {
-            campaign: "c".to_string(),
-        });
         roundtrip_request(Request::NodeHello {
             node_id: 2,
             num_nodes: 5,
@@ -1581,26 +1534,6 @@ mod tests {
             upto: u64::MAX,
         });
 
-        roundtrip_response(Response::Metrics {
-            metrics: Box::new(MetricsReport {
-                reports_submitted: 1000,
-                reports_accepted: 990,
-                duplicates_discarded: 7,
-                late_dropped: 3,
-                out_of_order_dropped: 0,
-                backpressure_stalls: 2,
-                epochs_merged: 5,
-                max_queue_depth: 512,
-                queue_depth: 17,
-                throughput_rps: 12_345.5,
-                ingest_p50_ns: 1_800,
-                ingest_p99_ns: 95_000,
-                conn_live: 3,
-                conn_accepted: 40,
-                conn_refused: 2,
-                io_threads: 4,
-            }),
-        });
         roundtrip_response(Response::NodeWelcome { node_id: 2 });
         roundtrip_response(Response::Prepared {
             epoch: 3,
@@ -2259,26 +2192,6 @@ mod tests {
         // pinned here the same way `golden_wire_layout_is_pinned` pins
         // the original five. A change means a format break: bump the
         // HELLO version byte and keep decoders for v1.
-        let bytes = Request::QueryMetrics {
-            campaign: "cafe".to_string(),
-        }
-        .encode();
-        // body := kind(0x06) idlen:u16 "cafe"  → 1+2+4 = 7
-        let body: Vec<u8> = [vec![0x06], 4u16.to_le_bytes().to_vec(), b"cafe".to_vec()].concat();
-        let golden: Vec<u8> = [
-            7u32.to_le_bytes().to_vec(),
-            (7u32 ^ u32::from_le_bytes(*b"NET1")).to_le_bytes().to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
-            body,
-        ]
-        .concat();
-        assert_eq!(bytes, golden, "QueryMetrics wire layout changed");
-        assert_eq!(
-            u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            0xf136_3cf3_dd59_6008,
-            "QueryMetrics checksum constant changed"
-        );
-
         let bytes = Request::ReplicateSegment {
             campaign: "cafe".to_string(),
             seq: 7,
@@ -2481,5 +2394,15 @@ mod tests {
             Response::decode(w.body()),
             Err(WireError::Malformed("trailing bytes after the payload"))
         );
+    }
+
+    /// The two retired kind bytes are unknown to both tables — not
+    /// silently some other frame.
+    #[test]
+    fn retired_kind_bytes_decode_as_unknown() {
+        assert_eq!(Request::decode(&[0x06]), Err(WireError::UnknownKind(0x06)));
+        assert_eq!(Response::decode(&[0x88]), Err(WireError::UnknownKind(0x88)));
+        assert!(!Request::KINDS.contains(&0x06));
+        assert!(!Response::KINDS.contains(&0x88));
     }
 }

@@ -22,8 +22,7 @@ use dptd_protocol::message::StampedReport;
 use dptd_server::registry::RegistryConfig;
 use dptd_server::wire::{self, split_frame, Request, Response, WireError, FRAME_HEADER_LEN};
 use dptd_server::{
-    BatchRefusal, CampaignSpec, Client, ErrorCode, MetricsReport, Server, ServerConfig,
-    ServerError, StoreOp,
+    BatchRefusal, CampaignSpec, Client, ErrorCode, Server, ServerConfig, ServerError, StoreOp,
 };
 
 thread_local! {
@@ -167,7 +166,6 @@ fn request_of(kind: u8, g: &mut Gen) -> Request {
         },
         0x04 => Request::QueryTruths { campaign },
         0x05 => Request::QueryBudget { campaign },
-        0x06 => Request::QueryMetrics { campaign },
         0x07 => Request::NodeHello {
             node_id: g.u32(),
             num_nodes: g.u32(),
@@ -247,26 +245,6 @@ fn response_of(kind: u8, g: &mut Gen) -> Response {
         0x87 => Response::Error {
             code: g.error_code(),
             message: g.text(),
-        },
-        0x88 => Response::Metrics {
-            metrics: Box::new(MetricsReport {
-                reports_submitted: g.u64(),
-                reports_accepted: g.u64(),
-                duplicates_discarded: g.u64(),
-                late_dropped: g.u64(),
-                out_of_order_dropped: g.u64(),
-                backpressure_stalls: g.u64(),
-                epochs_merged: g.u64(),
-                max_queue_depth: g.u64(),
-                queue_depth: g.u64(),
-                throughput_rps: g.f64(),
-                ingest_p50_ns: g.u64(),
-                ingest_p99_ns: g.u64(),
-                conn_live: g.u64(),
-                conn_accepted: g.u64(),
-                conn_refused: g.u64(),
-                io_threads: g.u64(),
-            }),
         },
         0x89 => Response::NodeWelcome { node_id: g.u32() },
         0x8a => Response::Prepared {
