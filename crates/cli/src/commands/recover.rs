@@ -114,7 +114,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
             record.cumulative_losses.clone(),
             record.batches_seen as usize,
         )
-        .map(|crh| format!("{:016x}", dptd_stats::digest::fnv1a_f64s(crh.weights())))
+        .map(|crh| format!("{:016x}", crh.weights_digest()))
         .unwrap_or_else(|_| "invalid".to_string());
         let total_debits: u64 = record.rounds_debited.iter().map(|&d| u64::from(d)).sum();
         let _ = writeln!(
@@ -146,7 +146,7 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "weights digest      {:016x}",
-        dptd_stats::digest::fnv1a_f64s(recovered.crh.weights())
+        recovered.crh.weights_digest()
     );
 
     if stats {

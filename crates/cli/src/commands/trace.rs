@@ -156,6 +156,17 @@ mod tests {
     }
 
     #[test]
+    fn a_durable_campaign_traces_its_digest_beside_the_commit() {
+        let _rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("dptd-trace-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = execute(&argv(&[SMALL, &["--wal", dir.to_str().unwrap()]].concat())).unwrap();
+        assert!(out.contains("| commit | 2 |"), "{out}");
+        assert!(out.contains("| digest | 2 |"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn dump_to_file_reports_the_path() {
         let _rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("dptd-trace-{}", std::process::id()));

@@ -63,7 +63,6 @@ use dptd_protocol::budget::BudgetAccountant;
 use dptd_protocol::campaign::CampaignConfig;
 use dptd_protocol::message::StampedReport;
 use dptd_protocol::partition::PartitionMap;
-use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
@@ -466,9 +465,10 @@ impl ClusterCampaign {
         self.streaming.weights()
     }
 
-    /// FNV-1a digest of the current weights' bit patterns.
+    /// FNV-1a digest of the current weights' bit patterns, hashed at
+    /// most once per round.
     pub fn weights_digest(&self) -> u64 {
-        fnv1a_f64s(self.streaming.weights())
+        self.streaming.weights_digest()
     }
 
     /// The global privacy ledger.
@@ -626,13 +626,11 @@ impl ClusterCampaign {
 
         self.next_epoch = epoch + 1;
         self.rounds_run += 1;
-        let weights = self.streaming.weights().to_vec();
-        let weights_digest = fnv1a_f64s(&weights);
         Ok(ClusterRound {
             epoch,
             truths: merged.truths,
-            weights,
-            weights_digest,
+            weights: self.streaming.weights().to_vec(),
+            weights_digest: self.streaming.weights_digest(),
             accepted: merged.accepted_locals.iter().map(Vec::len).sum(),
             refused_users: merged.refused_seen as usize,
             duplicates_discarded: merged.duplicates,
@@ -769,6 +767,7 @@ mod tests {
     use crate::node::{NodeConfig, NodeServer};
     use dptd_core::roles::PerturbedReport;
     use dptd_protocol::campaign::{CampaignDriver, SimBackend};
+    use dptd_stats::digest::fnv1a_f64s;
 
     fn spec(num_users: usize, rounds: u32) -> ClusterSpec {
         ClusterSpec {

@@ -374,12 +374,14 @@ fn honest_round(epoch: u64) -> Vec<StampedReport> {
 /// a claim's cells before the merge, so user 57 naming an object out of
 /// range, a NaN, or one object twice made the close fail *after* it had
 /// drained the queue — 99 honest reports consumed, the round not
-/// advanced, repeatable every round. Both hosts now refuse such a batch
-/// at submit, whole, on a connection that stays aligned, and the round
-/// closes with the digest of a run that never saw it.
+/// advanced, repeatable every round. A huge but finite claim was worse:
+/// it committed an infinite cumulative loss that no reopen could
+/// restore. Both hosts now refuse such a batch at submit, whole, on a
+/// connection that stays aligned, and the round closes with the digest
+/// of a run that never saw it.
 #[test]
 fn a_malformed_claim_is_refused_at_submit_by_a_server_and_by_a_node() {
-    let defects: [(Vec<(usize, f64)>, &str); 3] = [
+    let defects: [(Vec<(usize, f64)>, &str); 4] = [
         (
             vec![(0, 1.0), (7, 2.0)],
             "report from user 57 refused: object index 7 out of range for 2 objects",
@@ -391,6 +393,11 @@ fn a_malformed_claim_is_refused_at_submit_by_a_server_and_by_a_node() {
         (
             vec![(0, 1.0), (0, 2.0)],
             "report from user 57 refused: user 57 observed object 0 more than once",
+        ),
+        (
+            vec![(0, 1.0), (1, 1e200)],
+            "report from user 57 refused: observation 1e200 from user 57 on object 1 \
+             exceeds the claim magnitude bound 1e100",
         ),
     ];
     let two_objects = |capacity| CampaignSpec {

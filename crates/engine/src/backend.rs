@@ -221,6 +221,20 @@ impl EngineBackend {
             .weights()
     }
 
+    /// FNV-1a digest of [`EngineBackend::current_weights`], memoised
+    /// per round: a durable round has already hashed it beside its log
+    /// append, a volatile one hashes it on the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a previous round panicked mid-flight (poisoned backend).
+    pub fn weights_digest(&self) -> u64 {
+        self.state
+            .as_ref()
+            .expect("backend poisoned by an earlier panicked round")
+            .weights_digest()
+    }
+
     fn engine_err(e: EngineError) -> ProtocolError {
         ProtocolError::Backend {
             backend: "engine",
@@ -336,19 +350,31 @@ impl RoundBackend for EngineBackend {
                 wal.debits[user] += 1;
             }
             let state = self.state.as_ref().expect("state present: set above");
-            let record = EpochRecord {
-                kind: RecordKind::Epoch,
-                epoch: input.epoch,
-                batches_seen: batches_seen as u64,
-                loss: cfg.loss,
-                policy: wal.policy,
-                accepted_users: accepted_users.clone(),
-                cumulative_losses: state.cumulative_losses().to_vec(),
-                rounds_debited: wal.debits.clone(),
-            };
-            let commit_span = dptd_obs::TraceScope::begin(dptd_obs::codes::COMMIT, input.epoch);
-            let appended = wal.writer.append_record(&record);
-            drop(commit_span);
+            let ambient = dptd_obs::trace::current();
+            let (record, appended) = std::thread::scope(|scope| {
+                // The weights digest is the one population pass that
+                // must stay serial: hash it on another core while this
+                // one builds and appends the record.
+                scope.spawn(move || {
+                    let _ctx = ambient.map(dptd_obs::trace::enter);
+                    let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::DIGEST, input.epoch);
+                    state.weights_digest();
+                });
+                let record = EpochRecord {
+                    kind: RecordKind::Epoch,
+                    epoch: input.epoch,
+                    batches_seen: batches_seen as u64,
+                    loss: cfg.loss,
+                    policy: wal.policy,
+                    accepted_users: accepted_users.clone(),
+                    cumulative_losses: state.cumulative_losses().to_vec(),
+                    rounds_debited: wal.debits.clone(),
+                };
+                let _commit_span =
+                    dptd_obs::TraceScope::begin(dptd_obs::codes::COMMIT, input.epoch);
+                let appended = wal.writer.append_record(&record);
+                (record, appended)
+            });
             if let Err(e) = appended {
                 for &user in &accepted_users {
                     wal.debits[user] -= 1;
@@ -575,6 +601,7 @@ mod tests {
         let failing = FailingWal::new(mem.clone(), 8 + 10);
         let (mut b, _) = EngineBackend::with_wal(engine, Box::new(failing), test_policy()).unwrap();
         let weights_before = b.current_weights().to_vec();
+        let digest_before = b.weights_digest();
         let err = b
             .run_round(RoundInput {
                 epoch: 0,
@@ -587,6 +614,7 @@ mod tests {
         // Nothing committed: no round, no debit mirror, estimator restored.
         assert_eq!(b.rounds(), 0);
         assert_eq!(b.current_weights(), weights_before.as_slice());
+        assert_eq!(b.weights_digest(), digest_before);
         // The torn 10 bytes are on "disk"; a reopen repairs and restarts
         // from scratch.
         let (_, recovered) = EngineBackend::with_wal(
@@ -604,6 +632,85 @@ mod tests {
         .unwrap();
         assert_eq!(recovered.truncated_bytes, 10);
         assert_eq!(recovered.last_epoch, None);
+    }
+
+    #[test]
+    fn durable_round_digest_matches_its_weights() {
+        use crate::store::{MemFs, SegmentStore, StoreConfig};
+
+        let (store, replay) =
+            SegmentStore::open(Box::new(MemFs::new()), StoreConfig::default()).unwrap();
+        let (mut b, _) = EngineBackend::with_log(
+            backend(3, 1, 2).engine,
+            Box::new(store),
+            &replay,
+            test_policy(),
+        )
+        .unwrap();
+        for epoch in 0..3 {
+            let out = b
+                .run_round(RoundInput {
+                    epoch,
+                    num_objects: 1,
+                    deadline_us: 1_000,
+                    reports: vec![
+                        stamped(epoch, 0, 1, 1.0),
+                        stamped(epoch, 1, 2, 1.5),
+                        stamped(epoch, 2, 3, 7.0),
+                    ],
+                })
+                .unwrap();
+            assert_eq!(
+                b.weights_digest(),
+                dptd_stats::digest::fnv1a_f64s(&out.weights)
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_claim_is_refused_and_the_log_stays_recoverable() {
+        use crate::store::{MemFs, SegmentStore, StoreConfig};
+
+        // One huge but finite claim used to commit an infinite cumulative
+        // loss that no reopen could restore.
+        let mem = MemFs::new();
+        let open = || {
+            let (store, replay) =
+                SegmentStore::open(Box::new(mem.clone()), StoreConfig::default()).unwrap();
+            EngineBackend::with_log(
+                backend(3, 1, 1).engine,
+                Box::new(store),
+                &replay,
+                test_policy(),
+            )
+        };
+        let round = |epoch, first: f64| RoundInput {
+            epoch,
+            num_objects: 1,
+            deadline_us: 1_000,
+            reports: vec![
+                stamped(epoch, 0, 1, first),
+                stamped(epoch, 1, 2, 1.0),
+                stamped(epoch, 2, 3, 2.0),
+            ],
+        };
+        let (mut b, _) = open().unwrap();
+        let weights_before = b.current_weights().to_vec();
+        let err = b.run_round(round(0, 1e200)).unwrap_err();
+        assert!(err.to_string().contains("magnitude bound"), "{err}");
+        assert_eq!(b.rounds(), 0);
+        assert_eq!(b.current_weights(), weights_before.as_slice());
+        let committed = b.run_round(round(1, 3.0)).unwrap();
+        drop(b);
+
+        let (resumed, recovered) = open().expect("the log reopens");
+        assert_eq!(recovered.last_epoch, Some(1));
+        assert_eq!(resumed.current_weights(), committed.weights.as_slice());
+        assert!(recovered
+            .crh
+            .cumulative_losses()
+            .iter()
+            .all(|l| l.is_finite()));
     }
 
     #[test]

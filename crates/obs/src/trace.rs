@@ -62,6 +62,9 @@ pub mod codes {
     /// Ring-wrap marker synthesized into dumps (instant; arg = events
     /// the ring overwrote). Never recorded by an instrumented site.
     pub const TRUNCATED: u32 = 13;
+    /// Hashing a durable round's weights digest, on its own thread
+    /// beside the `commit` append (span; arg = epoch).
+    pub const DIGEST: u32 = 14;
 
     /// The human-readable name of a code (for dumps and docs).
     pub fn name(code: u32) -> &'static str {
@@ -79,6 +82,7 @@ pub mod codes {
             NODE_DRAIN => "node.drain",
             NODE_COMMIT => "node.commit",
             TRUNCATED => "truncated",
+            DIGEST => "digest",
             _ => "unknown",
         }
     }

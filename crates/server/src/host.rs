@@ -504,7 +504,9 @@ impl SubmissionQueue {
     /// with nothing taken, or a typed refusal.
     ///
     /// A claim the aggregation would refuse — object out of range,
-    /// non-finite value, an object claimed twice — is refused here,
+    /// non-finite value or one past
+    /// [`MAX_CLAIM_MAGNITUDE`](dptd_truth::columnar::MAX_CLAIM_MAGNITUDE),
+    /// an object claimed twice — is refused here,
     /// naming its user: past this door one such claim fails the merge of
     /// the whole round, after the close has drained everyone's reports.
     pub fn offer(

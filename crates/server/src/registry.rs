@@ -32,7 +32,6 @@ use dptd_protocol::budget::BudgetAccountant;
 use dptd_protocol::campaign::{CampaignDriver, RoundBackend};
 use dptd_protocol::message::StampedReport;
 use dptd_protocol::ProtocolError;
-use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::Loss;
 
 use crate::host::{
@@ -188,7 +187,7 @@ impl CampaignState {
                     duplicates: round.duplicates_discarded,
                     late: round.late_dropped,
                     truths: round.truths,
-                    weights_digest: fnv1a_f64s(&round.weights),
+                    weights_digest: self.driver.backend().weights_digest(),
                     max_spent_epsilon: round.max_spent.epsilon(),
                     max_spent_delta: round.max_spent.delta(),
                 }
@@ -201,7 +200,7 @@ impl CampaignState {
         Response::Truths {
             rounds_run: u64::from(self.driver.rounds_run()),
             truths: self.last_truths.clone(),
-            weights_digest: fnv1a_f64s(self.driver.backend().current_weights()),
+            weights_digest: self.driver.backend().weights_digest(),
         }
     }
 

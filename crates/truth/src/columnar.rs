@@ -26,6 +26,21 @@
 //! Per-user loss accumulation needs no tree at all: each user's slot is
 //! written by exactly one leaf, so leaves are handed to workers as
 //! disjoint `&mut` ranges of the accumulator.
+//!
+//! Every kernel takes and produces **one slot per row** (per reporting
+//! user), never one per member of the population: a round in which 2 %
+//! of the population reports reads and writes 2 % of it here. What a
+//! round must still pay per population member — the loss total and the
+//! weight refresh — lives in [`crate::streaming`].
+//!
+//! # Finding the reporters
+//!
+//! [`ColumnarBatch::load_shards`] records which users hold a slot in a
+//! one-bit-per-user occupancy bitmap: the first pass test-and-sets a
+//! user's bit (a bit already set is a repeated slot), the second walks
+//! the bitmap a 64-user word at a time with `trailing_zeros`, so an
+//! epoch's canonical user order costs `num_users / 64` word reads plus
+//! one step per reporter — not a scan of a per-user stamp array.
 
 use crate::loss::Loss;
 use crate::matrix::ObservationMatrix;
@@ -48,6 +63,20 @@ const MAX_AUTO_WORKERS: usize = 8;
 /// spawn-overhead guard.
 const PAR_CLAIM_THRESHOLD: usize = 16_384;
 
+/// The largest claim magnitude a batch admits: [`check_claims`] and
+/// [`ColumnarBatch::load_shards`] refuse any `|value|` above it, in the
+/// slot where they refuse a non-finite one.
+///
+/// Derived so that no cumulative loss can overflow. A truth is a
+/// weighted mean of claims, so `|claim − truth| <= 2e100`, and the
+/// largest one-claim loss is [`Loss::NormalizedSquared`]'s
+/// `(2e100)² / 1e-12 = 4e212` (its spread floor is `1e-12`). Summing
+/// `2^64` such losses — more claims than any population at
+/// `host::MAX_USERS_PER_CAMPAIGN` can make — stays below `7.4e231`,
+/// far under `f64::MAX ≈ 1.8e308`; so do the weighted sums
+/// (`≤ 27.7 · 1e100` a claim) and the spread sums (`≤ 4e200` a claim).
+pub const MAX_CLAIM_MAGNITUDE: f64 = 1e100;
+
 /// One epoch of claims in columnar (CSR / struct-of-arrays) form, with
 /// arena-style buffer reuse: call [`ColumnarBatch::load_shards`] or
 /// [`ColumnarBatch::load_matrix`] each epoch and the backing buffers are
@@ -60,9 +89,9 @@ const PAR_CLAIM_THRESHOLD: usize = 16_384;
 /// A [`ShardClaims`] has the same four columns, in push order and
 /// unvalidated, so loading one is a column-to-column copy.
 ///
-/// The arena is meant to outlive the epoch: the per-user slot index
-/// (16 bytes a user) resets by generation stamp, and the columns keep
-/// the capacity of the largest epoch loaded so far.
+/// The arena is meant to outlive the epoch: the per-user slot index is
+/// an 8-byte slot reference plus one occupancy bit a user, and the
+/// columns keep the capacity of the largest epoch loaded so far.
 #[derive(Debug, Clone)]
 pub struct ColumnarBatch {
     num_users: usize,
@@ -77,9 +106,10 @@ pub struct ColumnarBatch {
     // Generation-stamped scratch: O(1) resets across epochs, no clearing.
     cell_stamp: Vec<u64>,
     cell_gen: u64,
-    slot_stamp: Vec<u64>,
+    /// One bit per user: set while the user holds a slot this epoch.
+    occupied: Vec<u64>,
+    /// The `(shard, row)` that holds each occupied user's slot.
     slot_ref: Vec<(u32, u32)>,
-    slot_gen: u64,
     sort_buf: Vec<(usize, f64)>,
 }
 
@@ -97,9 +127,8 @@ impl ColumnarBatch {
             leaf_starts: Vec::new(),
             cell_stamp: vec![0; num_objects],
             cell_gen: 0,
-            slot_stamp: vec![0; num_users],
+            occupied: vec![0; num_users.div_ceil(64)],
             slot_ref: vec![(0, 0); num_users],
-            slot_gen: 0,
             sort_buf: Vec::new(),
         }
     }
@@ -145,15 +174,15 @@ impl ColumnarBatch {
     /// entries were pushed within a shard.
     ///
     /// Two passes. The first walks every shard's rows in shard/push
-    /// order and claims each user's slot — a user outside the population
-    /// or a slot claimed twice is reported for the first row that does it
-    /// — and is all that looks at a row's *user*. The second walks the
-    /// claimed slots ascending and copies each row's columns across,
-    /// validating every *cell* on the way (object range, then
-    /// finiteness, then a repeated object, in the order the claims were
-    /// pushed): a row already ascending by object is two slice copies,
-    /// any other goes through the sort buffer. Nothing a shard pushed is
-    /// trusted, and nothing is checked twice.
+    /// order and sets each user's occupancy bit — a user outside the
+    /// population or a bit already set is reported for the first row
+    /// that does it — and is all that looks at a row's *user*. The
+    /// second walks the bitmap ascending and copies each row's columns
+    /// across, validating every *cell* on the way (object range, then
+    /// finiteness and magnitude, then a repeated object, in the order
+    /// the claims were pushed): a row already ascending by object is two
+    /// slice copies, any other goes through the sort buffer. Nothing a
+    /// shard pushed is trusted, and nothing is checked twice.
     ///
     /// # Errors
     ///
@@ -162,13 +191,15 @@ impl ColumnarBatch {
     /// cover the same slot or cell — an empty claim list still occupies
     /// its user's slot — [`TruthError::EmptyMatrix`] for a zero-object
     /// epoch, [`TruthError::ObjectOutOfRange`] /
-    /// [`TruthError::NonFiniteObservation`] for bad cells.
+    /// [`TruthError::NonFiniteObservation`] /
+    /// [`TruthError::ObservationOutOfBounds`] for bad cells.
     pub fn load_shards(&mut self, shards: &[ShardClaims]) -> Result<(), TruthError> {
         self.clear();
+        // A refused epoch may leave bits behind; `num_users / 64` words
+        // is the whole price of starting from an empty bitmap.
+        self.occupied.fill(0);
         // Pass 1 — slot occupancy, in shard/push order so the first
         // conflicting entry is the one reported.
-        self.slot_gen += 1;
-        let gen = self.slot_gen;
         for (s, shard) in shards.iter().enumerate() {
             for e in 0..shard.num_users() {
                 let (user, objects, _) = shard.row(e);
@@ -178,13 +209,15 @@ impl ColumnarBatch {
                         num_users: self.num_users,
                     });
                 }
-                if self.slot_stamp[user] == gen {
+                let (word, bit) = (user / 64, 1u64 << (user % 64));
+                let bits = &mut self.occupied[word];
+                if *bits & bit != 0 {
                     return Err(TruthError::DuplicateObservation {
                         user,
                         object: objects.first().copied().unwrap_or(0),
                     });
                 }
-                self.slot_stamp[user] = gen;
+                *bits |= bit;
                 self.slot_ref[user] = (s as u32, e as u32);
             }
         }
@@ -195,13 +228,15 @@ impl ColumnarBatch {
         // once and copied column to column. Shards that emit their rows
         // users-ascending (the engine's do) are read front to back.
         self.reserve_for(shards);
-        for user in 0..self.num_users {
-            if self.slot_stamp[user] != gen {
-                continue;
+        for word in 0..self.occupied.len() {
+            let mut bits = self.occupied[word];
+            while bits != 0 {
+                let user = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (s, e) = self.slot_ref[user];
+                let (_, objects, values) = shards[s as usize].row(e as usize);
+                self.push_row(user, objects, values)?;
             }
-            let (s, e) = self.slot_ref[user];
-            let (_, objects, values) = shards[s as usize].row(e as usize);
-            self.push_row(user, objects, values)?;
         }
         self.seal();
         Ok(())
@@ -243,10 +278,10 @@ impl ColumnarBatch {
     /// Validate one user's claims and append them. This is the only door
     /// into the columns for claims that did not come out of a validated
     /// [`ObservationMatrix`]: every cell is checked here, once, in the
-    /// order it was pushed — object range, then finiteness, then
-    /// duplicate cell. A row already ascending by object (what every
-    /// shard emits for a well-formed report) is then two slice copies;
-    /// any other row goes through the sort buffer.
+    /// order it was pushed — object range, then finiteness and
+    /// magnitude, then duplicate cell. A row already ascending by object
+    /// (what every shard emits for a well-formed report) is then two
+    /// slice copies; any other row goes through the sort buffer.
     fn push_row(
         &mut self,
         user: usize,
@@ -263,13 +298,7 @@ impl ColumnarBatch {
                     num_objects: self.num_objects,
                 });
             }
-            if !value.is_finite() {
-                return Err(TruthError::NonFiniteObservation {
-                    user,
-                    object,
-                    value,
-                });
-            }
+            check_value(user, object, value)?;
             if self.cell_stamp[object] == self.cell_gen {
                 return Err(TruthError::DuplicateObservation { user, object });
             }
@@ -322,37 +351,42 @@ impl ColumnarBatch {
         Ok(())
     }
 
+    /// Visit leaf `leaf`'s claims as `(row, object, value)`, rows
+    /// ascending and claims ascending by object within a row.
     #[inline]
     fn for_leaf_claims(&self, leaf: usize, mut f: impl FnMut(usize, usize, f64)) {
-        for i in self.leaf_starts[leaf]..self.leaf_starts[leaf + 1] {
-            let user = self.users[i];
-            for k in self.offsets[i]..self.offsets[i + 1] {
-                f(user, self.objects[k], self.values[k]);
+        for row in self.leaf_starts[leaf]..self.leaf_starts[leaf + 1] {
+            for k in self.offsets[row]..self.offsets[row + 1] {
+                f(row, self.objects[k], self.values[k]);
             }
         }
     }
 
-    /// Compute one `part_len`-wide partial per leaf, distributing leaves
-    /// over `workers` threads in contiguous chunks. Which worker computes
-    /// which leaf cannot affect any result: partials are folded later at
-    /// fixed tree positions.
-    fn leaf_partials<F>(&self, workers: usize, part_len: usize, fill: F) -> Vec<Vec<f64>>
+    /// Compute one `part_len`-wide partial per leaf into one flat
+    /// `num_leaves × part_len` buffer (leaf `l` at `l * part_len`),
+    /// distributing leaves over `workers` threads in contiguous chunks.
+    /// Which worker computes which leaf cannot affect any result:
+    /// partials are folded later at fixed tree positions.
+    fn leaf_partials<F>(&self, workers: usize, part_len: usize, fill: F) -> Vec<f64>
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
         let num_leaves = self.num_leaves();
-        let mut parts: Vec<Vec<f64>> = (0..num_leaves).map(|_| vec![0.0; part_len]).collect();
+        let mut parts = vec![0.0; num_leaves * part_len];
+        if part_len == 0 {
+            return parts;
+        }
         if workers <= 1 || num_leaves <= 1 {
-            for (leaf, part) in parts.iter_mut().enumerate() {
+            for (leaf, part) in parts.chunks_mut(part_len).enumerate() {
                 fill(leaf, part);
             }
         } else {
             let chunk = num_leaves.div_ceil(workers.min(num_leaves));
             std::thread::scope(|scope| {
-                for (c, slice) in parts.chunks_mut(chunk).enumerate() {
+                for (c, slice) in parts.chunks_mut(chunk * part_len).enumerate() {
                     let fill = &fill;
                     scope.spawn(move || {
-                        for (i, part) in slice.iter_mut().enumerate() {
+                        for (i, part) in slice.chunks_mut(part_len).enumerate() {
                             fill(c * chunk + i, part);
                         }
                     });
@@ -367,9 +401,13 @@ impl ColumnarBatch {
     /// spread at floating-point noise level — report `1.0`, matching
     /// [`ObservationMatrix::object_std_devs`].
     pub fn object_std_devs(&self, workers: usize) -> Vec<f64> {
-        let sums = tree_fold(self.leaf_partials(workers, self.num_objects, |leaf, part| {
-            self.for_leaf_claims(leaf, |_, object, value| part[object] += value);
-        }));
+        let part_len = self.num_objects;
+        let sums = tree_fold(
+            self.leaf_partials(workers, part_len, |leaf, part| {
+                self.for_leaf_claims(leaf, |_, object, value| part[object] += value);
+            }),
+            part_len,
+        );
         let means: Vec<f64> = (0..self.num_objects)
             .map(|n| {
                 if self.object_counts[n] == 0 {
@@ -379,11 +417,14 @@ impl ColumnarBatch {
                 }
             })
             .collect();
-        let devs = tree_fold(self.leaf_partials(workers, self.num_objects, |leaf, part| {
-            self.for_leaf_claims(leaf, |_, object, value| {
-                part[object] += (value - means[object]).powi(2);
-            });
-        }));
+        let devs = tree_fold(
+            self.leaf_partials(workers, part_len, |leaf, part| {
+                self.for_leaf_claims(leaf, |_, object, value| {
+                    part[object] += (value - means[object]).powi(2);
+                });
+            }),
+            part_len,
+        );
         (0..self.num_objects)
             .map(|n| {
                 if self.object_counts[n] < 2 {
@@ -399,22 +440,30 @@ impl ColumnarBatch {
             .collect()
     }
 
-    /// Weighted mean per object: per-leaf `(numerator, denominator)`
-    /// pairs folded over the reduction tree.
+    /// Weighted mean per object under `row_weights` — one weight per
+    /// row, in [`ColumnarBatch::users`] order: per-leaf `(numerator,
+    /// denominator)` pairs folded over the reduction tree.
     ///
     /// # Errors
     ///
     /// [`TruthError::Degenerate`] if an object's total weight is not
     /// positive.
-    pub fn weighted_truths(&self, weights: &[f64], workers: usize) -> Result<Vec<f64>, TruthError> {
+    pub fn weighted_truths(
+        &self,
+        row_weights: &[f64],
+        workers: usize,
+    ) -> Result<Vec<f64>, TruthError> {
+        debug_assert_eq!(row_weights.len(), self.users.len());
+        let part_len = 2 * self.num_objects;
         let parts = tree_fold(
-            self.leaf_partials(workers, 2 * self.num_objects, |leaf, part| {
-                self.for_leaf_claims(leaf, |user, object, value| {
-                    let w = weights[user];
+            self.leaf_partials(workers, part_len, |leaf, part| {
+                self.for_leaf_claims(leaf, |row, object, value| {
+                    let w = row_weights[row];
                     part[2 * object] += w * value;
                     part[2 * object + 1] += w;
                 });
             }),
+            part_len,
         );
         (0..self.num_objects)
             .map(|n| {
@@ -429,11 +478,12 @@ impl ColumnarBatch {
             .collect()
     }
 
-    /// Add each user's epoch loss into `acc` (one slot per user in the
-    /// population). No fold is needed: each user is written by exactly
-    /// one leaf, so leaves are parallelised as disjoint `&mut` ranges of
-    /// `acc` — summation order per user is claim order (ascending object)
-    /// no matter how leaves are scheduled.
+    /// Add each row's epoch loss into `acc` — one slot per row, in
+    /// [`ColumnarBatch::users`] order. No fold is needed: each row is
+    /// written by exactly one leaf, so leaves are parallelised as
+    /// disjoint `&mut` ranges of `acc` — summation order per row is
+    /// claim order (ascending object) no matter how leaves are
+    /// scheduled.
     pub fn accumulate_losses(
         &self,
         truths: &[f64],
@@ -442,10 +492,20 @@ impl ColumnarBatch {
         acc: &mut [f64],
         workers: usize,
     ) {
-        debug_assert_eq!(acc.len(), self.num_users);
+        debug_assert_eq!(acc.len(), self.users.len());
         let num_leaves = self.num_leaves();
+        let leaf_losses = |leaf_lo: usize, leaf_hi: usize, acc: &mut [f64]| {
+            let base = self.leaf_starts[leaf_lo];
+            for row in base..self.leaf_starts[leaf_hi] {
+                let row_loss = &mut acc[row - base];
+                for k in self.offsets[row]..self.offsets[row + 1] {
+                    let n = self.objects[k];
+                    *row_loss += loss.distance(self.values[k], truths[n], stds[n]);
+                }
+            }
+        };
         if workers <= 1 || num_leaves <= 1 {
-            self.accumulate_losses_leaves(0, num_leaves, truths, stds, loss, acc, 0);
+            leaf_losses(0, num_leaves, acc);
             return;
         }
         let chunk = num_leaves.div_ceil(workers.min(num_leaves));
@@ -454,49 +514,49 @@ impl ColumnarBatch {
             let mut leaf = 0;
             while leaf < num_leaves {
                 let hi = (leaf + chunk).min(num_leaves);
-                let user_lo = leaf * LEAF_SPAN;
-                let user_hi = (hi * LEAF_SPAN).min(self.num_users);
-                let (mine, next) = rest.split_at_mut(user_hi - user_lo);
+                let rows = self.leaf_starts[hi] - self.leaf_starts[leaf];
+                let (mine, next) = rest.split_at_mut(rows);
                 rest = next;
-                scope.spawn(move || {
-                    self.accumulate_losses_leaves(leaf, hi, truths, stds, loss, mine, user_lo);
-                });
+                let leaf_losses = &leaf_losses;
+                scope.spawn(move || leaf_losses(leaf, hi, mine));
                 leaf = hi;
             }
         });
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_losses_leaves(
-        &self,
-        leaf_lo: usize,
-        leaf_hi: usize,
-        truths: &[f64],
-        stds: &[f64],
-        loss: Loss,
-        acc: &mut [f64],
-        acc_base: usize,
-    ) {
-        for i in self.leaf_starts[leaf_lo]..self.leaf_starts[leaf_hi] {
-            let user_loss = &mut acc[self.users[i] - acc_base];
-            for k in self.offsets[i]..self.offsets[i + 1] {
-                let n = self.objects[k];
-                *user_loss += loss.distance(self.values[k], truths[n], stds[n]);
-            }
-        }
+/// The finiteness slot of the precedence order: a non-finite value,
+/// else one beyond [`MAX_CLAIM_MAGNITUDE`]. One comparison admits every
+/// good value — NaN and `±∞` fail it too.
+fn check_value(user: usize, object: usize, value: f64) -> Result<(), TruthError> {
+    if value.abs() <= MAX_CLAIM_MAGNITUDE {
+        Ok(())
+    } else if value.is_finite() {
+        Err(TruthError::ObservationOutOfBounds {
+            user,
+            object,
+            value,
+        })
+    } else {
+        Err(TruthError::NonFiniteObservation {
+            user,
+            object,
+            value,
+        })
     }
 }
 
 /// What [`ColumnarBatch::load_shards`] would refuse in one user's claim
 /// list, without a batch: the same checks in the same order — per claim
-/// object range then finiteness, then a repeated object — and the same
-/// error. For a door that wants to turn a malformed report away before
-/// it can fail a whole epoch's merge.
+/// object range then finiteness and magnitude, then a repeated object —
+/// and the same error. For a door that wants to turn a malformed report
+/// away before it can fail a whole epoch's merge.
 ///
 /// # Errors
 ///
-/// [`TruthError::ObjectOutOfRange`], [`TruthError::NonFiniteObservation`]
-/// or [`TruthError::DuplicateObservation`] for the first defect found.
+/// [`TruthError::ObjectOutOfRange`], [`TruthError::NonFiniteObservation`],
+/// [`TruthError::ObservationOutOfBounds`] or
+/// [`TruthError::DuplicateObservation`] for the first defect found.
 pub fn check_claims(
     user: usize,
     claims: &[(usize, f64)],
@@ -513,17 +573,10 @@ pub fn check_claims(
                     num_objects,
                 },
             ))
-        } else if !value.is_finite() {
-            Some((
-                k,
-                TruthError::NonFiniteObservation {
-                    user,
-                    object,
-                    value,
-                },
-            ))
         } else {
-            None
+            check_value(user, object, value)
+                .err()
+                .map(|defect| (k, defect))
         }
     });
     let head = &claims[..cell_defect.as_ref().map_or(claims.len(), |&(k, _)| k)];
@@ -547,24 +600,26 @@ pub fn check_claims(
     cell_defect.map_or(Ok(()), |(_, defect)| Err(defect))
 }
 
-/// Fold per-leaf partials pairwise in fixed leaf order: level 0 combines
-/// leaf 0+1, 2+3, …; each level repeats one step up. The shape is a pure
-/// function of the leaf count.
-fn tree_fold(mut parts: Vec<Vec<f64>>) -> Vec<f64> {
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += *y;
-                }
+/// Fold flat per-leaf partials (leaf `l` at `l * part_len`) pairwise in
+/// fixed leaf order, in place: level 0 adds leaf 1 into leaf 0, leaf 3
+/// into leaf 2, …; each level repeats one step up at twice the stride,
+/// and the root ends in leaf 0's slot. The shape is a pure function of
+/// the leaf count.
+fn tree_fold(mut parts: Vec<f64>, part_len: usize) -> Vec<f64> {
+    let num_leaves = parts.len().checked_div(part_len).unwrap_or(0);
+    let mut stride = 1;
+    while stride < num_leaves {
+        for left in (0..num_leaves - stride).step_by(2 * stride) {
+            let (head, tail) = parts.split_at_mut((left + stride) * part_len);
+            let a = &mut head[left * part_len..][..part_len];
+            for (x, y) in a.iter_mut().zip(&tail[..part_len]) {
+                *x += *y;
             }
-            next.push(a);
         }
-        parts = next;
+        stride *= 2;
     }
-    parts.pop().unwrap_or_default()
+    parts.truncate(part_len);
+    parts
 }
 
 /// Resolve a requested worker count against the batch at hand: `0` means
@@ -572,18 +627,23 @@ fn tree_fold(mut parts: Vec<Vec<f64>>) -> Vec<f64> {
 /// single-threaded. Purely a scheduling decision — bitwise results are
 /// worker-count-independent by construction.
 pub fn effective_workers(requested: usize, num_claims: usize, num_leaves: usize) -> usize {
-    let w = if requested == 0 {
+    if num_claims < PAR_CLAIM_THRESHOLD {
+        1
+    } else {
+        resolve_workers(requested).min(num_leaves).max(1)
+    }
+}
+
+/// A requested worker count with `0` (auto) resolved to the machine's
+/// parallelism, capped at [`MAX_AUTO_WORKERS`].
+pub(crate) fn resolve_workers(requested: usize) -> usize {
+    if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(MAX_AUTO_WORKERS)
     } else {
         requested
-    };
-    if num_claims < PAR_CLAIM_THRESHOLD {
-        1
-    } else {
-        w.min(num_leaves).max(1)
     }
 }
 
@@ -655,11 +715,11 @@ mod tests {
     fn tree_fold_shape_is_leaf_count_only() {
         // 5 leaves: ((0+1)+(2+3))+4 — verify against the hand-computed
         // fold, which a flat left-to-right sum would not reproduce.
-        let leaves: Vec<Vec<f64>> = vec![vec![1e16], vec![1.0], vec![-1e16], vec![1.0], vec![3.0]];
+        let leaves = vec![1e16, 1.0, -1e16, 1.0, 3.0];
         let l01: f64 = 1e16 + 1.0;
         let l23: f64 = -1e16 + 1.0;
         let expected: f64 = (l01 + l23) + 3.0;
-        assert_eq!(tree_fold(leaves)[0].to_bits(), expected.to_bits());
+        assert_eq!(tree_fold(leaves, 1)[0].to_bits(), expected.to_bits());
     }
 
     #[test]
@@ -675,7 +735,8 @@ mod tests {
     #[test]
     fn check_claims_refuses_what_load_shards_refuses_with_the_same_error() {
         let inf = f64::INFINITY;
-        let rows: [&[(usize, f64)]; 9] = [
+        let huge = 2.0 * MAX_CLAIM_MAGNITUDE;
+        let rows: [&[(usize, f64)]; 13] = [
             &[],
             &[(0, 1.0), (2, 2.0)],
             &[(2, 1.0), (0, 2.0), (1, 0.5)],
@@ -685,6 +746,10 @@ mod tests {
             &[(0, 1.0), (0, 2.0), (9, 1.0)],
             &[(2, 1.0), (0, 2.0), (2, 3.0), (0, 4.0)],
             &[(1, 1.0), (2, 1.0), (1, 1.0), (9, inf)],
+            &[(0, MAX_CLAIM_MAGNITUDE), (1, -MAX_CLAIM_MAGNITUDE)],
+            &[(1, -huge), (7, 1.0)],
+            &[(0, 1.0), (0, huge)],
+            &[(2, huge), (1, inf)],
         ];
         for claims in rows {
             let mut shard = ShardClaims::new();

@@ -42,6 +42,17 @@ pub enum TruthError {
         /// The offending value.
         value: f64,
     },
+    /// A finite observation larger in magnitude than
+    /// [`crate::columnar::MAX_CLAIM_MAGNITUDE`], which could overflow a
+    /// user's cumulative loss.
+    ObservationOutOfBounds {
+        /// User index.
+        user: usize,
+        /// Object index.
+        object: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// An algorithm parameter was outside its domain.
     InvalidParameter {
         /// Parameter name.
@@ -86,6 +97,16 @@ impl fmt::Display for TruthError {
             } => write!(
                 f,
                 "non-finite observation {value} from user {user} on object {object}"
+            ),
+            TruthError::ObservationOutOfBounds {
+                user,
+                object,
+                value,
+            } => write!(
+                f,
+                "observation {value:e} from user {user} on object {object} exceeds the claim \
+                 magnitude bound {:e}",
+                crate::columnar::MAX_CLAIM_MAGNITUDE
             ),
             TruthError::InvalidParameter {
                 name,

@@ -10,11 +10,36 @@
 //! the *cumulative* loss, and each batch's truths are the weighted mean of
 //! that batch's claims under the current weights (one refinement pass per
 //! batch).
+//!
+//! # What a batch costs per population member
+//!
+//! Claims only move the losses of the users who made them, so the
+//! refinement pass works on the batch's rows alone: its trial losses,
+//! trial weights and truths are row-indexed. Because every weight is a
+//! share of the *total* loss, three things still touch every member of
+//! the population once per batch, and nothing else does:
+//!
+//! * the loss total, one left-to-right fold that reads the carried loss
+//!   everywhere except the batch's rows — taken once for the trial
+//!   weights and once for the committed ones;
+//! * the `−ln` refresh of the committed weights, in place, split over
+//!   the merge workers in contiguous ranges of the population;
+//! * the weights digest ([`StreamingCrh::weights_digest`]), hashed at
+//!   most once per committed batch and only when someone asks.
 
-use crate::columnar::{effective_workers, ColumnarBatch};
+use std::sync::OnceLock;
+
+use dptd_stats::digest::fnv1a_f64s;
+
+use crate::columnar::{effective_workers, resolve_workers, ColumnarBatch};
 use crate::loss::Loss;
 use crate::matrix::ObservationMatrix;
 use crate::TruthError;
+
+/// Fewer weights than this are refreshed single-threaded: a `−ln` costs
+/// a few nanoseconds, so below this a spawn costs more than it saves.
+/// Bit-identical either way.
+const PAR_REFRESH_USERS: usize = 1 << 17;
 
 /// Streaming CRH-style truth discovery.
 ///
@@ -48,6 +73,14 @@ pub struct StreamingCrh {
     cumulative_loss: Vec<f64>,
     batches_seen: usize,
     weights: Vec<f64>,
+    /// `fnv1a_f64s(&weights)`, hashed on first request; every write to
+    /// `weights` starts a fresh, empty cell.
+    digest: OnceLock<u64>,
+    /// The refinement pass's row-indexed scratch (one weight and one
+    /// loss per reporting user), kept between batches so that a batch
+    /// no larger than an earlier one allocates nothing.
+    row_weights: Vec<f64>,
+    row_loss: Vec<f64>,
 }
 
 impl StreamingCrh {
@@ -67,6 +100,9 @@ impl StreamingCrh {
             cumulative_loss: vec![0.0; num_users],
             batches_seen: 0,
             weights: vec![1.0; num_users],
+            digest: OnceLock::new(),
+            row_weights: Vec::new(),
+            row_loss: Vec::new(),
         })
     }
 
@@ -96,19 +132,34 @@ impl StreamingCrh {
                 reason: "a restored cumulative loss is negative or not finite",
             });
         }
-        let weights = share_weights(&cumulative_losses);
+        let mut weights = vec![0.0; cumulative_losses.len()];
+        let total = loss_total(&cumulative_losses, &[], &[]);
+        refresh_weights(&mut weights, &cumulative_losses, total, 0);
         Ok(Self {
             num_users: cumulative_losses.len(),
             loss,
             cumulative_loss: cumulative_losses,
             batches_seen,
             weights,
+            digest: OnceLock::new(),
+            row_weights: Vec::new(),
+            row_loss: Vec::new(),
         })
     }
 
     /// Current per-user weights (uniform before the first batch).
     pub fn weights(&self) -> &[f64] {
         &self.weights
+    }
+
+    /// FNV-1a digest of the current weights' bit patterns
+    /// (`fnv1a_f64s(self.weights())`), hashed at most once per committed
+    /// batch: the first call after a commit pays the `O(num_users)`
+    /// byte-serial pass, every later one reads the memo. `&self`, so a
+    /// durable caller can warm it on another thread while it writes the
+    /// batch's record.
+    pub fn weights_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| fnv1a_f64s(&self.weights))
     }
 
     /// Number of batches ingested so far.
@@ -212,7 +263,9 @@ impl StreamingCrh {
     ///
     /// Returns [`TruthError::ObjectOutOfRange`] if the batch's population
     /// differs from the estimator's, [`TruthError::UnobservedObject`] if
-    /// an object has no claims, and propagates aggregation degeneracies.
+    /// an object has no claims, and propagates aggregation degeneracies —
+    /// including [`TruthError::Degenerate`] for a batch that would leave
+    /// a cumulative loss (and so every weight) not finite.
     pub fn ingest_columnar_with_workers(
         &mut self,
         batch: &ColumnarBatch,
@@ -225,30 +278,54 @@ impl StreamingCrh {
             });
         }
         batch.validate_coverage()?;
-        let workers = effective_workers(workers, batch.num_claims(), batch.num_leaves());
+        let requested = workers;
+        let workers = effective_workers(requested, batch.num_claims(), batch.num_leaves());
         let stds = batch.object_std_devs(workers);
+        let rows = batch.users();
+        let mut row_weights = std::mem::take(&mut self.row_weights);
+        let mut row_loss = std::mem::take(&mut self.row_loss);
 
-        // Aggregate the new batch under current weights.
-        let mut truths = batch.weighted_truths(&self.weights, workers)?;
+        // Aggregate the new batch under current weights, gathered once
+        // per row.
+        row_weights.clear();
+        row_weights.extend(rows.iter().map(|&u| self.weights[u]));
+        let mut truths = batch.weighted_truths(&row_weights, workers)?;
 
-        // One refinement pass: update cumulative losses with this batch,
-        // recompute weights, re-aggregate.
-        let mut trial_loss = self.cumulative_loss.clone();
-        batch.accumulate_losses(&truths, &stds, self.loss, &mut trial_loss, workers);
-        let weights = share_weights(&trial_loss);
-        truths = batch.weighted_truths(&weights, workers)?;
+        // One refinement pass: the rows' trial losses (each starting from
+        // its carried loss, claims added in claim order), the trial total
+        // over the whole population, trial weights for the rows only,
+        // re-aggregate.
+        self.carried_losses(rows, &mut row_loss);
+        batch.accumulate_losses(&truths, &stds, self.loss, &mut row_loss, workers);
+        let total = loss_total(&self.cumulative_loss, rows, &row_loss);
+        refresh_weights(&mut row_weights, &row_loss, total, requested);
+        truths = batch.weighted_truths(&row_weights, workers)?;
 
-        // Commit: final losses against the refined truths.
-        batch.accumulate_losses(
-            &truths,
-            &stds,
-            self.loss,
-            &mut self.cumulative_loss,
-            workers,
-        );
-        self.weights = share_weights(&self.cumulative_loss);
+        // Commit: final losses against the refined truths — unless one
+        // overflowed, which would poison every weight and the log.
+        self.carried_losses(rows, &mut row_loss);
+        batch.accumulate_losses(&truths, &stds, self.loss, &mut row_loss, workers);
+        let total = loss_total(&self.cumulative_loss, rows, &row_loss);
+        if !total.is_finite() {
+            return Err(TruthError::Degenerate {
+                reason: "a cumulative loss would not be finite",
+            });
+        }
+        for (&u, &l) in rows.iter().zip(&row_loss) {
+            self.cumulative_loss[u] = l;
+        }
+        refresh_weights(&mut self.weights, &self.cumulative_loss, total, requested);
+        self.digest = OnceLock::new();
         self.batches_seen += 1;
+        self.row_weights = row_weights;
+        self.row_loss = row_loss;
         Ok(truths)
+    }
+
+    /// Refill `row_loss` with the cumulative losses of `rows`.
+    fn carried_losses(&self, rows: &[usize], row_loss: &mut Vec<f64>) {
+        row_loss.clear();
+        row_loss.extend(rows.iter().map(|&u| self.cumulative_loss[u]));
     }
 }
 
@@ -358,15 +435,53 @@ impl ShardClaims {
     }
 }
 
-fn share_weights(losses: &[f64]) -> Vec<f64> {
-    let total: f64 = losses.iter().sum();
-    if total <= 0.0 {
-        return vec![1.0; losses.len()];
+/// The population's loss total as one left-to-right fold: `carried`
+/// everywhere except at `rows` (ascending user ids), where `row_loss`
+/// stands in — the same additions in the same order as summing the
+/// spliced population, without building it.
+fn loss_total(carried: &[f64], rows: &[usize], row_loss: &[f64]) -> f64 {
+    let sum = |total: f64, span: &[f64]| span.iter().fold(total, |acc, &l| acc + l);
+    let mut total = 0.0;
+    let mut next = 0;
+    for (&user, &loss) in rows.iter().zip(row_loss) {
+        total = sum(total, &carried[next..user]) + loss;
+        next = user + 1;
     }
-    losses
-        .iter()
-        .map(|&l| -((l / total).max(1e-12)).ln())
-        .collect()
+    sum(total, &carried[next..])
+}
+
+/// Rewrite `weights` from `losses` and their `total` in place — the
+/// population's, or one batch's rows: each weight is `−ln` of its
+/// loss's share of `total`, floored at `1e-12`, or `1.0` while no loss
+/// has accrued anywhere. Split over `workers` (`0` = auto) in
+/// contiguous ranges; each weight is one expression of its own loss, so
+/// the split cannot change a bit.
+fn refresh_weights(weights: &mut [f64], losses: &[f64], total: f64, workers: usize) {
+    if total <= 0.0 {
+        weights.fill(1.0);
+        return;
+    }
+    let refresh = |weights: &mut [f64], losses: &[f64]| {
+        for (w, &l) in weights.iter_mut().zip(losses) {
+            *w = -((l / total).max(1e-12)).ln();
+        }
+    };
+    let workers = resolve_workers(workers);
+    if workers <= 1 || weights.len() < PAR_REFRESH_USERS {
+        refresh(weights, losses);
+        return;
+    }
+    let span = weights.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let mut ranges = weights.chunks_mut(span).zip(losses.chunks(span));
+        let own = ranges.next();
+        for (w, l) in ranges {
+            scope.spawn(move || refresh(w, l));
+        }
+        if let Some((w, l)) = own {
+            refresh(w, l);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -539,6 +654,84 @@ mod tests {
         assert!(StreamingCrh::from_parts(Loss::Squared, vec![], 0).is_err());
         assert!(StreamingCrh::from_parts(Loss::Squared, vec![1.0, -0.5], 1).is_err());
         assert!(StreamingCrh::from_parts(Loss::Squared, vec![f64::NAN], 1).is_err());
+    }
+
+    fn assert_digest_fresh(s: &StreamingCrh, what: &str) {
+        assert_eq!(s.weights_digest(), fnv1a_f64s(s.weights()), "{what}");
+    }
+
+    fn wave(users: usize, objects: usize, seed: u64) -> ObservationMatrix {
+        let mut rng = dptd_stats::seeded_rng(seed);
+        let noise = Normal::new(0.0, 0.5).unwrap();
+        let rows: Vec<Vec<f64>> = (0..users)
+            .map(|_| {
+                (0..objects)
+                    .map(|n| n as f64 + noise.sample(&mut rng))
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        ObservationMatrix::from_dense(&refs).unwrap()
+    }
+
+    #[test]
+    fn weights_digest_is_never_stale() {
+        let mut s = StreamingCrh::new(5, Loss::NormalizedSquared).unwrap();
+        assert_digest_fresh(&s, "new");
+        for seed in 0..3 {
+            // Warm the memo, then move the weights under it.
+            s.weights_digest();
+            s.ingest(&wave(5, 2, 150 + seed)).unwrap();
+            assert_digest_fresh(&s, "after an ingest");
+        }
+
+        // A refused batch (object 1 unobserved) commits nothing.
+        let before = (s.weights().to_vec(), s.weights_digest());
+        let mut shard = ShardClaims::new();
+        shard.push(0, vec![(0, 1.0)]);
+        assert!(s.ingest_sharded(2, vec![shard]).is_err());
+        assert_eq!((s.weights().to_vec(), s.weights_digest()), before);
+        assert_digest_fresh(&s, "after a failed ingest");
+
+        let restored =
+            StreamingCrh::from_parts(s.loss(), s.cumulative_losses().to_vec(), 3).unwrap();
+        assert_digest_fresh(&restored, "from_parts");
+        assert_eq!(restored.weights_digest(), s.weights_digest());
+
+        // A clone carries a warm memo; its next ingest resets its own.
+        let mut twin = s.clone();
+        assert_digest_fresh(&twin, "clone");
+        twin.ingest(&wave(5, 2, 160)).unwrap();
+        assert_digest_fresh(&twin, "clone after an ingest");
+        assert_digest_fresh(&s, "original after the clone's ingest");
+        assert_ne!(twin.weights_digest(), s.weights_digest());
+    }
+
+    #[test]
+    fn a_loss_that_would_overflow_is_refused_with_the_state_untouched() {
+        // A claim far past `MAX_CLAIM_MAGNITUDE` that reaches the kernels
+        // through a matrix: its squared deviation overflows.
+        let mut s = StreamingCrh::new(3, Loss::NormalizedSquared).unwrap();
+        s.ingest(&wave(3, 1, 170)).unwrap();
+        let before = (
+            s.weights().to_vec(),
+            s.cumulative_losses().to_vec(),
+            s.batches_seen(),
+            s.weights_digest(),
+        );
+        let huge = ObservationMatrix::from_dense(&[&[1e200][..], &[1.0], &[2.0]]).unwrap();
+        assert!(matches!(
+            s.ingest(&huge),
+            Err(TruthError::Degenerate { .. })
+        ));
+        let after = (
+            s.weights().to_vec(),
+            s.cumulative_losses().to_vec(),
+            s.batches_seen(),
+            s.weights_digest(),
+        );
+        assert_eq!(after, before);
+        assert!(s.ingest(&wave(3, 1, 171)).is_ok());
     }
 
     #[test]

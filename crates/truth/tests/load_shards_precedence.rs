@@ -5,9 +5,10 @@
 //! the engine's error strings are written against: slot occupancy is
 //! checked first, over every shard in shard/push order; then rows are
 //! validated users ascending, and within a row claims in the order they
-//! were pushed — object range, then finiteness, then duplicate cell.
+//! were pushed — object range, then finiteness and magnitude, then
+//! duplicate cell.
 
-use dptd_truth::columnar::ColumnarBatch;
+use dptd_truth::columnar::{ColumnarBatch, MAX_CLAIM_MAGNITUDE};
 use dptd_truth::streaming::ShardClaims;
 use dptd_truth::TruthError;
 
@@ -153,6 +154,76 @@ fn cases() -> Vec<Case> {
             num_objects: 2,
             shards: vec![vec![(3, vec![])], vec![(0, vec![(1, 1.0), (0, 2.0)])]],
             expect: Ok(vec![0, 3]),
+        },
+        Case {
+            name: "a claim at the magnitude bound is admitted",
+            num_users: 4,
+            num_objects: 2,
+            shards: vec![vec![(
+                1,
+                vec![(0, MAX_CLAIM_MAGNITUDE), (1, -MAX_CLAIM_MAGNITUDE)],
+            )]],
+            expect: Ok(vec![1]),
+        },
+        Case {
+            name: "a finite claim past the magnitude bound is refused with its user and object",
+            num_users: 4,
+            num_objects: 2,
+            shards: vec![vec![(1, vec![(0, 1.0), (1, 1e200)])]],
+            expect: Err(TruthError::ObservationOutOfBounds {
+                user: 1,
+                object: 1,
+                value: 1e200,
+            }),
+        },
+        Case {
+            name: "range defect before an out-of-bounds value: claim order decides",
+            num_users: 4,
+            num_objects: 2,
+            shards: vec![vec![(1, vec![(7, 1.0), (1, -1e101)])]],
+            expect: Err(TruthError::ObjectOutOfRange {
+                object: 7,
+                num_objects: 2,
+            }),
+        },
+        Case {
+            name: "an out-of-bounds value before a non-finite one: claim order decides",
+            num_users: 4,
+            num_objects: 2,
+            shards: vec![vec![(1, vec![(1, -1e101), (0, f64::NAN)])]],
+            expect: Err(TruthError::ObservationOutOfBounds {
+                user: 1,
+                object: 1,
+                value: -1e101,
+            }),
+        },
+        Case {
+            name: "a repeated cell whose second value is out of bounds: magnitude is checked first",
+            num_users: 4,
+            num_objects: 2,
+            shards: vec![vec![(2, vec![(0, 1.0), (0, 1e200)])]],
+            expect: Err(TruthError::ObservationOutOfBounds {
+                user: 2,
+                object: 0,
+                value: 1e200,
+            }),
+        },
+        Case {
+            name: "two shards claim one user: occupancy beats an out-of-bounds cell",
+            num_users: 4,
+            num_objects: 2,
+            shards: vec![vec![(0, vec![(0, 1e200)])], vec![(0, vec![(1, 2.0)])]],
+            expect: dup(0, 1),
+        },
+        Case {
+            name: "reporters in different bitmap words come out ascending",
+            num_users: 200,
+            num_objects: 1,
+            shards: vec![
+                vec![(199, vec![(0, 1.0)]), (64, vec![(0, 1.0)])],
+                vec![(63, vec![]), (0, vec![(0, 2.0)]), (128, vec![(0, 3.0)])],
+            ],
+            expect: Ok(vec![0, 63, 64, 128, 199]),
         },
     ]
 }
