@@ -538,7 +538,11 @@ mod tests {
         // the lanes. Event counts can race with other trace-enabled
         // tests in this process (the rings are global), so assert only
         // the race-proof shape: the report, the lane table, and the
-        // merged document's lane metadata.
+        // merged document's lane metadata. It resets the rings, so it
+        // holds the lock the `dptd trace` tests drain them under.
+        let rings = crate::commands::trace::tests::RINGS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let traced = execute(&argv(
             &[
                 &["trace", "--connect", &connect, "--campaign", "traced"],
@@ -569,6 +573,7 @@ mod tests {
         assert!(json.trim_start().starts_with('['), "{json}");
         assert!(json.contains("\"name\":\"process_name\""), "{json}");
         assert!(json.contains("\"args\":{\"name\":\"node1\"}"), "{json}");
+        drop(rings);
 
         let status = execute(&argv(&[
             "status",

@@ -118,7 +118,7 @@ fn summarize(report: &str, events: &[trace::TraceEvent], dropped: &[(u64, u64)])
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn argv(words: &[&str]) -> Vec<String> {
@@ -136,9 +136,10 @@ mod tests {
         "2",
     ];
 
-    // Trace rings are process-global: the tests that drain them take
-    // this lock so parallel tests cannot clear each other's events.
-    static RINGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // Trace rings are process-global: every test that resets, toggles or
+    // drains them (here and `cluster trace` in `cluster.rs`) takes this
+    // lock so parallel tests cannot clear each other's events.
+    pub(crate) static RINGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn summary_and_dump_cover_the_pipeline_spans() {
@@ -160,9 +161,27 @@ mod tests {
         let _rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("dptd-trace-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let out = execute(&argv(&[SMALL, &["--wal", dir.to_str().unwrap()]].concat())).unwrap();
-        assert!(out.contains("| commit | 2 |"), "{out}");
-        assert!(out.contains("| digest | 2 |"), "{out}");
+        // Campaigns other tests run meanwhile record into the same global
+        // rings. Root this run in its own trace (the digest thread enters
+        // the committing thread's context) and count only its spans:
+        // exactly one commit and one digest per round.
+        let root = trace::SpanContext::root("dptd-trace-digest-test", 0);
+        let json = {
+            let _ctx = trace::enter(root);
+            execute(&argv(
+                &[SMALL, &["--dump", "--wal", dir.to_str().unwrap()]].concat(),
+            ))
+            .unwrap()
+        };
+        let ours = format!("\"trace\":\"{:016x}\"", root.trace_id);
+        let spans = |site: &str| {
+            let begin = format!("{{\"name\":\"{site}\",\"ph\":\"B\"");
+            json.lines()
+                .filter(|l| l.starts_with(&begin) && l.contains(&ours))
+                .count()
+        };
+        assert_eq!(spans("commit"), 2, "{json}");
+        assert_eq!(spans("digest"), 2, "{json}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

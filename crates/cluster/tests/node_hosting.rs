@@ -15,12 +15,12 @@ use dptd_cluster::{NodeConfig, NodeServer};
 use dptd_core::roles::PerturbedReport;
 use dptd_obs::{flight, names};
 use dptd_protocol::message::StampedReport;
-use dptd_server::wire::HELLO;
+use dptd_server::wire::{frame_check, HELLO};
 use dptd_server::{
     read_frame_body, write_frame, CampaignRegistry, CampaignSpec, Client, ErrorCode,
     RegistryConfig, Request, Response, Server, ServerConfig, ServerError, WireError,
 };
-use dptd_stats::digest::{fnv1a_f64s, Fnv1a};
+use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
@@ -491,13 +491,11 @@ fn a_malformed_claim_is_refused_at_submit_by_a_server_and_by_a_node() {
 /// `cafe`, as a peer built against the old table would still send it.
 fn retired_kind_frame() -> Vec<u8> {
     let body = [&[0x06, 4, 0][..], b"cafe"].concat();
-    let mut sum = Fnv1a::new();
-    body.iter().for_each(|&b| sum.write_u8(b));
     let len = body.len() as u32;
     [
         &len.to_le_bytes()[..],
         &(len ^ u32::from_le_bytes(*b"NET1")).to_le_bytes(),
-        &sum.finish().to_le_bytes(),
+        &frame_check(&body).to_le_bytes(),
         &body,
     ]
     .concat()

@@ -2,7 +2,7 @@
 //!
 //! [`Client`] is what `dptd submit` runs, what the loopback e2e harness
 //! drives, and what the `server_throughput` bench times: one TCP
-//! connection, the v1 hello exchange, then synchronous
+//! connection, the hello exchange, then synchronous
 //! request/response. Convenience wrappers return typed outcomes and
 //! turn [`Response::Error`] replies into [`ServerError::Remote`].
 
@@ -22,7 +22,7 @@ use dptd_obs::{SpanContext, TraceEvent};
 
 /// The trace context to attach to an outgoing mutating frame: the
 /// thread's ambient span when tracing is on, nothing otherwise — an
-/// untraced client sends byte-identical v1 frames.
+/// untraced client sends byte-identical pre-extension frames.
 fn wire_ctx() -> Option<SpanContext> {
     if trace::enabled() {
         trace::current()

@@ -11,10 +11,12 @@
 //! socket (pinned by `decoder_proptests.rs` at every byte boundary).
 //!
 //! The decoder is a thin stateful wrapper over [`wire::split_frame`] —
-//! the same pure decode the blocking path and the malformed-input
-//! proptests use — so every hardening property carries over: a typed
-//! [`WireError`] for corruption, no allocation driven by an unvalidated
-//! length, no panic on any byte string.
+//! the pure decode the malformed-input proptests use, which validates a
+//! header with the same `wire::FrameHeader` the blocking path reads
+//! through and runs the same v2 [`wire::frame_check`] once per body — so
+//! every hardening property carries over: a typed [`WireError`] for
+//! corruption, no allocation driven by an unvalidated length, no panic
+//! on any byte string.
 
 use crate::wire::{self, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 

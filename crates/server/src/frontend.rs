@@ -6,9 +6,9 @@
 //! through a per-connection incremental [`FrameDecoder`] so a torn frame
 //! never blocks a thread. Thousands of intermittently-connected
 //! submitters cost file descriptors, not stacks. Every connection speaks
-//! the [`crate::wire`] v1 protocol (8-byte hello exchange, then
-//! request/response frames), counts against one connection budget with
-//! typed [`ErrorCode::ServerBusy`](crate::wire::ErrorCode::ServerBusy)
+//! the [`crate::wire`] protocol (8-byte hello exchange — another
+//! version is refused by name — then request/response frames), counts
+//! against one connection budget with typed [`ErrorCode::ServerBusy`]
 //! refusals, and has every decoded request answered by one
 //! [`RequestHandler`] — so a served campaign is **bit-identical** to the
 //! in-process reference (pinned by the e2e suites).
@@ -608,7 +608,7 @@ fn read_and_serve(conn: &mut Conn, handler: &dyn RequestHandler, now: Instant) {
                         if conn.hello_buf != wire::HELLO {
                             conn.refuse_and_close(
                                 ErrorCode::InvalidRequest,
-                                "expected the dptd v1 hello".to_string(),
+                                wire::hello_refusal(&conn.hello_buf),
                             );
                             return;
                         }

@@ -7,7 +7,7 @@
 //! campaigns** behind a real TCP wire protocol:
 //!
 //! * [`wire`] — the length-prefixed, checksummed binary protocol
-//!   (golden-pinned v1 layout): `CreateCampaign`, batched
+//!   (golden-pinned v2 layout): `CreateCampaign`, batched
 //!   `SubmitReports`, `CloseRound`, `QueryTruths`, `QueryBudget`, typed
 //!   error replies. Each frame is declared once, as a row of a field-list
 //!   table from which its kind byte, exact length, encoder and decoder
@@ -111,7 +111,11 @@ impl fmt::Display for ServerError {
         match self {
             ServerError::Io { op, message } => write!(f, "{op} failed: {message}"),
             ServerError::Wire(e) => write!(f, "wire protocol violation: {e}"),
-            ServerError::BadHello => write!(f, "peer is not a dptd v1 endpoint (bad hello)"),
+            ServerError::BadHello => write!(
+                f,
+                "peer is not a dptd wire v{} endpoint (bad hello)",
+                wire::HELLO[7]
+            ),
             ServerError::Busy => write!(f, "server at its connection budget"),
             ServerError::Remote { code, message } => {
                 write!(f, "server refused ({code}): {message}")
@@ -158,6 +162,7 @@ mod tests {
         assert!(e.to_string().contains("budget-exhausted"));
         let e: ServerError = WireError::Checksum.into();
         assert!(matches!(e, ServerError::Wire(_)));
+        assert!(ServerError::BadHello.to_string().contains("wire v2"));
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServerError>();
     }

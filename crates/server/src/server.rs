@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use crate::frontend::{Frontend, FrontendConfig, IoConfig};
 use crate::registry::{CampaignRegistry, RegistryConfig, RegistryStats};
-use crate::wire::{self, WireError};
+use crate::wire;
 use crate::{io_err, ServerError};
 
 /// Server configuration.
@@ -55,57 +55,40 @@ impl Default for ServerConfig {
 /// expecting a hello. Public so cluster nodes can speak the same frame
 /// discipline from their own connections.
 ///
+/// The header is validated by the function [`wire::split_frame`] calls
+/// (`wire::FrameHeader::parse`) before the body is allocated;
+/// the body is then read straight into a buffer of exactly its length
+/// and checked once — a multi-megabyte body is never copied. Prefix
+/// bytes past the header are the body's first bytes.
+///
 /// # Errors
 ///
 /// [`ServerError::Io`] when the stream dies mid-frame,
-/// [`ServerError::Wire`] for header/checksum violations.
+/// [`ServerError::Wire`] for header/checksum violations, and
+/// `Malformed` when `prefix` runs past the end of its frame.
 pub fn complete_frame(prefix: &[u8], stream: &mut impl Read) -> Result<Vec<u8>, ServerError> {
-    let mut frame = Vec::with_capacity(prefix.len().max(wire::FRAME_HEADER_LEN));
-    frame.extend_from_slice(prefix);
-    if frame.len() < wire::FRAME_HEADER_LEN {
-        read_up_to(
-            &mut frame,
-            wire::FRAME_HEADER_LEN,
-            stream,
-            "read frame header",
-        )?;
-    }
-    // Validate the header exactly as the pure decoder does, without yet
-    // having the body: splice it through `split_frame` — only a
-    // Truncated outcome means "valid so far, body still on the wire".
-    let full_len = match wire::split_frame(&frame) {
-        // A zero-length body: the header bytes are the whole frame.
-        Ok((body, _)) => return Ok(body.to_vec()),
-        Err(WireError::Truncated { needed, .. }) => needed,
-        Err(e) => return Err(ServerError::Wire(e)),
-    };
-    // One buffer for header and body, sized by the header that just
-    // validated (so never past `MAX_FRAME_LEN`): the body lands behind
-    // the header, the full check runs over both, and the header is
-    // drained off — no second or third copy of a multi-megabyte body.
-    read_up_to(&mut frame, full_len, stream, "read frame body")?;
-    wire::split_frame(&frame)?;
-    frame.drain(..wire::FRAME_HEADER_LEN);
-    Ok(frame)
-}
-
-/// Grow `buf` to `len` bytes with exactly that many read off `stream`.
-fn read_up_to(
-    buf: &mut Vec<u8>,
-    len: usize,
-    stream: &mut impl Read,
-    op: &'static str,
-) -> Result<(), ServerError> {
-    let have = buf.len();
-    buf.resize(len, 0);
+    let (head, early) = prefix.split_at(prefix.len().min(wire::FRAME_HEADER_LEN));
+    let mut header = [0; wire::FRAME_HEADER_LEN];
+    header[..head.len()].copy_from_slice(head);
     stream
-        .read_exact(&mut buf[have..])
-        .map_err(|e| io_err(op, e))
+        .read_exact(&mut header[head.len()..])
+        .map_err(|e| io_err("read frame header", e))?;
+    let header = wire::FrameHeader::parse(&header)?;
+    if early.len() > header.body_len() {
+        return Err(wire::WireError::Malformed("prefix runs past the end of its frame").into());
+    }
+    let mut body = vec![0; header.body_len()];
+    body[..early.len()].copy_from_slice(early);
+    stream
+        .read_exact(&mut body[early.len()..])
+        .map_err(|e| io_err("read frame body", e))?;
+    header.verify(&body)?;
+    Ok(body)
 }
 
 /// Read one frame body off `stream`. `Ok(None)` is a clean close at a
 /// frame boundary; dying mid-frame (the torn-write case) is an I/O
-/// error; header/checksum violations are typed [`WireError`]s.
+/// error; header/checksum violations are typed [`wire::WireError`]s.
 ///
 /// # Errors
 ///
@@ -202,7 +185,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Request, Response};
+    use crate::wire::{Request, Response, WireError};
 
     /// However much of the header the caller had already read — none,
     /// the one byte `read_frame_body` peeks, the eight the client reads
@@ -242,5 +225,26 @@ mod tests {
                 Err(ServerError::Wire(WireError::Checksum))
             ));
         }
+    }
+
+    /// A prefix that reaches into the body is the body's first bytes; one
+    /// that runs past the frame is a typed refusal, never a panic.
+    #[test]
+    fn a_prefix_past_the_header_is_part_of_the_body() {
+        let frame = Response::Error {
+            code: wire::ErrorCode::ServerBusy,
+            message: "server at its 1-connection budget".to_string(),
+        }
+        .encode();
+        let (body, _) = wire::split_frame(&frame).unwrap();
+        for split in wire::FRAME_HEADER_LEN..=frame.len() {
+            let (prefix, mut rest) = frame.split_at(split);
+            assert_eq!(complete_frame(prefix, &mut rest).unwrap(), body, "{split}");
+        }
+        let long = [frame.as_slice(), &[0]].concat();
+        assert!(matches!(
+            complete_frame(&long, &mut std::io::empty()),
+            Err(ServerError::Wire(WireError::Malformed(_)))
+        ));
     }
 }

@@ -1,26 +1,33 @@
-//! The campaign service's binary wire protocol (version 1).
+//! The campaign service's binary wire protocol (version 2).
 //!
 //! Everything on the socket is a **frame**: a fixed 16-byte header
-//! followed by a checksummed body, mirroring the engine's write-ahead
-//! log framing so both binary formats in the workspace share one
-//! discipline (length prefix with an XOR self-check, FNV-1a checksum,
+//! followed by a checked body, mirroring the engine's write-ahead log
+//! framing so both binary formats in the workspace share one discipline
+//! (length prefix with an XOR self-check, a 64-bit body check,
 //! size-bounded decode).
 //!
-//! # On-the-wire layout (version 1, pinned by a golden test)
+//! # On-the-wire layout (version 2, pinned by a golden test)
 //!
 //! ```text
-//! hello  := "DPTDNET" 0x01                    (8 bytes, client → server,
+//! hello  := "DPTDNET" 0x02                    (8 bytes, client → server,
 //!                                              echoed back on accept)
 //! frame  := body_len:u32 len_check:u32 checksum:u64 body
 //! body   := kind:u8 payload                   (all little-endian)
 //! ```
 //!
-//! `len_check` is `body_len ^ "NET1"`; `checksum` is FNV-1a over the
-//! body. A header whose self-check fails, a body whose checksum fails,
-//! or a length past [`MAX_FRAME_LEN`] is a typed [`WireError`] — never a
-//! panic, and never an allocation driven by an unvalidated length: every
-//! count a payload claims is bounded against the bytes actually present
-//! before any `Vec` is sized (the same hardening as the WAL decode).
+//! `len_check` is `body_len ^ "NET1"`; `checksum` is [`frame_check`]
+//! over the body. A header whose self-check fails, a body whose check
+//! fails, or a length past [`MAX_FRAME_LEN`] is a typed [`WireError`] —
+//! never a panic, and never an allocation driven by an unvalidated
+//! length: every count a payload claims is bounded against the bytes
+//! actually present before any `Vec` is sized (the same hardening as the
+//! WAL decode).
+//!
+//! Version 2 differs from version 1 only in the check: v1 ran a
+//! byte-serial FNV-1a, v2 runs four independent `u64` lanes (see
+//! [`frame_check`]). Lengths and bodies are byte-identical. Every peer
+//! that speaks the wire lives in this workspace and no frame is ever
+//! persisted, so there is no v1 arm: a v1 hello is refused by name.
 //!
 //! Request kinds are `0x01..`, response kinds `0x81..`; an unknown kind
 //! is [`WireError::UnknownKind`].
@@ -62,8 +69,8 @@
 //!    generator arm to `tests/wire_proptests.rs`, which walks
 //!    [`Request::KINDS`] and fails on a kind it cannot generate.
 //!
-//! Changing an existing row is a format break: bump the [`HELLO`]
-//! version byte and keep a v1 decoder instead.
+//! Changing an existing row, or the check, is a format break: bump the
+//! [`HELLO`] version byte and move every peer with it.
 
 use std::fmt;
 
@@ -72,11 +79,24 @@ use dptd_obs::{
     HistogramSnapshot, MetricValue, MetricsSnapshot, SpanContext, TraceEvent, NUM_BUCKETS,
 };
 use dptd_protocol::message::StampedReport;
-use dptd_stats::digest::Fnv1a;
 
 /// The 8-byte connection hello: 7 ASCII magic bytes plus the protocol
 /// version. Sent by the client on connect, echoed by the server.
-pub const HELLO: [u8; 8] = *b"DPTDNET\x01";
+pub const HELLO: [u8; 8] = *b"DPTDNET\x02";
+
+/// Why an 8-byte hello that is not [`HELLO`] is refused. A peer with
+/// the right magic and another version byte is told both versions.
+pub(crate) fn hello_refusal(got: &[u8; 8]) -> String {
+    let (magic, version) = HELLO.split_at(7);
+    if got.starts_with(magic) {
+        format!(
+            "peer sent wire v{}; this end speaks v{}",
+            got[7], version[0]
+        )
+    } else {
+        "not a dptd hello".to_string()
+    }
+}
 
 /// Bytes of frame overhead before each body (length prefix, length
 /// self-check, checksum).
@@ -256,12 +276,115 @@ tagged! {
     }
 }
 
-fn checksum(body: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    for &b in body {
-        h.write_u8(b);
+/// Bytes the check absorbs per step of its four lanes: one `u64` word
+/// each.
+const CHECK_BLOCK: usize = 32;
+
+/// Odd multiplier of every check step (2⁶⁴ / φ, rounded to odd).
+const CHECK_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The lanes' starting states: distinct, so that moving a word to
+/// another lane changes the result.
+const CHECK_SEEDS: [u64; 4] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+];
+
+/// One step: xor, multiply by an odd constant, rotate. Each is a
+/// bijection, so for a fixed state the step is a bijection in `word`,
+/// and for a fixed word a bijection in the state.
+const fn check_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(CHECK_K).rotate_left(29)
+}
+
+fn absorb(lanes: &mut [u64; 4], block: &[u8; CHECK_BLOCK]) {
+    for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+        *lane = check_step(*lane, u64::from_le_bytes(*word));
     }
-    h.finish()
+}
+
+/// The v2 frame check of a body: the `checksum` field of its header.
+///
+/// Word `i` of the body (little-endian, the last one zero-padded) feeds
+/// lane `i % 4` through one step — xor, multiply by an odd constant,
+/// rotate. The four lanes run independently, so a 32-byte block costs
+/// one multiply's latency, not four. The lanes are then folded in order
+/// into a state that starts at the body length, and that state is
+/// finalised by a xorshift-multiply.
+///
+/// Every stage is a bijection in the one word or lane that feeds it, so
+/// a body that differs from the sent one in a single `u64` word — and so
+/// in a single byte or bit — always fails the check. Other corruption
+/// passes only by colliding, which random damage does with a chance
+/// near 2⁻⁶⁴; this guards against accidents, not against a forger.
+/// `frame_check(&[])` is non-zero.
+pub fn frame_check(body: &[u8]) -> u64 {
+    let (blocks, tail) = body.as_chunks::<CHECK_BLOCK>();
+    let mut lanes = CHECK_SEEDS;
+    for block in blocks {
+        absorb(&mut lanes, block);
+    }
+    if !tail.is_empty() {
+        let mut last = [0; CHECK_BLOCK];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &last);
+    }
+    let h = lanes.into_iter().fold(body.len() as u64, check_step);
+    let h = (h ^ (h >> 32)).wrapping_mul(CHECK_K);
+    h ^ (h >> 29)
+}
+
+/// A frame header whose length passed its self-check and the cap: the
+/// body length it declares and the check that body must match.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameHeader {
+    body_len: usize,
+    check: u64,
+}
+
+impl FrameHeader {
+    /// Validate a frame's 16 header bytes — before any of its body is
+    /// read or allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::LenCheck`] or [`WireError::TooLarge`].
+    pub(crate) fn parse(header: &[u8; FRAME_HEADER_LEN]) -> Result<Self, WireError> {
+        let [l0, l1, l2, l3, c0, c1, c2, c3, check @ ..] = *header;
+        let body_len = u32::from_le_bytes([l0, l1, l2, l3]);
+        if body_len ^ LEN_XOR != u32::from_le_bytes([c0, c1, c2, c3]) {
+            return Err(WireError::LenCheck);
+        }
+        if body_len as usize > MAX_FRAME_LEN {
+            return Err(WireError::TooLarge {
+                claimed: u64::from(body_len),
+            });
+        }
+        Ok(Self {
+            body_len: body_len as usize,
+            check: u64::from_le_bytes(check),
+        })
+    }
+
+    /// The body length this header declares (at most [`MAX_FRAME_LEN`]).
+    pub(crate) fn body_len(&self) -> usize {
+        self.body_len
+    }
+
+    /// Check `body` — [`Self::body_len`] bytes — against the header.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Checksum`] when [`frame_check`] disagrees.
+    pub(crate) fn verify(&self, body: &[u8]) -> Result<(), WireError> {
+        if frame_check(body) == self.check {
+            Ok(())
+        } else {
+            Err(WireError::Checksum)
+        }
+    }
 }
 
 /// Split one frame off the front of `buf`.
@@ -278,34 +401,19 @@ fn checksum(body: &[u8]) -> u64 {
 /// [`WireError::LenCheck`], [`WireError::TooLarge`], or
 /// [`WireError::Checksum`] for an invalid header or body.
 pub fn split_frame(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Err(WireError::Truncated {
-            needed: FRAME_HEADER_LEN,
-            have: buf.len(),
-        });
-    }
-    let body_len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-    let len_check = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if body_len ^ LEN_XOR != len_check {
-        return Err(WireError::LenCheck);
-    }
-    if body_len as usize > MAX_FRAME_LEN {
-        return Err(WireError::TooLarge {
-            claimed: u64::from(body_len),
-        });
-    }
-    let stored_sum = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-    let total = FRAME_HEADER_LEN + body_len as usize;
-    if buf.len() < total {
-        return Err(WireError::Truncated {
-            needed: total,
-            have: buf.len(),
-        });
-    }
-    let body = &buf[FRAME_HEADER_LEN..total];
-    if checksum(body) != stored_sum {
-        return Err(WireError::Checksum);
-    }
+    let truncated = |needed| WireError::Truncated {
+        needed,
+        have: buf.len(),
+    };
+    let header = FrameHeader::parse(
+        buf.first_chunk()
+            .ok_or_else(|| truncated(FRAME_HEADER_LEN))?,
+    )?;
+    let total = FRAME_HEADER_LEN + header.body_len;
+    let body = buf
+        .get(FRAME_HEADER_LEN..total)
+        .ok_or_else(|| truncated(total))?;
+    header.verify(body)?;
     Ok((body, total))
 }
 
@@ -414,11 +522,11 @@ impl Writer {
     fn body(&self) -> &[u8] {
         &self.buf[FRAME_HEADER_LEN..]
     }
-    /// Patch the v1 frame header over the reservation and hand the
+    /// Patch the frame header over the reservation and hand the
     /// complete frame out.
     fn finish(mut self) -> Vec<u8> {
         let body_len = self.body().len() as u32;
-        let sum = checksum(self.body());
+        let sum = frame_check(self.body());
         self.buf[..4].copy_from_slice(&body_len.to_le_bytes());
         self.buf[4..8].copy_from_slice(&(body_len ^ LEN_XOR).to_le_bytes());
         self.buf[8..FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
@@ -651,9 +759,9 @@ impl<T: Field> Field for Box<T> {
 
 /// Encoded size of the optional trace-context extension (trace id +
 /// span id). When present it is always the **last** 16 bytes of the
-/// payload — decoders read it iff bytes remain after the v1 fields, so
-/// an absent context keeps the frame byte-identical to the
-/// pre-extension layout and old peers interoperate untraced.
+/// payload — decoders read it iff bytes remain after the row's other
+/// fields, so an absent context keeps the frame byte-identical to the
+/// pre-extension layout.
 const CTX_BYTES: usize = 8 + 8;
 
 record!(impl SpanContext { trace_id: u64, span_id: u64 });
@@ -1857,23 +1965,22 @@ mod tests {
 
     #[test]
     fn golden_status_wire_layout_is_pinned() {
-        // The status frames share the v1 framing; a change to either
-        // payload is a format break (bump the HELLO version byte and
-        // keep v1 decoders).
+        // The status frames share the v2 framing; a change to either
+        // payload is a format break (bump the HELLO version byte).
         let bytes = Request::QueryStatus.encode();
         // body := kind(0x0d)  → 1 byte
         let body = vec![0x0d];
         let golden: Vec<u8> = [
             1u32.to_le_bytes().to_vec(),
             (1u32 ^ u32::from_le_bytes(*b"NET1")).to_le_bytes().to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
         assert_eq!(bytes, golden, "QueryStatus wire layout changed");
         assert_eq!(
             u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            0xaf63_c04c_8601_bcf8,
+            0x2a26_1548_832e_4ef3,
             "QueryStatus checksum constant changed: {:#x}",
             u64::from_le_bytes(bytes[8..16].try_into().unwrap())
         );
@@ -1917,7 +2024,7 @@ mod tests {
             ((body.len() as u32) ^ u32::from_le_bytes(*b"NET1"))
                 .to_le_bytes()
                 .to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
@@ -1972,16 +2079,15 @@ mod tests {
 
     #[test]
     fn golden_trace_wire_layout_is_pinned() {
-        // The trace frames share the v1 framing; a change to either
-        // payload is a format break (bump the HELLO version byte and
-        // keep v1 decoders).
+        // The trace frames share the v2 framing; a change to either
+        // payload is a format break (bump the HELLO version byte).
         let bytes = Request::QueryTrace.encode();
         // body := kind(0x0e)  → 1 byte
         let body = vec![0x0e];
         let golden: Vec<u8> = [
             1u32.to_le_bytes().to_vec(),
             (1u32 ^ u32::from_le_bytes(*b"NET1")).to_le_bytes().to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
@@ -2027,7 +2133,7 @@ mod tests {
             ((body.len() as u32) ^ u32::from_le_bytes(*b"NET1"))
                 .to_le_bytes()
                 .to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
@@ -2105,9 +2211,8 @@ mod tests {
 
     #[test]
     fn golden_streaming_wire_layout_is_pinned() {
-        // The pipelined-submit frames share the v1 framing; a change to
-        // either payload is a format break (bump the HELLO version byte
-        // and keep v1 decoders).
+        // The pipelined-submit frames share the v2 framing; a change to
+        // either payload is a format break (bump the HELLO version byte).
         let bytes = Request::SubmitReportsStream {
             campaign: "cafe".to_string(),
             seq: 7,
@@ -2136,14 +2241,14 @@ mod tests {
             ((body.len() as u32) ^ u32::from_le_bytes(*b"NET1"))
                 .to_le_bytes()
                 .to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
         assert_eq!(bytes, golden, "SubmitReportsStream wire layout changed");
         assert_eq!(
             u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            0x99ca_6a1a_6610_8381,
+            0x5d8a_761c_a684_b7de,
             "SubmitReportsStream checksum constant changed: {:#x}",
             u64::from_le_bytes(bytes[8..16].try_into().unwrap())
         );
@@ -2173,14 +2278,14 @@ mod tests {
             ((body.len() as u32) ^ u32::from_le_bytes(*b"NET1"))
                 .to_le_bytes()
                 .to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
         assert_eq!(bytes, golden, "SubmitAcked wire layout changed");
         assert_eq!(
             u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            0x23fa_c372_b366_8f35,
+            0xf99c_06f7_bd70_7611,
             "SubmitAcked checksum constant changed: {:#x}",
             u64::from_le_bytes(bytes[8..16].try_into().unwrap())
         );
@@ -2188,10 +2293,10 @@ mod tests {
 
     #[test]
     fn golden_cluster_wire_layout_is_pinned() {
-        // The cluster frames share the v1 framing; their payloads are
+        // The cluster frames share the v2 framing; their payloads are
         // pinned here the same way `golden_wire_layout_is_pinned` pins
         // the original five. A change means a format break: bump the
-        // HELLO version byte and keep decoders for v1.
+        // HELLO version byte.
         let bytes = Request::ReplicateSegment {
             campaign: "cafe".to_string(),
             seq: 7,
@@ -2221,14 +2326,14 @@ mod tests {
             ((body.len() as u32) ^ u32::from_le_bytes(*b"NET1"))
                 .to_le_bytes()
                 .to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
         assert_eq!(bytes, golden, "ReplicateSegment wire layout changed");
         assert_eq!(
             u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            0x033c_15dc_4987_7e7c,
+            0x4efe_841e_6c52_a06f,
             "ReplicateSegment checksum constant changed"
         );
     }
@@ -2255,10 +2360,10 @@ mod tests {
 
     #[test]
     fn golden_wire_layout_is_pinned() {
-        // Version-1 layout, byte for byte. If this fails you have changed
-        // the wire format: bump the HELLO version byte and keep decoders
-        // for the old one — deployed clients must not be misread.
-        assert_eq!(HELLO, *b"DPTDNET\x01");
+        // Version-2 layout, byte for byte. If this fails you have changed
+        // the wire format: bump the HELLO version byte, so a peer built
+        // against the old one is refused by name instead of misread.
+        assert_eq!(HELLO, *b"DPTDNET\x02");
 
         let bytes = Request::CloseRound {
             campaign: "cafe".to_string(),
@@ -2278,18 +2383,40 @@ mod tests {
             (15u32 ^ u32::from_le_bytes(*b"NET1"))
                 .to_le_bytes()
                 .to_vec(),
-            checksum(&body).to_le_bytes().to_vec(),
+            frame_check(&body).to_le_bytes().to_vec(),
             body,
         ]
         .concat();
-        assert_eq!(bytes, golden, "wire v1 frame layout changed");
-        // And the checksum itself is pinned (FNV-1a over the body).
+        assert_eq!(bytes, golden, "wire v2 frame layout changed");
+        // And the check itself is pinned.
         assert_eq!(
             u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            0xb072_23e2_7d00_7524,
+            0x7066_447b_91f5_7903,
             "checksum constant changed: {:#x}",
             u64::from_le_bytes(bytes[8..16].try_into().unwrap())
         );
+    }
+
+    /// The check's values at the edges of its layout: no body, exactly
+    /// one block, one byte into a second, and a zero-padded tail word.
+    /// The empty body's check is non-zero, so a zeroed header never
+    /// passes for an empty frame.
+    #[test]
+    fn frame_check_is_pinned() {
+        let counting = |n: u8| (0..n).collect::<Vec<u8>>();
+        assert_eq!(frame_check(&[]), 0x0369_08b0_04d6_2865);
+        assert_eq!(frame_check(&counting(32)), 0xd9df_f8b8_9c9b_69ec);
+        assert_eq!(frame_check(&counting(33)), 0x0338_47c0_4706_3010);
+        assert_eq!(frame_check(&counting(100)), 0x4527_0cde_84c4_4d96);
+    }
+
+    #[test]
+    fn a_hello_refusal_names_both_versions() {
+        assert_eq!(
+            hello_refusal(b"DPTDNET\x01"),
+            "peer sent wire v1; this end speaks v2"
+        );
+        assert_eq!(hello_refusal(b"GET / HT"), "not a dptd hello");
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Wire v1, byte for byte, for every frame kind.
+//! Wire v2, byte for byte, for every frame kind.
 //!
 //! One fixed fixture per kind — all 13 requests and 15 responses, plus
 //! the context-present form of the four requests that carry a trace
 //! context — pinned against the complete frame (header, checksum and
-//! body) as hex literals. The literals were captured from the
-//! hand-written codec that preceded the field-list table in `wire.rs`,
-//! so this file passing is the statement that the table writes the same
-//! bytes the deployed v1 peers read.
+//! body) as hex literals. The lengths and bodies were captured from the
+//! hand-written codec that preceded the field-list table in `wire.rs`;
+//! the move from v1 to v2 rewrote only each literal's 16 checksum digits
+//! (bytes 8–15), so the layout itself has not moved since.
 //!
 //! **Adding a frame** means adding its fixture here; **changing** a
 //! literal means you have changed the wire format — bump the HELLO
-//! version byte and keep a v1 decoder instead.
+//! version byte.
 
 use dptd_core::roles::PerturbedReport;
 use dptd_obs::{HistogramSnapshot, MetricValue, MetricsSnapshot, SpanContext, TraceEvent};
@@ -73,7 +73,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                     durable: true,
                 },
             },
-            "680000002645543154b0f7821842e1ec010400636166656400000000000000040000000000000008000000000000000200000000000000001000000000000040420f00000000000000010000000000000000000000e03f7b14ae47e17a943f00000000000014409a9999999999c93fed5eed5e0000000001",
+            "6800000026455431c1a7f0e9d7f59f68010400636166656400000000000000040000000000000008000000000000000200000000000000001000000000000040420f00000000000000010000000000000000000000e03f7b14ae47e17a943f00000000000014409a9999999999c93fed5eed5e0000000001",
         ),
         (
             "SubmitReports",
@@ -82,7 +82,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 reports: reports(),
                 ctx: None,
             },
-            "5b00000015455431047ed4ba8b5df6c8020400636166650200000003000000000000000b0000000000000009000000000000000200000001000000000000000000044004000000000000000000c0bf03000000000000000c000000000000000a0000000000000000000000",
+            "5b000000154554316b4c05c15f332f34020400636166650200000003000000000000000b0000000000000009000000000000000200000001000000000000000000044004000000000000000000c0bf03000000000000000c000000000000000a0000000000000000000000",
         ),
         (
             "SubmitReports+ctx",
@@ -91,7 +91,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 reports: reports(),
                 ctx: ctx(),
             },
-            "6b000000254554310d35d13438321a62020400636166650200000003000000000000000b0000000000000009000000000000000200000001000000000000000000044004000000000000000000c0bf03000000000000000c000000000000000a0000000000000000000000887766554433221101ffeeddccbbaa99",
+            "6b000000254554316080df2f67d89baf020400636166650200000003000000000000000b0000000000000009000000000000000200000001000000000000000000044004000000000000000000c0bf03000000000000000c000000000000000a0000000000000000000000887766554433221101ffeeddccbbaa99",
         ),
         (
             "CloseRound",
@@ -99,21 +99,21 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 campaign: campaign(),
                 epoch: 7,
             },
-            "0f000000414554312475007de22372b0030400636166650700000000000000",
+            "0f000000414554310379f5917b446670030400636166650700000000000000",
         ),
         (
             "QueryTruths",
             Request::QueryTruths {
                 campaign: campaign(),
             },
-            "07000000494554313ab6488da993311204040063616665",
+            "07000000494554310f230c64c99f99f004040063616665",
         ),
         (
             "QueryBudget",
             Request::QueryBudget {
                 campaign: campaign(),
             },
-            "0700000049455431e134effc67fecf2205040063616665",
+            "070000004945543111d21b988e02f85405040063616665",
         ),
         (
             "NodeHello",
@@ -121,7 +121,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 node_id: 2,
                 num_nodes: 5,
             },
-            "0900000047455431917d3f4ef6efdf0d070200000005000000",
+            "0900000047455431c04d7ece29b77073070200000005000000",
         ),
         (
             "CloseRoundPrepare",
@@ -131,7 +131,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 refused: vec![0, 7, 12],
                 ctx: None,
             },
-            "2b00000065455431ed515f52df1d518208040063616665030000000000000003000000000000000000000007000000000000000c00000000000000",
+            "2b00000065455431cafd398893d38e7808040063616665030000000000000003000000000000000000000007000000000000000c00000000000000",
         ),
         (
             "CloseRoundPrepare+ctx",
@@ -141,7 +141,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 refused: vec![],
                 ctx: ctx(),
             },
-            "230000006d455431dcb142880a2cfbe208040063616665030000000000000000000000887766554433221101ffeeddccbbaa99",
+            "230000006d455431af392502d9dc6bba08040063616665030000000000000000000000887766554433221101ffeeddccbbaa99",
         ),
         (
             "CloseRoundCommit",
@@ -154,7 +154,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 rounds_debited: vec![2, 0, 1],
                 ctx: None,
             },
-            "57000000194554316b556113f9abf54a0904006361666503000000000000000400000000000000020000000100000000000000020000000000000003000000000000000000e03f000000000000f4bf83b63ad29712c00103000000020000000000000001000000",
+            "57000000194554317686365a0c95dda10904006361666503000000000000000400000000000000020000000100000000000000020000000000000003000000000000000000e03f000000000000f4bf83b63ad29712c00103000000020000000000000001000000",
         ),
         (
             "CloseRoundCommit+ctx",
@@ -167,7 +167,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 rounds_debited: vec![],
                 ctx: ctx(),
             },
-            "430000000d4554318bb8c73552f3f428090400636166650300000000000000040000000000000001000000010000000000000001000000000000000000e03f00000000887766554433221101ffeeddccbbaa99",
+            "430000000d455431bd45c7fe51eddb3f090400636166650300000000000000040000000000000001000000010000000000000001000000000000000000e03f00000000887766554433221101ffeeddccbbaa99",
         ),
         (
             "ReplicateSegment",
@@ -179,7 +179,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 arg: 128,
                 bytes: vec![0xde, 0xad, 0xbe, 0xef],
             },
-            "2a0000006445543111c832c15c6017090a0400636166652a000000000000000108007365672e30303031800000000000000004000000deadbeef",
+            "2a0000006445543178e20e3a7787e1980a0400636166652a000000000000000108007365672e30303031800000000000000004000000deadbeef",
         ),
         (
             "QueryLedger",
@@ -187,7 +187,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 campaign: campaign(),
                 upto: u64::MAX,
             },
-            "0f00000041455431d3fb82574124051d0b040063616665ffffffffffffffff",
+            "0f000000414554311105086ad7bf92030b040063616665ffffffffffffffff",
         ),
         (
             "SubmitReportsStream",
@@ -197,7 +197,7 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 reports: reports(),
                 ctx: None,
             },
-            "630000002d455431af9b938517bff8a20c04006361666511000000000000000200000003000000000000000b0000000000000009000000000000000200000001000000000000000000044004000000000000000000c0bf03000000000000000c000000000000000a0000000000000000000000",
+            "630000002d455431914a189bdf4ca1920c04006361666511000000000000000200000003000000000000000b0000000000000009000000000000000200000001000000000000000000044004000000000000000000c0bf03000000000000000c000000000000000a0000000000000000000000",
         ),
         (
             "SubmitReportsStream+ctx",
@@ -207,10 +207,10 @@ fn requests() -> Vec<(&'static str, Request, &'static str)> {
                 reports: vec![],
                 ctx: ctx(),
             },
-            "230000006d455431c975951f6186bfb50c040063616665120000000000000000000000887766554433221101ffeeddccbbaa99",
+            "230000006d45543122e9818ebf5413170c040063616665120000000000000000000000887766554433221101ffeeddccbbaa99",
         ),
-        ("QueryStatus", Request::QueryStatus, "010000004f455431f8bc01864cc063af0d"),
-        ("QueryTrace", Request::QueryTrace, "010000004f45543111c201864cc363af0e"),
+        ("QueryStatus", Request::QueryStatus, "010000004f455431f34e2e834815262a0d"),
+        ("QueryTrace", Request::QueryTrace, "010000004f455431697692f3dc4562690e"),
     ]
 }
 
@@ -231,16 +231,16 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
         (
             "Created",
             Response::Created { resumed_rounds: 2 },
-            "09000000474554316ed14ef3b869ba45810200000000000000",
+            "0900000047455431af2384e78a0823a3810200000000000000",
         ),
-        ("Submitted", Response::Submitted { queued: 17 }, "09000000474554315477463f4785b592821100000000000000"),
+        ("Submitted", Response::Submitted { queued: 17 }, "09000000474554317b5744de8ef4c513821100000000000000"),
         (
             "Busy",
             Response::Busy {
                 queued: 64,
                 capacity: 65,
             },
-            "110000005f45543133eaf2367f88a5a58340000000000000004100000000000000",
+            "110000005f4554316e1ecc02a82082bf8340000000000000004100000000000000",
         ),
         (
             "RoundClosed",
@@ -255,7 +255,7 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 max_spent_epsilon: 2.5,
                 max_spent_delta: 0.1,
             },
-            "550000001b4554317f583eba1306aab98404000000000000005a000000000000000300000000000000020000000000000001000000000000000200000000000000008034400000000000c03340efbeadde0000000000000000000004409a9999999999b93f",
+            "550000001b4554313e481d72d63d73c68404000000000000005a000000000000000300000000000000020000000000000001000000000000000200000000000000008034400000000000c03340efbeadde0000000000000000000004409a9999999999b93f",
         ),
         (
             "Truths",
@@ -264,7 +264,7 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 truths: vec![1.0, f64::NEG_INFINITY],
                 weights_digest: 7,
             },
-            "250000006b455431c10d2d59fa33eb6785040000000000000002000000000000000000f03f000000000000f0ff0700000000000000",
+            "250000006b45543172c0cfc1487f9e1385040000000000000002000000000000000000f03f000000000000f0ff0700000000000000",
         ),
         (
             "Budget",
@@ -274,7 +274,7 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 max_spent_delta: 0.2,
                 debits: vec![10, 0, 3],
             },
-            "29000000674554319f0ded32d9d203aa86050000000000000000000000000014409a9999999999c93f030000000a0000000000000003000000",
+            "2900000067455431a0bb5ab916603c1786050000000000000000000000000014409a9999999999c93f030000000a0000000000000003000000",
         ),
         (
             "Error",
@@ -282,12 +282,12 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 code: ErrorCode::BudgetExhausted,
                 message: "everyone is out of budget — ε spent".to_string(),
             },
-            "2a000000644554315b0c27c512ae272f8705260065766572796f6e65206973206f7574206f662062756467657420e2809420ceb5207370656e74",
+            "2a0000006445543107a378901d3cb0d38705260065766572796f6e65206973206f7574206f662062756467657420e2809420ceb5207370656e74",
         ),
         (
             "NodeWelcome",
             Response::NodeWelcome { node_id: 2 },
-            "050000004b455431a67c78e65173ebd48902000000",
+            "050000004b4554317fe3bf7290f730b88902000000",
         ),
         (
             "Prepared",
@@ -307,7 +307,7 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                     },
                 ],
             },
-            "550000001b455431409e9308859054198a03000000000000000200000000000000010000000000000006000000000000000200000000000000000000000200000000000000000000000000f83f03000000000000000000d0bf040000000000000000000000",
+            "550000001b4554319d1ec1bdaddec3ee8a03000000000000000200000000000000010000000000000006000000000000000200000000000000000000000200000000000000000000000000f83f03000000000000000000d0bf040000000000000000000000",
         ),
         (
             "Committed",
@@ -315,9 +315,9 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 epoch: 3,
                 appended: true,
             },
-            "0a00000044455431d8503ed24f5cc7068b030000000000000001",
+            "0a000000444554314c75f62981efe75b8b030000000000000001",
         ),
-        ("Replicated", Response::Replicated { seq: 42 }, "090000004745543121e234f9fedeb3d38c2a00000000000000"),
+        ("Replicated", Response::Replicated { seq: 42 }, "09000000474554312bc3b4288fd6bebc8c2a00000000000000"),
         (
             "Ledger",
             Response::Ledger {
@@ -326,7 +326,7 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 rounds_debited: vec![2, 0, 1],
                 cumulative_losses: vec![0.5, 0.0, -3.5],
             },
-            "3d00000073455431df7f290117952e768d040000000000000005000000000000000300000002000000000000000100000003000000000000000000e03f00000000000000000000000000000cc0",
+            "3d00000073455431e6f5211ca493f86e8d040000000000000005000000000000000300000002000000000000000100000003000000000000000000e03f00000000000000000000000000000cc0",
         ),
         (
             "SubmitAcked",
@@ -344,9 +344,9 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                     },
                 ],
             },
-            "270000006945543177ccb04ca2cc5cc98e1200000000000000000200000000000002000000120000000000000000130000000000000005",
+            "270000006945543116bedf3f37fc6db98e1200000000000000000200000000000002000000120000000000000000130000000000000005",
         ),
-        ("Status", Response::Status { snapshot }, "98000000d6455431ab1ce70ab18290f08f030000001b0063616d706169676e2e6169722e696e676573745f6c6174656e63790204000000000000001027000000000000a00f000000000000030000001100000001000000000000002a000000020000000000000063000000010000000000000010007365727665722e636f6e6e2e6c6976650103000000000000000f007365727665722e7265717565737473000002000000000000"),
+        ("Status", Response::Status { snapshot }, "98000000d6455431eb9755b2f43dc00d8f030000001b0063616d706169676e2e6169722e696e676573745f6c6174656e63790204000000000000001027000000000000a00f000000000000030000001100000001000000000000002a000000020000000000000063000000010000000000000010007365727665722e636f6e6e2e6c6976650103000000000000000f007365727665722e7265717565737473000002000000000000"),
         (
             "TraceDump",
             Response::TraceDump {
@@ -375,7 +375,7 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                     },
                 ],
             },
-            "9b000000d5455431b3d3a2a28b98cfb09000002a36fe9c9717020000000100000000000000000000000000000003000000000000000010000000000000020000000100000000000000dc0500000000000042010000000700000000000000bc0a000000000000110000000000000022000000000000000300000000000000d00700000000000069040000008000000000000000bd0a00000000000000000000000000001100000000000000",
+            "9b000000d5455431eca77622ae0222a89000002a36fe9c9717020000000100000000000000000000000000000003000000000000000010000000000000020000000100000000000000dc0500000000000042010000000700000000000000bc0a000000000000110000000000000022000000000000000300000000000000d00700000000000069040000008000000000000000bd0a00000000000000000000000000001100000000000000",
         ),
     ]
 }
@@ -389,7 +389,7 @@ fn check<T: std::fmt::Debug + PartialEq>(
     golden: &str,
     decode: impl Fn(&[u8]) -> T,
 ) {
-    assert_eq!(hex(&frame), golden, "{name}: wire v1 layout changed");
+    assert_eq!(hex(&frame), golden, "{name}: wire v2 layout changed");
     let (body, consumed) = split_frame(&frame).unwrap();
     assert_eq!(consumed, frame.len(), "{name}");
     assert_eq!(body.len() + FRAME_HEADER_LEN, frame.len(), "{name}");

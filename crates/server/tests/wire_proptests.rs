@@ -442,11 +442,12 @@ proptest! {
         mutated[at] ^= flip_mask;
         match split_frame(&mutated) {
             Ok((body, _)) => {
-                // Only a flip inside the stored checksum AND a colliding
-                // body could land here; FNV over an identical-length body
-                // differing in one byte never collides with a flipped
-                // stored sum. So reaching Ok means the flip must have
-                // been... nowhere. Refuse.
+                // A flip in the length prefix fails its self-check; one
+                // in the stored check leaves the body's check as it was,
+                // so they now differ; one in the body changes a single
+                // word, which `frame_check` detects with certainty (each
+                // step is a bijection in its word). No byte is left for
+                // an unnoticed flip.
                 prop_assert!(false, "flip at {} went unnoticed: {:?}", at, body.len());
             }
             Err(e) => {
@@ -540,16 +541,16 @@ proptest! {
                 prop_assert_eq!(needed, wire::FRAME_HEADER_LEN + claimed as usize);
             }
             Err(WireError::Checksum) => {
-                // The junk happened to complete the tiny claimed frame
-                // but cannot match the zero checksum... unless it can:
-                // an empty body hashes to the FNV offset basis, never 0.
+                // The junk happened to complete the tiny claimed frame,
+                // and its check is not the zero the header stores.
                 prop_assert!(claimed as usize <= junk.len());
             }
             Ok((body, _)) => {
-                // Only reachable when the claimed frame genuinely fits
-                // in `junk` AND the zeroed checksum matches — impossible
-                // for FNV-1a (no input hashes to 0 in 64 bits with these
-                // lengths), so refuse.
+                // Only reachable when the claimed frame fits in `junk`
+                // AND its check is 0. The empty body's is a non-zero
+                // constant (`frame_check_is_pinned`); for any one
+                // non-empty body a zero check is a 2⁻⁶⁴ event, far below
+                // what this property samples. Refuse.
                 prop_assert!(false, "lying header accepted: {} bytes", body.len());
             }
             Err(e) => prop_assert!(false, "unexpected error: {:?}", e),

@@ -12,9 +12,11 @@
 //!    within the deadline: the reactor's stall sweep frees it.
 //!
 //! 2. **Handshake-failure slot accounting.** A connection refused at
-//!    the `DPTDNET\x01` hello must decrement the live-connection
-//!    budget on every close path. A loop of bad-hello connects must
-//!    leave the budget intact for later good clients.
+//!    the `DPTDNET` hello must decrement the live-connection budget on
+//!    every close path. A loop of bad-hello connects — foreign bytes,
+//!    and a hello of an older wire version — must leave the budget
+//!    intact for later good clients, and the older version is told both
+//!    version numbers in a typed refusal.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -24,8 +26,8 @@ use dptd::cluster::{NodeConfig, NodeServer};
 use dptd::core::roles::PerturbedReport;
 use dptd::protocol::message::StampedReport;
 use dptd::server::registry::RegistryConfig;
-use dptd::server::wire::{Request, HELLO};
-use dptd::server::{CampaignSpec, Client, IoConfig, Server, ServerConfig};
+use dptd::server::wire::{split_frame, Request, Response, HELLO};
+use dptd::server::{CampaignSpec, Client, ErrorCode, IoConfig, Server, ServerConfig};
 
 fn tiny_spec() -> CampaignSpec {
     CampaignSpec {
@@ -152,6 +154,36 @@ fn a_stalled_peer_on_a_cluster_node_is_reclaimed_too() {
     node.shutdown();
 }
 
+/// Far more handshake failures than a 2-slot budget holds. A quarter
+/// each: foreign bytes or a v1 hello, read to EOF (orderly close) or
+/// just dropped; every path must give the slot back, and a read refusal
+/// is typed — naming both versions for the v1 hello.
+fn refuse_bad_hellos(addr: std::net::SocketAddr) {
+    for i in 0..20 {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let v1 = i % 4 >= 2;
+        // 8 bytes each: wrong magic, or the right magic at version 1.
+        raw.write_all(if v1 { b"DPTDNET\x01" } else { b"GET / HT" })
+            .unwrap();
+        if i % 2 == 0 {
+            use std::io::Read as _;
+            let mut sink = Vec::new();
+            let _ = raw.read_to_end(&mut sink);
+            let (body, _) = split_frame(&sink).expect("a typed refusal precedes the close");
+            let Response::Error { code, message } = Response::decode(body).unwrap() else {
+                panic!("expected a typed refusal");
+            };
+            assert_eq!(code, ErrorCode::InvalidRequest);
+            if v1 {
+                assert_eq!(message, "peer sent wire v1; this end speaks v2");
+            } else {
+                assert_eq!(message, "not a dptd hello");
+            }
+        }
+        drop(raw);
+    }
+}
+
 #[test]
 fn bad_hellos_do_not_leak_connection_slots() {
     let server = Server::start(ServerConfig {
@@ -162,21 +194,7 @@ fn bad_hellos_do_not_leak_connection_slots() {
     })
     .unwrap();
     let addr = server.local_addr();
-
-    // Far more handshake failures than the budget holds. Half read the
-    // refusal to EOF (orderly close), half just vanish; both paths must
-    // give the slot back.
-    for i in 0..20 {
-        let mut raw = TcpStream::connect(addr).unwrap();
-        raw.write_all(b"GET / HT").unwrap(); // 8 bytes, wrong magic
-        if i % 2 == 0 {
-            use std::io::Read as _;
-            let mut sink = Vec::new();
-            let _ = raw.read_to_end(&mut sink);
-            assert!(!sink.is_empty(), "a typed refusal precedes the close");
-        }
-        drop(raw);
-    }
+    refuse_bad_hellos(addr);
 
     // Both slots are (eventually — the abrupt halves may still be
     // draining) available to good clients, concurrently.
@@ -194,4 +212,33 @@ fn bad_hellos_do_not_leak_connection_slots() {
     assert!(b.query_budget("a").is_ok());
     drop((a, b));
     server.shutdown();
+}
+
+#[test]
+fn bad_hellos_do_not_leak_connection_slots_on_a_cluster_node() {
+    let node = NodeServer::start(NodeConfig {
+        node_id: 0,
+        num_nodes: 1,
+        max_connections: 2,
+        io: short_deadlines(),
+        ..NodeConfig::default()
+    })
+    .unwrap();
+    let addr = node.local_addr();
+    refuse_bad_hellos(addr);
+
+    let mut a = eventually("node bad-hello/a", || {
+        let mut c = Client::connect(addr).ok()?;
+        c.node_hello(0, 1).ok()?;
+        Some(c)
+    });
+    let mut b = eventually("node bad-hello/b", || {
+        let mut c = Client::connect(addr).ok()?;
+        c.node_hello(0, 1).ok()?;
+        Some(c)
+    });
+    assert_eq!(a.node_hello(0, 1).unwrap(), 0);
+    assert_eq!(b.node_hello(0, 1).unwrap(), 0);
+    drop((a, b));
+    node.shutdown();
 }
