@@ -60,7 +60,8 @@ dptd cluster needs a subcommand:
                          (resumes after node or coordinator crashes)
         --busy-retries   bounded retries when a node queue is full [0]
         --busy-backoff-ms initial backoff, doubled per retry   [25]
-        --batch          reports per SubmitReports frame [1024]
+        --batch          reports per submit frame; each node gets
+                         one pipelined stream of them  [1024]
         --users --objects --rounds --churn --dup --straggler
         --coverage --seed --round-epsilon --round-delta
         --budget-epsilon --budget-delta as for `dptd campaign`
@@ -481,9 +482,9 @@ mod tests {
         );
     }
 
-    /// `dptd submit` pipelines; `cluster submit` has no such mode, so
-    /// the flag is refused — before any node is dialled (nothing listens
-    /// on port 1).
+    /// `dptd submit` pipelines on request; `cluster submit` always
+    /// streams to every node, so the flag chooses nothing and is refused
+    /// — before any node is dialled (nothing listens on port 1).
     #[test]
     fn submit_refuses_the_pipeline_flag_it_has_no_mode_for() {
         let err = execute(&argv(&[
@@ -573,6 +574,7 @@ mod tests {
         assert!(json.trim_start().starts_with('['), "{json}");
         assert!(json.contains("\"name\":\"process_name\""), "{json}");
         assert!(json.contains("\"args\":{\"name\":\"node1\"}"), "{json}");
+        assert!(json.contains("\"name\":\"cluster.submit\""), "{json}");
         drop(rings);
 
         let status = execute(&argv(&[

@@ -128,7 +128,7 @@ COMMANDS:
              --connect    server address (required)
              --campaign   campaign id                       [campaign]
              --durable    true | false: log rounds server-side [false]
-             --batch      reports per SubmitReports frame   [1024]
+             --batch      reports per submit frame          [1024]
              --submission-capacity server-side queue bound  [65536]
              --users --objects --rounds --churn --shards --workers
              --queue-capacity --round-epsilon --round-delta

@@ -18,17 +18,21 @@
 //!    to append durably. Only when every node has acknowledged does the
 //!    coordinator advance its own epoch.
 //!
-//! Every fan-out — submit, prepare, commit — is a **scatter/gather**
+//! Prepare and commit are each a **scatter/gather**
 //! ([`dptd_server::scatter_gather`]): the request goes out to every
 //! node before any reply is read, so node drains, commit fsyncs and
 //! follower acks overlap each other and the coordinator's decode, while
-//! each connection still carries at most one unanswered request. A
-//! gather reads every outstanding reply before it surfaces the first
-//! error in node-id order, so a refusal never leaves a stale frame on
-//! another node's connection. Replies are folded in node-id order, so
-//! the merged bits stay a pure function of node id, not of which node
-//! answered first. Submission goes out in waves of one chunk per node;
-//! a node never has two chunks in flight, which keeps its stream order.
+//! each connection carries one unanswered request. Submission is one
+//! pipelined stream per node ([`dptd_server::submit_streams`]): a
+//! window of batches in flight on every connection, each frame encoded
+//! straight from the caller's slice under the node-local user id, and a
+//! node accepts only its connection's next batch, which keeps its
+//! stream order. Either way the fan-out reads every reply or ack it is
+//! owed before it surfaces the first error in node-id order, so a
+//! refusal never leaves a stale frame on another node's connection, and
+//! between fan-outs each connection again holds no unanswered request.
+//! Replies are folded in node-id order, so the merged bits stay a pure
+//! function of node id, not of which node answered first.
 //!
 //! **The pending commit.** Once the merge has moved the estimator and
 //! the ledger, the round is held in the campaign as *merged but
@@ -66,7 +70,10 @@ use dptd_protocol::partition::PartitionMap;
 use dptd_truth::streaming::{ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
-use dptd_server::{scatter_gather, submit_waves, CampaignSpec, Client, RetryPolicy, SubmitLane};
+use dptd_server::client::DEFAULT_STREAM_WINDOW;
+use dptd_server::{
+    scatter_gather, submit_streams, CampaignSpec, Client, RetryPolicy, ServerError, StreamLane,
+};
 
 use crate::partitioner::rendezvous_map;
 use crate::ClusterError;
@@ -520,10 +527,12 @@ impl ClusterCampaign {
     }
 
     /// Fan a stream of **global-id** reports out to their owning nodes,
-    /// preserving per-node stream order, in frames of `chunk` reports:
-    /// wave *k* writes chunk *k* to every node that still has one, then
-    /// reads every reply ([`submit_waves`]), so the nodes decode and
-    /// queue concurrently. Returns the total reports queued across
+    /// preserving per-node stream order, in `SubmitReportsStream`
+    /// batches of `chunk` reports with up to
+    /// [`DEFAULT_STREAM_WINDOW`] batches in flight per node
+    /// ([`submit_streams`]), so the nodes decode and queue concurrently.
+    /// Each frame is encoded straight from `reports`, with the node-local
+    /// user id put on the wire. Returns the total reports queued across
     /// nodes.
     ///
     /// # Errors
@@ -532,9 +541,12 @@ impl ClusterCampaign {
     /// [`ClusterError::Barrier`] while a commit fan-out is pending (the
     /// merged round is sealed — drive
     /// [`close_round`](ClusterCampaign::close_round) first),
-    /// [`ClusterError::Server`] (including
+    /// [`ClusterError::Server`] from the nodes — the first in node-id
+    /// order, after every node's outstanding acks were read: including
     /// [`Busy`](dptd_server::ServerError::Busy) once retries are
-    /// exhausted) from the nodes.
+    /// exhausted, and a refused batch as a
+    /// [`Remote`](dptd_server::ServerError::Remote) whose message starts
+    /// with the node id.
     pub fn submit(&mut self, reports: &[StampedReport], chunk: usize) -> Result<u64, ClusterError> {
         if let Some(pending) = &self.pending {
             return Err(ClusterError::Barrier(format!(
@@ -549,10 +561,14 @@ impl ClusterCampaign {
         let _root = dptd_obs::trace::enabled().then(|| {
             dptd_obs::trace::enter(dptd_obs::SpanContext::root(&self.campaign, self.next_epoch))
         });
-        let mut per_node: Vec<Vec<StampedReport>> = (0..self.partition.num_nodes())
-            .map(|_| Vec::new())
+        let _submit_span =
+            dptd_obs::trace::TraceScope::begin(dptd_obs::codes::CLUSTER_SUBMIT, self.next_epoch);
+        // Per node, `(index into reports, local user id)` in stream order.
+        let num_nodes = self.partition.num_nodes();
+        let mut rows: Vec<Vec<(usize, usize)>> = (0..num_nodes)
+            .map(|_| Vec::with_capacity(reports.len() / num_nodes + 1))
             .collect();
-        for stamped in reports {
+        for (index, stamped) in reports.iter().enumerate() {
             let user = stamped.report.user;
             if user >= self.partition.num_users() {
                 return Err(ClusterError::Protocol(
@@ -563,17 +579,28 @@ impl ClusterCampaign {
                     },
                 ));
             }
-            let mut local = stamped.clone();
-            local.report.user = self.partition.local_of(user);
-            per_node[self.partition.node_of(user)].push(local);
+            rows[self.partition.node_of(user)].push((index, self.partition.local_of(user)));
         }
-        let mut lanes: Vec<SubmitLane<'_>> = self
+        let mut lanes: Vec<StreamLane<'_>> = self
             .nodes
             .iter_mut()
-            .zip(&per_node)
-            .map(|(node, batch)| SubmitLane::new(node, batch))
+            .zip(&rows)
+            .map(|(node, rows)| StreamLane::remapped(node, reports, rows))
             .collect();
-        submit_waves(&mut lanes, &self.campaign, chunk, self.retry)?;
+        submit_streams(
+            &mut lanes,
+            &self.campaign,
+            chunk,
+            DEFAULT_STREAM_WINDOW,
+            self.retry,
+        )
+        .map_err(|(id, e)| match e {
+            ServerError::Remote { code, message } => ServerError::Remote {
+                code,
+                message: format!("node {id}: {message}"),
+            },
+            other => other,
+        })?;
         Ok(lanes.iter().map(|lane| lane.queued).sum())
     }
 
@@ -1042,12 +1069,11 @@ mod tests {
         }
     }
 
-    /// Submit waves under backpressure: the node with the largest
-    /// partition cannot queue its last chunk until something drains it.
+    /// Submit streams under backpressure: the node with the largest
+    /// partition cannot queue its last chunk until something drains it,
+    /// while the other nodes' streams are still in flight.
     #[test]
     fn a_busy_node_mid_wave_is_retried_in_order_or_surfaces_busy() {
-        use dptd_server::ServerError;
-
         let num_users = 20;
         let chunk = 3;
         let stream = messy_round(num_users, 0);
@@ -1064,9 +1090,9 @@ mod tests {
             (0..3).all(|id| id == busiest || per_node[id] <= capacity),
             "the shape must leave exactly one node short: {per_node:?}"
         );
-        let waves = |id: usize| per_node[id].div_ceil(chunk as u64);
+        let batches = |id: usize| per_node[id].div_ceil(chunk as u64);
         assert!(
-            (0..3).any(|id| waves(id) != waves(busiest)),
+            (0..3).any(|id| batches(id) != batches(busiest)),
             "unequal partitions: some node must run out of chunks first: {per_node:?}"
         );
         let tight = ClusterSpec {
@@ -1076,7 +1102,7 @@ mod tests {
         let (nodes, addrs) = start_nodes(3);
 
         // Without retries the refusal is a hard Busy — surfaced only
-        // after every reply of the wave was read.
+        // after every node's outstanding acks were read.
         let mut cluster = ClusterCampaign::create(&addrs, "hard", tight).unwrap();
         match cluster.submit(&stream, chunk) {
             Err(ClusterError::Server(ServerError::Busy)) => {}
@@ -1084,7 +1110,7 @@ mod tests {
         }
         cluster.status().unwrap();
 
-        // With retries the wave completes once the busy node is drained
+        // With retries the stream completes once the busy node is drained
         // (here: by a prepare on a second connection, issued only after
         // the node has refused a chunk), and the round is the
         // sequential reference's, duplicates resolved first-wins in

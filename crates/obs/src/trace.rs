@@ -65,6 +65,9 @@ pub mod codes {
     /// Hashing a durable round's weights digest, on its own thread
     /// beside the `commit` append (span; arg = epoch).
     pub const DIGEST: u32 = 14;
+    /// A cluster coordinator fanning a round's reports out to its nodes
+    /// (span; arg = epoch). The nodes' `submit` instants parent under it.
+    pub const CLUSTER_SUBMIT: u32 = 15;
 
     /// The human-readable name of a code (for dumps and docs).
     pub fn name(code: u32) -> &'static str {
@@ -83,6 +86,7 @@ pub mod codes {
             NODE_COMMIT => "node.commit",
             TRUNCATED => "truncated",
             DIGEST => "digest",
+            CLUSTER_SUBMIT => "cluster.submit",
             _ => "unknown",
         }
     }

@@ -5,10 +5,16 @@
 //! connection, the hello exchange, then synchronous
 //! request/response. Convenience wrappers return typed outcomes and
 //! turn [`Response::Error`] replies into [`ServerError::Remote`].
+//!
+//! Two loops drive several exchanges at once from one thread:
+//! [`scatter_gather`] (one request per connection, every reply read) and
+//! [`submit_streams`] (a window of pipelined submit batches per
+//! connection, every ack read).
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dptd_core::roles::PerturbedReport;
 use dptd_protocol::message::StampedReport;
@@ -211,8 +217,9 @@ pub enum SubmitOutcome {
     },
 }
 
-/// In-flight batch frames for [`Client::submit_stream`] before the
-/// client stops writing and waits for cumulative acks.
+/// In-flight batch frames per connection for [`Client::submit_stream`]
+/// (and the cluster coordinator's per-node streams) before the client
+/// stops writing and waits for cumulative acks.
 pub const DEFAULT_STREAM_WINDOW: usize = 64;
 
 /// One decoded cumulative ack from a pipelined submit.
@@ -276,12 +283,14 @@ impl Client {
     /// Write one request without waiting for its reply — the scatter
     /// half of a fan-out over several connections.
     ///
-    /// **Invariant: at most one unanswered request per connection.**
-    /// Every `send` (and every typed `send_*` below) must be paired
-    /// with one [`Client::recv`] (or the matching `recv_*`) before the
-    /// next request is written on this connection, whether or not the
-    /// caller still wants the reply: an unread reply would answer the
-    /// *next* request.
+    /// **Invariant: at most one unanswered request per connection
+    /// between fan-outs.** Every `send` (and every typed `send_*` below)
+    /// must be paired with one [`Client::recv`] (or the matching
+    /// `recv_*`) before the next request is written on this connection,
+    /// whether or not the caller still wants the reply: an unread reply
+    /// would answer the *next* request. A pipelined stream
+    /// ([`submit_streams`]) keeps a window of batches unanswered, and
+    /// reads every ack it is owed before it returns.
     ///
     /// # Errors
     ///
@@ -381,7 +390,8 @@ impl Client {
         campaign: &str,
         reports: &[StampedReport],
     ) -> Result<(), ServerError> {
-        let frame = wire::encode_submit(campaign, None, reports, wire_ctx())?;
+        let rows = reports.iter().map(|r| (r, r.report.user));
+        let frame = wire::encode_submit(campaign, None, rows, wire_ctx())?;
         write_frame(&mut self.stream, &frame)
     }
 
@@ -433,9 +443,27 @@ impl Client {
         chunk: usize,
         policy: RetryPolicy,
     ) -> Result<u64, ServerError> {
-        let mut lanes = [SubmitLane::new(self, reports)];
-        submit_waves(&mut lanes, campaign, chunk, policy)?;
-        Ok(lanes[0].queued)
+        let mut queued = 0;
+        for (index, batch) in reports.chunks(chunk.max(1)).enumerate() {
+            let mut attempt = 0;
+            loop {
+                self.send_submit(campaign, batch)?;
+                match self.recv_submit()? {
+                    SubmitOutcome::Queued(now) => {
+                        queued = now;
+                        break;
+                    }
+                    SubmitOutcome::Busy { .. } if attempt >= policy.busy_retries => {
+                        return Err(ServerError::Busy);
+                    }
+                    SubmitOutcome::Busy { .. } => {
+                        std::thread::sleep(policy.delay(index, attempt));
+                        attempt += 1;
+                    }
+                }
+            }
+        }
+        Ok(queued)
     }
 
     /// Submit a round's stream **pipelined**: batches of `chunk`
@@ -467,19 +495,18 @@ impl Client {
     }
 
     /// [`Client::submit_stream`] with an explicit in-flight `window`
-    /// and [`RetryPolicy`]. A batch refused for backpressure is retried
-    /// under the **same** sequence number behind the policy's backoff:
-    /// the client drains the outstanding acks of the overrun window
-    /// (they are out-of-order refusals, also retryable), sleeps, and
-    /// rewinds its send cursor to the refused batch. Returns the
-    /// reports queued server-side after the last accepted batch.
+    /// and [`RetryPolicy`]: the one-lane case of [`submit_streams`]. A
+    /// batch refused for backpressure is retried under the **same**
+    /// sequence number behind the policy's backoff, once the acks of the
+    /// overrun window behind it are read. Returns the reports queued
+    /// server-side after the last accepted batch.
     ///
     /// # Errors
     ///
     /// [`ServerError::Busy`] once a batch exhausts its retries (that
     /// batch and everything after it was not enqueued),
-    /// [`ServerError::Remote`] for hard refusals, plus socket/wire
-    /// failures.
+    /// [`ServerError::Remote`] naming the refused batch for hard
+    /// refusals, plus socket/wire failures.
     pub fn submit_stream_with_retry(
         &mut self,
         campaign: &str,
@@ -488,112 +515,9 @@ impl Client {
         window: usize,
         policy: RetryPolicy,
     ) -> Result<u64, ServerError> {
-        let chunk = chunk.max(1);
-        let window = window.max(1);
-        let batches: Vec<&[StampedReport]> = reports.chunks(chunk).collect();
-        let total = batches.len();
-        if total == 0 {
-            return Ok(0);
-        }
-        let base = self.stream_seq;
-        let mut attempts = vec![0u32; total];
-        // Batch indices with a frame on the wire, in send order.
-        let mut inflight: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        let mut cursor = 0usize; // next batch to send (rewound on refusal)
-        let mut accepted = 0usize; // contiguously accepted batches
-        let mut queued = 0u64;
-        let mut over_cap: Option<wire::WireError> = None;
-
-        // Every exit — success, refusal, socket or wire failure — leaves
-        // through `'stream` to the one cursor realignment below.
-        let result = 'stream: loop {
-            // Top up the window. Writing can block briefly once the
-            // socket buffer is full, but the server is draining our
-            // frames and its acks are tiny, so this cannot deadlock.
-            while cursor < total && inflight.len() < window && over_cap.is_none() {
-                let seq = base + cursor as u64;
-                match wire::encode_submit(campaign, Some(seq), batches[cursor], wire_ctx()) {
-                    Ok(frame) => {
-                        if let Err(e) = write_frame(&mut self.stream, &frame) {
-                            break 'stream Err(e);
-                        }
-                        inflight.push_back(cursor);
-                        cursor += 1;
-                    }
-                    // A batch past the frame cap is refused here, unsent:
-                    // stop topping up, read the acks still owed so the
-                    // connection stays frame-aligned, then surface it.
-                    Err(e) => over_cap = Some(e),
-                }
-            }
-            let Some(_idx) = inflight.pop_front() else {
-                // Everything sent was acked.
-                break over_cap.take().map_or(Ok(queued), |e| Err(e.into()));
-            };
-            let ack = match self.read_stream_ack() {
-                Ok(ack) => ack,
-                Err(e) => break 'stream Err(e),
-            };
-            accepted = (ack.contiguous.saturating_sub(base)) as usize;
-            match ack.refusals.first() {
-                None => queued = ack.queued,
-                Some(&wire::BatchRefusal { code: None, .. }) => {
-                    // Retryable: backpressure on the in-order batch, or
-                    // a window continuation behind it. Drain the rest
-                    // of the overrun window (all retryable refusals
-                    // too), then back off and rewind.
-                    while inflight.pop_front().is_some() {
-                        match self.read_stream_ack() {
-                            Ok(later) => {
-                                accepted = (later.contiguous.saturating_sub(base)) as usize;
-                                if let Some(&wire::BatchRefusal {
-                                    code: Some(code), ..
-                                }) = later.refusals.first()
-                                {
-                                    break 'stream Err(ServerError::Remote {
-                                        code,
-                                        message: "streamed batch refused".to_string(),
-                                    });
-                                }
-                            }
-                            Err(e) => break 'stream Err(e),
-                        }
-                    }
-                    // The earliest unaccepted batch is the one to retry,
-                    // under its original sequence number.
-                    let retry = accepted;
-                    if retry >= total {
-                        break Ok(queued); // refusal raced an accept
-                    }
-                    if attempts[retry] >= policy.busy_retries {
-                        break Err(ServerError::Busy);
-                    }
-                    std::thread::sleep(policy.delay(retry, attempts[retry]));
-                    attempts[retry] += 1;
-                    cursor = retry;
-                }
-                Some(&wire::BatchRefusal {
-                    code: Some(code), ..
-                }) => {
-                    // Hard refusal: drain outstanding acks so the
-                    // connection stays frame-aligned, then surface it.
-                    while inflight.pop_front().is_some() {
-                        if let Err(e) = self.read_stream_ack() {
-                            break 'stream Err(e);
-                        }
-                    }
-                    break Err(ServerError::Remote {
-                        code,
-                        message: "streamed batch refused".to_string(),
-                    });
-                }
-            }
-        };
-        // Align the client cursor with the server's (base + accepted on
-        // failure, base + total on success) so a later stream on this
-        // connection starts in sync.
-        self.stream_seq = base + accepted as u64;
-        result
+        let mut lanes = [StreamLane::new(self, reports)];
+        submit_streams(&mut lanes, campaign, chunk, window, policy).map_err(|(_, e)| e)?;
+        Ok(lanes[0].queued)
     }
 
     /// Read one cumulative ack frame.
@@ -980,96 +904,273 @@ pub fn scatter_gather<L, T>(
     gathered.into_iter().collect()
 }
 
-/// One connection's share of a [`submit_waves`] call: the connection,
-/// the ordered stream it must deliver, and how far it has got.
+/// One connection's share of a [`submit_streams`] call: the
+/// connection, the rows it must deliver in order, and the loop's cursor
+/// over them.
 #[derive(Debug)]
-pub struct SubmitLane<'a> {
+pub struct StreamLane<'a> {
     client: &'a mut Client,
     reports: &'a [StampedReport],
-    /// Chunks queued so far — the index of the chunk to send next.
-    next: usize,
-    /// `Busy` replies to the current chunk so far.
-    attempt: u32,
-    /// Reports pending server-side after the last chunk this lane
-    /// queued (`0` until one is).
+    /// `(index into reports, user on the wire)` in send order; `None`
+    /// sends `reports` in order, each under its own user.
+    rows: Option<&'a [(usize, usize)]>,
+    /// The connection's `stream_seq` when the lane was built: batch `b`
+    /// goes out as sequence number `base + b`.
+    base: u64,
+    /// Batches with a frame on the wire, oldest first.
+    inflight: VecDeque<usize>,
+    /// The next batch to send; rewound to `accepted` on a retryable
+    /// refusal.
+    cursor: usize,
+    /// Batches the peer has accepted contiguously.
+    accepted: usize,
+    /// Retryable refusals of the batch at `accepted` so far.
+    attempts: u32,
+    /// A retryable refusal came back: the acks of the window behind it
+    /// are being read before the lane rewinds.
+    rewinding: bool,
+    /// No frame goes out before this (a backoff after a refusal).
+    resume_at: Option<Instant>,
+    /// The lane's first error. Once any lane has one, no lane writes.
+    error: Option<ServerError>,
+    /// Reports pending server-side after this lane's last accepted
+    /// batch (`0` until one is).
     pub queued: u64,
 }
 
-impl<'a> SubmitLane<'a> {
-    /// A lane that will deliver `reports`, in order, over `client`.
+impl<'a> StreamLane<'a> {
+    /// A lane that delivers `reports`, in order and each under its own
+    /// user, over `client`.
     pub fn new(client: &'a mut Client, reports: &'a [StampedReport]) -> Self {
+        let base = client.stream_seq;
         Self {
             client,
             reports,
-            next: 0,
-            attempt: 0,
+            rows: None,
+            base,
+            inflight: VecDeque::new(),
+            cursor: 0,
+            accepted: 0,
+            attempts: 0,
+            rewinding: false,
+            resume_at: None,
+            error: None,
             queued: 0,
         }
     }
+
+    /// A lane that delivers `reports[index]` under `user` for every
+    /// `(index, user)` of `rows`, in `rows` order — a partition of the
+    /// caller's slice, sent without copying a report.
+    ///
+    /// # Panics
+    ///
+    /// When sending a row whose index is outside `reports`.
+    pub fn remapped(
+        client: &'a mut Client,
+        reports: &'a [StampedReport],
+        rows: &'a [(usize, usize)],
+    ) -> Self {
+        Self {
+            rows: Some(rows),
+            ..Self::new(client, reports)
+        }
+    }
+
+    /// Batch `batch`'s rows: positions in `rows`, or in `reports`.
+    fn span(&self, batch: usize, chunk: usize) -> std::ops::Range<usize> {
+        let len = self.rows.map_or(self.reports.len(), <[_]>::len);
+        let start = (batch * chunk).min(len);
+        start..len.min(start + chunk)
+    }
+
+    /// Write batch `self.cursor` and advance the cursor.
+    fn send_next(&mut self, campaign: &str, chunk: usize) {
+        let batch = self.cursor;
+        let span = self.span(batch, chunk);
+        let seq = Some(self.base + batch as u64);
+        let reports = self.reports;
+        let frame = match self.rows {
+            None => wire::encode_submit(
+                campaign,
+                seq,
+                reports[span].iter().map(|r| (r, r.report.user)),
+                wire_ctx(),
+            ),
+            Some(rows) => wire::encode_submit(
+                campaign,
+                seq,
+                rows[span].iter().map(|&(i, user)| (&reports[i], user)),
+                wire_ctx(),
+            ),
+        };
+        // A batch past the frame cap is refused here, unsent.
+        match frame
+            .map_err(ServerError::from)
+            .and_then(|frame| write_frame(&mut self.client.stream, &frame))
+        {
+            Ok(()) => {
+                self.inflight.push_back(batch);
+                self.cursor += 1;
+            }
+            Err(e) => self.fail(e),
+        }
+    }
+
+    /// Whether the lane may write another frame now.
+    fn can_send(&mut self, chunk: usize, window: usize) -> bool {
+        if let Some(at) = self.resume_at {
+            if Instant::now() < at {
+                return false;
+            }
+            self.resume_at = None;
+        }
+        !self.rewinding
+            && self.error.is_none()
+            && self.inflight.len() < window
+            && !self.span(self.cursor, chunk).is_empty()
+    }
+
+    /// Read the ack of the oldest frame in flight and act on it.
+    fn read_ack(&mut self, chunk: usize, policy: RetryPolicy) {
+        let Some(batch) = self.inflight.pop_front() else {
+            return;
+        };
+        let ack = match self.client.read_stream_ack() {
+            Ok(ack) => ack,
+            Err(e) => {
+                // The connection can no longer be read in step: owe it
+                // nothing more.
+                self.inflight.clear();
+                self.fail(e);
+                return;
+            }
+        };
+        let accepted = ack.contiguous.saturating_sub(self.base) as usize;
+        if accepted > self.accepted {
+            self.accepted = accepted;
+            self.attempts = 0;
+        }
+        match ack.refusals.first() {
+            None => self.queued = ack.queued,
+            // Backpressure on the in-order batch, or a window
+            // continuation behind it: retryable once the window drains.
+            Some(&wire::BatchRefusal { code: None, .. }) => self.rewinding = true,
+            Some(&wire::BatchRefusal {
+                code: Some(code), ..
+            }) => {
+                // Where the batch's first and last reports sit in the
+                // caller's slice (a batch on the wire is never empty).
+                let span = self.span(batch, chunk);
+                let at = |pos: usize| self.rows.map_or(pos, |rows| rows[pos].0);
+                let (first, last) = (at(span.start), at(span.end - 1));
+                self.fail(ServerError::Remote {
+                    code,
+                    message: format!(
+                        "streamed batch seq {} ({} reports, slice indices {first}..={last}) \
+                         refused: {code}",
+                        self.base + batch as u64,
+                        span.len(),
+                    ),
+                });
+            }
+        }
+        if self.rewinding && self.inflight.is_empty() {
+            self.rewinding = false;
+            // The earliest unaccepted batch is the one to retry, under
+            // its original sequence number.
+            self.cursor = self.accepted;
+            if self.error.is_some() || self.span(self.cursor, chunk).is_empty() {
+                return;
+            }
+            if self.attempts >= policy.busy_retries {
+                self.fail(ServerError::Busy);
+                return;
+            }
+            self.resume_at = Some(Instant::now() + policy.delay(self.cursor, self.attempts));
+            self.attempts += 1;
+        }
+    }
+
+    fn fail(&mut self, e: ServerError) {
+        self.error.get_or_insert(e);
+    }
 }
 
-/// Deliver every lane's stream in frames of `chunk` reports, in
-/// **waves**: each wave writes the next chunk of every lane that still
-/// has one, then reads every reply ([`scatter_gather`]), so the peers
-/// decode and queue concurrently. A lane never has two chunks in
-/// flight, which is what preserves its stream order. A `Busy` chunk is
-/// re-sent in the next wave, behind `policy`'s backoff for that chunk
-/// and attempt, up to `policy.busy_retries` times before its lane moves
-/// on; with one lane this is exactly the sequential chunk-and-retry
-/// loop, and [`Client::submit_chunked_with_retry`] is that case.
+/// Deliver every lane's rows as pipelined `SubmitReportsStream` batches
+/// of `chunk` reports, up to `window` frames in flight per lane, from
+/// one thread. Each pass writes round-robin across the lanes until every
+/// window is full, then reads one cumulative ack per lane, so every peer
+/// decodes and queues while the others do. A peer accepts only its
+/// connection's next sequence number, which keeps each lane in stream
+/// order.
+///
+/// A batch refused for backpressure makes its lane read the acks of the
+/// window behind it, then resend from that batch under its original
+/// sequence number once `policy`'s backoff for it has passed; the other
+/// lanes keep going meanwhile. The first error in any lane stops the
+/// writes on every lane. Every lane's outstanding acks are still read,
+/// and every connection's `stream_seq` is realigned with its peer's, so
+/// each connection is ready for the next request.
 ///
 /// # Errors
 ///
-/// [`ServerError::Busy`] once a chunk exhausts its retries (nothing of
-/// that chunk was enqueued), plus everything [`Client::submit`] raises —
-/// the first in lane order, after every outstanding reply was read.
-pub fn submit_waves(
-    lanes: &mut [SubmitLane<'_>],
+/// The first error in lane order, with that lane's index:
+/// [`ServerError::Busy`] once a batch exhausts its retries,
+/// [`ServerError::Remote`] naming the batch for a hard refusal, plus
+/// socket/wire failures.
+pub fn submit_streams(
+    lanes: &mut [StreamLane<'_>],
     campaign: &str,
     chunk: usize,
+    window: usize,
     policy: RetryPolicy,
-) -> Result<(), ServerError> {
-    let chunk = chunk.max(1);
+) -> Result<(), (usize, ServerError)> {
+    let (chunk, window) = (chunk.max(1), window.max(1));
+    let stopped = |lanes: &[StreamLane<'_>]| lanes.iter().any(|lane| lane.error.is_some());
     loop {
-        let mut wave: Vec<&mut SubmitLane<'_>> = lanes
-            .iter_mut()
-            .filter(|lane| lane.next * chunk < lane.reports.len())
-            .collect();
-        if wave.is_empty() {
-            return Ok(());
-        }
-        let replies = scatter_gather(
-            &mut wave,
-            |_, lane| {
-                let start = lane.next * chunk;
-                let end = lane.reports.len().min(start + chunk);
-                lane.client.send_submit(campaign, &lane.reports[start..end])
-            },
-            |_, lane| match lane.client.recv_submit()? {
-                SubmitOutcome::Busy { .. } if lane.attempt >= policy.busy_retries => {
-                    Err(ServerError::Busy)
-                }
-                outcome => Ok(outcome),
-            },
-        )?;
-        let mut backoff = Duration::ZERO;
-        for (lane, reply) in wave.into_iter().zip(replies) {
-            match reply {
-                SubmitOutcome::Queued(queued) => {
-                    lane.queued = queued;
-                    lane.next += 1;
-                    lane.attempt = 0;
-                }
-                SubmitOutcome::Busy { .. } => {
-                    backoff = backoff.max(policy.delay(lane.next, lane.attempt));
-                    lane.attempt += 1;
+        // Writes block only while a peer's socket buffer is full, and a
+        // peer keeps reading while its acks (a few bytes each) go unread,
+        // so this cannot deadlock.
+        let mut wrote = !stopped(lanes);
+        while wrote {
+            wrote = false;
+            for lane in lanes.iter_mut() {
+                if lane.can_send(chunk, window) {
+                    lane.send_next(campaign, chunk);
+                    wrote = lane.error.is_none();
+                    if !wrote {
+                        break;
+                    }
                 }
             }
         }
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
+        let mut reading = false;
+        for lane in lanes.iter_mut() {
+            if !lane.inflight.is_empty() {
+                lane.read_ack(chunk, policy);
+                reading = true;
+            }
+        }
+        if reading {
+            continue;
+        }
+        // Nothing in flight anywhere: done, stopped, or backing off.
+        match lanes.iter().filter_map(|lane| lane.resume_at).min() {
+            Some(at) if !stopped(lanes) => {
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            }
+            _ => break,
         }
     }
+    let mut first = None;
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        lane.client.stream_seq = lane.base + lane.accepted as u64;
+        if let (None, Some(e)) = (&first, lane.error.take()) {
+            first = Some((i, e));
+        }
+    }
+    first.map_or(Ok(()), Err)
 }
 
 /// What [`Client::query_trace`] returns: one process's retained rings.
@@ -1349,6 +1450,37 @@ mod tests {
             2
         );
         assert_eq!(client.close_round("real", 0).unwrap().accepted, 2);
+        server.shutdown();
+    }
+
+    /// A hard refusal names the batch: its sequence number, where its
+    /// reports sit in the submitted slice, and the refusal's code.
+    #[test]
+    fn a_refused_streamed_batch_is_named() {
+        let server = start();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.create_campaign("c", spec(4, 64)).unwrap();
+        let mut reports: Vec<StampedReport> =
+            (0..4).map(|u| stamped(0, u, u as u64 + 1, 1.0)).collect();
+        // Object 7 of a one-object campaign: a malformed claim, refused
+        // at submit.
+        reports[3].report.values = vec![(7, 1.0)];
+        match client.submit_stream_with_retry("c", &reports, 2, 4, RetryPolicy::default()) {
+            Err(ServerError::Remote { code, message }) => {
+                assert_eq!(code, crate::wire::ErrorCode::InvalidRequest);
+                assert_eq!(
+                    message,
+                    "streamed batch seq 1 (2 reports, slice indices 2..=3) \
+                     refused: invalid-request"
+                );
+            }
+            other => panic!("expected a named refusal, got {other:?}"),
+        }
+        // Batch 0 was taken and the cursor is back in step with the
+        // server's: the repaired rest of the stream goes through.
+        reports[3].report.values = vec![(0, 1.0)];
+        assert_eq!(client.submit_stream("c", &reports[2..], 2).unwrap(), 4);
+        assert_eq!(client.close_round("c", 0).unwrap().accepted, 4);
         server.shutdown();
     }
 

@@ -44,7 +44,9 @@
 //! * [`server`] — [`Server`]: a campaign registry behind the front end.
 //! * [`client`] — [`Client`]: the blocking client `dptd submit`, the
 //!   loopback e2e harness and the benchmark (`e2e_ledger`) drive; also
-//!   the windowed pipelined submitter (`submit_stream`).
+//!   the windowed pipelined submitter (`submit_streams`: one thread,
+//!   one window per connection, which `submit_stream` runs with one
+//!   connection and the cluster coordinator with one per node).
 //!
 //! Privacy enforcement is exactly the in-process campaign layer's: the
 //! per-user [`BudgetAccountant`](dptd_protocol::budget::BudgetAccountant)
@@ -68,7 +70,7 @@ pub mod wire;
 
 use std::fmt;
 
-pub use client::{scatter_gather, submit_waves, Client, RetryPolicy, SubmitLane, TraceOutcome};
+pub use client::{scatter_gather, submit_streams, Client, RetryPolicy, StreamLane, TraceOutcome};
 pub use decode::FrameDecoder;
 pub use frontend::{Frontend, FrontendConfig, FrontendStats, IoConfig, RequestHandler};
 pub use registry::{CampaignRegistry, RegistryConfig};

@@ -821,18 +821,24 @@ impl Field<char> for Phase {
 /// Encoded size of one report value (object:u32 + value:f64).
 const VALUE_BYTES: usize = 4 + 8;
 
+/// One claim's wire form under `user` — a [`PerturbedReport`]'s own, or
+/// the user id [`encode_submit`] puts in its place.
+fn put_claim<S: Sink>(w: &mut S, user: usize, values: &[(usize, f64)]) {
+    w.put(&(user as u64));
+    w.put(&(values.len() as u32));
+    for &(object, value) in values {
+        w.put(&(object as u32));
+        w.put(&value);
+    }
+}
+
 /// A prepared claim: `user:u64 nvals:u32 (object:u32 value:f64)*`. The
 /// hot loop of every submission frame, and it narrows `usize` ids to
 /// their wire widths, so it is written by hand.
 impl Field for PerturbedReport {
     const MIN_LEN: usize = 8 + 4;
     fn put<S: Sink>(v: &Self, w: &mut S) {
-        w.put(&(v.user as u64));
-        w.put(&(v.values.len() as u32));
-        for &(object, value) in &v.values {
-            w.put(&(object as u32));
-            w.put(&value);
-        }
+        put_claim(w, v.user, &v.values);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let user =
@@ -1425,20 +1431,25 @@ frames! {
 
 /// Encode a [`Request::SubmitReports`] frame — or, given a stream
 /// sequence number, a [`Request::SubmitReportsStream`] one — straight
-/// from a borrowed batch: a client chunking a slice need not deep-clone
-/// every report into an owned `Request` first. It restates those two
-/// rows; a unit test pins it byte-equal to the table's encoder.
-pub(crate) fn encode_submit(
+/// from borrowed rows. Each row is a report and the user id the wire
+/// carries for it: a plain client passes each report's own user, the
+/// cluster coordinator the node-local id, so neither copies a report to
+/// build a frame. It restates those two table rows; unit tests pin it
+/// byte-equal to the table's encoder, remapped rows included.
+pub(crate) fn encode_submit<'a, I>(
     campaign: &str,
     seq: Option<u64>,
-    reports: &[StampedReport],
+    rows: I,
     ctx: Option<SpanContext>,
-) -> Result<Vec<u8>, WireError> {
-    fn put_body<S: Sink>(
+) -> Result<Vec<u8>, WireError>
+where
+    I: ExactSizeIterator<Item = (&'a StampedReport, usize)> + Clone,
+{
+    fn put_body<'a, S: Sink>(
         w: &mut S,
         campaign: &str,
         seq: Option<u64>,
-        reports: &[StampedReport],
+        rows: impl ExactSizeIterator<Item = (&'a StampedReport, usize)>,
         ctx: &Option<SpanContext>,
     ) {
         w.put(&if seq.is_some() { 0x0c_u8 } else { 0x02 });
@@ -1446,13 +1457,19 @@ pub(crate) fn encode_submit(
         if let Some(seq) = seq {
             w.put(&seq);
         }
-        w.seq(reports);
+        // A counted sequence of `StampedReport` records, user swapped.
+        w.put(&(rows.len() as u32));
+        for (r, user) in rows {
+            w.put(&r.epoch);
+            w.put(&r.sent_at_us);
+            put_claim(w, user, &r.report.values);
+        }
         w.put(ctx);
     }
     let mut n = Counter(0);
-    put_body(&mut n, campaign, seq, reports, &ctx);
+    put_body(&mut n, campaign, seq, rows.clone(), &ctx);
     let mut w = Writer::new(n.0)?;
-    put_body(&mut w, campaign, seq, reports, &ctx);
+    put_body(&mut w, campaign, seq, rows, &ctx);
     Ok(w.finish())
 }
 
@@ -1780,6 +1797,13 @@ mod tests {
         assert_eq!(decoded_message(fits.clone()), fits);
     }
 
+    /// Rows that put each report on the wire under its own user.
+    fn own(
+        reports: &[StampedReport],
+    ) -> impl ExactSizeIterator<Item = (&StampedReport, usize)> + Clone {
+        reports.iter().map(|r| (r, r.report.user))
+    }
+
     /// The borrowed submit encoder restates two table rows; it must write
     /// exactly what they write.
     #[test]
@@ -1794,7 +1818,7 @@ mod tests {
         });
         for (reports, ctx) in [(&reports[..], None), (&reports[..], some), (&[][..], some)] {
             assert_eq!(
-                encode_submit("cafe", None, reports, ctx).unwrap(),
+                encode_submit("cafe", None, own(reports), ctx).unwrap(),
                 Request::SubmitReports {
                     campaign: "cafe".to_string(),
                     reports: reports.to_vec(),
@@ -1803,11 +1827,63 @@ mod tests {
                 .encode()
             );
             assert_eq!(
-                encode_submit("cafe", Some(7), reports, ctx).unwrap(),
+                encode_submit("cafe", Some(7), own(reports), ctx).unwrap(),
                 Request::SubmitReportsStream {
                     campaign: "cafe".to_string(),
                     seq: 7,
                     reports: reports.to_vec(),
+                    ctx,
+                }
+                .encode()
+            );
+        }
+    }
+
+    /// What the cluster coordinator sends: rows that pick reports out of
+    /// the caller's slice, in any order, each under a rewritten user. The
+    /// frame must be byte-equal to the table's encoding of the picked
+    /// reports cloned with that user written in — for both submit kinds,
+    /// with and without a trace context — so the golden frames of the
+    /// two kinds pin this path too.
+    #[test]
+    fn remapped_rows_encode_as_cloned_and_rewritten_reports() {
+        let caller = [
+            stamped(3, 40, 10, vec![(0, 1.5), (2, -0.5)]),
+            stamped(3, 41, 20, vec![]),
+            stamped(3, 1 << 33, 30, vec![(1, f64::MIN_POSITIVE)]),
+            stamped(3, 40, 11, vec![(3, -0.0)]),
+        ];
+        // `(index into caller, user on the wire)`, out of slice order.
+        let rows = [(3, 0), (0, 0), (2, 7), (1, 1 << 20)];
+        let rewritten: Vec<StampedReport> = rows
+            .iter()
+            .map(|&(i, user)| {
+                let mut r = caller[i].clone();
+                r.report.user = user;
+                r
+            })
+            .collect();
+        let remapped = || rows.iter().map(|&(i, user)| (&caller[i], user));
+        let some = Some(SpanContext {
+            trace_id: 0xF00D,
+            span_id: 0xBEEF,
+        });
+        for ctx in [None, some] {
+            assert_eq!(
+                encode_submit("cafe", None, remapped(), ctx).unwrap(),
+                Request::SubmitReports {
+                    campaign: "cafe".to_string(),
+                    reports: rewritten.clone(),
+                    ctx,
+                }
+                .encode()
+            );
+            assert_eq!(
+                encode_submit("cafe", Some(9), remapped(), ctx).unwrap(),
+                Request::SubmitReportsStream {
+                    campaign: "cafe".to_string(),
+                    seq: 9,
+                    reports: rewritten.clone(),
                     ctx,
                 }
                 .encode()
@@ -1843,7 +1919,7 @@ mod tests {
         );
         let reports = vec![stamped(0, 0, 0, vec![(0, 0.0); 3_000_000])];
         assert!(matches!(
-            encode_submit("c", None, &reports, None),
+            encode_submit("c", None, own(&reports), None),
             Err(WireError::TooLarge { .. })
         ));
     }

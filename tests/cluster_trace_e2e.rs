@@ -5,10 +5,11 @@
 //! every wire frame, spans recording on every layer) is bit-identical
 //! in per-round weights digests and per-user debit ledgers to the same
 //! campaign run untraced. Part two: the merged cluster timeline is
-//! **causal** — each round's root has prepare → merge → commit
-//! children on the coordinator lane, the barrier prepare/commit spans
-//! parent all three nodes' (scattered, hence overlapping) drain/commit
-//! spans via wire-carried span contexts, and
+//! **causal** — each round's root has submit → prepare → merge → commit
+//! children on the coordinator lane, the submit span parents the nodes'
+//! queued batches, the barrier prepare/commit spans parent all three
+//! nodes' (scattered, hence overlapping) drain/commit spans via
+//! wire-carried span contexts, and
 //! `merge_trace_timeline` renders one clock-aligned chrome://tracing
 //! document with a lane per process. Part three: a forced quarantine
 //! (a partition poisoned mid-campaign) leaves a flight bundle on disk
@@ -102,19 +103,30 @@ fn traced_run_is_bit_identical_and_the_merged_timeline_is_causal() {
     // lane shares this process's rings — the coordinator's collected
     // events hold both sides of each cross-process edge.
     let events = trace::collect();
+    // The rings also catch whatever a concurrent test in this binary
+    // ran while tracing was on: keep only this campaign's rounds.
+    let ours: Vec<u64> = (0..ROUNDS)
+        .map(|epoch| dptd::obs::SpanContext::root("traced", epoch).trace_id)
+        .collect();
     let begins = |code: u32| -> Vec<&TraceEvent> {
         events
             .iter()
-            .filter(|e| e.code == code && e.phase == 'B')
+            .filter(|e| e.code == code && e.phase == 'B' && ours.contains(&e.trace_id))
             .collect()
     };
+    let submits = begins(codes::CLUSTER_SUBMIT);
     let prepares = begins(codes::BARRIER_PREPARE);
     let commits = begins(codes::BARRIER_COMMIT);
+    assert_eq!(
+        submits.len(),
+        ROUNDS as usize,
+        "one submit fan-out per round"
+    );
     assert_eq!(prepares.len(), ROUNDS as usize, "one prepare per round");
     assert_eq!(commits.len(), ROUNDS as usize, "one commit per round");
-    // The coordinator lane of every round: prepare → merge → commit,
-    // in that order, all children of the round's deterministic root —
-    // no hole between the two barrier phases.
+    // The coordinator lane of every round: submit → prepare → merge →
+    // commit, in that order, all children of the round's deterministic
+    // root — no hole between the two barrier phases.
     for epoch in 0..ROUNDS {
         let root = dptd::obs::SpanContext::root("traced", epoch);
         let phases: Vec<u32> = events
@@ -126,9 +138,32 @@ fn traced_run_is_bit_identical_and_the_merged_timeline_is_causal() {
             .collect();
         assert_eq!(
             phases,
-            [codes::BARRIER_PREPARE, codes::MERGE, codes::BARRIER_COMMIT],
+            [
+                codes::CLUSTER_SUBMIT,
+                codes::BARRIER_PREPARE,
+                codes::MERGE,
+                codes::BARRIER_COMMIT
+            ],
             "epoch {epoch}: the round root's children on the coordinator lane"
         );
+    }
+    // Every batch a node queued parents under the fan-out that sent it:
+    // at least one per node and round, none straight under the root.
+    for submit in &submits {
+        let queued = |parent: u64| {
+            events
+                .iter()
+                .filter(|e| {
+                    e.code == codes::SUBMIT
+                        && e.phase == 'i'
+                        && e.trace_id == submit.trace_id
+                        && e.parent_span == parent
+                })
+                .count()
+        };
+        let root = dptd::obs::SpanContext::root("traced", submit.arg);
+        assert!(queued(submit.span_id) >= 3, "epoch {}", submit.arg);
+        assert_eq!(queued(root.span_id), 0, "epoch {}", submit.arg);
     }
     // Every node's work parents under the one barrier span whose
     // context its frame carried. The requests are scattered, so the
@@ -182,6 +217,7 @@ fn traced_run_is_bit_identical_and_the_merged_timeline_is_causal() {
             "missing process_name lane {lane}: {json}"
         );
     }
+    assert!(json.contains("\"name\":\"cluster.submit\""), "{json}");
     assert!(json.contains("\"name\":\"barrier.prepare\""), "{json}");
     assert!(json.contains("\"name\":\"node.drain\""), "{json}");
     // Span contexts render as hex strings in args.
