@@ -1,7 +1,7 @@
 //! `dptd serve` — host concurrent campaigns over TCP.
 //!
 //! Starts the [`dptd_server::Server`] on `--listen <addr>` and serves
-//! the v1 wire protocol (`CreateCampaign`, batched `SubmitReports`,
+//! the v2 wire protocol (`CreateCampaign`, batched `SubmitReports`,
 //! `CloseRound`, `QueryTruths`, `QueryBudget`) until **stdin reaches
 //! EOF** — `dptd serve < /dev/null` exits immediately, `Ctrl-D` stops an
 //! interactive run, and a supervisor stops the service by closing the

@@ -5,11 +5,14 @@
 //! campaign's **global** state — the
 //! [`StreamingCrh`](dptd_truth::streaming::StreamingCrh) estimator and
 //! the per-user [`BudgetAccountant`] — and treats the nodes as remote
-//! filter-and-persist boxes. A round closes in two phases:
+//! filter-and-persist boxes; a node's filter is the engine's
+//! `ShardState`, run over its whole partition. A round closes in two
+//! phases:
 //!
 //! 1. **Prepare**: every node drains its queue for the epoch (refusal
 //!    withhold → deadline → first-wins dedup, the exact single-node
-//!    order) and returns its surviving claims. Nothing durable happens.
+//!    order) and returns its surviving claims, users ascending in its
+//!    local ids. Nothing durable happens.
 //! 2. **Merge + Commit**: the coordinator merges all claims with one
 //!    [`ingest_sharded`](dptd_truth::streaming::StreamingCrh::ingest_sharded)
 //!    call — the same deterministic shard-merge the engine uses, so the
@@ -51,14 +54,15 @@
 //! keeps the spread at most one), rebuilds the estimator bit-exactly
 //! with [`StreamingCrh::from_parts`], and — if some nodes had already
 //! committed the in-flight epoch — re-drives the barrier: prepares
-//! replay from the nodes' retained lanes, the merge reproduces the
+//! replay the nodes' frozen last rounds, the merge reproduces the
 //! identical slices, committed nodes acknowledge idempotently, and the
 //! stragglers append. Because the commit is scattered, a crash can
 //! leave **any subset** of nodes holding the epoch, not just a prefix
 //! in node-id order; alignment at the minimum and per-node idempotent
 //! acks make no distinction between the two. `tests/cluster_e2e.rs`
 //! pins all of this against the single-node server and the in-process
-//! simulator.
+//! simulator; this module's proptest pins rounds over 1–4 nodes to
+//! [`SimBackend`](dptd_protocol::campaign::SimBackend) bit for bit.
 //!
 //! [`StreamingCrh::from_parts`]: dptd_truth::streaming::StreamingCrh::from_parts
 
@@ -795,6 +799,7 @@ mod tests {
     use dptd_core::roles::PerturbedReport;
     use dptd_protocol::campaign::{CampaignDriver, SimBackend};
     use dptd_stats::digest::fnv1a_f64s;
+    use proptest::prelude::*;
 
     fn spec(num_users: usize, rounds: u32) -> ClusterSpec {
         ClusterSpec {
@@ -1144,6 +1149,71 @@ mod tests {
         assert_eq!(ours.late_dropped, reference.late_dropped);
         for node in nodes {
             node.shutdown();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// For any node count (1–4) and any report streams — duplicates,
+        /// lates, arbitrary interleaving, and a third round in which
+        /// users who reported twice are out of budget — a loopback
+        /// cluster's rounds equal the in-process reference: truths and
+        /// weights by `to_bits`, and every count.
+        #[test]
+        fn any_cluster_matches_sim(
+            num_nodes in 1u32..=4,
+            num_users in 12usize..24,
+            streams in prop::collection::vec(
+                prop::collection::vec((0usize..24, 0u64..140, -5.0f64..5.0), 0..48),
+                3,
+            ),
+        ) {
+            if rendezvous_map(num_users, num_nodes as usize).is_err() {
+                // A node with no users: `create` refuses the topology.
+                continue;
+            }
+            let (nodes, addrs) = start_nodes(num_nodes);
+            let mut cluster =
+                ClusterCampaign::create(&addrs, "prop", spec(num_users, 2)).unwrap();
+            let mut sim = sim_driver(num_users, 2);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for (epoch, stream) in (0u64..).zip(streams) {
+                let reports: Vec<StampedReport> = stream
+                    .into_iter()
+                    .map(|(user, sent_at_us, value)| {
+                        stamped(user % num_users, epoch, sent_at_us, value)
+                    })
+                    .collect();
+                cluster.submit(&reports, 5).unwrap();
+                match (cluster.close_round(epoch), sim.run_round(epoch, reports)) {
+                    (Ok(ours), Ok(reference)) => {
+                        prop_assert_eq!(bits(&ours.truths), bits(&reference.truths));
+                        prop_assert_eq!(bits(&ours.weights), bits(&reference.weights));
+                        prop_assert_eq!(
+                            (ours.accepted, ours.refused_users),
+                            (reference.accepted, reference.refused_users)
+                        );
+                        prop_assert_eq!(
+                            (ours.duplicates_discarded, ours.late_dropped),
+                            (reference.duplicates_discarded, reference.late_dropped)
+                        );
+                    }
+                    // A degenerate round (an uncovered object) fails on
+                    // both alike, and neither advances past it.
+                    (Err(_), Err(_)) => break,
+                    (ours, reference) => {
+                        panic!("round {epoch} diverged: cluster={ours:?} sim={reference:?}")
+                    }
+                }
+            }
+            prop_assert_eq!(
+                cluster.accountant().debits_by_user(),
+                sim.accountant().debits_by_user()
+            );
+            for node in nodes {
+                node.shutdown();
+            }
         }
     }
 

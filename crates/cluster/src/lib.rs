@@ -16,9 +16,10 @@
 //!   assignment: deterministic, balanced, and minimally disruptive when
 //!   a node joins or leaves.
 //! * [`node`] — [`NodeServer`]: a partition host speaking the
-//!   [`dptd_server::wire`] v1 protocol (`NodeHello`,
+//!   [`dptd_server::wire`] v2 protocol (`NodeHello`,
 //!   `CloseRoundPrepare`/`Commit`, `QueryLedger`, `ReplicateSegment`),
-//!   persisting each committed round to the segmented snapshot store.
+//!   filtering with the engine's `ShardState` and persisting each
+//!   committed round to the segmented snapshot store.
 //!   Slot hosting — quarantine, the bounded submission queue, spec
 //!   admission, durable open, the request envelope — is
 //!   [`dptd_server::host`], the same code a campaign server runs; the

@@ -1,24 +1,29 @@
-//! The cluster node: one partition of a campaign behind the v1 wire
+//! The cluster node: one partition of a campaign behind the v2 wire
 //! protocol.
 //!
 //! A node is deliberately dumb. It owns a **local** slice of the
 //! population (dense local ids `0..local_users`), hosts it on the same
 //! [`dptd_server::host`] a campaign server uses — slot map and
 //! quarantine, bounded [`SubmissionQueue`] with one round of lookahead,
-//! spec admission, durable open, request envelope — and adds what only
-//! a node does, the two-phase barrier:
+//! spec admission, durable open, request envelope — and filters it with
+//! the engine's round filter: one [`ShardState`] over the whole
+//! partition, kept for the campaign's life. What only a node adds is
+//! the two-phase barrier:
 //!
-//! 1. `CloseRoundPrepare` drains the queue through an
-//!    [`EpochLane`](dptd_protocol::partition::EpochLane) — refusal
-//!    withhold, then deadline, then first-wins dedup, the exact
-//!    single-node order — and returns the surviving claims **without**
-//!    touching durable state. Prepare is cumulative and repeatable: the
-//!    lane persists until commit, so a re-driven barrier (after a
-//!    coordinator restart, or more submissions on a failed round) sees
-//!    the whole stream's result.
+//! 1. `CloseRoundPrepare` drains the queue — refused users withheld and
+//!    counted first, every other report into the shard (deadline, then
+//!    first-wins), the exact single-node order — and returns the
+//!    shard's survivors so far, read through its non-resetting view,
+//!    **without** touching durable state. Prepare is cumulative and
+//!    repeatable: the shard's epoch stays open until commit, so a
+//!    re-driven barrier (after a coordinator restart, or more
+//!    submissions on a failed round) sees the whole stream's result.
 //! 2. `CloseRoundCommit` durably appends the node's slice of the merged
 //!    round — the coordinator computed it; the node just persists an
-//!    [`EpochRecord`] to its segmented store and acks. Re-committing
+//!    [`EpochRecord`] to its segmented store and acks — then closes the
+//!    shard's epoch. The frozen claims and counts are kept so a
+//!    re-driven prepare of that epoch replays them, and the reset shard
+//!    serves the next round with its allocations kept. Re-committing
 //!    the previous epoch is acknowledged idempotently iff the record is
 //!    byte-identical to the durable one, which is what lets a
 //!    coordinator that died between commit fan-out and its own state
@@ -38,18 +43,20 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use dptd_core::roles::PerturbedReport;
+use dptd_engine::shard::{ShardEpochStats, ShardState};
 use dptd_engine::store::{DirFs, StoreConfig, StoreObserver};
 use dptd_engine::wal::{RecordKind, RecordLog, WalLock, WalPolicy};
 use dptd_engine::{recovery::recover_replay, EpochRecord};
 use dptd_obs::{names, MetricValue};
 use dptd_protocol::campaign::CampaignConfig;
-use dptd_protocol::partition::EpochLane;
 use dptd_server::host::{
     admit, open_durable, refuse, Host, Hosted, SubmissionQueue, MAX_USERS_PER_CAMPAIGN,
 };
 use dptd_server::{
     CampaignSpec, ErrorCode, Frontend, FrontendConfig, IoConfig, Request, RequestHandler, Response,
 };
+use dptd_truth::streaming::ShardClaims;
 use dptd_truth::Loss;
 
 use crate::replication::{replication_refusal, ReplicaApplier, ReplicationSender};
@@ -103,17 +110,24 @@ impl Default for NodeConfig {
     }
 }
 
-/// A round staged by `CloseRoundPrepare`, alive until its commit.
+/// A round staged by `CloseRoundPrepare`, alive until its commit. Its
+/// survivors live in the campaign's [`ShardState`].
 #[derive(Debug)]
 struct StagedRound {
     epoch: u64,
     /// The refusal set the barrier was driven with, sorted — a re-drive
     /// with a different set is a coordinator bug and is refused.
     refused: Vec<u64>,
-    /// Which refused users actually had a report withheld (distinct
-    /// users, mirroring the driver's `refused_users` count).
-    refused_seen: Vec<bool>,
-    lane: EpochLane,
+    /// Per refused user, whether a report of theirs was withheld.
+    withheld: Vec<bool>,
+}
+
+impl StagedRound {
+    /// Distinct refused users with a report withheld, mirroring the
+    /// driver's `refused_users` count.
+    fn refused_seen(&self) -> u64 {
+        self.withheld.iter().filter(|&&seen| seen).count() as u64
+    }
 }
 
 /// The frozen prepare result of the last **committed** epoch, retained
@@ -122,8 +136,9 @@ struct StagedRound {
 struct CommittedPrepare {
     epoch: u64,
     refused: Vec<u64>,
-    refused_seen_count: u64,
-    lane: EpochLane,
+    refused_seen: u64,
+    claims: ShardClaims,
+    stats: ShardEpochStats,
 }
 
 /// One campaign partition on this node.
@@ -133,8 +148,14 @@ struct NodeCampaign {
     config: CampaignConfig,
     policy: WalPolicy,
     queue: SubmissionQueue,
+    /// The round filter, for the campaign's whole life: the staged
+    /// round's survivors so far, empty between a commit and the next
+    /// prepare.
+    shard: ShardState,
     staged: Option<StagedRound>,
     last_prepared: Option<CommittedPrepare>,
+    /// Reports accepted by every round this process committed.
+    committed_accepted: u64,
     /// Committed records, newest last — enough history to serve
     /// `QueryLedger` one epoch back during barrier re-drives.
     history: VecDeque<EpochRecord>,
@@ -143,16 +164,31 @@ struct NodeCampaign {
     replication_failure: Option<crate::replication::FailureSlot>,
 }
 
-/// The `Prepared` reply for a lane as it stands: its survivors cloned
-/// once, in slot order, straight into the reply (a report's `user` is
-/// its slot — both are the node-local id).
-fn prepared(epoch: u64, lane: &EpochLane, refused_seen: u64) -> Response {
-    let mut claims = Vec::with_capacity(lane.accepted());
-    claims.extend(lane.survivors().cloned());
+/// The `Prepared` reply over a round's survivors, users ascending — the
+/// staged shard's rows, or a committed round's frozen claims. A row's
+/// user is its local slot and its claims keep report order, so each
+/// row is the report that first won its slot.
+fn prepared<'a>(
+    epoch: u64,
+    (accepted, duplicates, late): (usize, usize, u64),
+    rows: impl Iterator<Item = (usize, &'a [usize], &'a [f64])>,
+    refused_seen: u64,
+) -> Response {
+    let mut claims = Vec::with_capacity(accepted);
+    claims.extend(rows.map(|(user, objects, values)| {
+        PerturbedReport {
+            user,
+            values: objects
+                .iter()
+                .copied()
+                .zip(values.iter().copied())
+                .collect(),
+        }
+    }));
     Response::Prepared {
         epoch,
-        duplicates: lane.duplicates_discarded(),
-        late: lane.late_dropped(),
+        duplicates: duplicates as u64,
+        late,
         refused_seen,
         claims,
     }
@@ -201,14 +237,8 @@ impl NodeCampaign {
         }
     }
 
-    /// Reports that survived the staged lane so far.
-    fn staged_accepted(&self) -> u64 {
-        self.staged.as_ref().map_or(0, |s| s.lane.accepted() as u64)
-    }
-
     fn prepare(&mut self, epoch: u64, refused: Vec<u64>) -> Response {
-        let local_users = self.local_users;
-        if refused.iter().any(|&u| u as usize >= local_users) {
+        if refused.iter().any(|&u| u as usize >= self.local_users) {
             return refuse(
                 ErrorCode::InvalidRequest,
                 "a refused user id is outside this node's partition",
@@ -234,7 +264,17 @@ impl NodeCampaign {
                     "barrier re-driven with a different refusal set",
                 );
             }
-            return prepared(epoch, &last.lane, last.refused_seen_count);
+            let (claims, stats) = (&last.claims, &last.stats);
+            return prepared(
+                epoch,
+                (
+                    stats.accepted,
+                    stats.duplicates_discarded,
+                    stats.late_dropped,
+                ),
+                (0..claims.num_users()).map(|row| claims.row(row)),
+                last.refused_seen,
+            );
         }
         if epoch != self.queue.next_epoch() {
             return refuse(
@@ -253,28 +293,34 @@ impl NodeCampaign {
                 );
             }
         }
-        // Drain everything queued for this epoch through the staged
-        // lane: refusal withhold first, then the lane's deadline + dedup
-        // — the exact driver order.
+        // Drain everything queued for this epoch: refusal withhold
+        // first, then the shard's deadline + first-wins — the exact
+        // driver order.
         let pending = self.queue.drain();
-        let deadline_us = self.config.deadline_us;
         let staged = self.staged.get_or_insert_with(|| StagedRound {
             epoch,
+            withheld: vec![false; refused_sorted.len()],
             refused: refused_sorted,
-            refused_seen: vec![false; local_users],
-            lane: EpochLane::new(local_users, deadline_us),
         });
-        let refused_set = staged.refused.clone();
         for stamped in pending {
-            let user = stamped.report.user;
-            if refused_set.binary_search(&(user as u64)).is_ok() {
-                staged.refused_seen[user] = true;
-                continue;
+            match staged.refused.binary_search(&(stamped.report.user as u64)) {
+                Ok(index) => staged.withheld[index] = true,
+                Err(_) => {
+                    self.shard.ingest(stamped);
+                }
             }
-            staged.lane.offer(user, stamped);
         }
-        let refused_seen = staged.refused_seen.iter().filter(|&&b| b).count() as u64;
-        prepared(epoch, &staged.lane, refused_seen)
+        let shard = &self.shard;
+        prepared(
+            epoch,
+            (
+                shard.accepted(),
+                shard.duplicates_discarded(),
+                shard.late_dropped(),
+            ),
+            shard.rows(),
+            staged.refused_seen(),
+        )
     }
 
     fn commit(
@@ -357,11 +403,14 @@ impl NodeCampaign {
                 return refuse(ErrorCode::WalRefused, e.to_string());
             }
         }
+        let (claims, stats) = self.shard.finish_epoch();
+        self.committed_accepted += stats.accepted as u64;
         self.last_prepared = Some(CommittedPrepare {
             epoch,
+            refused_seen: staged.refused_seen(),
             refused: staged.refused,
-            refused_seen_count: staged.refused_seen.iter().filter(|&&b| b).count() as u64,
-            lane: staged.lane,
+            claims,
+            stats,
         });
         self.history.push_back(record);
         while self.history.len() > LEDGER_HISTORY {
@@ -378,15 +427,15 @@ impl NodeCampaign {
 impl Hosted for NodeCampaign {
     /// Queue occupancy and ingest counters — all a node reports about a
     /// partition: `dptd cluster status` prints each node's row from them
-    /// and absorbs them into the fleet-wide total.
+    /// and absorbs them into the fleet-wide total. `accepted` is
+    /// cumulative, like a campaign server's: every committed round plus
+    /// the staged one's survivors so far.
     fn status(&self) -> Vec<(&'static str, MetricValue)> {
+        let accepted = self.committed_accepted + self.shard.accepted() as u64;
         vec![
             (names::QUEUE_DEPTH, MetricValue::Gauge(self.queue.depth())),
             (names::SUBMITTED, MetricValue::Counter(self.queue.taken())),
-            (
-                names::ACCEPTED,
-                MetricValue::Counter(self.staged_accepted()),
-            ),
+            (names::ACCEPTED, MetricValue::Counter(accepted)),
             (names::ROUNDS, MetricValue::Counter(self.queue.next_epoch())),
         ]
     }
@@ -572,8 +621,17 @@ impl NodeState {
                 config,
                 policy,
                 queue: SubmissionQueue::new(capacity, next_epoch),
+                shard: ShardState::new(
+                    0,
+                    1,
+                    local_users,
+                    config.num_objects,
+                    config.deadline_us,
+                    Loss::Squared,
+                ),
                 staged: None,
                 last_prepared: None,
+                committed_accepted: 0,
                 history,
                 log,
                 _wal_lock: wal_lock,
@@ -771,7 +829,6 @@ impl NodeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dptd_core::roles::PerturbedReport;
     use dptd_protocol::message::StampedReport;
     use dptd_server::Client;
 
@@ -902,6 +959,88 @@ mod tests {
         assert_eq!(prepared.claims.len(), 2);
         // Re-driving with a different refusal set is refused.
         assert!(client.close_round_prepare("part", 0, vec![2]).is_err());
+        node.shutdown();
+    }
+
+    /// `accepted` is a counter: it never drops at a commit, and it counts
+    /// every committed round plus the staged round's survivors so far.
+    #[test]
+    fn accepted_counts_committed_rounds_plus_the_staged_one() {
+        let node = NodeServer::start(NodeConfig::default()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        client.create_campaign("part", spec(3)).unwrap();
+        let key = names::campaign_metric("part", names::ACCEPTED);
+        let accepted = |client: &mut Client| client.query_status().unwrap().get(&key).cloned();
+
+        let round0 = [
+            stamped(0, 0, 10, 1.0),
+            stamped(1, 0, 20, 2.0),
+            stamped(1, 0, 30, 9.0), // duplicate
+        ];
+        client.submit_chunked("part", &round0, 8).unwrap();
+        client.close_round_prepare("part", 0, vec![]).unwrap();
+        assert_eq!(accepted(&mut client), Some(MetricValue::Counter(2)));
+        client
+            .close_round_commit("part", 0, 1, vec![0, 1], vec![0.5, 0.5, 0.0], vec![1, 1, 0])
+            .unwrap();
+        assert_eq!(accepted(&mut client), Some(MetricValue::Counter(2)));
+
+        let round1 = [
+            stamped(0, 1, 10, 1.0),
+            stamped(1, 1, 2_000, 2.0), // late
+            stamped(2, 1, 20, 3.0),
+        ];
+        client.submit_chunked("part", &round1, 8).unwrap();
+        let prepared = client.close_round_prepare("part", 1, vec![]).unwrap();
+        assert_eq!((prepared.claims.len(), prepared.late), (2, 1));
+        assert_eq!(accepted(&mut client), Some(MetricValue::Counter(2 + 2)));
+        node.shutdown();
+    }
+
+    /// A re-driven prepare of the committed epoch replays the frozen
+    /// round byte for byte, and the next round starts from an empty
+    /// filter: last round's users are first arrivals again.
+    #[test]
+    fn a_committed_prepare_replays_and_the_next_round_starts_clean() {
+        let node = NodeServer::start(NodeConfig::default()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        client.create_campaign("part", spec(3)).unwrap();
+        let round0 = [
+            stamped(2, 0, 10, 1.0),
+            stamped(0, 0, 20, 2.0),
+            stamped(2, 0, 30, 9.0),    // duplicate
+            stamped(1, 0, 5_000, 4.0), // late
+            stamped(1, 0, 40, 5.0),
+        ];
+        client.submit_chunked("part", &round0, 2).unwrap();
+        let staged = client.close_round_prepare("part", 0, vec![1]).unwrap();
+        let users: Vec<usize> = staged.claims.iter().map(|c| c.user).collect();
+        assert_eq!(
+            users,
+            vec![0, 2],
+            "users ascending, refused user 1 withheld"
+        );
+        assert_eq!(
+            staged.claims[1].values,
+            vec![(0, 1.0), (1, 2.0)],
+            "first wins"
+        );
+        assert_eq!(
+            (staged.duplicates, staged.late, staged.refused_seen),
+            (1, 0, 1)
+        );
+        client
+            .close_round_commit("part", 0, 1, vec![0, 2], vec![0.5, 0.0, 0.5], vec![1, 0, 1])
+            .unwrap();
+        let replayed = client.close_round_prepare("part", 0, vec![1]).unwrap();
+        assert_eq!(replayed, staged);
+
+        client
+            .submit_chunked("part", &[stamped(2, 1, 10, 7.0)], 8)
+            .unwrap();
+        let next = client.close_round_prepare("part", 1, vec![]).unwrap();
+        assert_eq!((next.claims.len(), next.duplicates, next.late), (1, 0, 0));
+        assert_eq!(next.claims[0].values, vec![(0, 7.0), (1, 8.0)]);
         node.shutdown();
     }
 

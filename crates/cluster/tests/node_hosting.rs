@@ -99,6 +99,13 @@ fn an_oversized_create_is_refused_and_the_node_keeps_serving() {
     );
     let outcome = hostile.create_campaign("no-queue", spec(3, 0));
     assert!(is_invalid_request(&outcome), "{outcome:?}");
+    // An object count no host can size its per-object sums for.
+    let wide = CampaignSpec {
+        num_objects: 1 << 40,
+        ..spec(3, 64)
+    };
+    let outcome = hostile.create_campaign("wide", wide);
+    assert!(is_invalid_request(&outcome), "{outcome:?}");
 
     // A second connection creates and runs a normal round.
     let mut client = Client::connect(node.local_addr()).unwrap();

@@ -11,7 +11,8 @@
 //!
 //! * [`engine`] — the [`Engine`]: a router that hands reports over in
 //!   chunks, one bounded inbox per worker with backpressure, shards that
-//!   copy accepted claims into columnar arenas ([`shard`]), and a
+//!   copy accepted claims into columnar arenas ([`shard`], the round
+//!   filter a cluster node runs too), and a
 //!   deterministic cross-shard merge whose truths are bit-identical for
 //!   any shard count, worker count or queue capacity. Population-sized
 //!   scratch lives as long as the engine, not the round.

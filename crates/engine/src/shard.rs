@@ -1,4 +1,10 @@
-//! Per-shard ingestion state.
+//! The round filter: per-shard ingestion state.
+//!
+//! This is the one implementation of the server's filter — keep each
+//! user's first on-time report. The engine runs one per shard; a
+//! cluster node runs one over its whole partition
+//! (`ShardState::new(0, 1, local_users, ..)`, where a user is its local
+//! slot).
 //!
 //! A shard owns the users whose id is congruent to its shard id modulo the
 //! shard count, stored under a **dense local index** (`user / num_shards`)
@@ -8,15 +14,16 @@
 //! first-wins (the policy is [`dptd_protocol::dedup::DedupFilter`]'s; a
 //! late duplicate counts as late), and **copies an accepted report's
 //! claims into its own columnar arena** — an `objects` and a `values`
-//! column filled in arrival order, on the worker thread — after which
-//! the report is garbage. The filter stores nothing but the span of the
-//! arena each local slot's report was given. At the epoch boundary the
-//! shard walks its slots ascending and emits the spans as one
-//! contiguous, users-ascending [`ShardClaims`] for the cross-shard merge
-//! (a slot's user is implied, its cells are two slice copies); resetting
-//! for the next epoch costs time proportional to the reports accepted,
-//! not to the users owned, so a `ShardState` is meant to live as long as
-//! its campaign.
+//! column filled in arrival order — after which the report is garbage.
+//! The filter stores nothing but the span of the arena each local
+//! slot's report was given. [`ShardState::rows`] walks the slots
+//! ascending without closing the epoch (a node's repeatable prepare
+//! reads it); at the epoch boundary [`ShardState::finish_epoch`] copies
+//! the same walk into one contiguous, users-ascending [`ShardClaims`]
+//! for the cross-shard merge (a slot's user is implied, its cells are
+//! two slice copies). Resetting for the next epoch costs time
+//! proportional to the reports accepted, not to the users owned, so a
+//! `ShardState` is meant to live as long as its campaign.
 //!
 //! Resident cost: 12 bytes per owned user (the slot → span index) plus
 //! the arena of the largest epoch seen (16 bytes per claim).
@@ -171,23 +178,47 @@ impl ShardState {
         true
     }
 
-    /// Close the current epoch: emit the canonical claims for the
-    /// cross-shard merge — users ascending, copied span by span out of
-    /// the arena — plus shard-level stats, and reset for the next epoch.
-    pub fn finish_epoch(&mut self) -> (ShardClaims, ShardEpochStats) {
-        let mut claims = ShardClaims::with_capacity(self.dedup.len(), self.values.len());
-        for (slot, &(start, end)) in self.dedup.slot_ordered() {
+    /// The open epoch's accepted rows so far, users ascending: each
+    /// row's user and its claims as parallel `objects` / `values` slices
+    /// of the arena, in report order. A view — the epoch stays open.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &[usize], &[f64])> + '_ {
+        self.dedup.slot_ordered().map(|(slot, &(start, end))| {
             let cells = start as usize..end as usize;
-            claims.push_row(
+            (
                 slot * self.num_shards + self.shard_id,
                 &self.objects[cells.clone()],
                 &self.values[cells],
-            );
+            )
+        })
+    }
+
+    /// Reports accepted into the open epoch so far.
+    pub fn accepted(&self) -> usize {
+        self.dedup.len()
+    }
+
+    /// Duplicates discarded in the open epoch so far.
+    pub fn duplicates_discarded(&self) -> usize {
+        self.dedup.duplicates_discarded()
+    }
+
+    /// Reports dropped for missing the deadline in the open epoch so far.
+    pub fn late_dropped(&self) -> u64 {
+        self.late_dropped
+    }
+
+    /// Close the current epoch: emit [`ShardState::rows`] as the
+    /// canonical claims for the cross-shard merge, plus shard-level
+    /// stats, and reset for the next epoch.
+    pub fn finish_epoch(&mut self) -> (ShardClaims, ShardEpochStats) {
+        let mut claims = ShardClaims::with_capacity(self.accepted(), self.values.len());
+        for (user, objects, values) in self.rows() {
+            claims.push_row(user, objects, values);
         }
         let covered = self.object_sums.iter().all(|&(_, count)| count > 0);
         let stats = ShardEpochStats {
-            accepted: self.dedup.len(),
-            duplicates_discarded: self.dedup.duplicates_discarded(),
+            accepted: self.accepted(),
+            duplicates_discarded: self.duplicates_discarded(),
             late_dropped: std::mem::take(&mut self.late_dropped),
             local_truths: covered.then(|| {
                 self.object_sums
@@ -237,10 +268,24 @@ mod tests {
         assert!(!s.ingest(stamped(1, 101, vec![(0, 2.0)]))); // late
         assert!(s.ingest(stamped(1, 100, vec![(0, 2.0)]))); // exactly at deadline: on time
         assert!(s.ingest(stamped(2, 10, vec![(0, 3.0)])));
+        // Deadline before dedup: a late duplicate of an accepted user
+        // counts as late, not as a duplicate.
+        assert!(!s.ingest(stamped(0, 150, vec![(0, 7.0)])));
+        // The open-epoch view closes nothing, and is what the close emits.
+        let cells = |(user, _, values): (usize, &[usize], &[f64])| (user, values.to_vec());
+        let view: Vec<(usize, Vec<f64>)> = s.rows().map(cells).collect();
+        assert_eq!(view, vec![(0, vec![1.0]), (1, vec![2.0]), (2, vec![3.0])]);
+        let counts = (s.accepted(), s.duplicates_discarded(), s.late_dropped());
+        assert_eq!(counts, (3, 1, 2));
+        assert_eq!(s.rows().count(), 3, "reading the view twice");
         let (claims, stats) = s.finish_epoch();
+        let emitted: Vec<(usize, Vec<f64>)> = (0..claims.num_users())
+            .map(|r| cells(claims.row(r)))
+            .collect();
+        assert_eq!(emitted, view);
         assert_eq!(stats.accepted, 3);
         assert_eq!(stats.duplicates_discarded, 1);
-        assert_eq!(stats.late_dropped, 1);
+        assert_eq!(stats.late_dropped, 2);
         assert_eq!(claims.num_users(), 3);
         // First-wins: user 0 kept 1.0, and the local CRH covered object 0.
         let local = stats.local_truths.unwrap();

@@ -53,8 +53,8 @@ pub mod codes {
     pub const BARRIER_PREPARE: u32 = 9;
     /// A cluster barrier commit phase (span; arg = epoch).
     pub const BARRIER_COMMIT: u32 = 10;
-    /// A node draining its staged lane under a barrier prepare (span;
-    /// arg = epoch).
+    /// A node draining its queue into its round filter under a barrier
+    /// prepare (span; arg = epoch).
     pub const NODE_DRAIN: u32 = 11;
     /// A node durably committing its slice of a merged round (span;
     /// arg = epoch).

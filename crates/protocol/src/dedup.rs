@@ -1,18 +1,18 @@
 //! First-wins report de-duplication.
 //!
-//! Both the discrete-event simulator and the streaming engine must cope
-//! with duplicate submissions (retries, at-least-once transports): the
-//! server keeps the **first** report per user and counts the rest. This
-//! module lifts that policy out of `sim.rs` into a reusable filter so every
-//! runtime shares identical semantics.
+//! Every runtime must cope with duplicate submissions (retries,
+//! at-least-once transports): the server keeps the **first** report per
+//! user and counts the rest. This filter is that policy, shared by the
+//! in-process references (`sim.rs`, `SimBackend`) and the engine's round
+//! filter, `dptd_engine::shard::ShardState` — which the engine runs per
+//! shard and a cluster node runs over its partition.
 //!
-//! The filter is indexed by a caller-chosen *slot*: the simulator uses the
-//! global user id, while each engine shard uses a dense local index for its
-//! own sub-population (keeping per-shard memory proportional to the shard,
-//! not the population). What a slot *stores* is the caller's choice too:
-//! the simulator and the cluster lane keep the report itself, an engine
-//! shard keeps the span of its columnar arena that holds the report's
-//! claims.
+//! The filter is indexed by a caller-chosen *slot*: the references use
+//! the global user id, a shard a dense local index for its own
+//! sub-population (keeping its memory proportional to the shard, not the
+//! population). What a slot *stores* is the caller's choice too: the
+//! references keep the report itself, a shard keeps the span of its
+//! columnar arena that holds the report's claims.
 
 use dptd_core::roles::PerturbedReport;
 

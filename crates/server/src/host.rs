@@ -50,6 +50,19 @@ use crate::wire::{validate_campaign_id, CampaignSpec, ErrorCode, Request, Respon
 /// (`RegistryConfig::default()`, every cluster node): 4 Mi users.
 pub const MAX_USERS_PER_CAMPAIGN: u64 = 4 << 20;
 
+/// The object cap every host applies: 64 Ki objects. Each engine shard
+/// and each cluster node keeps a 16 B running sum and count per object,
+/// so the worst case a create admits is 1 MiB per shard — 64 MiB at
+/// [`MAX_SHARDS_PER_CAMPAIGN`] shards.
+pub const MAX_OBJECTS_PER_CAMPAIGN: u64 = 1 << 16;
+
+/// The shard cap every host applies: 64 shards. A campaign server's
+/// engine keeps `num_shards` shards, each with its per-object sums (see
+/// [`MAX_OBJECTS_PER_CAMPAIGN`]), and spawns `min(workers, num_shards)`
+/// threads per round, so the worst case a create admits is 64 worker
+/// threads and 64 MiB of shard sums.
+pub const MAX_SHARDS_PER_CAMPAIGN: u64 = 64;
+
 /// A typed refusal frame.
 pub fn refuse(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error {
@@ -600,9 +613,11 @@ impl SubmissionQueue {
 ///
 /// # Errors
 ///
-/// An `InvalidRequest` refusal for an empty or over-cap population (so
-/// a create claiming more is refused before the host allocates
-/// `O(users)`), a zero submission capacity, or an invalid privacy loss.
+/// An `InvalidRequest` refusal for an empty or over-cap population, an
+/// object or shard count over [`MAX_OBJECTS_PER_CAMPAIGN`] or
+/// [`MAX_SHARDS_PER_CAMPAIGN`] (so a create claiming more is refused
+/// before the host allocates for it), a zero submission capacity, or an
+/// invalid privacy loss.
 pub fn admit(spec: &CampaignSpec, max_users: u64) -> Result<(CampaignConfig, WalPolicy), Response> {
     let invalid = |message: String| refuse(ErrorCode::InvalidRequest, message);
     if spec.num_users == 0 {
@@ -613,6 +628,14 @@ pub fn admit(spec: &CampaignSpec, max_users: u64) -> Result<(CampaignConfig, Wal
             "population {} exceeds the host's {max_users}-user cap",
             spec.num_users
         )));
+    }
+    for (field, value, cap) in [
+        ("num_objects", spec.num_objects, MAX_OBJECTS_PER_CAMPAIGN),
+        ("num_shards", spec.num_shards, MAX_SHARDS_PER_CAMPAIGN),
+    ] {
+        if value > cap {
+            return Err(invalid(format!("{field} {value} exceeds the cap of {cap}")));
+        }
     }
     if spec.submission_capacity == 0 {
         return Err(invalid("submission_capacity must be positive".to_string()));
@@ -819,6 +842,14 @@ mod tests {
                 ..spec()
             },
             CampaignSpec {
+                num_objects: MAX_OBJECTS_PER_CAMPAIGN + 1,
+                ..spec()
+            },
+            CampaignSpec {
+                num_shards: MAX_SHARDS_PER_CAMPAIGN + 1,
+                ..spec()
+            },
+            CampaignSpec {
                 submission_capacity: 0,
                 ..spec()
             },
@@ -830,6 +861,12 @@ mod tests {
             let resp = admit(&bad, MAX_USERS_PER_CAMPAIGN).expect_err("must be refused");
             assert!(is_invalid(&resp), "{resp:?}");
         }
+        let at_the_caps = CampaignSpec {
+            num_objects: MAX_OBJECTS_PER_CAMPAIGN,
+            num_shards: MAX_SHARDS_PER_CAMPAIGN,
+            ..spec()
+        };
+        assert!(admit(&at_the_caps, MAX_USERS_PER_CAMPAIGN).is_ok());
         assert!(admit(&spec(), 3).is_err(), "the cap is the caller's");
     }
 

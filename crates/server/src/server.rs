@@ -247,4 +247,56 @@ mod tests {
             Err(ServerError::Wire(WireError::Malformed(_)))
         ));
     }
+
+    /// A create naming more objects than any host can keep per-object
+    /// sums for is a typed refusal. Were it admitted, the round's first
+    /// close would try to allocate them and abort the process.
+    #[test]
+    fn a_create_with_too_many_objects_is_refused_and_the_server_keeps_serving() {
+        use crate::client::Client;
+        use dptd_core::roles::PerturbedReport;
+        use dptd_protocol::message::StampedReport;
+
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let spec = wire::CampaignSpec {
+            num_users: 2,
+            num_objects: 1 << 40,
+            num_shards: 1,
+            workers: 1,
+            engine_queue: 64,
+            deadline_us: 1_000,
+            submission_capacity: 8,
+            per_round_epsilon: 0.5,
+            per_round_delta: 0.0,
+            budget_epsilon: 1.0,
+            budget_delta: 0.0,
+            stream_tag: 0,
+            durable: false,
+        };
+        let created = client.create_campaign("wide", spec);
+        let report = StampedReport {
+            epoch: 0,
+            sent_at_us: 1,
+            report: PerturbedReport {
+                user: 0,
+                values: vec![(0, 1.0)],
+            },
+        };
+        // Had the create been admitted, this is the round that aborts.
+        let _ = client.submit("wide", vec![report]);
+        let _ = client.close_round("wide", 0);
+        assert!(
+            matches!(
+                created,
+                Err(ServerError::Remote {
+                    code: wire::ErrorCode::InvalidRequest,
+                    ..
+                })
+            ),
+            "{created:?}"
+        );
+        client.query_status().unwrap();
+        server.shutdown();
+    }
 }

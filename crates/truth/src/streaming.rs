@@ -330,8 +330,10 @@ impl StreamingCrh {
 }
 
 /// The claims one shard collected for one epoch, for a disjoint subset
-/// of the population. Produced by the `dptd-engine` shards (and the
-/// cluster coordinator) and consumed by [`StreamingCrh::ingest_sharded`].
+/// of the population. Produced by the `dptd-engine` shards (which a
+/// cluster node also runs, and whose last round it keeps for a
+/// re-driven barrier) and by the cluster coordinator, and consumed by
+/// [`StreamingCrh::ingest_sharded`].
 ///
 /// Stored compressed-sparse-row, like the [`ColumnarBatch`] it is merged
 /// into: `users[i]` is row `i`'s user and `offsets[i]..offsets[i + 1]`
@@ -405,7 +407,7 @@ impl ShardClaims {
     /// # Panics
     ///
     /// Panics if `row >= self.num_users()`.
-    pub(crate) fn row(&self, row: usize) -> (usize, &[usize], &[f64]) {
+    pub fn row(&self, row: usize) -> (usize, &[usize], &[f64]) {
         let cells = self.offsets[row]..self.offsets[row + 1];
         (
             self.users[row],
