@@ -268,28 +268,41 @@ mod tests {
         assert!(!s.ingest(stamped(1, 101, vec![(0, 2.0)]))); // late
         assert!(s.ingest(stamped(1, 100, vec![(0, 2.0)]))); // exactly at deadline: on time
         assert!(s.ingest(stamped(2, 10, vec![(0, 3.0)])));
-        // Deadline before dedup: a late duplicate of an accepted user
-        // counts as late, not as a duplicate.
-        assert!(!s.ingest(stamped(0, 150, vec![(0, 7.0)])));
+        let (claims, stats) = s.finish_epoch();
+        assert_eq!(stats.accepted, 3);
+        assert_eq!(stats.duplicates_discarded, 1);
+        assert_eq!(stats.late_dropped, 1);
+        assert_eq!(claims.num_users(), 3);
+        // First-wins: user 0 kept 1.0, and the local CRH covered object 0.
+        let local = stats.local_truths.unwrap();
+        assert!(local[0] > 1.0 && local[0] < 3.0);
+    }
+
+    #[test]
+    fn deadline_applies_before_dedup() {
+        // One shard over a node's partition: a user is its local slot.
+        let mut s = ShardState::new(0, 1, 2, 1, 100, Loss::Squared);
+        assert!(s.ingest(stamped(0, 50, vec![(0, 1.0)])));
+        // A late duplicate of an accepted user counts as late, not as a
+        // duplicate; an on-time one counts as a duplicate.
+        assert!(!s.ingest(stamped(0, 150, vec![(0, 2.0)])));
+        assert!(!s.ingest(stamped(0, 60, vec![(0, 3.0)])));
+        assert!(s.ingest(stamped(1, 70, vec![(0, 4.0)])));
+        let counts = (s.accepted(), s.duplicates_discarded(), s.late_dropped());
+        assert_eq!(counts, (2, 1, 1));
         // The open-epoch view closes nothing, and is what the close emits.
         let cells = |(user, _, values): (usize, &[usize], &[f64])| (user, values.to_vec());
         let view: Vec<(usize, Vec<f64>)> = s.rows().map(cells).collect();
-        assert_eq!(view, vec![(0, vec![1.0]), (1, vec![2.0]), (2, vec![3.0])]);
-        let counts = (s.accepted(), s.duplicates_discarded(), s.late_dropped());
-        assert_eq!(counts, (3, 1, 2));
-        assert_eq!(s.rows().count(), 3, "reading the view twice");
+        // First-wins: the value of the first on-time report survived.
+        assert_eq!(view, vec![(0, vec![1.0]), (1, vec![4.0])]);
+        assert_eq!(s.rows().count(), 2, "reading the view twice");
         let (claims, stats) = s.finish_epoch();
         let emitted: Vec<(usize, Vec<f64>)> = (0..claims.num_users())
             .map(|r| cells(claims.row(r)))
             .collect();
         assert_eq!(emitted, view);
-        assert_eq!(stats.accepted, 3);
-        assert_eq!(stats.duplicates_discarded, 1);
-        assert_eq!(stats.late_dropped, 2);
-        assert_eq!(claims.num_users(), 3);
-        // First-wins: user 0 kept 1.0, and the local CRH covered object 0.
-        let local = stats.local_truths.unwrap();
-        assert!(local[0] > 1.0 && local[0] < 3.0);
+        let closed = (stats.accepted, stats.duplicates_discarded, stats.late_dropped);
+        assert_eq!(closed, (2, 1, 1));
     }
 
     #[test]
