@@ -482,9 +482,9 @@ mod tests {
         );
     }
 
-    /// `dptd submit` pipelines on request; `cluster submit` always
-    /// streams to every node, so the flag chooses nothing and is refused
-    /// — before any node is dialled (nothing listens on port 1).
+    /// `cluster submit` always streams to every node, so the flag
+    /// chooses nothing and is refused — before any node is dialled
+    /// (nothing listens on port 1).
     #[test]
     fn submit_refuses_the_pipeline_flag_it_has_no_mode_for() {
         let err = execute(&argv(&[

@@ -2,8 +2,9 @@
 //!
 //! The network twin of `dptd campaign`: the same deterministic
 //! load-generator stream, but every report crosses a TCP connection to
-//! a `dptd serve` process. Per round it submits the round's reports in
-//! batched `SubmitReports` frames (order preserved), closes the round,
+//! a `dptd serve` process. Per round it streams the round's reports as
+//! pipelined `SubmitReportsStream` batches (order preserved, up to
+//! `DEFAULT_STREAM_WINDOW` in flight), closes the round,
 //! and prints the identical round table and trailing `weights digest`
 //! line — so a served campaign and an in-process `dptd campaign` run on
 //! the same seed diff from the shell, digest for digest.
@@ -13,6 +14,7 @@
 //! restarted server resumes at the first unlogged round and still lands
 //! on the uninterrupted digest.
 
+use dptd_server::client::DEFAULT_STREAM_WINDOW;
 use dptd_server::{CampaignSpec, Client, RetryPolicy};
 
 use super::box_err;
@@ -28,53 +30,44 @@ use crate::CliError;
 /// [`CliError::Pipeline`] for connection, wire and campaign failures
 /// (including typed server refusals).
 pub fn execute(args: &ArgMap) -> Result<String, CliError> {
-    let (flags, (addr, campaign, spec, batch, retry, pipeline, window)) =
-        CampaignFlags::resolve(args, |flags| {
-            let Some(addr) = args.get("connect") else {
-                return Err(CliError::Usage(
-                    "dptd submit needs `--connect <addr>` (a running `dptd serve`)".to_string(),
-                ));
-            };
-            let load = flags.load.config();
-            let spec = CampaignSpec {
-                num_users: load.num_users as u64,
-                num_objects: load.num_objects as u64,
-                num_shards: args.u64_or("shards", 8)?,
-                workers: args.u64_or("workers", 0)?,
-                engine_queue: args.u64_or("queue-capacity", 4_096)?,
-                deadline_us: load.epoch_len_us,
-                submission_capacity: args.u64_or("submission-capacity", 1 << 16)?,
-                per_round_epsilon: flags.per_round.epsilon(),
-                per_round_delta: flags.per_round.delta(),
-                budget_epsilon: flags.budget.epsilon(),
-                budget_delta: flags.budget.delta(),
-                // The same stream fingerprint `dptd campaign --wal`
-                // stamps: a durable campaign resumed under a different
-                // --seed/--churn/… is refused server-side instead of
-                // replaying the ledger against reports it never
-                // accounted.
-                stream_tag: super::campaign::stream_tag(load),
-                durable: super::bool_flag(args, "durable", false)?,
-            };
-            Ok((
-                addr,
-                args.str_or("campaign", "campaign"),
-                spec,
-                args.usize_or("batch", dptd_server::client::DEFAULT_SUBMIT_CHUNK)?,
-                RetryPolicy {
-                    busy_retries: args.u64_or("busy-retries", 0)? as u32,
-                    busy_backoff_ms: args.u64_or("busy-backoff-ms", 25)?,
-                },
-                // `--pipeline` switches each round's submission from
-                // request/reply `SubmitReports` to the streamed
-                // `SubmitReportsStream` mode: a window of batches stays
-                // in flight and the server answers with cumulative acks,
-                // so a high-latency link no longer pays one RTT per
-                // batch. Digests are identical either way.
-                super::bool_flag(args, "pipeline", false)?,
-                args.usize_or("window", dptd_server::client::DEFAULT_STREAM_WINDOW)?,
-            ))
-        })?;
+    let (flags, (addr, campaign, spec, batch, retry)) = CampaignFlags::resolve(args, |flags| {
+        let Some(addr) = args.get("connect") else {
+            return Err(CliError::Usage(
+                "dptd submit needs `--connect <addr>` (a running `dptd serve`)".to_string(),
+            ));
+        };
+        let load = flags.load.config();
+        let spec = CampaignSpec {
+            num_users: load.num_users as u64,
+            num_objects: load.num_objects as u64,
+            num_shards: args.u64_or("shards", 8)?,
+            workers: args.u64_or("workers", 0)?,
+            engine_queue: args.u64_or("queue-capacity", 4_096)?,
+            deadline_us: load.epoch_len_us,
+            submission_capacity: args.u64_or("submission-capacity", 1 << 16)?,
+            per_round_epsilon: flags.per_round.epsilon(),
+            per_round_delta: flags.per_round.delta(),
+            budget_epsilon: flags.budget.epsilon(),
+            budget_delta: flags.budget.delta(),
+            // The same stream fingerprint `dptd campaign --wal`
+            // stamps: a durable campaign resumed under a different
+            // --seed/--churn/… is refused server-side instead of
+            // replaying the ledger against reports it never
+            // accounted.
+            stream_tag: super::campaign::stream_tag(load),
+            durable: super::bool_flag(args, "durable", false)?,
+        };
+        Ok((
+            addr,
+            args.str_or("campaign", "campaign"),
+            spec,
+            args.usize_or("batch", dptd_server::client::DEFAULT_SUBMIT_CHUNK)?,
+            RetryPolicy {
+                busy_retries: args.u64_or("busy-retries", 0)? as u32,
+                busy_backoff_ms: args.u64_or("busy-backoff-ms", 25)?,
+            },
+        ))
+    })?;
 
     let mut client = Client::connect(addr).map_err(box_err)?;
     let resumed = client.create_campaign(campaign, spec).map_err(box_err)?;
@@ -92,11 +85,6 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
             "wal: server resumed campaign `{campaign}` at round {resumed}"
         ));
     }
-    if pipeline {
-        notes.push(format!(
-            "pipelined submit: up to {window} batch(es) in flight, cumulative acks"
-        ));
-    }
     let mut last_digest: Option<u64> = None;
     let out = flags.rounds(
         &format!("# dptd submit — campaign `{campaign}` via {addr}"),
@@ -104,19 +92,16 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
         &notes,
         resumed,
         |epoch, reports| {
-            if pipeline {
-                client.submit_stream_with_retry(campaign, &reports, batch, window, retry)
-            } else {
-                client.submit_chunked_with_retry(campaign, &reports, batch, retry)
-            }
-            .map_err(|e| match e {
-                dptd_server::ServerError::Busy => CliError::Usage(format!(
-                    "server pushed back on round {epoch}: raise --submission-capacity \
+            client
+                .submit_stream_with_retry(campaign, &reports, batch, DEFAULT_STREAM_WINDOW, retry)
+                .map_err(|e| match e {
+                    dptd_server::ServerError::Busy => CliError::Usage(format!(
+                        "server pushed back on round {epoch}: raise --submission-capacity \
                      (currently {}), add --busy-retries, or shrink the round",
-                    spec.submission_capacity
-                )),
-                other => box_err(other),
-            })?;
+                        spec.submission_capacity
+                    )),
+                    other => box_err(other),
+                })?;
             let round = client.close_round(campaign, epoch).map_err(box_err)?;
             last_digest = Some(round.weights_digest);
             Ok(RoundRow {
@@ -245,22 +230,10 @@ mod tests {
         // A small batch forces several in-flight frames per round.
         let piped = execute(&map(&[
             SMALL,
-            &[
-                "--connect",
-                &addr,
-                "--campaign",
-                "piped",
-                "--pipeline",
-                "true",
-                "--batch",
-                "64",
-                "--window",
-                "4",
-            ],
+            &["--connect", &addr, "--campaign", "piped", "--batch", "64"],
         ]
         .concat()))
         .unwrap();
-        assert!(piped.contains("pipelined submit"), "{piped}");
         let plain = execute(&map(
             &[SMALL, &["--connect", &addr, "--campaign", "plain"]].concat()
         ))
@@ -274,8 +247,13 @@ mod tests {
         assert_eq!(digest(&piped), digest(&plain), "{piped}\n{plain}");
         server.shutdown();
 
-        let err = execute(&map(&["--connect", "x", "--pipeline", "maybe"])).unwrap_err();
-        assert!(err.to_string().contains("--pipeline"), "{err}");
+        // Every submit streams, so the flag chooses nothing and is
+        // refused before the connect (nothing listens on port 1).
+        let err = execute(&map(&["--connect", "127.0.0.1:1", "--pipeline", "true"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("`--pipeline`")),
+            "{err}"
+        );
     }
 
     #[test]

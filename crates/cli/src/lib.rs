@@ -139,9 +139,7 @@ COMMANDS:
              --busy-retries    bounded retries when the server queue
                                is full (exponential backoff)  [0]
              --busy-backoff-ms initial backoff, doubled/retry [25]
-             --pipeline   true | false: stream batches without per-batch
-                          ack waits (server sends cumulative acks) [false]
-             --window     in-flight batches when --pipeline true [64]
+             batches stream with up to 64 in flight (cumulative acks)
     status   live metrics plane of a running `dptd serve`
              --connect    server address (required)
              --watch      true | false: refresh until stdin EOF [false]

@@ -106,6 +106,27 @@ fn an_oversized_create_is_refused_and_the_node_keeps_serving() {
     };
     let outcome = hostile.create_campaign("wide", wide);
     assert!(is_invalid_request(&outcome), "{outcome:?}");
+    // No objects to aggregate, or no time to report in: a server refuses
+    // both, so a node must too.
+    for (id, hostile_spec) in [
+        (
+            "no-objects",
+            CampaignSpec {
+                num_objects: 0,
+                ..spec(3, 64)
+            },
+        ),
+        (
+            "no-deadline",
+            CampaignSpec {
+                deadline_us: 0,
+                ..spec(3, 64)
+            },
+        ),
+    ] {
+        let outcome = hostile.create_campaign(id, hostile_spec);
+        assert!(is_invalid_request(&outcome), "{id}: {outcome:?}");
+    }
 
     // A second connection creates and runs a normal round.
     let mut client = Client::connect(node.local_addr()).unwrap();

@@ -301,7 +301,11 @@ mod tests {
             .map(|r| cells(claims.row(r)))
             .collect();
         assert_eq!(emitted, view);
-        let closed = (stats.accepted, stats.duplicates_discarded, stats.late_dropped);
+        let closed = (
+            stats.accepted,
+            stats.duplicates_discarded,
+            stats.late_dropped,
+        );
         assert_eq!(closed, (2, 1, 1));
     }
 

@@ -1,6 +1,5 @@
-//! Log-linear latency histograms: the single-writer [`Histogram`], the
-//! lock-free [`AtomicHistogram`] for concurrent recorders, and the
-//! sparse [`HistogramSnapshot`] both export.
+//! Log-linear latency histograms: the single-writer [`Histogram`] and
+//! the sparse [`HistogramSnapshot`] it exports.
 //!
 //! The bucket layout is HDR-style log-linear: values below
 //! [`LINEAR_CUTOFF`] get exact buckets; above it each power-of-two
@@ -11,7 +10,6 @@
 //! exactly composable — a merged histogram is bit-identical to one fed
 //! the concatenated stream.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const OCTAVE_SUB: u64 = 16;
@@ -162,79 +160,6 @@ impl Histogram {
     }
 }
 
-/// The same bucket layout with every slot an atomic: any number of
-/// threads record concurrently with relaxed `fetch_add`s (no locks, no
-/// CAS loops), and a merged [`snapshot`](AtomicHistogram::snapshot)
-/// taken after the writers quiesce equals the single-threaded
-/// [`Histogram`] fed the same observations, bucket for bucket.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    max_ns: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one latency observation (callable from any thread).
-    pub fn record(&self, latency: Duration) {
-        self.record_ns(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Record one observation given directly in nanoseconds.
-    pub fn record_ns(&self, ns: u64) {
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Export the occupied buckets as a sparse snapshot. Exact once the
-    /// writers have quiesced; a snapshot raced with recorders may lag
-    /// the very latest observations but never invents any.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<(u32, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let c = c.load(Ordering::Relaxed);
-                (c != 0).then_some((i as u32, c))
-            })
-            .collect();
-        // Derive the count from the buckets read, so the snapshot is
-        // internally consistent even mid-race.
-        let count = buckets.iter().map(|&(_, c)| c).sum();
-        HistogramSnapshot {
-            count,
-            total_ns: self.total_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
 /// A sparse, wire-friendly histogram dump: only the occupied buckets,
 /// in increasing index order. Quantiles are answered directly from the
 /// sparse form, and snapshots with the same layout merge additively
@@ -376,29 +301,8 @@ mod tests {
     #[test]
     fn empty_histograms_have_no_quantiles() {
         assert_eq!(Histogram::new().p50(), None);
-        assert_eq!(AtomicHistogram::new().snapshot().p50_ns(), None);
+        assert_eq!(Histogram::new().snapshot().p50_ns(), None);
         assert_eq!(HistogramSnapshot::default().mean_ns(), None);
-    }
-
-    #[test]
-    fn atomic_histogram_matches_the_single_writer_reference() {
-        let reference = {
-            let mut h = Histogram::new();
-            for us in 1..=1000u64 {
-                h.record(Duration::from_micros(us));
-            }
-            h
-        };
-        let atomic = AtomicHistogram::new();
-        for us in 1..=1000u64 {
-            atomic.record(Duration::from_micros(us));
-        }
-        assert_eq!(atomic.snapshot(), reference.snapshot());
-        assert_eq!(
-            atomic.snapshot().p99_ns(),
-            reference.quantile_ns(0.99),
-            "quantiles agree"
-        );
     }
 
     #[test]

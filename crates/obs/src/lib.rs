@@ -5,11 +5,10 @@
 //!
 //! * [`hist`] — the log-linear latency [`Histogram`] (HDR-style
 //!   power-of-two octaves split into 16 sub-buckets: p50/p90/p99 without
-//!   storing samples, ≤ 6.25% relative quantile error, mergeable), its
-//!   lock-free [`AtomicHistogram`] twin for concurrent writers, and the
-//!   sparse [`HistogramSnapshot`] both export for the wire.
-//! * [`registry`] — a [`Registry`] of lock-free [`Counter`]s, [`Gauge`]s
-//!   and histograms under hierarchical dotted names
+//!   storing samples, ≤ 6.25% relative quantile error, mergeable) and
+//!   the sparse [`HistogramSnapshot`] it exports for the wire.
+//! * [`registry`] — a [`Registry`] of lock-free [`Counter`]s and
+//!   [`Gauge`]s under hierarchical dotted names
 //!   (`server.conn.accepted`, `campaign.<id>.merge_busy_ns`, …), plus
 //!   the [`MetricsSnapshot`] dump the serving layers expose over TCP and
 //!   the per-campaign **fair-share** view ([`CampaignShare`]) derived
@@ -39,6 +38,6 @@ pub mod registry;
 pub mod trace;
 
 pub use flight::{escape_json, FlightRecorder};
-pub use hist::{AtomicHistogram, Histogram, HistogramSnapshot, NUM_BUCKETS};
+pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{names, CampaignShare, Counter, Gauge, MetricValue, MetricsSnapshot, Registry};
 pub use trace::{codes, SpanContext, TraceEvent, TraceScope};

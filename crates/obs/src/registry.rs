@@ -1,11 +1,12 @@
-//! The metrics registry: lock-free counters, gauges and histograms
-//! under hierarchical dotted names, the [`MetricsSnapshot`] dump the
-//! serving layers expose over the wire, and the per-campaign
-//! fair-share view derived from it.
+//! The metrics registry: lock-free counters and gauges under
+//! hierarchical dotted names, the [`MetricsSnapshot`] dump the serving
+//! layers expose over the wire (histograms join it as
+//! [`Histogram::snapshot`](crate::Histogram::snapshot)s), and the
+//! per-campaign fair-share view derived from it.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Arc<AtomicHistogram>`]) are cheap
-//! clones of shared atomics: callers obtain them once (taking the
-//! registry's name-map lock) and then record from any thread with
+//! Handles ([`Counter`], [`Gauge`]) are cheap clones of shared atomics:
+//! callers obtain them once (taking the registry's name-map lock) and
+//! then record from any thread with
 //! relaxed atomic ops — the hot path never locks. A
 //! [`snapshot`](Registry::snapshot) walks the name map and dumps every
 //! metric's current value; snapshots from several nodes
@@ -16,7 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::hist::{AtomicHistogram, HistogramSnapshot};
+use crate::hist::HistogramSnapshot;
 
 /// Well-known metric names and the `campaign.<id>.<suffix>` naming
 /// scheme shared by every layer that populates a snapshot.
@@ -174,7 +175,6 @@ impl Gauge {
 enum Slot {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Arc<AtomicHistogram>),
 }
 
 /// A registry of named metrics. Registration takes a lock; recording
@@ -197,7 +197,7 @@ impl Registry {
 
     /// The counter registered under `name` (created on first use). A
     /// name registers exactly one kind: asking for a counter where a
-    /// gauge or histogram lives returns a fresh detached handle.
+    /// gauge lives returns a fresh detached handle.
     pub fn counter(&self, name: &str) -> Counter {
         match self.slot(name, || Slot::Counter(Counter::new())) {
             Slot::Counter(c) => c,
@@ -213,14 +213,6 @@ impl Registry {
         }
     }
 
-    /// The histogram registered under `name` (created on first use).
-    pub fn histogram(&self, name: &str) -> Arc<AtomicHistogram> {
-        match self.slot(name, || Slot::Histogram(Arc::new(AtomicHistogram::new()))) {
-            Slot::Histogram(h) => h,
-            _ => Arc::new(AtomicHistogram::new()),
-        }
-    }
-
     /// Dump every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
@@ -231,7 +223,6 @@ impl Registry {
                     let value = match slot {
                         Slot::Counter(c) => MetricValue::Counter(c.get()),
                         Slot::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                     };
                     (name.clone(), value)
                 })
@@ -481,7 +472,15 @@ impl CampaignShare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
     use std::time::Duration;
+
+    /// One observation of `us` microseconds, as a snapshot entry.
+    fn latency(us: u64) -> MetricValue {
+        let mut h = Histogram::new();
+        h.record(Duration::from_micros(us));
+        MetricValue::Histogram(h.snapshot())
+    }
 
     #[test]
     fn handles_share_cells_and_snapshots_sort() {
@@ -496,8 +495,8 @@ mod tests {
         g.sub(5); // saturates
         assert_eq!(g.get(), 0);
         g.set(7);
-        reg.histogram("a.lat").record(Duration::from_micros(5));
-        let snap = reg.snapshot();
+        let mut snap = reg.snapshot();
+        snap.set("a.lat".to_string(), latency(5));
         let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["a.lat", "server.conn.live", "server.requests"]);
         assert_eq!(snap.scalar("server.requests"), Some(4));
@@ -533,15 +532,16 @@ mod tests {
         let a_reg = Registry::new();
         a_reg.counter("n.requests").add(2);
         a_reg.gauge("n.live").set(3);
-        a_reg.histogram("n.lat").record(Duration::from_micros(10));
         let b_reg = Registry::new();
         b_reg.counter("n.requests").add(5);
         b_reg.gauge("n.live").set(4);
-        b_reg.histogram("n.lat").record(Duration::from_micros(30));
         b_reg.counter("n.only_b").incr();
 
         let mut fleet = a_reg.snapshot();
-        fleet.absorb(&b_reg.snapshot());
+        fleet.set("n.lat".to_string(), latency(10));
+        let mut b = b_reg.snapshot();
+        b.set("n.lat".to_string(), latency(30));
+        fleet.absorb(&b);
         assert_eq!(fleet.scalar("n.requests"), Some(7));
         assert_eq!(fleet.scalar("n.live"), Some(7));
         assert_eq!(fleet.scalar("n.only_b"), Some(1));
@@ -554,8 +554,8 @@ mod tests {
         // empty snapshot copies the other side verbatim.
         let reg = Registry::new();
         reg.counter("n.requests").add(2);
-        reg.histogram("n.lat").record(Duration::from_micros(10));
-        let base = reg.snapshot();
+        let mut base = reg.snapshot();
+        base.set("n.lat".to_string(), latency(10));
         let mut unchanged = base.clone();
         unchanged.absorb(&MetricsSnapshot::new());
         assert_eq!(unchanged, base, "absorbing empty must change nothing");

@@ -4,17 +4,13 @@
 //!    self-consistent partition of `u64`: every value lands in-range,
 //!    inside the `[floor(i), floor(i+1))` window its index claims, and
 //!    larger values never map to smaller buckets.
-//! 2. The lock-free `AtomicHistogram` and `Counter` absorb concurrent
-//!    writers (1–8 threads) without losing or corrupting anything: the
-//!    merged result is bit-identical to a single-threaded `Histogram`
-//!    fed the same values.
-
-use std::sync::Arc;
+//! 2. The lock-free `Counter` absorbs concurrent writers (1–8 threads)
+//!    without losing a single increment.
 
 use proptest::prelude::*;
 
 use dptd_obs::hist::{bucket_floor, bucket_index};
-use dptd_obs::{AtomicHistogram, Counter, Histogram, NUM_BUCKETS};
+use dptd_obs::{Counter, NUM_BUCKETS};
 
 /// Values spread across the histogram's whole dynamic range: the linear
 /// region, every binary octave, and the saturating top.
@@ -56,26 +52,14 @@ proptest! {
 
     #[test]
     fn concurrent_writers_lose_nothing(
-        // Bounded below ~13 days so a few hundred observations cannot
-        // overflow the atomic u64 running total (the dense reference
-        // accumulates in u128 and saturates; wrap-vs-saturate past
-        // u64::MAX is not the property under test).
         values in prop::collection::vec(0u64..1 << 40, 1..400),
         writers in 1usize..=8,
     ) {
-        // Single-threaded reference: one Histogram fed everything.
-        let mut reference = Histogram::new();
-        for &v in &values {
-            reference.record_ns(v);
-        }
-
-        // Concurrent run: `writers` threads share the atomic histogram
-        // and counter, each recording a disjoint interleaved slice.
-        let hist = Arc::new(AtomicHistogram::new());
+        // `writers` threads share the counter, each counting a disjoint
+        // interleaved slice.
         let count = Counter::new();
         let handles: Vec<_> = (0..writers)
             .map(|w| {
-                let hist = Arc::clone(&hist);
                 let count = count.clone();
                 let slice: Vec<u64> = values
                     .iter()
@@ -84,8 +68,7 @@ proptest! {
                     .step_by(writers)
                     .collect();
                 std::thread::spawn(move || {
-                    for v in slice {
-                        hist.record_ns(v);
+                    for _ in slice {
                         count.incr();
                     }
                 })
@@ -96,10 +79,5 @@ proptest! {
         }
 
         prop_assert_eq!(count.get(), values.len() as u64);
-        prop_assert_eq!(hist.count(), values.len() as u64);
-        let merged = hist.snapshot();
-        let expected = reference.snapshot();
-        prop_assert_eq!(merged, expected,
-            "concurrent merge diverged from the single-threaded reference");
     }
 }

@@ -2,19 +2,13 @@
 //!
 //! Real crowd-sensing deployments run in waves: each round brings new
 //! micro-tasks (new hallway segments, new grid cells) to the same user
-//! population. Two layers live here:
-//!
-//! * [`Campaign`] — the original harness-coupled loop: chains
-//!   [`SimHarness`] rounds, feeds the surviving perturbed reports into a
-//!   server-side [`StreamingCrh`] estimator, and composes a worst-case
-//!   privacy loss with [`PrivacyLoss`] basic composition.
-//! * [`CampaignDriver`] — the backend-abstracted loop: each round is a
-//!   stream of [`StampedReport`]s executed by a pluggable
-//!   [`RoundBackend`] (the in-process [`SimBackend`] here, or the sharded
-//!   `dptd-engine` backend), with **per-user** budget accounting through
-//!   [`BudgetAccountant`]: a user whose next debit would overshoot the
-//!   campaign budget refuses to submit, and dropped/late reports debit
-//!   nothing.
+//! population. [`CampaignDriver`] runs them: each round is a stream of
+//! [`StampedReport`]s executed by a pluggable [`RoundBackend`] (the
+//! in-process [`SimBackend`] here, or the sharded `dptd-engine`
+//! backend), with **per-user** budget accounting through
+//! [`BudgetAccountant`]: a user whose next debit would overshoot the
+//! campaign budget refuses to submit, and dropped/late reports debit
+//! nothing.
 //!
 //! Both backends apply the identical server pipeline — deadline cut-off,
 //! first-wins de-duplication, one [`StreamingCrh`] ingest per round — so
@@ -22,158 +16,14 @@
 //! either, which is what lets the scalable path replace the simulator
 //! under test.
 
-use rand::Rng;
-
 use dptd_ldp::PrivacyLoss;
-use dptd_truth::crh::Crh;
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::{Loss, ObservationMatrix};
 
 use crate::budget::BudgetAccountant;
 use crate::dedup::DedupFilter;
 use crate::message::StampedReport;
-use crate::sim::{NetworkConfig, RoundConfig, RoundOutcome, SimHarness};
 use crate::ProtocolError;
-
-/// Outcome of one campaign round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignRound {
-    /// The per-round protocol outcome (participants, drops, …).
-    pub outcome: RoundOutcome,
-    /// The streaming estimator's truths for this round's objects.
-    pub streaming_truths: Vec<f64>,
-    /// Worst-case cumulative privacy loss for a user who participated in
-    /// every round so far (basic composition of the per-round loss).
-    pub cumulative_privacy: PrivacyLoss,
-}
-
-/// A multi-round crowd-sensing campaign over a fixed user population.
-///
-/// # Example
-///
-/// ```
-/// use dptd_ldp::PrivacyLoss;
-/// use dptd_protocol::campaign::Campaign;
-/// use dptd_protocol::sim::{NetworkConfig, RoundConfig};
-///
-/// # fn main() -> Result<(), dptd_protocol::ProtocolError> {
-/// let mut rng = dptd_stats::seeded_rng(13);
-/// let per_round = PrivacyLoss::new(1.0, 0.2).map_err(dptd_core::CoreError::from)?;
-/// let mut campaign = Campaign::new(
-///     30,
-///     2.0,
-///     NetworkConfig::default(),
-///     RoundConfig::default(),
-///     per_round,
-/// )?;
-/// let batch = dptd_sensing::synthetic::SyntheticConfig {
-///     num_users: 30,
-///     num_objects: 4,
-///     ..Default::default()
-/// }
-/// .generate(&mut rng)
-/// .map_err(dptd_core::CoreError::from)?;
-/// let round = campaign.run_round(&batch.observations, &mut rng)?;
-/// assert_eq!(round.streaming_truths.len(), 4);
-/// assert!((round.cumulative_privacy.epsilon() - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct Campaign {
-    harness: SimHarness<Crh>,
-    round_config: RoundConfig,
-    streaming: StreamingCrh,
-    num_users: usize,
-    per_round_loss: PrivacyLoss,
-    rounds_run: u32,
-}
-
-impl Campaign {
-    /// Create a campaign for `num_users` participants.
-    ///
-    /// `per_round_loss` is the `(ε, δ)` each round consumes for a
-    /// participating user (obtained from Theorem 4.8 for the chosen
-    /// `λ₂`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates harness/estimator parameter validation.
-    pub fn new(
-        num_users: usize,
-        lambda2: f64,
-        network: NetworkConfig,
-        round_config: RoundConfig,
-        per_round_loss: PrivacyLoss,
-    ) -> Result<Self, ProtocolError> {
-        let harness = SimHarness::new(Crh::default(), lambda2, network)?;
-        let streaming = StreamingCrh::new(num_users, Loss::Squared)
-            .map_err(|e| ProtocolError::Core(dptd_core::CoreError::Truth(e)))?;
-        Ok(Self {
-            harness,
-            round_config,
-            streaming,
-            num_users,
-            per_round_loss,
-            rounds_run: 0,
-        })
-    }
-
-    /// Number of rounds completed.
-    pub fn rounds_run(&self) -> u32 {
-        self.rounds_run
-    }
-
-    /// The streaming estimator's current per-user weights.
-    pub fn weights(&self) -> &[f64] {
-        self.streaming.weights()
-    }
-
-    /// Run one round over a fresh batch of objects.
-    ///
-    /// `raw_batch` holds the users' ground measurements for this round's
-    /// (new) objects; rows must match the campaign population.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol failures. The streaming estimator additionally
-    /// requires every batch object to be covered by a *surviving* report.
-    pub fn run_round<R: Rng + ?Sized>(
-        &mut self,
-        raw_batch: &ObservationMatrix,
-        rng: &mut R,
-    ) -> Result<CampaignRound, ProtocolError> {
-        if raw_batch.num_users() != self.num_users {
-            return Err(ProtocolError::InvalidParameter {
-                name: "raw_batch.num_users",
-                value: raw_batch.num_users() as f64,
-                constraint: "must match the campaign population",
-            });
-        }
-        let outcome = self.harness.run_round(raw_batch, &self.round_config, rng)?;
-
-        // Rebuild the surviving perturbed matrix with one row per
-        // population member (absent users contribute nothing this round).
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.num_users];
-        for report in &outcome.reports {
-            rows[report.user] = report.values.clone();
-        }
-        let survived = ObservationMatrix::from_sparse_rows(raw_batch.num_objects(), &rows)
-            .map_err(|e| ProtocolError::Core(dptd_core::CoreError::Truth(e)))?;
-
-        let streaming_truths = self
-            .streaming
-            .ingest(&survived)
-            .map_err(|e| ProtocolError::Core(dptd_core::CoreError::Truth(e)))?;
-
-        self.rounds_run += 1;
-        Ok(CampaignRound {
-            outcome,
-            streaming_truths,
-            cumulative_privacy: self.per_round_loss.compose_k(self.rounds_run),
-        })
-    }
-}
 
 /// One round's input to a [`RoundBackend`]: the perturbed, time-stamped
 /// reports of everyone who chose to submit, in stream (delivery) order.
@@ -559,77 +409,6 @@ impl<B: RoundBackend> CampaignDriver<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dptd_sensing::synthetic::SyntheticConfig;
-
-    fn batch(users: usize, objects: usize, seed: u64) -> dptd_sensing::SensingDataset {
-        let mut rng = dptd_stats::seeded_rng(seed);
-        SyntheticConfig {
-            num_users: users,
-            num_objects: objects,
-            ..Default::default()
-        }
-        .generate(&mut rng)
-        .unwrap()
-    }
-
-    fn new_campaign(users: usize) -> Campaign {
-        Campaign::new(
-            users,
-            5.0,
-            NetworkConfig::default(),
-            RoundConfig::default(),
-            PrivacyLoss::new(0.5, 0.1).unwrap(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn rejects_population_mismatch() {
-        let mut campaign = new_campaign(10);
-        let wrong = batch(11, 3, 971);
-        let mut rng = dptd_stats::seeded_rng(977);
-        assert!(campaign.run_round(&wrong.observations, &mut rng).is_err());
-    }
-
-    #[test]
-    fn privacy_composes_across_rounds() {
-        let mut campaign = new_campaign(25);
-        let mut rng = dptd_stats::seeded_rng(983);
-        for round in 1..=3u32 {
-            let b = batch(25, 4, 1000 + round as u64);
-            let out = campaign.run_round(&b.observations, &mut rng).unwrap();
-            assert!((out.cumulative_privacy.epsilon() - 0.5 * round as f64).abs() < 1e-12);
-            assert!((out.cumulative_privacy.delta() - 0.1 * round as f64).abs() < 1e-12);
-        }
-        assert_eq!(campaign.rounds_run(), 3);
-    }
-
-    #[test]
-    fn streaming_truths_track_batches() {
-        let mut campaign = new_campaign(40);
-        let mut rng = dptd_stats::seeded_rng(991);
-        for round in 0..4 {
-            let b = batch(40, 6, 2000 + round);
-            let out = campaign.run_round(&b.observations, &mut rng).unwrap();
-            let err = dptd_stats::summary::mae(&out.streaming_truths, &b.ground_truths).unwrap();
-            assert!(err < 0.5, "round {round} streaming err {err}");
-            // The protocol's own per-round aggregate should agree with the
-            // streaming estimate to within the noise scale.
-            let gap = dptd_stats::summary::mae(&out.streaming_truths, &out.outcome.truths).unwrap();
-            assert!(gap < 0.5, "round {round} streaming vs round gap {gap}");
-        }
-    }
-
-    #[test]
-    fn weights_available_after_rounds() {
-        let mut campaign = new_campaign(15);
-        let mut rng = dptd_stats::seeded_rng(997);
-        let b = batch(15, 5, 3000);
-        campaign.run_round(&b.observations, &mut rng).unwrap();
-        assert_eq!(campaign.weights().len(), 15);
-        assert!(campaign.weights().iter().all(|w| w.is_finite()));
-    }
-
     use dptd_core::roles::PerturbedReport;
 
     fn stamped(epoch: u64, user: usize, sent_at_us: u64, v: f64) -> StampedReport {

@@ -8,10 +8,9 @@
 //!
 //! Two loops drive several exchanges at once from one thread:
 //! [`scatter_gather`] (one request per connection, every reply read) and
-//! [`submit_streams`] (a window of pipelined submit batches per
-//! connection, every ack read).
+//! [`submit_streams`] (every submit: a window of batches per connection,
+//! every ack read), the socket driver of the lane machine in `lane.rs`.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -20,6 +19,7 @@ use dptd_core::roles::PerturbedReport;
 use dptd_protocol::message::StampedReport;
 use dptd_stats::digest::Fnv1a;
 
+use crate::lane::{Ack, Action, Batch, Event, Lane, Lanes};
 use crate::server::{complete_frame, read_frame_body, write_frame};
 use crate::wire::{self, CampaignSpec, Request, Response, StoreOp};
 use crate::{io_err, ServerError};
@@ -30,11 +30,7 @@ use dptd_obs::{SpanContext, TraceEvent};
 /// thread's ambient span when tracing is on, nothing otherwise — an
 /// untraced client sends byte-identical pre-extension frames.
 fn wire_ctx() -> Option<SpanContext> {
-    if trace::enabled() {
-        trace::current()
-    } else {
-        None
-    }
+    trace::enabled().then(trace::current).flatten()
 }
 
 /// Default reports per `SubmitReports` frame for
@@ -87,33 +83,25 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The sleep before retry number `attempt` (0-based) of `chunk`.
-    fn delay(&self, chunk: usize, attempt: u32) -> Duration {
-        let base = self
-            .busy_backoff_ms
-            .saturating_mul(1u64 << attempt.min(MAX_BUSY_BACKOFF_EXPONENT))
-            .min(MAX_BUSY_BACKOFF_MS);
+    pub(crate) fn delay(&self, chunk: usize, attempt: u32) -> Duration {
+        let base = self.base_ms(attempt);
         let mut h = Fnv1a::new();
-        for b in (chunk as u64).to_le_bytes() {
-            h.write_u8(b);
-        }
-        for b in u64::from(attempt).to_le_bytes() {
-            h.write_u8(b);
-        }
-        let jitter = if base == 0 {
-            0
-        } else {
-            h.finish() % (base / 2 + 1)
-        };
-        Duration::from_millis(base + jitter)
+        h.write_u64(chunk as u64);
+        h.write_u64(u64::from(attempt));
+        Duration::from_millis(base + h.finish() % (base / 2 + 1))
+    }
+
+    /// The capped backoff before retry `attempt`, jitter aside.
+    fn base_ms(&self, attempt: u32) -> u64 {
+        self.busy_backoff_ms
+            .saturating_mul(1u64 << attempt.min(MAX_BUSY_BACKOFF_EXPONENT))
+            .min(MAX_BUSY_BACKOFF_MS)
     }
 
     /// The largest single backoff sleep this policy can produce: the
     /// capped base plus its worst-case (half-base) jitter.
     pub fn max_delay(&self) -> Duration {
-        let base = self
-            .busy_backoff_ms
-            .saturating_mul(1u64 << MAX_BUSY_BACKOFF_EXPONENT)
-            .min(MAX_BUSY_BACKOFF_MS);
+        let base = self.base_ms(MAX_BUSY_BACKOFF_EXPONENT);
         Duration::from_millis(base + base / 2)
     }
 
@@ -221,13 +209,6 @@ pub enum SubmitOutcome {
 /// (and the cluster coordinator's per-node streams) before the client
 /// stops writing and waits for cumulative acks.
 pub const DEFAULT_STREAM_WINDOW: usize = 64;
-
-/// One decoded cumulative ack from a pipelined submit.
-struct StreamAck {
-    contiguous: u64,
-    queued: u64,
-    refusals: Vec<wire::BatchRefusal>,
-}
 
 /// A blocking connection to a campaign server.
 #[derive(Debug)]
@@ -375,33 +356,11 @@ impl Client {
         campaign: &str,
         reports: Vec<StampedReport>,
     ) -> Result<SubmitOutcome, ServerError> {
-        self.send_submit(campaign, &reports)?;
-        self.recv_submit()
-    }
-
-    /// The write half of [`Client::submit`], encoding straight from the
-    /// borrowed batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::send`].
-    pub fn send_submit(
-        &mut self,
-        campaign: &str,
-        reports: &[StampedReport],
-    ) -> Result<(), ServerError> {
-        let rows = reports.iter().map(|r| (r, r.report.user));
-        let frame = wire::encode_submit(campaign, None, rows, wire_ctx())?;
-        write_frame(&mut self.stream, &frame)
-    }
-
-    /// The read half of [`Client::submit`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::submit`].
-    pub fn recv_submit(&mut self) -> Result<SubmitOutcome, ServerError> {
-        match self.recv_ok()? {
+        match self.expect(&Request::SubmitReports {
+            campaign: campaign.to_string(),
+            reports,
+            ctx: wire_ctx(),
+        })? {
             Response::Submitted { queued } => Ok(SubmitOutcome::Queued(queued)),
             Response::Busy { queued, capacity } => Ok(SubmitOutcome::Busy { queued, capacity }),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
@@ -430,6 +389,7 @@ impl Client {
     /// `Busy` chunk is retried up to `policy.busy_retries` times behind
     /// exponential backoff instead of failing the whole submit — the
     /// queue drains when a concurrent closer finishes the round ahead.
+    /// The one-lane, window-1 case of [`submit_streams`].
     ///
     /// # Errors
     ///
@@ -443,27 +403,12 @@ impl Client {
         chunk: usize,
         policy: RetryPolicy,
     ) -> Result<u64, ServerError> {
-        let mut queued = 0;
-        for (index, batch) in reports.chunks(chunk.max(1)).enumerate() {
-            let mut attempt = 0;
-            loop {
-                self.send_submit(campaign, batch)?;
-                match self.recv_submit()? {
-                    SubmitOutcome::Queued(now) => {
-                        queued = now;
-                        break;
-                    }
-                    SubmitOutcome::Busy { .. } if attempt >= policy.busy_retries => {
-                        return Err(ServerError::Busy);
-                    }
-                    SubmitOutcome::Busy { .. } => {
-                        std::thread::sleep(policy.delay(index, attempt));
-                        attempt += 1;
-                    }
-                }
-            }
-        }
-        Ok(queued)
+        let mut lanes = [StreamLane {
+            request_reply: true,
+            ..StreamLane::new(self, reports)
+        }];
+        submit_streams(&mut lanes, campaign, chunk, 1, policy).map_err(|(_, e)| e)?;
+        Ok(lanes[0].queued)
     }
 
     /// Submit a round's stream **pipelined**: batches of `chunk`
@@ -518,29 +463,6 @@ impl Client {
         let mut lanes = [StreamLane::new(self, reports)];
         submit_streams(&mut lanes, campaign, chunk, window, policy).map_err(|(_, e)| e)?;
         Ok(lanes[0].queued)
-    }
-
-    /// Read one cumulative ack frame.
-    fn read_stream_ack(&mut self) -> Result<StreamAck, ServerError> {
-        match read_frame_body(&mut self.stream)? {
-            Some(body) => match Response::decode(&body)? {
-                Response::SubmitAcked {
-                    contiguous,
-                    queued,
-                    refusals,
-                } => Ok(StreamAck {
-                    contiguous,
-                    queued,
-                    refusals,
-                }),
-                Response::Error { code, message } => Err(ServerError::Remote { code, message }),
-                other => Err(ServerError::UnexpectedResponse(Box::new(other))),
-            },
-            None => Err(ServerError::Io {
-                op: "read response",
-                message: "connection closed before the streamed ack".to_string(),
-            }),
-        }
     }
 
     /// Close the campaign's current round.
@@ -904,9 +826,8 @@ pub fn scatter_gather<L, T>(
     gathered.into_iter().collect()
 }
 
-/// One connection's share of a [`submit_streams`] call: the
-/// connection, the rows it must deliver in order, and the loop's cursor
-/// over them.
+/// One connection's share of a [`submit_streams`] call: the connection
+/// and the rows it must deliver in order.
 #[derive(Debug)]
 pub struct StreamLane<'a> {
     client: &'a mut Client,
@@ -914,25 +835,8 @@ pub struct StreamLane<'a> {
     /// `(index into reports, user on the wire)` in send order; `None`
     /// sends `reports` in order, each under its own user.
     rows: Option<&'a [(usize, usize)]>,
-    /// The connection's `stream_seq` when the lane was built: batch `b`
-    /// goes out as sequence number `base + b`.
-    base: u64,
-    /// Batches with a frame on the wire, oldest first.
-    inflight: VecDeque<usize>,
-    /// The next batch to send; rewound to `accepted` on a retryable
-    /// refusal.
-    cursor: usize,
-    /// Batches the peer has accepted contiguously.
-    accepted: usize,
-    /// Retryable refusals of the batch at `accepted` so far.
-    attempts: u32,
-    /// A retryable refusal came back: the acks of the window behind it
-    /// are being read before the lane rewinds.
-    rewinding: bool,
-    /// No frame goes out before this (a backoff after a refusal).
-    resume_at: Option<Instant>,
-    /// The lane's first error. Once any lane has one, no lane writes.
-    error: Option<ServerError>,
+    /// Sends `SubmitReports` frames one at a time instead of a stream.
+    request_reply: bool,
     /// Reports pending server-side after this lane's last accepted
     /// batch (`0` until one is).
     pub queued: u64,
@@ -942,19 +846,11 @@ impl<'a> StreamLane<'a> {
     /// A lane that delivers `reports`, in order and each under its own
     /// user, over `client`.
     pub fn new(client: &'a mut Client, reports: &'a [StampedReport]) -> Self {
-        let base = client.stream_seq;
         Self {
             client,
             reports,
             rows: None,
-            base,
-            inflight: VecDeque::new(),
-            cursor: 0,
-            accepted: 0,
-            attempts: 0,
-            rewinding: false,
-            resume_at: None,
-            error: None,
+            request_reply: false,
             queued: 0,
         }
     }
@@ -977,141 +873,77 @@ impl<'a> StreamLane<'a> {
         }
     }
 
-    /// Batch `batch`'s rows: positions in `rows`, or in `reports`.
-    fn span(&self, batch: usize, chunk: usize) -> std::ops::Range<usize> {
-        let len = self.rows.map_or(self.reports.len(), <[_]>::len);
-        let start = (batch * chunk).min(len);
-        start..len.min(start + chunk)
+    /// Rows to deliver.
+    fn len(&self) -> usize {
+        self.rows.map_or(self.reports.len(), <[_]>::len)
     }
 
-    /// Write batch `self.cursor` and advance the cursor.
-    fn send_next(&mut self, campaign: &str, chunk: usize) {
-        let batch = self.cursor;
-        let span = self.span(batch, chunk);
-        let seq = Some(self.base + batch as u64);
-        let reports = self.reports;
-        let frame = match self.rows {
-            None => wire::encode_submit(
-                campaign,
-                seq,
-                reports[span].iter().map(|r| (r, r.report.user)),
-                wire_ctx(),
-            ),
-            Some(rows) => wire::encode_submit(
-                campaign,
-                seq,
-                rows[span].iter().map(|&(i, user)| (&reports[i], user)),
-                wire_ctx(),
-            ),
-        };
-        // A batch past the frame cap is refused here, unsent.
-        match frame
-            .map_err(ServerError::from)
-            .and_then(|frame| write_frame(&mut self.client.stream, &frame))
-        {
-            Ok(()) => {
-                self.inflight.push_back(batch);
-                self.cursor += 1;
-            }
-            Err(e) => self.fail(e),
-        }
+    /// Row `pos`: its index into `reports`, and the user it goes out as.
+    fn row(&self, pos: usize) -> (usize, usize) {
+        self.rows
+            .map_or((pos, self.reports[pos].report.user), |rows| rows[pos])
     }
 
-    /// Whether the lane may write another frame now.
-    fn can_send(&mut self, chunk: usize, window: usize) -> bool {
-        if let Some(at) = self.resume_at {
-            if Instant::now() < at {
-                return false;
-            }
-            self.resume_at = None;
-        }
-        !self.rewinding
-            && self.error.is_none()
-            && self.inflight.len() < window
-            && !self.span(self.cursor, chunk).is_empty()
+    /// Batch `batch`'s rows.
+    fn span(&self, batch: Batch, chunk: usize) -> std::ops::Range<usize> {
+        let start = (batch.index * chunk).min(self.len());
+        start..self.len().min(start + chunk)
     }
 
-    /// Read the ack of the oldest frame in flight and act on it.
-    fn read_ack(&mut self, chunk: usize, policy: RetryPolicy) {
-        let Some(batch) = self.inflight.pop_front() else {
-            return;
-        };
-        let ack = match self.client.read_stream_ack() {
-            Ok(ack) => ack,
-            Err(e) => {
-                // The connection can no longer be read in step: owe it
-                // nothing more.
-                self.inflight.clear();
-                self.fail(e);
-                return;
-            }
-        };
-        let accepted = ack.contiguous.saturating_sub(self.base) as usize;
-        if accepted > self.accepted {
-            self.accepted = accepted;
-            self.attempts = 0;
-        }
-        match ack.refusals.first() {
-            None => self.queued = ack.queued,
-            // Backpressure on the in-order batch, or a window
-            // continuation behind it: retryable once the window drains.
-            Some(&wire::BatchRefusal { code: None, .. }) => self.rewinding = true,
-            Some(&wire::BatchRefusal {
-                code: Some(code), ..
-            }) => {
+    /// Write `batch`, in a stream frame when it has a sequence number. A
+    /// batch past the frame cap is refused here, unsent.
+    fn send(&mut self, campaign: &str, chunk: usize, batch: Batch) -> Result<(), ServerError> {
+        let rows = self.span(batch, chunk).map(|pos| self.row(pos));
+        let rows = rows.map(|(i, user)| (&self.reports[i], user));
+        let frame = wire::encode_submit(campaign, batch.seq, rows, wire_ctx())?;
+        write_frame(&mut self.client.stream, &frame)
+    }
+
+    /// Read the answer to `batch`. A streamed hard refusal is named by
+    /// its batch; a request/reply refusal keeps the server's words.
+    fn recv(&mut self, chunk: usize, batch: Batch) -> Result<Ack, ServerError> {
+        let (code, message) = match (batch.seq, self.client.recv()?) {
+            (None, Response::Submitted { queued }) => return Ok(Ack::Accepted(queued)),
+            (None, Response::Busy { .. }) => return Ok(Ack::Retryable),
+            (_, Response::Error { code, message }) => (code, message),
+            (
+                Some(seq),
+                Response::SubmitAcked {
+                    queued, refusals, ..
+                },
+            ) => {
+                let Some(refusal) = refusals.first() else {
+                    return Ok(Ack::Accepted(queued));
+                };
+                let Some(code) = refusal.code else {
+                    return Ok(Ack::Retryable);
+                };
                 // Where the batch's first and last reports sit in the
                 // caller's slice (a batch on the wire is never empty).
                 let span = self.span(batch, chunk);
-                let at = |pos: usize| self.rows.map_or(pos, |rows| rows[pos].0);
-                let (first, last) = (at(span.start), at(span.end - 1));
-                self.fail(ServerError::Remote {
-                    code,
-                    message: format!(
-                        "streamed batch seq {} ({} reports, slice indices {first}..={last}) \
-                         refused: {code}",
-                        self.base + batch as u64,
-                        span.len(),
-                    ),
-                });
+                let (first, last) = (self.row(span.start).0, self.row(span.end - 1).0);
+                let n = span.len();
+                let message = format!(
+                    "streamed batch seq {seq} ({n} reports, slice indices {first}..={last}) \
+                     refused: {code}"
+                );
+                (code, message)
             }
-        }
-        if self.rewinding && self.inflight.is_empty() {
-            self.rewinding = false;
-            // The earliest unaccepted batch is the one to retry, under
-            // its original sequence number.
-            self.cursor = self.accepted;
-            if self.error.is_some() || self.span(self.cursor, chunk).is_empty() {
-                return;
-            }
-            if self.attempts >= policy.busy_retries {
-                self.fail(ServerError::Busy);
-                return;
-            }
-            self.resume_at = Some(Instant::now() + policy.delay(self.cursor, self.attempts));
-            self.attempts += 1;
-        }
-    }
-
-    fn fail(&mut self, e: ServerError) {
-        self.error.get_or_insert(e);
+            (_, other) => return Err(ServerError::UnexpectedResponse(Box::new(other))),
+        };
+        Ok(Ack::Refused(ServerError::Remote { code, message }))
     }
 }
 
-/// Deliver every lane's rows as pipelined `SubmitReportsStream` batches
-/// of `chunk` reports, up to `window` frames in flight per lane, from
-/// one thread. Each pass writes round-robin across the lanes until every
-/// window is full, then reads one cumulative ack per lane, so every peer
-/// decodes and queues while the others do. A peer accepts only its
-/// connection's next sequence number, which keeps each lane in stream
-/// order.
-///
-/// A batch refused for backpressure makes its lane read the acks of the
-/// window behind it, then resend from that batch under its original
-/// sequence number once `policy`'s backoff for it has passed; the other
-/// lanes keep going meanwhile. The first error in any lane stops the
-/// writes on every lane. Every lane's outstanding acks are still read,
-/// and every connection's `stream_seq` is realigned with its peer's, so
-/// each connection is ready for the next request.
+/// Deliver every lane's rows in batches of `chunk` reports from one
+/// thread, as the lane machine (`lane.rs`) decides every write, read and
+/// backoff: up to `window` `SubmitReportsStream` frames in flight per
+/// streamed lane, so every peer decodes and queues while the others do,
+/// and one `SubmitReports` frame at a time on a request/reply lane. Each
+/// connection ends frame-aligned with its `stream_seq` realigned, even
+/// after an error. Writes block only while a peer's socket buffer is
+/// full, and a peer keeps reading while its acks go unread, so this
+/// cannot deadlock.
 ///
 /// # Errors
 ///
@@ -1126,51 +958,33 @@ pub fn submit_streams(
     window: usize,
     policy: RetryPolicy,
 ) -> Result<(), (usize, ServerError)> {
-    let (chunk, window) = (chunk.max(1), window.max(1));
-    let stopped = |lanes: &[StreamLane<'_>]| lanes.iter().any(|lane| lane.error.is_some());
-    loop {
-        // Writes block only while a peer's socket buffer is full, and a
-        // peer keeps reading while its acks (a few bytes each) go unread,
-        // so this cannot deadlock.
-        let mut wrote = !stopped(lanes);
-        while wrote {
-            wrote = false;
-            for lane in lanes.iter_mut() {
-                if lane.can_send(chunk, window) {
-                    lane.send_next(campaign, chunk);
-                    wrote = lane.error.is_none();
-                    if !wrote {
-                        break;
-                    }
-                }
+    let chunk = chunk.max(1);
+    let machines = lanes.iter().map(|lane| {
+        let base = (!lane.request_reply).then_some(lane.client.stream_seq);
+        Lane::new(lane.len().div_ceil(chunk), window, base)
+    });
+    let mut machine = Lanes::new(machines.collect(), policy);
+    let start = Instant::now();
+    let mut event = Event::Tick;
+    let result = loop {
+        event = match machine.step(event, start.elapsed()) {
+            Action::Send(b) => Event::Written(b.lane, lanes[b.lane].send(campaign, chunk, b)),
+            Action::Await(b) => Event::Acked(b.lane, lanes[b.lane].recv(chunk, b)),
+            Action::SleepUntil(at) => {
+                std::thread::sleep(at.saturating_sub(start.elapsed()));
+                Event::Tick
             }
-        }
-        let mut reading = false;
-        for lane in lanes.iter_mut() {
-            if !lane.inflight.is_empty() {
-                lane.read_ack(chunk, policy);
-                reading = true;
-            }
-        }
-        if reading {
-            continue;
-        }
-        // Nothing in flight anywhere: done, stopped, or backing off.
-        match lanes.iter().filter_map(|lane| lane.resume_at).min() {
-            Some(at) if !stopped(lanes) => {
-                std::thread::sleep(at.saturating_duration_since(Instant::now()));
-            }
-            _ => break,
-        }
-    }
-    let mut first = None;
+            Action::Done => break Ok(()),
+            Action::Fail(lane, e) => break Err((lane, e)),
+        };
+    };
     for (i, lane) in lanes.iter_mut().enumerate() {
-        lane.client.stream_seq = lane.base + lane.accepted as u64;
-        if let (None, Some(e)) = (&first, lane.error.take()) {
-            first = Some((i, e));
+        lane.queued = machine.queued(i);
+        if let Some(seq) = machine.stream_seq(i) {
+            lane.client.stream_seq = seq;
         }
     }
-    first.map_or(Ok(()), Err)
+    result
 }
 
 /// What [`Client::query_trace`] returns: one process's retained rings.

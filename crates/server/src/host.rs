@@ -613,32 +613,27 @@ impl SubmissionQueue {
 ///
 /// # Errors
 ///
-/// An `InvalidRequest` refusal for an empty or over-cap population, an
-/// object or shard count over [`MAX_OBJECTS_PER_CAMPAIGN`] or
-/// [`MAX_SHARDS_PER_CAMPAIGN`] (so a create claiming more is refused
-/// before the host allocates for it), a zero submission capacity, or an
-/// invalid privacy loss.
+/// An `InvalidRequest` refusal for a zero population, object count,
+/// shard count, deadline or submission capacity; a population over
+/// `max_users`, or an object or shard count over
+/// [`MAX_OBJECTS_PER_CAMPAIGN`] or [`MAX_SHARDS_PER_CAMPAIGN`] (so a
+/// create claiming more is refused before the host allocates for it);
+/// or an invalid privacy loss.
 pub fn admit(spec: &CampaignSpec, max_users: u64) -> Result<(CampaignConfig, WalPolicy), Response> {
     let invalid = |message: String| refuse(ErrorCode::InvalidRequest, message);
-    if spec.num_users == 0 {
-        return Err(invalid("a campaign needs at least one user".to_string()));
-    }
-    if spec.num_users > max_users {
-        return Err(invalid(format!(
-            "population {} exceeds the host's {max_users}-user cap",
-            spec.num_users
-        )));
-    }
     for (field, value, cap) in [
+        ("num_users", spec.num_users, max_users),
         ("num_objects", spec.num_objects, MAX_OBJECTS_PER_CAMPAIGN),
         ("num_shards", spec.num_shards, MAX_SHARDS_PER_CAMPAIGN),
+        ("deadline_us", spec.deadline_us, u64::MAX),
+        ("submission_capacity", spec.submission_capacity, u64::MAX),
     ] {
+        if value == 0 {
+            return Err(invalid(format!("{field} must be positive")));
+        }
         if value > cap {
             return Err(invalid(format!("{field} {value} exceeds the cap of {cap}")));
         }
-    }
-    if spec.submission_capacity == 0 {
-        return Err(invalid("submission_capacity must be positive".to_string()));
     }
     let config = CampaignConfig {
         num_objects: spec.num_objects as usize,
@@ -851,6 +846,14 @@ mod tests {
             },
             CampaignSpec {
                 submission_capacity: 0,
+                ..spec()
+            },
+            CampaignSpec {
+                num_objects: 0,
+                ..spec()
+            },
+            CampaignSpec {
+                deadline_us: 0,
                 ..spec()
             },
             CampaignSpec {

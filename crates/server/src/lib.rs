@@ -44,9 +44,9 @@
 //! * [`server`] — [`Server`]: a campaign registry behind the front end.
 //! * [`client`] — [`Client`]: the blocking client `dptd submit`, the
 //!   loopback e2e harness and the benchmark (`e2e_ledger`) drive; also
-//!   the windowed pipelined submitter (`submit_streams`: one thread,
-//!   one window per connection, which `submit_stream` runs with one
-//!   connection and the cluster coordinator with one per node).
+//!   the one submit loop (`submit_streams`, driving the pure lane state
+//!   machine of `lane`: one window per connection, a window of one for
+//!   request/reply `submit_chunked`).
 //!
 //! Privacy enforcement is exactly the in-process campaign layer's: the
 //! per-user [`BudgetAccountant`](dptd_protocol::budget::BudgetAccountant)
@@ -64,6 +64,7 @@ pub mod client;
 pub mod decode;
 pub mod frontend;
 pub mod host;
+mod lane;
 pub mod registry;
 pub mod server;
 pub mod wire;

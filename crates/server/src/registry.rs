@@ -303,12 +303,6 @@ impl CampaignRegistry {
         (flushed, failures)
     }
 
-    /// Force-quarantine a campaign — see [`Host::poison`].
-    #[doc(hidden)]
-    pub fn poison_campaign(&self, campaign: &str) -> bool {
-        self.host.poison(campaign)
-    }
-
     /// The full observability snapshot behind [`Request::QueryStatus`]
     /// — see [`Host::status_snapshot`].
     pub fn status_snapshot(&self) -> MetricsSnapshot {

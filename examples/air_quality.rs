@@ -11,9 +11,9 @@
 
 use dptd::ldp::PrivacyLoss;
 use dptd::prelude::*;
-use dptd::protocol::campaign::Campaign;
-use dptd::protocol::sim::{NetworkConfig, RoundConfig};
+use dptd::protocol::sim::{NetworkConfig, RoundConfig, SimHarness};
 use dptd::sensing::air_quality::AirQualityConfig;
+use dptd::truth::streaming::StreamingCrh;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = dptd::seeded_rng(314);
@@ -27,16 +27,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lambda2 = theory::privacy::lambda2_for_noise_level(lambda1, c)?;
     println!("per-round privacy (1.0, 0.3)-LDP -> lambda2 = {lambda2:.4}\n");
 
-    let mut campaign = Campaign::new(
-        num_users,
+    let harness = SimHarness::new(
+        Crh::default(),
         lambda2,
         NetworkConfig {
             drop_probability: 0.05,
             ..NetworkConfig::default()
         },
-        RoundConfig::default(),
-        PrivacyLoss::new(1.0, 0.3)?,
     )?;
+    let mut server = StreamingCrh::new(num_users, Loss::Squared)?;
+    let per_round = PrivacyLoss::new(1.0, 0.3)?;
 
     println!("day | cells | participants | map MAE (ug/m3) | cumulative (eps, delta)");
     for day in 0..5 {
@@ -46,16 +46,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         }
         .generate(&mut rng)?;
-        let round = campaign.run_round(&world.observations, &mut rng)?;
-        let mae = dptd::stats::summary::mae(&round.streaming_truths, &world.ground_truths)?;
+        let round = harness.run_round(&world.observations, &RoundConfig::default(), &mut rng)?;
+        // The server aggregates the reports that survived the network
+        // and the deadline, one row per population member.
+        let mut rows = vec![Vec::new(); num_users];
+        for report in &round.reports {
+            rows[report.user] = report.values.clone();
+        }
+        let survived = ObservationMatrix::from_sparse_rows(world.num_objects(), &rows)?;
+        let truths = server.ingest(&survived)?;
+        let mae = dptd::stats::summary::mae(&truths, &world.ground_truths)?;
+        let cumulative = per_round.compose_k(day + 1);
         println!(
             "{:>3} | {:>5} | {:>12} | {:>15.3} | ({:.1}, {:.2})",
             day,
             world.num_objects(),
-            round.outcome.participants.len(),
+            round.participants.len(),
             mae,
-            round.cumulative_privacy.epsilon(),
-            round.cumulative_privacy.delta(),
+            cumulative.epsilon(),
+            cumulative.delta(),
         );
     }
 
