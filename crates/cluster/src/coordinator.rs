@@ -11,8 +11,8 @@
 //!
 //! 1. **Prepare**: every node drains its queue for the epoch (refusal
 //!    withhold → deadline → first-wins dedup, the exact single-node
-//!    order) and returns its surviving claims, users ascending in its
-//!    local ids. Nothing durable happens.
+//!    order) and returns its surviving claims as columns, users
+//!    ascending in its local ids. Nothing durable happens.
 //! 2. **Merge + Commit**: the coordinator merges all claims with one
 //!    [`ingest_sharded`](dptd_truth::streaming::StreamingCrh::ingest_sharded)
 //!    call — the same deterministic shard-merge the engine uses, so the
@@ -71,7 +71,7 @@ use dptd_protocol::budget::BudgetAccountant;
 use dptd_protocol::campaign::CampaignConfig;
 use dptd_protocol::message::StampedReport;
 use dptd_protocol::partition::PartitionMap;
-use dptd_truth::streaming::{ShardClaims, StreamingCrh};
+use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::Loss;
 
 use dptd_server::client::DEFAULT_STREAM_WINDOW;
@@ -256,7 +256,8 @@ struct MergedRound {
     duplicates: u64,
     late: u64,
     /// Per node, the accepted users as ascending **local** ids — the
-    /// node's own `Prepared` claims, kept from the gather.
+    /// users column of the node's `Prepared` claims, kept from the
+    /// gather.
     accepted_locals: Vec<Vec<u64>>,
 }
 
@@ -744,16 +745,14 @@ impl ClusterCampaign {
             merged.duplicates += prepared.duplicates;
             merged.late += prepared.late;
             merged.refused_seen += prepared.refused_seen;
-            // The node's claims *are* its commit slice's accepted list:
-            // ascending local ids. Check here what the node will check
-            // at commit, while a violation is still harmless — nothing
-            // has been merged or debited yet.
+            // The node's users column *is* its commit slice's accepted
+            // list: ascending local ids. Check here what the node will
+            // check at commit, while a violation is still harmless —
+            // nothing has been merged or debited yet.
             let population = partition.population(id);
-            let mut locals = Vec::with_capacity(prepared.claims.len());
-            let cells = prepared.claims.iter().map(|c| c.values.len()).sum();
-            let mut shard = ShardClaims::with_capacity(prepared.claims.len(), cells);
-            for claim in prepared.claims {
-                let local = claim.user;
+            let mut shard = prepared.claims;
+            let mut locals = Vec::with_capacity(shard.len());
+            for local in shard.users() {
                 if local >= population || locals.last().is_some_and(|&last| last >= local as u64) {
                     return Err(ClusterError::Barrier(format!(
                         "node {id} claimed local user {local} outside its partition \
@@ -761,8 +760,8 @@ impl ClusterCampaign {
                     )));
                 }
                 locals.push(local as u64);
-                shard.push(partition.global_of(id, local), claim.values);
             }
+            shard.map_users(|local| partition.global_of(id, local));
             merged.accepted_locals.push(locals);
             shards.push(shard);
         }
@@ -1150,6 +1149,113 @@ mod tests {
         for node in nodes {
             node.shutdown();
         }
+    }
+
+    /// A user mapping a tampering proxy applies to `Prepared` replies.
+    type Tamper = Box<dyn Fn(usize) -> usize + Send>;
+
+    /// A node behind a proxy that, while `tamper` holds a mapping,
+    /// rewrites the users of the `Prepared` replies it passes back.
+    struct TamperingProxy {
+        upstream: std::sync::Mutex<Client>,
+        tamper: std::sync::Mutex<Option<Tamper>>,
+    }
+
+    impl dptd_server::RequestHandler for TamperingProxy {
+        fn handle(&self, request: dptd_server::Request) -> dptd_server::Response {
+            let mut response = self.upstream.lock().unwrap().request(&request).unwrap();
+            if let (dptd_server::Response::Prepared { claims, .. }, Some(to)) =
+                (&mut response, self.tamper.lock().unwrap().as_ref())
+            {
+                claims.map_users(to);
+            }
+            response
+        }
+    }
+
+    /// The coordinator refuses a node's `Prepared` users that are not
+    /// strictly ascending local ids inside its partition — before
+    /// anything is merged or debited — and the same round, re-driven
+    /// once the node answers honestly, lands on the reference.
+    fn a_prepared_users_column_is_checked_before_the_merge(to: fn(usize, usize) -> usize) {
+        let num_users = 11;
+        let population = rendezvous_map(num_users, 3).unwrap().population(1);
+        let (nodes, mut addrs) = start_nodes(3);
+        let proxy = std::sync::Arc::new(TamperingProxy {
+            upstream: std::sync::Mutex::new(Client::connect(addrs[1].as_str()).unwrap()),
+            tamper: std::sync::Mutex::new(None),
+        });
+        let front = dptd_server::Frontend::start(
+            dptd_server::FrontendConfig {
+                listen: "127.0.0.1:0".to_string(),
+                max_connections: 4,
+                io: dptd_server::IoConfig::default(),
+                thread_name: "tampering-proxy",
+            },
+            std::sync::Arc::clone(&proxy) as std::sync::Arc<dyn dptd_server::RequestHandler>,
+        )
+        .unwrap();
+        addrs[1] = front.local_addr().to_string();
+        let mut cluster = ClusterCampaign::create(&addrs, "camp", spec(num_users, 3)).unwrap();
+        let mut sim = sim_driver(num_users, 3);
+        let stream0 = messy_round(num_users, 0);
+        cluster.submit(&stream0, 4).unwrap();
+        cluster.close_round(0).unwrap();
+        sim.run_round(0, stream0).unwrap();
+
+        let stream1 = messy_round(num_users, 1);
+        cluster.submit(&stream1, 4).unwrap();
+        let (digest, debits) = (
+            cluster.weights_digest(),
+            cluster.accountant().debits_by_user().to_vec(),
+        );
+        *proxy.tamper.lock().unwrap() = Some(Box::new(move |local| to(population, local)));
+        match cluster.close_round(1) {
+            Err(ClusterError::Barrier(message)) => {
+                assert!(
+                    message.starts_with("node 1 claimed local user"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected node 1's barrier refusal, got {other:?}"),
+        }
+        assert_eq!(cluster.weights_digest(), digest, "nothing merged");
+        assert_eq!(
+            cluster.accountant().debits_by_user(),
+            debits,
+            "nothing debited"
+        );
+        assert_eq!(cluster.next_epoch(), 1);
+
+        *proxy.tamper.lock().unwrap() = None;
+        let ours = cluster.close_round(1).unwrap();
+        let reference = sim.run_round(1, stream1).unwrap();
+        assert_eq!(ours.truths, reference.truths);
+        assert_eq!(ours.weights_digest, fnv1a_f64s(&reference.weights));
+        assert_eq!(ours.accepted, reference.accepted);
+        assert_eq!(
+            cluster.accountant().debits_by_user(),
+            sim.accountant().debits_by_user()
+        );
+        drop(cluster);
+        drop(front);
+        for node in nodes {
+            node.shutdown();
+        }
+    }
+
+    #[test]
+    fn descending_prepared_users_are_refused_and_the_round_redrives() {
+        // Every id stays inside the partition; the column descends.
+        a_prepared_users_column_is_checked_before_the_merge(|population, local| {
+            population - 1 - local
+        });
+    }
+
+    #[test]
+    fn out_of_partition_prepared_users_are_refused_and_the_round_redrives() {
+        // Order kept, every id one partition too far.
+        a_prepared_users_column_is_checked_before_the_merge(|population, local| population + local);
     }
 
     proptest! {

@@ -1,4 +1,4 @@
-//! The cluster node: one partition of a campaign behind the v2 wire
+//! The cluster node: one partition of a campaign behind the v3 wire
 //! protocol.
 //!
 //! A node is deliberately dumb. It owns a **local** slice of the
@@ -13,11 +13,12 @@
 //! 1. `CloseRoundPrepare` drains the queue — refused users withheld and
 //!    counted first, every other report into the shard (deadline, then
 //!    first-wins), the exact single-node order — and returns the
-//!    shard's survivors so far, read through its non-resetting view,
-//!    **without** touching durable state. Prepare is cumulative and
-//!    repeatable: the shard's epoch stays open until commit, so a
-//!    re-driven barrier (after a coordinator restart, or more
-//!    submissions on a failed round) sees the whole stream's result.
+//!    shard's survivors so far, copied out of its non-resetting view
+//!    into the claim columns the reply carries, **without** touching
+//!    durable state. Prepare is cumulative and repeatable: the shard's
+//!    epoch stays open until commit, so a re-driven barrier (after a
+//!    coordinator restart, or more submissions on a failed round) sees
+//!    the whole stream's result.
 //! 2. `CloseRoundCommit` durably appends the node's slice of the merged
 //!    round — the coordinator computed it; the node just persists an
 //!    [`EpochRecord`] to its segmented store and acks — then closes the
@@ -43,7 +44,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use dptd_core::roles::PerturbedReport;
 use dptd_engine::shard::{ShardEpochStats, ShardState};
 use dptd_engine::store::{DirFs, StoreConfig, StoreObserver};
 use dptd_engine::wal::{RecordKind, RecordLog, WalLock, WalPolicy};
@@ -164,36 +164,6 @@ struct NodeCampaign {
     replication_failure: Option<crate::replication::FailureSlot>,
 }
 
-/// The `Prepared` reply over a round's survivors, users ascending — the
-/// staged shard's rows, or a committed round's frozen claims. A row's
-/// user is its local slot and its claims keep report order, so each
-/// row is the report that first won its slot.
-fn prepared<'a>(
-    epoch: u64,
-    (accepted, duplicates, late): (usize, usize, u64),
-    rows: impl Iterator<Item = (usize, &'a [usize], &'a [f64])>,
-    refused_seen: u64,
-) -> Response {
-    let mut claims = Vec::with_capacity(accepted);
-    claims.extend(rows.map(|(user, objects, values)| {
-        PerturbedReport {
-            user,
-            values: objects
-                .iter()
-                .copied()
-                .zip(values.iter().copied())
-                .collect(),
-        }
-    }));
-    Response::Prepared {
-        epoch,
-        duplicates: duplicates as u64,
-        late,
-        refused_seen,
-        claims,
-    }
-}
-
 /// How many committed records a node keeps in memory for ledger
 /// queries. Two covers every legal barrier state: the live epoch's
 /// predecessor plus one more while a commit fan-out is in flight.
@@ -237,7 +207,11 @@ impl NodeCampaign {
         }
     }
 
+    /// Phase one. The drain and filter run under a `node.drain` span
+    /// and building the reply under a `node.reply` span, both children
+    /// of the coordinator's barrier span the frame carried.
     fn prepare(&mut self, epoch: u64, refused: Vec<u64>) -> Response {
+        let drain = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_DRAIN, epoch);
         if refused.iter().any(|&u| u as usize >= self.local_users) {
             return refuse(
                 ErrorCode::InvalidRequest,
@@ -264,17 +238,15 @@ impl NodeCampaign {
                     "barrier re-driven with a different refusal set",
                 );
             }
-            let (claims, stats) = (&last.claims, &last.stats);
-            return prepared(
+            drop(drain);
+            let _reply = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_REPLY, epoch);
+            return Response::Prepared {
                 epoch,
-                (
-                    stats.accepted,
-                    stats.duplicates_discarded,
-                    stats.late_dropped,
-                ),
-                (0..claims.num_users()).map(|row| claims.row(row)),
-                last.refused_seen,
-            );
+                duplicates: last.stats.duplicates_discarded as u64,
+                late: last.stats.late_dropped,
+                refused_seen: last.refused_seen,
+                claims: Box::new(last.claims.clone()),
+            };
         }
         if epoch != self.queue.next_epoch() {
             return refuse(
@@ -310,17 +282,18 @@ impl NodeCampaign {
                 }
             }
         }
-        let shard = &self.shard;
-        prepared(
+        drop(drain);
+        // The reply: the shard's rows so far, users ascending. A row's
+        // user is its local slot and its claims keep report order, so
+        // each row is the report that first won its slot.
+        let _reply = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_REPLY, epoch);
+        Response::Prepared {
             epoch,
-            (
-                shard.accepted(),
-                shard.duplicates_discarded(),
-                shard.late_dropped(),
-            ),
-            shard.rows(),
-            staged.refused_seen(),
-        )
+            duplicates: self.shard.duplicates_discarded() as u64,
+            late: self.shard.late_dropped(),
+            refused_seen: staged.refused_seen(),
+            claims: Box::new(self.shard.claims()),
+        }
     }
 
     fn commit(
@@ -492,14 +465,9 @@ impl NodeState {
                 epoch,
                 refused,
                 ..
-            } => {
-                // Under the coordinator's barrier-prepare span (adopted
-                // by the envelope), the node's drain shows up as its
-                // child in a merged timeline.
-                let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_DRAIN, epoch);
-                self.host
-                    .with(&campaign, |part| part.prepare(epoch, refused))
-            }
+            } => self
+                .host
+                .with(&campaign, |part| part.prepare(epoch, refused)),
             Request::CloseRoundCommit {
                 campaign,
                 epoch,
@@ -829,6 +797,7 @@ impl NodeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dptd_core::roles::PerturbedReport;
     use dptd_protocol::message::StampedReport;
     use dptd_server::Client;
 
@@ -1041,6 +1010,73 @@ mod tests {
         let next = client.close_round_prepare("part", 1, vec![]).unwrap();
         assert_eq!((next.claims.len(), next.duplicates, next.late), (1, 0, 0));
         assert_eq!(next.claims[0].values, vec![(0, 7.0), (1, 8.0)]);
+        node.shutdown();
+    }
+
+    /// The per-report view `close_round_prepare` rebuilds from the
+    /// claim columns: one report per row, users ascending, claims in
+    /// report order, a report with no claims kept as an empty row — for
+    /// a staged prepare and for a replay of the committed epoch.
+    #[test]
+    fn the_per_report_view_is_the_columns_row_for_row() {
+        let node = NodeServer::start(NodeConfig::default()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        client.create_campaign("part", spec(3)).unwrap();
+        let report = |user, sent_at_us, values| StampedReport {
+            epoch: 0,
+            sent_at_us,
+            report: PerturbedReport { user, values },
+        };
+        let round = [
+            report(2, 10, vec![(1, 5.0), (0, 4.0)]),
+            report(0, 20, vec![]),
+            report(2, 30, vec![(0, 9.0)]), // duplicate
+            report(1, 40, vec![(0, 1.0)]),
+        ];
+        client.submit_chunked("part", &round, 8).unwrap();
+        let expected = vec![
+            PerturbedReport {
+                user: 0,
+                values: vec![],
+            },
+            PerturbedReport {
+                user: 1,
+                values: vec![(0, 1.0)],
+            },
+            PerturbedReport {
+                user: 2,
+                values: vec![(1, 5.0), (0, 4.0)],
+            },
+        ];
+        let columns = |client: &mut Client| {
+            client.send_prepare("part", 0, vec![]).unwrap();
+            client.recv_prepared().unwrap()
+        };
+
+        let staged = client.close_round_prepare("part", 0, vec![]).unwrap();
+        assert_eq!(staged.claims, expected);
+        let shard = columns(&mut client);
+        assert_eq!(
+            shard.claims.columns(),
+            (
+                &[0, 1, 2][..],
+                &[0, 0, 1, 3][..],
+                &[0, 1, 0][..],
+                &[1.0, 5.0, 4.0][..]
+            )
+        );
+        assert_eq!(dptd_server::client::PreparedOutcome::from(shard), staged);
+
+        client
+            .close_round_commit("part", 0, 1, vec![0, 1, 2], vec![0.5; 3], vec![1; 3])
+            .unwrap();
+        let replayed = client.close_round_prepare("part", 0, vec![]).unwrap();
+        assert_eq!(replayed.claims, expected);
+        assert_eq!(replayed, staged);
+        assert_eq!(
+            dptd_server::client::PreparedOutcome::from(columns(&mut client)),
+            staged
+        );
         node.shutdown();
     }
 

@@ -17,13 +17,14 @@
 //! column filled in arrival order — after which the report is garbage.
 //! The filter stores nothing but the span of the arena each local
 //! slot's report was given. [`ShardState::rows`] walks the slots
-//! ascending without closing the epoch (a node's repeatable prepare
-//! reads it); at the epoch boundary [`ShardState::finish_epoch`] copies
-//! the same walk into one contiguous, users-ascending [`ShardClaims`]
-//! for the cross-shard merge (a slot's user is implied, its cells are
-//! two slice copies). Resetting for the next epoch costs time
-//! proportional to the reports accepted, not to the users owned, so a
-//! `ShardState` is meant to live as long as its campaign.
+//! ascending without closing the epoch, and [`ShardState::claims`]
+//! copies that walk into one contiguous, users-ascending [`ShardClaims`]
+//! (a node's repeatable prepare replies with it); at the epoch boundary
+//! [`ShardState::finish_epoch`] emits the same copy for the cross-shard
+//! merge (a slot's user is implied, its cells are two slice copies).
+//! Resetting for the next epoch costs time proportional to the reports
+//! accepted, not to the users owned, so a `ShardState` is meant to live
+//! as long as its campaign.
 //!
 //! Resident cost: 12 bytes per owned user (the slot → span index) plus
 //! the arena of the largest epoch seen (16 bytes per claim).
@@ -207,14 +208,22 @@ impl ShardState {
         self.late_dropped
     }
 
-    /// Close the current epoch: emit [`ShardState::rows`] as the
-    /// canonical claims for the cross-shard merge, plus shard-level
-    /// stats, and reset for the next epoch.
-    pub fn finish_epoch(&mut self) -> (ShardClaims, ShardEpochStats) {
+    /// [`ShardState::rows`] copied into one users-ascending
+    /// [`ShardClaims`], sized exactly: four allocations, whatever the
+    /// row count. The epoch stays open.
+    pub fn claims(&self) -> ShardClaims {
         let mut claims = ShardClaims::with_capacity(self.accepted(), self.values.len());
         for (user, objects, values) in self.rows() {
             claims.push_row(user, objects, values);
         }
+        claims
+    }
+
+    /// Close the current epoch: emit [`ShardState::claims`] as the
+    /// canonical claims for the cross-shard merge, plus shard-level
+    /// stats, and reset for the next epoch.
+    pub fn finish_epoch(&mut self) -> (ShardClaims, ShardEpochStats) {
+        let claims = self.claims();
         let covered = self.object_sums.iter().all(|&(_, count)| count > 0);
         let stats = ShardEpochStats {
             accepted: self.accepted(),
@@ -272,7 +281,7 @@ mod tests {
         assert_eq!(stats.accepted, 3);
         assert_eq!(stats.duplicates_discarded, 1);
         assert_eq!(stats.late_dropped, 1);
-        assert_eq!(claims.num_users(), 3);
+        assert_eq!(claims.len(), 3);
         // First-wins: user 0 kept 1.0, and the local CRH covered object 0.
         let local = stats.local_truths.unwrap();
         assert!(local[0] > 1.0 && local[0] < 3.0);
@@ -297,9 +306,8 @@ mod tests {
         assert_eq!(view, vec![(0, vec![1.0]), (1, vec![4.0])]);
         assert_eq!(s.rows().count(), 2, "reading the view twice");
         let (claims, stats) = s.finish_epoch();
-        let emitted: Vec<(usize, Vec<f64>)> = (0..claims.num_users())
-            .map(|r| cells(claims.row(r)))
-            .collect();
+        let emitted: Vec<(usize, Vec<f64>)> =
+            (0..claims.len()).map(|r| cells(claims.row(r))).collect();
         assert_eq!(emitted, view);
         let closed = (
             stats.accepted,
@@ -332,7 +340,7 @@ mod tests {
         s.ingest(stamped(2, 2, vec![(0, 1.2)]));
         let (claims, stats) = s.finish_epoch();
         assert!(stats.local_truths.is_none());
-        assert_eq!(claims.num_users(), 2);
+        assert_eq!(claims.len(), 2);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod codes {
     /// A cluster barrier commit phase (span; arg = epoch).
     pub const BARRIER_COMMIT: u32 = 10;
     /// A node draining its queue into its round filter under a barrier
-    /// prepare (span; arg = epoch).
+    /// prepare (span; arg = epoch). Building the reply is `node.reply`.
     pub const NODE_DRAIN: u32 = 11;
     /// A node durably committing its slice of a merged round (span;
     /// arg = epoch).
@@ -68,6 +68,9 @@ pub mod codes {
     /// A cluster coordinator fanning a round's reports out to its nodes
     /// (span; arg = epoch). The nodes' `submit` instants parent under it.
     pub const CLUSTER_SUBMIT: u32 = 15;
+    /// A cluster node building its `Prepared` reply from its round
+    /// filter, after `node.drain` (span; arg = epoch).
+    pub const NODE_REPLY: u32 = 16;
 
     /// The human-readable name of a code (for dumps and docs).
     pub fn name(code: u32) -> &'static str {
@@ -87,6 +90,7 @@ pub mod codes {
             TRUNCATED => "truncated",
             DIGEST => "digest",
             CLUSTER_SUBMIT => "cluster.submit",
+            NODE_REPLY => "node.reply",
             _ => "unknown",
         }
     }
@@ -574,6 +578,36 @@ mod tests {
 
     // Trace state is process-global, so exercise everything from one
     // test (the test harness runs tests concurrently).
+    /// The site names are part of every dump's schema: each code keeps
+    /// its name, and a code past the table reads `unknown`.
+    #[test]
+    fn site_names_are_stable() {
+        let table = [
+            (codes::ROUND, "round"),
+            (codes::ROUTE, "route"),
+            (codes::FILTER, "filter"),
+            (codes::MERGE, "merge"),
+            (codes::COMMIT, "commit"),
+            (codes::SUBMIT, "submit"),
+            (codes::QUEUE_FULL, "queue_full"),
+            (codes::DEQUEUE, "dequeue"),
+            (codes::BARRIER_PREPARE, "barrier.prepare"),
+            (codes::BARRIER_COMMIT, "barrier.commit"),
+            (codes::NODE_DRAIN, "node.drain"),
+            (codes::NODE_COMMIT, "node.commit"),
+            (codes::TRUNCATED, "truncated"),
+            (codes::DIGEST, "digest"),
+            (codes::CLUSTER_SUBMIT, "cluster.submit"),
+            (codes::NODE_REPLY, "node.reply"),
+        ];
+        for (expected, &(code, name)) in (1..).zip(&table) {
+            assert_eq!(code, expected, "{name}");
+            assert_eq!(codes::name(code), name);
+        }
+        assert_eq!(codes::name(table.len() as u32 + 1), "unknown");
+        assert_eq!(codes::name(0), "unknown");
+    }
+
     #[test]
     fn spans_and_instants_round_trip_through_the_dump() {
         reset();

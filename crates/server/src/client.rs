@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use dptd_core::roles::PerturbedReport;
 use dptd_protocol::message::StampedReport;
 use dptd_stats::digest::Fnv1a;
+use dptd_truth::streaming::ShardClaims;
 
 use crate::lane::{Ack, Action, Batch, Event, Lane, Lanes};
 use crate::server::{complete_frame, read_frame_body, write_frame};
@@ -161,9 +162,13 @@ pub struct BudgetOutcome {
 }
 
 /// What a node's `CloseRoundPrepare` returned: the epoch's surviving
-/// claims plus the filter's drop counters.
+/// claims plus the filter's drop counters. `C` holds the claims: one
+/// [`PerturbedReport`] per row (the default, what
+/// [`Client::close_round_prepare`] returns) or the [`ShardClaims`]
+/// columns they crossed the wire in (what [`Client::recv_prepared`]
+/// reads).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PreparedOutcome {
+pub struct PreparedOutcome<C = Vec<PerturbedReport>> {
     /// The epoch that was drained.
     pub epoch: u64,
     /// Duplicates discarded.
@@ -172,8 +177,34 @@ pub struct PreparedOutcome {
     pub late: u64,
     /// Distinct refused users that submitted.
     pub refused_seen: u64,
-    /// Surviving reports, ascending **node-local** user id.
-    pub claims: Vec<PerturbedReport>,
+    /// Surviving reports, ascending **node-local** user id, each one's
+    /// claims in report order.
+    pub claims: C,
+}
+
+impl From<PreparedOutcome<ShardClaims>> for PreparedOutcome {
+    fn from(prepared: PreparedOutcome<ShardClaims>) -> Self {
+        let claims = &prepared.claims;
+        Self {
+            epoch: prepared.epoch,
+            duplicates: prepared.duplicates,
+            late: prepared.late,
+            refused_seen: prepared.refused_seen,
+            claims: (0..claims.len())
+                .map(|row| {
+                    let (user, objects, values) = claims.row(row);
+                    PerturbedReport {
+                        user,
+                        values: objects
+                            .iter()
+                            .copied()
+                            .zip(values.iter().copied())
+                            .collect(),
+                    }
+                })
+                .collect(),
+        }
+    }
 }
 
 /// What a node's `QueryLedger` returned: the durable round ledger a
@@ -577,7 +608,9 @@ impl Client {
     }
 
     /// Phase one of the cluster barrier: drain and filter the node's
-    /// queue for `epoch` without committing anything.
+    /// queue for `epoch` without committing anything. The reply's rows
+    /// come back one [`PerturbedReport`] each; [`Client::recv_prepared`]
+    /// keeps them as columns.
     ///
     /// # Errors
     ///
@@ -589,7 +622,7 @@ impl Client {
         refused: Vec<u64>,
     ) -> Result<PreparedOutcome, ServerError> {
         self.send_prepare(campaign, epoch, refused)?;
-        self.recv_prepared()
+        self.recv_prepared().map(PreparedOutcome::from)
     }
 
     /// The write half of [`Client::close_round_prepare`].
@@ -611,12 +644,13 @@ impl Client {
         })
     }
 
-    /// The read half of [`Client::close_round_prepare`].
+    /// The read half of [`Client::close_round_prepare`], with the claims
+    /// left in the columns they arrived in.
     ///
     /// # Errors
     ///
     /// As [`Client::close_round`].
-    pub fn recv_prepared(&mut self) -> Result<PreparedOutcome, ServerError> {
+    pub fn recv_prepared(&mut self) -> Result<PreparedOutcome<ShardClaims>, ServerError> {
         match self.recv_ok()? {
             Response::Prepared {
                 epoch,
@@ -629,7 +663,7 @@ impl Client {
                 duplicates,
                 late,
                 refused_seen,
-                claims,
+                claims: *claims,
             }),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
         }

@@ -165,7 +165,7 @@ mod tests {
         assert!(e.to_string().contains("budget-exhausted"));
         let e: ServerError = WireError::Checksum.into();
         assert!(matches!(e, ServerError::Wire(_)));
-        assert!(ServerError::BadHello.to_string().contains("wire v2"));
+        assert!(ServerError::BadHello.to_string().contains("wire v3"));
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServerError>();
     }

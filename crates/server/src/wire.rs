@@ -1,4 +1,4 @@
-//! The campaign service's binary wire protocol (version 2).
+//! The campaign service's binary wire protocol (version 3).
 //!
 //! Everything on the socket is a **frame**: a fixed 16-byte header
 //! followed by a checked body, mirroring the engine's write-ahead log
@@ -6,10 +6,10 @@
 //! (length prefix with an XOR self-check, a 64-bit body check,
 //! size-bounded decode).
 //!
-//! # On-the-wire layout (version 2, pinned by a golden test)
+//! # On-the-wire layout (version 3, pinned by a golden test)
 //!
 //! ```text
-//! hello  := "DPTDNET" 0x02                    (8 bytes, client → server,
+//! hello  := "DPTDNET" 0x03                    (8 bytes, client → server,
 //!                                              echoed back on accept)
 //! frame  := body_len:u32 len_check:u32 checksum:u64 body
 //! body   := kind:u8 payload                   (all little-endian)
@@ -23,11 +23,17 @@
 //! actually present before any `Vec` is sized (the same hardening as the
 //! WAL decode).
 //!
-//! Version 2 differs from version 1 only in the check: v1 ran a
-//! byte-serial FNV-1a, v2 runs four independent `u64` lanes (see
-//! [`frame_check`]). Lengths and bodies are byte-identical. Every peer
-//! that speaks the wire lives in this workspace and no frame is ever
-//! persisted, so there is no v1 arm: a v1 hello is refused by name.
+//! Version 3 changed one frame. A [`Response::Prepared`] carries a
+//! node's surviving claims as columns (a [`ShardClaims`]): the row
+//! count, every row's user, every row's claim count, every claim's
+//! object, then every claim's value. Version 2 sent the same bytes
+//! report by report (`user`, count, then `(object, value)` pairs), so
+//! both ends built one `Vec` per report; now each side handles four
+//! columns per node and round. Version 2 itself had changed only the
+//! check, from v1's byte-serial FNV-1a to four independent `u64` lanes
+//! (see [`frame_check`]). Every peer that speaks the wire lives in this
+//! workspace and no frame is ever persisted, so there is no arm for an
+//! older version: a v1 or v2 hello is refused by name.
 //!
 //! Request kinds are `0x01..`, response kinds `0x81..`; an unknown kind
 //! is [`WireError::UnknownKind`].
@@ -79,10 +85,11 @@ use dptd_obs::{
     HistogramSnapshot, MetricValue, MetricsSnapshot, SpanContext, TraceEvent, NUM_BUCKETS,
 };
 use dptd_protocol::message::StampedReport;
+use dptd_truth::streaming::ShardClaims;
 
 /// The 8-byte connection hello: 7 ASCII magic bytes plus the protocol
 /// version. Sent by the client on connect, echoed by the server.
-pub const HELLO: [u8; 8] = *b"DPTDNET\x02";
+pub const HELLO: [u8; 8] = *b"DPTDNET\x03";
 
 /// Why an 8-byte hello that is not [`HELLO`] is refused. A peer with
 /// the right magic and another version byte is told both versions.
@@ -305,7 +312,7 @@ fn absorb(lanes: &mut [u64; 4], block: &[u8; CHECK_BLOCK]) {
     }
 }
 
-/// The v2 frame check of a body: the `checksum` field of its header.
+/// The frame check of a body: the `checksum` field of its header.
 ///
 /// Word `i` of the body (little-endian, the last one zero-padded) feeds
 /// lane `i % 4` through one step — xor, multiply by an odd constant,
@@ -857,6 +864,72 @@ impl Field for PerturbedReport {
 // A stamped report is its stamp, then the claim it carries.
 record!(impl StampedReport { epoch: u64, sent_at_us: u64, report: PerturbedReport });
 
+/// Encoded size of one row's fixed part (user:u64 + nclaims:u32).
+const ROW_BYTES: usize = 8 + 4;
+
+/// A shard's claims as columns: `rows:u32`, every row's `user:u64`,
+/// every row's `nclaims:u32`, every claim's `object:u32`, then every
+/// claim's `value:f64`. Each count is bounded by the bytes still
+/// present before the column it sizes is allocated, and the claim
+/// counts are summed in `u32`, so their total cannot wrap.
+impl Field for ShardClaims {
+    const MIN_LEN: usize = 4;
+    fn put<S: Sink>(v: &Self, w: &mut S) {
+        let (users, offsets, objects, values) = v.columns();
+        w.put(&(users.len() as u32));
+        for &user in users {
+            w.put(&(user as u64));
+        }
+        for row in offsets.windows(2) {
+            w.put(&((row[1] - row[0]) as u32));
+        }
+        for &object in objects {
+            w.put(&(object as u32));
+        }
+        for value in values {
+            w.put(value);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let rows = r.bounded_count(ROW_BYTES)?;
+        let users = r.take(8 * rows)?.as_chunks::<8>().0;
+        let counts = r.take(4 * rows)?.as_chunks::<4>().0;
+        let mut cells = 0u32;
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        for &count in counts {
+            cells = cells
+                .checked_add(u32::from_le_bytes(count))
+                .ok_or(WireError::Malformed("claim counts overflow"))?;
+            offsets.push(cells as usize);
+        }
+        let cells = cells as usize;
+        if r.buf.len() < cells * VALUE_BYTES {
+            return Err(WireError::Malformed("claim counts larger than the payload"));
+        }
+        let objects = r.take(4 * cells)?.as_chunks::<4>().0;
+        let values = r.take(8 * cells)?.as_chunks::<8>().0;
+        let users = users
+            .iter()
+            .map(|&user| usize::try_from(u64::from_le_bytes(user)))
+            .collect::<Result<_, _>>()
+            .map_err(|_| WireError::Malformed("user overflows"))?;
+        ShardClaims::from_columns(
+            users,
+            offsets,
+            objects
+                .iter()
+                .map(|&object| u32::from_le_bytes(object) as usize)
+                .collect(),
+            values
+                .iter()
+                .map(|&value| f64::from_le_bytes(value))
+                .collect(),
+        )
+        .ok_or(WireError::Malformed("claim columns disagree"))
+    }
+}
+
 /// A histogram's sparse buckets: a counted sequence of `(index, count)`,
 /// in range and strictly increasing (the canonical sparse form — a
 /// duplicate would double-count on merge).
@@ -1350,7 +1423,8 @@ frames! {
             /// The node's own index (must match the `NodeHello`).
             node_id: u32,
         },
-        /// Phase-one result: the node's filtered claims for the epoch.
+        /// Phase-one result: the node's filtered claims for the epoch, as
+        /// columns.
         0x8a => Prepared {
             /// The epoch that was drained.
             epoch: u64,
@@ -1360,10 +1434,12 @@ frames! {
             late: u64,
             /// Distinct refused users that actually submitted this epoch.
             refused_seen: u64,
-            /// Surviving reports in ascending local-user order. `user` is
-            /// the **node-local** dense id; the coordinator maps it back to
-            /// the global id through the partition map.
-            claims: Vec<PerturbedReport>,
+            /// One row per surviving report, ascending local-user order,
+            /// each row's claims in report order. A row's user is the
+            /// **node-local** dense id; the coordinator maps it back to
+            /// the global id through the partition map. Boxed: four
+            /// column headers would double every `Response`'s size.
+            claims: Box<ShardClaims>,
         },
         /// Phase-two result: the node's WAL holds the epoch.
         0x8b => Committed {
@@ -1506,6 +1582,15 @@ mod tests {
             sent_at_us,
             report: PerturbedReport { user, values },
         }
+    }
+
+    /// A claim set of `(user, claims)` rows, in the order given.
+    fn shard(rows: &[(usize, &[(usize, f64)])]) -> ShardClaims {
+        let mut shard = ShardClaims::new();
+        for &(user, claims) in rows {
+            shard.push(user, claims.to_vec());
+        }
+        shard
     }
 
     /// A hand-built body: `kind`, then whatever the test writes behind it.
@@ -1665,16 +1750,14 @@ mod tests {
             duplicates: 2,
             late: 1,
             refused_seen: 1,
-            claims: vec![
-                PerturbedReport {
-                    user: 0,
-                    values: vec![(0, 1.5), (3, -0.25)],
-                },
-                PerturbedReport {
-                    user: 4,
-                    values: vec![],
-                },
-            ],
+            claims: Box::new(shard(&[(0, &[(0, 1.5), (3, -0.25)]), (4, &[])])),
+        });
+        roundtrip_response(Response::Prepared {
+            epoch: 0,
+            duplicates: 0,
+            late: 0,
+            refused_seen: 0,
+            claims: Box::default(),
         });
         roundtrip_response(Response::Committed {
             epoch: 3,
@@ -1701,7 +1784,10 @@ mod tests {
         let reports: Vec<StampedReport> = (0..100)
             .map(|u| stamped(3, u, 10, vec![(0, 1.5); u % 4]))
             .collect();
-        let claims: Vec<PerturbedReport> = reports.iter().map(|r| r.report.clone()).collect();
+        let mut claims = ShardClaims::new();
+        for r in &reports {
+            claims.push(r.report.user, r.report.values.clone());
+        }
         let ctx = Some(SpanContext {
             trace_id: 1,
             span_id: 2,
@@ -1744,7 +1830,7 @@ mod tests {
                 duplicates: 2,
                 late: 1,
                 refused_seen: 1,
-                claims,
+                claims: Box::new(claims),
             }
             .encode(),
             Response::Ledger {
@@ -2041,7 +2127,7 @@ mod tests {
 
     #[test]
     fn golden_status_wire_layout_is_pinned() {
-        // The status frames share the v2 framing; a change to either
+        // The status frames share the common framing; a change to either
         // payload is a format break (bump the HELLO version byte).
         let bytes = Request::QueryStatus.encode();
         // body := kind(0x0d)  → 1 byte
@@ -2155,7 +2241,7 @@ mod tests {
 
     #[test]
     fn golden_trace_wire_layout_is_pinned() {
-        // The trace frames share the v2 framing; a change to either
+        // The trace frames share the common framing; a change to either
         // payload is a format break (bump the HELLO version byte).
         let bytes = Request::QueryTrace.encode();
         // body := kind(0x0e)  → 1 byte
@@ -2287,7 +2373,7 @@ mod tests {
 
     #[test]
     fn golden_streaming_wire_layout_is_pinned() {
-        // The pipelined-submit frames share the v2 framing; a change to
+        // The pipelined-submit frames share the common framing; a change to
         // either payload is a format break (bump the HELLO version byte).
         let bytes = Request::SubmitReportsStream {
             campaign: "cafe".to_string(),
@@ -2369,7 +2455,7 @@ mod tests {
 
     #[test]
     fn golden_cluster_wire_layout_is_pinned() {
-        // The cluster frames share the v2 framing; their payloads are
+        // The cluster frames share the common framing; their payloads are
         // pinned here the same way `golden_wire_layout_is_pinned` pins
         // the original five. A change means a format break: bump the
         // HELLO version byte.
@@ -2436,10 +2522,10 @@ mod tests {
 
     #[test]
     fn golden_wire_layout_is_pinned() {
-        // Version-2 layout, byte for byte. If this fails you have changed
+        // Version-3 layout, byte for byte. If this fails you have changed
         // the wire format: bump the HELLO version byte, so a peer built
         // against the old one is refused by name instead of misread.
-        assert_eq!(HELLO, *b"DPTDNET\x02");
+        assert_eq!(HELLO, *b"DPTDNET\x03");
 
         let bytes = Request::CloseRound {
             campaign: "cafe".to_string(),
@@ -2463,7 +2549,7 @@ mod tests {
             body,
         ]
         .concat();
-        assert_eq!(bytes, golden, "wire v2 frame layout changed");
+        assert_eq!(bytes, golden, "wire v3 frame layout changed");
         // And the check itself is pinned.
         assert_eq!(
             u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
@@ -2486,11 +2572,130 @@ mod tests {
         assert_eq!(frame_check(&counting(100)), 0x4527_0cde_84c4_4d96);
     }
 
+    /// A `Prepared` body up to its claim columns, which the test writes.
+    fn prepared_head() -> Writer {
+        let mut w = body_of(0x8a);
+        for counter in [3u64, 2, 1, 0] {
+            w.put(&counter);
+        }
+        w
+    }
+
+    /// Hostile claim columns. Each is refused as `Malformed` by a bound
+    /// checked before the column it would size is allocated — the
+    /// claimed sizes here run to gigabytes — and a good frame decodes
+    /// right after it.
+    #[test]
+    fn lying_claim_columns_are_refused_before_anything_is_sized() {
+        let good = Response::Prepared {
+            epoch: 3,
+            duplicates: 2,
+            late: 1,
+            refused_seen: 0,
+            claims: Box::new(shard(&[(0, &[(1, 0.5)]), (2, &[])])),
+        };
+        let good_body = good.encode()[FRAME_HEADER_LEN..].to_vec();
+
+        // A row count past the payload.
+        let mut rows_past = prepared_head();
+        rows_past.put(&0x0fff_ffffu32);
+        rows_past.put(&0u64);
+        rows_past.put(&1u32);
+
+        // Per-row counts whose sum wraps a u32.
+        let mut counts_wrap = prepared_head();
+        counts_wrap.put(&2u32);
+        counts_wrap.put(&0u64);
+        counts_wrap.put(&1u64);
+        counts_wrap.put(&u32::MAX);
+        counts_wrap.put(&1u32);
+
+        // Per-row counts that sum past the bytes left.
+        let mut counts_past = prepared_head();
+        counts_past.put(&1u32);
+        counts_past.put(&0u64);
+        counts_past.put(&0x1000_0000u32);
+        counts_past.put(&1u32);
+        counts_past.put(&0.5f64);
+
+        // A values column one value short.
+        let mut values_short = prepared_head();
+        values_short.put(&1u32);
+        values_short.put(&0u64);
+        values_short.put(&2u32);
+        values_short.put(&0u32);
+        values_short.put(&1u32);
+        values_short.put(&0.5f64);
+
+        // A complete frame with one byte behind it.
+        let mut trailing = good_body.clone();
+        trailing.push(0);
+
+        for (case, body, reason) in [
+            (
+                "row count",
+                rows_past.body().to_vec(),
+                "claimed count larger than the payload",
+            ),
+            (
+                "count sum wraps",
+                counts_wrap.body().to_vec(),
+                "claim counts overflow",
+            ),
+            (
+                "count sum",
+                counts_past.body().to_vec(),
+                "claim counts larger than the payload",
+            ),
+            (
+                "values column",
+                values_short.body().to_vec(),
+                "claim counts larger than the payload",
+            ),
+            ("trailing", trailing, "trailing bytes after the payload"),
+        ] {
+            assert_eq!(
+                Response::decode(&body),
+                Err(WireError::Malformed(reason)),
+                "{case}"
+            );
+            assert_eq!(Response::decode(&good_body).as_ref(), Ok(&good), "{case}");
+        }
+    }
+
+    /// The claim columns' byte order: what the golden fixture pins,
+    /// spelled out field by field.
+    #[test]
+    fn prepared_claims_go_column_by_column() {
+        let mut w = prepared_head();
+        w.put(&2u32);
+        w.put(&0u64);
+        w.put(&4u64);
+        w.put(&2u32);
+        w.put(&0u32);
+        w.put(&0u32);
+        w.put(&3u32);
+        w.put(&1.5f64);
+        w.put(&-0.25f64);
+        let columns = Response::Prepared {
+            epoch: 3,
+            duplicates: 2,
+            late: 1,
+            refused_seen: 0,
+            claims: Box::new(shard(&[(0, &[(0, 1.5), (3, -0.25)]), (4, &[])])),
+        };
+        assert_eq!(&columns.encode()[FRAME_HEADER_LEN..], w.body());
+    }
+
     #[test]
     fn a_hello_refusal_names_both_versions() {
         assert_eq!(
             hello_refusal(b"DPTDNET\x01"),
-            "peer sent wire v1; this end speaks v2"
+            "peer sent wire v1; this end speaks v3"
+        );
+        assert_eq!(
+            hello_refusal(b"DPTDNET\x02"),
+            "peer sent wire v2; this end speaks v3"
         );
         assert_eq!(hello_refusal(b"GET / HT"), "not a dptd hello");
     }

@@ -1,4 +1,4 @@
-//! Wire v2, byte for byte, for every frame kind.
+//! Wire v3, byte for byte, for every frame kind.
 //!
 //! One fixed fixture per kind — all 13 requests and 15 responses, plus
 //! the context-present form of the four requests that carry a trace
@@ -6,7 +6,8 @@
 //! body) as hex literals. The lengths and bodies were captured from the
 //! hand-written codec that preceded the field-list table in `wire.rs`;
 //! the move from v1 to v2 rewrote only each literal's 16 checksum digits
-//! (bytes 8–15), so the layout itself has not moved since.
+//! (bytes 8–15). The move from v2 to v3 rewrote one literal, `Prepared`'s:
+//! the same 85 body bytes, regrouped into claim columns, and a new check.
 //!
 //! **Adding a frame** means adding its fixture here; **changing** a
 //! literal means you have changed the wire format — bump the HELLO
@@ -17,6 +18,7 @@ use dptd_obs::{HistogramSnapshot, MetricValue, MetricsSnapshot, SpanContext, Tra
 use dptd_protocol::message::StampedReport;
 use dptd_server::wire::{split_frame, FRAME_HEADER_LEN};
 use dptd_server::{BatchRefusal, CampaignSpec, ErrorCode, Request, Response, StoreOp};
+use dptd_truth::streaming::ShardClaims;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -296,18 +298,14 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 duplicates: 2,
                 late: 1,
                 refused_seen: 6,
-                claims: vec![
-                    PerturbedReport {
-                        user: 0,
-                        values: vec![(0, 1.5), (3, -0.25)],
-                    },
-                    PerturbedReport {
-                        user: 4,
-                        values: vec![],
-                    },
-                ],
+                claims: Box::new({
+                    let mut claims = ShardClaims::new();
+                    claims.push(0, vec![(0, 1.5), (3, -0.25)]);
+                    claims.push(4, vec![]);
+                    claims
+                }),
             },
-            "550000001b4554319d1ec1bdaddec3ee8a03000000000000000200000000000000010000000000000006000000000000000200000000000000000000000200000000000000000000000000f83f03000000000000000000d0bf040000000000000000000000",
+            "550000001b4554311e11427d54c5ddeb8a0300000000000000020000000000000001000000000000000600000000000000020000000000000000000000040000000000000002000000000000000000000003000000000000000000f83f000000000000d0bf",
         ),
         (
             "Committed",
@@ -389,7 +387,7 @@ fn check<T: std::fmt::Debug + PartialEq>(
     golden: &str,
     decode: impl Fn(&[u8]) -> T,
 ) {
-    assert_eq!(hex(&frame), golden, "{name}: wire v2 layout changed");
+    assert_eq!(hex(&frame), golden, "{name}: wire v3 layout changed");
     let (body, consumed) = split_frame(&frame).unwrap();
     assert_eq!(consumed, frame.len(), "{name}");
     assert_eq!(body.len() + FRAME_HEADER_LEN, frame.len(), "{name}");

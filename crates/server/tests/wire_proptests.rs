@@ -24,6 +24,7 @@ use dptd_server::wire::{self, split_frame, Request, Response, WireError, FRAME_H
 use dptd_server::{
     BatchRefusal, CampaignSpec, Client, ErrorCode, Server, ServerConfig, ServerError, StoreOp,
 };
+use dptd_truth::streaming::ShardClaims;
 
 thread_local! {
     /// Largest single allocation this thread has requested since the
@@ -119,6 +120,15 @@ impl Gen {
             user: self.u64() as usize,
             values: self.vec(|g| (g.u32() as usize, g.f64())),
         }
+    }
+    /// A claim set: no rows a third of the time, and a row with no
+    /// claims a third of the time.
+    fn shard(&mut self) -> ShardClaims {
+        let mut shard = ShardClaims::new();
+        for claim in self.vec(Gen::claim) {
+            shard.push(claim.user, claim.values);
+        }
+        shard
     }
     fn reports(&mut self) -> Vec<StampedReport> {
         self.vec(|g| StampedReport {
@@ -252,7 +262,7 @@ fn response_of(kind: u8, g: &mut Gen) -> Response {
             duplicates: g.u64(),
             late: g.u64(),
             refused_seen: g.u64(),
-            claims: g.vec(Gen::claim),
+            claims: Box::new(g.shard()),
         },
         0x8b => Response::Committed {
             epoch: g.u64(),

@@ -201,7 +201,7 @@ impl ColumnarBatch {
         // Pass 1 — slot occupancy, in shard/push order so the first
         // conflicting entry is the one reported.
         for (s, shard) in shards.iter().enumerate() {
-            for e in 0..shard.num_users() {
+            for e in 0..shard.len() {
                 let (user, objects, _) = shard.row(e);
                 if user >= self.num_users {
                     return Err(TruthError::UserOutOfRange {
@@ -246,7 +246,7 @@ impl ColumnarBatch {
     /// largest round sizes the arena instead of every round doubling
     /// into it.
     fn reserve_for(&mut self, shards: &[ShardClaims]) {
-        let rows: usize = shards.iter().map(ShardClaims::num_users).sum();
+        let rows: usize = shards.iter().map(ShardClaims::len).sum();
         let cells: usize = shards.iter().map(ShardClaims::num_claims).sum();
         self.users.reserve(rows);
         self.offsets.reserve(rows);

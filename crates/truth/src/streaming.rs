@@ -401,12 +401,50 @@ impl ShardClaims {
         self.offsets.push(self.objects.len());
     }
 
+    /// A claim set from its four columns, as [`ShardClaims::columns`]
+    /// returns them — how a decoder that read the columns off the wire
+    /// hands them over without a per-row copy. `None` unless `offsets`
+    /// has one more entry than `users`, starts at 0, never decreases and
+    /// ends at the length of `objects` and of `values`.
+    pub fn from_columns(
+        users: Vec<usize>,
+        offsets: Vec<usize>,
+        objects: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Option<Self> {
+        let well_formed = offsets.len() == users.len() + 1
+            && offsets.first() == Some(&0)
+            && offsets.windows(2).all(|w| w[0] <= w[1])
+            && offsets.last() == Some(&objects.len())
+            && objects.len() == values.len();
+        well_formed.then_some(Self {
+            users,
+            offsets,
+            objects,
+            values,
+        })
+    }
+
+    /// The four columns: each row's user, the `len() + 1` row offsets
+    /// (from 0), and every claim's object and value, all in push order.
+    pub fn columns(&self) -> (&[usize], &[usize], &[usize], &[f64]) {
+        (&self.users, &self.offsets, &self.objects, &self.values)
+    }
+
+    /// Rewrite every row's user through `to`, in place — how the
+    /// cluster coordinator turns a node's local ids into global ones.
+    pub fn map_users(&mut self, mut to: impl FnMut(usize) -> usize) {
+        for user in &mut self.users {
+            *user = to(*user);
+        }
+    }
+
     /// Row `row` in push order: its user and its claims as parallel
     /// `objects` / `values` slices.
     ///
     /// # Panics
     ///
-    /// Panics if `row >= self.num_users()`.
+    /// Panics if `row >= self.len()`.
     pub fn row(&self, row: usize) -> (usize, &[usize], &[f64]) {
         let cells = self.offsets[row]..self.offsets[row + 1];
         (
@@ -416,8 +454,8 @@ impl ShardClaims {
         )
     }
 
-    /// Number of users with recorded claims.
-    pub fn num_users(&self) -> usize {
+    /// Number of rows: users with recorded claims.
+    pub fn len(&self) -> usize {
         self.users.len()
     }
 
@@ -564,6 +602,38 @@ mod tests {
             assert_eq!(a, b, "epoch {epoch}: sharded truths diverged");
             assert_eq!(reference.weights(), sharded.weights());
             assert_eq!(reference.cumulative_losses(), sharded.cumulative_losses());
+        }
+    }
+
+    /// `from_columns` takes back exactly what `columns` hands out, and
+    /// refuses offsets that do not describe the other three columns.
+    #[test]
+    fn claim_columns_round_trip_and_bad_offsets_are_refused() {
+        let mut shard = ShardClaims::new();
+        shard.push(4, vec![(1, 0.5), (0, 2.0)]);
+        shard.push(1, vec![]);
+        let (users, offsets, objects, values) = shard.columns();
+        assert_eq!(
+            ShardClaims::from_columns(
+                users.to_vec(),
+                offsets.to_vec(),
+                objects.to_vec(),
+                values.to_vec()
+            ),
+            Some(shard.clone())
+        );
+        let columns = |offsets: &[usize], values: &[f64]| {
+            ShardClaims::from_columns(vec![4, 1], offsets.to_vec(), vec![1, 0], values.to_vec())
+        };
+        assert!(columns(&[0, 2, 2], &[0.5, 2.0]).is_some());
+        for (offsets, values) in [
+            (&[0, 2][..], &[0.5, 2.0][..]), // one offset short
+            (&[1, 2, 2], &[0.5, 2.0]),      // not from 0
+            (&[0, 2, 1], &[0.5, 2.0]),      // decreasing
+            (&[0, 1, 1], &[0.5, 2.0]),      // ends short of the objects
+            (&[0, 2, 2], &[0.5]),           // values short of the objects
+        ] {
+            assert_eq!(columns(offsets, values), None, "{offsets:?} {values:?}");
         }
     }
 

@@ -175,7 +175,7 @@ fn refuse_bad_hellos(addr: std::net::SocketAddr) {
             };
             assert_eq!(code, ErrorCode::InvalidRequest);
             if v1 {
-                assert_eq!(message, "peer sent wire v1; this end speaks v2");
+                assert_eq!(message, "peer sent wire v1; this end speaks v3");
             } else {
                 assert_eq!(message, "not a dptd hello");
             }
