@@ -13,19 +13,26 @@
 //!    withhold → deadline → first-wins dedup, the exact single-node
 //!    order) and returns its surviving claims as columns, users
 //!    ascending in its local ids. Nothing durable happens.
-//! 2. **Merge + Commit**: the coordinator merges all claims with one
-//!    [`ingest_sharded`](dptd_truth::streaming::StreamingCrh::ingest_sharded)
-//!    call — the same deterministic shard-merge the engine uses, so the
-//!    result is bit-identical to a single node — debits the accepted
+//! 2. **Merge + Commit**: the coordinator loads all claims into the
+//!    campaign's one [`ColumnarBatch`] arena (sized for the population
+//!    when the campaign opens, reused every round, as the engine's
+//!    merger reuses its own) and runs
+//!    [`ingest_columnar_with_workers`](StreamingCrh::ingest_columnar_with_workers)
+//!    over it — the same deterministic shard-merge the engine uses, so
+//!    the result is bit-identical to a single node — debits the accepted
 //!    users, then fans each node its **slice** of the post-round state
-//!    to append durably. Only when every node has acknowledged does the
-//!    coordinator advance its own epoch.
+//!    to append durably, hashing the weights digest on another core
+//!    while the acks are awaited. Only when every node has acknowledged
+//!    does the coordinator advance its own epoch.
 //!
 //! Prepare and commit are each a **scatter/gather**
 //! ([`dptd_server::scatter_gather`]): the request goes out to every
 //! node before any reply is read, so node drains, commit fsyncs and
-//! follower acks overlap each other and the coordinator's decode, while
-//! each connection carries one unanswered request. Submission is one
+//! follower acks overlap each other, while each connection carries one
+//! unanswered request. The replies are read and decoded one after
+//! another, in node-id order, on the coordinator's thread: a node's
+//! work overlaps the decode of an earlier node's reply, never another
+//! decode. Submission is one
 //! pipelined stream per node ([`dptd_server::submit_streams`]): a
 //! window of batches in flight on every connection, each frame encoded
 //! straight from the caller's slice under the node-local user id, and a
@@ -68,9 +75,9 @@
 
 use dptd_ldp::PrivacyLoss;
 use dptd_protocol::budget::BudgetAccountant;
-use dptd_protocol::campaign::CampaignConfig;
 use dptd_protocol::message::StampedReport;
 use dptd_protocol::partition::PartitionMap;
+use dptd_truth::columnar::ColumnarBatch;
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::Loss;
 
@@ -235,7 +242,9 @@ pub struct ClusterCampaign {
     partition: PartitionMap,
     streaming: StreamingCrh,
     accountant: BudgetAccountant,
-    config: CampaignConfig,
+    /// The merge's columnar arena, sized for the population once: every
+    /// round loads the nodes' claims into it instead of building one.
+    arena: ColumnarBatch,
     next_epoch: u64,
     rounds_run: u32,
     retry: RetryPolicy,
@@ -334,12 +343,6 @@ impl ClusterCampaign {
         spec: ClusterSpec,
     ) -> Result<(Self, u64), ClusterError> {
         let partition = rendezvous_map(spec.num_users, addrs.len())?;
-        let config = CampaignConfig {
-            num_objects: spec.num_objects,
-            deadline_us: spec.deadline_us,
-            per_round_loss: spec.per_round_loss,
-            budget: spec.budget,
-        };
         let num_nodes = addrs.len() as u32;
         let mut nodes = Vec::with_capacity(addrs.len());
         for (id, addr) in addrs.iter().enumerate() {
@@ -429,7 +432,7 @@ impl ClusterCampaign {
                 partition,
                 streaming,
                 accountant,
-                config,
+                arena: ColumnarBatch::new(spec.num_users, spec.num_objects),
                 next_epoch: target,
                 rounds_run: target.min(u64::from(u32::MAX)) as u32,
                 retry: RetryPolicy::default(),
@@ -675,31 +678,47 @@ impl ClusterCampaign {
     /// round before the coordinator advances. Scattered, so the fsyncs
     /// and follower acks overlap; if it fails, any subset of the nodes
     /// may hold the epoch, which the pending round (or a resume)
-    /// re-drives.
+    /// re-drives. The weights digest is hashed on another core while
+    /// the acks are awaited.
     fn commit(&mut self, merged: &MergedRound) -> Result<(), ClusterError> {
         let _commit_span =
             dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_COMMIT, merged.epoch);
         let batches_seen = self.streaming.batches_seen() as u64;
-        let (campaign, partition) = (&self.campaign, &self.partition);
-        let (losses, accountant) = (self.streaming.cumulative_losses(), &self.accountant);
-        scatter_gather(
-            &mut self.nodes,
-            |id, node| {
-                let locals = partition.locals(id);
-                node.send_commit(
-                    campaign,
-                    merged.epoch,
-                    batches_seen,
-                    merged.accepted_locals[id].clone(),
-                    locals.iter().map(|&g| losses[g]).collect(),
-                    locals
-                        .iter()
-                        .map(|&g| accountant.rounds_debited(g))
-                        .collect(),
-                )
-            },
-            |_, node| node.recv_committed(),
-        )?;
+        let (campaign, partition, streaming) = (&self.campaign, &self.partition, &self.streaming);
+        let (losses, accountant) = (streaming.cumulative_losses(), &self.accountant);
+        let ambient = dptd_obs::trace::current();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _ctx = ambient.map(dptd_obs::trace::enter);
+                let _span =
+                    dptd_obs::trace::TraceScope::begin(dptd_obs::codes::DIGEST, merged.epoch);
+                streaming.weights_digest();
+            });
+            scatter_gather(
+                &mut self.nodes,
+                |id, node| {
+                    let locals = partition.locals(id);
+                    node.send_commit(
+                        campaign,
+                        merged.epoch,
+                        batches_seen,
+                        merged.accepted_locals[id].clone(),
+                        locals.iter().map(|&g| losses[g]).collect(),
+                        locals
+                            .iter()
+                            .map(|&g| accountant.rounds_debited(g))
+                            .collect(),
+                    )
+                },
+                |id, node| {
+                    let _reply = dptd_obs::trace::TraceScope::begin(
+                        dptd_obs::codes::BARRIER_REPLY,
+                        id as u64,
+                    );
+                    node.recv_committed()
+                },
+            )
+        })?;
         Ok(())
     }
 
@@ -723,7 +742,11 @@ impl ClusterCampaign {
                     .collect();
                 node.send_prepare(campaign, epoch, refused)
             },
-            |_, node| node.recv_prepared(),
+            |id, node| {
+                let _reply =
+                    dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_REPLY, id as u64);
+                node.recv_prepared()
+            },
         )?;
 
         let mut merged = MergedRound {
@@ -771,11 +794,13 @@ impl ClusterCampaign {
         // round leaves the estimator untouched and re-drivable. This is
         // "one more level of the shard-merge tree": the claims fold
         // through the same fixed-shape parallel reduction the in-process
-        // engine uses, so worker count cannot perturb the digest.
+        // engine uses, so worker count cannot perturb the digest. The
+        // arena is the campaign's, as the engine's merger keeps its own.
         let _merge_span = dptd_obs::trace::TraceScope::begin(dptd_obs::codes::MERGE, epoch);
         merged.truths = self
-            .streaming
-            .ingest_sharded(self.config.num_objects, shards)
+            .arena
+            .load_shards(&shards)
+            .and_then(|()| self.streaming.ingest_columnar_with_workers(&self.arena, 0))
             .map_err(|e| {
                 ClusterError::Protocol(dptd_protocol::ProtocolError::Core(
                     dptd_core::CoreError::Truth(e),
@@ -796,7 +821,7 @@ mod tests {
     use super::*;
     use crate::node::{NodeConfig, NodeServer};
     use dptd_core::roles::PerturbedReport;
-    use dptd_protocol::campaign::{CampaignDriver, SimBackend};
+    use dptd_protocol::campaign::{CampaignConfig, CampaignDriver, SimBackend};
     use dptd_stats::digest::fnv1a_f64s;
     use proptest::prelude::*;
 
@@ -1155,10 +1180,12 @@ mod tests {
     type Tamper = Box<dyn Fn(usize) -> usize + Send>;
 
     /// A node behind a proxy that, while `tamper` holds a mapping,
-    /// rewrites the users of the `Prepared` replies it passes back.
+    /// rewrites the users of the `Prepared` replies it passes back, and
+    /// while `poison` is set, turns their first claim value into a NaN.
     struct TamperingProxy {
         upstream: std::sync::Mutex<Client>,
         tamper: std::sync::Mutex<Option<Tamper>>,
+        poison: std::sync::atomic::AtomicBool,
     }
 
     impl dptd_server::RequestHandler for TamperingProxy {
@@ -1167,23 +1194,35 @@ mod tests {
             if let (dptd_server::Response::Prepared { claims, .. }, Some(to)) =
                 (&mut response, self.tamper.lock().unwrap().as_ref())
             {
-                claims.map_users(to);
+                std::sync::Arc::make_mut(claims).map_users(to);
+            }
+            if let dptd_server::Response::Prepared { claims, .. } = &mut response {
+                if self.poison.load(std::sync::atomic::Ordering::SeqCst) {
+                    let (users, offsets, objects, values) = claims.columns();
+                    let mut values = values.to_vec();
+                    values[0] = f64::NAN;
+                    *claims = std::sync::Arc::new(
+                        dptd_truth::streaming::ShardClaims::from_columns(
+                            users.to_vec(),
+                            offsets.to_vec(),
+                            objects.to_vec(),
+                            values,
+                        )
+                        .unwrap(),
+                    );
+                }
             }
             response
         }
     }
 
-    /// The coordinator refuses a node's `Prepared` users that are not
-    /// strictly ascending local ids inside its partition — before
-    /// anything is merged or debited — and the same round, re-driven
-    /// once the node answers honestly, lands on the reference.
-    fn a_prepared_users_column_is_checked_before_the_merge(to: fn(usize, usize) -> usize) {
-        let num_users = 11;
-        let population = rendezvous_map(num_users, 3).unwrap().population(1);
-        let (nodes, mut addrs) = start_nodes(3);
+    /// Put a tampering proxy, tampering with nothing yet, in front of
+    /// the node at `addr`; returns the proxy and its listening front end.
+    fn behind_proxy(addr: &str) -> (std::sync::Arc<TamperingProxy>, dptd_server::Frontend) {
         let proxy = std::sync::Arc::new(TamperingProxy {
-            upstream: std::sync::Mutex::new(Client::connect(addrs[1].as_str()).unwrap()),
+            upstream: std::sync::Mutex::new(Client::connect(addr).unwrap()),
             tamper: std::sync::Mutex::new(None),
+            poison: std::sync::atomic::AtomicBool::new(false),
         });
         let front = dptd_server::Frontend::start(
             dptd_server::FrontendConfig {
@@ -1195,6 +1234,18 @@ mod tests {
             std::sync::Arc::clone(&proxy) as std::sync::Arc<dyn dptd_server::RequestHandler>,
         )
         .unwrap();
+        (proxy, front)
+    }
+
+    /// The coordinator refuses a node's `Prepared` users that are not
+    /// strictly ascending local ids inside its partition — before
+    /// anything is merged or debited — and the same round, re-driven
+    /// once the node answers honestly, lands on the reference.
+    fn a_prepared_users_column_is_checked_before_the_merge(to: fn(usize, usize) -> usize) {
+        let num_users = 11;
+        let population = rendezvous_map(num_users, 3).unwrap().population(1);
+        let (nodes, mut addrs) = start_nodes(3);
+        let (proxy, front) = behind_proxy(&addrs[1]);
         addrs[1] = front.local_addr().to_string();
         let mut cluster = ClusterCampaign::create(&addrs, "camp", spec(num_users, 3)).unwrap();
         let mut sim = sim_driver(num_users, 3);
@@ -1256,6 +1307,79 @@ mod tests {
     fn out_of_partition_prepared_users_are_refused_and_the_round_redrives() {
         // Order kept, every id one partition too far.
         a_prepared_users_column_is_checked_before_the_merge(|population, local| population + local);
+    }
+
+    /// The merge reuses the campaign's arena, so its failure path runs
+    /// in that arena too: a NaN in node 1's `Prepared` values fails the
+    /// load part-way — a typed error, nothing merged or debited — and
+    /// the honest re-drive and a much smaller next round, both through
+    /// the same arena, still land on the reference bit for bit.
+    #[test]
+    fn a_merge_refused_in_the_reused_arena_redrives_bit_identically() {
+        let num_users = 60;
+        let (nodes, mut addrs) = start_nodes(3);
+        let (proxy, front) = behind_proxy(&addrs[1]);
+        addrs[1] = front.local_addr().to_string();
+        let mut cluster = ClusterCampaign::create(&addrs, "camp", spec(num_users, 3)).unwrap();
+        let mut sim = sim_driver(num_users, 3);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let stream0 = messy_round(num_users, 0);
+        cluster.submit(&stream0, 8).unwrap();
+        cluster.close_round(0).unwrap();
+        sim.run_round(0, stream0).unwrap();
+
+        let stream1 = messy_round(num_users, 1);
+        cluster.submit(&stream1, 8).unwrap();
+        let (digest, debits) = (
+            cluster.weights_digest(),
+            cluster.accountant().debits_by_user().to_vec(),
+        );
+        proxy
+            .poison
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        match cluster.close_round(1) {
+            Err(ClusterError::Protocol(dptd_protocol::ProtocolError::Core(
+                dptd_core::CoreError::Truth(dptd_truth::TruthError::NonFiniteObservation {
+                    ..
+                }),
+            ))) => {}
+            other => panic!("expected the merge's non-finite refusal, got {other:?}"),
+        }
+        assert_eq!(cluster.weights_digest(), digest, "nothing merged");
+        assert_eq!(
+            cluster.accountant().debits_by_user(),
+            debits,
+            "nothing debited"
+        );
+        assert_eq!(cluster.next_epoch(), 1);
+
+        proxy
+            .poison
+            .store(false, std::sync::atomic::Ordering::SeqCst);
+        let ours = cluster.close_round(1).unwrap();
+        let reference = sim.run_round(1, stream1).unwrap();
+        assert_eq!(bits(&ours.truths), bits(&reference.truths));
+        assert_eq!(bits(&ours.weights), bits(&reference.weights));
+        assert_eq!(ours.accepted, reference.accepted);
+
+        // A tenth of the reports: the reused columns shrink.
+        let stream2: Vec<StampedReport> =
+            messy_round(num_users, 2).into_iter().step_by(10).collect();
+        cluster.submit(&stream2, 8).unwrap();
+        let ours = cluster.close_round(2).unwrap();
+        let reference = sim.run_round(2, stream2).unwrap();
+        assert_eq!(bits(&ours.truths), bits(&reference.truths));
+        assert_eq!(bits(&ours.weights), bits(&reference.weights));
+        assert_eq!(ours.accepted, reference.accepted);
+        assert_eq!(
+            cluster.accountant().debits_by_user(),
+            sim.accountant().debits_by_user()
+        );
+        drop(cluster);
+        drop(front);
+        for node in nodes {
+            node.shutdown();
+        }
     }
 
     proptest! {

@@ -6,9 +6,11 @@
 //! with a **two-phase barrier** — drain-and-filter on each node
 //! (prepare), one deterministic global merge at the coordinator, then a
 //! durable per-node commit. Because each user lives on exactly one node
-//! and the merge is the same
-//! [`ingest_sharded`](dptd_truth::streaming::StreamingCrh::ingest_sharded)
-//! the engine's shard tree uses, an N-node campaign is **bit-identical**
+//! and the merge is the shard merge the engine's merger runs — the
+//! claims loaded into one reused
+//! [`ColumnarBatch`](dptd_truth::columnar::ColumnarBatch), then
+//! [`ingest_columnar_with_workers`](dptd_truth::streaming::StreamingCrh::ingest_columnar_with_workers)
+//! — an N-node campaign is **bit-identical**
 //! — weights digest, truths, per-user debit ledgers — to the same
 //! campaign on one node, and to the in-process simulator.
 //!

@@ -22,7 +22,8 @@
 //! 2. `CloseRoundCommit` durably appends the node's slice of the merged
 //!    round — the coordinator computed it; the node just persists an
 //!    [`EpochRecord`] to its segmented store and acks — then closes the
-//!    shard's epoch. The frozen claims and counts are kept so a
+//!    shard's epoch. The claims the last prepare replied with (shared
+//!    with that reply, never copied again) and the counts are kept so a
 //!    re-driven prepare of that epoch replays them, and the reset shard
 //!    serves the next round with its allocations kept. Re-committing
 //!    the previous epoch is acknowledged idempotently iff the record is
@@ -120,6 +121,10 @@ struct StagedRound {
     refused: Vec<u64>,
     /// Per refused user, whether a report of theirs was withheld.
     withheld: Vec<bool>,
+    /// The claims the last prepare replied with: the shard's rows, which
+    /// only a prepare moves, so the commit keeps them instead of copying
+    /// the rows again.
+    claims: Arc<ShardClaims>,
 }
 
 impl StagedRound {
@@ -137,7 +142,7 @@ struct CommittedPrepare {
     epoch: u64,
     refused: Vec<u64>,
     refused_seen: u64,
-    claims: ShardClaims,
+    claims: Arc<ShardClaims>,
     stats: ShardEpochStats,
 }
 
@@ -245,7 +250,7 @@ impl NodeCampaign {
                 duplicates: last.stats.duplicates_discarded as u64,
                 late: last.stats.late_dropped,
                 refused_seen: last.refused_seen,
-                claims: Box::new(last.claims.clone()),
+                claims: Arc::clone(&last.claims),
             };
         }
         if epoch != self.queue.next_epoch() {
@@ -273,6 +278,7 @@ impl NodeCampaign {
             epoch,
             withheld: vec![false; refused_sorted.len()],
             refused: refused_sorted,
+            claims: Arc::default(),
         });
         for stamped in pending {
             match staged.refused.binary_search(&(stamped.report.user as u64)) {
@@ -287,12 +293,13 @@ impl NodeCampaign {
         // user is its local slot and its claims keep report order, so
         // each row is the report that first won its slot.
         let _reply = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_REPLY, epoch);
+        staged.claims = Arc::new(self.shard.claims());
         Response::Prepared {
             epoch,
             duplicates: self.shard.duplicates_discarded() as u64,
             late: self.shard.late_dropped(),
             refused_seen: staged.refused_seen(),
-            claims: Box::new(self.shard.claims()),
+            claims: Arc::clone(&staged.claims),
         }
     }
 
@@ -376,13 +383,15 @@ impl NodeCampaign {
                 return refuse(ErrorCode::WalRefused, e.to_string());
             }
         }
-        let (claims, stats) = self.shard.finish_epoch();
+        // The staged claims are the shard's rows: close the epoch
+        // without copying them again.
+        let stats = self.shard.end_epoch();
         self.committed_accepted += stats.accepted as u64;
         self.last_prepared = Some(CommittedPrepare {
             epoch,
             refused_seen: staged.refused_seen(),
             refused: staged.refused,
-            claims,
+            claims: staged.claims,
             stats,
         });
         self.history.push_back(record);
@@ -967,8 +976,9 @@ mod tests {
     }
 
     /// A re-driven prepare of the committed epoch replays the frozen
-    /// round byte for byte, and the next round starts from an empty
-    /// filter: last round's users are first arrivals again.
+    /// round byte for byte — the last staged reply's, not an earlier
+    /// one's — and the next round starts from an empty filter: last
+    /// round's users are first arrivals again.
     #[test]
     fn a_committed_prepare_replays_and_the_next_round_starts_clean() {
         let node = NodeServer::start(NodeConfig::default()).unwrap();
@@ -981,7 +991,12 @@ mod tests {
             stamped(1, 0, 5_000, 4.0), // late
             stamped(1, 0, 40, 5.0),
         ];
-        client.submit_chunked("part", &round0, 2).unwrap();
+        // An earlier prepare sees the first report only; the replay must
+        // not return it.
+        client.submit_chunked("part", &round0[..1], 2).unwrap();
+        let early = client.close_round_prepare("part", 0, vec![1]).unwrap();
+        assert_eq!(early.claims.len(), 1);
+        client.submit_chunked("part", &round0[1..], 2).unwrap();
         let staged = client.close_round_prepare("part", 0, vec![1]).unwrap();
         let users: Vec<usize> = staged.claims.iter().map(|c| c.user).collect();
         assert_eq!(
@@ -998,11 +1013,23 @@ mod tests {
             (staged.duplicates, staged.late, staged.refused_seen),
             (1, 0, 1)
         );
+        let columns = |client: &mut Client| {
+            client.send_prepare("part", 0, vec![1]).unwrap();
+            client.recv_prepared().unwrap()
+        };
+        let last = columns(&mut client);
         client
             .close_round_commit("part", 0, 1, vec![0, 2], vec![0.5, 0.0, 0.5], vec![1, 0, 1])
             .unwrap();
         let replayed = client.close_round_prepare("part", 0, vec![1]).unwrap();
         assert_eq!(replayed, staged);
+        assert_ne!(replayed, early);
+        let replayed = columns(&mut client);
+        assert_eq!(replayed.claims.len(), last.claims.len());
+        for row in 0..last.claims.len() {
+            assert_eq!(replayed.claims.row(row), last.claims.row(row), "row {row}");
+        }
+        assert_eq!(replayed, last);
 
         client
             .submit_chunked("part", &[stamped(2, 1, 10, 7.0)], 8)

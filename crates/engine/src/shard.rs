@@ -21,7 +21,9 @@
 //! copies that walk into one contiguous, users-ascending [`ShardClaims`]
 //! (a node's repeatable prepare replies with it); at the epoch boundary
 //! [`ShardState::finish_epoch`] emits the same copy for the cross-shard
-//! merge (a slot's user is implied, its cells are two slice copies).
+//! merge (a slot's user is implied, its cells are two slice copies), and
+//! [`ShardState::end_epoch`] closes the epoch without one — a node
+//! commits the copy its last prepare already made.
 //! Resetting for the next epoch costs time proportional to the reports
 //! accepted, not to the users owned, so a `ShardState` is meant to live
 //! as long as its campaign.
@@ -62,8 +64,8 @@ pub struct ShardEpochStats {
 
 /// Mutable state of one shard. Owned by exactly one worker thread at a
 /// time; no internal synchronisation. Reusable across epochs and runs:
-/// [`ShardState::finish_epoch`] leaves it as [`ShardState::new`] built it,
-/// allocations kept.
+/// [`ShardState::finish_epoch`] (or [`ShardState::end_epoch`]) leaves it
+/// as [`ShardState::new`] built it, allocations kept.
 #[derive(Debug)]
 pub struct ShardState {
     shard_id: usize,
@@ -223,7 +225,14 @@ impl ShardState {
     /// canonical claims for the cross-shard merge, plus shard-level
     /// stats, and reset for the next epoch.
     pub fn finish_epoch(&mut self) -> (ShardClaims, ShardEpochStats) {
-        let claims = self.claims();
+        (self.claims(), self.end_epoch())
+    }
+
+    /// Close the current epoch without copying its rows: the shard-level
+    /// stats, then the reset [`ShardState::finish_epoch`] does. For a
+    /// caller that already holds the epoch's [`ShardState::claims`] (a
+    /// cluster node keeps the copy its last prepare replied with).
+    pub fn end_epoch(&mut self) -> ShardEpochStats {
         let covered = self.object_sums.iter().all(|&(_, count)| count > 0);
         let stats = ShardEpochStats {
             accepted: self.accepted(),
@@ -240,7 +249,7 @@ impl ShardState {
         self.objects.clear();
         self.values.clear();
         self.object_sums.fill((0.0, 0));
-        (claims, stats)
+        stats
     }
 }
 
@@ -329,6 +338,41 @@ mod tests {
         let (_, second) = s.finish_epoch();
         assert_eq!(second.accepted, 1);
         assert_eq!(second.duplicates_discarded, 0);
+    }
+
+    /// `claims()` then `end_epoch()` is `finish_epoch()`: the same rows,
+    /// the same stats, and the same clean epoch after it.
+    #[test]
+    fn claims_then_end_epoch_is_finish_epoch() {
+        let round0 = [
+            stamped(2, 10, vec![(1, 5.0), (0, 4.0)]),
+            stamped(0, 20, vec![]),
+            stamped(2, 30, vec![(0, 9.0)]),  // duplicate
+            stamped(1, 500, vec![(0, 1.0)]), // late
+            stamped(3, 40, vec![(0, 2.0), (1, 3.0)]),
+        ];
+        let round1 = [
+            stamped(2, 5, vec![(0, 6.0)]),
+            stamped(3, 6, vec![(1, 7.0)]),
+            stamped(3, 7, vec![(1, 8.0)]), // duplicate
+        ];
+        let mut whole = ShardState::new(0, 1, 4, 2, 100, Loss::Squared);
+        let mut split = ShardState::new(0, 1, 4, 2, 100, Loss::Squared);
+        for round in [&round0[..], &round1[..]] {
+            for report in round {
+                assert_eq!(whole.ingest(report.clone()), split.ingest(report.clone()));
+            }
+            let (claims, stats) = whole.finish_epoch();
+            let split_claims = split.claims();
+            assert_eq!(split.end_epoch(), stats);
+            assert_eq!(split_claims, claims);
+            // Both reset: nothing accepted, dropped or discarded yet.
+            for s in [&whole, &split] {
+                let counts = (s.accepted(), s.duplicates_discarded(), s.late_dropped());
+                assert_eq!(counts, (0, 0, 0));
+                assert!(s.claims().is_empty());
+            }
+        }
     }
 
     #[test]

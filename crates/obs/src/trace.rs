@@ -62,8 +62,10 @@ pub mod codes {
     /// Ring-wrap marker synthesized into dumps (instant; arg = events
     /// the ring overwrote). Never recorded by an instrumented site.
     pub const TRUNCATED: u32 = 13;
-    /// Hashing a durable round's weights digest, on its own thread
-    /// beside the `commit` append (span; arg = epoch).
+    /// Hashing a round's weights digest on its own thread: beside a
+    /// durable engine round's `commit` append, or on a cluster
+    /// coordinator under `barrier.commit` while the nodes' acks are
+    /// awaited (span; arg = epoch).
     pub const DIGEST: u32 = 14;
     /// A cluster coordinator fanning a round's reports out to its nodes
     /// (span; arg = epoch). The nodes' `submit` instants parent under it.
@@ -71,6 +73,10 @@ pub mod codes {
     /// A cluster node building its `Prepared` reply from its round
     /// filter, after `node.drain` (span; arg = epoch).
     pub const NODE_REPLY: u32 = 16;
+    /// A cluster coordinator reading and decoding one node's reply
+    /// inside a barrier fan-out, under `barrier.prepare` or
+    /// `barrier.commit` (span; arg = node id).
+    pub const BARRIER_REPLY: u32 = 17;
 
     /// The human-readable name of a code (for dumps and docs).
     pub fn name(code: u32) -> &'static str {
@@ -91,6 +97,7 @@ pub mod codes {
             DIGEST => "digest",
             CLUSTER_SUBMIT => "cluster.submit",
             NODE_REPLY => "node.reply",
+            BARRIER_REPLY => "barrier.reply",
             _ => "unknown",
         }
     }
@@ -599,6 +606,7 @@ mod tests {
             (codes::DIGEST, "digest"),
             (codes::CLUSTER_SUBMIT, "cluster.submit"),
             (codes::NODE_REPLY, "node.reply"),
+            (codes::BARRIER_REPLY, "barrier.reply"),
         ];
         for (expected, &(code, name)) in (1..).zip(&table) {
             assert_eq!(code, expected, "{name}");

@@ -4,7 +4,8 @@
 //! filters its own users' reports with the engine's round filter
 //! (`dptd_engine::shard::ShardState`: deadline cut-off, then first-wins
 //! de-duplication), and the coordinator merges the per-node survivors
-//! with one `StreamingCrh::ingest_sharded` call. Because every user
+//! in one shard merge (`ColumnarBatch::load_shards`, then
+//! `StreamingCrh::ingest_columnar_with_workers`). Because every user
 //! lives in **exactly one** partition, filtering per partition and
 //! merging is bit-identical to filtering globally: the deadline check is
 //! per report, de-duplication is per user, and the sharded ingest is

@@ -13,6 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dptd_core::roles::PerturbedReport;
@@ -663,7 +664,9 @@ impl Client {
                 duplicates,
                 late,
                 refused_seen,
-                claims: *claims,
+                // Decoded here, so the only handle: taken apart, not
+                // copied.
+                claims: Arc::unwrap_or_clone(claims),
             }),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
         }

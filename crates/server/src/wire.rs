@@ -79,6 +79,7 @@
 //! [`HELLO`] version byte and move every peer with it.
 
 use std::fmt;
+use std::sync::Arc;
 
 use dptd_core::roles::PerturbedReport;
 use dptd_obs::{
@@ -754,13 +755,13 @@ impl<A: Field, B: Field> Field for (A, B) {
     }
 }
 
-impl<T: Field> Field for Box<T> {
+impl<T: Field> Field for Arc<T> {
     const MIN_LEN: usize = T::MIN_LEN;
-    fn put<S: Sink>(v: &Box<T>, w: &mut S) {
+    fn put<S: Sink>(v: &Arc<T>, w: &mut S) {
         w.put::<T>(v);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Box<T>, WireError> {
-        r.get().map(Box::new)
+    fn get(r: &mut Reader<'_>) -> Result<Arc<T>, WireError> {
+        r.get().map(Arc::new)
     }
 }
 
@@ -1437,9 +1438,11 @@ frames! {
             /// One row per surviving report, ascending local-user order,
             /// each row's claims in report order. A row's user is the
             /// **node-local** dense id; the coordinator maps it back to
-            /// the global id through the partition map. Boxed: four
-            /// column headers would double every `Response`'s size.
-            claims: Box<ShardClaims>,
+            /// the global id through the partition map. Shared: four
+            /// column headers would double every `Response`'s size, and
+            /// the node keeps the reply's claims for its commit without
+            /// a second copy.
+            claims: Arc<ShardClaims>,
         },
         /// Phase-two result: the node's WAL holds the epoch.
         0x8b => Committed {
@@ -1750,14 +1753,14 @@ mod tests {
             duplicates: 2,
             late: 1,
             refused_seen: 1,
-            claims: Box::new(shard(&[(0, &[(0, 1.5), (3, -0.25)]), (4, &[])])),
+            claims: Arc::new(shard(&[(0, &[(0, 1.5), (3, -0.25)]), (4, &[])])),
         });
         roundtrip_response(Response::Prepared {
             epoch: 0,
             duplicates: 0,
             late: 0,
             refused_seen: 0,
-            claims: Box::default(),
+            claims: Arc::default(),
         });
         roundtrip_response(Response::Committed {
             epoch: 3,
@@ -1830,7 +1833,7 @@ mod tests {
                 duplicates: 2,
                 late: 1,
                 refused_seen: 1,
-                claims: Box::new(claims),
+                claims: Arc::new(claims),
             }
             .encode(),
             Response::Ledger {
@@ -2592,7 +2595,7 @@ mod tests {
             duplicates: 2,
             late: 1,
             refused_seen: 0,
-            claims: Box::new(shard(&[(0, &[(1, 0.5)]), (2, &[])])),
+            claims: Arc::new(shard(&[(0, &[(1, 0.5)]), (2, &[])])),
         };
         let good_body = good.encode()[FRAME_HEADER_LEN..].to_vec();
 
@@ -2682,7 +2685,7 @@ mod tests {
             duplicates: 2,
             late: 1,
             refused_seen: 0,
-            claims: Box::new(shard(&[(0, &[(0, 1.5), (3, -0.25)]), (4, &[])])),
+            claims: Arc::new(shard(&[(0, &[(0, 1.5), (3, -0.25)]), (4, &[])])),
         };
         assert_eq!(&columns.encode()[FRAME_HEADER_LEN..], w.body());
     }

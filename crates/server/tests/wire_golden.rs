@@ -298,7 +298,7 @@ fn responses() -> Vec<(&'static str, Response, &'static str)> {
                 duplicates: 2,
                 late: 1,
                 refused_seen: 6,
-                claims: Box::new({
+                claims: std::sync::Arc::new({
                     let mut claims = ShardClaims::new();
                     claims.push(0, vec![(0, 1.5), (3, -0.25)]);
                     claims.push(4, vec![]);

@@ -262,7 +262,7 @@ fn response_of(kind: u8, g: &mut Gen) -> Response {
             duplicates: g.u64(),
             late: g.u64(),
             refused_seen: g.u64(),
-            claims: Box::new(g.shard()),
+            claims: std::sync::Arc::new(g.shard()),
         },
         0x8b => Response::Committed {
             epoch: g.u64(),

@@ -195,6 +195,14 @@ impl StreamingCrh {
     /// [`StreamingCrh::ingest_sharded_with_workers`] to pin a count (the
     /// result is worker-count-independent either way).
     ///
+    /// Each call builds a fresh [`ColumnarBatch`] arena — a slot index
+    /// sized for the whole population plus the epoch's columns — and
+    /// frees it. A caller that merges every round keeps one
+    /// [`ColumnarBatch`] instead, and calls
+    /// [`ColumnarBatch::load_shards`] then
+    /// [`StreamingCrh::ingest_columnar_with_workers`] on it (the engine's
+    /// merger and the cluster coordinator do).
+    ///
     /// # Errors
     ///
     /// Returns [`TruthError::UserOutOfRange`] if a shard claims a user

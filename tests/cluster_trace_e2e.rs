@@ -9,7 +9,8 @@
 //! children on the coordinator lane, the submit span parents the nodes'
 //! queued batches, the barrier prepare/commit spans parent all three
 //! nodes' (scattered, hence overlapping) drain/commit spans via
-//! wire-carried span contexts, and
+//! wire-carried span contexts and the coordinator's per-node reply
+//! reads, the commit span parents the coordinator's digest thread, and
 //! `merge_trace_timeline` renders one clock-aligned chrome://tracing
 //! document with a lane per process. Part three: a forced quarantine
 //! (a partition poisoned mid-campaign) leaves a flight bundle on disk
@@ -190,6 +191,40 @@ fn traced_run_is_bit_identical_and_the_merged_timeline_is_causal() {
              span via the wire-carried context; events: {events:?}",
             barrier.arg,
             codes::name(node_code)
+        );
+    }
+    // The coordinator reads each node's reply under the phase span that
+    // asked for it — one `barrier.reply` per node and phase, its arg the
+    // node id — and hashes the weights digest under `barrier.commit`,
+    // while the acks are awaited.
+    for barrier in prepares.iter().chain(&commits) {
+        let mut replies: Vec<u64> = begins(codes::BARRIER_REPLY)
+            .into_iter()
+            .filter(|e| e.trace_id == barrier.trace_id && e.parent_span == barrier.span_id)
+            .map(|e| e.arg)
+            .collect();
+        replies.sort_unstable();
+        assert_eq!(
+            replies,
+            [0, 1, 2],
+            "epoch {}: one {} reply span per node",
+            barrier.arg,
+            codes::name(barrier.code)
+        );
+    }
+    for commit in &commits {
+        let digests = begins(codes::DIGEST)
+            .into_iter()
+            .filter(|e| {
+                e.trace_id == commit.trace_id
+                    && e.parent_span == commit.span_id
+                    && e.arg == commit.arg
+            })
+            .count();
+        assert_eq!(
+            digests, 1,
+            "epoch {}: the digest thread parents under barrier.commit",
+            commit.arg
         );
     }
     // Distinct rounds are distinct traces (deterministic per epoch).
