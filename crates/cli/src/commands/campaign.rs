@@ -17,7 +17,7 @@
 //!
 //! The three campaign drivers — this command, `dptd submit` and
 //! `dptd cluster submit` — resolve their shared flags through
-//! [`CampaignFlags`] (one set of load and privacy flags, one set of
+//! `CampaignFlags` (one set of load and privacy flags, one set of
 //! defaults, so one seed is one stream everywhere) and print one report:
 //! header, round table and closing ledger lines, so their outputs diff
 //! row for row.

@@ -2,8 +2,7 @@
 //! with a two-phase barrier.
 //!
 //! The coordinator is a client-side object, not a service: it owns the
-//! campaign's **global** state — the
-//! [`StreamingCrh`](dptd_truth::streaming::StreamingCrh) estimator and
+//! campaign's **global** state — the [`StreamingCrh`] estimator and
 //! the per-user [`BudgetAccountant`] — and treats the nodes as remote
 //! filter-and-persist boxes; a node's filter is the engine's
 //! `ShardState`, run over its whole partition. A round closes in two
@@ -25,15 +24,18 @@
 //!    while the acks are awaited. Only when every node has acknowledged
 //!    does the coordinator advance its own epoch.
 //!
-//! Prepare and commit are each a **scatter/gather**
-//! ([`dptd_server::scatter_gather`]): the request goes out to every
-//! node before any reply is read, so node drains, commit fsyncs and
-//! follower acks overlap each other, while each connection carries one
-//! unanswered request. The replies are read and decoded one after
-//! another, in node-id order, on the coordinator's thread: a node's
-//! work overlaps the decode of an earlier node's reply, never another
-//! decode. Submission is one
-//! pipelined stream per node ([`dptd_server::submit_streams`]): a
+//! Opening (hello, create, ledger), prepare and commit each cross one
+//! seam, [`Nodes::fan_out`]: one [`Request`] to every node, then every
+//! node's [`Response`] or transport error in node-id order; the
+//! coordinator builds and parses the frames. Over TCP it is a
+//! `Vec<Client>` and a **scatter/gather**: every request goes out
+//! before any reply is read, so node drains, commit fsyncs and follower
+//! acks overlap, while each connection carries one unanswered request.
+//! The replies are read and decoded one after another on the
+//! coordinator's thread: a node's work overlaps the decode of an
+//! earlier reply, never another decode. This module's tests drive the
+//! same seam over in-process nodes with a seeded fault simulator.
+//! Submission is one pipelined stream per node ([`dptd_server::submit_streams`]): a
 //! window of batches in flight on every connection, each frame encoded
 //! straight from the caller's slice under the node-local user id, and a
 //! node accepts only its connection's next batch, which keeps its
@@ -68,10 +70,17 @@
 //! in node-id order; alignment at the minimum and per-node idempotent
 //! acks make no distinction between the two. `tests/cluster_e2e.rs`
 //! pins all of this against the single-node server and the in-process
-//! simulator; this module's proptest pins rounds over 1–4 nodes to
+//! simulator; this module's proptest and barrier simulator pin rounds
+//! over 1–4 nodes to
 //! [`SimBackend`](dptd_protocol::campaign::SimBackend) bit for bit.
 //!
+//! One crash wedges the barrier: a node that committed the in-flight
+//! epoch and then **restarted** lost its claims, which no record keeps,
+//! so it refuses every re-driven prepare, naming the case.
+//!
 //! [`StreamingCrh::from_parts`]: dptd_truth::streaming::StreamingCrh::from_parts
+
+use std::sync::Arc;
 
 use dptd_ldp::PrivacyLoss;
 use dptd_protocol::budget::BudgetAccountant;
@@ -81,13 +90,106 @@ use dptd_truth::columnar::ColumnarBatch;
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::Loss;
 
-use dptd_server::client::DEFAULT_STREAM_WINDOW;
+use dptd_server::client::{LedgerOutcome, DEFAULT_STREAM_WINDOW};
 use dptd_server::{
-    scatter_gather, submit_streams, CampaignSpec, Client, RetryPolicy, ServerError, StreamLane,
+    submit_streams, CampaignSpec, Client, Request, Response, RetryPolicy, ServerError, StreamLane,
 };
 
 use crate::partitioner::rendezvous_map;
 use crate::ClusterError;
+
+/// The coordinator's one way to its nodes, bar submission: over TCP a
+/// `Vec<Client>`, in this module's barrier simulator in-process nodes.
+pub trait Nodes {
+    /// Send `request(id)` to every node `id`, then return every node's
+    /// reply or transport error in node-id order, having read every
+    /// reply it is owed — so an error never leaves a reply unread.
+    fn fan_out(
+        &mut self,
+        request: impl FnMut(usize) -> Request,
+    ) -> Vec<Result<Response, ServerError>>;
+}
+
+/// A scatter/gather, one connection per node: every request is written
+/// before any reply is read, each reply under a `barrier.reply` span
+/// (arg = node id). A failed write stops the scatter (later nodes get no
+/// entry), not the gather. Blocking writes cannot deadlock: a node never
+/// waits for a reply to be read before it takes the next input.
+impl Nodes for Vec<Client> {
+    fn fan_out(
+        &mut self,
+        mut request: impl FnMut(usize) -> Request,
+    ) -> Vec<Result<Response, ServerError>> {
+        let mut written = Vec::with_capacity(self.len());
+        for (id, node) in self.iter_mut().enumerate() {
+            let sent = node.send(&request(id));
+            let failed = sent.is_err();
+            written.push(sent);
+            if failed {
+                break;
+            }
+        }
+        let replies = written.into_iter().zip(self.iter_mut()).enumerate();
+        let replies = replies.map(|(id, (sent, node))| {
+            sent.and_then(|()| {
+                let _reply =
+                    dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_REPLY, id as u64);
+                node.recv()
+            })
+        });
+        replies.collect()
+    }
+}
+
+/// One [`Nodes::fan_out`], each reply parsed by `parse` (which hands
+/// back a reply it does not expect): the first transport error, typed
+/// refusal or unexpected reply in node-id order.
+fn exchange<T>(
+    nodes: &mut impl Nodes,
+    request: impl FnMut(usize) -> Request,
+    mut parse: impl FnMut(Response) -> Result<T, Response>,
+) -> Result<Vec<T>, ServerError> {
+    let replies = nodes.fan_out(request).into_iter();
+    let parsed = replies.map(|reply| match reply? {
+        Response::Error { code, message } => Err(ServerError::Remote { code, message }),
+        reply => parse(reply).map_err(|other| ServerError::UnexpectedResponse(Box::new(other))),
+    });
+    parsed.collect()
+}
+
+/// Every node's ledger as of `upto` (`u64::MAX` = its latest).
+fn query_ledgers(
+    nodes: &mut impl Nodes,
+    campaign: &str,
+    upto: u64,
+) -> Result<Vec<LedgerOutcome>, ServerError> {
+    let request = |_| Request::QueryLedger {
+        campaign: campaign.to_string(),
+        upto,
+    };
+    exchange(nodes, request, |reply| match reply {
+        Response::Ledger {
+            next_epoch,
+            batches_seen,
+            rounds_debited,
+            cumulative_losses,
+        } => Ok(LedgerOutcome {
+            next_epoch,
+            batches_seen,
+            rounds_debited,
+            cumulative_losses,
+        }),
+        other => Err(other),
+    })
+}
+
+/// The trace context an outgoing barrier frame carries: the thread's
+/// ambient span when tracing is on.
+fn wire_ctx() -> Option<dptd_obs::SpanContext> {
+    dptd_obs::trace::enabled()
+        .then(dptd_obs::trace::current)
+        .flatten()
+}
 
 /// Sizing and privacy policy for a clustered campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,12 +335,12 @@ pub fn merge_trace_timeline(processes: &[ProcessTrace]) -> String {
     out
 }
 
-/// A live clustered campaign: N node connections plus the global
-/// estimator and privacy ledger.
+/// A live clustered campaign: N nodes — over TCP, one connection each —
+/// plus the global estimator and privacy ledger.
 #[derive(Debug)]
-pub struct ClusterCampaign {
+pub struct ClusterCampaign<N = Vec<Client>> {
     campaign: String,
-    nodes: Vec<Client>,
+    nodes: N,
     partition: PartitionMap,
     streaming: StreamingCrh,
     accountant: BudgetAccountant,
@@ -305,7 +407,7 @@ impl ClusterCampaign {
         campaign: &str,
         spec: ClusterSpec,
     ) -> Result<Self, ClusterError> {
-        let (cluster, resumed) = Self::open(addrs, campaign, spec)?;
+        let (cluster, resumed) = Self::resume(addrs, campaign, spec)?;
         if resumed != 0 {
             return Err(ClusterError::Barrier(format!(
                 "nodes hold durable rounds through epoch {resumed} for `{campaign}`; \
@@ -332,163 +434,15 @@ impl ClusterCampaign {
         campaign: &str,
         spec: ClusterSpec,
     ) -> Result<(Self, u64), ClusterError> {
-        let (cluster, _) = Self::open(addrs, campaign, spec)?;
+        let partition = rendezvous_map(spec.num_users, addrs.len())?;
+        let nodes = addrs.iter().map(|addr| Client::connect(addr.as_str()));
+        let cluster = Self::open(nodes.collect::<Result<_, _>>()?, partition, campaign, spec)?;
         let epoch = cluster.next_epoch;
         Ok((cluster, epoch))
     }
-
-    fn open(
-        addrs: &[String],
-        campaign: &str,
-        spec: ClusterSpec,
-    ) -> Result<(Self, u64), ClusterError> {
-        let partition = rendezvous_map(spec.num_users, addrs.len())?;
-        let num_nodes = addrs.len() as u32;
-        let mut nodes = Vec::with_capacity(addrs.len());
-        for (id, addr) in addrs.iter().enumerate() {
-            let mut client = Client::connect(addr.as_str())?;
-            let welcomed = client.node_hello(id as u32, num_nodes)?;
-            if welcomed != id as u32 {
-                return Err(ClusterError::Topology(format!(
-                    "node at {addr} answered hello as node {welcomed}, expected {id}"
-                )));
-            }
-            client.create_campaign(campaign, node_spec(&spec, partition.population(id)))?;
-            nodes.push(client);
-        }
-
-        // Align the coordinator at the minimum committed epoch across
-        // nodes. The barrier never lets nodes drift more than one epoch
-        // apart; anything wider means lost durable state.
-        let mut ledgers = Vec::with_capacity(nodes.len());
-        for client in &mut nodes {
-            ledgers.push(client.query_ledger(campaign, u64::MAX)?);
-        }
-        let target = ledgers.iter().map(|l| l.next_epoch).min().unwrap_or(0);
-        let redrive = ledgers.iter().any(|l| l.next_epoch != target);
-        if ledgers.iter().any(|l| l.next_epoch > target + 1) {
-            return Err(ClusterError::Barrier(format!(
-                "node ledgers span epochs {:?}; a two-phase barrier never drifts past one",
-                ledgers.iter().map(|l| l.next_epoch).collect::<Vec<_>>()
-            )));
-        }
-        for (id, client) in nodes.iter_mut().enumerate() {
-            if ledgers[id].next_epoch != target {
-                ledgers[id] = client.query_ledger(campaign, target)?;
-            }
-        }
-
-        let mut cumulative_losses = vec![0.0f64; spec.num_users];
-        let mut rounds_debited = vec![0u32; spec.num_users];
-        let mut batches_seen = None;
-        for (id, ledger) in ledgers.iter().enumerate() {
-            let locals = partition.locals(id);
-            if ledger.cumulative_losses.len() != locals.len()
-                || ledger.rounds_debited.len() != locals.len()
-            {
-                return Err(ClusterError::Barrier(format!(
-                    "node {id} ledger covers {} users, its partition holds {}",
-                    ledger.cumulative_losses.len(),
-                    locals.len()
-                )));
-            }
-            match batches_seen {
-                None => batches_seen = Some(ledger.batches_seen),
-                Some(seen) if seen != ledger.batches_seen => {
-                    return Err(ClusterError::Barrier(format!(
-                        "node {id} saw {} merges at epoch {target}, others saw {seen}",
-                        ledger.batches_seen
-                    )));
-                }
-                Some(_) => {}
-            }
-            for (local, &global) in locals.iter().enumerate() {
-                cumulative_losses[global] = ledger.cumulative_losses[local];
-                rounds_debited[global] = ledger.rounds_debited[local];
-            }
-        }
-        let batches_seen = batches_seen.unwrap_or(0);
-
-        let streaming = if target == 0 {
-            StreamingCrh::new(spec.num_users, Loss::Squared)
-        } else {
-            StreamingCrh::from_parts(Loss::Squared, cumulative_losses, batches_seen as usize)
-        }
-        .map_err(|e| {
-            ClusterError::Protocol(dptd_protocol::ProtocolError::Core(
-                dptd_core::CoreError::Truth(e),
-            ))
-        })?;
-        let accountant = if target == 0 {
-            BudgetAccountant::new(spec.num_users, spec.per_round_loss, spec.budget)
-        } else {
-            BudgetAccountant::resume(spec.per_round_loss, spec.budget, rounds_debited)
-        }?;
-
-        Ok((
-            Self {
-                campaign: campaign.to_string(),
-                nodes,
-                partition,
-                streaming,
-                accountant,
-                arena: ColumnarBatch::new(spec.num_users, spec.num_objects),
-                next_epoch: target,
-                rounds_run: target.min(u64::from(u32::MAX)) as u32,
-                retry: RetryPolicy::default(),
-                redrive,
-                pending: None,
-            },
-            target,
-        ))
-    }
-
     /// The backoff policy used when a node's submission queue is busy.
     pub fn set_retry(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// The partition map this campaign routes by.
-    pub fn partition(&self) -> &PartitionMap {
-        &self.partition
-    }
-
-    /// The epoch the next [`close_round`](ClusterCampaign::close_round)
-    /// will close.
-    pub fn next_epoch(&self) -> u64 {
-        self.next_epoch
-    }
-
-    /// Whether this campaign resumed into an interrupted commit fan-out:
-    /// some nodes already committed [`next_epoch`](Self::next_epoch)
-    /// while others have not. The caller must re-drive
-    /// [`close_round`](Self::close_round) for that epoch **without
-    /// submitting new reports for it** — the nodes replay their retained
-    /// prepares, so the re-driven merge is byte-identical to the
-    /// interrupted one.
-    pub fn needs_redrive(&self) -> bool {
-        self.redrive
-    }
-
-    /// Rounds closed (including resumed ones).
-    pub fn rounds_run(&self) -> u32 {
-        self.rounds_run
-    }
-
-    /// Current full-population weights.
-    pub fn weights(&self) -> &[f64] {
-        self.streaming.weights()
-    }
-
-    /// FNV-1a digest of the current weights' bit patterns, hashed at
-    /// most once per round.
-    pub fn weights_digest(&self) -> u64 {
-        self.streaming.weights_digest()
-    }
-
-    /// The global privacy ledger.
-    pub fn accountant(&self) -> &BudgetAccountant {
-        &self.accountant
     }
 
     /// A fleet-wide metrics snapshot: every node's `QueryStatus` reply
@@ -611,6 +565,160 @@ impl ClusterCampaign {
         })?;
         Ok(lanes.iter().map(|lane| lane.queued).sum())
     }
+}
+
+impl<N: Nodes> ClusterCampaign<N> {
+    /// Open `campaign` over `nodes`: check the topology (hello), create
+    /// or resume every node's partition, and rebuild the global state
+    /// from the node ledgers, aligned at the minimum committed epoch.
+    fn open(
+        mut nodes: N,
+        partition: PartitionMap,
+        campaign: &str,
+        spec: ClusterSpec,
+    ) -> Result<Self, ClusterError> {
+        let num_nodes = partition.num_nodes() as u32;
+        let hello = |id| Request::NodeHello {
+            node_id: id as u32,
+            num_nodes,
+        };
+        let welcomed = exchange(&mut nodes, hello, |reply| match reply {
+            Response::NodeWelcome { node_id } => Ok(node_id),
+            other => Err(other),
+        })?;
+        if let Some((id, other)) = (0u32..).zip(welcomed).find(|&(id, node)| node != id) {
+            let why = format!("node {id} answered hello as node {other}");
+            return Err(ClusterError::Topology(why));
+        }
+        let create = |id| Request::CreateCampaign {
+            campaign: campaign.to_string(),
+            spec: node_spec(&spec, partition.population(id)),
+        };
+        exchange(&mut nodes, create, |reply| match reply {
+            Response::Created { .. } => Ok(()),
+            other => Err(other),
+        })?;
+
+        // Align the coordinator at the minimum committed epoch across
+        // nodes. The barrier never lets nodes drift more than one epoch
+        // apart; anything wider means lost durable state.
+        let mut ledgers = query_ledgers(&mut nodes, campaign, u64::MAX)?;
+        let target = ledgers.iter().map(|l| l.next_epoch).min().unwrap_or(0);
+        let redrive = ledgers.iter().any(|l| l.next_epoch != target);
+        if ledgers.iter().any(|l| l.next_epoch > target + 1) {
+            return Err(ClusterError::Barrier(format!(
+                "node ledgers span epochs {:?}; a two-phase barrier never drifts past one",
+                ledgers.iter().map(|l| l.next_epoch).collect::<Vec<_>>()
+            )));
+        }
+        if redrive {
+            ledgers = query_ledgers(&mut nodes, campaign, target)?;
+        }
+
+        let mut cumulative_losses = vec![0.0f64; spec.num_users];
+        let mut rounds_debited = vec![0u32; spec.num_users];
+        let mut batches_seen = None;
+        for (id, ledger) in ledgers.iter().enumerate() {
+            let locals = partition.locals(id);
+            if ledger.cumulative_losses.len() != locals.len()
+                || ledger.rounds_debited.len() != locals.len()
+            {
+                return Err(ClusterError::Barrier(format!(
+                    "node {id} ledger covers {} users, its partition holds {}",
+                    ledger.cumulative_losses.len(),
+                    locals.len()
+                )));
+            }
+            match batches_seen {
+                None => batches_seen = Some(ledger.batches_seen),
+                Some(seen) if seen != ledger.batches_seen => {
+                    return Err(ClusterError::Barrier(format!(
+                        "node {id} saw {} merges at epoch {target}, others saw {seen}",
+                        ledger.batches_seen
+                    )));
+                }
+                Some(_) => {}
+            }
+            for (local, &global) in locals.iter().enumerate() {
+                cumulative_losses[global] = ledger.cumulative_losses[local];
+                rounds_debited[global] = ledger.rounds_debited[local];
+            }
+        }
+        let batches_seen = batches_seen.unwrap_or(0);
+
+        let streaming = if target == 0 {
+            StreamingCrh::new(spec.num_users, Loss::Squared)
+        } else {
+            StreamingCrh::from_parts(Loss::Squared, cumulative_losses, batches_seen as usize)
+        }
+        .map_err(|e| {
+            ClusterError::Protocol(dptd_protocol::ProtocolError::Core(
+                dptd_core::CoreError::Truth(e),
+            ))
+        })?;
+        let accountant = if target == 0 {
+            BudgetAccountant::new(spec.num_users, spec.per_round_loss, spec.budget)
+        } else {
+            BudgetAccountant::resume(spec.per_round_loss, spec.budget, rounds_debited)
+        }?;
+
+        Ok(Self {
+            campaign: campaign.to_string(),
+            nodes,
+            partition,
+            streaming,
+            accountant,
+            arena: ColumnarBatch::new(spec.num_users, spec.num_objects),
+            next_epoch: target,
+            rounds_run: target.min(u64::from(u32::MAX)) as u32,
+            retry: RetryPolicy::default(),
+            redrive,
+            pending: None,
+        })
+    }
+
+    /// The partition map this campaign routes by.
+    pub fn partition(&self) -> &PartitionMap {
+        &self.partition
+    }
+
+    /// The epoch the next [`close_round`](ClusterCampaign::close_round)
+    /// will close.
+    pub fn next_epoch(&self) -> u64 {
+        self.next_epoch
+    }
+
+    /// Whether this campaign resumed into an interrupted commit fan-out:
+    /// some nodes already committed [`next_epoch`](Self::next_epoch)
+    /// while others have not. The caller must re-drive
+    /// [`close_round`](Self::close_round) for that epoch **without
+    /// submitting new reports for it** — the nodes replay their retained
+    /// prepares, so the re-driven merge is byte-identical to the
+    /// interrupted one.
+    pub fn needs_redrive(&self) -> bool {
+        self.redrive
+    }
+
+    /// Rounds closed (including resumed ones).
+    pub fn rounds_run(&self) -> u32 {
+        self.rounds_run
+    }
+
+    /// Current full-population weights.
+    pub fn weights(&self) -> &[f64] {
+        self.streaming.weights()
+    }
+
+    /// FNV-1a digest of the current weights' bit patterns, hashed at
+    /// most once per round.
+    pub fn weights_digest(&self) -> u64 {
+        self.streaming.weights_digest()
+    }
+
+    /// The global privacy ledger.
+    pub fn accountant(&self) -> &BudgetAccountant {
+        &self.accountant
+    }
 
     /// Close round `epoch` with the two-phase barrier.
     ///
@@ -694,30 +802,25 @@ impl ClusterCampaign {
                     dptd_obs::trace::TraceScope::begin(dptd_obs::codes::DIGEST, merged.epoch);
                 streaming.weights_digest();
             });
-            scatter_gather(
-                &mut self.nodes,
-                |id, node| {
-                    let locals = partition.locals(id);
-                    node.send_commit(
-                        campaign,
-                        merged.epoch,
-                        batches_seen,
-                        merged.accepted_locals[id].clone(),
-                        locals.iter().map(|&g| losses[g]).collect(),
-                        locals
-                            .iter()
-                            .map(|&g| accountant.rounds_debited(g))
-                            .collect(),
-                    )
-                },
-                |id, node| {
-                    let _reply = dptd_obs::trace::TraceScope::begin(
-                        dptd_obs::codes::BARRIER_REPLY,
-                        id as u64,
-                    );
-                    node.recv_committed()
-                },
-            )
+            let commit = |id| {
+                let locals = partition.locals(id);
+                Request::CloseRoundCommit {
+                    campaign: campaign.clone(),
+                    epoch: merged.epoch,
+                    batches_seen,
+                    accepted_users: merged.accepted_locals[id].clone(),
+                    cumulative_losses: locals.iter().map(|&g| losses[g]).collect(),
+                    rounds_debited: locals
+                        .iter()
+                        .map(|&g| accountant.rounds_debited(g))
+                        .collect(),
+                    ctx: wire_ctx(),
+                }
+            };
+            exchange(&mut self.nodes, commit, |reply| match reply {
+                Response::Committed { .. } => Ok(()),
+                other => Err(other),
+            })
         })?;
         Ok(())
     }
@@ -730,24 +833,25 @@ impl ClusterCampaign {
         let prepare_span =
             dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_PREPARE, epoch);
         let (campaign, partition, accountant) = (&self.campaign, &self.partition, &self.accountant);
-        let prepared = scatter_gather(
-            &mut self.nodes,
-            |id, node| {
-                let refused = partition
-                    .locals(id)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &global)| !accountant.can_spend(global))
-                    .map(|(local, _)| local as u64)
-                    .collect();
-                node.send_prepare(campaign, epoch, refused)
-            },
-            |id, node| {
-                let _reply =
-                    dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_REPLY, id as u64);
-                node.recv_prepared()
-            },
-        )?;
+        let prepare = |id| Request::CloseRoundPrepare {
+            campaign: campaign.clone(),
+            epoch,
+            refused: (partition.locals(id).iter().enumerate())
+                .filter(|&(_, &global)| !accountant.can_spend(global))
+                .map(|(local, _)| local as u64)
+                .collect(),
+            ctx: wire_ctx(),
+        };
+        let prepared = exchange(&mut self.nodes, prepare, |reply| match reply {
+            Response::Prepared {
+                epoch,
+                duplicates,
+                late,
+                refused_seen,
+                claims,
+            } => Ok((epoch, duplicates, late, refused_seen, claims)),
+            other => Err(other),
+        })?;
 
         let mut merged = MergedRound {
             epoch,
@@ -758,22 +862,25 @@ impl ClusterCampaign {
             accepted_locals: Vec::with_capacity(prepared.len()),
         };
         let mut shards = Vec::with_capacity(prepared.len());
-        for (id, prepared) in prepared.into_iter().enumerate() {
-            if prepared.epoch != epoch {
+        for (id, (prepared, duplicates, late, refused_seen, claims)) in
+            prepared.into_iter().enumerate()
+        {
+            if prepared != epoch {
                 return Err(ClusterError::Barrier(format!(
-                    "node {id} prepared epoch {}, coordinator asked for {epoch}",
-                    prepared.epoch
+                    "node {id} prepared epoch {prepared}, coordinator asked for {epoch}"
                 )));
             }
-            merged.duplicates += prepared.duplicates;
-            merged.late += prepared.late;
-            merged.refused_seen += prepared.refused_seen;
+            merged.duplicates += duplicates;
+            merged.late += late;
+            merged.refused_seen += refused_seen;
             // The node's users column *is* its commit slice's accepted
             // list: ascending local ids. Check here what the node will
             // check at commit, while a violation is still harmless —
             // nothing has been merged or debited yet.
             let population = partition.population(id);
-            let mut shard = prepared.claims;
+            // Decoded off the wire, the only handle: taken apart, not
+            // copied.
+            let mut shard = Arc::unwrap_or_clone(claims);
             let mut locals = Vec::with_capacity(shard.len());
             for local in shard.users() {
                 if local >= population || locals.last().is_some_and(|&last| last >= local as u64) {
@@ -1465,6 +1572,793 @@ mod tests {
         ));
         for node in nodes {
             node.shutdown();
+        }
+    }
+
+    /// The restart wedge: node 0 commits epoch 1, the coordinator dies
+    /// before node 1 does, and node 0 restarts on its WAL. The claims
+    /// its re-driven prepare would replay were never durable, so every
+    /// re-drive of epoch 1 is refused — typed, naming the case — and
+    /// nothing is merged or debited: the cluster cannot close the
+    /// epoch, and it never closes it wrongly.
+    #[test]
+    fn a_node_restarted_after_committing_refuses_the_redrive_and_nothing_moves() {
+        let num_users = 11;
+        let root = std::env::temp_dir().join(format!("dptd-restart-wedge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = |id: u32| NodeConfig {
+            node_id: id,
+            num_nodes: 2,
+            wal_root: Some(root.join(format!("node{id}"))),
+            ..NodeConfig::default()
+        };
+        let durable = ClusterSpec {
+            durable: true,
+            ..spec(num_users, 3)
+        };
+        let mut nodes: Vec<NodeServer> = (0..2)
+            .map(|id| NodeServer::start(config(id)).unwrap())
+            .collect();
+        let mut addrs: Vec<String> = nodes.iter().map(|n| n.local_addr().to_string()).collect();
+        let mut a = ClusterCampaign::create(&addrs, "camp", durable).unwrap();
+        a.submit(&messy_round(num_users, 0), 4).unwrap();
+        a.close_round(0).unwrap();
+        let (digest, debits) = (a.weights_digest(), a.accountant().debits_by_user().to_vec());
+
+        // Round 1: prepare both, merge, commit node 0 only, then "die".
+        a.submit(&messy_round(num_users, 1), 4).unwrap();
+        let merged = a.prepare_and_merge(1).unwrap();
+        let locals = a.partition.locals(0).to_vec();
+        let losses = locals
+            .iter()
+            .map(|&g| a.streaming.cumulative_losses()[g])
+            .collect();
+        let debited = locals
+            .iter()
+            .map(|&g| a.accountant.rounds_debited(g))
+            .collect();
+        let batches = a.streaming.batches_seen() as u64;
+        let accepted = merged.accepted_locals[0].clone();
+        assert!(a.nodes[0]
+            .close_round_commit("camp", 1, batches, accepted, losses, debited)
+            .unwrap());
+        drop(a);
+        // Node 0 restarts on the same WAL root.
+        nodes.remove(0).shutdown();
+        nodes.insert(0, NodeServer::start(config(0)).unwrap());
+        addrs[0] = nodes[0].local_addr().to_string();
+
+        let (mut b, at) = ClusterCampaign::resume(&addrs, "camp", durable).unwrap();
+        assert_eq!(at, 1);
+        assert!(b.needs_redrive());
+        for attempt in 0..2 {
+            match b.close_round(1) {
+                Err(ClusterError::Server(ServerError::Remote { code, message })) => {
+                    assert_eq!(code, dptd_server::ErrorCode::InvalidRequest);
+                    assert_eq!(
+                        message,
+                        "epoch 1 is already committed and its prepare expired: this node \
+                         restarted after committing it, and a round's claims are never \
+                         durable, so the cluster cannot close epoch 1"
+                    );
+                }
+                other => panic!("attempt {attempt}: expected node 0's refusal, got {other:?}"),
+            }
+            assert_eq!(b.weights_digest(), digest, "nothing merged");
+            assert_eq!(b.accountant().debits_by_user(), debits, "nothing debited");
+            assert_eq!(b.next_epoch(), 1);
+        }
+        let epochs: Vec<u64> = (b.nodes.iter_mut())
+            .map(|node| node.query_ledger("camp", u64::MAX).unwrap().next_epoch)
+            .collect();
+        assert_eq!(epochs, [2, 1], "node 1 never committed epoch 1");
+        drop(b);
+        for node in nodes {
+            node.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The barrier's second driver: a seeded fault simulator over
+    /// in-process nodes.
+    ///
+    /// Each seed runs a campaign of three or four rounds over 1–4
+    /// volatile `NodeState`s, reached through [`Nodes`] with no socket
+    /// and no clock. A barrier has no timers and its nodes are
+    /// independent, so there is no event heap: a fan-out hands each node
+    /// exactly one request and delivers them in a seeded order, which is
+    /// the only interleaving there is. The world loses replies after the
+    /// node applied the request, refuses one append (`FailNextAppend`),
+    /// quarantines a node, and kills the coordinator between any two
+    /// deliveries, leaving any subset of nodes committed; a fresh
+    /// coordinator then resumes over the same nodes. After every close
+    /// attempt a stale writer replays one node's last prepare and
+    /// commit. Every seed checks that each closed round equals
+    /// `CampaignDriver<SimBackend>` by `to_bits`, that a coordinator's
+    /// debits are never ahead of the node ledgers once no commit is
+    /// owed, that it merged each round at most once, and that a second
+    /// run of the seed produces the same trace.
+    mod sim {
+        use std::cell::{Cell, RefCell};
+        use std::rc::Rc;
+
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        use super::*;
+        use crate::node::NodeState;
+        use dptd_server::{ErrorCode, RequestHandler};
+        use dptd_stats::digest::Fnv1a;
+
+        /// Seeds per run.
+        const SEEDS: u64 = 1_000;
+        /// Close or open attempts after which the barrier is stuck.
+        const MAX_ATTEMPTS: usize = 32;
+        const CAMPAIGN: &str = "sim";
+        /// The endings a seed can reach, as counted over the run.
+        const ENDINGS: [&str; 4] = [
+            "clean close",
+            "pending-commit retry",
+            "resume with re-drive",
+            "refused prepare",
+        ];
+        const CLEAN: usize = 0;
+        const PENDING_RETRY: usize = 1;
+        const REDRIVE: usize = 2;
+        const REFUSED_PREPARE: usize = 3;
+
+        /// What happened, in order: two runs of a seed share it.
+        #[derive(Debug, Clone, PartialEq)]
+        enum Event {
+            /// Node `node` answered a request (digests of both frames);
+            /// `lost` if the reply never reached the coordinator.
+            Delivered {
+                node: usize,
+                request: u64,
+                reply: u64,
+                lost: bool,
+            },
+            /// The coordinator died with `undelivered` requests unsent.
+            Died { undelivered: usize },
+            /// A close attempt's outcome: the weights digest or the error.
+            Closed {
+                epoch: u64,
+                outcome: Result<u64, String>,
+            },
+            /// A stale writer's replay and the node's answer.
+            Probed { node: usize, reply: u64 },
+        }
+
+        fn digest(frame: &[u8]) -> u64 {
+            let mut h = Fnv1a::new();
+            frame.iter().for_each(|&b| h.write_u8(b));
+            h.finish()
+        }
+
+        fn gone(why: &str) -> ServerError {
+            ServerError::Io {
+                op: "sim",
+                message: why.to_string(),
+            }
+        }
+
+        /// A request a node applied, and its reply.
+        type Applied = (Request, Response);
+
+        /// The nodes and everything that happens between them and the
+        /// coordinator.
+        struct World {
+            nodes: Vec<NodeState>,
+            rng: RefCell<StdRng>,
+            /// `(fan-outs to go, deliveries first)`: the coordinator dies
+            /// in that fan-out after that many deliveries.
+            crash: Cell<Option<(u32, usize)>>,
+            dead: Cell<bool>,
+            /// Chance that a delivered request's reply is lost.
+            lose: f64,
+            lost: Cell<u32>,
+            /// Per node, the last prepare and the last commit it applied,
+            /// each with its reply: what a stale writer replays.
+            applied: RefCell<Vec<[Option<Applied>; 2]>>,
+            trace: RefCell<Vec<Event>>,
+        }
+
+        impl World {
+            fn push(&self, event: Event) {
+                self.trace.borrow_mut().push(event);
+            }
+
+            /// Whatever a harness-side request to node `id` answers.
+            fn ask(&self, id: usize, request: Request) -> Response {
+                self.nodes[id].handle(request)
+            }
+
+            /// Every node's `(next epoch, debits)` from its ledger.
+            fn ledgers(&self) -> Vec<(u64, Vec<u32>)> {
+                let query = || Request::QueryLedger {
+                    campaign: CAMPAIGN.to_string(),
+                    upto: u64::MAX,
+                };
+                (0..self.nodes.len())
+                    .map(|id| match self.ask(id, query()) {
+                        Response::Ledger {
+                            next_epoch,
+                            rounds_debited,
+                            ..
+                        } => (next_epoch, rounds_debited),
+                        other => panic!("node {id} has no ledger: {other:?}"),
+                    })
+                    .collect()
+            }
+
+            /// [`World::ask`] for a stale writer, the answer traced.
+            fn replay(&self, id: usize, request: Request) -> Response {
+                let reply = self.ask(id, request);
+                let digest = digest(&reply.encode());
+                self.push(Event::Probed {
+                    node: id,
+                    reply: digest,
+                });
+                reply
+            }
+
+            /// A stale writer at node `id` replays the last prepare and
+            /// commit the node applied. Under another refusal set the
+            /// prepare is refused; once its epoch is committed, the
+            /// prepare as sent replays the reply byte for byte. The commit
+            /// as sent is acked without an append, a diverged one refused.
+            fn probe(&self, id: usize) {
+                let refused = |reply: &Response| {
+                    let code = ErrorCode::InvalidRequest;
+                    matches!(reply, Response::Error { code: c, .. } if *c == code)
+                };
+                let [prepare, commit] = self.applied.borrow()[id].clone();
+                let committed = match &commit {
+                    Some((Request::CloseRoundCommit { epoch, .. }, Response::Committed { .. })) => {
+                        Some(*epoch)
+                    }
+                    _ => None,
+                };
+                if let Some((
+                    Request::CloseRoundPrepare {
+                        campaign,
+                        epoch,
+                        refused: mut set,
+                        ctx,
+                    },
+                    prepared @ Response::Prepared { .. },
+                )) = prepare
+                {
+                    let prepare = |refused| Request::CloseRoundPrepare {
+                        campaign: campaign.clone(),
+                        epoch,
+                        refused,
+                        ctx,
+                    };
+                    if committed == Some(epoch) {
+                        let replayed = self.replay(id, prepare(set.clone()));
+                        assert_eq!(replayed, prepared, "node {id} replayed epoch {epoch}");
+                    }
+                    // One refused user more, or one fewer.
+                    if set.is_empty() {
+                        set.push(0);
+                    } else {
+                        set.remove(0);
+                    }
+                    let other = self.replay(id, prepare(set));
+                    assert!(
+                        refused(&other),
+                        "node {id} prepared epoch {epoch} under another refusal set: {other:?}"
+                    );
+                }
+                if let Some((
+                    Request::CloseRoundCommit {
+                        campaign,
+                        epoch,
+                        batches_seen,
+                        accepted_users,
+                        cumulative_losses,
+                        rounds_debited,
+                        ctx,
+                    },
+                    Response::Committed { .. },
+                )) = commit
+                {
+                    let commit = |batches_seen| Request::CloseRoundCommit {
+                        campaign: campaign.clone(),
+                        epoch,
+                        batches_seen,
+                        accepted_users: accepted_users.clone(),
+                        cumulative_losses: cumulative_losses.clone(),
+                        rounds_debited: rounds_debited.clone(),
+                        ctx,
+                    };
+                    let again = self.replay(id, commit(batches_seen));
+                    let acked = Response::Committed {
+                        epoch,
+                        appended: false,
+                    };
+                    assert_eq!(again, acked, "node {id} re-committed epoch {epoch}");
+                    let other = self.replay(id, commit(batches_seen + 1));
+                    assert!(
+                        refused(&other),
+                        "node {id} acked a diverged re-commit of epoch {epoch}: {other:?}"
+                    );
+                }
+            }
+        }
+
+        /// The coordinator's side of the seam.
+        struct SimNodes(Rc<World>);
+
+        impl std::fmt::Debug for SimNodes {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str("SimNodes")
+            }
+        }
+
+        impl Nodes for SimNodes {
+            fn fan_out(
+                &mut self,
+                request: impl FnMut(usize) -> Request,
+            ) -> Vec<Result<Response, ServerError>> {
+                let world = &*self.0;
+                assert!(!world.dead.get(), "a dead coordinator sent a request");
+                let n = world.nodes.len();
+                // Every request is out before any node answers, so each
+                // node holds exactly one unanswered request.
+                let mut requests: Vec<Option<Request>> = (0..n).map(request).map(Some).collect();
+                let mut replies: Vec<Result<Response, ServerError>> =
+                    (0..n).map(|_| Err(gone("unanswered"))).collect();
+                let dies_after = match world.crash.get() {
+                    Some((0, first)) => {
+                        world.crash.set(None);
+                        Some(first.min(n))
+                    }
+                    Some((fan_outs, first)) => {
+                        world.crash.set(Some((fan_outs - 1, first)));
+                        None
+                    }
+                    None => None,
+                };
+                // The nodes work concurrently: they answer in any order.
+                let mut order: Vec<usize> = (0..n).collect();
+                order.shuffle(&mut *world.rng.borrow_mut());
+                for (delivered, &id) in order.iter().enumerate() {
+                    if dies_after == Some(delivered) {
+                        break;
+                    }
+                    let request = requests[id].take().expect("one request per node");
+                    let reply = world.ask(id, request.clone());
+                    let lost = world.rng.borrow_mut().gen_bool(world.lose);
+                    world.push(Event::Delivered {
+                        node: id,
+                        request: digest(&request.encode()),
+                        reply: digest(&reply.encode()),
+                        lost,
+                    });
+                    let slot = match request {
+                        Request::CloseRoundPrepare { .. } => Some(0),
+                        Request::CloseRoundCommit { .. } => Some(1),
+                        _ => None,
+                    };
+                    if let Some(slot) = slot {
+                        world.applied.borrow_mut()[id][slot] = Some((request, reply.clone()));
+                    }
+                    replies[id] = if lost {
+                        world.lost.set(world.lost.get() + 1);
+                        Err(gone("reply lost"))
+                    } else {
+                        Ok(reply)
+                    };
+                }
+                if let Some(delivered) = dies_after {
+                    // Nothing the coordinator read matters any more.
+                    world.dead.set(true);
+                    let undelivered = n - delivered;
+                    world.push(Event::Died { undelivered });
+                    return (0..n).map(|_| Err(gone("coordinator died"))).collect();
+                }
+                replies
+            }
+        }
+
+        /// Open (or resume) the campaign with a fresh coordinator,
+        /// retrying through lost replies and deaths mid-open. A typed
+        /// refusal is returned: only a quarantine may cause one.
+        fn open(
+            world: &Rc<World>,
+            spec: ClusterSpec,
+        ) -> Result<ClusterCampaign<SimNodes>, ClusterError> {
+            for _ in 0..MAX_ATTEMPTS {
+                world.dead.set(false);
+                let lost = world.lost.get();
+                let partition = rendezvous_map(spec.num_users, world.nodes.len())?;
+                match ClusterCampaign::open(SimNodes(Rc::clone(world)), partition, CAMPAIGN, spec) {
+                    Ok(cluster) => return Ok(cluster),
+                    Err(e @ ClusterError::Server(ServerError::Remote { .. })) => return Err(e),
+                    Err(e) => assert!(
+                        world.dead.get() || world.lost.get() > lost,
+                        "open failed with no fault injected: {e}"
+                    ),
+                }
+            }
+            panic!("the campaign never opened");
+        }
+
+        /// Each node's share of `reports`, under local ids, submitted
+        /// straight to its queue.
+        fn submit(world: &World, partition: &PartitionMap, reports: &[StampedReport]) {
+            let mut shares = vec![Vec::new(); world.nodes.len()];
+            for stamped in reports {
+                let mut local = stamped.clone();
+                local.report.user = partition.local_of(stamped.report.user);
+                shares[partition.node_of(stamped.report.user)].push(local);
+            }
+            for (id, reports) in shares.into_iter().enumerate() {
+                let submit = Request::SubmitReports {
+                    campaign: CAMPAIGN.to_string(),
+                    reports,
+                    ctx: None,
+                };
+                let reply = world.ask(id, submit);
+                assert!(
+                    matches!(reply, Response::Submitted { .. }),
+                    "node {id}: {reply:?}"
+                );
+            }
+        }
+
+        /// The coordinator merged each round at most once and, unless a
+        /// merged round is still owed its commit, its ledger is nowhere
+        /// ahead of a node's durable one.
+        fn check_ledgers(seed: u64, world: &World, cluster: &ClusterCampaign<SimNodes>) {
+            assert_eq!(
+                cluster.streaming.batches_seen() as u64,
+                cluster.next_epoch() + u64::from(cluster.pending.is_some()),
+                "seed {seed}: a round was merged more than once"
+            );
+            if cluster.pending.is_some() {
+                return;
+            }
+            let partition = cluster.partition();
+            for (id, (_, debits)) in world.ledgers().into_iter().enumerate() {
+                for (local, &durable) in debits.iter().enumerate() {
+                    let user = partition.global_of(id, local);
+                    assert!(
+                        cluster.accountant().rounds_debited(user) <= durable,
+                        "seed {seed}: user {user} is debited past node {id}'s ledger"
+                    );
+                }
+            }
+        }
+
+        /// What a fresh coordinator found after the old one died.
+        enum Resumed {
+            /// Every node had committed the round: it closed unseen.
+            Closed,
+            /// The round is still open; `true` if it must be re-driven.
+            Open(bool),
+            /// A quarantined partition refused the campaign's re-open.
+            Refused,
+        }
+
+        /// One seed's campaign: the world, the coordinator driving it and
+        /// the reference it is held to.
+        struct Run {
+            seed: u64,
+            rng: StdRng,
+            world: Rc<World>,
+            spec: ClusterSpec,
+            partition: PartitionMap,
+            cluster: ClusterCampaign<SimNodes>,
+            reference: CampaignDriver<SimBackend>,
+            /// `(round, node)`: the partition quarantined before that
+            /// round's first close.
+            quarantine: Option<(u64, usize)>,
+            quarantined: Option<usize>,
+            /// Whether an append was ever set to fail.
+            armed: bool,
+            endings: [bool; 4],
+        }
+
+        impl Run {
+            fn new(seed: u64, rounds: u64, mut rng: StdRng) -> Self {
+                let num_nodes = rng.gen_range(1..=4usize);
+                let num_users = loop {
+                    let users = rng.gen_range(12..24usize);
+                    if rendezvous_map(users, num_nodes).is_ok() {
+                        break users;
+                    }
+                };
+                let config = |id| NodeConfig {
+                    node_id: id as u32,
+                    num_nodes: num_nodes as u32,
+                    ..NodeConfig::default()
+                };
+                let world = Rc::new(World {
+                    nodes: (0..num_nodes)
+                        .map(|id| NodeState::new(&config(id)).unwrap())
+                        .collect(),
+                    rng: RefCell::new(StdRng::seed_from_u64(rng.gen())),
+                    // Die in the prepare or, more often, the commit of a
+                    // seeded round (open is three fan-outs, each round
+                    // two), after any number of its deliveries.
+                    crash: Cell::new(Some((
+                        3 + 2 * rng.gen_range(0..rounds as u32) + u32::from(rng.gen_bool(0.7)),
+                        rng.gen_range(0..=num_nodes),
+                    ))),
+                    dead: Cell::new(false),
+                    lose: 0.02,
+                    lost: Cell::new(0),
+                    applied: RefCell::new(vec![[None, None]; num_nodes]),
+                    trace: RefCell::new(Vec::new()),
+                });
+                let quarantine = rng
+                    .gen_bool(0.2)
+                    .then(|| (rng.gen_range(0..rounds), rng.gen_range(0..num_nodes)));
+                let spec = super::spec(num_users, 2);
+                let cluster = open(&world, spec).expect("nothing is quarantined yet");
+                Self {
+                    seed,
+                    rng,
+                    partition: cluster.partition().clone(),
+                    world,
+                    spec,
+                    cluster,
+                    reference: sim_driver(num_users, 2),
+                    quarantine,
+                    quarantined: None,
+                    armed: false,
+                    endings: [false; 4],
+                }
+            }
+
+            /// A round's stream: duplicates, late reports and, from the
+            /// third round, users out of budget.
+            fn stream(&mut self, epoch: u64) -> Vec<StampedReport> {
+                let (len, users) = (self.rng.gen_range(0..48usize), self.spec.num_users);
+                let mut report = |_| {
+                    let user = self.rng.gen_range(0..users);
+                    let sent_at_us = self.rng.gen_range(0..140u64);
+                    stamped(user, epoch, sent_at_us, self.rng.gen_range(-5.0..5.0))
+                };
+                (0..len).map(&mut report).collect()
+            }
+
+            /// Drive round `epoch` until it closes; `false` once the
+            /// seed's campaign can go no further.
+            fn round(&mut self, epoch: u64) -> bool {
+                let seed = self.seed;
+                let stream = self.stream(epoch);
+                // Part of the stream may only arrive after a close attempt
+                // failed before the merge.
+                let split = if self.rng.gen_bool(0.5) {
+                    stream.len()
+                } else {
+                    self.rng.gen_range(0..=stream.len())
+                };
+                let (mut submitted, mut late) = (stream[..split].to_vec(), Some(&stream[split..]));
+                submit(&self.world, &self.partition, &submitted);
+                if let Some((_, node)) = self.quarantine.filter(|&(at, _)| at == epoch) {
+                    assert!(self.world.nodes[node].poison(CAMPAIGN));
+                    self.quarantined = Some(node);
+                }
+                if self.rng.gen_bool(0.25) {
+                    let node = self.rng.gen_range(0..self.world.nodes.len());
+                    self.world.nodes[node].fail_next_append(CAMPAIGN);
+                    self.armed = true;
+                }
+                let before = self.state();
+                let (mut retried, mut redriven) = (false, false);
+                for attempt in 1..=MAX_ATTEMPTS {
+                    let lost = self.world.lost.get();
+                    let result = self.cluster.close_round(epoch);
+                    let outcome = result.as_ref().map(|r| r.weights_digest);
+                    let outcome = outcome.map_err(ToString::to_string);
+                    self.world.push(Event::Closed { epoch, outcome });
+                    let prober = self
+                        .world
+                        .rng
+                        .borrow_mut()
+                        .gen_range(0..self.world.nodes.len());
+                    if self.quarantined != Some(prober) {
+                        self.world.probe(prober);
+                    }
+                    let error = match result {
+                        Ok(ours) => {
+                            self.check_closed(epoch, &ours, &submitted);
+                            let ending = match (redriven, retried) {
+                                (true, _) => REDRIVE,
+                                (false, true) => PENDING_RETRY,
+                                (false, false) => CLEAN,
+                            };
+                            self.endings[ending] |= ending != CLEAN || attempt == 1;
+                            return true;
+                        }
+                        Err(error) => error,
+                    };
+                    if self.world.dead.get() {
+                        late = None;
+                        match self.resume(epoch, &submitted) {
+                            Resumed::Closed => return true,
+                            Resumed::Open(redrive) => redriven = redrive,
+                            Resumed::Refused => return false,
+                        }
+                        continue;
+                    }
+                    if self.quarantined.is_none() {
+                        check_ledgers(seed, &self.world, &self.cluster);
+                    }
+                    match error {
+                        ClusterError::Server(ServerError::Remote {
+                            code: ErrorCode::CampaignQuarantined,
+                            ..
+                        }) => {
+                            // Refused in prepare: nothing moved, and the
+                            // partition stays refused.
+                            assert!(self.quarantined.is_some(), "seed {seed}");
+                            self.assert_unmoved(epoch, &before);
+                            self.endings[REFUSED_PREPARE] = true;
+                            return false;
+                        }
+                        ClusterError::Protocol(e) => {
+                            // A round with an uncovered object fails on
+                            // both alike, and nothing moved.
+                            let expected = self.reference.run_round(epoch, submitted);
+                            assert!(expected.is_err(), "seed {seed}: {e}");
+                            self.assert_unmoved(epoch, &before);
+                            return false;
+                        }
+                        ClusterError::Server(ServerError::Io { .. })
+                            if self.world.lost.get() > lost => {}
+                        ClusterError::Server(ServerError::Remote {
+                            code: ErrorCode::WalRefused,
+                            ..
+                        }) if self.armed => {}
+                        other => panic!("seed {seed}: epoch {epoch} failed unprovoked: {other}"),
+                    }
+                    retried |= self.cluster.pending.is_some();
+                    let unsealed = self.cluster.pending.is_none() && self.quarantined.is_none();
+                    if let Some(part) = late.take().filter(|_| unsealed) {
+                        submit(&self.world, &self.partition, part);
+                        submitted.extend_from_slice(part);
+                    }
+                }
+                panic!("seed {seed}: epoch {epoch} never closed");
+            }
+
+            /// The weights digest and the debits: what a failed round must
+            /// leave as it found them.
+            fn state(&self) -> (u64, Vec<u32>) {
+                let debits = self.cluster.accountant().debits_by_user().to_vec();
+                (self.cluster.weights_digest(), debits)
+            }
+
+            fn assert_unmoved(&self, epoch: u64, before: &(u64, Vec<u32>)) {
+                let seed = self.seed;
+                assert!(self.cluster.pending.is_none(), "seed {seed}");
+                assert_eq!(self.cluster.next_epoch(), epoch, "seed {seed}");
+                assert_eq!(self.cluster.streaming.batches_seen() as u64, epoch);
+                assert_eq!(&self.state(), before, "seed {seed}: the round moved");
+            }
+
+            /// A closed round equals the reference's by `to_bits`, and
+            /// every node holds it durably, debits included.
+            fn check_closed(
+                &mut self,
+                epoch: u64,
+                ours: &ClusterRound,
+                submitted: &[StampedReport],
+            ) {
+                let seed = self.seed;
+                let expected = self.reference.run_round(epoch, submitted.to_vec());
+                let expected = expected.unwrap_or_else(|e| panic!("seed {seed}: reference: {e}"));
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(bits(&ours.truths), bits(&expected.truths), "seed {seed}");
+                assert_eq!(bits(&ours.weights), bits(&expected.weights), "seed {seed}");
+                assert_eq!(ours.weights_digest, fnv1a_f64s(&expected.weights));
+                let counts =
+                    |accepted, refused, duplicates, late| (accepted, refused, duplicates, late);
+                assert_eq!(
+                    counts(
+                        ours.accepted,
+                        ours.refused_users,
+                        ours.duplicates_discarded,
+                        ours.late_dropped
+                    ),
+                    counts(
+                        expected.accepted,
+                        expected.refused_users,
+                        expected.duplicates_discarded,
+                        expected.late_dropped
+                    ),
+                    "seed {seed} epoch {epoch}"
+                );
+                assert_eq!(ours.max_spent, expected.max_spent);
+                let debits = self.cluster.accountant().debits_by_user();
+                assert_eq!(debits, self.reference.accountant().debits_by_user());
+                // No debit without its durable record.
+                for (id, (next, durable)) in self.world.ledgers().into_iter().enumerate() {
+                    assert_eq!(next, epoch + 1, "seed {seed}: node {id}");
+                    for (local, durable) in durable.into_iter().enumerate() {
+                        let user = self.partition.global_of(id, local);
+                        assert_eq!(debits[user], durable, "seed {seed}: user {user}");
+                    }
+                }
+                check_ledgers(seed, &self.world, &self.cluster);
+            }
+
+            /// Replace the dead coordinator with a fresh one over the same
+            /// nodes, and check what it rebuilt from their ledgers.
+            fn resume(&mut self, epoch: u64, submitted: &[StampedReport]) -> Resumed {
+                let seed = self.seed;
+                self.cluster = match open(&self.world, self.spec) {
+                    Ok(cluster) => cluster,
+                    Err(e) => {
+                        assert!(self.quarantined.is_some(), "seed {seed}: {e}");
+                        return Resumed::Refused;
+                    }
+                };
+                check_ledgers(seed, &self.world, &self.cluster);
+                let at = self.cluster.next_epoch();
+                let spread = self.world.ledgers().iter().any(|&(next, _)| next != at);
+                assert_eq!(self.cluster.needs_redrive(), spread, "seed {seed}");
+                if self.rng.gen_bool(0.3) {
+                    let nodes = self.world.nodes.len();
+                    let crash = (self.rng.gen_range(0..6u32), self.rng.gen_range(0..=nodes));
+                    self.world.crash.set(Some(crash));
+                }
+                if at == epoch + 1 {
+                    // Every node committed before the coordinator saw it:
+                    // the round closed all the same.
+                    let expected = self.reference.run_round(epoch, submitted.to_vec()).unwrap();
+                    assert_eq!(self.state().0, fnv1a_f64s(&expected.weights), "seed {seed}");
+                    let debits = self.reference.accountant().debits_by_user();
+                    assert_eq!(self.cluster.accountant().debits_by_user(), debits);
+                    return Resumed::Closed;
+                }
+                assert_eq!(at, epoch, "seed {seed}");
+                Resumed::Open(self.cluster.needs_redrive())
+            }
+        }
+
+        /// One seed's campaign: its trace and the endings it reached.
+        fn run(seed: u64) -> (Vec<Event>, [bool; 4]) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rounds = rng.gen_range(3..=4u64);
+            let mut run = Run::new(seed, rounds, rng);
+            for epoch in 0..rounds {
+                if !run.round(epoch) {
+                    break;
+                }
+            }
+            (run.world.trace.take(), run.endings)
+        }
+
+        /// Every seed twice: each closed round equals the reference, the
+        /// ledgers and merge counts hold after every fault, the trace is
+        /// a function of the seed, and every ending is reached often.
+        #[test]
+        fn the_barrier_holds_under_seeded_faults() {
+            let mut reached = [0u32; 4];
+            for seed in 0..SEEDS {
+                let (trace, endings) = run(seed);
+                assert!(
+                    run(seed) == (trace, endings),
+                    "seed {seed}: the run is not a function of the seed"
+                );
+                for (count, reached) in reached.iter_mut().zip(endings) {
+                    *count += u32::from(reached);
+                }
+            }
+            for (count, ending) in reached.iter().zip(ENDINGS) {
+                assert!(
+                    *count > 100,
+                    "{count} of {SEEDS} seeds reached a {ending}: {reached:?}"
+                );
+            }
         }
     }
 }

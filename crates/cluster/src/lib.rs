@@ -18,7 +18,7 @@
 //!   assignment: deterministic, balanced, and minimally disruptive when
 //!   a node joins or leaves.
 //! * [`node`] — [`NodeServer`]: a partition host speaking the
-//!   [`dptd_server::wire`] v2 protocol (`NodeHello`,
+//!   [`dptd_server::wire`] v3 protocol (`NodeHello`,
 //!   `CloseRoundPrepare`/`Commit`, `QueryLedger`, `ReplicateSegment`),
 //!   filtering with the engine's `ShardState` and persisting each
 //!   committed round to the segmented snapshot store.
@@ -31,9 +31,9 @@
 //!   which maintains a byte-identical replica directory; failover is
 //!   the ordinary crash-recovery path pointed at the replica.
 //! * [`coordinator`] — [`ClusterCampaign`]: the client-side coordinator
-//!   owning the global estimator and privacy ledger; fans out
-//!   create/submit, drives the barrier, and resumes from node ledgers
-//!   after a coordinator or node failure.
+//!   owning the global estimator and privacy ledger; streams submits,
+//!   opens the campaign and drives the barrier through one seam
+//!   ([`coordinator::Nodes`]), and resumes from node ledgers.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

@@ -29,7 +29,9 @@
 //!    the previous epoch is acknowledged idempotently iff the record is
 //!    byte-identical to the durable one, which is what lets a
 //!    coordinator that died between commit fan-out and its own state
-//!    advance re-drive the barrier safely.
+//!    advance re-drive the barrier safely — unless this node restarted
+//!    since: the kept claims are never durable, so it refuses the
+//!    re-drive.
 //!
 //! The node never sees another node's users and never computes truths:
 //! global state lives in the coordinator's merge and comes back to rest
@@ -38,7 +40,9 @@
 //! for coordinator failover, and `ReplicateSegment` makes the node a
 //! **follower**: it applies a primary's replicated store stream under
 //! its own replica root, ready to take over via ordinary crash
-//! recovery.
+//! recovery. All of it is one `Request → Response` handler, `NodeState`:
+//! [`NodeServer`] serves it over TCP, and the coordinator's barrier
+//! simulator calls it in-process.
 
 use std::collections::{btree_map::Entry, BTreeMap, VecDeque};
 use std::net::SocketAddr;
@@ -186,12 +190,15 @@ impl NodeCampaign {
         } else {
             let retained = self.history.iter().find(|r| r.epoch + 1 == resolved);
             if retained.is_none() {
+                // Every retained record predates the node's epoch.
+                let why = if resolved > next_epoch {
+                    "is ahead of this node"
+                } else {
+                    "is no longer retained"
+                };
                 return refuse(
                     ErrorCode::InvalidRequest,
-                    format!(
-                        "ledger as of epoch {resolved} is no longer retained \
-                         (node is at epoch {next_epoch})"
-                    ),
+                    format!("ledger as of epoch {resolved} {why} (node is at epoch {next_epoch})"),
                 );
             }
             retained
@@ -229,12 +236,17 @@ impl NodeCampaign {
 
         // A barrier re-drive for the epoch this node already committed:
         // replay the frozen prepare (the queue was drained into it and
-        // the commit sealed it).
+        // the commit sealed it). Only a restart loses it: the claims are
+        // not in the durable record, so the round cannot be re-driven.
         if epoch + 1 == self.queue.next_epoch() {
             let Some(last) = self.last_prepared.as_ref().filter(|p| p.epoch == epoch) else {
                 return refuse(
                     ErrorCode::InvalidRequest,
-                    format!("epoch {epoch} is already committed and its prepare expired"),
+                    format!(
+                        "epoch {epoch} is already committed and its prepare expired: this node \
+                         restarted after committing it, and a round's claims are never durable, \
+                         so the cluster cannot close epoch {epoch}"
+                    ),
                 );
             };
             if last.refused != refused_sorted {
@@ -423,7 +435,8 @@ impl Hosted for NodeCampaign {
     }
 }
 
-struct NodeState {
+/// A node's partitions and roles, bound to no socket.
+pub(crate) struct NodeState {
     node_id: u32,
     num_nodes: u32,
     wal_root: Option<PathBuf>,
@@ -444,6 +457,26 @@ impl std::fmt::Debug for NodeState {
 }
 
 impl NodeState {
+    /// Check `config`'s geometry and build the state it describes.
+    pub(crate) fn new(config: &NodeConfig) -> Result<Self, ClusterError> {
+        if config.num_nodes == 0 || config.node_id >= config.num_nodes {
+            return Err(ClusterError::Topology(format!(
+                "node id {} is outside a {}-node cluster",
+                config.node_id, config.num_nodes
+            )));
+        }
+        Ok(Self {
+            node_id: config.node_id,
+            num_nodes: config.num_nodes,
+            wal_root: config.wal_root.clone(),
+            replicate_to: config.replicate_to.clone(),
+            replica_root: config.replica_root.clone(),
+            store: config.store,
+            host: Host::new(NOUN, config.max_campaigns.max(1)),
+            replicas: Mutex::new(BTreeMap::new()),
+        })
+    }
+
     fn dispatch(&self, request: Request) -> Response {
         match request {
             Request::NodeHello { node_id, num_nodes } => {
@@ -696,22 +729,7 @@ impl NodeServer {
     /// [`ClusterError::Server`] when the address cannot be bound and
     /// [`ClusterError::Topology`] for inconsistent node geometry.
     pub fn start(config: NodeConfig) -> Result<Self, ClusterError> {
-        if config.num_nodes == 0 || config.node_id >= config.num_nodes {
-            return Err(ClusterError::Topology(format!(
-                "node id {} is outside a {}-node cluster",
-                config.node_id, config.num_nodes
-            )));
-        }
-        let state = Arc::new(NodeState {
-            node_id: config.node_id,
-            num_nodes: config.num_nodes,
-            wal_root: config.wal_root,
-            replicate_to: config.replicate_to,
-            replica_root: config.replica_root,
-            store: config.store,
-            host: Host::new(NOUN, config.max_campaigns.max(1)),
-            replicas: Mutex::new(BTreeMap::new()),
-        });
+        let state = Arc::new(NodeState::new(&config)?);
         let frontend = Frontend::start(
             FrontendConfig {
                 listen: config.listen,
@@ -790,16 +808,30 @@ impl RecordLog for FailNextAppend {
 }
 
 #[cfg(test)]
-impl NodeServer {
-    /// Make `campaign`'s next durable append on this node fail once.
+impl NodeState {
+    /// Make `campaign`'s next append on this node fail once (a volatile
+    /// partition's too: its log becomes one that only fails).
     pub(crate) fn fail_next_append(&self, campaign: &str) {
         // `with` is the one mutable door to slot state; its reply is
         // of no interest here.
-        self.state.host.with(campaign, |part| {
+        self.host.with(campaign, |part| {
             let inner = part.log.take();
             part.log = Some(Box::new(FailNextAppend { inner, armed: true }));
             Response::Created { resumed_rounds: 0 }
         });
+    }
+
+    /// Force-quarantine a partition — see [`Host::poison`].
+    pub(crate) fn poison(&self, campaign: &str) -> bool {
+        self.host.poison(campaign)
+    }
+}
+
+#[cfg(test)]
+impl NodeServer {
+    /// Make `campaign`'s next durable append on this node fail once.
+    pub(crate) fn fail_next_append(&self, campaign: &str) {
+        self.state.fail_next_append(campaign);
     }
 }
 
@@ -808,6 +840,7 @@ mod tests {
     use super::*;
     use dptd_core::roles::PerturbedReport;
     use dptd_protocol::message::StampedReport;
+    use dptd_server::client::PreparedOutcome;
     use dptd_server::Client;
 
     fn spec(local_users: u64) -> CampaignSpec {
@@ -1014,20 +1047,29 @@ mod tests {
             (1, 0, 1)
         );
         let columns = |client: &mut Client| {
-            client.send_prepare("part", 0, vec![1]).unwrap();
-            client.recv_prepared().unwrap()
+            let prepare = Request::CloseRoundPrepare {
+                campaign: "part".to_string(),
+                epoch: 0,
+                refused: vec![1],
+                ctx: None,
+            };
+            let reply = client.request(&prepare).unwrap();
+            let Response::Prepared { claims, .. } = &reply else {
+                panic!("expected Prepared, got {reply:?}");
+            };
+            (Arc::clone(claims), reply)
         };
-        let last = columns(&mut client);
+        let (last_claims, last) = columns(&mut client);
         client
             .close_round_commit("part", 0, 1, vec![0, 2], vec![0.5, 0.0, 0.5], vec![1, 0, 1])
             .unwrap();
         let replayed = client.close_round_prepare("part", 0, vec![1]).unwrap();
         assert_eq!(replayed, staged);
         assert_ne!(replayed, early);
-        let replayed = columns(&mut client);
-        assert_eq!(replayed.claims.len(), last.claims.len());
-        for row in 0..last.claims.len() {
-            assert_eq!(replayed.claims.row(row), last.claims.row(row), "row {row}");
+        let (claims, replayed) = columns(&mut client);
+        assert_eq!(claims.len(), last_claims.len());
+        for row in 0..last_claims.len() {
+            assert_eq!(claims.row(row), last_claims.row(row), "row {row}");
         }
         assert_eq!(replayed, last);
 
@@ -1075,16 +1117,48 @@ mod tests {
                 values: vec![(1, 5.0), (0, 4.0)],
             },
         ];
+        // The reply as it came off the wire, and its columns rebuilt row
+        // by row into the per-report view.
         let columns = |client: &mut Client| {
-            client.send_prepare("part", 0, vec![]).unwrap();
-            client.recv_prepared().unwrap()
+            let prepare = Request::CloseRoundPrepare {
+                campaign: "part".to_string(),
+                epoch: 0,
+                refused: vec![],
+                ctx: None,
+            };
+            let Response::Prepared {
+                epoch,
+                duplicates,
+                late,
+                refused_seen,
+                claims,
+            } = client.request(&prepare).unwrap()
+            else {
+                panic!("expected Prepared");
+            };
+            let rows = (0..claims.len()).map(|row| {
+                let (user, objects, values) = claims.row(row);
+                let values = objects.iter().copied().zip(values.iter().copied());
+                PerturbedReport {
+                    user,
+                    values: values.collect(),
+                }
+            });
+            let view = PreparedOutcome {
+                epoch,
+                duplicates,
+                late,
+                refused_seen,
+                claims: rows.collect(),
+            };
+            (claims, view)
         };
 
         let staged = client.close_round_prepare("part", 0, vec![]).unwrap();
         assert_eq!(staged.claims, expected);
-        let shard = columns(&mut client);
+        let (shard, view) = columns(&mut client);
         assert_eq!(
-            shard.claims.columns(),
+            shard.columns(),
             (
                 &[0, 1, 2][..],
                 &[0, 0, 1, 3][..],
@@ -1092,7 +1166,7 @@ mod tests {
                 &[1.0, 5.0, 4.0][..]
             )
         );
-        assert_eq!(dptd_server::client::PreparedOutcome::from(shard), staged);
+        assert_eq!(view, staged);
 
         client
             .close_round_commit("part", 0, 1, vec![0, 1, 2], vec![0.5; 3], vec![1; 3])
@@ -1100,10 +1174,7 @@ mod tests {
         let replayed = client.close_round_prepare("part", 0, vec![]).unwrap();
         assert_eq!(replayed.claims, expected);
         assert_eq!(replayed, staged);
-        assert_eq!(
-            dptd_server::client::PreparedOutcome::from(columns(&mut client)),
-            staged
-        );
+        assert_eq!(columns(&mut client).1, staged);
         node.shutdown();
     }
 
@@ -1116,7 +1187,13 @@ mod tests {
             .close_round_commit("part", 0, 1, vec![0], vec![0.1, 0.0], vec![1, 0])
             .is_err());
         assert!(client.close_round_prepare("part", 5, vec![]).is_err());
-        assert!(client.query_ledger("part", 7).is_err());
+        match client.query_ledger("part", 7) {
+            Err(dptd_server::ServerError::Remote { message, .. }) => assert_eq!(
+                message,
+                "ledger as of epoch 7 is ahead of this node (node is at epoch 0)"
+            ),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
         node.shutdown();
     }
 }

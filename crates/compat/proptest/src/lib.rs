@@ -268,7 +268,7 @@ pub mod prop {
             }
         }
 
-        /// Output of [`vec`].
+        /// Output of [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

@@ -2,7 +2,7 @@
 //! the sparse [`HistogramSnapshot`] it exports.
 //!
 //! The bucket layout is HDR-style log-linear: values below
-//! [`LINEAR_CUTOFF`] get exact buckets; above it each power-of-two
+//! `LINEAR_CUTOFF` (16) get exact buckets; above it each power-of-two
 //! octave is split into 16 sub-buckets, so every quantile is reported
 //! with ≤ 6.25% relative error over 1 ns .. ~584 years from a fixed
 //! 976-slot footprint. Histograms with the same layout merge by

@@ -73,9 +73,9 @@ pub mod codes {
     /// A cluster node building its `Prepared` reply from its round
     /// filter, after `node.drain` (span; arg = epoch).
     pub const NODE_REPLY: u32 = 16;
-    /// A cluster coordinator reading and decoding one node's reply
-    /// inside a barrier fan-out, under `barrier.prepare` or
-    /// `barrier.commit` (span; arg = node id).
+    /// A cluster coordinator reading and decoding one node's reply in
+    /// a fan-out: under `barrier.prepare` or `barrier.commit`, or while
+    /// it opens the campaign (span; arg = node id).
     pub const BARRIER_REPLY: u32 = 17;
 
     /// The human-readable name of a code (for dumps and docs).

@@ -6,20 +6,17 @@
 //! request/response. Convenience wrappers return typed outcomes and
 //! turn [`Response::Error`] replies into [`ServerError::Remote`].
 //!
-//! Two loops drive several exchanges at once from one thread:
-//! [`scatter_gather`] (one request per connection, every reply read) and
+//! One loop drives several connections at once from one thread:
 //! [`submit_streams`] (every submit: a window of batches per connection,
 //! every ack read), the socket driver of the lane machine in `lane.rs`.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dptd_core::roles::PerturbedReport;
 use dptd_protocol::message::StampedReport;
 use dptd_stats::digest::Fnv1a;
-use dptd_truth::streaming::ShardClaims;
 
 use crate::lane::{Ack, Action, Batch, Event, Lane, Lanes};
 use crate::server::{complete_frame, read_frame_body, write_frame};
@@ -163,13 +160,10 @@ pub struct BudgetOutcome {
 }
 
 /// What a node's `CloseRoundPrepare` returned: the epoch's surviving
-/// claims plus the filter's drop counters. `C` holds the claims: one
-/// [`PerturbedReport`] per row (the default, what
-/// [`Client::close_round_prepare`] returns) or the [`ShardClaims`]
-/// columns they crossed the wire in (what [`Client::recv_prepared`]
-/// reads).
+/// claims, one [`PerturbedReport`] per row of the claim columns they
+/// crossed the wire in, plus the filter's drop counters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PreparedOutcome<C = Vec<PerturbedReport>> {
+pub struct PreparedOutcome {
     /// The epoch that was drained.
     pub epoch: u64,
     /// Duplicates discarded.
@@ -180,32 +174,7 @@ pub struct PreparedOutcome<C = Vec<PerturbedReport>> {
     pub refused_seen: u64,
     /// Surviving reports, ascending **node-local** user id, each one's
     /// claims in report order.
-    pub claims: C,
-}
-
-impl From<PreparedOutcome<ShardClaims>> for PreparedOutcome {
-    fn from(prepared: PreparedOutcome<ShardClaims>) -> Self {
-        let claims = &prepared.claims;
-        Self {
-            epoch: prepared.epoch,
-            duplicates: prepared.duplicates,
-            late: prepared.late,
-            refused_seen: prepared.refused_seen,
-            claims: (0..claims.len())
-                .map(|row| {
-                    let (user, objects, values) = claims.row(row);
-                    PerturbedReport {
-                        user,
-                        values: objects
-                            .iter()
-                            .copied()
-                            .zip(values.iter().copied())
-                            .collect(),
-                    }
-                })
-                .collect(),
-        }
-    }
+    pub claims: Vec<PerturbedReport>,
 }
 
 /// What a node's `QueryLedger` returned: the durable round ledger a
@@ -297,11 +266,10 @@ impl Client {
     /// half of a fan-out over several connections.
     ///
     /// **Invariant: at most one unanswered request per connection
-    /// between fan-outs.** Every `send` (and every typed `send_*` below)
-    /// must be paired with one [`Client::recv`] (or the matching
-    /// `recv_*`) before the next request is written on this connection,
-    /// whether or not the caller still wants the reply: an unread reply
-    /// would answer the *next* request. A pipelined stream
+    /// between fan-outs.** Every `send` must be paired with one
+    /// [`Client::recv`] before the next request is written on this
+    /// connection, whether or not the caller still wants the reply: an
+    /// unread reply would answer the *next* request. A pipelined stream
     /// ([`submit_streams`]) keeps a window of batches unanswered, and
     /// reads every ack it is owed before it returns.
     ///
@@ -319,8 +287,8 @@ impl Client {
     /// # Errors
     ///
     /// Socket and wire failures; a typed [`Response::Error`] is returned
-    /// as a normal `Ok` response (the typed `recv_*` readers and the
-    /// convenience wrappers convert it into [`ServerError::Remote`]).
+    /// as a normal `Ok` response (the convenience wrappers convert it
+    /// into [`ServerError::Remote`]).
     pub fn recv(&mut self) -> Result<Response, ServerError> {
         match read_frame_body(&mut self.stream)? {
             Some(body) => Ok(Response::decode(&body)?),
@@ -609,9 +577,8 @@ impl Client {
     }
 
     /// Phase one of the cluster barrier: drain and filter the node's
-    /// queue for `epoch` without committing anything. The reply's rows
-    /// come back one [`PerturbedReport`] each; [`Client::recv_prepared`]
-    /// keeps them as columns.
+    /// queue for `epoch` without committing anything. The reply's claim
+    /// columns come back one [`PerturbedReport`] per row.
     ///
     /// # Errors
     ///
@@ -622,37 +589,12 @@ impl Client {
         epoch: u64,
         refused: Vec<u64>,
     ) -> Result<PreparedOutcome, ServerError> {
-        self.send_prepare(campaign, epoch, refused)?;
-        self.recv_prepared().map(PreparedOutcome::from)
-    }
-
-    /// The write half of [`Client::close_round_prepare`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::send`].
-    pub fn send_prepare(
-        &mut self,
-        campaign: &str,
-        epoch: u64,
-        refused: Vec<u64>,
-    ) -> Result<(), ServerError> {
-        self.send(&Request::CloseRoundPrepare {
+        match self.expect(&Request::CloseRoundPrepare {
             campaign: campaign.to_string(),
             epoch,
             refused,
             ctx: wire_ctx(),
-        })
-    }
-
-    /// The read half of [`Client::close_round_prepare`], with the claims
-    /// left in the columns they arrived in.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::close_round`].
-    pub fn recv_prepared(&mut self) -> Result<PreparedOutcome<ShardClaims>, ServerError> {
-        match self.recv_ok()? {
+        })? {
             Response::Prepared {
                 epoch,
                 duplicates,
@@ -664,9 +606,16 @@ impl Client {
                 duplicates,
                 late,
                 refused_seen,
-                // Decoded here, so the only handle: taken apart, not
-                // copied.
-                claims: Arc::unwrap_or_clone(claims),
+                claims: (0..claims.len())
+                    .map(|row| {
+                        let (user, objects, values) = claims.row(row);
+                        let values = objects.iter().copied().zip(values.iter().copied());
+                        PerturbedReport {
+                            user,
+                            values: values.collect(),
+                        }
+                    })
+                    .collect(),
             }),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
         }
@@ -679,7 +628,6 @@ impl Client {
     /// # Errors
     ///
     /// As [`Client::close_round`].
-    #[allow(clippy::too_many_arguments)]
     pub fn close_round_commit(
         &mut self,
         campaign: &str,
@@ -689,33 +637,7 @@ impl Client {
         cumulative_losses: Vec<f64>,
         rounds_debited: Vec<u32>,
     ) -> Result<bool, ServerError> {
-        self.send_commit(
-            campaign,
-            epoch,
-            batches_seen,
-            accepted_users,
-            cumulative_losses,
-            rounds_debited,
-        )?;
-        self.recv_committed()
-    }
-
-    /// The write half of [`Client::close_round_commit`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::send`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_commit(
-        &mut self,
-        campaign: &str,
-        epoch: u64,
-        batches_seen: u64,
-        accepted_users: Vec<u64>,
-        cumulative_losses: Vec<f64>,
-        rounds_debited: Vec<u32>,
-    ) -> Result<(), ServerError> {
-        self.send(&Request::CloseRoundCommit {
+        match self.expect(&Request::CloseRoundCommit {
             campaign: campaign.to_string(),
             epoch,
             batches_seen,
@@ -723,16 +645,7 @@ impl Client {
             cumulative_losses,
             rounds_debited,
             ctx: wire_ctx(),
-        })
-    }
-
-    /// The read half of [`Client::close_round_commit`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::close_round`].
-    pub fn recv_committed(&mut self) -> Result<bool, ServerError> {
-        match self.recv_ok()? {
+        })? {
             Response::Committed { appended, .. } => Ok(appended),
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
         }
@@ -818,49 +731,6 @@ impl Client {
             other => Err(ServerError::UnexpectedResponse(Box::new(other))),
         }
     }
-}
-
-/// One scatter/gather over a set of connections, in lane order: `send`
-/// writes every lane's request before `recv` reads any reply, so the
-/// peers work concurrently while each connection still carries at most
-/// one unanswered request.
-///
-/// The gather **always reads every reply that is outstanding before it
-/// returns** and only then surfaces the first error in lane order — a
-/// refusal from lane 0 must not leave lane 1's reply unread, or the next
-/// request on that connection would be answered by the stale frame. A
-/// failed write stops the scatter (later lanes are not asked) but not
-/// the gather; each written lane is read exactly once, so a connection
-/// whose read failed is not read again.
-///
-/// No deadlock is possible under the invariant: requests are written to
-/// one lane at a time with blocking writes, and a server never waits
-/// for its peer to read a reply before it accepts the next input.
-///
-/// # Errors
-///
-/// The first `send` or `recv` error in lane order.
-pub fn scatter_gather<L, T>(
-    lanes: &mut [L],
-    mut send: impl FnMut(usize, &mut L) -> Result<(), ServerError>,
-    mut recv: impl FnMut(usize, &mut L) -> Result<T, ServerError>,
-) -> Result<Vec<T>, ServerError> {
-    let mut written = Vec::with_capacity(lanes.len());
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        let outcome = send(i, lane);
-        let failed = outcome.is_err();
-        written.push(outcome);
-        if failed {
-            break;
-        }
-    }
-    let gathered: Vec<Result<T, ServerError>> = written
-        .into_iter()
-        .zip(lanes.iter_mut())
-        .enumerate()
-        .map(|(i, (sent, lane))| sent.and_then(|()| recv(i, lane)))
-        .collect();
-    gathered.into_iter().collect()
 }
 
 /// One connection's share of a [`submit_streams`] call: the connection

@@ -7,7 +7,7 @@
 //! campaigns** behind a real TCP wire protocol:
 //!
 //! * [`wire`] — the length-prefixed, checksummed binary protocol
-//!   (golden-pinned v2 layout): `CreateCampaign`, batched
+//!   (golden-pinned v3 layout): `CreateCampaign`, batched
 //!   `SubmitReports`, `CloseRound`, `QueryTruths`, `QueryBudget`, typed
 //!   error replies. Each frame is declared once, as a row of a field-list
 //!   table from which its kind byte, exact length, encoder and decoder
@@ -71,7 +71,7 @@ pub mod wire;
 
 use std::fmt;
 
-pub use client::{scatter_gather, submit_streams, Client, RetryPolicy, StreamLane, TraceOutcome};
+pub use client::{submit_streams, Client, RetryPolicy, StreamLane, TraceOutcome};
 pub use decode::FrameDecoder;
 pub use frontend::{Frontend, FrontendConfig, FrontendStats, IoConfig, RequestHandler};
 pub use registry::{CampaignRegistry, RegistryConfig};

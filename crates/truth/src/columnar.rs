@@ -623,7 +623,7 @@ fn tree_fold(mut parts: Vec<f64>, part_len: usize) -> Vec<f64> {
 }
 
 /// Resolve a requested worker count against the batch at hand: `0` means
-/// auto (capped at [`MAX_AUTO_WORKERS`]); small batches always run
+/// auto (capped at `MAX_AUTO_WORKERS`, 8); small batches always run
 /// single-threaded. Purely a scheduling decision — bitwise results are
 /// worker-count-independent by construction.
 pub fn effective_workers(requested: usize, num_claims: usize, num_leaves: usize) -> usize {
