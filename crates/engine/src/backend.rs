@@ -15,12 +15,13 @@
 
 use dptd_protocol::campaign::{RoundBackend, RoundInput, RoundOutput};
 use dptd_protocol::ProtocolError;
-use dptd_truth::streaming::StreamingCrh;
+use dptd_truth::streaming::{Committed, StreamingCrh};
+use dptd_truth::Loss;
 
-use crate::engine::{Engine, EpochOutcome};
+use crate::engine::{Durable, Engine, EpochOutcome};
 use crate::metrics::EngineMetrics;
 use crate::recovery::{recover_replay, RecoveredState};
-use crate::wal::{EpochRecord, RecordKind, RecordLog, Replay, WalPolicy, WalSink, WalWriter};
+use crate::wal::{RecordLog, Replay, RoundRecord, WalPolicy, WalSink, WalWriter};
 use crate::EngineError;
 
 /// A [`RoundBackend`] that executes each campaign round as one epoch of
@@ -119,7 +120,8 @@ impl EngineBackend {
     /// Wrap `engine` with an epoch write-ahead log: replay (and
     /// torn-tail-repair) whatever `sink` already holds, resume from the
     /// recovered mid-campaign state, and append one durable
-    /// [`EpochRecord`] per successful round from here on.
+    /// [`EpochRecord`](crate::wal::EpochRecord) per successful round from
+    /// here on.
     ///
     /// `policy` is the privacy policy the campaign accounts debits under
     /// (the driver's per-round loss and budget); it is stamped into every
@@ -222,8 +224,9 @@ impl EngineBackend {
     }
 
     /// FNV-1a digest of [`EngineBackend::current_weights`], memoised
-    /// per round: a durable round has already hashed it beside its log
-    /// append, a volatile one hashes it on the first call.
+    /// per round: a durable round has already hashed it behind its
+    /// weight refresh, beside its log append; a volatile one hashes it
+    /// on the first call.
     ///
     /// # Panics
     ///
@@ -299,27 +302,29 @@ impl RoundBackend for EngineBackend {
             message: "backend poisoned by an earlier panicked round".to_string(),
         })?;
 
-        // What a failed log append needs to take the round back: the
-        // cumulative loss of every user the stream names, as it stood
-        // before the round — a superset of the users the merge touches,
-        // and nothing of the population it does not.
-        let undo: Vec<(usize, f64)> = match &self.wal {
-            Some(_) => {
-                let losses = state.cumulative_losses();
-                let named = input.reports.iter().map(|r| r.report.user);
-                named
-                    .filter_map(|user| losses.get(user).map(|&loss| (user, loss)))
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-
         // A failed round (e.g. coverage starvation once budgets bite)
         // leaves the campaign resumable without a checkpoint: the round
         // is a single epoch, and an epoch whose merge fails never touched
-        // the borrowed estimator.
-        let run = self.engine.run_on(&mut state, input.reports);
-        let batches_seen = state.batches_seen();
+        // the borrowed estimator. Durable, the round commits iff its
+        // record reaches the log: the merge runs the append beside its
+        // weight refresh and digest, and takes the round back if it
+        // fails, so the in-memory campaign never runs ahead of what a
+        // crash could recover.
+        let run = match &mut self.wal {
+            None => self.engine.run_on(&mut state, input.reports, None),
+            Some(wal) => {
+                // The round's weights, filled by the merge's refresh thread;
+                // allocated here so that thread never allocates.
+                let mut weights = Vec::with_capacity(cfg.num_users);
+                let mut step =
+                    |epoch: u64, committed: Committed<'_>| wal.commit(epoch, cfg.loss, committed);
+                let durable = Durable {
+                    step: &mut step,
+                    weights: &mut weights,
+                };
+                self.engine.run_on(&mut state, input.reports, Some(durable))
+            }
+        };
         self.state = Some(state);
         let mut report = run.map_err(Self::engine_err)?;
 
@@ -340,58 +345,6 @@ impl RoundBackend for EngineBackend {
             ..
         } = report.epochs.pop().expect("length checked above");
 
-        // Durability barrier: the round commits iff its record reaches
-        // the log. On append failure the touched users' losses are put
-        // back (weights are a pure function of the losses), so the
-        // in-memory campaign never runs ahead of what a crash could
-        // recover.
-        if let Some(wal) = &mut self.wal {
-            for &user in &accepted_users {
-                wal.debits[user] += 1;
-            }
-            let state = self.state.as_ref().expect("state present: set above");
-            let ambient = dptd_obs::trace::current();
-            let (record, appended) = std::thread::scope(|scope| {
-                // The weights digest is the one population pass that
-                // must stay serial: hash it on another core while this
-                // one builds and appends the record.
-                scope.spawn(move || {
-                    let _ctx = ambient.map(dptd_obs::trace::enter);
-                    let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::DIGEST, input.epoch);
-                    state.weights_digest();
-                });
-                let record = EpochRecord {
-                    kind: RecordKind::Epoch,
-                    epoch: input.epoch,
-                    batches_seen: batches_seen as u64,
-                    loss: cfg.loss,
-                    policy: wal.policy,
-                    accepted_users: accepted_users.clone(),
-                    cumulative_losses: state.cumulative_losses().to_vec(),
-                    rounds_debited: wal.debits.clone(),
-                };
-                let _commit_span =
-                    dptd_obs::TraceScope::begin(dptd_obs::codes::COMMIT, input.epoch);
-                let appended = wal.writer.append_record(&record);
-                (record, appended)
-            });
-            if let Err(e) = appended {
-                for &user in &accepted_users {
-                    wal.debits[user] -= 1;
-                }
-                let mut losses = record.cumulative_losses;
-                for (user, loss) in undo {
-                    losses[user] = loss;
-                }
-                self.state = Some(
-                    StreamingCrh::from_parts(cfg.loss, losses, batches_seen - 1)
-                        .map_err(|e| Self::engine_err(e.into()))?,
-                );
-                return Err(Self::engine_err(EngineError::Wal(e)));
-            }
-            wal.last_epoch = Some(input.epoch);
-        }
-
         self.metrics.absorb(&report.metrics);
         self.rounds += 1;
 
@@ -402,6 +355,42 @@ impl RoundBackend for EngineBackend {
             duplicates_discarded: duplicates_discarded as u64,
             late_dropped,
         })
+    }
+}
+
+impl WalState {
+    /// A logged round's durable step, run by the merge once the round's
+    /// losses are final: debit the accepted users, then append the
+    /// round borrowed from the estimator and this ledger, under a
+    /// `commit` span. A failed append takes the debits back (the merge
+    /// takes the losses back).
+    fn commit(
+        &mut self,
+        epoch: u64,
+        loss: Loss,
+        committed: Committed<'_>,
+    ) -> Result<(), EngineError> {
+        for &user in committed.users {
+            self.debits[user] += 1;
+        }
+        let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::COMMIT, epoch);
+        let appended = self.writer.append_round(RoundRecord {
+            epoch,
+            batches_seen: committed.batches_seen as u64,
+            loss,
+            policy: self.policy,
+            accepted_users: committed.users,
+            cumulative_losses: committed.cumulative_losses,
+            rounds_debited: &self.debits,
+        });
+        if let Err(e) = appended {
+            for &user in committed.users {
+                self.debits[user] -= 1;
+            }
+            return Err(EngineError::Wal(e));
+        }
+        self.last_epoch = Some(epoch);
+        Ok(())
     }
 }
 

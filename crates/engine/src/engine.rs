@@ -43,12 +43,13 @@
 //! bound for the others. `stage.route` is the time the router spent
 //! enqueueing (blocked time included), `stage.filter` the workers' time
 //! ingesting chunks and closing epochs, `stage.merge` the merger's time
-//! in the cross-shard merge. `queue_capacity` is in reports: an inbox
-//! holds `queue_capacity / chunk` chunks, so the reports queued for one
-//! worker never exceed it, `max_queue_depth` (sampled at every send,
-//! each queued message counted as a full chunk) never exceeds it either,
-//! and a full inbox blocks the router and counts one
-//! `backpressure_stalls`.
+//! in the cross-shard merge (a durable round's log append included: it
+//! runs inside the merge, beside the weight refresh and digest).
+//! `queue_capacity` is in reports: an inbox holds `queue_capacity /
+//! chunk` chunks, so the reports queued for one worker never exceed it,
+//! `max_queue_depth` (sampled at every send, each queued message counted
+//! as a full chunk) never exceeds it either, and a full inbox blocks the
+//! router and counts one `backpressure_stalls`.
 //!
 //! # What an engine keeps between runs
 //!
@@ -78,7 +79,7 @@ use dptd_obs::trace::{codes as trace_codes, TraceScope};
 use dptd_obs::Histogram;
 use dptd_protocol::message::StampedReport;
 use dptd_truth::columnar::ColumnarBatch;
-use dptd_truth::streaming::{ShardClaims, StreamingCrh};
+use dptd_truth::streaming::{Committed, ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
 use crate::metrics::{EngineMetrics, StageTimings};
@@ -243,6 +244,17 @@ enum MergeMsg {
     },
 }
 
+/// How a run makes each merged epoch durable: the step the merger runs
+/// once the epoch's losses are final, beside the weight refresh and
+/// digest ([`StreamingCrh::ingest_columnar_durably`]; a failed step
+/// takes the epoch back and fails the run), and the buffer, allocated by
+/// the caller, that the refresh copies the final weights into — the run's
+/// [`EngineReport::final_weights`].
+pub(crate) struct Durable<'a> {
+    pub(crate) step: &'a mut (dyn FnMut(u64, Committed<'_>) -> Result<(), EngineError> + Send),
+    pub(crate) weights: &'a mut Vec<f64>,
+}
+
 /// Everything a run needs whose size follows the population: the shard
 /// states and the merger's columnar arena. Built on an engine's first
 /// run and kept by it, so a campaign pays for them once, not per round.
@@ -338,7 +350,7 @@ impl Engine {
         I: IntoIterator<Item = StampedReport>,
     {
         let mut crh = StreamingCrh::new(self.config.num_users, self.config.loss)?;
-        self.run_on(&mut crh, stream)
+        self.run_on(&mut crh, stream, None)
     }
 
     /// Like [`Engine::run`], but resume from a carried-over global
@@ -368,17 +380,19 @@ impl Engine {
     where
         I: IntoIterator<Item = StampedReport>,
     {
-        let report = self.run_on(&mut state, stream)?;
+        let report = self.run_on(&mut state, stream, None)?;
         Ok((report, state))
     }
 
     /// [`Engine::run_with_state`] over a borrowed estimator, which
     /// therefore survives a failed run: untouched if the stream was a
-    /// single epoch. The campaign backend's entry point.
+    /// single epoch. With `durable`, every merged epoch commits through
+    /// its step. The campaign backend's entry point.
     pub(crate) fn run_on<I>(
         &self,
         crh: &mut StreamingCrh,
         stream: I,
+        durable: Option<Durable<'_>>,
     ) -> Result<EngineReport, EngineError>
     where
         I: IntoIterator<Item = StampedReport>,
@@ -404,7 +418,7 @@ impl Engine {
             .park()
             .take()
             .unwrap_or_else(|| Scratch::new(&self.config));
-        let result = self.pipeline(&mut scratch, crh, stream);
+        let result = self.pipeline(&mut scratch, crh, stream, durable);
         // Every shard closed every epoch it opened only on success; a
         // run that stopped part-way may have left reports half ingested,
         // and that scratch is dropped rather than parked.
@@ -425,6 +439,7 @@ impl Engine {
         scratch: &mut Scratch,
         crh: &mut StreamingCrh,
         stream: I,
+        mut durable: Option<Durable<'_>>,
     ) -> Result<EngineReport, EngineError>
     where
         I: IntoIterator<Item = StampedReport>,
@@ -458,12 +473,13 @@ impl Engine {
         let ambient = dptd_obs::trace::current();
         let cfg_ref = &cfg;
         let merger_crh = &mut *crh;
+        let merger_durable = durable.as_mut();
         let (routed, router_metrics, merger_out) = thread::scope(|scope| {
             // Merger: folds per-shard epoch claims into the global CRH.
             let merger = scope.spawn(move || {
                 let _ctx = ambient.map(dptd_obs::trace::enter);
                 let _span = TraceScope::begin(trace_codes::MERGE, num_shards as u64);
-                merge_loop(cfg_ref, merger_crh, arena, merge_rx)
+                merge_loop(cfg_ref, merger_crh, arena, merge_rx, merger_durable)
             });
 
             // Workers: each owns a contiguous, balanced run of shards and
@@ -548,9 +564,13 @@ impl Engine {
             metrics.late_dropped += e.late_dropped;
         }
 
+        let final_weights = match durable {
+            Some(durable) if !epochs.is_empty() => std::mem::take(durable.weights),
+            _ => crh.weights().to_vec(),
+        };
         Ok(EngineReport {
             epochs,
-            final_weights: crh.weights().to_vec(),
+            final_weights,
             metrics,
         })
     }
@@ -740,6 +760,7 @@ fn merge_loop(
     crh: &mut StreamingCrh,
     arena: &mut ColumnarBatch,
     rx: Receiver<MergeMsg>,
+    mut durable: Option<&mut Durable<'_>>,
 ) -> MergeOut {
     let mut pending: BTreeMap<u64, Vec<EpochClaims>> = BTreeMap::new();
     let mut outcomes: Vec<EpochOutcome> = Vec::new();
@@ -770,7 +791,7 @@ fn merge_loop(
                 }
                 let batch = pending.remove(&epoch).expect("bucket exists");
                 let start = Instant::now();
-                match merge_epoch(cfg, crh, arena, epoch, batch) {
+                match merge_epoch(cfg, crh, arena, epoch, batch, durable.as_deref_mut()) {
                     Ok(outcome) => outcomes.push(outcome),
                     Err(e) => error = Some(e),
                 }
@@ -794,6 +815,7 @@ fn merge_epoch(
     arena: &mut ColumnarBatch,
     epoch: u64,
     batch: Vec<EpochClaims>,
+    durable: Option<&mut Durable<'_>>,
 ) -> Result<EpochOutcome, EngineError> {
     debug_assert!(
         {
@@ -809,7 +831,14 @@ fn merge_epoch(
     // The canonical batch stores users ascending, so the accepted set
     // falls out of the merge without a separate sort.
     let accepted_users: Vec<usize> = arena.users().to_vec();
-    let truths = crh.ingest_columnar_with_workers(arena, cfg.merge_workers)?;
+    let truths = match durable {
+        Some(Durable { step, weights }) => {
+            crh.ingest_columnar_durably(arena, cfg.merge_workers, weights, |committed| {
+                step(epoch, committed)
+            })?
+        }
+        None => crh.ingest_columnar_with_workers(arena, cfg.merge_workers)?,
+    };
 
     let mut accepted = 0usize;
     let mut duplicates = 0usize;

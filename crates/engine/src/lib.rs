@@ -84,8 +84,8 @@ pub use metrics::EngineMetrics;
 pub use recovery::RecoveredState;
 pub use store::{ObservedFs, SegmentStore, StoreConfig, StoreObserver};
 pub use wal::{
-    EpochRecord, FailingWal, FileWal, MemWal, RecordKind, RecordLog, WalError, WalLock, WalPolicy,
-    WalSink, WalWriter,
+    EpochRecord, FailingWal, FileWal, MemWal, RecordKind, RecordLog, RoundRecord, WalError,
+    WalLock, WalPolicy, WalSink, WalWriter,
 };
 
 /// Error type for the aggregation engine.

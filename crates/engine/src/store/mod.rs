@@ -27,8 +27,17 @@
 //!   the full one, which is to say fewer than ¾ of the users changed.
 //!   All three are functions of committed state and the record itself,
 //!   so an interrupted run and its resume choose alike. The changed
-//!   set is a real comparison against `last_record` (losses by bit
-//!   pattern); the accepted-user list is not trusted to predict it.
+//!   set is found one of two ways, and both write the same bytes.
+//!   Given by the caller: the campaign backend appends each round
+//!   borrowed ([`RecordLog::append_round`](crate::wal::RecordLog)),
+//!   and a round's accepted users are exactly the users it changed —
+//!   each was debited, and nobody else's loss moved — so the frame and
+//!   the `last_record` update cost `O(accepted)`, not `O(users)`.
+//!   Diffed: an owned record
+//!   ([`RecordLog::append_record`](crate::wal::RecordLog), what a
+//!   cluster node appends) is compared with `last_record` (losses by
+//!   bit pattern), and its accepted-user list is not trusted to
+//!   predict the set.
 //!   Because of (a) the **first record of every segment is full**:
 //!   each segment replays on its own, a sealed segment never depends
 //!   on one that garbage collection may already have deleted, and

@@ -7,10 +7,15 @@
 //! commits rounds through it exactly as it does through a
 //! single-segment [`WalWriter`](crate::wal::WalWriter) — the durability
 //! barrier (commit = durable append, failure = rollback) is unchanged.
+//! A round handed over borrowed ([`RecordLog::append_round`]) names its
+//! changed users; an owned record ([`RecordLog::append_record`]) is
+//! diffed against the store's copy of the last one. Same frames.
 
 use std::path::Path;
 
-use crate::wal::{self, EpochRecord, RecordKind, RecordLog, Replay, WalError, WAL_MAGIC};
+use crate::wal::{
+    self, EpochRecord, RecordKind, RecordLog, Replay, RoundRecord, WalError, WAL_MAGIC,
+};
 
 use super::fs::{DirFs, StoreFs};
 use super::manifest::{parse_segment_name, segment_file_name, Manifest, MANIFEST_FILE};
@@ -158,8 +163,8 @@ pub struct SegmentStore {
     /// against. Updated in place, and only once an append has
     /// committed.
     last_record: Option<EpochRecord>,
-    /// The users the last delta frame listed (scratch, reused).
-    changed: Vec<u32>,
+    /// The users the last diffed delta frame listed (scratch, reused).
+    changed: Vec<usize>,
     /// Set when an append failed; the next append truncates the active
     /// segment back to its committed length first.
     dirty: bool,
@@ -385,24 +390,37 @@ impl SegmentStore {
     /// manifest rewrite — before it the snapshot segment is an orphan;
     /// after it the old segments are orphans; either way the next open
     /// repairs by deletion and recovery replays to the same state.
+    ///
+    /// The snapshot is the `last_record` mirror itself, turned into one
+    /// in place (kind, and an empty accepted list) and encoded straight
+    /// behind the segment's magic in one buffer; if the segment or the
+    /// manifest write fails, the mirror gets its kind and accepted list
+    /// back.
     fn compact(&mut self) -> Result<(), WalError> {
-        let snapshot = self
+        let mirror = self
             .last_record
-            .as_ref()
-            .expect("compaction_due requires a committed record")
-            .to_snapshot();
+            .as_mut()
+            .expect("compaction_due requires a committed record");
+        let kind = std::mem::replace(&mut mirror.kind, RecordKind::Snapshot);
+        let accepted = std::mem::take(&mut mirror.accepted_users);
+        let mut bytes = Vec::with_capacity(WAL_MAGIC.len() + mirror.encoded_len());
+        bytes.extend_from_slice(&WAL_MAGIC);
+        mirror.encode_into(&mut bytes);
         let id = self.manifest.next_id();
-        let name = segment_file_name(id);
-        let mut bytes = WAL_MAGIC.to_vec();
-        bytes.extend_from_slice(&snapshot.encode());
-        self.fs.write_atomic(&name, &bytes)?;
         let next = Manifest { segments: vec![id] };
-        self.fs.write_atomic(MANIFEST_FILE, &next.encode())?;
+        let committed = self
+            .fs
+            .write_atomic(&segment_file_name(id), &bytes)
+            .and_then(|()| self.fs.write_atomic(MANIFEST_FILE, &next.encode()));
+        if let Err(e) = committed {
+            mirror.kind = kind;
+            mirror.accepted_users = accepted;
+            return Err(e);
+        }
         let old = std::mem::replace(&mut self.manifest, next);
         self.active_len = bytes.len() as u64;
         self.active_records = 1;
         self.records_since_snapshot = 0;
-        self.last_record = Some(snapshot);
         // GC: everything the snapshot covers. A failure mid-loop leaves
         // orphans (the manifest no longer names these files), which the
         // next open deletes — recovery never reads them either way.
@@ -411,16 +429,17 @@ impl SegmentStore {
         }
         Ok(())
     }
-}
 
-impl RecordLog for SegmentStore {
-    fn append_record(&mut self, record: &EpochRecord) -> Result<(), WalError> {
-        let active = segment_file_name(self.manifest.active());
+    /// What every append does before it picks its frame: truncate a
+    /// failed append's leftovers, then compact or rotate if due.
+    /// Returns the active segment's name.
+    fn ready_active(&mut self) -> Result<String, WalError> {
         if self.dirty {
             // Same repair discipline as `WalWriter`: a failed append may
             // have left a torn prefix (or a full frame whose sync
             // failed, which the caller was told did not commit) —
             // truncate back to the acknowledged length before retrying.
+            let active = segment_file_name(self.manifest.active());
             self.fs.truncate(&active, self.active_len)?;
             self.dirty = false;
         }
@@ -429,7 +448,37 @@ impl RecordLog for SegmentStore {
         } else if self.rotation_due() {
             self.rotate()?;
         }
-        let active = segment_file_name(self.manifest.active());
+        Ok(segment_file_name(self.manifest.active()))
+    }
+
+    /// Append `frame`, a record of `kind`, to the `active` segment and
+    /// count it once it commits; a failure marks the store dirty.
+    fn write_frame(
+        &mut self,
+        active: &str,
+        frame: &[u8],
+        kind: RecordKind,
+    ) -> Result<(), WalError> {
+        if let Err(e) = self.fs.append(active, frame) {
+            self.dirty = true;
+            return Err(e);
+        }
+        self.active_len += frame.len() as u64;
+        self.active_records += 1;
+        if kind == RecordKind::Epoch {
+            self.records_since_snapshot += 1;
+        } else {
+            self.records_since_snapshot = 0;
+        }
+        Ok(())
+    }
+}
+
+impl RecordLog for SegmentStore {
+    /// The diffing path: the changed users are found by comparing
+    /// `record` with the `last_record` mirror.
+    fn append_record(&mut self, record: &EpochRecord) -> Result<(), WalError> {
+        let active = self.ready_active()?;
         // The writer rule, a function of committed state only. The
         // first record of a segment is always full, so every segment
         // replays on its own; after that, a delta whenever it is the
@@ -442,28 +491,39 @@ impl RecordLog for SegmentStore {
         };
         let is_delta = delta.is_some();
         let frame = delta.unwrap_or_else(|| record.encode());
-        match self.fs.append(&active, &frame) {
-            Ok(()) => {
-                self.active_len += frame.len() as u64;
-                self.active_records += 1;
-                if record.kind == RecordKind::Epoch {
-                    self.records_since_snapshot += 1;
-                } else {
-                    self.records_since_snapshot = 0;
-                }
-                match &mut self.last_record {
-                    Some(last) => {
-                        last.overwrite_from(record, is_delta.then_some(&self.changed[..]));
-                    }
-                    None => self.last_record = Some(record.clone()),
-                }
-                Ok(())
+        self.write_frame(&active, &frame, record.kind)?;
+        match &mut self.last_record {
+            Some(last) => {
+                let changed = is_delta.then_some(&self.changed[..]);
+                last.overwrite_from(record.kind, record.round(), changed);
             }
-            Err(e) => {
-                self.dirty = true;
-                Err(e)
-            }
+            None => self.last_record = Some(record.clone()),
         }
+        Ok(())
+    }
+
+    /// The touched-user path: the same writer rule, with the round's
+    /// accepted users as its changed ones, so the delta frame and the
+    /// mirror's update cost `O(accepted)` where
+    /// [`SegmentStore::append_record`] reads the population. Same
+    /// frames, byte for byte, under [`RoundRecord`]'s contract.
+    fn append_round(&mut self, round: RoundRecord<'_>) -> Result<(), WalError> {
+        let active = self.ready_active()?;
+        let delta = match &self.last_record {
+            Some(base) if self.active_records > 0 => round.encode_touched_delta(base),
+            _ => None,
+        };
+        let is_delta = delta.is_some();
+        let frame = delta.unwrap_or_else(|| round.full_frame());
+        self.write_frame(&active, &frame, RecordKind::Epoch)?;
+        match &mut self.last_record {
+            Some(last) => {
+                let changed = is_delta.then_some(round.accepted_users);
+                last.overwrite_from(RecordKind::Epoch, round, changed);
+            }
+            None => self.last_record = Some(round.to_record()),
+        }
+        Ok(())
     }
 
     fn sync(&mut self) -> Result<(), WalError> {
@@ -997,5 +1057,77 @@ mod tests {
         );
         drop(mem);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fails every `write_atomic` of a file whose name starts with the
+    /// prefix in `failing` while one is set (a full disk at compaction),
+    /// forwarding all else.
+    #[derive(Debug)]
+    struct FailingAtomic {
+        inner: MemFs,
+        failing: std::sync::Arc<std::sync::Mutex<Option<&'static str>>>,
+    }
+
+    impl StoreFs for FailingAtomic {
+        fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, WalError> {
+            self.inner.read(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+            self.inner.append(name, bytes)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError> {
+            self.inner.truncate(name, len)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+            match *self.failing.lock().unwrap() {
+                Some(prefix) if name.starts_with(prefix) => Err(WalError::Io {
+                    op: "write_atomic",
+                    message: "no space left".to_string(),
+                }),
+                _ => self.inner.write_atomic(name, bytes),
+            }
+        }
+        fn remove(&mut self, name: &str) -> Result<(), WalError> {
+            self.inner.remove(name)
+        }
+        fn list(&mut self) -> Result<Vec<String>, WalError> {
+            self.inner.list()
+        }
+        fn sync(&mut self, name: &str) -> Result<(), WalError> {
+            self.inner.sync(name)
+        }
+    }
+
+    /// The compactor turns the `last_record` mirror into its snapshot
+    /// in place; a failed segment or manifest write must hand the
+    /// mirror its kind and accepted list back, so it stays the newest
+    /// committed record.
+    #[test]
+    fn a_failed_compaction_gives_the_mirror_back() {
+        let all = records(4);
+        for failing in ["segment-", MANIFEST_FILE] {
+            let mem = MemFs::new();
+            let fs = FailingAtomic {
+                inner: mem.clone(),
+                failing: Default::default(),
+            };
+            let fail = std::sync::Arc::clone(&fs.failing);
+            let (mut store, _) = SegmentStore::open(Box::new(fs), config(0, 3)).unwrap();
+            for r in &all[..3] {
+                store.append_record(r).unwrap();
+            }
+            let manifest = mem.snapshot().get(MANIFEST_FILE).cloned();
+            *fail.lock().unwrap() = Some(failing);
+            assert!(store.append_record(&all[3]).is_err(), "{failing}");
+            assert_eq!(store.last_record.as_ref(), Some(&all[2]), "{failing}");
+            assert_eq!(mem.snapshot().get(MANIFEST_FILE), manifest.as_ref());
+            *fail.lock().unwrap() = None;
+            store.append_record(&all[3]).unwrap();
+            drop(store);
+
+            let (_, replay) = SegmentStore::open(Box::new(mem), config(0, 3)).unwrap();
+            assert_eq!(replay.records[0], all[2].to_snapshot(), "{failing}");
+            assert_eq!(replay.records[1..], all[3..]);
+        }
     }
 }

@@ -67,8 +67,9 @@
 //! `changed_len` disagrees with the bytes present is
 //! [`WalError::Corrupt`]. Nothing above this module ever sees a delta.
 //! Only the segmented store writes them
-//! ([`EpochRecord::encode_delta`]; the rule for *when* is in
-//! [`crate::store`]); [`WalWriter`] always writes full frames. A
+//! ([`EpochRecord::encode_delta`], or from a borrowed [`RoundRecord`]
+//! whose accepted users are its changed ones; the rule for *when* is
+//! in [`crate::store`]); [`WalWriter`] always writes full frames. A
 //! reader that knows only `"WAL1"`/`"WAL2"` fails the length
 //! self-check on a v3 frame and refuses the log as corrupt instead of
 //! misreading it.
@@ -645,6 +646,34 @@ pub struct EpochRecord {
     pub rounds_debited: Vec<u32>,
 }
 
+/// One merged round as a [`RecordLog`] is handed it by an owner that
+/// keeps the state anyway (the campaign backend): an [`EpochRecord`] of
+/// kind [`RecordKind::Epoch`] whose population vectors are borrowed, so
+/// nothing population-sized is copied to log it.
+///
+/// It also says which users changed. Every accepted user was debited,
+/// and a round moves no one else's loss or debits, so `accepted_users`
+/// are **exactly** the users whose entry differs from the record
+/// committed before this one. [`RecordLog::append_round`] may rely on
+/// that instead of diffing the population.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundRecord<'a> {
+    /// The epoch id as stamped on its reports.
+    pub epoch: u64,
+    /// Estimator batches ingested up to and including this epoch.
+    pub batches_seen: u64,
+    /// The estimator's loss function.
+    pub loss: Loss,
+    /// The privacy policy the debits were accounted under.
+    pub policy: WalPolicy,
+    /// Users whose report was aggregated this epoch, ascending.
+    pub accepted_users: &'a [usize],
+    /// Every user's cumulative loss after this epoch's merge.
+    pub cumulative_losses: &'a [f64],
+    /// Every user's debits after this epoch's debits.
+    pub rounds_debited: &'a [u32],
+}
+
 fn loss_tag(loss: Loss) -> u8 {
     match loss {
         Loss::Squared => 0,
@@ -662,17 +691,205 @@ fn loss_from_tag(tag: u8) -> Option<Loss> {
     }
 }
 
+impl RoundRecord<'_> {
+    /// The population size this round snapshots.
+    pub fn num_users(&self) -> usize {
+        self.cumulative_losses.len()
+    }
+
+    /// The owned [`EpochRecord`] (copies both population vectors).
+    pub fn to_record(&self) -> EpochRecord {
+        EpochRecord {
+            kind: RecordKind::Epoch,
+            epoch: self.epoch,
+            batches_seen: self.batches_seen,
+            loss: self.loss,
+            policy: self.policy,
+            accepted_users: self.accepted_users.to_vec(),
+            cumulative_losses: self.cumulative_losses.to_vec(),
+            rounds_debited: self.rounds_debited.to_vec(),
+        }
+    }
+
+    /// Byte length of this round's full frame.
+    fn full_len(&self) -> usize {
+        FRAME_HEADER_LEN + FIXED_FIELDS_LEN + 8 * self.accepted_users.len() + 12 * self.num_users()
+    }
+
+    /// Byte length of this round's delta frame with `changed` entries.
+    fn delta_len(&self, changed: usize) -> usize {
+        FRAME_HEADER_LEN
+            + FIXED_FIELDS_LEN
+            + 8 * self.accepted_users.len()
+            + 8
+            + DELTA_ENTRY_LEN * changed
+    }
+
+    /// Append one `frame_len`-byte frame to `out` (which may already
+    /// hold a segment's magic): reserve the header, write the fields
+    /// every layout shares (up to and including the accepted-user
+    /// list), let `body` write what follows, then patch length,
+    /// self-check and checksum in.
+    fn encode_frame_into(
+        &self,
+        out: &mut Vec<u8>,
+        kind: FrameKind,
+        frame_len: usize,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let start = out.len();
+        out.reserve(frame_len);
+        out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        out.extend_from_slice(&self.epoch.to_le_bytes());
+        out.extend_from_slice(&self.batches_seen.to_le_bytes());
+        out.push(loss_tag(self.loss));
+        for bits in self.policy.bits() {
+            out.extend_from_slice(&bits.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.num_users() as u64).to_le_bytes());
+        out.extend_from_slice(&(self.accepted_users.len() as u64).to_le_bytes());
+        for &user in self.accepted_users {
+            out.extend_from_slice(&(user as u64).to_le_bytes());
+        }
+        body(out);
+        let frame = &mut out[start..];
+        debug_assert_eq!(frame.len(), frame_len);
+
+        let payload_len = (frame.len() - FRAME_HEADER_LEN) as u32;
+        let sum = checksum(&frame[FRAME_HEADER_LEN..]);
+        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        frame[4..8].copy_from_slice(&(payload_len ^ kind.mask()).to_le_bytes());
+        frame[8..FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Append the full v1/v2 frame of this round, as a record of
+    /// `kind`, to `out`.
+    fn encode_full_into(&self, kind: RecordKind, out: &mut Vec<u8>) {
+        debug_assert_eq!(
+            self.cumulative_losses.len(),
+            self.rounds_debited.len(),
+            "snapshot vectors must cover the same population"
+        );
+        self.encode_frame_into(out, FrameKind::Full(kind), self.full_len(), |frame| {
+            for &loss in self.cumulative_losses {
+                frame.extend_from_slice(&loss.to_bits().to_le_bytes());
+            }
+            for &debits in self.rounds_debited {
+                frame.extend_from_slice(&debits.to_le_bytes());
+            }
+        });
+    }
+
+    /// The full v1 frame of this round.
+    pub(crate) fn full_frame(&self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        self.encode_full_into(RecordKind::Epoch, &mut frame);
+        frame
+    }
+
+    /// The v3 frame listing this round's entries for the `changed`
+    /// users (ascending, each below `u32::MAX`).
+    fn encode_delta_frame(&self, changed: &[usize]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let frame_len = self.delta_len(changed.len());
+        self.encode_frame_into(&mut frame, FrameKind::Delta, frame_len, |frame| {
+            frame.extend_from_slice(&(changed.len() as u64).to_le_bytes());
+            for &user in changed {
+                frame.extend_from_slice(&(user as u32).to_le_bytes());
+                frame.extend_from_slice(&self.cumulative_losses[user].to_bits().to_le_bytes());
+                frame.extend_from_slice(&self.rounds_debited[user].to_le_bytes());
+            }
+        });
+        frame
+    }
+
+    /// Whether a delta frame against `base` can express this round at
+    /// all: the populations agree and fit the frame's `u32` user ids.
+    fn deltas_against(&self, base: &EpochRecord) -> bool {
+        let num_users = self.num_users();
+        base.num_users() == num_users
+            && self.rounds_debited.len() == num_users
+            && base.rounds_debited.len() == num_users
+            && u32::try_from(num_users).is_ok()
+    }
+
+    /// Most changed users a delta frame may list and still be
+    /// **strictly shorter** than the full frame: `delta < full ⇔ 8 +
+    /// 16·changed < 12·users`.
+    fn shorter_delta_limit(&self) -> Option<usize> {
+        (12 * self.num_users())
+            .checked_sub(9)
+            .map(|room| room / DELTA_ENTRY_LEN)
+    }
+
+    /// Collect into `changed`, ascending, the users whose
+    /// `(cumulative loss bits, debits)` entry differs from `base`'s.
+    /// Returns `false` — `changed` is then meaningless — when more than
+    /// `limit` users differ. The caller has checked
+    /// [`RoundRecord::deltas_against`].
+    fn diff_into(&self, base: &EpochRecord, limit: usize, changed: &mut Vec<usize>) -> bool {
+        changed.clear();
+        let ours = self.cumulative_losses.iter().zip(self.rounds_debited);
+        let theirs = base.cumulative_losses.iter().zip(&base.rounds_debited);
+        for (user, ((loss, debits), (base_loss, base_debits))) in ours.zip(theirs).enumerate() {
+            if loss.to_bits() != base_loss.to_bits() || debits != base_debits {
+                if changed.len() == limit {
+                    return false;
+                }
+                changed.push(user);
+            }
+        }
+        true
+    }
+
+    /// The segmented store's delta frame for this round against `base`,
+    /// the record committed right before it, taking the accepted users
+    /// as the changed ones (see [`RoundRecord`]) — `O(accepted)` where
+    /// [`EpochRecord::encode_delta_if_shorter`] diffs the population.
+    /// `None` exactly when that one would be: no delta can express the
+    /// round, or it would not be the strictly shorter frame.
+    pub(crate) fn encode_touched_delta(&self, base: &EpochRecord) -> Option<Vec<u8>> {
+        if !self.deltas_against(base) {
+            return None;
+        }
+        let limit = self.shorter_delta_limit()?;
+        debug_assert!(
+            {
+                let mut changed = Vec::new();
+                self.diff_into(base, usize::MAX, &mut changed);
+                changed == self.accepted_users
+            },
+            "a round's accepted users must be exactly the users it changed"
+        );
+        (self.accepted_users.len() <= limit).then(|| self.encode_delta_frame(self.accepted_users))
+    }
+}
+
 impl EpochRecord {
     /// The population size this record snapshots.
     pub fn num_users(&self) -> usize {
         self.cumulative_losses.len()
     }
 
+    /// This record's fields, borrowed. Its kind stays with the record.
+    pub(crate) fn round(&self) -> RoundRecord<'_> {
+        RoundRecord {
+            epoch: self.epoch,
+            batches_seen: self.batches_seen,
+            loss: self.loss,
+            policy: self.policy,
+            accepted_users: &self.accepted_users,
+            cumulative_losses: &self.cumulative_losses,
+            rounds_debited: &self.rounds_debited,
+        }
+    }
+
     /// The [`RecordKind::Snapshot`] record covering this record: the
     /// same full state (estimator losses, ledger, policy, epoch) with an
     /// empty accepted-user set, so replay seeds from it without
-    /// re-debiting anyone. This is what the compactor writes — every
-    /// committed record already carries everything a snapshot needs.
+    /// re-debiting anyone. Every committed record already carries
+    /// everything a snapshot needs; the compactor turns its copy of the
+    /// newest one into this in place.
     #[must_use]
     pub fn to_snapshot(&self) -> EpochRecord {
         EpochRecord {
@@ -686,117 +903,39 @@ impl EpochRecord {
     /// computed without building it (header + fixed payload fields +
     /// 8 bytes per accepted user + 12 bytes per population member).
     pub fn encoded_len(&self) -> usize {
-        FRAME_HEADER_LEN + FIXED_FIELDS_LEN + 8 * self.accepted_users.len() + 12 * self.num_users()
+        self.round().full_len()
     }
 
     /// Byte length of the v3 delta frame carrying this record with
     /// `changed` changed-user entries.
     pub fn delta_encoded_len(&self, changed: usize) -> usize {
-        FRAME_HEADER_LEN
-            + FIXED_FIELDS_LEN
-            + 8 * self.accepted_users.len()
-            + 8
-            + DELTA_ENTRY_LEN * changed
-    }
-
-    /// Build one `frame_len`-byte frame in a single buffer: reserve
-    /// the header, write the fields every layout shares (up to and
-    /// including the accepted-user list), let `body` write what
-    /// follows, then patch length, self-check and checksum in.
-    fn encode_frame(
-        &self,
-        kind: FrameKind,
-        frame_len: usize,
-        body: impl FnOnce(&mut Vec<u8>),
-    ) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(frame_len);
-        frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-        frame.extend_from_slice(&self.epoch.to_le_bytes());
-        frame.extend_from_slice(&self.batches_seen.to_le_bytes());
-        frame.push(loss_tag(self.loss));
-        for bits in self.policy.bits() {
-            frame.extend_from_slice(&bits.to_le_bytes());
-        }
-        frame.extend_from_slice(&(self.num_users() as u64).to_le_bytes());
-        frame.extend_from_slice(&(self.accepted_users.len() as u64).to_le_bytes());
-        for &user in &self.accepted_users {
-            frame.extend_from_slice(&(user as u64).to_le_bytes());
-        }
-        body(&mut frame);
-        debug_assert_eq!(frame.len(), frame_len);
-
-        let payload_len = (frame.len() - FRAME_HEADER_LEN) as u32;
-        let sum = checksum(&frame[FRAME_HEADER_LEN..]);
-        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
-        frame[4..8].copy_from_slice(&(payload_len ^ kind.mask()).to_le_bytes());
-        frame[8..FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
-        frame
+        self.round().delta_len(changed)
     }
 
     /// Encode the record as one framed WAL entry (length prefix, length
     /// self-check, checksum, payload) in the full v1/v2 layout.
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert_eq!(
-            self.cumulative_losses.len(),
-            self.rounds_debited.len(),
-            "snapshot vectors must cover the same population"
-        );
-        self.encode_frame(FrameKind::Full(self.kind), self.encoded_len(), |frame| {
-            for &loss in &self.cumulative_losses {
-                frame.extend_from_slice(&loss.to_bits().to_le_bytes());
-            }
-            for &debits in &self.rounds_debited {
-                frame.extend_from_slice(&debits.to_le_bytes());
-            }
-        })
+        let mut frame = Vec::new();
+        self.encode_into(&mut frame);
+        frame
     }
 
-    /// Collect into `changed`, ascending, the users whose
-    /// `(cumulative loss bits, debits)` entry differs from `base`'s.
-    /// Returns `false` — `changed` is then meaningless — when this
-    /// record cannot be a delta against `base` (it is a snapshot, the
-    /// populations differ or do not fit the frame's `u32` user ids) or
+    /// [`EpochRecord::encode`] appended to `out` — how the compactor
+    /// writes a snapshot right behind a segment's magic, in one buffer.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        self.round().encode_full_into(self.kind, out);
+    }
+
+    /// Collect into `changed`, ascending, the users whose entry differs
+    /// from `base`'s. Returns `false` — `changed` is then meaningless —
+    /// when this record cannot be a delta against `base` (it is a
+    /// snapshot, or the populations differ or do not fit `u32` ids) or
     /// when more than `limit` users differ.
-    fn diff_into(&self, base: &EpochRecord, limit: usize, changed: &mut Vec<u32>) -> bool {
-        changed.clear();
-        let num_users = self.num_users();
-        if self.kind != RecordKind::Epoch
-            || base.num_users() != num_users
-            || self.rounds_debited.len() != num_users
-            || base.rounds_debited.len() != num_users
-            || u32::try_from(num_users).is_err()
-        {
-            return false;
-        }
-        let ours = self.cumulative_losses.iter().zip(&self.rounds_debited);
-        let theirs = base.cumulative_losses.iter().zip(&base.rounds_debited);
-        for (user, ((loss, debits), (base_loss, base_debits))) in ours.zip(theirs).enumerate() {
-            if loss.to_bits() != base_loss.to_bits() || debits != base_debits {
-                if changed.len() == limit {
-                    return false;
-                }
-                changed.push(user as u32);
-            }
-        }
-        true
-    }
-
-    /// The v3 frame listing this record's entries for the `changed`
-    /// users (as `diff_into` found them).
-    fn encode_delta_frame(&self, changed: &[u32]) -> Vec<u8> {
-        self.encode_frame(
-            FrameKind::Delta,
-            self.delta_encoded_len(changed.len()),
-            |frame| {
-                frame.extend_from_slice(&(changed.len() as u64).to_le_bytes());
-                for &user in changed {
-                    let at = user as usize;
-                    frame.extend_from_slice(&user.to_le_bytes());
-                    frame.extend_from_slice(&self.cumulative_losses[at].to_bits().to_le_bytes());
-                    frame.extend_from_slice(&self.rounds_debited[at].to_le_bytes());
-                }
-            },
-        )
+    fn changed_since(&self, base: &EpochRecord, limit: usize, changed: &mut Vec<usize>) -> bool {
+        let round = self.round();
+        self.kind == RecordKind::Epoch
+            && round.deltas_against(base)
+            && round.diff_into(base, limit, changed)
     }
 
     /// Encode the record as a v3 delta frame against `base`, the record
@@ -808,8 +947,8 @@ impl EpochRecord {
     /// or the populations differ or exceed `u32` user ids.
     pub fn encode_delta(&self, base: &EpochRecord) -> Option<Vec<u8>> {
         let mut changed = Vec::new();
-        self.diff_into(base, usize::MAX, &mut changed)
-            .then(|| self.encode_delta_frame(&changed))
+        self.changed_since(base, usize::MAX, &mut changed)
+            .then(|| self.round().encode_delta_frame(&changed))
     }
 
     /// [`EpochRecord::encode_delta`] only if that frame is **strictly
@@ -820,35 +959,42 @@ impl EpochRecord {
     pub(crate) fn encode_delta_if_shorter(
         &self,
         base: &EpochRecord,
-        changed: &mut Vec<u32>,
+        changed: &mut Vec<usize>,
     ) -> Option<Vec<u8>> {
-        // delta < full  ⇔  8 + 16·changed < 12·users.
-        let limit = (12 * self.num_users()).checked_sub(9)? / DELTA_ENTRY_LEN;
-        self.diff_into(base, limit, changed)
-            .then(|| self.encode_delta_frame(changed))
+        let limit = self.round().shorter_delta_limit()?;
+        self.changed_since(base, limit, changed)
+            .then(|| self.round().encode_delta_frame(changed))
     }
 
-    /// Make `self` equal to `record` inside its existing allocations.
-    /// `changed`, when given, lists every user whose entry differs
-    /// between the two, so only those are copied.
-    pub(crate) fn overwrite_from(&mut self, record: &EpochRecord, changed: Option<&[u32]>) {
-        self.kind = record.kind;
-        self.epoch = record.epoch;
-        self.batches_seen = record.batches_seen;
-        self.loss = record.loss;
-        self.policy = record.policy;
-        self.accepted_users.clone_from(&record.accepted_users);
+    /// Make `self` equal to `round`, as a record of `kind`, inside its
+    /// existing allocations. `changed`, when given, lists every user
+    /// whose entry differs between the two, so only those are copied.
+    pub(crate) fn overwrite_from(
+        &mut self,
+        kind: RecordKind,
+        round: RoundRecord<'_>,
+        changed: Option<&[usize]>,
+    ) {
+        self.kind = kind;
+        self.epoch = round.epoch;
+        self.batches_seen = round.batches_seen;
+        self.loss = round.loss;
+        self.policy = round.policy;
+        self.accepted_users.clear();
+        self.accepted_users.extend_from_slice(round.accepted_users);
         match changed {
             Some(changed) => {
                 for &user in changed {
-                    let at = user as usize;
-                    self.cumulative_losses[at] = record.cumulative_losses[at];
-                    self.rounds_debited[at] = record.rounds_debited[at];
+                    self.cumulative_losses[user] = round.cumulative_losses[user];
+                    self.rounds_debited[user] = round.rounds_debited[user];
                 }
             }
             None => {
-                self.cumulative_losses.clone_from(&record.cumulative_losses);
-                self.rounds_debited.clone_from(&record.rounds_debited);
+                self.cumulative_losses.clear();
+                self.cumulative_losses
+                    .extend_from_slice(round.cumulative_losses);
+                self.rounds_debited.clear();
+                self.rounds_debited.extend_from_slice(round.rounds_debited);
             }
         }
     }
@@ -1124,11 +1270,26 @@ fn replay_known(bytes: &[u8], known: &[FrameKind]) -> Result<Replay, WalError> {
 /// segmented [`crate::store::SegmentStore`] (rotation + compaction)
 /// both implement it, so the durability barrier in
 /// [`crate::backend::EngineBackend`] is layout-agnostic.
+///
+/// A record reaches a log one of two ways, which commit the same bytes:
+/// owned ([`RecordLog::append_record`], where a log that writes deltas
+/// diffs the record against the one before it to find the changed
+/// users), or borrowed from a caller that names the changed users
+/// ([`RecordLog::append_round`], the campaign backend's path).
 pub trait RecordLog: fmt::Debug + Send {
     /// Durably append one epoch record. The record is committed iff
     /// this returns `Ok` — an error must leave the log recoverable to
     /// its pre-append state (the caller rolls its in-memory state back).
     fn append_record(&mut self, record: &EpochRecord) -> Result<(), WalError>;
+
+    /// Durably append one round, borrowed, whose accepted users are
+    /// exactly the users it changed ([`RoundRecord`]). Commits what
+    /// [`RecordLog::append_record`] of [`RoundRecord::to_record`]
+    /// commits, byte for byte, under the same contract — which is this
+    /// default.
+    fn append_round(&mut self, round: RoundRecord<'_>) -> Result<(), WalError> {
+        self.append_record(&round.to_record())
+    }
 
     /// Flush everything committed so far to stable storage (a no-op for
     /// sinks that sync on every append) — called on orderly shutdown.
@@ -1204,11 +1365,14 @@ impl WalWriter {
     /// Propagates sink I/O failures; the record is not committed if this
     /// errors.
     pub fn append(&mut self, record: &EpochRecord) -> Result<(), WalError> {
+        self.append_frame(&record.encode())
+    }
+
+    fn append_frame(&mut self, frame: &[u8]) -> Result<(), WalError> {
         if self.dirty {
             self.repair()?;
         }
-        let frame = record.encode();
-        match self.sink.append(&frame) {
+        match self.sink.append(frame) {
             Ok(()) => {
                 self.committed_len += frame.len() as u64;
                 Ok(())
@@ -1224,6 +1388,11 @@ impl WalWriter {
 impl RecordLog for WalWriter {
     fn append_record(&mut self, record: &EpochRecord) -> Result<(), WalError> {
         self.append(record)
+    }
+
+    /// Always a full frame, encoded straight from the borrowed round.
+    fn append_round(&mut self, round: RoundRecord<'_>) -> Result<(), WalError> {
+        self.append_frame(&round.full_frame())
     }
 }
 

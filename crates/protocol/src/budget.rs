@@ -47,6 +47,9 @@ pub struct BudgetAccountant {
     per_round: PrivacyLoss,
     budget: PrivacyLoss,
     rounds_debited: Vec<u32>,
+    /// The largest entry of `rounds_debited`: debits only rise, so
+    /// [`BudgetAccountant::debit`] keeps it and a resume scans once.
+    most_debited: u32,
 }
 
 impl BudgetAccountant {
@@ -80,6 +83,7 @@ impl BudgetAccountant {
             per_round,
             budget,
             rounds_debited: vec![0; num_users],
+            most_debited: 0,
         })
     }
 
@@ -109,6 +113,7 @@ impl BudgetAccountant {
                 });
             }
         }
+        ledger.most_debited = rounds_debited.iter().copied().max().unwrap_or(0);
         ledger.rounds_debited = rounds_debited;
         Ok(ledger)
     }
@@ -173,6 +178,7 @@ impl BudgetAccountant {
             "privacy accounting bug: user {user} debited past its budget"
         );
         self.rounds_debited[user] += 1;
+        self.most_debited = self.most_debited.max(self.rounds_debited[user]);
     }
 
     /// How many rounds a fresh user can afford under this budget.
@@ -225,10 +231,9 @@ impl BudgetAccountant {
             .collect()
     }
 
-    /// The worst cumulative loss across the population.
+    /// The worst cumulative loss across the population, in `O(1)`.
     pub fn max_spent(&self) -> PrivacyLoss {
-        let worst = self.rounds_debited.iter().copied().max().unwrap_or(0);
-        self.per_round.compose_k(worst)
+        self.per_round.compose_k(self.most_debited)
     }
 
     /// Number of users that can no longer afford a round.

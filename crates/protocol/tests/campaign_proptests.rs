@@ -6,12 +6,15 @@
 //! 2. The refusal boundary is exact: with a budget affording `k` rounds,
 //!    a fully-participating population is accepted for exactly
 //!    `min(rounds, k)` rounds and refused from round `k + 1` on.
+//! 3. The worst spend the ledger tracks as debits land (and computes
+//!    once on a resume) is the worst spend a scan of every user finds.
 
 use proptest::prelude::*;
 use rand::Rng;
 
 use dptd_core::roles::PerturbedReport;
 use dptd_ldp::PrivacyLoss;
+use dptd_protocol::budget::BudgetAccountant;
 use dptd_protocol::campaign::{CampaignConfig, CampaignDriver, SimBackend};
 use dptd_protocol::message::StampedReport;
 use dptd_truth::Loss;
@@ -147,5 +150,27 @@ proptest! {
             ledger.exhausted_count(),
             if rounds >= u64::from(affordable) { users } else { 0 }
         );
+    }
+
+    #[test]
+    fn tracked_max_spent_equals_the_scan(
+        start in prop::collection::vec(0u32..=6, 1..12),
+        steps in prop::collection::vec((0usize..64, 0u8..6), 0..80),
+    ) {
+        let per_round = PrivacyLoss::new(0.25, 0.01).unwrap();
+        let budget = per_round.compose_k(6);
+        let users = start.len();
+        let mut ledger = BudgetAccountant::resume(per_round, budget, start).unwrap();
+        for (pick, action) in steps {
+            let user = pick % users;
+            if action == 0 {
+                let debits = ledger.debits_by_user().to_vec();
+                ledger = BudgetAccountant::resume(per_round, budget, debits).unwrap();
+            } else if ledger.can_spend(user) {
+                ledger.debit(user);
+            }
+            let worst = ledger.debits_by_user().iter().copied().max().unwrap_or(0);
+            prop_assert_eq!(ledger.max_spent(), per_round.compose_k(worst));
+        }
     }
 }

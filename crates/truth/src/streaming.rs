@@ -26,10 +26,16 @@
 //!   the merge workers in contiguous ranges of the population;
 //! * the weights digest ([`StreamingCrh::weights_digest`]), hashed at
 //!   most once per committed batch and only when someone asks.
+//!
+//! A batch that must be made durable before it counts goes through
+//! [`StreamingCrh::ingest_columnar_durably`] instead, which runs the
+//! last two passes on two threads of their own — the digest trailing
+//! the refresh chunk by chunk — beside the caller's durable step.
 
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
-use dptd_stats::digest::fnv1a_f64s;
+use dptd_obs::{codes, TraceScope};
+use dptd_stats::digest::{fnv1a_f64s, Fnv1a};
 
 use crate::columnar::{effective_workers, resolve_workers, ColumnarBatch};
 use crate::loss::Loss;
@@ -83,7 +89,26 @@ pub struct StreamingCrh {
     row_loss: Vec<f64>,
 }
 
+/// What a durable step is shown of a batch whose losses are final
+/// (see [`StreamingCrh::ingest_columnar_durably`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Committed<'a> {
+    /// The batch's users, ascending: no other user's cumulative loss
+    /// moved.
+    pub users: &'a [usize],
+    /// Every user's cumulative loss after the batch.
+    pub cumulative_losses: &'a [f64],
+    /// Batches ingested, this one included.
+    pub batches_seen: usize,
+}
+
 impl StreamingCrh {
+    /// Weights a durable commit refreshes, copies out and hands to its
+    /// digest thread at a time (128 KiB): small enough that the digest
+    /// starts right behind the refresh, large enough that the hand-over
+    /// is noise.
+    pub const COMMIT_CHUNK: usize = 1 << 14;
+
     /// Create a streaming aggregator for a fixed population of
     /// `num_users`.
     ///
@@ -261,8 +286,9 @@ impl StreamingCrh {
 
     /// Ingest a pre-built [`ColumnarBatch`] (the engine's arena-reuse hot
     /// path) with an explicit worker count (`0` = auto, `1` =
-    /// sequential). All [`StreamingCrh`] ingest entry points funnel here,
-    /// so every backend shares one canonical summation order.
+    /// sequential). All [`StreamingCrh`] ingest entry points funnel into
+    /// its refinement pass, so every backend shares one canonical
+    /// summation order.
     ///
     /// On error the estimator state is untouched: losses and weights only
     /// commit after the whole refinement pass succeeds.
@@ -279,6 +305,130 @@ impl StreamingCrh {
         batch: &ColumnarBatch,
         workers: usize,
     ) -> Result<Vec<f64>, TruthError> {
+        let (truths, total) = self.refine(batch, workers)?;
+        for (&u, &l) in batch.users().iter().zip(&self.row_loss) {
+            self.cumulative_loss[u] = l;
+        }
+        refresh_weights(&mut self.weights, &self.cumulative_loss, total, workers);
+        self.digest = OnceLock::new();
+        self.batches_seen += 1;
+        Ok(truths)
+    }
+
+    /// [`StreamingCrh::ingest_columnar_with_workers`] for a caller that
+    /// must make each batch durable before it counts: the campaign
+    /// backend's logged round. Once the batch's losses are final, three
+    /// threads overlap:
+    ///
+    /// * a scoped thread refreshes the weights in
+    ///   [`StreamingCrh::COMMIT_CHUNK`]-weight chunks, appending each to
+    ///   `weights_out` (cleared first; the caller allocates it, so the
+    ///   copy never costs the refresher an allocation);
+    /// * a second one folds each chunk into the FNV-1a digest as soon as
+    ///   it is handed over, under a `digest` span, so
+    ///   [`StreamingCrh::weights_digest`] is memoised on return;
+    /// * the calling thread runs `durable` on the committed losses.
+    ///
+    /// Truths, weights, `weights_out` and the digest are bit-identical to
+    /// [`StreamingCrh::ingest_columnar_with_workers`] followed by
+    /// `fnv1a_f64s(weights())`, for any `workers`.
+    ///
+    /// If `durable` fails, the batch is taken back before this returns:
+    /// losses, weights, digest and [`StreamingCrh::batches_seen`] are
+    /// exactly what they were before the call.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`StreamingCrh::ingest_columnar_with_workers`] returns
+    /// (`durable` then never runs), and whatever `durable` returns.
+    pub fn ingest_columnar_durably<E: From<TruthError>>(
+        &mut self,
+        batch: &ColumnarBatch,
+        workers: usize,
+        weights_out: &mut Vec<f64>,
+        durable: impl FnOnce(Committed<'_>) -> Result<(), E>,
+    ) -> Result<Vec<f64>, E> {
+        let (truths, total) = self.refine(batch, workers)?;
+        let rows = batch.users();
+        // Swap the final losses in: `row_loss` keeps the carried ones, all
+        // a rollback needs to take them back.
+        for (&u, l) in rows.iter().zip(self.row_loss.iter_mut()) {
+            std::mem::swap(&mut self.cumulative_loss[u], l);
+        }
+        self.batches_seen += 1;
+        let before = std::mem::take(&mut self.digest);
+        weights_out.clear();
+        weights_out.reserve(self.num_users);
+
+        let ambient = dptd_obs::trace::current();
+        let committed = Committed {
+            users: rows,
+            cumulative_losses: &self.cumulative_loss,
+            batches_seen: self.batches_seen,
+        };
+        let (weights, losses) = (&mut self.weights, &self.cumulative_loss);
+        let out = &mut *weights_out;
+        let (digest, made_durable) = std::thread::scope(|scope| {
+            let (chunks, handed) = mpsc::channel::<&[f64]>();
+            let hasher = scope.spawn(move || {
+                let _ctx = ambient.map(dptd_obs::trace::enter);
+                let _span = TraceScope::begin(codes::DIGEST, committed.batches_seen as u64);
+                let mut digest = Fnv1a::new();
+                for chunk in handed {
+                    for &w in chunk {
+                        digest.write_f64(w);
+                    }
+                }
+                digest.finish()
+            });
+            scope.spawn(move || {
+                let span = Self::COMMIT_CHUNK;
+                for (w, l) in weights.chunks_mut(span).zip(losses.chunks(span)) {
+                    refresh_span(w, l, total);
+                    out.extend_from_slice(w);
+                    // The hasher only hangs up by panicking, which its
+                    // join re-raises.
+                    let _ = chunks.send(w);
+                }
+            });
+            let made_durable = durable(committed);
+            let digest = hasher
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (digest, made_durable)
+        });
+
+        if let Err(e) = made_durable {
+            for (&u, l) in rows.iter().zip(self.row_loss.iter_mut()) {
+                std::mem::swap(&mut self.cumulative_loss[u], l);
+            }
+            self.batches_seen -= 1;
+            // One fold in population order: the same additions, in the
+            // same order, as the total the carried weights came from.
+            let total = loss_total(&self.cumulative_loss, &[], &[]);
+            refresh_weights(&mut self.weights, &self.cumulative_loss, total, workers);
+            self.digest = before;
+            weights_out.clear();
+            return Err(e);
+        }
+        self.digest = OnceLock::from(digest);
+        Ok(truths)
+    }
+
+    /// The refinement pass, committing nothing: aggregate under the
+    /// current weights, then the rows' trial losses (each starting from
+    /// its carried loss, claims added in claim order), the trial total
+    /// over the whole population, trial weights for the rows only,
+    /// re-aggregate, and the rows' final losses against the refined
+    /// truths. Returns the truths and the population's loss total under
+    /// the final losses, which it leaves in `self.row_loss` in row order
+    /// — unless one overflowed, which would poison every weight and the
+    /// log.
+    fn refine(
+        &mut self,
+        batch: &ColumnarBatch,
+        workers: usize,
+    ) -> Result<(Vec<f64>, f64), TruthError> {
         if batch.num_users() != self.num_users {
             return Err(TruthError::ObjectOutOfRange {
                 object: batch.num_users(),
@@ -299,35 +449,23 @@ impl StreamingCrh {
         row_weights.extend(rows.iter().map(|&u| self.weights[u]));
         let mut truths = batch.weighted_truths(&row_weights, workers)?;
 
-        // One refinement pass: the rows' trial losses (each starting from
-        // its carried loss, claims added in claim order), the trial total
-        // over the whole population, trial weights for the rows only,
-        // re-aggregate.
         self.carried_losses(rows, &mut row_loss);
         batch.accumulate_losses(&truths, &stds, self.loss, &mut row_loss, workers);
         let total = loss_total(&self.cumulative_loss, rows, &row_loss);
         refresh_weights(&mut row_weights, &row_loss, total, requested);
         truths = batch.weighted_truths(&row_weights, workers)?;
 
-        // Commit: final losses against the refined truths — unless one
-        // overflowed, which would poison every weight and the log.
         self.carried_losses(rows, &mut row_loss);
         batch.accumulate_losses(&truths, &stds, self.loss, &mut row_loss, workers);
         let total = loss_total(&self.cumulative_loss, rows, &row_loss);
+        self.row_weights = row_weights;
+        self.row_loss = row_loss;
         if !total.is_finite() {
             return Err(TruthError::Degenerate {
                 reason: "a cumulative loss would not be finite",
             });
         }
-        for (&u, &l) in rows.iter().zip(&row_loss) {
-            self.cumulative_loss[u] = l;
-        }
-        refresh_weights(&mut self.weights, &self.cumulative_loss, total, requested);
-        self.digest = OnceLock::new();
-        self.batches_seen += 1;
-        self.row_weights = row_weights;
-        self.row_loss = row_loss;
-        Ok(truths)
+        Ok((truths, total))
     }
 
     /// Refill `row_loss` with the cumulative losses of `rows`.
@@ -498,25 +636,26 @@ fn loss_total(carried: &[f64], rows: &[usize], row_loss: &[f64]) -> f64 {
     sum(total, &carried[next..])
 }
 
-/// Rewrite `weights` from `losses` and their `total` in place — the
-/// population's, or one batch's rows: each weight is `−ln` of its
-/// loss's share of `total`, floored at `1e-12`, or `1.0` while no loss
-/// has accrued anywhere. Split over `workers` (`0` = auto) in
-/// contiguous ranges; each weight is one expression of its own loss, so
-/// the split cannot change a bit.
-fn refresh_weights(weights: &mut [f64], losses: &[f64], total: f64, workers: usize) {
+/// Rewrite `weights` from `losses` in place — the population's, or one
+/// batch's rows: each weight is `−ln` of its loss's share of `total`,
+/// floored at `1e-12`, or `1.0` while no loss has accrued anywhere.
+fn refresh_span(weights: &mut [f64], losses: &[f64], total: f64) {
     if total <= 0.0 {
         weights.fill(1.0);
         return;
     }
-    let refresh = |weights: &mut [f64], losses: &[f64]| {
-        for (w, &l) in weights.iter_mut().zip(losses) {
-            *w = -((l / total).max(1e-12)).ln();
-        }
-    };
+    for (w, &l) in weights.iter_mut().zip(losses) {
+        *w = -((l / total).max(1e-12)).ln();
+    }
+}
+
+/// [`refresh_span`] split over `workers` (`0` = auto) in contiguous
+/// ranges; each weight is one expression of its own loss, so the split
+/// cannot change a bit.
+fn refresh_weights(weights: &mut [f64], losses: &[f64], total: f64, workers: usize) {
     let workers = resolve_workers(workers);
-    if workers <= 1 || weights.len() < PAR_REFRESH_USERS {
-        refresh(weights, losses);
+    if total <= 0.0 || workers <= 1 || weights.len() < PAR_REFRESH_USERS {
+        refresh_span(weights, losses, total);
         return;
     }
     let span = weights.len().div_ceil(workers);
@@ -524,10 +663,10 @@ fn refresh_weights(weights: &mut [f64], losses: &[f64], total: f64, workers: usi
         let mut ranges = weights.chunks_mut(span).zip(losses.chunks(span));
         let own = ranges.next();
         for (w, l) in ranges {
-            scope.spawn(move || refresh(w, l));
+            scope.spawn(move || refresh_span(w, l, total));
         }
         if let Some((w, l)) = own {
-            refresh(w, l);
+            refresh_span(w, l, total);
         }
     });
 }
