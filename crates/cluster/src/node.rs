@@ -55,6 +55,7 @@ use dptd_engine::wal::{RecordKind, RecordLog, WalLock, WalPolicy};
 use dptd_engine::{recovery::recover_replay, EpochRecord};
 use dptd_obs::{names, MetricValue};
 use dptd_protocol::campaign::CampaignConfig;
+use dptd_protocol::message::StampedReport;
 use dptd_server::host::{
     admit, open_durable, refuse, Host, Hosted, SubmissionQueue, MAX_USERS_PER_CAMPAIGN,
 };
@@ -157,6 +158,10 @@ struct NodeCampaign {
     config: CampaignConfig,
     policy: WalPolicy,
     queue: SubmissionQueue,
+    /// The next round's submitted reports, in submission order, until a
+    /// prepare drains them into the round filter: the refused set they
+    /// are filtered against arrives with the prepare.
+    pending: Vec<StampedReport>,
     /// The round filter, for the campaign's whole life: the staged
     /// round's survivors so far, empty between a commit and the next
     /// prepare.
@@ -285,7 +290,9 @@ impl NodeCampaign {
         // Drain everything queued for this epoch: refusal withhold
         // first, then the shard's deadline + first-wins — the exact
         // driver order.
-        let pending = self.queue.drain();
+        let pending = std::mem::take(&mut self.pending);
+        self.queue.release();
+        dptd_obs::trace::instant(dptd_obs::codes::DEQUEUE, pending.len() as u64);
         let staged = self.staged.get_or_insert_with(|| StagedRound {
             epoch,
             withheld: vec![false; refused_sorted.len()],
@@ -410,7 +417,12 @@ impl NodeCampaign {
         while self.history.len() > LEDGER_HISTORY {
             self.history.pop_front();
         }
-        self.queue.advance();
+        let pending = &mut self.pending;
+        let buffered = self.queue.advance(|_, batch| {
+            pending.extend(batch);
+            Ok(())
+        });
+        debug_assert!(buffered.is_ok(), "buffering cannot fail");
         Response::Committed {
             epoch,
             appended: true,
@@ -499,8 +511,12 @@ impl NodeState {
             Request::SubmitReports {
                 campaign, reports, ..
             } => self.host.with(&campaign, |part| {
-                part.queue
-                    .offer(reports, part.local_users, part.config.num_objects, NOUN)
+                let NodeCampaign { queue, pending, .. } = part;
+                let (users, objects) = (part.local_users, part.config.num_objects);
+                queue.offer(reports, users, objects, NOUN, |_, batch| {
+                    pending.extend(batch);
+                    Ok(())
+                })
             }),
             Request::CloseRoundPrepare {
                 campaign,
@@ -631,6 +647,7 @@ impl NodeState {
                 config,
                 policy,
                 queue: SubmissionQueue::new(capacity, next_epoch),
+                pending: Vec::new(),
                 shard: ShardState::new(
                     0,
                     1,

@@ -6,6 +6,11 @@
 //! rounds (via [`Engine::run_with_state`]) so user weights sharpen across
 //! the campaign, and [`EngineMetrics`] accumulate over rounds.
 //!
+//! A round's reports may also arrive in batches while it is open
+//! ([`RoundBackend::stage`]): each is filtered into the engine's shards
+//! at once ([`Engine::stage`]), and the round's close runs only what is
+//! left — the engine's end of epoch and merge.
+//!
 //! Because the engine's cross-shard merge is bit-identical to the
 //! single-shard streaming reference, a campaign driven through this
 //! backend produces **exactly** the truths and weights of the in-process
@@ -14,6 +19,7 @@
 //! 1–8 workers.
 
 use dptd_protocol::campaign::{RoundBackend, RoundInput, RoundOutput};
+use dptd_protocol::message::StampedReport;
 use dptd_protocol::ProtocolError;
 use dptd_truth::streaming::{Committed, StreamingCrh};
 use dptd_truth::Loss;
@@ -244,18 +250,10 @@ impl EngineBackend {
             message: e.to_string(),
         }
     }
-}
 
-impl RoundBackend for EngineBackend {
-    fn name(&self) -> &'static str {
-        "engine"
-    }
-
-    fn num_users(&self) -> usize {
-        self.engine.config().num_users
-    }
-
-    fn run_round(&mut self, input: RoundInput) -> Result<RoundOutput, ProtocolError> {
+    /// [`RoundBackend::run_round`] but for dropping what is staged when
+    /// it fails.
+    fn close_round(&mut self, input: RoundInput) -> Result<RoundOutput, ProtocolError> {
         let cfg = *self.engine.config();
         if input.num_objects != cfg.num_objects {
             return Err(ProtocolError::InvalidParameter {
@@ -290,10 +288,13 @@ impl RoundBackend for EngineBackend {
         // One campaign round is exactly one engine epoch. A mixed-epoch
         // stream would make the router open several epochs (mutating the
         // carried estimator more than once), so reject it before running.
-        if let Some(stray) = input.reports.iter().find(|r| r.epoch != input.epoch) {
+        // The same goes for a staged epoch other than the round's.
+        let staged = self.engine.staged_epoch();
+        let tail = input.reports.iter().map(|r| r.epoch);
+        if let Some(stray) = staged.into_iter().chain(tail).find(|&e| e != input.epoch) {
             return Err(ProtocolError::InvalidParameter {
                 name: "report.epoch",
-                value: stray.epoch as f64,
+                value: stray as f64,
                 constraint: "every report in a campaign round must carry the round's epoch",
             });
         }
@@ -355,6 +356,32 @@ impl RoundBackend for EngineBackend {
             duplicates_discarded: duplicates_discarded as u64,
             late_dropped,
         })
+    }
+}
+
+impl RoundBackend for EngineBackend {
+    fn name(&self) -> &'static str {
+        "engine"
+    }
+
+    fn num_users(&self) -> usize {
+        self.engine.config().num_users
+    }
+
+    /// Filters the batch into the engine's shards now
+    /// ([`Engine::stage`]).
+    fn stage(&mut self, epoch: u64, reports: Vec<StampedReport>) -> Result<(), ProtocolError> {
+        self.engine.stage(epoch, reports).map_err(Self::engine_err)
+    }
+
+    fn run_round(&mut self, input: RoundInput) -> Result<RoundOutput, ProtocolError> {
+        let closed = self.close_round(input);
+        if closed.is_err() {
+            // A refused round never reached the engine, so its staged
+            // epoch is still parked; a failed run has dropped it already.
+            self.engine.unstage();
+        }
+        closed
     }
 }
 
@@ -505,6 +532,41 @@ mod tests {
             reports: vec![stamped(1, 0, 1, 1.0), stamped(1, 1, 2, 2.0)],
         });
         assert!(ok.is_ok());
+    }
+
+    /// A close refused before the engine runs — its tail holds a report
+    /// of another epoch — drops what was staged for the round, so the
+    /// retry closes over its own reports only.
+    #[test]
+    fn a_refused_close_leaves_nothing_staged() {
+        let mut b = backend(4, 1, 2);
+        b.stage(0, vec![stamped(0, 0, 1, 9.0), stamped(0, 1, 2, 8.0)])
+            .unwrap();
+        b.stage(0, vec![stamped(0, 2, 3, 7.0)]).unwrap();
+        let err = b
+            .run_round(RoundInput {
+                epoch: 0,
+                num_objects: 1,
+                deadline_us: 1_000,
+                reports: vec![stamped(0, 3, 4, 6.0), stamped(1, 3, 5, 6.0)],
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, ProtocolError::InvalidParameter { .. }),
+            "{err:?}"
+        );
+        assert_eq!((b.rounds(), b.engine().staged_epoch()), (0, None));
+
+        let retry = || RoundInput {
+            epoch: 0,
+            num_objects: 1,
+            deadline_us: 1_000,
+            reports: vec![stamped(0, 1, 1, 1.0), stamped(0, 3, 2, 2.0)],
+        };
+        let out = b.run_round(retry()).unwrap();
+        let mut sim = dptd_protocol::campaign::SimBackend::new(4, Loss::Squared).unwrap();
+        assert_eq!(out, sim.run_round(retry()).unwrap());
+        assert_eq!(b.metrics().reports_submitted, 2);
     }
 
     fn test_policy() -> crate::wal::WalPolicy {

@@ -34,15 +34,30 @@
 //! shard's deadline and first-wins checks, and one copy of its claims
 //! into the shard's arena ([`crate::shard`]).
 //!
+//! # Reports that arrive before the close
+//!
+//! The pipeline is for a round handed over whole. A round whose reports
+//! arrive in batches while it is open (a served campaign's submits) is
+//! filtered as it arrives instead: [`Engine::stage`] routes each batch
+//! into the parked shards on the calling thread — a few hundred reports
+//! are not worth a thread hand-off — and leaves the epoch open. The
+//! next run's router opens on that epoch, so the close is the same
+//! pipeline with little or nothing left to route: end of epoch →
+//! shard finish → merge.
+//!
 //! # Metrics
 //!
 //! [`EngineMetrics`] keeps its meaning under chunking.
 //! `ingest_latency` has one sample per submitted report: every report of
 //! a chunk records the chunk's latency, measured from when the chunk's
 //! *first* report was staged to the end of the chunk's ingest — an upper
-//! bound for the others. `stage.route` is the time the router spent
+//! bound for the others — and every report of a batch given to
+//! [`Engine::stage`] records that batch's filter time. Staged reports
+//! count in `reports_submitted` of the run that closes their epoch.
+//! `stage.route` is the time the router spent
 //! enqueueing (blocked time included), `stage.filter` the workers' time
-//! ingesting chunks and closing epochs, `stage.merge` the merger's time
+//! ingesting chunks and closing epochs plus the time spent staging,
+//! `stage.merge` the merger's time
 //! in the cross-shard merge (a durable round's log append included: it
 //! runs inside the merge, beside the weight refresh and digest).
 //! `queue_capacity` is in reports: an inbox holds `queue_capacity /
@@ -66,7 +81,9 @@
 //! resident and re-zeroes none of it: every index resets by generation
 //! stamp or in time proportional to the round's reports. A run takes the
 //! scratch out of the engine and puts it back when it succeeds; a second
-//! run racing it on the same engine (or a clone) builds its own.
+//! run racing it on the same engine (or a clone) builds its own. A
+//! staged epoch lives in the parked scratch, so a failed run — or
+//! [`Engine::unstage`] — drops it with the scratch.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -257,11 +274,25 @@ pub(crate) struct Durable<'a> {
 
 /// Everything a run needs whose size follows the population: the shard
 /// states and the merger's columnar arena. Built on an engine's first
-/// run and kept by it, so a campaign pays for them once, not per round.
+/// run (or stage) and kept by it, so a campaign pays for them once, not
+/// per round. Between runs the shards may hold an epoch that
+/// [`Engine::stage`] has filtered reports into.
 #[derive(Debug)]
 struct Scratch {
     shards: Vec<ShardState>,
     arena: ColumnarBatch,
+    staged: Option<StagedEpoch>,
+}
+
+/// The epoch open in a parked scratch's shards, and what filtering its
+/// staged batches cost — folded into the metrics of the run that closes
+/// it.
+#[derive(Debug)]
+struct StagedEpoch {
+    epoch: u64,
+    submitted: u64,
+    filter_busy: Duration,
+    latency: Histogram,
 }
 
 impl Scratch {
@@ -280,6 +311,7 @@ impl Scratch {
                 })
                 .collect(),
             arena: ColumnarBatch::new(cfg.num_users, cfg.num_objects),
+            staged: None,
         }
     }
 }
@@ -384,6 +416,93 @@ impl Engine {
         Ok((report, state))
     }
 
+    /// Filter `batch`, every report of epoch `epoch`, into the parked
+    /// scratch's shards now, on the calling thread (each report to shard
+    /// `user % S`, with [`ShardState::ingest`]'s deadline and first-wins
+    /// checks), and
+    /// leave the epoch open. The next run's router opens on it, so that
+    /// run closes it over the staged reports followed by its own stream:
+    /// the same epoch, bit for bit, as one run over the concatenation.
+    /// A failed run drops what was staged with its scratch.
+    ///
+    /// The batch is checked whole before anything is filtered; an empty
+    /// one stages nothing, not even its epoch. Staging
+    /// and running on one engine must not race: a run that parks its
+    /// scratch replaces one a concurrent stage built.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidUser`] for a report outside the population;
+    /// [`EngineError::InvalidParameter`] for a report of another epoch,
+    /// or when another epoch is already staged.
+    pub fn stage(&self, epoch: u64, batch: Vec<StampedReport>) -> Result<(), EngineError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let num_users = self.config.num_users;
+        if let Some(stray) = batch.iter().find(|r| r.epoch != epoch) {
+            return Err(EngineError::InvalidParameter {
+                name: "report.epoch",
+                value: stray.epoch as f64,
+                constraint: "every staged report must carry the staged epoch",
+            });
+        }
+        if let Some(stray) = batch.iter().find(|r| r.report.user >= num_users) {
+            return Err(EngineError::InvalidUser {
+                user: stray.report.user,
+                num_users,
+            });
+        }
+        let mut parked = self.park();
+        let scratch = parked.get_or_insert_with(|| Scratch::new(&self.config));
+        let staged = scratch.staged.get_or_insert_with(|| StagedEpoch {
+            epoch,
+            submitted: 0,
+            filter_busy: Duration::ZERO,
+            latency: Histogram::new(),
+        });
+        if staged.epoch != epoch {
+            return Err(EngineError::InvalidParameter {
+                name: "epoch",
+                value: epoch as f64,
+                constraint: "another epoch is already staged",
+            });
+        }
+        let count = batch.len() as u64;
+        let _span = TraceScope::begin(trace_codes::STAGE, count);
+        let start = Instant::now();
+        let num_shards = scratch.shards.len();
+        // Borrowed, and the batch freed whole afterwards: cheaper than
+        // taking each report and freeing its claims inside the loop.
+        for stamped in &batch {
+            scratch.shards[stamped.report.user % num_shards].ingest_borrowed(stamped);
+        }
+        // A staged report's latency is its batch's filter time.
+        let took = start.elapsed();
+        staged.submitted += count;
+        staged.filter_busy += took;
+        staged.latency.record_many(took, count);
+        drop(batch);
+        Ok(())
+    }
+
+    /// The epoch [`Engine::stage`] has left open, if any.
+    pub fn staged_epoch(&self) -> Option<u64> {
+        self.park()
+            .as_ref()
+            .and_then(|s| s.staged.as_ref().map(|staged| staged.epoch))
+    }
+
+    /// Drop whatever [`Engine::stage`] has left open — with the scratch
+    /// that holds it, as a failed run does. A no-op when nothing is
+    /// staged.
+    pub fn unstage(&self) {
+        let mut parked = self.park();
+        if parked.as_ref().is_some_and(|s| s.staged.is_some()) {
+            *parked = None;
+        }
+    }
+
     /// [`Engine::run_with_state`] over a borrowed estimator, which
     /// therefore survives a failed run: untouched if the stream was a
     /// single epoch. With `durable`, every merged epoch commits through
@@ -397,6 +516,15 @@ impl Engine {
     where
         I: IntoIterator<Item = StampedReport>,
     {
+        // Take the scratch for the length of the run. A second run racing
+        // this one (on `&self` from another thread) finds none and builds
+        // its own; whichever finishes last leaves its scratch parked.
+        // Taken before any check, so a refused run drops a staged epoch
+        // just as a failed one does.
+        let mut scratch = self
+            .park()
+            .take()
+            .unwrap_or_else(|| Scratch::new(&self.config));
         if crh.num_users() != self.config.num_users {
             return Err(EngineError::InvalidParameter {
                 name: "state.num_users",
@@ -411,13 +539,6 @@ impl Engine {
                 constraint: "carried-over state must use the engine's loss function",
             });
         }
-        // Take the scratch for the length of the run. A second run racing
-        // this one (on `&self` from another thread) finds none and builds
-        // its own; whichever finishes last leaves its scratch parked.
-        let mut scratch = self
-            .park()
-            .take()
-            .unwrap_or_else(|| Scratch::new(&self.config));
         let result = self.pipeline(&mut scratch, crh, stream, durable);
         // Every shard closed every epoch it opened only on success; a
         // run that stopped part-way may have left reports half ingested,
@@ -460,7 +581,13 @@ impl Engine {
         let inbox_chunks = cfg.queue_capacity / chunk_len;
 
         let (merge_tx, merge_rx) = unbounded::<MergeMsg>();
-        let Scratch { shards, arena } = scratch;
+        let Scratch {
+            shards,
+            arena,
+            staged,
+        } = scratch;
+        let staged = staged.take();
+        let staged_epoch = staged.as_ref().map(|s| s.epoch);
 
         // Spans at stage granularity (one per thread per run): a few
         // atomic stores per run, nothing per report, so tracing cannot
@@ -518,7 +645,7 @@ impl Engine {
                 chunk_len,
                 metrics: RouterMetrics::default(),
             };
-            let routed = router.route(cfg.num_users, stream);
+            let routed = router.route(cfg.num_users, staged_epoch, stream);
             drop(route_span);
             let metrics = std::mem::take(&mut router.metrics);
             drop(router); // closes the inboxes: workers drain and exit
@@ -534,17 +661,23 @@ impl Engine {
         routed?;
         let MergeOut {
             outcomes: epochs,
-            latency,
-            filter_busy,
+            mut latency,
+            mut filter_busy,
             merge_busy,
             error: merge_err,
         } = merger_out;
         if let Some(e) = merge_err {
             return Err(e);
         }
+        let mut submitted = router_metrics.submitted;
+        if let Some(staged) = staged {
+            submitted += staged.submitted;
+            filter_busy += staged.filter_busy;
+            latency.merge(&staged.latency);
+        }
 
         let mut metrics = EngineMetrics {
-            reports_submitted: router_metrics.submitted,
+            reports_submitted: submitted,
             out_of_order_dropped: router_metrics.out_of_order,
             backpressure_stalls: router_metrics.backpressure,
             max_queue_depth: router_metrics.max_queue_depth,
@@ -604,12 +737,19 @@ struct Router {
 }
 
 impl Router {
-    fn route<I>(&mut self, num_users: usize, stream: I) -> Result<(), EngineError>
+    /// Route `stream`, starting with `open_epoch` open when the shards
+    /// already hold a staged epoch (closed behind the stream's own
+    /// reports of it, or before its first later one).
+    fn route<I>(
+        &mut self,
+        num_users: usize,
+        mut open_epoch: Option<u64>,
+        stream: I,
+    ) -> Result<(), EngineError>
     where
         I: IntoIterator<Item = StampedReport>,
     {
         let num_shards = self.staging.len();
-        let mut open_epoch: Option<u64> = None;
         for stamped in stream {
             self.metrics.submitted += 1;
             match open_epoch {

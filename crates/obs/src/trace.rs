@@ -47,7 +47,9 @@ pub mod codes {
     pub const SUBMIT: u32 = 6;
     /// A batch refused at the bounded queue (instant; arg = queue cap).
     pub const QUEUE_FULL: u32 = 7;
-    /// A report batch dequeued into the engine (instant; arg = count).
+    /// A report batch entering the engine's round filter (instant; arg
+    /// = count): a served submit batch as it is staged, a node's buffer
+    /// as its prepare drains it.
     pub const DEQUEUE: u32 = 8;
     /// A cluster barrier prepare phase (span; arg = epoch).
     pub const BARRIER_PREPARE: u32 = 9;
@@ -77,6 +79,9 @@ pub mod codes {
     /// a fan-out: under `barrier.prepare` or `barrier.commit`, or while
     /// it opens the campaign (span; arg = node id).
     pub const BARRIER_REPLY: u32 = 17;
+    /// Filtering one submit batch into an engine's shards on the thread
+    /// that decoded it, before its round closes (span; arg = reports).
+    pub const STAGE: u32 = 18;
 
     /// The human-readable name of a code (for dumps and docs).
     pub fn name(code: u32) -> &'static str {
@@ -98,6 +103,7 @@ pub mod codes {
             CLUSTER_SUBMIT => "cluster.submit",
             NODE_REPLY => "node.reply",
             BARRIER_REPLY => "barrier.reply",
+            STAGE => "stage",
             _ => "unknown",
         }
     }
@@ -607,6 +613,7 @@ mod tests {
             (codes::CLUSTER_SUBMIT, "cluster.submit"),
             (codes::NODE_REPLY, "node.reply"),
             (codes::BARRIER_REPLY, "barrier.reply"),
+            (codes::STAGE, "stage"),
         ];
         for (expected, &(code, name)) in (1..).zip(&table) {
             assert_eq!(code, expected, "{name}");

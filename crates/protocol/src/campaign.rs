@@ -71,7 +71,20 @@ pub trait RoundBackend {
     /// The fixed population size this backend aggregates over.
     fn num_users(&self) -> usize;
 
-    /// Execute one round over `input.reports`.
+    /// Hand over part of round `epoch`'s stream before the round closes,
+    /// in stream order. The next [`RoundBackend::run_round`] closes the
+    /// round over every staged report followed by `input.reports`, with
+    /// the result of one run over that concatenation; whether it succeeds
+    /// or fails, nothing staged outlives it.
+    ///
+    /// # Errors
+    ///
+    /// Implementations may refuse malformed input up front (a report of
+    /// another epoch, a user outside the population), staging nothing.
+    fn stage(&mut self, epoch: u64, reports: Vec<StampedReport>) -> Result<(), ProtocolError>;
+
+    /// Execute one round over the staged reports followed by
+    /// `input.reports`.
     ///
     /// # Errors
     ///
@@ -87,6 +100,8 @@ pub trait RoundBackend {
 #[derive(Debug, Clone)]
 pub struct SimBackend {
     streaming: StreamingCrh,
+    /// Reports staged for the next round, in stream order.
+    staged: Vec<StampedReport>,
 }
 
 impl SimBackend {
@@ -98,7 +113,10 @@ impl SimBackend {
     pub fn new(num_users: usize, loss: Loss) -> Result<Self, ProtocolError> {
         let streaming = StreamingCrh::new(num_users, loss)
             .map_err(|e| ProtocolError::Core(dptd_core::CoreError::Truth(e)))?;
-        Ok(Self { streaming })
+        Ok(Self {
+            streaming,
+            staged: Vec::new(),
+        })
     }
 
     /// The backing streaming estimator.
@@ -116,11 +134,19 @@ impl RoundBackend for SimBackend {
         self.streaming.num_users()
     }
 
+    /// Buffers the batch: the reference filters the whole round at its
+    /// close.
+    fn stage(&mut self, _epoch: u64, reports: Vec<StampedReport>) -> Result<(), ProtocolError> {
+        self.staged.extend(reports);
+        Ok(())
+    }
+
     fn run_round(&mut self, input: RoundInput) -> Result<RoundOutput, ProtocolError> {
         let num_users = self.streaming.num_users();
         let mut dedup = DedupFilter::new(num_users);
         let mut late_dropped = 0u64;
-        for stamped in input.reports {
+        let staged = std::mem::take(&mut self.staged);
+        for stamped in staged.into_iter().chain(input.reports) {
             if stamped.epoch != input.epoch {
                 return Err(ProtocolError::InvalidParameter {
                     name: "report.epoch",
@@ -256,6 +282,12 @@ pub struct CampaignDriver<B> {
     config: CampaignConfig,
     accountant: BudgetAccountant,
     rounds_run: u32,
+    /// Reports [`CampaignDriver::stage`] passed to the backend since the
+    /// last close.
+    staged_reports: usize,
+    /// Users whose staged reports were withheld since the last close,
+    /// ascending and distinct.
+    staged_refused: Vec<usize>,
 }
 
 impl<B: RoundBackend> CampaignDriver<B> {
@@ -287,6 +319,8 @@ impl<B: RoundBackend> CampaignDriver<B> {
             config,
             accountant,
             rounds_run: 0,
+            staged_reports: 0,
+            staged_refused: Vec::new(),
         })
     }
 
@@ -353,29 +387,52 @@ impl<B: RoundBackend> CampaignDriver<B> {
         self.rounds_run
     }
 
-    /// Run one round over `reports` (stream order, as delivered).
+    /// Hand part of round `epoch`'s stream to the backend before the
+    /// round closes ([`RoundBackend::stage`]), exhausted users' reports
+    /// withheld now: the ledger only changes at a close, so this is the
+    /// refusal [`CampaignDriver::run_round`] would apply.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the backend's refusal; nothing is staged then.
+    pub fn stage(
+        &mut self,
+        epoch: u64,
+        mut reports: Vec<StampedReport>,
+    ) -> Result<(), ProtocolError> {
+        let mut refused = Vec::new();
+        self.withhold(&mut reports, &mut refused);
+        let passed = reports.len();
+        self.backend.stage(epoch, reports)?;
+        self.staged_reports += passed;
+        self.staged_refused.extend(refused);
+        self.staged_refused.sort_unstable();
+        self.staged_refused.dedup();
+        Ok(())
+    }
+
+    /// Whether the open round has staged reports and withheld every one
+    /// of them: each user who submitted so far is spent out.
+    pub fn only_refusals_staged(&self) -> bool {
+        self.staged_reports == 0 && !self.staged_refused.is_empty()
+    }
+
+    /// Close round `epoch` over everything staged for it followed by
+    /// `reports` (stream order, as delivered).
     ///
     /// # Errors
     ///
     /// Propagates backend failures — including the round where so many
     /// users' budgets are exhausted that some object loses coverage.
+    /// Nothing staged survives a failed round.
     pub fn run_round(
         &mut self,
         epoch: u64,
         mut reports: Vec<StampedReport>,
     ) -> Result<DriverRound, ProtocolError> {
-        // Refusal: exhausted users withhold every copy of their report.
-        // Filtered in place; the refused set is normally empty.
-        let mut refused: Vec<usize> = Vec::new();
-        let accountant = &self.accountant;
-        reports.retain(|stamped| {
-            let user = stamped.report.user;
-            let withheld = user < accountant.num_users() && !accountant.can_spend(user);
-            if withheld {
-                refused.push(user);
-            }
-            !withheld
-        });
+        self.staged_reports = 0;
+        let mut refused = std::mem::take(&mut self.staged_refused);
+        self.withhold(&mut reports, &mut refused);
         refused.sort_unstable();
         refused.dedup();
         let refused_users = refused.len();
@@ -403,6 +460,21 @@ impl<B: RoundBackend> CampaignDriver<B> {
             late_dropped: out.late_dropped,
             max_spent: self.accountant.max_spent(),
         })
+    }
+
+    /// Refusal: exhausted users withhold every copy of their report.
+    /// Filtered in place, each withheld user pushed onto `refused`; the
+    /// refused set is normally empty.
+    fn withhold(&self, reports: &mut Vec<StampedReport>, refused: &mut Vec<usize>) {
+        let accountant = &self.accountant;
+        reports.retain(|stamped| {
+            let user = stamped.report.user;
+            let withheld = user < accountant.num_users() && !accountant.can_spend(user);
+            if withheld {
+                refused.push(user);
+            }
+            !withheld
+        });
     }
 }
 

@@ -9,8 +9,11 @@
 //!   reachable on a request path only through [`Host::with`], which
 //!   answers an unknown id or a poisoned slot with a typed refusal, so
 //!   "locked or refused" is enforced by the type.
-//! * **Queue** — [`SubmissionQueue`]: the bounded, batch-atomic
-//!   submission buffer with one round of lookahead.
+//! * **Queue** — [`SubmissionQueue`]: bounded, batch-atomic admission
+//!   with one round of lookahead. It hands each batch of the next round
+//!   to the host's stage step as it arrives: the campaign server filters
+//!   it into its engine there and then, the node buffers it for its
+//!   prepare.
 //! * **Spec admission** — [`admit`]: a wire [`CampaignSpec`] becomes a
 //!   validated `(CampaignConfig, WalPolicy)` before anything
 //!   `O(users)` is allocated.
@@ -455,21 +458,25 @@ fn addressed(request: &Request) -> (Option<&str>, Option<SpanContext>) {
     }
 }
 
-/// A slot's **bounded** submission queue: batches accumulate until the
-/// round closes, and a batch that would overflow is refused with
-/// [`Response::Busy`] (taken atomically or not at all — a host never
-/// buffers unboundedly and never tears a batch).
+/// A slot's **bounded** submission queue. It admits each batch, hands a
+/// batch of the next round to the host's *stage step* as it arrives (a
+/// campaign server filters it into its engine, a cluster node buffers it
+/// until prepare), and buffers one round of lookahead itself. A batch
+/// that would overflow is refused with [`Response::Busy`] (taken
+/// atomically or not at all — a host never buffers unboundedly and never
+/// tears a batch).
 #[derive(Debug)]
 pub struct SubmissionQueue {
-    /// Reports awaiting the next close, in submission order.
-    pending: Vec<StampedReport>,
+    /// Reports of the next round handed to the stage step since the host
+    /// last took them ([`SubmissionQueue::release`]).
+    staged: usize,
     /// One round of lookahead: reports already submitted for the epoch
     /// *after* the next close (an eager client racing a slow closer).
-    /// Promoted to `pending` when the round ahead of them closes, so a
-    /// busy-retrying submitter can make progress without waiting for
-    /// the close to happen between its retries.
+    /// Staged when the round ahead of them closes, so a busy-retrying
+    /// submitter can make progress without waiting for the close to
+    /// happen between its retries.
     future: Vec<StampedReport>,
-    /// `pending` + `future` combined may hold this many reports.
+    /// `staged` + `future` combined may hold this many reports.
     capacity: usize,
     /// The epoch the next round will run as (advances only on a
     /// successful close, so a failed round can be retried).
@@ -483,7 +490,7 @@ impl SubmissionQueue {
     /// `next_epoch` (non-zero after a WAL resume).
     pub fn new(capacity: usize, next_epoch: u64) -> Self {
         Self {
-            pending: Vec::new(),
+            staged: 0,
             future: Vec::new(),
             capacity,
             next_epoch,
@@ -501,33 +508,38 @@ impl SubmissionQueue {
         self.next_epoch
     }
 
-    /// The bound on buffered reports.
+    /// The bound on held reports.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Reports buffered right now, lookahead included.
+    /// Reports held right now — staged for the next round and not yet
+    /// released, plus the lookahead.
     pub fn depth(&self) -> u64 {
-        (self.pending.len() + self.future.len()) as u64
+        (self.staged + self.future.len()) as u64
     }
 
     /// Admit one submission batch from a slot of `population` users
     /// observing `num_objects` objects a round (`noun` names the slot's
-    /// kind in refusals). Answers `Submitted` with the new depth, `Busy`
-    /// with nothing taken, or a typed refusal.
+    /// kind in refusals). A batch for the next round goes to `stage`
+    /// with its epoch now; a lookahead batch waits here for
+    /// [`SubmissionQueue::advance`]. Answers `Submitted` with the new
+    /// depth, `Busy` with nothing taken, or a typed refusal — `stage`'s
+    /// own included, which must then have taken nothing.
     ///
     /// A claim the aggregation would refuse — object out of range,
     /// non-finite value or one past
     /// [`MAX_CLAIM_MAGNITUDE`](dptd_truth::columnar::MAX_CLAIM_MAGNITUDE),
     /// an object claimed twice — is refused here,
     /// naming its user: past this door one such claim fails the merge of
-    /// the whole round, after the close has drained everyone's reports.
+    /// the whole round, at its close, with everyone's reports in it.
     pub fn offer(
         &mut self,
         reports: Vec<StampedReport>,
         population: usize,
         num_objects: usize,
         noun: &str,
+        stage: impl FnOnce(u64, Vec<StampedReport>) -> Result<(), Response>,
     ) -> Response {
         let queued = self.depth();
         let Some(first) = reports.first() else {
@@ -557,7 +569,7 @@ impl SubmissionQueue {
                 );
             }
         }
-        // The queue buffers the next round plus one round of lookahead;
+        // The queue holds the next round plus one round of lookahead;
         // anything staler or further ahead is a client-side epoch bug.
         if epoch != self.next_epoch && epoch != self.next_epoch + 1 {
             return refuse(
@@ -571,37 +583,58 @@ impl SubmissionQueue {
         }
         // Bounded queue, batch-atomic: either the whole batch fits or
         // nothing is taken and the client sees explicit backpressure.
-        if self.pending.len() + self.future.len() + reports.len() > self.capacity {
+        let count = reports.len();
+        if self.staged + self.future.len() + count > self.capacity {
             dptd_obs::trace::instant(dptd_obs::codes::QUEUE_FULL, queued);
             return Response::Busy {
                 queued,
                 capacity: self.capacity as u64,
             };
         }
-        dptd_obs::trace::instant(dptd_obs::codes::SUBMIT, reports.len() as u64);
-        self.taken += reports.len() as u64;
+        dptd_obs::trace::instant(dptd_obs::codes::SUBMIT, count as u64);
         if epoch == self.next_epoch {
-            self.pending.extend(reports);
+            if let Err(refusal) = stage(epoch, reports) {
+                return refusal;
+            }
+            self.staged += count;
         } else {
             self.future.extend(reports);
         }
+        self.taken += count as u64;
         Response::Submitted {
             queued: self.depth(),
         }
     }
 
-    /// Take everything queued for the next round, in submission order.
-    pub fn drain(&mut self) -> Vec<StampedReport> {
-        let reports = std::mem::take(&mut self.pending);
-        dptd_obs::trace::instant(dptd_obs::codes::DEQUEUE, reports.len() as u64);
-        reports
+    /// The host took the next round's staged reports — a close ran over
+    /// them, or a prepare drained them — so they no longer count against
+    /// the bound. A close that fails does not give them back.
+    pub fn release(&mut self) {
+        self.staged = 0;
     }
 
     /// The round closed: the next epoch is one later, and the lookahead
-    /// buffer — which was for exactly that epoch — becomes its queue.
-    pub fn advance(&mut self) {
+    /// — which was for exactly that epoch — goes to `stage`.
+    ///
+    /// # Errors
+    ///
+    /// `stage`'s refusal; the lookahead is dropped then. It was admitted
+    /// against this slot and this epoch, so a host's stage step refuses
+    /// it only on a broken invariant.
+    pub fn advance(
+        &mut self,
+        stage: impl FnOnce(u64, Vec<StampedReport>) -> Result<(), Response>,
+    ) -> Result<(), Response> {
         self.next_epoch += 1;
-        self.pending = std::mem::take(&mut self.future);
+        self.staged = 0;
+        let promoted = std::mem::take(&mut self.future);
+        if promoted.is_empty() {
+            return Ok(());
+        }
+        let count = promoted.len();
+        stage(self.next_epoch, promoted)?;
+        self.staged = count;
+        Ok(())
     }
 }
 
@@ -705,6 +738,16 @@ mod tests {
         }
     }
 
+    /// A stage step that buffers, as a cluster node's does.
+    fn buffer(
+        into: &mut Vec<StampedReport>,
+    ) -> impl FnOnce(u64, Vec<StampedReport>) -> Result<(), Response> + '_ {
+        |_, batch| {
+            into.extend(batch);
+            Ok(())
+        }
+    }
+
     fn is_invalid(resp: &Response) -> bool {
         matches!(
             resp,
@@ -718,8 +761,9 @@ mod tests {
     #[test]
     fn queue_refuses_malformed_batches_and_takes_nothing() {
         let mut q = SubmissionQueue::new(8, 3);
+        let mut staged = Vec::new();
         assert_eq!(
-            q.offer(vec![], 4, 1, "campaign"),
+            q.offer(vec![], 4, 1, "campaign", buffer(&mut staged)),
             Response::Submitted { queued: 0 }
         );
         for bad in [
@@ -728,15 +772,23 @@ mod tests {
             vec![stamped(2, 0)],                // stale
             vec![stamped(5, 0)],                // two ahead
         ] {
-            let resp = q.offer(bad, 4, 1, "campaign");
+            let resp = q.offer(bad, 4, 1, "campaign", buffer(&mut staged));
             assert!(is_invalid(&resp), "{resp:?}");
             assert_eq!(q.depth(), 0);
         }
+        assert!(staged.is_empty());
+        // A refusal from the stage step is the answer, with nothing taken.
+        let refusal = refuse(ErrorCode::Internal, "stage refused");
+        let resp = q.offer(vec![stamped(3, 0)], 4, 1, "campaign", |_, _| {
+            Err(refusal.clone())
+        });
+        assert_eq!((resp, q.depth(), q.taken()), (refusal, 0, 0));
     }
 
     #[test]
     fn queue_refuses_a_claim_the_merge_would_refuse_and_takes_nothing() {
         let mut q = SubmissionQueue::new(8, 0);
+        let mut staged = Vec::new();
         for (claims, defect) in [
             (vec![(0, 1.0), (7, 2.0)], "object index 7 out of range"),
             (vec![(0, 1.0), (1, f64::NAN)], "non-finite observation NaN"),
@@ -745,7 +797,8 @@ mod tests {
             let mut bad = stamped(0, 2);
             bad.report.values = claims;
             // Batch-atomic: the honest neighbours are not taken either.
-            match q.offer(vec![stamped(0, 1), bad, stamped(0, 3)], 4, 2, "campaign") {
+            let batch = vec![stamped(0, 1), bad, stamped(0, 3)];
+            match q.offer(batch, 4, 2, "campaign", buffer(&mut staged)) {
                 Response::Error {
                     code: ErrorCode::InvalidRequest,
                     message,
@@ -763,43 +816,61 @@ mod tests {
         let mut empty = stamped(0, 3);
         empty.report.values = vec![];
         assert_eq!(
-            q.offer(vec![unsorted, empty], 4, 2, "campaign"),
+            q.offer(vec![unsorted, empty], 4, 2, "campaign", buffer(&mut staged)),
             Response::Submitted { queued: 2 }
         );
+        assert_eq!(staged.len(), 2);
     }
 
     #[test]
     fn queue_is_bounded_batch_atomic_and_promotes_its_lookahead() {
         let mut q = SubmissionQueue::new(3, 0);
+        let mut staged = Vec::new();
         assert_eq!(
-            q.offer(vec![stamped(0, 0), stamped(0, 1)], 4, 1, "campaign"),
+            q.offer(
+                vec![stamped(0, 0), stamped(0, 1)],
+                4,
+                1,
+                "campaign",
+                buffer(&mut staged)
+            ),
             Response::Submitted { queued: 2 }
         );
-        // The lookahead shares the one bound with the current round.
+        // The lookahead shares the one bound with the current round, and
+        // waits in the queue rather than at the stage step.
         assert_eq!(
-            q.offer(vec![stamped(1, 2)], 4, 1, "campaign"),
+            q.offer(vec![stamped(1, 2)], 4, 1, "campaign", buffer(&mut staged)),
             Response::Submitted { queued: 3 }
         );
+        assert_eq!(staged.len(), 2);
         let busy = Response::Busy {
             queued: 3,
             capacity: 3,
         };
-        assert_eq!(q.offer(vec![stamped(0, 3)], 4, 1, "campaign"), busy);
-        assert_eq!(q.offer(vec![stamped(1, 3)], 4, 1, "campaign"), busy);
+        for epoch in [0, 1] {
+            let resp = q.offer(
+                vec![stamped(epoch, 3)],
+                4,
+                1,
+                "campaign",
+                buffer(&mut staged),
+            );
+            assert_eq!(resp, busy);
+        }
         assert_eq!(
-            (q.depth(), q.taken()),
-            (3, 3),
+            (q.depth(), q.taken(), staged.len()),
+            (3, 3, 2),
             "a refused batch leaves nothing behind"
         );
-        // Draining frees the current round's share only; a failed round
+        // Releasing frees the current round's share only; a failed round
         // does not advance, so the epoch is still the one to submit for.
-        assert_eq!(q.drain().len(), 2);
+        q.release();
         assert_eq!((q.depth(), q.next_epoch()), (1, 0));
-        q.advance();
+        staged.clear();
+        q.advance(buffer(&mut staged)).expect("the step buffers");
         assert_eq!((q.depth(), q.next_epoch()), (1, 1));
-        let promoted = q.drain();
         assert_eq!(
-            (promoted.len(), promoted[0].report.user, promoted[0].epoch),
+            (staged.len(), staged[0].report.user, staged[0].epoch),
             (1, 2, 1)
         );
     }

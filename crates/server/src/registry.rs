@@ -7,8 +7,11 @@
 //! What is left here is what only a campaign server does — each slot
 //! owns a [`CampaignDriver`]`<`[`EngineBackend`]`>` (its own sharded
 //! engine, carried weights and per-user privacy ledger, optionally
-//! durable through a per-campaign WAL directory), and `CloseRound`
-//! drains the slot's queue through one engine epoch.
+//! durable through a per-campaign WAL directory). Each admitted submit
+//! batch of the open round is filtered into the engine's shards at once,
+//! on the thread that decoded it ([`CampaignDriver::stage`]), so
+//! `CloseRound` runs only the engine's close: end of epoch, shard
+//! finish, merge.
 //!
 //! A slot's operations are serialized, so campaigns proceed fully
 //! concurrently while a single campaign's rounds stay deterministic:
@@ -19,8 +22,9 @@
 //!
 //! Privacy enforcement is the campaign layer's, unchanged: exhausted
 //! users are refused by the [`BudgetAccountant`] before their reports
-//! reach the engine, and a round in which *every* submitter is refused
-//! surfaces as a typed [`ErrorCode::BudgetExhausted`] wire error.
+//! reach the engine (as they are staged — the ledger only changes at a
+//! close), and a round in which *every* submitter is refused surfaces
+//! as a typed [`ErrorCode::BudgetExhausted`] wire error.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,7 +80,8 @@ impl Default for RegistryConfig {
 #[derive(Debug)]
 struct CampaignState {
     driver: CampaignDriver<EngineBackend>,
-    /// Reports awaiting the next `CloseRound`.
+    /// Admission, the bound and the lookahead; the open round's reports
+    /// are in the driver's engine.
     queue: SubmissionQueue,
     /// Truths from the last successful round (empty before the first).
     last_truths: Vec<f64>,
@@ -146,6 +151,17 @@ fn protocol_refusal(e: &ProtocolError) -> Response {
     refuse(code, e.to_string())
 }
 
+/// The registry's stage step: a batch of the open round enters the
+/// campaign's engine now.
+fn stage(
+    driver: &mut CampaignDriver<EngineBackend>,
+    epoch: u64,
+    batch: Vec<StampedReport>,
+) -> Result<(), Response> {
+    dptd_obs::trace::instant(dptd_obs::codes::DEQUEUE, batch.len() as u64);
+    driver.stage(epoch, batch).map_err(|e| protocol_refusal(&e))
+}
+
 impl CampaignState {
     fn close_round(&mut self, epoch: u64) -> Response {
         if epoch != self.queue.next_epoch() {
@@ -157,28 +173,17 @@ impl CampaignState {
                 ),
             );
         }
-        let reports = self.queue.drain();
-        // Surface an all-refused round as the budget error it is, before
-        // the engine turns it into a bare coverage failure. Observable
-        // state is identical either way: nothing is debited, the round
-        // does not advance, and the submitted batch is consumed.
-        if !reports.is_empty() {
-            let ledger = self.driver.accountant();
-            if reports.iter().all(|r| !ledger.can_spend(r.report.user)) {
-                return refuse(
-                    ErrorCode::BudgetExhausted,
-                    format!(
-                        "every submitting user's privacy budget is exhausted \
-                         ({} of {} users spent out)",
-                        ledger.exhausted_count(),
-                        ledger.num_users()
-                    ),
-                );
-            }
-        }
-        match self.driver.run_round(epoch, reports) {
+        // The close consumes what was staged, whatever its outcome: a
+        // failed round keeps its epoch, and is retried from fresh
+        // submits.
+        self.queue.release();
+        let all_refused = self.driver.only_refusals_staged();
+        match self.driver.run_round(epoch, Vec::new()) {
             Ok(round) => {
-                self.queue.advance();
+                let Self { driver, queue, .. } = self;
+                if let Err(refusal) = queue.advance(|next, batch| stage(driver, next, batch)) {
+                    return refusal;
+                }
                 self.last_truths = round.truths.clone();
                 Response::RoundClosed {
                     epoch,
@@ -191,6 +196,21 @@ impl CampaignState {
                     max_spent_epsilon: round.max_spent.epsilon(),
                     max_spent_delta: round.max_spent.delta(),
                 }
+            }
+            // An all-refused round starves in the engine; surface it as
+            // the budget error it is. Nothing is debited and the round
+            // does not advance either way.
+            Err(_) if all_refused => {
+                let ledger = self.driver.accountant();
+                refuse(
+                    ErrorCode::BudgetExhausted,
+                    format!(
+                        "every submitting user's privacy budget is exhausted \
+                         ({} of {} users spent out)",
+                        ledger.exhausted_count(),
+                        ledger.num_users()
+                    ),
+                )
             }
             Err(e) => protocol_refusal(&e),
         }
@@ -416,7 +436,10 @@ impl CampaignRegistry {
         let response = self.host.with(campaign, |state| {
             let population = state.driver.backend().num_users();
             let num_objects = state.driver.config().num_objects;
-            state.queue.offer(reports, population, num_objects, NOUN)
+            let CampaignState { driver, queue, .. } = state;
+            queue.offer(reports, population, num_objects, NOUN, |epoch, batch| {
+                stage(driver, epoch, batch)
+            })
         });
         if matches!(response, Response::Submitted { .. }) {
             self.reports_submitted.fetch_add(batch, Ordering::Relaxed);
@@ -790,6 +813,182 @@ mod tests {
         assert_eq!(read(names::QUEUE_DEPTH), Some(0));
         assert_eq!(read(names::ROUNDS), Some(1));
         assert_eq!(read(names::ACCEPTED), Some(1));
+    }
+
+    fn submit(reg: &CampaignRegistry, reports: Vec<StampedReport>) -> Response {
+        reg.handle(Request::SubmitReports {
+            campaign: "c".to_string(),
+            reports,
+            ctx: None,
+        })
+    }
+
+    fn close(reg: &CampaignRegistry, epoch: u64) -> Response {
+        reg.handle(Request::CloseRound {
+            campaign: "c".to_string(),
+            epoch,
+        })
+    }
+
+    fn debits(reg: &CampaignRegistry) -> Vec<u32> {
+        let resp = reg.handle(Request::QueryBudget {
+            campaign: "c".to_string(),
+        });
+        let Response::Budget { debits, .. } = resp else {
+            panic!("expected Budget, got {resp:?}");
+        };
+        debits
+    }
+
+    fn status(reg: &CampaignRegistry) -> MetricsSnapshot {
+        let Response::Status { snapshot } = reg.handle(Request::QueryStatus) else {
+            panic!("expected Status");
+        };
+        snapshot
+    }
+
+    /// An in-process `SimBackend` driver under `s`'s policy: the
+    /// reference a served campaign must equal.
+    fn reference(s: &CampaignSpec) -> CampaignDriver<dptd_protocol::campaign::SimBackend> {
+        let (config, _) = admit(s, MAX_USERS_PER_CAMPAIGN).expect("valid spec");
+        let backend =
+            dptd_protocol::campaign::SimBackend::new(s.num_users as usize, Loss::Squared).unwrap();
+        CampaignDriver::new(backend, config).unwrap()
+    }
+
+    /// Submit `reports` as round `epoch`'s only batch and close it, and
+    /// run the same round on `sim`: the close must answer what the
+    /// reference computed, field by field, and leave the same ledger.
+    fn close_like_the_reference(
+        reg: &CampaignRegistry,
+        sim: &mut CampaignDriver<dptd_protocol::campaign::SimBackend>,
+        epoch: u64,
+        reports: Vec<StampedReport>,
+    ) {
+        submit(reg, reports.clone());
+        let resp = close(reg, epoch);
+        let round = sim.run_round(epoch, reports).expect("the reference closes");
+        let expected = Response::RoundClosed {
+            epoch,
+            accepted: round.accepted as u64,
+            refused: round.refused_users as u64,
+            duplicates: round.duplicates_discarded,
+            late: round.late_dropped,
+            truths: round.truths,
+            weights_digest: sim.backend().streaming().weights_digest(),
+            max_spent_epsilon: round.max_spent.epsilon(),
+            max_spent_delta: round.max_spent.delta(),
+        };
+        assert_eq!(resp, expected, "round {epoch}");
+        assert_eq!(
+            debits(reg),
+            sim.accountant().debits_by_user(),
+            "round {epoch}"
+        );
+    }
+
+    fn both_objects(epoch: u64, user: usize, v: f64) -> StampedReport {
+        let mut r = stamped(epoch, user, 1, v);
+        r.report.values.push((1, v + 0.5));
+        r
+    }
+
+    /// Every report a served round filters as it arrives is one
+    /// `submitted` count and one latency sample — promoted lookahead,
+    /// duplicates and late reports included.
+    #[test]
+    fn staged_submits_count_once_in_submitted_and_the_latency_histogram() {
+        let reg = registry();
+        create(&reg, "c", spec(8, 64));
+        let batches = [
+            vec![stamped(0, 0, 1, 1.0), stamped(0, 1, 2, 2.0)],
+            vec![stamped(0, 2, 3, 3.0), stamped(0, 0, 4, 9.0)], // a duplicate
+            vec![stamped(1, 3, 1, 1.5)],                        // lookahead
+            vec![stamped(0, 4, 5_000, 4.0), stamped(0, 5, 5, 2.5)], // one late
+        ];
+        let sent: usize = batches.iter().map(Vec::len).sum();
+        for batch in batches {
+            assert!(matches!(submit(&reg, batch), Response::Submitted { .. }));
+        }
+        assert!(matches!(close(&reg, 0), Response::RoundClosed { .. }));
+        assert!(matches!(close(&reg, 1), Response::RoundClosed { .. }));
+        let snap = status(&reg);
+        let submitted = snap.scalar(&names::campaign_metric("c", names::SUBMITTED));
+        assert_eq!(submitted, Some(sent as u64));
+        let latency = snap
+            .histogram(&names::campaign_metric("c", names::INGEST_LATENCY))
+            .expect("the campaign's latency histogram");
+        assert_eq!(latency.count, sent as u64);
+    }
+
+    /// A close every submitter of which is spent out is refused as
+    /// `BudgetExhausted` with nothing debited, and its refusals are not
+    /// counted again when the round is retried.
+    #[test]
+    fn an_all_refused_close_leaves_nothing_staged() {
+        let reg = registry();
+        let s = spec(4, 64); // two affordable rounds per user
+        create(&reg, "c", s);
+        let mut sim = reference(&s);
+        for epoch in 0..2 {
+            let reports = vec![stamped(epoch, 0, 1, 1.0), stamped(epoch, 1, 2, 2.0)];
+            close_like_the_reference(&reg, &mut sim, epoch, reports);
+        }
+        let spent_out = vec![stamped(2, 0, 1, 1.0), stamped(2, 1, 2, 2.0)];
+        submit(&reg, spent_out.clone());
+        let resp = close(&reg, 2);
+        assert!(
+            matches!(
+                resp,
+                Response::Error {
+                    code: ErrorCode::BudgetExhausted,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        assert_eq!(debits(&reg), vec![2, 2, 0, 0]);
+        assert!(sim.run_round(2, spent_out).is_err());
+        // The retry refuses no one: users 0 and 1 did not submit to it.
+        let fresh = vec![stamped(2, 2, 1, 1.0), stamped(2, 3, 2, 2.0)];
+        close_like_the_reference(&reg, &mut sim, 2, fresh);
+    }
+
+    /// A close whose merge starves an object fails, releases what it
+    /// staged, and the retried round equals the reference.
+    #[test]
+    fn an_insufficient_coverage_close_leaves_nothing_staged() {
+        let reg = registry();
+        let s = CampaignSpec {
+            num_objects: 2,
+            per_round_epsilon: 1.0, // one affordable round per user
+            ..spec(4, 64)
+        };
+        create(&reg, "c", s);
+        let mut sim = reference(&s);
+        let first = vec![both_objects(0, 0, 1.0), both_objects(0, 1, 2.0)];
+        close_like_the_reference(&reg, &mut sim, 0, first);
+        // User 0 is spent out and refused; user 2 leaves object 1 bare.
+        let starved = vec![both_objects(1, 0, 1.0), stamped(1, 2, 1, 3.0)];
+        submit(&reg, starved.clone());
+        let resp = close(&reg, 1);
+        assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+        assert!(
+            !matches!(
+                resp,
+                Response::Error {
+                    code: ErrorCode::BudgetExhausted,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        let depth = status(&reg).scalar(&names::campaign_metric("c", names::QUEUE_DEPTH));
+        assert_eq!(depth, Some(0), "a failed close releases its reports");
+        assert_eq!(debits(&reg), vec![1, 1, 0, 0]);
+        assert!(sim.run_round(1, starved).is_err());
+        let fresh = vec![both_objects(1, 2, 1.0), both_objects(1, 3, 2.0)];
+        close_like_the_reference(&reg, &mut sim, 1, fresh);
     }
 
     #[test]
