@@ -8,9 +8,12 @@
 //! `ShardState`, run over its whole partition. A round closes in two
 //! phases:
 //!
-//! 1. **Prepare**: every node drains its queue for the epoch (refusal
-//!    withhold → deadline → first-wins dedup, the exact single-node
-//!    order) and returns its surviving claims as columns, users
+//! 1. **Prepare**: every node has already filtered each batch as it
+//!    arrived (refusal withhold → deadline → first-wins dedup, the
+//!    exact single-node order, withholding the users its own committed
+//!    ledger spent out). The coordinator sends the refusal set its
+//!    ledger implies as a cross-check — a node refuses any other — and
+//!    every node returns its surviving claims as columns, users
 //!    ascending in its local ids. Nothing durable happens.
 //! 2. **Merge + Commit**: the coordinator loads all claims into the
 //!    campaign's one [`ColumnarBatch`] arena (sized for the population
@@ -29,12 +32,12 @@
 //! node's [`Response`] or transport error in node-id order; the
 //! coordinator builds and parses the frames. Over TCP it is a
 //! `Vec<Client>` and a **scatter/gather**: every request goes out
-//! before any reply is read, so node drains, commit fsyncs and follower
-//! acks overlap, while each connection carries one unanswered request.
-//! The replies are read and decoded one after another on the
-//! coordinator's thread: a node's work overlaps the decode of an
-//! earlier reply, never another decode. This module's tests drive the
-//! same seam over in-process nodes with a seeded fault simulator.
+//! before any reply is read, so node prepares, commit fsyncs and
+//! follower acks overlap, while each connection carries one unanswered
+//! request. Every reply is then read and decoded on its own scoped
+//! thread, so no node's write of a reply larger than its socket buffer
+//! waits behind the decode of another node's. This module's tests drive
+//! the same seam over in-process nodes with a seeded fault simulator.
 //! Submission is one pipelined stream per node ([`dptd_server::submit_streams`]): a
 //! window of batches in flight on every connection, each frame encoded
 //! straight from the caller's slice under the node-local user id, and a
@@ -111,10 +114,12 @@ pub trait Nodes {
 }
 
 /// A scatter/gather, one connection per node: every request is written
-/// before any reply is read, each reply under a `barrier.reply` span
-/// (arg = node id). A failed write stops the scatter (later nodes get no
-/// entry), not the gather. Blocking writes cannot deadlock: a node never
-/// waits for a reply to be read before it takes the next input.
+/// before any reply is read, then every owed reply is read on its own
+/// scoped thread, under a `barrier.reply` span (arg = node id) in the
+/// caller's trace context. A failed write stops the scatter (later
+/// nodes get no entry), not the gather. Blocking writes cannot
+/// deadlock: a node never waits for a reply to be read before it takes
+/// the next input.
 impl Nodes for Vec<Client> {
     fn fan_out(
         &mut self,
@@ -129,15 +134,25 @@ impl Nodes for Vec<Client> {
                 break;
             }
         }
-        let replies = written.into_iter().zip(self.iter_mut()).enumerate();
-        let replies = replies.map(|(id, (sent, node))| {
-            sent.and_then(|()| {
-                let _reply =
-                    dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_REPLY, id as u64);
-                node.recv()
-            })
-        });
-        replies.collect()
+        // A reply too large for the socket buffers blocks its node's
+        // write until it is read: reading them all at once lets every
+        // node finish writing while the others' replies are decoded.
+        let ambient = dptd_obs::trace::current();
+        let read = move |id: usize, node: &mut Client| {
+            let _ctx = ambient.map(dptd_obs::trace::enter);
+            let _reply =
+                dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_REPLY, id as u64);
+            node.recv()
+        };
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (written.into_iter().zip(self.iter_mut()).enumerate())
+                .map(|(id, (sent, node))| sent.map(|()| scope.spawn(move || read(id, node))))
+                .collect();
+            let joined = readers.into_iter().map(|reader| {
+                reader.and_then(|r| r.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            });
+            joined.collect()
+        })
     }
 }
 
@@ -1671,13 +1686,17 @@ mod tests {
     /// node applied the request, refuses one append (`FailNextAppend`),
     /// quarantines a node, and kills the coordinator between any two
     /// deliveries, leaving any subset of nodes committed; a fresh
-    /// coordinator then resumes over the same nodes. After every close
-    /// attempt a stale writer replays one node's last prepare and
-    /// commit. Every seed checks that each closed round equals
-    /// `CampaignDriver<SimBackend>` by `to_bits`, that a coordinator's
-    /// debits are never ahead of the node ledgers once no commit is
-    /// owed, that it merged each round at most once, and that a second
-    /// run of the seed produces the same trace.
+    /// coordinator then resumes over the same nodes. Part of a round's
+    /// stream may arrive before the round ahead of it closes (the queue's
+    /// lookahead). After every close attempt a stale writer replays one
+    /// node's last prepare and commit. Every seed checks that each closed
+    /// round equals `CampaignDriver<SimBackend>` by `to_bits`, that no
+    /// node refuses a coordinator's prepare as invalid — a node filters
+    /// against its own ledger, so the coordinator's refusal set must be
+    /// the one that ledger implies, under every fault — that a
+    /// coordinator's debits are never ahead of the node ledgers once no
+    /// commit is owed, that it merged each round at most once, and that
+    /// a second run of the seed produces the same trace.
     mod sim {
         use std::cell::{Cell, RefCell};
         use std::rc::Rc;
@@ -1749,6 +1768,7 @@ mod tests {
         /// The nodes and everything that happens between them and the
         /// coordinator.
         struct World {
+            seed: u64,
             nodes: Vec<NodeState>,
             rng: RefCell<StdRng>,
             /// `(fan-outs to go, deliveries first)`: the coordinator dies
@@ -1931,6 +1951,19 @@ mod tests {
                     }
                     let request = requests[id].take().expect("one request per node");
                     let reply = world.ask(id, request.clone());
+                    if let (
+                        Request::CloseRoundPrepare { epoch, .. },
+                        Response::Error {
+                            code: ErrorCode::InvalidRequest,
+                            message,
+                        },
+                    ) = (&request, &reply)
+                    {
+                        panic!(
+                            "seed {}: node {id} refused the prepare of epoch {epoch}: {message}",
+                            world.seed
+                        );
+                    }
                     let lost = world.rng.borrow_mut().gen_bool(world.lose);
                     world.push(Event::Delivered {
                         node: id,
@@ -2060,6 +2093,8 @@ mod tests {
             quarantined: Option<usize>,
             /// Whether an append was ever set to fail.
             armed: bool,
+            /// The next round's reports, already queued as lookahead.
+            ahead: Vec<StampedReport>,
             endings: [bool; 4],
         }
 
@@ -2078,6 +2113,7 @@ mod tests {
                     ..NodeConfig::default()
                 };
                 let world = Rc::new(World {
+                    seed,
                     nodes: (0..num_nodes)
                         .map(|id| NodeState::new(&config(id)).unwrap())
                         .collect(),
@@ -2111,6 +2147,7 @@ mod tests {
                     quarantine,
                     quarantined: None,
                     armed: false,
+                    ahead: Vec::new(),
                     endings: [false; 4],
                 }
             }
@@ -2139,8 +2176,17 @@ mod tests {
                 } else {
                     self.rng.gen_range(0..=stream.len())
                 };
-                let (mut submitted, mut late) = (stream[..split].to_vec(), Some(&stream[split..]));
-                submit(&self.world, &self.partition, &submitted);
+                let (fresh, mut late) = (&stream[..split], Some(&stream[split..]));
+                submit(&self.world, &self.partition, fresh);
+                let mut submitted = std::mem::take(&mut self.ahead);
+                submitted.extend_from_slice(fresh);
+                // Part of the next round's stream may arrive before this
+                // round closes: the nodes stage it when they commit this
+                // one.
+                if self.rng.gen_bool(0.3) {
+                    self.ahead = self.stream(epoch + 1);
+                    submit(&self.world, &self.partition, &self.ahead);
+                }
                 if let Some((_, node)) = self.quarantine.filter(|&(at, _)| at == epoch) {
                     assert!(self.world.nodes[node].poison(CAMPAIGN));
                     self.quarantined = Some(node);

@@ -7,31 +7,38 @@
 //! quarantine, bounded [`SubmissionQueue`] with one round of lookahead,
 //! spec admission, durable open, request envelope — and filters it with
 //! the engine's round filter: one [`ShardState`] over the whole
-//! partition, kept for the campaign's life. What only a node adds is
-//! the two-phase barrier:
+//! partition, kept for the campaign's life. Each admitted batch of the
+//! open round is filtered into it as it arrives, on the thread that
+//! decoded it: users the node's own committed ledger has spent out are
+//! withheld and counted first, every other report goes into the shard
+//! (deadline, then first-wins) — the exact single-node order. The paper
+//! budgets each user independently, so the node that owns a user can
+//! decide that user's refusal alone. What only a node adds is the
+//! two-phase barrier:
 //!
-//! 1. `CloseRoundPrepare` drains the queue — refused users withheld and
-//!    counted first, every other report into the shard (deadline, then
-//!    first-wins), the exact single-node order — and returns the
-//!    shard's survivors so far, copied out of its non-resetting view
-//!    into the claim columns the reply carries, **without** touching
-//!    durable state. Prepare is cumulative and repeatable: the shard's
-//!    epoch stays open until commit, so a re-driven barrier (after a
-//!    coordinator restart, or more submissions on a failed round) sees
-//!    the whole stream's result.
+//! 1. `CloseRoundPrepare` checks that the coordinator's refusal set is
+//!    the one the node's ledger implies (anything else means the two
+//!    ledgers diverged, and is refused with nothing moved) and returns
+//!    the shard's survivors so far, copied out of its non-resetting
+//!    view into the claim columns the reply carries, **without**
+//!    touching durable state. Prepare is cumulative and repeatable: the
+//!    shard's epoch stays open until commit, so a re-driven barrier
+//!    (after a coordinator restart, or more submissions on a failed
+//!    round) sees the whole stream's result.
 //! 2. `CloseRoundCommit` durably appends the node's slice of the merged
 //!    round — the coordinator computed it; the node just persists an
 //!    [`EpochRecord`] to its segmented store and acks — then closes the
 //!    shard's epoch. The claims the last prepare replied with (shared
 //!    with that reply, never copied again) and the counts are kept so a
 //!    re-driven prepare of that epoch replays them, and the reset shard
-//!    serves the next round with its allocations kept. Re-committing
-//!    the previous epoch is acknowledged idempotently iff the record is
-//!    byte-identical to the durable one, which is what lets a
-//!    coordinator that died between commit fan-out and its own state
-//!    advance re-drive the barrier safely — unless this node restarted
-//!    since: the kept claims are never durable, so it refuses the
-//!    re-drive.
+//!    serves the next round with its allocations kept. The record's
+//!    debits rebuild the refusal set before the queue stages the next
+//!    round's lookahead under it. Re-committing the previous epoch is
+//!    acknowledged idempotently iff the record is byte-identical to the
+//!    durable one, which is what lets a coordinator that died between
+//!    commit fan-out and its own state advance re-drive the barrier
+//!    safely — unless this node restarted since: the kept claims are
+//!    never durable, so it refuses the re-drive.
 //!
 //! The node never sees another node's users and never computes truths:
 //! global state lives in the coordinator's merge and comes back to rest
@@ -49,11 +56,12 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use dptd_engine::shard::{ShardEpochStats, ShardState};
+use dptd_engine::shard::ShardState;
 use dptd_engine::store::{DirFs, StoreConfig, StoreObserver};
 use dptd_engine::wal::{RecordKind, RecordLog, WalLock, WalPolicy};
 use dptd_engine::{recovery::recover_replay, EpochRecord};
 use dptd_obs::{names, MetricValue};
+use dptd_protocol::budget::BudgetAccountant;
 use dptd_protocol::campaign::CampaignConfig;
 use dptd_protocol::message::StampedReport;
 use dptd_server::host::{
@@ -62,7 +70,6 @@ use dptd_server::host::{
 use dptd_server::{
     CampaignSpec, ErrorCode, Frontend, FrontendConfig, IoConfig, Request, RequestHandler, Response,
 };
-use dptd_truth::streaming::ShardClaims;
 use dptd_truth::Loss;
 
 use crate::replication::{replication_refusal, ReplicaApplier, ReplicationSender};
@@ -116,20 +123,19 @@ impl Default for NodeConfig {
     }
 }
 
-/// A round staged by `CloseRoundPrepare`, alive until its commit. Its
-/// survivors live in the campaign's [`ShardState`].
+/// The open round's bookkeeping beside the shard: opened by the first
+/// batch staged into the round (or by its first prepare), alive until
+/// its commit.
 #[derive(Debug)]
 struct StagedRound {
     epoch: u64,
-    /// The refusal set the barrier was driven with, sorted — a re-drive
-    /// with a different set is a coordinator bug and is refused.
-    refused: Vec<u64>,
-    /// Per refused user, whether a report of theirs was withheld.
+    /// Per spent-out user ([`NodeCampaign::exhausted`]), whether a
+    /// report of theirs was withheld.
     withheld: Vec<bool>,
-    /// The claims the last prepare replied with: the shard's rows, which
-    /// only a prepare moves, so the commit keeps them instead of copying
-    /// the rows again.
-    claims: Arc<ShardClaims>,
+    /// The last prepare's `Prepared` reply, `None` until one was sent:
+    /// the commit keeps it, claims (the shard's rows) shared, instead of
+    /// copying the rows again.
+    prepared: Option<Response>,
 }
 
 impl StagedRound {
@@ -145,10 +151,9 @@ impl StagedRound {
 #[derive(Debug)]
 struct CommittedPrepare {
     epoch: u64,
+    /// The refusal set the epoch was filtered and prepared under.
     refused: Vec<u64>,
-    refused_seen: u64,
-    claims: Arc<ShardClaims>,
-    stats: ShardEpochStats,
+    reply: Response,
 }
 
 /// One campaign partition on this node.
@@ -158,13 +163,18 @@ struct NodeCampaign {
     config: CampaignConfig,
     policy: WalPolicy,
     queue: SubmissionQueue,
-    /// The next round's submitted reports, in submission order, until a
-    /// prepare drains them into the round filter: the refused set they
-    /// are filtered against arrives with the prepare.
-    pending: Vec<StampedReport>,
-    /// The round filter, for the campaign's whole life: the staged
-    /// round's survivors so far, empty between a commit and the next
-    /// prepare.
+    /// Rounds a user can afford under the spec's per-round loss and
+    /// budget.
+    affordable: u32,
+    /// The local users this node's committed ledger has spent out
+    /// (`rounds_debited >= affordable`), ascending: withheld from every
+    /// batch staged into the open round, and the refusal set a prepare
+    /// must arrive with. Rebuilt at each commit, before the lookahead
+    /// is staged.
+    exhausted: Vec<u64>,
+    /// The round filter, for the campaign's whole life: the open
+    /// round's survivors so far, each batch filtered into it as it
+    /// arrives.
     shard: ShardState,
     staged: Option<StagedRound>,
     last_prepared: Option<CommittedPrepare>,
@@ -224,9 +234,10 @@ impl NodeCampaign {
         }
     }
 
-    /// Phase one. The drain and filter run under a `node.drain` span
-    /// and building the reply under a `node.reply` span, both children
-    /// of the coordinator's barrier span the frame carried.
+    /// Phase one. The checks run under a `node.drain` span and building
+    /// the reply under a `node.reply` span, both children of the
+    /// coordinator's barrier span the frame carried. The reports are
+    /// already filtered: each batch entered the shard as it arrived.
     fn prepare(&mut self, epoch: u64, refused: Vec<u64>) -> Response {
         let drain = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_DRAIN, epoch);
         if refused.iter().any(|&u| u as usize >= self.local_users) {
@@ -240,9 +251,9 @@ impl NodeCampaign {
         refused_sorted.dedup();
 
         // A barrier re-drive for the epoch this node already committed:
-        // replay the frozen prepare (the queue was drained into it and
-        // the commit sealed it). Only a restart loses it: the claims are
-        // not in the durable record, so the round cannot be re-driven.
+        // replay the frozen prepare (the commit sealed it). Only a
+        // restart loses it: the claims are not in the durable record,
+        // so the round cannot be re-driven.
         if epoch + 1 == self.queue.next_epoch() {
             let Some(last) = self.last_prepared.as_ref().filter(|p| p.epoch == epoch) else {
                 return refuse(
@@ -262,13 +273,7 @@ impl NodeCampaign {
             }
             drop(drain);
             let _reply = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_REPLY, epoch);
-            return Response::Prepared {
-                epoch,
-                duplicates: last.stats.duplicates_discarded as u64,
-                late: last.stats.late_dropped,
-                refused_seen: last.refused_seen,
-                claims: Arc::clone(&last.claims),
-            };
+            return last.reply.clone();
         }
         if epoch != self.queue.next_epoch() {
             return refuse(
@@ -279,47 +284,34 @@ impl NodeCampaign {
                 ),
             );
         }
-        if let Some(staged) = &self.staged {
-            if staged.refused != refused_sorted {
-                return refuse(
-                    ErrorCode::InvalidRequest,
-                    "barrier re-driven with a different refusal set",
-                );
-            }
+        // The round was filtered against this node's ledger; the
+        // coordinator's ledger must name the same users.
+        if refused_sorted != self.exhausted {
+            return refuse(
+                ErrorCode::InvalidRequest,
+                format!(
+                    "the refusal set differs from this node's ledger ({} refused, {} spent out)",
+                    refused_sorted.len(),
+                    self.exhausted.len()
+                ),
+            );
         }
-        // Drain everything queued for this epoch: refusal withhold
-        // first, then the shard's deadline + first-wins — the exact
-        // driver order.
-        let pending = std::mem::take(&mut self.pending);
         self.queue.release();
-        dptd_obs::trace::instant(dptd_obs::codes::DEQUEUE, pending.len() as u64);
-        let staged = self.staged.get_or_insert_with(|| StagedRound {
-            epoch,
-            withheld: vec![false; refused_sorted.len()],
-            refused: refused_sorted,
-            claims: Arc::default(),
-        });
-        for stamped in pending {
-            match staged.refused.binary_search(&(stamped.report.user as u64)) {
-                Ok(index) => staged.withheld[index] = true,
-                Err(_) => {
-                    self.shard.ingest(stamped);
-                }
-            }
-        }
+        let staged = open_round(&mut self.staged, &self.exhausted, epoch);
         drop(drain);
         // The reply: the shard's rows so far, users ascending. A row's
         // user is its local slot and its claims keep report order, so
         // each row is the report that first won its slot.
         let _reply = dptd_obs::TraceScope::begin(dptd_obs::codes::NODE_REPLY, epoch);
-        staged.claims = Arc::new(self.shard.claims());
-        Response::Prepared {
+        let reply = Response::Prepared {
             epoch,
             duplicates: self.shard.duplicates_discarded() as u64,
             late: self.shard.late_dropped(),
             refused_seen: staged.refused_seen(),
-            claims: Arc::clone(&staged.claims),
-        }
+            claims: Arc::new(self.shard.claims()),
+        };
+        staged.prepared = Some(reply.clone());
+        reply
     }
 
     fn commit(
@@ -387,47 +379,104 @@ impl NodeCampaign {
                 ),
             );
         }
-        let Some(staged) = self.staged.take() else {
+        let Some(reply) = self.staged.as_ref().and_then(|s| s.prepared.clone()) else {
             return refuse(
                 ErrorCode::InvalidRequest,
                 format!("commit for epoch {epoch} without a prepared round"),
             );
         };
-        debug_assert_eq!(staged.epoch, epoch, "stage/commit epoch mismatch");
         if let Some(log) = self.log.as_mut() {
             if let Err(e) = log.append_record(&record) {
-                // The append failed atomically; restore the stage so the
-                // barrier can be re-driven.
-                self.staged = Some(staged);
+                // The append failed atomically; the staged round stays,
+                // so the barrier can be re-driven.
                 return refuse(ErrorCode::WalRefused, e.to_string());
             }
         }
-        // The staged claims are the shard's rows: close the epoch
+        // The prepared claims are the shard's rows: close the epoch
         // without copying them again.
-        let stats = self.shard.end_epoch();
-        self.committed_accepted += stats.accepted as u64;
+        self.staged = None;
+        self.committed_accepted += self.shard.end_epoch().accepted as u64;
+        // The record's debits decide the next round's refusals — before
+        // the lookahead is staged into it.
+        let next_exhausted = spent_out(&record.rounds_debited, self.affordable);
         self.last_prepared = Some(CommittedPrepare {
             epoch,
-            refused_seen: staged.refused_seen(),
-            refused: staged.refused,
-            claims: staged.claims,
-            stats,
+            refused: std::mem::replace(&mut self.exhausted, next_exhausted),
+            reply,
         });
         self.history.push_back(record);
         while self.history.len() > LEDGER_HISTORY {
             self.history.pop_front();
         }
-        let pending = &mut self.pending;
-        let buffered = self.queue.advance(|_, batch| {
-            pending.extend(batch);
-            Ok(())
-        });
-        debug_assert!(buffered.is_ok(), "buffering cannot fail");
+        let Self {
+            queue,
+            shard,
+            staged,
+            exhausted,
+            ..
+        } = self;
+        let staged = queue.advance(|next, batch| stage(shard, staged, exhausted, next, batch));
+        debug_assert!(staged.is_ok(), "staging cannot fail");
         Response::Committed {
             epoch,
             appended: true,
         }
     }
+}
+
+/// The users `rounds_debited` has spent out under `affordable` rounds a
+/// user, ascending.
+fn spent_out(rounds_debited: &[u32], affordable: u32) -> Vec<u64> {
+    (0u64..)
+        .zip(rounds_debited)
+        .filter(|&(_, &debits)| debits >= affordable)
+        .map(|(user, _)| user)
+        .collect()
+}
+
+/// `staged`, opened for `epoch` with nothing withheld if no batch or
+/// prepare has opened it yet.
+fn open_round<'a>(
+    staged: &'a mut Option<StagedRound>,
+    exhausted: &[u64],
+    epoch: u64,
+) -> &'a mut StagedRound {
+    let round = staged.get_or_insert_with(|| StagedRound {
+        epoch,
+        withheld: vec![false; exhausted.len()],
+        prepared: None,
+    });
+    debug_assert_eq!(round.epoch, epoch, "a round is staged for another epoch");
+    round
+}
+
+/// The node's stage step: a batch of the open round enters its filter
+/// now, on the thread that decoded it. Spent-out users are withheld
+/// first, every other report goes through the shard's deadline and
+/// first-wins checks — the exact driver order.
+fn stage(
+    shard: &mut ShardState,
+    staged: &mut Option<StagedRound>,
+    exhausted: &[u64],
+    epoch: u64,
+    batch: Vec<StampedReport>,
+) -> Result<(), Response> {
+    let count = batch.len() as u64;
+    dptd_obs::trace::instant(dptd_obs::codes::DEQUEUE, count);
+    let _span = dptd_obs::TraceScope::begin(dptd_obs::codes::STAGE, count);
+    let round = open_round(staged, exhausted, epoch);
+    // Borrowed, and the batch freed whole afterwards, as the engine's
+    // stage does.
+    for stamped in &batch {
+        match exhausted.binary_search(&(stamped.report.user as u64)) {
+            Ok(index) => round.withheld[index] = true,
+            Err(_) => {
+                shard.ingest_borrowed(stamped);
+            }
+        }
+    }
+    drop(batch);
+    Ok(())
 }
 
 impl Hosted for NodeCampaign {
@@ -511,11 +560,16 @@ impl NodeState {
             Request::SubmitReports {
                 campaign, reports, ..
             } => self.host.with(&campaign, |part| {
-                let NodeCampaign { queue, pending, .. } = part;
                 let (users, objects) = (part.local_users, part.config.num_objects);
-                queue.offer(reports, users, objects, NOUN, |_, batch| {
-                    pending.extend(batch);
-                    Ok(())
+                let NodeCampaign {
+                    queue,
+                    shard,
+                    staged,
+                    exhausted,
+                    ..
+                } = part;
+                queue.offer(reports, users, objects, NOUN, |epoch, batch| {
+                    stage(shard, staged, exhausted, epoch, batch)
                 })
             }),
             Request::CloseRoundPrepare {
@@ -597,8 +651,12 @@ impl NodeState {
             return Ok(response);
         }
         self.host.vacancy(campaign)?;
+        let affordable = BudgetAccountant::new(1, config.per_round_loss, config.budget)
+            .map_err(|e| refuse(ErrorCode::InvalidRequest, e.to_string()))?
+            .affordable_rounds();
 
         let mut next_epoch = 0u64;
+        let mut exhausted = Vec::new();
         let mut resumed_rounds = 0u64;
         let mut history = VecDeque::new();
         let mut log: Option<Box<dyn RecordLog>> = None;
@@ -626,6 +684,7 @@ impl NodeState {
                 .map_err(|e| refuse(ErrorCode::WalRefused, e.to_string()))?;
             next_epoch = recovered.next_epoch();
             resumed_rounds = recovered.records_applied;
+            exhausted = spent_out(&recovered.rounds_debited, affordable);
             for record in replay
                 .records
                 .iter()
@@ -647,7 +706,8 @@ impl NodeState {
                 config,
                 policy,
                 queue: SubmissionQueue::new(capacity, next_epoch),
-                pending: Vec::new(),
+                affordable,
+                exhausted,
                 shard: ShardState::new(
                     0,
                     1,
@@ -856,6 +916,7 @@ impl NodeServer {
 mod tests {
     use super::*;
     use dptd_core::roles::PerturbedReport;
+    use dptd_protocol::campaign::{CampaignDriver, DriverRound, SimBackend};
     use dptd_protocol::message::StampedReport;
     use dptd_server::client::PreparedOutcome;
     use dptd_server::Client;
@@ -963,30 +1024,169 @@ mod tests {
         node.shutdown();
     }
 
+    /// A campaign whose budget affords one round, as the node and as the
+    /// in-process reference see it: a debited user is spent out.
+    fn one_round_spec(local_users: u64) -> CampaignSpec {
+        CampaignSpec {
+            budget_epsilon: 0.5,
+            ..spec(local_users)
+        }
+    }
+
+    fn reference(local_users: usize) -> CampaignDriver<SimBackend> {
+        let (config, _) = admit(&one_round_spec(local_users as u64), u64::MAX).unwrap();
+        CampaignDriver::new(SimBackend::new(local_users, Loss::Squared).unwrap(), config).unwrap()
+    }
+
+    /// Round 0 of a one-round campaign debits `user` alone: from round 1
+    /// on, the node's own ledger refuses `user`.
+    fn spend_out(client: &mut Client, local_users: usize, user: usize) {
+        client
+            .create_campaign("part", one_round_spec(local_users as u64))
+            .unwrap();
+        client
+            .submit_chunked("part", &[stamped(user, 0, 10, 1.0)], 8)
+            .unwrap();
+        client.close_round_prepare("part", 0, vec![]).unwrap();
+        let mut debits = vec![0; local_users];
+        debits[user] = 1;
+        let mut losses = vec![0.0; local_users];
+        losses[user] = 0.5;
+        client
+            .close_round_commit("part", 0, 1, vec![user as u64], losses, debits)
+            .unwrap();
+    }
+
+    /// Commit `epoch` with the reference's ledger after its round.
+    fn commit_as(
+        client: &mut Client,
+        reference: &CampaignDriver<SimBackend>,
+        epoch: u64,
+        prepared: &PreparedOutcome,
+    ) {
+        let debits = reference.accountant().debits_by_user().to_vec();
+        let accepted = prepared.claims.iter().map(|c| c.user as u64).collect();
+        let losses = vec![0.0; debits.len()];
+        client
+            .close_round_commit("part", epoch, epoch + 1, accepted, losses, debits)
+            .unwrap();
+    }
+
+    /// A node's prepare and the reference's round agree count for count.
+    fn assert_matches(prepared: &PreparedOutcome, expected: &DriverRound) {
+        assert_eq!(
+            (
+                prepared.claims.len(),
+                prepared.refused_seen,
+                prepared.duplicates,
+                prepared.late
+            ),
+            (
+                expected.accepted,
+                expected.refused_users as u64,
+                expected.duplicates_discarded,
+                expected.late_dropped
+            )
+        );
+    }
+
     #[test]
     fn refused_users_are_withheld_before_the_lane() {
         let node = NodeServer::start(NodeConfig::default()).unwrap();
         let mut client = Client::connect(node.local_addr()).unwrap();
-        client.create_campaign("part", spec(3)).unwrap();
+        spend_out(&mut client, 3, 1);
         client
             .submit_chunked(
                 "part",
                 &[
-                    stamped(0, 0, 10, 1.0),
-                    stamped(1, 0, 2_000, 2.0), // late — but refused first
-                    stamped(2, 0, 20, 3.0),
+                    stamped(0, 1, 10, 1.0),
+                    stamped(1, 1, 2_000, 2.0), // late — but refused first
+                    stamped(2, 1, 20, 3.0),
                 ],
                 8,
             )
             .unwrap();
         // User 1 is refused: its late report is withheld before the
         // deadline cut, so it counts as refused, not late.
-        let prepared = client.close_round_prepare("part", 0, vec![1]).unwrap();
+        let prepared = client.close_round_prepare("part", 1, vec![1]).unwrap();
         assert_eq!(prepared.refused_seen, 1);
         assert_eq!(prepared.late, 0);
         assert_eq!(prepared.claims.len(), 2);
         // Re-driving with a different refusal set is refused.
-        assert!(client.close_round_prepare("part", 0, vec![2]).is_err());
+        assert!(client.close_round_prepare("part", 1, vec![2]).is_err());
+        node.shutdown();
+    }
+
+    /// The node filtered the round against its own ledger as it arrived,
+    /// so a prepare under any other refusal set — one user more, or one
+    /// fewer — is refused and moves nothing; the matching prepare then
+    /// equals the reference.
+    #[test]
+    fn a_prepare_under_another_refusal_set_is_refused_and_moves_nothing() {
+        let node = NodeServer::start(NodeConfig::default()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        client.create_campaign("part", one_round_spec(3)).unwrap();
+        let mut reference = reference(3);
+        // Round 0 spends users 0 and 1 out.
+        let round0 = [stamped(0, 0, 10, 1.0), stamped(1, 0, 20, 2.0)];
+        client.submit_chunked("part", &round0, 8).unwrap();
+        let prepared = client.close_round_prepare("part", 0, vec![]).unwrap();
+        assert_matches(&prepared, &reference.run_round(0, round0.to_vec()).unwrap());
+        commit_as(&mut client, &reference, 0, &prepared);
+
+        let round1 = [
+            stamped(2, 1, 10, 3.0),
+            stamped(1, 1, 20, 4.0),
+            stamped(0, 1, 2_000, 5.0), // late — but refused first
+            stamped(2, 1, 30, 6.0),    // duplicate
+        ];
+        client.submit_chunked("part", &round1, 8).unwrap();
+        let depth = names::campaign_metric("part", names::QUEUE_DEPTH);
+        let queued = |client: &mut Client| client.query_status().unwrap().scalar(&depth);
+        assert_eq!(queued(&mut client), Some(4));
+        for other in [vec![0, 1, 2], vec![0]] {
+            match client.close_round_prepare("part", 1, other.clone()) {
+                Err(dptd_server::ServerError::Remote { code, message }) => {
+                    assert_eq!(code, ErrorCode::InvalidRequest, "{other:?}");
+                    assert!(
+                        message.contains("differs from this node's ledger"),
+                        "{message}"
+                    );
+                }
+                reply => panic!("prepared under {other:?}: {reply:?}"),
+            }
+            assert_eq!(queued(&mut client), Some(4), "nothing released");
+        }
+        let prepared = client.close_round_prepare("part", 1, vec![1, 0]).unwrap();
+        assert_matches(&prepared, &reference.run_round(1, round1.to_vec()).unwrap());
+        assert_eq!(prepared.claims.len(), 1);
+        assert_eq!(prepared.claims[0].user, 2);
+        assert_eq!(queued(&mut client), Some(0));
+        node.shutdown();
+    }
+
+    /// A batch for epoch e + 1 submitted while e is open waits in the
+    /// queue and is staged when e commits — under the refusals e's
+    /// debits imply, so a user e spent out is withheld from it.
+    #[test]
+    fn a_lookahead_batch_is_staged_under_the_committed_rounds_refusals() {
+        let node = NodeServer::start(NodeConfig::default()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        client.create_campaign("part", one_round_spec(3)).unwrap();
+        let mut reference = reference(3);
+        let round0 = [stamped(0, 0, 10, 1.0), stamped(1, 0, 20, 2.0)];
+        let lookahead = [stamped(1, 1, 10, 3.0), stamped(2, 1, 20, 4.0)];
+        client.submit_chunked("part", &round0, 8).unwrap();
+        client.submit_chunked("part", &lookahead, 8).unwrap();
+        let prepared = client.close_round_prepare("part", 0, vec![]).unwrap();
+        assert_matches(&prepared, &reference.run_round(0, round0.to_vec()).unwrap());
+        commit_as(&mut client, &reference, 0, &prepared);
+
+        let prepared = client.close_round_prepare("part", 1, vec![0, 1]).unwrap();
+        let expected = reference.run_round(1, lookahead.to_vec()).unwrap();
+        assert_matches(&prepared, &expected);
+        assert_eq!((prepared.refused_seen, prepared.claims.len()), (1, 1));
+        assert_eq!(prepared.claims[0].user, 2, "spent-out user 1 withheld");
         node.shutdown();
     }
 
@@ -1027,27 +1227,27 @@ mod tests {
 
     /// A re-driven prepare of the committed epoch replays the frozen
     /// round byte for byte — the last staged reply's, not an earlier
-    /// one's — and the next round starts from an empty filter: last
-    /// round's users are first arrivals again.
+    /// one's — and the next round starts from an empty filter, under
+    /// the refusals the commit's debits imply.
     #[test]
     fn a_committed_prepare_replays_and_the_next_round_starts_clean() {
         let node = NodeServer::start(NodeConfig::default()).unwrap();
         let mut client = Client::connect(node.local_addr()).unwrap();
-        client.create_campaign("part", spec(3)).unwrap();
-        let round0 = [
-            stamped(2, 0, 10, 1.0),
-            stamped(0, 0, 20, 2.0),
-            stamped(2, 0, 30, 9.0),    // duplicate
-            stamped(1, 0, 5_000, 4.0), // late
-            stamped(1, 0, 40, 5.0),
+        spend_out(&mut client, 4, 1);
+        let round1 = [
+            stamped(2, 1, 10, 1.0),
+            stamped(0, 1, 20, 2.0),
+            stamped(2, 1, 30, 9.0),    // duplicate
+            stamped(1, 1, 5_000, 4.0), // late
+            stamped(1, 1, 40, 5.0),
         ];
         // An earlier prepare sees the first report only; the replay must
         // not return it.
-        client.submit_chunked("part", &round0[..1], 2).unwrap();
-        let early = client.close_round_prepare("part", 0, vec![1]).unwrap();
+        client.submit_chunked("part", &round1[..1], 2).unwrap();
+        let early = client.close_round_prepare("part", 1, vec![1]).unwrap();
         assert_eq!(early.claims.len(), 1);
-        client.submit_chunked("part", &round0[1..], 2).unwrap();
-        let staged = client.close_round_prepare("part", 0, vec![1]).unwrap();
+        client.submit_chunked("part", &round1[1..], 2).unwrap();
+        let staged = client.close_round_prepare("part", 1, vec![1]).unwrap();
         let users: Vec<usize> = staged.claims.iter().map(|c| c.user).collect();
         assert_eq!(
             users,
@@ -1066,7 +1266,7 @@ mod tests {
         let columns = |client: &mut Client| {
             let prepare = Request::CloseRoundPrepare {
                 campaign: "part".to_string(),
-                epoch: 0,
+                epoch: 1,
                 refused: vec![1],
                 ctx: None,
             };
@@ -1078,9 +1278,16 @@ mod tests {
         };
         let (last_claims, last) = columns(&mut client);
         client
-            .close_round_commit("part", 0, 1, vec![0, 2], vec![0.5, 0.0, 0.5], vec![1, 0, 1])
+            .close_round_commit(
+                "part",
+                1,
+                2,
+                vec![0, 2],
+                vec![0.5, 0.5, 0.5, 0.0],
+                vec![1, 1, 1, 0],
+            )
             .unwrap();
-        let replayed = client.close_round_prepare("part", 0, vec![1]).unwrap();
+        let replayed = client.close_round_prepare("part", 1, vec![1]).unwrap();
         assert_eq!(replayed, staged);
         assert_ne!(replayed, early);
         let (claims, replayed) = columns(&mut client);
@@ -1090,11 +1297,16 @@ mod tests {
         }
         assert_eq!(replayed, last);
 
+        // Round 1 spent users 0 and 2 out: only user 3 is left.
         client
-            .submit_chunked("part", &[stamped(2, 1, 10, 7.0)], 8)
+            .submit_chunked("part", &[stamped(2, 2, 10, 6.0), stamped(3, 2, 10, 7.0)], 8)
             .unwrap();
-        let next = client.close_round_prepare("part", 1, vec![]).unwrap();
+        let next = client
+            .close_round_prepare("part", 2, vec![0, 1, 2])
+            .unwrap();
         assert_eq!((next.claims.len(), next.duplicates, next.late), (1, 0, 0));
+        assert_eq!(next.refused_seen, 1);
+        assert_eq!(next.claims[0].user, 3);
         assert_eq!(next.claims[0].values, vec![(0, 7.0), (1, 8.0)]);
         node.shutdown();
     }

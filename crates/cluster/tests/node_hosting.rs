@@ -6,7 +6,8 @@
 //! hosts — a scripted sequence gets the same answers from a
 //! `CampaignRegistry` and from a node, and a claim the aggregation would
 //! refuse — or a frame of a retired kind — is refused by a `Server` and
-//! by a node alike.
+//! by a node alike. A durable node also rebuilds the refusal set it
+//! filters with from its log when it restarts.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -608,4 +609,51 @@ fn a_retired_kind_is_refused_typed_by_a_server_and_by_a_node() {
     }
     server.shutdown();
     node.shutdown();
+}
+
+/// A durable node rebuilds its refusal set from its log: after the
+/// round that spent user 1 out, a restarted node still withholds user
+/// 1's report, and refuses a barrier that would let it in.
+#[test]
+fn a_restarted_durable_node_withholds_the_users_its_log_spent_out() {
+    let root = std::env::temp_dir().join(format!("dptd-node-ledger-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = || NodeConfig {
+        wal_root: Some(root.clone()),
+        ..NodeConfig::default()
+    };
+    // One round of budget each: a debited user is spent out.
+    let one_round = CampaignSpec {
+        budget_epsilon: 0.5,
+        durable: true,
+        ..spec(3, 64)
+    };
+    let node = NodeServer::start(config()).unwrap();
+    let mut client = Client::connect(node.local_addr()).unwrap();
+    client.create_campaign("d", one_round).unwrap();
+    client.submit_chunked("d", &[stamped(0, 1)], 8).unwrap();
+    client.close_round_prepare("d", 0, vec![]).unwrap();
+    client
+        .close_round_commit("d", 0, 1, vec![1], vec![0.0, 0.5, 0.0], vec![0, 1, 0])
+        .unwrap();
+    drop(client);
+    node.shutdown();
+
+    let node = NodeServer::start(config()).unwrap();
+    let mut client = Client::connect(node.local_addr()).unwrap();
+    assert_eq!(client.create_campaign("d", one_round).unwrap(), 1);
+    client
+        .submit_chunked("d", &[stamped(1, 0), stamped(1, 1), stamped(1, 2)], 8)
+        .unwrap();
+    let refused = client.close_round_prepare("d", 1, vec![]);
+    assert!(
+        is_invalid_request(&refused.map(|p| p.epoch)),
+        "user 1 let in"
+    );
+    let prepared = client.close_round_prepare("d", 1, vec![1]).unwrap();
+    assert_eq!(prepared.refused_seen, 1);
+    let users: Vec<usize> = prepared.claims.iter().map(|c| c.user).collect();
+    assert_eq!(users, [0, 2], "user 1 withheld");
+    node.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -147,8 +147,9 @@ impl ShardState {
     }
 
     /// [`ShardState::ingest`] without taking the report: the engine's
-    /// workers keep a chunk whole so that it is freed in one place.
-    pub(crate) fn ingest_borrowed(&mut self, stamped: &StampedReport) -> bool {
+    /// workers and a stage step keep a batch whole so that it is freed
+    /// in one place.
+    pub fn ingest_borrowed(&mut self, stamped: &StampedReport) -> bool {
         let user = stamped.report.user;
         assert!(
             self.owns(user),
