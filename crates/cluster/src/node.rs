@@ -28,7 +28,9 @@
 //! 2. `CloseRoundCommit` durably appends the node's slice of the merged
 //!    round — the coordinator computed it; the node just persists an
 //!    [`EpochRecord`] to its segmented store and acks — then closes the
-//!    shard's epoch. The claims the last prepare replied with (shared
+//!    shard's epoch. A batch staged after the last prepare is discarded
+//!    with it, unless a re-driven prepare included it: the commit seals
+//!    the prepared reply. The claims the last prepare replied with (shared
 //!    with that reply, never copied again) and the counts are kept so a
 //!    re-driven prepare of that epoch replays them, and the reset shard
 //!    serves the next round with its allocations kept. The record's
@@ -379,7 +381,12 @@ impl NodeCampaign {
                 ),
             );
         }
-        let Some(reply) = self.staged.as_ref().and_then(|s| s.prepared.clone()) else {
+        let Some((reply, rows)) = self.staged.as_ref().and_then(|s| match &s.prepared {
+            Some(reply @ Response::Prepared { claims, .. }) => {
+                Some((reply.clone(), claims.columns().0.len()))
+            }
+            _ => None,
+        }) else {
             return refuse(
                 ErrorCode::InvalidRequest,
                 format!("commit for epoch {epoch} without a prepared round"),
@@ -393,9 +400,11 @@ impl NodeCampaign {
             }
         }
         // The prepared claims are the shard's rows: close the epoch
-        // without copying them again.
+        // without copying them again. The round aggregated the prepared
+        // rows only; a batch staged after that prepare is discarded here.
         self.staged = None;
-        self.committed_accepted += self.shard.end_epoch().accepted as u64;
+        self.shard.end_epoch();
+        self.committed_accepted += rows as u64;
         // The record's debits decide the next round's refusals — before
         // the lookahead is staged into it.
         let next_exhausted = spent_out(&record.rounds_debited, self.affordable);
@@ -1222,6 +1231,29 @@ mod tests {
         let prepared = client.close_round_prepare("part", 1, vec![]).unwrap();
         assert_eq!((prepared.claims.len(), prepared.late), (2, 1));
         assert_eq!(accepted(&mut client), Some(MetricValue::Counter(2 + 2)));
+        node.shutdown();
+    }
+
+    /// A batch staged after the last prepare is not in the committed
+    /// round, so the commit does not count it as accepted.
+    #[test]
+    fn accepted_skips_a_batch_staged_after_the_prepare() {
+        let node = NodeServer::start(NodeConfig::default()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        client.create_campaign("part", spec(3)).unwrap();
+        let key = names::campaign_metric("part", names::ACCEPTED);
+
+        let round0 = [stamped(0, 0, 10, 1.0), stamped(1, 0, 20, 2.0)];
+        client.submit_chunked("part", &round0, 8).unwrap();
+        client.close_round_prepare("part", 0, vec![]).unwrap();
+        client
+            .submit_chunked("part", &[stamped(2, 0, 30, 3.0)], 8)
+            .unwrap();
+        client
+            .close_round_commit("part", 0, 1, vec![0, 1], vec![0.5, 0.5, 0.0], vec![1, 1, 0])
+            .unwrap();
+        let status = client.query_status().unwrap();
+        assert_eq!(status.get(&key), Some(&MetricValue::Counter(2)));
         node.shutdown();
     }
 

@@ -47,8 +47,6 @@ pub struct pollfd {
 
 /// Data may be read without blocking.
 pub const POLLIN: c_short = 0x001;
-/// Urgent data may be read.
-pub const POLLPRI: c_short = 0x002;
 /// Data may be written without blocking.
 pub const POLLOUT: c_short = 0x004;
 /// An error condition is pending (revents only).

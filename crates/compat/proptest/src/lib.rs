@@ -84,20 +84,6 @@ pub mod strategy {
         {
             FlatMap { inner: self, f }
         }
-
-        /// Keep only values satisfying `pred` (rejection sampling with a
-        /// bounded retry budget).
-        fn prop_filter<F>(self, whence: &'static str, pred: F) -> Filter<Self, F>
-        where
-            Self: Sized,
-            F: Fn(&Self::Value) -> bool,
-        {
-            Filter {
-                inner: self,
-                whence,
-                pred,
-            }
-        }
     }
 
     /// Output of [`Strategy::prop_map`].
@@ -139,32 +125,6 @@ pub mod strategy {
         }
     }
 
-    /// Output of [`Strategy::prop_filter`].
-    #[derive(Debug, Clone)]
-    pub struct Filter<S, F> {
-        inner: S,
-        whence: &'static str,
-        pred: F,
-    }
-
-    impl<S, F> Strategy for Filter<S, F>
-    where
-        S: Strategy,
-        F: Fn(&S::Value) -> bool,
-    {
-        type Value = S::Value;
-
-        fn sample(&self, rng: &mut StdRng) -> S::Value {
-            for _ in 0..1_000 {
-                let v = self.inner.sample(rng);
-                if (self.pred)(&v) {
-                    return v;
-                }
-            }
-            panic!("prop_filter retry budget exhausted: {}", self.whence);
-        }
-    }
-
     /// Strategy that always yields a clone of one value.
     #[derive(Debug, Clone)]
     pub struct Just<T: Clone>(pub T);
@@ -194,7 +154,7 @@ pub mod strategy {
         )*};
     }
 
-    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
 
     macro_rules! impl_tuple_strategy {
         ($(($($name:ident),+))*) => {$(

@@ -19,26 +19,6 @@
 pub trait RngCore {
     /// Next uniform 64-bit word.
     fn next_u64(&mut self) -> u64;
-
-    /// Next uniform 32-bit word.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fill `dest` with uniform bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&word[..n]);
-        }
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// Types that can be sampled uniformly from a generator (the subset of
@@ -54,35 +34,10 @@ impl SampleStandard for u64 {
     }
 }
 
-impl SampleStandard for u32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl SampleStandard for usize {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as usize
-    }
-}
-
-impl SampleStandard for bool {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl SampleStandard for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl SampleStandard for f32 {
-    /// Uniform in `[0, 1)` with 24 bits of precision.
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -174,25 +129,6 @@ impl SampleRange for core::ops::RangeInclusive<f64> {
         let (lo, hi) = (*self.start(), *self.end());
         assert!(lo <= hi, "gen_range: empty inclusive range");
         let u = f64::sample_standard(rng);
-        lo + u * (hi - lo)
-    }
-}
-
-impl SampleRange for core::ops::Range<f32> {
-    type Output = f32;
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f32 {
-        assert!(self.start < self.end, "gen_range: empty range");
-        let u = f32::sample_standard(rng);
-        self.start + u * (self.end - self.start)
-    }
-}
-
-impl SampleRange for core::ops::RangeInclusive<f32> {
-    type Output = f32;
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f32 {
-        let (lo, hi) = (*self.start(), *self.end());
-        assert!(lo <= hi, "gen_range: empty inclusive range");
-        let u = f32::sample_standard(rng);
         lo + u * (hi - lo)
     }
 }

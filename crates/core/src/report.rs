@@ -1,8 +1,6 @@
 //! Experiment reporting: per-run metrics and the Fig. 7 weight
 //! comparison.
 
-use serde::{Deserialize, Serialize};
-
 use dptd_sensing::SensingDataset;
 use dptd_truth::crh::Crh;
 use dptd_truth::ObservationMatrix;
@@ -11,7 +9,7 @@ use crate::mechanism::PrivateRun;
 use crate::CoreError;
 
 /// The metrics every figure of the paper is built from, for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunMetrics {
     /// MAE between aggregates on original vs perturbed data (the paper's
     /// utility axis).
@@ -58,7 +56,7 @@ impl RunMetrics {
 /// The Fig. 7 artefact: per-user true weights (computed against ground
 /// truth with the CRH weight formula) versus the weights CRH estimated,
 /// on both original and perturbed data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightComparison {
     /// Weight each user *deserves* on the original data (CRH weight
     /// formula evaluated against ground truth).

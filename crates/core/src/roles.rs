@@ -6,7 +6,6 @@
 //! variance a user sampled never leaves [`User::respond`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dptd_ldp::RandomizedVarianceGaussian;
 use dptd_truth::{ObservationMatrix, TruthDiscoverer, TruthDiscoveryResult};
@@ -16,7 +15,7 @@ use crate::CoreError;
 /// The public hyper-parameter the server broadcasts (step 1/3 of
 /// Algorithm 2). Only `λ₂` — the *distribution* of noise variances — is
 /// public; realised variances stay on-device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperParameter {
     /// Rate of the exponential distribution users draw noise variances
     /// from.
@@ -24,14 +23,14 @@ pub struct HyperParameter {
 }
 
 /// A task assignment: which objects a user is asked to observe.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskAssignment {
     /// Object indices assigned to the user.
     pub objects: Vec<usize>,
 }
 
 /// One user's perturbed submission (step 5 of Algorithm 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerturbedReport {
     /// The submitting user's index.
     pub user: usize,

@@ -7,8 +7,6 @@
 //! `Δ`; requiring `Δ²/(2y) ≤ ε` with probability at least `1 − δ` over
 //! `y ~ Exp(λ₂)` yields `exp(−λ₂·Δ²/(2ε)) ≥ 1 − δ`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::LdpError;
 
 /// An `(ε, δ)` privacy loss.
@@ -23,7 +21,7 @@ use crate::LdpError;
 /// let c = a.compose(&b);
 /// assert!((c.epsilon() - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyLoss {
     epsilon: f64,
     delta: f64,

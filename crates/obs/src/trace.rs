@@ -48,15 +48,15 @@ pub mod codes {
     /// A batch refused at the bounded queue (instant; arg = queue cap).
     pub const QUEUE_FULL: u32 = 7;
     /// A report batch entering the engine's round filter (instant; arg
-    /// = count): a served submit batch as it is staged, a node's buffer
-    /// as its prepare drains it.
+    /// = count): a submit batch as a served campaign or a cluster node
+    /// stages it.
     pub const DEQUEUE: u32 = 8;
     /// A cluster barrier prepare phase (span; arg = epoch).
     pub const BARRIER_PREPARE: u32 = 9;
     /// A cluster barrier commit phase (span; arg = epoch).
     pub const BARRIER_COMMIT: u32 = 10;
-    /// A node draining its queue into its round filter under a barrier
-    /// prepare (span; arg = epoch). Building the reply is `node.reply`.
+    /// A node's barrier prepare checking the coordinator's refusal set
+    /// (span; arg = epoch). Building the reply is `node.reply`.
     pub const NODE_DRAIN: u32 = 11;
     /// A node durably committing its slice of a merged round (span;
     /// arg = epoch).

@@ -285,8 +285,9 @@ pub struct CampaignDriver<B> {
     /// Reports [`CampaignDriver::stage`] passed to the backend since the
     /// last close.
     staged_reports: usize,
-    /// Users whose staged reports were withheld since the last close,
-    /// ascending and distinct.
+    /// Users whose staged reports were withheld since the last close, in
+    /// stream order with repeats: [`CampaignDriver::run_round`] sorts and
+    /// dedups them once, at the close.
     staged_refused: Vec<usize>,
 }
 
@@ -406,8 +407,6 @@ impl<B: RoundBackend> CampaignDriver<B> {
         self.backend.stage(epoch, reports)?;
         self.staged_reports += passed;
         self.staged_refused.extend(refused);
-        self.staged_refused.sort_unstable();
-        self.staged_refused.dedup();
         Ok(())
     }
 

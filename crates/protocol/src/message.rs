@@ -5,12 +5,10 @@
 //! [`Message::Submit`] is ever constructed, so an adversary observing the
 //! transport — or the server itself — only ever sees perturbed data.
 
-use serde::{Deserialize, Serialize};
-
 use dptd_core::roles::{HyperParameter, PerturbedReport, TaskAssignment};
 
 /// Address of a protocol participant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeId {
     /// The aggregation server.
     Server,
@@ -18,8 +16,8 @@ pub enum NodeId {
     User(usize),
 }
 
-/// Protocol messages (all serde-serialisable).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Protocol messages.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Server → user: task list plus the public noise hyper-parameter
     /// (steps 1+3 of Algorithm 2).
@@ -49,7 +47,7 @@ pub enum Message {
 /// batch, and the send time lets the server apply the same deadline
 /// cut-off the discrete-event simulator applies (`sent_at_us` past the
 /// epoch deadline ⇒ the report is dropped as late).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StampedReport {
     /// Which epoch (object wave) the report answers.
     pub epoch: u64,
@@ -60,7 +58,7 @@ pub struct StampedReport {
 }
 
 /// A message in flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Sender.
     pub from: NodeId,
@@ -80,14 +78,6 @@ mod tests {
     fn node_ids_are_distinct() {
         assert_ne!(NodeId::Server, NodeId::User(0));
         assert_ne!(NodeId::User(0), NodeId::User(1));
-    }
-
-    #[test]
-    fn messages_are_serde() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<Message>();
-        assert_serde::<Envelope>();
-        assert_serde::<NodeId>();
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!   systematically high/low) with proportional noise.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dptd_stats::dist::{Continuous, Normal, Uniform};
 use dptd_truth::ObservationMatrix;
@@ -20,7 +19,7 @@ use dptd_truth::ObservationMatrix;
 use crate::{Population, SensingDataset, SensingError};
 
 /// Configuration for the air-quality grid world.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AirQualityConfig {
     /// Grid side length; the world has `side × side` cells (objects).
     pub side: usize,

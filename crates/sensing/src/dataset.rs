@@ -1,8 +1,6 @@
 //! The bundle a sensing simulation produces: ground truth, user quality,
 //! and the observation matrix.
 
-use serde::{Deserialize, Serialize};
-
 use dptd_truth::ObservationMatrix;
 
 use crate::Population;
@@ -11,7 +9,7 @@ use crate::Population;
 ///
 /// `ground_truths[n]` is the true value of object `n`; `observations` holds
 /// what each user actually reported (before any privacy perturbation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensingDataset {
     /// True value per object.
     pub ground_truths: Vec<f64>,

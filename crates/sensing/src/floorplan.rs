@@ -25,7 +25,6 @@
 //! scales with length — the same structure the paper exploits.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dptd_stats::dist::{Continuous, Normal, Uniform};
 use dptd_truth::ObservationMatrix;
@@ -33,7 +32,7 @@ use dptd_truth::ObservationMatrix;
 use crate::{Population, SensingDataset, SensingError};
 
 /// Configuration for the floor-plan walk simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FloorplanConfig {
     /// Number of hallway segments (paper: 129).
     pub num_segments: usize,

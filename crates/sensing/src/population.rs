@@ -6,7 +6,6 @@
 //! aggregation worthwhile.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dptd_stats::dist::{Continuous, Exponential};
 
@@ -30,7 +29,7 @@ use crate::SensingError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     error_variances: Vec<f64>,
     lambda1: f64,

@@ -5,7 +5,6 @@
 //! both the ground truth information and the sampled error."*
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dptd_stats::dist::{Continuous, Normal, Uniform};
 use dptd_truth::ObservationMatrix;
@@ -13,7 +12,7 @@ use dptd_truth::ObservationMatrix;
 use crate::{Population, SensingDataset, SensingError};
 
 /// Configuration for the synthetic world.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of users `S` (paper: 150).
     pub num_users: usize,

@@ -164,7 +164,7 @@ pub struct BudgetOutcome {
 /// crossed the wire in, plus the filter's drop counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedOutcome {
-    /// The epoch that was drained.
+    /// The epoch that was prepared.
     pub epoch: u64,
     /// Duplicates discarded.
     pub duplicates: u64,
@@ -576,8 +576,8 @@ impl Client {
         }
     }
 
-    /// Phase one of the cluster barrier: drain and filter the node's
-    /// queue for `epoch` without committing anything. The reply's claim
+    /// Phase one of the cluster barrier: the node's filtered survivors
+    /// for `epoch` so far, without committing anything. The reply's claim
     /// columns come back one [`PerturbedReport`] per row.
     ///
     /// # Errors

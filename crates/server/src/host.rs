@@ -12,8 +12,8 @@
 //! * **Queue** — [`SubmissionQueue`]: bounded, batch-atomic admission
 //!   with one round of lookahead. It hands each batch of the next round
 //!   to the host's stage step as it arrives: the campaign server filters
-//!   it into its engine there and then, the node buffers it for its
-//!   prepare.
+//!   it into its engine there and then, the node into its partition's
+//!   round filter.
 //! * **Spec admission** — [`admit`]: a wire [`CampaignSpec`] becomes a
 //!   validated `(CampaignConfig, WalPolicy)` before anything
 //!   `O(users)` is allocated.
@@ -460,8 +460,8 @@ fn addressed(request: &Request) -> (Option<&str>, Option<SpanContext>) {
 
 /// A slot's **bounded** submission queue. It admits each batch, hands a
 /// batch of the next round to the host's *stage step* as it arrives (a
-/// campaign server filters it into its engine, a cluster node buffers it
-/// until prepare), and buffers one round of lookahead itself. A batch
+/// campaign server filters it into its engine, a cluster node into its
+/// partition's round filter), and buffers one round of lookahead itself. A batch
 /// that would overflow is refused with [`Response::Busy`] (taken
 /// atomically or not at all — a host never buffers unboundedly and never
 /// tears a batch).
@@ -607,8 +607,8 @@ impl SubmissionQueue {
     }
 
     /// The host took the next round's staged reports — a close ran over
-    /// them, or a prepare drained them — so they no longer count against
-    /// the bound. A close that fails does not give them back.
+    /// them, or a prepare replied with them — so they no longer count
+    /// against the bound. A close that fails does not give them back.
     pub fn release(&mut self) {
         self.staged = 0;
     }

@@ -1229,12 +1229,12 @@ frames! {
             /// Total nodes the sender believes the cluster has.
             num_nodes: u32,
         },
-        /// Phase one of the cluster's two-phase round barrier: drain the
-        /// node's submission queue for `epoch`, filter it exactly as a
-        /// round close would (refusal withhold → deadline → first-wins
-        /// dedup), and return the surviving claims **without** touching
-        /// durable state. The coordinator merges all nodes' claims before
-        /// anything commits.
+        /// Phase one of the cluster's two-phase round barrier: check the
+        /// refusal set against the node's ledger and return the claims
+        /// that survived `epoch`'s filter so far (each batch filtered on
+        /// arrival: refusal withhold → deadline → first-wins dedup)
+        /// **without** touching durable state. The coordinator merges all
+        /// nodes' claims before anything commits.
         0x08 => CloseRoundPrepare {
             /// Target campaign.
             campaign: String as CampaignId,
@@ -1427,7 +1427,7 @@ frames! {
         /// Phase-one result: the node's filtered claims for the epoch, as
         /// columns.
         0x8a => Prepared {
-            /// The epoch that was drained.
+            /// The epoch that was prepared.
             epoch: u64,
             /// Duplicates discarded by the node's first-wins filter.
             duplicates: u64,

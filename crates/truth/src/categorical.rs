@@ -6,14 +6,12 @@
 //! the categorical aggregation side so the workspace covers both, pairing
 //! with `dptd_ldp::randomized_response` for the private front-end.
 
-use serde::{Deserialize, Serialize};
-
 use crate::convergence::Convergence;
 use crate::TruthError;
 
 /// A sparse matrix of categorical claims: `S` users × `N` objects, each
 /// observed cell holding a category in `0..k`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategoricalMatrix {
     num_users: usize,
     num_objects: usize,

@@ -4,8 +4,6 @@
 //! smaller than a threshold"*, with a cap on iteration count; this module
 //! encodes exactly that rule.
 
-use serde::{Deserialize, Serialize};
-
 use crate::TruthError;
 
 /// Convergence policy: stop when the mean absolute change in truths between
@@ -23,7 +21,7 @@ use crate::TruthError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Convergence {
     tolerance: f64,
     max_iterations: usize,

@@ -5,10 +5,8 @@
 //! squared loss by the per-object spread so objects on different scales
 //! contribute comparably.
 
-use serde::{Deserialize, Serialize};
-
 /// The distance function used in weight estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Loss {
     /// Squared distance `(x − x*)²`.
     Squared,

@@ -4,8 +4,6 @@
 //! micro-task — so the matrix stores `Option<f64>` cells and all algorithms
 //! aggregate over *observed* cells only.
 
-use serde::{Deserialize, Serialize};
-
 use crate::TruthError;
 
 /// A (possibly sparse) matrix of continuous observations: `S` users
@@ -28,7 +26,7 @@ use crate::TruthError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservationMatrix {
     num_users: usize,
     num_objects: usize,
@@ -391,10 +389,8 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_serde_and_send_sync() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
+    fn matrix_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_serde::<ObservationMatrix>();
         assert_send_sync::<ObservationMatrix>();
     }
 }
