@@ -33,10 +33,10 @@
 //!   compactor writes full-state snapshot records then garbage-collects
 //!   everything they cover, bounding disk and recovery time for
 //!   long-running campaigns.
-//! * [`recovery`] — [`Engine::recover`]/[`RecoveredState`]: replay a log
-//!   to rebuild the carried estimator and the per-user budget ledger
-//!   bit-identically after a crash, seeking to the newest snapshot when
-//!   the log is segmented.
+//! * [`recovery`] — [`recovery::recover_replay`]/[`RecoveredState`]:
+//!   replay a log to rebuild the carried estimator and the per-user
+//!   budget ledger bit-identically after a crash, seeking to the newest
+//!   snapshot when the log is segmented.
 //!
 //! # Example
 //!

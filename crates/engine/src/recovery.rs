@@ -1,8 +1,8 @@
 //! Crash recovery: rebuild mid-campaign state from a write-ahead log.
 //!
 //! Recovery replays the committed [`EpochRecord`]s of a log (torn tails
-//! already classified by [`wal::replay`]) and rebuilds the two things a
-//! crash must not lose:
+//! already classified by [`wal::replay`](crate::wal::replay)) and
+//! rebuilds the two things a crash must not lose:
 //!
 //! 1. the carried [`StreamingCrh`] estimator — restored **bit-identically**
 //!    from the last committed record's cumulative-loss snapshot, and
@@ -24,8 +24,7 @@
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::Loss;
 
-use crate::engine::Engine;
-use crate::wal::{self, EpochRecord, RecordKind, Replay, WalError, WalPolicy, WalSink};
+use crate::wal::{EpochRecord, RecordKind, Replay, WalError, WalPolicy};
 use crate::EngineError;
 
 /// Mid-campaign state rebuilt from a write-ahead log.
@@ -241,28 +240,10 @@ pub fn recover_replay(
     })
 }
 
-impl Engine {
-    /// Replay `sink`'s log and rebuild the mid-campaign state it
-    /// describes, validated against this engine's configuration. Purely
-    /// inspective: the sink is read, never truncated or written — use
-    /// `EngineBackend::with_wal` to resume *and* keep logging.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink and replay failures ([`EngineError::Wal`]) and
-    /// everything [`recover_replay`] rejects.
-    pub fn recover(&self, sink: &mut dyn WalSink) -> Result<RecoveredState, EngineError> {
-        let bytes = sink.load().map_err(EngineError::Wal)?;
-        let replay = wal::replay(&bytes).map_err(EngineError::Wal)?;
-        recover_replay(&replay, self.config().num_users, self.config().loss, None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{MemWal, WalWriter, WAL_MAGIC};
-    use crate::EngineConfig;
+    use crate::wal::{self, WAL_MAGIC};
 
     fn policy() -> WalPolicy {
         WalPolicy {
@@ -474,25 +455,5 @@ mod tests {
         let records = vec![record(0, vec![0], vec![1, 0, 0])];
         assert!(recover_replay(&replay_of(&records), 4, Loss::Squared, None).is_err());
         assert!(recover_replay(&replay_of(&records), 3, Loss::Absolute, None).is_err());
-    }
-
-    #[test]
-    fn engine_recover_reads_a_sink_without_mutating_it() {
-        let mem = MemWal::new();
-        let (mut writer, _) = WalWriter::open(Box::new(mem.clone())).unwrap();
-        writer.append(&record(0, vec![1], vec![0, 1, 0])).unwrap();
-        let engine = Engine::new(EngineConfig {
-            num_users: 3,
-            num_objects: 1,
-            num_shards: 1,
-            loss: Loss::Squared,
-            ..EngineConfig::default()
-        })
-        .unwrap();
-        let before = mem.snapshot();
-        let recovered = engine.recover(&mut mem.clone()).unwrap();
-        assert_eq!(recovered.last_epoch, Some(0));
-        assert_eq!(recovered.rounds_debited, vec![0, 1, 0]);
-        assert_eq!(mem.snapshot(), before);
     }
 }

@@ -32,7 +32,6 @@
 
 pub mod accountant;
 pub mod audit;
-pub mod bounded;
 pub mod mechanism;
 pub mod randomized_response;
 pub mod sensitivity;

@@ -13,7 +13,9 @@
 //! exactly one relaxed load. Rings register themselves in a global list
 //! on first use, so [`dump_chrome_json`] can render every thread's
 //! recent history as chrome://tracing-compatible JSON (open it at
-//! `chrome://tracing` or <https://ui.perfetto.dev>).
+//! `chrome://tracing` or <https://ui.perfetto.dev>). A thread that exits
+//! hands its ring to the next thread that records, so the scoped threads
+//! spawned every round do not grow the list.
 //!
 //! Span ids are **deterministic**: a child's id is an FNV-1a mix of
 //! `(trace id, parent span id, code, arg)`, so two runs of the same
@@ -272,8 +274,9 @@ struct Slot {
 
 #[derive(Debug)]
 struct Ring {
-    /// Stable per-ring id (one per recording thread), used as the
-    /// `tid` in chrome dumps.
+    /// Stable per-ring id, used as the `tid` in chrome dumps. A ring
+    /// passes from an exited thread to the next one that records, so
+    /// one id may name several threads that never overlapped.
     tid: u64,
     /// Total events ever written; the ring holds the last
     /// `RING_CAPACITY` of them.
@@ -323,26 +326,56 @@ impl Ring {
     }
 }
 
+/// Every ring ever registered.
 fn rings() -> &'static Mutex<Vec<Arc<Ring>>> {
     static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-thread_local! {
-    static LOCAL_RING: Arc<Ring> = {
-        static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-        let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
-        rings()
+/// Registered rings whose threads have exited, for the next thread that
+/// records.
+fn free_rings() -> &'static Mutex<Vec<Arc<Ring>>> {
+    static FREE: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+    FREE.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// A recording thread's ring, handed back to [`free_rings`] when the
+/// thread exits, so short-lived threads reuse rings instead of
+/// registering one each. Its retained events stay readable until the
+/// next owner overwrites them; the free list's lock orders the old
+/// owner's writes before the new owner's.
+struct Lease(Arc<Ring>);
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        free_rings()
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&ring));
-        ring
+            .push(Arc::clone(&self.0));
+    }
+}
+
+thread_local! {
+    static LOCAL_RING: Lease = {
+        let reused = free_rings()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        Lease(reused.unwrap_or_else(|| {
+            static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+            let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
+            rings()
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(Arc::clone(&ring));
+            ring
+        }))
     };
 }
 
 #[inline]
 fn push(kind: u64, code: u32, arg: u64, ctx: [u64; 3]) {
-    LOCAL_RING.with(|ring| ring.push(kind, code, arg, ctx));
+    LOCAL_RING.with(|lease| lease.0.push(kind, code, arg, ctx));
 }
 
 /// Record an instant event (if tracing is enabled). Under an ambient

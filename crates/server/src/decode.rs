@@ -21,7 +21,7 @@
 use crate::wire::{self, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 
 /// How much dead space a connection buffer (this decoder's, and the
-/// reactor's output buffer) may accumulate before the live tail is
+/// connection's output buffer) may accumulate before the live tail is
 /// compacted to the front. Compaction is O(live bytes), so amortising it
 /// against at least a header's worth of consumed frames keeps the
 /// buffer linear overall.
@@ -93,7 +93,7 @@ impl FrameDecoder {
     }
 
     /// Whether bytes of an incomplete frame are buffered — the
-    /// distinction the reactor's deadlines care about: a connection
+    /// distinction the connection deadlines care about: a connection
     /// holding half a frame is *stalled* (short deadline), an empty one
     /// is merely *idle* (long deadline).
     pub fn has_partial(&self) -> bool {

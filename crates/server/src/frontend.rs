@@ -1,26 +1,31 @@
 //! The connection front end shared by the campaign server and the
-//! cluster node server: an event-driven reactor.
+//! cluster node server, in two halves.
 //!
-//! N reactor threads — one per core, capped at 8 — each multiplex their
-//! share of nonblocking connections with `poll(2)` readiness, reading
-//! through a per-connection incremental [`FrameDecoder`] so a torn frame
-//! never blocks a thread. Thousands of intermittently-connected
-//! submitters cost file descriptors, not stacks. Every connection speaks
-//! the [`crate::wire`] protocol (8-byte hello exchange — another
-//! version is refused by name — then request/response frames), counts
-//! against one connection budget with typed [`ErrorCode::ServerBusy`]
-//! refusals, and has every decoded request answered by one
-//! [`RequestHandler`] — so a served campaign is **bit-identical** to the
-//! in-process reference (pinned by the e2e suites).
+//! The **connection machine** (`Conn`) is one connection's side of the
+//! [`crate::wire`] protocol, with no socket, no syscall and no clock:
+//! the 8-byte hello exchange (another version is refused by name),
+//! request frames read through an incremental [`FrameDecoder`] so a torn
+//! frame never blocks, every decoded request answered by one handler,
+//! replies queued under a 1 MiB read throttle, the lingering close, and
+//! two deadlines — a short **stall** deadline for a peer mid-hello or
+//! mid-frame (the slow-loris shape) and a longer **idle** deadline
+//! between frames. Its state is one phase: hello, open, closing or
+//! draining.
 //!
-//! The reactor owns two per-connection deadlines: a short **stall**
-//! deadline for a peer mid-hello or mid-frame (the slow-loris shape) and
-//! a longer **idle** deadline between frames; either expiry reclaims the
+//! The **reactor** is all that touches the operating system. N threads —
+//! one per core, capped at 8 — each `poll(2)` their share of
+//! nonblocking connections, accept against one connection budget with
+//! typed [`ErrorCode::ServerBusy`] refusals, and move bytes between each
+//! socket and its machine, reading the clock for it. Thousands of
+//! intermittently-connected submitters cost file descriptors, not
+//! stacks. Every request is answered by one [`RequestHandler`] — so a
+//! served campaign is **bit-identical** to the in-process reference
+//! (pinned by the e2e suites) — and an expired deadline reclaims the
 //! connection slot.
 //!
 //! Pipelined submission ([`Request::SubmitReportsStream`]) is handled
 //! here rather than in the handlers because its cumulative-ack protocol
-//! is **per-connection** state: the front end accepts only the next
+//! is **per-connection** state: the machine accepts only the next
 //! in-order batch sequence number, translates the batch into an
 //! ordinary `SubmitReports` for the handler, and answers every batch
 //! frame with a [`Response::SubmitAcked`] — acks stay paired one-to-one
@@ -179,8 +184,7 @@ impl Frontend {
                     stop: Arc::clone(&stop),
                     stats: Arc::clone(&stats),
                     max_connections: config.max_connections.max(1),
-                    idle_timeout: config.io.idle_timeout,
-                    stall_timeout: config.io.stall_timeout.min(config.io.idle_timeout),
+                    io: config.io,
                 };
                 std::thread::Builder::new()
                     .name(format!("{}-reactor-{i}", config.thread_name))
@@ -246,13 +250,17 @@ fn reactor_count(configured: usize) -> usize {
         .clamp(1, 8)
 }
 
+/// What a connection's requests are answered by: the reactor's
+/// [`RequestHandler`], or a stub in tests.
+type Handler<'a> = dyn FnMut(Request) -> Response + 'a;
+
 /// Answer one decoded request, routing pipelined-submit batches through
 /// the per-connection cumulative-ack protocol. `next_seq` is the
 /// connection's stream cursor: the only batch number accepted is the
 /// next in-order one, so the handler — and therefore the campaign —
 /// sees reports in exactly the order the client sent them, pipelined or
 /// not.
-fn dispatch(handler: &dyn RequestHandler, next_seq: &mut u64, request: Request) -> Response {
+fn dispatch(handle: &mut Handler<'_>, next_seq: &mut u64, request: Request) -> Response {
     match request {
         Request::SubmitReportsStream {
             campaign,
@@ -269,7 +277,7 @@ fn dispatch(handler: &dyn RequestHandler, next_seq: &mut u64, request: Request) 
                     refusals: vec![BatchRefusal { seq, code: None }],
                 };
             }
-            match handler.handle(Request::SubmitReports {
+            match handle(Request::SubmitReports {
                 campaign,
                 reports,
                 ctx,
@@ -298,7 +306,7 @@ fn dispatch(handler: &dyn RequestHandler, next_seq: &mut u64, request: Request) 
                 other => other,
             }
         }
-        other => handler.handle(other),
+        other => handle(other),
     }
 }
 
@@ -333,6 +341,195 @@ fn refuse_busy(stream: &TcpStream, max_connections: usize) {
 }
 
 // ---------------------------------------------------------------------
+// The connection machine
+// ---------------------------------------------------------------------
+
+/// Where a connection is in its life.
+enum Phase {
+    /// `got` of the peer's hello bytes have arrived, in `buf`.
+    Hello { got: usize, buf: [u8; 8] },
+    /// Hello exchanged: request frames in, replies out.
+    Open,
+    /// Nothing more is read: flush what is queued, then shut the write
+    /// side.
+    Closing,
+    /// Write side shut; discard reads until the peer closes (so a final
+    /// error frame is not destroyed by a reset-on-close while unread
+    /// request bytes sit in our receive buffer).
+    Draining,
+}
+
+/// One connection's side of the protocol, with no socket and no clock:
+/// the reactor feeds it bytes read, bytes written and end-of-stream, at
+/// a `now` measured from any origin, and asks it what to read, what to
+/// write, when to shut the write side and when its deadline has passed.
+pub(crate) struct Conn {
+    phase: Phase,
+    decoder: FrameDecoder,
+    /// Encoded-but-unwritten reply bytes are `outbuf[out_pos..]`.
+    outbuf: Vec<u8>,
+    out_pos: usize,
+    /// Pipelined-submit stream cursor (next in-order batch seq).
+    next_seq: u64,
+    /// When a byte last moved either way.
+    last_activity: Duration,
+}
+
+impl Conn {
+    pub(crate) fn new(now: Duration) -> Self {
+        Self {
+            phase: Phase::Hello {
+                got: 0,
+                buf: [0; 8],
+            },
+            decoder: FrameDecoder::new(),
+            outbuf: Vec::new(),
+            out_pos: 0,
+            next_seq: 0,
+            last_activity: now,
+        }
+    }
+
+    /// How many bytes to read now; `0`: do not poll for reads. A closing
+    /// connection reads nothing, and neither does one holding more than
+    /// `OUTBUF_HIGH_WATER` unwritten reply bytes.
+    pub(crate) fn read_budget(&self) -> usize {
+        match self.phase {
+            Phase::Closing => 0,
+            Phase::Draining => usize::MAX,
+            _ if self.output().len() > OUTBUF_HIGH_WATER => 0,
+            _ => self.decoder.read_budget(),
+        }
+    }
+
+    /// Reply bytes waiting to be written (empty: do not poll for writes).
+    pub(crate) fn output(&self) -> &[u8] {
+        &self.outbuf[self.out_pos..]
+    }
+
+    /// `bytes` were read: take the hello, then answer every complete
+    /// frame through `handle`, queueing the replies in order. A closing
+    /// or draining connection discards them.
+    pub(crate) fn read(&mut self, mut bytes: &[u8], now: Duration, handle: &mut Handler<'_>) {
+        self.last_activity = now;
+        if let Phase::Hello { got, buf } = &mut self.phase {
+            let take = (buf.len() - *got).min(bytes.len());
+            buf[*got..*got + take].copy_from_slice(&bytes[..take]);
+            *got += take;
+            bytes = &bytes[take..];
+            if *got < buf.len() {
+                return;
+            }
+            let hello = *buf;
+            if hello != wire::HELLO {
+                return self
+                    .refuse_and_close(ErrorCode::InvalidRequest, wire::hello_refusal(&hello));
+            }
+            self.phase = Phase::Open;
+            self.queue(wire::HELLO.to_vec());
+        }
+        if !matches!(self.phase, Phase::Open) {
+            return;
+        }
+        self.decoder.extend(bytes);
+        loop {
+            let response = match self.decoder.next_frame() {
+                // A well-framed body that fails to decode leaves the
+                // stream in sync: typed error, keep serving.
+                Ok(Some(body)) => match Request::decode(&body) {
+                    Ok(request) => dispatch(handle, &mut self.next_seq, request),
+                    Err(e) => Response::Error {
+                        code: ErrorCode::InvalidRequest,
+                        message: e.to_string(),
+                    },
+                },
+                Ok(None) => return,
+                // Framing is lost: answer once, then close.
+                Err(e) => return self.refuse_and_close(ErrorCode::InvalidRequest, e.to_string()),
+            };
+            self.queue(encode_reply(&response));
+        }
+    }
+
+    /// The peer closed its write side. At a frame boundary the replies
+    /// are flushed and the connection closes; `false`: drop it now (a
+    /// torn frame has nothing sensible to reply to, and a lingering
+    /// close is over).
+    pub(crate) fn eof(&mut self) -> bool {
+        match self.phase {
+            Phase::Draining => false,
+            Phase::Open if self.decoder.has_partial() => false,
+            _ => {
+                self.phase = Phase::Closing;
+                true
+            }
+        }
+    }
+
+    /// The first `n` bytes of [`output`](Self::output) were written.
+    pub(crate) fn wrote(&mut self, n: usize, now: Duration) {
+        self.out_pos += n;
+        self.last_activity = now;
+        if self.out_pos == self.outbuf.len() {
+            self.outbuf.clear();
+            self.out_pos = 0;
+        } else if self.out_pos >= COMPACT_THRESHOLD && self.out_pos * 2 >= self.outbuf.len() {
+            // Drop the written prefix only once it is at least half the
+            // buffer (the decoder's compaction rule), so the memmoves
+            // over a large reply's unsent remainder stay linear in its
+            // size instead of one per partial write.
+            self.outbuf.drain(..self.out_pos);
+            self.out_pos = 0;
+        }
+    }
+
+    /// Whether to shut the socket's write side now: a closing
+    /// connection has written its last byte, and lingers until the peer
+    /// closes.
+    pub(crate) fn shut_write(&mut self) -> bool {
+        let flushed = matches!(self.phase, Phase::Closing) && self.output().is_empty();
+        if flushed {
+            self.phase = Phase::Draining;
+        }
+        flushed
+    }
+
+    /// Whether the connection's deadline has passed at `now`: the short
+    /// **stall** deadline mid-hello or mid-frame (the slow-loris shape)
+    /// and while draining (the peer owes us nothing), the **idle**
+    /// deadline otherwise.
+    pub(crate) fn expired(&self, now: Duration, io: &IoConfig) -> bool {
+        let stalled = matches!(self.phase, Phase::Hello { .. } | Phase::Draining)
+            || self.decoder.has_partial();
+        let limit = if stalled {
+            io.stall_timeout.min(io.idle_timeout)
+        } else {
+            io.idle_timeout
+        };
+        now.saturating_sub(self.last_activity) > limit
+    }
+
+    /// Queue an encoded frame behind whatever is still unwritten. With
+    /// nothing unwritten — every request/reply exchange — the frame
+    /// *becomes* the output buffer: a multi-megabyte reply is not
+    /// copied once more on its way to the socket.
+    fn queue(&mut self, frame: Vec<u8>) {
+        if self.output().is_empty() {
+            self.outbuf = frame;
+            self.out_pos = 0;
+        } else {
+            self.outbuf.extend_from_slice(&frame);
+        }
+    }
+
+    /// Queue a final error frame and begin the close.
+    fn refuse_and_close(&mut self, code: ErrorCode, message: String) {
+        self.queue(Response::Error { code, message }.encode());
+        self.phase = Phase::Closing;
+    }
+}
+
+// ---------------------------------------------------------------------
 // The reactor
 // ---------------------------------------------------------------------
 
@@ -348,76 +545,6 @@ fn raw_fd<T>(_s: &T) -> i32 {
     0
 }
 
-/// Per-connection reactor state.
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Encoded-but-unflushed response bytes.
-    outbuf: Vec<u8>,
-    out_pos: usize,
-    /// Hello bytes received so far (a connection is mid-hello until 8).
-    hello_got: usize,
-    hello_buf: [u8; 8],
-    last_activity: Instant,
-    /// Pipelined-submit stream cursor (next in-order batch seq).
-    next_seq: u64,
-    /// Flush `outbuf`, then begin the lingering close.
-    closing: bool,
-    /// Write side is shut; discard reads until the peer closes (so a
-    /// final error frame is not destroyed by a reset-on-close while
-    /// unread request bytes sit in our receive buffer).
-    draining: bool,
-    /// Remove this connection at the end of the pass.
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Self {
-        Self {
-            stream,
-            decoder: FrameDecoder::new(),
-            outbuf: Vec::new(),
-            out_pos: 0,
-            hello_got: 0,
-            hello_buf: [0u8; 8],
-            last_activity: now,
-            next_seq: 0,
-            closing: false,
-            draining: false,
-            dead: false,
-        }
-    }
-
-    fn has_output(&self) -> bool {
-        self.out_pos < self.outbuf.len()
-    }
-
-    /// Mid-hello or mid-frame: the *stall* deadline applies (a draining
-    /// connection is also on the short clock — it owes us nothing).
-    fn is_stalled_shape(&self) -> bool {
-        self.hello_got < wire::HELLO.len() || self.decoder.has_partial() || self.draining
-    }
-
-    /// Queue an encoded frame behind whatever is still unflushed. With
-    /// nothing unflushed — every request/reply exchange — the frame
-    /// *becomes* the output buffer: a multi-megabyte reply is not
-    /// copied once more on its way to the socket.
-    fn queue(&mut self, frame: Vec<u8>) {
-        if self.has_output() {
-            self.outbuf.extend_from_slice(&frame);
-        } else {
-            self.outbuf = frame;
-            self.out_pos = 0;
-        }
-    }
-
-    /// Queue a final error frame and begin the close sequence.
-    fn refuse_and_close(&mut self, code: ErrorCode, message: String) {
-        self.queue(Response::Error { code, message }.encode());
-        self.closing = true;
-    }
-}
-
 struct Reactor {
     listener: Arc<TcpListener>,
     handler: Arc<dyn RequestHandler>,
@@ -426,36 +553,31 @@ struct Reactor {
     /// budget.
     stats: Arc<FrontendStats>,
     max_connections: usize,
-    idle_timeout: Duration,
-    stall_timeout: Duration,
+    io: IoConfig,
 }
 
 impl Reactor {
     fn run(&self) {
-        let mut conns: Vec<Conn> = Vec::new();
+        let origin = Instant::now();
+        let mut conns: Vec<(TcpStream, Conn)> = Vec::new();
         let mut pollfds: Vec<libc::pollfd> = Vec::new();
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-
+        while !self.stop.load(Ordering::SeqCst) {
             pollfds.clear();
             pollfds.push(libc::pollfd {
                 fd: raw_fd(&*self.listener),
                 events: libc::POLLIN,
                 revents: 0,
             });
-            for conn in &conns {
+            for (stream, conn) in &conns {
                 let mut events = 0;
-                let throttled = conn.outbuf.len() - conn.out_pos > OUTBUF_HIGH_WATER;
-                if !conn.closing && !throttled || conn.draining {
+                if conn.read_budget() > 0 {
                     events |= libc::POLLIN;
                 }
-                if conn.has_output() {
+                if !conn.output().is_empty() {
                     events |= libc::POLLOUT;
                 }
                 pollfds.push(libc::pollfd {
-                    fd: raw_fd(&conn.stream),
+                    fd: raw_fd(stream),
                     events,
                     revents: 0,
                 });
@@ -478,77 +600,37 @@ impl Reactor {
                 }
             }
 
-            // I/O pass: pollfds[i + 1] describes conns[i]. Connections
-            // accepted below are appended past this range and first
-            // polled next tick.
-            let polled = conns.len();
-            let now = Instant::now();
-            for (i, conn) in conns.iter_mut().enumerate().take(polled) {
-                let revents = pollfds[i + 1].revents;
-                if revents & (libc::POLLERR | libc::POLLNVAL) != 0 {
-                    conn.dead = true;
-                    continue;
-                }
-                if revents & (libc::POLLIN | libc::POLLHUP) != 0 {
-                    if conn.draining {
-                        drain_reads(conn);
-                    } else {
-                        read_and_serve(conn, &*self.handler, now);
-                    }
-                }
-                if !conn.dead && conn.has_output() {
-                    flush_output(conn, now);
-                }
-                if !conn.dead && conn.closing && !conn.draining && !conn.has_output() {
-                    // Output flushed: shut our write side and linger
-                    // until the peer closes, bounded by the stall
-                    // deadline below.
-                    conn.draining = true;
-                    if conn.stream.shutdown(Shutdown::Write).is_err() {
-                        conn.dead = true;
-                    }
-                }
-            }
-
-            // Deadline sweep: reclaim stalled and idle connections.
-            for conn in &mut conns {
-                if conn.dead {
-                    continue;
-                }
-                let limit = if conn.is_stalled_shape() {
-                    self.stall_timeout
-                } else {
-                    self.idle_timeout
-                };
-                if now.duration_since(conn.last_activity) > limit {
-                    conn.dead = true;
-                }
-            }
-
+            // I/O pass, then the deadline: pollfds[i + 1] describes
+            // conns[i]. Connections accepted below are appended past
+            // this range and first polled next tick.
+            let now = origin.elapsed();
+            let mut revents = pollfds[1..].iter().map(|slot| slot.revents);
             let before = conns.len();
-            conns.retain(|c| !c.dead);
+            conns.retain_mut(|(stream, conn)| {
+                let revents = revents.next().unwrap_or(0);
+                self.serve(stream, conn, revents, now) && !conn.expired(now, &self.io)
+            });
             let reclaimed = before - conns.len();
             if reclaimed > 0 {
                 self.stats.live.fetch_sub(reclaimed, Ordering::SeqCst);
             }
 
             if pollfds[0].revents & libc::POLLIN != 0 {
-                self.accept_ready(&mut conns);
+                self.accept_ready(&mut conns, origin.elapsed());
             }
         }
 
         // Shutdown: every reactor closes its own connections.
-        let count = conns.len();
-        for conn in &conns {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        for (stream, _) in &conns {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        self.stats.live.fetch_sub(count, Ordering::SeqCst);
+        self.stats.live.fetch_sub(conns.len(), Ordering::SeqCst);
     }
 
     /// Accept everything currently pending. All reactors poll the one
     /// listener; losers of an accept race see `WouldBlock`, which is
     /// how connections spread across reactor threads without handoff.
-    fn accept_ready(&self, conns: &mut Vec<Conn>) {
+    fn accept_ready(&self, conns: &mut Vec<(TcpStream, Conn)>, now: Duration) {
         loop {
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
@@ -575,146 +657,54 @@ impl Reactor {
                 continue;
             }
             self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            conns.push(Conn::new(stream, Instant::now()));
+            conns.push((stream, Conn::new(now)));
         }
     }
-}
 
-/// Read to `WouldBlock`, feed the hello then the frame decoder, and
-/// serve every complete frame inline.
-fn read_and_serve(conn: &mut Conn, handler: &dyn RequestHandler, now: Instant) {
-    let mut buf = [0u8; 16 * 1024];
-    let mut saw_eof = false;
-    loop {
-        let budget = conn.decoder.read_budget().min(buf.len());
-        if budget == 0 {
-            break;
+    /// One connection's turn of the I/O pass: read to `WouldBlock` or
+    /// until the machine's read budget runs out, write what it queued,
+    /// and shut the write side when it asks. `false`: the socket failed
+    /// or the machine is done with the connection.
+    fn serve(&self, mut stream: &TcpStream, conn: &mut Conn, revents: i16, now: Duration) -> bool {
+        if revents & (libc::POLLERR | libc::POLLNVAL) != 0 {
+            return false;
         }
-        match (&conn.stream).read(&mut buf[..budget]) {
-            Ok(0) => {
-                saw_eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.last_activity = now;
-                let mut bytes = &buf[..n];
-                if conn.hello_got < wire::HELLO.len() {
-                    let take = (wire::HELLO.len() - conn.hello_got).min(bytes.len());
-                    conn.hello_buf[conn.hello_got..conn.hello_got + take]
-                        .copy_from_slice(&bytes[..take]);
-                    conn.hello_got += take;
-                    bytes = &bytes[take..];
-                    if conn.hello_got == wire::HELLO.len() {
-                        if conn.hello_buf != wire::HELLO {
-                            conn.refuse_and_close(
-                                ErrorCode::InvalidRequest,
-                                wire::hello_refusal(&conn.hello_buf),
-                            );
-                            return;
-                        }
-                        conn.queue(wire::HELLO.to_vec());
+        let mut buf = [0u8; 16 * 1024];
+        let mut budget = match revents & (libc::POLLIN | libc::POLLHUP) {
+            0 => 0,
+            _ => conn.read_budget().min(buf.len()),
+        };
+        while budget > 0 {
+            match stream.read(&mut buf[..budget]) {
+                Ok(0) => {
+                    if !conn.eof() {
+                        return false;
                     }
                 }
-                if !bytes.is_empty() {
-                    conn.decoder.extend(bytes);
-                }
+                Ok(n) => conn.read(&buf[..n], now, &mut |r| self.handler.handle(r)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
+            budget = conn.read_budget().min(buf.len());
         }
-    }
-
-    loop {
-        match conn.decoder.next_frame() {
-            Ok(Some(body)) => {
-                // A well-framed body that fails to decode leaves the
-                // stream in sync: typed error, keep serving.
-                let response = match Request::decode(&body) {
-                    Ok(request) => dispatch(handler, &mut conn.next_seq, request),
-                    Err(e) => Response::Error {
-                        code: ErrorCode::InvalidRequest,
-                        message: e.to_string(),
-                    },
-                };
-                conn.queue(encode_reply(&response));
-            }
-            Ok(None) => break,
-            Err(e) => {
-                // Framing is lost: answer once, then close.
-                conn.refuse_and_close(ErrorCode::InvalidRequest, e.to_string());
-                break;
-            }
-        }
-    }
-
-    if saw_eof && !conn.closing {
-        if conn.decoder.has_partial() {
-            // Torn write then death: nothing sensible to reply to.
-            conn.dead = true;
-        } else {
-            // Clean close at a frame boundary: flush replies, then go.
-            conn.closing = true;
-        }
+        flush(stream, conn, now)
+            && !(conn.shut_write() && stream.shutdown(Shutdown::Write).is_err())
     }
 }
 
-/// Lingering close: discard request bytes until the peer closes.
-fn drain_reads(conn: &mut Conn) {
-    let mut buf = [0u8; 4096];
-    loop {
-        match (&conn.stream).read(&mut buf) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(_) => continue,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-}
-
-/// Write queued response bytes to `WouldBlock`.
-fn flush_output(conn: &mut Conn, now: Instant) {
-    while conn.has_output() {
-        match (&conn.stream).write(&conn.outbuf[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_activity = now;
-            }
+/// Write the machine's queued output to `WouldBlock`.
+fn flush(mut stream: &TcpStream, conn: &mut Conn, now: Duration) -> bool {
+    while !conn.output().is_empty() {
+        match stream.write(conn.output()) {
+            Ok(0) => return false,
+            Ok(n) => conn.wrote(n, now),
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
         }
     }
-    if conn.has_output() {
-        // Partially flushed: drop the flushed prefix only once it is at
-        // least half the buffer (the decoder's compaction rule), so the
-        // memmoves over a large reply's unsent remainder stay linear in
-        // its size instead of one per partial write.
-        if conn.out_pos >= COMPACT_THRESHOLD && conn.out_pos * 2 >= conn.outbuf.len() {
-            conn.outbuf.drain(..conn.out_pos);
-            conn.out_pos = 0;
-        }
-    } else {
-        conn.outbuf.clear();
-        conn.out_pos = 0;
-    }
+    true
 }
 
 #[cfg(test)]
@@ -730,15 +720,16 @@ mod tests {
 
     /// A multi-megabyte reply crosses a socket whose reader takes 64 KB
     /// at a time: every partial write leaves an unsent remainder that
-    /// `flush_output` must neither lose nor reorder while it compacts.
+    /// `flush` and `Conn::wrote` must neither lose nor reorder while
+    /// they compact.
     #[test]
     fn a_large_reply_survives_partial_writes_intact() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut reader = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
-        let now = Instant::now();
-        let mut conn = Conn::new(stream, now);
+        let now = Duration::ZERO;
+        let mut conn = Conn::new(now);
 
         let reply: Vec<u8> = (0..4usize << 20).map(|i| (i * 31 % 251) as u8).collect();
         // A small frame already unflushed: the large one queues behind
@@ -748,14 +739,13 @@ mod tests {
         let mut received = Vec::with_capacity(wire::HELLO.len() + reply.len());
         let mut chunk = vec![0u8; 64 << 10];
         while received.len() < wire::HELLO.len() + reply.len() {
-            flush_output(&mut conn, now);
-            assert!(!conn.dead);
+            assert!(flush(&stream, &mut conn, now));
             let n = reader.read(&mut chunk).unwrap();
             assert!(n > 0, "peer closed early");
             received.extend_from_slice(&chunk[..n]);
         }
-        flush_output(&mut conn, now);
-        assert!(!conn.has_output());
+        assert!(flush(&stream, &mut conn, now));
+        assert!(conn.output().is_empty());
         assert_eq!(&received[..wire::HELLO.len()], &wire::HELLO);
         assert!(
             received[wire::HELLO.len()..] == reply[..],
@@ -804,7 +794,7 @@ mod tests {
     fn in_order_stream_batches_advance_the_cumulative_ack() {
         let mut next = 0;
         for seq in 0..3 {
-            let ack = dispatch(&Canned, &mut next, stream_batch("c", seq));
+            let ack = dispatch(&mut |r| Canned.handle(r), &mut next, stream_batch("c", seq));
             assert_eq!(
                 ack,
                 Response::SubmitAcked {
@@ -821,7 +811,11 @@ mod tests {
     fn busy_and_out_of_order_batches_are_retryable_refusal_deltas() {
         let mut next = 5;
         // Backpressure on the in-order batch: refused, cursor holds.
-        let ack = dispatch(&Canned, &mut next, stream_batch("full", 5));
+        let ack = dispatch(
+            &mut |r| Canned.handle(r),
+            &mut next,
+            stream_batch("full", 5),
+        );
         assert_eq!(
             ack,
             Response::SubmitAcked {
@@ -832,7 +826,7 @@ mod tests {
         );
         // The window continuation behind it: out of order, also
         // retryable, cursor still holds.
-        let ack = dispatch(&Canned, &mut next, stream_batch("c", 6));
+        let ack = dispatch(&mut |r| Canned.handle(r), &mut next, stream_batch("c", 6));
         assert_eq!(
             ack,
             Response::SubmitAcked {
@@ -847,7 +841,11 @@ mod tests {
     #[test]
     fn hard_refusals_carry_their_error_code() {
         let mut next = 0;
-        let ack = dispatch(&Canned, &mut next, stream_batch("gone", 0));
+        let ack = dispatch(
+            &mut |r| Canned.handle(r),
+            &mut next,
+            stream_batch("gone", 0),
+        );
         assert_eq!(
             ack,
             Response::SubmitAcked {
@@ -860,5 +858,191 @@ mod tests {
             }
         );
         assert_eq!(next, 0);
+    }
+
+    // The connection machine in virtual time: no socket, no sleep.
+
+    const SEC: Duration = Duration::from_secs(1);
+
+    fn io() -> IoConfig {
+        IoConfig {
+            reactor_threads: 1,
+            idle_timeout: 10 * SEC,
+            stall_timeout: SEC,
+        }
+    }
+
+    fn feed(conn: &mut Conn, bytes: &[u8], now: Duration) {
+        conn.read(bytes, now, &mut |r| Canned.handle(r));
+    }
+
+    /// Write everything the machine queued and decode it: the hello
+    /// echo (if any) and the reply frames that follow.
+    fn written(conn: &mut Conn, now: Duration) -> (bool, Vec<Response>) {
+        let mut out = conn.output().to_vec();
+        conn.wrote(out.len(), now);
+        let hello = out.starts_with(&wire::HELLO);
+        if hello {
+            out.drain(..wire::HELLO.len());
+        }
+        let mut replies = Vec::new();
+        let mut rest = &out[..];
+        while !rest.is_empty() {
+            let (body, used) = wire::split_frame(rest).unwrap();
+            replies.push(Response::decode(body).unwrap());
+            rest = &rest[used..];
+        }
+        (hello, replies)
+    }
+
+    fn query() -> Vec<u8> {
+        Request::QueryTruths {
+            campaign: "c".to_string(),
+        }
+        .encode()
+    }
+
+    #[test]
+    fn a_hello_split_across_reads_is_answered_once_it_is_whole() {
+        let mut conn = Conn::new(Duration::ZERO);
+        feed(&mut conn, &wire::HELLO[..3], SEC);
+        assert!(conn.output().is_empty());
+        let frame = query();
+        let mut rest = wire::HELLO[3..].to_vec();
+        rest.extend_from_slice(&frame[..5]);
+        feed(&mut conn, &rest, SEC);
+        feed(&mut conn, &frame[5..], SEC);
+        let (hello, replies) = written(&mut conn, SEC);
+        assert!(hello);
+        assert_eq!(replies.len(), 1);
+        assert!(conn.read_budget() > 0);
+    }
+
+    #[test]
+    fn a_bad_hello_is_answered_then_closed() {
+        let mut conn = Conn::new(Duration::ZERO);
+        let mut bytes = b"DPTDNET\x01".to_vec();
+        bytes.extend_from_slice(&query());
+        feed(&mut conn, &bytes, SEC);
+        // Nothing past the hello is served, and nothing more is read
+        // until the refusal is written.
+        assert_eq!(conn.read_budget(), 0);
+        assert!(!conn.shut_write());
+        let (hello, replies) = written(&mut conn, SEC);
+        assert!(!hello);
+        assert_eq!(
+            replies,
+            vec![Response::Error {
+                code: ErrorCode::InvalidRequest,
+                message: "peer sent wire v1; this end speaks v3".to_string(),
+            }]
+        );
+        // Then the write side shuts and reads are discarded until the
+        // peer closes.
+        assert!(conn.shut_write());
+        assert!(conn.read_budget() > 0);
+        feed(&mut conn, &query(), SEC);
+        assert!(conn.output().is_empty());
+        assert!(!conn.eof());
+    }
+
+    #[test]
+    fn the_stall_deadline_covers_mid_hello_and_mid_frame_the_idle_one_between_frames() {
+        let io = io();
+        let mid_hello = Conn::new(Duration::ZERO);
+        assert!(!mid_hello.expired(SEC, &io));
+        assert!(mid_hello.expired(SEC + Duration::from_millis(1), &io));
+
+        let mut conn = Conn::new(Duration::ZERO);
+        feed(&mut conn, &wire::HELLO, Duration::ZERO);
+        written(&mut conn, Duration::ZERO);
+        assert!(!conn.expired(5 * SEC, &io), "between frames is idle");
+        assert!(conn.expired(11 * SEC, &io));
+
+        let frame = query();
+        feed(&mut conn, &frame[..frame.len() - 1], 20 * SEC);
+        assert!(conn.expired(22 * SEC, &io), "mid-frame is a stall");
+        feed(&mut conn, &frame[frame.len() - 1..], 21 * SEC);
+        written(&mut conn, 21 * SEC);
+        assert!(!conn.expired(25 * SEC, &io));
+    }
+
+    #[test]
+    fn a_draining_connection_is_on_the_stall_clock() {
+        let io = io();
+        let mut conn = Conn::new(Duration::ZERO);
+        feed(&mut conn, b"NOTDPTD!", Duration::ZERO);
+        // Closing with nothing half-read: still the idle clock.
+        assert!(!conn.expired(5 * SEC, &io));
+        written(&mut conn, 5 * SEC);
+        assert!(conn.shut_write());
+        assert!(!conn.expired(6 * SEC, &io));
+        assert!(conn.expired(7 * SEC, &io));
+    }
+
+    #[test]
+    fn eof_at_a_frame_boundary_flushes_then_closes_and_a_torn_eof_drops() {
+        let mut conn = Conn::new(Duration::ZERO);
+        let mut bytes = wire::HELLO.to_vec();
+        bytes.extend_from_slice(&query());
+        bytes.extend_from_slice(&query());
+        feed(&mut conn, &bytes, SEC);
+        assert!(conn.eof());
+        assert_eq!(conn.read_budget(), 0);
+        assert!(!conn.shut_write(), "replies go out before the close");
+        let (hello, replies) = written(&mut conn, SEC);
+        assert!(hello);
+        assert_eq!(replies.len(), 2);
+        assert!(conn.shut_write());
+        assert!(!conn.eof());
+
+        let mut torn = Conn::new(Duration::ZERO);
+        let mut bytes = wire::HELLO.to_vec();
+        bytes.extend_from_slice(&query()[..4]);
+        feed(&mut torn, &bytes, SEC);
+        assert!(!torn.eof());
+    }
+
+    #[test]
+    fn the_read_throttle_stops_reads_past_a_mebibyte_of_replies() {
+        let mut conn = Conn::new(Duration::ZERO);
+        // 600 KiB of truths per reply.
+        let mut big = |_| Response::Truths {
+            rounds_run: 1,
+            truths: vec![0.5; 75 << 10],
+            weights_digest: 7,
+        };
+        let mut bytes = wire::HELLO.to_vec();
+        bytes.extend_from_slice(&query());
+        conn.read(&bytes, SEC, &mut big);
+        assert!(conn.read_budget() > 0, "600 KiB queued: still reading");
+        conn.read(&query(), SEC, &mut big);
+        assert_eq!(conn.read_budget(), 0, "1.2 MiB queued: throttled");
+        conn.wrote(300 << 10, SEC);
+        assert!(conn.read_budget() > 0, "written down to 0.9 MiB");
+    }
+
+    #[test]
+    fn an_out_of_order_stream_batch_gets_a_retryable_refusal_delta() {
+        let mut conn = Conn::new(Duration::ZERO);
+        let mut bytes = wire::HELLO.to_vec();
+        for seq in [0, 2, 1] {
+            bytes.extend_from_slice(&stream_batch("c", seq).encode());
+        }
+        feed(&mut conn, &bytes, SEC);
+        let (_, replies) = written(&mut conn, SEC);
+        let acked = |contiguous, queued, refusals| Response::SubmitAcked {
+            contiguous,
+            queued,
+            refusals,
+        };
+        assert_eq!(
+            replies,
+            vec![
+                acked(1, 1, vec![]),
+                acked(1, 0, vec![BatchRefusal { seq: 2, code: None }]),
+                acked(2, 1, vec![]),
+            ]
+        );
     }
 }

@@ -34,10 +34,12 @@
 //!   budget queries. Metrics are read through `QueryStatus` alone, which
 //!   [`host`] answers for both hosts.
 //! * [`frontend`] — the connection front end both [`Server`] and the
-//!   cluster's node server share: an event-driven **reactor** (N
-//!   poll-based threads multiplexing thousands of nonblocking
-//!   connections with per-connection idle/stall deadlines), capped by
-//!   one connection budget with typed `ServerBusy` refusals.
+//!   cluster's node server share: a socket-free **connection machine**
+//!   (hello, frame dispatch, reply queueing, lingering close,
+//!   idle/stall deadlines; fed bytes and a virtual `now`) under an
+//!   event-driven **reactor** (N poll-based threads multiplexing
+//!   thousands of nonblocking connections), capped by one connection
+//!   budget with typed `ServerBusy` refusals.
 //! * [`decode`] — [`FrameDecoder`]: the per-connection incremental
 //!   frame accumulator the reactor reads through, proptested to decode
 //!   identically to the blocking reader at every byte boundary.

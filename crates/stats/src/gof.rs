@@ -1,12 +1,6 @@
-//! Goodness-of-fit tests.
-//!
-//! These back two kinds of checks in the workspace:
-//!
-//! 1. validating the hand-rolled samplers in [`crate::dist`] against their
-//!    analytic CDFs (one-sample Kolmogorov–Smirnov), and
-//! 2. the *empirical local-differential-privacy* audit in `dptd-ldp`, which
-//!    compares output histograms of the mechanism on two different inputs
-//!    (two-sample KS / chi-square).
+//! Goodness-of-fit tests: one- and two-sample Kolmogorov–Smirnov and
+//! chi-square. This module's own tests use them to check the hand-rolled
+//! samplers in [`crate::dist`] against their analytic CDFs.
 
 use crate::dist::Continuous;
 use crate::StatsError;

@@ -10,9 +10,8 @@
 //!   gamma, Laplace, uniform) with sampling, densities, CDFs and quantiles.
 //! * [`summary`] — streaming (Welford) and batch summaries, error metrics
 //!   (MAE/RMSE), and quantile estimation.
-//! * [`gof`] — goodness-of-fit tests (Kolmogorov–Smirnov, chi-square) used
-//!   by the test-suite to validate the samplers and by the privacy tests to
-//!   compare perturbed-output distributions.
+//! * [`gof`] — goodness-of-fit tests (Kolmogorov–Smirnov, chi-square);
+//!   its own tests use them to check the [`dist`] samplers.
 //! * [`histogram`] — fixed-width binning used by the empirical LDP checks.
 //! * [`digest`] — deterministic FNV-1a fingerprints for reproducibility
 //!   checks (golden stream digests, backend-equivalence diffing).

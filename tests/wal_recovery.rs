@@ -13,8 +13,9 @@
 
 mod common;
 
-use dptd::engine::wal::{FRAME_HEADER_LEN, WAL_MAGIC};
-use dptd::engine::{EngineBackend, FailingWal, FileWal, LoadGen, MemWal, WalPolicy};
+use dptd::engine::recovery::recover_replay;
+use dptd::engine::wal::{self, FRAME_HEADER_LEN, WAL_MAGIC};
+use dptd::engine::{EngineBackend, EngineConfig, FailingWal, FileWal, LoadGen, MemWal, WalPolicy};
 use dptd::ldp::PrivacyLoss;
 use dptd::protocol::campaign::{CampaignConfig, CampaignDriver, SimBackend};
 use dptd::stats::digest::fnv1a_f64s;
@@ -305,10 +306,14 @@ fn resume_round_indices_are_exact() {
         reference.round_weights[2].as_slice()
     );
 
-    // `Engine::recover` on the raw sink agrees with the backend's view.
-    let direct = common::engine_for(&load, 4, 256)
-        .recover(&mut mem.clone())
-        .unwrap();
+    // A read-only replay of the raw log agrees with the backend's view.
+    let direct = recover_replay(
+        &wal::replay(&mem.snapshot()).unwrap(),
+        load.config().num_users,
+        EngineConfig::default().loss,
+        None,
+    )
+    .unwrap();
     assert_eq!(direct.rounds_debited, recovered.rounds_debited);
     assert_eq!(direct.crh.weights(), recovered.crh.weights());
 
