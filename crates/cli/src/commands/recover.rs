@@ -347,7 +347,8 @@ mod tests {
         let dir = temp_wal("empty");
         let _ = std::fs::remove_dir_all(&dir);
         // A writer created the log but no round ever committed.
-        let _ = dptd_engine::FileWal::open(&dir).unwrap();
+        let fs = dptd_engine::store::DirFs::open(&dir).unwrap();
+        let _ = dptd_engine::WalWriter::open(Box::new(fs)).unwrap();
         let out = execute(&map(&["--wal", dir.to_str().unwrap()])).unwrap();
         assert!(out.contains("committed records   0"), "{out}");
         assert!(out.contains("starts at round 0"), "{out}");

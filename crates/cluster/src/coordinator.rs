@@ -235,9 +235,8 @@ pub struct ClusterRound {
     pub epoch: u64,
     /// Estimated truths for the round's objects.
     pub truths: Vec<f64>,
-    /// Full-population weights after the round.
-    pub weights: Vec<f64>,
-    /// FNV-1a digest of the weights' bit patterns.
+    /// FNV-1a digest of the full-population weights' bit patterns after
+    /// the round ([`ClusterCampaign::weights`] holds the weights).
     pub weights_digest: u64,
     /// Reports aggregated this round.
     pub accepted: usize,
@@ -787,7 +786,6 @@ impl<N: Nodes> ClusterCampaign<N> {
         Ok(ClusterRound {
             epoch,
             truths: merged.truths,
-            weights: self.streaming.weights().to_vec(),
             weights_digest: self.streaming.weights_digest(),
             accepted: merged.accepted_locals.iter().map(Vec::len).sum(),
             refused_users: merged.refused_seen as usize,
@@ -1481,7 +1479,7 @@ mod tests {
         let ours = cluster.close_round(1).unwrap();
         let reference = sim.run_round(1, stream1).unwrap();
         assert_eq!(bits(&ours.truths), bits(&reference.truths));
-        assert_eq!(bits(&ours.weights), bits(&reference.weights));
+        assert_eq!(bits(cluster.weights()), bits(&reference.weights));
         assert_eq!(ours.accepted, reference.accepted);
 
         // A tenth of the reports: the reused columns shrink.
@@ -1491,7 +1489,7 @@ mod tests {
         let ours = cluster.close_round(2).unwrap();
         let reference = sim.run_round(2, stream2).unwrap();
         assert_eq!(bits(&ours.truths), bits(&reference.truths));
-        assert_eq!(bits(&ours.weights), bits(&reference.weights));
+        assert_eq!(bits(cluster.weights()), bits(&reference.weights));
         assert_eq!(ours.accepted, reference.accepted);
         assert_eq!(
             cluster.accountant().debits_by_user(),
@@ -1541,7 +1539,7 @@ mod tests {
                 match (cluster.close_round(epoch), sim.run_round(epoch, reports)) {
                     (Ok(ours), Ok(reference)) => {
                         prop_assert_eq!(bits(&ours.truths), bits(&reference.truths));
-                        prop_assert_eq!(bits(&ours.weights), bits(&reference.weights));
+                        prop_assert_eq!(bits(cluster.weights()), bits(&reference.weights));
                         prop_assert_eq!(
                             (ours.accepted, ours.refused_users),
                             (reference.accepted, reference.refused_users)
@@ -2303,7 +2301,11 @@ mod tests {
                 let expected = expected.unwrap_or_else(|e| panic!("seed {seed}: reference: {e}"));
                 let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
                 assert_eq!(bits(&ours.truths), bits(&expected.truths), "seed {seed}");
-                assert_eq!(bits(&ours.weights), bits(&expected.weights), "seed {seed}");
+                assert_eq!(
+                    bits(self.cluster.weights()),
+                    bits(&expected.weights),
+                    "seed {seed}"
+                );
                 assert_eq!(ours.weights_digest, fnv1a_f64s(&expected.weights));
                 let counts =
                     |accepted, refused, duplicates, late| (accepted, refused, duplicates, late);

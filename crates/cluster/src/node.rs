@@ -358,7 +358,7 @@ impl NodeCampaign {
                     format!("epoch {epoch} predates this node's retained history"),
                 );
             };
-            if last.epoch == epoch && last.encode() == record.encode() {
+            if *last == record {
                 return Response::Committed {
                     epoch,
                     appended: false,

@@ -27,7 +27,8 @@ use dptd_truth::Loss;
 use crate::engine::{Durable, Engine, EpochOutcome};
 use crate::metrics::EngineMetrics;
 use crate::recovery::{recover_replay, RecoveredState};
-use crate::wal::{RecordLog, Replay, RoundRecord, WalPolicy, WalSink, WalWriter};
+use crate::store::StoreFs;
+use crate::wal::{RecordLog, Replay, RoundRecord, WalPolicy, WalWriter};
 use crate::EngineError;
 
 /// A [`RoundBackend`] that executes each campaign round as one epoch of
@@ -123,9 +124,10 @@ impl EngineBackend {
         })
     }
 
-    /// Wrap `engine` with an epoch write-ahead log: replay (and
-    /// torn-tail-repair) whatever `sink` already holds, resume from the
-    /// recovered mid-campaign state, and append one durable
+    /// Wrap `engine` with a single-segment epoch write-ahead log
+    /// ([`WalWriter`] over `fs`): replay (and torn-tail-repair) whatever
+    /// its segment already holds, resume from the recovered mid-campaign
+    /// state, and append one durable
     /// [`EpochRecord`](crate::wal::EpochRecord) per successful round from
     /// here on.
     ///
@@ -145,10 +147,10 @@ impl EngineBackend {
     /// policy mismatch above.
     pub fn with_wal(
         engine: Engine,
-        sink: Box<dyn WalSink>,
+        fs: Box<dyn StoreFs>,
         policy: WalPolicy,
     ) -> Result<(Self, RecoveredState), EngineError> {
-        let (writer, replay) = WalWriter::open(sink).map_err(EngineError::Wal)?;
+        let (writer, replay) = WalWriter::open(fs).map_err(EngineError::Wal)?;
         Self::with_log(engine, Box::new(writer), &replay, policy)
     }
 
@@ -581,7 +583,7 @@ mod tests {
 
     #[test]
     fn wal_backend_logs_rounds_and_resumes_bit_identically() {
-        use crate::wal::MemWal;
+        use crate::store::MemFs;
 
         let engine = |users, objects, shards| {
             Engine::new(EngineConfig {
@@ -593,7 +595,7 @@ mod tests {
             })
             .unwrap()
         };
-        let mem = MemWal::new();
+        let mem = MemFs::new();
         let (mut b, recovered) =
             EngineBackend::with_wal(engine(3, 1, 2), Box::new(mem.clone()), test_policy()).unwrap();
         assert_eq!(recovered.next_epoch(), 0);
@@ -637,7 +639,7 @@ mod tests {
 
     #[test]
     fn wal_append_failure_rolls_the_round_back() {
-        use crate::wal::{FailingWal, MemWal};
+        use crate::store::{FailingFs, MemFs};
 
         let engine = Engine::new(EngineConfig {
             num_users: 2,
@@ -647,9 +649,9 @@ mod tests {
             ..EngineConfig::default()
         })
         .unwrap();
-        let mem = MemWal::new();
+        let mem = MemFs::new();
         // Budget: the 8-byte header plus 10 bytes — the first record tears.
-        let failing = FailingWal::new(mem.clone(), 8 + 10);
+        let failing = FailingFs::new(mem.clone(), 8 + 10);
         let (mut b, _) = EngineBackend::with_wal(engine, Box::new(failing), test_policy()).unwrap();
         let weights_before = b.current_weights().to_vec();
         let digest_before = b.weights_digest();
@@ -677,7 +679,7 @@ mod tests {
                 ..EngineConfig::default()
             })
             .unwrap(),
-            Box::new(MemWal::from_bytes(mem.snapshot())),
+            Box::new(MemFs::from_map(mem.snapshot())),
             test_policy(),
         )
         .unwrap();

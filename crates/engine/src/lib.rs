@@ -26,8 +26,8 @@
 //!   one engine epoch with carried-over weights
 //!   ([`Engine::run_with_state`]) and accumulated metrics.
 //! * [`wal`] — the epoch write-ahead log: checksummed, length-prefixed
-//!   [`EpochRecord`]s through a [`WalSink`] ([`FileWal`] on disk,
-//!   [`MemWal`] in tests, [`FailingWal`] for crash injection).
+//!   [`EpochRecord`]s, and the single-segment [`WalWriter`] that appends
+//!   them through the store's filesystem seam ([`store::StoreFs`]).
 //! * [`store`] — the segmented snapshot store: [`SegmentStore`] rotates
 //!   sealed segments under an atomically-rewritten manifest, and its
 //!   compactor writes full-state snapshot records then garbage-collects
@@ -84,8 +84,8 @@ pub use metrics::EngineMetrics;
 pub use recovery::RecoveredState;
 pub use store::{ObservedFs, SegmentStore, StoreConfig, StoreObserver};
 pub use wal::{
-    EpochRecord, FailingWal, FileWal, MemWal, RecordKind, RecordLog, RoundRecord, WalError,
-    WalLock, WalPolicy, WalSink, WalWriter,
+    EpochRecord, FileWal, MemWal, RecordKind, RecordLog, RoundRecord, WalError, WalLock, WalPolicy,
+    WalWriter,
 };
 
 /// Error type for the aggregation engine.

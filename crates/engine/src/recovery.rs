@@ -24,7 +24,7 @@
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::Loss;
 
-use crate::wal::{EpochRecord, RecordKind, Replay, WalError, WalPolicy};
+use crate::wal::{same_bits, EpochRecord, RecordKind, Replay, WalError, WalPolicy};
 use crate::EngineError;
 
 /// Mid-campaign state rebuilt from a write-ahead log.
@@ -96,11 +96,6 @@ pub fn recover_replay(
     let mut policy: Option<WalPolicy> = None;
     let mut snapshot_epoch: Option<u64> = None;
 
-    // Bit-exact slice equality, matching what the log stores.
-    let losses_match = |a: &[f64], b: &[f64]| {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    };
-
     for record in &replay.records {
         if record.num_users() != num_users {
             return Err(EngineError::InvalidParameter {
@@ -155,7 +150,7 @@ pub fn recover_replay(
                     let consistent = record.rounds_debited == rounds_debited
                         && record.batches_seen == records_applied
                         && last_record.is_some_and(|r| {
-                            losses_match(&record.cumulative_losses, &r.cumulative_losses)
+                            same_bits(&record.cumulative_losses, &r.cumulative_losses)
                         });
                     if !consistent {
                         return Err(EngineError::Wal(WalError::Inconsistent {
@@ -327,6 +322,22 @@ mod tests {
             record(0, vec![1], vec![0, 1, 0]),
         ];
         assert!(recover_replay(&replay_of(&records), 3, Loss::Squared, None).is_err());
+    }
+
+    #[test]
+    fn a_re_append_that_differs_only_in_a_zero_sign_is_refused() {
+        // `-0.0 == 0.0`, but the two are different bytes on disk: a
+        // duplicate epoch is skipped only when byte-identical, so this
+        // pair is a diverging writer, not a retry.
+        let mut first = record(0, vec![0, 2], vec![1, 0, 1]);
+        first.cumulative_losses[1] = 0.0;
+        let mut second = first.clone();
+        second.cumulative_losses[1] = -0.0;
+        let err = recover_replay(&replay_of(&[first, second]), 3, Loss::Squared, None).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Wal(WalError::Inconsistent { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The store's view of a directory: named byte files with append,
 //! atomic replace, and removal.
 //!
-//! [`SegmentStore`](crate::store::SegmentStore) never touches the
-//! filesystem directly; it goes through [`StoreFs`] so the exact same
-//! rotation/compaction/GC logic runs over a real fsynced directory
-//! ([`DirFs`]), an in-memory map for tests ([`MemFs`]), and a
-//! crash-injecting wrapper ([`FailingFs`]) that kills the "process" at
-//! an arbitrary byte budget — the segmented analogue of
-//! [`FailingWal`](crate::wal::FailingWal).
+//! Neither durable log — [`SegmentStore`](crate::store::SegmentStore)
+//! nor the single-segment [`WalWriter`](crate::wal::WalWriter) — touches
+//! the filesystem directly; both go through [`StoreFs`], so the exact
+//! same logic runs over a real fsynced directory ([`DirFs`]), an
+//! in-memory map for tests ([`MemFs`]), and a crash-injecting wrapper
+//! ([`FailingFs`]) that kills the "process" at an arbitrary byte
+//! budget.
 //!
-//! Durability discipline in [`DirFs`] mirrors [`crate::wal::FileWal`]:
-//! appends `sync_data` before returning, file creation and removal
-//! fsync the directory (the *name* must survive power loss, not just
-//! the bytes), and [`StoreFs::write_atomic`] is temp-file + fsync +
+//! Durability discipline in [`DirFs`]: appends `sync_data` before
+//! returning, file creation and removal fsync the directory (the *name*
+//! must survive power loss, not just the bytes), and [`StoreFs::write_atomic`] is temp-file + fsync +
 //! rename + directory fsync — the only way the manifest is ever
 //! replaced, so a crash leaves either the old manifest or the new one,
 //! never a torn hybrid.
@@ -24,14 +23,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::wal::WalError;
-
-fn io_err(op: &'static str, e: std::io::Error) -> WalError {
-    WalError::Io {
-        op,
-        message: e.to_string(),
-    }
-}
+use crate::wal::{io_err, WalError};
 
 /// A directory of named byte files, as the segmented store consumes it.
 ///

@@ -1,7 +1,7 @@
 //! Segmented snapshot store: WAL compaction, segment rotation, and
 //! bounded-time recovery.
 //!
-//! The single-segment [`FileWal`](crate::wal::FileWal) layout appends
+//! The single-segment [`WalWriter`](crate::wal::WalWriter) layout appends
 //! one full-state [`EpochRecord`](crate::wal::EpochRecord) per round to
 //! one file forever, so a long-running campaign's disk usage — and its
 //! crash-recovery replay time — grow as `O(rounds × num_users)`. This
@@ -68,8 +68,8 @@
 //!   tail truncation), so a killed-and-resumed campaign ends
 //!   bit-identical to an uninterrupted one, directory bytes included.
 //!
-//! Crash injection for all of the above runs through [`FailingFs`],
-//! the segmented analogue of [`FailingWal`](crate::wal::FailingWal):
+//! Crash injection for all of the above runs through [`FailingFs`]
+//! (the single-segment log's harnesses use it too):
 //! `crates/engine/tests/store_faults.rs` kills the store at every byte
 //! of every append and at every boundary inside rotation, compaction
 //! and GC, on a dense campaign (full frames) and a sparse one (delta

@@ -144,8 +144,8 @@ impl StoreReplay {
 /// Open with [`SegmentStore::open`] (or
 /// [`SegmentStore::open_dir`]); commit records through the
 /// [`RecordLog`] impl. The caller holds the directory's advisory
-/// [`WalLock`](crate::wal::WalLock), exactly as with
-/// [`FileWal`](crate::wal::FileWal).
+/// [`WalLock`](crate::wal::WalLock), exactly as with a
+/// [`WalWriter`](crate::wal::WalWriter) over a [`DirFs`].
 #[derive(Debug)]
 pub struct SegmentStore {
     fs: Box<dyn StoreFs>,
@@ -266,7 +266,7 @@ impl SegmentStore {
     /// manifest commit never happened, or an interrupted garbage
     /// collection) are deleted, and the active segment's torn tail is
     /// truncated. A directory written by the single-segment
-    /// [`FileWal`](crate::wal::FileWal) layout is adopted in place: its
+    /// [`WalWriter`](crate::wal::WalWriter) layout is adopted in place: its
     /// `segment-000.wal` becomes the whole manifest.
     ///
     /// # Errors
@@ -285,7 +285,7 @@ impl SegmentStore {
         }
         let (manifest, manifest_on_disk) = match fs.read(MANIFEST_FILE)? {
             Some(bytes) => (Manifest::decode(&bytes)?, true),
-            // Fresh directory, or a legacy single-segment FileWal dir:
+            // Fresh directory, or a legacy single-segment WalWriter dir:
             // either way segment 0 is the whole log.
             None => (Manifest { segments: vec![0] }, false),
         };
@@ -822,7 +822,8 @@ mod tests {
 
     #[test]
     fn legacy_single_segment_directories_are_adopted() {
-        // A PR-3-era FileWal directory: segment-000.wal, no manifest.
+        // A single-segment WalWriter directory: segment-000.wal, no
+        // manifest.
         let mem = MemFs::new();
         let mut legacy = WAL_MAGIC.to_vec();
         for r in records(3) {

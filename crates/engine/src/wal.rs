@@ -74,11 +74,12 @@
 //! self-check on a v3 frame and refuses the log as corrupt instead of
 //! misreading it.
 //!
-//! Sinks: [`FileWal`] appends to a single segment file (fsynced per
-//! record), [`MemWal`] is the in-memory test double, and [`FailingWal`]
-//! injects crashes — it tears the write after a byte budget — for the
-//! fault-injection harnesses in `tests/wal_recovery.rs` and
-//! `crates/engine/tests/wal_proptests.rs`.
+//! [`WalWriter`] keeps its one segment, [`SEGMENT_FILE`], in a
+//! [`StoreFs`] — the filesystem seam the segmented store writes
+//! through too: [`DirFs`] on disk (fsynced per record), [`MemFs`] in
+//! tests, and [`FailingFs`](crate::store::FailingFs), which tears a
+//! write after a byte budget, for the fault-injection harnesses in
+//! `tests/wal_recovery.rs` and `crates/engine/tests/wal_proptests.rs`.
 //!
 //! **Single-writer contract**: a log directory belongs to one campaign
 //! process at a time. [`WalLock`] enforces it advisorily with an OS
@@ -86,10 +87,10 @@
 //! a second live writer is refused **at open** ([`WalError::Locked`])
 //! instead of only detected at recovery — while a lock whose holder
 //! died releases with the process, so a crash never blocks the very
-//! recovery this module exists for. [`FileWal`] itself stays lock-free
-//! so read-only inspection (`dptd recover`) never contends; writers —
-//! the campaign CLI and the network server's per-campaign WAL dirs —
-//! acquire the lock around it. Recovery additionally still *detects*
+//! recovery this module exists for. The filesystem itself stays
+//! lock-free so read-only inspection (`dptd recover`) never contends;
+//! writers — the campaign CLI and the network server's per-campaign
+//! WAL dirs — acquire the lock around it. Recovery additionally still *detects*
 //! interleaved writers after the fact (a non-increasing epoch whose
 //! record differs from the one already applied refuses as
 //! [`WalError::Inconsistent`]).
@@ -98,10 +99,11 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use dptd_stats::digest::Fnv1a;
 use dptd_truth::Loss;
+
+use crate::store::{DirFs, MemFs, StoreFs};
 
 /// The 8-byte file header: 7 ASCII magic bytes plus the format version.
 pub const WAL_MAGIC: [u8; 8] = *b"DPTDWAL\x01";
@@ -199,10 +201,10 @@ impl FrameKind {
 /// Errors from the write-ahead log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {
-    /// An I/O operation on the backing sink failed (or a
-    /// [`FailingWal`]-injected crash fired).
+    /// An I/O operation on the backing filesystem failed (or a
+    /// [`FailingFs`](crate::store::FailingFs)-injected crash fired).
     Io {
-        /// Which sink operation failed (`"load"`, `"append"`, …).
+        /// Which filesystem operation failed (`"read"`, `"append"`, …).
         op: &'static str,
         /// The underlying error rendered as text.
         message: String,
@@ -253,89 +255,10 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-fn io_err(op: &'static str, e: std::io::Error) -> WalError {
+pub(crate) fn io_err(op: &'static str, e: std::io::Error) -> WalError {
     WalError::Io {
         op,
         message: e.to_string(),
-    }
-}
-
-/// A byte-level append log the WAL writes through. Implementations only
-/// store bytes; framing, checksums and replay live in this module so
-/// every sink shares the exact same format.
-pub trait WalSink: fmt::Debug + Send {
-    /// Read the entire log from the beginning.
-    fn load(&mut self) -> Result<Vec<u8>, WalError>;
-    /// Append `bytes` at the end (one call per record frame; a crash may
-    /// leave a prefix of the frame behind — replay handles that).
-    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError>;
-    /// Discard everything past `len` bytes (torn-tail repair).
-    fn truncate(&mut self, len: u64) -> Result<(), WalError>;
-}
-
-/// File-backed WAL sink: one segment file inside a directory, fsynced
-/// after every append. One live writer per directory (see the module
-/// docs' single-writer contract).
-#[derive(Debug, Clone)]
-pub struct FileWal {
-    path: PathBuf,
-}
-
-impl FileWal {
-    /// Open (creating if needed) the WAL segment inside `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError::Io`] if the directory or file cannot be
-    /// created.
-    pub fn open(dir: &Path) -> Result<Self, WalError> {
-        fs::create_dir_all(dir).map_err(|e| io_err("create dir", e))?;
-        let path = dir.join(SEGMENT_FILE);
-        if !path.exists() {
-            fs::File::create(&path).map_err(|e| io_err("create segment", e))?;
-            // Durability of the *name*, not just the bytes: without
-            // fsyncing the directory, a power cut can drop the freshly
-            // created entry and the whole log silently vanishes —
-            // restart would replay an empty log and re-spend budgets.
-            if let Ok(d) = fs::File::open(dir) {
-                d.sync_all().map_err(|e| io_err("sync dir", e))?;
-            }
-        }
-        Ok(Self { path })
-    }
-
-    /// The segment file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl WalSink for FileWal {
-    fn load(&mut self) -> Result<Vec<u8>, WalError> {
-        match fs::read(&self.path) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(io_err("load", e)),
-        }
-    }
-
-    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err("append", e))?;
-        file.write_all(bytes).map_err(|e| io_err("append", e))?;
-        file.sync_data().map_err(|e| io_err("append", e))
-    }
-
-    fn truncate(&mut self, len: u64) -> Result<(), WalError> {
-        let file = fs::OpenOptions::new()
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err("truncate", e))?;
-        file.set_len(len).map_err(|e| io_err("truncate", e))?;
-        file.sync_data().map_err(|e| io_err("truncate", e))
     }
 }
 
@@ -356,8 +279,8 @@ impl WalSink for FileWal {
 /// file description, and the OS denies a second lock through a second
 /// descriptor.
 ///
-/// The lock is advisory: read-only inspection ([`FileWal::load`],
-/// `dptd recover`) deliberately ignores it.
+/// The lock is advisory: read-only inspection (`dptd recover`)
+/// deliberately ignores it.
 #[derive(Debug)]
 pub struct WalLock {
     /// Holding this open descriptor IS the lock; closing it (drop)
@@ -420,132 +343,6 @@ impl Drop for WalLock {
         // OS lock anyway. The file stays behind — presence is not the
         // signal, the lock is.
         let _ = self.file.unlock();
-    }
-}
-
-/// In-memory WAL sink for tests. Clones share the same buffer, so a test
-/// can keep a handle, hand a clone to the engine, "crash" it, and read
-/// what survived.
-#[derive(Debug, Clone, Default)]
-pub struct MemWal {
-    buf: Arc<Mutex<Vec<u8>>>,
-}
-
-impl MemWal {
-    /// An empty in-memory log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An in-memory log seeded with `bytes` (e.g. what survived a
-    /// simulated crash).
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Self {
-            buf: Arc::new(Mutex::new(bytes)),
-        }
-    }
-
-    /// A copy of the log's current bytes.
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.buf.lock().expect("wal buffer lock").clone()
-    }
-}
-
-impl WalSink for MemWal {
-    fn load(&mut self) -> Result<Vec<u8>, WalError> {
-        Ok(self.snapshot())
-    }
-
-    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        self.buf
-            .lock()
-            .expect("wal buffer lock")
-            .extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn truncate(&mut self, len: u64) -> Result<(), WalError> {
-        let mut buf = self.buf.lock().expect("wal buffer lock");
-        if (len as usize) < buf.len() {
-            buf.truncate(len as usize);
-        }
-        Ok(())
-    }
-}
-
-/// Fault-injection sink: forwards to `inner` until a byte budget runs
-/// out, then **tears** the offending append (writes only the bytes the
-/// budget still covers) and fails every call after — exactly what a
-/// crash mid-`write(2)` leaves on disk.
-///
-/// A budget landing on a frame boundary models a clean kill between
-/// records; any other budget models a torn partial write.
-#[derive(Debug)]
-pub struct FailingWal<S: WalSink> {
-    inner: S,
-    remaining: u64,
-    crashed: bool,
-}
-
-impl<S: WalSink> FailingWal<S> {
-    /// Crash once `fail_after_bytes` total bytes have been appended
-    /// through this wrapper (the header written on open counts).
-    pub fn new(inner: S, fail_after_bytes: u64) -> Self {
-        Self {
-            inner,
-            remaining: fail_after_bytes,
-            crashed: false,
-        }
-    }
-
-    /// Whether the injected crash has fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// Unwrap the inner sink (to inspect what survived the crash).
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: WalSink> WalSink for FailingWal<S> {
-    fn load(&mut self) -> Result<Vec<u8>, WalError> {
-        self.inner.load()
-    }
-
-    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        if self.crashed {
-            return Err(WalError::Io {
-                op: "append",
-                message: "injected crash: process already dead".to_string(),
-            });
-        }
-        if (bytes.len() as u64) <= self.remaining {
-            self.remaining -= bytes.len() as u64;
-            return self.inner.append(bytes);
-        }
-        // Torn write: persist only the prefix the budget covers, then die.
-        let keep = self.remaining as usize;
-        self.crashed = true;
-        self.remaining = 0;
-        if keep > 0 {
-            self.inner.append(&bytes[..keep])?;
-        }
-        Err(WalError::Io {
-            op: "append",
-            message: format!("injected crash: write torn after {keep} bytes"),
-        })
-    }
-
-    fn truncate(&mut self, len: u64) -> Result<(), WalError> {
-        if self.crashed {
-            return Err(WalError::Io {
-                op: "truncate",
-                message: "injected crash: process already dead".to_string(),
-            });
-        }
-        self.inner.truncate(len)
     }
 }
 
@@ -621,7 +418,11 @@ impl WalPolicy {
 /// debit ledger, so the **last** committed record alone can restore the
 /// campaign while the accepted histories let recovery cross-check the
 /// ledger (and future compaction drop history without losing state).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is the log's own: two records are equal iff they encode to
+/// the same bytes, so the `f64` fields compare by bit pattern (`-0.0`
+/// differs from `0.0`, and a NaN equals the same NaN).
+#[derive(Debug, Clone)]
 pub struct EpochRecord {
     /// What this record means to replay: a merged epoch, or a
     /// compaction snapshot covering everything before it. The kind is
@@ -644,6 +445,23 @@ pub struct EpochRecord {
     pub cumulative_losses: Vec<f64>,
     /// Snapshot of the per-user debit ledger *after* this epoch's debits.
     pub rounds_debited: Vec<u32>,
+}
+
+impl PartialEq for EpochRecord {
+    fn eq(&self, other: &Self) -> bool {
+        (self.kind, self.epoch, self.batches_seen, self.loss)
+            == (other.kind, other.epoch, other.batches_seen, other.loss)
+            && self.policy.matches(&other.policy)
+            && self.accepted_users == other.accepted_users
+            && same_bits(&self.cumulative_losses, &other.cumulative_losses)
+            && self.rounds_debited == other.rounds_debited
+    }
+}
+
+/// Whether `a` and `b` hold the same IEEE-754 bit patterns, element for
+/// element — equality as the log stores it.
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// One merged round as a [`RecordLog`] is handed it by an owner that
@@ -1266,9 +1084,9 @@ fn replay_known(bytes: &[u8], known: &[FrameKind]) -> Result<Replay, WalError> {
 }
 
 /// The record-level appending interface the engine backend writes
-/// through: [`WalWriter`] (one sink, the single-segment layout) and the
-/// segmented [`crate::store::SegmentStore`] (rotation + compaction)
-/// both implement it, so the durability barrier in
+/// through: [`WalWriter`] (the single-segment layout) and the segmented
+/// [`crate::store::SegmentStore`] (rotation + compaction) both
+/// implement it, so the durability barrier in
 /// [`crate::backend::EngineBackend`] is layout-agnostic.
 ///
 /// A record reaches a log one of two ways, which commit the same bytes:
@@ -1292,17 +1110,18 @@ pub trait RecordLog: fmt::Debug + Send {
     }
 
     /// Flush everything committed so far to stable storage (a no-op for
-    /// sinks that sync on every append) — called on orderly shutdown.
+    /// logs that sync on every append) — called on orderly shutdown.
     fn sync(&mut self) -> Result<(), WalError> {
         Ok(())
     }
 }
 
-/// The appending half of the WAL: owns a sink, repairs its torn tail on
-/// open, and frames every record.
+/// The appending half of the single-segment log: keeps
+/// [`SEGMENT_FILE`] in a [`StoreFs`], repairs its torn tail on open, and
+/// frames every record.
 #[derive(Debug)]
 pub struct WalWriter {
-    sink: Box<dyn WalSink>,
+    fs: Box<dyn StoreFs>,
     /// Bytes known durably committed (header + acknowledged frames).
     /// Everything past this after a failed append is suspect — a torn
     /// prefix, or worse a *complete* frame whose fsync failed (the
@@ -1315,27 +1134,28 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Open a log for appending: load and replay the existing bytes,
-    /// truncate any torn tail, and write the header if the log is fresh.
-    /// Returns the writer plus the replay (what recovery feeds on).
+    /// Open a log for appending: read and replay the segment's existing
+    /// bytes, truncate any torn tail, and write the header if the log is
+    /// fresh. Returns the writer plus the replay (what recovery feeds
+    /// on).
     ///
     /// # Errors
     ///
-    /// Propagates sink I/O failures and replay errors ([`WalError`]).
-    pub fn open(mut sink: Box<dyn WalSink>) -> Result<(Self, Replay), WalError> {
-        let bytes = sink.load()?;
+    /// Propagates filesystem failures and replay errors ([`WalError`]).
+    pub fn open(mut fs: Box<dyn StoreFs>) -> Result<(Self, Replay), WalError> {
+        let bytes = fs.read(SEGMENT_FILE)?.unwrap_or_default();
         let replay = replay(&bytes)?;
         if replay.truncated_bytes > 0 {
-            sink.truncate(replay.valid_len)?;
+            fs.truncate(SEGMENT_FILE, replay.valid_len)?;
         }
         let mut committed_len = replay.valid_len;
         if committed_len == 0 {
-            sink.append(&WAL_MAGIC)?;
+            fs.append(SEGMENT_FILE, &WAL_MAGIC)?;
             committed_len = WAL_MAGIC.len() as u64;
         }
         Ok((
             Self {
-                sink,
+                fs,
                 committed_len,
                 dirty: false,
             },
@@ -1343,15 +1163,7 @@ impl WalWriter {
         ))
     }
 
-    /// Drop everything past the last acknowledged commit, clearing the
-    /// dirty flag on success.
-    fn repair(&mut self) -> Result<(), WalError> {
-        self.sink.truncate(self.committed_len)?;
-        self.dirty = false;
-        Ok(())
-    }
-
-    /// Append one epoch record (a single sink write, synced by the sink).
+    /// Append one epoch record (a single synced append).
     ///
     /// A failed append may leave bytes of the unacknowledged frame
     /// behind — a torn prefix, or a complete frame whose sync failed —
@@ -1362,17 +1174,18 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Propagates sink I/O failures; the record is not committed if this
-    /// errors.
+    /// Propagates filesystem failures; the record is not committed if
+    /// this errors.
     pub fn append(&mut self, record: &EpochRecord) -> Result<(), WalError> {
         self.append_frame(&record.encode())
     }
 
     fn append_frame(&mut self, frame: &[u8]) -> Result<(), WalError> {
         if self.dirty {
-            self.repair()?;
+            self.fs.truncate(SEGMENT_FILE, self.committed_len)?;
+            self.dirty = false;
         }
-        match self.sink.append(frame) {
+        match self.fs.append(SEGMENT_FILE, frame) {
             Ok(()) => {
                 self.committed_len += frame.len() as u64;
                 Ok(())
@@ -1396,9 +1209,30 @@ impl RecordLog for WalWriter {
     }
 }
 
+/// The in-memory filesystem under its single-segment-log name. The
+/// benchmark harness (`e2e_ledger/`) is its only user; ROADMAP item 1
+/// slice A moves the harness off it and removes it.
+pub type MemWal = MemFs;
+
+/// The on-disk filesystem under its single-segment-log name. The
+/// benchmark harness (`e2e_ledger/`) is its only user; ROADMAP item 1
+/// slice A moves the harness off it and removes it.
+pub type FileWal = DirFs;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::FailingFs;
+
+    /// An in-memory directory whose segment holds `bytes`.
+    fn seeded(bytes: Vec<u8>) -> MemFs {
+        MemFs::from_map([(SEGMENT_FILE.to_string(), bytes)].into())
+    }
+
+    /// The segment's bytes (empty when nothing created it).
+    fn segment(fs: &MemFs) -> Vec<u8> {
+        fs.snapshot().remove(SEGMENT_FILE).unwrap_or_default()
+    }
 
     fn record(epoch: u64) -> EpochRecord {
         EpochRecord {
@@ -1812,12 +1646,12 @@ mod tests {
     fn writer_repairs_torn_tail_before_appending() {
         let mut torn = [WAL_MAGIC.as_slice(), &record(0).encode()].concat();
         torn.extend_from_slice(&[1, 2, 3, 4, 5]); // torn garbage
-        let mem = MemWal::from_bytes(torn);
+        let mem = seeded(torn);
         let (mut writer, replayed) = WalWriter::open(Box::new(mem.clone())).unwrap();
         assert_eq!(replayed.records.len(), 1);
         assert_eq!(replayed.truncated_bytes, 5);
         writer.append(&record(1)).unwrap();
-        let clean = replay(&mem.snapshot()).unwrap();
+        let clean = replay(&segment(&mem)).unwrap();
         assert_eq!(clean.records.len(), 2);
         assert_eq!(clean.truncated_bytes, 0);
     }
@@ -1826,39 +1660,51 @@ mod tests {
     fn retried_append_after_a_torn_failure_repairs_before_writing() {
         /// Fails exactly one append — persisting a fraction of the frame
         /// (a torn write) or all of it (a full write whose fsync
-        /// failed). A transient fault, unlike [`FailingWal`]'s
+        /// failed). A transient fault, unlike [`FailingFs`]'s
         /// permanent crash.
         #[derive(Debug)]
-        struct FlakyWal {
-            inner: MemWal,
+        struct FlakyFs {
+            inner: MemFs,
             fail_next: bool,
             /// Numerator over 2: 1 = write half the frame, 2 = all of it.
             persist_halves: usize,
         }
-        impl WalSink for FlakyWal {
-            fn load(&mut self) -> Result<Vec<u8>, WalError> {
-                self.inner.load()
+        impl StoreFs for FlakyFs {
+            fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, WalError> {
+                self.inner.read(name)
             }
-            fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+            fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
                 if self.fail_next {
                     self.fail_next = false;
                     self.inner
-                        .append(&bytes[..bytes.len() * self.persist_halves / 2])?;
+                        .append(name, &bytes[..bytes.len() * self.persist_halves / 2])?;
                     return Err(WalError::Io {
                         op: "append",
                         message: "transient: no space left".to_string(),
                     });
                 }
-                self.inner.append(bytes)
+                self.inner.append(name, bytes)
             }
-            fn truncate(&mut self, len: u64) -> Result<(), WalError> {
-                self.inner.truncate(len)
+            fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError> {
+                self.inner.truncate(name, len)
+            }
+            fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+                self.inner.write_atomic(name, bytes)
+            }
+            fn remove(&mut self, name: &str) -> Result<(), WalError> {
+                self.inner.remove(name)
+            }
+            fn list(&mut self) -> Result<Vec<String>, WalError> {
+                self.inner.list()
+            }
+            fn sync(&mut self, name: &str) -> Result<(), WalError> {
+                self.inner.sync(name)
             }
         }
 
         for persist_halves in [1usize, 2] {
-            let mem = MemWal::new();
-            let (mut writer, _) = WalWriter::open(Box::new(FlakyWal {
+            let mem = MemFs::new();
+            let (mut writer, _) = WalWriter::open(Box::new(FlakyFs {
                 inner: mem.clone(),
                 fail_next: false,
                 persist_halves,
@@ -1868,16 +1714,16 @@ mod tests {
 
             // Fail the next append (torn half-frame, or a complete frame
             // whose sync failed — the caller was told it did NOT commit).
-            // The writer owns its sink, so model the fault with a second
-            // writer over the same shared buffer.
-            let (mut flaky_writer, _) = WalWriter::open(Box::new(FlakyWal {
+            // The writer owns its filesystem, so model the fault with a
+            // second writer over the same shared directory.
+            let (mut flaky_writer, _) = WalWriter::open(Box::new(FlakyFs {
                 inner: mem.clone(),
                 fail_next: true,
                 persist_halves,
             }))
             .unwrap();
             assert!(flaky_writer.append(&record(1)).is_err());
-            assert!(mem.snapshot().len() > WAL_MAGIC.len() + record(0).encode().len());
+            assert!(segment(&mem).len() > WAL_MAGIC.len() + record(0).encode().len());
 
             // The retry must truncate back to the last acknowledged
             // commit first: without that, a torn prefix would make the
@@ -1885,7 +1731,7 @@ mod tests {
             // persisted unacknowledged frame would commit the same epoch
             // twice (double-charging its debits on replay).
             flaky_writer.append(&record(1)).unwrap();
-            let clean = replay(&mem.snapshot()).unwrap();
+            let clean = replay(&segment(&mem)).unwrap();
             assert_eq!(
                 clean.records,
                 vec![record(0), record(1)],
@@ -1897,20 +1743,19 @@ mod tests {
 
     #[test]
     fn failing_wal_tears_exactly_at_the_byte_budget() {
-        let mem = MemWal::new();
-        let mut failing = FailingWal::new(mem.clone(), WAL_MAGIC.len() as u64 + 10);
-        failing.append(&WAL_MAGIC).unwrap();
-        let frame = record(0).encode();
-        assert!(failing.append(&frame).is_err());
-        assert!(failing.crashed());
+        let mem = MemFs::new();
+        let failing = FailingFs::new(mem.clone(), WAL_MAGIC.len() as u64 + 10);
+        let (mut writer, _) = WalWriter::open(Box::new(failing)).unwrap();
+        assert!(writer.append(&record(0)).is_err());
         // Exactly 10 bytes of the frame survived — a torn tail replay
         // truncates.
-        assert_eq!(mem.snapshot().len(), WAL_MAGIC.len() + 10);
-        let r = replay(&mem.snapshot()).unwrap();
+        assert_eq!(segment(&mem).len(), WAL_MAGIC.len() + 10);
+        let r = replay(&segment(&mem)).unwrap();
         assert_eq!(r.records.len(), 0);
         assert_eq!(r.truncated_bytes, 10);
-        // The dead process stays dead.
-        assert!(failing.append(&frame).is_err());
+        // The dead process stays dead: the retry's repair fails too.
+        assert!(writer.append(&record(0)).is_err());
+        assert_eq!(segment(&mem).len(), WAL_MAGIC.len() + 10);
     }
 
     #[test]
@@ -1970,24 +1815,24 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         {
-            let sink = FileWal::open(&dir).unwrap();
-            let (mut writer, replayed) = WalWriter::open(Box::new(sink)).unwrap();
+            let (mut writer, replayed) =
+                WalWriter::open(Box::new(DirFs::open(&dir).unwrap())).unwrap();
             assert!(replayed.records.is_empty());
             writer.append(&record(0)).unwrap();
             writer.append(&record(1)).unwrap();
         }
         // Reopen from disk: both records committed; append a torn tail by
         // hand and confirm the next open repairs it.
-        let mut sink = FileWal::open(&dir).unwrap();
-        let bytes = sink.load().unwrap();
+        let mut disk = DirFs::open(&dir).unwrap();
+        let bytes = disk.read(SEGMENT_FILE).unwrap().unwrap();
         let r = replay(&bytes).unwrap();
         assert_eq!(r.records.len(), 2);
-        sink.append(&[0xde, 0xad]).unwrap();
-        let (_, replayed) = WalWriter::open(Box::new(FileWal::open(&dir).unwrap())).unwrap();
+        disk.append(SEGMENT_FILE, &[0xde, 0xad]).unwrap();
+        let (_, replayed) = WalWriter::open(Box::new(DirFs::open(&dir).unwrap())).unwrap();
         assert_eq!(replayed.records.len(), 2);
         assert_eq!(replayed.truncated_bytes, 2);
         assert_eq!(
-            FileWal::open(&dir).unwrap().load().unwrap().len() as u64,
+            disk.read(SEGMENT_FILE).unwrap().unwrap().len() as u64,
             replayed.valid_len
         );
         let _ = fs::remove_dir_all(&dir);

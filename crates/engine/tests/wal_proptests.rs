@@ -19,11 +19,10 @@
 
 use proptest::prelude::*;
 
-use dptd_engine::store::{MemFs, SegmentStore, StoreConfig};
-use dptd_engine::wal::{self, RecordLog, WAL_MAGIC};
+use dptd_engine::store::{FailingFs, MemFs, SegmentStore, StoreConfig};
+use dptd_engine::wal::{self, RecordLog, SEGMENT_FILE, WAL_MAGIC};
 use dptd_engine::{
-    Engine, EngineBackend, EngineConfig, EpochRecord, FailingWal, LoadGen, LoadGenConfig, MemWal,
-    RecordKind, WalPolicy,
+    Engine, EngineBackend, EngineConfig, EpochRecord, LoadGen, LoadGenConfig, RecordKind, WalPolicy,
 };
 use dptd_ldp::PrivacyLoss;
 use dptd_protocol::campaign::{CampaignConfig, CampaignDriver};
@@ -75,9 +74,14 @@ fn campaign_config(load: &LoadGen) -> CampaignConfig {
     }
 }
 
+/// The single-segment log's bytes in `fs` (empty when nothing created it).
+fn segment(fs: &MemFs) -> Vec<u8> {
+    fs.snapshot().remove(SEGMENT_FILE).unwrap_or_default()
+}
+
 /// Run the whole campaign WAL-enabled and return (bytes, ledger, weights).
 fn uninterrupted(load: &LoadGen, shards: usize) -> (Vec<u8>, Vec<u32>, Vec<f64>) {
-    let mem = MemWal::new();
+    let mem = MemFs::new();
     let config = campaign_config(load);
     let (backend, recovered) = EngineBackend::with_wal(
         engine(load, shards),
@@ -95,7 +99,7 @@ fn uninterrupted(load: &LoadGen, shards: usize) -> (Vec<u8>, Vec<u32>, Vec<f64>)
     }
     let ledger = driver.accountant().debits_by_user().to_vec();
     let weights = driver.into_backend().current_weights().to_vec();
-    (mem.snapshot(), ledger, weights)
+    (segment(&mem), ledger, weights)
 }
 
 proptest! {
@@ -120,8 +124,8 @@ proptest! {
 
         for shards in [1usize, 4, 16] {
             // Crash: every byte past `kill` is torn away mid-write.
-            let crash_mem = MemWal::new();
-            let failing = FailingWal::new(crash_mem.clone(), kill);
+            let crash_mem = MemFs::new();
+            let failing = FailingFs::new(crash_mem.clone(), kill);
             let crashed =
                 EngineBackend::with_wal(engine(&gen, shards), Box::new(failing), WalPolicy::from_campaign(&config));
             if let Ok((backend, recovered)) = crashed {
@@ -138,7 +142,7 @@ proptest! {
                     }
                 }
             }
-            let surviving = crash_mem.snapshot();
+            let surviving = segment(&crash_mem);
             // Determinism: what survived is a byte prefix of the
             // uninterrupted log.
             prop_assert!(surviving.len() as u64 <= ref_bytes.len() as u64);
@@ -149,7 +153,7 @@ proptest! {
             );
 
             // Recover + resume on a fresh process image.
-            let resume_mem = MemWal::from_bytes(surviving);
+            let resume_mem = MemFs::from_map([(SEGMENT_FILE.to_string(), surviving)].into());
             let (backend, recovered) = EngineBackend::with_wal(
                 engine(&gen, shards),
                 Box::new(resume_mem.clone()),
@@ -181,7 +185,7 @@ proptest! {
                 "shards={}: weights diverged", shards
             );
             prop_assert_eq!(
-                resume_mem.snapshot(),
+                segment(&resume_mem),
                 ref_bytes.clone(),
                 "shards={}: resumed log diverged", shards
             );

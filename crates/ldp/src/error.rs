@@ -12,13 +12,6 @@ pub enum LdpError {
         /// The constraint that failed.
         constraint: &'static str,
     },
-    /// A categorical input was outside the declared domain size.
-    CategoryOutOfRange {
-        /// The offending category index.
-        category: usize,
-        /// Domain size `k`.
-        domain: usize,
-    },
     /// An underlying statistics error (invalid distribution parameters).
     Stats(dptd_stats::StatsError),
 }
@@ -31,9 +24,6 @@ impl fmt::Display for LdpError {
                 value,
                 constraint,
             } => write!(f, "invalid parameter {name} = {value}: {constraint}"),
-            LdpError::CategoryOutOfRange { category, domain } => {
-                write!(f, "category {category} outside domain of size {domain}")
-            }
             LdpError::Stats(e) => write!(f, "statistics error: {e}"),
         }
     }
@@ -68,9 +58,10 @@ mod tests {
         assert!(e.to_string().contains("statistics error"));
         assert!(e.source().is_some());
 
-        let e = LdpError::CategoryOutOfRange {
-            category: 7,
-            domain: 3,
+        let e = LdpError::InvalidParameter {
+            name: "epsilon",
+            value: 7.0,
+            constraint: "must be positive",
         };
         assert!(e.to_string().contains('7'));
         assert!(e.source().is_none());

@@ -21,8 +21,6 @@
 //!   `Δ_s` and Lemma 4.7's high-probability bound `Δ_s ≤ γ_s/λ₁`.
 //! * [`accountant`] — converting between mechanism parameters and `(ε, δ)`
 //!   guarantees, plus sequential composition.
-//! * [`randomized_response`] — k-ary randomized response, the categorical
-//!   counterpart used by the categorical-truth-discovery extension.
 //! * [`audit`] — an *empirical* LDP auditor that estimates the privacy loss
 //!   of any mechanism from samples; the test-suite uses it to check the
 //!   analytic guarantees from the outside.
@@ -33,7 +31,6 @@
 pub mod accountant;
 pub mod audit;
 pub mod mechanism;
-pub mod randomized_response;
 pub mod sensitivity;
 
 mod error;

@@ -93,8 +93,8 @@ impl RandomizedVarianceGaussian {
     ///
     /// With `ξ | δ² ~ N(0, δ²)` and `δ² ~ Exp(λ₂)`:
     /// `E[|ξ|] = E[δ]·√(2/π)` and `E[δ] = √π/(2√λ₂)`, so
-    /// `E[|ξ|] = 1/√(2λ₂)`. The experiment harness reports this as the
-    /// "average of added noise" axis of Figures 2b–6b.
+    /// `E[|ξ|] = 1/√(2λ₂)` — the "average of added noise" axis of
+    /// Figures 2b–6b.
     pub fn expected_abs_noise(&self) -> f64 {
         1.0 / (2.0 * self.lambda2).sqrt()
     }

@@ -3,7 +3,6 @@
 use dptd_ldp::accountant::{
     laplace_epsilon, randomized_gaussian_delta, randomized_gaussian_max_lambda2,
 };
-use dptd_ldp::randomized_response::KRandomizedResponse;
 use dptd_ldp::{
     FixedGaussianMechanism, IdentityMechanism, LaplaceMechanism, Mechanism, PrivacyLoss,
     RandomizedVarianceGaussian, SensitivityBound,
@@ -98,31 +97,5 @@ proptest! {
         let m = FixedGaussianMechanism::new(1.0, 1.0, 0.1).unwrap();
         prop_assert_eq!(m.perturb_report(&xs, &mut rng).len(), n);
         prop_assert_eq!(IdentityMechanism::new().perturb_report(&xs, &mut rng), xs);
-    }
-
-    #[test]
-    fn randomized_response_channel_is_proper(k in 2usize..20, eps in 0.01..8.0f64) {
-        let rr = KRandomizedResponse::new(k, eps).unwrap();
-        let total = rr.p_truth() + (k as f64 - 1.0) * rr.p_lie();
-        prop_assert!((total - 1.0).abs() < 1e-12);
-        prop_assert!(rr.p_truth() > rr.p_lie());
-        prop_assert!(((rr.p_truth() / rr.p_lie()).ln() - eps).abs() < 1e-9);
-    }
-
-    #[test]
-    fn randomized_response_outputs_in_domain(
-        k in 2usize..10,
-        eps in 0.1..5.0f64,
-        cat in 0usize..10,
-        seed in 0u64..500,
-    ) {
-        let rr = KRandomizedResponse::new(k, eps).unwrap();
-        let mut rng = dptd_stats::seeded_rng(seed);
-        if cat < k {
-            let out = rr.perturb(cat, &mut rng).unwrap();
-            prop_assert!(out < k);
-        } else {
-            prop_assert!(rr.perturb(cat, &mut rng).is_err());
-        }
     }
 }

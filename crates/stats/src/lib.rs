@@ -34,7 +34,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod bootstrap;
 pub mod digest;
 pub mod dist;
 pub mod gof;

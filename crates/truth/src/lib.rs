@@ -20,8 +20,6 @@
 //!   method for long-tail claim counts; an extra generality check for the
 //!   algorithm-agnostic mechanism.
 //! * [`baselines`] — mean/median aggregation, the paper's §3.2 strawmen.
-//! * [`categorical`] — majority/weighted voting over categorical claims
-//!   (the companion setting of the paper's reference \[23\]).
 //! * [`streaming`] — an incremental truth-discovery wrapper for batched
 //!   arrival of objects.
 //!
@@ -51,7 +49,6 @@
 
 pub mod baselines;
 pub mod catd;
-pub mod categorical;
 pub mod columnar;
 pub mod convergence;
 pub mod crh;

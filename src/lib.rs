@@ -15,7 +15,7 @@
 //! |-------|----------|
 //! | [`stats`] | distributions, special functions, summaries, GoF tests |
 //! | [`ldp`] | LDP mechanisms, sensitivity, accounting, empirical audit |
-//! | [`truth`] | CRH, GTM, baselines, categorical and streaming TD |
+//! | [`truth`] | CRH, GTM, CATD, baselines, streaming TD |
 //! | [`sensing`] | synthetic + indoor-floor-plan simulators, adversaries |
 //! | [`core`] | the paper's mechanism (Algorithm 2) + Theorems 4.3/4.8/4.9 |
 //! | [`protocol`] | discrete-event crowd-sensing simulator, campaigns + budgets |

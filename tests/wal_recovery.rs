@@ -8,14 +8,15 @@
 //! final weights digest, budget ledger and log bytes to be bit-identical
 //! to the uninterrupted engine run — and to the uninterrupted `sim`
 //! reference — across 1/4/16 shards. It also exercises the on-disk
-//! [`FileWal`] through a process-style stop/restart and a torn tail
+//! [`DirFs`] through a process-style stop/restart and a torn tail
 //! appended behind the engine's back.
 
 mod common;
 
 use dptd::engine::recovery::recover_replay;
-use dptd::engine::wal::{self, FRAME_HEADER_LEN, WAL_MAGIC};
-use dptd::engine::{EngineBackend, EngineConfig, FailingWal, FileWal, LoadGen, MemWal, WalPolicy};
+use dptd::engine::store::{DirFs, FailingFs, MemFs, StoreFs};
+use dptd::engine::wal::{self, FRAME_HEADER_LEN, SEGMENT_FILE, WAL_MAGIC};
+use dptd::engine::{EngineBackend, EngineConfig, LoadGen, WalPolicy};
 use dptd::ldp::PrivacyLoss;
 use dptd::protocol::campaign::{CampaignConfig, CampaignDriver, SimBackend};
 use dptd::stats::digest::fnv1a_f64s;
@@ -45,6 +46,11 @@ fn harness_policy(load: &LoadGen) -> WalPolicy {
     WalPolicy::from_campaign(&harness_config(load))
 }
 
+/// The single-segment log's bytes in `fs` (empty when nothing created it).
+fn segment(fs: &MemFs) -> Vec<u8> {
+    fs.snapshot().remove(SEGMENT_FILE).unwrap_or_default()
+}
+
 struct Reference {
     bytes: Vec<u8>,
     ledger: Vec<u32>,
@@ -54,7 +60,7 @@ struct Reference {
 /// Uninterrupted WAL-enabled engine campaign: the ground truth every
 /// crash-recovery cycle must reproduce exactly.
 fn uninterrupted(load: &LoadGen, shards: usize) -> Reference {
-    let mem = MemWal::new();
+    let mem = MemFs::new();
     let (backend, recovered) = EngineBackend::with_wal(
         common::engine_for(load, shards, 256),
         Box::new(mem.clone()),
@@ -69,7 +75,7 @@ fn uninterrupted(load: &LoadGen, shards: usize) -> Reference {
         round_weights.push(round.weights);
     }
     Reference {
-        bytes: mem.snapshot(),
+        bytes: segment(&mem),
         ledger: driver.accountant().debits_by_user().to_vec(),
         round_weights,
     }
@@ -95,8 +101,8 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
 fn crash_recover_resume(load: &LoadGen, shards: usize, kill: u64) -> (Vec<u32>, Vec<f64>, Vec<u8>) {
     let config = harness_config(load);
 
-    let crash_mem = MemWal::new();
-    let failing = FailingWal::new(crash_mem.clone(), kill);
+    let crash_mem = MemFs::new();
+    let failing = FailingFs::new(crash_mem.clone(), kill);
     if let Ok((backend, recovered)) = EngineBackend::with_wal(
         common::engine_for(load, shards, 256),
         Box::new(failing),
@@ -117,7 +123,7 @@ fn crash_recover_resume(load: &LoadGen, shards: usize, kill: u64) -> (Vec<u32>, 
         }
     }
 
-    let resume_mem = MemWal::from_bytes(crash_mem.snapshot());
+    let resume_mem = MemFs::from_map(crash_mem.snapshot());
     let (backend, recovered) = EngineBackend::with_wal(
         common::engine_for(load, shards, 256),
         Box::new(resume_mem.clone()),
@@ -137,7 +143,7 @@ fn crash_recover_resume(load: &LoadGen, shards: usize, kill: u64) -> (Vec<u32>, 
     }
     let ledger = driver.accountant().debits_by_user().to_vec();
     let weights = driver.into_backend().current_weights().to_vec();
-    (ledger, weights, resume_mem.snapshot())
+    (ledger, weights, segment(&resume_mem))
 }
 
 #[test]
@@ -212,7 +218,7 @@ fn file_wal_survives_restart_and_a_torn_tail_on_disk() {
 
     // "Process one": runs the first two rounds, then stops (drop).
     {
-        let sink = FileWal::open(&dir).unwrap();
+        let sink = DirFs::open(&dir).unwrap();
         let (backend, recovered) = EngineBackend::with_wal(
             common::engine_for(&load, 4, 256),
             Box::new(sink),
@@ -228,13 +234,12 @@ fn file_wal_survives_restart_and_a_torn_tail_on_disk() {
 
     // Someone tears the tail behind our back (a crash mid-write).
     {
-        use dptd::engine::WalSink;
-        let mut sink = FileWal::open(&dir).unwrap();
-        sink.append(&[0xba, 0xad, 0xf0]).unwrap();
+        let mut sink = DirFs::open(&dir).unwrap();
+        sink.append(SEGMENT_FILE, &[0xba, 0xad, 0xf0]).unwrap();
     }
 
     // "Process two": recovery repairs the tail and resumes at round 2.
-    let sink = FileWal::open(&dir).unwrap();
+    let sink = DirFs::open(&dir).unwrap();
     let (backend, recovered) = EngineBackend::with_wal(
         common::engine_for(&load, 4, 256),
         Box::new(sink),
@@ -261,9 +266,8 @@ fn file_wal_survives_restart_and_a_torn_tail_on_disk() {
     );
 
     // The on-disk log now equals the uninterrupted in-memory one.
-    use dptd::engine::WalSink;
-    let mut sink = FileWal::open(&dir).unwrap();
-    assert_eq!(sink.load().unwrap(), reference.bytes);
+    let mut sink = DirFs::open(&dir).unwrap();
+    assert_eq!(sink.read(SEGMENT_FILE).unwrap().unwrap(), reference.bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -274,7 +278,7 @@ fn resume_round_indices_are_exact() {
     let reference = uninterrupted(&load, 4);
 
     // Run three of four rounds, crash, recover.
-    let mem = MemWal::new();
+    let mem = MemFs::new();
     {
         let (backend, recovered) = EngineBackend::with_wal(
             common::engine_for(&load, 4, 256),
@@ -308,7 +312,7 @@ fn resume_round_indices_are_exact() {
 
     // A read-only replay of the raw log agrees with the backend's view.
     let direct = recover_replay(
-        &wal::replay(&mem.snapshot()).unwrap(),
+        &wal::replay(&segment(&mem)).unwrap(),
         load.config().num_users,
         EngineConfig::default().loss,
         None,
