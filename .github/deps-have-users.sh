@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Every dependency and module has a user. Each name under
+# Every dependency, module and public function has a user. Each name under
 # `[dependencies]` or `[dev-dependencies]` of a workspace manifest must
 # appear, as a whole word in snake_case, in that package's `.rs` files
 # (the root package's are `src/`, `tests/` and `examples/`), and every
@@ -8,8 +8,11 @@
 # form (`m::` or `::m`) by non-test code — a file under `src/`,
 # `examples/`, `crates/*/src` or `e2e_ledger/src`, read up to its first
 # `#[cfg(test)]` — other than the module's own files and its
-# declaration. Run from anywhere in the repository; exits 1 and names
-# each offender on failure.
+# declaration. Each `pub fn` of a `crates/*/src` file (the compat shims
+# aside) must be named, as a whole word, somewhere in a tracked `.rs`
+# file — tests and `e2e_ledger/` count — other than its definitions.
+# Run from anywhere in the repository; exits 1 and names each offender
+# on failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,5 +68,22 @@ for lib in crates/*/src/lib.rs; do
         fi
     done
 done
+
+# `name file:line` for every `pub fn` definition, then every word of
+# every tracked `.rs` file: a name seen no more often than it is defined
+# has no user.
+unused=$(git ls-files -z '*.rs' | xargs -0 grep -ohwE '[A-Za-z_][A-Za-z0-9_]*' |
+    awk 'NR == FNR { defined[$1]++; at[FNR] = $0; next }
+         { seen[$1]++ }
+         END { for (i in at) { split(at[i], d, " ")
+                   if (seen[d[1]] <= defined[d[1]])
+                       print d[2] ": nothing outside its definition names `pub fn " d[1] "`" } }' \
+        <(git ls-files -z 'crates/*/src/*.rs' ':!crates/compat' |
+            xargs -0 grep -HnoE '^[[:space:]]*pub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*' |
+            sed -E 's/^([^:]*:[0-9]+):.*fn ([A-Za-z0-9_]+)$/\2 \1/') - | sort)
+if [ -n "$unused" ]; then
+    echo "$unused"
+    fail=1
+fi
 
 exit "$fail"

@@ -234,10 +234,10 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
                 num_objects: load.num_objects,
                 num_shards: args.usize_or("shards", 8)?,
                 workers: args.usize_or("workers", 0)?,
-                queue_capacity: args.usize_or("queue-capacity", 4_096)?,
                 epoch_deadline_us: load.epoch_len_us,
                 loss: Loss::Squared,
                 merge_workers: args.usize_or("merge-workers", 0)?,
+                ..EngineConfig::default()
             },
             args.get("wal"),
             // Rotation + compaction thresholds for `--wal`'s segmented

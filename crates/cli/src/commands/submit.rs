@@ -42,7 +42,8 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
             num_objects: load.num_objects as u64,
             num_shards: args.u64_or("shards", 8)?,
             workers: args.u64_or("workers", 0)?,
-            engine_queue: args.u64_or("queue-capacity", 4_096)?,
+            // Inert, but an engine refuses 0.
+            engine_queue: 1,
             deadline_us: load.epoch_len_us,
             submission_capacity: args.u64_or("submission-capacity", 1 << 16)?,
             per_round_epsilon: flags.per_round.epsilon(),

@@ -105,7 +105,7 @@ COMMANDS:
              --churn      per-round participation churn      [0.1]
              --round-epsilon / --round-delta per-round loss  [0.5 / 0.02]
              --budget-epsilon / --budget-delta user budget   [5.0 / 0.2]
-             --shards --workers --queue-capacity (engine backend, as below)
+             --shards --workers (engine backend, as below)
              --wal        write-ahead-log dir: log every round durably
                           and resume after a crash (engine backend)
              --dup --straggler --coverage --seed as below
@@ -131,11 +131,11 @@ COMMANDS:
              --batch      reports per submit frame          [1024]
              --submission-capacity server-side queue bound  [65536]
              --users --objects --rounds --churn --shards --workers
-             --queue-capacity --round-epsilon --round-delta
-             --budget-epsilon --budget-delta --dup --straggler
-             --coverage --seed as for campaign (same defaults, so a
-             submit run and a `dptd campaign` run print the same
-             round table and weights digest on one seed)
+             --round-epsilon --round-delta --budget-epsilon
+             --budget-delta --dup --straggler --coverage --seed as
+             for campaign (same defaults, so a submit run and a
+             `dptd campaign` run print the same round table and
+             weights digest on one seed)
              --busy-retries    bounded retries when the server queue
                                is full (exponential backoff)  [0]
              --busy-backoff-ms initial backoff, doubled/retry [25]
@@ -177,7 +177,7 @@ COMMANDS:
              --objects    objects per epoch                  [8]
              --epochs     number of epochs                   [5]
              --shards     ingestion shards                   [8]
-             --workers    drain threads (0 = auto)           [0]
+             --workers    filter threads (0 = auto)          [0]
              --pattern    poisson | bursty | diurnal         [poisson]
              --burst-size reports per burst (bursty)         [64]
              --idle-gap-us virtual gap between bursts (bursty) [50000]
@@ -185,7 +185,6 @@ COMMANDS:
              --dup        duplicate probability              [0.01]
              --straggler  straggler fraction (late drops)    [0.01]
              --coverage   per-object observation probability [1.0]
-             --queue-capacity per-shard queue depth          [4096]
              --lambda2 / --epsilon --delta --lambda1, --seed as above
     help     show this message
 ";

@@ -8,8 +8,9 @@
 //!
 //! A round's reports may also arrive in batches while it is open
 //! ([`RoundBackend::stage`]): each is filtered into the engine's shards
-//! at once ([`Engine::stage`]), and the round's close runs only what is
-//! left — the engine's end of epoch and merge.
+//! at once ([`Engine::stage`]). The reports handed over with the close
+//! are staged the same way, and the close then finishes the shards and
+//! merges.
 //!
 //! Because the engine's cross-shard merge is bit-identical to the
 //! single-shard streaming reference, a campaign driven through this
@@ -17,6 +18,8 @@
 //! [`dptd_protocol::campaign::SimBackend`] on the same stream — the
 //! equivalence the campaign proptests pin down for 1/4/16 shards and
 //! 1–8 workers.
+
+use std::time::Instant;
 
 use dptd_protocol::campaign::{RoundBackend, RoundInput, RoundOutput};
 use dptd_protocol::message::StampedReport;
@@ -288,8 +291,8 @@ impl EngineBackend {
             }
         }
         // One campaign round is exactly one engine epoch. A mixed-epoch
-        // stream would make the router open several epochs (mutating the
-        // carried estimator more than once), so reject it before running.
+        // stream would open several epochs (mutating the carried
+        // estimator more than once), so reject it before running.
         // The same goes for a staged epoch other than the round's.
         let staged = self.engine.staged_epoch();
         let tail = input.reports.iter().map(|r| r.epoch);
@@ -300,6 +303,12 @@ impl EngineBackend {
                 constraint: "every report in a campaign round must carry the round's epoch",
             });
         }
+        // The round's reports are staged like a served batch, without a
+        // copy; the close is then a run over nothing more.
+        let started = Instant::now();
+        self.engine
+            .stage(input.epoch, input.reports)
+            .map_err(Self::engine_err)?;
         let mut state = self.state.take().ok_or(ProtocolError::Backend {
             backend: "engine",
             message: "backend poisoned by an earlier panicked round".to_string(),
@@ -314,7 +323,7 @@ impl EngineBackend {
         // fails, so the in-memory campaign never runs ahead of what a
         // crash could recover.
         let run = match &mut self.wal {
-            None => self.engine.run_on(&mut state, input.reports, None),
+            None => self.engine.run_on(&mut state, [], None),
             Some(wal) => {
                 // The round's weights, filled by the merge's refresh thread;
                 // allocated here so that thread never allocates.
@@ -325,14 +334,15 @@ impl EngineBackend {
                     step: &mut step,
                     weights: &mut weights,
                 };
-                self.engine.run_on(&mut state, input.reports, Some(durable))
+                self.engine.run_on(&mut state, [], Some(durable))
             }
         };
         self.state = Some(state);
         let mut report = run.map_err(Self::engine_err)?;
+        report.metrics.elapsed = started.elapsed();
 
         // A campaign round is exactly one epoch; an empty merge means the
-        // round starved (nothing survived to reach the merger). Counted
+        // round starved (nothing survived to reach the merge). Counted
         // as not executed: no metrics, no round increment.
         if report.epochs.len() != 1 {
             return Err(ProtocolError::InsufficientCoverage {

@@ -9,18 +9,18 @@
 //! parallel, and folded **incrementally** into a
 //! [`dptd_truth::streaming::StreamingCrh`] — per epoch, not per rerun.
 //!
-//! * [`engine`] — the [`Engine`]: a router that hands reports over in
-//!   chunks, one bounded inbox per worker with backpressure, shards that
-//!   copy accepted claims into columnar arenas ([`shard`], the round
-//!   filter a cluster node runs too), and a
-//!   deterministic cross-shard merge whose truths are bit-identical for
-//!   any shard count, worker count or queue capacity. Population-sized
-//!   scratch lives as long as the engine, not the round.
+//! * [`engine`] — the [`Engine`]: one ingest path that stages each batch
+//!   of an epoch into shards that copy accepted claims into columnar
+//!   arenas ([`shard`], the round filter a cluster node runs too) — on
+//!   the caller, or fanned out over runs of shards for a large batch —
+//!   and a deterministic cross-shard merge whose truths are
+//!   bit-identical for any shard count, worker count or batch split.
+//!   Population-sized scratch lives as long as the engine, not the round.
 //! * [`loadgen`] — a deterministic open-loop load generator (Poisson,
 //!   bursty and diurnal arrival processes on a virtual event clock — no
 //!   thread per user) that can synthesise millions of stamped reports.
 //! * [`metrics`] — [`EngineMetrics`]: throughput, p50/p99 ingest latency,
-//!   queue depths, duplicate/late drop counters.
+//!   duplicate/late drop counters.
 //! * [`backend`] — [`EngineBackend`]: adapts the engine to the protocol
 //!   crate's campaign layer, executing each multi-round campaign round as
 //!   one engine epoch with carried-over weights
@@ -107,8 +107,6 @@ pub enum EngineError {
         /// The population size.
         num_users: usize,
     },
-    /// An internal channel disconnected unexpectedly (a worker died).
-    Disconnected,
     /// An aggregation failure (e.g. an epoch with an uncovered object).
     Truth(dptd_truth::TruthError),
     /// A write-ahead-log failure (I/O, corruption, or an inconsistent
@@ -129,9 +127,6 @@ impl fmt::Display for EngineError {
                     f,
                     "report from user {user} outside population of {num_users}"
                 )
-            }
-            EngineError::Disconnected => {
-                write!(f, "engine internal channel disconnected (worker died)")
             }
             EngineError::Truth(e) => write!(f, "aggregation failed: {e}"),
             EngineError::Wal(e) => write!(f, "write-ahead log failed: {e}"),

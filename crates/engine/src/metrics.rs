@@ -12,29 +12,24 @@ use std::time::Duration;
 
 use dptd_obs::Histogram;
 
-/// Busy wall-clock time per pipeline stage, summed over the threads
-/// running that stage. `route` can exceed the others on a backpressured
-/// run (it includes the time the router spent blocked on full queues);
-/// `filter` sums across all shard workers, so it can exceed `elapsed` on
-/// a multi-worker run.
+/// Wall-clock time per engine stage. `filter` is the time spent staging
+/// batches and finishing shards, fanned out or not; `merge` the cross-shard
+/// merge on the caller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Router: enqueueing chunks of reports on the workers' inboxes,
-    /// including any time blocked on a full one (backpressure). Clocked
-    /// per chunk, so staging a report in its shard's buffer is not in it.
+    /// Inert (always zero): `e2e_ledger/` is its only reader, and slice A deletes it.
     pub route: Duration,
-    /// Shard workers: per-report deadline/dedup filtering and the copy of
-    /// accepted claims into the shard's arena, plus epoch close (emitting
-    /// the claims users-ascending).
+    /// Per-report deadline/dedup filtering and the copy of accepted claims
+    /// into the shards' arenas, plus the epoch close (each shard emitting
+    /// its claims users-ascending).
     pub filter: Duration,
-    /// Merger: the canonical cross-shard reduction into the global CRH.
+    /// The canonical cross-shard reduction into the global CRH.
     pub merge: Duration,
 }
 
 impl StageTimings {
     /// Fold another run's stage timings into this one (sums).
     pub fn absorb(&mut self, other: &StageTimings) {
-        self.route += other.route;
         self.filter += other.filter;
         self.merge += other.merge;
     }
@@ -54,20 +49,16 @@ pub struct EngineMetrics {
     pub late_dropped: u64,
     /// Reports dropped because they arrived for an already-closed epoch.
     pub out_of_order_dropped: u64,
-    /// Producer-side stalls: a worker's inbox was full and the router had
-    /// to block (backpressure engaged).
+    /// Inert (always 0): `e2e_ledger/` is its only reader, and slice A deletes it.
     pub backpressure_stalls: u64,
     /// Epochs that completed a cross-shard merge.
     pub epochs_merged: u64,
-    /// Highest depth, in reports, sampled across the workers' inboxes
-    /// (every queued chunk counted as a full one); never above
-    /// `queue_capacity`.
+    /// Inert (always 0): `e2e_ledger/` is its only reader, and slice A deletes it.
     pub max_queue_depth: usize,
-    /// Staging + queue-wait + processing latency, one sample per
-    /// accepted-or-rejected report: each report of a chunk is given the
-    /// latency of the chunk's first-staged report, an upper bound.
+    /// Filter latency, one sample per staged report: each report of a
+    /// batch is given the time its batch took to filter.
     pub ingest_latency: Histogram,
-    /// Busy time per pipeline stage (route / filter / merge).
+    /// Time per engine stage (filter / merge).
     pub stage: StageTimings,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
@@ -75,7 +66,7 @@ pub struct EngineMetrics {
 
 impl EngineMetrics {
     /// Reports offered to the engine per wall-clock second. Counts every
-    /// submission the router handled — including duplicates, lates, and
+    /// submission the engine handled — including duplicates, lates, and
     /// out-of-order drops — i.e. ingest-path throughput, not the number
     /// of reports that reached an epoch batch (that is
     /// `reports_accepted`).
@@ -88,19 +79,17 @@ impl EngineMetrics {
         }
     }
 
-    /// Fold another run's metrics into this one: counters add, queue
-    /// depths take the max, latency histograms merge, and elapsed times
-    /// sum. Used by the campaign backend, which drives one engine run per
-    /// round but reports one campaign-wide metrics block.
+    /// Fold another run's metrics into this one: counters add, latency
+    /// histograms merge, and elapsed times sum. Used by the campaign
+    /// backend, which drives one engine run per round but reports one
+    /// campaign-wide metrics block.
     pub fn absorb(&mut self, other: &EngineMetrics) {
         self.reports_submitted += other.reports_submitted;
         self.reports_accepted += other.reports_accepted;
         self.duplicates_discarded += other.duplicates_discarded;
         self.late_dropped += other.late_dropped;
         self.out_of_order_dropped += other.out_of_order_dropped;
-        self.backpressure_stalls += other.backpressure_stalls;
         self.epochs_merged += other.epochs_merged;
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
         self.ingest_latency.merge(&other.ingest_latency);
         self.stage.absorb(&other.stage);
         self.elapsed += other.elapsed;
@@ -118,11 +107,9 @@ impl EngineMetrics {
              duplicates dropped  {}\n\
              late dropped        {}\n\
              out-of-order drops  {}\n\
-             backpressure stalls {}\n\
              epochs merged       {}\n\
-             max queue depth     {}\n\
              ingest latency      p50 {}  p99 {}  max {}\n\
-             stage busy          route {:.3} s  filter {:.3} s  merge {:.3} s\n\
+             stage time          filter {:.3} s  merge {:.3} s\n\
              elapsed             {:.3} s\n\
              throughput          {:.0} reports/s",
             self.reports_submitted,
@@ -130,13 +117,10 @@ impl EngineMetrics {
             self.duplicates_discarded,
             self.late_dropped,
             self.out_of_order_dropped,
-            self.backpressure_stalls,
             self.epochs_merged,
-            self.max_queue_depth,
             fmt_lat(self.ingest_latency.p50()),
             fmt_lat(self.ingest_latency.p99()),
             fmt_lat(Some(self.ingest_latency.max())),
-            self.stage.route.as_secs_f64(),
             self.stage.filter.as_secs_f64(),
             self.stage.merge.as_secs_f64(),
             self.elapsed.as_secs_f64(),
@@ -198,19 +182,16 @@ mod tests {
             reports_accepted: 8,
             late_dropped: 2,
             epochs_merged: 1,
-            max_queue_depth: 5,
             elapsed: Duration::from_millis(3),
             ..EngineMetrics::default()
         };
         round.ingest_latency.record(Duration::from_micros(7));
         total.absorb(&round);
-        round.max_queue_depth = 2;
         total.absorb(&round);
         assert_eq!(total.reports_submitted, 20);
         assert_eq!(total.reports_accepted, 16);
         assert_eq!(total.late_dropped, 4);
         assert_eq!(total.epochs_merged, 2);
-        assert_eq!(total.max_queue_depth, 5);
         assert_eq!(total.ingest_latency.count(), 2);
         assert_eq!(total.elapsed, Duration::from_millis(6));
     }

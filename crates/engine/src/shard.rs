@@ -46,7 +46,7 @@ use dptd_protocol::message::StampedReport;
 use dptd_truth::streaming::ShardClaims;
 use dptd_truth::Loss;
 
-/// What a shard hands the merger at an epoch boundary.
+/// What a shard hands the merge at an epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardEpochStats {
     /// Reports accepted into the epoch batch.
@@ -62,7 +62,7 @@ pub struct ShardEpochStats {
     pub local_truths: Option<Vec<f64>>,
 }
 
-/// Mutable state of one shard. Owned by exactly one worker thread at a
+/// Mutable state of one shard. Owned by exactly one thread at a
 /// time; no internal synchronisation. Reusable across epochs and runs:
 /// [`ShardState::finish_epoch`] (or [`ShardState::end_epoch`]) leaves it
 /// as [`ShardState::new`] built it, allocations kept.
@@ -147,7 +147,7 @@ impl ShardState {
     }
 
     /// [`ShardState::ingest`] without taking the report: the engine's
-    /// workers and a stage step keep a batch whole so that it is freed
+    /// and a node's stage steps keep a batch whole so that it is freed
     /// in one place.
     pub fn ingest_borrowed(&mut self, stamped: &StampedReport) -> bool {
         let user = stamped.report.user;

@@ -237,22 +237,6 @@ fn record_of(
     }
 }
 
-/// Field-for-field equality with losses compared as bit patterns
-/// (`EpochRecord`'s own `==` calls a NaN unequal to itself).
-fn bit_identical(a: &EpochRecord, b: &EpochRecord) -> bool {
-    let bits = |r: &EpochRecord| {
-        r.cumulative_losses
-            .iter()
-            .map(|l| l.to_bits())
-            .collect::<Vec<_>>()
-    };
-    (a.kind, a.epoch, a.batches_seen, a.loss) == (b.kind, b.epoch, b.batches_seen, b.loss)
-        && a.policy.matches(&b.policy)
-        && a.accepted_users == b.accepted_users
-        && bits(a) == bits(b)
-        && a.rounds_debited == b.rounds_debited
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -286,7 +270,8 @@ proptest! {
         let replayed = wal::replay(&log).expect("a committed delta replays");
         prop_assert_eq!(replayed.records.len(), 2);
         prop_assert_eq!(replayed.delta_records, 1);
-        prop_assert!(bit_identical(&replayed.records[1], &next), "{:?} != {:?}", replayed.records[1], next);
+        // `EpochRecord`'s `==` is the log's bitwise equality.
+        prop_assert_eq!(&replayed.records[1], &next);
 
         // The store writes whichever frame is shorter, a delta only if
         // strictly so, and its directory replays to the same records.
@@ -301,7 +286,7 @@ proptest! {
         prop_assert_eq!(written, delta.len().min(full));
         let stored = wal::replay(&segment).expect("store log replays");
         prop_assert_eq!(stored.delta_records, u64::from(delta.len() < full));
-        prop_assert!(bit_identical(&stored.records[0], &previous));
-        prop_assert!(bit_identical(&stored.records[1], &next));
+        prop_assert_eq!(&stored.records[0], &previous);
+        prop_assert_eq!(&stored.records[1], &next);
     }
 }

@@ -84,11 +84,6 @@ impl RandomizedVarianceGaussian {
         self.lambda2
     }
 
-    /// Expected noise variance `E[δ_s²] = 1/λ₂`.
-    pub fn expected_noise_variance(&self) -> f64 {
-        1.0 / self.lambda2
-    }
-
     /// Expected *absolute* noise magnitude `E[|ξ|]`.
     ///
     /// With `ξ | δ² ~ N(0, δ²)` and `δ² ~ Exp(λ₂)`:

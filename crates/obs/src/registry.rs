@@ -33,9 +33,7 @@ pub mod names {
     /// Requests dispatched by the registry, all campaigns.
     pub const SERVER_REQUESTS: &str = "server.requests";
 
-    /// Per-campaign suffix: router busy nanoseconds.
-    pub const ROUTE_BUSY_NS: &str = "route_busy_ns";
-    /// Per-campaign suffix: shard-worker (filter) busy nanoseconds.
+    /// Per-campaign suffix: filter (stage and shard close) busy nanoseconds.
     pub const FILTER_BUSY_NS: &str = "filter_busy_ns";
     /// Per-campaign suffix: cross-shard merge busy nanoseconds.
     pub const MERGE_BUSY_NS: &str = "merge_busy_ns";
@@ -75,7 +73,6 @@ pub mod names {
         REFUSED_WAL,
         INGEST_LATENCY,
         FILTER_BUSY_NS,
-        ROUTE_BUSY_NS,
         MERGE_BUSY_NS,
         QUARANTINED,
         QUEUE_DEPTH,
@@ -383,7 +380,6 @@ impl MetricsSnapshot {
         let mut shares: Vec<CampaignShare> = ids
             .into_iter()
             .map(|id| {
-                let route_busy_ns = scalar(&id, names::ROUTE_BUSY_NS);
                 let filter_busy_ns = scalar(&id, names::FILTER_BUSY_NS);
                 let merge_busy_ns = scalar(&id, names::MERGE_BUSY_NS);
                 let ingest = self
@@ -391,7 +387,6 @@ impl MetricsSnapshot {
                     .cloned()
                     .unwrap_or_default();
                 CampaignShare {
-                    route_busy_ns,
                     filter_busy_ns,
                     merge_busy_ns,
                     share: 0.0,
@@ -427,9 +422,7 @@ impl MetricsSnapshot {
 pub struct CampaignShare {
     /// The campaign id.
     pub id: String,
-    /// Cumulative router busy time, ns.
-    pub route_busy_ns: u64,
-    /// Cumulative shard-worker (filter) busy time, ns.
+    /// Cumulative filter (stage and shard close) busy time, ns.
     pub filter_busy_ns: u64,
     /// Cumulative cross-shard merge busy time, ns.
     pub merge_busy_ns: u64,
@@ -465,7 +458,7 @@ pub struct CampaignShare {
 impl CampaignShare {
     /// Total stage busy time, ns.
     pub fn busy_ns(&self) -> u64 {
-        self.route_busy_ns + self.filter_busy_ns + self.merge_busy_ns
+        self.filter_busy_ns + self.merge_busy_ns
     }
 }
 
@@ -580,7 +573,7 @@ mod tests {
                 MetricValue::Counter(submitted),
             );
             s.set(
-                names::campaign_metric("shared", names::ROUTE_BUSY_NS),
+                names::campaign_metric("shared", names::FILTER_BUSY_NS),
                 MetricValue::Counter(busy),
             );
             s
@@ -598,7 +591,7 @@ mod tests {
         let mut two = node(10, 300);
         let mut other = MetricsSnapshot::new();
         other.set(
-            names::campaign_metric("other", names::ROUTE_BUSY_NS),
+            names::campaign_metric("other", names::FILTER_BUSY_NS),
             MetricValue::Counter(100),
         );
         two.absorb(&other);
@@ -653,10 +646,6 @@ mod tests {
     fn campaign_shares_sum_to_one_when_busy() {
         let mut snap = MetricsSnapshot::new();
         for (id, busy) in [("a", 300u64), ("b", 100), ("c", 0)] {
-            snap.set(
-                names::campaign_metric(id, names::ROUTE_BUSY_NS),
-                MetricValue::Counter(busy),
-            );
             snap.set(
                 names::campaign_metric(id, names::FILTER_BUSY_NS),
                 MetricValue::Counter(busy * 2),

@@ -34,11 +34,12 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// Event codes: which instrumented site produced an event. Codes are
 /// stable across runs (they appear in trace dumps and the README).
 pub mod codes {
-    /// A whole engine run for one epoch batch (span).
+    /// A whole engine run: its epochs' stages and closes (span; arg =
+    /// shards).
     pub const ROUND: u32 = 1;
-    /// Router: hashing reports to shard queues (span, per run).
-    pub const ROUTE: u32 = 2;
-    /// Shard workers: dedup/deadline filtering (span, per run).
+    // 2 was the engine router's `route` span; it is retired: never reuse it.
+    /// One thread's run of shards filtering a staged batch or finishing
+    /// an epoch (span; arg = shards in the run).
     pub const FILTER: u32 = 3;
     /// The canonical cross-shard merge (span, per epoch).
     pub const MERGE: u32 = 4;
@@ -81,15 +82,15 @@ pub mod codes {
     /// a fan-out: under `barrier.prepare` or `barrier.commit`, or while
     /// it opens the campaign (span; arg = node id).
     pub const BARRIER_REPLY: u32 = 17;
-    /// Filtering one submit batch into an engine's shards on the thread
-    /// that decoded it, before its round closes (span; arg = reports).
+    /// Filtering one batch into a round filter before the round closes:
+    /// a server's or a node's submit batch on the thread that decoded
+    /// it, or one epoch of an engine run's stream (span; arg = reports).
     pub const STAGE: u32 = 18;
 
     /// The human-readable name of a code (for dumps and docs).
     pub fn name(code: u32) -> &'static str {
         match code {
             ROUND => "round",
-            ROUTE => "route",
             FILTER => "filter",
             MERGE => "merge",
             COMMIT => "commit",
@@ -625,12 +626,13 @@ mod tests {
     // Trace state is process-global, so exercise everything from one
     // test (the test harness runs tests concurrently).
     /// The site names are part of every dump's schema: each code keeps
-    /// its name, and a code past the table reads `unknown`.
+    /// its name, and the retired code 2 and a code past the table read
+    /// `unknown`.
     #[test]
     fn site_names_are_stable() {
         let table = [
             (codes::ROUND, "round"),
-            (codes::ROUTE, "route"),
+            (2, "unknown"),
             (codes::FILTER, "filter"),
             (codes::MERGE, "merge"),
             (codes::COMMIT, "commit"),

@@ -246,7 +246,6 @@ impl Hosted for CampaignState {
         let dropped = m.duplicates_discarded + m.late_dropped + m.out_of_order_dropped;
         let ingest = m.ingest_latency.snapshot();
         vec![
-            (names::ROUTE_BUSY_NS, busy_ns(m.stage.route)),
             (names::FILTER_BUSY_NS, busy_ns(m.stage.filter)),
             (names::MERGE_BUSY_NS, busy_ns(m.stage.merge)),
             (names::QUEUE_DEPTH, MetricValue::Gauge(self.queue.depth())),

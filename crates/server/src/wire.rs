@@ -1028,9 +1028,9 @@ record! {
         pub num_objects: u64,
         /// Engine ingestion shards.
         pub num_shards: u64,
-        /// Engine drain workers (0 = auto).
+        /// Engine filter threads (0 = auto).
         pub workers: u64,
-        /// Engine per-shard queue depth.
+        /// Inert (must be nonzero): `e2e_ledger/` is its only reader, and slice A deletes it.
         pub engine_queue: u64,
         /// Per-round submission deadline (virtual µs).
         pub deadline_us: u64,

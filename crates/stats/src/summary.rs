@@ -132,15 +132,6 @@ impl RunningStats {
         }
     }
 
-    /// Population variance (divides by `n`); `0` if empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Standard deviation from the sample variance.
     pub fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()

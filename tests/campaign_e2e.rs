@@ -27,7 +27,7 @@ fn campaign_through_engine_matches_sim_reference() {
     let mut sim =
         CampaignDriver::new(SimBackend::new(users, Loss::Squared).unwrap(), config).unwrap();
     let mut eng = CampaignDriver::new(
-        EngineBackend::new(common::engine_for(&load, 8, 256)).unwrap(),
+        EngineBackend::new(common::engine_for(&load, 8)).unwrap(),
         config,
     )
     .unwrap();
@@ -76,7 +76,7 @@ fn campaign_budget_exhaustion_refuses_punctual_users_first() {
         budget: per_round.compose_k(2), // two affordable rounds per user
     };
     let mut driver = CampaignDriver::new(
-        EngineBackend::new(common::engine_for(&load, 4, 256)).unwrap(),
+        EngineBackend::new(common::engine_for(&load, 4)).unwrap(),
         config,
     )
     .unwrap();

@@ -61,12 +61,11 @@ pub fn churny_load(
 
 /// An engine sized to consume `load`'s stream: population, objects and
 /// epoch deadline are derived so the two cannot drift apart.
-pub fn engine_for(load: &LoadGen, shards: usize, queue_capacity: usize) -> Engine {
+pub fn engine_for(load: &LoadGen, shards: usize) -> Engine {
     Engine::new(EngineConfig {
         num_users: load.config().num_users,
         num_objects: load.config().num_objects,
         num_shards: shards,
-        queue_capacity,
         epoch_deadline_us: load.config().epoch_len_us,
         ..EngineConfig::default()
     })

@@ -12,7 +12,7 @@ fn engine_round_trip_matches_streaming_reference() {
     let objects = 6;
     let epochs = 4;
     let load = common::bursty_load(users, objects, epochs, 0.05, 0.05, 99);
-    let engine = common::engine_for(&load, 8, 128);
+    let engine = common::engine_for(&load, 8);
 
     let report = engine.run(load.stream()).unwrap();
     assert_eq!(report.epochs.len() as u64, epochs);
@@ -37,8 +37,7 @@ fn engine_round_trip_matches_streaming_reference() {
 #[test]
 fn engine_surfaces_ingest_metrics() {
     let load = common::churny_load(200, 4, 2, 0.0, 0.2, 0.2, 42);
-    // Tiny queues: force backpressure accounting.
-    let engine = common::engine_for(&load, 4, 16);
+    let engine = common::engine_for(&load, 4);
     let report = engine.run(load.stream()).unwrap();
     let m = &report.metrics;
     assert!(m.duplicates_discarded > 0, "{m:?}");
@@ -49,5 +48,4 @@ fn engine_surfaces_ingest_metrics() {
     );
     assert!(m.ingest_latency.p99() >= m.ingest_latency.p50());
     assert!(m.throughput_rps() > 0.0);
-    assert!(m.max_queue_depth <= 16);
 }

@@ -114,7 +114,7 @@ fn run_rounds(
     let (store, replay) = SegmentStore::open_dir(dir, shape.store).unwrap();
     let policy = WalPolicy::from_campaign(&shape.config(&load));
     let (backend, recovered) = EngineBackend::with_log(
-        common::engine_for(&load, 4, 1024),
+        common::engine_for(&load, 4),
         Box::new(store),
         &replay,
         policy,

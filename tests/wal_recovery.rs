@@ -62,7 +62,7 @@ struct Reference {
 fn uninterrupted(load: &LoadGen, shards: usize) -> Reference {
     let mem = MemFs::new();
     let (backend, recovered) = EngineBackend::with_wal(
-        common::engine_for(load, shards, 256),
+        common::engine_for(load, shards),
         Box::new(mem.clone()),
         harness_policy(load),
     )
@@ -104,7 +104,7 @@ fn crash_recover_resume(load: &LoadGen, shards: usize, kill: u64) -> (Vec<u32>, 
     let crash_mem = MemFs::new();
     let failing = FailingFs::new(crash_mem.clone(), kill);
     if let Ok((backend, recovered)) = EngineBackend::with_wal(
-        common::engine_for(load, shards, 256),
+        common::engine_for(load, shards),
         Box::new(failing),
         harness_policy(load),
     ) {
@@ -125,7 +125,7 @@ fn crash_recover_resume(load: &LoadGen, shards: usize, kill: u64) -> (Vec<u32>, 
 
     let resume_mem = MemFs::from_map(crash_mem.snapshot());
     let (backend, recovered) = EngineBackend::with_wal(
-        common::engine_for(load, shards, 256),
+        common::engine_for(load, shards),
         Box::new(resume_mem.clone()),
         harness_policy(load),
     )
@@ -220,7 +220,7 @@ fn file_wal_survives_restart_and_a_torn_tail_on_disk() {
     {
         let sink = DirFs::open(&dir).unwrap();
         let (backend, recovered) = EngineBackend::with_wal(
-            common::engine_for(&load, 4, 256),
+            common::engine_for(&load, 4),
             Box::new(sink),
             harness_policy(&load),
         )
@@ -241,7 +241,7 @@ fn file_wal_survives_restart_and_a_torn_tail_on_disk() {
     // "Process two": recovery repairs the tail and resumes at round 2.
     let sink = DirFs::open(&dir).unwrap();
     let (backend, recovered) = EngineBackend::with_wal(
-        common::engine_for(&load, 4, 256),
+        common::engine_for(&load, 4),
         Box::new(sink),
         harness_policy(&load),
     )
@@ -281,7 +281,7 @@ fn resume_round_indices_are_exact() {
     let mem = MemFs::new();
     {
         let (backend, recovered) = EngineBackend::with_wal(
-            common::engine_for(&load, 4, 256),
+            common::engine_for(&load, 4),
             Box::new(mem.clone()),
             harness_policy(&load),
         )
@@ -293,7 +293,7 @@ fn resume_round_indices_are_exact() {
         }
     }
     let (backend, recovered) = EngineBackend::with_wal(
-        common::engine_for(&load, 4, 256),
+        common::engine_for(&load, 4),
         Box::new(mem.clone()),
         harness_policy(&load),
     )
@@ -325,7 +325,7 @@ fn resume_round_indices_are_exact() {
     // reproduces round 3 exactly: apply the driver's refusal filter by
     // hand (budget = 3 rounds, so a user with 3 debits refuses) and the
     // raw engine epoch lands on the reference's final weights bits.
-    let engine = common::engine_for(&load, 4, 256);
+    let engine = common::engine_for(&load, 4);
     let affordable: Vec<_> = load
         .epoch_reports(3)
         .into_iter()
