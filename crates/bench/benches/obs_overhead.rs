@@ -25,8 +25,9 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dptd_bench::summary::{keys, BenchSummary};
-use dptd_engine::{ArrivalProcess, Engine, EngineConfig, LoadGen, LoadGenConfig};
+use dptd_engine::{ArrivalProcess, Engine, EngineConfig, EngineMetrics, LoadGen, LoadGenConfig};
 use dptd_stats::digest::fnv1a_f64s;
+use dptd_truth::streaming::StreamingCrh;
 
 fn smoke() -> bool {
     std::env::var_os("DPTD_BENCH_SMOKE").is_some_and(|v| v != "0")
@@ -46,16 +47,25 @@ struct Arm {
 fn run_once(eng: &Engine, gen: &LoadGen, propagate: bool) -> Arm {
     let _root =
         propagate.then(|| dptd_obs::trace::enter(dptd_obs::SpanContext::root("obs-overhead", 0)));
+    let cfg = eng.config();
+    let mut state = StreamingCrh::new(cfg.num_users, cfg.loss).expect("valid estimator");
+    let mut metrics = EngineMetrics::default();
     let t0 = Instant::now();
-    let report = eng.run(gen.stream()).expect("engine run succeeds");
+    for epoch in 0..gen.config().epochs {
+        let (report, next) = eng
+            .run_with_state(state, gen.epoch_reports(epoch))
+            .expect("engine round succeeds");
+        state = next;
+        metrics.absorb(&report.metrics);
+    }
     let elapsed_s = t0.elapsed().as_secs_f64();
     let ns = |d: Option<std::time::Duration>| d.map_or(0, |d| d.as_nanos() as u64);
     Arm {
         elapsed_s,
-        reports: report.metrics.reports_submitted,
-        p50_ns: ns(report.metrics.ingest_latency.p50()),
-        p99_ns: ns(report.metrics.ingest_latency.p99()),
-        digest: fnv1a_f64s(&report.final_weights),
+        reports: metrics.reports_submitted,
+        p50_ns: ns(metrics.ingest_latency.p50()),
+        p99_ns: ns(metrics.ingest_latency.p99()),
+        digest: fnv1a_f64s(state.weights()),
     }
 }
 

@@ -3,8 +3,9 @@
 
 use std::fmt::Write as _;
 
-use dptd_engine::{ArrivalProcess, Engine, EngineConfig, LoadGen, LoadGenConfig};
+use dptd_engine::{ArrivalProcess, Engine, EngineConfig, EngineMetrics, LoadGen, LoadGenConfig};
 use dptd_stats::summary::mae;
+use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::Loss;
 
 use crate::args::ArgMap;
@@ -63,7 +64,8 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
 
     let load = LoadGen::new(load_cfg).map_err(box_engine_err)?;
     let engine = Engine::new(engine_cfg).map_err(box_engine_err)?;
-    let report = engine.run(load.stream()).map_err(box_engine_err)?;
+    let mut state = StreamingCrh::new(engine_cfg.num_users, engine_cfg.loss)
+        .map_err(|e| box_engine_err(e.into()))?;
 
     let mut out = String::new();
     let _ = writeln!(out, "# dptd engine — sharded streaming aggregation\n");
@@ -78,32 +80,33 @@ pub fn execute(args: &ArgMap) -> Result<String, CliError> {
         engine_cfg.workers,
     );
 
-    let _ = writeln!(
-        out,
-        "| epoch | accepted | dup | late | truth MAE | shard drift (unweighted shard means vs merged truths) |"
-    );
-    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|");
-    for outcome in &report.epochs {
+    let _ = writeln!(out, "| epoch | accepted | dup | late | truth MAE |");
+    let _ = writeln!(out, "|---:|---:|---:|---:|---:|");
+    let mut metrics = EngineMetrics::default();
+    for epoch in 0..load_cfg.epochs {
+        let (report, next) = engine
+            .run_with_state(state, load.epoch_reports(epoch))
+            .map_err(box_engine_err)?;
+        state = next;
+        metrics.absorb(&report.metrics);
+        let Some(outcome) = report.epoch else {
+            continue;
+        };
         let truth_mae = mae(&outcome.truths, &load.ground_truths(outcome.epoch))
             .map(|v| format!("{v:.4}"))
             .unwrap_or_else(|_| "n/a".to_string());
-        let drift = outcome
-            .shard_drift
-            .map(|d| format!("{d:.4}"))
-            .unwrap_or_else(|| "n/a".to_string());
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} |",
             outcome.epoch,
             outcome.accepted,
             outcome.duplicates_discarded,
             outcome.late_dropped,
             truth_mae,
-            drift,
         );
     }
 
-    let _ = writeln!(out, "\n{}", report.metrics.render());
+    let _ = writeln!(out, "\n{}", metrics.render());
     Ok(out)
 }
 

@@ -172,7 +172,8 @@ COMMANDS:
     recover  inspect a campaign write-ahead log (read-only)
              --wal        the log directory a campaign wrote
              --budgets    spent | all: per-user remaining-budget audit
-    engine   drive the sharded streaming aggregation engine under load
+    engine   drive the sharded streaming aggregation engine under load,
+             one round per epoch; prints each epoch's truth MAE
              --users      population size                    [10000]
              --objects    objects per epoch                  [8]
              --epochs     number of epochs                   [5]

@@ -2,9 +2,10 @@
 //!
 //! [`EngineBackend`] adapts the sharded streaming [`Engine`] to the
 //! protocol crate's [`RoundBackend`] trait: every campaign round becomes
-//! one engine epoch, the global [`StreamingCrh`] is carried between
-//! rounds (via [`Engine::run_with_state`]) so user weights sharpen across
-//! the campaign, and [`EngineMetrics`] accumulate over rounds.
+//! one engine epoch, the backend carries the global [`StreamingCrh`]
+//! between rounds, lending it to each round's close, so user weights
+//! sharpen across the campaign, and [`EngineMetrics`] accumulate over
+//! rounds.
 //!
 //! A round's reports may also arrive in batches while it is open
 //! ([`RoundBackend::stage`]): each is filtered into the engine's shards
@@ -76,10 +77,10 @@ use crate::EngineError;
 pub struct EngineBackend {
     engine: Engine,
     /// The carried-over global estimator, lent to the engine for each
-    /// round. A single-epoch run only mutates it when its merge
-    /// succeeds, so the backend recovers from a starved round exactly
-    /// like the sim backend, without a checkpoint. `None` only if a
-    /// previous call panicked mid-round.
+    /// round. A close only mutates it when its merge succeeds, so the
+    /// backend recovers from a starved round exactly like the sim
+    /// backend, without a checkpoint. `None` only if a previous call
+    /// panicked mid-round.
     state: Option<StreamingCrh>,
     metrics: EngineMetrics,
     rounds: u64,
@@ -290,10 +291,8 @@ impl EngineBackend {
                 }
             }
         }
-        // One campaign round is exactly one engine epoch. A mixed-epoch
-        // stream would open several epochs (mutating the carried
-        // estimator more than once), so reject it before running.
-        // The same goes for a staged epoch other than the round's.
+        // One campaign round is exactly one engine epoch: a report or a
+        // staged epoch other than the round's is refused before staging.
         let staged = self.engine.staged_epoch();
         let tail = input.reports.iter().map(|r| r.epoch);
         if let Some(stray) = staged.into_iter().chain(tail).find(|&e| e != input.epoch) {
@@ -304,7 +303,7 @@ impl EngineBackend {
             });
         }
         // The round's reports are staged like a served batch, without a
-        // copy; the close is then a run over nothing more.
+        // copy, and the staged epoch is then closed.
         let started = Instant::now();
         self.engine
             .stage(input.epoch, input.reports)
@@ -322,8 +321,8 @@ impl EngineBackend {
         // weight refresh and digest, and takes the round back if it
         // fails, so the in-memory campaign never runs ahead of what a
         // crash could recover.
-        let run = match &mut self.wal {
-            None => self.engine.run_on(&mut state, [], None),
+        let closed = match &mut self.wal {
+            None => self.engine.close(&mut state, None),
             Some(wal) => {
                 // The round's weights, filled by the merge's refresh thread;
                 // allocated here so that thread never allocates.
@@ -334,29 +333,28 @@ impl EngineBackend {
                     step: &mut step,
                     weights: &mut weights,
                 };
-                self.engine.run_on(&mut state, [], Some(durable))
+                self.engine.close(&mut state, Some(durable))
             }
         };
         self.state = Some(state);
-        let mut report = run.map_err(Self::engine_err)?;
+        let mut report = closed.map_err(Self::engine_err)?;
         report.metrics.elapsed = started.elapsed();
 
-        // A campaign round is exactly one epoch; an empty merge means the
-        // round starved (nothing survived to reach the merge). Counted
+        // Nothing staged means the round had no reports at all. Counted
         // as not executed: no metrics, no round increment.
-        if report.epochs.len() != 1 {
-            return Err(ProtocolError::InsufficientCoverage {
-                object: 0,
-                reports_received: 0,
-            });
-        }
-        let EpochOutcome {
+        let Some(EpochOutcome {
             truths,
             accepted_users,
             duplicates_discarded,
             late_dropped,
             ..
-        } = report.epochs.pop().expect("length checked above");
+        }) = report.epoch
+        else {
+            return Err(ProtocolError::InsufficientCoverage {
+                object: 0,
+                reports_received: 0,
+            });
+        };
 
         self.metrics.absorb(&report.metrics);
         self.rounds += 1;

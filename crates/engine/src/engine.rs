@@ -4,8 +4,8 @@
 //!                    ┌──────────────────────────┐
 //! a batch of one ───▶│ filter (stage): a thread │ claims copied into
 //! epoch: a submit,   │ per run of shards scans  │ each shard's
-//! or one epoch of    │ the batch in stream      │ columnar arena
-//! a run's stream     │ order: deadline, dedup   │
+//! or a whole round   │ the batch in stream      │ columnar arena
+//!                    │ order: deadline, dedup   │
 //!                    └────────────┬─────────────┘
 //!                                 │ close: every shard emits its
 //!                                 ▼ ShardClaims (users ascending)
@@ -16,16 +16,16 @@
 //!                    └──────────────────────────┘
 //! ```
 //!
-//! Every report reaches the shards one way. [`Engine::stage`] filters a
-//! batch of one epoch into them — each report to shard `user % S`, with
-//! the epoch deadline, first-wins dedup and a copy of its claims into the
-//! shard's arena ([`crate::shard`]) — and leaves the epoch open. Closing
-//! the epoch finishes every shard, which emits its canonical claims,
-//! users ascending, and the caller folds them into one global
+//! An engine aggregates one epoch at a time. [`Engine::stage`] filters a
+//! batch of one epoch into the shards — each report to shard `user % S`,
+//! with the epoch deadline, first-wins dedup and a copy of its claims
+//! into the shard's arena ([`crate::shard`]) — and leaves the epoch open.
+//! Closing the epoch finishes every shard, which emits its canonical
+//! claims, users ascending, and the caller folds them into one global
 //! [`StreamingCrh`]. A served campaign stages each submit batch on the
 //! thread that decoded it and closes the round at its end;
-//! [`Engine::run`] takes its stream one epoch at a time, stages that
-//! epoch's reports whole and closes it before the next.
+//! [`Engine::run_with_state`] stages a whole round and closes it in one
+//! call.
 //!
 //! A batch of at least [`PAR_STAGE_THRESHOLD`] reports fans out over
 //! scoped threads (`workers` of them, at most one per shard). Each owns
@@ -44,7 +44,7 @@
 //!
 //! [`EngineMetrics::ingest_latency`] has one sample per staged report:
 //! every report of a batch records that batch's filter time. Staged
-//! reports count in `reports_submitted` of the run that closes their
+//! reports count in `reports_submitted` of the close that merges their
 //! epoch. `stage.filter` is the wall time spent filtering batches and
 //! finishing shards, `stage.merge` the caller's time in the cross-shard
 //! merge (a durable round's log append included: it runs inside the
@@ -52,10 +52,10 @@
 //! queue left, `stage.route`, `backpressure_stalls` and
 //! `max_queue_depth` stay zero.
 //!
-//! # What an engine keeps between runs
+//! # What an engine keeps between rounds
 //!
 //! Everything whose size follows the population is built on an
-//! [`Engine`]'s first run or stage and reused by every later one — a
+//! [`Engine`]'s first stage or close and reused by every later one — a
 //! campaign hosts one engine, so this is scratch per campaign, not per
 //! round: the [`ShardState`]s (12 bytes per user: the slot → arena-span
 //! index) and the merge's [`ColumnarBatch`] (16 bytes per user of
@@ -65,18 +65,17 @@
 //! user in the merge arena.
 //! A 1 M-user campaign at 2 % participation therefore keeps ≈28 MB
 //! resident and re-zeroes none of it: every index resets by generation
-//! stamp or in time proportional to the round's reports. A run takes the
-//! scratch out of the engine and puts it back when it succeeds; a second
-//! run racing it on the same engine (or a clone) builds its own. A
-//! staged epoch lives in the parked scratch, so a failed run — or
-//! [`Engine::unstage`] — drops it with the scratch.
+//! stamp or in time proportional to the round's reports. A close takes
+//! the scratch out of the engine and puts it back when it succeeds; a
+//! second close racing it on the same engine (or a clone) builds its
+//! own. A staged epoch lives in the parked scratch, so a failed or
+//! refused round — or [`Engine::unstage`] — drops it with the scratch.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dptd_obs::trace::{codes as trace_codes, TraceScope};
-use dptd_obs::Histogram;
 use dptd_protocol::message::StampedReport;
 use dptd_truth::columnar::ColumnarBatch;
 use dptd_truth::streaming::{Committed, ShardClaims, StreamingCrh};
@@ -187,40 +186,34 @@ pub struct EpochOutcome {
     pub duplicates_discarded: usize,
     /// Late reports dropped this epoch.
     pub late_dropped: u64,
-    /// Mean absolute gap between the shards' local views — each shard's
-    /// **unweighted per-object mean** of its accepted claims — and the
-    /// merged truths, over shards whose users covered every object
-    /// (`None` if no shard had full local coverage). A shard whose users
-    /// disagree with the population shows up here.
-    pub shard_drift: Option<f64>,
 }
 
-/// Everything a finished run reports.
+/// Everything a closed round reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
-    /// Per-epoch outcomes in epoch order.
-    pub epochs: Vec<EpochOutcome>,
+    /// The epoch the round merged; `None` if nothing was staged.
+    pub epoch: Option<EpochOutcome>,
     /// Final per-user weights of the global streaming estimator.
     pub final_weights: Vec<f64>,
     /// Counters, latency and throughput.
     pub metrics: EngineMetrics,
 }
 
-/// How a run makes each merged epoch durable: the step the merge runs
+/// How a close makes its merged epoch durable: the step the merge runs
 /// once the epoch's losses are final, beside the weight refresh and
 /// digest ([`StreamingCrh::ingest_columnar_durably`]; a failed step
-/// takes the epoch back and fails the run), and the buffer, allocated by
-/// the caller, that the refresh copies the final weights into — the run's
-/// [`EngineReport::final_weights`].
+/// takes the epoch back and fails the close), and the buffer, allocated
+/// by the caller, that the refresh copies the final weights into — the
+/// close's [`EngineReport::final_weights`].
 pub(crate) struct Durable<'a> {
     pub(crate) step: &'a mut (dyn FnMut(u64, Committed<'_>) -> Result<(), EngineError> + Send),
     pub(crate) weights: &'a mut Vec<f64>,
 }
 
-/// Everything a run needs whose size follows the population: the shard
+/// Everything a round needs whose size follows the population: the shard
 /// states and the merge's columnar arena. Built on an engine's first
-/// run (or stage) and kept by it, so a campaign pays for them once, not
-/// per round. Between runs the shards may hold an epoch that
+/// stage (or close) and kept by it, so a campaign pays for them once,
+/// not per round. Between closes the shards may hold an epoch that
 /// [`Engine::stage`] has filtered reports into.
 #[derive(Debug)]
 struct Scratch {
@@ -230,13 +223,12 @@ struct Scratch {
 }
 
 /// The epoch open in the shards, and what filtering its staged batches
-/// cost — folded into the metrics of the run that closes it.
+/// cost: reports submitted, filter time and latency, which the close
+/// that merges it completes.
 #[derive(Debug)]
 struct StagedEpoch {
     epoch: u64,
-    submitted: u64,
-    filter_busy: Duration,
-    latency: Histogram,
+    metrics: EngineMetrics,
 }
 
 impl Scratch {
@@ -273,9 +265,7 @@ impl Scratch {
         }
         let staged = self.staged.get_or_insert_with(|| StagedEpoch {
             epoch,
-            submitted: 0,
-            filter_busy: Duration::ZERO,
-            latency: Histogram::new(),
+            metrics: EngineMetrics::default(),
         });
         if staged.epoch != epoch {
             return Err(EngineError::InvalidParameter {
@@ -301,40 +291,11 @@ impl Scratch {
         });
         // A staged report's latency is its batch's filter time.
         let took = start.elapsed();
-        staged.submitted += count;
-        staged.filter_busy += took;
-        staged.latency.record_many(took, count);
+        let metrics = &mut staged.metrics;
+        metrics.reports_submitted += count;
+        metrics.stage.filter += took;
+        metrics.ingest_latency.record_many(took, count);
         Ok(())
-    }
-
-    /// Close the staged epoch, if any: finish every shard, then merge
-    /// their claims into `crh` on the caller. Hands back the epoch's
-    /// outcome and what staging it cost, with the merge's time.
-    fn close(
-        &mut self,
-        cfg: &EngineConfig,
-        crh: &mut StreamingCrh,
-        durable: Option<&mut Durable<'_>>,
-    ) -> Result<Option<(EpochOutcome, StagedEpoch, Duration)>, EngineError> {
-        let Some(mut staged) = self.staged.take() else {
-            return Ok(None);
-        };
-        let start = Instant::now();
-        let threads = filter_threads(cfg, staged.submitted as usize);
-        let finished: Vec<(ShardClaims, ShardEpochStats)> =
-            fan_out(&mut self.shards, threads, |_, run| {
-                run.iter_mut()
-                    .map(ShardState::finish_epoch)
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        staged.filter_busy += start.elapsed();
-        let start = Instant::now();
-        let _span = TraceScope::begin(trace_codes::MERGE, cfg.num_shards as u64);
-        let outcome = merge_epoch(cfg, crh, &mut self.arena, staged.epoch, finished, durable)?;
-        Ok(Some((outcome, staged, start.elapsed())))
     }
 }
 
@@ -445,56 +406,39 @@ impl Engine {
         &self.config
     }
 
-    /// Drive a stream of stamped reports through the engine and merge
-    /// every epoch.
-    ///
-    /// The stream must be ordered by epoch (any order within an epoch);
-    /// reports for an epoch that has already been closed are counted as
-    /// `out_of_order_dropped`. Each epoch's reports are staged whole and
-    /// the epoch closed before the next one's are taken from the stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidUser`] for a report outside the
-    /// population and propagates aggregation failures (e.g. an epoch in
-    /// which some object received no surviving report). The run stops at
-    /// the first.
-    pub fn run<I>(&self, stream: I) -> Result<EngineReport, EngineError>
-    where
-        I: IntoIterator<Item = StampedReport>,
-    {
-        let mut crh = StreamingCrh::new(self.config.num_users, self.config.loss)?;
-        self.run_on(&mut crh, stream, None)
-    }
-
-    /// Like [`Engine::run`], but resume from a carried-over global
-    /// streaming estimator (weights and cumulative losses) instead of a
-    /// fresh one, and hand the updated estimator back.
+    /// Aggregate one round: stage `reports`, every report of one epoch,
+    /// then close that epoch into the carried-over global streaming
+    /// estimator `state` (weights and cumulative losses) and hand the
+    /// updated estimator back. An empty batch closes whatever
+    /// [`Engine::stage`] left open, if anything.
     ///
     /// This is the multi-round campaign entry point: each campaign round
     /// is one engine epoch, and the estimator carried between calls is
-    /// what makes user weights sharpen across rounds exactly as a single
-    /// continuous [`Engine::run`] over the concatenated stream would.
+    /// what makes user weights sharpen across rounds.
     ///
     /// # Errors
     ///
-    /// Everything [`Engine::run`] returns, plus
+    /// What [`Engine::stage`] refuses — a report outside the population,
+    /// a batch that mixes epochs or names another than the one staged —
+    /// is refused whole, and drops what was staged. Otherwise
     /// [`EngineError::InvalidParameter`] when `state` does not match the
-    /// engine's population size or loss function. On error the estimator
-    /// is not returned. The epoch whose merge failed never mutated it
-    /// ([`StreamingCrh::ingest_columnar_with_workers`] commits only after
-    /// the whole pass succeeds), but earlier epochs of the same stream
-    /// may have merged first — callers that need to resume after a
-    /// failure run one epoch per call, as the campaign backend does.
-    pub fn run_with_state<I>(
+    /// engine's population size or loss function, and aggregation
+    /// failures (e.g. an object that received no surviving report). On
+    /// error the estimator is not returned.
+    pub fn run_with_state(
         &self,
         mut state: StreamingCrh,
-        stream: I,
-    ) -> Result<(EngineReport, StreamingCrh), EngineError>
-    where
-        I: IntoIterator<Item = StampedReport>,
-    {
-        let report = self.run_on(&mut state, stream, None)?;
+        reports: Vec<StampedReport>,
+    ) -> Result<(EngineReport, StreamingCrh), EngineError> {
+        let started = Instant::now();
+        if let Some(epoch) = reports.first().map(|r| r.epoch) {
+            if let Err(e) = self.stage(epoch, reports) {
+                self.unstage();
+                return Err(e);
+            }
+        }
+        let mut report = self.close(&mut state, None)?;
+        report.metrics.elapsed = started.elapsed();
         Ok((report, state))
     }
 
@@ -503,15 +447,14 @@ impl Engine {
     /// [`ShardState::ingest`]'s deadline and first-wins checks; on the
     /// calling thread below [`PAR_STAGE_THRESHOLD`] reports, fanned out
     /// over the shards at or above it), and leave the epoch open. The
-    /// next run closes it over the staged reports followed by its own
-    /// stream's: the same epoch, bit for bit, as one run over the
-    /// concatenation. A failed run drops what was staged with its
-    /// scratch.
+    /// next close merges it over every batch staged: the same epoch, bit
+    /// for bit, as one batch of their concatenation. A failed close
+    /// drops what was staged with its scratch.
     ///
     /// The batch is checked whole before anything is filtered; an empty
-    /// one stages nothing, not even its epoch. Staging
-    /// and running on one engine must not race: a run that parks its
-    /// scratch replaces one a concurrent stage built.
+    /// one stages nothing, not even its epoch. Staging and closing on one
+    /// engine must not race: a close that parks its scratch replaces one
+    /// a concurrent stage built.
     ///
     /// # Errors
     ///
@@ -546,7 +489,7 @@ impl Engine {
     }
 
     /// Drop whatever [`Engine::stage`] has left open — with the scratch
-    /// that holds it, as a failed run does. A no-op when nothing is
+    /// that holds it, as a failed close does. A no-op when nothing is
     /// staged.
     pub fn unstage(&self) {
         let mut parked = self.park();
@@ -555,124 +498,83 @@ impl Engine {
         }
     }
 
-    /// [`Engine::run_with_state`] over a borrowed estimator, which
-    /// therefore survives a failed run: untouched if the stream was a
-    /// single epoch. With `durable`, every merged epoch commits through
-    /// its step. The campaign backend's entry point: over an empty
-    /// stream it closes what [`Engine::stage`] left open.
-    pub(crate) fn run_on<I>(
+    /// Close the epoch [`Engine::stage`] left open, if any, into `crh`:
+    /// finish every shard, then merge their claims on the caller. `crh`
+    /// changes only if the merge succeeds; with `durable`, the merged
+    /// epoch commits through its step. `metrics.elapsed` is left to the
+    /// caller, which knows when its round began.
+    pub(crate) fn close(
         &self,
         crh: &mut StreamingCrh,
-        stream: I,
         mut durable: Option<Durable<'_>>,
-    ) -> Result<EngineReport, EngineError>
-    where
-        I: IntoIterator<Item = StampedReport>,
-    {
-        // Take the scratch for the length of the run. A second run racing
-        // this one (on `&self` from another thread) finds none and builds
-        // its own; whichever finishes last leaves its scratch parked.
-        // Taken before any check, so a refused run drops a staged epoch
-        // just as a failed one does.
-        let mut scratch = self
-            .park()
-            .take()
-            .unwrap_or_else(|| Scratch::new(&self.config));
-        if crh.num_users() != self.config.num_users {
+    ) -> Result<EngineReport, EngineError> {
+        let cfg = &self.config;
+        // Take the scratch for the length of the close. A second close
+        // racing this one (on `&self` from another thread) finds none and
+        // builds its own; whichever finishes last leaves its scratch
+        // parked. Taken before any check, so a refused close drops a
+        // staged epoch just as a failed one does.
+        let mut scratch = self.park().take().unwrap_or_else(|| Scratch::new(cfg));
+        if crh.num_users() != cfg.num_users {
             return Err(EngineError::InvalidParameter {
                 name: "state.num_users",
                 value: crh.num_users() as f64,
                 constraint: "carried-over state must match the engine population",
             });
         }
-        if crh.loss() != self.config.loss {
+        if crh.loss() != cfg.loss {
             return Err(EngineError::InvalidParameter {
                 name: "state.loss",
                 value: f64::NAN,
                 constraint: "carried-over state must use the engine's loss function",
             });
         }
-        let result = self.drive(&mut scratch, crh, stream, durable.as_mut());
-        // Every shard closed every epoch it opened only on success; a
-        // run that stopped part-way may have left reports half ingested,
-        // and that scratch is dropped rather than parked.
-        if result.is_ok() {
-            *self.park() = Some(scratch);
-        }
-        let (epochs, metrics) = result?;
+        let _span = TraceScope::begin(trace_codes::ROUND, cfg.num_shards as u64);
+        let (epoch, metrics) = match scratch.staged.take() {
+            None => (None, EngineMetrics::default()),
+            Some(StagedEpoch { epoch, mut metrics }) => {
+                let start = Instant::now();
+                let threads = filter_threads(cfg, metrics.reports_submitted as usize);
+                let finished: Vec<(ShardClaims, ShardEpochStats)> =
+                    fan_out(&mut scratch.shards, threads, |_, run| {
+                        run.iter_mut()
+                            .map(ShardState::finish_epoch)
+                            .collect::<Vec<_>>()
+                    })
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                metrics.stage.filter += start.elapsed();
+                let start = Instant::now();
+                let _span = TraceScope::begin(trace_codes::MERGE, cfg.num_shards as u64);
+                // A failed merge returns here, dropping the scratch: only
+                // a clean close parks it again.
+                let outcome = merge_epoch(
+                    cfg,
+                    crh,
+                    &mut scratch.arena,
+                    epoch,
+                    finished,
+                    durable.as_mut(),
+                )?;
+                metrics.stage.merge = start.elapsed();
+                metrics.reports_accepted = outcome.accepted as u64;
+                metrics.duplicates_discarded = outcome.duplicates_discarded as u64;
+                metrics.late_dropped = outcome.late_dropped;
+                metrics.epochs_merged = 1;
+                (Some(outcome), metrics)
+            }
+        };
+        *self.park() = Some(scratch);
         let final_weights = match durable {
-            Some(durable) if !epochs.is_empty() => std::mem::take(durable.weights),
+            Some(durable) if epoch.is_some() => std::mem::take(durable.weights),
             _ => crh.weights().to_vec(),
         };
         Ok(EngineReport {
-            epochs,
+            epoch,
             final_weights,
             metrics,
         })
-    }
-
-    /// Take `stream` one epoch at a time — after the epoch the scratch
-    /// has staged, if any — and stage each epoch whole, then close it.
-    fn drive<I>(
-        &self,
-        scratch: &mut Scratch,
-        crh: &mut StreamingCrh,
-        stream: I,
-        mut durable: Option<&mut Durable<'_>>,
-    ) -> Result<(Vec<EpochOutcome>, EngineMetrics), EngineError>
-    where
-        I: IntoIterator<Item = StampedReport>,
-    {
-        let cfg = &self.config;
-        let started = Instant::now();
-        let _span = TraceScope::begin(trace_codes::ROUND, cfg.num_shards as u64);
-        let mut epochs = Vec::new();
-        let mut metrics = EngineMetrics::default();
-        let mut close = |scratch: &mut Scratch, epoch: u64, batch: &mut Vec<StampedReport>| {
-            scratch.stage(cfg, epoch, batch)?;
-            // Freed here, on the thread that filled it, before the merge.
-            batch.clear();
-            if let Some((outcome, staged, merge)) =
-                scratch.close(cfg, crh, durable.as_deref_mut())?
-            {
-                metrics.reports_submitted += staged.submitted;
-                metrics.reports_accepted += outcome.accepted as u64;
-                metrics.duplicates_discarded += outcome.duplicates_discarded as u64;
-                metrics.late_dropped += outcome.late_dropped;
-                metrics.ingest_latency.merge(&staged.latency);
-                metrics.stage.filter += staged.filter_busy;
-                metrics.stage.merge += merge;
-                epochs.push(outcome);
-            }
-            Ok::<(), EngineError>(())
-        };
-        let mut out_of_order = 0;
-        let mut open = scratch.staged.as_ref().map(|s| s.epoch);
-        let mut batch = Vec::new();
-        for stamped in stream {
-            match open {
-                Some(epoch) if stamped.epoch < epoch => {
-                    out_of_order += 1;
-                    continue;
-                }
-                Some(epoch) if stamped.epoch > epoch => close(scratch, epoch, &mut batch)?,
-                _ => {}
-            }
-            open = Some(stamped.epoch);
-            let (user, num_users) = (stamped.report.user, cfg.num_users);
-            if user >= num_users {
-                return Err(EngineError::InvalidUser { user, num_users });
-            }
-            batch.push(stamped);
-        }
-        if let Some(epoch) = open {
-            close(scratch, epoch, &mut batch)?;
-        }
-        metrics.reports_submitted += out_of_order;
-        metrics.out_of_order_dropped = out_of_order;
-        metrics.epochs_merged = epochs.len() as u64;
-        metrics.elapsed = started.elapsed();
-        Ok((epochs, metrics))
     }
 
     fn park(&self) -> MutexGuard<'_, Option<Scratch>> {
@@ -707,35 +609,12 @@ fn merge_epoch(
         }
         None => crh.ingest_columnar_with_workers(arena, cfg.merge_workers)?,
     };
-
-    let mut accepted = 0usize;
-    let mut duplicates = 0usize;
-    let mut late = 0u64;
-    let mut drift_sum = 0.0;
-    let mut drift_n = 0usize;
-    for s in &stats {
-        accepted += s.accepted;
-        duplicates += s.duplicates_discarded;
-        late += s.late_dropped;
-        if let Some(local) = &s.local_truths {
-            let gap: f64 = local
-                .iter()
-                .zip(&truths)
-                .map(|(l, t)| (l - t).abs())
-                .sum::<f64>()
-                / truths.len().max(1) as f64;
-            drift_sum += gap;
-            drift_n += 1;
-        }
-    }
-
     Ok(EpochOutcome {
         epoch,
         truths,
-        accepted,
+        accepted: stats.iter().map(|s| s.accepted).sum(),
         accepted_users,
-        duplicates_discarded: duplicates,
-        late_dropped: late,
-        shard_drift: (drift_n > 0).then(|| drift_sum / drift_n as f64),
+        duplicates_discarded: stats.iter().map(|s| s.duplicates_discarded).sum(),
+        late_dropped: stats.iter().map(|s| s.late_dropped).sum(),
     })
 }

@@ -23,8 +23,7 @@
 //!   duplicate/late drop counters.
 //! * [`backend`] — [`EngineBackend`]: adapts the engine to the protocol
 //!   crate's campaign layer, executing each multi-round campaign round as
-//!   one engine epoch with carried-over weights
-//!   ([`Engine::run_with_state`]) and accumulated metrics.
+//!   one engine epoch with carried-over weights and accumulated metrics.
 //! * [`wal`] — the epoch write-ahead log: checksummed, length-prefixed
 //!   [`EpochRecord`]s, and the single-segment [`WalWriter`] that appends
 //!   them through the store's filesystem seam ([`store::StoreFs`]).
@@ -42,6 +41,8 @@
 //!
 //! ```
 //! use dptd_engine::{Engine, EngineConfig, LoadGen, LoadGenConfig};
+//! use dptd_truth::streaming::StreamingCrh;
+//! use dptd_truth::Loss;
 //!
 //! # fn main() -> Result<(), dptd_engine::EngineError> {
 //! let load = LoadGen::new(LoadGenConfig {
@@ -56,9 +57,14 @@
 //!     num_shards: 4,
 //!     ..EngineConfig::default()
 //! })?;
-//! let report = engine.run(load.stream())?;
-//! assert_eq!(report.epochs.len(), 3);
-//! assert_eq!(report.final_weights.len(), 120);
+//! // One round per epoch, the estimator carried from each to the next.
+//! let mut state = StreamingCrh::new(120, Loss::Squared)?;
+//! for epoch in 0..3 {
+//!     let (report, next) = engine.run_with_state(state, load.epoch_reports(epoch))?;
+//!     assert_eq!(report.epoch.map(|outcome| outcome.epoch), Some(epoch));
+//!     assert_eq!(report.final_weights.len(), 120);
+//!     state = next;
+//! }
 //! # Ok(())
 //! # }
 //! ```

@@ -1,4 +1,4 @@
-//! Engine observability: run-level metrics.
+//! Engine observability: per-round metrics.
 //!
 //! The histogram machinery lives in [`dptd_obs`] (the workspace-wide
 //! observability crate) so the engine, the server and the cluster share
@@ -28,14 +28,15 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// Fold another run's stage timings into this one (sums).
+    /// Fold another round's stage timings into this one (sums).
     pub fn absorb(&mut self, other: &StageTimings) {
         self.filter += other.filter;
         self.merge += other.merge;
     }
 }
 
-/// Counters and timings for one [`crate::Engine::run`].
+/// Counters and timings for one closed round, or — folded by
+/// [`EngineMetrics::absorb`] — for many.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineMetrics {
     /// Reports offered to the engine (including duplicates and lates).
@@ -47,8 +48,6 @@ pub struct EngineMetrics {
     /// Reports dropped because their virtual send time missed the epoch
     /// deadline.
     pub late_dropped: u64,
-    /// Reports dropped because they arrived for an already-closed epoch.
-    pub out_of_order_dropped: u64,
     /// Inert (always 0): `e2e_ledger/` is its only reader, and slice A deletes it.
     pub backpressure_stalls: u64,
     /// Epochs that completed a cross-shard merge.
@@ -60,16 +59,15 @@ pub struct EngineMetrics {
     pub ingest_latency: Histogram,
     /// Time per engine stage (filter / merge).
     pub stage: StageTimings,
-    /// Wall-clock duration of the whole run.
+    /// Wall-clock duration of the round (summed over absorbed rounds).
     pub elapsed: Duration,
 }
 
 impl EngineMetrics {
     /// Reports offered to the engine per wall-clock second. Counts every
-    /// submission the engine handled — including duplicates, lates, and
-    /// out-of-order drops — i.e. ingest-path throughput, not the number
-    /// of reports that reached an epoch batch (that is
-    /// `reports_accepted`).
+    /// submission the engine handled — duplicates and lates included —
+    /// i.e. ingest-path throughput, not the number of reports that
+    /// reached an epoch batch (that is `reports_accepted`).
     pub fn throughput_rps(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
@@ -79,16 +77,15 @@ impl EngineMetrics {
         }
     }
 
-    /// Fold another run's metrics into this one: counters add, latency
+    /// Fold another round's metrics into this one: counters add, latency
     /// histograms merge, and elapsed times sum. Used by the campaign
-    /// backend, which drives one engine run per round but reports one
+    /// backend, which closes one engine epoch per round but reports one
     /// campaign-wide metrics block.
     pub fn absorb(&mut self, other: &EngineMetrics) {
         self.reports_submitted += other.reports_submitted;
         self.reports_accepted += other.reports_accepted;
         self.duplicates_discarded += other.duplicates_discarded;
         self.late_dropped += other.late_dropped;
-        self.out_of_order_dropped += other.out_of_order_dropped;
         self.epochs_merged += other.epochs_merged;
         self.ingest_latency.merge(&other.ingest_latency);
         self.stage.absorb(&other.stage);
@@ -106,7 +103,6 @@ impl EngineMetrics {
              reports accepted    {}\n\
              duplicates dropped  {}\n\
              late dropped        {}\n\
-             out-of-order drops  {}\n\
              epochs merged       {}\n\
              ingest latency      p50 {}  p99 {}  max {}\n\
              stage time          filter {:.3} s  merge {:.3} s\n\
@@ -116,7 +112,6 @@ impl EngineMetrics {
             self.reports_accepted,
             self.duplicates_discarded,
             self.late_dropped,
-            self.out_of_order_dropped,
             self.epochs_merged,
             fmt_lat(self.ingest_latency.p50()),
             fmt_lat(self.ingest_latency.p99()),

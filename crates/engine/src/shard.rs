@@ -30,16 +30,6 @@
 //!
 //! Resident cost: 12 bytes per owned user (the slot → span index) plus
 //! the arena of the largest epoch seen (16 bytes per claim).
-//!
-//! # The shard-local view
-//!
-//! Alongside, a shard keeps a running sum and count of its accepted
-//! claims per object. [`ShardEpochStats::local_truths`] is their quotient:
-//! the shard's **unweighted per-object mean**, present only if the
-//! shard's own users covered every object. Its gap to the merged global
-//! truths is a health signal — a shard whose users disagree with the
-//! population shows up there — at eight additions per report instead of a
-//! second truth discovery per shard.
 
 use dptd_protocol::dedup::DedupFilter;
 use dptd_protocol::message::StampedReport;
@@ -55,11 +45,6 @@ pub struct ShardEpochStats {
     pub duplicates_discarded: usize,
     /// Reports dropped for missing the epoch deadline.
     pub late_dropped: u64,
-    /// The unweighted mean of the shard's accepted claims per object, if
-    /// its own users covered every object (`None` otherwise — a small
-    /// shard legitimately may not). No weights enter it: it says what
-    /// this shard's users reported, not what the estimator made of it.
-    pub local_truths: Option<Vec<f64>>,
 }
 
 /// Mutable state of one shard. Owned by exactly one thread at a
@@ -80,15 +65,14 @@ pub struct ShardState {
     /// per report, in arrival order.
     objects: Vec<usize>,
     values: Vec<f64>,
-    /// Per object: sum and count of the accepted claims.
-    object_sums: Vec<(f64, u64)>,
 }
 
 impl ShardState {
     /// State for shard `shard_id` of `num_shards` over a population of
-    /// `num_users`. The loss function is not used — a shard no longer
-    /// runs an estimator of its own — and is accepted so callers that
-    /// size a shard from an engine configuration need not change.
+    /// `num_users`. The object count and the loss function are not used
+    /// — a shard neither indexes claims by object nor runs an estimator
+    /// of its own — and are accepted so callers that size a shard from an
+    /// engine configuration need not change.
     ///
     /// # Panics
     ///
@@ -98,7 +82,7 @@ impl ShardState {
         shard_id: usize,
         num_shards: usize,
         num_users: usize,
-        num_objects: usize,
+        _num_objects: usize,
         epoch_deadline_us: u64,
         _loss: Loss,
     ) -> Self {
@@ -114,7 +98,6 @@ impl ShardState {
             late_dropped: 0,
             objects: Vec::new(),
             values: Vec::new(),
-            object_sums: vec![(0.0, 0); num_objects],
         }
     }
 
@@ -134,8 +117,7 @@ impl ShardState {
     ///
     /// Claims are copied as they are. A malformed one (object out of
     /// range, non-finite value, repeated object) is refused by the merge,
-    /// which validates every row; here it is only kept out of the
-    /// shard-local sums it cannot index.
+    /// which validates every row.
     ///
     /// # Panics
     ///
@@ -169,12 +151,6 @@ impl ShardState {
             .accept(user / self.num_shards, (start as u32, end))
         {
             return false;
-        }
-        for &(object, value) in claims {
-            if let Some((sum, count)) = self.object_sums.get_mut(object) {
-                *sum += value;
-                *count += 1;
-            }
         }
         self.objects
             .extend(claims.iter().map(|&(object, _)| object));
@@ -234,22 +210,14 @@ impl ShardState {
     /// caller that already holds the epoch's [`ShardState::claims`] (a
     /// cluster node keeps the copy its last prepare replied with).
     pub fn end_epoch(&mut self) -> ShardEpochStats {
-        let covered = self.object_sums.iter().all(|&(_, count)| count > 0);
         let stats = ShardEpochStats {
             accepted: self.accepted(),
             duplicates_discarded: self.duplicates_discarded(),
             late_dropped: std::mem::take(&mut self.late_dropped),
-            local_truths: covered.then(|| {
-                self.object_sums
-                    .iter()
-                    .map(|&(sum, count)| sum / count as f64)
-                    .collect()
-            }),
         };
         self.dedup.reset();
         self.objects.clear();
         self.values.clear();
-        self.object_sums.fill((0.0, 0));
         stats
     }
 }
@@ -292,9 +260,8 @@ mod tests {
         assert_eq!(stats.duplicates_discarded, 1);
         assert_eq!(stats.late_dropped, 1);
         assert_eq!(claims.len(), 3);
-        // First-wins: user 0 kept 1.0, and the local CRH covered object 0.
-        let local = stats.local_truths.unwrap();
-        assert!(local[0] > 1.0 && local[0] < 3.0);
+        // First-wins: user 0 kept 1.0.
+        assert_eq!(claims.row(0).2, &[1.0]);
     }
 
     #[test]
@@ -374,18 +341,6 @@ mod tests {
                 assert!(s.claims().is_empty());
             }
         }
-    }
-
-    #[test]
-    fn local_truths_absent_without_coverage() {
-        // Shard 0 of 2 owns users {0, 2}; its users observe only object 0
-        // of 2, so the local view must be None while claims still flow.
-        let mut s = ShardState::new(0, 2, 4, 2, 100, Loss::Squared);
-        s.ingest(stamped(0, 1, vec![(0, 1.0)]));
-        s.ingest(stamped(2, 2, vec![(0, 1.2)]));
-        let (claims, stats) = s.finish_epoch();
-        assert!(stats.local_truths.is_none());
-        assert_eq!(claims.len(), 2);
     }
 
     #[test]

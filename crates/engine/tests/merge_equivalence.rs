@@ -237,15 +237,23 @@ proptest! {
                 loss: Loss::Squared,
                 merge_workers,
             }).unwrap();
-            outputs.push(engine.run(load.stream()).unwrap());
+            let mut state = StreamingCrh::new(users, Loss::Squared).unwrap();
+            let mut outcomes = Vec::new();
+            for epoch in 0..epochs {
+                let (report, next) =
+                    engine.run_with_state(state, load.epoch_reports(epoch)).unwrap();
+                state = next;
+                outcomes.extend(report.epoch);
+            }
+            outputs.push((outcomes, state.weights().to_vec()));
         }
         for w in outputs.windows(2) {
-            for (a, b) in w[0].epochs.iter().zip(&w[1].epochs) {
+            for (a, b) in w[0].0.iter().zip(&w[1].0) {
                 prop_assert_eq!(bits(&a.truths), bits(&b.truths));
                 prop_assert_eq!(&a.accepted_users, &b.accepted_users);
                 prop_assert_eq!(a.accepted, b.accepted);
             }
-            prop_assert_eq!(bits(&w[0].final_weights), bits(&w[1].final_weights));
+            prop_assert_eq!(bits(&w[0].1), bits(&w[1].1));
         }
     }
 }

@@ -9,10 +9,29 @@
 
 use proptest::prelude::*;
 
-use dptd_engine::{Engine, EngineConfig, LoadGen, LoadGenConfig};
+use dptd_engine::{Engine, EngineConfig, EngineMetrics, EpochOutcome, LoadGen, LoadGenConfig};
 use dptd_truth::crh::Crh;
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::{Convergence, Loss, ObservationMatrix, TruthDiscoverer};
+
+/// Every epoch of `load`, one `run_with_state` call each with the
+/// estimator carried: the epochs' outcomes, the final weights and the
+/// rounds' metrics summed.
+fn run_epochs(engine: &Engine, load: &LoadGen) -> (Vec<EpochOutcome>, Vec<f64>, EngineMetrics) {
+    let cfg = engine.config();
+    let mut state = StreamingCrh::new(cfg.num_users, cfg.loss).unwrap();
+    let mut metrics = EngineMetrics::default();
+    let mut epochs = Vec::new();
+    for epoch in 0..load.config().epochs {
+        let (report, next) = engine
+            .run_with_state(state, load.epoch_reports(epoch))
+            .unwrap();
+        state = next;
+        metrics.absorb(&report.metrics);
+        epochs.extend(report.epoch);
+    }
+    (epochs, state.weights().to_vec(), metrics)
+}
 
 fn dense_matrix() -> impl Strategy<Value = ObservationMatrix> {
     (2usize..10, 1usize..6).prop_flat_map(|(s, n)| {
@@ -92,30 +111,28 @@ proptest! {
                 loss: Loss::Squared,
                 merge_workers: 0,
             }).unwrap();
-            let report = engine.run(load.stream()).unwrap();
-            prop_assert_eq!(report.epochs.len() as u64, epochs);
-            outputs.push(report);
+            let (outcomes, final_weights, _) = run_epochs(&engine, &load);
+            prop_assert_eq!(outcomes.len() as u64, epochs);
+            outputs.push((outcomes, final_weights));
         }
 
-        for report in &outputs {
-            for (e, outcome) in report.epochs.iter().enumerate() {
+        for (outcomes, final_weights) in &outputs {
+            for (e, outcome) in outcomes.iter().enumerate() {
                 prop_assert_eq!(&outcome.truths, &ref_truths[e],
                     "shard run diverged from reference at epoch {}", e);
             }
-            prop_assert_eq!(report.final_weights.as_slice(), reference.weights(),
+            prop_assert_eq!(final_weights.as_slice(), reference.weights(),
                 "final weights diverged from reference");
         }
-        // And bit-identical across the three sharding layouts (the
-        // shard-drift observable legitimately depends on the layout — a
-        // single shard has zero drift by definition — so it is excluded).
+        // And bit-identical across the three sharding layouts.
         for w in outputs.windows(2) {
-            for (a, b) in w[0].epochs.iter().zip(&w[1].epochs) {
+            for (a, b) in w[0].0.iter().zip(&w[1].0) {
                 prop_assert_eq!(&a.truths, &b.truths);
                 prop_assert_eq!(a.accepted, b.accepted);
                 prop_assert_eq!(a.duplicates_discarded, b.duplicates_discarded);
                 prop_assert_eq!(a.late_dropped, b.late_dropped);
             }
-            prop_assert_eq!(&w[0].final_weights, &w[1].final_weights);
+            prop_assert_eq!(&w[0].1, &w[1].1);
         }
     }
 
@@ -142,13 +159,11 @@ proptest! {
             epoch_deadline_us: load.config().epoch_len_us,
             ..EngineConfig::default()
         }).unwrap();
-        let report = engine.run(load.stream()).unwrap();
-        let m = &report.metrics;
+        let (_, _, m) = run_epochs(&engine, &load);
         // Every submitted report is accounted for exactly once.
         prop_assert_eq!(
             m.reports_submitted,
-            m.reports_accepted + m.duplicates_discarded + m.late_dropped
-                + m.out_of_order_dropped,
+            m.reports_accepted + m.duplicates_discarded + m.late_dropped,
             "accounting leak: {:?}", m
         );
         prop_assert_eq!(m.epochs_merged, 2);

@@ -2,7 +2,7 @@
 //! filtered — on the caller below [`PAR_STAGE_THRESHOLD`] reports, fanned
 //! out over runs of shards at or above it — every epoch equals what
 //! [`SimBackend`] makes of the same reports, bit for bit, and a reused
-//! engine carries nothing of its previous run.
+//! engine carries nothing of its previous run, nor of a refused one.
 
 use dptd_core::roles::PerturbedReport;
 use dptd_engine::engine::PAR_STAGE_THRESHOLD;
@@ -128,7 +128,7 @@ fn both_sides_of_the_fan_out_threshold_match_the_reference() {
                     engine.run_with_state(crh, reports.clone()).unwrap()
                 };
                 crh = carried;
-                let [outcome] = report.epochs.as_slice() else {
+                let Some(outcome) = &report.epoch else {
                     panic!("{what}: one epoch per call");
                 };
                 assert_eq!(bits(&outcome.truths), bits(&want.truths), "{what}");
@@ -205,17 +205,18 @@ fn a_reused_engine_shows_nothing_of_its_previous_run() {
         let fresh = engine(users, 1, shards, 2);
         let crh = StreamingCrh::new(users, Loss::Squared).unwrap();
         let (first_report, carried) = reused.run_with_state(crh, first.clone()).unwrap();
-        assert_eq!(first_report.epochs[0].accepted, users);
-        assert_eq!(first_report.epochs[0].duplicates_discarded, users);
+        let first_outcome = first_report.epoch.expect("one epoch per call");
+        assert_eq!(first_outcome.accepted, users);
+        assert_eq!(first_outcome.duplicates_discarded, users);
 
         let (again, after_reused) = reused
             .run_with_state(carried.clone(), second.clone())
             .unwrap();
         let (clean, after_fresh) = fresh.run_with_state(carried, second.clone()).unwrap();
-        assert_eq!(again.epochs, clean.epochs, "{shards} shards");
+        assert_eq!(again.epoch, clean.epoch, "{shards} shards");
         assert_eq!(again.final_weights, clean.final_weights, "{shards} shards");
         assert_eq!(after_reused.weights(), after_fresh.weights());
-        let outcome = &again.epochs[0];
+        let outcome = again.epoch.expect("one epoch per call");
         assert_eq!(outcome.accepted, 200);
         assert_eq!(outcome.duplicates_discarded, 0);
         assert_eq!(
@@ -233,6 +234,52 @@ fn a_reused_engine_shows_nothing_of_its_previous_run() {
         let (after_failure, _) = reused.run_with_state(crh, second.clone()).unwrap();
         let crh = StreamingCrh::new(users, Loss::Squared).unwrap();
         let (never_failed, _) = fresh.run_with_state(crh, second.clone()).unwrap();
-        assert_eq!(after_failure.epochs, never_failed.epochs, "{shards} shards");
+        assert_eq!(after_failure.epoch, never_failed.epoch, "{shards} shards");
+    }
+}
+
+/// A round is one epoch: a batch that spans two, or names another epoch
+/// than the one staged, is refused whole on either side of the fan-out
+/// threshold, and nothing stays staged — the next round on the same
+/// engine equals a fresh engine's, by `to_bits`.
+#[test]
+fn a_batch_spanning_two_epochs_is_refused_whole() {
+    let users = 3 * PAR_STAGE_THRESHOLD;
+    for count in [600, PAR_STAGE_THRESHOLD] {
+        let mut mixed = epoch_reports(0, count, users);
+        mixed.extend(epoch_reports(1, count, users));
+        let next = epoch_reports(2, count, users);
+        for shards in [1usize, 4] {
+            let what = format!("{count} reports per epoch, {shards} shards");
+            let reused = engine(users, 1, shards, 2);
+            let crh = StreamingCrh::new(users, Loss::Squared).unwrap();
+            assert!(reused.run_with_state(crh, mixed.clone()).is_err(), "{what}");
+            assert_eq!(reused.staged_epoch(), None, "{what}");
+            // So is a batch of another epoch than the one staged, and the
+            // staged epoch goes with it.
+            reused.stage(0, mixed[..count].to_vec()).unwrap();
+            let crh = StreamingCrh::new(users, Loss::Squared).unwrap();
+            assert!(reused.run_with_state(crh, next.clone()).is_err(), "{what}");
+            assert_eq!(reused.staged_epoch(), None, "{what}");
+
+            let crh = StreamingCrh::new(users, Loss::Squared).unwrap();
+            let (after, after_state) = reused.run_with_state(crh, next.clone()).unwrap();
+            let crh = StreamingCrh::new(users, Loss::Squared).unwrap();
+            let fresh = engine(users, 1, shards, 2);
+            let (clean, clean_state) = fresh.run_with_state(crh, next.clone()).unwrap();
+            let (after, clean) = (after.epoch.unwrap(), clean.epoch.unwrap());
+            assert_eq!(bits(&after.truths), bits(&clean.truths), "{what}");
+            assert_eq!(after.accepted_users, clean.accepted_users, "{what}");
+            assert_eq!(
+                (after.duplicates_discarded, after.late_dropped),
+                (clean.duplicates_discarded, clean.late_dropped),
+                "{what}"
+            );
+            assert_eq!(
+                bits(after_state.weights()),
+                bits(clean_state.weights()),
+                "{what}"
+            );
+        }
     }
 }

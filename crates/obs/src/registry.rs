@@ -43,7 +43,7 @@ pub mod names {
     pub const SUBMITTED: &str = "submitted";
     /// Per-campaign suffix: reports accepted into epoch batches.
     pub const ACCEPTED: &str = "accepted";
-    /// Per-campaign suffix: duplicates + late + out-of-order drops.
+    /// Per-campaign suffix: duplicates + late drops.
     pub const DROPPED: &str = "dropped";
     /// Per-campaign suffix: rounds closed.
     pub const ROUNDS: &str = "rounds";
@@ -435,7 +435,7 @@ pub struct CampaignShare {
     pub submitted: u64,
     /// Reports accepted into epoch batches.
     pub accepted: u64,
-    /// Duplicates + late + out-of-order drops.
+    /// Duplicates + late drops.
     pub dropped: u64,
     /// Rounds closed.
     pub rounds: u64,

@@ -34,8 +34,8 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// Event codes: which instrumented site produced an event. Codes are
 /// stable across runs (they appear in trace dumps and the README).
 pub mod codes {
-    /// A whole engine run: its epochs' stages and closes (span; arg =
-    /// shards).
+    /// An engine round's close: its shards finished and merged (span;
+    /// arg = shards).
     pub const ROUND: u32 = 1;
     // 2 was the engine router's `route` span; it is retired: never reuse it.
     /// One thread's run of shards filtering a staged batch or finishing
@@ -84,7 +84,7 @@ pub mod codes {
     pub const BARRIER_REPLY: u32 = 17;
     /// Filtering one batch into a round filter before the round closes:
     /// a server's or a node's submit batch on the thread that decoded
-    /// it, or one epoch of an engine run's stream (span; arg = reports).
+    /// it, or a whole round handed to the engine (span; arg = reports).
     pub const STAGE: u32 = 18;
 
     /// The human-readable name of a code (for dumps and docs).

@@ -44,7 +44,7 @@ use dptd_obs::{
 };
 use dptd_protocol::campaign::CampaignConfig;
 use dptd_protocol::message::StampedReport;
-use dptd_truth::columnar::check_claims;
+use dptd_truth::columnar::{check_claims, LEAF_SPAN};
 
 use crate::frontend::FrontendStats;
 use crate::wire::{validate_campaign_id, CampaignSpec, ErrorCode, Request, Response};
@@ -53,18 +53,25 @@ use crate::wire::{validate_campaign_id, CampaignSpec, ErrorCode, Request, Respon
 /// (`RegistryConfig::default()`, every cluster node): 4 Mi users.
 pub const MAX_USERS_PER_CAMPAIGN: u64 = 4 << 20;
 
-/// The object cap every host applies: 64 Ki objects. Each engine shard
-/// and each cluster node keeps a 16 B running sum and count per object,
-/// so the worst case a create admits is 1 MiB per shard — 64 MiB at
-/// [`MAX_SHARDS_PER_CAMPAIGN`] shards.
+/// The object cap every host applies: 64 Ki objects. The two products
+/// it enters are capped too, so a create reaches it only with a small
+/// population and a short queue.
 pub const MAX_OBJECTS_PER_CAMPAIGN: u64 = 1 << 16;
 
 /// The shard cap every host applies: 64 shards. A campaign server's
-/// engine keeps `num_shards` shards, each with its per-object sums (see
-/// [`MAX_OBJECTS_PER_CAMPAIGN`]), and spawns `min(workers, num_shards)`
-/// threads per round, so the worst case a create admits is 64 worker
-/// threads and 64 MiB of shard sums.
+/// engine keeps `num_shards` shards and spawns `min(workers,
+/// num_shards)` threads per round, so the worst case a create admits is
+/// 64 worker threads.
 pub const MAX_SHARDS_PER_CAMPAIGN: u64 = 64;
+
+/// The cap on merge leaf cells, `ceil(num_users / LEAF_SPAN) ×
+/// num_objects`. A close's per-leaf partials hold up to two `f64`s a
+/// cell: 64 MiB at most.
+const MAX_LEAF_CELLS_PER_CAMPAIGN: u64 = 1 << 22;
+
+/// The cap on `submission_capacity × num_objects`, the claims the queue
+/// may hold for the next round, 16 B each: 1 GiB at most.
+const MAX_QUEUED_CLAIMS_PER_CAMPAIGN: u64 = 1 << 26;
 
 /// A typed refusal frame.
 pub fn refuse(code: ErrorCode, message: impl Into<String>) -> Response {
@@ -648,18 +655,36 @@ impl SubmissionQueue {
 ///
 /// An `InvalidRequest` refusal for a zero population, object count,
 /// shard count, deadline or submission capacity; a population over
-/// `max_users`, or an object or shard count over
-/// [`MAX_OBJECTS_PER_CAMPAIGN`] or [`MAX_SHARDS_PER_CAMPAIGN`] (so a
-/// create claiming more is refused before the host allocates for it);
-/// or an invalid privacy loss.
+/// `max_users`, an object or shard count over
+/// [`MAX_OBJECTS_PER_CAMPAIGN`] or [`MAX_SHARDS_PER_CAMPAIGN`], or more
+/// merge leaf cells (`ceil(num_users / LEAF_SPAN) × num_objects`) than
+/// 2²² or queued claims (`submission_capacity × num_objects`) than 2²⁶
+/// (so a create claiming more is refused before the host allocates for
+/// it); or an invalid privacy loss.
 pub fn admit(spec: &CampaignSpec, max_users: u64) -> Result<(CampaignConfig, WalPolicy), Response> {
     let invalid = |message: String| refuse(ErrorCode::InvalidRequest, message);
+    let leaf_cells = spec
+        .num_users
+        .div_ceil(LEAF_SPAN as u64)
+        .saturating_mul(spec.num_objects);
+    let queued_claims = spec.submission_capacity.saturating_mul(spec.num_objects);
+    // Every factor is checked before the products it enters.
     for (field, value, cap) in [
         ("num_users", spec.num_users, max_users),
         ("num_objects", spec.num_objects, MAX_OBJECTS_PER_CAMPAIGN),
         ("num_shards", spec.num_shards, MAX_SHARDS_PER_CAMPAIGN),
         ("deadline_us", spec.deadline_us, u64::MAX),
         ("submission_capacity", spec.submission_capacity, u64::MAX),
+        (
+            "leaf cells ceil(num_users / LEAF_SPAN) × num_objects",
+            leaf_cells,
+            MAX_LEAF_CELLS_PER_CAMPAIGN,
+        ),
+        (
+            "queued claims submission_capacity × num_objects",
+            queued_claims,
+            MAX_QUEUED_CLAIMS_PER_CAMPAIGN,
+        ),
     ] {
         if value == 0 {
             return Err(invalid(format!("{field} must be positive")));
@@ -898,6 +923,18 @@ mod tests {
         let (config, policy) = admit(&spec(), MAX_USERS_PER_CAMPAIGN).expect("valid spec");
         assert_eq!((config.num_objects, config.deadline_us), (2, 1_000));
         assert_eq!(policy, WalPolicy::from_campaign(&config).with_stream_tag(7));
+        // The most users make 2^14 merge leaves, so 2^8 objects fill the
+        // 2^22 leaf cells; 2^25 queued reports of 2 objects hold the 2^26
+        // queued claims. One past either product is refused.
+        let most_users = |num_objects| CampaignSpec {
+            num_users: MAX_USERS_PER_CAMPAIGN,
+            num_objects,
+            ..spec()
+        };
+        let queue = |submission_capacity| CampaignSpec {
+            submission_capacity,
+            ..spec()
+        };
         for bad in [
             CampaignSpec {
                 num_users: 0,
@@ -931,16 +968,38 @@ mod tests {
                 budget_epsilon: -1.0,
                 ..spec()
             },
+            most_users(257),
+            queue((1 << 25) + 1),
+            queue(u64::MAX),
         ] {
             let resp = admit(&bad, MAX_USERS_PER_CAMPAIGN).expect_err("must be refused");
             assert!(is_invalid(&resp), "{resp:?}");
         }
-        let at_the_caps = CampaignSpec {
-            num_objects: MAX_OBJECTS_PER_CAMPAIGN,
-            num_shards: MAX_SHARDS_PER_CAMPAIGN,
-            ..spec()
-        };
-        assert!(admit(&at_the_caps, MAX_USERS_PER_CAMPAIGN).is_ok());
+        // At every cap, and the largest shapes in use: a million users,
+        // eight objects and a queue of 2^18, and the CLI's default create.
+        for good in [
+            CampaignSpec {
+                num_objects: MAX_OBJECTS_PER_CAMPAIGN,
+                num_shards: MAX_SHARDS_PER_CAMPAIGN,
+                ..spec()
+            },
+            most_users(256),
+            queue(1 << 25),
+            CampaignSpec {
+                num_users: 1_000_000,
+                num_objects: 8,
+                submission_capacity: 1 << 18,
+                ..spec()
+            },
+            CampaignSpec {
+                num_users: 5_000,
+                num_objects: 8,
+                submission_capacity: 1 << 16,
+                ..spec()
+            },
+        ] {
+            assert!(admit(&good, MAX_USERS_PER_CAMPAIGN).is_ok(), "{good:?}");
+        }
         assert!(admit(&spec(), 3).is_err(), "the cap is the caller's");
     }
 

@@ -243,7 +243,7 @@ impl Hosted for CampaignState {
         let busy_ns = |d: std::time::Duration| {
             MetricValue::Counter(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
         };
-        let dropped = m.duplicates_discarded + m.late_dropped + m.out_of_order_dropped;
+        let dropped = m.duplicates_discarded + m.late_dropped;
         let ingest = m.ingest_latency.snapshot();
         vec![
             (names::FILTER_BUSY_NS, busy_ns(m.stage.filter)),

@@ -1,13 +1,16 @@
 //! Shared builders for the umbrella integration tests: deterministic
 //! load-generator streams and engines sized to match them. Used by
-//! `engine_e2e.rs` (single-run streaming) and `campaign_e2e.rs`
+//! `engine_e2e.rs` (one engine round per epoch) and `campaign_e2e.rs`
 //! (multi-round campaigns).
 
 // Each test binary compiles this module independently and uses a
 // different subset of the builders.
 #![allow(dead_code)]
 
-use dptd::engine::{ArrivalProcess, Engine, EngineConfig, LoadGen, LoadGenConfig};
+use dptd::engine::{
+    ArrivalProcess, Engine, EngineConfig, EngineMetrics, EpochOutcome, LoadGen, LoadGenConfig,
+};
+use dptd::truth::streaming::StreamingCrh;
 
 /// A bursty, stressy stream: duplicates and stragglers on flash-crowd
 /// arrivals.
@@ -70,4 +73,23 @@ pub fn engine_for(load: &LoadGen, shards: usize) -> Engine {
         ..EngineConfig::default()
     })
     .expect("valid engine config")
+}
+
+/// Every epoch of `load` through `engine`, one `run_with_state` call
+/// each with the estimator carried: the epochs' outcomes, the final
+/// weights and the rounds' metrics summed.
+pub fn run_epochs(engine: &Engine, load: &LoadGen) -> (Vec<EpochOutcome>, Vec<f64>, EngineMetrics) {
+    let cfg = engine.config();
+    let mut state = StreamingCrh::new(cfg.num_users, cfg.loss).expect("valid estimator");
+    let mut metrics = EngineMetrics::default();
+    let mut epochs = Vec::new();
+    for epoch in 0..load.config().epochs {
+        let (report, next) = engine
+            .run_with_state(state, load.epoch_reports(epoch))
+            .expect("engine round succeeds");
+        state = next;
+        metrics.absorb(&report.metrics);
+        epochs.extend(report.epoch);
+    }
+    (epochs, state.weights().to_vec(), metrics)
 }

@@ -230,8 +230,8 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_and_in_process_referenc
     trace::reset();
     trace::set_enabled(true);
     let traced = serve_all(true, Some(&wal_root));
-    // A batch engine run under tracing covers the round/filter/merge
-    // spans of a whole round handed over at once.
+    // Engine rounds under tracing cover the round/filter/merge spans of
+    // a whole round handed over at once.
     let gen = common::bursty_load(2_000, 4, 2, 0.01, 0.01, 9);
     let eng = Engine::new(EngineConfig {
         num_users: 2_000,
@@ -241,7 +241,7 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_and_in_process_referenc
         ..EngineConfig::default()
     })
     .unwrap();
-    eng.run(gen.stream()).unwrap();
+    common::run_epochs(&eng, &gen);
     trace::set_enabled(false);
 
     assert_eq!(
