@@ -11,8 +11,9 @@
 # declaration. Each `pub fn` of a `crates/*/src` file (the compat shims
 # aside) must be named, as a whole word, somewhere in a tracked `.rs`
 # file — tests and `e2e_ledger/` count — other than its definitions.
-# Run from anywhere in the repository; exits 1 and names each offender
-# on failure.
+# A doc comment (`///` or `//!`) is never a use: a rustdoc link to an
+# item keeps nothing alive. Run from anywhere in the repository; exits
+# 1 and names each offender on failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,12 +26,17 @@ deps_of() {
          on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$1"
 }
 
+# A doc-comment line, which no check below counts as a use.
+doc='^[[:space:]]*//[/!]'
+
 fail=0
 for manifest in "${manifests[@]}"; do
     dir=$(dirname "$manifest")
     if [ "$dir" = . ]; then sources=(src tests examples); else sources=("$dir"); fi
     for dep in $(deps_of "$manifest"); do
-        if ! grep -rqw --include='*.rs' -- "${dep//-/_}" "${sources[@]}"; then
+        uses=$({ grep -rhw --include='*.rs' -- "${dep//-/_}" "${sources[@]}" || true; } |
+            { grep -cvE "$doc" || true; })
+        if [ "$uses" = 0 ]; then
             echo "$manifest: no .rs file of this package names dependency \`$dep\`"
             fail=1
         fi
@@ -51,10 +57,10 @@ for shim in crates/compat/*/; do
     fi
 done
 
-# `file:line:text` for every line of non-test code.
+# `file:line:text` for every line of non-test code but doc comments.
 code=$(find src examples crates/*/src e2e_ledger/src -name '*.rs' -print0 |
-    xargs -0 awk 'FNR == 1 { live = 1 } /^[ \t]*#\[cfg\(test\)\]/ { live = 0 }
-                  live { print FILENAME ":" FNR ":" $0 }')
+    xargs -0 awk -v doc="$doc" 'FNR == 1 { live = 1 } /^[ \t]*#\[cfg\(test\)\]/ { live = 0 }
+                  live && $0 !~ doc { print FILENAME ":" FNR ":" $0 }')
 
 for lib in crates/*/src/lib.rs; do
     src=$(dirname "$lib")
@@ -70,9 +76,9 @@ for lib in crates/*/src/lib.rs; do
 done
 
 # `name file:line` for every `pub fn` definition, then every word of
-# every tracked `.rs` file: a name seen no more often than it is defined
-# has no user.
-unused=$(git ls-files -z '*.rs' | xargs -0 grep -ohwE '[A-Za-z_][A-Za-z0-9_]*' |
+# every tracked `.rs` file's code and plain comments: a name seen no
+# more often than it is defined has no user.
+unused=$(git ls-files -z '*.rs' | xargs -0 grep -hvE "$doc" | grep -ohwE '[A-Za-z_][A-Za-z0-9_]*' |
     awk 'NR == FNR { defined[$1]++; at[FNR] = $0; next }
          { seen[$1]++ }
          END { for (i in at) { split(at[i], d, " ")

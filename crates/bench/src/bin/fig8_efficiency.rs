@@ -6,8 +6,8 @@
 //! noise level — perturbation does not change convergence behaviour.
 //!
 //! Run with: `cargo run --release -p dptd-bench --bin fig8_efficiency`
-//! (criterion-grade timings live in `benches/efficiency.rs`; this binary
-//! reproduces the figure's series quickly.)
+//! (the best of five wall-clock runs per point: it reproduces the
+//! figure's shape and writes no benchmark summary).
 
 use std::time::Instant;
 

@@ -113,7 +113,9 @@ pub struct EngineConfig {
     /// Threads for the canonical cross-shard merge's reduction tree;
     /// `0` means auto. The merged truths are **bit-identical for every
     /// value** — the tree's shape is a pure function of the population
-    /// size, so workers only change who computes which leaf.
+    /// size, so workers only change who computes which leaf. Loading the
+    /// shards' claims into the merge arena always picks its own worker
+    /// count (auto), whatever this says.
     pub merge_workers: usize,
 }
 

@@ -117,11 +117,6 @@ impl Histogram {
         self.quantile_ns(0.50).map(Duration::from_nanos)
     }
 
-    /// 90th-percentile latency.
-    pub fn p90(&self) -> Option<Duration> {
-        self.quantile_ns(0.90).map(Duration::from_nanos)
-    }
-
     /// 99th-percentile latency.
     pub fn p99(&self) -> Option<Duration> {
         self.quantile_ns(0.99).map(Duration::from_nanos)

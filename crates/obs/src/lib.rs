@@ -4,7 +4,7 @@
 //! the cluster nodes:
 //!
 //! * [`hist`] — the log-linear latency [`Histogram`] (HDR-style
-//!   power-of-two octaves split into 16 sub-buckets: p50/p90/p99 without
+//!   power-of-two octaves split into 16 sub-buckets: any quantile without
 //!   storing samples, ≤ 6.25% relative quantile error, mergeable) and
 //!   the sparse [`HistogramSnapshot`] it exports for the wire.
 //! * [`registry`] — a [`Registry`] of lock-free [`Counter`]s and

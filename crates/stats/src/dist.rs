@@ -4,8 +4,8 @@
 //! `statrs`, so the distributions the paper's mechanism and experiments
 //! need are implemented here: sampling, densities, CDFs and quantiles for
 //! the normal, exponential, gamma, Laplace and uniform families, all
-//! validated against the analytic CDFs by the KS tests in
-//! [`crate::gof`].
+//! validated against the analytic CDFs by the KS tests in the crate's
+//! `tests/gof.rs`.
 //!
 //! Every sampler draws from a caller-supplied [`Rng`], so a fixed seed
 //! reproduces an experiment exactly.

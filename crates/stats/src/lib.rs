@@ -10,8 +10,6 @@
 //!   gamma, Laplace, uniform) with sampling, densities, CDFs and quantiles.
 //! * [`summary`] — streaming (Welford) and batch summaries, error metrics
 //!   (MAE/RMSE), and quantile estimation.
-//! * [`gof`] — goodness-of-fit tests (Kolmogorov–Smirnov, chi-square);
-//!   its own tests use them to check the [`dist`] samplers.
 //! * [`histogram`] — fixed-width binning used by the empirical LDP checks.
 //! * [`digest`] — deterministic FNV-1a fingerprints for reproducibility
 //!   checks (golden stream digests, backend-equivalence diffing).
@@ -36,7 +34,6 @@
 
 pub mod digest;
 pub mod dist;
-pub mod gof;
 pub mod histogram;
 pub mod special;
 pub mod summary;

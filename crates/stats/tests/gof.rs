@@ -1,22 +1,23 @@
-//! Goodness-of-fit tests: one- and two-sample Kolmogorov–Smirnov and
-//! chi-square. This module's own tests use them to check the hand-rolled
-//! samplers in [`crate::dist`] against their analytic CDFs.
+//! Goodness-of-fit tests — one- and two-sample Kolmogorov–Smirnov and
+//! chi-square — and the checks that use them: the hand-rolled samplers
+//! in `dptd_stats::dist` against their analytic CDFs, and each test
+//! against inputs it must accept or reject.
 
-use crate::dist::Continuous;
-use crate::StatsError;
+use dptd_stats::dist::{Continuous, Exponential, Normal, Uniform};
+use dptd_stats::StatsError;
 
 /// Result of a Kolmogorov–Smirnov test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KsTest {
+struct KsTest {
     /// The KS statistic: the sup-distance between the two CDFs.
-    pub statistic: f64,
+    statistic: f64,
     /// Asymptotic p-value (Kolmogorov distribution approximation).
-    pub p_value: f64,
+    p_value: f64,
 }
 
 impl KsTest {
     /// Whether the test rejects equality at significance level `alpha`.
-    pub fn rejects_at(&self, alpha: f64) -> bool {
+    fn rejects_at(&self, alpha: f64) -> bool {
         self.p_value < alpha
     }
 }
@@ -27,20 +28,7 @@ impl KsTest {
 ///
 /// Returns [`StatsError::NotEnoughData`] if `xs` has fewer than 8 points
 /// (the asymptotic p-value is meaningless below that).
-///
-/// ```
-/// use dptd_stats::dist::{Continuous, Normal};
-/// use dptd_stats::gof::ks_one_sample;
-///
-/// # fn main() -> Result<(), dptd_stats::StatsError> {
-/// let d = Normal::standard();
-/// let xs = d.sample_n(&mut dptd_stats::seeded_rng(3), 5000);
-/// let t = ks_one_sample(&xs, &d)?;
-/// assert!(!t.rejects_at(0.001));
-/// # Ok(())
-/// # }
-/// ```
-pub fn ks_one_sample<D: Continuous>(xs: &[f64], dist: &D) -> Result<KsTest, StatsError> {
+fn ks_one_sample<D: Continuous>(xs: &[f64], dist: &D) -> Result<KsTest, StatsError> {
     if xs.len() < 8 {
         return Err(StatsError::NotEnoughData {
             required: 8,
@@ -69,7 +57,7 @@ pub fn ks_one_sample<D: Continuous>(xs: &[f64], dist: &D) -> Result<KsTest, Stat
 ///
 /// Returns [`StatsError::NotEnoughData`] if either sample has fewer than 8
 /// points.
-pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> Result<KsTest, StatsError> {
+fn ks_two_sample(xs: &[f64], ys: &[f64]) -> Result<KsTest, StatsError> {
     if xs.len() < 8 || ys.len() < 8 {
         return Err(StatsError::NotEnoughData {
             required: 8,
@@ -123,18 +111,18 @@ fn kolmogorov_sf(lambda: f64) -> f64 {
 
 /// Result of a chi-square test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquareTest {
+struct ChiSquareTest {
     /// The χ² statistic.
-    pub statistic: f64,
+    statistic: f64,
     /// Degrees of freedom used for the p-value.
-    pub dof: usize,
+    dof: usize,
     /// Upper-tail p-value `Q(dof/2, χ²/2)`.
-    pub p_value: f64,
+    p_value: f64,
 }
 
 impl ChiSquareTest {
     /// Whether the test rejects the null at significance level `alpha`.
-    pub fn rejects_at(&self, alpha: f64) -> bool {
+    fn rejects_at(&self, alpha: f64) -> bool {
         self.p_value < alpha
     }
 }
@@ -150,7 +138,7 @@ impl ChiSquareTest {
 /// [`StatsError::NotEnoughData`] if there are fewer than 2 bins or the
 /// degrees of freedom underflow, and [`StatsError::InvalidParameter`] if any
 /// expected count is non-positive.
-pub fn chi_square(
+fn chi_square(
     observed: &[f64],
     expected: &[f64],
     ddof: usize,
@@ -188,83 +176,86 @@ pub fn chi_square(
     Ok(ChiSquareTest {
         statistic: stat,
         dof,
-        p_value: crate::special::gamma_q(dof as f64 / 2.0, stat / 2.0),
+        p_value: dptd_stats::special::gamma_q(dof as f64 / 2.0, stat / 2.0),
     })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dist::{Exponential, Normal, Uniform};
+#[test]
+fn ks_accepts_a_standard_normal_sample() {
+    let d = Normal::standard();
+    let xs = d.sample_n(&mut dptd_stats::seeded_rng(3), 5000);
+    let t = ks_one_sample(&xs, &d).unwrap();
+    assert!(!t.rejects_at(0.001), "stat {} p {}", t.statistic, t.p_value);
+}
 
-    #[test]
-    fn ks_accepts_correct_distribution() {
-        let d = Exponential::new(2.0).unwrap();
-        let xs = d.sample_n(&mut crate::seeded_rng(23), 20_000);
-        let t = ks_one_sample(&xs, &d).unwrap();
-        assert!(!t.rejects_at(0.001), "stat {} p {}", t.statistic, t.p_value);
-    }
+#[test]
+fn ks_accepts_correct_distribution() {
+    let d = Exponential::new(2.0).unwrap();
+    let xs = d.sample_n(&mut dptd_stats::seeded_rng(23), 20_000);
+    let t = ks_one_sample(&xs, &d).unwrap();
+    assert!(!t.rejects_at(0.001), "stat {} p {}", t.statistic, t.p_value);
+}
 
-    #[test]
-    fn ks_rejects_wrong_distribution() {
-        let d = Normal::new(0.0, 1.0).unwrap();
-        let xs = d.sample_n(&mut crate::seeded_rng(29), 20_000);
-        let wrong = Normal::new(0.5, 1.0).unwrap();
-        let t = ks_one_sample(&xs, &wrong).unwrap();
-        assert!(t.rejects_at(0.001), "stat {} p {}", t.statistic, t.p_value);
-    }
+#[test]
+fn ks_rejects_wrong_distribution() {
+    let d = Normal::new(0.0, 1.0).unwrap();
+    let xs = d.sample_n(&mut dptd_stats::seeded_rng(29), 20_000);
+    let wrong = Normal::new(0.5, 1.0).unwrap();
+    let t = ks_one_sample(&xs, &wrong).unwrap();
+    assert!(t.rejects_at(0.001), "stat {} p {}", t.statistic, t.p_value);
+}
 
-    #[test]
-    fn ks_two_sample_same_source_accepts() {
-        let d = Uniform::new(0.0, 1.0).unwrap();
-        let xs = d.sample_n(&mut crate::seeded_rng(31), 10_000);
-        let ys = d.sample_n(&mut crate::seeded_rng(37), 10_000);
-        let t = ks_two_sample(&xs, &ys).unwrap();
-        assert!(!t.rejects_at(0.001));
-    }
+#[test]
+fn ks_two_sample_same_source_accepts() {
+    let d = Uniform::new(0.0, 1.0).unwrap();
+    let xs = d.sample_n(&mut dptd_stats::seeded_rng(31), 10_000);
+    let ys = d.sample_n(&mut dptd_stats::seeded_rng(37), 10_000);
+    let t = ks_two_sample(&xs, &ys).unwrap();
+    assert!(!t.rejects_at(0.001));
+}
 
-    #[test]
-    fn ks_two_sample_shifted_rejects() {
-        let d = Normal::new(0.0, 1.0).unwrap();
-        let xs = d.sample_n(&mut crate::seeded_rng(41), 10_000);
-        let ys: Vec<f64> = d
-            .sample_n(&mut crate::seeded_rng(43), 10_000)
-            .into_iter()
-            .map(|x| x + 0.3)
-            .collect();
-        let t = ks_two_sample(&xs, &ys).unwrap();
-        assert!(t.rejects_at(0.001));
-    }
+#[test]
+fn ks_two_sample_shifted_rejects() {
+    let d = Normal::new(0.0, 1.0).unwrap();
+    let xs = d.sample_n(&mut dptd_stats::seeded_rng(41), 10_000);
+    let ys: Vec<f64> = d
+        .sample_n(&mut dptd_stats::seeded_rng(43), 10_000)
+        .into_iter()
+        .map(|x| x + 0.3)
+        .collect();
+    let t = ks_two_sample(&xs, &ys).unwrap();
+    assert!(t.rejects_at(0.001));
+}
 
-    #[test]
-    fn ks_needs_enough_data() {
-        let d = Normal::standard();
-        assert!(ks_one_sample(&[1.0, 2.0], &d).is_err());
-    }
+#[test]
+fn ks_needs_enough_data() {
+    let d = Normal::standard();
+    assert!(ks_one_sample(&[1.0, 2.0], &d).is_err());
+}
 
-    #[test]
-    fn chi_square_uniform_counts_accept() {
-        // Perfectly uniform observed counts must not reject.
-        let observed = [100.0; 10];
-        let expected = [100.0; 10];
-        let t = chi_square(&observed, &expected, 0).unwrap();
-        assert_eq!(t.statistic, 0.0);
-        assert!((t.p_value - 1.0).abs() < 1e-12);
-    }
+#[test]
+fn chi_square_uniform_counts_accept() {
+    // Perfectly uniform observed counts must not reject.
+    let observed = [100.0; 10];
+    let expected = [100.0; 10];
+    let t = chi_square(&observed, &expected, 0).unwrap();
+    assert_eq!(t.statistic, 0.0);
+    assert_eq!(t.dof, 9);
+    assert!((t.p_value - 1.0).abs() < 1e-12);
+}
 
-    #[test]
-    fn chi_square_skewed_counts_reject() {
-        let observed = [200.0, 50.0, 50.0, 100.0];
-        let expected = [100.0, 100.0, 100.0, 100.0];
-        let t = chi_square(&observed, &expected, 0).unwrap();
-        assert!(t.rejects_at(0.001));
-    }
+#[test]
+fn chi_square_skewed_counts_reject() {
+    let observed = [200.0, 50.0, 50.0, 100.0];
+    let expected = [100.0, 100.0, 100.0, 100.0];
+    let t = chi_square(&observed, &expected, 0).unwrap();
+    assert!(t.rejects_at(0.001));
+}
 
-    #[test]
-    fn chi_square_validates_input() {
-        assert!(chi_square(&[1.0], &[1.0], 0).is_err());
-        assert!(chi_square(&[1.0, 2.0], &[1.0], 0).is_err());
-        assert!(chi_square(&[1.0, 2.0], &[1.0, 0.0], 0).is_err());
-        assert!(chi_square(&[1.0, 2.0], &[1.0, 2.0], 1).is_err());
-    }
+#[test]
+fn chi_square_validates_input() {
+    assert!(chi_square(&[1.0], &[1.0], 0).is_err());
+    assert!(chi_square(&[1.0, 2.0], &[1.0], 0).is_err());
+    assert!(chi_square(&[1.0, 2.0], &[1.0, 0.0], 0).is_err());
+    assert!(chi_square(&[1.0, 2.0], &[1.0, 2.0], 1).is_err());
 }

@@ -37,10 +37,22 @@
 //!
 //! [`ColumnarBatch::load_shards`] records which users hold a slot in a
 //! one-bit-per-user occupancy bitmap: the first pass test-and-sets a
-//! user's bit (a bit already set is a repeated slot), the second walks
-//! the bitmap a 64-user word at a time with `trailing_zeros`, so an
-//! epoch's canonical user order costs `num_users / 64` word reads plus
-//! one step per reporter — not a scan of a per-user stamp array.
+//! user's bit (a bit already set is a repeated slot), then one serial
+//! walk of the bitmap, a 64-user word at a time with `trailing_zeros`,
+//! lays out the canonical user order and each row's cell offset, so it
+//! costs `num_users / 64` word reads plus one step per reporter — not
+//! a scan of a per-user stamp array.
+//!
+//! # Copying the claims
+//!
+//! With every row's place known up front, the second pass — validate
+//! each cell, copy the row, sort it if it was pushed out of order — runs
+//! on the merge workers, over contiguous runs of rows, each writing its
+//! own slice of the columns (the caller takes the last run). The columns
+//! are reused from epoch to epoch without being cleared, and the rows
+//! are checked in users-ascending order within each run, so the first
+//! error of the lowest run is the one a single thread would have met
+//! first.
 
 use crate::loss::Loss;
 use crate::matrix::ObservationMatrix;
@@ -103,14 +115,10 @@ pub struct ColumnarBatch {
     object_counts: Vec<usize>,
     /// `leaf_starts[l]..leaf_starts[l + 1]` indexes `users` for leaf `l`.
     leaf_starts: Vec<usize>,
-    // Generation-stamped scratch: O(1) resets across epochs, no clearing.
-    cell_stamp: Vec<u64>,
-    cell_gen: u64,
     /// One bit per user: set while the user holds a slot this epoch.
     occupied: Vec<u64>,
     /// The `(shard, row)` that holds each occupied user's slot.
     slot_ref: Vec<(u32, u32)>,
-    sort_buf: Vec<(usize, f64)>,
 }
 
 impl ColumnarBatch {
@@ -125,11 +133,8 @@ impl ColumnarBatch {
             values: Vec::new(),
             object_counts: vec![0; num_objects],
             leaf_starts: Vec::new(),
-            cell_stamp: vec![0; num_objects],
-            cell_gen: 0,
             occupied: vec![0; num_users.div_ceil(64)],
             slot_ref: vec![(0, 0); num_users],
-            sort_buf: Vec::new(),
         }
     }
 
@@ -150,7 +155,7 @@ impl ColumnarBatch {
 
     /// Total claims loaded this epoch.
     pub fn num_claims(&self) -> usize {
-        self.values.len()
+        self.offsets[self.users.len()]
     }
 
     /// Leaves in the reduction tree — `ceil(num_users / LEAF_SPAN)`, a
@@ -159,12 +164,12 @@ impl ColumnarBatch {
         self.num_users.div_ceil(LEAF_SPAN)
     }
 
+    /// Empty the row columns. The claim columns keep their length: each
+    /// loader sizes them, and only `offsets` says which cells are live.
     fn clear(&mut self) {
         self.users.clear();
         self.offsets.clear();
         self.offsets.push(0);
-        self.objects.clear();
-        self.values.clear();
         self.object_counts.iter_mut().for_each(|c| *c = 0);
         self.leaf_starts.clear();
     }
@@ -176,13 +181,22 @@ impl ColumnarBatch {
     /// Two passes. The first walks every shard's rows in shard/push
     /// order and sets each user's occupancy bit — a user outside the
     /// population or a bit already set is reported for the first row
-    /// that does it — and is all that looks at a row's *user*. The
-    /// second walks the bitmap ascending and copies each row's columns
-    /// across, validating every *cell* on the way (object range, then
-    /// finiteness and magnitude, then a repeated object, in the order
-    /// the claims were pushed): a row already ascending by object is two
-    /// slice copies, any other goes through the sort buffer. Nothing a
-    /// shard pushed is trusted, and nothing is checked twice.
+    /// that does it — and is all that looks at a row's *user*. A short
+    /// serial walk of the bitmap then lays out the canonical user order
+    /// and where each row's cells start. The second pass copies each
+    /// row's columns across, validating every *cell* on the way (object
+    /// range, then finiteness and magnitude, then a repeated object, in
+    /// the order the claims were pushed): a row already ascending by
+    /// object is two slice copies, any other is sorted first. It runs
+    /// over contiguous runs of rows, one per merge worker (auto, as the
+    /// kernels pick at `0`, so an epoch under the parallel threshold
+    /// stays on the caller, which always takes the last run); each run
+    /// writes its own cells, and the lowest run's error is the one
+    /// returned — the first bad row users ascending, as if one thread
+    /// had walked them all. Nothing a shard pushed is trusted, and
+    /// nothing is checked twice.
+    ///
+    /// A refused epoch leaves the batch empty: no users, no claims.
     ///
     /// # Errors
     ///
@@ -224,34 +238,117 @@ impl ColumnarBatch {
         if self.num_objects == 0 {
             return Err(TruthError::EmptyMatrix);
         }
-        // Pass 2 — canonical order: users ascending, each row validated
-        // once and copied column to column. Shards that emit their rows
-        // users-ascending (the engine's do) are read front to back.
-        self.reserve_for(shards);
+        // Canonical order: users ascending, each row's cells placed from
+        // its length alone. Shards that emit their rows users-ascending
+        // (the engine's do) are read front to back.
+        let mut end = 0;
         for word in 0..self.occupied.len() {
             let mut bits = self.occupied[word];
             while bits != 0 {
                 let user = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let (s, e) = self.slot_ref[user];
-                let (_, objects, values) = shards[s as usize].row(e as usize);
-                self.push_row(user, objects, values)?;
+                end += shards[s as usize].row(e as usize).1.len();
+                self.users.push(user);
+                self.offsets.push(end);
             }
+        }
+        // Pass 2 — reuse the columns as they are: `resize` only writes
+        // the cells past last epoch's length, and every live cell is
+        // overwritten below.
+        self.objects.resize(end, 0);
+        self.values.resize(end, 0.0);
+        if let Err(e) = self.copy_rows(shards) {
+            self.clear();
+            return Err(e);
         }
         self.seal();
         Ok(())
     }
 
-    /// Grow the columns once to what this epoch needs, so a campaign's
-    /// largest round sizes the arena instead of every round doubling
-    /// into it.
-    fn reserve_for(&mut self, shards: &[ShardClaims]) {
-        let rows: usize = shards.iter().map(ShardClaims::len).sum();
-        let cells: usize = shards.iter().map(ShardClaims::num_claims).sum();
-        self.users.reserve(rows);
-        self.offsets.reserve(rows);
-        self.objects.reserve(cells);
-        self.values.reserve(cells);
+    /// Pass 2 of [`ColumnarBatch::load_shards`]: validate and copy every
+    /// laid-out row, in contiguous runs of rows over the merge workers,
+    /// and add up each run's per-object claim counts.
+    fn copy_rows(&mut self, shards: &[ShardClaims]) -> Result<(), TruthError> {
+        let rows = self.users.len();
+        let workers = effective_workers(0, self.num_claims(), rows);
+        let (num_objects, slot_ref) = (self.num_objects, &self.slot_ref[..]);
+        let (users, offsets) = (&self.users[..], &self.offsets[..]);
+        // One run: rows `lo..hi`, whose cells are `objects` / `values`.
+        let copy_run = |lo: usize, hi: usize, objects: &mut [usize], values: &mut [f64]| {
+            let mut counts = vec![0usize; num_objects];
+            // The last row (1-based within the run) that named each object.
+            let mut stamp = vec![0usize; num_objects];
+            let mut sorted = Vec::new();
+            for row in lo..hi {
+                let user = users[row];
+                let (s, e) = slot_ref[user];
+                let (_, row_objects, row_values) = shards[s as usize].row(e as usize);
+                let mut ascending = true;
+                let mut prev = 0;
+                for (k, (&object, &value)) in row_objects.iter().zip(row_values).enumerate() {
+                    if object >= num_objects {
+                        return Err(TruthError::ObjectOutOfRange {
+                            object,
+                            num_objects,
+                        });
+                    }
+                    check_value(user, object, value)?;
+                    if stamp[object] == row - lo + 1 {
+                        return Err(TruthError::DuplicateObservation { user, object });
+                    }
+                    stamp[object] = row - lo + 1;
+                    counts[object] += 1;
+                    ascending &= k == 0 || prev < object;
+                    prev = object;
+                }
+                let cells = offsets[row] - offsets[lo]..offsets[row + 1] - offsets[lo];
+                if ascending {
+                    objects[cells.clone()].copy_from_slice(row_objects);
+                    values[cells].copy_from_slice(row_values);
+                } else {
+                    sorted.clear();
+                    sorted.extend(row_objects.iter().copied().zip(row_values.iter().copied()));
+                    sorted.sort_unstable_by_key(|&(object, _)| object);
+                    let out = objects[cells.clone()].iter_mut().zip(&mut values[cells]);
+                    for ((o, v), &(object, value)) in out.zip(&sorted) {
+                        (*o, *v) = (object, value);
+                    }
+                }
+            }
+            Ok(counts)
+        };
+        let mut runs = Vec::with_capacity(workers);
+        let (mut objects, mut values) = (&mut self.objects[..], &mut self.values[..]);
+        for t in 0..workers {
+            let (lo, hi) = (rows * t / workers, rows * (t + 1) / workers);
+            let (mine, rest) = objects.split_at_mut(offsets[hi] - offsets[lo]);
+            objects = rest;
+            let (mine_values, rest) = values.split_at_mut(mine.len());
+            values = rest;
+            runs.push((lo, hi, mine, mine_values));
+        }
+        let copy_run = &copy_run;
+        let (lo, hi, objects, values) = runs.pop().expect("at least one worker");
+        let counts = std::thread::scope(|scope| {
+            let spawned: Vec<_> = runs
+                .into_iter()
+                .map(|(lo, hi, o, v)| scope.spawn(move || copy_run(lo, hi, o, v)))
+                .collect();
+            let mine = copy_run(lo, hi, objects, values);
+            spawned
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .chain([mine])
+                .collect::<Vec<_>>()
+        });
+        // Runs in row order: the first error met is the lowest user's.
+        for run in counts {
+            for (total, n) in self.object_counts.iter_mut().zip(run?) {
+                *total += n;
+            }
+        }
+        Ok(())
     }
 
     /// Load a dense batch (the single-process reference path). The matrix
@@ -260,6 +357,8 @@ impl ColumnarBatch {
         debug_assert_eq!(batch.num_users(), self.num_users);
         debug_assert_eq!(batch.num_objects(), self.num_objects);
         self.clear();
+        self.objects.clear();
+        self.values.clear();
         for user in 0..self.num_users {
             let start = self.objects.len();
             for (object, value) in batch.observations_of_user(user) {
@@ -273,56 +372,6 @@ impl ColumnarBatch {
             }
         }
         self.seal();
-    }
-
-    /// Validate one user's claims and append them. This is the only door
-    /// into the columns for claims that did not come out of a validated
-    /// [`ObservationMatrix`]: every cell is checked here, once, in the
-    /// order it was pushed — object range, then finiteness and
-    /// magnitude, then duplicate cell. A row already ascending by object
-    /// (what every shard emits for a well-formed report) is then two
-    /// slice copies; any other row goes through the sort buffer.
-    fn push_row(
-        &mut self,
-        user: usize,
-        objects: &[usize],
-        values: &[f64],
-    ) -> Result<(), TruthError> {
-        self.cell_gen += 1;
-        let mut ascending = true;
-        let mut prev = 0;
-        for (k, (&object, &value)) in objects.iter().zip(values).enumerate() {
-            if object >= self.num_objects {
-                return Err(TruthError::ObjectOutOfRange {
-                    object,
-                    num_objects: self.num_objects,
-                });
-            }
-            check_value(user, object, value)?;
-            if self.cell_stamp[object] == self.cell_gen {
-                return Err(TruthError::DuplicateObservation { user, object });
-            }
-            self.cell_stamp[object] = self.cell_gen;
-            self.object_counts[object] += 1;
-            ascending &= k == 0 || prev < object;
-            prev = object;
-        }
-        if ascending {
-            self.objects.extend_from_slice(objects);
-            self.values.extend_from_slice(values);
-        } else {
-            self.sort_buf.clear();
-            self.sort_buf
-                .extend(objects.iter().copied().zip(values.iter().copied()));
-            self.sort_buf.sort_unstable_by_key(|&(object, _)| object);
-            self.objects
-                .extend(self.sort_buf.iter().map(|&(object, _)| object));
-            self.values
-                .extend(self.sort_buf.iter().map(|&(_, value)| value));
-        }
-        self.users.push(user);
-        self.offsets.push(self.objects.len());
-        Ok(())
     }
 
     /// Compute the leaf boundaries over the (ascending) `users` array.

@@ -11,6 +11,17 @@
 //! that batch's claims under the current weights (one refinement pass per
 //! batch).
 //!
+//! # What a batch costs per claim
+//!
+//! The refinement pass reads every claim of the batch four times: two
+//! weighted aggregations (under the carried weights, then under the
+//! trial ones) and two loss accumulations (trial, then final). Under
+//! [`Loss::NormalizedSquared`] it reads them twice more first, for the
+//! per-object spreads that loss divides by (a mean, then the squared
+//! deviations, each folded over the reduction tree);
+//! [`Loss::Squared`] and [`Loss::Absolute`] never read a spread, so
+//! they skip both passes and cannot move a bit by it.
+//!
 //! # What a batch costs per population member
 //!
 //! Claims only move the losses of the users who made them, so the
@@ -438,7 +449,12 @@ impl StreamingCrh {
         batch.validate_coverage()?;
         let requested = workers;
         let workers = effective_workers(requested, batch.num_claims(), batch.num_leaves());
-        let stds = batch.object_std_devs(workers);
+        // Only a normalised loss reads the spreads; the others ignore
+        // them, so skipping two claim passes and two folds moves no bit.
+        let stds = match self.loss {
+            Loss::NormalizedSquared => batch.object_std_devs(workers),
+            Loss::Squared | Loss::Absolute => vec![1.0; batch.num_objects()],
+        };
         let rows = batch.users();
         let mut row_weights = std::mem::take(&mut self.row_weights);
         let mut row_loss = std::mem::take(&mut self.row_loss);

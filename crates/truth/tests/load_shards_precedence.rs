@@ -273,3 +273,183 @@ fn nan_is_reported_with_its_user_and_object() {
         other => panic!("expected the NaN cell of user 57, got {other:?}"),
     }
 }
+
+/// `columnar.rs`'s parallel threshold: an epoch of this many claims or
+/// more copies its rows on the merge workers, in contiguous runs of
+/// rows, the last run on the caller. (On a one-core host every epoch
+/// stays on the caller, and these cases pin the serial order only.)
+const PAR_CLAIM_THRESHOLD: usize = 16_384;
+const SHARDS: usize = 16;
+const OBJECTS: usize = 8;
+
+/// An epoch of exactly `claims` claims, users ascending: full rows of
+/// [`OBJECTS`] claims and one short row for the remainder, every ninth
+/// reporter an empty row and every fifth row pushed objects descending
+/// (so it is sorted on the way in). Returns the population and the rows.
+fn big_epoch(claims: usize, seed: usize) -> (usize, Vec<Row>) {
+    let mut rows = Vec::new();
+    let mut remaining = claims;
+    while remaining > 0 {
+        let k = rows.len();
+        let user = 3 * k + 1;
+        let width = if k % 9 == 8 {
+            0
+        } else {
+            remaining.min(OBJECTS)
+        };
+        remaining -= width;
+        let mut row: Vec<(usize, f64)> = (0..width)
+            .map(|n| {
+                let noise = ((user * 31 + n * 7 + seed * 13) % 1000) as f64 / 1000.0;
+                (n, n as f64 + noise)
+            })
+            .collect();
+        if k % 5 == 0 {
+            row.reverse();
+        }
+        rows.push((user, row));
+    }
+    (3 * rows.len() + 2, rows)
+}
+
+/// The rows split over [`SHARDS`] shards by `user % SHARDS`.
+fn sharded(rows: &[Row]) -> Vec<ShardClaims> {
+    let mut shards = vec![ShardClaims::new(); SHARDS];
+    for (user, claims) in rows {
+        shards[user % SHARDS].push(*user, claims.clone());
+    }
+    shards
+}
+
+/// What a loaded batch shows its kernels: the users, the claim count,
+/// the spreads and the truths under uneven row weights, by bits.
+fn fingerprint(batch: &ColumnarBatch) -> (Vec<usize>, usize, Vec<u64>, Vec<u64>) {
+    let weights: Vec<f64> = (0..batch.users().len())
+        .map(|row| 1.0 + (row % 7) as f64)
+        .collect();
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+    (
+        batch.users().to_vec(),
+        batch.num_claims(),
+        bits(batch.object_std_devs(1)),
+        bits(batch.weighted_truths(&weights, 1).unwrap()),
+    )
+}
+
+/// Plant one defect of `kind` in row `at` (a row with claims) and
+/// return the error `load_shards` must report for it.
+fn plant(rows: &mut [Row], at: usize, kind: usize) -> TruthError {
+    let (user, claims) = &mut rows[at];
+    let user = *user;
+    match kind {
+        0 => {
+            claims.last_mut().unwrap().0 = OBJECTS + 3;
+            TruthError::ObjectOutOfRange {
+                object: OBJECTS + 3,
+                num_objects: OBJECTS,
+            }
+        }
+        1 => {
+            claims[0].1 = f64::INFINITY;
+            TruthError::NonFiniteObservation {
+                user,
+                object: claims[0].0,
+                value: f64::INFINITY,
+            }
+        }
+        _ => {
+            let object = claims[0].0;
+            claims.last_mut().unwrap().0 = object;
+            TruthError::DuplicateObservation { user, object }
+        }
+    }
+}
+
+#[test]
+fn a_parallel_load_reports_the_lowest_defective_user_and_leaves_nothing_behind() {
+    for claims in [
+        PAR_CLAIM_THRESHOLD - 1,
+        PAR_CLAIM_THRESHOLD,
+        4 * PAR_CLAIM_THRESHOLD,
+    ] {
+        let (num_users, clean) = big_epoch(claims, 1);
+        let mut fresh = ColumnarBatch::new(num_users, OBJECTS);
+        fresh.load_shards(&sharded(&clean)).unwrap();
+        assert_eq!(fresh.num_claims(), claims);
+        let expected = fingerprint(&fresh);
+
+        // Rows with claims on either side of the middle (a two-run
+        // boundary) and at both ends (different runs for any worker
+        // count above one).
+        let filled = |i: &usize| !clean[*i].1.is_empty();
+        let half = clean.len() / 2;
+        let below = (0..half).rev().find(filled).unwrap();
+        let above = (half..clean.len()).find(filled).unwrap();
+        let last = clean.len() - 1;
+        let mut plantings: Vec<Vec<(usize, usize)>> = Vec::new();
+        for (lo, hi) in [(0, last), (below, above)] {
+            for kind in 0..3 {
+                plantings.push(vec![(lo, kind), (hi, (kind + 1) % 3)]);
+                plantings.push(vec![(hi, kind), (lo, (kind + 2) % 3)]);
+            }
+        }
+        for kind in 0..3 {
+            plantings.push(vec![(last, kind)]);
+        }
+
+        let mut batch = ColumnarBatch::new(num_users, OBJECTS);
+        for planted in plantings {
+            let what = format!("{claims} claims, defects at {planted:?}");
+            let mut rows = clean.clone();
+            let errors: Vec<(usize, TruthError)> = planted
+                .iter()
+                .map(|&(at, kind)| (at, plant(&mut rows, at, kind)))
+                .collect();
+            let lowest = errors.into_iter().min_by_key(|&(at, _)| at).unwrap().1;
+            assert_eq!(batch.load_shards(&sharded(&rows)), Err(lowest), "{what}");
+            assert!(batch.users().is_empty(), "{what}: refused rows kept");
+            assert_eq!(batch.num_claims(), 0, "{what}: refused claims kept");
+            batch.load_shards(&sharded(&clean)).unwrap();
+            assert_eq!(fingerprint(&batch), expected, "{what}: clean epoch after");
+        }
+    }
+}
+
+#[test]
+fn a_sharded_load_equals_the_matrix_path_bit_for_bit() {
+    use dptd_truth::streaming::StreamingCrh;
+    use dptd_truth::{Loss, ObservationMatrix};
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for claims in [
+        PAR_CLAIM_THRESHOLD - 1,
+        PAR_CLAIM_THRESHOLD,
+        4 * PAR_CLAIM_THRESHOLD,
+    ] {
+        for loss in [Loss::Squared, Loss::NormalizedSquared] {
+            let num_users = big_epoch(claims, 0).0;
+            let mut reference = StreamingCrh::new(num_users, loss).unwrap();
+            let mut live = StreamingCrh::new(num_users, loss).unwrap();
+            let mut batch = ColumnarBatch::new(num_users, OBJECTS);
+            for seed in 0..3 {
+                let what = format!("{claims} claims, {loss:?}, epoch {seed}");
+                let (_, rows) = big_epoch(claims, seed);
+                let mut matrix = ObservationMatrix::with_dims(num_users, OBJECTS).unwrap();
+                for (user, row) in &rows {
+                    for &(object, value) in row {
+                        matrix.insert(*user, object, value).unwrap();
+                    }
+                }
+                let expected = reference.ingest(&matrix).unwrap();
+                batch.load_shards(&sharded(&rows)).unwrap();
+                let got = live.ingest_columnar_with_workers(&batch, 0).unwrap();
+                assert_eq!(bits(&got), bits(&expected), "{what}: truths");
+                assert_eq!(
+                    bits(live.weights()),
+                    bits(reference.weights()),
+                    "{what}: weights"
+                );
+            }
+        }
+    }
+}

@@ -192,9 +192,13 @@ fn small_populations_agree_for_every_worker_count() {
 #[test]
 fn populations_around_the_refresh_split_agree() {
     // 256k ± 1: every leaf boundary and bitmap word at this scale, and a
-    // weight refresh split over the workers in uneven ranges.
+    // weight refresh split over the workers in uneven ranges. Every loss,
+    // above the parallel threshold too: the estimator computes spreads
+    // only for the normalised one, the reference for all three.
     let participations = [0.01, 0.001, 0.02, 1.0];
     for (users, workers) in [(262_143, 1), (262_144, 3), (262_145, 8), (262_145, 2)] {
-        agree(users, &participations, workers, Loss::NormalizedSquared);
+        for loss in [Loss::NormalizedSquared, Loss::Squared, Loss::Absolute] {
+            agree(users, &participations, workers, loss);
+        }
     }
 }
