@@ -18,7 +18,7 @@
 //! 2. **Merge + Commit**: the coordinator loads all claims into the
 //!    campaign's one [`ColumnarBatch`] arena (sized for the population
 //!    when the campaign opens, reused every round, as the engine's
-//!    merger reuses its own) and runs
+//!    close reuses its own) and runs
 //!    [`ingest_columnar_with_workers`](StreamingCrh::ingest_columnar_with_workers)
 //!    over it — the same deterministic shard-merge the engine uses, so
 //!    the result is bit-identical to a single node — debits the accepted
@@ -915,7 +915,7 @@ impl<N: Nodes> ClusterCampaign<N> {
         // "one more level of the shard-merge tree": the claims fold
         // through the same fixed-shape parallel reduction the in-process
         // engine uses, so worker count cannot perturb the digest. The
-        // arena is the campaign's, as the engine's merger keeps its own.
+        // arena is the campaign's, as the engine's close keeps its own.
         let _merge_span = dptd_obs::trace::TraceScope::begin(dptd_obs::codes::MERGE, epoch);
         merged.truths = self
             .arena

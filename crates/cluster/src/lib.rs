@@ -6,7 +6,7 @@
 //! with a **two-phase barrier** — drain-and-filter on each node
 //! (prepare), one deterministic global merge at the coordinator, then a
 //! durable per-node commit. Because each user lives on exactly one node
-//! and the merge is the shard merge the engine's merger runs — the
+//! and the merge is the shard merge the engine's close runs — the
 //! claims loaded into one reused
 //! [`ColumnarBatch`](dptd_truth::columnar::ColumnarBatch), then
 //! [`ingest_columnar_with_workers`](dptd_truth::streaming::StreamingCrh::ingest_columnar_with_workers)

@@ -1399,7 +1399,8 @@ mod tests {
             };
             let rows = (0..claims.len()).map(|row| {
                 let (user, objects, values) = claims.row(row);
-                let values = objects.iter().copied().zip(values.iter().copied());
+                let objects = objects.iter().map(|&object| object as usize);
+                let values = objects.zip(values.iter().copied());
                 PerturbedReport {
                     user,
                     values: values.collect(),

@@ -13,8 +13,9 @@
 //! Within an epoch a shard applies the epoch deadline, de-duplicates
 //! first-wins (the policy is [`dptd_protocol::dedup::DedupFilter`]'s; a
 //! late duplicate counts as late), and **copies an accepted report's
-//! claims into its own columnar arena** — an `objects` and a `values`
-//! column filled in arrival order — after which the report is garbage.
+//! claims into its own columnar arena** — a `u32` `objects` and an `f64`
+//! `values` column filled in arrival order, each object id narrowed by
+//! [`narrow_object`] — after which the report is garbage.
 //! The filter stores nothing but the span of the arena each local
 //! slot's report was given. [`ShardState::rows`] walks the slots
 //! ascending without closing the epoch, and [`ShardState::claims`]
@@ -29,11 +30,11 @@
 //! as long as its campaign.
 //!
 //! Resident cost: 12 bytes per owned user (the slot → span index) plus
-//! the arena of the largest epoch seen (16 bytes per claim).
+//! the arena of the largest epoch seen (12 bytes per claim).
 
 use dptd_protocol::dedup::DedupFilter;
 use dptd_protocol::message::StampedReport;
-use dptd_truth::streaming::ShardClaims;
+use dptd_truth::streaming::{narrow_object, ShardClaims};
 use dptd_truth::Loss;
 
 /// What a shard hands the merge at an epoch boundary.
@@ -63,7 +64,7 @@ pub struct ShardState {
     late_dropped: u64,
     /// Accepted claims of the open epoch as parallel columns, one span
     /// per report, in arrival order.
-    objects: Vec<usize>,
+    objects: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -115,9 +116,11 @@ impl ShardState {
     /// report was accepted into the batch (on time and first from its
     /// user), in which case its claims now live in the shard's arena.
     ///
-    /// Claims are copied as they are. A malformed one (object out of
-    /// range, non-finite value, repeated object) is refused by the merge,
-    /// which validates every row.
+    /// Claims are copied as they are, each object id through
+    /// [`narrow_object`] (an id past `u32::MAX` saturates, so it stays out
+    /// of range). A malformed claim (object out of range, non-finite
+    /// value, repeated object) is refused by the merge, which validates
+    /// every row.
     ///
     /// # Panics
     ///
@@ -153,7 +156,7 @@ impl ShardState {
             return false;
         }
         self.objects
-            .extend(claims.iter().map(|&(object, _)| object));
+            .extend(claims.iter().map(|&(object, _)| narrow_object(object)));
         self.values.extend(claims.iter().map(|&(_, value)| value));
         true
     }
@@ -161,7 +164,7 @@ impl ShardState {
     /// The open epoch's accepted rows so far, users ascending: each
     /// row's user and its claims as parallel `objects` / `values` slices
     /// of the arena, in report order. A view — the epoch stays open.
-    pub fn rows(&self) -> impl Iterator<Item = (usize, &[usize], &[f64])> + '_ {
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &[u32], &[f64])> + '_ {
         self.dedup.slot_ordered().map(|(slot, &(start, end))| {
             let cells = start as usize..end as usize;
             (
@@ -277,7 +280,7 @@ mod tests {
         let counts = (s.accepted(), s.duplicates_discarded(), s.late_dropped());
         assert_eq!(counts, (2, 1, 1));
         // The open-epoch view closes nothing, and is what the close emits.
-        let cells = |(user, _, values): (usize, &[usize], &[f64])| (user, values.to_vec());
+        let cells = |(user, _, values): (usize, &[u32], &[f64])| (user, values.to_vec());
         let view: Vec<(usize, Vec<f64>)> = s.rows().map(cells).collect();
         // First-wins: the value of the first on-time report survived.
         assert_eq!(view, vec![(0, vec![1.0]), (1, vec![4.0])]);

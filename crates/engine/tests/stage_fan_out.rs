@@ -6,12 +6,13 @@
 
 use dptd_core::roles::PerturbedReport;
 use dptd_engine::engine::PAR_STAGE_THRESHOLD;
-use dptd_engine::{Engine, EngineBackend, EngineConfig};
+use dptd_engine::{Engine, EngineBackend, EngineConfig, EngineError};
 use dptd_obs::trace::{self, codes, SpanContext};
 use dptd_protocol::campaign::{RoundBackend, RoundInput, RoundOutput, SimBackend};
 use dptd_protocol::message::StampedReport;
+use dptd_protocol::ProtocolError;
 use dptd_truth::streaming::StreamingCrh;
-use dptd_truth::Loss;
+use dptd_truth::{Loss, TruthError};
 
 const DEADLINE_US: u64 = 1_000;
 
@@ -280,6 +281,91 @@ fn a_batch_spanning_two_epochs_is_refused_whole() {
                 bits(clean_state.weights()),
                 "{what}"
             );
+        }
+    }
+}
+
+/// An object id past `u32::MAX` is refused as out of range, never read
+/// as the object it would wrap to: `(1 << 32) + 1` (object 1, a valid
+/// one, if wrapped) and `usize::MAX`, each in a round of two-object
+/// reports on either side of the fan-out threshold, through
+/// `Engine::run_with_state` and through an `EngineBackend`. Nothing of
+/// the refused round stays behind: the next clean round equals a fresh
+/// engine's, by `to_bits`.
+#[test]
+fn an_object_id_past_u32_is_refused_not_aliased() {
+    let users = 3 * PAR_STAGE_THRESHOLD;
+    // Every report claims both objects; `users` itself is never drawn,
+    // so the planted report is the first and only one of its user.
+    let two_objects = |epoch, count| {
+        let mut reports = epoch_reports(epoch, count, users);
+        for r in &mut reports {
+            let value = r.report.values[0].1;
+            r.report.values.push((1, value + 1.0));
+        }
+        reports
+    };
+    let round = |epoch, reports: &[StampedReport]| RoundInput {
+        epoch,
+        num_objects: 2,
+        deadline_us: DEADLINE_US,
+        reports: reports.to_vec(),
+    };
+    for count in [600, PAR_STAGE_THRESHOLD] {
+        let clean = two_objects(1, count);
+        for bad in [(1usize << 32) + 1, usize::MAX] {
+            let mut planted = two_objects(0, count);
+            planted.insert(
+                count / 2,
+                StampedReport {
+                    epoch: 0,
+                    sent_at_us: 10,
+                    report: PerturbedReport {
+                        user: users,
+                        values: vec![(0, 1.0), (bad, 2.0)],
+                    },
+                },
+            );
+            for shards in [1usize, 4] {
+                let what = format!("{count} reports, object {bad}, {shards} shards");
+                let reused = engine(users + 1, 2, shards, 2);
+                let fresh = engine(users + 1, 2, shards, 2);
+                let crh = || StreamingCrh::new(users + 1, Loss::Squared).unwrap();
+                match reused.run_with_state(crh(), planted.clone()) {
+                    Err(EngineError::Truth(TruthError::ObjectOutOfRange {
+                        num_objects: 2,
+                        ..
+                    })) => {}
+                    other => panic!("{what}: {:?}", other.map(|(r, _)| r.epoch)),
+                }
+                assert_eq!(reused.staged_epoch(), None, "{what}");
+                let (after, after_state) = reused.run_with_state(crh(), clean.clone()).unwrap();
+                let (want, want_state) = fresh.run_with_state(crh(), clean.clone()).unwrap();
+                let (after, want) = (after.epoch.unwrap(), want.epoch.unwrap());
+                assert_eq!(bits(&after.truths), bits(&want.truths), "{what}");
+                assert_eq!(after.accepted_users, want.accepted_users, "{what}");
+                assert_eq!(
+                    bits(after_state.weights()),
+                    bits(want_state.weights()),
+                    "{what}"
+                );
+
+                let mut backend = EngineBackend::new(engine(users + 1, 2, shards, 2)).unwrap();
+                let mut fresh = EngineBackend::new(engine(users + 1, 2, shards, 2)).unwrap();
+                match backend.run_round(round(0, &planted)) {
+                    Err(ProtocolError::Backend { message, .. }) => assert!(
+                        message.starts_with("aggregation failed: object index")
+                            && message.ends_with("out of range for 2 objects"),
+                        "{what}: {message}"
+                    ),
+                    other => panic!("{what}: backend {:?}", other.map(|o| o.truths)),
+                }
+                let after = backend.run_round(round(1, &clean)).unwrap();
+                let want = fresh.run_round(round(1, &clean)).unwrap();
+                assert_eq!(bits(&after.truths), bits(&want.truths), "{what}: backend");
+                assert_eq!(bits(&after.weights), bits(&want.weights), "{what}: backend");
+                assert_eq!(after.accepted_users, want.accepted_users, "{what}: backend");
+            }
         }
     }
 }

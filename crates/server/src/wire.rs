@@ -870,9 +870,11 @@ const ROW_BYTES: usize = 8 + 4;
 
 /// A shard's claims as columns: `rows:u32`, every row's `user:u64`,
 /// every row's `nclaims:u32`, every claim's `object:u32`, then every
-/// claim's `value:f64`. Each count is bounded by the bytes still
-/// present before the column it sizes is allocated, and the claim
-/// counts are summed in `u32`, so their total cannot wrap.
+/// claim's `value:f64`. The object column is `u32` in memory too, so it
+/// is written and read as it is: nothing narrows or widens an id here.
+/// Each count is bounded by the bytes still present before the column it
+/// sizes is allocated, and the claim counts are summed in `u32`, so
+/// their total cannot wrap.
 impl Field for ShardClaims {
     const MIN_LEN: usize = 4;
     fn put<S: Sink>(v: &Self, w: &mut S) {
@@ -884,8 +886,8 @@ impl Field for ShardClaims {
         for row in offsets.windows(2) {
             w.put(&((row[1] - row[0]) as u32));
         }
-        for &object in objects {
-            w.put(&(object as u32));
+        for object in objects {
+            w.put(object);
         }
         for value in values {
             w.put(value);
@@ -920,7 +922,7 @@ impl Field for ShardClaims {
             offsets,
             objects
                 .iter()
-                .map(|&object| u32::from_le_bytes(object) as usize)
+                .map(|&object| u32::from_le_bytes(object))
                 .collect(),
             values
                 .iter()

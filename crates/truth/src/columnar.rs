@@ -56,7 +56,7 @@
 
 use crate::loss::Loss;
 use crate::matrix::ObservationMatrix;
-use crate::streaming::ShardClaims;
+use crate::streaming::{narrow_object, ShardClaims};
 use crate::TruthError;
 
 /// Number of user ids covered by one leaf of the reduction tree.
@@ -97,9 +97,11 @@ pub const MAX_CLAIM_MAGNITUDE: f64 = 1e100;
 /// Layout: `users` holds the distinct reporting users in ascending id
 /// order (a user that occupied a slot with an *empty* claim list is still
 /// present); `offsets[i]..offsets[i + 1]` indexes that user's claims in
-/// the parallel `objects` / `values` arrays, sorted ascending by object.
-/// A [`ShardClaims`] has the same four columns, in push order and
-/// unvalidated, so loading one is a column-to-column copy.
+/// the parallel `objects` (`u32`) / `values` (`f64`) arrays, sorted
+/// ascending by object — 12 bytes a claim, 16 more a reporting user. A
+/// [`ShardClaims`] has the same four columns, in push order and
+/// unvalidated, so loading one is a column-to-column copy. An object id
+/// is widened to `usize` only where a kernel indexes by it.
 ///
 /// The arena is meant to outlive the epoch: the per-user slot index is
 /// an 8-byte slot reference plus one occupancy bit a user, and the
@@ -110,7 +112,7 @@ pub struct ColumnarBatch {
     num_objects: usize,
     users: Vec<usize>,
     offsets: Vec<usize>,
-    objects: Vec<usize>,
+    objects: Vec<u32>,
     values: Vec<f64>,
     object_counts: Vec<usize>,
     /// `leaf_starts[l]..leaf_starts[l + 1]` indexes `users` for leaf `l`.
@@ -228,7 +230,7 @@ impl ColumnarBatch {
                 if *bits & bit != 0 {
                     return Err(TruthError::DuplicateObservation {
                         user,
-                        object: objects.first().copied().unwrap_or(0),
+                        object: objects.first().map_or(0, |&object| object as usize),
                     });
                 }
                 *bits |= bit;
@@ -275,7 +277,7 @@ impl ColumnarBatch {
         let (num_objects, slot_ref) = (self.num_objects, &self.slot_ref[..]);
         let (users, offsets) = (&self.users[..], &self.offsets[..]);
         // One run: rows `lo..hi`, whose cells are `objects` / `values`.
-        let copy_run = |lo: usize, hi: usize, objects: &mut [usize], values: &mut [f64]| {
+        let copy_run = |lo: usize, hi: usize, objects: &mut [u32], values: &mut [f64]| {
             let mut counts = vec![0usize; num_objects];
             // The last row (1-based within the run) that named each object.
             let mut stamp = vec![0usize; num_objects];
@@ -286,7 +288,8 @@ impl ColumnarBatch {
                 let (_, row_objects, row_values) = shards[s as usize].row(e as usize);
                 let mut ascending = true;
                 let mut prev = 0;
-                for (k, (&object, &value)) in row_objects.iter().zip(row_values).enumerate() {
+                for (k, (&id, &value)) in row_objects.iter().zip(row_values).enumerate() {
+                    let object = id as usize;
                     if object >= num_objects {
                         return Err(TruthError::ObjectOutOfRange {
                             object,
@@ -299,8 +302,8 @@ impl ColumnarBatch {
                     }
                     stamp[object] = row - lo + 1;
                     counts[object] += 1;
-                    ascending &= k == 0 || prev < object;
-                    prev = object;
+                    ascending &= k == 0 || prev < id;
+                    prev = id;
                 }
                 let cells = offsets[row] - offsets[lo]..offsets[row + 1] - offsets[lo];
                 if ascending {
@@ -362,7 +365,7 @@ impl ColumnarBatch {
         for user in 0..self.num_users {
             let start = self.objects.len();
             for (object, value) in batch.observations_of_user(user) {
-                self.objects.push(object);
+                self.objects.push(narrow_object(object));
                 self.values.push(value);
                 self.object_counts[object] += 1;
             }
@@ -406,7 +409,7 @@ impl ColumnarBatch {
     fn for_leaf_claims(&self, leaf: usize, mut f: impl FnMut(usize, usize, f64)) {
         for row in self.leaf_starts[leaf]..self.leaf_starts[leaf + 1] {
             for k in self.offsets[row]..self.offsets[row + 1] {
-                f(row, self.objects[k], self.values[k]);
+                f(row, self.objects[k] as usize, self.values[k]);
             }
         }
     }
@@ -548,7 +551,7 @@ impl ColumnarBatch {
             for row in base..self.leaf_starts[leaf_hi] {
                 let row_loss = &mut acc[row - base];
                 for k in self.offsets[row]..self.offsets[row + 1] {
-                    let n = self.objects[k];
+                    let n = self.objects[k] as usize;
                     *row_loss += loss.distance(self.values[k], truths[n], stds[n]);
                 }
             }

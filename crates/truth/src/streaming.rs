@@ -237,7 +237,7 @@ impl StreamingCrh {
     /// [`ColumnarBatch`] instead, and calls
     /// [`ColumnarBatch::load_shards`] then
     /// [`StreamingCrh::ingest_columnar_with_workers`] on it (the engine's
-    /// merger and the cluster coordinator do).
+    /// close and the cluster coordinator do).
     ///
     /// # Errors
     ///
@@ -499,18 +499,21 @@ impl StreamingCrh {
 ///
 /// Stored compressed-sparse-row, like the [`ColumnarBatch`] it is merged
 /// into: `users[i]` is row `i`'s user and `offsets[i]..offsets[i + 1]`
-/// indexes its claims in the parallel `objects` / `values` columns, in
-/// the order they were pushed. Four allocations per shard instead of one
-/// per user, and a row reaches the merge as two contiguous slices.
+/// indexes its claims in the parallel `objects` (`u32`) / `values`
+/// (`f64`) columns, in the order they were pushed — 12 bytes a claim.
+/// Four allocations per shard instead of one per user, and a row reaches
+/// the merge as two contiguous slices.
 ///
 /// Nothing is validated here — rows may repeat a user, name an object
 /// out of range or carry a non-finite value; [`ColumnarBatch::load_shards`]
-/// checks every row before a kernel can see it.
+/// checks every row before a kernel can see it. An object id past
+/// `u32::MAX` is stored as [`narrow_object`] makes it, so it is still
+/// refused as out of range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardClaims {
     users: Vec<usize>,
     offsets: Vec<usize>,
-    objects: Vec<usize>,
+    objects: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -538,11 +541,12 @@ impl ShardClaims {
         }
     }
 
-    /// Record `claims` (`(object, value)` pairs) for `user`. Each user must
-    /// be pushed at most once per epoch (shards de-duplicate upstream).
+    /// Record `claims` (`(object, value)` pairs) for `user`, each object
+    /// id through [`narrow_object`]. Each user must be pushed at most
+    /// once per epoch (shards de-duplicate upstream).
     pub fn push(&mut self, user: usize, claims: Vec<(usize, f64)>) {
         self.objects
-            .extend(claims.iter().map(|&(object, _)| object));
+            .extend(claims.iter().map(|&(object, _)| narrow_object(object)));
         self.values.extend(claims.iter().map(|&(_, value)| value));
         self.users.push(user);
         self.offsets.push(self.objects.len());
@@ -555,7 +559,7 @@ impl ShardClaims {
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    pub fn push_row(&mut self, user: usize, objects: &[usize], values: &[f64]) {
+    pub fn push_row(&mut self, user: usize, objects: &[u32], values: &[f64]) {
         assert_eq!(objects.len(), values.len(), "one value per object");
         self.objects.extend_from_slice(objects);
         self.values.extend_from_slice(values);
@@ -571,7 +575,7 @@ impl ShardClaims {
     pub fn from_columns(
         users: Vec<usize>,
         offsets: Vec<usize>,
-        objects: Vec<usize>,
+        objects: Vec<u32>,
         values: Vec<f64>,
     ) -> Option<Self> {
         let well_formed = offsets.len() == users.len() + 1
@@ -589,7 +593,7 @@ impl ShardClaims {
 
     /// The four columns: each row's user, the `len() + 1` row offsets
     /// (from 0), and every claim's object and value, all in push order.
-    pub fn columns(&self) -> (&[usize], &[usize], &[usize], &[f64]) {
+    pub fn columns(&self) -> (&[usize], &[usize], &[u32], &[f64]) {
         (&self.users, &self.offsets, &self.objects, &self.values)
     }
 
@@ -607,7 +611,7 @@ impl ShardClaims {
     /// # Panics
     ///
     /// Panics if `row >= self.len()`.
-    pub fn row(&self, row: usize) -> (usize, &[usize], &[f64]) {
+    pub fn row(&self, row: usize) -> (usize, &[u32], &[f64]) {
         let cells = self.offsets[row]..self.offsets[row + 1];
         (
             self.users[row],
@@ -635,6 +639,16 @@ impl ShardClaims {
     pub fn users(&self) -> impl Iterator<Item = usize> + '_ {
         self.users.iter().copied()
     }
+}
+
+/// An object id as a claim column stores it: an id past `u32::MAX`
+/// saturates to `u32::MAX` and never wraps. `u32::MAX` is a valid object
+/// only in a batch over more than `u32::MAX` objects, which nothing
+/// builds (the engine's configuration refuses one, and its per-object
+/// counts alone would take 32 GiB), so a saturated id is refused as
+/// [`TruthError::ObjectOutOfRange`] and cannot alias a real object.
+pub fn narrow_object(object: usize) -> u32 {
+    object.min(u32::MAX as usize) as u32
 }
 
 /// The population's loss total as one left-to-right fold: `carried`

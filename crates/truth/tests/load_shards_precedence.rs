@@ -415,6 +415,40 @@ fn a_parallel_load_reports_the_lowest_defective_user_and_leaves_nothing_behind()
     }
 }
 
+/// An object id past `u32::MAX` is refused as out of range, never read
+/// as the object it would wrap to: `(1 << 32) + 1` (object 1, a valid
+/// one, if wrapped) and `usize::MAX`, pushed through `ShardClaims::push`
+/// in a row that is otherwise clean, in an epoch on either side of the
+/// parallel threshold. A refused load leaves the batch empty, and the
+/// next clean epoch loads as it does into a fresh arena.
+#[test]
+fn an_object_id_past_u32_is_refused_not_aliased() {
+    for claims in [PAR_CLAIM_THRESHOLD - 1, 4 * PAR_CLAIM_THRESHOLD] {
+        let (num_users, clean) = big_epoch(claims, 2);
+        let mut fresh = ColumnarBatch::new(num_users, OBJECTS);
+        fresh.load_shards(&sharded(&clean)).unwrap();
+        let expected = fingerprint(&fresh);
+        let mut batch = ColumnarBatch::new(num_users, OBJECTS);
+        for bad in [(1usize << 32) + 1, usize::MAX] {
+            let what = format!("{claims} claims, object {bad}");
+            // `big_epoch` leaves user 0 free.
+            let mut rows = clean.clone();
+            rows.insert(0, (0, vec![(0, 1.0), (bad, 2.0)]));
+            match batch.load_shards(&sharded(&rows)) {
+                Err(TruthError::ObjectOutOfRange {
+                    num_objects: OBJECTS,
+                    ..
+                }) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+            assert!(batch.users().is_empty(), "{what}: refused rows kept");
+            assert_eq!(batch.num_claims(), 0, "{what}: refused claims kept");
+            batch.load_shards(&sharded(&clean)).unwrap();
+            assert_eq!(fingerprint(&batch), expected, "{what}: clean epoch after");
+        }
+    }
+}
+
 #[test]
 fn a_sharded_load_equals_the_matrix_path_bit_for_bit() {
     use dptd_truth::streaming::StreamingCrh;
