@@ -351,7 +351,8 @@ fn an_object_id_past_u32_is_refused_not_aliased() {
                 );
 
                 let mut backend = EngineBackend::new(engine(users + 1, 2, shards, 2)).unwrap();
-                let mut fresh = EngineBackend::new(engine(users + 1, 2, shards, 2)).unwrap();
+                let mut fresh_backend =
+                    EngineBackend::new(engine(users + 1, 2, shards, 2)).unwrap();
                 match backend.run_round(round(0, &planted)) {
                     Err(ProtocolError::Backend { message, .. }) => assert!(
                         message.starts_with("aggregation failed: object index")
@@ -361,7 +362,7 @@ fn an_object_id_past_u32_is_refused_not_aliased() {
                     other => panic!("{what}: backend {:?}", other.map(|o| o.truths)),
                 }
                 let after = backend.run_round(round(1, &clean)).unwrap();
-                let want = fresh.run_round(round(1, &clean)).unwrap();
+                let want = fresh_backend.run_round(round(1, &clean)).unwrap();
                 assert_eq!(bits(&after.truths), bits(&want.truths), "{what}: backend");
                 assert_eq!(bits(&after.weights), bits(&want.weights), "{what}: backend");
                 assert_eq!(after.accepted_users, want.accepted_users, "{what}: backend");
