@@ -156,33 +156,46 @@ pub(crate) mod tests {
         assert!(json.contains("\"ph\":\"B\""), "{json}");
     }
 
+    /// Dump `SMALL` plus `flags` rooted in a trace of its own and count
+    /// the begun spans of each site in it. Campaigns other tests run
+    /// meanwhile record into the same global rings, so only this run's
+    /// spans count (the digest thread enters the committing thread's
+    /// context).
+    fn rooted_dump(test: &str, flags: &[&str]) -> impl Fn(&str) -> usize {
+        let root = trace::SpanContext::root(test, 0);
+        let json = {
+            let _ctx = trace::enter(root);
+            execute(&argv(&[SMALL, &["--dump"], flags].concat())).unwrap()
+        };
+        let ours = format!("\"trace\":\"{:016x}\"", root.trace_id);
+        move |site: &str| {
+            let begin = format!("{{\"name\":\"{site}\",\"ph\":\"B\"");
+            json.lines()
+                .filter(|l| l.starts_with(&begin) && l.contains(&ours))
+                .count()
+        }
+    }
+
     #[test]
     fn a_durable_campaign_traces_its_digest_beside_the_commit() {
         let _rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("dptd-trace-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Campaigns other tests run meanwhile record into the same global
-        // rings. Root this run in its own trace (the digest thread enters
-        // the committing thread's context) and count only its spans:
-        // exactly one commit and one digest per round.
-        let root = trace::SpanContext::root("dptd-trace-digest-test", 0);
-        let json = {
-            let _ctx = trace::enter(root);
-            execute(&argv(
-                &[SMALL, &["--dump", "--wal", dir.to_str().unwrap()]].concat(),
-            ))
-            .unwrap()
-        };
-        let ours = format!("\"trace\":\"{:016x}\"", root.trace_id);
-        let spans = |site: &str| {
-            let begin = format!("{{\"name\":\"{site}\",\"ph\":\"B\"");
-            json.lines()
-                .filter(|l| l.starts_with(&begin) && l.contains(&ours))
-                .count()
-        };
-        assert_eq!(spans("commit"), 2, "{json}");
-        assert_eq!(spans("digest"), 2, "{json}");
+        let spans = rooted_dump("dptd-trace-digest-test", &["--wal", dir.to_str().unwrap()]);
+        // Exactly one commit and one digest per round.
+        assert_eq!(spans("commit"), 2);
+        assert_eq!(spans("digest"), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_volatile_campaign_traces_one_digest_per_round() {
+        let _rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+        let spans = rooted_dump("dptd-trace-volatile-digest-test", &[]);
+        // Nothing is logged, and every round's digest is still hashed
+        // beside its weight refresh.
+        assert_eq!(spans("commit"), 0);
+        assert_eq!(spans("digest"), 2);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!    close reuses its own) and runs
 //!    [`ingest_columnar_with_workers`](StreamingCrh::ingest_columnar_with_workers)
 //!    over it — the same deterministic shard-merge the engine uses, so
-//!    the result is bit-identical to a single node — debits the accepted
-//!    users, then fans each node its **slice** of the post-round state
-//!    to append durably, hashing the weights digest on another core
-//!    while the acks are awaited. Only when every node has acknowledged
-//!    does the coordinator advance its own epoch.
+//!    the result is bit-identical to a single node, and the weights
+//!    digest is hashed beside the merge's weight refresh — debits the
+//!    accepted users, then fans each node its **slice** of the
+//!    post-round state to append durably. Only when every node has
+//!    acknowledged does the coordinator advance its own epoch.
 //!
 //! Opening (hello, create, ledger), prepare and commit each cross one
 //! seam, [`Nodes::fan_out`]: one [`Request`] to every node, then every
@@ -723,8 +723,8 @@ impl<N: Nodes> ClusterCampaign<N> {
         self.streaming.weights()
     }
 
-    /// FNV-1a digest of the current weights' bit patterns, hashed at
-    /// most once per round.
+    /// FNV-1a digest of the current weights' bit patterns, hashed by
+    /// each round's merge.
     pub fn weights_digest(&self) -> u64 {
         self.streaming.weights_digest()
     }
@@ -799,41 +799,31 @@ impl<N: Nodes> ClusterCampaign<N> {
     /// round before the coordinator advances. Scattered, so the fsyncs
     /// and follower acks overlap; if it fails, any subset of the nodes
     /// may hold the epoch, which the pending round (or a resume)
-    /// re-drives. The weights digest is hashed on another core while
-    /// the acks are awaited.
+    /// re-drives.
     fn commit(&mut self, merged: &MergedRound) -> Result<(), ClusterError> {
         let _commit_span =
             dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_COMMIT, merged.epoch);
         let batches_seen = self.streaming.batches_seen() as u64;
-        let (campaign, partition, streaming) = (&self.campaign, &self.partition, &self.streaming);
-        let (losses, accountant) = (streaming.cumulative_losses(), &self.accountant);
-        let ambient = dptd_obs::trace::current();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let _ctx = ambient.map(dptd_obs::trace::enter);
-                let _span =
-                    dptd_obs::trace::TraceScope::begin(dptd_obs::codes::DIGEST, merged.epoch);
-                streaming.weights_digest();
-            });
-            let commit = |id| {
-                let locals = partition.locals(id);
-                Request::CloseRoundCommit {
-                    campaign: campaign.clone(),
-                    epoch: merged.epoch,
-                    batches_seen,
-                    accepted_users: merged.accepted_locals[id].clone(),
-                    cumulative_losses: locals.iter().map(|&g| losses[g]).collect(),
-                    rounds_debited: locals
-                        .iter()
-                        .map(|&g| accountant.rounds_debited(g))
-                        .collect(),
-                    ctx: wire_ctx(),
-                }
-            };
-            exchange(&mut self.nodes, commit, |reply| match reply {
-                Response::Committed { .. } => Ok(()),
-                other => Err(other),
-            })
+        let (campaign, partition, accountant) = (&self.campaign, &self.partition, &self.accountant);
+        let losses = self.streaming.cumulative_losses();
+        let commit = |id| {
+            let locals = partition.locals(id);
+            Request::CloseRoundCommit {
+                campaign: campaign.clone(),
+                epoch: merged.epoch,
+                batches_seen,
+                accepted_users: merged.accepted_locals[id].clone(),
+                cumulative_losses: locals.iter().map(|&g| losses[g]).collect(),
+                rounds_debited: locals
+                    .iter()
+                    .map(|&g| accountant.rounds_debited(g))
+                    .collect(),
+                ctx: wire_ctx(),
+            }
+        };
+        exchange(&mut self.nodes, commit, |reply| match reply {
+            Response::Committed { .. } => Ok(()),
+            other => Err(other),
         })?;
         Ok(())
     }

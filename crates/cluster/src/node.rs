@@ -331,14 +331,6 @@ impl NodeCampaign {
                 "commit slices must cover exactly this node's partition",
             );
         }
-        if accepted_users.windows(2).any(|w| w[0] >= w[1])
-            || accepted_users.iter().any(|&u| u as usize >= local_users)
-        {
-            return refuse(
-                ErrorCode::InvalidRequest,
-                "accepted users must be ascending local ids inside the partition",
-            );
-        }
         let record = EpochRecord {
             kind: RecordKind::Epoch,
             epoch,
@@ -381,10 +373,8 @@ impl NodeCampaign {
                 ),
             );
         }
-        let Some((reply, rows)) = self.staged.as_ref().and_then(|s| match &s.prepared {
-            Some(reply @ Response::Prepared { claims, .. }) => {
-                Some((reply.clone(), claims.columns().0.len()))
-            }
+        let Some((reply, claims)) = self.staged.as_ref().and_then(|s| match &s.prepared {
+            Some(reply @ Response::Prepared { claims, .. }) => Some((reply.clone(), claims)),
             _ => None,
         }) else {
             return refuse(
@@ -392,6 +382,50 @@ impl NodeCampaign {
                 format!("commit for epoch {epoch} without a prepared round"),
             );
         };
+        // Nothing this node's recovery would refuse at the next open is
+        // appended: a malformed commit is refused with the round still
+        // staged, so the barrier can be re-driven.
+        let prepared = claims.columns().0;
+        if record.accepted_users != prepared {
+            return refuse(
+                ErrorCode::InvalidRequest,
+                "accepted users must be the users of this node's prepared claims",
+            );
+        }
+        let last = self.history.back();
+        let mut accepted = prepared.iter().peekable();
+        let debited_once = record
+            .rounds_debited
+            .iter()
+            .enumerate()
+            .all(|(user, &debits)| {
+                let before = last.map_or(0, |r| r.rounds_debited[user]);
+                let now = u32::from(accepted.next_if_eq(&&user).is_some());
+                before.checked_add(now) == Some(debits)
+            });
+        if !debited_once {
+            return refuse(
+                ErrorCode::InvalidRequest,
+                "rounds debited must be the last commit's plus one per accepted user",
+            );
+        }
+        if last.map_or(0, |r| r.batches_seen).checked_add(1) != Some(batches_seen) {
+            return refuse(
+                ErrorCode::InvalidRequest,
+                "batches seen must be the last commit's plus one",
+            );
+        }
+        if record
+            .cumulative_losses
+            .iter()
+            .any(|l| !l.is_finite() || *l < 0.0)
+        {
+            return refuse(
+                ErrorCode::InvalidRequest,
+                "a cumulative loss is negative or not finite",
+            );
+        }
+        let rows = prepared.len();
         if let Some(log) = self.log.as_mut() {
             if let Err(e) = log.append_record(&record) {
                 // The append failed atomically; the staged round stays,
@@ -1438,6 +1472,87 @@ mod tests {
         assert_eq!(replayed, staged);
         assert_eq!(columns(&mut client).1, staged);
         node.shutdown();
+    }
+
+    /// A commit this node's own recovery would refuse at the next open
+    /// — accepted users that are not the prepared ones, debits that are
+    /// not the last record's plus one per accepted user, a batch count
+    /// that is not the last record's plus one, a negative or non-finite
+    /// loss — is refused, typed, before anything is appended; the
+    /// round stays staged, the correct commit then appends, and the
+    /// directory reopens onto it.
+    #[test]
+    fn a_commit_recovery_would_refuse_is_refused_before_it_is_appended() {
+        /// Accepted users, losses, debits, batches seen.
+        type Commit = (Vec<u64>, Vec<f64>, Vec<u32>, u64);
+        let root = std::env::temp_dir().join(format!("dptd-node-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = || NodeConfig {
+            wal_root: Some(root.clone()),
+            ..NodeConfig::default()
+        };
+        let durable = CampaignSpec {
+            durable: true,
+            ..spec(3)
+        };
+        let node = NodeServer::start(config()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        client.create_campaign("part", durable).unwrap();
+        // Users 0 and 1 report every round, user 2 never does.
+        for epoch in 0..2u64 {
+            let round = [stamped(0, epoch, 10, 1.0), stamped(1, epoch, 20, 2.0)];
+            client.submit_chunked("part", &round, 8).unwrap();
+            client.close_round_prepare("part", epoch, vec![]).unwrap();
+            let (n, loss) = (epoch as u32 + 1, 0.25 * (epoch + 1) as f64);
+            let correct = (
+                vec![0, 1],
+                vec![loss, 2.0 * loss, 0.0],
+                vec![n, n, 0],
+                epoch + 1,
+            );
+            let tamper = |change: fn(&mut Commit)| {
+                let mut commit = correct.clone();
+                change(&mut commit);
+                commit
+            };
+            let tampered = [
+                tamper(|c| c.0 = vec![0]),
+                tamper(|c| c.2[2] = 1),
+                tamper(|c| c.3 += 1),
+                tamper(|c| c.1[0] = -c.1[0]),
+                tamper(|c| c.1[0] = f64::NAN),
+                tamper(|c| c.1[1] = f64::INFINITY),
+            ];
+            for (case, (accepted, losses, debits, batches)) in tampered.into_iter().enumerate() {
+                match client.close_round_commit("part", epoch, batches, accepted, losses, debits) {
+                    Err(dptd_server::ServerError::Remote {
+                        code: ErrorCode::InvalidRequest,
+                        ..
+                    }) => {}
+                    other => panic!("epoch {epoch}, case {case}: {other:?}"),
+                }
+                let ledger = client.query_ledger("part", u64::MAX).unwrap();
+                assert_eq!(ledger.next_epoch, epoch, "epoch {epoch}, case {case}");
+            }
+            let (accepted, losses, debits, batches) = correct;
+            let appended = client
+                .close_round_commit("part", epoch, batches, accepted, losses, debits)
+                .unwrap();
+            assert!(appended, "epoch {epoch}");
+        }
+        drop(client);
+        node.shutdown();
+
+        let node = NodeServer::start(config()).unwrap();
+        let mut client = Client::connect(node.local_addr()).unwrap();
+        assert_eq!(client.create_campaign("part", durable).unwrap(), 2);
+        let ledger = client.query_ledger("part", u64::MAX).unwrap();
+        assert_eq!(ledger.next_epoch, 2);
+        assert_eq!(ledger.batches_seen, 2);
+        assert_eq!(ledger.rounds_debited, vec![2, 2, 0]);
+        assert_eq!(ledger.cumulative_losses, vec![0.5, 1.0, 0.0]);
+        node.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

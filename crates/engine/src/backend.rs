@@ -28,7 +28,7 @@ use dptd_protocol::ProtocolError;
 use dptd_truth::streaming::{Committed, StreamingCrh};
 use dptd_truth::Loss;
 
-use crate::engine::{Durable, Engine, EpochOutcome};
+use crate::engine::{Engine, EpochOutcome};
 use crate::metrics::EngineMetrics;
 use crate::recovery::{recover_replay, RecoveredState};
 use crate::store::StoreFs;
@@ -236,9 +236,8 @@ impl EngineBackend {
     }
 
     /// FNV-1a digest of [`EngineBackend::current_weights`], memoised
-    /// per round: a durable round has already hashed it behind its
-    /// weight refresh, beside its log append; a volatile one hashes it
-    /// on the first call.
+    /// per round: every close hashes it behind its weight refresh,
+    /// beside its durable step.
     ///
     /// # Panics
     ///
@@ -317,25 +316,15 @@ impl EngineBackend {
         // leaves the campaign resumable without a checkpoint: the round
         // is a single epoch, and an epoch whose merge fails never touched
         // the borrowed estimator. Durable, the round commits iff its
-        // record reaches the log: the merge runs the append beside its
-        // weight refresh and digest, and takes the round back if it
-        // fails, so the in-memory campaign never runs ahead of what a
-        // crash could recover.
-        let closed = match &mut self.wal {
-            None => self.engine.close(&mut state, None),
-            Some(wal) => {
-                // The round's weights, filled by the merge's refresh thread;
-                // allocated here so that thread never allocates.
-                let mut weights = Vec::with_capacity(cfg.num_users);
-                let mut step =
-                    |epoch: u64, committed: Committed<'_>| wal.commit(epoch, cfg.loss, committed);
-                let durable = Durable {
-                    step: &mut step,
-                    weights: &mut weights,
-                };
-                self.engine.close(&mut state, Some(durable))
-            }
-        };
+        // record reaches the log: the merge runs the append as its step,
+        // beside its weight refresh and digest, and takes the round back
+        // if it fails, so the in-memory campaign never runs ahead of what
+        // a crash could recover. Volatile, the step does nothing.
+        let wal = &mut self.wal;
+        let closed = self.engine.close(&mut state, |epoch, committed| {
+            wal.as_mut()
+                .map_or(Ok(()), |wal| wal.commit(epoch, cfg.loss, committed))
+        });
         self.state = Some(state);
         let mut report = closed.map_err(Self::engine_err)?;
         report.metrics.elapsed = started.elapsed();

@@ -47,9 +47,11 @@
 //! reports count in `reports_submitted` of the close that merges their
 //! epoch. `stage.filter` is the wall time spent filtering batches and
 //! finishing shards, `stage.merge` the caller's time in the cross-shard
-//! merge (a durable round's log append included: it runs inside the
-//! merge, beside the weight refresh and digest). With no router and no
-//! queue left, `stage.route`, `backpressure_stalls` and
+//! merge. That merge commits every round the same way: the weight
+//! refresh and the weights digest run inside it on two threads of their
+//! own, beside the round's durable step (a logged round's append, or
+//! nothing), so a close returns with its digest memoised. With no
+//! router and no queue left, `stage.route`, `backpressure_stalls` and
 //! `max_queue_depth` stay zero.
 //!
 //! # What an engine keeps between rounds
@@ -212,17 +214,6 @@ pub struct EngineReport {
     pub final_weights: Vec<f64>,
     /// Counters, latency and throughput.
     pub metrics: EngineMetrics,
-}
-
-/// How a close makes its merged epoch durable: the step the merge runs
-/// once the epoch's losses are final, beside the weight refresh and
-/// digest ([`StreamingCrh::ingest_columnar_durably`]; a failed step
-/// takes the epoch back and fails the close), and the buffer, allocated
-/// by the caller, that the refresh copies the final weights into — the
-/// close's [`EngineReport::final_weights`].
-pub(crate) struct Durable<'a> {
-    pub(crate) step: &'a mut (dyn FnMut(u64, Committed<'_>) -> Result<(), EngineError> + Send),
-    pub(crate) weights: &'a mut Vec<f64>,
 }
 
 /// Everything a round needs whose size follows the population: the shard
@@ -452,7 +443,7 @@ impl Engine {
                 return Err(e);
             }
         }
-        let mut report = self.close(&mut state, None)?;
+        let mut report = self.close(&mut state, |_, _| Ok(()))?;
         report.metrics.elapsed = started.elapsed();
         Ok((report, state))
     }
@@ -514,14 +505,16 @@ impl Engine {
     }
 
     /// Close the epoch [`Engine::stage`] left open, if any, into `crh`:
-    /// finish every shard, then merge their claims on the caller. `crh`
-    /// changes only if the merge succeeds; with `durable`, the merged
-    /// epoch commits through its step. `metrics.elapsed` is left to the
-    /// caller, which knows when its round began.
+    /// finish every shard, then merge their claims on the caller, which
+    /// runs `step` on the merged epoch beside the weight refresh and
+    /// digest ([`StreamingCrh::ingest_columnar_durably`]; a failed step
+    /// takes the epoch back and fails the close). `crh` changes only if
+    /// the merge succeeds. `metrics.elapsed` is left to the caller, which
+    /// knows when its round began.
     pub(crate) fn close(
         &self,
         crh: &mut StreamingCrh,
-        mut durable: Option<Durable<'_>>,
+        step: impl FnOnce(u64, Committed<'_>) -> Result<(), EngineError>,
     ) -> Result<EngineReport, EngineError> {
         let cfg = &self.config;
         // Take the scratch for the length of the close. A second close
@@ -545,48 +538,61 @@ impl Engine {
             });
         }
         let _span = TraceScope::begin(trace_codes::ROUND, cfg.num_shards as u64);
-        let (epoch, metrics) = match scratch.staged.take() {
-            None => (None, EngineMetrics::default()),
-            Some(StagedEpoch { epoch, mut metrics }) => {
-                let start = Instant::now();
-                let threads = filter_threads(cfg, metrics.reports_submitted as usize);
-                let finished: Vec<(ShardClaims, ShardEpochStats)> =
-                    fan_out(&mut scratch.shards, threads, |_, run| {
-                        run.iter_mut()
-                            .map(ShardState::finish_epoch)
-                            .collect::<Vec<_>>()
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                metrics.stage.filter += start.elapsed();
-                let start = Instant::now();
-                let _span = TraceScope::begin(trace_codes::MERGE, cfg.num_shards as u64);
-                // A failed merge returns here, dropping the scratch: only
-                // a clean close parks it again.
-                let outcome = merge_epoch(
-                    cfg,
-                    crh,
-                    &mut scratch.arena,
-                    epoch,
-                    finished,
-                    durable.as_mut(),
-                )?;
-                metrics.stage.merge = start.elapsed();
-                metrics.reports_accepted = outcome.accepted as u64;
-                metrics.duplicates_discarded = outcome.duplicates_discarded as u64;
-                metrics.late_dropped = outcome.late_dropped;
-                metrics.epochs_merged = 1;
-                (Some(outcome), metrics)
-            }
+        let Some(StagedEpoch { epoch, mut metrics }) = scratch.staged.take() else {
+            *self.park() = Some(scratch);
+            return Ok(EngineReport {
+                epoch: None,
+                final_weights: crh.weights().to_vec(),
+                metrics: EngineMetrics::default(),
+            });
         };
-        *self.park() = Some(scratch);
-        let final_weights = match durable {
-            Some(durable) if epoch.is_some() => std::mem::take(durable.weights),
-            _ => crh.weights().to_vec(),
-        };
-        Ok(EngineReport {
+        let start = Instant::now();
+        let threads = filter_threads(cfg, metrics.reports_submitted as usize);
+        let (shard_claims, stats): (Vec<ShardClaims>, Vec<ShardEpochStats>) =
+            fan_out(&mut scratch.shards, threads, |_, run| {
+                run.iter_mut()
+                    .map(ShardState::finish_epoch)
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .unzip();
+        metrics.stage.filter += start.elapsed();
+
+        // The canonical cross-shard merge through the carried estimator,
+        // in the engine's columnar arena. A failed merge returns here,
+        // dropping the scratch: only a clean close parks it again.
+        let start = Instant::now();
+        let merge_span = TraceScope::begin(trace_codes::MERGE, cfg.num_shards as u64);
+        scratch.arena.load_shards(&shard_claims)?;
+        // The canonical batch stores users ascending, so the accepted set
+        // falls out of the merge without a separate sort.
+        let accepted_users = scratch.arena.users().to_vec();
+        // Allocated here, so the merge's refresh thread never allocates.
+        let mut final_weights = Vec::with_capacity(cfg.num_users);
+        let truths = crh.ingest_columnar_durably(
+            &scratch.arena,
+            cfg.merge_workers,
+            Some(&mut final_weights),
+            |committed| step(epoch, committed),
+        )?;
+        drop(merge_span);
+        metrics.stage.merge = start.elapsed();
+        let outcome = EpochOutcome {
             epoch,
+            truths,
+            accepted: stats.iter().map(|s| s.accepted).sum(),
+            accepted_users,
+            duplicates_discarded: stats.iter().map(|s| s.duplicates_discarded).sum(),
+            late_dropped: stats.iter().map(|s| s.late_dropped).sum(),
+        };
+        metrics.reports_accepted = outcome.accepted as u64;
+        metrics.duplicates_discarded = outcome.duplicates_discarded as u64;
+        metrics.late_dropped = outcome.late_dropped;
+        metrics.epochs_merged = 1;
+        *self.park() = Some(scratch);
+        Ok(EngineReport {
+            epoch: Some(outcome),
             final_weights,
             metrics,
         })
@@ -597,41 +603,6 @@ impl Engine {
         // guard still holds a valid value.
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
-
-/// Run the canonical cross-shard merge of one epoch's shard claims
-/// through the global streaming CRH (carried over from the caller, so
-/// campaigns resume mid-stream) in the engine's columnar arena.
-fn merge_epoch(
-    cfg: &EngineConfig,
-    crh: &mut StreamingCrh,
-    arena: &mut ColumnarBatch,
-    epoch: u64,
-    finished: Vec<(ShardClaims, ShardEpochStats)>,
-    durable: Option<&mut Durable<'_>>,
-) -> Result<EpochOutcome, EngineError> {
-    let (shard_claims, stats): (Vec<ShardClaims>, Vec<ShardEpochStats>) =
-        finished.into_iter().unzip();
-    arena.load_shards(&shard_claims)?;
-    // The canonical batch stores users ascending, so the accepted set
-    // falls out of the merge without a separate sort.
-    let accepted_users: Vec<usize> = arena.users().to_vec();
-    let truths = match durable {
-        Some(Durable { step, weights }) => {
-            crh.ingest_columnar_durably(arena, cfg.merge_workers, weights, |committed| {
-                step(epoch, committed)
-            })?
-        }
-        None => crh.ingest_columnar_with_workers(arena, cfg.merge_workers)?,
-    };
-    Ok(EpochOutcome {
-        epoch,
-        truths,
-        accepted: stats.iter().map(|s| s.accepted).sum(),
-        accepted_users,
-        duplicates_discarded: stats.iter().map(|s| s.duplicates_discarded).sum(),
-        late_dropped: stats.iter().map(|s| s.late_dropped).sum(),
-    })
 }
 
 #[cfg(test)]

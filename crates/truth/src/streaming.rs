@@ -33,15 +33,16 @@
 //! * the loss total, one left-to-right fold that reads the carried loss
 //!   everywhere except the batch's rows — taken once for the trial
 //!   weights and once for the committed ones;
-//! * the `−ln` refresh of the committed weights, in place, split over
-//!   the merge workers in contiguous ranges of the population;
-//! * the weights digest ([`StreamingCrh::weights_digest`]), hashed at
-//!   most once per committed batch and only when someone asks.
+//! * the `−ln` refresh of the committed weights, in
+//!   [`StreamingCrh::COMMIT_CHUNK`] chunks on a thread of its own;
+//! * the weights digest ([`StreamingCrh::weights_digest`]), hashed on a
+//!   second thread chunk by chunk right behind the refresh.
 //!
-//! A batch that must be made durable before it counts goes through
-//! [`StreamingCrh::ingest_columnar_durably`] instead, which runs the
-//! last two passes on two threads of their own — the digest trailing
-//! the refresh chunk by chunk — beside the caller's durable step.
+//! Every batch commits through one routine,
+//! [`StreamingCrh::ingest_columnar_durably`]: while those two threads
+//! run, the caller runs its durable step (a no-op for a batch that is
+//! not logged), so every commit's digest is memoised by the time its
+//! ingest returns.
 
 use std::sync::{mpsc, OnceLock};
 
@@ -90,8 +91,8 @@ pub struct StreamingCrh {
     cumulative_loss: Vec<f64>,
     batches_seen: usize,
     weights: Vec<f64>,
-    /// `fnv1a_f64s(&weights)`, hashed on first request; every write to
-    /// `weights` starts a fresh, empty cell.
+    /// `fnv1a_f64s(&weights)`: filled by every commit, hashed on first
+    /// request after [`StreamingCrh::new`] or [`StreamingCrh::from_parts`].
     digest: OnceLock<u64>,
     /// The refinement pass's row-indexed scratch (one weight and one
     /// loss per reporting user), kept between batches so that a batch
@@ -114,8 +115,8 @@ pub struct Committed<'a> {
 }
 
 impl StreamingCrh {
-    /// Weights a durable commit refreshes, copies out and hands to its
-    /// digest thread at a time (128 KiB): small enough that the digest
+    /// Weights a commit refreshes, copies out and hands to its digest
+    /// thread at a time (128 KiB): small enough that the digest
     /// starts right behind the refresh, large enough that the hand-over
     /// is noise.
     pub const COMMIT_CHUNK: usize = 1 << 14;
@@ -189,11 +190,10 @@ impl StreamingCrh {
     }
 
     /// FNV-1a digest of the current weights' bit patterns
-    /// (`fnv1a_f64s(self.weights())`), hashed at most once per committed
-    /// batch: the first call after a commit pays the `O(num_users)`
-    /// byte-serial pass, every later one reads the memo. `&self`, so a
-    /// durable caller can warm it on another thread while it writes the
-    /// batch's record.
+    /// (`fnv1a_f64s(self.weights())`). Every commit hashes it beside its
+    /// weight refresh, so after an ingest this reads the memo; only a
+    /// fresh or restored estimator pays the `O(num_users)` pass, on the
+    /// first call.
     pub fn weights_digest(&self) -> u64 {
         *self.digest.get_or_init(|| fnv1a_f64s(&self.weights))
     }
@@ -236,8 +236,9 @@ impl StreamingCrh {
     /// frees it. A caller that merges every round keeps one
     /// [`ColumnarBatch`] instead, and calls
     /// [`ColumnarBatch::load_shards`] then
-    /// [`StreamingCrh::ingest_columnar_with_workers`] on it (the engine's
-    /// close and the cluster coordinator do).
+    /// [`StreamingCrh::ingest_columnar_durably`] on it (the engine's
+    /// close does; the cluster coordinator, through
+    /// [`StreamingCrh::ingest_columnar_with_workers`]).
     ///
     /// # Errors
     ///
@@ -299,7 +300,9 @@ impl StreamingCrh {
     /// path) with an explicit worker count (`0` = auto, `1` =
     /// sequential). All [`StreamingCrh`] ingest entry points funnel into
     /// its refinement pass, so every backend shares one canonical
-    /// summation order.
+    /// summation order; this is
+    /// [`StreamingCrh::ingest_columnar_durably`] with no durable step and
+    /// no copy of the weights.
     ///
     /// On error the estimator state is untouched: losses and weights only
     /// commit after the whole refinement pass succeeds.
@@ -316,37 +319,30 @@ impl StreamingCrh {
         batch: &ColumnarBatch,
         workers: usize,
     ) -> Result<Vec<f64>, TruthError> {
-        let (truths, total) = self.refine(batch, workers)?;
-        for (&u, &l) in batch.users().iter().zip(&self.row_loss) {
-            self.cumulative_loss[u] = l;
-        }
-        refresh_weights(&mut self.weights, &self.cumulative_loss, total, workers);
-        self.digest = OnceLock::new();
-        self.batches_seen += 1;
-        Ok(truths)
+        self.ingest_columnar_durably(batch, workers, None, |_| Ok(()))
     }
 
-    /// [`StreamingCrh::ingest_columnar_with_workers`] for a caller that
-    /// must make each batch durable before it counts: the campaign
-    /// backend's logged round. Once the batch's losses are final, three
-    /// threads overlap:
+    /// Ingest `batch` and commit it — the one commit every batch goes
+    /// through. Once the batch's losses are final, three threads
+    /// overlap:
     ///
     /// * a scoped thread refreshes the weights in
     ///   [`StreamingCrh::COMMIT_CHUNK`]-weight chunks, appending each to
-    ///   `weights_out` (cleared first; the caller allocates it, so the
-    ///   copy never costs the refresher an allocation);
+    ///   `weights_out` if given (cleared first; the caller allocates it,
+    ///   so the copy never costs the refresher an allocation);
     /// * a second one folds each chunk into the FNV-1a digest as soon as
     ///   it is handed over, under a `digest` span, so
     ///   [`StreamingCrh::weights_digest`] is memoised on return;
-    /// * the calling thread runs `durable` on the committed losses.
+    /// * the calling thread runs `durable` on the committed losses — the
+    ///   campaign backend's log append, or nothing.
     ///
-    /// Truths, weights, `weights_out` and the digest are bit-identical to
-    /// [`StreamingCrh::ingest_columnar_with_workers`] followed by
-    /// `fnv1a_f64s(weights())`, for any `workers`.
+    /// Truths, weights, `weights_out` and the digest are a pure function
+    /// of the carried state and the batch, for any `workers`.
     ///
     /// If `durable` fails, the batch is taken back before this returns:
     /// losses, weights, digest and [`StreamingCrh::batches_seen`] are
-    /// exactly what they were before the call.
+    /// exactly what they were before the call, and `weights_out` is
+    /// empty.
     ///
     /// # Errors
     ///
@@ -356,7 +352,7 @@ impl StreamingCrh {
         &mut self,
         batch: &ColumnarBatch,
         workers: usize,
-        weights_out: &mut Vec<f64>,
+        mut weights_out: Option<&mut Vec<f64>>,
         durable: impl FnOnce(Committed<'_>) -> Result<(), E>,
     ) -> Result<Vec<f64>, E> {
         let (truths, total) = self.refine(batch, workers)?;
@@ -368,8 +364,10 @@ impl StreamingCrh {
         }
         self.batches_seen += 1;
         let before = std::mem::take(&mut self.digest);
-        weights_out.clear();
-        weights_out.reserve(self.num_users);
+        if let Some(out) = weights_out.as_deref_mut() {
+            out.clear();
+            out.reserve(self.num_users);
+        }
 
         let ambient = dptd_obs::trace::current();
         let committed = Committed {
@@ -378,7 +376,7 @@ impl StreamingCrh {
             batches_seen: self.batches_seen,
         };
         let (weights, losses) = (&mut self.weights, &self.cumulative_loss);
-        let out = &mut *weights_out;
+        let mut out = weights_out.as_deref_mut();
         let (digest, made_durable) = std::thread::scope(|scope| {
             let (chunks, handed) = mpsc::channel::<&[f64]>();
             let hasher = scope.spawn(move || {
@@ -396,7 +394,9 @@ impl StreamingCrh {
                 let span = Self::COMMIT_CHUNK;
                 for (w, l) in weights.chunks_mut(span).zip(losses.chunks(span)) {
                     refresh_span(w, l, total);
-                    out.extend_from_slice(w);
+                    if let Some(out) = out.as_deref_mut() {
+                        out.extend_from_slice(w);
+                    }
                     // The hasher only hangs up by panicking, which its
                     // join re-raises.
                     let _ = chunks.send(w);
@@ -419,7 +419,9 @@ impl StreamingCrh {
             let total = loss_total(&self.cumulative_loss, &[], &[]);
             refresh_weights(&mut self.weights, &self.cumulative_loss, total, workers);
             self.digest = before;
-            weights_out.clear();
+            if let Some(out) = weights_out {
+                out.clear();
+            }
             return Err(e);
         }
         self.digest = OnceLock::from(digest);

@@ -1,14 +1,18 @@
-//! The durable commit against the plain one.
+//! The commit against an independent refresh.
 //!
-//! [`StreamingCrh::ingest_columnar_durably`] refreshes the weights in
+//! [`StreamingCrh::ingest_columnar_durably`] — the one commit every
+//! ingest goes through — refreshes the weights in
 //! [`StreamingCrh::COMMIT_CHUNK`]-weight chunks on one thread, hashes
 //! each chunk on a second as it is handed over, and runs the caller's
-//! durable step on a third. Truths, weights, the weights copy and the
-//! digest must be bit-identical to `ingest_columnar_with_workers`
-//! followed by `fnv1a_f64s` — for populations around every chunk edge,
-//! for a round whose loss total is zero, and for 1, 2 and auto merge
-//! workers. A durable step that fails must leave the estimator exactly
-//! as it was before the call.
+//! durable step on a third. The weights, the weights copy and the digest
+//! must be bit-identical to those of [`StreamingCrh::from_parts`] rebuilt
+//! from the committed losses (which refreshes the whole population in
+//! one pass of its own) followed by `fnv1a_f64s`; and a commit with a
+//! copy must leave exactly what one without a copy
+//! (`ingest_columnar_with_workers`) leaves — for populations around
+//! every chunk edge, for a round whose loss total is zero, and for 1, 2
+//! and auto merge workers. A durable step that fails must leave the
+//! estimator exactly as it was before the call.
 
 use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::columnar::ColumnarBatch;
@@ -65,8 +69,16 @@ fn state(s: &StreamingCrh) -> (Vec<u64>, Vec<u64>, u64, usize) {
     )
 }
 
-/// Run `rounds` through both commits side by side and require every
-/// observable to agree bit for bit after each, including what the
+/// The reference a commit is checked against: an estimator rebuilt
+/// from `s`'s losses alone.
+fn rebuilt(s: &StreamingCrh) -> StreamingCrh {
+    StreamingCrh::from_parts(s.loss(), s.cumulative_losses().to_vec(), s.batches_seen()).unwrap()
+}
+
+/// Run `rounds` through a commit with a weights copy and a durable step
+/// and one without either, side by side, and require every observable
+/// to agree bit for bit after each — with each other, with the
+/// reference rebuilt from the committed losses, and with what the
 /// durable step was shown.
 fn assert_commits_agree(users: usize, workers: usize, rounds: &[ColumnarBatch]) {
     let what = format!("{users} users, {workers} workers");
@@ -77,29 +89,35 @@ fn assert_commits_agree(users: usize, workers: usize, rounds: &[ColumnarBatch]) 
         let expected = plain.ingest_columnar_with_workers(batch, workers).unwrap();
         let mut shown = None;
         let truths = durable
-            .ingest_columnar_durably(batch, workers, &mut weights, |c: Committed<'_>| {
+            .ingest_columnar_durably(batch, workers, Some(&mut weights), |c: Committed<'_>| {
                 shown = Some((c.users.to_vec(), bits(c.cumulative_losses), c.batches_seen));
                 Ok::<(), TruthError>(())
             })
             .unwrap();
+        let reference = rebuilt(&durable);
         assert_eq!(bits(&truths), bits(&expected), "{what}, round {round}");
         assert_eq!(
-            durable.weights_digest(),
-            fnv1a_f64s(plain.weights()),
-            "{what}, round {round}: digest"
+            bits(durable.weights()),
+            bits(reference.weights()),
+            "{what}, round {round}: weights"
         );
-        assert_eq!(state(&durable), state(&plain), "{what}, round {round}");
         assert_eq!(
             bits(&weights),
-            bits(plain.weights()),
-            "{what}, round {round}"
+            bits(reference.weights()),
+            "{what}, round {round}: weights copy"
         );
+        assert_eq!(
+            durable.weights_digest(),
+            fnv1a_f64s(reference.weights()),
+            "{what}, round {round}: digest"
+        );
+        assert_eq!(state(&plain), state(&durable), "{what}, round {round}");
         assert_eq!(
             shown,
             Some((
                 batch.users().to_vec(),
-                bits(plain.cumulative_losses()),
-                plain.batches_seen()
+                bits(durable.cumulative_losses()),
+                durable.batches_seen()
             )),
             "{what}, round {round}: the durable step's view"
         );
@@ -128,7 +146,7 @@ fn a_zero_total_round_leaves_every_weight_at_one() {
         assert_commits_agree(users, workers, &rounds);
         let mut s = StreamingCrh::new(users, Loss::NormalizedSquared).unwrap();
         let mut weights = Vec::new();
-        s.ingest_columnar_durably(&rounds[0], workers, &mut weights, |_| {
+        s.ingest_columnar_durably(&rounds[0], workers, Some(&mut weights), |_| {
             Ok::<(), TruthError>(())
         })
         .unwrap();
@@ -160,7 +178,7 @@ fn a_failed_durable_step_takes_the_batch_back() {
                 s.batches_seen(),
             );
             let err = s
-                .ingest_columnar_durably(&batch, workers, &mut weights, refused)
+                .ingest_columnar_durably(&batch, workers, Some(&mut weights), refused)
                 .unwrap_err();
             assert!(matches!(err, TruthError::Degenerate { .. }), "{err:?}");
             let after = (
@@ -174,8 +192,15 @@ fn a_failed_durable_step_takes_the_batch_back() {
         }
         // The retried batch commits as if the failures never happened.
         plain.ingest_columnar_with_workers(&batch, 0).unwrap();
-        s.ingest_columnar_durably(&batch, 2, &mut weights, |_| Ok::<(), TruthError>(()))
+        s.ingest_columnar_durably(&batch, 2, Some(&mut weights), |_| Ok::<(), TruthError>(()))
             .unwrap();
         assert_eq!(state(&s), state(&plain), "round {round}");
+        let reference = rebuilt(&s);
+        assert_eq!(
+            bits(s.weights()),
+            bits(reference.weights()),
+            "round {round}"
+        );
+        assert_eq!(s.weights_digest(), fnv1a_f64s(reference.weights()));
     }
 }

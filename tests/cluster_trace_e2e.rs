@@ -10,8 +10,8 @@
 //! queued batches, the barrier prepare/commit spans parent all three
 //! nodes' (scattered, hence overlapping) drain/commit spans via
 //! wire-carried span contexts and the coordinator's per-node reply
-//! reads, the commit span parents the coordinator's digest thread, and
-//! `merge_trace_timeline` renders one clock-aligned chrome://tracing
+//! reads, the merge span parents the digest thread that hashes beside
+//! the merge's weight refresh, and `merge_trace_timeline` renders one clock-aligned chrome://tracing
 //! document with a lane per process. Part three: a forced quarantine
 //! (a partition poisoned mid-campaign) leaves a flight bundle on disk
 //! whose final snapshot shows the refusal.
@@ -195,8 +195,8 @@ fn traced_run_is_bit_identical_and_the_merged_timeline_is_causal() {
     }
     // The coordinator reads each node's reply under the phase span that
     // asked for it — one `barrier.reply` per node and phase, its arg the
-    // node id — and hashes the weights digest under `barrier.commit`,
-    // while the acks are awaited.
+    // node id — and hashes the weights digest under its `merge`, beside
+    // the weight refresh.
     for barrier in prepares.iter().chain(&commits) {
         let mut replies: Vec<u64> = begins(codes::BARRIER_REPLY)
             .into_iter()
@@ -212,19 +212,17 @@ fn traced_run_is_bit_identical_and_the_merged_timeline_is_causal() {
             codes::name(barrier.code)
         );
     }
-    for commit in &commits {
+    let merges = begins(codes::MERGE);
+    assert_eq!(merges.len(), ROUNDS as usize, "one merge per round");
+    for merge in &merges {
         let digests = begins(codes::DIGEST)
             .into_iter()
-            .filter(|e| {
-                e.trace_id == commit.trace_id
-                    && e.parent_span == commit.span_id
-                    && e.arg == commit.arg
-            })
+            .filter(|e| e.trace_id == merge.trace_id && e.parent_span == merge.span_id)
             .count();
         assert_eq!(
             digests, 1,
-            "epoch {}: the digest thread parents under barrier.commit",
-            commit.arg
+            "epoch {}: the digest thread parents under the merge",
+            merge.arg
         );
     }
     // Distinct rounds are distinct traces (deterministic per epoch).
