@@ -546,6 +546,10 @@ impl Engine {
                 metrics: EngineMetrics::default(),
             });
         };
+        // The copy the merge's refresh thread fills, so that thread never
+        // allocates. Taken before the round's smaller buffers, so each
+        // round's copy can take the place the last round's freed.
+        let mut final_weights = Vec::with_capacity(cfg.num_users);
         let start = Instant::now();
         let threads = filter_threads(cfg, metrics.reports_submitted as usize);
         let (shard_claims, stats): (Vec<ShardClaims>, Vec<ShardEpochStats>) =
@@ -568,8 +572,6 @@ impl Engine {
         // The canonical batch stores users ascending, so the accepted set
         // falls out of the merge without a separate sort.
         let accepted_users = scratch.arena.users().to_vec();
-        // Allocated here, so the merge's refresh thread never allocates.
-        let mut final_weights = Vec::with_capacity(cfg.num_users);
         let truths = crh.ingest_columnar_durably(
             &scratch.arena,
             cfg.merge_workers,
