@@ -59,19 +59,21 @@
 //! Everything whose size follows the population is built on an
 //! [`Engine`]'s first stage or close and reused by every later one — a
 //! campaign hosts one engine, so this is scratch per campaign, not per
-//! round: the [`ShardState`]s (12 bytes per user: the slot → arena-span
-//! index) and the merge's [`ColumnarBatch`] (8 bytes per user of slot
-//! reference, plus one occupancy bit), plus the columns of the largest
-//! round seen so far, twice — once spread over the shard arenas, once in
-//! the merge arena — at 12 bytes per claim each (a `u32` object, an
-//! `f64` value), and 24 more per reporting user (8 in a shard's arrival
-//! order, 16 in the merge arena's user and offset columns).
+//! round: the [`ShardState`]s (one bit per user, the first-wins bitmap)
+//! and the merge's [`ColumnarBatch`] (one occupancy bit per user); no
+//! other index in either is sized by the population. Beside them sit the
+//! columns of the largest round seen so far, twice — once spread over
+//! the shard arenas, once in the merge arena — at 12 bytes per claim
+//! each (a `u32` object, an `f64` value), and 32 more per reporting user
+//! (8 in a shard's arrival list: the slot and where its claims end; 8 in
+//! the merge's `(shard, row)` row sources; 16 in the merge arena's user
+//! and offset columns).
 //! A 1 M-user campaign at 2 % participation with 8 objects (160 k claims
-//! a round) therefore keeps ≈24 MB resident: 20 MB of per-user index,
-//! 3.8 MB of claim columns and 0.5 MB of per-reporter columns. Only the
-//! merge's occupancy bitmap (one bit a user) is re-zeroed each round;
-//! every other index resets in time proportional to the round's
-//! reports. A close takes
+//! a round) therefore keeps ≈4.7 MB resident: 0.25 MB of bitmaps,
+//! 3.8 MB of claim columns and 0.6 MB of per-reporter columns. Only the
+//! merge's occupancy bitmap is re-zeroed each round; every other index,
+//! the shards' bitmap words included, resets in time proportional to the
+//! round's reports. A close takes
 //! the scratch out of the engine and puts it back when it succeeds; a
 //! second close racing it on the same engine (or a clone) builds its
 //! own. A staged epoch lives in the parked scratch, so a failed or

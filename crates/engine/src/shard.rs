@@ -11,31 +11,45 @@
 //! so per-shard memory is proportional to the shard, not the population.
 //!
 //! Within an epoch a shard applies the epoch deadline, de-duplicates
-//! first-wins (the policy is [`dptd_protocol::dedup::DedupFilter`]'s; a
-//! late duplicate counts as late), and **copies an accepted report's
-//! claims into its own columnar arena** — a `u32` `objects` and an `f64`
-//! `values` column filled in arrival order, each object id narrowed by
-//! [`narrow_object`] — after which the report is garbage.
-//! The filter stores nothing but the span of the arena each local
-//! slot's report was given. [`ShardState::rows`] walks the slots
-//! ascending without closing the epoch, and [`ShardState::claims`]
-//! copies that walk into one contiguous, users-ascending [`ShardClaims`]
-//! (a node's repeatable prepare replies with it); at the epoch boundary
-//! [`ShardState::finish_epoch`] emits the same copy for the cross-shard
-//! merge (a slot's user is implied, its cells are two slice copies), and
-//! [`ShardState::end_epoch`] closes the epoch without one — a node
-//! commits the copy its last prepare already made.
-//! Resetting for the next epoch costs time proportional to the reports
-//! accepted, not to the users owned, so a `ShardState` is meant to live
-//! as long as its campaign.
+//! first-wins (a late duplicate counts as late) on a one-bit-per-slot
+//! bitmap, and **copies an accepted report's claims into its own
+//! columnar arena** — a `u32` `objects` and an `f64` `values` column
+//! filled in arrival order, each object id narrowed by [`narrow_object`]
+//! — after which the report is garbage. Beside the bitmap it keeps only
+//! the accepted slots in arrival order and where each one's claims end
+//! in the arena (CSR, so a report's cells start where the one before it
+//! ended).
 //!
-//! Resident cost: 12 bytes per owned user (the slot → span index) plus
-//! the arena of the largest epoch seen (12 bytes per claim).
+//! [`ShardState::claims`] copies the open epoch's rows into one
+//! contiguous, users-ascending [`ShardClaims`] (a node's repeatable
+//! prepare replies with it) without closing the epoch; at the epoch
+//! boundary [`ShardState::finish_epoch`] emits the same copy for the
+//! cross-shard merge, and [`ShardState::end_epoch`] closes the epoch
+//! without one — a node commits the copy its last prepare already made.
+//! The copy costs one step per accepted report plus one per 256-slot
+//! block: the arrivals are bucketed by block (a counting sort into the
+//! emitted users column, which the copy then overwrites), and each
+//! block fills a 256-entry table on the stack from its arrivals and walks
+//! its four bitmap words, so sparse and dense epochs take the same path.
+//! Resetting for the next epoch clears the bitmap words that arrivals
+//! touched and nothing else, so a `ShardState` is meant to live as long
+//! as its campaign.
+//!
+//! Resident cost: one bit per owned user, plus 8 bytes per accepted
+//! report (its slot and its arena end) and 12 bytes per claim for the
+//! largest epoch seen.
+//!
+//! The references (`dptd_protocol::sim`, `dptd_protocol::campaign`)
+//! apply the same policy through a per-user table of their own
+//! (`dptd_protocol::dedup`); the engine's proptests and
+//! `campaign_equivalence` keep the two equal.
 
-use dptd_protocol::dedup::DedupFilter;
 use dptd_protocol::message::StampedReport;
 use dptd_truth::streaming::{narrow_object, ShardClaims};
 use dptd_truth::Loss;
+
+/// Local slots per emission block: four bitmap words.
+const BLOCK: usize = 256;
 
 /// What a shard hands the merge at an epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,9 +72,15 @@ pub struct ShardState {
     num_shards: usize,
     epoch_deadline_us: u64,
     local_users: usize,
-    /// Local slot → `start..end` of the arena columns, for the first
-    /// on-time report only.
-    dedup: DedupFilter<(u32, u32)>,
+    /// One bit per local slot: set once the slot's first on-time report
+    /// is accepted this epoch.
+    seen: Vec<u64>,
+    /// The local slot of each accepted report, in arrival order.
+    /// Each accepted report's local slot and where its cells end in the
+    /// arena columns, in arrival order; its cells start where the report
+    /// before it ended.
+    arrivals: Vec<(u32, u32)>,
+    duplicates: usize,
     late_dropped: u64,
     /// Accepted claims of the open epoch as parallel columns, one span
     /// per report, in arrival order.
@@ -77,8 +97,9 @@ impl ShardState {
     ///
     /// # Panics
     ///
-    /// Panics if `shard_id >= num_shards` or the shard owns no users —
-    /// the engine validates `num_shards <= num_users` up front.
+    /// Panics if `shard_id >= num_shards`, if the shard owns no users —
+    /// the engine validates `num_shards <= num_users` up front — or if it
+    /// owns more than 2³² (a slot is stored as a `u32`).
     pub fn new(
         shard_id: usize,
         num_shards: usize,
@@ -90,12 +111,18 @@ impl ShardState {
         assert!(shard_id < num_shards, "shard id out of range");
         let local_users = num_users.saturating_sub(shard_id).div_ceil(num_shards);
         assert!(local_users > 0, "shard {shard_id} owns no users");
+        assert!(
+            u32::try_from(local_users - 1).is_ok(),
+            "shard {shard_id} owns more than 2^32 users"
+        );
         Self {
             shard_id,
             num_shards,
             epoch_deadline_us,
             local_users,
-            dedup: DedupFilter::new(local_users),
+            seen: vec![0; local_users.div_ceil(64)],
+            arrivals: Vec::new(),
+            duplicates: 0,
             late_dropped: 0,
             objects: Vec::new(),
             values: Vec::new(),
@@ -145,44 +172,31 @@ impl ShardState {
             return false;
         }
         let claims = &stamped.report.values;
-        let start = self.values.len();
-        let end = u32::try_from(start + claims.len())
+        let end = u32::try_from(self.values.len() + claims.len())
             .expect("a shard's epoch arena holds fewer than 2^32 claims");
-        // `start <= end`, so it fits as well.
-        if !self
-            .dedup
-            .accept(user / self.num_shards, (start as u32, end))
-        {
+        let slot = user / self.num_shards;
+        let (word, bit) = (&mut self.seen[slot / 64], 1u64 << (slot % 64));
+        if *word & bit != 0 {
+            self.duplicates += 1;
             return false;
         }
+        *word |= bit;
+        // `new` checked that every local slot fits.
+        self.arrivals.push((slot as u32, end));
         self.objects
             .extend(claims.iter().map(|&(object, _)| narrow_object(object)));
         self.values.extend(claims.iter().map(|&(_, value)| value));
         true
     }
 
-    /// The open epoch's accepted rows so far, users ascending: each
-    /// row's user and its claims as parallel `objects` / `values` slices
-    /// of the arena, in report order. A view — the epoch stays open.
-    pub fn rows(&self) -> impl Iterator<Item = (usize, &[u32], &[f64])> + '_ {
-        self.dedup.slot_ordered().map(|(slot, &(start, end))| {
-            let cells = start as usize..end as usize;
-            (
-                slot * self.num_shards + self.shard_id,
-                &self.objects[cells.clone()],
-                &self.values[cells],
-            )
-        })
-    }
-
     /// Reports accepted into the open epoch so far.
     pub fn accepted(&self) -> usize {
-        self.dedup.len()
+        self.arrivals.len()
     }
 
     /// Duplicates discarded in the open epoch so far.
     pub fn duplicates_discarded(&self) -> usize {
-        self.dedup.duplicates_discarded()
+        self.duplicates
     }
 
     /// Reports dropped for missing the deadline in the open epoch so far.
@@ -190,15 +204,67 @@ impl ShardState {
         self.late_dropped
     }
 
-    /// [`ShardState::rows`] copied into one users-ascending
-    /// [`ShardClaims`], sized exactly: four allocations, whatever the
-    /// row count. The epoch stays open.
+    /// The open epoch's accepted rows, users ascending, as one
+    /// contiguous [`ShardClaims`] sized exactly: each row's user and its
+    /// claims in report order. The epoch stays open.
     pub fn claims(&self) -> ShardClaims {
-        let mut claims = ShardClaims::with_capacity(self.accepted(), self.values.len());
-        for (user, objects, values) in self.rows() {
-            claims.push_row(user, objects, values);
+        let rows = self.arrivals.len();
+        // Count each block's arrivals, then turn the counts into where
+        // each block's run starts.
+        let mut runs = vec![0u32; self.seen.len().div_ceil(BLOCK / 64)];
+        for &(slot, _) in &self.arrivals {
+            runs[slot as usize / BLOCK] += 1;
         }
-        claims
+        let mut start = 0;
+        for run in &mut runs {
+            (*run, start) = (start, start + *run);
+        }
+        // Bucket the arrivals by block, in arrival order within a block,
+        // in the column that becomes the users; `runs[b]` ends up where
+        // block `b`'s run ends.
+        let mut users = vec![0; rows];
+        for (arrival, &(slot, _)) in self.arrivals.iter().enumerate() {
+            let next = &mut runs[slot as usize / BLOCK];
+            users[*next as usize] = arrival;
+            *next += 1;
+        }
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        let mut objects = Vec::with_capacity(self.objects.len());
+        let mut values = Vec::with_capacity(self.values.len());
+        // A block's arrivals by slot within it; only the entries whose
+        // bit is set are read, and each of those was written for this
+        // block.
+        let mut table = [0u32; BLOCK];
+        let mut lo = 0;
+        for (block, words) in self.seen.chunks(BLOCK / 64).enumerate() {
+            let hi = runs[block] as usize;
+            for &arrival in &users[lo..hi] {
+                table[self.arrivals[arrival].0 as usize % BLOCK] = arrival as u32;
+            }
+            // Each row is written after its block's arrivals were read
+            // out, so the walk overwrites only what it no longer needs.
+            let mut row = lo;
+            for (w, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let at = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let arrival = table[at] as usize;
+                    let start = arrival.checked_sub(1).map_or(0, |a| self.arrivals[a].1);
+                    let cells = start as usize..self.arrivals[arrival].1 as usize;
+                    objects.extend_from_slice(&self.objects[cells.clone()]);
+                    values.extend_from_slice(&self.values[cells]);
+                    offsets.push(objects.len());
+                    users[row] = (block * BLOCK + at) * self.num_shards + self.shard_id;
+                    row += 1;
+                }
+            }
+            debug_assert_eq!(row, hi, "one bit per accepted slot");
+            lo = hi;
+        }
+        ShardClaims::from_columns(users, offsets, objects, values)
+            .expect("rows are laid out in order")
     }
 
     /// Close the current epoch: emit [`ShardState::claims`] as the
@@ -215,10 +281,13 @@ impl ShardState {
     pub fn end_epoch(&mut self) -> ShardEpochStats {
         let stats = ShardEpochStats {
             accepted: self.accepted(),
-            duplicates_discarded: self.duplicates_discarded(),
+            duplicates_discarded: std::mem::take(&mut self.duplicates),
             late_dropped: std::mem::take(&mut self.late_dropped),
         };
-        self.dedup.reset();
+        for &(slot, _) in &self.arrivals {
+            self.seen[slot as usize / 64] = 0;
+        }
+        self.arrivals.clear();
         self.objects.clear();
         self.values.clear();
         stats
@@ -279,16 +348,18 @@ mod tests {
         assert!(s.ingest(stamped(1, 70, vec![(0, 4.0)])));
         let counts = (s.accepted(), s.duplicates_discarded(), s.late_dropped());
         assert_eq!(counts, (2, 1, 1));
-        // The open-epoch view closes nothing, and is what the close emits.
-        let cells = |(user, _, values): (usize, &[u32], &[f64])| (user, values.to_vec());
-        let view: Vec<(usize, Vec<f64>)> = s.rows().map(cells).collect();
+        // The open-epoch copy closes nothing, and is what the close emits.
+        let cells = |claims: &ShardClaims| -> Vec<(usize, Vec<f64>)> {
+            (0..claims.len())
+                .map(|r| (claims.row(r).0, claims.row(r).2.to_vec()))
+                .collect()
+        };
+        let view = cells(&s.claims());
         // First-wins: the value of the first on-time report survived.
         assert_eq!(view, vec![(0, vec![1.0]), (1, vec![4.0])]);
-        assert_eq!(s.rows().count(), 2, "reading the view twice");
+        assert_eq!(cells(&s.claims()), view, "copying the epoch twice");
         let (claims, stats) = s.finish_epoch();
-        let emitted: Vec<(usize, Vec<f64>)> =
-            (0..claims.len()).map(|r| cells(claims.row(r))).collect();
-        assert_eq!(emitted, view);
+        assert_eq!(cells(&claims), view);
         let closed = (
             stats.accepted,
             stats.duplicates_discarded,

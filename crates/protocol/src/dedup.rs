@@ -1,32 +1,31 @@
-//! First-wins report de-duplication.
+//! First-wins report de-duplication for the in-process references.
 //!
 //! Every runtime must cope with duplicate submissions (retries,
 //! at-least-once transports): the server keeps the **first** report per
-//! user and counts the rest. This filter is that policy, shared by the
-//! in-process references (`sim.rs`, `SimBackend`) and the engine's round
-//! filter, `dptd_engine::shard::ShardState` — which the engine runs per
-//! shard and a cluster node runs over its partition.
+//! user and counts the rest. This filter is that policy for the
+//! references — the event simulator (`sim.rs`) and `SimBackend`
+//! (`campaign.rs`) — indexed by global user id, each slot holding the
+//! report itself, built fresh for each round.
 //!
-//! The filter is indexed by a caller-chosen *slot*: the references use
-//! the global user id, a shard a dense local index for its own
-//! sub-population (keeping its memory proportional to the shard, not the
-//! population). What a slot *stores* is the caller's choice too: the
-//! references keep the report itself, a shard keeps the span of its
-//! columnar arena that holds the report's claims.
+//! The engine's filter is `dptd_engine::shard::ShardState`, which the
+//! engine runs per shard and a cluster node runs over its partition: a
+//! one-bit-per-user bitmap beside an arena of claims. The two apply the
+//! same policy (deadline first, then first-wins), and
+//! `campaign_equivalence` and the engine's proptests keep them
+//! bit-equal.
 
 use dptd_core::roles::PerturbedReport;
 
 /// First-wins de-duplication over a fixed number of slots, each holding
-/// a `T` for the first arrival (the report itself unless the caller says
-/// otherwise).
+/// the first report to arrive for it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DedupFilter<T = PerturbedReport> {
-    received: Vec<Option<T>>,
+pub struct DedupFilter {
+    received: Vec<Option<PerturbedReport>>,
     arrival_order: Vec<usize>,
     duplicates: usize,
 }
 
-impl<T> DedupFilter<T> {
+impl DedupFilter {
     /// A filter with `slots` empty slots.
     pub fn new(slots: usize) -> Self {
         Self {
@@ -42,7 +41,7 @@ impl<T> DedupFilter<T> {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    pub fn accept(&mut self, slot: usize, report: T) -> bool {
+    pub fn accept(&mut self, slot: usize, report: PerturbedReport) -> bool {
         assert!(slot < self.received.len(), "dedup slot {slot} out of range");
         if self.received[slot].is_some() {
             self.duplicates += 1;
@@ -51,17 +50,6 @@ impl<T> DedupFilter<T> {
         self.arrival_order.push(slot);
         self.received[slot] = Some(report);
         true
-    }
-
-    /// Empty every slot and zero the duplicate count, in time
-    /// proportional to the reports accepted since the last reset — not
-    /// to the slot count — keeping the allocation. A filter that lives
-    /// as long as its campaign calls this at each round boundary.
-    pub fn reset(&mut self) {
-        for slot in self.arrival_order.drain(..) {
-            self.received[slot] = None;
-        }
-        self.duplicates = 0;
     }
 
     /// Number of duplicates discarded so far.
@@ -93,13 +81,8 @@ impl<T> DedupFilter<T> {
             .collect()
     }
 
-    /// The accepted report in `slot`, if any.
-    pub fn get(&self, slot: usize) -> Option<&T> {
-        self.received.get(slot).and_then(Option::as_ref)
-    }
-
     /// Consume the filter, yielding the accepted reports in arrival order.
-    pub fn into_reports(self) -> Vec<T> {
+    pub fn into_reports(self) -> Vec<PerturbedReport> {
         let mut received = self.received;
         self.arrival_order
             .iter()
@@ -107,20 +90,10 @@ impl<T> DedupFilter<T> {
             .collect()
     }
 
-    /// The accepted `(slot, report)` pairs so far, in **ascending slot
-    /// order**, borrowed — what [`DedupFilter::into_slot_ordered`] would
-    /// yield, without consuming (or cloning) the filter.
-    pub fn slot_ordered(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.received
-            .iter()
-            .enumerate()
-            .filter_map(|(s, r)| r.as_ref().map(|r| (s, r)))
-    }
-
     /// Consume the filter, yielding `(slot, report)` pairs in **ascending
-    /// slot order** — the canonical layout the cross-shard merge of the
-    /// aggregation engine requires.
-    pub fn into_slot_ordered(self) -> Vec<(usize, T)> {
+    /// slot order** — users ascending, the order a round's batch is
+    /// built in.
+    pub fn into_slot_ordered(self) -> Vec<(usize, PerturbedReport)> {
         self.received
             .into_iter()
             .enumerate()
@@ -151,7 +124,7 @@ mod tests {
         assert_eq!(d.participants(), &[1, 0]);
         assert_eq!(d.missing(), vec![2]);
         // The first value survived.
-        assert_eq!(d.get(1).unwrap().values[0].1, 10.0);
+        assert_eq!(d.into_reports()[0].values[0].1, 10.0);
     }
 
     #[test]
@@ -175,23 +148,6 @@ mod tests {
         }
         let slots: Vec<usize> = d.into_slot_ordered().into_iter().map(|(s, _)| s).collect();
         assert_eq!(slots, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn reset_forgets_the_round_and_stores_any_payload() {
-        // The engine's shards store an arena index, not a report.
-        let mut d: DedupFilter<u32> = DedupFilter::new(4);
-        assert!(d.accept(3, 0));
-        assert!(d.accept(1, 1));
-        assert!(!d.accept(3, 2));
-        assert_eq!(d.slot_ordered().collect::<Vec<_>>(), vec![(1, &1), (3, &0)]);
-        d.reset();
-        assert!(d.is_empty());
-        assert_eq!(d.duplicates_discarded(), 0);
-        assert_eq!(d.missing(), vec![0, 1, 2, 3]);
-        // Last round's users are first arrivals again.
-        assert!(d.accept(3, 0));
-        assert_eq!(d.participants(), &[3]);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! experiments. (Real concurrency is the serving layer's: `dptd-engine`,
 //! `dptd-server`.)
 //!
-//! Shared infrastructure grew out of the simulator and is reused by the
-//! `dptd-engine` streaming aggregator: [`dedup`] (first-wins duplicate
-//! filtering) and [`message::StampedReport`] (an epoch/arrival-time-stamped
-//! report).
+//! Shared infrastructure grew out of the simulator: [`dedup`] (the
+//! references' first-wins duplicate filter, whose policy the
+//! `dptd-engine` shards apply on a bitmap of their own) and
+//! [`message::StampedReport`] (an epoch/arrival-time-stamped report, which
+//! the engine takes as its input).
 //!
 //! Multi-round campaigns live in [`campaign`]: a backend-abstracted
 //! [`campaign::CampaignDriver`] executes each round through a pluggable

@@ -275,8 +275,8 @@ impl<A: TruthDiscoverer + Clone> SimHarness<A> {
             );
         }
 
-        // Event loop. De-duplication is first-wins, shared with the
-        // streaming engine through [`crate::dedup::DedupFilter`].
+        // Event loop. De-duplication is first-wins, the engine shards'
+        // policy, through [`crate::dedup::DedupFilter`].
         let mut dedup = DedupFilter::new(num_users);
         let mut clock = 0u64;
 

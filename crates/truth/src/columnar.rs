@@ -35,13 +35,18 @@
 //!
 //! # Finding the reporters
 //!
-//! [`ColumnarBatch::load_shards`] records which users hold a slot in a
+//! [`ColumnarBatch::load_shards`] keeps no per-user index beside a
 //! one-bit-per-user occupancy bitmap: the first pass test-and-sets a
-//! user's bit (a bit already set is a repeated slot), then one serial
-//! walk of the bitmap, a 64-user word at a time with `trailing_zeros`,
-//! lays out the canonical user order and each row's cell offset, so it
-//! costs `num_users / 64` word reads plus one step per reporter — not
-//! a scan of a per-user stamp array.
+//! user's bit (a bit already set is a repeated slot) and notes whether
+//! each shard's users ascend. The rows are then laid out a leaf at a
+//! time: a cursor per shard moves that shard's rows in the leaf into a
+//! 256-entry table on the stack, and the leaf's four occupancy words
+//! read the table back users ascending, with `trailing_zeros`. A leaf
+//! with no bit set is skipped on its four words, so the layout costs
+//! `num_users / 64` word reads plus one step per reporter and one per
+//! shard per occupied leaf. A shard pushed out of user order (the
+//! public API allows it; the engine's shards and a coordinator's nodes
+//! never do) is first given a row permutation of its own.
 //!
 //! # Copying the claims
 //!
@@ -103,9 +108,11 @@ pub const MAX_CLAIM_MAGNITUDE: f64 = 1e100;
 /// unvalidated, so loading one is a column-to-column copy. An object id
 /// is widened to `usize` only where a kernel indexes by it.
 ///
-/// The arena is meant to outlive the epoch: the per-user slot index is
-/// an 8-byte slot reference plus one occupancy bit a user, and the
-/// columns keep the capacity of the largest epoch loaded so far.
+/// The arena is meant to outlive the epoch: it keeps one occupancy bit
+/// a user, and every other buffer — the columns, and the 8-byte
+/// `(shard, row)` source of each row that a load lays out (4 more bytes
+/// a row for a shard pushed out of user order) — is sized by the rows
+/// and keeps the capacity of the largest epoch loaded so far.
 #[derive(Debug, Clone)]
 pub struct ColumnarBatch {
     num_users: usize,
@@ -119,8 +126,10 @@ pub struct ColumnarBatch {
     leaf_starts: Vec<usize>,
     /// One bit per user: set while the user holds a slot this epoch.
     occupied: Vec<u64>,
-    /// The `(shard, row)` that holds each occupied user's slot.
-    slot_ref: Vec<(u32, u32)>,
+    /// The `(shard, row)` each canonical row is copied from.
+    sources: Vec<(u32, u32)>,
+    /// The rows of each shard not pushed users-ascending, in user order.
+    reordered: Vec<u32>,
 }
 
 impl ColumnarBatch {
@@ -136,7 +145,8 @@ impl ColumnarBatch {
             object_counts: vec![0; num_objects],
             leaf_starts: Vec::new(),
             occupied: vec![0; num_users.div_ceil(64)],
-            slot_ref: vec![(0, 0); num_users],
+            sources: Vec::new(),
+            reordered: Vec::new(),
         }
     }
 
@@ -158,6 +168,20 @@ impl ColumnarBatch {
     /// Total claims loaded this epoch.
     pub fn num_claims(&self) -> usize {
         self.offsets[self.users.len()]
+    }
+
+    /// The epoch's four columns, as [`ShardClaims::columns`] lays them
+    /// out: the users ascending, the `users().len() + 1` row offsets
+    /// (from 0), and every claim's object and value, ascending by object
+    /// within a row.
+    pub fn columns(&self) -> (&[usize], &[usize], &[u32], &[f64]) {
+        let cells = self.num_claims();
+        (
+            &self.users,
+            &self.offsets,
+            &self.objects[..cells],
+            &self.values[..cells],
+        )
     }
 
     /// Leaves in the reduction tree — `ceil(num_users / LEAF_SPAN)`, a
@@ -183,8 +207,8 @@ impl ColumnarBatch {
     /// Two passes. The first walks every shard's rows in shard/push
     /// order and sets each user's occupancy bit — a user outside the
     /// population or a bit already set is reported for the first row
-    /// that does it — and is all that looks at a row's *user*. A short
-    /// serial walk of the bitmap then lays out the canonical user order
+    /// that does it — and is all that checks a row's *user*. A serial
+    /// walk of the occupied leaves then lays out the canonical user order
     /// and where each row's cells start. The second pass copies each
     /// row's columns across, validating every *cell* on the way (object
     /// range, then finiteness and magnitude, then a repeated object, in
@@ -215,10 +239,16 @@ impl ColumnarBatch {
         // is the whole price of starting from an empty bitmap.
         self.occupied.fill(0);
         // Pass 1 — slot occupancy, in shard/push order so the first
-        // conflicting entry is the one reported.
-        for (s, shard) in shards.iter().enumerate() {
-            for e in 0..shard.len() {
-                let (user, objects, _) = shard.row(e);
+        // conflicting entry is the one reported. Each shard's rows are
+        // then read in user order: in push order if that ascends (the
+        // engine's shards and a coordinator's nodes do), else through a
+        // permutation of their own in `reordered`. A lane is the shard's
+        // next row in that order and where its permutation starts.
+        self.reordered.clear();
+        let mut lanes: Vec<(usize, Option<usize>)> = Vec::with_capacity(shards.len());
+        for shard in shards {
+            let (users, offsets, objects, _) = shard.columns();
+            for (e, &user) in users.iter().enumerate() {
                 if user >= self.num_users {
                     return Err(TruthError::UserOutOfRange {
                         user,
@@ -228,31 +258,61 @@ impl ColumnarBatch {
                 let (word, bit) = (user / 64, 1u64 << (user % 64));
                 let bits = &mut self.occupied[word];
                 if *bits & bit != 0 {
+                    let first = objects[offsets[e]..offsets[e + 1]].first();
                     return Err(TruthError::DuplicateObservation {
                         user,
-                        object: objects.first().map_or(0, |&object| object as usize),
+                        object: first.map_or(0, |&object| object as usize),
                     });
                 }
                 *bits |= bit;
-                self.slot_ref[user] = (s as u32, e as u32);
             }
+            let ascending = users.windows(2).all(|w| w[0] < w[1]);
+            let base = (!ascending).then(|| {
+                let base = self.reordered.len();
+                self.reordered.extend(0..users.len() as u32);
+                self.reordered[base..].sort_unstable_by_key(|&e| users[e as usize]);
+                base
+            });
+            lanes.push((0, base));
         }
         if self.num_objects == 0 {
             return Err(TruthError::EmptyMatrix);
         }
-        // Canonical order: users ascending, each row's cells placed from
-        // its length alone. Shards that emit their rows users-ascending
-        // (the engine's do) are read front to back.
+        // Canonical order, a leaf at a time: every shard's rows in the
+        // leaf go into a table by user, and the leaf's occupancy words
+        // read it back users ascending, each row's cells placed from its
+        // length alone.
+        self.sources.clear();
+        let mut table = [(0u32, 0u32); LEAF_SPAN];
         let mut end = 0;
-        for word in 0..self.occupied.len() {
-            let mut bits = self.occupied[word];
-            while bits != 0 {
-                let user = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (s, e) = self.slot_ref[user];
-                end += shards[s as usize].row(e as usize).1.len();
-                self.users.push(user);
-                self.offsets.push(end);
+        for (leaf, words) in self.occupied.chunks(LEAF_SPAN / 64).enumerate() {
+            if words.iter().all(|&word| word == 0) {
+                continue;
+            }
+            let bound = (leaf + 1) * LEAF_SPAN;
+            for (s, (shard, (next, base))) in shards.iter().zip(&mut lanes).enumerate() {
+                let users = shard.columns().0;
+                while *next < users.len() {
+                    let e = base.map_or(*next, |base| self.reordered[base + *next] as usize);
+                    if users[e] >= bound {
+                        break;
+                    }
+                    table[users[e] % LEAF_SPAN] = (s as u32, e as u32);
+                    *next += 1;
+                }
+            }
+            for (w, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let at = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (s, e) = table[at];
+                    let offsets = shards[s as usize].columns().1;
+                    end += offsets[e as usize + 1] - offsets[e as usize];
+                    self.users.push(leaf * LEAF_SPAN + at);
+                    self.offsets.push(end);
+                    self.sources.push((s, e));
+                }
             }
         }
         // Pass 2 — reuse the columns as they are: `resize` only writes
@@ -274,7 +334,7 @@ impl ColumnarBatch {
     fn copy_rows(&mut self, shards: &[ShardClaims]) -> Result<(), TruthError> {
         let rows = self.users.len();
         let workers = effective_workers(0, self.num_claims(), rows);
-        let (num_objects, slot_ref) = (self.num_objects, &self.slot_ref[..]);
+        let (num_objects, sources) = (self.num_objects, &self.sources[..]);
         let (users, offsets) = (&self.users[..], &self.offsets[..]);
         // One run: rows `lo..hi`, whose cells are `objects` / `values`.
         let copy_run = |lo: usize, hi: usize, objects: &mut [u32], values: &mut [f64]| {
@@ -284,7 +344,7 @@ impl ColumnarBatch {
             let mut sorted = Vec::new();
             for row in lo..hi {
                 let user = users[row];
-                let (s, e) = slot_ref[user];
+                let (s, e) = sources[row];
                 let (_, row_objects, row_values) = shards[s as usize].row(e as usize);
                 let mut ascending = true;
                 let mut prev = 0;

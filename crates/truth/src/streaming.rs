@@ -554,24 +554,10 @@ impl ShardClaims {
         self.offsets.push(self.objects.len());
     }
 
-    /// [`ShardClaims::push`] from claims already split into parallel
-    /// `objects` / `values` slices — two contiguous copies. This is how
-    /// a shard emits its rows users-ascending out of its columnar arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn push_row(&mut self, user: usize, objects: &[u32], values: &[f64]) {
-        assert_eq!(objects.len(), values.len(), "one value per object");
-        self.objects.extend_from_slice(objects);
-        self.values.extend_from_slice(values);
-        self.users.push(user);
-        self.offsets.push(self.objects.len());
-    }
-
     /// A claim set from its four columns, as [`ShardClaims::columns`]
-    /// returns them — how a decoder that read the columns off the wire
-    /// hands them over without a per-row copy. `None` unless `offsets`
+    /// returns them — how a decoder that read the columns off the wire,
+    /// or a shard that laid out its rows, hands them over without a
+    /// per-row copy. `None` unless `offsets`
     /// has one more entry than `users`, starts at 0, never decreases and
     /// ends at the length of `objects` and of `values`.
     pub fn from_columns(

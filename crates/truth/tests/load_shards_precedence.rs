@@ -487,3 +487,88 @@ fn a_sharded_load_equals_the_matrix_path_bit_for_bit() {
         }
     }
 }
+
+/// The order rows were pushed in, and the order shards are passed in,
+/// cannot move a load: shards pushed descending, shuffled, or some of
+/// each, and shards passed shuffled or reversed, load to the same users,
+/// offsets and columns as the users-ascending push, and to the same
+/// truths and weights by bits — on either side of the parallel
+/// threshold, two epochs through one arena and one estimator.
+#[test]
+fn push_order_cannot_move_the_merge() {
+    use dptd_truth::streaming::StreamingCrh;
+    use dptd_truth::Loss;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    type Columns = (Vec<usize>, Vec<usize>, Vec<u32>, Vec<u64>);
+    let columns = |batch: &ColumnarBatch| -> Columns {
+        let (users, offsets, objects, values) = batch.columns();
+        let bits = values.iter().map(|v| v.to_bits()).collect();
+        (users.to_vec(), offsets.to_vec(), objects.to_vec(), bits)
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // Each shard's rows in push order, then the order the shards are
+    // passed in.
+    let arrangements = [
+        "descending",
+        "shuffled",
+        "ascending, shards shuffled",
+        "ascending, shards reversed",
+        "half shuffled, half descending, shards shuffled",
+    ];
+    for claims in [PAR_CLAIM_THRESHOLD - 1, 4 * PAR_CLAIM_THRESHOLD] {
+        let num_users = big_epoch(claims, 0).0;
+        for (a, arrangement) in arrangements.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64((claims * 10 + a) as u64);
+            let mut expected_crh = StreamingCrh::new(num_users, Loss::NormalizedSquared).unwrap();
+            let mut live_crh = StreamingCrh::new(num_users, Loss::NormalizedSquared).unwrap();
+            let mut expected = ColumnarBatch::new(num_users, OBJECTS);
+            let mut live = ColumnarBatch::new(num_users, OBJECTS);
+            for epoch in 0..2 {
+                let what = format!("{claims} claims, {arrangement}, epoch {epoch}");
+                let (_, rows) = big_epoch(claims, epoch + 4);
+                let mut by_shard: Vec<Vec<Row>> = vec![Vec::new(); SHARDS];
+                for row in &rows {
+                    by_shard[row.0 % SHARDS].push(row.clone());
+                }
+                for (s, shard_rows) in by_shard.iter_mut().enumerate() {
+                    match (a, s % 2) {
+                        (0, _) | (4, 1) => shard_rows.reverse(),
+                        (1, _) | (4, 0) => shard_rows.shuffle(&mut rng),
+                        _ => {}
+                    }
+                }
+                match a {
+                    2 | 4 => by_shard.shuffle(&mut rng),
+                    3 => by_shard.reverse(),
+                    _ => {}
+                }
+                let shards: Vec<ShardClaims> = by_shard
+                    .into_iter()
+                    .map(|shard_rows| {
+                        let mut shard = ShardClaims::new();
+                        for (user, claims) in shard_rows {
+                            shard.push(user, claims);
+                        }
+                        shard
+                    })
+                    .collect();
+                expected.load_shards(&sharded(&rows)).unwrap();
+                live.load_shards(&shards).unwrap();
+                assert_eq!(columns(&live), columns(&expected), "{what}: columns");
+                let want = expected_crh
+                    .ingest_columnar_with_workers(&expected, 0)
+                    .unwrap();
+                let got = live_crh.ingest_columnar_with_workers(&live, 0).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{what}: truths");
+                assert_eq!(
+                    bits(live_crh.weights()),
+                    bits(expected_crh.weights()),
+                    "{what}: weights"
+                );
+            }
+        }
+    }
+}
