@@ -211,7 +211,7 @@ impl ShardState {
         let rows = self.arrivals.len();
         // Count each block's arrivals, then turn the counts into where
         // each block's run starts.
-        let mut runs = vec![0u32; self.seen.len().div_ceil(BLOCK / 64)];
+        let mut runs = vec![0; self.seen.len().div_ceil(BLOCK / 64)];
         for &(slot, _) in &self.arrivals {
             runs[slot as usize / BLOCK] += 1;
         }
@@ -225,7 +225,7 @@ impl ShardState {
         let mut users = vec![0; rows];
         for (arrival, &(slot, _)) in self.arrivals.iter().enumerate() {
             let next = &mut runs[slot as usize / BLOCK];
-            users[*next as usize] = arrival;
+            users[*next] = arrival;
             *next += 1;
         }
         let mut offsets = Vec::with_capacity(rows + 1);
@@ -238,7 +238,7 @@ impl ShardState {
         let mut table = [0u32; BLOCK];
         let mut lo = 0;
         for (block, words) in self.seen.chunks(BLOCK / 64).enumerate() {
-            let hi = runs[block] as usize;
+            let hi = runs[block];
             for &arrival in &users[lo..hi] {
                 table[self.arrivals[arrival].0 as usize % BLOCK] = arrival as u32;
             }
