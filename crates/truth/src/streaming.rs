@@ -521,7 +521,12 @@ pub struct ShardClaims {
 
 impl Default for ShardClaims {
     fn default() -> Self {
-        Self::with_capacity(0, 0)
+        Self {
+            users: Vec::new(),
+            offsets: vec![0],
+            objects: Vec::new(),
+            values: Vec::new(),
+        }
     }
 }
 
@@ -529,18 +534,6 @@ impl ShardClaims {
     /// An empty claim set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty claim set with room for `users` rows and `claims` cells.
-    pub fn with_capacity(users: usize, claims: usize) -> Self {
-        let mut offsets = Vec::with_capacity(users + 1);
-        offsets.push(0);
-        Self {
-            users: Vec::with_capacity(users),
-            offsets,
-            objects: Vec::with_capacity(claims),
-            values: Vec::with_capacity(claims),
-        }
     }
 
     /// Record `claims` (`(object, value)` pairs) for `user`, each object
@@ -557,9 +550,9 @@ impl ShardClaims {
     /// A claim set from its four columns, as [`ShardClaims::columns`]
     /// returns them — how a decoder that read the columns off the wire,
     /// or a shard that laid out its rows, hands them over without a
-    /// per-row copy. `None` unless `offsets`
-    /// has one more entry than `users`, starts at 0, never decreases and
-    /// ends at the length of `objects` and of `values`.
+    /// per-row copy. `None` unless `offsets` has one more entry than
+    /// `users`, starts at 0, never decreases and ends at the length of
+    /// `objects` and of `values`.
     pub fn from_columns(
         users: Vec<usize>,
         offsets: Vec<usize>,
