@@ -27,6 +27,9 @@
 //! * [`wal`] — the epoch write-ahead log: checksummed, length-prefixed
 //!   [`EpochRecord`]s, and the single-segment [`WalWriter`] that appends
 //!   them through the store's filesystem seam ([`store::StoreFs`]).
+//! * [`codec`] — the one payload codec: the log's records, the store's
+//!   manifest and the server's wire frames are declared with its field
+//!   kinds.
 //! * [`store`] — the segmented snapshot store: [`SegmentStore`] rotates
 //!   sealed segments under an atomically-rewritten manifest, and its
 //!   compactor writes full-state snapshot records then garbage-collects
@@ -73,6 +76,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod backend;
+pub mod codec;
 pub mod engine;
 pub mod loadgen;
 pub mod metrics;

@@ -21,13 +21,13 @@
 //! ```
 //!
 //! `len_check` is `payload_len ^ "MAN1"` and `checksum` is FNV-1a over
-//! the payload — the same self-check + checksum discipline as the WAL's
-//! record frames. Segment ids are strictly increasing; the **last** id
-//! is the active (appending) segment.
+//! the payload: the frame is the WAL's own ([`crate::wal`] writes and
+//! parses it), and the payload is declared with [`crate::codec`].
+//! Segment ids are strictly increasing; the **last** id is the active
+//! (appending) segment.
 
-use dptd_stats::digest::Fnv1a;
-
-use crate::wal::WalError;
+use crate::codec::{Ascending, Counter, Field, Malformed, Reader};
+use crate::wal::{checksum, put_frame, read_header, WalError, FRAME_HEADER_LEN};
 
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -76,16 +76,12 @@ impl Manifest {
 
     /// Encode the manifest file (magic + checksummed frame).
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(8 + 8 * self.segments.len());
-        payload.extend_from_slice(&(self.segments.len() as u64).to_le_bytes());
-        for &id in &self.segments {
-            payload.extend_from_slice(&id.to_le_bytes());
-        }
+        let mut len = Counter(0);
+        Ascending::<u64>::put(&self.segments, &mut len);
         let mut bytes = MANIFEST_MAGIC.to_vec();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&((payload.len() as u32) ^ MAN_XOR).to_le_bytes());
-        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        put_frame(&mut bytes, MAN_XOR, len.0, |w| {
+            Ascending::<u64>::put(&self.segments, w)
+        });
         bytes
     }
 
@@ -105,51 +101,26 @@ impl Manifest {
             return Err(WalError::BadMagic);
         }
         let rest = &bytes[MANIFEST_MAGIC.len()..];
-        if rest.len() < 16 {
-            return Err(corrupt("manifest frame header truncated", 8));
+        let (payload_len, mask, sum) =
+            read_header(rest).ok_or(corrupt("manifest frame header truncated", 8))?;
+        let payload = &rest[FRAME_HEADER_LEN..];
+        if mask != MAN_XOR || payload.len() != payload_len || checksum(payload) != sum {
+            return Err(corrupt(
+                "manifest frame failed its length or checksum check",
+                8,
+            ));
         }
-        let payload_len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-        let len_check = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if payload_len ^ MAN_XOR != len_check {
-            return Err(corrupt("manifest length failed its self-check", 8));
-        }
-        let stored_sum = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-        let payload = &rest[16..];
-        if payload.len() != payload_len as usize {
-            return Err(corrupt("manifest payload length mismatch", 24));
-        }
-        if checksum(payload) != stored_sum {
-            return Err(corrupt("manifest checksum mismatch", 24));
-        }
-        if payload.len() < 8 {
-            return Err(corrupt("manifest payload truncated", 24));
-        }
-        let count = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let ids = &payload[8..];
-        if ids.len() as u64 != count.saturating_mul(8) {
+        let r = &mut Reader { buf: payload };
+        let segments: Vec<u64> =
+            Ascending::<u64>::get(r).map_err(|Malformed(reason)| corrupt(reason, 24))?;
+        if !r.buf.is_empty() {
             return Err(corrupt("manifest id count disagrees with its payload", 24));
         }
-        if count == 0 {
+        if segments.is_empty() {
             return Err(corrupt("manifest names no segments", 24));
-        }
-        let mut segments = Vec::with_capacity(count as usize);
-        for chunk in ids.chunks_exact(8) {
-            let id = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            if segments.last().is_some_and(|&last| id <= last) {
-                return Err(corrupt("manifest segment ids not increasing", 24));
-            }
-            segments.push(id);
         }
         Ok(Self { segments })
     }
-}
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    for &b in payload {
-        h.write_u8(b);
-    }
-    h.finish()
 }
 
 #[cfg(test)]

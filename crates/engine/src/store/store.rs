@@ -13,6 +13,7 @@
 
 use std::path::Path;
 
+use crate::codec::Field;
 use crate::wal::{
     self, EpochRecord, RecordKind, RecordLog, Replay, RoundRecord, WalError, WAL_MAGIC,
 };
@@ -122,16 +123,17 @@ impl StoreReplay {
 
     /// Bytes a compaction running now would free: everything except
     /// one fresh segment holding a snapshot of the newest committed
-    /// record. Computed arithmetically — a snapshot is the record's
-    /// *full* frame minus its accepted-user list, however the record
-    /// itself is stored — so inspecting a million-user log never
-    /// serializes one just to measure it. Zero once delta frames have
-    /// kept the log below one snapshot's size.
+    /// record. Counted, not built — a snapshot is the record's *full*
+    /// frame minus its accepted-user list, however the record itself is
+    /// stored — so inspecting a million-user log never serializes one
+    /// just to measure it. Zero once delta frames have kept the log
+    /// below one snapshot's size.
     pub fn reclaimable_bytes(&self) -> u64 {
         let Some(last) = self.replay.records.last() else {
             return 0;
         };
-        let snapshot_len = last.encoded_len() - 8 * last.accepted_users.len();
+        let accepted = <usize as Field>::MIN_LEN * last.accepted_users.len();
+        let snapshot_len = last.encoded_len() - accepted;
         let keep = (WAL_MAGIC.len() + snapshot_len) as u64;
         self.total_bytes().saturating_sub(keep)
     }
@@ -403,8 +405,7 @@ impl SegmentStore {
             .expect("compaction_due requires a committed record");
         let kind = std::mem::replace(&mut mirror.kind, RecordKind::Snapshot);
         let accepted = std::mem::take(&mut mirror.accepted_users);
-        let mut bytes = Vec::with_capacity(WAL_MAGIC.len() + mirror.encoded_len());
-        bytes.extend_from_slice(&WAL_MAGIC);
+        let mut bytes = WAL_MAGIC.to_vec();
         mirror.encode_into(&mut bytes);
         let id = self.manifest.next_id();
         let next = Manifest { segments: vec![id] };
@@ -484,9 +485,9 @@ impl RecordLog for SegmentStore {
         // replays on its own; after that, a delta whenever it is the
         // strictly shorter frame.
         let delta = match &self.last_record {
-            Some(base) if self.active_records > 0 => {
-                record.encode_delta_if_shorter(base, &mut self.changed)
-            }
+            Some(base) if self.active_records > 0 && record.kind == RecordKind::Epoch => record
+                .round()
+                .delta_if_shorter(base, Some(&mut self.changed)),
             _ => None,
         };
         let is_delta = delta.is_some();
@@ -510,11 +511,11 @@ impl RecordLog for SegmentStore {
     fn append_round(&mut self, round: RoundRecord<'_>) -> Result<(), WalError> {
         let active = self.ready_active()?;
         let delta = match &self.last_record {
-            Some(base) if self.active_records > 0 => round.encode_touched_delta(base),
+            Some(base) if self.active_records > 0 => round.delta_if_shorter(base, None),
             _ => None,
         };
         let is_delta = delta.is_some();
-        let frame = delta.unwrap_or_else(|| round.full_frame());
+        let frame = delta.unwrap_or_else(|| round.full_frame(RecordKind::Epoch));
         self.write_frame(&active, &frame, RecordKind::Epoch)?;
         match &mut self.last_record {
             Some(last) => {

@@ -27,8 +27,8 @@
 //! ```
 //!
 //! `checksum` is FNV-1a over the payload bytes ([`dptd_stats::digest`]),
-//! the same fold every other layer of the workspace uses for exact
-//! reproducibility digests; `len_check` is `payload_len ^ "WAL1"`, a
+//! the fold the workspace's reproducibility digests use (the wire frames
+//! its bodies with its own check); `len_check` is `payload_len ^ "WAL1"`, a
 //! self-check that distinguishes a *corrupted* length prefix (rejected as
 //! [`WalError::Corrupt`] — it would otherwise masquerade as a torn tail
 //! and truncate committed records) from a genuinely torn frame. The mask
@@ -41,6 +41,12 @@
 //! Replay truncates a *torn tail* (a partial frame, or a checksum-bad
 //! final frame — what a crash mid-write leaves behind) and rejects
 //! corruption anywhere earlier as [`WalError::Corrupt`].
+//!
+//! The payloads are declared with [`crate::codec`]'s field kinds, so a
+//! frame's length and its bytes come from one `put`, and its decoder
+//! bounds every count by the bytes present. The accepted users, like a
+//! delta's changed users, must be strictly ascending. The frame layer —
+//! header, masks, checksum, torn-tail rules — is this module's own.
 //!
 //! # Delta frames (version 3, pinned by a golden test)
 //!
@@ -103,13 +109,13 @@ use std::path::{Path, PathBuf};
 use dptd_stats::digest::Fnv1a;
 use dptd_truth::Loss;
 
+use crate::codec::{Ascending, Counter, Field, Malformed, Reader, Sink};
 use crate::store::{DirFs, MemFs, StoreFs};
 
 /// The 8-byte file header: 7 ASCII magic bytes plus the format version.
 pub const WAL_MAGIC: [u8; 8] = *b"DPTDWAL\x01";
 
-/// Name of the (single, for now) segment file inside a WAL directory.
-/// Compacting snapshots into rotated segments is a planned follow-on.
+/// Name of the segment file [`WalWriter`] keeps inside a WAL directory.
 pub const SEGMENT_FILE: &str = "segment-000.wal";
 
 /// Name of the advisory single-writer lock file inside a WAL directory.
@@ -133,13 +139,9 @@ const SNAP_XOR: u32 = u32::from_le_bytes(*b"WAL2");
 /// as its differences from the committed record before it.
 const DELTA_XOR: u32 = u32::from_le_bytes(*b"WAL3");
 
-/// Payload bytes every layout spends before the accepted-user list:
-/// epoch, batches seen, loss tag, the five policy words, population and
-/// accepted counts.
-const FIXED_FIELDS_LEN: usize = 8 + 8 + 1 + 40 + 8 + 8;
-
-/// Payload bytes of one changed-user entry in a delta frame.
-const DELTA_ENTRY_LEN: usize = 4 + 8 + 4;
+/// One changed user's entry in a delta frame: the user, then its
+/// cumulative loss and debits.
+type Change = (u32, (f64, u32));
 
 /// What a committed record *means* to replay.
 ///
@@ -189,13 +191,153 @@ impl FrameKind {
         }
     }
 
-    /// The kind among `known` whose mask passes the self-check.
-    fn from_check(payload_len: u32, len_check: u32, known: &[FrameKind]) -> Option<Self> {
-        known
-            .iter()
-            .copied()
-            .find(|kind| payload_len ^ kind.mask() == len_check)
+    /// Write `round`'s payload in this layout: the fields every layout
+    /// shares, through the accepted users, then every user's entry (v1/v2)
+    /// or the `changed` users' entries, ascending (v3).
+    fn put<S: Sink>(self, round: &RoundRecord<'_>, changed: &[usize], w: &mut S) {
+        w.put(&round.epoch);
+        w.put(&round.batches_seen);
+        w.put(&round.loss);
+        w.put(&round.policy);
+        w.put(&round.num_users());
+        // The `Ascending` lists, written from borrowed slices.
+        w.put(&(round.accepted_users.len() as u64));
+        w.column(round.accepted_users);
+        match self {
+            FrameKind::Full(_) => {
+                debug_assert_eq!(
+                    round.cumulative_losses.len(),
+                    round.rounds_debited.len(),
+                    "snapshot vectors must cover the same population"
+                );
+                w.column(round.cumulative_losses);
+                w.column(round.rounds_debited);
+            }
+            FrameKind::Delta => {
+                w.put(&(changed.len() as u64));
+                for &user in changed {
+                    let entry = (round.cumulative_losses[user], round.rounds_debited[user]);
+                    w.put::<Change>(&(user as u32, entry));
+                }
+            }
+        }
     }
+
+    /// Read back one checksum-verified payload of this layout, whole.
+    /// `base` is the record committed immediately before it in the same
+    /// log image — what a delta's entries are applied to.
+    fn get(self, payload: &[u8], base: Option<&EpochRecord>) -> Result<EpochRecord, Malformed> {
+        let r = &mut Reader { buf: payload };
+        let (epoch, batches_seen, loss, policy) = (r.get()?, r.get()?, r.get()?, r.get()?);
+        let users: usize = r.get()?;
+        let accepted_users: Vec<usize> = Ascending::<usize>::get(r)?;
+        if accepted_users.last().is_some_and(|&user| user >= users) {
+            return Err(Malformed("accepted user outside the population"));
+        }
+        let kind = self.record_kind();
+        if kind == RecordKind::Snapshot && !accepted_users.is_empty() {
+            // A snapshot's debits live in its ledger; a non-empty
+            // accepted set would double-charge them on replay.
+            return Err(Malformed("snapshot record with a non-empty accepted set"));
+        }
+        let (cumulative_losses, rounds_debited) = match self {
+            FrameKind::Full(_) => (r.column::<_, f64>(users)?, r.column::<_, u32>(users)?),
+            FrameKind::Delta => {
+                let base = base.ok_or(Malformed("delta with no record before it"))?;
+                if base.num_users() != users {
+                    return Err(Malformed("delta against another population"));
+                }
+                // The entries fill the rest of the payload exactly:
+                // checked before the base is copied.
+                let stated = Reader { buf: r.buf }.get::<u64>()?;
+                if stated.checked_mul(Change::MIN_LEN as u64) != Some(r.buf.len() as u64 - 8) {
+                    return Err(Malformed(
+                        "delta's changed count disagrees with its payload",
+                    ));
+                }
+                let changed: Vec<Change> = Ascending::<Change>::get(r)?;
+                if changed
+                    .last()
+                    .is_some_and(|&(user, _)| user as usize >= users)
+                {
+                    return Err(Malformed("changed user outside the population"));
+                }
+                let mut losses = base.cumulative_losses.clone();
+                let mut debits = base.rounds_debited.clone();
+                for (user, entry) in changed {
+                    (losses[user as usize], debits[user as usize]) = entry;
+                }
+                (losses, debits)
+            }
+        };
+        if !r.buf.is_empty() {
+            return Err(Malformed("trailing bytes inside a record payload"));
+        }
+        Ok(EpochRecord {
+            kind,
+            epoch,
+            batches_seen,
+            loss,
+            policy,
+            accepted_users,
+            cumulative_losses,
+            rounds_debited,
+        })
+    }
+
+    /// Byte length of `round`'s frame in this layout, counted by the
+    /// same `put` that writes it.
+    fn frame_len(self, round: &RoundRecord<'_>, changed: &[usize]) -> usize {
+        let mut n = Counter(FRAME_HEADER_LEN);
+        self.put(round, changed, &mut n);
+        n.0
+    }
+
+    /// Append `round`'s frame in this layout to `out` (which may already
+    /// hold a segment's magic).
+    fn frame_into(self, round: &RoundRecord<'_>, changed: &[usize], out: &mut Vec<u8>) {
+        let payload_len = self.frame_len(round, changed) - FRAME_HEADER_LEN;
+        put_frame(out, self.mask(), payload_len, |w| {
+            self.put(round, changed, w)
+        });
+    }
+
+    /// `round`'s frame in this layout, in a buffer of its own.
+    fn frame(self, round: &RoundRecord<'_>, changed: &[usize]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.frame_into(round, changed, &mut out);
+        out
+    }
+}
+
+/// Append to `out` one frame under the self-check `mask`: the header,
+/// then the `payload_len`-byte payload `put` writes, `out` grown once and
+/// the checksum patched in behind. The manifest is framed with it too.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    mask: u32,
+    payload_len: usize,
+    put: impl FnOnce(&mut Vec<u8>),
+) {
+    out.reserve(FRAME_HEADER_LEN + payload_len);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    out.extend_from_slice(&(payload_len as u32 ^ mask).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    let start = out.len();
+    put(out);
+    debug_assert_eq!(out.len() - start, payload_len);
+    let sum = checksum(&out[start..]);
+    out[start - 8..start].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// A frame header's three words: the payload length, the mask its
+/// self-check passes under (`payload_len ^ len_check`) and the payload's
+/// checksum. `None` when `bytes` holds less than a header.
+pub(crate) fn read_header(bytes: &[u8]) -> Option<(usize, u32, u64)> {
+    let [l0, l1, l2, l3, c0, c1, c2, c3, sum @ ..] = *bytes.first_chunk::<FRAME_HEADER_LEN>()?;
+    let payload_len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let mask = payload_len ^ u32::from_le_bytes([c0, c1, c2, c3]);
+    Some((payload_len as usize, mask, u64::from_le_bytes(sum)))
 }
 
 /// Errors from the write-ahead log.
@@ -492,22 +634,33 @@ pub struct RoundRecord<'a> {
     pub rounds_debited: &'a [u32],
 }
 
-fn loss_tag(loss: Loss) -> u8 {
-    match loss {
-        Loss::Squared => 0,
-        Loss::Absolute => 1,
-        Loss::NormalizedSquared => 2,
+/// The estimator's loss as its one-byte tag.
+impl Field for Loss {
+    const MIN_LEN: usize = 1;
+    fn put<S: Sink>(v: &Loss, w: &mut S) {
+        w.put(&match v {
+            Loss::Squared => 0u8,
+            Loss::Absolute => 1,
+            Loss::NormalizedSquared => 2,
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Loss, Malformed> {
+        match r.get::<u8>()? {
+            0 => Ok(Loss::Squared),
+            1 => Ok(Loss::Absolute),
+            2 => Ok(Loss::NormalizedSquared),
+            _ => Err(Malformed("unknown loss tag")),
+        }
     }
 }
 
-fn loss_from_tag(tag: u8) -> Option<Loss> {
-    match tag {
-        0 => Some(Loss::Squared),
-        1 => Some(Loss::Absolute),
-        2 => Some(Loss::NormalizedSquared),
-        _ => None,
-    }
-}
+crate::record!(impl WalPolicy {
+    per_round_epsilon: f64,
+    per_round_delta: f64,
+    budget_epsilon: f64,
+    budget_delta: f64,
+    stream_tag: u64,
+});
 
 impl RoundRecord<'_> {
     /// The population size this round snapshots.
@@ -529,96 +682,9 @@ impl RoundRecord<'_> {
         }
     }
 
-    /// Byte length of this round's full frame.
-    fn full_len(&self) -> usize {
-        FRAME_HEADER_LEN + FIXED_FIELDS_LEN + 8 * self.accepted_users.len() + 12 * self.num_users()
-    }
-
-    /// Byte length of this round's delta frame with `changed` entries.
-    fn delta_len(&self, changed: usize) -> usize {
-        FRAME_HEADER_LEN
-            + FIXED_FIELDS_LEN
-            + 8 * self.accepted_users.len()
-            + 8
-            + DELTA_ENTRY_LEN * changed
-    }
-
-    /// Append one `frame_len`-byte frame to `out` (which may already
-    /// hold a segment's magic): reserve the header, write the fields
-    /// every layout shares (up to and including the accepted-user
-    /// list), let `body` write what follows, then patch length,
-    /// self-check and checksum in.
-    fn encode_frame_into(
-        &self,
-        out: &mut Vec<u8>,
-        kind: FrameKind,
-        frame_len: usize,
-        body: impl FnOnce(&mut Vec<u8>),
-    ) {
-        let start = out.len();
-        out.reserve(frame_len);
-        out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.batches_seen.to_le_bytes());
-        out.push(loss_tag(self.loss));
-        for bits in self.policy.bits() {
-            out.extend_from_slice(&bits.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.num_users() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.accepted_users.len() as u64).to_le_bytes());
-        for &user in self.accepted_users {
-            out.extend_from_slice(&(user as u64).to_le_bytes());
-        }
-        body(out);
-        let frame = &mut out[start..];
-        debug_assert_eq!(frame.len(), frame_len);
-
-        let payload_len = (frame.len() - FRAME_HEADER_LEN) as u32;
-        let sum = checksum(&frame[FRAME_HEADER_LEN..]);
-        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
-        frame[4..8].copy_from_slice(&(payload_len ^ kind.mask()).to_le_bytes());
-        frame[8..FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
-    }
-
-    /// Append the full v1/v2 frame of this round, as a record of
-    /// `kind`, to `out`.
-    fn encode_full_into(&self, kind: RecordKind, out: &mut Vec<u8>) {
-        debug_assert_eq!(
-            self.cumulative_losses.len(),
-            self.rounds_debited.len(),
-            "snapshot vectors must cover the same population"
-        );
-        self.encode_frame_into(out, FrameKind::Full(kind), self.full_len(), |frame| {
-            for &loss in self.cumulative_losses {
-                frame.extend_from_slice(&loss.to_bits().to_le_bytes());
-            }
-            for &debits in self.rounds_debited {
-                frame.extend_from_slice(&debits.to_le_bytes());
-            }
-        });
-    }
-
-    /// The full v1 frame of this round.
-    pub(crate) fn full_frame(&self) -> Vec<u8> {
-        let mut frame = Vec::new();
-        self.encode_full_into(RecordKind::Epoch, &mut frame);
-        frame
-    }
-
-    /// The v3 frame listing this round's entries for the `changed`
-    /// users (ascending, each below `u32::MAX`).
-    fn encode_delta_frame(&self, changed: &[usize]) -> Vec<u8> {
-        let mut frame = Vec::new();
-        let frame_len = self.delta_len(changed.len());
-        self.encode_frame_into(&mut frame, FrameKind::Delta, frame_len, |frame| {
-            frame.extend_from_slice(&(changed.len() as u64).to_le_bytes());
-            for &user in changed {
-                frame.extend_from_slice(&(user as u32).to_le_bytes());
-                frame.extend_from_slice(&self.cumulative_losses[user].to_bits().to_le_bytes());
-                frame.extend_from_slice(&self.rounds_debited[user].to_le_bytes());
-            }
-        });
-        frame
+    /// The full frame of this round as a record of `kind`.
+    pub(crate) fn full_frame(&self, kind: RecordKind) -> Vec<u8> {
+        FrameKind::Full(kind).frame(self, &[])
     }
 
     /// Whether a delta frame against `base` can express this round at
@@ -632,12 +698,12 @@ impl RoundRecord<'_> {
     }
 
     /// Most changed users a delta frame may list and still be
-    /// **strictly shorter** than the full frame: `delta < full ⇔ 8 +
-    /// 16·changed < 12·users`.
+    /// **strictly shorter** than the full frame.
     fn shorter_delta_limit(&self) -> Option<usize> {
-        (12 * self.num_users())
-            .checked_sub(9)
-            .map(|room| room / DELTA_ENTRY_LEN)
+        let full = FrameKind::Full(RecordKind::Epoch).frame_len(self, &[]);
+        let empty_delta = FrameKind::Delta.frame_len(self, &[]);
+        full.checked_sub(empty_delta + 1)
+            .map(|room| room / <Change as Field>::MIN_LEN)
     }
 
     /// Collect into `changed`, ascending, the users whose
@@ -660,26 +726,39 @@ impl RoundRecord<'_> {
         true
     }
 
-    /// The segmented store's delta frame for this round against `base`,
-    /// the record committed right before it, taking the accepted users
-    /// as the changed ones (see [`RoundRecord`]) — `O(accepted)` where
-    /// [`EpochRecord::encode_delta_if_shorter`] diffs the population.
-    /// `None` exactly when that one would be: no delta can express the
-    /// round, or it would not be the strictly shorter frame.
-    pub(crate) fn encode_touched_delta(&self, base: &EpochRecord) -> Option<Vec<u8>> {
+    /// This round's delta frame against `base`, the record committed right
+    /// before it, if one can express the round (the populations agree and
+    /// fit `u32` ids) and it is **strictly shorter** than the full frame —
+    /// the size half of the segmented store's writer rule. Without a
+    /// `diff` buffer the frame lists the accepted users: a round's
+    /// accepted users are exactly the users it changed (see
+    /// [`RoundRecord`]; debug-checked), so this costs `O(accepted)`. With
+    /// one, it lists the users whose entry differs from `base`'s, found by
+    /// comparing the two up to the first one too many and left in `diff`.
+    pub(crate) fn delta_if_shorter(
+        &self,
+        base: &EpochRecord,
+        diff: Option<&mut Vec<usize>>,
+    ) -> Option<Vec<u8>> {
+        let limit = self.shorter_delta_limit()?;
         if !self.deltas_against(base) {
             return None;
         }
-        let limit = self.shorter_delta_limit()?;
-        debug_assert!(
-            {
-                let mut changed = Vec::new();
-                self.diff_into(base, usize::MAX, &mut changed);
-                changed == self.accepted_users
-            },
-            "a round's accepted users must be exactly the users it changed"
-        );
-        (self.accepted_users.len() <= limit).then(|| self.encode_delta_frame(self.accepted_users))
+        let changed = match diff {
+            Some(diff) => self.diff_into(base, limit, diff).then_some(&diff[..])?,
+            None => {
+                debug_assert!(
+                    {
+                        let mut changed = Vec::new();
+                        self.diff_into(base, usize::MAX, &mut changed);
+                        changed == self.accepted_users
+                    },
+                    "a round's accepted users must be exactly the users it changed"
+                );
+                self.accepted_users
+            }
+        };
+        (changed.len() <= limit).then(|| FrameKind::Delta.frame(self, changed))
     }
 }
 
@@ -718,42 +797,27 @@ impl EpochRecord {
     }
 
     /// Byte length of the frame [`EpochRecord::encode`] produces,
-    /// computed without building it (header + fixed payload fields +
-    /// 8 bytes per accepted user + 12 bytes per population member).
+    /// counted without building it.
     pub fn encoded_len(&self) -> usize {
-        self.round().full_len()
+        FrameKind::Full(self.kind).frame_len(&self.round(), &[])
     }
 
     /// Byte length of the v3 delta frame carrying this record with
     /// `changed` changed-user entries.
     pub fn delta_encoded_len(&self, changed: usize) -> usize {
-        self.round().delta_len(changed)
+        FrameKind::Delta.frame_len(&self.round(), &[]) + changed * <Change as Field>::MIN_LEN
     }
 
     /// Encode the record as one framed WAL entry (length prefix, length
     /// self-check, checksum, payload) in the full v1/v2 layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut frame = Vec::new();
-        self.encode_into(&mut frame);
-        frame
+        self.round().full_frame(self.kind)
     }
 
     /// [`EpochRecord::encode`] appended to `out` — how the compactor
     /// writes a snapshot right behind a segment's magic, in one buffer.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        self.round().encode_full_into(self.kind, out);
-    }
-
-    /// Collect into `changed`, ascending, the users whose entry differs
-    /// from `base`'s. Returns `false` — `changed` is then meaningless —
-    /// when this record cannot be a delta against `base` (it is a
-    /// snapshot, or the populations differ or do not fit `u32` ids) or
-    /// when more than `limit` users differ.
-    fn changed_since(&self, base: &EpochRecord, limit: usize, changed: &mut Vec<usize>) -> bool {
-        let round = self.round();
-        self.kind == RecordKind::Epoch
-            && round.deltas_against(base)
-            && round.diff_into(base, limit, changed)
+        FrameKind::Full(self.kind).frame_into(&self.round(), &[], out);
     }
 
     /// Encode the record as a v3 delta frame against `base`, the record
@@ -764,24 +828,11 @@ impl EpochRecord {
     /// `None` when no delta can express it: the record is a snapshot,
     /// or the populations differ or exceed `u32` user ids.
     pub fn encode_delta(&self, base: &EpochRecord) -> Option<Vec<u8>> {
-        let mut changed = Vec::new();
-        self.changed_since(base, usize::MAX, &mut changed)
-            .then(|| self.round().encode_delta_frame(&changed))
-    }
-
-    /// [`EpochRecord::encode_delta`] only if that frame is **strictly
-    /// shorter** than [`EpochRecord::encode`]'s — the size half of the
-    /// segmented store's writer rule. The comparison stops at the first
-    /// changed user too many, so a dense round costs one partial pass.
-    /// On `Some`, `changed` holds the users the frame lists.
-    pub(crate) fn encode_delta_if_shorter(
-        &self,
-        base: &EpochRecord,
-        changed: &mut Vec<usize>,
-    ) -> Option<Vec<u8>> {
-        let limit = self.round().shorter_delta_limit()?;
-        self.changed_since(base, limit, changed)
-            .then(|| self.round().encode_delta_frame(changed))
+        let (round, mut changed) = (self.round(), Vec::new());
+        (self.kind == RecordKind::Epoch
+            && round.deltas_against(base)
+            && round.diff_into(base, usize::MAX, &mut changed))
+        .then(|| FrameKind::Delta.frame(&round, &changed))
     }
 
     /// Make `self` equal to `round`, as a record of `kind`, inside its
@@ -816,159 +867,15 @@ impl EpochRecord {
             }
         }
     }
-
-    /// Decode one checksum-verified payload whose frame carried `kind`.
-    /// `base` is the record committed immediately before it in the same
-    /// log image — what a delta frame's entries are applied to.
-    fn decode(
-        payload: &[u8],
-        kind: FrameKind,
-        base: Option<&EpochRecord>,
-    ) -> Result<Self, &'static str> {
-        let mut r = Reader { buf: payload };
-        let epoch = r.u64()?;
-        let batches_seen = r.u64()?;
-        let loss = loss_from_tag(r.u8()?).ok_or("unknown loss tag")?;
-        let policy = WalPolicy {
-            per_round_epsilon: f64::from_bits(r.u64()?),
-            per_round_delta: f64::from_bits(r.u64()?),
-            budget_epsilon: f64::from_bits(r.u64()?),
-            budget_delta: f64::from_bits(r.u64()?),
-            stream_tag: r.u64()?,
-        };
-        let num_users = usize::try_from(r.u64()?).map_err(|_| "population overflows usize")?;
-        let accepted_len = usize::try_from(r.u64()?).map_err(|_| "accepted overflows usize")?;
-        if accepted_len > num_users {
-            return Err("more accepted users than the population");
-        }
-        // Bound the claimed counts against the bytes actually present
-        // BEFORE allocating: a crafted record claiming 2^61 users would
-        // otherwise abort the read-only inspector with a capacity
-        // overflow instead of erroring. Each accepted user costs 8
-        // payload bytes; a full frame then spends 8 (loss bits) + 4
-        // (debits) per population member, a delta frame at least its
-        // changed-user count.
-        let rest = match kind {
-            FrameKind::Full(_) => num_users.checked_mul(12),
-            FrameKind::Delta => Some(8),
-        };
-        let need = accepted_len
-            .checked_mul(8)
-            .zip(rest)
-            .and_then(|(a, n)| a.checked_add(n))
-            .ok_or("record sizes overflow")?;
-        if r.buf.len() < need {
-            return Err("record payload shorter than its claimed sizes");
-        }
-        let mut accepted_users = Vec::with_capacity(accepted_len);
-        for _ in 0..accepted_len {
-            let user = usize::try_from(r.u64()?).map_err(|_| "user id overflows usize")?;
-            if user >= num_users {
-                return Err("accepted user outside the population");
-            }
-            accepted_users.push(user);
-        }
-        let (cumulative_losses, rounds_debited) = match kind {
-            FrameKind::Full(_) => {
-                let mut cumulative_losses = Vec::with_capacity(num_users);
-                for _ in 0..num_users {
-                    cumulative_losses.push(f64::from_bits(r.u64()?));
-                }
-                let mut rounds_debited = Vec::with_capacity(num_users);
-                for _ in 0..num_users {
-                    rounds_debited.push(r.u32()?);
-                }
-                (cumulative_losses, rounds_debited)
-            }
-            FrameKind::Delta => {
-                let base = base.ok_or("delta record with no record before it to apply to")?;
-                if base.num_users() != num_users {
-                    return Err("delta record against a base of another population");
-                }
-                let changed_len =
-                    usize::try_from(r.u64()?).map_err(|_| "changed overflows usize")?;
-                // Checked against the bytes present before the base is
-                // copied; equality also rules trailing bytes out.
-                if changed_len.checked_mul(DELTA_ENTRY_LEN) != Some(r.buf.len()) {
-                    return Err("delta record's changed count disagrees with its payload");
-                }
-                let mut cumulative_losses = base.cumulative_losses.clone();
-                let mut rounds_debited = base.rounds_debited.clone();
-                let mut next_user = 0usize;
-                for _ in 0..changed_len {
-                    let user = r.u32()? as usize;
-                    if user < next_user {
-                        return Err("delta record's changed users not strictly ascending");
-                    }
-                    if user >= num_users {
-                        return Err("changed user outside the population");
-                    }
-                    cumulative_losses[user] = f64::from_bits(r.u64()?);
-                    rounds_debited[user] = r.u32()?;
-                    next_user = user + 1;
-                }
-                (cumulative_losses, rounds_debited)
-            }
-        };
-        if !r.buf.is_empty() {
-            return Err("trailing bytes inside a record payload");
-        }
-        let kind = kind.record_kind();
-        if kind == RecordKind::Snapshot && !accepted_users.is_empty() {
-            // A snapshot's debits live in its ledger; a non-empty
-            // accepted set would double-charge them on replay.
-            return Err("snapshot record with a non-empty accepted set");
-        }
-        Ok(Self {
-            kind,
-            epoch,
-            batches_seen,
-            loss,
-            policy,
-            accepted_users,
-            cumulative_losses,
-            rounds_debited,
-        })
-    }
 }
 
-fn checksum(payload: &[u8]) -> u64 {
+/// FNV-1a over a frame's payload: the checksum of its header.
+pub(crate) fn checksum(payload: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     for &b in payload {
         h.write_u8(b);
     }
     h.finish()
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], &'static str> {
-        if self.buf.len() < n {
-            return Err("record payload shorter than its fields");
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, &'static str> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, &'static str> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, &'static str> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
 }
 
 /// What a replay of the raw log found.
@@ -1027,11 +934,9 @@ fn replay_known(bytes: &[u8], known: &[FrameKind]) -> Result<Replay, WalError> {
         }
         // Whatever stops the loop early leaves `remaining` as the tail.
         replay.truncated_bytes = remaining.len() as u64;
-        if remaining.len() < FRAME_HEADER_LEN {
+        let Some((payload_len, mask, stored_sum)) = read_header(remaining) else {
             break;
-        }
-        let payload_len = u32::from_le_bytes(remaining[..4].try_into().expect("4 bytes"));
-        let len_check = u32::from_le_bytes(remaining[4..8].try_into().expect("4 bytes"));
+        };
         // The header was written before any payload byte (appends are
         // sequential), so a complete header with a failing self-check is
         // *corruption* of the length prefix — without this check a
@@ -1039,14 +944,13 @@ fn replay_known(bytes: &[u8], known: &[FrameKind]) -> Result<Replay, WalError> {
         // silently truncate every committed record after it. The mask
         // that passes doubles as the frame-kind tag (v1 epoch record,
         // v2 snapshot record or v3 delta).
-        let Some(kind) = FrameKind::from_check(payload_len, len_check, known) else {
+        let Some(kind) = known.iter().copied().find(|kind| kind.mask() == mask) else {
             return Err(WalError::Corrupt {
                 offset: offset as u64,
                 reason: "length prefix failed its self-check",
             });
         };
-        let stored_sum = u64::from_le_bytes(remaining[8..16].try_into().expect("8 bytes"));
-        let frame_len = FRAME_HEADER_LEN + payload_len as usize;
+        let frame_len = FRAME_HEADER_LEN + payload_len;
         if remaining.len() < frame_len {
             break;
         }
@@ -1064,9 +968,9 @@ fn replay_known(bytes: &[u8], known: &[FrameKind]) -> Result<Replay, WalError> {
                 reason: "record checksum mismatch",
             });
         }
-        match EpochRecord::decode(payload, kind, replay.records.last()) {
+        match kind.get(payload, replay.records.last()) {
             Ok(record) => replay.records.push(record),
-            Err(reason) => {
+            Err(Malformed(reason)) => {
                 return Err(WalError::Corrupt {
                     offset: offset as u64,
                     reason,
@@ -1205,7 +1109,7 @@ impl RecordLog for WalWriter {
 
     /// Always a full frame, encoded straight from the borrowed round.
     fn append_round(&mut self, round: RoundRecord<'_>) -> Result<(), WalError> {
-        self.append_frame(&round.full_frame())
+        self.append_frame(&round.full_frame(RecordKind::Epoch))
     }
 }
 

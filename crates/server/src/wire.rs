@@ -53,24 +53,32 @@
 //!
 //! # One declaration per layout
 //!
-//! Each kind of field — integer, flag, string, counted sequence, … — is
-//! one `Field` impl: its minimum size, how it is written, and how it is
-//! read back with every check on outside input. A frame is one row of
-//! the `frames!` table under [`Request`] or [`Response`] — kind byte,
-//! variant, fields in wire order — and the variant definition, kind
-//! dispatch, exact length ([`Request::body_len`]), `encode` and `decode`
-//! are all expanded from that row, so they cannot disagree (`record!`
-//! does the same for flat structs, `tagged!` for byte-tagged enums).
-//! A frame's length is known before it is built, so it is allocated
-//! once at exactly its size and [`MAX_FRAME_LEN`] is enforced on the way
+//! Layouts are declared with the workspace's one payload codec,
+//! [`dptd_engine::codec`], which also declares the write-ahead log's
+//! records and the store's manifest. Each kind of field — integer, flag,
+//! string, counted sequence, … — is one `Field` impl: its minimum size,
+//! how it is written, and how it is read back with every check on
+//! outside input. A frame is one row of the `frames!` table under
+//! [`Request`] or [`Response`] — kind byte, variant, fields in wire
+//! order — and the variant definition, kind dispatch, exact length
+//! ([`Request::body_len`]), `encode` and `decode` are all expanded from
+//! that row, so they cannot disagree (`record!` does the same for flat
+//! structs, `tagged!` for byte-tagged enums). The wire's own kinds live
+//! here: the checked strings, the byte run, the trace context, and the
+//! layouts of other crates' types, each a marker type (`Claim`,
+//! `Stamped`, `Columns`, …) that a row selects with `as`. A frame's
+//! length is known before it is built, so it is allocated once at
+//! exactly its size and [`MAX_FRAME_LEN`] is enforced on the way
 //! **out** too ([`Request::try_encode`]).
 //!
 //! # Adding a frame
 //!
 //! 1. Add one row to the `frames!` table: the next free kind byte, the
 //!    variant with its rustdoc, and `field: Type` in wire order (`as
-//!    Kind` where the wire form is narrower than the type). A new field
-//!    type needs one `Field` impl, or a `record!` if it is a flat struct.
+//!    Kind` where the type is not its own kind: its wire form is
+//!    narrower, or it belongs to another crate). A new field type needs
+//!    one `Field` impl, or a `record!` if it is a flat struct; the
+//!    generic kinds are in [`dptd_engine::codec`].
 //! 2. Add its fixture and captured bytes to `tests/wire_golden.rs` and a
 //!    generator arm to `tests/wire_proptests.rs`, which walks
 //!    [`Request::KINDS`] and fails on a kind it cannot generate.
@@ -82,6 +90,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use dptd_core::roles::PerturbedReport;
+use dptd_engine::codec::{Counter, Field, Malformed, Reader, Sink};
+use dptd_engine::{kind, record, tagged};
 use dptd_obs::{
     HistogramSnapshot, MetricValue, MetricsSnapshot, SpanContext, TraceEvent, NUM_BUCKETS,
 };
@@ -179,54 +189,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A `#[repr(u8)]` enum that states `Variant = byte` (and, where people
-/// read it, `=> "display-name"`) once: the definition, `from_u8`, the
-/// `Field` codec — an unknown byte is `Malformed($unknown)` — and `Display`
-/// come from one list, so a variant cannot be encodable but not decodable.
-macro_rules! tagged {
-    (
-        $(#[$meta:meta])*
-        pub enum $name:ident, else $unknown:literal {
-            $($(#[$vmeta:meta])* $variant:ident = $byte:literal $(=> $display:literal)?),* $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        pub enum $name {
-            $($(#[$vmeta])* $variant = $byte),*
-        }
-
-        impl $name {
-            /// Decode a wire byte.
-            pub fn from_u8(byte: u8) -> Option<Self> {
-                match byte {
-                    $($byte => Some(Self::$variant),)*
-                    _ => None,
-                }
-            }
-        }
-
-        impl Field for $name {
-            const MIN_LEN: usize = 1;
-            fn put<S: Sink>(v: &Self, w: &mut S) {
-                w.put(&(*v as u8));
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Self::from_u8(r.get()?).ok_or(WireError::Malformed($unknown))
-            }
-        }
-
-        tagged!(@display $name $($variant $($display)?)*);
-    };
-    (@display $name:ident $($variant:ident $display:literal)+) => {
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str(match self {
-                    $(Self::$variant => $display,)*
-                })
-            }
-        }
-    };
-    (@display $name:ident $($variant:ident)*) => {};
+impl From<Malformed> for WireError {
+    fn from(Malformed(reason): Malformed) -> Self {
+        WireError::Malformed(reason)
+    }
 }
 
 tagged! {
@@ -433,68 +399,31 @@ pub fn split_frame(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
 ///
 /// [`WireError::Malformed`] describing the violated rule.
 pub fn validate_campaign_id(id: &str) -> Result<(), WireError> {
+    Ok(campaign_id(id)?)
+}
+
+fn campaign_id(id: &str) -> Result<(), Malformed> {
     if id.is_empty() {
-        return Err(WireError::Malformed("campaign id is empty"));
+        return Err(Malformed("campaign id is empty"));
     }
     if id.len() > MAX_CAMPAIGN_ID_LEN {
-        return Err(WireError::Malformed("campaign id too long"));
+        return Err(Malformed("campaign id too long"));
     }
     if id.starts_with('.') {
-        return Err(WireError::Malformed("campaign id starts with a dot"));
+        return Err(Malformed("campaign id starts with a dot"));
     }
     if !id
         .bytes()
         .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
     {
-        return Err(WireError::Malformed(
-            "campaign id may only use [A-Za-z0-9._-]",
-        ));
+        return Err(Malformed("campaign id may only use [A-Za-z0-9._-]"));
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Body writer/reader
+// Frame writer and the wire's own field kinds
 // ---------------------------------------------------------------------
-
-/// Where a body's bytes go: into the frame buffer ([`Writer`]) or, to
-/// learn a frame's exact length before allocating it, into a
-/// [`Counter`]. Both passes run the same `put` code, so the length a
-/// frame declares cannot drift from the bytes it writes.
-trait Sink: Sized {
-    fn bytes(&mut self, b: &[u8]);
-    /// Append one field; the value's type selects the wire form.
-    fn put<T: Field>(&mut self, v: &T) {
-        T::put(v, self);
-    }
-    /// `len:u16` then UTF-8. Free text past 65 535 bytes is cut to the
-    /// longest prefix that ends on a `char` boundary, so its decoder still
-    /// reads valid UTF-8 (validated ids and names are bounded to 64).
-    fn str(&mut self, s: &str) {
-        let mut end = s.len().min(usize::from(u16::MAX));
-        while !s.is_char_boundary(end) {
-            end -= 1;
-        }
-        self.put(&(end as u16));
-        self.bytes(&s.as_bytes()[..end]);
-    }
-    /// A counted sequence: `count:u32` then each item.
-    fn seq<T: Field>(&mut self, items: &[T]) {
-        self.put(&(items.len() as u32));
-        for item in items {
-            self.put(item);
-        }
-    }
-}
-
-/// The sizing pass: counts what a [`Writer`] would be given.
-struct Counter(usize);
-
-impl Sink for Counter {
-    fn bytes(&mut self, b: &[u8]) {
-        self.0 += b.len();
-    }
-}
 
 /// Builds one frame in place: the buffer opens with the 16 header
 /// bytes reserved, the body is written behind them, and
@@ -542,171 +471,34 @@ impl Writer {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() < n {
-            return Err(WireError::Malformed("payload shorter than its fields"));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-    /// Read one field; the expected type selects the wire form.
-    fn get<T: Field>(&mut self) -> Result<T, WireError> {
-        T::get(self)
-    }
-    /// A claimed element count, bounded by the bytes still present: each
-    /// element needs at least `min_elem_bytes`, so a count the remaining
-    /// buffer cannot possibly hold is malformed — checked **before** any
-    /// allocation sized by it.
-    fn bounded_count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let claimed = self.get::<u32>()? as usize;
-        let need = claimed
-            .checked_mul(min_elem_bytes)
-            .ok_or(WireError::Malformed("element count overflows"))?;
-        if self.buf.len() < need {
-            return Err(WireError::Malformed(
-                "claimed count larger than the payload",
-            ));
-        }
-        Ok(claimed)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Field kinds — each wire form is implemented once, here
-// ---------------------------------------------------------------------
-
-/// One kind of payload field, holding a value of type `T`. A type is its
-/// own kind (`u64`, `Vec<f64>`, [`CampaignSpec`]) unless its wire form is
-/// narrower than the type; then a marker names the kind (`CampaignId`,
-/// `StoreName`, `Bytes`, `Phase`, `Buckets`) and a table row selects it
-/// with `as`. Impls are monomorphised into the generated frame codecs:
-/// no `dyn` and no runtime schema on the frame path.
-trait Field<T = Self> {
-    /// Fewest bytes any value encodes to: what a counted sequence
-    /// multiplies a claimed count by before it sizes a `Vec`.
-    const MIN_LEN: usize;
-    /// Append `v`'s wire form.
-    fn put<S: Sink>(v: &T, w: &mut S);
-    /// Read one value back, refusing anything `put` could not have
-    /// written.
-    fn get(r: &mut Reader<'_>) -> Result<T, WireError>;
-}
-
-/// The codec of one table field: the field's own type, or the kind
-/// named after `as`.
-macro_rules! kind {
-    ($ty:ty) => {
-        $ty
-    };
-    ($ty:ty, $kind:ty) => {
-        $kind
-    };
-}
-
-/// A flat record: its fields in wire order, written once. The first arm
-/// also defines the struct; the second gives a struct defined elsewhere
-/// its codec.
-macro_rules! record {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty $(as $kind:ty)?),* $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        pub struct $name {
-            $($(#[$fmeta])* pub $field: $ty),*
-        }
-
-        record!(impl $name { $($field: $ty $(as $kind)?),* });
-    };
-    (impl $name:ident { $($field:ident: $ty:ty $(as $kind:ty)?),* $(,)? }) => {
-        impl Field for $name {
-            const MIN_LEN: usize = 0 $(+ <kind!($ty $(, $kind)?) as Field<$ty>>::MIN_LEN)*;
-            fn put<S: Sink>(v: &Self, w: &mut S) {
-                $(<kind!($ty $(, $kind)?) as Field<$ty>>::put(&v.$field, w);)*
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok(Self {
-                    $($field: <kind!($ty $(, $kind)?) as Field<$ty>>::get(r)?),*
-                })
-            }
-        }
-    };
-}
-
-macro_rules! scalar_fields {
-    ($($ty:ident),*) => {$(
-        impl Field for $ty {
-            const MIN_LEN: usize = std::mem::size_of::<$ty>();
-            fn put<S: Sink>(v: &$ty, w: &mut S) {
-                w.bytes(&v.to_le_bytes());
-            }
-            fn get(r: &mut Reader<'_>) -> Result<$ty, WireError> {
-                let bytes = r.take(Self::MIN_LEN)?;
-                Ok($ty::from_le_bytes(bytes.try_into().expect("sized by take")))
-            }
-        }
-    )*};
-}
-
-scalar_fields!(u8, u16, u32, u64, f64);
-
-/// A flag: one byte, `0` or `1`.
-impl Field for bool {
-    const MIN_LEN: usize = 1;
-    fn put<S: Sink>(v: &bool, w: &mut S) {
-        w.put(&u8::from(*v));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<bool, WireError> {
-        match r.get::<u8>()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed("flag is not 0/1")),
-        }
-    }
-}
-
-/// A length-prefixed string (written by [`Sink::str`]), refused on the
-/// way in unless it is UTF-8 and `$check` passes.
+/// A length-prefixed string (the codec's `String`), refused on the way
+/// in unless `$check` passes.
 macro_rules! string_fields {
     ($($(#[$meta:meta])* $kind:ident => $check:expr),* $(,)?) => {$(
         $(#[$meta])*
+        struct $kind;
+
         impl Field<String> for $kind {
-            const MIN_LEN: usize = 2;
+            const MIN_LEN: usize = String::MIN_LEN;
             fn put<S: Sink>(v: &String, w: &mut S) {
                 w.str(v);
             }
-            fn get(r: &mut Reader<'_>) -> Result<String, WireError> {
-                let len = usize::from(r.get::<u16>()?);
-                let s = String::from_utf8(r.take(len)?.to_vec())
-                    .map_err(|_| WireError::Malformed("string is not UTF-8"))?;
-                $check(&s)?;
-                Ok(s)
+            fn get(r: &mut Reader<'_>) -> Result<String, Malformed> {
+                let s: String = r.get()?;
+                $check(&s).map(|()| s)
             }
         }
     )*};
 }
 
-/// A campaign id ([`validate_campaign_id`]).
-struct CampaignId;
-/// A replicated store file name: same path-safe charset as a campaign id
-/// (the follower joins it onto its replica directory, so nothing
-/// path-like may pass).
-struct StoreName;
-
 string_fields! {
-    /// Free text: any UTF-8.
-    String => |_: &str| Ok::<(), WireError>(()),
-    CampaignId => validate_campaign_id,
-    StoreName => |name: &str| validate_campaign_id(name)
-        .map_err(|_| WireError::Malformed("store file name is not path-safe")),
+    /// A campaign id ([`validate_campaign_id`]).
+    CampaignId => campaign_id,
+    /// A replicated store file name: same path-safe charset as a campaign id
+    /// (the follower joins it onto its replica directory, so nothing
+    /// path-like may pass).
+    StoreName => |name: &str| campaign_id(name)
+        .map_err(|_| Malformed("store file name is not path-safe")),
 }
 
 /// A raw byte run: `len:u32` then the bytes, copied in one piece.
@@ -718,50 +510,9 @@ impl Field<Vec<u8>> for Bytes {
         w.put(&(v.len() as u32));
         w.bytes(v);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, Malformed> {
         let n = r.bounded_count(1)?;
         Ok(r.take(n)?.to_vec())
-    }
-}
-
-/// A counted sequence of any field: the one home of the
-/// count-before-allocation bound for everything the tables declare.
-impl<T: Field> Field for Vec<T> {
-    const MIN_LEN: usize = 4;
-    fn put<S: Sink>(v: &Vec<T>, w: &mut S) {
-        w.seq(v);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
-        // An element that can encode to nothing would leave the claimed
-        // count unbounded.
-        const { assert!(T::MIN_LEN > 0) };
-        let count = r.bounded_count(T::MIN_LEN)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(r.get()?);
-        }
-        Ok(out)
-    }
-}
-
-impl<A: Field, B: Field> Field for (A, B) {
-    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
-    fn put<S: Sink>(v: &(A, B), w: &mut S) {
-        w.put(&v.0);
-        w.put(&v.1);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<(A, B), WireError> {
-        Ok((r.get()?, r.get()?))
-    }
-}
-
-impl<T: Field> Field for Arc<T> {
-    const MIN_LEN: usize = T::MIN_LEN;
-    fn put<S: Sink>(v: &Arc<T>, w: &mut S) {
-        w.put::<T>(v);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Arc<T>, WireError> {
-        r.get().map(Arc::new)
     }
 }
 
@@ -772,40 +523,44 @@ impl<T: Field> Field for Arc<T> {
 /// pre-extension layout.
 const CTX_BYTES: usize = 8 + 8;
 
-record!(impl SpanContext { trace_id: u64, span_id: u64 });
-
 /// The trailing, all-or-nothing trace context: always a row's last field.
-impl Field for Option<SpanContext> {
+struct Ctx;
+
+impl Field<Option<SpanContext>> for Ctx {
     const MIN_LEN: usize = 0;
-    fn put<S: Sink>(v: &Self, w: &mut S) {
+    fn put<S: Sink>(v: &Option<SpanContext>, w: &mut S) {
         if let Some(ctx) = v {
-            w.put(ctx);
+            w.put(&ctx.trace_id);
+            w.put(&ctx.span_id);
         }
     }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<Option<SpanContext>, Malformed> {
         match r.buf.len() {
             0 => Ok(None),
-            CTX_BYTES => r.get().map(Some),
-            _ => Err(WireError::Malformed(
-                "trace-context extension is not 16 bytes",
-            )),
+            CTX_BYTES => Ok(Some(SpanContext {
+                trace_id: r.get()?,
+                span_id: r.get()?,
+            })),
+            _ => Err(Malformed("trace-context extension is not 16 bytes")),
         }
     }
 }
 
 /// A [`BatchRefusal`]'s cause: `0` is retryable backpressure, anything
 /// else an [`ErrorCode`] byte.
-impl Field for Option<ErrorCode> {
+struct Refusal;
+
+impl Field<Option<ErrorCode>> for Refusal {
     const MIN_LEN: usize = 1;
-    fn put<S: Sink>(v: &Self, w: &mut S) {
+    fn put<S: Sink>(v: &Option<ErrorCode>, w: &mut S) {
         w.put(&v.map_or(0, |c| c as u8));
     }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<Option<ErrorCode>, Malformed> {
         match r.get::<u8>()? {
             0 => Ok(None),
             byte => ErrorCode::from_u8(byte)
                 .map(Some)
-                .ok_or(WireError::Malformed("unknown refusal code")),
+                .ok_or(Malformed("unknown refusal code")),
         }
     }
 }
@@ -818,10 +573,10 @@ impl Field<char> for Phase {
     fn put<S: Sink>(v: &char, w: &mut S) {
         w.put(&(*v as u8));
     }
-    fn get(r: &mut Reader<'_>) -> Result<char, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<char, Malformed> {
         match r.get::<u8>()? {
             phase @ (b'B' | b'E' | b'i') => Ok(char::from(phase)),
-            _ => Err(WireError::Malformed("unknown trace event phase")),
+            _ => Err(Malformed("unknown trace event phase")),
         }
     }
 }
@@ -843,19 +598,20 @@ fn put_claim<S: Sink>(w: &mut S, user: usize, values: &[(usize, f64)]) {
 /// A prepared claim: `user:u64 nvals:u32 (object:u32 value:f64)*`. The
 /// hot loop of every submission frame, and it narrows `usize` ids to
 /// their wire widths, so it is written by hand.
-impl Field for PerturbedReport {
+struct Claim;
+
+impl Field<PerturbedReport> for Claim {
     const MIN_LEN: usize = 8 + 4;
-    fn put<S: Sink>(v: &Self, w: &mut S) {
+    fn put<S: Sink>(v: &PerturbedReport, w: &mut S) {
         put_claim(w, v.user, &v.values);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let user =
-            usize::try_from(r.get::<u64>()?).map_err(|_| WireError::Malformed("user overflows"))?;
+    fn get(r: &mut Reader<'_>) -> Result<PerturbedReport, Malformed> {
+        let user = usize::try_from(r.get::<u64>()?).map_err(|_| Malformed("user overflows"))?;
         let nvals = r.bounded_count(VALUE_BYTES)?;
         let mut values = Vec::with_capacity(nvals);
         for _ in 0..nvals {
-            let object = usize::try_from(r.get::<u32>()?)
-                .map_err(|_| WireError::Malformed("object overflows"))?;
+            let object =
+                usize::try_from(r.get::<u32>()?).map_err(|_| Malformed("object overflows"))?;
             values.push((object, r.get()?));
         }
         Ok(PerturbedReport { user, values })
@@ -863,7 +619,11 @@ impl Field for PerturbedReport {
 }
 
 // A stamped report is its stamp, then the claim it carries.
-record!(impl StampedReport { epoch: u64, sent_at_us: u64, report: PerturbedReport });
+record!(impl StampedReport as Stamped {
+    epoch: u64,
+    sent_at_us: u64,
+    report: PerturbedReport as Claim,
+});
 
 /// Encoded size of one row's fixed part (user:u64 + nclaims:u32).
 const ROW_BYTES: usize = 8 + 4;
@@ -874,62 +634,42 @@ const ROW_BYTES: usize = 8 + 4;
 /// is written and read as it is: nothing narrows or widens an id here.
 /// Each count is bounded by the bytes still present before the column it
 /// sizes is allocated, and the claim counts are summed in `u32`, so
-/// their total cannot wrap.
-impl Field for ShardClaims {
+/// their total cannot wrap. Decoded into the `Arc` a reply shares.
+struct Columns;
+
+impl Field<Arc<ShardClaims>> for Columns {
     const MIN_LEN: usize = 4;
-    fn put<S: Sink>(v: &Self, w: &mut S) {
+    fn put<S: Sink>(v: &Arc<ShardClaims>, w: &mut S) {
         let (users, offsets, objects, values) = v.columns();
         w.put(&(users.len() as u32));
-        for &user in users {
-            w.put(&(user as u64));
-        }
+        w.column(users);
         for row in offsets.windows(2) {
             w.put(&((row[1] - row[0]) as u32));
         }
-        for object in objects {
-            w.put(object);
-        }
-        for value in values {
-            w.put(value);
-        }
+        w.column(objects);
+        w.column(values);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<Arc<ShardClaims>, Malformed> {
         let rows = r.bounded_count(ROW_BYTES)?;
-        let users = r.take(8 * rows)?.as_chunks::<8>().0;
-        let counts = r.take(4 * rows)?.as_chunks::<4>().0;
+        let users = r.column::<_, usize>(rows)?;
         let mut cells = 0u32;
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        for &count in counts {
+        for _ in 0..rows {
             cells = cells
-                .checked_add(u32::from_le_bytes(count))
-                .ok_or(WireError::Malformed("claim counts overflow"))?;
+                .checked_add(r.get()?)
+                .ok_or(Malformed("claim counts overflow"))?;
             offsets.push(cells as usize);
         }
         let cells = cells as usize;
         if r.buf.len() < cells * VALUE_BYTES {
-            return Err(WireError::Malformed("claim counts larger than the payload"));
+            return Err(Malformed("claim counts larger than the payload"));
         }
-        let objects = r.take(4 * cells)?.as_chunks::<4>().0;
-        let values = r.take(8 * cells)?.as_chunks::<8>().0;
-        let users = users
-            .iter()
-            .map(|&user| usize::try_from(u64::from_le_bytes(user)))
-            .collect::<Result<_, _>>()
-            .map_err(|_| WireError::Malformed("user overflows"))?;
-        ShardClaims::from_columns(
-            users,
-            offsets,
-            objects
-                .iter()
-                .map(|&object| u32::from_le_bytes(object))
-                .collect(),
-            values
-                .iter()
-                .map(|&value| f64::from_le_bytes(value))
-                .collect(),
-        )
-        .ok_or(WireError::Malformed("claim columns disagree"))
+        let objects = r.column::<_, u32>(cells)?;
+        let values = r.column::<_, f64>(cells)?;
+        ShardClaims::from_columns(users, offsets, objects, values)
+            .map(Arc::new)
+            .ok_or(Malformed("claim columns disagree"))
     }
 }
 
@@ -941,17 +681,17 @@ struct Buckets;
 impl Field<Vec<(u32, u64)>> for Buckets {
     const MIN_LEN: usize = 4;
     fn put<S: Sink>(v: &Vec<(u32, u64)>, w: &mut S) {
-        w.seq(v);
+        w.put(v);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, Malformed> {
         let buckets: Vec<(u32, u64)> = r.get()?;
         let mut prev: Option<u32> = None;
         for &(idx, _) in &buckets {
             if idx as usize >= NUM_BUCKETS {
-                return Err(WireError::Malformed("histogram bucket index out of range"));
+                return Err(Malformed("histogram bucket index out of range"));
             }
             if prev.is_some_and(|p| idx <= p) {
-                return Err(WireError::Malformed(
+                return Err(Malformed(
                     "histogram bucket indices not strictly increasing",
                 ));
             }
@@ -961,7 +701,7 @@ impl Field<Vec<(u32, u64)>> for Buckets {
     }
 }
 
-record!(impl HistogramSnapshot {
+record!(impl HistogramSnapshot as Histogram {
     count: u64,
     total_ns: u64,
     max_ns: u64,
@@ -974,9 +714,11 @@ const VALUE_TAG_GAUGE: u8 = 1;
 const VALUE_TAG_HISTOGRAM: u8 = 2;
 
 /// `tag:u8`, then a `u64` (counter, gauge) or a histogram snapshot.
-impl Field for MetricValue {
+struct Metric;
+
+impl Field<MetricValue> for Metric {
     const MIN_LEN: usize = 1 + 8;
-    fn put<S: Sink>(v: &Self, w: &mut S) {
+    fn put<S: Sink>(v: &MetricValue, w: &mut S) {
         match v {
             MetricValue::Counter(n) => {
                 w.put(&VALUE_TAG_COUNTER);
@@ -988,30 +730,34 @@ impl Field for MetricValue {
             }
             MetricValue::Histogram(h) => {
                 w.put(&VALUE_TAG_HISTOGRAM);
-                w.put(h);
+                Histogram::put(h, w);
             }
         }
     }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<MetricValue, Malformed> {
         match r.get::<u8>()? {
             VALUE_TAG_COUNTER => r.get().map(MetricValue::Counter),
             VALUE_TAG_GAUGE => r.get().map(MetricValue::Gauge),
-            VALUE_TAG_HISTOGRAM => r.get().map(MetricValue::Histogram),
-            _ => Err(WireError::Malformed("unknown metric value tag")),
+            VALUE_TAG_HISTOGRAM => Histogram::get(r).map(MetricValue::Histogram),
+            _ => Err(Malformed("unknown metric value tag")),
         }
     }
 }
 
 /// A counted sequence of `(name, value)`; decoding goes through
 /// [`MetricsSnapshot::set`], which keeps the entries sorted and unique.
-impl Field for MetricsSnapshot {
+struct Metrics;
+
+type Entries = Vec<(String, Metric)>;
+
+impl Field<MetricsSnapshot> for Metrics {
     const MIN_LEN: usize = 4;
-    fn put<S: Sink>(v: &Self, w: &mut S) {
-        w.seq(&v.entries);
+    fn put<S: Sink>(v: &MetricsSnapshot, w: &mut S) {
+        Entries::put(&v.entries, w);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut Reader<'_>) -> Result<MetricsSnapshot, Malformed> {
         let mut out = MetricsSnapshot::new();
-        for (name, value) in r.get::<Vec<(String, MetricValue)>>()? {
+        for (name, value) in Entries::get(r)? {
             out.set(name, value);
         }
         Ok(out)
@@ -1071,11 +817,11 @@ record! {
         /// was full, or the batch arrived out of order behind another
         /// refusal): resend from this sequence number once the earlier
         /// refusal clears. `Some(code)` is a hard refusal.
-        pub code: Option<ErrorCode>,
+        pub code: Option<ErrorCode> as Refusal,
     }
 }
 
-record!(impl TraceEvent {
+record!(impl TraceEvent as Event {
     tid: u64,
     ts_ns: u64,
     phase: char as Phase,
@@ -1195,12 +941,12 @@ frames! {
             /// Target campaign.
             campaign: String as CampaignId,
             /// The batch, in stream order.
-            reports: Vec<StampedReport>,
+            reports: Vec<StampedReport> as Vec<Stamped>,
             /// Optional trace-context extension: the sender's current span,
             /// so the server's queue/merge spans causally link to the
             /// client's submit span. `None` encodes byte-identically to the
             /// pre-extension frame, so untraced peers interoperate.
-            ctx: Option<SpanContext>,
+            ctx: Option<SpanContext> as Ctx,
         },
         /// Execute the campaign's next round over everything submitted since
         /// the previous close.
@@ -1249,7 +995,7 @@ frames! {
             /// Optional trace-context extension: the coordinator's barrier
             /// span, so the node's drain span parents under it in a merged
             /// timeline. `None` is byte-identical to the pre-extension frame.
-            ctx: Option<SpanContext>,
+            ctx: Option<SpanContext> as Ctx,
         },
         /// Phase two of the barrier: durably append the node's slice of the
         /// merged round to its WAL. Idempotent — re-sending the previous
@@ -1273,7 +1019,7 @@ frames! {
             rounds_debited: Vec<u32>,
             /// Optional trace-context extension (see
             /// [`Request::CloseRoundPrepare::ctx`]).
-            ctx: Option<SpanContext>,
+            ctx: Option<SpanContext> as Ctx,
         },
         /// Stream one committed store operation to a follower, in commit
         /// order. The follower applies it under its replica root and acks
@@ -1323,10 +1069,10 @@ frames! {
             /// under the **same** number.
             seq: u64,
             /// The batch, in stream order.
-            reports: Vec<StampedReport>,
+            reports: Vec<StampedReport> as Vec<Stamped>,
             /// Optional trace-context extension (see
             /// [`Request::SubmitReports::ctx`]).
-            ctx: Option<SpanContext>,
+            ctx: Option<SpanContext> as Ctx,
         },
         /// Read the server's full observability snapshot: every registry
         /// metric (connection gauges, per-campaign stage-busy counters,
@@ -1444,7 +1190,7 @@ frames! {
             /// column headers would double every `Response`'s size, and
             /// the node keeps the reply's claims for its commit without
             /// a second copy.
-            claims: Arc<ShardClaims>,
+            claims: Arc<ShardClaims> as Columns,
         },
         /// Phase-two result: the node's WAL holds the epoch.
         0x8b => Committed {
@@ -1490,7 +1236,7 @@ frames! {
         /// [`Request::QueryStatus`]).
         0x8f => Status {
             /// Every metric the server's registry holds, sorted by name.
-            snapshot: dptd_obs::MetricsSnapshot,
+            snapshot: MetricsSnapshot as Metrics,
         },
         /// The process's retained trace rings (reply to
         /// [`Request::QueryTrace`]).
@@ -1505,7 +1251,7 @@ frames! {
             /// missing instead of silently looking complete.
             dropped: Vec<(u64, u64)>,
             /// The retained events, oldest-first per ring.
-            events: Vec<TraceEvent>,
+            events: Vec<TraceEvent> as Vec<Event>,
         },
     }
 }
@@ -1545,7 +1291,7 @@ where
             w.put(&r.sent_at_us);
             put_claim(w, user, &r.report.values);
         }
-        w.put(ctx);
+        Ctx::put(ctx, w);
     }
     let mut n = Counter(0);
     put_body(&mut n, campaign, seq, rows.clone(), &ctx);
