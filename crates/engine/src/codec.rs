@@ -364,6 +364,32 @@ impl<A: Id, B> Id for (A, B) {
 #[derive(Debug)]
 pub struct Ascending<K>(PhantomData<K>);
 
+impl<K> Ascending<K> {
+    /// Read the list, handing each entry to `apply` in order: every
+    /// check [`Field::get`] makes, with no list built.
+    pub fn each<T: Id>(
+        r: &mut Reader<'_>,
+        mut apply: impl FnMut(T) -> Result<(), Malformed>,
+    ) -> Result<(), Malformed>
+    where
+        K: Field<T>,
+    {
+        const { assert!(K::MIN_LEN > 0) };
+        let count = r.get::<usize>()?;
+        r.fits(count, K::MIN_LEN)?;
+        let mut last = None;
+        for _ in 0..count {
+            let entry = K::get(r)?;
+            if last.is_some_and(|id| id >= entry.id()) {
+                return Err(Malformed("ids not strictly ascending"));
+            }
+            last = Some(entry.id());
+            apply(entry)?;
+        }
+        Ok(())
+    }
+}
+
 impl<T: Id, K: Field<T>> Field<Vec<T>> for Ascending<K> {
     const MIN_LEN: usize = 8;
     fn put<S: Sink>(v: &Vec<T>, w: &mut S) {
@@ -373,11 +399,13 @@ impl<T: Id, K: Field<T>> Field<Vec<T>> for Ascending<K> {
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Vec<T>, Malformed> {
-        let count = r.get::<usize>()?;
-        let entries = r.column::<T, K>(count)?;
-        if entries.windows(2).any(|pair| pair[0].id() >= pair[1].id()) {
-            return Err(Malformed("ids not strictly ascending"));
-        }
+        // Sized once from the stated count, which `each` checks again.
+        let count = Reader { buf: r.buf }.get::<usize>()?;
+        let mut entries = Vec::with_capacity(r.fits(count, K::MIN_LEN)?);
+        Self::each(r, |entry| {
+            entries.push(entry);
+            Ok(())
+        })?;
         Ok(entries)
     }
 }

@@ -255,18 +255,16 @@ impl FrameKind {
                         "delta's changed count disagrees with its payload",
                     ));
                 }
-                let changed: Vec<Change> = Ascending::<Change>::get(r)?;
-                if changed
-                    .last()
-                    .is_some_and(|&(user, _)| user as usize >= users)
-                {
-                    return Err(Malformed("changed user outside the population"));
-                }
                 let mut losses = base.cumulative_losses.clone();
                 let mut debits = base.rounds_debited.clone();
-                for (user, entry) in changed {
-                    (losses[user as usize], debits[user as usize]) = entry;
-                }
+                Ascending::<Change>::each(r, |(user, entry)| {
+                    let user = user as usize;
+                    if user >= users {
+                        return Err(Malformed("changed user outside the population"));
+                    }
+                    (losses[user], debits[user]) = entry;
+                    Ok(())
+                })?;
                 (losses, debits)
             }
         };
