@@ -584,39 +584,27 @@ impl Field<char> for Phase {
 /// Encoded size of one report value (object:u32 + value:f64).
 const VALUE_BYTES: usize = 4 + 8;
 
-/// One claim's wire form under `user` — a [`PerturbedReport`]'s own, or
-/// the user id [`encode_submit`] puts in its place.
-fn put_claim<S: Sink>(w: &mut S, user: usize, values: &[(usize, f64)]) {
-    w.put(&(user as u64));
-    w.put(&(values.len() as u32));
-    for &(object, value) in values {
-        w.put(&(object as u32));
-        w.put(&value);
+/// An object id: a `usize` in memory, a `u32` on the wire.
+struct Object;
+
+impl Field<usize> for Object {
+    const MIN_LEN: usize = 4;
+    fn put<S: Sink>(v: &usize, w: &mut S) {
+        w.put(&(*v as u32));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<usize, Malformed> {
+        r.get::<u32>().map(|object| object as usize)
     }
 }
 
-/// A prepared claim: `user:u64 nvals:u32 (object:u32 value:f64)*`. The
-/// hot loop of every submission frame, and it narrows `usize` ids to
-/// their wire widths, so it is written by hand.
-struct Claim;
+/// A report's values: `nvals:u32 (object:u32 value:f64)*`.
+type Values = Vec<(Object, f64)>;
 
-impl Field<PerturbedReport> for Claim {
-    const MIN_LEN: usize = 8 + 4;
-    fn put<S: Sink>(v: &PerturbedReport, w: &mut S) {
-        put_claim(w, v.user, &v.values);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<PerturbedReport, Malformed> {
-        let user = usize::try_from(r.get::<u64>()?).map_err(|_| Malformed("user overflows"))?;
-        let nvals = r.bounded_count(VALUE_BYTES)?;
-        let mut values = Vec::with_capacity(nvals);
-        for _ in 0..nvals {
-            let object =
-                usize::try_from(r.get::<u32>()?).map_err(|_| Malformed("object overflows"))?;
-            values.push((object, r.get()?));
-        }
-        Ok(PerturbedReport { user, values })
-    }
-}
+// A prepared claim: `user:u64`, then its values.
+record!(impl PerturbedReport as Claim {
+    user: usize,
+    values: Vec<(usize, f64)> as Values,
+});
 
 // A stamped report is its stamp, then the claim it carries.
 record!(impl StampedReport as Stamped {
@@ -1289,7 +1277,8 @@ where
         for (r, user) in rows {
             w.put(&r.epoch);
             w.put(&r.sent_at_us);
-            put_claim(w, user, &r.report.values);
+            w.put(&user);
+            Values::put(&r.report.values, w);
         }
         Ctx::put(ctx, w);
     }
