@@ -201,6 +201,10 @@ impl FrameKind {
         w.put(&round.policy);
         w.put(&round.num_users());
         // The `Ascending` lists, written from borrowed slices.
+        debug_assert!(
+            round.accepted_users.is_sorted_by(|a, b| a < b),
+            "replay refuses accepted users that are not strictly ascending"
+        );
         w.put(&(round.accepted_users.len() as u64));
         w.column(round.accepted_users);
         match self {
