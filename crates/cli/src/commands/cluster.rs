@@ -285,20 +285,7 @@ fn run_submit(args: &ArgMap) -> Result<(String, ClusterCampaign), CliError> {
 /// their lanes mirror the coordinator's — the merged document is still
 /// well-formed.
 fn trace(argv: &[String]) -> Result<String, CliError> {
-    let mut dump = false;
-    let tokens: Vec<String> = argv
-        .iter()
-        .filter(|t| {
-            if t.as_str() == "--dump" {
-                dump = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    let args = ArgMap::parse(&tokens)?;
+    let (dump, args) = super::dump_switch(argv)?;
     let out_path = args.get("out").map(PathBuf::from);
 
     // The rings are process-global: reset so the merged timeline holds
@@ -315,24 +302,17 @@ fn trace(argv: &[String]) -> Result<String, CliError> {
         return Ok(summarize_trace(&report, &processes));
     }
     let json = dptd_cluster::merge_trace_timeline(&processes);
-    match out_path {
-        None => Ok(json),
-        Some(path) => {
-            std::fs::write(&path, &json).map_err(|e| {
-                CliError::Pipeline(Box::new(std::io::Error::new(
-                    e.kind(),
-                    format!("writing merged trace to {}: {e}", path.display()),
-                )))
-            })?;
-            let events: usize = processes.iter().map(|p| p.events.len()).sum();
-            Ok(format!(
-                "wrote {events} trace event(s) across {} process(es) to {} \
-                 (open at chrome://tracing or ui.perfetto.dev)\n",
-                processes.len(),
-                path.display()
-            ))
-        }
-    }
+    let Some(path) = out_path else {
+        return Ok(json);
+    };
+    super::write_json(&path, &json, "merged trace")?;
+    let events: usize = processes.iter().map(|p| p.events.len()).sum();
+    Ok(format!(
+        "wrote {events} trace event(s) across {} process(es) to {} \
+         (open at chrome://tracing or ui.perfetto.dev)\n",
+        processes.len(),
+        path.display()
+    ))
 }
 
 /// The non-dump rendering: the campaign report plus one row per

@@ -27,6 +27,23 @@ pub(crate) fn box_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> Cli
     CliError::Pipeline(Box::new(e))
 }
 
+/// Take the bare `--dump` switch out of `argv` (every other dptd flag is
+/// `--key value`) and parse the rest: whether it was given, and the
+/// flags. `dptd trace` and `dptd cluster trace` take it.
+pub(crate) fn dump_switch(argv: &[String]) -> Result<(bool, crate::args::ArgMap), CliError> {
+    let rest: Vec<String> = argv.iter().filter(|t| *t != "--dump").cloned().collect();
+    Ok((rest.len() < argv.len(), crate::args::ArgMap::parse(&rest)?))
+}
+
+/// Write a JSON dump to `path` (`--out`); a failure names `what` was
+/// being written, and where.
+pub(crate) fn write_json(path: &std::path::Path, json: &str, what: &str) -> Result<(), CliError> {
+    std::fs::write(path, json).map_err(|e| {
+        let message = format!("writing {what} to {}: {e}", path.display());
+        box_err(std::io::Error::new(e.kind(), message))
+    })
+}
+
 /// Block until stdin reaches EOF — how an operator (or a supervisor
 /// closing the pipe) stops `dptd serve`, `dptd cluster serve` and
 /// `dptd status --watch`. A signal (SIGCHLD under a supervisor,

@@ -14,7 +14,6 @@ use std::fmt::Write as _;
 
 use dptd_obs::trace;
 
-use crate::args::ArgMap;
 use crate::CliError;
 
 /// Execute `dptd trace [--dump] [--out <file>] [campaign flags…]`.
@@ -24,22 +23,7 @@ use crate::CliError;
 /// Returns [`CliError::Usage`] for malformed flags and
 /// [`CliError::Pipeline`] for workload or file-write failures.
 pub fn execute(argv: &[String]) -> Result<String, CliError> {
-    // `--dump` is a bare switch (every other dptd flag is `--key
-    // value`); peel it off before the pair parser sees the rest.
-    let mut dump = false;
-    let tokens: Vec<String> = argv
-        .iter()
-        .filter(|t| {
-            if t.as_str() == "--dump" {
-                dump = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    let args = ArgMap::parse(&tokens)?;
+    let (dump, args) = super::dump_switch(argv)?;
     let out_path = args.get("out").map(std::path::PathBuf::from);
 
     // Drive the traced workload. The rings are process-global, so reset
@@ -55,25 +39,15 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
         return Ok(summarize(&report, &events, &trace::dropped_events()));
     }
     let json = trace::dump_chrome_json();
-    match out_path {
-        None => Ok(json),
-        Some(path) => {
-            std::fs::write(&path, &json).map_err(|e| {
-                CliError::Pipeline(Box::new(std::io::Error::new(
-                    e.kind(),
-                    format!("writing trace dump to {}: {e}", path.display()),
-                )))
-            })?;
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "wrote {} trace event(s) to {} (open at chrome://tracing or ui.perfetto.dev)",
-                events.len(),
-                path.display()
-            );
-            Ok(out)
-        }
-    }
+    let Some(path) = out_path else {
+        return Ok(json);
+    };
+    super::write_json(&path, &json, "trace dump")?;
+    Ok(format!(
+        "wrote {} trace event(s) to {} (open at chrome://tracing or ui.perfetto.dev)\n",
+        events.len(),
+        path.display()
+    ))
 }
 
 /// The non-dump rendering: the campaign report plus per-site event

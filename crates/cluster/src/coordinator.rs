@@ -89,7 +89,7 @@ use dptd_ldp::PrivacyLoss;
 use dptd_protocol::budget::BudgetAccountant;
 use dptd_protocol::message::StampedReport;
 use dptd_protocol::partition::PartitionMap;
-use dptd_truth::columnar::ColumnarBatch;
+use dptd_truth::columnar::{scoped_map, ColumnarBatch};
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::Loss;
 
@@ -137,21 +137,12 @@ impl Nodes for Vec<Client> {
         // A reply too large for the socket buffers blocks its node's
         // write until it is read: reading them all at once lets every
         // node finish writing while the others' replies are decoded.
-        let ambient = dptd_obs::trace::current();
-        let read = move |id: usize, node: &mut Client| {
-            let _ctx = ambient.map(dptd_obs::trace::enter);
+        let owed = written.into_iter().zip(self.iter_mut()).enumerate();
+        scoped_map(owed.collect(), |(id, (sent, node))| {
+            sent?;
             let _reply =
                 dptd_obs::trace::TraceScope::begin(dptd_obs::codes::BARRIER_REPLY, id as u64);
             node.recv()
-        };
-        std::thread::scope(|scope| {
-            let readers: Vec<_> = (written.into_iter().zip(self.iter_mut()).enumerate())
-                .map(|(id, (sent, node))| sent.map(|()| scope.spawn(move || read(id, node))))
-                .collect();
-            let joined = readers.into_iter().map(|reader| {
-                reader.and_then(|r| r.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            });
-            joined.collect()
         })
     }
 }

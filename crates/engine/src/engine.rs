@@ -85,7 +85,7 @@ use std::time::Instant;
 
 use dptd_obs::trace::{codes as trace_codes, TraceScope};
 use dptd_protocol::message::StampedReport;
-use dptd_truth::columnar::ColumnarBatch;
+use dptd_truth::columnar::{scoped_map, split_runs, ColumnarBatch};
 use dptd_truth::streaming::{Committed, ShardClaims, StreamingCrh};
 use dptd_truth::Loss;
 
@@ -286,8 +286,9 @@ impl Scratch {
         let _span = TraceScope::begin(trace_codes::STAGE, count);
         let start = Instant::now();
         let num_shards = self.shards.len();
-        let threads = filter_threads(cfg, batch.len());
-        fan_out(&mut self.shards, threads, |first, run| {
+        let runs = split_runs(&mut self.shards, filter_threads(cfg, batch.len()));
+        scoped_map(runs, |(first, run)| {
+            let _span = TraceScope::begin(trace_codes::FILTER, run.len() as u64);
             let end = first + run.len();
             // Stream order within each shard: first-wins stays exact.
             for stamped in batch {
@@ -319,51 +320,6 @@ fn filter_threads(cfg: &EngineConfig, reports: usize) -> usize {
         n => n,
     };
     workers.min(cfg.num_shards)
-}
-
-/// Run `work` over `shards` cut into `threads` contiguous, balanced runs
-/// — the last on the caller, the others on scoped threads — and hand
-/// back each run's result in shard order. `work` is given the id of its
-/// run's first shard. Each run is one `filter` span, in the caller's
-/// trace context.
-fn fan_out<T: Send>(
-    shards: &mut [ShardState],
-    threads: usize,
-    work: impl Fn(usize, &mut [ShardState]) -> T + Sync,
-) -> Vec<T> {
-    let num_shards = shards.len();
-    let mut runs = Vec::with_capacity(threads);
-    let mut rest = shards;
-    let mut first = 0;
-    for t in 0..threads {
-        let owned = num_shards / threads + usize::from(t < num_shards % threads);
-        let (run, tail) = rest.split_at_mut(owned);
-        runs.push((first, run));
-        rest = tail;
-        first += owned;
-    }
-    // Thread-locals don't cross `scope.spawn`: re-enter the caller's
-    // trace context in each run, so its span parents under the caller's.
-    let ambient = dptd_obs::trace::current();
-    let work = &work;
-    let piece = move |(first, run): (usize, &mut [ShardState])| {
-        let _ctx = ambient.map(dptd_obs::trace::enter);
-        let _span = TraceScope::begin(trace_codes::FILTER, run.len() as u64);
-        work(first, run)
-    };
-    let own = runs.pop().expect("at least one thread");
-    thread::scope(|scope| {
-        let spawned: Vec<_> = runs
-            .into_iter()
-            .map(|run| scope.spawn(move || piece(run)))
-            .collect();
-        let mine = piece(own);
-        spawned
-            .into_iter()
-            .map(|h| h.join().expect("filter thread panicked"))
-            .chain([mine])
-            .collect()
-    })
 }
 
 /// The sharded streaming aggregation engine. See the module docs for the
@@ -555,7 +511,8 @@ impl Engine {
         let start = Instant::now();
         let threads = filter_threads(cfg, metrics.reports_submitted as usize);
         let (shard_claims, stats): (Vec<ShardClaims>, Vec<ShardEpochStats>) =
-            fan_out(&mut scratch.shards, threads, |_, run| {
+            scoped_map(split_runs(&mut scratch.shards, threads), |(_, run)| {
+                let _span = TraceScope::begin(trace_codes::FILTER, run.len() as u64);
                 run.iter_mut()
                     .map(ShardState::finish_epoch)
                     .collect::<Vec<_>>()

@@ -391,22 +391,8 @@ impl ColumnarBatch {
             values = rest;
             runs.push((lo, hi, mine, mine_values));
         }
-        let copy_run = &copy_run;
-        let (lo, hi, objects, values) = runs.pop().expect("at least one worker");
-        let counts = std::thread::scope(|scope| {
-            let spawned: Vec<_> = runs
-                .into_iter()
-                .map(|(lo, hi, o, v)| scope.spawn(move || copy_run(lo, hi, o, v)))
-                .collect();
-            let mine = copy_run(lo, hi, objects, values);
-            spawned
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .chain([mine])
-                .collect::<Vec<_>>()
-        });
         // Runs in row order: the first error met is the lowest user's.
-        for run in counts {
+        for run in scoped_map(runs, |(lo, hi, o, v)| copy_run(lo, hi, o, v)) {
             for (total, n) in self.object_counts.iter_mut().zip(run?) {
                 *total += n;
             }
@@ -474,37 +460,33 @@ impl ColumnarBatch {
         }
     }
 
+    /// Leaves per piece when the leaves are spread over `workers`: every
+    /// leaf in one piece for `workers <= 1`, and never fewer than one.
+    fn leaves_per_piece(&self, workers: usize) -> usize {
+        let leaves = self.num_leaves();
+        leaves.div_ceil(workers.min(leaves).max(1)).max(1)
+    }
+
     /// Compute one `part_len`-wide partial per leaf into one flat
     /// `num_leaves × part_len` buffer (leaf `l` at `l * part_len`),
-    /// distributing leaves over `workers` threads in contiguous chunks.
+    /// distributing leaves over `workers` pieces in contiguous chunks.
     /// Which worker computes which leaf cannot affect any result:
     /// partials are folded later at fixed tree positions.
     fn leaf_partials<F>(&self, workers: usize, part_len: usize, fill: F) -> Vec<f64>
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
-        let num_leaves = self.num_leaves();
-        let mut parts = vec![0.0; num_leaves * part_len];
+        let mut parts = vec![0.0; self.num_leaves() * part_len];
         if part_len == 0 {
             return parts;
         }
-        if workers <= 1 || num_leaves <= 1 {
-            for (leaf, part) in parts.chunks_mut(part_len).enumerate() {
-                fill(leaf, part);
+        let chunk = self.leaves_per_piece(workers);
+        let pieces = parts.chunks_mut(chunk * part_len).enumerate().collect();
+        scoped_map(pieces, |(c, slice): (usize, &mut [f64])| {
+            for (i, part) in slice.chunks_mut(part_len).enumerate() {
+                fill(c * chunk + i, part);
             }
-        } else {
-            let chunk = num_leaves.div_ceil(workers.min(num_leaves));
-            std::thread::scope(|scope| {
-                for (c, slice) in parts.chunks_mut(chunk * part_len).enumerate() {
-                    let fill = &fill;
-                    scope.spawn(move || {
-                        for (i, part) in slice.chunks_mut(part_len).enumerate() {
-                            fill(c * chunk + i, part);
-                        }
-                    });
-                }
-            });
-        }
+        });
         parts
     }
 
@@ -605,33 +587,21 @@ impl ColumnarBatch {
         workers: usize,
     ) {
         debug_assert_eq!(acc.len(), self.users.len());
-        let num_leaves = self.num_leaves();
-        let leaf_losses = |leaf_lo: usize, leaf_hi: usize, acc: &mut [f64]| {
-            let base = self.leaf_starts[leaf_lo];
-            for row in base..self.leaf_starts[leaf_hi] {
-                let row_loss = &mut acc[row - base];
-                for k in self.offsets[row]..self.offsets[row + 1] {
-                    let n = self.objects[k] as usize;
-                    *row_loss += loss.distance(self.values[k], truths[n], stds[n]);
-                }
-            }
-        };
-        if workers <= 1 || num_leaves <= 1 {
-            leaf_losses(0, num_leaves, acc);
-            return;
+        let (num_leaves, chunk) = (self.num_leaves(), self.leaves_per_piece(workers));
+        let mut pieces = Vec::with_capacity(num_leaves.div_ceil(chunk));
+        let mut rest = acc;
+        for lo in (0..num_leaves).step_by(chunk) {
+            let hi = (lo + chunk).min(num_leaves);
+            let (mine, next) = rest.split_at_mut(self.leaf_starts[hi] - self.leaf_starts[lo]);
+            rest = next;
+            pieces.push((lo..hi, mine));
         }
-        let chunk = num_leaves.div_ceil(workers.min(num_leaves));
-        std::thread::scope(|scope| {
-            let mut rest = acc;
-            let mut leaf = 0;
-            while leaf < num_leaves {
-                let hi = (leaf + chunk).min(num_leaves);
-                let rows = self.leaf_starts[hi] - self.leaf_starts[leaf];
-                let (mine, next) = rest.split_at_mut(rows);
-                rest = next;
-                let leaf_losses = &leaf_losses;
-                scope.spawn(move || leaf_losses(leaf, hi, mine));
-                leaf = hi;
+        scoped_map(pieces, |(leaves, acc)| {
+            let base = self.leaf_starts[leaves.start];
+            for leaf in leaves {
+                self.for_leaf_claims(leaf, |row, n, value| {
+                    acc[row - base] += loss.distance(value, truths[n], stds[n]);
+                });
             }
         });
     }
@@ -716,7 +686,7 @@ pub fn check_claims(
 /// fixed leaf order, in place: level 0 adds leaf 1 into leaf 0, leaf 3
 /// into leaf 2, …; each level repeats one step up at twice the stride,
 /// and the root ends in leaf 0's slot. The shape is a pure function of
-/// the leaf count.
+/// the leaf count. No leaves fold to `part_len` zeros.
 fn tree_fold(mut parts: Vec<f64>, part_len: usize) -> Vec<f64> {
     let num_leaves = parts.len().checked_div(part_len).unwrap_or(0);
     let mut stride = 1;
@@ -730,7 +700,7 @@ fn tree_fold(mut parts: Vec<f64>, part_len: usize) -> Vec<f64> {
         }
         stride *= 2;
     }
-    parts.truncate(part_len);
+    parts.resize(part_len, 0.0);
     parts
 }
 
@@ -757,6 +727,57 @@ pub(crate) fn resolve_workers(requested: usize) -> usize {
     } else {
         requested
     }
+}
+
+/// Run `work` on every piece — the last on the calling thread, each
+/// other on a scoped thread of its own, all in the caller's trace
+/// context — and return the results in piece order. A single piece
+/// spawns nothing; a piece that panics has its own payload raised on the
+/// caller once every piece has ended. How a round's parallel passes
+/// (filter, shard close, row copy, leaf kernels, weight refresh, a
+/// coordinator's reply gather) spread over threads.
+pub fn scoped_map<P: Send, T: Send>(mut pieces: Vec<P>, work: impl Fn(P) -> T + Sync) -> Vec<T> {
+    let Some(own) = pieces.pop() else {
+        return Vec::new();
+    };
+    // Thread-locals don't cross `scope.spawn`: each spawned piece
+    // re-enters the caller's context, so its spans parent under the
+    // caller's.
+    let ambient = dptd_obs::trace::current();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (pieces.into_iter())
+            .map(|piece| {
+                scope.spawn(move || {
+                    let _ctx = ambient.map(dptd_obs::trace::enter);
+                    work(piece)
+                })
+            })
+            .collect();
+        let mine = work(own);
+        spawned
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .chain([mine])
+            .collect()
+    })
+}
+
+/// Cut `items` into `n` contiguous runs whose lengths differ by at most
+/// one, the longer runs first, each with the index of its first item.
+/// No runs for `n = 0`.
+pub fn split_runs<T>(mut items: &mut [T], n: usize) -> Vec<(usize, &mut [T])> {
+    let len = items.len();
+    let mut first = 0;
+    (0..n)
+        .map(|t| {
+            let owned = len / n + usize::from(t < len % n);
+            let (run, rest) = std::mem::take(&mut items).split_at_mut(owned);
+            items = rest;
+            first += owned;
+            (first - owned, run)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -786,24 +807,136 @@ mod tests {
 
     #[test]
     fn worker_count_cannot_change_any_kernel_result() {
-        // Straddle several leaf boundaries so the tree is non-trivial.
-        let b = batch_of(3 * LEAF_SPAN + 17, 4, 7);
-        let weights: Vec<f64> = (0..b.num_users()).map(|u| 1.0 + (u % 7) as f64).collect();
-        let stds_1 = b.object_std_devs(1);
-        let truths_1 = b.weighted_truths(&weights, 1).unwrap();
-        let mut acc_1 = vec![0.0; b.num_users()];
-        b.accumulate_losses(&truths_1, &stds_1, Loss::Squared, &mut acc_1, 1);
-        for workers in 2..=8 {
-            assert_eq!(stds_1, b.object_std_devs(workers), "stds w={workers}");
-            assert_eq!(
-                truths_1,
-                b.weighted_truths(&weights, workers).unwrap(),
-                "truths w={workers}"
-            );
-            let mut acc = vec![0.0; b.num_users()];
-            b.accumulate_losses(&truths_1, &stds_1, Loss::Squared, &mut acc, workers);
-            assert_eq!(acc_1, acc, "losses w={workers}");
+        // Straddle several leaf boundaries so the tree is non-trivial;
+        // then one leaf, which no worker count can split.
+        for num_users in [3 * LEAF_SPAN + 17, 40] {
+            let b = batch_of(num_users, 4, 7);
+            let weights: Vec<f64> = (0..b.num_users()).map(|u| 1.0 + (u % 7) as f64).collect();
+            let stds_1 = b.object_std_devs(1);
+            let truths_1 = b.weighted_truths(&weights, 1).unwrap();
+            let mut acc_1 = vec![0.0; b.num_users()];
+            b.accumulate_losses(&truths_1, &stds_1, Loss::Squared, &mut acc_1, 1);
+            // `0` and `64` (more workers than leaves) included.
+            for workers in (0..=8).chain([64]) {
+                let what = format!("{num_users} users, w={workers}");
+                assert_eq!(stds_1, b.object_std_devs(workers), "stds {what}");
+                assert_eq!(
+                    truths_1,
+                    b.weighted_truths(&weights, workers).unwrap(),
+                    "truths {what}"
+                );
+                let mut acc = vec![0.0; b.num_users()];
+                b.accumulate_losses(&truths_1, &stds_1, Loss::Squared, &mut acc, workers);
+                assert_eq!(acc_1, acc, "losses {what}");
+            }
         }
+    }
+
+    #[test]
+    fn a_batch_with_no_leaves_is_degenerate_not_a_panic() {
+        let mut loaded = ColumnarBatch::new(0, 3);
+        loaded.load_shards(&[]).unwrap();
+        for b in [ColumnarBatch::new(0, 3), loaded] {
+            assert_eq!(b.num_leaves(), 0);
+            for workers in [0, 1, 4] {
+                assert_eq!(b.object_std_devs(workers), vec![1.0; 3]);
+                assert!(matches!(
+                    b.weighted_truths(&[], workers),
+                    Err(TruthError::Degenerate { .. })
+                ));
+                b.accumulate_losses(&[0.0; 3], &[1.0; 3], Loss::Squared, &mut [], workers);
+            }
+        }
+    }
+
+    #[test]
+    fn scoped_map_returns_every_result_in_piece_order() {
+        let caller = std::thread::current().id();
+        for n in [0usize, 1, 2, 9] {
+            let ran = std::sync::atomic::AtomicUsize::new(0);
+            let out = scoped_map((0..n).collect(), |i| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                (i * i, std::thread::current().id() == caller)
+            });
+            let squares: Vec<usize> = out.iter().map(|&(square, _)| square).collect();
+            assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            // The last piece runs on the caller, every other one off it;
+            // no piece at all runs nothing.
+            let on_caller: Vec<bool> = out.iter().map(|&(_, here)| here).collect();
+            let want: Vec<bool> = (0..n).map(|i| i + 1 == n).collect();
+            assert_eq!(on_caller, want, "{n} pieces");
+            assert_eq!(ran.into_inner(), n);
+        }
+    }
+
+    #[test]
+    fn a_panicking_piece_reaches_the_caller_with_its_own_payload() {
+        // A spawned piece, then the caller's own.
+        for bad in [0usize, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                scoped_map(vec![0usize, 1, 2], |i| {
+                    if i == bad {
+                        panic!("piece {i}");
+                    }
+                    i
+                })
+            });
+            let Err(payload) = caught else {
+                panic!("piece {bad}'s panic did not reach the caller");
+            };
+            let want = format!("piece {bad}");
+            assert_eq!(payload.downcast_ref::<String>(), Some(&want));
+        }
+    }
+
+    #[test]
+    fn a_spawned_piece_parents_its_spans_under_the_callers() {
+        use dptd_obs::codes;
+        use dptd_obs::trace::{self, SpanContext, TraceScope};
+        trace::set_enabled(true);
+        let root = SpanContext::root("scoped_map", 1);
+        let caller = {
+            let _ctx = trace::enter(root);
+            let caller = TraceScope::begin(codes::MERGE, 0);
+            scoped_map((0..3).collect(), |i| {
+                drop(TraceScope::begin(codes::FILTER, i))
+            });
+            caller.context()
+        };
+        trace::set_enabled(false);
+        let Some(caller) = caller else {
+            panic!("the caller's span is armed and under a trace");
+        };
+        let parents: Vec<(u64, u64)> = trace::collect()
+            .into_iter()
+            .filter(|e| e.trace_id == root.trace_id)
+            .filter(|e| e.code == codes::FILTER && e.phase == 'B')
+            .map(|e| (e.arg, e.parent_span))
+            .collect();
+        assert_eq!(parents.len(), 3, "{parents:?}");
+        assert!(
+            parents.iter().all(|&(_, p)| p == caller.span_id),
+            "{parents:?}"
+        );
+    }
+
+    #[test]
+    fn split_runs_cuts_balanced_contiguous_runs() {
+        let mut items: Vec<usize> = (0..10).collect();
+        let runs = split_runs(&mut items, 4);
+        let cut: Vec<(usize, Vec<usize>)> = runs
+            .into_iter()
+            .map(|(first, run)| (first, run.to_vec()))
+            .collect();
+        let want = [
+            (0, vec![0, 1, 2]),
+            (3, vec![3, 4, 5]),
+            (6, vec![6, 7]),
+            (8, vec![8, 9]),
+        ];
+        assert_eq!(cut, want);
+        assert!(split_runs(&mut items, 0).is_empty());
+        assert_eq!(split_runs(&mut items[..2], 3).len(), 3);
     }
 
     #[test]

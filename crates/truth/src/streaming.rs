@@ -49,7 +49,7 @@ use std::sync::{mpsc, OnceLock};
 use dptd_obs::{codes, TraceScope};
 use dptd_stats::digest::{fnv1a_f64s, Fnv1a};
 
-use crate::columnar::{effective_workers, resolve_workers, ColumnarBatch};
+use crate::columnar::{effective_workers, resolve_workers, scoped_map, ColumnarBatch};
 use crate::loss::Loss;
 use crate::matrix::ObservationMatrix;
 use crate::TruthError;
@@ -664,22 +664,14 @@ fn refresh_span(weights: &mut [f64], losses: &[f64], total: f64) {
 /// ranges; each weight is one expression of its own loss, so the split
 /// cannot change a bit.
 fn refresh_weights(weights: &mut [f64], losses: &[f64], total: f64, workers: usize) {
-    let workers = resolve_workers(workers);
-    if total <= 0.0 || workers <= 1 || weights.len() < PAR_REFRESH_USERS {
-        refresh_span(weights, losses, total);
-        return;
-    }
-    let span = weights.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut ranges = weights.chunks_mut(span).zip(losses.chunks(span));
-        let own = ranges.next();
-        for (w, l) in ranges {
-            scope.spawn(move || refresh_span(w, l, total));
-        }
-        if let Some((w, l)) = own {
-            refresh_span(w, l, total);
-        }
-    });
+    let workers = if total <= 0.0 || weights.len() < PAR_REFRESH_USERS {
+        1
+    } else {
+        resolve_workers(workers)
+    };
+    let span = weights.len().div_ceil(workers).max(1);
+    let ranges = weights.chunks_mut(span).zip(losses.chunks(span)).collect();
+    scoped_map(ranges, |(w, l)| refresh_span(w, l, total));
 }
 
 #[cfg(test)]
