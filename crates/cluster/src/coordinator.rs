@@ -34,9 +34,10 @@
 //! `Vec<Client>` and a **scatter/gather**: every request goes out
 //! before any reply is read, so node prepares, commit fsyncs and
 //! follower acks overlap, while each connection carries one unanswered
-//! request. Every reply is then read and decoded on its own scoped
-//! thread, so no node's write of a reply larger than its socket buffer
-//! waits behind the decode of another node's. This module's tests drive
+//! request. Every reply is then read and decoded at once, through
+//! [`scoped_map`]: the last node's on the caller, each other's on a
+//! scoped thread, so no node's write of a reply larger than its socket
+//! buffer waits behind the decode of another node's. This module's tests drive
 //! the same seam over in-process nodes with a seeded fault simulator.
 //! Submission is one pipelined stream per node ([`dptd_server::submit_streams`]): a
 //! window of batches in flight on every connection, each frame encoded
@@ -114,8 +115,9 @@ pub trait Nodes {
 }
 
 /// A scatter/gather, one connection per node: every request is written
-/// before any reply is read, then every owed reply is read on its own
-/// scoped thread, under a `barrier.reply` span (arg = node id) in the
+/// before any reply is read, then every owed reply is read at once
+/// through [`scoped_map`] — the last on the caller, each other on a
+/// scoped thread — under a `barrier.reply` span (arg = node id) in the
 /// caller's trace context. A failed write stops the scatter (later
 /// nodes get no entry), not the gather. Blocking writes cannot
 /// deadlock: a node never waits for a reply to be read before it takes

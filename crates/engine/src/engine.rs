@@ -28,13 +28,15 @@
 //! call.
 //!
 //! A batch of at least [`PAR_STAGE_THRESHOLD`] reports fans out over
-//! scoped threads (`workers` of them, at most one per shard). Each owns
-//! a contiguous run of shards and scans the whole batch in stream order,
-//! ingesting only its own shards' reports, so first-wins dedup sees each
-//! shard's reports in the order they came. A smaller batch — a served
-//! submit of a few hundred reports — is filtered on the caller: it is
-//! not worth a thread. A close finishes the shards on the same fan-out,
-//! sized by the reports its epoch staged, and merges on the caller. The
+//! `workers` balanced runs of shards (at most one shard a run), through
+//! [`scoped_map`]: the last run on the caller, each other on a scoped
+//! thread, each run one `filter` span. Each run scans the whole batch in
+//! stream order, ingesting only its own shards' reports, so first-wins
+//! dedup sees each shard's reports in the order they came. A smaller
+//! batch — a served submit of a few hundred reports — is one run, on the
+//! caller: it is not worth a thread. A close finishes the shards on the
+//! same fan-out, sized by the reports its epoch staged, and merges on
+//! the caller. The
 //! filter works per user and the merge is canonical in user id, so the
 //! merged truths are **bit-identical for any shard count, worker count
 //! and batch split**, which `crates/engine/tests/proptests.rs`,

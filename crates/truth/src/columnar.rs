@@ -52,8 +52,9 @@
 //!
 //! With every row's place known up front, the second pass — validate
 //! each cell, copy the row, sort it if it was pushed out of order — runs
-//! on the merge workers, over contiguous runs of rows, each writing its
-//! own slice of the columns (the caller takes the last run). The columns
+//! on the merge workers, over contiguous runs of rows cut at row
+//! offsets, each writing its own slice of the columns, through
+//! [`scoped_map`] (the caller takes the last run). The columns
 //! are reused from epoch to epoch without being cleared, and the rows
 //! are checked in users-ascending order within each run, so the first
 //! error of the lowest run is the one a single thread would have met
